@@ -59,11 +59,14 @@ pub enum OpenLoopProcess {
 
 impl OpenLoopProcess {
     fn finish(arrival: Nanos, now: Nanos, world: &mut World) -> Step {
-        world.tl.sample("bench.sojourn.ns", now, (now - arrival).0);
+        let sojourn = (now - arrival).0;
+        world.h.sojourn.sample(now, sojourn, 0);
+        let obs = &world.obs;
         world
-            .obs
-            .histogram("bench.sojourn.ns")
-            .record((now - arrival).0);
+            .h
+            .sojourn_hist
+            .get_or_insert_with(|| obs.histogram("bench.sojourn.ns"))
+            .record(sojourn);
         Step::Done
     }
 }

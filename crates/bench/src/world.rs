@@ -9,7 +9,8 @@ use cudele_client::{AckOutcome, RpcClient, SpeculativeClient};
 use cudele_faults::FaultPlan;
 use cudele_journal::InodeId;
 use cudele_mds::{ClientId, MdsError, MetadataServer, OpCost};
-use cudele_obs::{observe_mechanism, observe_mechanism_at, Histogram, Registry, TraceCtx};
+use cudele_obs::timeline::Series;
+use cudele_obs::{Histogram, Mechanism, Registry, SpanName, TraceCtx};
 use cudele_sim::{FifoServer, Nanos, Process, Step};
 use cudele_workloads::{client_dir, file_name, Interference};
 
@@ -27,6 +28,82 @@ pub struct World {
     pub obs: Arc<Registry>,
     /// The registry's shared virtual-time timeline (windowed samplers).
     pub tl: cudele_obs::timeline::Timeline,
+    /// Everything the processes record per op, resolved once from `obs`.
+    pub(crate) h: WorldHandles,
+}
+
+/// The harness's per-op telemetry, resolved against the world's registry
+/// when the world is built so no process step looks a name up. Open-loop
+/// runs hold one process per arrival, so the handles live here, once,
+/// rather than in each process. All of them are lazy (an unused series,
+/// span name or mechanism leaves no trace in any artifact), which is why
+/// a histogram only some runs record stays an `Option` filled on first use.
+pub(crate) struct WorldHandles {
+    rpcs: Mechanism,
+    volatile_apply: Mechanism,
+    append_client_journal: Mechanism,
+    speculate: Mechanism,
+    queue_wait: SpanName,
+    service: SpanName,
+    net_rpc: SpanName,
+    create: SpanName,
+    net_transfer: SpanName,
+    mds_apply: SpanName,
+    net_reply: SpanName,
+    merge: SpanName,
+    client_append: SpanName,
+    append_batch: SpanName,
+    spec_create: SpanName,
+    client_rollback: SpanName,
+    backlog: Series,
+    ops: Series,
+    op_latency: Series,
+    merge_latency: Series,
+    timeouts: Series,
+    retries: Series,
+    spec_rollbacks: Series,
+    spec_replayed: Series,
+    spec_commits: Series,
+    spec_depth: Series,
+    pub(crate) sojourn: Series,
+    /// `bench.sojourn.ns`, registered by the first open-loop completion.
+    pub(crate) sojourn_hist: Option<Histogram>,
+}
+
+impl WorldHandles {
+    fn resolve(obs: &Registry) -> WorldHandles {
+        let tl = obs.timeline();
+        WorldHandles {
+            rpcs: obs.mechanism("rpcs"),
+            volatile_apply: obs.mechanism("volatile_apply"),
+            append_client_journal: obs.mechanism("append_client_journal"),
+            speculate: obs.mechanism("speculate"),
+            queue_wait: obs.span_name("mds.queue_wait", "mds"),
+            service: obs.span_name("mds.service", "mds"),
+            net_rpc: obs.span_name("net.rpc", "net"),
+            create: obs.span_name("create", "client_op"),
+            net_transfer: obs.span_name("net.transfer", "net"),
+            mds_apply: obs.span_name("mds.apply", "mds"),
+            net_reply: obs.span_name("net.reply", "net"),
+            merge: obs.span_name("merge", "client_op"),
+            client_append: obs.span_name("client.append", "client"),
+            append_batch: obs.span_name("append_batch", "client_op"),
+            spec_create: obs.span_name("spec_create", "client_op"),
+            client_rollback: obs.span_name("client.rollback", "client"),
+            backlog: tl.series("mds.rpc.backlog_ns"),
+            ops: tl.series("bench.ops"),
+            op_latency: tl.series("bench.op_latency.ns"),
+            merge_latency: tl.series("bench.merge_latency.ns"),
+            timeouts: tl.series("client.rpc.timeouts"),
+            retries: tl.series("client.rpc.retries"),
+            spec_rollbacks: tl.series("client.spec.rollbacks"),
+            spec_replayed: tl.series("client.spec.replayed"),
+            spec_commits: tl.series("client.spec.commits"),
+            spec_depth: tl.series("client.spec.depth"),
+            sojourn: tl.series("bench.sojourn.ns"),
+            sojourn_hist: None,
+        }
+    }
 }
 
 impl World {
@@ -37,12 +114,14 @@ impl World {
         let obs = crate::obs_out::session().unwrap_or_else(|| Arc::new(Registry::new()));
         server.attach_obs(&obs);
         let tl = obs.timeline();
+        let h = WorldHandles::resolve(&obs);
         World {
             server,
             mds: FifoServer::new("mds-cpu"),
             traces: HashMap::new(),
             obs,
             tl,
+            h,
         }
     }
 
@@ -61,7 +140,8 @@ impl World {
             let start = t;
             t = self.mds.serve(t, c.mds_cpu) + c.client_extra;
             if c.rpcs > 0 {
-                observe_mechanism(&self.obs, "rpcs", tid, start, t - start);
+                let ctx = self.obs.trace_root(tid);
+                self.h.rpcs.observe(&self.obs, ctx, start, t - start);
             }
         }
         t
@@ -78,21 +158,27 @@ impl World {
             t = served + c.client_extra;
             if c.rpcs > 0 {
                 let ctx = self.obs.trace_child(parent);
-                observe_mechanism_at(&self.obs, "rpcs", ctx, start, t - start);
-                let service_start = served - c.mds_cpu;
-                let wait = service_start - start;
-                self.tl.gauge_at("mds.rpc.backlog_ns", start, wait.0 as f64);
-                if wait > Nanos::ZERO {
-                    self.obs
-                        .child_span(ctx, "mds.queue_wait", "mds", start, wait);
-                }
-                self.obs
-                    .child_span(ctx, "mds.service", "mds", service_start, c.mds_cpu);
-                self.obs
-                    .child_span(ctx, "net.rpc", "net", served, c.client_extra);
+                self.h.rpcs.observe(&self.obs, ctx, start, t - start);
+                self.rpc_layers(ctx, start, served, c);
             }
         }
         t
+    }
+
+    /// The layer breakdown under one charged RPC's mechanism span `ctx`:
+    /// the backlog gauge, `mds.queue_wait` (only when the MDS CPU made the
+    /// request wait), `mds.service` and `net.rpc`.
+    fn rpc_layers(&self, ctx: TraceCtx, start: Nanos, served: Nanos, c: &OpCost) {
+        let service_start = served - c.mds_cpu;
+        let wait = service_start - start;
+        self.h.backlog.set(start, wait.0 as f64);
+        if wait > Nanos::ZERO {
+            self.obs.child_named(ctx, self.h.queue_wait, start, wait);
+        }
+        self.obs
+            .child_named(ctx, self.h.service, service_start, c.mds_cpu);
+        self.obs
+            .child_named(ctx, self.h.net_rpc, served, c.client_extra);
     }
 
     /// Appends a point to a named trace.
@@ -167,34 +253,25 @@ impl Process<World> for RpcCreateProcess {
             Err(e) => panic!("client {} create failed: {e}", self.idx),
         }
         let t = world.charge_ctx(root, now, &out.costs);
-        world.obs.end_span_args(
-            root,
-            "create",
-            "client_op",
-            now,
-            t - now,
-            vec![("file".to_string(), name)],
-        );
+        world
+            .obs
+            .end_named_with(root, world.h.create, now, t - now, || {
+                vec![("file".to_string(), name)]
+            });
         self.op_lat.record((t - now).0);
         self.last_op_end = t;
-        world.tl.add("bench.ops", t, 1);
-        world
-            .tl
-            .sample_traced("bench.op_latency.ns", t, (t - now).0, root.trace_id);
+        world.h.ops.add(t, 1);
+        world.h.op_latency.sample(t, (t - now).0, root.trace_id);
         let timeouts = self.client.timeouts_seen;
         if timeouts > self.timeouts_seen {
-            world
-                .tl
-                .add("client.rpc.timeouts", t, timeouts - self.timeouts_seen);
+            world.h.timeouts.add(t, timeouts - self.timeouts_seen);
             self.timeouts_seen = timeouts;
         }
         // Non-terminal retry attempts, windowed: a bounded-retry storm that
         // eventually succeeds is invisible in the timeout series alone.
         let retries = self.client.retries_seen;
         if retries > self.retries_seen {
-            world
-                .tl
-                .add("client.rpc.retries", t, retries - self.retries_seen);
+            world.h.retries.add(t, retries - self.retries_seen);
             self.retries_seen = retries;
         }
         self.done += 1;
@@ -275,41 +352,39 @@ impl DecoupledCreateProcess {
         // queue) on the MDS CPU — all under one client-op root.
         world
             .obs
-            .child_span(root, "net.transfer", "net", t, transfer);
+            .child_named(root, world.h.net_transfer, t, transfer);
         let va = world.obs.trace_child(root);
-        observe_mechanism_at(&world.obs, "volatile_apply", va, arrive, done - arrive);
+        world
+            .h
+            .volatile_apply
+            .observe(&world.obs, va, arrive, done - arrive);
         let service_start = served - cost.mds_cpu.scale(factor);
         let wait = service_start - arrive;
         if wait > Nanos::ZERO {
-            world
-                .obs
-                .child_span(va, "mds.queue_wait", "mds", arrive, wait);
+            world.obs.child_named(va, world.h.queue_wait, arrive, wait);
         }
-        world.obs.child_span(
+        world.obs.child_named(
             va,
-            "mds.apply",
-            "mds",
+            world.h.mds_apply,
             service_start,
             cost.mds_cpu.scale(factor),
         );
         world
             .obs
-            .child_span(va, "net.reply", "net", served, cost.client_extra);
-        world.obs.end_span_args(
-            root,
-            "merge",
-            "client_op",
-            t,
-            done - t,
-            vec![("events".to_string(), self.done.to_string())],
-        );
+            .child_named(va, world.h.net_reply, served, cost.client_extra);
+        world
+            .obs
+            .end_named_with(root, world.h.merge, t, done - t, || {
+                vec![("events".to_string(), self.done.to_string())]
+            });
         world
             .obs
             .histogram("bench.merge_latency.ns")
             .record((done - t).0);
         world
-            .tl
-            .sample_traced("bench.merge_latency.ns", done, (done - t).0, root.trace_id);
+            .h
+            .merge_latency
+            .sample(done, (done - t).0, root.trace_id);
         // The merge is the run's global-visibility point: record it so
         // the eventual-visibility checker knows when the journal's acked
         // ops must become observable.
@@ -351,24 +426,24 @@ impl Process<World> for DecoupledCreateProcess {
         }
         // One windowed sample per batch: every append in it has the same
         // latency, so the batch collapses to a count plus one exemplar.
-        world.tl.add("bench.ops", t, batch);
-        world.tl.sample("bench.op_latency.ns", t, self.append.0);
+        world.h.ops.add(t, batch);
+        world.h.op_latency.sample(t, self.append.0, 0);
         // One parented tree per batch: the whole window is client-local
         // append CPU, so the mechanism span and its client child coincide.
         let root = world.obs.trace_root(self.idx);
         let acj = world.obs.trace_child(root);
-        observe_mechanism_at(&world.obs, "append_client_journal", acj, now, t - now);
+        world
+            .h
+            .append_client_journal
+            .observe(&world.obs, acj, now, t - now);
         world
             .obs
-            .child_span(acj, "client.append", "client", now, t - now);
-        world.obs.end_span_args(
-            root,
-            "append_batch",
-            "client_op",
-            now,
-            t - now,
-            vec![("ops".to_string(), batch.to_string())],
-        );
+            .child_named(acj, world.h.client_append, now, t - now);
+        world
+            .obs
+            .end_named_with(root, world.h.append_batch, now, t - now, || {
+                vec![("ops".to_string(), batch.to_string())]
+            });
         if self.done >= self.total {
             // The final batch's time still elapses; model it by one last
             // wake-up that immediately completes.
@@ -572,18 +647,13 @@ impl SpeculativeCreateProcess {
     fn complete(&mut self, world: &mut World, p: &PendingAck, at: Nanos) {
         let lat = at - p.issued_at;
         self.op_lat.record(lat.0);
-        world.tl.add("bench.ops", at, 1);
+        world.h.ops.add(at, 1);
+        world.h.op_latency.sample(at, lat.0, p.root.trace_id);
         world
-            .tl
-            .sample_traced("bench.op_latency.ns", at, lat.0, p.root.trace_id);
-        world.obs.end_span_args(
-            p.root,
-            "spec_create",
-            "client_op",
-            p.issued_at,
-            lat,
-            vec![("seq".to_string(), p.seq.to_string())],
-        );
+            .obs
+            .end_named_with(p.root, world.h.spec_create, p.issued_at, lat, || {
+                vec![("seq".to_string(), p.seq.to_string())]
+            });
         self.last_op_end = self.last_op_end.max(at);
     }
 
@@ -592,7 +662,7 @@ impl SpeculativeCreateProcess {
     /// op's root), then completes every doomed op — including later ones
     /// whose acks were still pending — at the replay's end.
     fn rollback_and_replay(&mut self, world: &mut World, p: &PendingAck, doomed: &[u64]) -> Nanos {
-        world.tl.add("client.spec.rollbacks", p.at, 1);
+        world.h.spec_rollbacks.add(p.at, 1);
         world.server.set_now(p.at);
         world.server.set_trace_ctx(Some(p.root));
         self.client.set_now(p.at);
@@ -602,8 +672,8 @@ impl SpeculativeCreateProcess {
         let t = world.charge_ctx(p.root, p.at, &costs);
         world
             .obs
-            .child_span(p.root, "client.rollback", "client", p.at, t - p.at);
-        world.tl.add("client.spec.replayed", t, doomed.len() as u64);
+            .child_named(p.root, world.h.client_rollback, p.at, t - p.at);
+        world.h.spec_replayed.add(t, doomed.len() as u64);
         let mut rest = VecDeque::with_capacity(self.pending.len());
         for q in std::mem::take(&mut self.pending) {
             if doomed.contains(&q.seq) {
@@ -628,7 +698,7 @@ impl Process<World> for SpeculativeCreateProcess {
                 AckOutcome::Committed(n) => {
                     self.complete(world, &p, p.at);
                     if n > 0 {
-                        world.tl.add("client.spec.commits", p.at, n);
+                        world.h.spec_commits.add(p.at, n);
                     }
                 }
                 AckOutcome::RolledBack(doomed) => {
@@ -658,23 +728,11 @@ impl Process<World> for SpeculativeCreateProcess {
                 ack_at = served + c.client_extra;
                 if c.rpcs > 0 {
                     let ctx = world.obs.trace_child(root);
-                    observe_mechanism_at(&world.obs, "speculate", ctx, start, ack_at - start);
-                    let service_start = served - c.mds_cpu;
-                    let wait = service_start - start;
                     world
-                        .tl
-                        .gauge_at("mds.rpc.backlog_ns", start, wait.0 as f64);
-                    if wait > Nanos::ZERO {
-                        world
-                            .obs
-                            .child_span(ctx, "mds.queue_wait", "mds", start, wait);
-                    }
-                    world
-                        .obs
-                        .child_span(ctx, "mds.service", "mds", service_start, c.mds_cpu);
-                    world
-                        .obs
-                        .child_span(ctx, "net.rpc", "net", served, c.client_extra);
+                        .h
+                        .speculate
+                        .observe(&world.obs, ctx, start, ack_at - start);
+                    world.rpc_layers(ctx, start, served, c);
                 }
             }
             // Per-client NACK draws: keyed by (client, seq) so the draw is
@@ -690,9 +748,7 @@ impl Process<World> for SpeculativeCreateProcess {
                 root,
                 issued_at: t,
             });
-            world
-                .tl
-                .gauge_at("client.spec.depth", t, self.client.depth() as f64);
+            world.h.spec_depth.set(t, self.client.depth() as f64);
             self.issued += 1;
             t += self.append;
         }

@@ -8,6 +8,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cudele_faults::RetryPolicy;
+use cudele_obs::timeline::Series;
 use cudele_obs::{Counter, Registry, TraceSink};
 use cudele_rados::{ObjectId, ObjectStore, PoolId, RadosError};
 use cudele_sim::Nanos;
@@ -137,21 +138,28 @@ pub struct JournalObs {
     /// `journal.io.retries` — transient object-store failures absorbed by
     /// the writer's retry policy.
     pub retries: Counter,
-    /// Windowed series (write rate, retry rate, backoff level) stamped
-    /// with the clock hint from [`JournalWriter::set_now`].
-    pub tl: cudele_obs::timeline::Timeline,
+    /// Windowed series (write rate, byte rate, retry rate, backoff level)
+    /// stamped with the clock hint from [`JournalWriter::set_now`].
+    tl_appends: Series,
+    tl_bytes: Series,
+    tl_retries: Series,
+    tl_backoff_ns: Series,
 }
 
 impl JournalObs {
     /// Creates (or re-binds) the `journal.writer.*` counters in `reg`.
     pub fn attach(reg: &Registry) -> JournalObs {
+        let tl = reg.timeline();
         JournalObs {
             appends: reg.counter("journal.writer.appends"),
             events: reg.counter("journal.writer.events"),
             bytes: reg.counter("journal.writer.bytes"),
             stripe_rollovers: reg.counter("journal.writer.stripe_rollovers"),
             retries: reg.counter("journal.io.retries"),
-            tl: reg.timeline(),
+            tl_appends: tl.series("journal.writer.appends"),
+            tl_bytes: tl.series("journal.writer.bytes"),
+            tl_retries: tl.series("journal.io.retries"),
+            tl_backoff_ns: tl.series("journal.writer.backoff_ns"),
         }
     }
 }
@@ -357,12 +365,11 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
             obs.retries.add(retried);
             // Windowed view: append/byte throughput over virtual time,
             // retry bursts, and the backoff level the retries piled up.
-            obs.tl.add("journal.writer.appends", self.now, 1);
-            obs.tl.add("journal.writer.bytes", self.now, written);
+            obs.tl_appends.add(self.now, 1);
+            obs.tl_bytes.add(self.now, written);
             if retried > 0 {
-                obs.tl.add("journal.io.retries", self.now, retried);
-                obs.tl
-                    .gauge_at("journal.writer.backoff_ns", self.now, self.backoff.0 as f64);
+                obs.tl_retries.add(self.now, retried);
+                obs.tl_backoff_ns.set(self.now, self.backoff.0 as f64);
             }
         }
         Ok(written)

@@ -38,7 +38,8 @@ use cudele_journal::{
     crc32, decode_journal, encode_journal, read_journal, read_journal_tail, InodeId, JournalEvent,
     JournalId, JournalIoError, JournalTool,
 };
-use cudele_obs::{Counter, Registry};
+use cudele_obs::timeline::{Series, Timeline};
+use cudele_obs::{Counter, Registry, SpanName};
 use cudele_rados::{ObjectId, ObjectStore, RadosError};
 use cudele_sim::{CostModel, Nanos};
 
@@ -271,15 +272,27 @@ struct CkptObs {
     /// `mds.ckpt.replay_events_saved` — journal events newly covered by a
     /// checkpoint, i.e. events every future recovery no longer replays.
     replay_events_saved: Counter,
+    /// The `ckpt.compact` span, one per published manifest.
+    compact_span: SpanName,
+    /// Publication cadence and coverage over virtual time, plus the
+    /// timeline itself for the per-manifest marker.
+    tl_checkpoints: Series,
+    tl_covered_events: Series,
+    tl: Timeline,
 }
 
 impl CkptObs {
     fn attach(reg: &std::sync::Arc<Registry>) -> CkptObs {
+        let tl = reg.timeline();
         CkptObs {
             reg: std::sync::Arc::clone(reg),
             checkpoints: reg.counter("mds.ckpt.checkpoints"),
             deltas_folded: reg.counter("mds.ckpt.deltas_folded"),
             replay_events_saved: reg.counter("mds.ckpt.replay_events_saved"),
+            compact_span: reg.span_name("ckpt.compact", "mds"),
+            tl_checkpoints: tl.series("mds.ckpt.checkpoints"),
+            tl_covered_events: tl.series("mds.ckpt.covered_events"),
+            tl,
         }
     }
 }
@@ -436,23 +449,21 @@ impl CheckpointManager {
             o.checkpoints.inc();
             o.replay_events_saved.add(tail.len() as u64);
             let span = o.reg.trace_root(91);
-            o.reg.end_span(
+            o.reg.end_named(
                 span,
-                "ckpt.compact",
-                "mds",
+                o.compact_span,
                 now,
                 cost.volatile_apply_per_event * applied,
             );
             // Publication lands on the timeline: a marker per manifest
             // plus the cadence/coverage series.
-            let tl = o.reg.timeline();
-            tl.annotate(
+            o.tl.annotate(
                 "mds.ckpt.publish",
                 now,
                 &format!("epoch {next} covers {new_hw} events"),
             );
-            tl.add("mds.ckpt.checkpoints", now, 1);
-            tl.add("mds.ckpt.covered_events", now, tail.len() as u64);
+            o.tl_checkpoints.add(now, 1);
+            o.tl_covered_events.add(now, tail.len() as u64);
         }
         Ok(true)
     }

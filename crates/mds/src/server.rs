@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use cudele_journal::{Attrs, InodeId, InodeRange, JournalEvent};
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
-use cudele_obs::{observe_mechanism, observe_mechanism_at, Counter, Histogram, Registry, TraceCtx};
+use cudele_obs::timeline::Series;
+use cudele_obs::{Counter, Histogram, Mechanism, Registry, SpanName, TraceCtx};
 use cudele_rados::{Epoch, ObjectStore, PoolId, RadosError};
 use cudele_sim::{CostModel, Nanos};
 
@@ -155,8 +156,20 @@ struct MdsObs {
     /// `mds.spec.cross_epoch` — replays whose token was born under an
     /// older epoch than the serving primary (post-failover replays).
     spec_cross_epoch: Counter,
+    /// The Stream mechanism (one observation per journaled update) and its
+    /// `mds.mdlog` layer child.
+    stream: Mechanism,
+    mdlog_span: SpanName,
     /// Windowed time series: per-window service rate/latency, journal
-    /// backlog and flush cadence, reconnect markers.
+    /// backlog and flush cadence, reconnects and cross-epoch replays.
+    tl_served: Series,
+    tl_service_ns: Series,
+    tl_backlog_events: Series,
+    tl_flushes: Series,
+    tl_flushed_events: Series,
+    tl_reconnects: Series,
+    tl_cross_epoch: Series,
+    /// For annotations (session reconnect markers).
     tl: cudele_obs::timeline::Timeline,
     /// Virtual-time hint supplied by the harness via
     /// [`MetadataServer::set_now`]; anchors server-side Stream spans.
@@ -169,6 +182,7 @@ struct MdsObs {
 
 impl MdsObs {
     fn attach(reg: &Arc<Registry>) -> MdsObs {
+        let tl = reg.timeline();
         MdsObs {
             reg: Arc::clone(reg),
             service_ns: reg.histogram("mds.rpc.service_ns"),
@@ -184,7 +198,16 @@ impl MdsObs {
             spec_creates: reg.counter("mds.spec.creates"),
             spec_deduped: reg.counter("mds.spec.deduped"),
             spec_cross_epoch: reg.counter("mds.spec.cross_epoch"),
-            tl: reg.timeline(),
+            stream: reg.mechanism("stream"),
+            mdlog_span: reg.span_name("mds.mdlog", "mds"),
+            tl_served: tl.series("mds.rpc.served"),
+            tl_service_ns: tl.series("mds.rpc.service_ns"),
+            tl_backlog_events: tl.series("mds.mdlog.backlog_events"),
+            tl_flushes: tl.series("mds.mdlog.flushes"),
+            tl_flushed_events: tl.series("mds.mdlog.flushed_events"),
+            tl_reconnects: tl.series("mds.session.reconnects"),
+            tl_cross_epoch: tl.series("mds.spec.cross_epoch"),
+            tl,
             now: Nanos::ZERO,
             ctx: None,
         }
@@ -537,15 +560,12 @@ impl MetadataServer {
                     // Writer-side transients the whole-run counters hide:
                     // how deep the unflushed backlog runs and when segment
                     // flushes actually land on the virtual clock.
-                    o.tl.gauge_at(
-                        "mds.mdlog.backlog_events",
-                        o.now,
-                        log.unflushed_events() as f64,
-                    );
+                    o.tl_backlog_events
+                        .set(o.now, log.unflushed_events() as f64);
                     let flushed = log.flushed_events() - flushed_before;
                     if flushed > 0 {
-                        o.tl.add("mds.mdlog.flushes", o.now, 1);
-                        o.tl.add("mds.mdlog.flushed_events", o.now, flushed);
+                        o.tl_flushes.add(o.now, 1);
+                        o.tl_flushed_events.add(o.now, flushed);
                     }
                 }
                 // "The metadata server applies the updates in the journal
@@ -567,10 +587,10 @@ impl MetadataServer {
                                 // span, with the mdlog submit as its MDS-layer
                                 // child.
                                 let ctx = o.reg.trace_child(parent);
-                                observe_mechanism_at(&o.reg, "stream", ctx, o.now, cpu);
-                                o.reg.child_span(ctx, "mds.mdlog", "mds", o.now, cpu);
+                                o.stream.observe(&o.reg, ctx, o.now, cpu);
+                                o.reg.child_named(ctx, o.mdlog_span, o.now, cpu);
                             }
-                            None => observe_mechanism(&o.reg, "stream", 0, o.now, cpu),
+                            None => o.stream.observe(&o.reg, o.reg.trace_root(0), o.now, cpu),
                         }
                     }
                 }
@@ -625,13 +645,9 @@ impl MetadataServer {
             o.service_ns.record(service);
             // Windowed view of the same signal: service rate and latency
             // distribution over virtual time, worst op linked by trace.
-            o.tl.add("mds.rpc.served", o.now, 1);
-            o.tl.sample_traced(
-                "mds.rpc.service_ns",
-                o.now,
-                service,
-                o.ctx.map_or(0, |c| c.trace_id),
-            );
+            o.tl_served.add(o.now, 1);
+            o.tl_service_ns
+                .sample(o.now, service, o.ctx.map_or(0, |c| c.trace_id));
         }
         Rpc { result, cost }
     }
@@ -790,7 +806,7 @@ impl MetadataServer {
             // Reconnects cluster right after a takeover; the windowed rate
             // plus the marker make that visible against the failover
             // annotations.
-            o.tl.add("mds.session.reconnects", o.now, 1);
+            o.tl_reconnects.add(o.now, 1);
             o.tl.annotate(
                 "mds.session.reconnect",
                 o.now,
@@ -926,7 +942,7 @@ impl MetadataServer {
         if token.epoch < self.epoch.0 {
             self.obs(|o| {
                 o.spec_cross_epoch.inc();
-                o.tl.add("mds.spec.cross_epoch", o.now, 1);
+                o.tl_cross_epoch.add(o.now, 1);
             });
         }
         if let Err(e) = self.check_blocked(parent, client) {

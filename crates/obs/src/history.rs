@@ -280,20 +280,19 @@ impl HistoryWriter {
     /// to span ids, which keeps merged parallel recordings byte-identical
     /// to serial ones.
     pub fn merge_from(&self, other: &HistoryWriter, offset: u64) {
-        let (events, dropped) = {
-            let src = other.0.lock().unwrap_or_else(|p| p.into_inner());
-            (src.events.clone(), src.dropped)
-        };
-        for mut ev in events {
+        let src = other.0.lock().unwrap_or_else(|p| p.into_inner());
+        let mut log = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        let room = log.capacity.saturating_sub(log.events.len());
+        let keep = src.events.len().min(room);
+        log.events.reserve(keep);
+        log.events.extend(src.events[..keep].iter().map(|ev| {
+            let mut ev = ev.clone();
             if ev.trace_id != 0 {
                 ev.trace_id += offset;
             }
-            self.record(ev);
-        }
-        if dropped > 0 {
-            let mut log = self.0.lock().unwrap_or_else(|p| p.into_inner());
-            log.dropped += dropped;
-        }
+            ev
+        }));
+        log.dropped += (src.events.len() - keep) as u64 + src.dropped;
     }
 }
 

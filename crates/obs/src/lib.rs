@@ -22,9 +22,9 @@
 //! * [`Registry::metrics_json`] — a flat snapshot of every counter, gauge
 //!   and histogram (with p50/p95/p99), hand-rolled — no serde.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cudele_sim::Nanos;
 
@@ -372,11 +372,124 @@ impl<'a> TraceSink<'a> {
     }
 }
 
+/// An interned span name and category, resolved once with
+/// [`Registry::span_name`] so per-op span recording carries two small ids
+/// instead of building two `String`s. Valid only with the registry that
+/// issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanName {
+    name: u32,
+    cat: u32,
+}
+
+/// Span names and categories, each stored once; spans refer to them by id.
+#[derive(Debug, Default)]
+struct Interner {
+    ids: HashMap<Arc<str>, u32>,
+    strings: Vec<Arc<str>>,
+}
+
+impl Interner {
+    /// The id of `s`; allocates only the first time `s` is seen.
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = self.strings.len() as u32;
+        let s: Arc<str> = Arc::from(s);
+        self.strings.push(Arc::clone(&s));
+        self.ids.insert(s, id);
+        id
+    }
+
+    fn span_name(&mut self, name: &str, cat: &str) -> SpanName {
+        SpanName {
+            name: self.intern(name),
+            cat: self.intern(cat),
+        }
+    }
+}
+
+/// A retained span: [`Span`] with its two strings interned.
+#[derive(Debug)]
+struct StoredSpan {
+    name: SpanName,
+    tid: u32,
+    start: Nanos,
+    dur: Nanos,
+    span_id: u64,
+    parent_id: u64,
+    trace_id: u64,
+    args: Vec<(String, String)>,
+}
+
 #[derive(Debug)]
 struct SpanLog {
-    spans: Vec<Span>,
+    spans: Vec<StoredSpan>,
     capacity: usize,
     dropped: u64,
+    names: Interner,
+}
+
+impl SpanLog {
+    fn name_of(&self, s: &StoredSpan) -> (&str, &str) {
+        (
+            &self.names.strings[s.name.name as usize],
+            &self.names.strings[s.name.cat as usize],
+        )
+    }
+
+    fn to_span(&self, s: &StoredSpan) -> Span {
+        let (name, cat) = self.name_of(s);
+        Span {
+            name: name.to_string(),
+            cat: cat.to_string(),
+            tid: s.tid,
+            start: s.start,
+            dur: s.dur,
+            span_id: s.span_id,
+            parent_id: s.parent_id,
+            trace_id: s.trace_id,
+            args: s.args.clone(),
+        }
+    }
+}
+
+/// A pre-resolved Figure-4 mechanism: the `core.mechanism.<name>.runs`
+/// counter, the `core.mechanism.<name>.ns` histogram and the interned
+/// `mechanism`-category span name, so observing an execution formats and
+/// looks up nothing. Obtained from [`Registry::mechanism`]; cloning shares
+/// the handle.
+///
+/// The counter and histogram are registered on the first observation, not
+/// when the handle is resolved: a mechanism that never runs leaves no
+/// zero-valued entries in [`Registry::metrics_json`].
+#[derive(Debug, Clone)]
+pub struct Mechanism(Arc<MechanismInner>);
+
+#[derive(Debug)]
+struct MechanismInner {
+    name: String,
+    span: SpanName,
+    metrics: OnceLock<(Counter, Histogram)>,
+}
+
+impl Mechanism {
+    /// Observes one execution: bumps the run counter, records the duration
+    /// and emits the mechanism span for `ctx`. `reg` must be the registry
+    /// this handle came from.
+    pub fn observe(&self, reg: &Registry, ctx: TraceCtx, start: Nanos, dur: Nanos) {
+        let (runs, ns) = self.0.metrics.get_or_init(|| {
+            let name = &self.0.name;
+            (
+                reg.counter(&format!("core.mechanism.{name}.runs")),
+                reg.histogram(&format!("core.mechanism.{name}.ns")),
+            )
+        });
+        runs.inc();
+        ns.record(dur.0);
+        reg.end_named(ctx, self.0.span, start, dur);
+    }
 }
 
 /// The central sink for one run's metrics and spans.
@@ -390,6 +503,9 @@ pub struct Registry {
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     spans: Mutex<SpanLog>,
+    /// Mechanism handles by DSL spelling, so the name-keyed
+    /// [`observe_mechanism_at`] resolves without formatting metric names.
+    mechanisms: Mutex<BTreeMap<String, Mechanism>>,
     /// Consistency history (see [`history`]): per-client invoke/ack
     /// records the offline checkers consume.
     history: HistoryWriter,
@@ -426,7 +542,9 @@ impl Registry {
                 spans: Vec::new(),
                 capacity,
                 dropped: 0,
+                names: Interner::default(),
             }),
+            mechanisms: Mutex::new(BTreeMap::new()),
             history: HistoryWriter::with_capacity(history::DEFAULT_HISTORY_CAPACITY),
             timeline: timeline::Timeline::default(),
             next_span_id: AtomicU64::new(0),
@@ -473,9 +591,80 @@ impl Registry {
         }
     }
 
+    /// The one span-recording path. Capacity is checked before anything is
+    /// built: a dropped span costs one counter increment, and `name` /
+    /// `args` run (under the span-log lock — they must not call back into
+    /// this registry's span methods) only for a span that is kept.
+    fn push_span(
+        &self,
+        ctx: TraceCtx,
+        start: Nanos,
+        dur: Nanos,
+        name: impl FnOnce(&mut Interner) -> SpanName,
+        args: impl FnOnce() -> Vec<(String, String)>,
+    ) {
+        let mut log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        if log.spans.len() >= log.capacity {
+            log.dropped += 1;
+            return;
+        }
+        let name = name(&mut log.names);
+        log.spans.push(StoredSpan {
+            name,
+            tid: ctx.tid,
+            start,
+            dur,
+            span_id: ctx.span_id,
+            parent_id: ctx.parent_id,
+            trace_id: ctx.trace_id,
+            args: args(),
+        });
+    }
+
+    /// Interns `name` and `cat` for per-op use with [`Registry::end_named`],
+    /// [`Registry::end_named_with`] and [`Registry::child_named`].
+    pub fn span_name(&self, name: &str, cat: &str) -> SpanName {
+        let mut log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        log.names.span_name(name, cat)
+    }
+
+    /// Records the completed span for `ctx` under a pre-resolved name:
+    /// one `Vec` push when retained, one increment when dropped.
+    pub fn end_named(&self, ctx: TraceCtx, name: SpanName, start: Nanos, dur: Nanos) {
+        self.push_span(ctx, start, dur, |_| name, Vec::new);
+    }
+
+    /// [`Registry::end_named`] with extra args, built by `args` only if
+    /// the span is retained. `args` runs under the span-log lock and must
+    /// not record spans itself.
+    pub fn end_named_with(
+        &self,
+        ctx: TraceCtx,
+        name: SpanName,
+        start: Nanos,
+        dur: Nanos,
+        args: impl FnOnce() -> Vec<(String, String)>,
+    ) {
+        self.push_span(ctx, start, dur, |_| name, args);
+    }
+
+    /// Allocates a child context under `parent` and records its completed
+    /// span under a pre-resolved name; returns the child's context.
+    pub fn child_named(
+        &self,
+        parent: TraceCtx,
+        name: SpanName,
+        start: Nanos,
+        dur: Nanos,
+    ) -> TraceCtx {
+        let ctx = self.trace_child(parent);
+        self.end_named(ctx, name, start, dur);
+        ctx
+    }
+
     /// Records the completed span for `ctx`.
     pub fn end_span(&self, ctx: TraceCtx, name: &str, cat: &str, start: Nanos, dur: Nanos) {
-        self.end_span_args(ctx, name, cat, start, dur, Vec::new());
+        self.push_span(ctx, start, dur, |n| n.span_name(name, cat), Vec::new);
     }
 
     /// Records the completed span for `ctx` with extra args.
@@ -488,17 +677,7 @@ impl Registry {
         dur: Nanos,
         args: Vec<(String, String)>,
     ) {
-        self.record_span(Span {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            tid: ctx.tid,
-            start,
-            dur,
-            span_id: ctx.span_id,
-            parent_id: ctx.parent_id,
-            trace_id: ctx.trace_id,
-            args,
-        });
+        self.push_span(ctx, start, dur, |n| n.span_name(name, cat), || args);
     }
 
     /// Allocates a child context under `parent` and records its completed
@@ -516,22 +695,34 @@ impl Registry {
         ctx
     }
 
+    /// The [`Mechanism`] handle for the mechanism spelled `name`.
+    pub fn mechanism(&self, name: &str) -> Mechanism {
+        let mut m = self.mechanisms.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(h) = m.get(name) {
+            return h.clone();
+        }
+        let h = Mechanism(Arc::new(MechanismInner {
+            name: name.to_string(),
+            span: self.span_name(name, "mechanism"),
+            metrics: OnceLock::new(),
+        }));
+        m.insert(name.to_string(), h.clone());
+        h
+    }
+
     /// Gets or creates the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.counters.lock().unwrap_or_else(|p| p.into_inner());
-        m.entry(name.to_string()).or_default().clone()
+        get_or_default(&self.counters, name)
     }
 
     /// Gets or creates the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self.gauges.lock().unwrap_or_else(|p| p.into_inner());
-        m.entry(name.to_string()).or_default().clone()
+        get_or_default(&self.gauges, name)
     }
 
     /// Gets or creates the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut m = self.histograms.lock().unwrap_or_else(|p| p.into_inner());
-        m.entry(name.to_string()).or_default().clone()
+        get_or_default(&self.histograms, name)
     }
 
     /// Current value of counter `name`, if it exists.
@@ -548,12 +739,19 @@ impl Registry {
 
     /// Records a fully built span.
     pub fn record_span(&self, span: Span) {
-        let mut log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-        if log.spans.len() < log.capacity {
-            log.spans.push(span);
-        } else {
-            log.dropped += 1;
-        }
+        let ctx = TraceCtx {
+            trace_id: span.trace_id,
+            span_id: span.span_id,
+            parent_id: span.parent_id,
+            tid: span.tid,
+        };
+        self.push_span(
+            ctx,
+            span.start,
+            span.dur,
+            |n| n.span_name(&span.name, &span.cat),
+            || span.args,
+        );
     }
 
     /// Records a standalone span without extra args. The span becomes a
@@ -579,13 +777,16 @@ impl Registry {
     /// A copy of the retained spans, in recording order.
     pub fn spans(&self) -> Vec<Span> {
         let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-        log.spans.clone()
+        log.spans.iter().map(|s| log.to_span(s)).collect()
     }
 
     /// Whether any retained span carries `name`.
     pub fn has_span(&self, name: &str) -> bool {
         let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-        log.spans.iter().any(|s| s.name == name)
+        match log.names.ids.get(name) {
+            Some(&id) => log.spans.iter().any(|s| s.name.name == id),
+            None => false,
+        }
     }
 
     /// The span-retention capacity this registry was built with.
@@ -663,19 +864,34 @@ impl Registry {
         }
         let offset = self.next_span_id.load(Ordering::Relaxed);
         let rebase = |id: u64| if id == 0 { 0 } else { id + offset };
-        let (src_spans, src_dropped) = {
-            let log = other.spans.lock().unwrap_or_else(|p| p.into_inner());
-            (log.spans.clone(), log.dropped)
-        };
-        for mut span in src_spans {
-            span.span_id = rebase(span.span_id);
-            span.parent_id = rebase(span.parent_id);
-            span.trace_id = rebase(span.trace_id);
-            self.record_span(span);
-        }
-        if src_dropped > 0 {
-            let mut log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-            log.dropped += src_dropped;
+        {
+            let src = other.spans.lock().unwrap_or_else(|p| p.into_inner());
+            let mut dst = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+            let dst = &mut *dst;
+            let room = dst.capacity.saturating_sub(dst.spans.len());
+            let keep = src.spans.len().min(room);
+            dst.spans.reserve(keep);
+            // Source string id → destination id, resolved on first use.
+            let mut ids: Vec<Option<u32>> = vec![None; src.names.strings.len()];
+            let mut map = |id: u32| {
+                *ids[id as usize]
+                    .get_or_insert_with(|| dst.names.intern(&src.names.strings[id as usize]))
+            };
+            dst.spans
+                .extend(src.spans[..keep].iter().map(|s| StoredSpan {
+                    name: SpanName {
+                        name: map(s.name.name),
+                        cat: map(s.name.cat),
+                    },
+                    tid: s.tid,
+                    start: s.start,
+                    dur: s.dur,
+                    span_id: rebase(s.span_id),
+                    parent_id: rebase(s.parent_id),
+                    trace_id: rebase(s.trace_id),
+                    args: s.args.clone(),
+                }));
+            dst.dropped += (src.spans.len() - keep) as u64 + src.dropped;
         }
         // History events and timeline worst-sample markers reference trace
         // roots by id, so they rebase by the same offset as the spans they
@@ -727,10 +943,11 @@ impl Registry {
                 out.push(',');
             }
             first_event = false;
+            let (name, cat) = log.name_of(s);
             out.push_str("{\"name\":\"");
-            out.push_str(&escape_json(&s.name));
+            out.push_str(&escape_json(name));
             out.push_str("\",\"cat\":\"");
-            out.push_str(&escape_json(&s.cat));
+            out.push_str(&escape_json(cat));
             out.push_str("\",\"ph\":\"X\",\"ts\":");
             push_micros(&mut out, s.start.0);
             out.push_str(",\"dur\":");
@@ -865,6 +1082,16 @@ impl Registry {
     }
 }
 
+/// The metric cell registered under `name`, created on first sight. Looks
+/// up by `&str` first so a repeat lookup does not allocate the key.
+fn get_or_default<T: Default + Clone>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
+    let mut m = map.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(cell) = m.get(name) {
+        return cell.clone();
+    }
+    m.entry(name.to_string()).or_default().clone()
+}
+
 /// Observes one executed mechanism (any of the paper's Figure 4 seven):
 /// bumps `core.mechanism.<name>.runs`, records the duration into
 /// `core.mechanism.<name>.ns`, and emits a `mechanism`-category span.
@@ -883,10 +1110,7 @@ pub fn observe_mechanism(reg: &Registry, name: &str, tid: u32, start: Nanos, dur
 /// opening a trace of its own. `ctx` should be a child context derived
 /// from the client op's root (see [`Registry::trace_child`]).
 pub fn observe_mechanism_at(reg: &Registry, name: &str, ctx: TraceCtx, start: Nanos, dur: Nanos) {
-    reg.counter(&format!("core.mechanism.{name}.runs")).inc();
-    reg.histogram(&format!("core.mechanism.{name}.ns"))
-        .record(dur.0);
-    reg.end_span(ctx, name, "mechanism", start, dur);
+    reg.mechanism(name).observe(reg, ctx, start, dur);
 }
 
 /// Escapes a string for embedding in a JSON string literal.

@@ -31,7 +31,7 @@
 //! JSON document; [`TimelineSnapshot::parse`] reads it back for the
 //! `cudele-bench timeline` explorer and for tests.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -78,7 +78,7 @@ impl SeriesKind {
 }
 
 /// Per-window aggregate. Only `Latency` windows allocate buckets.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Window {
     count: u64,
     sum: u64,
@@ -108,12 +108,39 @@ impl Window {
     }
 }
 
-/// One named series: windows in *insertion* order (so merge reproduces
-/// serial drop decisions exactly); export sorts by window index.
+/// One series slot: windows in *insertion* order (the canonical order, so
+/// merge reproduces serial drop decisions exactly; export sorts by window
+/// index) plus an index from window number to position, which makes a
+/// hit, a new window and an at-capacity drop all O(1).
+///
+/// A slot exists from the moment its name is first resolved but is
+/// *materialised* — shows up in snapshots, counts as recorded data — only
+/// once it holds a window.
 #[derive(Debug)]
 struct SeriesData {
+    /// Fixed by the first record that lands; meaningless while `windows`
+    /// is empty.
     kind: SeriesKind,
     windows: Vec<(u64, Window)>,
+    index: HashMap<u64, u32>,
+}
+
+impl SeriesData {
+    /// The window numbered `idx`, appended fresh if the series has room
+    /// for one more; `None` when it is at `cap` (first come, first kept).
+    fn window_mut(&mut self, idx: u64, cap: usize) -> Option<&mut Window> {
+        let pos = match self.index.get(&idx) {
+            Some(&p) => p as usize,
+            None if self.windows.len() < cap => {
+                let p = self.windows.len();
+                self.index.insert(idx, p as u32);
+                self.windows.push((idx, Window::new()));
+                p
+            }
+            None => return None,
+        };
+        Some(&mut self.windows[pos].1)
+    }
 }
 
 /// A point-in-time marker (crash, detection, takeover, checkpoint
@@ -133,7 +160,9 @@ struct TimelineData {
     window: u64,
     max_windows: usize,
     max_annotations: usize,
-    series: BTreeMap<String, SeriesData>,
+    /// Series name → slot in `series`; sorted, so export order is by name.
+    slots: BTreeMap<String, u32>,
+    series: Vec<SeriesData>,
     annotations: Vec<Annotation>,
     windows_dropped: u64,
     annotations_dropped: u64,
@@ -141,7 +170,116 @@ struct TimelineData {
 
 impl TimelineData {
     fn is_empty(&self) -> bool {
-        self.series.is_empty() && self.annotations.is_empty()
+        self.series.iter().all(|s| s.windows.is_empty()) && self.annotations.is_empty()
+    }
+
+    /// The slot for `name`, allocated (empty, unmaterialised) on first
+    /// sight. A hit does not allocate.
+    fn slot(&mut self, name: &str) -> u32 {
+        if let Some(&slot) = self.slots.get(name) {
+            return slot;
+        }
+        let slot = self.series.len() as u32;
+        self.series.push(SeriesData {
+            kind: SeriesKind::Rate,
+            windows: Vec::new(),
+            index: HashMap::new(),
+        });
+        self.slots.insert(name.to_string(), slot);
+        slot
+    }
+
+    /// Lands one sample of `kind` at virtual time `t` in series `slot`.
+    ///
+    /// `lost` is what `windows_dropped` grows by when the sample cannot
+    /// land (series at capacity): the number of underlying events, so a
+    /// capacity drop counts identically whether it happens at record time
+    /// (serial) or at merge time, where a whole window's `count` drops at
+    /// once.
+    fn record(
+        &mut self,
+        slot: u32,
+        kind: SeriesKind,
+        t: Nanos,
+        lost: u64,
+        f: impl FnOnce(&mut Window),
+    ) {
+        let idx = t.0 / self.window;
+        let series = &mut self.series[slot as usize];
+        if series.windows.is_empty() {
+            series.kind = kind;
+        } else if series.kind != kind {
+            // A name's kind is fixed at first use; a mismatched later call
+            // is a programming error — drop it deterministically rather
+            // than corrupt the series.
+            debug_assert!(false, "timeline series kind mismatch");
+            return;
+        }
+        match series.window_mut(idx, self.max_windows) {
+            Some(w) => f(w),
+            None => self.windows_dropped += lost,
+        }
+    }
+
+    fn add(&mut self, slot: u32, t: Nanos, n: u64) {
+        self.record(slot, SeriesKind::Rate, t, n, |w| {
+            w.count += n;
+            w.sum = w.sum.saturating_add(n);
+        });
+    }
+
+    fn set(&mut self, slot: u32, t: Nanos, v: f64) {
+        self.record(slot, SeriesKind::Gauge, t, 1, |w| {
+            w.count += 1;
+            w.last_bits = v.to_bits();
+        });
+    }
+
+    fn sample(&mut self, slot: u32, t: Nanos, v: u64, trace_id: u64) {
+        self.record(slot, SeriesKind::Latency, t, 1, |w| {
+            let buckets = w.buckets.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]));
+            buckets[(64 - v.leading_zeros()) as usize] += 1;
+            w.count += 1;
+            w.sum = w.sum.saturating_add(v);
+            w.min = w.min.min(v);
+            w.max = w.max.max(v);
+            if v > w.worst || w.count == 1 {
+                w.worst = v;
+                w.worst_trace = trace_id;
+            }
+        });
+    }
+}
+
+/// A series resolved once: recording through it skips the name lookup, so
+/// a sample is one lock, one hash probe and (on a hit) one window update —
+/// no allocation. Cloning shares the timeline.
+///
+/// Resolving a handle leaves no trace: the series appears in snapshots,
+/// and starts to block [`Timeline::configure`], only once a sample lands.
+/// The series' kind is fixed by that first sample, exactly as for the
+/// name-keyed methods, which address the same slots.
+#[derive(Debug, Clone)]
+pub struct Series {
+    tl: Timeline,
+    slot: u32,
+}
+
+impl Series {
+    /// [`Timeline::add`] without the name lookup.
+    pub fn add(&self, t: Nanos, n: u64) {
+        self.tl.lock().add(self.slot, t, n);
+    }
+
+    /// [`Timeline::gauge_at`] without the name lookup.
+    pub fn set(&self, t: Nanos, v: f64) {
+        self.tl.lock().set(self.slot, t, v);
+    }
+
+    /// [`Timeline::sample_traced`] without the name lookup (`trace_id` 0
+    /// = no trace identity).
+    pub fn sample(&self, t: Nanos, v: u64, trace_id: u64) {
+        self.tl.lock().sample(self.slot, t, v, trace_id);
     }
 }
 
@@ -156,7 +294,8 @@ impl Default for Timeline {
             window: DEFAULT_WINDOW.0,
             max_windows: DEFAULT_MAX_WINDOWS,
             max_annotations: DEFAULT_MAX_ANNOTATIONS,
-            series: BTreeMap::new(),
+            slots: BTreeMap::new(),
+            series: Vec::new(),
             annotations: Vec::new(),
             windows_dropped: 0,
             annotations_dropped: 0,
@@ -185,22 +324,29 @@ impl Timeline {
         self.0.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    /// Resolves `name` to a [`Series`] handle for per-op recording.
+    pub fn series(&self, name: &str) -> Series {
+        let slot = self.lock().slot(name);
+        Series {
+            tl: self.clone(),
+            slot,
+        }
+    }
+
     /// Adds `n` events at virtual time `t` to the [`SeriesKind::Rate`]
     /// series `name`.
     pub fn add(&self, name: &str, t: Nanos, n: u64) {
-        self.record(name, SeriesKind::Rate, t, n, |w| {
-            w.count += n;
-            w.sum = w.sum.saturating_add(n);
-        });
+        let mut d = self.lock();
+        let slot = d.slot(name);
+        d.add(slot, t, n);
     }
 
     /// Sets the [`SeriesKind::Gauge`] series `name` to `v` at virtual
     /// time `t` (last write in a window wins).
     pub fn gauge_at(&self, name: &str, t: Nanos, v: f64) {
-        self.record(name, SeriesKind::Gauge, t, 1, |w| {
-            w.count += 1;
-            w.last_bits = v.to_bits();
-        });
+        let mut d = self.lock();
+        let slot = d.slot(name);
+        d.set(slot, t, v);
     }
 
     /// Records one [`SeriesKind::Latency`] sample with no trace identity.
@@ -213,18 +359,9 @@ impl Timeline {
     /// occurrence of the maximum wins) so SLO alerts can link straight
     /// into the critical-path profiler.
     pub fn sample_traced(&self, name: &str, t: Nanos, v: u64, trace_id: u64) {
-        self.record(name, SeriesKind::Latency, t, 1, |w| {
-            let buckets = w.buckets.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]));
-            buckets[(64 - v.leading_zeros()) as usize] += 1;
-            w.count += 1;
-            w.sum = w.sum.saturating_add(v);
-            w.min = w.min.min(v);
-            w.max = w.max.max(v);
-            if v > w.worst || w.count == 1 {
-                w.worst = v;
-                w.worst_trace = trace_id;
-            }
-        });
+        let mut d = self.lock();
+        let slot = d.slot(name);
+        d.sample(slot, t, v, trace_id);
     }
 
     /// Records a point-in-time marker.
@@ -241,50 +378,6 @@ impl Timeline {
         }
     }
 
-    // `lost` is what `windows_dropped` grows by when the sample cannot
-    // land (series at capacity): the number of underlying events, so a
-    // capacity drop counts identically whether it happens at record time
-    // (serial) or at merge time, where a whole window's `count` drops at
-    // once.
-    fn record(
-        &self,
-        name: &str,
-        kind: SeriesKind,
-        t: Nanos,
-        lost: u64,
-        f: impl FnOnce(&mut Window),
-    ) {
-        let mut d = self.lock();
-        let idx = t.0 / d.window;
-        let cap = d.max_windows;
-        let series = d
-            .series
-            .entry(name.to_string())
-            .or_insert_with(|| SeriesData {
-                kind,
-                windows: Vec::new(),
-            });
-        // A name's kind is fixed at first use; a mismatched later call is
-        // a programming error — drop it deterministically rather than
-        // corrupt the series.
-        if series.kind != kind {
-            debug_assert!(false, "timeline series {name:?} kind mismatch");
-            return;
-        }
-        // Recording is mostly time-monotone per task, so scan from the
-        // back: the hit is almost always the last window.
-        let pos = series.windows.iter().rposition(|(w, _)| *w == idx);
-        match pos {
-            Some(p) => f(&mut series.windows[p].1),
-            None if series.windows.len() < cap => {
-                let mut w = Window::new();
-                f(&mut w);
-                series.windows.push((idx, w));
-            }
-            None => d.windows_dropped += lost,
-        }
-    }
-
     /// Total dropped samples + annotations — the truncation signal the
     /// regress comparator hard-fails on. Counted in underlying events,
     /// so serial recording and in-order merge agree exactly.
@@ -296,7 +389,7 @@ impl Timeline {
     /// Distinct retained windows across all series.
     pub fn windows_recorded(&self) -> u64 {
         let d = self.lock();
-        d.series.values().map(|s| s.windows.len() as u64).sum()
+        d.series.iter().map(|s| s.windows.len() as u64).sum()
     }
 
     /// Folds `other` into `self`, rebasing worst-sample trace ids by
@@ -313,63 +406,55 @@ impl Timeline {
     pub(crate) fn merge_from(&self, other: &Timeline, trace_offset: u64) {
         let src = other.lock();
         let mut dst = self.lock();
-        let cap = dst.max_windows;
-        for (name, s) in src.series.iter() {
-            let into = dst
-                .series
-                .entry(name.clone())
-                .or_insert_with(|| SeriesData {
-                    kind: s.kind,
-                    windows: Vec::new(),
-                });
-            if into.kind != s.kind {
+        let dst = &mut *dst;
+        for (name, &src_slot) in src.slots.iter() {
+            let s = &src.series[src_slot as usize];
+            if s.windows.is_empty() {
+                continue;
+            }
+            let slot = dst.slot(name);
+            let into = &mut dst.series[slot as usize];
+            if into.windows.is_empty() {
+                into.kind = s.kind;
+            } else if into.kind != s.kind {
                 debug_assert!(false, "timeline series {name:?} kind mismatch on merge");
                 continue;
             }
-            let mut dropped = 0u64;
             for (idx, w) in s.windows.iter() {
-                let rebased = if w.worst_trace == 0 {
-                    0
-                } else {
-                    w.worst_trace + trace_offset
-                };
-                match into.windows.iter().rposition(|(i, _)| i == idx) {
-                    Some(p) => {
-                        let d = &mut into.windows[p].1;
-                        d.sum = d.sum.saturating_add(w.sum);
-                        d.min = d.min.min(w.min);
-                        d.max = d.max.max(w.max);
-                        if w.count > 0 {
-                            // Serial order is self's records then other's,
-                            // so other's last gauge write wins.
-                            d.last_bits = w.last_bits;
-                        }
-                        d.count += w.count;
-                        if let Some(src_b) = &w.buckets {
-                            let b = d.buckets.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]));
-                            for (x, y) in b.iter_mut().zip(src_b.iter()) {
-                                *x += y;
-                            }
-                        }
-                        // Strictly-greater keeps the first occurrence of
-                        // the maximum, which in serial order is self's.
-                        if w.worst > d.worst {
-                            d.worst = w.worst;
-                            d.worst_trace = rebased;
-                        }
-                    }
-                    None if into.windows.len() < cap => {
-                        let mut d = w.clone();
-                        d.worst_trace = rebased;
-                        into.windows.push((*idx, d));
-                    }
+                let Some(d) = into.window_mut(*idx, dst.max_windows) else {
                     // The whole window fails to land: count every event
                     // it carried, matching what a serial recording would
                     // have counted dropping them one call at a time.
-                    None => dropped += w.count,
+                    dst.windows_dropped += w.count;
+                    continue;
+                };
+                d.sum = d.sum.saturating_add(w.sum);
+                d.min = d.min.min(w.min);
+                d.max = d.max.max(w.max);
+                if w.count > 0 {
+                    // Serial order is self's records then other's, so
+                    // other's last gauge write wins.
+                    d.last_bits = w.last_bits;
                 }
+                if let Some(src_b) = &w.buckets {
+                    let b = d.buckets.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]));
+                    for (x, y) in b.iter_mut().zip(src_b.iter()) {
+                        *x += y;
+                    }
+                }
+                // Strictly-greater keeps the first occurrence of the
+                // maximum, which in serial order is self's; a window this
+                // merge just created takes other's outright.
+                if w.worst > d.worst || d.count == 0 {
+                    d.worst = w.worst;
+                    d.worst_trace = if w.worst_trace == 0 {
+                        0
+                    } else {
+                        w.worst_trace + trace_offset
+                    };
+                }
+                d.count += w.count;
             }
-            dst.windows_dropped += dropped;
         }
         dst.windows_dropped += src.windows_dropped;
         let room = dst.max_annotations.saturating_sub(dst.annotations.len());
@@ -387,7 +472,14 @@ impl Timeline {
     pub fn snapshot(&self) -> TimelineSnapshot {
         let d = self.lock();
         let mut series: Vec<SeriesSnap> = Vec::with_capacity(d.series.len());
-        for (name, s) in d.series.iter() {
+        for (name, s) in d
+            .slots
+            .iter()
+            .map(|(n, &slot)| (n, &d.series[slot as usize]))
+        {
+            if s.windows.is_empty() {
+                continue;
+            }
             let mut points: Vec<Point> = s
                 .windows
                 .iter()
@@ -501,9 +593,12 @@ pub struct SeriesSnap {
 }
 
 impl SeriesSnap {
-    /// The point for window `w`, if recorded.
+    /// The point for window `w`, if recorded. Binary search: `points` is
+    /// sorted by window (snapshots are built sorted; [`TimelineSnapshot::parse`]
+    /// sorts what it reads).
     pub fn point(&self, w: u64) -> Option<&Point> {
-        self.points.iter().find(|p| p.window == w)
+        let i = self.points.partition_point(|p| p.window < w);
+        self.points.get(i).filter(|p| p.window == w)
     }
 }
 
@@ -701,6 +796,9 @@ impl TimelineSnapshot {
                 };
                 points.push(Point { window, t_ns, stat });
             }
+            // `SeriesSnap::point` binary-searches; a hand-edited document
+            // may list windows out of order.
+            points.sort_by_key(|p| p.window);
             series.push(SeriesSnap { name, kind, points });
         }
         let mut annotations = Vec::new();

@@ -18,6 +18,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
+use cudele_obs::timeline::Series;
 use cudele_obs::{Counter, Gauge, Registry};
 use cudele_sim::Nanos;
 use parking_lot::RwLock;
@@ -169,12 +170,11 @@ struct OsdObs {
     /// Fraction of the cluster's written bytes that landed on this OSD —
     /// a balance indicator, refreshed on every write that touches it.
     share: Gauge,
-    /// Timeline series name for this OSD's windowed write throughput
-    /// (`rados.osd.<i>.write_bytes`), precomputed to keep the hot path
-    /// allocation-free.
-    tl_write: String,
-    /// Timeline series name for windowed read throughput.
-    tl_read: String,
+    /// This OSD's windowed write throughput (`rados.osd.<i>.write_bytes`),
+    /// stamped with the store's `set_now` clock.
+    tl_write: Series,
+    /// Windowed read throughput (`rados.osd.<i>.read_bytes`).
+    tl_read: Series,
 }
 
 /// Store-wide observability handles (mirrors of the `IoDelta` atomics,
@@ -186,9 +186,6 @@ struct StoreObs {
     bytes_read: Counter,
     bytes_written: Counter,
     per_osd: Vec<OsdObs>,
-    /// Windowed per-OSD utilization over virtual time (the store's
-    /// `set_now` clock stamps the samples).
-    tl: cudele_obs::timeline::Timeline,
 }
 
 /// In-memory replicated object store ("the RADOS cluster").
@@ -338,7 +335,7 @@ impl InMemoryStore {
                 if total > 0 {
                     oo.share.set(oo.bytes_written.get() as f64 / total as f64);
                 }
-                obs.tl.add(&oo.tl_write, now, write_bytes);
+                oo.tl_write.add(now, write_bytes);
             }
         }
     }
@@ -353,7 +350,7 @@ impl InMemoryStore {
             oo.ops.inc();
             oo.bytes_read.add(read_bytes);
             let now = Nanos(self.now.load(Ordering::Relaxed));
-            obs.tl.add(&oo.tl_read, now, read_bytes);
+            oo.tl_read.add(now, read_bytes);
         }
     }
 
@@ -629,14 +626,15 @@ impl ObjectStore for InMemoryStore {
 
     fn attach_obs(&self, reg: &Registry) {
         let osd_count = self.inner.read().osds.len();
+        let tl = reg.timeline();
         let per_osd = (0..osd_count)
             .map(|i| OsdObs {
                 ops: reg.counter(&format!("rados.osd.{i}.ops")),
                 bytes_written: reg.counter(&format!("rados.osd.{i}.bytes_written")),
                 bytes_read: reg.counter(&format!("rados.osd.{i}.bytes_read")),
                 share: reg.gauge(&format!("rados.osd.{i}.write_share")),
-                tl_write: format!("rados.osd.{i}.write_bytes"),
-                tl_read: format!("rados.osd.{i}.read_bytes"),
+                tl_write: tl.series(&format!("rados.osd.{i}.write_bytes")),
+                tl_read: tl.series(&format!("rados.osd.{i}.read_bytes")),
             })
             .collect();
         *self.obs.write() = Some(StoreObs {
@@ -645,7 +643,6 @@ impl ObjectStore for InMemoryStore {
             bytes_read: reg.counter("rados.store.bytes_read"),
             bytes_written: reg.counter("rados.store.bytes_written"),
             per_osd,
-            tl: reg.timeline(),
         });
     }
 }
