@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use cudele_faults::RetryPolicy;
-use cudele_journal::{InodeId, InodeRange};
+use cudele_journal::{FileType, InodeId, InodeRange};
 use cudele_mds::{ClientId, MdsError, MetadataServer, OpCost, Rpc};
 use cudele_obs::{Counter, Registry};
 use cudele_sim::Nanos;
@@ -180,91 +180,70 @@ impl RpcClient {
         dir: InodeId,
         name: &str,
     ) -> OpOutcome<InodeId> {
-        let mut costs = Vec::with_capacity(2);
-        if !self.believes_cached(dir) {
-            self.lookups_sent += 1;
-            match self.retry_rpc(server, &mut costs, |s, id| s.lookup(id, dir, name)) {
-                Ok(None) => {}
-                Ok(Some(_)) => {
-                    return OpOutcome {
-                        result: Err(MdsError::Exists {
-                            parent: dir,
-                            name: name.to_string(),
-                        }),
-                        costs,
-                    }
-                }
-                Err(e) => {
-                    return OpOutcome {
-                        result: Err(e),
-                        costs,
-                    }
-                }
-            }
-        }
-        self.creates_sent += 1;
-        match self.retry_rpc(server, &mut costs, |s, id| s.create(id, dir, name)) {
-            Ok(reply) => {
-                self.cached.insert(dir, reply.has_cache);
-                OpOutcome {
-                    result: Ok(reply.ino),
-                    costs,
-                }
-            }
-            Err(e) => {
-                // A surprise EEXIST while we thought we were cached means a
-                // stale cache: drop it.
-                self.cached.insert(dir, false);
-                OpOutcome {
-                    result: Err(e),
-                    costs,
-                }
-            }
-        }
+        self.make(server, dir, name, FileType::File)
     }
 
-    /// Creates a directory (same cap discipline as file creates).
+    /// Creates a directory (same cap discipline as file creates; an
+    /// existing directory is returned, mkdir -p style).
     pub fn mkdir(
         &mut self,
         server: &mut MetadataServer,
         dir: InodeId,
         name: &str,
     ) -> OpOutcome<InodeId> {
+        self.make(server, dir, name, FileType::Dir)
+    }
+
+    /// The body `create` and `mkdir` share: lookup unless the directory cap
+    /// is believed held, then the op itself, then the cap belief updated
+    /// from the reply.
+    fn make(
+        &mut self,
+        server: &mut MetadataServer,
+        dir: InodeId,
+        name: &str,
+        kind: FileType,
+    ) -> OpOutcome<InodeId> {
         let mut costs = Vec::with_capacity(2);
+        let result = self.try_make(server, dir, name, kind, &mut costs);
+        OpOutcome { result, costs }
+    }
+
+    fn try_make(
+        &mut self,
+        server: &mut MetadataServer,
+        dir: InodeId,
+        name: &str,
+        kind: FileType,
+        costs: &mut Vec<OpCost>,
+    ) -> Result<InodeId, MdsError> {
+        let mkdir = kind == FileType::Dir;
         if !self.believes_cached(dir) {
             self.lookups_sent += 1;
-            match self.retry_rpc(server, &mut costs, |s, id| s.lookup(id, dir, name)) {
-                Ok(None) => {}
-                Ok(Some(d)) => {
-                    return OpOutcome {
-                        result: Ok(d.ino), // mkdir -p semantics for callers
-                        costs,
-                    };
-                }
-                Err(e) => {
-                    return OpOutcome {
-                        result: Err(e),
-                        costs,
-                    }
-                }
+            if let Some(d) = self.retry_rpc(server, costs, |s, id| s.lookup(id, dir, name))? {
+                // What an existing dentry means is the one difference:
+                // mkdir -p semantics for callers, EEXIST for files.
+                return if mkdir {
+                    Ok(d.ino)
+                } else {
+                    Err(MdsError::Exists {
+                        parent: dir,
+                        name: name.to_string(),
+                    })
+                };
             }
         }
-        match self.retry_rpc(server, &mut costs, |s, id| s.mkdir(id, dir, name)) {
-            Ok(reply) => {
-                self.cached.insert(dir, reply.has_cache);
-                OpOutcome {
-                    result: Ok(reply.ino),
-                    costs,
-                }
-            }
-            Err(e) => {
-                self.cached.insert(dir, false);
-                OpOutcome {
-                    result: Err(e),
-                    costs,
-                }
-            }
-        }
+        let reply = if mkdir {
+            self.retry_rpc(server, costs, |s, id| s.mkdir(id, dir, name))
+        } else {
+            self.creates_sent += 1;
+            self.retry_rpc(server, costs, |s, id| s.create(id, dir, name))
+        };
+        // A surprise EEXIST while we thought we were cached means a stale
+        // cache: any error drops it.
+        let has_cache = reply.as_ref().is_ok_and(|r| r.has_cache);
+        self.cached.insert(dir, has_cache);
+        reply.map(|r| r.ino)
     }
 
     /// Polls a directory's entry count with `readdir` (the "check progress

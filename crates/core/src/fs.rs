@@ -154,7 +154,7 @@ impl CudeleFs {
         // The monitor persists every map change (Ceph MONs quorum-commit
         // theirs; ours writes straight to the object store).
         self.monitor.persist(self.os.as_ref()).map_err(|e| {
-            FsError::Mds(MdsError::NoEnt {
+            FsError::Mds(MdsError::Io {
                 what: format!("monmap persist ({e})"),
             })
         })?;
@@ -383,7 +383,7 @@ impl CudeleFs {
         self.server.flush_journal();
         self.server.crash_and_recover()?;
         self.monitor = Monitor::recover(self.os.as_ref()).map_err(|e| {
-            FsError::Mds(MdsError::NoEnt {
+            FsError::Mds(MdsError::Io {
                 what: format!("monmap recovery ({e})"),
             })
         })?;

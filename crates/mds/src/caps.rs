@@ -14,8 +14,9 @@
 //!   cap immediately (it is the sole user).
 //! * When a *different* client writes into the directory, the holder's cap
 //!   is revoked (false sharing — Figure 3b/3c). Nobody caches until one
-//!   client has been the sole writer for [`CapTable::regrant_after`]
-//!   consecutive operations, at which point it is re-granted.
+//!   client has been the sole writer for `regrant_after` consecutive
+//!   operations (see [`CapTable::with_regrant_after`]), at which point it
+//!   is re-granted.
 //!
 //! This reproduces the paper's Figure 3c dynamics: an interferer touching a
 //! directory forces the victim back to `lookup() + create()` pairs until

@@ -1,7 +1,7 @@
 //! Tiered journal compaction and incremental checkpoints.
 //!
 //! Without checkpoints, recovery — in-place
-//! [`MetadataServer::crash_and_recover`] and standby
+//! [`crate::MetadataServer::crash_and_recover`] and standby
 //! [`crate::StandbyReplay::take_over`] alike — replays the whole mdlog, so
 //! failover time grows without bound with workload length. This module
 //! bounds it with a two-level scheme in the object store:
@@ -33,7 +33,6 @@
 //! under checkpointing, so the full log remains the source of truth), and
 //! the bottom of the ladder is the pre-existing full-replay path.
 
-use cudele_faults::RetryPolicy;
 use cudele_journal::{
     crc32, decode_journal, encode_journal, read_journal, read_journal_tail, InodeId, JournalEvent,
     JournalId, JournalIoError, JournalTool,
@@ -44,16 +43,8 @@ use cudele_rados::{ObjectId, ObjectStore, RadosError};
 use cudele_sim::{CostModel, Nanos};
 
 use crate::compact::emit_canonical;
+use crate::persist::with_retry;
 use crate::store::MetadataStore;
-
-/// Retries `f` on transient object-store errors with the default policy,
-/// mirroring the journal layer: a flaky OSD must not look like a damaged
-/// checkpoint (which would cost a manifest fallback) or a failed
-/// publication. Non-transient errors — fencing above all — pass through.
-fn with_retry<T>(f: impl FnMut() -> cudele_rados::Result<T>) -> cudele_rados::Result<T> {
-    let (mut retries, mut backoff) = (0, Nanos::ZERO);
-    RetryPolicy::default().run(&mut retries, &mut backoff, f)
-}
 
 /// Checkpoint tunables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,7 +289,7 @@ impl CkptObs {
 }
 
 /// The background (virtual-time) compactor: cuts deltas, folds images,
-/// publishes manifests. Owned by the serving [`MetadataServer`]; all its
+/// publishes manifests. Owned by the serving [`crate::MetadataServer`]; all its
 /// writes go through the server's (possibly fenced) store handle.
 pub struct CheckpointManager {
     config: CheckpointConfig,

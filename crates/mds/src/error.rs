@@ -73,6 +73,15 @@ pub enum MdsError {
         /// The cluster's current epoch.
         current: u64,
     },
+    /// EIO: the object store failed underneath the operation (journal
+    /// append, checkpoint publication, image load, mdlog replay). Says
+    /// nothing about the namespace — in particular it is *not* an
+    /// observation that a name is absent, which is what
+    /// [`MdsError::NoEnt`] means to the history checkers.
+    Io {
+        /// What failed, with the store's own error.
+        what: String,
+    },
 }
 
 impl std::fmt::Display for MdsError {
@@ -104,6 +113,7 @@ impl std::fmt::Display for MdsError {
                     "MDS fenced: epoch e{writer} is stale (current e{current})"
                 )
             }
+            MdsError::Io { what } => write!(f, "EIO: {what}"),
         }
     }
 }
@@ -133,5 +143,10 @@ mod tests {
         }
         .to_string()
         .contains("EEXIST"));
+        assert!(MdsError::Io {
+            what: "journal append (osd down)".into()
+        }
+        .to_string()
+        .starts_with("EIO: journal append"));
     }
 }

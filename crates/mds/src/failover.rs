@@ -29,16 +29,15 @@
 
 use std::sync::Arc;
 
-use cudele_journal::{read_journal, JournalId, JournalIoError, JournalTool, SegmentBuilder};
+use cudele_journal::{JournalId, JournalTool};
 use cudele_obs::{Counter, Histogram, Registry};
 use cudele_rados::{Epoch, FencedStore, FencingAuthority, ObjectStore, PoolId};
 use cudele_sim::{CostModel, Nanos};
 
-use crate::checkpoint::{self, CheckpointConfig};
+use crate::checkpoint::CheckpointConfig;
 use crate::error::{MdsError, Result};
 use crate::mdlog::{MdLog, MdLogConfig};
-use crate::persist;
-use crate::server::MetadataServer;
+use crate::server::{recover_namespace, MetadataServer};
 
 /// Failure-detection and takeover tunables, in virtual time. The defaults
 /// mirror Ceph's (`mds_beacon_interval` 4 s, `mds_beacon_grace` 15 s)
@@ -271,7 +270,7 @@ impl StandbyReplay {
     pub fn catch_up(&mut self) -> Result<u64> {
         let summary = JournalTool::new(self.base.as_ref(), self.journal_id)
             .inspect()
-            .map_err(|e| MdsError::NoEnt {
+            .map_err(|e| MdsError::Io {
                 what: format!("mdlog inspect ({e})"),
             })?;
         self.replayed_events = summary.events;
@@ -288,101 +287,53 @@ impl StandbyReplay {
 
     /// Completes replay and assembles the replacement primary at `epoch`.
     ///
-    /// The returned server's namespace is the persisted image plus a blind
-    /// replay of every surviving journal event; its allocator watermark is
-    /// rebuilt from journaled [`cudele_journal::JournalEvent::AllocRange`] grants, inode
-    /// numbers named by surviving events, and the image itself — the same
-    /// fold as in-place [`MetadataServer::crash_and_recover`], so the two
-    /// recovery paths cannot diverge. The server writes through a
-    /// [`FencedStore`] stamped with `epoch`: if it is itself superseded
-    /// later, its writes die at the store like any other zombie's.
+    /// Namespace and allocator come from
+    /// `server::recover_namespace` — the same ladder in-place
+    /// [`MetadataServer::crash_and_recover`] climbs, so the two recovery
+    /// paths cannot diverge — reading through the raw store and healing a
+    /// damaged journal through the new epoch's fenced handle. The returned
+    /// server writes through that same [`FencedStore`]: if it is itself
+    /// superseded later, its writes die at the store like any other
+    /// zombie's.
     pub fn take_over(&mut self, epoch: Epoch) -> Result<(MetadataServer, TakeoverReport)> {
-        // Every takeover write — including the journal heal below — goes
-        // through a fenced handle stamped with the new epoch.
+        // Every takeover write — including a journal heal — goes through
+        // a fenced handle stamped with the new epoch.
         let fenced: Arc<dyn ObjectStore> = Arc::new(FencedStore::with_epoch(
             Arc::clone(&self.base),
             Arc::clone(&self.authority),
             epoch,
         ));
-        // Bounded path first: a checkpoint manifest materializes the
-        // covered namespace so only the journal tail is replayed. Falls
-        // through to the full-replay path when no manifest state is
-        // readable — correct either way, because checkpointing never
-        // trims the journal.
-        let recovered = checkpoint::recover(self.base.as_ref(), fenced.as_ref(), self.journal_id)
-            .map_err(MetadataServer::ckpt_error)?;
-        let (store, alloc, report, resume) = match recovered {
-            Some(rec) => {
-                let mut alloc = MetadataServer::recover_allocator(&rec.store, &rec.tail);
-                alloc.advance_to(rec.alloc_floor());
-                let report = TakeoverReport {
-                    epoch,
-                    replayed_events: rec.tail.len() as u64,
-                    healed: rec.healed,
-                    alloc_watermark: alloc.watermark(),
-                    manifest_epoch: rec.manifest.epoch,
-                    checkpoint_events: rec.checkpoint_events,
-                    manifest_fallbacks: rec.fallbacks,
-                };
-                (
-                    rec.store,
-                    alloc,
-                    report,
-                    Some((rec.manifest, rec.head_version)),
-                )
-            }
-            None => {
-                let mut store =
-                    persist::load_store(self.base.as_ref(), self.pool).map_err(MdsError::from)?;
-                let (events, healed) = match read_journal(self.base.as_ref(), self.journal_id) {
-                    Ok(events) => (events, false),
-                    Err(JournalIoError::Codec(_)) => {
-                        let events = JournalTool::new(fenced.as_ref(), self.journal_id)
-                            .recover()
-                            .map_err(|e| MdsError::NoEnt {
-                                what: format!("mdlog recovery ({e})"),
-                            })?;
-                        (events, true)
-                    }
-                    Err(e) => {
-                        return Err(MdsError::NoEnt {
-                            what: format!("mdlog replay ({e})"),
-                        })
-                    }
-                };
-                for e in &events {
-                    store.apply_blind(e);
-                }
-                let alloc = MetadataServer::recover_allocator(&store, &events);
-                let report = TakeoverReport {
-                    epoch,
-                    replayed_events: events.len() as u64,
-                    healed,
-                    alloc_watermark: alloc.watermark(),
-                    manifest_epoch: 0,
-                    checkpoint_events: 0,
-                    manifest_fallbacks: 0,
-                };
-                (store, alloc, report, None)
-            }
+        let rec = recover_namespace(
+            self.base.as_ref(),
+            fenced.as_ref(),
+            self.pool,
+            self.journal_id,
+        )?;
+        let report = TakeoverReport {
+            epoch,
+            replayed_events: rec.replayed_events,
+            healed: rec.healed,
+            alloc_watermark: rec.alloc.watermark(),
+            manifest_epoch: rec.manifest.as_ref().map_or(0, |(m, _)| m.epoch),
+            checkpoint_events: rec.checkpoint_events,
+            manifest_fallbacks: rec.fallbacks,
         };
         self.replayed_events = report.replayed_events;
-        let mdlog = self.mdlog_config.map(|cfg| {
-            MdLog::with_id(
-                MdLogConfig {
-                    events_per_segment: SegmentBuilder::DEFAULT_EVENTS_PER_SEGMENT,
-                    dispatch_size: cfg.dispatch_size,
-                    trim_after_updates: None,
-                },
-                self.journal_id,
-            )
-        });
-        let mut server =
-            MetadataServer::from_recovered(fenced, self.cost.clone(), mdlog, store, alloc, epoch);
+        let mdlog = self
+            .mdlog_config
+            .map(|cfg| MdLog::after_recovery(cfg.dispatch_size, self.journal_id));
+        let mut server = MetadataServer::from_parts(
+            fenced,
+            self.cost.clone(),
+            mdlog,
+            rec.store,
+            rec.alloc,
+            epoch,
+        );
         if let Some(cfg) = self.checkpoint_config {
             if server.journal_enabled() {
                 server.enable_checkpoints(cfg)?;
-                if let Some((manifest, head_version)) = resume {
+                if let Some((manifest, head_version)) = rec.manifest {
                     // The manifest recovery actually used (possibly a
                     // fallback epoch), not whatever the stored HEAD says.
                     server.resume_checkpoints(manifest, head_version);

@@ -22,9 +22,11 @@
 //! * [`checkpoint`] — tiered journal compaction (L0 deltas, L1 images)
 //!   under a CAS-advanced manifest, bounding recovery replay to the
 //!   journal tail past the covered high-water mark.
-//! * [`server`] — the metadata server tying it together; every handler
-//!   returns a functional result plus an [`OpCost`] for the simulation
-//!   harness.
+//! * [`server`] — the metadata server tying it together: namespace
+//!   operations are [`Request`]s through the one
+//!   [`MetadataServer::serve`] funnel, recovery is one ladder shared by
+//!   restart and takeover, and every RPC returns a functional result plus
+//!   an [`OpCost`] for the simulation harness.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -65,6 +67,8 @@ pub use failover::{
 pub use inode::Inode;
 pub use mdlog::{MdLog, MdLogConfig, MdLogStats};
 pub use persist::{flush_store, load_store, NvaCounters, ObjectStoreSink, PersistError};
-pub use server::{CreateReply, MetadataServer, OpCost, ReplayToken, Rpc, ServerCounters};
+pub use server::{
+    CreateReply, MetadataServer, OpCost, ReplayToken, Reply, Request, Rpc, ServerCounters,
+};
 pub use session::{InodeAllocator, Session, SessionMap};
 pub use store::{BlindApply, CheckedApply, MetadataStore};

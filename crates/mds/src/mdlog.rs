@@ -137,6 +137,19 @@ impl MdLog {
         }
     }
 
+    /// The mdlog a recovered server resumes with — the shape both recovery
+    /// paths install: default segment size, the configured dispatch size,
+    /// trimmer off (the persisted stripes stay as they are).
+    pub(crate) fn after_recovery(dispatch_size: u32, id: JournalId) -> MdLog {
+        MdLog::with_id(
+            MdLogConfig {
+                dispatch_size,
+                ..MdLogConfig::default()
+            },
+            id,
+        )
+    }
+
     /// Points the mdlog's metric handles at `reg` (`mds.mdlog.*`).
     pub fn set_obs(&mut self, reg: &Registry) {
         self.obs = Some(MdLogObs::attach(reg));

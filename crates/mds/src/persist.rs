@@ -30,10 +30,12 @@ use crate::inode::Inode;
 use crate::store::MetadataStore;
 
 /// Retries `f` on transient object-store errors with the default policy,
-/// discarding the backoff accounting. The flush/load paths use this;
+/// discarding the backoff accounting. The flush/load paths and the
+/// checkpoint compactor use this — a flaky OSD must not look like a damaged
+/// object, and non-transient errors (fencing above all) pass through.
 /// [`ObjectStoreSink`] charges retries and backoff to its own accounting so
 /// Nonvolatile Apply can bill them to the virtual clock.
-fn with_retry<T>(f: impl FnMut() -> cudele_rados::Result<T>) -> cudele_rados::Result<T> {
+pub(crate) fn with_retry<T>(f: impl FnMut() -> cudele_rados::Result<T>) -> cudele_rados::Result<T> {
     let (mut retries, mut backoff) = (0, Nanos::ZERO);
     RetryPolicy::default().run(&mut retries, &mut backoff, f)
 }
@@ -557,10 +559,10 @@ impl<S: ObjectStore + ?Sized> EventSink for ObjectStoreSink<'_, S> {
 }
 
 /// Convenience conversion for callers that treat persistence failures as
-/// metadata errors.
+/// metadata errors: the store failed, which says nothing about any name.
 impl From<PersistError> for MdsError {
     fn from(e: PersistError) -> Self {
-        MdsError::NoEnt {
+        MdsError::Io {
             what: format!("persisted metadata ({e})"),
         }
     }

@@ -1,15 +1,24 @@
 //! The metadata server: sessions, capabilities, the namespace, the mdlog,
 //! and Cudele's merge entry points, glued behind an RPC-shaped interface.
 //!
-//! Every handler returns both a functional result and an [`OpCost`] — the
+//! Every RPC returns both a functional result and an [`OpCost`] — the
 //! MDS CPU time to charge to the server's FIFO queue and the extra
 //! client-visible latency (network round trip, journal commit wait). The
 //! discrete-event harnesses turn those into completion times; unit tests
 //! ignore them and assert on the functional result.
+//!
+//! Namespace operations are data: a [`Request`] goes through the one
+//! [`MetadataServer::serve`] funnel (admit → validate → apply → journal →
+//! reply, DESIGN.md §5.1) and comes back as a [`Reply`]. The typed methods
+//! (`create`, `lookup`, ...) only build the request and unwrap the reply.
+//! The way back from a crash is one function too: `recover_namespace`,
+//! shared by in-place recovery and standby takeover.
 
 use std::sync::Arc;
 
-use cudele_journal::{Attrs, InodeId, InodeRange, JournalEvent};
+use cudele_journal::{
+    read_journal, Attrs, InodeId, InodeRange, JournalEvent, JournalId, JournalIoError, JournalTool,
+};
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
 use cudele_obs::timeline::Series;
 use cudele_obs::{Counter, Histogram, Mechanism, Registry, SpanName, TraceCtx};
@@ -47,6 +56,13 @@ impl OpCost {
         }
     }
 
+    /// Adds a journal commit: Stream CPU on the MDS, commit wait on the
+    /// client (what [`MetadataServer::journal`] returns).
+    fn journaled(&mut self, (mds_cpu, wait): (Nanos, Nanos)) {
+        self.mds_cpu += mds_cpu;
+        self.client_extra += wait;
+    }
+
     /// Combines two sequential costs.
     pub fn then(self, other: OpCost) -> OpCost {
         OpCost {
@@ -75,6 +91,14 @@ impl<T> Rpc<T> {
         T: std::fmt::Debug,
     {
         self.result.expect("rpc failed")
+    }
+
+    /// Maps the functional result, keeping the cost.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Rpc<U> {
+        Rpc {
+            result: self.result.map(f),
+            cost: self.cost,
+        }
     }
 }
 
@@ -108,6 +132,217 @@ pub struct ReplayToken {
     /// the server counts it as a cross-epoch replay and serves it anyway
     /// (the token, not the epoch, is the idempotence key).
     pub epoch: u64,
+}
+
+/// One namespace operation, as data: what [`MetadataServer::serve`] takes
+/// through its stages. Names are borrowed, so building a request allocates
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Request<'a> {
+    /// Looks `name` up in `parent` (a missing name is `Ok(None)`).
+    Lookup {
+        /// Directory searched.
+        parent: InodeId,
+        /// Name searched for.
+        name: &'a str,
+    },
+    /// Reads an inode's attributes.
+    Stat {
+        /// The inode.
+        ino: InodeId,
+    },
+    /// Lists a directory.
+    Readdir {
+        /// The directory.
+        ino: InodeId,
+    },
+    /// Creates a file. Speculation is a property of the message, not a
+    /// second call path: with a `token` the server applies exactly the
+    /// predicted inode and acknowledges a replay of an already-applied
+    /// token instead of answering `EEXIST`.
+    Create {
+        /// Directory created in.
+        parent: InodeId,
+        /// Name created.
+        name: &'a str,
+        /// The client's speculation stamp, if it ran ahead of the ack.
+        token: Option<ReplayToken>,
+    },
+    /// Creates a directory.
+    Mkdir {
+        /// Directory created in.
+        parent: InodeId,
+        /// Name created.
+        name: &'a str,
+    },
+    /// Removes a file.
+    Unlink {
+        /// Directory removed from.
+        parent: InodeId,
+        /// Name removed.
+        name: &'a str,
+    },
+    /// Renames a dentry, replacing an existing destination file.
+    Rename {
+        /// Source directory.
+        src_parent: InodeId,
+        /// Source name.
+        src_name: &'a str,
+        /// Destination directory.
+        dst_parent: InodeId,
+        /// Destination name.
+        dst_name: &'a str,
+    },
+}
+
+impl Request<'_> {
+    /// The inodes the request addresses: what the blocked-subtree check
+    /// guards and, for an update, the directories that take write caps.
+    fn targets(&self) -> [Option<InodeId>; 2] {
+        match *self {
+            Request::Lookup { parent, .. }
+            | Request::Create { parent, .. }
+            | Request::Mkdir { parent, .. }
+            | Request::Unlink { parent, .. } => [Some(parent), None],
+            Request::Stat { ino } | Request::Readdir { ino } => [Some(ino), None],
+            Request::Rename {
+                src_parent,
+                dst_parent,
+                ..
+            } => [Some(src_parent), Some(dst_parent)],
+        }
+    }
+
+    /// The consistency-history row this request leaves given its `reply`
+    /// (`None` on error), with the inode the row reports. `stat` observes
+    /// no name, so the name-keyed checkers have nothing to learn from it;
+    /// a tokened create is recorded by the client's speculation layer when
+    /// (and only if) the speculation commits.
+    fn history_row(&self, reply: Option<&Reply>) -> Option<(HistoryOp, u64)> {
+        let created = || match reply {
+            Some(Reply::Created(r)) => r.ino.0,
+            _ => 0,
+        };
+        Some(match *self {
+            Request::Stat { .. } | Request::Create { token: Some(_), .. } => return None,
+            Request::Create { parent, name, .. } => (
+                HistoryOp::Create {
+                    dir: parent.0,
+                    name: name.to_string(),
+                },
+                created(),
+            ),
+            Request::Mkdir { parent, name } => (
+                HistoryOp::Mkdir {
+                    dir: parent.0,
+                    name: name.to_string(),
+                },
+                created(),
+            ),
+            Request::Lookup { parent, name } => {
+                let found = match reply {
+                    Some(Reply::Dentry(Some(d))) => Some(d.ino.0),
+                    _ => None,
+                };
+                (
+                    HistoryOp::Lookup {
+                        dir: parent.0,
+                        name: name.to_string(),
+                        found,
+                    },
+                    found.unwrap_or(0),
+                )
+            }
+            Request::Unlink { parent, name } => (
+                HistoryOp::Unlink {
+                    dir: parent.0,
+                    name: name.to_string(),
+                },
+                0,
+            ),
+            Request::Rename {
+                src_parent,
+                src_name,
+                dst_parent,
+                dst_name,
+            } => (
+                HistoryOp::Rename {
+                    src_dir: src_parent.0,
+                    src_name: src_name.to_string(),
+                    dst_dir: dst_parent.0,
+                    dst_name: dst_name.to_string(),
+                },
+                0,
+            ),
+            Request::Readdir { ino } => {
+                let entries = match reply {
+                    Some(Reply::Entries(v)) => v.len() as u64,
+                    _ => 0,
+                };
+                (
+                    HistoryOp::Readdir {
+                        dir: ino.0,
+                        entries,
+                    },
+                    ino.0,
+                )
+            }
+        })
+    }
+}
+
+/// What a served [`Request`] returns, one variant per reply shape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// `Create` / `Mkdir`: the inode applied and the caller's cap state.
+    Created(CreateReply),
+    /// `Lookup`: the dentry, or `None` for ENOENT.
+    Dentry(Option<Dentry>),
+    /// `Stat`: the inode's attributes.
+    Attrs(Attrs),
+    /// `Readdir`: the listing, sorted by name.
+    Entries(Vec<(String, Dentry)>),
+    /// `Unlink` / `Rename`: nothing to return.
+    Done,
+}
+
+/// The typed methods' half of the contract: each names the one reply shape
+/// its request kind is answered with.
+impl Reply {
+    fn created(self) -> CreateReply {
+        match self {
+            Reply::Created(r) => r,
+            other => unreachable!("create/mkdir answered with {other:?}"),
+        }
+    }
+
+    fn dentry(self) -> Option<Dentry> {
+        match self {
+            Reply::Dentry(d) => d,
+            other => unreachable!("lookup answered with {other:?}"),
+        }
+    }
+
+    fn attrs(self) -> Attrs {
+        match self {
+            Reply::Attrs(a) => a,
+            other => unreachable!("stat answered with {other:?}"),
+        }
+    }
+
+    fn entries(self) -> Vec<(String, Dentry)> {
+        match self {
+            Reply::Entries(v) => v,
+            other => unreachable!("readdir answered with {other:?}"),
+        }
+    }
+
+    fn done(self) {
+        match self {
+            Reply::Done => {}
+            other => unreachable!("unlink/rename answered with {other:?}"),
+        }
+    }
 }
 
 /// Aggregate request counters (Figure 3c plots these over time).
@@ -273,29 +508,20 @@ impl MetadataServer {
         cost: CostModel,
         mdlog: Option<MdLogConfig>,
     ) -> MetadataServer {
-        MetadataServer {
-            cost,
-            store: MetadataStore::new(),
-            caps: CapTable::new(),
-            sessions: SessionMap::new(),
-            alloc: InodeAllocator::new(),
-            mdlog: mdlog.map(MdLog::new),
+        MetadataServer::from_parts(
             os,
-            pool: PoolId::METADATA,
-            blocked: Vec::new(),
-            counters: ServerCounters::default(),
-            ckpt: None,
-            obs: None,
-            epoch: Epoch::INITIAL,
-            up: true,
-            rpc_timeout: DEFAULT_RPC_TIMEOUT,
-        }
+            cost,
+            mdlog.map(MdLog::new),
+            MetadataStore::new(),
+            InodeAllocator::new(),
+            Epoch::INITIAL,
+        )
     }
 
-    /// Assembles a server from recovered parts — the standby-replay
-    /// takeover path, where the namespace and allocator come from the
-    /// object store rather than from a fresh boot.
-    pub(crate) fn from_recovered(
+    /// Assembles a server around a namespace and allocator — empty for a
+    /// fresh boot, or recovered from the object store on the
+    /// standby-replay takeover path.
+    pub(crate) fn from_parts(
         os: Arc<dyn ObjectStore>,
         cost: CostModel,
         mdlog: Option<MdLog>,
@@ -501,21 +727,21 @@ impl MetadataServer {
 
     /// Maps a checkpoint failure to an [`MdsError`]; like journal appends,
     /// a fenced rejection is survivable (the zombie's manifest publication
-    /// simply dies at the store).
-    pub(crate) fn ckpt_error(e: CheckpointError) -> MdsError {
+    /// simply dies at the store) and anything else is an I/O error.
+    fn ckpt_error(e: CheckpointError) -> MdsError {
         match e {
             CheckpointError::Rados(RadosError::Fenced {
                 writer, current, ..
             })
-            | CheckpointError::Journal(cudele_journal::JournalIoError::Rados(
-                RadosError::Fenced {
-                    writer, current, ..
-                },
-            )) => MdsError::Fenced {
+            | CheckpointError::Journal(JournalIoError::Rados(RadosError::Fenced {
+                writer,
+                current,
+                ..
+            })) => MdsError::Fenced {
                 writer: writer.0,
                 current: current.0,
             },
-            other => MdsError::NoEnt {
+            other => MdsError::Io {
                 what: format!("checkpoint ({other})"),
             },
         }
@@ -527,16 +753,18 @@ impl MetadataServer {
 
     /// Maps a journal I/O failure to an [`MdsError`]. A fenced rejection is
     /// the one survivable case: the zombie keeps running with an error
-    /// instead of tearing the process down.
-    fn journal_error(e: cudele_journal::JournalIoError) -> MdsError {
+    /// instead of tearing the process down. Everything else is
+    /// [`MdsError::Io`] — never ENOENT, which the history checkers read as
+    /// an observation of absence.
+    fn journal_error(e: JournalIoError) -> MdsError {
         match e {
-            cudele_journal::JournalIoError::Rados(RadosError::Fenced {
+            JournalIoError::Rados(RadosError::Fenced {
                 writer, current, ..
             }) => MdsError::Fenced {
                 writer: writer.0,
                 current: current.0,
             },
-            other => MdsError::NoEnt {
+            other => MdsError::Io {
                 what: format!("journal append ({other})"),
             },
         }
@@ -636,9 +864,24 @@ impl MetadataServer {
         })
     }
 
-    /// Builds the reply, mirroring cost and outcome into the registry when
-    /// one is attached. Every handler funnels through here.
-    fn reply<T>(&self, result: Result<T>, cost: OpCost) -> Rpc<T> {
+    /// The two stages every RPC shares, around its `body`. **Admit**: a
+    /// down instance answers nothing (timeout, no counter moves); a live
+    /// one counts the request and opens its cost at `mds_cpu` plus one
+    /// RPC's overhead. **Reply**: whatever `body` made of the cost — it
+    /// holds `&mut OpCost`, so an early `?` carries what accrued so far —
+    /// is mirrored with the outcome into the registry, when one is
+    /// attached.
+    fn rpc<T>(
+        &mut self,
+        mds_cpu: Nanos,
+        body: impl FnOnce(&mut Self, &mut OpCost) -> Result<T>,
+    ) -> Rpc<T> {
+        if let Some(r) = self.down_reply() {
+            return r;
+        }
+        self.counters.rpcs += 1;
+        let mut cost = OpCost::rpc(mds_cpu, self.cost.rpc_overhead);
+        let result = body(self, &mut cost);
         if let Some(o) = &self.obs {
             o.rpcs.inc();
             let service = (cost.mds_cpu + cost.client_extra).0;
@@ -659,7 +902,7 @@ impl MetadataServer {
         }
     }
 
-    /// Collapses a handler outcome into the history result classes.
+    /// Collapses an outcome into the history result classes.
     fn history_result<T>(result: &Result<T>) -> HistoryResult {
         match result {
             Ok(_) => HistoryResult::Ok,
@@ -673,32 +916,28 @@ impl MetadataServer {
         }
     }
 
-    /// Records one served namespace operation into the consistency history
-    /// (no-op without an attached registry). The interval is
+    /// Records one answered request into the consistency history (no-op
+    /// without an attached registry, or for the kinds
+    /// [`Request::history_row`] exempts). The interval is
     /// `[now, now + service time]` — the server mutates state at
     /// invocation, so `now` (set per request by the harness) is the
     /// linearization-point side and the ack lands after the charged cost.
-    fn history(
-        &self,
-        client: ClientId,
-        op: HistoryOp,
-        result: HistoryResult,
-        ino: u64,
-        cost: &OpCost,
-    ) {
-        if let Some(o) = &self.obs {
-            o.reg.record_history(HistoryEvent {
-                client: u64::from(client.0),
-                scope: HistoryScope::Global,
-                op,
-                result,
-                ino,
-                invoke: o.now,
-                ack: o.now + cost.mds_cpu + cost.client_extra,
-                epoch: self.epoch.0,
-                trace_id: o.ctx.map_or(0, |c| c.trace_id),
-            });
-        }
+    fn record_history(&self, client: ClientId, req: &Request<'_>, rpc: &Rpc<Reply>) {
+        let Some(o) = &self.obs else { return };
+        let Some((op, ino)) = req.history_row(rpc.result.as_ref().ok()) else {
+            return;
+        };
+        o.reg.record_history(HistoryEvent {
+            client: u64::from(client.0),
+            scope: HistoryScope::Global,
+            op,
+            result: Self::history_result(&rpc.result),
+            ino,
+            invoke: o.now,
+            ack: o.now + rpc.cost.mds_cpu + rpc.cost.client_extra,
+            epoch: self.epoch.0,
+            trace_id: o.ctx.map_or(0, |c| c.trace_id),
+        });
     }
 
     /// Returns Busy if `ino` is inside a subtree blocked for someone other
@@ -736,52 +975,32 @@ impl MetadataServer {
 
     /// Opens a session for `client`.
     pub fn open_session(&mut self, client: ClientId) -> Rpc<()> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        self.sessions.open(client);
-        self.reply(
-            Ok(()),
-            OpCost::rpc(self.cost.mds_lookup_cpu, self.cost.rpc_overhead),
-        )
+        self.rpc(self.cost.mds_lookup_cpu, |s, _| {
+            s.sessions.open(client);
+            Ok(())
+        })
     }
 
     /// Closes a session, dropping its capabilities.
     pub fn close_session(&mut self, client: ClientId) -> Rpc<()> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        self.sessions.close(client);
-        self.caps.drop_client(client);
-        self.blocked.retain(|&(_, owner)| owner != client);
-        self.reply(
-            Ok(()),
-            OpCost::rpc(self.cost.mds_lookup_cpu, self.cost.rpc_overhead),
-        )
+        self.rpc(self.cost.mds_lookup_cpu, |s, _| {
+            s.sessions.close(client);
+            s.caps.drop_client(client);
+            s.blocked.retain(|&(_, owner)| owner != client);
+            Ok(())
+        })
     }
 
     /// Explicitly preallocates `count` inodes to the client — the
     /// "Allocated Inodes" contract for decoupled namespaces. The grant is
     /// journaled so recovery can rebuild the allocator watermark.
     pub fn alloc_inodes(&mut self, client: ClientId, count: u64) -> Rpc<InodeRange> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        let mut cost = OpCost::rpc(self.cost.mds_lookup_cpu, self.cost.rpc_overhead);
-        let range = self.alloc.allocate(count);
-        let result = self
-            .sessions
-            .grant_range(client, range)
-            .and_then(|()| self.journal_grant(client, range))
-            .map(|(jcpu, jlat)| {
-                cost.mds_cpu += jcpu;
-                cost.client_extra += jlat;
-                range
-            });
-        self.reply(result, cost)
+        self.rpc(self.cost.mds_lookup_cpu, |s, cost| {
+            let range = s.alloc.allocate(count);
+            s.sessions.grant_range(client, range)?;
+            cost.journaled(s.journal_grant(client, range)?);
+            Ok(range)
+        })
     }
 
     /// Client reconnect after a failover: reopens the session on the new
@@ -796,118 +1015,245 @@ impl MetadataServer {
         client: ClientId,
         surviving: &[(InodeRange, u64)],
     ) -> Rpc<()> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        self.sessions.open(client);
-        self.obs(|o| {
-            o.reg.counter("mds.session.reconnects").inc();
-            // Reconnects cluster right after a takeover; the windowed rate
-            // plus the marker make that visible against the failover
-            // annotations.
-            o.tl_reconnects.add(o.now, 1);
-            o.tl.annotate(
-                "mds.session.reconnect",
-                o.now,
-                &format!("client {}", client.0),
-            );
-        });
-        let mut cost = OpCost::rpc(self.cost.mds_lookup_cpu, self.cost.rpc_overhead);
-        for &(range, used) in surviving {
-            self.alloc.advance_to(range.end());
-            if let Err(e) = self
-                .sessions
-                .restore_range(client, range, used)
-                .and_then(|()| self.journal_grant(client, range))
-                .map(|(jcpu, jlat)| {
-                    cost.mds_cpu += jcpu;
-                    cost.client_extra += jlat;
-                })
-            {
-                return self.reply(Err(e), cost);
+        self.rpc(self.cost.mds_lookup_cpu, |s, cost| {
+            s.sessions.open(client);
+            s.obs(|o| {
+                o.reg.counter("mds.session.reconnects").inc();
+                // Reconnects cluster right after a takeover; the windowed
+                // rate plus the marker make that visible against the
+                // failover annotations.
+                o.tl_reconnects.add(o.now, 1);
+                o.tl.annotate(
+                    "mds.session.reconnect",
+                    o.now,
+                    &format!("client {}", client.0),
+                );
+            });
+            for &(range, used) in surviving {
+                s.alloc.advance_to(range.end());
+                s.sessions.restore_range(client, range, used)?;
+                cost.journaled(s.journal_grant(client, range)?);
             }
-        }
-        self.reply(Ok(()), cost)
+            Ok(())
+        })
     }
 
     // ------------------------------------------------------------------
-    // Namespace RPCs
+    // Namespace RPCs: one funnel
     // ------------------------------------------------------------------
+
+    /// Serves one namespace [`Request`] — the only path a namespace
+    /// operation takes through the server. The stages, in order (DESIGN.md
+    /// §5.1 tabulates what each may reject with, charge and count):
+    ///
+    /// 1. **admit** — a down instance times out; a live one counts the
+    ///    request, and a target inside a subtree blocked for another
+    ///    client rejects it (once, however many targets are blocked);
+    /// 2. **validate** — a [`ReplayToken`] must predict an inode its
+    ///    session was granted, and a replay of an already-applied token is
+    ///    acknowledged at lookup cost without touching anything;
+    /// 3. **apply** — reads answer from the store; an update takes its
+    ///    inode and the write caps on its target directories, builds the
+    ///    [`JournalEvent`] it is about to log, and applies *that* through
+    ///    [`MetadataStore::apply_checked`] — the entry replay uses too;
+    /// 4. **journal** — the event enters the mdlog (a failure here leaves
+    ///    the in-memory mutation standing: a fenced zombie's private
+    ///    hallucination, or the known gap of DESIGN.md §11.5 for I/O);
+    /// 5. **reply** — cost and outcome mirrored into the registry, then
+    ///    the history row (none for `stat` or tokened creates).
+    pub fn serve(&mut self, client: ClientId, req: Request<'_>) -> Rpc<Reply> {
+        let rpc = self.rpc(self.cost.mds_reject_cpu, |s, cost| {
+            s.run(client, &req, cost)
+        });
+        self.record_history(client, &req, &rpc);
+        rpc
+    }
+
+    /// Stages 2–4 plus the blocked-subtree half of admission. The cost
+    /// arrives priced as a rejection and is re-priced once the request
+    /// gets past validation.
+    fn run(&mut self, client: ClientId, req: &Request<'_>, cost: &mut OpCost) -> Result<Reply> {
+        // Admit.
+        if let Request::Create {
+            token: Some(token), ..
+        } = req
+        {
+            // A token born under an older epoch (a replay across a
+            // failover) is counted, not refused: the token, not the epoch,
+            // is the idempotence key.
+            let stale = token.epoch < self.epoch.0;
+            self.obs(|o| {
+                o.spec_creates.inc();
+                if stale {
+                    o.spec_cross_epoch.inc();
+                    o.tl_cross_epoch.add(o.now, 1);
+                }
+            });
+        }
+        for ino in req.targets().into_iter().flatten() {
+            if let Err(e) = self.check_blocked(ino, client) {
+                self.counters.rejects += 1;
+                self.obs(|o| o.rejects.inc());
+                return Err(e);
+            }
+        }
+
+        // Validate.
+        if let Request::Create {
+            parent,
+            name,
+            token: Some(token),
+        } = *req
+        {
+            let ino = token.predicted_ino;
+            if !self
+                .sessions
+                .get(client)?
+                .ranges
+                .iter()
+                .any(|r| r.contains(ino))
+            {
+                return Err(MdsError::BadSpeculation { ino });
+            }
+            match self.store.lookup(parent, name) {
+                // Replay of an op that applied before the invalidation.
+                Ok(d) if d.ino == ino => {
+                    self.obs(|o| o.spec_deduped.inc());
+                    cost.mds_cpu = self.cost.mds_lookup_cpu;
+                    return Ok(Reply::Created(CreateReply {
+                        ino,
+                        has_cache: false,
+                    }));
+                }
+                Ok(_) => {
+                    return Err(MdsError::Exists {
+                        parent,
+                        name: name.to_string(),
+                    })
+                }
+                // Absent (or no such directory: the store will say so).
+                Err(_) => {}
+            }
+        }
+
+        // Apply: reads answer here (re-priced as lookups); an update
+        // becomes the event it logs.
+        cost.mds_cpu = self.cost.mds_create_cpu;
+        let (event, created) = match *req {
+            Request::Lookup { parent, name } => {
+                self.counters.lookups += 1;
+                self.obs(|o| o.lookups.inc());
+                cost.mds_cpu = self.cost.mds_lookup_cpu;
+                return match self.store.lookup(parent, name) {
+                    Ok(d) => Ok(Reply::Dentry(Some(d))),
+                    Err(MdsError::NoEnt { .. }) => Ok(Reply::Dentry(None)),
+                    Err(e) => Err(e),
+                };
+            }
+            Request::Stat { ino } => {
+                cost.mds_cpu = self.cost.mds_lookup_cpu;
+                let inode = self.store.inode(ino).ok_or_else(|| MdsError::NoEnt {
+                    what: format!("inode {ino}"),
+                })?;
+                return Ok(Reply::Attrs(inode.attrs));
+            }
+            Request::Readdir { ino } => {
+                // "ls" is "notoriously heavy-weight": one lookup's CPU per
+                // 64 entries scanned, plus base (a missing directory costs
+                // the base alone).
+                cost.mds_cpu = self.cost.mds_lookup_cpu;
+                let entries = self.store.readdir(ino)?;
+                cost.mds_cpu = cost.mds_cpu.scale(1.0 + entries.len() as f64 / 64.0);
+                return Ok(Reply::Entries(entries));
+            }
+            Request::Create {
+                parent,
+                name,
+                token,
+            } => {
+                self.counters.creates += 1;
+                self.obs(|o| o.creates.inc());
+                let ino = match token {
+                    Some(token) => token.predicted_ino,
+                    None => self.take_session_inode(client)?,
+                };
+                let attrs = Attrs::file_default();
+                let name = name.to_string();
+                (
+                    JournalEvent::Create {
+                        parent,
+                        name,
+                        ino,
+                        attrs,
+                    },
+                    Some(ino),
+                )
+            }
+            Request::Mkdir { parent, name } => {
+                let ino = self.take_session_inode(client)?;
+                let attrs = Attrs::dir_default();
+                let name = name.to_string();
+                (
+                    JournalEvent::Mkdir {
+                        parent,
+                        name,
+                        ino,
+                        attrs,
+                    },
+                    Some(ino),
+                )
+            }
+            Request::Unlink { parent, name } => {
+                let name = name.to_string();
+                (JournalEvent::Unlink { parent, name }, None)
+            }
+            Request::Rename {
+                src_parent,
+                src_name,
+                dst_parent,
+                dst_name,
+            } => (
+                JournalEvent::Rename {
+                    src_parent,
+                    src_name: src_name.to_string(),
+                    dst_parent,
+                    dst_name: dst_name.to_string(),
+                },
+                None,
+            ),
+        };
+        let mut has_cache = false;
+        for dir in req.targets().into_iter().flatten() {
+            let caps = self.caps.on_dir_write(dir, client);
+            self.obs(|o| o.note_caps(&caps));
+            if caps.revoked_from.is_some() {
+                cost.mds_cpu += self.cost.mds_cap_revoke_cpu;
+            }
+            has_cache = caps.writer_has_cache;
+        }
+        self.store.apply_checked(&event)?;
+
+        // Journal. On failure the in-memory mutation stands.
+        cost.journaled(self.journal(event)?);
+        Ok(match created {
+            Some(ino) => Reply::Created(CreateReply { ino, has_cache }),
+            None => Reply::Done,
+        })
+    }
 
     /// Creates a file in `parent`, allocating the inode from the client's
     /// session.
     pub fn create(&mut self, client: ClientId, parent: InodeId, name: &str) -> Rpc<CreateReply> {
-        let r = self.create_impl(client, parent, name);
-        self.history(
-            client,
-            HistoryOp::Create {
-                dir: parent.0,
-                name: name.to_string(),
-            },
-            Self::history_result(&r.result),
-            r.result.as_ref().map_or(0, |rep| rep.ino.0),
-            &r.cost,
-        );
-        r
-    }
-
-    fn create_impl(&mut self, client: ClientId, parent: InodeId, name: &str) -> Rpc<CreateReply> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        if let Err(e) = self.check_blocked(parent, client) {
-            self.counters.rejects += 1;
-            self.obs(|o| o.rejects.inc());
-            return self.reply(
-                Err(e),
-                OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-            );
-        }
-        self.counters.creates += 1;
-        self.obs(|o| o.creates.inc());
-        let mut mds_cpu = self.cost.mds_create_cpu;
-        let mut client_extra = self.cost.rpc_overhead;
-
-        let ino = match self.take_session_inode(client) {
-            Ok(ino) => ino,
-            Err(e) => return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra)),
-        };
-
-        let caps = self.caps.on_dir_write(parent, client);
-        self.obs(|o| o.note_caps(&caps));
-        if caps.revoked_from.is_some() {
-            mds_cpu += self.cost.mds_cap_revoke_cpu;
-        }
-
-        let attrs = Attrs::file_default();
-        if let Err(e) = self.store.create(parent, name, ino, attrs) {
-            return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra));
-        }
-        let (jcpu, jlat) = match self.journal(JournalEvent::Create {
+        let req = Request::Create {
             parent,
-            name: name.to_string(),
-            ino,
-            attrs,
-        }) {
-            Ok(t) => t,
-            // A fenced zombie's in-memory mutation stands (its private
-            // hallucination); the durable state was protected by the store.
-            Err(e) => return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra)),
+            name,
+            token: None,
         };
-        mds_cpu += jcpu;
-        client_extra += jlat;
-        self.reply(
-            Ok(CreateReply {
-                ino,
-                has_cache: caps.writer_has_cache,
-            }),
-            OpCost::rpc(mds_cpu, client_extra),
-        )
+        self.serve(client, req).map(Reply::created)
     }
 
-    /// Creates a file under a speculative [`ReplayToken`]: the client
+    /// Creates a file under a speculative [`ReplayToken`] — the typed
+    /// alias for [`Request::Create`] with `token: Some(..)`. The client
     /// already predicted `token.predicted_ino` from its granted range and
     /// ran ahead assuming success, so the server must (a) apply the op with
     /// exactly that inode, and (b) treat a replay of an already-applied
@@ -920,7 +1266,8 @@ impl MetadataServer {
     /// 1. the session must own a granted range containing the predicted
     ///    inode (else [`MdsError::BadSpeculation`]);
     /// 2. a dentry `(parent, name)` already holding the predicted inode is
-    ///    an idempotent replay — success at lookup cost, nothing re-applied;
+    ///    an idempotent replay — success at lookup cost, nothing re-applied
+    ///    (any other inode under that name is `EEXIST`);
     /// 3. the predicted inode in use under a *different* name is an
     ///    allocation-contract violation ([`MdsError::InodeCollision`]).
     ///
@@ -934,259 +1281,31 @@ impl MetadataServer {
         name: &str,
         token: ReplayToken,
     ) -> Rpc<CreateReply> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        self.obs(|o| o.spec_creates.inc());
-        if token.epoch < self.epoch.0 {
-            self.obs(|o| {
-                o.spec_cross_epoch.inc();
-                o.tl_cross_epoch.add(o.now, 1);
-            });
-        }
-        if let Err(e) = self.check_blocked(parent, client) {
-            self.counters.rejects += 1;
-            self.obs(|o| o.rejects.inc());
-            return self.reply(
-                Err(e),
-                OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-            );
-        }
-        let ino = token.predicted_ino;
-        let owned = match self.sessions.get(client) {
-            Ok(s) => s.ranges.iter().any(|r| r.contains(ino)),
-            Err(e) => {
-                return self.reply(
-                    Err(e),
-                    OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-                )
-            }
-        };
-        if !owned {
-            return self.reply(
-                Err(MdsError::BadSpeculation { ino }),
-                OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-            );
-        }
-        if let Ok(dentry) = self.store.lookup(parent, name) {
-            if dentry.ino == ino {
-                // Replay of an op that already applied before the
-                // invalidation: acknowledge without re-applying.
-                self.obs(|o| o.spec_deduped.inc());
-                return self.reply(
-                    Ok(CreateReply {
-                        ino,
-                        has_cache: false,
-                    }),
-                    OpCost::rpc(self.cost.mds_lookup_cpu, self.cost.rpc_overhead),
-                );
-            }
-            return self.reply(
-                Err(MdsError::Exists {
-                    parent,
-                    name: name.to_string(),
-                }),
-                OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-            );
-        }
-        self.counters.creates += 1;
-        self.obs(|o| o.creates.inc());
-        let mut mds_cpu = self.cost.mds_create_cpu;
-        let mut client_extra = self.cost.rpc_overhead;
-        let caps = self.caps.on_dir_write(parent, client);
-        self.obs(|o| o.note_caps(&caps));
-        if caps.revoked_from.is_some() {
-            mds_cpu += self.cost.mds_cap_revoke_cpu;
-        }
-        let attrs = Attrs::file_default();
-        if let Err(e) = self.store.create(parent, name, ino, attrs) {
-            return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra));
-        }
-        let (jcpu, jlat) = match self.journal(JournalEvent::Create {
+        let req = Request::Create {
             parent,
-            name: name.to_string(),
-            ino,
-            attrs,
-        }) {
-            Ok(t) => t,
-            Err(e) => return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra)),
+            name,
+            token: Some(token),
         };
-        mds_cpu += jcpu;
-        client_extra += jlat;
-        self.reply(
-            Ok(CreateReply {
-                ino,
-                has_cache: caps.writer_has_cache,
-            }),
-            OpCost::rpc(mds_cpu, client_extra),
-        )
+        self.serve(client, req).map(Reply::created)
     }
 
     /// Creates a directory in `parent`.
     pub fn mkdir(&mut self, client: ClientId, parent: InodeId, name: &str) -> Rpc<CreateReply> {
-        let r = self.mkdir_impl(client, parent, name);
-        self.history(
-            client,
-            HistoryOp::Mkdir {
-                dir: parent.0,
-                name: name.to_string(),
-            },
-            Self::history_result(&r.result),
-            r.result.as_ref().map_or(0, |rep| rep.ino.0),
-            &r.cost,
-        );
-        r
-    }
-
-    fn mkdir_impl(&mut self, client: ClientId, parent: InodeId, name: &str) -> Rpc<CreateReply> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        if let Err(e) = self.check_blocked(parent, client) {
-            self.counters.rejects += 1;
-            self.obs(|o| o.rejects.inc());
-            return self.reply(
-                Err(e),
-                OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-            );
-        }
-        let mut mds_cpu = self.cost.mds_create_cpu;
-        let mut client_extra = self.cost.rpc_overhead;
-        let ino = match self.take_session_inode(client) {
-            Ok(ino) => ino,
-            Err(e) => return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra)),
-        };
-        let caps = self.caps.on_dir_write(parent, client);
-        self.obs(|o| o.note_caps(&caps));
-        if caps.revoked_from.is_some() {
-            mds_cpu += self.cost.mds_cap_revoke_cpu;
-        }
-        let attrs = Attrs::dir_default();
-        if let Err(e) = self.store.mkdir(parent, name, ino, attrs) {
-            return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra));
-        }
-        let (jcpu, jlat) = match self.journal(JournalEvent::Mkdir {
-            parent,
-            name: name.to_string(),
-            ino,
-            attrs,
-        }) {
-            Ok(t) => t,
-            Err(e) => return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra)),
-        };
-        mds_cpu += jcpu;
-        client_extra += jlat;
-        self.reply(
-            Ok(CreateReply {
-                ino,
-                has_cache: caps.writer_has_cache,
-            }),
-            OpCost::rpc(mds_cpu, client_extra),
-        )
+        self.serve(client, Request::Mkdir { parent, name })
+            .map(Reply::created)
     }
 
     /// Looks up `name` in `parent`. `Ok(None)` is ENOENT — the reply the
     /// create path *wants* to see.
     pub fn lookup(&mut self, client: ClientId, parent: InodeId, name: &str) -> Rpc<Option<Dentry>> {
-        let r = self.lookup_impl(client, parent, name);
-        let found = match &r.result {
-            Ok(d) => d.as_ref().map(|d| d.ino.0),
-            Err(_) => None,
-        };
-        self.history(
-            client,
-            HistoryOp::Lookup {
-                dir: parent.0,
-                name: name.to_string(),
-                found,
-            },
-            Self::history_result(&r.result),
-            found.unwrap_or(0),
-            &r.cost,
-        );
-        r
-    }
-
-    fn lookup_impl(
-        &mut self,
-        client: ClientId,
-        parent: InodeId,
-        name: &str,
-    ) -> Rpc<Option<Dentry>> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        if let Err(e) = self.check_blocked(parent, client) {
-            self.counters.rejects += 1;
-            self.obs(|o| o.rejects.inc());
-            return self.reply(
-                Err(e),
-                OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-            );
-        }
-        self.counters.lookups += 1;
-        self.obs(|o| o.lookups.inc());
-        let cost = OpCost::rpc(self.cost.mds_lookup_cpu, self.cost.rpc_overhead);
-        let result = match self.store.lookup(parent, name) {
-            Ok(d) => Ok(Some(d)),
-            Err(MdsError::NoEnt { .. }) => Ok(None),
-            Err(e) => Err(e),
-        };
-        self.reply(result, cost)
+        self.serve(client, Request::Lookup { parent, name })
+            .map(Reply::dentry)
     }
 
     /// Removes a file.
     pub fn unlink(&mut self, client: ClientId, parent: InodeId, name: &str) -> Rpc<()> {
-        let r = self.unlink_impl(client, parent, name);
-        self.history(
-            client,
-            HistoryOp::Unlink {
-                dir: parent.0,
-                name: name.to_string(),
-            },
-            Self::history_result(&r.result),
-            0,
-            &r.cost,
-        );
-        r
-    }
-
-    fn unlink_impl(&mut self, client: ClientId, parent: InodeId, name: &str) -> Rpc<()> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        if let Err(e) = self.check_blocked(parent, client) {
-            self.counters.rejects += 1;
-            self.obs(|o| o.rejects.inc());
-            return self.reply(
-                Err(e),
-                OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-            );
-        }
-        let mut mds_cpu = self.cost.mds_create_cpu;
-        let mut client_extra = self.cost.rpc_overhead;
-        let caps = self.caps.on_dir_write(parent, client);
-        self.obs(|o| o.note_caps(&caps));
-        if caps.revoked_from.is_some() {
-            mds_cpu += self.cost.mds_cap_revoke_cpu;
-        }
-        if let Err(e) = self.store.unlink(parent, name) {
-            return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra));
-        }
-        let (jcpu, jlat) = match self.journal(JournalEvent::Unlink {
-            parent,
-            name: name.to_string(),
-        }) {
-            Ok(t) => t,
-            Err(e) => return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra)),
-        };
-        mds_cpu += jcpu;
-        client_extra += jlat;
-        self.reply(Ok(()), OpCost::rpc(mds_cpu, client_extra))
+        self.serve(client, Request::Unlink { parent, name })
+            .map(Reply::done)
     }
 
     /// Renames within the namespace.
@@ -1198,142 +1317,28 @@ impl MetadataServer {
         dst_parent: InodeId,
         dst_name: &str,
     ) -> Rpc<()> {
-        let r = self.rename_impl(client, src_parent, src_name, dst_parent, dst_name);
-        self.history(
+        self.serve(
             client,
-            HistoryOp::Rename {
-                src_dir: src_parent.0,
-                src_name: src_name.to_string(),
-                dst_dir: dst_parent.0,
-                dst_name: dst_name.to_string(),
+            Request::Rename {
+                src_parent,
+                src_name,
+                dst_parent,
+                dst_name,
             },
-            Self::history_result(&r.result),
-            0,
-            &r.cost,
-        );
-        r
-    }
-
-    fn rename_impl(
-        &mut self,
-        client: ClientId,
-        src_parent: InodeId,
-        src_name: &str,
-        dst_parent: InodeId,
-        dst_name: &str,
-    ) -> Rpc<()> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        for dir in [src_parent, dst_parent] {
-            if let Err(e) = self.check_blocked(dir, client) {
-                self.counters.rejects += 1;
-                self.obs(|o| o.rejects.inc());
-                return self.reply(
-                    Err(e),
-                    OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-                );
-            }
-        }
-        let mut mds_cpu = self.cost.mds_create_cpu;
-        let mut client_extra = self.cost.rpc_overhead;
-        for dir in [src_parent, dst_parent] {
-            let caps = self.caps.on_dir_write(dir, client);
-            self.obs(|o| o.note_caps(&caps));
-            if caps.revoked_from.is_some() {
-                mds_cpu += self.cost.mds_cap_revoke_cpu;
-            }
-        }
-        if let Err(e) = self
-            .store
-            .rename(src_parent, src_name, dst_parent, dst_name)
-        {
-            return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra));
-        }
-        let (jcpu, jlat) = match self.journal(JournalEvent::Rename {
-            src_parent,
-            src_name: src_name.to_string(),
-            dst_parent,
-            dst_name: dst_name.to_string(),
-        }) {
-            Ok(t) => t,
-            Err(e) => return self.reply(Err(e), OpCost::rpc(mds_cpu, client_extra)),
-        };
-        mds_cpu += jcpu;
-        client_extra += jlat;
-        self.reply(Ok(()), OpCost::rpc(mds_cpu, client_extra))
+        )
+        .map(Reply::done)
     }
 
     /// Stats an inode.
     pub fn stat(&mut self, client: ClientId, ino: InodeId) -> Rpc<Attrs> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        if let Err(e) = self.check_blocked(ino, client) {
-            self.counters.rejects += 1;
-            self.obs(|o| o.rejects.inc());
-            return self.reply(
-                Err(e),
-                OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-            );
-        }
-        let cost = OpCost::rpc(self.cost.mds_lookup_cpu, self.cost.rpc_overhead);
-        let result = self
-            .store
-            .inode(ino)
-            .map(|i| i.attrs)
-            .ok_or_else(|| MdsError::NoEnt {
-                what: format!("inode {ino}"),
-            });
-        self.reply(result, cost)
+        self.serve(client, Request::Stat { ino }).map(Reply::attrs)
     }
 
     /// Lists a directory ("ls" — "notoriously heavy-weight"): MDS CPU
     /// scales with the entry count.
     pub fn readdir(&mut self, client: ClientId, ino: InodeId) -> Rpc<Vec<(String, Dentry)>> {
-        let r = self.readdir_impl(client, ino);
-        self.history(
-            client,
-            HistoryOp::Readdir {
-                dir: ino.0,
-                entries: r.result.as_ref().map_or(0, |v| v.len() as u64),
-            },
-            Self::history_result(&r.result),
-            ino.0,
-            &r.cost,
-        );
-        r
-    }
-
-    fn readdir_impl(&mut self, client: ClientId, ino: InodeId) -> Rpc<Vec<(String, Dentry)>> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        if let Err(e) = self.check_blocked(ino, client) {
-            self.counters.rejects += 1;
-            self.obs(|o| o.rejects.inc());
-            return self.reply(
-                Err(e),
-                OpCost::rpc(self.cost.mds_reject_cpu, self.cost.rpc_overhead),
-            );
-        }
-        match self.store.readdir(ino) {
-            Ok(entries) => {
-                // Charge one lookup's CPU per 64 entries scanned, plus base.
-                let scan = self
-                    .cost
-                    .mds_lookup_cpu
-                    .scale(1.0 + entries.len() as f64 / 64.0);
-                self.reply(Ok(entries), OpCost::rpc(scan, self.cost.rpc_overhead))
-            }
-            Err(e) => self.reply(
-                Err(e),
-                OpCost::rpc(self.cost.mds_lookup_cpu, self.cost.rpc_overhead),
-            ),
-        }
+        self.serve(client, Request::Readdir { ino })
+            .map(Reply::entries)
     }
 
     // ------------------------------------------------------------------
@@ -1350,26 +1355,17 @@ impl MetadataServer {
         policy: Vec<u8>,
         block_for_others: bool,
     ) -> Rpc<InodeId> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        let cost = OpCost::rpc(self.cost.mds_create_cpu, self.cost.rpc_overhead);
-        let ino = match self.store.resolve(path) {
-            Ok(ino) => ino,
-            Err(e) => return self.reply(Err(e), cost),
-        };
-        if let Err(e) = self.store.set_policy(ino, policy.clone()) {
-            return self.reply(Err(e), cost);
-        }
-        if let Err(e) = self.journal(JournalEvent::SetPolicy { ino, policy }) {
-            return self.reply(Err(e), cost);
-        }
-        if block_for_others {
-            self.blocked.retain(|&(root, _)| root != ino);
-            self.blocked.push((ino, client));
-        }
-        self.reply(Ok(ino), cost)
+        self.rpc(self.cost.mds_create_cpu, |s, _| {
+            let ino = s.store.resolve(path)?;
+            let event = JournalEvent::SetPolicy { ino, policy };
+            s.store.apply_checked(&event)?;
+            s.journal(event)?;
+            if block_for_others {
+                s.blocked.retain(|&(root, _)| root != ino);
+                s.blocked.push((ino, client));
+            }
+            Ok(ino)
+        })
     }
 
     /// Lifts an interfere=block registration (merge completed).
@@ -1386,29 +1382,26 @@ impl MetadataServer {
     /// the in-memory metadata store, blindly ("the metadata server blindly
     /// applies the updates because it assumes the events were already
     /// checked for consistency").
-    pub fn volatile_apply(&mut self, client: ClientId, events: &[JournalEvent]) -> Rpc<u64> {
-        if let Some(r) = self.down_reply() {
-            return r;
-        }
-        self.counters.rpcs += 1;
-        self.counters.merges += 1;
-        let mut applied = 0;
-        for e in events {
-            if e.is_update() {
-                self.store.apply_blind(e);
-                applied += 1;
+    pub fn volatile_apply(&mut self, _client: ClientId, events: &[JournalEvent]) -> Rpc<u64> {
+        self.rpc(Nanos::ZERO, |s, cost| {
+            s.counters.merges += 1;
+            let mut applied = 0;
+            for e in events {
+                if e.is_update() {
+                    s.store.apply_blind(e);
+                    applied += 1;
+                }
             }
-        }
-        self.counters.merged_events += applied;
-        self.obs(|o| {
-            o.merges.inc();
-            o.merged_events.add(applied);
-        });
-        let _ = client;
-        let mds_cpu = self.cost.volatile_apply_per_event * applied;
-        // One bulk message; network transfer time is charged separately by
-        // the harness from the journal's byte size.
-        self.reply(Ok(applied), OpCost::rpc(mds_cpu, self.cost.rpc_overhead))
+            s.counters.merged_events += applied;
+            s.obs(|o| {
+                o.merges.inc();
+                o.merged_events.add(applied);
+            });
+            // One bulk message; network transfer time is charged separately
+            // by the harness from the journal's byte size.
+            cost.mds_cpu = s.cost.volatile_apply_per_event * applied;
+            Ok(applied)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1448,119 +1441,39 @@ impl MetadataServer {
         self.mdlog.as_ref().map_or(0, MdLog::unflushed_events)
     }
 
-    /// Rebuilds the inode-allocator watermark from recovered state: every
-    /// journaled range grant ([`JournalEvent::AllocRange`]), every inode
-    /// named by a surviving journal event, and every inode present in the
-    /// recovered image (grants older than the last trim have no surviving
-    /// journal event). Shared by in-place recovery and standby takeover so
-    /// the two paths can never diverge.
-    pub(crate) fn recover_allocator(
-        store: &MetadataStore,
-        events: &[JournalEvent],
-    ) -> InodeAllocator {
-        let mut alloc = InodeAllocator::new();
-        for e in events {
-            if let Some(w) = e.alloc_watermark() {
-                alloc.advance_to(w);
-            }
-        }
-        if let Some(max) = store.max_inode() {
-            alloc.advance_to(max.next());
-        }
-        alloc
-    }
-
     /// Simulates an MDS restart: the in-memory store, caps, and sessions
-    /// are dropped; the namespace is rebuilt from the object store (the
-    /// persisted metadata image plus a blind replay of the mdlog journal).
-    /// Unflushed journal events are lost — exactly the durability gap the
-    /// Stream/none configurations trade away.
-    ///
-    /// A journal damaged on disk (torn stripe write, bit flip caught by the
-    /// frame CRC) does not abort recovery: replay falls back to the journal
-    /// tool, which erases the corrupt region and applies the surviving
-    /// prefix — the `cephfs-journal-tool` disaster-recovery workflow.
-    ///
-    /// When a checkpoint manifest exists, recovery is bounded: the covered
-    /// namespace is materialized from the manifest's image + deltas and
-    /// only the journal tail past its high-water mark is replayed, with
-    /// damaged checkpoint objects falling back one manifest epoch at a
-    /// time (and ultimately to the full-replay path below).
+    /// are dropped and the namespace and allocator are rebuilt from the
+    /// object store by `recover_namespace` — the same ladder standby
+    /// takeover climbs, here reading and healing through the server's own
+    /// handle. Unflushed journal events are lost — exactly the durability
+    /// gap the Stream/none configurations trade away. The in-memory mdlog
+    /// is reset (the persisted stripes remain) and, when checkpointing is
+    /// on, the compactor resumes from the manifest recovery actually used.
     pub fn crash_and_recover(&mut self) -> Result<()> {
         let journal_id = self
             .mdlog
             .as_ref()
-            .map(|l| l.journal_id())
-            .unwrap_or(cudele_journal::JournalId::MDLOG);
-        match checkpoint::recover(self.os.as_ref(), self.os.as_ref(), journal_id)
-            .map_err(Self::ckpt_error)?
-        {
-            Some(rec) => {
-                let mut alloc = Self::recover_allocator(&rec.store, &rec.tail);
-                alloc.advance_to(rec.alloc_floor());
-                self.alloc = alloc;
-                if let Some(ckpt) = self.ckpt.as_mut() {
-                    ckpt.resume(rec.manifest, rec.head_version);
-                }
-                if let Some(o) = &self.obs {
-                    o.reg.counter("mds.ckpt.recoveries").inc();
-                    o.reg.counter("mds.ckpt.fallbacks").add(rec.fallbacks);
-                }
-                self.finish_recovery(rec.store);
-            }
-            None => {
-                let mut store =
-                    persist::load_store(self.os.as_ref(), self.pool).map_err(MdsError::from)?;
-                let events = match cudele_journal::read_journal(self.os.as_ref(), journal_id) {
-                    Ok(events) => events,
-                    Err(cudele_journal::JournalIoError::Codec(_)) => {
-                        cudele_journal::JournalTool::new(self.os.as_ref(), journal_id)
-                            .recover()
-                            .map_err(|e| MdsError::NoEnt {
-                                what: format!("mdlog recovery ({e})"),
-                            })?
-                    }
-                    Err(e) => {
-                        return Err(MdsError::NoEnt {
-                            what: format!("mdlog replay ({e})"),
-                        })
-                    }
-                };
-                for e in &events {
-                    store.apply_blind(e);
-                }
-                // The allocator is rebuilt from the journal (not carried
-                // over from the pre-crash instance), exactly as the
-                // standby-replay path does: a restarted process has no
-                // in-memory watermark to keep.
-                self.alloc = Self::recover_allocator(&store, &events);
-                self.finish_recovery(store);
+            .map_or(JournalId::MDLOG, MdLog::journal_id);
+        let rec = recover_namespace(self.os.as_ref(), self.os.as_ref(), self.pool, journal_id)?;
+        self.alloc = rec.alloc;
+        if let Some((manifest, head_version)) = rec.manifest {
+            self.resume_checkpoints(manifest, head_version);
+            if let Some(o) = &self.obs {
+                o.reg.counter("mds.ckpt.recoveries").inc();
+                o.reg.counter("mds.ckpt.fallbacks").add(rec.fallbacks);
             }
         }
-        Ok(())
-    }
-
-    /// Common tail of both recovery paths: install the rebuilt namespace,
-    /// drop volatile per-client state, and reset the in-memory mdlog (the
-    /// persisted stripes remain).
-    fn finish_recovery(&mut self, store: MetadataStore) {
-        self.store = store;
+        self.store = rec.store;
         self.caps = CapTable::new();
         self.sessions = SessionMap::new();
         if let Some(log) = self.mdlog.as_mut() {
-            *log = MdLog::with_id(
-                MdLogConfig {
-                    events_per_segment: cudele_journal::SegmentBuilder::DEFAULT_EVENTS_PER_SEGMENT,
-                    dispatch_size: log.dispatch_size(),
-                    trim_after_updates: None,
-                },
-                log.journal_id(),
-            );
+            *log = MdLog::after_recovery(log.dispatch_size(), journal_id);
             if let Some(o) = &self.obs {
                 log.set_obs(&o.reg);
             }
         }
         self.up = true;
+        Ok(())
     }
 
     /// Test/benchmark setup helper: mkdir -p without cost accounting and
@@ -1583,7 +1496,7 @@ impl MetadataServer {
             cur = match self.store.lookup(cur, comp) {
                 Ok(d) => d.ino,
                 Err(MdsError::NoEnt { .. }) => {
-                    let ino = InodeId(self.alloc.allocate(1).start.0);
+                    let ino = self.alloc.allocate(1).start;
                     let attrs = Attrs::dir_default();
                     self.store.mkdir(cur, comp, ino, attrs)?;
                     if durable {
@@ -1601,6 +1514,110 @@ impl MetadataServer {
         }
         Ok(cur)
     }
+}
+
+/// What [`recover_namespace`] rebuilt from the object store.
+pub(crate) struct RecoveredNamespace {
+    /// The namespace: checkpoint or image, plus the replayed journal.
+    pub store: MetadataStore,
+    /// The allocator, past every inode the recovered state proves granted.
+    pub alloc: InodeAllocator,
+    /// Journal events replayed (with a manifest: only the tail past its
+    /// high-water mark).
+    pub replayed_events: u64,
+    /// Whether the journal was damaged and the journal tool erased the
+    /// corrupt region (lossy recovery).
+    pub healed: bool,
+    /// The manifest rung, when it held: the manifest recovery actually
+    /// used (possibly a fallback epoch) and the HEAD version, for the
+    /// checkpoint manager to resume from. `None` = full replay.
+    pub manifest: Option<(checkpoint::Manifest, u64)>,
+    /// Events materialized from the manifest's image + deltas.
+    pub checkpoint_events: u64,
+    /// Manifest epochs skipped because a checkpoint object was damaged.
+    pub fallbacks: u64,
+}
+
+/// The recovery ladder — the one way back from the object store to a
+/// namespace, shared by in-place [`MetadataServer::crash_and_recover`]
+/// (`read` = `write` = its own handle) and standby
+/// [`crate::StandbyReplay::take_over`] (`read` = the raw store, `write` =
+/// the handle fenced at the new epoch), so the two can never recover
+/// differently. Rungs, top down:
+///
+/// 1. **Manifest** ([`checkpoint::recover`]): image + deltas materialized,
+///    only the journal tail past the high-water mark replayed; damaged
+///    checkpoint objects fall back one manifest epoch at a time.
+/// 2. **Full replay**: the persisted image plus a blind replay of the whole
+///    journal. A journal damaged on disk (torn stripe write, bit flip
+///    caught by the frame CRC) does not abort recovery: the journal tool
+///    erases the corrupt region *through `write`* and the surviving prefix
+///    replays — the `cephfs-journal-tool` disaster-recovery workflow.
+///
+/// Either way the allocator is rebuilt from what was recovered, never
+/// carried over: every journaled range grant
+/// ([`JournalEvent::AllocRange`]), every inode named by a replayed event,
+/// every inode in the recovered namespace (grants older than the last trim
+/// have no surviving event) and, under a manifest, its covered-prefix
+/// watermark.
+pub(crate) fn recover_namespace(
+    read: &dyn ObjectStore,
+    write: &dyn ObjectStore,
+    pool: PoolId,
+    journal_id: JournalId,
+) -> Result<RecoveredNamespace> {
+    let io = |what: &str, e: JournalIoError| MdsError::Io {
+        what: format!("{what} ({e})"),
+    };
+    if let Some(ckpt) =
+        checkpoint::recover(read, write, journal_id).map_err(MetadataServer::ckpt_error)?
+    {
+        let mut alloc = recover_allocator(&ckpt.store, &ckpt.tail);
+        alloc.advance_to(ckpt.alloc_floor());
+        return Ok(RecoveredNamespace {
+            store: ckpt.store,
+            alloc,
+            replayed_events: ckpt.tail.len() as u64,
+            healed: ckpt.healed,
+            manifest: Some((ckpt.manifest, ckpt.head_version)),
+            checkpoint_events: ckpt.checkpoint_events,
+            fallbacks: ckpt.fallbacks,
+        });
+    }
+    let mut store = persist::load_store(read, pool)?;
+    let (events, healed) = match read_journal(read, journal_id) {
+        Ok(events) => (events, false),
+        Err(JournalIoError::Codec(_)) => {
+            let tool = JournalTool::new(write, journal_id);
+            (tool.recover().map_err(|e| io("mdlog recovery", e))?, true)
+        }
+        Err(e) => return Err(io("mdlog replay", e)),
+    };
+    for e in &events {
+        store.apply_blind(e);
+    }
+    Ok(RecoveredNamespace {
+        alloc: recover_allocator(&store, &events),
+        store,
+        replayed_events: events.len() as u64,
+        healed,
+        manifest: None,
+        checkpoint_events: 0,
+        fallbacks: 0,
+    })
+}
+
+/// The allocator fold: past every journaled grant and inode `events` name,
+/// and past every inode present in `store`.
+fn recover_allocator(store: &MetadataStore, events: &[JournalEvent]) -> InodeAllocator {
+    let mut alloc = InodeAllocator::new();
+    for w in events.iter().filter_map(JournalEvent::alloc_watermark) {
+        alloc.advance_to(w);
+    }
+    if let Some(max) = store.max_inode() {
+        alloc.advance_to(max.next());
+    }
+    alloc
 }
 
 #[cfg(test)]

@@ -224,7 +224,7 @@ impl Histogram {
     /// The `q`-th percentile (`q` in `[0, 100]`), interpolated within the
     /// owning bucket with bounds clamped to the observed range. Edge
     /// cases are well-defined: `0.0` when empty, the exact sample when
-    /// `count == 1` or all samples are equal (see [`bucket_percentile`]).
+    /// `count == 1` or all samples are equal (see `bucket_percentile`).
     pub fn percentile(&self, q: f64) -> f64 {
         let d = self.0.lock().unwrap_or_else(|p| p.into_inner());
         bucket_percentile(&d.buckets, d.count, d.min, d.max, q)

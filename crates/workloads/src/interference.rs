@@ -2,7 +2,7 @@
 //!
 //! "Each client creates files in private directories and at 30 seconds we
 //! launch another process that creates files in those directories"; the
-//! interferer "creat[es] 1000 files in each directory", introducing false
+//! interferer "creat\[es\] 1000 files in each directory", introducing false
 //! sharing that makes the MDS revoke directory capabilities.
 
 use cudele_sim::Nanos;

@@ -282,3 +282,60 @@ fn crash_mid_composition_leaves_previous_class() {
         Durability::None
     );
 }
+
+// ---------------------------------------------------------------------
+// I/O failures are errors, not observations of absence
+// ---------------------------------------------------------------------
+
+/// Every OSD is out while the mdlog (one event per segment, one segment
+/// per dispatch) tries to flush an unlink. The server must report an I/O
+/// error, not ENOENT: the history oracle treats ENOENT as an observation
+/// that the name was absent, and `f` was very much present.
+#[test]
+fn journal_io_failure_is_an_io_error_not_enoent() {
+    use cudele_mds::{MdLogConfig, MdsError};
+    use cudele_obs::history::{History, HistoryOp, HistoryResult};
+    use cudele_sim::{CostModel, Nanos};
+
+    let os = Arc::new(InMemoryStore::paper_default());
+    let mut server = MetadataServer::with_config(
+        os.clone(),
+        CostModel::calibrated(),
+        Some(MdLogConfig {
+            events_per_segment: 1,
+            dispatch_size: 1,
+            trim_after_updates: None,
+        }),
+    );
+    let reg = Arc::new(cudele_obs::Registry::new());
+    server.attach_obs(&reg);
+    server.open_session(CLIENT);
+    let dir = server.setup_dir_durable("/d").unwrap();
+    server.set_now(Nanos::from_micros(100));
+    server.create(CLIENT, dir, "f").expect_ok();
+
+    let (from, until) = (Nanos::from_millis(1), Nanos::from_millis(2));
+    for osd in 0..os.osd_stats().len() {
+        os.schedule_outage(osd, from, until);
+    }
+    let during = Nanos::from_micros(1500);
+    os.set_now(during);
+    server.set_now(during);
+    let reply = server.unlink(CLIENT, dir, "f");
+    assert!(
+        matches!(reply.result, Err(MdsError::Io { .. })),
+        "an outage under the journal append is an I/O error, got {:?}",
+        reply.result
+    );
+    // Known gap (DESIGN.md §11.5): the in-memory mutation stands, exactly as
+    // for a fenced append.
+    assert!(server.store().lookup(dir, "f").is_err());
+
+    let history = History::parse(&reg.history_json("rpc")).unwrap();
+    assert_eq!(history.events.len(), 2);
+    let row = &history.events[1];
+    assert!(matches!(row.op, HistoryOp::Unlink { .. }));
+    assert_eq!(row.result, HistoryResult::Err, "recorded as `err`");
+    let report = cudele_check::check_history(&history);
+    assert!(report.clean(), "verdict: {:?}", report.violations);
+}
