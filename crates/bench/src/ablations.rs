@@ -18,10 +18,10 @@ use std::sync::Arc;
 
 use cudele_mds::{MdLogConfig, MetadataServer, MetadataStore};
 use cudele_rados::InMemoryStore;
-use cudele_sim::{render_table, CostModel, Engine, Nanos, Series};
+use cudele_sim::{render_table, CostModel, Nanos, Series};
 use cudele_workloads::client_dir;
 
-use crate::world::{DecoupledCreateProcess, World};
+use crate::world::{run_decoupled_creates, World};
 use crate::Scale;
 
 /// Ablation 1: merge wall-clock with journals arriving simultaneously vs
@@ -37,24 +37,13 @@ pub fn merge_arrival_overlap(clients: u32, files: u64, stagger: Nanos) -> Nanos 
         world.server.setup_dir(&client_dir(c)).unwrap();
     }
     // Create phase (parallel, identical for both arms).
-    let mut eng = Engine::new(world);
-    for c in 0..clients {
-        let p = DecoupledCreateProcess::new(eng.world_mut(), c, &client_dir(c), files);
-        eng.add_process(Box::new(p));
-    }
-    let (mut world, report) = eng.run();
+    let (mut world, report, procs) = run_decoupled_creates(world, clients, files);
     let create_end = report.slowest();
 
     // Merge phase with staggered arrivals. With a large enough stagger
     // each journal finds an idle MDS; concurrency drops accordingly.
     let mut slowest = create_end;
-    for c in 0..clients {
-        let mut p = DecoupledCreateProcess::new(&mut world, 100 + c, &client_dir(c), files);
-        for i in 0..files {
-            p.client
-                .create(p.client.root, &cudele_workloads::file_name(100 + c, i))
-                .unwrap();
-        }
+    for (c, mut p) in procs.into_iter().enumerate() {
         let arrival = create_end + stagger * c as u64;
         // Overlapped arrivals reduce the concurrent-merge interference: if
         // the stagger exceeds one journal's apply time, merges are

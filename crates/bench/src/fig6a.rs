@@ -15,7 +15,7 @@ use cudele_rados::InMemoryStore;
 use cudele_sim::{render_plot, render_table, Engine, Nanos, Series};
 use cudele_workloads::{client_dir, CreateHeavy};
 
-use crate::world::{DecoupledCreateProcess, RpcCreateProcess, World};
+use crate::world::{run_decoupled_creates, RpcCreateProcess, World};
 use crate::Scale;
 
 /// The three curves plus the headline statistics.
@@ -56,15 +56,7 @@ fn run_decoupled(clients: u32, files: u64, merge: bool) -> Nanos {
     for c in 0..clients {
         world.server.setup_dir(&client_dir(c)).unwrap();
     }
-    let mut eng = Engine::new(world);
-    for c in 0..clients {
-        let p = DecoupledCreateProcess::new(eng.world_mut(), c, &client_dir(c), files);
-        eng.add_process(Box::new(p));
-    }
-    // The engine consumes the processes; for the merge phase we rebuild
-    // the journals directly (the create phase above fixes the time; the
-    // journal contents are deterministic).
-    let (mut world, report) = eng.run();
+    let (mut world, report, procs) = run_decoupled_creates(world, clients, files);
     let create_end = report.slowest();
     if !merge {
         return create_end;
@@ -72,15 +64,8 @@ fn run_decoupled(clients: u32, files: u64, merge: bool) -> Nanos {
     // All journals land on the MDS at create_end and serialize through
     // its CPU.
     let mut slowest = create_end;
-    for c in 0..clients {
-        let mut p = DecoupledCreateProcess::new(&mut world, 100 + c, &client_dir(c), files);
-        for i in 0..files {
-            p.client
-                .create(p.client.root, &cudele_workloads::file_name(100 + c, i))
-                .unwrap();
-        }
-        let done = p.merge_at(&mut world, create_end, clients);
-        slowest = slowest.max(done);
+    for mut p in procs {
+        slowest = slowest.max(p.merge_at(&mut world, create_end, clients));
     }
     slowest
 }

@@ -27,7 +27,7 @@ use cudele_sim::{Engine, Nanos, RunReport};
 use cudele_workloads::client_dir;
 
 use crate::obs_out::ObsSession;
-use crate::{DecoupledCreateProcess, RpcCreateProcess, SpeculativeCreateProcess, World};
+use crate::{RpcCreateProcess, SpeculativeCreateProcess, World};
 
 /// Speculation window when `--speculate` is given without a depth.
 pub const DEFAULT_SPEC_DEPTH: usize = 16;
@@ -263,6 +263,8 @@ pub fn parse_args(argv: &[String]) -> Result<BenchConfig, String> {
 /// bounded on large runs): each probed name becomes an eventual-visibility
 /// obligation `cudele-bench check` verifies.
 const PROBE_LOOKUPS: u64 = 64;
+/// Client ids of the post-merge readers: probe `c` is this plus `c`.
+const PROBE_CLIENT_BASE: u32 = 200;
 
 /// Objectives stamped into the timeline when `--timeline-out` is given
 /// without any explicit `--slo`: op latency stays sane and client-visible
@@ -533,45 +535,7 @@ client.rpc.retries={} mds.session.reconnects={}",
             (report.slowest(), report.slowest(), report)
         }
         cudele::OperationMode::Decoupled => {
-            let mut eng = Engine::new(world);
-            for c in 0..cfg.clients {
-                let p = DecoupledCreateProcess::new(eng.world_mut(), c, &client_dir(c), cfg.files);
-                eng.add_process(Box::new(p));
-            }
-            let (mut world, report) = eng.run();
-            let create_end = report.slowest();
-            let mut merge_end = create_end;
-            if policy
-                .merge_composition()
-                .is_some_and(|m| m.contains(cudele::Mechanism::VolatileApply))
-            {
-                for c in 0..cfg.clients {
-                    let mut p =
-                        DecoupledCreateProcess::new(&mut world, 100 + c, &client_dir(c), cfg.files);
-                    for i in 0..cfg.files {
-                        p.client
-                            .create(p.client.root, &cudele_workloads::file_name(100 + c, i))
-                            .unwrap();
-                    }
-                    merge_end = merge_end.max(p.merge_at(&mut world, create_end, cfg.clients));
-                }
-                // Post-merge visibility probes: a reader walks the merged
-                // names so the recorded history carries the observations
-                // the eventual-visibility checker verifies. Bounded so
-                // large runs stay cheap.
-                for c in 0..cfg.clients {
-                    let probe = ClientId(200 + c);
-                    world.server.set_now(merge_end);
-                    for i in 0..cfg.files.min(PROBE_LOOKUPS) {
-                        let _ = world.server.lookup(
-                            probe,
-                            dirs[c as usize],
-                            &cudele_workloads::file_name(100 + c, i),
-                        );
-                    }
-                    let _ = world.server.readdir(probe, dirs[c as usize]);
-                }
-            }
+            let (_, create_end, merge_end, report) = run_decoupled(world, cfg, &policy, &dirs);
             (create_end, merge_end, report)
         }
     };
@@ -644,6 +608,49 @@ client.rpc.retries={} mds.session.reconnects={}",
         report,
         rendered,
     })
+}
+
+/// The closed-loop decoupled route: every client appends its creates to
+/// its own journal; if the policy merges with Volatile Apply, all journals
+/// then land on the MDS at the end of the create phase — the journals the
+/// clients appended, not copies — and a reader probes the merged names.
+/// Returns the world, the end of the create phase, the end of the merge
+/// phase and the create phase's engine report.
+fn run_decoupled(
+    world: World,
+    cfg: &BenchConfig,
+    policy: &Policy,
+    dirs: &[cudele_journal::InodeId],
+) -> (World, Nanos, Nanos, RunReport) {
+    let (mut world, report, procs) =
+        crate::world::run_decoupled_creates(world, cfg.clients, cfg.files);
+    let create_end = report.slowest();
+    let mut merge_end = create_end;
+    if policy
+        .merge_composition()
+        .is_some_and(|m| m.contains(cudele::Mechanism::VolatileApply))
+    {
+        // Each client (journal and local mirror) is dropped as soon as its
+        // merge lands.
+        for mut p in procs {
+            merge_end = merge_end.max(p.merge_at(&mut world, create_end, cfg.clients));
+        }
+        // Post-merge visibility probes: a reader walks the merged names so
+        // the recorded history carries the observations the
+        // eventual-visibility checker verifies. Bounded so large runs stay
+        // cheap.
+        for (c, &dir) in (0..cfg.clients).zip(dirs) {
+            let probe = ClientId(PROBE_CLIENT_BASE + c);
+            world.server.set_now(merge_end);
+            for i in 0..cfg.files.min(PROBE_LOOKUPS) {
+                let _ = world
+                    .server
+                    .lookup(probe, dir, &cudele_workloads::file_name(c, i));
+            }
+            let _ = world.server.readdir(probe, dir);
+        }
+    }
+    (world, create_end, merge_end, report)
 }
 
 /// Runs the `mds-crash@T` failover drill against the object store the
@@ -1012,6 +1019,61 @@ mod tests {
         // Deterministic: rerun renders byte-identical output.
         let again = run(&spec_cfg).unwrap();
         assert_eq!(spec.rendered, again.rendered);
+    }
+
+    /// The batchfs route appends each create once and merges that journal:
+    /// nothing is re-created under a second client id.
+    #[test]
+    fn batchfs_merges_the_journals_the_clients_appended() {
+        use cudele_obs::history::{HistoryOp, HistoryScope};
+        let cfg = BenchConfig {
+            clients: 3,
+            files: 150,
+            policy: "batchfs".to_string(),
+            ..BenchConfig::default()
+        };
+        let policy = resolve_policy(&cfg).unwrap();
+        let mut world = World::new(MetadataServer::with_config(
+            Arc::new(InMemoryStore::paper_default()),
+            cudele_sim::CostModel::calibrated(),
+            Some(cudele_mds::MdLogConfig::default()),
+        ));
+        let dirs = world.setup_private_dirs(cfg.clients);
+        let (world, create_end, merge_end, _) = run_decoupled(world, &cfg, &policy, &dirs);
+        assert!(merge_end > create_end);
+
+        let ops = u64::from(cfg.clients) * cfg.files;
+        assert_eq!(world.server.counters().merged_events, ops);
+        // The files, the three client dirs and their parent, and `/`.
+        assert_eq!(world.server.store().inode_count() as u64, ops + 3 + 1 + 1);
+
+        let history = world.obs.history_events();
+        let local_creates = history
+            .iter()
+            .filter(|e| e.scope == HistoryScope::Local && matches!(e.op, HistoryOp::Create { .. }))
+            .count() as u64;
+        assert_eq!(local_creates, ops);
+        let merges: Vec<u64> = history
+            .iter()
+            .filter_map(|e| match e.op {
+                HistoryOp::Merge { events } => Some(events),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(merges, vec![cfg.files; cfg.clients as usize]);
+        let mut probes = 0;
+        for e in &history {
+            match &e.op {
+                HistoryOp::Lookup { found, name, .. } => {
+                    assert!(found.is_some(), "probe missed {name}");
+                    assert!(e.client >= u64::from(PROBE_CLIENT_BASE));
+                    probes += 1;
+                }
+                HistoryOp::Readdir { .. } => assert!(e.client >= u64::from(PROBE_CLIENT_BASE)),
+                _ => assert!(e.client < u64::from(cfg.clients), "writer {}", e.client),
+            }
+        }
+        assert_eq!(probes, u64::from(cfg.clients) * PROBE_LOOKUPS);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use cudele_journal::InodeId;
 use cudele_mds::{ClientId, MdsError, MetadataServer, OpCost};
 use cudele_obs::timeline::Series;
 use cudele_obs::{Histogram, Mechanism, Registry, SpanName, TraceCtx};
-use cudele_sim::{FifoServer, Nanos, Process, Step};
+use cudele_sim::{Engine, FifoServer, Nanos, Process, RunReport, Step};
 use cudele_workloads::{client_dir, file_name, Interference};
 
 /// Shared simulation state: the functional MDS plus its CPU queue and any
@@ -30,6 +30,10 @@ pub struct World {
     pub tl: cudele_obs::timeline::Timeline,
     /// Everything the processes record per op, resolved once from `obs`.
     pub(crate) h: WorldHandles,
+    /// Closed-loop decoupled clients that finished their creates, parked
+    /// here because the engine drops its processes when it returns (see
+    /// [`run_decoupled_creates`]).
+    parked: Vec<DecoupledCreateProcess>,
 }
 
 /// The harness's per-op telemetry, resolved against the world's registry
@@ -122,6 +126,7 @@ impl World {
             obs,
             tl,
             h,
+            parked: Vec::new(),
         }
     }
 
@@ -375,7 +380,7 @@ impl DecoupledCreateProcess {
         world
             .obs
             .end_named_with(root, world.h.merge, t, done - t, || {
-                vec![("events".to_string(), self.done.to_string())]
+                vec![("events".to_string(), events.to_string())]
             });
         world
             .obs
@@ -444,19 +449,57 @@ impl Process<World> for DecoupledCreateProcess {
             .end_named_with(root, world.h.append_batch, now, t - now, || {
                 vec![("ops".to_string(), batch.to_string())]
             });
-        if self.done >= self.total {
-            // The final batch's time still elapses; model it by one last
-            // wake-up that immediately completes.
-            self.total = 0; // sentinel: next step returns Done
-            Step::ResumeAt(t)
-        } else {
-            Step::ResumeAt(t)
-        }
+        // The final batch's time still elapses: the wake-up after it finds
+        // nothing left and completes.
+        Step::ResumeAt(t)
     }
 
     fn name(&self) -> String {
         format!("decoupled-client{}", self.idx)
     }
+}
+
+/// The engine's handle on a closed-loop decoupled client: steps it and,
+/// at `Done`, parks it on the world with the journal it appended.
+struct ParkWhenDone(Option<DecoupledCreateProcess>);
+
+impl Process<World> for ParkWhenDone {
+    fn step(&mut self, now: Nanos, world: &mut World) -> Step {
+        let step = self
+            .0
+            .as_mut()
+            .expect("engine never steps a finished process")
+            .step(now, world);
+        if matches!(step, Step::Done) {
+            world.parked.extend(self.0.take());
+        }
+        step
+    }
+
+    fn name(&self) -> String {
+        self.0.as_ref().map_or_else(String::new, Process::name)
+    }
+}
+
+/// The closed-loop decoupled create phase: client `c` appends `files`
+/// creates to its journal under [`client_dir`]`(c)` (which must exist).
+/// Returns the finished clients in client order, each still holding the
+/// journal it appended, so the caller merges *that* journal with
+/// [`DecoupledCreateProcess::merge_at`] instead of appending it again.
+pub fn run_decoupled_creates(
+    world: World,
+    clients: u32,
+    files: u64,
+) -> (World, RunReport, Vec<DecoupledCreateProcess>) {
+    let mut eng = Engine::new(world);
+    for c in 0..clients {
+        let p = DecoupledCreateProcess::new(eng.world_mut(), c, &client_dir(c), files);
+        eng.add_process(Box::new(ParkWhenDone(Some(p))));
+    }
+    let (mut world, report) = eng.run();
+    let mut parked = std::mem::take(&mut world.parked);
+    parked.sort_by_key(|p| p.idx);
+    (world, report, parked)
 }
 
 /// The interfering client: starting at its configured time, creates
@@ -771,8 +814,6 @@ impl Process<World> for SpeculativeCreateProcess {
 mod tests {
     use super::*;
     use cudele_rados::InMemoryStore;
-    use cudele_sim::Engine;
-    use std::sync::Arc;
 
     fn world() -> World {
         World::new(MetadataServer::new(

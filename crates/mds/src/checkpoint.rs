@@ -498,9 +498,7 @@ impl CheckpointManager {
             Err(e) => return Err(e),
         };
         let mut store = MetadataStore::new();
-        for e in &events {
-            store.apply_blind(e);
-        }
+        store.apply_blind_all(&events);
         Ok(emit_canonical(&store))
     }
 }
@@ -593,9 +591,7 @@ pub fn recover(
                     Err(e) => return Err(e.into()),
                 };
                 let mut store = store;
-                for e in &tail {
-                    store.apply_blind(e);
-                }
+                store.apply_blind_all(&tail);
                 return Ok(Some(RecoveredCheckpoint {
                     store,
                     tail,
@@ -630,17 +626,10 @@ fn materialize(
 ) -> Result<(MetadataStore, u64), CheckpointError> {
     let mut store = MetadataStore::new();
     let mut applied = 0u64;
-    if let Some(name) = &manifest.image_ref {
-        for e in &read_events_object(os, &ObjectId::new(id.pool, name.clone()))? {
-            store.apply_blind(e);
-            applied += 1;
-        }
-    }
-    for name in &manifest.delta_refs {
-        for e in &read_events_object(os, &ObjectId::new(id.pool, name.clone()))? {
-            store.apply_blind(e);
-            applied += 1;
-        }
+    for name in manifest.image_ref.iter().chain(&manifest.delta_refs) {
+        let events = read_events_object(os, &ObjectId::new(id.pool, name.clone()))?;
+        store.apply_blind_all(&events);
+        applied += events.len() as u64;
     }
     Ok((store, applied))
 }

@@ -24,7 +24,14 @@ pub struct Inode {
     /// Version bumped on every attribute or policy change (capability
     /// invalidation and persistence both key off it).
     pub version: u64,
+    /// Directory this inode is linked under; `NO_PARENT` for the root and
+    /// for inodes recovery has not linked yet. Maintained by the store on
+    /// every namespace mutation.
+    parent: InodeId,
 }
+
+/// "No parent": inode number 0 is never allocated.
+const NO_PARENT: InodeId = InodeId(0);
 
 impl Inode {
     /// A fresh regular file.
@@ -35,6 +42,7 @@ impl Inode {
             attrs,
             policy: None,
             version: 1,
+            parent: NO_PARENT,
         }
     }
 
@@ -46,6 +54,7 @@ impl Inode {
             attrs,
             policy: None,
             version: 1,
+            parent: NO_PARENT,
         }
     }
 
@@ -57,6 +66,21 @@ impl Inode {
     /// Whether this inode is a directory.
     pub fn is_dir(&self) -> bool {
         self.ftype == FileType::Dir
+    }
+
+    /// The directory this inode is linked under (None for the root).
+    pub fn parent(&self) -> Option<InodeId> {
+        (self.parent != NO_PARENT).then_some(self.parent)
+    }
+
+    /// This inode, linked under `parent`.
+    pub(crate) fn child_of(mut self, parent: InodeId) -> Inode {
+        self.parent = parent;
+        self
+    }
+
+    pub(crate) fn set_parent(&mut self, parent: InodeId) {
+        self.parent = parent;
     }
 
     /// Replaces the attributes, bumping the version.
@@ -99,6 +123,8 @@ mod tests {
         let d = Inode::root();
         assert!(d.is_dir());
         assert_eq!(d.ino, InodeId::ROOT);
+        assert_eq!(d.parent(), None);
+        assert_eq!(f.child_of(InodeId::ROOT).parent(), Some(InodeId::ROOT));
     }
 
     #[test]

@@ -24,7 +24,6 @@ use cudele_obs::{Counter, Registry, TraceSink};
 use cudele_rados::{ObjectId, ObjectStore, PoolId, RadosError};
 use cudele_sim::Nanos;
 
-use crate::dirfrag::Dentry;
 use crate::error::MdsError;
 use crate::inode::Inode;
 use crate::store::MetadataStore;
@@ -257,9 +256,10 @@ pub fn load_store<S: ObjectStore + ?Sized>(
         if ms.inode(dir_ino).is_none() {
             ms.raw_insert_inode(Inode::dir(dir_ino, Attrs::dir_default()));
         }
-        for (name, value) in with_retry(|| os.omap_list(&obj))? {
+        let records = with_retry(|| os.omap_list(&obj))?;
+        ms.raw_reserve(dir_ino, records.len());
+        for (name, value) in records {
             let (ino, ftype, attrs, policy) = decode_record(&value)?;
-            ms.raw_insert_dentry(dir_ino, &name, Dentry { ino, ftype });
             let mut inode = match ftype {
                 FileType::Dir => Inode::dir(ino, attrs),
                 _ => Inode::file(ino, attrs),
@@ -267,7 +267,7 @@ pub fn load_store<S: ObjectStore + ?Sized>(
             inode.policy = policy;
             // Preserve ftype for symlinks.
             inode.ftype = ftype;
-            ms.raw_insert_inode(inode);
+            ms.raw_link(dir_ino, &name, inode);
         }
     }
     Ok(ms)

@@ -1385,13 +1385,9 @@ impl MetadataServer {
     pub fn volatile_apply(&mut self, _client: ClientId, events: &[JournalEvent]) -> Rpc<u64> {
         self.rpc(Nanos::ZERO, |s, cost| {
             s.counters.merges += 1;
-            let mut applied = 0;
-            for e in events {
-                if e.is_update() {
-                    s.store.apply_blind(e);
-                    applied += 1;
-                }
-            }
+            // Journal-only bookkeeping events apply as no-ops.
+            s.store.apply_blind_all(events);
+            let applied = events.iter().filter(|e| e.is_update()).count() as u64;
             s.counters.merged_events += applied;
             s.obs(|o| {
                 o.merges.inc();
@@ -1593,9 +1589,7 @@ pub(crate) fn recover_namespace(
         }
         Err(e) => return Err(io("mdlog replay", e)),
     };
-    for e in &events {
-        store.apply_blind(e);
-    }
+    store.apply_blind_all(&events);
     Ok(RecoveredNamespace {
         alloc: recover_allocator(&store, &events),
         store,

@@ -1,6 +1,17 @@
 //! The in-memory metadata store: "a data structure that represents the
-//! file system namespace", kept as inodes plus a fragtree of directory
-//! fragments per directory.
+//! file system namespace", kept as two flat tables — inodes by number and,
+//! per directory, dentries by name — so every operation is one hash probe
+//! per table it touches and no tree walk.
+//!
+//! * `inodes`: inode number → [`Inode`]. The record carries its parent
+//!   directory, so subtree-membership checks (Cudele's interfere=block)
+//!   walk the same table.
+//! * `dirs`: directory inode number → [`Dir`], itself one name-keyed hash
+//!   table with the fragtree as a view (see [`crate::dirfrag`]).
+//!
+//! Both tables are keyed by [`InodeId`] and hashed by an in-crate integer
+//! mixer rather than SipHash: the keys are allocator-issued numbers, not
+//! attacker-chosen strings, and the store is probed several times per op.
 //!
 //! Two apply disciplines exist, and the difference is load-bearing for the
 //! paper's results:
@@ -17,10 +28,11 @@
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use cudele_journal::{Attrs, EventSink, FileType, InodeId, JournalEvent};
 
-use crate::dirfrag::{Dentry, Dir};
+use crate::dirfrag::{Dentry, Dir, NameHash};
 use crate::error::{MdsError, Result};
 use crate::inode::Inode;
 
@@ -40,18 +52,46 @@ struct PathCacheEntry {
     policy_owner: Option<Option<InodeId>>,
 }
 
-/// The namespace: an inode table plus per-directory fragtrees.
+/// Hasher for the [`InodeId`]-keyed tables: one multiply and a fold.
+///
+/// Inode numbers are dense runs inside ranges that start far apart (one
+/// range per client grant), so a multiply alone would leave the bucket
+/// bits — the low ones — a function of the offset inside the range only;
+/// folding the high half down mixes the range in. The table's control
+/// bytes come from the top bits, which the multiply already fills.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct InoHasher(u64);
+
+impl Hasher for InoHasher {
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type InoMap<V> = HashMap<InodeId, V, BuildHasherDefault<InoHasher>>;
+
+/// The namespace: an inode table plus per-directory dentry tables.
 #[derive(Debug, Clone)]
 pub struct MetadataStore {
-    inodes: HashMap<InodeId, Inode>,
-    dirs: HashMap<InodeId, Dir>,
-    /// Parent directory of each non-root inode (maintained on every
-    /// namespace mutation; used for subtree-membership checks such as
-    /// Cudele's interfere=block).
-    parents: HashMap<InodeId, InodeId>,
+    inodes: InoMap<Inode>,
+    dirs: InoMap<Dir>,
     split_threshold: usize,
-    /// Bumped on every namespace mutation; stamps [`PathCacheEntry`]s so a
-    /// stale cache entry is simply ignored rather than tracked down.
+    /// Bumped whenever the namespace changes; stamps [`PathCacheEntry`]s so
+    /// a stale cache entry is simply ignored rather than tracked down. A
+    /// rejected operation changes nothing and leaves the cache valid.
     generation: u64,
     /// Memoized `path -> inode` (and policy-owner) resolutions. Workloads
     /// resolve the same paths over and over (`effective_policy` on every
@@ -69,23 +109,22 @@ impl MetadataStore {
 
     /// An empty namespace with a custom directory-fragment split threshold.
     pub fn with_split_threshold(threshold: usize) -> MetadataStore {
-        let mut inodes = HashMap::new();
+        let mut inodes = InoMap::default();
         inodes.insert(InodeId::ROOT, Inode::root());
-        let mut dirs = HashMap::new();
+        let mut dirs = InoMap::default();
         dirs.insert(InodeId::ROOT, Dir::with_split_threshold(threshold));
         MetadataStore {
             inodes,
             dirs,
-            parents: HashMap::new(),
             split_threshold: threshold,
             generation: 0,
             path_cache: RefCell::new(HashMap::new()),
         }
     }
 
-    /// Invalidates all cached path resolutions. Called by every mutation;
-    /// cached entries carry the generation they were computed under and are
-    /// ignored once it moves on.
+    /// Invalidates all cached path resolutions. Called once a mutation is
+    /// certain to happen; cached entries carry the generation they were
+    /// computed under and are ignored once it moves on.
     fn bump_generation(&mut self) {
         self.generation += 1;
     }
@@ -147,7 +186,7 @@ impl MetadataStore {
 
     /// The parent directory of `ino` (None for the root or unknown inodes).
     pub fn parent_of(&self, ino: InodeId) -> Option<InodeId> {
-        self.parents.get(&ino).copied()
+        self.inodes.get(&ino).and_then(Inode::parent)
     }
 
     /// Whether `ino` lies inside the subtree rooted at `root` (inclusive).
@@ -159,8 +198,8 @@ impl MetadataStore {
             if cur == root {
                 return true;
             }
-            match self.parents.get(&cur) {
-                Some(&p) => cur = p,
+            match self.parent_of(cur) {
+                Some(p) => cur = p,
                 None => return false,
             }
         }
@@ -171,13 +210,40 @@ impl MetadataStore {
         self.dirs.get(&ino)
     }
 
+    /// Why `ino` has no dentry table: it does not exist, or is not a
+    /// directory.
+    fn not_a_dir(&self, ino: InodeId) -> MdsError {
+        if self.inodes.contains_key(&ino) {
+            MdsError::NotDir { ino }
+        } else {
+            MdsError::NoEnt {
+                what: format!("directory {ino}"),
+            }
+        }
+    }
+
+    /// The dentry table a checked mutation may write to: the directory
+    /// must exist as an inode too. Blind replay of an ill-formed journal
+    /// can leave a table whose inode is gone (a create under an unknown
+    /// parent, a file created over a directory's name); POSIX says ENOENT
+    /// there, so the inode is confirmed first — an integer-hash probe.
     fn dir_mut(&mut self, ino: InodeId) -> Result<&mut Dir> {
         if !self.inodes.contains_key(&ino) {
-            return Err(MdsError::NoEnt {
-                what: format!("directory {ino}"),
-            });
+            return Err(self.not_a_dir(ino));
         }
         self.dirs.get_mut(&ino).ok_or(MdsError::NotDir { ino })
+    }
+
+    /// Drops an inode and, if it had one, its dentry table.
+    fn forget(&mut self, ino: InodeId) {
+        self.inodes.remove(&ino);
+        self.dirs.remove(&ino);
+    }
+
+    fn no_such_name(parent: InodeId, name: &str) -> MdsError {
+        MdsError::NoEnt {
+            what: format!("{name:?} in {parent}"),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -193,89 +259,80 @@ impl MetadataStore {
         ino: InodeId,
         attrs: Attrs,
     ) -> Result<()> {
-        self.bump_generation();
-        if self.inodes.contains_key(&ino) {
-            return Err(MdsError::InodeCollision { ino });
-        }
-        let dir = self.dir_mut(parent)?;
-        if dir.contains(name) {
-            return Err(MdsError::Exists {
-                parent,
-                name: name.to_string(),
-            });
-        }
-        dir.insert(
-            name,
-            Dentry {
-                ino,
-                ftype: FileType::File,
-            },
-        );
-        self.inodes.insert(ino, Inode::file(ino, attrs));
-        self.parents.insert(ino, parent);
-        Ok(())
+        self.link_new(parent, name, Inode::file(ino, attrs))
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, parent: InodeId, name: &str, ino: InodeId, attrs: Attrs) -> Result<()> {
-        self.bump_generation();
-        if self.inodes.contains_key(&ino) {
+        self.link_new(parent, name, Inode::dir(ino, attrs))?;
+        self.dirs
+            .insert(ino, Dir::with_split_threshold(self.split_threshold));
+        Ok(())
+    }
+
+    /// The shared body of `create` and `mkdir`. The inode table is probed
+    /// once for the new number (collision check and insertion slot in one)
+    /// and the parent's dentry table once for the name (existence check
+    /// and insertion slot in one).
+    fn link_new(&mut self, parent: InodeId, name: &str, inode: Inode) -> Result<()> {
+        let ino = inode.ino;
+        let parent_exists = self.inodes.contains_key(&parent);
+        let Entry::Vacant(slot) = self.inodes.entry(ino) else {
             return Err(MdsError::InodeCollision { ino });
-        }
-        let dir = self.dir_mut(parent)?;
-        if dir.contains(name) {
+        };
+        let dir = match self.dirs.get_mut(&parent) {
+            Some(dir) if parent_exists => dir,
+            _ => return Err(self.not_a_dir(parent)),
+        };
+        let dentry = Dentry {
+            ino,
+            ftype: inode.ftype,
+        };
+        if dir.try_insert(name, dentry).is_err() {
             return Err(MdsError::Exists {
                 parent,
                 name: name.to_string(),
             });
         }
-        dir.insert(
-            name,
-            Dentry {
-                ino,
-                ftype: FileType::Dir,
-            },
-        );
-        self.inodes.insert(ino, Inode::dir(ino, attrs));
-        self.dirs
-            .insert(ino, Dir::with_split_threshold(self.split_threshold));
-        self.parents.insert(ino, parent);
+        slot.insert(inode.child_of(parent));
+        self.bump_generation();
         Ok(())
     }
 
     /// Removes a file.
     pub fn unlink(&mut self, parent: InodeId, name: &str) -> Result<()> {
-        self.bump_generation();
+        let hash = NameHash::of(name);
         let dir = self.dir_mut(parent)?;
-        let dentry = *dir.get(name).ok_or_else(|| MdsError::NoEnt {
-            what: format!("{name:?} in {parent}"),
-        })?;
+        let dentry = dir
+            .get_hashed(hash, name)
+            .ok_or_else(|| MetadataStore::no_such_name(parent, name))?;
         if dentry.ftype == FileType::Dir {
             return Err(MdsError::IsDir { ino: dentry.ino });
         }
-        dir.remove(name);
+        dir.remove_hashed(hash, name);
         self.inodes.remove(&dentry.ino);
-        self.parents.remove(&dentry.ino);
+        self.bump_generation();
         Ok(())
     }
 
     /// Removes an empty directory.
     pub fn rmdir(&mut self, parent: InodeId, name: &str) -> Result<()> {
-        self.bump_generation();
-        let dir = self.dir_mut(parent)?;
-        let dentry = *dir.get(name).ok_or_else(|| MdsError::NoEnt {
-            what: format!("{name:?} in {parent}"),
-        })?;
+        let hash = NameHash::of(name);
+        let dentry = self
+            .dir_mut(parent)?
+            .get_hashed(hash, name)
+            .ok_or_else(|| MetadataStore::no_such_name(parent, name))?;
         if dentry.ftype != FileType::Dir {
             return Err(MdsError::NotDir { ino: dentry.ino });
         }
         if !self.dirs.get(&dentry.ino).is_none_or(|d| d.is_empty()) {
             return Err(MdsError::NotEmpty { ino: dentry.ino });
         }
-        self.dir_mut(parent)?.remove(name);
-        self.inodes.remove(&dentry.ino);
-        self.dirs.remove(&dentry.ino);
-        self.parents.remove(&dentry.ino);
+        if let Some(dir) = self.dirs.get_mut(&parent) {
+            dir.remove_hashed(hash, name);
+        }
+        self.forget(dentry.ino);
+        self.bump_generation();
         Ok(())
     }
 
@@ -289,14 +346,12 @@ impl MetadataStore {
         dst_parent: InodeId,
         dst_name: &str,
     ) -> Result<()> {
-        self.bump_generation();
-        let src = *self
+        let (src_hash, dst_hash) = (NameHash::of(src_name), NameHash::of(dst_name));
+        let src = self
             .dir_mut(src_parent)?
-            .get(src_name)
-            .ok_or_else(|| MdsError::NoEnt {
-                what: format!("{src_name:?} in {src_parent}"),
-            })?;
-        if let Some(dst) = self.dir_mut(dst_parent)?.get(dst_name).copied() {
+            .get_hashed(src_hash, src_name)
+            .ok_or_else(|| MetadataStore::no_such_name(src_parent, src_name))?;
+        if let Some(dst) = self.dir_mut(dst_parent)?.get_hashed(dst_hash, dst_name) {
             if dst.ino == src.ino {
                 // Renaming a dentry onto itself is a POSIX no-op. Without
                 // this guard the replacement path below would remove the
@@ -309,48 +364,48 @@ impl MetadataStore {
                 return Err(MdsError::IsDir { ino: dst.ino });
             }
             self.inodes.remove(&dst.ino);
-            self.parents.remove(&dst.ino);
         }
-        self.dir_mut(src_parent)?.remove(src_name);
-        self.dir_mut(dst_parent)?.insert(dst_name, src);
-        self.parents.insert(src.ino, dst_parent);
+        // Both tables were found above; nothing since removed them.
+        if let Some(dir) = self.dirs.get_mut(&src_parent) {
+            dir.remove_hashed(src_hash, src_name);
+        }
+        if let Some(dir) = self.dirs.get_mut(&dst_parent) {
+            dir.insert_hashed(dst_hash, dst_name, src);
+        }
+        if let Some(inode) = self.inodes.get_mut(&src.ino) {
+            inode.set_parent(dst_parent);
+        }
+        self.bump_generation();
         Ok(())
     }
 
     /// Overwrites an inode's attributes.
     pub fn setattr(&mut self, ino: InodeId, attrs: Attrs) -> Result<()> {
-        self.bump_generation();
-        let inode = self.inodes.get_mut(&ino).ok_or_else(|| MdsError::NoEnt {
-            what: format!("inode {ino}"),
-        })?;
-        inode.set_attrs(attrs);
+        self.inode_mut(ino)?.set_attrs(attrs);
         Ok(())
     }
 
     /// Installs a Cudele policy blob on a directory inode.
     pub fn set_policy(&mut self, ino: InodeId, policy: Vec<u8>) -> Result<()> {
-        self.bump_generation();
-        let inode = self.inodes.get_mut(&ino).ok_or_else(|| MdsError::NoEnt {
-            what: format!("inode {ino}"),
-        })?;
-        inode.set_policy(policy);
+        self.inode_mut(ino)?.set_policy(policy);
         Ok(())
+    }
+
+    /// An inode about to be modified (so cached resolutions go stale).
+    fn inode_mut(&mut self, ino: InodeId) -> Result<&mut Inode> {
+        self.raw_inode_mut(ino).ok_or_else(|| MdsError::NoEnt {
+            what: format!("inode {ino}"),
+        })
     }
 
     /// Looks up one name in a directory.
     pub fn lookup(&self, parent: InodeId, name: &str) -> Result<Dentry> {
-        let dir = self.dirs.get(&parent).ok_or_else(|| {
-            if self.inodes.contains_key(&parent) {
-                MdsError::NotDir { ino: parent }
-            } else {
-                MdsError::NoEnt {
-                    what: format!("directory {parent}"),
-                }
-            }
-        })?;
-        dir.get(name).copied().ok_or_else(|| MdsError::NoEnt {
-            what: format!("{name:?} in {parent}"),
-        })
+        let dir = self
+            .dirs
+            .get(&parent)
+            .ok_or_else(|| self.not_a_dir(parent))?;
+        dir.get(name)
+            .ok_or_else(|| MetadataStore::no_such_name(parent, name))
     }
 
     /// Full directory listing, sorted by name.
@@ -430,11 +485,19 @@ impl MetadataStore {
     // Blind (merge) operations
     // ------------------------------------------------------------------
 
+    /// The dentry table of `ino`, materialised if a blind event names a
+    /// parent the namespace has not seen.
+    fn dir_or_new(&mut self, ino: InodeId) -> &mut Dir {
+        let threshold = self.split_threshold;
+        self.dirs
+            .entry(ino)
+            .or_insert_with(|| Dir::with_split_threshold(threshold))
+    }
+
     /// Applies one journal event without validity checks, as the merge path
     /// does. Decoupled updates take priority: existing dentries are
     /// overwritten, missing unlink targets are ignored.
     pub fn apply_blind(&mut self, event: &JournalEvent) {
-        self.bump_generation();
         match event {
             JournalEvent::Create {
                 parent,
@@ -442,23 +505,15 @@ impl MetadataStore {
                 ino,
                 attrs,
             } => {
-                let threshold = self.split_threshold;
-                let dir = self
-                    .dirs
-                    .entry(*parent)
-                    .or_insert_with(|| Dir::with_split_threshold(threshold));
-                if let Some(prev) = dir.insert(
-                    name,
-                    Dentry {
-                        ino: *ino,
-                        ftype: FileType::File,
-                    },
-                ) {
+                let dentry = Dentry {
+                    ino: *ino,
+                    ftype: FileType::File,
+                };
+                if let Some(prev) = self.dir_or_new(*parent).insert(name, dentry) {
                     self.inodes.remove(&prev.ino);
-                    self.parents.remove(&prev.ino);
                 }
-                self.inodes.insert(*ino, Inode::file(*ino, *attrs));
-                self.parents.insert(*ino, *parent);
+                self.inodes
+                    .insert(*ino, Inode::file(*ino, *attrs).child_of(*parent));
             }
             JournalEvent::Mkdir {
                 parent,
@@ -466,38 +521,24 @@ impl MetadataStore {
                 ino,
                 attrs,
             } => {
-                let threshold = self.split_threshold;
-                let dir = self
-                    .dirs
-                    .entry(*parent)
-                    .or_insert_with(|| Dir::with_split_threshold(threshold));
-                if let Some(prev) = dir.insert(
-                    name,
-                    Dentry {
-                        ino: *ino,
-                        ftype: FileType::Dir,
-                    },
-                ) {
+                let dentry = Dentry {
+                    ino: *ino,
+                    ftype: FileType::Dir,
+                };
+                if let Some(prev) = self.dir_or_new(*parent).insert(name, dentry) {
                     if prev.ino != *ino {
-                        self.inodes.remove(&prev.ino);
-                        self.dirs.remove(&prev.ino);
-                        self.parents.remove(&prev.ino);
+                        self.forget(prev.ino);
                     }
                 }
-                self.inodes.insert(*ino, Inode::dir(*ino, *attrs));
-                self.dirs
-                    .entry(*ino)
-                    .or_insert_with(|| Dir::with_split_threshold(threshold));
-                self.parents.insert(*ino, *parent);
+                self.inodes
+                    .insert(*ino, Inode::dir(*ino, *attrs).child_of(*parent));
+                self.dir_or_new(*ino);
             }
             JournalEvent::Unlink { parent, name } | JournalEvent::Rmdir { parent, name } => {
-                if let Some(dir) = self.dirs.get_mut(parent) {
-                    if let Some(prev) = dir.remove(name) {
-                        self.inodes.remove(&prev.ino);
-                        self.dirs.remove(&prev.ino);
-                        self.parents.remove(&prev.ino);
-                    }
-                }
+                let Some(prev) = self.dirs.get_mut(parent).and_then(|d| d.remove(name)) else {
+                    return;
+                };
+                self.forget(prev.ino);
             }
             JournalEvent::Rename {
                 src_parent,
@@ -505,37 +546,72 @@ impl MetadataStore {
                 dst_parent,
                 dst_name,
             } => {
-                let moved = self
+                let Some(dentry) = self
                     .dirs
                     .get_mut(src_parent)
-                    .and_then(|d| d.remove(src_name));
-                if let Some(dentry) = moved {
-                    let threshold = self.split_threshold;
-                    let dst = self
-                        .dirs
-                        .entry(*dst_parent)
-                        .or_insert_with(|| Dir::with_split_threshold(threshold));
-                    if let Some(prev) = dst.insert(dst_name, dentry) {
-                        if prev.ino != dentry.ino {
-                            self.inodes.remove(&prev.ino);
-                            self.dirs.remove(&prev.ino);
-                            self.parents.remove(&prev.ino);
-                        }
+                    .and_then(|d| d.remove(src_name))
+                else {
+                    return;
+                };
+                if let Some(prev) = self.dir_or_new(*dst_parent).insert(dst_name, dentry) {
+                    if prev.ino != dentry.ino {
+                        self.forget(prev.ino);
                     }
-                    self.parents.insert(dentry.ino, *dst_parent);
+                }
+                if let Some(inode) = self.inodes.get_mut(&dentry.ino) {
+                    inode.set_parent(*dst_parent);
                 }
             }
             JournalEvent::SetAttr { ino, attrs } => {
-                if let Entry::Occupied(mut e) = self.inodes.entry(*ino) {
-                    e.get_mut().set_attrs(*attrs);
-                }
+                let Some(inode) = self.inodes.get_mut(ino) else {
+                    return;
+                };
+                inode.set_attrs(*attrs);
             }
             JournalEvent::SetPolicy { ino, policy } => {
-                if let Entry::Occupied(mut e) = self.inodes.entry(*ino) {
-                    e.get_mut().set_policy(policy.clone());
-                }
+                let Some(inode) = self.inodes.get_mut(ino) else {
+                    return;
+                };
+                inode.set_policy(policy.clone());
             }
-            JournalEvent::SegmentBoundary { .. } | JournalEvent::AllocRange { .. } => {}
+            JournalEvent::SegmentBoundary { .. } | JournalEvent::AllocRange { .. } => return,
+        }
+        self.bump_generation();
+    }
+
+    /// Applies a batch of events blindly, in order — a merged client
+    /// journal, a journal replay, a checkpoint image. The batch's size is
+    /// known, so the tables are sized once up front instead of doubling
+    /// their way there: the inode table for the inodes the batch adds net
+    /// of those it removes, each directory for the run of creates about to
+    /// land in it.
+    pub fn apply_blind_all(&mut self, events: &[JournalEvent]) {
+        fn links_into(e: &JournalEvent) -> Option<InodeId> {
+            match e {
+                JournalEvent::Create { parent, .. } | JournalEvent::Mkdir { parent, .. } => {
+                    Some(*parent)
+                }
+                _ => None,
+            }
+        }
+        let net_new = events.iter().fold(0usize, |n, e| match e {
+            JournalEvent::Unlink { .. } | JournalEvent::Rmdir { .. } => n.saturating_sub(1),
+            e if e.allocates().is_some() => n + 1,
+            _ => n,
+        });
+        self.inodes.reserve(net_new);
+        let mut rest = events;
+        while let Some(first) = rest.first() {
+            let parent = links_into(first);
+            let run = rest.iter().take_while(|e| links_into(e) == parent).count();
+            if let Some(parent) = parent.filter(|_| run > 1) {
+                self.dir_or_new(parent).reserve(run);
+            }
+            let (now, later) = rest.split_at(run);
+            for e in now {
+                self.apply_blind(e);
+            }
+            rest = later;
         }
     }
 
@@ -577,30 +653,37 @@ impl MetadataStore {
     /// recovery when rebuilding the store from dirfrag objects.
     pub(crate) fn raw_insert_inode(&mut self, inode: Inode) {
         self.bump_generation();
-        if inode.is_dir() && !self.dirs.contains_key(&inode.ino) {
-            self.dirs
-                .insert(inode.ino, Dir::with_split_threshold(self.split_threshold));
+        if inode.is_dir() {
+            self.dir_or_new(inode.ino);
         }
         self.inodes.insert(inode.ino, inode);
     }
 
-    /// Inserts a dentry directly, creating the directory fragtree if the
-    /// parent has not been materialized yet (recovery encounters children
-    /// before parents when object listing order is arbitrary).
-    pub(crate) fn raw_insert_dentry(&mut self, dir_ino: InodeId, name: &str, dentry: Dentry) {
-        self.bump_generation();
-        let threshold = self.split_threshold;
-        self.dirs
-            .entry(dir_ino)
-            .or_insert_with(|| Dir::with_split_threshold(threshold))
-            .insert(name, dentry);
-        self.parents.insert(dentry.ino, dir_ino);
+    /// Links `inode` under `dir_ino` as `name` directly, creating the
+    /// directory's dentry table if the parent has not been materialized yet
+    /// (recovery encounters children before parents when object listing
+    /// order is arbitrary).
+    pub(crate) fn raw_link(&mut self, dir_ino: InodeId, name: &str, inode: Inode) {
+        let dentry = Dentry {
+            ino: inode.ino,
+            ftype: inode.ftype,
+        };
+        self.dir_or_new(dir_ino).insert(name, dentry);
+        self.raw_insert_inode(inode.child_of(dir_ino));
+    }
+
+    /// Sizes the tables for `entries` dentries about to be linked under
+    /// `dir_ino` (recovery knows each dirfrag object's length).
+    pub(crate) fn raw_reserve(&mut self, dir_ino: InodeId, entries: usize) {
+        self.inodes.reserve(entries);
+        self.dir_or_new(dir_ino).reserve(entries);
     }
 
     /// Mutable access to an inode for recovery (e.g. restoring root attrs).
     pub(crate) fn raw_inode_mut(&mut self, ino: InodeId) -> Option<&mut Inode> {
-        self.bump_generation();
-        self.inodes.get_mut(&ino)
+        let inode = self.inodes.get_mut(&ino)?;
+        self.generation += 1;
+        Some(inode)
     }
 
     // ------------------------------------------------------------------
@@ -618,10 +701,10 @@ impl MetadataStore {
 
     fn walk_dir(&self, ino: InodeId, path: &mut String, visit: &mut impl FnMut(&str, &Dentry)) {
         if let Some(dir) = self.dirs.get(&ino) {
-            for (name, dentry) in dir.entries() {
+            for (name, dentry) in dir.sorted() {
                 let depth = path.len();
                 path.push('/');
-                path.push_str(&name);
+                path.push_str(name);
                 visit(path, &dentry);
                 if dentry.ftype == FileType::Dir {
                     self.walk_dir(dentry.ino, path, visit);
@@ -872,6 +955,111 @@ mod tests {
         // Root policy applies everywhere once set.
         s.set_policy(InodeId::ROOT, vec![0]).unwrap();
         assert_eq!(s.effective_policy("/").unwrap().unwrap().1, &[0]);
+    }
+
+    /// A rejected operation changes nothing, so it must not invalidate the
+    /// memoized resolutions (every request consults `effective_policy`; an
+    /// EEXIST storm used to flush the cache on each reply).
+    #[test]
+    fn rejected_ops_leave_the_path_cache_valid() {
+        let mut s = MetadataStore::new();
+        let (a, f, ghost) = (InodeId(0x1000), InodeId(0x1001), InodeId(0xdead));
+        s.mkdir(InodeId::ROOT, "a", a, Attrs::dir_default())
+            .unwrap();
+        s.create(a, "f", f, attrs()).unwrap();
+        assert_eq!(s.resolve("/a/f").unwrap(), f);
+        assert_eq!(s.effective_policy("/a/f").unwrap(), None);
+        let generation = s.generation;
+
+        assert!(matches!(
+            s.create(a, "f", InodeId(0x1002), attrs()),
+            Err(MdsError::Exists { .. })
+        ));
+        assert!(matches!(
+            s.create(a, "g", f, attrs()),
+            Err(MdsError::InodeCollision { .. })
+        ));
+        assert!(matches!(
+            s.create(ghost, "g", InodeId(0x1002), attrs()),
+            Err(MdsError::NoEnt { .. })
+        ));
+        assert!(matches!(
+            s.mkdir(f, "d", InodeId(0x1002), Attrs::dir_default()),
+            Err(MdsError::NotDir { .. })
+        ));
+        assert!(s.unlink(a, "ghost").is_err());
+        assert!(s.unlink(InodeId::ROOT, "a").is_err()); // EISDIR
+        assert!(s.rmdir(InodeId::ROOT, "a").is_err()); // ENOTEMPTY
+        assert!(s.rmdir(a, "f").is_err()); // ENOTDIR
+        assert!(s.rename(a, "ghost", a, "x").is_err());
+        assert!(s.rename(a, "f", InodeId::ROOT, "a").is_err()); // onto a dir
+        s.rename(a, "f", a, "f").unwrap(); // self-rename: a no-op
+        assert!(s.setattr(ghost, attrs()).is_err());
+        assert!(s.set_policy(ghost, vec![1]).is_err());
+        assert!(s.raw_inode_mut(ghost).is_none());
+        s.apply_blind(&JournalEvent::Unlink {
+            parent: a,
+            name: "ghost".into(),
+        });
+        s.apply_blind(&JournalEvent::SegmentBoundary { seq: 1 });
+
+        assert_eq!(s.generation, generation);
+        let cached = *s.path_cache.borrow().get("/a/f").unwrap();
+        assert_eq!(cached.generation, s.generation);
+        assert_eq!((cached.ino, cached.policy_owner), (f, Some(None)));
+
+        // A change does invalidate.
+        s.create(a, "g", InodeId(0x1002), attrs()).unwrap();
+        assert!(s.generation > generation);
+        assert_eq!(s.resolve("/a/g").unwrap(), InodeId(0x1002));
+    }
+
+    #[test]
+    fn batch_apply_equals_event_by_event_apply() {
+        let mut events = Vec::new();
+        for d in 0..3u64 {
+            events.push(JournalEvent::Mkdir {
+                parent: InodeId::ROOT,
+                name: format!("d{d}"),
+                ino: InodeId(0x1000 + d),
+                attrs: Attrs::dir_default(),
+            });
+        }
+        for i in 0..400u64 {
+            // Runs of creates per directory, with removals and journal
+            // bookkeeping breaking them up.
+            events.push(JournalEvent::Create {
+                parent: InodeId(0x1000 + (i / 50) % 3),
+                name: format!("f{i}"),
+                ino: InodeId(0x2000 + i),
+                attrs: attrs(),
+            });
+            if i % 7 == 0 {
+                events.push(JournalEvent::Unlink {
+                    parent: InodeId(0x1000 + (i / 50) % 3),
+                    name: format!("f{}", i / 2),
+                });
+            }
+            if i % 64 == 0 {
+                events.push(JournalEvent::SegmentBoundary { seq: i });
+            }
+        }
+        let mut one_by_one = MetadataStore::with_split_threshold(32);
+        for e in &events {
+            one_by_one.apply_blind(e);
+        }
+        let mut batched = MetadataStore::with_split_threshold(32);
+        batched.apply_blind_all(&events);
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
+        assert_eq!(batched.inode_count(), one_by_one.inode_count());
+        for d in 0..3u64 {
+            let ino = InodeId(0x1000 + d);
+            assert_eq!(
+                batched.dir(ino).unwrap().frag_count(),
+                one_by_one.dir(ino).unwrap().frag_count()
+            );
+            assert_eq!(batched.parent_of(ino), Some(InodeId::ROOT));
+        }
     }
 
     #[test]

@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Append one row of the host-time benchmark to the committed trajectory.
+
+Reads `benchmark/out/results.json` (what `benchmark/run.sh` writes), appends
+one row to `BENCH_wallclock.json` — commit, machine fingerprint, calibration
+seconds, and per workload the `ops_per_s_norm` and `allocs_per_op` medians —
+and exits 1 if the decoupled route is not faster than the RPC route
+(`decoupled_merge` <= `rpc_create`), the ordering the paper's Fig. 6a and
+the virtual-time model both give.
+
+    benchmark/run.sh && scripts/bench_wallclock.py --pr 16
+    scripts/bench_wallclock.py --check-only        # gate, write nothing
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+
+WORKLOADS = [
+    "rpc_create",
+    "decoupled_merge",
+    "open_loop_churn",
+    "namespace_mix",
+    "failover_recover",
+]
+
+
+def head_commit():
+    """Short HEAD; `+` marks a tree with uncommitted changes on top of it."""
+    rev = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD"]).returncode != 0
+    return rev + ("+" if dirty else "")
+
+
+def row_from(results, commit, pr):
+    for w in WORKLOADS:
+        e2e = results["workloads"][w]["end_to_end"]
+        if not e2e["correct"] or e2e["failed"]:
+            sys.exit(f"{w}: output check failed, no row written")
+    median = lambda w, part, m: results["workloads"][w][part]["metrics"][m]["median"]
+    row = {
+        "commit": commit,
+        "machine": results["machine"],
+        "seed": results["seed"],
+        "seconds": results["seconds"],
+        "calib_s": round(
+            statistics.median(median(w, "per_layer", "e2e.calib_s") for w in WORKLOADS), 6
+        ),
+        "ops_per_s_norm": {w: round(median(w, "end_to_end", "ops_per_s_norm")) for w in WORKLOADS},
+        "allocs_per_op": {w: round(median(w, "end_to_end", "allocs_per_op"), 4) for w in WORKLOADS},
+    }
+    if pr is not None:
+        row = {"pr": pr, **row}
+    return row
+
+
+def write(path, doc):
+    with open(path, "w") as f:
+        f.write('{\n  "schema": "%s",\n  "rows": [\n' % doc["schema"])
+        f.write(",\n".join("    " + json.dumps(r) for r in doc["rows"]))
+        f.write("\n  ]\n}\n")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--results", default="benchmark/out/results.json")
+    ap.add_argument("--trajectory", default="BENCH_wallclock.json")
+    ap.add_argument("--commit", help="commit the results were measured at (default: HEAD)")
+    ap.add_argument("--pr", type=int, help="PR number to record with the row")
+    ap.add_argument("--check-only", action="store_true", help="gate only, append nothing")
+    args = ap.parse_args()
+
+    with open(args.results) as f:
+        results = json.load(f)
+    row = row_from(results, args.commit or head_commit(), args.pr)
+    if not args.check_only:
+        try:
+            with open(args.trajectory) as f:
+                doc = json.load(f)
+        except FileNotFoundError:
+            doc = {"schema": "cudele-wallclock-trajectory/v1", "rows": []}
+        doc["rows"].append(row)
+        write(args.trajectory, doc)
+        print(f"row {len(doc['rows'])} appended to {args.trajectory}")
+
+    ops = row["ops_per_s_norm"]
+    print("  ".join(f"{w} {ops[w]}" for w in WORKLOADS))
+    if ops["decoupled_merge"] <= ops["rpc_create"]:
+        sys.exit(
+            f"decoupled_merge ({ops['decoupled_merge']} ops/s) is not faster than "
+            f"rpc_create ({ops['rpc_create']} ops/s)"
+        )
+
+
+if __name__ == "__main__":
+    main()
