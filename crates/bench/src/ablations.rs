@@ -10,8 +10,7 @@
 //!    thrash; long ones leave the victim paying lookups long after the
 //!    interferer has left.
 //! 3. **Dirfrag split threshold**: the fragment size at which directories
-//!    split, traded against per-fragment scan cost (functional, measured
-//!    in real wall time by the criterion benches; here we check the
+//!    split, traded against per-fragment scan cost (here we check the
 //!    fragment counts the policy produces).
 
 use std::sync::Arc;

@@ -20,7 +20,6 @@ pub mod fig6c;
 pub mod mdbench;
 pub mod obs_out;
 pub mod open_loop_run;
-pub mod perf;
 pub mod regress;
 pub mod table1;
 pub mod timeline_view;

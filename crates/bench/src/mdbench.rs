@@ -440,15 +440,15 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
     }
     let run_reg = Arc::clone(&world.obs);
 
+    use std::fmt::Write as _;
     let total_ops = cfg.clients as u64 * cfg.files;
-    if let Some(spec_str) = &cfg.arrival {
+    let (create_end, merge_end, report) = if let Some(spec_str) = &cfg.arrival {
         let spec = cudele_workloads::open_loop::ArrivalSpec::parse(spec_str)
             .map_err(|e| format!("bad --arrival: {e}"))?;
         let decoupled = policy.operation_mode() == cudele::OperationMode::Decoupled;
         let out =
             crate::open_loop_run::run_open_loop(world, &spec, cfg.clients, cfg.files, decoupled)?;
 
-        use std::fmt::Write as _;
         let offered = cfg.clients as f64 / out.last_arrival.as_secs_f64().max(1e-9);
         let _ = writeln!(
             rendered,
@@ -468,92 +468,67 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
             Nanos(out.sojourn_ns.1 as u64),
             Nanos(out.sojourn_ns.2 as u64),
         );
-        let _ = writeln!(rendered, "  run          : {}", out.report.summary_json());
-        if !mds_crashes.is_empty() {
-            failover_drill(
-                drill_store,
-                drill_cost,
-                mdlog,
-                ckpt_config,
-                &mds_crashes,
-                cfg.clients,
-                &run_reg,
-                &mut rendered,
-            )?;
+        (out.end, out.end, out.report)
+    } else {
+        for c in 0..cfg.clients {
+            world.server.setup_dir(&client_dir(c)).unwrap();
         }
-        let counter = |name: &str| run_reg.counter_value(name).unwrap_or(0);
-        let _ = writeln!(
-            rendered,
-            "  fault obs    : rados.fenced_writes={} client.rpc.timeouts={} \
-client.rpc.retries={} mds.session.reconnects={}",
-            counter("rados.fenced_writes"),
-            counter("client.rpc.timeouts"),
-            counter("client.rpc.retries"),
-            counter("mds.session.reconnects"),
-        );
-        obs.finish()
-            .map_err(|e| format!("writing snapshots: {e}"))?;
-        return Ok(BenchOutcome {
-            create_end: out.end,
-            merge_end: out.end,
-            report: out.report,
-            rendered,
-        });
-    }
+        let dirs: Vec<_> = (0..cfg.clients)
+            .map(|c| world.server.store().resolve(&client_dir(c)).unwrap())
+            .collect();
 
-    for c in 0..cfg.clients {
-        world.server.setup_dir(&client_dir(c)).unwrap();
-    }
-    let dirs: Vec<_> = (0..cfg.clients)
-        .map(|c| world.server.store().resolve(&client_dir(c)).unwrap())
-        .collect();
-
-    let (create_end, merge_end, report) = match policy.operation_mode() {
-        cudele::OperationMode::Rpcs => {
-            let mut eng = Engine::new(world);
-            for c in 0..cfg.clients {
-                match cfg.speculate {
-                    Some(depth) => {
-                        let p = SpeculativeCreateProcess::new(
-                            eng.world_mut(),
-                            c,
-                            dirs[c as usize],
-                            cfg.files,
-                            depth,
-                            spec_plan.clone(),
-                        );
-                        eng.add_process(Box::new(p));
-                    }
-                    None => {
-                        let p =
-                            RpcCreateProcess::new(eng.world_mut(), c, dirs[c as usize], cfg.files);
-                        eng.add_process(Box::new(p));
+        let (create_end, merge_end, report) = match policy.operation_mode() {
+            cudele::OperationMode::Rpcs => {
+                let mut eng = Engine::new(world);
+                for c in 0..cfg.clients {
+                    match cfg.speculate {
+                        Some(depth) => {
+                            let p = SpeculativeCreateProcess::new(
+                                eng.world_mut(),
+                                c,
+                                dirs[c as usize],
+                                cfg.files,
+                                depth,
+                                spec_plan.clone(),
+                            );
+                            eng.add_process(Box::new(p));
+                        }
+                        None => {
+                            let p = RpcCreateProcess::new(
+                                eng.world_mut(),
+                                c,
+                                dirs[c as usize],
+                                cfg.files,
+                            );
+                            eng.add_process(Box::new(p));
+                        }
                     }
                 }
+                let (_, report) = eng.run();
+                (report.slowest(), report.slowest(), report)
             }
-            let (_, report) = eng.run();
-            (report.slowest(), report.slowest(), report)
-        }
-        cudele::OperationMode::Decoupled => {
-            let (_, create_end, merge_end, report) = run_decoupled(world, cfg, &policy, &dirs);
-            (create_end, merge_end, report)
-        }
-    };
+            cudele::OperationMode::Decoupled => {
+                let (_, create_end, merge_end, report) = run_decoupled(world, cfg, &policy, &dirs);
+                (create_end, merge_end, report)
+            }
+        };
 
-    use std::fmt::Write as _;
-    let rate = |t: Nanos| total_ops as f64 / t.as_secs_f64();
-    let _ = writeln!(
-        rendered,
-        "  create phase : {create_end} ({:.0} creates/s aggregate)",
-        rate(create_end)
-    );
-    if merge_end > create_end {
+        let rate = |t: Nanos| total_ops as f64 / t.as_secs_f64();
         let _ = writeln!(
             rendered,
-            "  with merge   : {merge_end} ({:.0} creates/s end-to-end)",
-            rate(merge_end)
+            "  create phase : {create_end} ({:.0} creates/s aggregate)",
+            rate(create_end)
         );
-    }
+        if merge_end > create_end {
+            let _ = writeln!(
+                rendered,
+                "  with merge   : {merge_end} ({:.0} creates/s end-to-end)",
+                rate(merge_end)
+            );
+        }
+        (create_end, merge_end, report)
+    };
+
     let _ = writeln!(rendered, "  run          : {}", report.summary_json());
     if !mds_crashes.is_empty() {
         failover_drill(
@@ -568,7 +543,8 @@ client.rpc.retries={} mds.session.reconnects={}",
         )?;
     }
     let counter = |name: &str| run_reg.counter_value(name).unwrap_or(0);
-    if ckpt_config.is_some() {
+    // Closed-loop summaries only: an open-loop run prints no checkpoint line.
+    if ckpt_config.is_some() && cfg.arrival.is_none() {
         let _ = writeln!(
             rendered,
             "  ckpt obs     : mds.ckpt.checkpoints={} mds.ckpt.deltas_folded={} \

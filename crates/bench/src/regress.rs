@@ -1,4 +1,4 @@
-//! `cudele-bench regress` — the continuous benchmark regression pipeline.
+//! `cudele-bench regress` — the virtual-time model's regression gate.
 //!
 //! Runs a fixed, seeded set of workloads entirely in virtual time:
 //!
@@ -7,17 +7,18 @@
 //! 2. a traced run exercising all seven Figure-4 mechanisms, profiled
 //!    with [`cudele_obs::critpath`] (per-mechanism mean latency and
 //!    per-layer critical-path shares),
-//! 3. the Figure-5 normalized slowdowns.
+//! 3. the Figure-5 normalized slowdowns, a speculative run under seeded
+//!    NACKs, and a checkpointed failover drill.
 //!
-//! The results are written as a schema-versioned `BENCH_cudele.json`
-//! (byte-identical across same-seed runs) and compared against a
-//! committed baseline with tolerance bands; any band violation is a
-//! regression and the binary exits non-zero, which is what CI gates on.
-//!
-//! Tolerances: throughput ±10 %, latency percentiles and mechanism means
-//! ±20 %, Figure-5 ratios ±10 %, critical-path layer shares ±0.15
-//! absolute. Mechanism run counts must match exactly (the workloads are
-//! deterministic).
+//! The results are written as a schema-versioned `BENCH_cudele.json`. Every
+//! number in it is deterministic virtual time, so the gate is byte
+//! equality with the committed baseline: equal bytes pass, anything else
+//! is reported as one line per differing JSON path ([`compare`]) and the
+//! binary exits non-zero, which is what CI gates on. A snapshot whose run
+//! was itself invalid — a consistency violation, a dropped span or
+//! timeline window ([`MUST_BE_ZERO`]) — is refused before it is compared
+//! or installed as a baseline. Host time is not measured here; that is
+//! `benchmark/`'s job.
 
 use std::sync::Arc;
 
@@ -37,7 +38,7 @@ use crate::obs_out;
 use crate::{DecoupledCreateProcess, RpcCreateProcess, Scale, World};
 
 /// Version tag of the `BENCH_cudele.json` layout. Bump on any change to
-/// the emitted structure; the comparator refuses mismatched schemas.
+/// the emitted structure; a mismatched tag is a difference like any other.
 pub const SCHEMA: &str = "cudele-bench-regress/v5";
 
 /// Default path of the freshly measured snapshot.
@@ -48,8 +49,7 @@ pub const DEFAULT_BASELINE: &str = "BENCH_baseline.json";
 
 /// Usage string for the `regress` subcommand.
 pub const USAGE: &str = "usage: cudele-bench regress [--out PATH] \
-     [--baseline PATH] [--write-baseline] [--span-capacity N] \
-     [--trace-out PATH] [--folded-out PATH] [--threads N]";
+     [--baseline PATH] [--write-baseline] [--trace-out PATH] [--folded-out PATH]";
 
 /// Command-line configuration of one `regress` invocation.
 #[derive(Debug, Clone)]
@@ -60,16 +60,10 @@ pub struct RegressConfig {
     pub baseline: String,
     /// Write the snapshot as the new baseline instead of comparing.
     pub write_baseline: bool,
-    /// Span-buffer bound for the mdbench session registries.
-    pub span_capacity: Option<usize>,
     /// Also write the traced-mechanisms run as a Chrome trace here.
     pub trace_out: Option<String>,
     /// Also write the traced-mechanisms run as folded stacks here.
     pub folded_out: Option<String>,
-    /// Worker threads for the measurement sweep (1 = serial). Every task
-    /// owns its world and registry, so the output is byte-identical at any
-    /// thread count.
-    pub threads: usize,
 }
 
 impl Default for RegressConfig {
@@ -78,10 +72,8 @@ impl Default for RegressConfig {
             out: DEFAULT_OUT.to_string(),
             baseline: DEFAULT_BASELINE.to_string(),
             write_baseline: false,
-            span_capacity: None,
             trace_out: None,
             folded_out: None,
-            threads: 1,
         }
     }
 }
@@ -106,18 +98,8 @@ pub fn parse_args(args: &[String]) -> Result<RegressConfig, String> {
                 cfg.write_baseline = true;
                 i += 1;
             }
-            "--span-capacity" => {
-                cfg.span_capacity = Some(
-                    value(&mut i, "--span-capacity")?
-                        .parse()
-                        .map_err(|e| format!("bad --span-capacity: {e}"))?,
-                );
-            }
             "--trace-out" => cfg.trace_out = Some(value(&mut i, "--trace-out")?),
             "--folded-out" => cfg.folded_out = Some(value(&mut i, "--folded-out")?),
-            "--threads" => {
-                cfg.threads = cudele_par::parse_threads(&value(&mut i, "--threads")?)?;
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -171,33 +153,17 @@ const MDBENCH_POLICIES: [&str; 3] = ["posix", "batchfs", "deltafs"];
 const MDBENCH_CLIENTS: u32 = 2;
 const MDBENCH_FILES: u64 = 500;
 
-fn run_mdbench_workload(
-    policy: &'static str,
-    span_capacity: Option<usize>,
-) -> Result<MdbenchRow, String> {
+fn run_mdbench_workload(policy: &'static str) -> Result<MdbenchRow, String> {
     // Install the session registry ourselves: `mdbench::run` without
     // `--metrics-out`/`--trace-out` leaves the installed session alone,
     // so every world it builds attaches here and we can read the
     // latency histogram after the run.
-    let reg = obs_out::install_session_with_capacity(span_capacity);
+    let reg = obs_out::install_session();
     let cfg = BenchConfig {
         clients: MDBENCH_CLIENTS,
         files: MDBENCH_FILES,
-        arrival: None,
         policy: policy.to_string(),
-        composition: None,
-        metrics_out: None,
-        trace_out: None,
-        history_out: None,
-        timeline_out: None,
-        slos: Vec::new(),
-        span_capacity: None,
-        faults: None,
-        mdlog_segment: None,
-        mdlog_dispatch: None,
-        checkpoint_interval: None,
-        speculate: None,
-        threads: 1,
+        ..BenchConfig::default()
     };
     let mode = mdbench::history_mode_of(&cfg);
     let out = mdbench::run(&cfg);
@@ -205,15 +171,15 @@ fn run_mdbench_workload(
     let out = out?;
     // Replay the run's consistency history through the offline checkers,
     // via the serialized form so every regress run also round-trips the
-    // on-disk schema. Violations hard-fail the comparison.
+    // on-disk schema. Violations fail the run-validity gate.
     let history = cudele_obs::history::History::parse(&reg.history_json(mode?))
         .map_err(|e| format!("mdbench[{policy}] history: {e}"))?;
     let check = cudele_check::check_history(&history);
     let ops = (MDBENCH_CLIENTS as u64 * MDBENCH_FILES) as f64;
     let h = reg.histogram("bench.op_latency.ns");
     // The windowed view of the same run, under the default objectives:
-    // window counts and steady-state rates are deterministic, so the
-    // comparator can gate on them like any other measurement.
+    // window counts and steady-state rates are deterministic, so they
+    // are gated like any other measurement.
     let mut tsnap = reg.timeline().snapshot();
     let specs: Vec<_> = mdbench::DEFAULT_SLOS
         .iter()
@@ -270,7 +236,7 @@ const SPECULATION_DEPTH: usize = 16;
 /// invalidate, so every regress run exercises rollback + replay.
 const SPECULATION_FAULTS: &str = "seed=11,spec_abort_ppm=20000";
 
-fn run_speculation_workload(span_capacity: Option<usize>) -> Result<SpeculationRow, String> {
+fn run_speculation_workload() -> Result<SpeculationRow, String> {
     // The stalling-RPC baseline runs on a private registry.
     obs_out::clear_session();
     let base_cfg = BenchConfig {
@@ -282,7 +248,7 @@ fn run_speculation_workload(span_capacity: Option<usize>) -> Result<SpeculationR
     let rpc = mdbench::run(&base_cfg)?;
     // The speculative run records counters and the commit-time history in
     // a session registry so the checkers can replay it.
-    let reg = obs_out::install_session_with_capacity(span_capacity);
+    let reg = obs_out::install_session();
     let out = mdbench::run(&BenchConfig {
         speculate: Some(SPECULATION_DEPTH),
         faults: Some(SPECULATION_FAULTS.to_string()),
@@ -308,9 +274,7 @@ fn run_speculation_workload(span_capacity: Option<usize>) -> Result<SpeculationR
     })
 }
 
-/// The checkpointed-recovery workload's measurements. Everything here is
-/// deterministic virtual time, so the comparator can demand exact matches
-/// on the structural numbers and a tight band on the timing.
+/// The checkpointed-recovery workload's measurements.
 struct RecoveryRow {
     /// Creates driven through the active MDS before the crash.
     files: u64,
@@ -605,14 +569,14 @@ fn render_json(
     out.push_str("  ],\n");
 
     // Aggregate consistency-check verdict over the mdbench histories.
-    // `violations` must be 0; the comparator hard-fails otherwise.
+    // `violations` must be 0 (`MUST_BE_ZERO`).
     let violations: u64 = mdbench_rows
         .iter()
         .map(|r| r.check_violations.len() as u64)
         .sum();
-    // Observability loss gates: any dropped span or timeline sample in
-    // the regress workloads means the buffers are undersized for the
-    // pinned scale — a hard failure, not a tolerance band.
+    // Observability loss: any dropped span or timeline sample in the
+    // regress workloads means the buffers are undersized for the pinned
+    // scale. Both must be 0 (`MUST_BE_ZERO`).
     out.push_str("  \"obs\": {\n");
     out.push_str(&format!(
         "    \"spans_dropped\": {},\n",
@@ -639,344 +603,111 @@ fn render_json(
     out
 }
 
-fn rel_close(cur: f64, base: f64, tol: f64) -> bool {
-    (cur - base).abs() <= tol * base.abs().max(1e-9)
-}
+/// Paths that must read 0 in a measured snapshot for the run behind it to
+/// count at all: a consistency violation means the stack misbehaved, a
+/// dropped span or timeline window means the recording is partial and
+/// every other number is suspect.
+pub const MUST_BE_ZERO: [&str; 4] = [
+    "check.violations",
+    "speculation.violations",
+    "obs.spans_dropped",
+    "obs.windows_dropped",
+];
 
-fn check_rel(violations: &mut Vec<String>, what: &str, cur: f64, base: f64, tol: f64) {
-    if !rel_close(cur, base, tol) {
-        violations.push(format!(
-            "{what}: {cur} vs baseline {base} (tolerance ±{:.0}%)",
-            tol * 100.0
-        ));
-    }
-}
-
-fn f64_at(v: &Value, key: &str) -> f64 {
-    v.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN)
-}
-
-/// Compares a measured snapshot against a baseline (both JSON text).
-/// Returns the list of tolerance violations — empty means no regression.
-pub fn compare(current: &str, baseline: &str) -> Result<Vec<String>, String> {
-    let cur = json::parse(current).map_err(|e| format!("current snapshot: {e}"))?;
-    let base = json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let mut v = Vec::new();
-
-    let schema = |j: &Value| j.get("schema").and_then(Value::as_str).map(str::to_string);
-    let (cs, bs) = (schema(&cur), schema(&base));
-    if cs != bs {
-        return Err(format!(
-            "schema mismatch: current {cs:?} vs baseline {bs:?}"
-        ));
-    }
-
-    // mdbench workloads, matched by policy name.
-    let rows = |j: &Value| {
-        j.get("mdbench")
-            .and_then(Value::as_arr)
-            .map(<[Value]>::to_vec)
-    };
-    let (crows, brows) = (
-        rows(&cur).ok_or("current: mdbench missing")?,
-        rows(&base).ok_or("baseline: mdbench missing")?,
-    );
-    for b in &brows {
-        let policy = b.get("policy").and_then(Value::as_str).unwrap_or("?");
-        let Some(c) = crows
-            .iter()
-            .find(|c| c.get("policy").and_then(Value::as_str) == Some(policy))
-        else {
-            v.push(format!("mdbench[{policy}]: missing from current run"));
-            continue;
-        };
-        for key in ["create_ops_per_s", "end_to_end_ops_per_s"] {
-            check_rel(
-                &mut v,
-                &format!("mdbench[{policy}].{key}"),
-                f64_at(c, key),
-                f64_at(b, key),
-                0.10,
-            );
-        }
-        let (cl, bl) = (c.get("latency_ns"), b.get("latency_ns"));
-        if let (Some(cl), Some(bl)) = (cl, bl) {
-            for key in ["p50", "p95", "p99"] {
-                check_rel(
-                    &mut v,
-                    &format!("mdbench[{policy}].latency_ns.{key}"),
-                    f64_at(cl, key),
-                    f64_at(bl, key),
-                    0.20,
-                );
+/// The run-validity gate: one line per [`MUST_BE_ZERO`] path of `snapshot`
+/// that is missing or non-zero. Judges the snapshot alone, no baseline.
+pub fn invalid_run(snapshot: &str) -> Result<Vec<String>, String> {
+    let v = json::parse(snapshot).map_err(|e| format!("snapshot: {e}"))?;
+    Ok(MUST_BE_ZERO
+        .iter()
+        .filter_map(|path| {
+            let leaf = path.split('.').try_fold(&v, |v, key| v.get(key));
+            match leaf.and_then(Value::as_u64) {
+                Some(0) => None,
+                Some(n) => Some(format!("{path}: {n} — must be 0")),
+                None => Some(format!("{path}: missing — must be 0")),
             }
-        }
-        // Windowed telemetry: the workloads are deterministic, so the
-        // number of recorded windows and the alert count must match the
-        // baseline exactly; the steady-state rate gets the throughput
-        // band.
-        let (ct, bt) = (c.get("timeline"), b.get("timeline"));
-        if let (Some(ct), Some(bt)) = (ct, bt) {
-            for key in ["windows", "alerts"] {
-                let (cv, bv) = (
-                    ct.get(key).and_then(Value::as_u64),
-                    bt.get(key).and_then(Value::as_u64),
-                );
-                if cv != bv {
-                    v.push(format!(
-                        "mdbench[{policy}].timeline.{key}: {cv:?} vs baseline {bv:?}                          (exact match required)"
-                    ));
+        })
+        .collect())
+}
+
+/// How a value reads in a difference line: scalars verbatim, containers
+/// by size.
+fn describe(v: &Value) -> String {
+    match v {
+        Value::Null => "null".to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::Num(n) => n.to_string(),
+        Value::Str(s) => format!("{s:?}"),
+        Value::Arr(a) => format!("[{} elements]", a.len()),
+        Value::Obj(m) => format!("{{{} keys}}", m.len()),
+    }
+}
+
+/// Walks two JSON trees in step and pushes one line per path where they
+/// differ: a changed leaf, a key on one side only, an array-length change.
+fn diff(path: &str, cur: &Value, base: &Value, out: &mut Vec<String>) {
+    match (cur, base) {
+        (Value::Obj(c), Value::Obj(b)) => {
+            let at = |key: &str| match path {
+                "" => key.to_string(),
+                _ => format!("{path}.{key}"),
+            };
+            for (key, bv) in b {
+                match cur.get(key) {
+                    Some(cv) => diff(&at(key), cv, bv, out),
+                    None => out.push(format!("{}: missing (baseline {})", at(key), describe(bv))),
                 }
             }
-            check_rel(
-                &mut v,
-                &format!("mdbench[{policy}].timeline.steady_ops_per_s"),
-                f64_at(ct, "steady_ops_per_s"),
-                f64_at(bt, "steady_ops_per_s"),
-                0.10,
-            );
-        } else if bt.is_some() {
-            v.push(format!(
-                "mdbench[{policy}].timeline: missing from current run"
-            ));
-        }
-    }
-
-    // Observability loss is a hard failure of the *current* run alone:
-    // a dropped span or timeline sample means the recording is partial
-    // and every other number in the snapshot is suspect.
-    for key in ["spans_dropped", "windows_dropped"] {
-        match cur
-            .get("obs")
-            .and_then(|o| o.get(key))
-            .and_then(Value::as_u64)
-        {
-            Some(0) => {}
-            Some(n) => v.push(format!("obs.{key}: {n} — must be 0")),
-            None => v.push(format!("obs.{key}: missing from current run")),
-        }
-    }
-
-    // Consistency-check verdict: any violation in the *current* run is a
-    // hard failure on its own — no tolerance band, no baseline needed
-    // (mirroring how the wallclock section is stripped rather than
-    // compared: check is a gate, not a measurement).
-    let check_field = |j: &Value, key: &str| {
-        j.get("check")
-            .and_then(|c| c.get(key))
-            .and_then(Value::as_u64)
-    };
-    if let Some(n) = check_field(&cur, "violations") {
-        if n > 0 {
-            v.push(format!(
-                "check.violations: {n} consistency violation(s) — must be 0"
-            ));
-        }
-    } else {
-        v.push("check: section missing from current run".to_string());
-    }
-    // Histories and verified-op counts are deterministic; an exact
-    // mismatch means the recording itself changed.
-    for key in ["histories", "events", "ops"] {
-        let (c, b) = (check_field(&cur, key), check_field(&base, key));
-        if b.is_some() && c != b {
-            v.push(format!(
-                "check.{key}: {c:?} vs baseline {b:?} (exact match required)"
-            ));
-        }
-    }
-
-    // Checkpointed recovery: the workload is deterministic, so the
-    // structural numbers (how much was replayed vs materialized, which
-    // manifest epoch) must match exactly — any drift means the compactor
-    // or the recovery ladder changed behavior. The takeover time gets the
-    // usual throughput band for cost-model recalibrations.
-    let recovery_field = |j: &Value, key: &str| {
-        j.get("recovery")
-            .and_then(|r| r.get(key))
-            .and_then(Value::as_u64)
-    };
-    if base.get("recovery").is_some() {
-        if cur.get("recovery").is_none() {
-            v.push("recovery: section missing from current run".to_string());
-        }
-        for key in [
-            "files",
-            "replay_events",
-            "checkpoint_events",
-            "manifest_epoch",
-        ] {
-            let (c, b) = (recovery_field(&cur, key), recovery_field(&base, key));
-            if c != b {
-                v.push(format!(
-                    "recovery.{key}: {c:?} vs baseline {b:?} (exact match required)"
-                ));
+            for (key, cv) in c {
+                if base.get(key).is_none() {
+                    out.push(format!("{}: {} not in baseline", at(key), describe(cv)));
+                }
             }
         }
-        check_rel(
-            &mut v,
-            "recovery.takeover_ns",
-            recovery_field(&cur, "takeover_ns").map_or(f64::NAN, |n| n as f64),
-            recovery_field(&base, "takeover_ns").map_or(f64::NAN, |n| n as f64),
-            0.10,
-        );
-    }
-
-    // Speculation: seeded virtual time makes the structural numbers
-    // exact; throughput gets the usual band; the gap closure and the
-    // checker verdict are hard gates on the current run alone.
-    fn spec_field<'a>(j: &'a Value, key: &str) -> Option<&'a Value> {
-        j.get("speculation").and_then(|s| s.get(key))
-    }
-    if base.get("speculation").is_some() {
-        if cur.get("speculation").is_none() {
-            v.push("speculation: section missing from current run".to_string());
-        }
-        for key in [
-            "clients",
-            "files",
-            "depth",
-            "rollbacks",
-            "replayed",
-            "history_events",
-            "check_ops",
-        ] {
-            let (c, b) = (
-                spec_field(&cur, key).and_then(Value::as_u64),
-                spec_field(&base, key).and_then(Value::as_u64),
-            );
-            if c != b {
-                v.push(format!(
-                    "speculation.{key}: {c:?} vs baseline {b:?} (exact match required)"
+        (Value::Arr(c), Value::Arr(b)) => {
+            if c.len() != b.len() {
+                out.push(format!(
+                    "{path}: {} elements vs baseline {}",
+                    c.len(),
+                    b.len()
                 ));
             }
+            for (i, (cv, bv)) in c.iter().zip(b).enumerate() {
+                diff(&format!("{path}[{i}]"), cv, bv, out);
+            }
         }
-        for key in ["create_ops_per_s", "rpc_ops_per_s", "speedup", "gap_closed"] {
-            check_rel(
-                &mut v,
-                &format!("speculation.{key}"),
-                spec_field(&cur, key)
-                    .and_then(Value::as_f64)
-                    .unwrap_or(f64::NAN),
-                spec_field(&base, key)
-                    .and_then(Value::as_f64)
-                    .unwrap_or(f64::NAN),
-                0.10,
-            );
-        }
-    }
-    match spec_field(&cur, "violations").and_then(Value::as_u64) {
-        Some(0) => {}
-        Some(n) => v.push(format!(
-            "speculation.violations: {n} consistency violation(s) — must be 0"
+        _ if cur != base => out.push(format!(
+            "{path}: {} vs baseline {}",
+            describe(cur),
+            describe(base)
         )),
-        None => v.push("speculation.violations: missing from current run".to_string()),
+        _ => {}
     }
-    if let Some(g) = spec_field(&cur, "gap_closed").and_then(Value::as_f64) {
-        if g < 0.5 {
-            v.push(format!(
-                "speculation.gap_closed: {g} — the speculative column must close at \
-least half the RPC gap"
-            ));
-        }
-    }
+}
 
-    // Figure-5 slowdowns, matched by bar label.
-    let bars = |j: &Value| {
-        j.get("fig5_slowdowns")
-            .and_then(Value::as_obj)
-            .map(<[(String, Value)]>::to_vec)
-    };
-    let (cbars, bbars) = (
-        bars(&cur).ok_or("current: fig5_slowdowns missing")?,
-        bars(&base).ok_or("baseline: fig5_slowdowns missing")?,
-    );
-    for (label, bval) in &bbars {
-        match cbars.iter().find(|(l, _)| l == label) {
-            None => v.push(format!("fig5[{label}]: missing from current run")),
-            Some((_, cval)) => check_rel(
-                &mut v,
-                &format!("fig5[{label}]"),
-                cval.as_f64().unwrap_or(f64::NAN),
-                bval.as_f64().unwrap_or(f64::NAN),
-                0.10,
-            ),
-        }
+/// Compares a measured snapshot against a baseline (both JSON text): equal
+/// bytes pass; otherwise the differences, one line per JSON path — empty
+/// means no regression.
+pub fn compare(current: &str, baseline: &str) -> Result<Vec<String>, String> {
+    if current == baseline {
+        return Ok(Vec::new());
     }
-
-    // Mechanism critical-path profiles, matched by mechanism name.
-    let mechs = |j: &Value| {
-        j.get("mechanisms")
-            .and_then(Value::as_arr)
-            .map(<[Value]>::to_vec)
-    };
-    let (cmechs, bmechs) = (
-        mechs(&cur).ok_or("current: mechanisms missing")?,
-        mechs(&base).ok_or("baseline: mechanisms missing")?,
-    );
-    for b in &bmechs {
-        let name = b.get("name").and_then(Value::as_str).unwrap_or("?");
-        let Some(c) = cmechs
-            .iter()
-            .find(|c| c.get("name").and_then(Value::as_str) == Some(name))
-        else {
-            v.push(format!("mechanisms[{name}]: missing from current run"));
-            continue;
-        };
-        let (cruns, bruns) = (
-            c.get("runs").and_then(Value::as_u64),
-            b.get("runs").and_then(Value::as_u64),
-        );
-        if cruns != bruns {
-            v.push(format!(
-                "mechanisms[{name}].runs: {cruns:?} vs baseline {bruns:?} (exact match required)"
-            ));
-        }
-        check_rel(
-            &mut v,
-            &format!("mechanisms[{name}].mean_ns"),
-            f64_at(c, "mean_ns"),
-            f64_at(b, "mean_ns"),
-            0.20,
-        );
-        let shares = |j: &Value| {
-            j.get("layer_shares")
-                .and_then(Value::as_obj)
-                .map(<[(String, Value)]>::to_vec)
-                .unwrap_or_default()
-        };
-        let (cshares, bshares) = (shares(c), shares(b));
-        let share_of = |set: &[(String, Value)], layer: &str| {
-            set.iter()
-                .find(|(l, _)| l == layer)
-                .and_then(|(_, s)| s.as_f64())
-                .unwrap_or(0.0)
-        };
-        let mut layers: Vec<&str> = bshares
-            .iter()
-            .chain(cshares.iter())
-            .map(|(l, _)| l.as_str())
-            .collect();
-        layers.sort_unstable();
-        layers.dedup();
-        for layer in layers {
-            let (cs, bs) = (share_of(&cshares, layer), share_of(&bshares, layer));
-            if (cs - bs).abs() > 0.15 {
-                v.push(format!(
-                    "mechanisms[{name}].layer_shares.{layer}: {cs} vs baseline {bs} \
-                     (tolerance ±0.15 absolute)"
-                ));
-            }
-        }
+    let cur = json::parse(current).map_err(|e| format!("current snapshot: {e}"))?;
+    let base = json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let mut out = Vec::new();
+    diff("", &cur, &base, &mut out);
+    if out.is_empty() {
+        // Same tree, different text (key order, number spelling, spacing):
+        // still not the committed bytes.
+        out.push("bytes differ from the baseline though every JSON path matches".to_string());
     }
-
-    Ok(v)
+    Ok(out)
 }
 
 /// Everything one measurement sweep produces: the three mdbench rows, the
 /// Figure-5 slowdowns, the traced-mechanism breakdown, and the raw trace
-/// exports. [`run`] writes and compares it; `cudele-bench perf` measures it
-/// at two thread counts and wall-clocks the difference.
+/// exports. [`run`] writes and gates it.
 pub struct Measurement {
     mdbench_rows: Vec<MdbenchRow>,
     recovery: RecoveryRow,
@@ -1011,13 +742,14 @@ enum TaskOut {
     Speculation(Box<Result<SpeculationRow, String>>),
 }
 
-/// Runs the full measurement sweep — the traced all-mechanisms run, the
-/// three mdbench policies, Figure 5, and the checkpointed-recovery drill —
-/// as six independent tasks fanned across `threads` workers. Each task
+/// Runs the full measurement sweep — the traced all-mechanisms run,
+/// Figure 5, the checkpointed-recovery drill, the speculation pair and the
+/// three mdbench policies — as seven independent tasks fanned across
+/// `threads` workers (1 = serial, which is what [`run`] uses). Each task
 /// owns its store, world, and registry (the mdbench tasks install
 /// per-thread sessions), so results are assembled in fixed input order and
 /// the output is byte-identical to a serial sweep.
-pub fn measure(threads: usize, span_capacity: Option<usize>) -> Result<Measurement, String> {
+pub fn measure(threads: usize) -> Result<Measurement, String> {
     let results = obs_out::par_tasks_merged(threads, 4 + MDBENCH_POLICIES.len(), |i| match i {
         0 => TaskOut::Mechs(Box::new(run_traced_mechanisms())),
         1 => TaskOut::Fig5(Box::new(crate::fig5::run(Scale {
@@ -1025,11 +757,8 @@ pub fn measure(threads: usize, span_capacity: Option<usize>) -> Result<Measureme
             runs: 1,
         }))),
         2 => TaskOut::Recovery(Box::new(run_recovery_workload())),
-        3 => TaskOut::Speculation(Box::new(run_speculation_workload(span_capacity))),
-        _ => TaskOut::Mdbench(Box::new(run_mdbench_workload(
-            MDBENCH_POLICIES[i - 4],
-            span_capacity,
-        ))),
+        3 => TaskOut::Speculation(Box::new(run_speculation_workload())),
+        _ => TaskOut::Mdbench(Box::new(run_mdbench_workload(MDBENCH_POLICIES[i - 4]))),
     });
 
     let mut mech = None;
@@ -1062,23 +791,61 @@ pub fn measure(threads: usize, span_capacity: Option<usize>) -> Result<Measureme
 pub struct RegressOutcome {
     /// The measured snapshot (also written to `cfg.out`).
     pub json: String,
-    /// Tolerance violations against the baseline (empty = pass, and
-    /// always empty under `--write-baseline`).
+    /// Why the run failed: must-be-zero gates the snapshot tripped, else
+    /// its differences against the baseline (empty = pass).
     pub violations: Vec<String>,
     /// Human-readable report for the terminal.
     pub rendered: String,
 }
 
+fn write(path: &str, body: &str) -> Result<(), String> {
+    std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Judges a measured snapshot. The run-validity gate ([`invalid_run`])
+/// comes first — an invalid run is neither compared nor installed; then
+/// `write_baseline` installs the snapshot at `baseline`, otherwise it is
+/// compared against the file there. Returns what failed (empty = pass) and
+/// the verdict lines for the terminal.
+pub fn gate(
+    json: &str,
+    baseline: &str,
+    write_baseline: bool,
+) -> Result<(Vec<String>, String), String> {
+    let invalid = invalid_run(json)?;
+    let (mut rendered, failures) = if !invalid.is_empty() {
+        let n = invalid.len();
+        (
+            format!("INVALID RUN: snapshot refused, {n} must-be-zero gate(s) failed:\n"),
+            invalid,
+        )
+    } else if write_baseline {
+        write(baseline, json)?;
+        (format!("baseline written to {baseline}\n"), Vec::new())
+    } else {
+        let committed = std::fs::read_to_string(baseline).map_err(|e| {
+            format!("baseline {baseline}: {e} (run with --write-baseline to create it)")
+        })?;
+        let diffs = compare(json, &committed)?;
+        let headline = match diffs.len() {
+            0 => format!("no regressions against {baseline}\n"),
+            n => format!("REGRESSION: {n} difference(s) against {baseline}:\n"),
+        };
+        (headline, diffs)
+    };
+    for failure in &failures {
+        rendered.push_str(&format!("  - {failure}\n"));
+    }
+    Ok((failures, rendered))
+}
+
 /// Runs the whole pipeline: measure, write the snapshot (and optional
-/// trace/folded exports), then either install the baseline or compare
-/// against it.
+/// trace/folded exports), then [`gate`] it.
 pub fn run(cfg: &RegressConfig) -> Result<RegressOutcome, String> {
     let mut rendered = String::new();
 
-    let m = measure(cfg.threads, cfg.span_capacity)?;
+    let m = measure(1)?;
     let json = m.to_json();
-    let write =
-        |path: &str, body: &str| std::fs::write(path, body).map_err(|e| format!("{path}: {e}"));
     write(&cfg.out, &json)?;
     if let Some(path) = &cfg.trace_out {
         write(path, &m.trace_json)?;
@@ -1133,32 +900,8 @@ pub fn run(cfg: &RegressConfig) -> Result<RegressOutcome, String> {
     }
     rendered.push_str(&format!("snapshot written to {}\n", cfg.out));
 
-    let violations = if cfg.write_baseline {
-        write(&cfg.baseline, &json)?;
-        rendered.push_str(&format!("baseline written to {}\n", cfg.baseline));
-        Vec::new()
-    } else {
-        let baseline = std::fs::read_to_string(&cfg.baseline).map_err(|e| {
-            format!(
-                "baseline {}: {e} (run with --write-baseline to create it)",
-                cfg.baseline
-            )
-        })?;
-        let violations = compare(&json, &baseline)?;
-        if violations.is_empty() {
-            rendered.push_str(&format!("no regressions against {}\n", cfg.baseline));
-        } else {
-            rendered.push_str(&format!(
-                "REGRESSION: {} tolerance violation(s) against {}:\n",
-                violations.len(),
-                cfg.baseline
-            ));
-            for violation in &violations {
-                rendered.push_str(&format!("  - {violation}\n"));
-            }
-        }
-        violations
-    };
+    let (violations, verdict) = gate(&json, &cfg.baseline, cfg.write_baseline)?;
+    rendered.push_str(&verdict);
 
     Ok(RegressOutcome {
         json,

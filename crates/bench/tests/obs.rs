@@ -254,3 +254,81 @@ fn same_fault_plan_runs_are_byte_identical() {
         "mdlog writer should have absorbed some transients"
     );
 }
+
+/// The `mds-crash@5ms` drill probes the cluster on a 1 ms grid, so the
+/// recorded timeline must show the whole transient, bounded: the crash is
+/// detected within the 15 ms beacon grace plus two 4 ms beacon intervals,
+/// probes time out in the detection gap and none is served there, the
+/// standby serves probes again after its takeover, nothing was dropped,
+/// and every default SLO is met. (CI's `timeline` job reruns the same
+/// drill from the command line and `cmp`s the two files.)
+#[test]
+fn failover_drill_timeline_shows_a_bounded_transient() {
+    let _guard = obs_lock().lock().unwrap();
+
+    let path = std::env::temp_dir()
+        .join(format!(
+            "cudele_obs_{}_drill.timeline.json",
+            std::process::id()
+        ))
+        .to_string_lossy()
+        .into_owned();
+    let cfg = BenchConfig {
+        clients: 2,
+        files: 2000,
+        faults: Some("mds-crash@5ms".to_string()),
+        mdlog_segment: Some(8),
+        mdlog_dispatch: Some(2),
+        timeline_out: Some(path.clone()),
+        ..BenchConfig::default()
+    };
+    mdbench::run(&cfg).unwrap();
+    let body = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    // `parse` refuses any schema tag but `cudele-timeline/v1`.
+    let snap = cudele_obs::timeline::TimelineSnapshot::parse(&body).unwrap();
+    assert_eq!((snap.windows_dropped, snap.annotations_dropped), (0, 0));
+
+    let at = |name: &str| {
+        let a = snap.annotations.iter().find(|a| a.name == name);
+        a.unwrap_or_else(|| panic!("no {name} annotation")).at.0
+    };
+    let crash = at("mds.crash");
+    let detected = at("mds.failover.detected");
+    let takeover = at("mds.failover.takeover");
+    assert!(
+        crash < detected && detected <= crash + 23_000_000,
+        "crash {crash} detected {detected}"
+    );
+    assert!(
+        takeover >= detected,
+        "detected {detected} takeover {takeover}"
+    );
+
+    let points = |name: &str| {
+        &snap
+            .series(name)
+            .unwrap_or_else(|| panic!("no {name}"))
+            .points
+    };
+    let in_gap = |t_ns: u64| crash <= t_ns && t_ns < detected;
+    assert!(
+        points("drill.probe.timeouts")
+            .iter()
+            .any(|p| in_gap(p.t_ns)),
+        "no timeout spike in the detection gap"
+    );
+    let ok = points("drill.probe.ok");
+    assert!(
+        !ok.iter().any(|p| in_gap(p.t_ns)),
+        "a probe was served by the dead primary"
+    );
+    assert!(
+        ok.iter().any(|p| p.window >= takeover / snap.window_ns),
+        "no served probe after the takeover"
+    );
+    assert!(!snap.slos.is_empty());
+    for slo in &snap.slos {
+        assert!(slo.met, "SLO missed: {}", slo.spec);
+    }
+}

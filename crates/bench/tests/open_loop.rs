@@ -7,6 +7,8 @@
 use std::sync::{Mutex, OnceLock};
 
 use cudele_bench::mdbench::{self, BenchConfig};
+use cudele_sim::{CompletionRecording, Engine, FifoServer, Nanos, Process, Step};
+use cudele_workloads::open_loop::ArrivalSpec;
 
 /// `mdbench::run` installs a process-global session registry, so tests in
 /// this binary must not interleave (same convention as `tests/obs.rs`).
@@ -83,4 +85,62 @@ fn rejects_malformed_arrival_spec() {
         ..BenchConfig::default()
     };
     assert!(mdbench::run(&cfg).is_err());
+}
+
+/// One open-loop arrival of the million-client smoke: ~2 us of directory
+/// work, queued FIFO behind every other client on the same hot directory.
+struct SmokeClient {
+    dir: u32,
+    served: bool,
+}
+
+impl Process<Vec<FifoServer>> for SmokeClient {
+    fn step(&mut self, now: Nanos, dirs: &mut Vec<FifoServer>) -> Step {
+        if self.served {
+            return Step::Done;
+        }
+        self.served = true;
+        Step::ResumeAt(dirs[self.dir as usize].serve(now, Nanos(2_000)))
+    }
+}
+
+/// The scale the arena engine exists for: a million zipf-1.1 Poisson
+/// arrivals over 1 024 directory queues all finish, in two engine events
+/// each, at the same virtual instant on a rerun. (The functional MDS under
+/// the same arrival process is `mdbench --arrival`, above.)
+#[test]
+fn a_million_open_loop_clients_complete_deterministically() {
+    const CLIENTS: u64 = 1_000_000;
+    const DIRS: u32 = 1_024;
+    let run = || {
+        let spec = ArrivalSpec {
+            zipf: 1.1,
+            dirs: DIRS,
+            ..ArrivalSpec::poisson(100_000.0)
+        };
+        let arrivals = spec.generate(CLIENTS as usize);
+        let dirs: Vec<FifoServer> = (0..DIRS).map(|_| FifoServer::new("dir")).collect();
+        let mut eng = Engine::new(dirs);
+        eng.set_completion_recording(CompletionRecording::Summary);
+        let procs: Vec<SmokeClient> = arrivals
+            .iter()
+            .map(|a| SmokeClient {
+                dir: a.dir,
+                served: false,
+            })
+            .collect();
+        let starts: Vec<Nanos> = arrivals.iter().map(|a| a.at).collect();
+        eng.add_arena(procs, &starts);
+        let (_, report) = eng.run();
+        report
+    };
+    let first = run();
+    assert_eq!(first.finished, CLIENTS);
+    assert_eq!(first.steps, 2 * CLIENTS);
+    assert!(first.slowest() > Nanos::ZERO);
+    assert_eq!(
+        run().slowest(),
+        first.slowest(),
+        "virtual end moved on rerun"
+    );
 }

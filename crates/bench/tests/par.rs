@@ -6,12 +6,13 @@
 //! lives in `cudele-par`'s unit tests.)
 
 use cudele_bench::mdbench::{self, BenchConfig};
-use cudele_bench::{perf, regress};
+use cudele_bench::regress;
+use cudele_obs::json::{self, Value};
 
 #[test]
 fn regress_measure_is_byte_identical_across_thread_counts() {
-    let serial = regress::measure(1, None).unwrap();
-    let parallel = regress::measure(4, None).unwrap();
+    let serial = regress::measure(1).unwrap();
+    let parallel = regress::measure(4).unwrap();
     assert_eq!(
         serial.to_json(),
         parallel.to_json(),
@@ -25,9 +26,28 @@ fn regress_measure_is_byte_identical_across_thread_counts() {
         serial.folded, parallel.folded,
         "folded stacks differ at --threads 4"
     );
-    // A perf-written snapshot (model + wallclock section) strips back to
-    // exactly the model bytes, so it stays comparable against baselines.
-    assert_eq!(perf::strip_wallclock(&serial.to_json()), serial.to_json());
+
+    // The recovery drill runs as its own task, so its row rides the same
+    // contract — and the row itself must show bounded replay: a manifest
+    // was published and the replayed journal tail is a small fraction of
+    // the workload, the bulk coming out of the manifest's image + deltas.
+    let v = json::parse(&serial.to_json()).unwrap();
+    let rec = v.get("recovery").expect("snapshot has a recovery section");
+    let field = |key: &str| {
+        rec.get(key)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("recovery.{key} missing"))
+    };
+    let files = field("files");
+    let replay = field("replay_events");
+    let materialized = field("checkpoint_events");
+    assert!(field("manifest_epoch") > 0, "no manifest was published");
+    assert!(field("takeover_ns") > 0);
+    assert!(
+        replay < files / 2,
+        "replayed {replay} of a {files}-create workload — checkpoints idle?"
+    );
+    assert!(materialized > replay, "manifest covered less than the tail");
 }
 
 #[test]

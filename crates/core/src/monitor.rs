@@ -120,8 +120,13 @@ impl Monitor {
     /// object whose omap maps subtree path to `version\n<policies file>`.
     pub fn persist<S: ObjectStore + ?Sized>(&self, os: &S) -> Result<(), RadosError> {
         let obj = monmap_object();
-        // Replace wholesale so cleared policies do not linger.
-        let _ = os.remove(&obj);
+        // Replace wholesale so cleared policies do not linger: `write_full`
+        // keeps the omap, so a removal that fails (other than "already
+        // gone") must fail the persist.
+        match os.remove(&obj) {
+            Ok(()) | Err(RadosError::NoEnt(_)) => {}
+            Err(e) => return Err(e),
+        }
         os.write_full(&obj, self.version.to_le_bytes().as_slice())?;
         for (path, (policy, v)) in &self.subtrees {
             let value = format!("{v}\n{}", render_policies(policy));

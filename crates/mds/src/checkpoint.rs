@@ -307,30 +307,43 @@ pub struct CheckpointManager {
 
 impl CheckpointManager {
     /// A manager for `id`'s checkpoints, resuming from the stored manifest
-    /// HEAD when one is readable (so re-enabling checkpoints on an
-    /// existing namespace continues the epoch sequence instead of
-    /// restarting it).
+    /// HEAD (so re-enabling checkpoints on an existing namespace continues
+    /// the epoch sequence instead of restarting it). Only a HEAD that does
+    /// not exist means a fresh namespace. A HEAD that exists but does not
+    /// decode resumes from the newest readable per-epoch copy — the rung
+    /// [`recover`] drops to — at the HEAD's version, so the next publish
+    /// still wins its CAS; when no copy decodes either it resumes from the
+    /// empty manifest (checkpointing never trims the journal, so the next
+    /// checkpoint covers it from the start). Any other store failure is
+    /// returned: starting over at epoch 0 on top of published checkpoints
+    /// would overwrite the immutable per-epoch objects and then lose every
+    /// CAS.
     pub fn attach(
         os: &dyn ObjectStore,
         id: JournalId,
         config: CheckpointConfig,
-    ) -> CheckpointManager {
+    ) -> Result<CheckpointManager, CheckpointError> {
         let head = head_object(id);
-        let head_version = with_retry(|| os.stat(&head))
-            .map(|s| s.version)
-            .unwrap_or(0);
-        let manifest = with_retry(|| os.read(&head))
-            .ok()
-            .and_then(|data| Manifest::decode(&data).ok())
-            .unwrap_or_else(Manifest::empty);
-        CheckpointManager {
+        let (manifest, head_version) = match with_retry(|| os.stat(&head)) {
+            Err(RadosError::NoEnt(_)) => (Manifest::empty(), 0),
+            Err(e) => return Err(e.into()),
+            Ok(stat) => {
+                let data = with_retry(|| os.read(&head))?;
+                let manifest = Manifest::decode(&data)
+                    .ok()
+                    .or_else(|| newest_readable_manifest(os, id, u64::MAX))
+                    .unwrap_or_else(Manifest::empty);
+                (manifest, stat.version)
+            }
+        };
+        Ok(CheckpointManager {
             config,
             id,
             manifest,
             head_version,
             flush_mark: 0,
             obs: None,
-        }
+        })
     }
 
     /// Points the manager's `mds.ckpt.*` metric handles at `reg`.
@@ -727,7 +740,8 @@ mod tests {
                 interval_events: 4,
                 max_deltas: 2,
             },
-        );
+        )
+        .unwrap();
         // Several checkpoint rounds, enough to fold an image.
         for round in 0..6u64 {
             let batch: Vec<_> = (round * 10..round * 10 + 10).map(create).collect();
@@ -758,7 +772,8 @@ mod tests {
                 interval_events: 1,
                 max_deltas: 10,
             },
-        );
+        )
+        .unwrap();
         for round in 0..3u64 {
             append(&os, &[create(round * 2), create(round * 2 + 1)]);
             mgr.checkpoint(&os, Nanos::ZERO, &cost).unwrap();
@@ -790,7 +805,8 @@ mod tests {
                 interval_events: 1,
                 max_deltas: 10,
             },
-        );
+        )
+        .unwrap();
         append(&os, &[create(0), create(1)]);
         mgr.checkpoint(&os, Nanos::ZERO, &cost).unwrap();
         os.write_full(&head_object(jid()), b"garbage").unwrap();
@@ -811,7 +827,8 @@ mod tests {
                 interval_events: 1,
                 max_deltas: 10,
             },
-        );
+        )
+        .unwrap();
         append(&os, &[create(0)]);
         mgr.checkpoint(&os, Nanos::ZERO, &cost).unwrap();
         os.write_full(&head_object(jid()), b"garbage").unwrap();
@@ -827,7 +844,7 @@ mod tests {
     fn nothing_new_publishes_nothing() {
         let os = InMemoryStore::paper_default();
         let cost = CostModel::calibrated();
-        let mut mgr = CheckpointManager::attach(&os, jid(), CheckpointConfig::default());
+        let mut mgr = CheckpointManager::attach(&os, jid(), CheckpointConfig::default()).unwrap();
         assert!(!mgr.checkpoint(&os, Nanos::ZERO, &cost).unwrap());
         append(&os, &[create(0)]);
         assert!(mgr.checkpoint(&os, Nanos::ZERO, &cost).unwrap());
@@ -842,12 +859,12 @@ mod tests {
             interval_events: 1,
             max_deltas: 10,
         };
-        let mut a = CheckpointManager::attach(&os, jid(), cfg);
+        let mut a = CheckpointManager::attach(&os, jid(), cfg).unwrap();
         append(&os, &[create(0)]);
         a.checkpoint(&os, Nanos::ZERO, &cost).unwrap();
         // A second manager attached later (restart) continues at epoch 2
         // and its CAS succeeds against the stored HEAD version.
-        let mut b = CheckpointManager::attach(&os, jid(), cfg);
+        let mut b = CheckpointManager::attach(&os, jid(), cfg).unwrap();
         assert_eq!(b.manifest().epoch, 1);
         append(&os, &[create(1)]);
         assert!(b.checkpoint(&os, Nanos::ZERO, &cost).unwrap());
@@ -865,7 +882,8 @@ mod tests {
                 interval_events: 1,
                 max_deltas: 1,
             },
-        );
+        )
+        .unwrap();
         // A grant plus a create-then-unlink: after folding, neither leaves
         // a trace in the canonical image, so only the manifest watermark
         // keeps the allocator from re-issuing those inodes.

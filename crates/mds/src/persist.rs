@@ -39,6 +39,17 @@ pub(crate) fn with_retry<T>(f: impl FnMut() -> cudele_rados::Result<T>) -> cudel
     RetryPolicy::default().run(&mut retries, &mut backoff, f)
 }
 
+/// Removes an object a rewrite must not inherit from, retrying transients.
+/// Already gone is fine; any other failure must surface — `write_full`
+/// keeps an object's omap, so a stale object that survives its removal
+/// brings back every name it still lists on the next load.
+fn remove_stale<S: ObjectStore + ?Sized>(os: &S, id: &ObjectId) -> cudele_rados::Result<()> {
+    match with_retry(|| os.remove(id)) {
+        Err(RadosError::NoEnt(_)) => Ok(()),
+        other => other,
+    }
+}
+
 /// Errors from persistence and recovery.
 #[derive(Debug)]
 pub enum PersistError {
@@ -166,7 +177,7 @@ pub fn flush_store<S: ObjectStore + ?Sized>(
     // directories do not resurrect on recovery.
     for id in os.list(pool, "") {
         if id.name.ends_with("_head") {
-            let _ = with_retry(|| os.remove(&id));
+            remove_stale(os, &id)?;
         }
     }
     let root = ms
@@ -174,7 +185,7 @@ pub fn flush_store<S: ObjectStore + ?Sized>(
         .expect("store always has a root inode");
     let root_record = encode_record(root.ino, root.ftype, &root.attrs, root.policy.as_deref());
     with_retry(|| os.write_full(&root_inode_object(pool), &root_record))?;
-    let _ = with_retry(|| os.remove(&backtrace_object(pool)));
+    remove_stale(os, &backtrace_object(pool))?;
 
     // Walk every directory and persist its fragments.
     let mut stack = vec![InodeId::ROOT];

@@ -696,7 +696,8 @@ impl MetadataServer {
                 what: "checkpoints require the mdlog trimmer off".to_string(),
             });
         }
-        let mut ckpt = CheckpointManager::attach(self.os.as_ref(), log.journal_id(), config);
+        let mut ckpt = CheckpointManager::attach(self.os.as_ref(), log.journal_id(), config)
+            .map_err(Self::ckpt_error)?;
         if let Some(o) = &self.obs {
             ckpt.set_obs(&o.reg);
         }

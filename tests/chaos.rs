@@ -1402,7 +1402,7 @@ fn fenced_zombie_cannot_publish_a_manifest() {
         interval_events: 1,
         max_deltas: 4,
     };
-    let mut mgr = CheckpointManager::attach(base.as_ref(), JournalId::MDLOG, cut);
+    let mut mgr = CheckpointManager::attach(base.as_ref(), JournalId::MDLOG, cut).unwrap();
     assert!(mgr
         .checkpoint(base.as_ref(), Nanos::ZERO, &CostModel::calibrated())
         .unwrap());
@@ -1436,7 +1436,7 @@ fn fenced_zombie_cannot_publish_a_manifest() {
         Arc::clone(&authority),
         Epoch(1),
     ));
-    let mut zombie_mgr = CheckpointManager::attach(stale.as_ref(), JournalId::MDLOG, cut);
+    let mut zombie_mgr = CheckpointManager::attach(stale.as_ref(), JournalId::MDLOG, cut).unwrap();
     let err = zombie_mgr.maybe_checkpoint(
         stale.as_ref(),
         u64::MAX,

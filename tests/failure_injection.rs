@@ -7,13 +7,18 @@
 //! components die in a None configuration"; local survives *recoverable*
 //! node failures; global survives everything.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use cudele::{achieved_durability, execute_merge, Composition, Durability, ExecEnv};
 use cudele_client::{DecoupledClient, LocalDisk};
 use cudele_journal::InodeRange;
 use cudele_mds::{ClientId, MetadataServer};
-use cudele_rados::InMemoryStore;
+use cudele_rados::{
+    InMemoryStore, IoDelta, ObjectId, ObjectStat, ObjectStore, PoolId, RadosError,
+    Result as RadosResult,
+};
 
 const CLIENT: ClientId = ClientId(1);
 
@@ -338,4 +343,211 @@ fn journal_io_failure_is_an_io_error_not_enoent() {
     assert_eq!(row.result, HistoryResult::Err, "recorded as `err`");
     let report = cudele_check::check_history(&history);
     assert!(report.clean(), "verdict: {:?}", report.violations);
+}
+
+// ---------------------------------------------------------------------
+// Store failures under a rewrite or an attach are errors, not a fresh start
+// ---------------------------------------------------------------------
+
+/// An in-memory store whose `remove` can be made to fail `Transient` past
+/// any retry budget, everything else passing through.
+struct StuckRemovals {
+    inner: InMemoryStore,
+    stuck: AtomicBool,
+}
+
+impl StuckRemovals {
+    fn new() -> StuckRemovals {
+        StuckRemovals {
+            inner: InMemoryStore::paper_default(),
+            stuck: AtomicBool::new(false),
+        }
+    }
+}
+
+impl ObjectStore for StuckRemovals {
+    fn remove(&self, id: &ObjectId) -> RadosResult<()> {
+        if self.stuck.load(Ordering::SeqCst) {
+            return Err(RadosError::Transient(id.clone()));
+        }
+        self.inner.remove(id)
+    }
+    fn write_full(&self, id: &ObjectId, data: &[u8]) -> RadosResult<u64> {
+        self.inner.write_full(id, data)
+    }
+    fn cas_write_full(&self, id: &ObjectId, expected: u64, data: &[u8]) -> RadosResult<u64> {
+        self.inner.cas_write_full(id, expected, data)
+    }
+    fn append(&self, id: &ObjectId, data: &[u8]) -> RadosResult<u64> {
+        self.inner.append(id, data)
+    }
+    fn read(&self, id: &ObjectId) -> RadosResult<Bytes> {
+        self.inner.read(id)
+    }
+    fn stat(&self, id: &ObjectId) -> RadosResult<ObjectStat> {
+        self.inner.stat(id)
+    }
+    fn exists(&self, id: &ObjectId) -> bool {
+        self.inner.exists(id)
+    }
+    fn list(&self, pool: PoolId, prefix: &str) -> Vec<ObjectId> {
+        self.inner.list(pool, prefix)
+    }
+    fn omap_set(&self, id: &ObjectId, key: &str, value: &[u8]) -> RadosResult<u64> {
+        self.inner.omap_set(id, key, value)
+    }
+    fn omap_get(&self, id: &ObjectId, key: &str) -> RadosResult<Option<Bytes>> {
+        self.inner.omap_get(id, key)
+    }
+    fn omap_remove(&self, id: &ObjectId, key: &str) -> RadosResult<bool> {
+        self.inner.omap_remove(id, key)
+    }
+    fn omap_list(&self, id: &ObjectId) -> RadosResult<Vec<(String, Bytes)>> {
+        self.inner.omap_list(id)
+    }
+    fn take_io_delta(&self) -> IoDelta {
+        self.inner.take_io_delta()
+    }
+}
+
+/// `flush_store` rewrites the image wholesale: stale fragment objects are
+/// removed first because `write_full` keeps an object's omap. If that
+/// removal fails the flush must fail too — reporting success would let the
+/// mdlog trim the journal prefix that still holds the unlink, and the next
+/// load would bring the deleted name back.
+#[test]
+fn failed_stale_removal_fails_the_flush_instead_of_resurrecting_names() {
+    use cudele_journal::{Attrs, InodeId};
+    use cudele_mds::{flush_store, load_store, MetadataStore};
+
+    let os = StuckRemovals::new();
+    let mut ms = MetadataStore::new();
+    for (i, name) in ["a", "b"].into_iter().enumerate() {
+        ms.create(
+            InodeId::ROOT,
+            name,
+            InodeId(0x1000 + i as u64),
+            Attrs::file_default(),
+        )
+        .unwrap();
+    }
+    flush_store(&ms, &os, PoolId::METADATA).unwrap();
+    ms.unlink(InodeId::ROOT, "a").unwrap();
+
+    os.stuck.store(true, Ordering::SeqCst);
+    if flush_store(&ms, &os, PoolId::METADATA).is_ok() {
+        assert_eq!(
+            load_store(&os, PoolId::METADATA).unwrap().snapshot(),
+            ms.snapshot(),
+            "the flush reported success over a stale fragment"
+        );
+    }
+
+    // Once removals work again the same flush converges.
+    os.stuck.store(false, Ordering::SeqCst);
+    flush_store(&ms, &os, PoolId::METADATA).unwrap();
+    assert_eq!(
+        load_store(&os, PoolId::METADATA).unwrap().snapshot(),
+        ms.snapshot()
+    );
+}
+
+/// Same shape one layer up: `Monitor::persist` replaces the monmap
+/// wholesale so a cleared policy does not linger. A failed removal must
+/// fail the persist rather than leave the cleared subtree in the omap.
+#[test]
+fn failed_monmap_removal_fails_the_persist_instead_of_keeping_cleared_policies() {
+    use cudele::{Monitor, Policy};
+
+    let os = StuckRemovals::new();
+    let mut mon = Monitor::new();
+    mon.set_policy("/a", Policy::batchfs());
+    mon.set_policy("/b", Policy::batchfs());
+    mon.persist(&os).unwrap();
+    mon.clear_policy("/a").unwrap();
+
+    os.stuck.store(true, Ordering::SeqCst);
+    if mon.persist(&os).is_ok() {
+        let recovered = Monitor::recover(&os).unwrap();
+        assert!(
+            recovered.policy_at("/a").is_none(),
+            "the persist reported success with the cleared policy still stored"
+        );
+    }
+
+    os.stuck.store(false, Ordering::SeqCst);
+    mon.persist(&os).unwrap();
+    let recovered = Monitor::recover(&os).unwrap();
+    assert!(recovered.policy_at("/a").is_none());
+    assert!(recovered.policy_at("/b").is_some());
+    assert_eq!(recovered.version(), mon.version());
+}
+
+/// Re-enabling checkpoints while the store is out must not be read as "no
+/// checkpoint state": a manager that restarts at epoch 0 on top of five
+/// published manifests overwrites the immutable per-epoch objects of the
+/// fallback ladder and then loses every HEAD CAS, so each later flush —
+/// and every journaled create past the interval — fails.
+#[test]
+fn outage_while_enabling_checkpoints_is_an_error_not_a_fresh_namespace() {
+    use cudele_mds::{CheckpointConfig, MdLogConfig, MdsError};
+    use cudele_sim::CostModel;
+
+    let os = Arc::new(InMemoryStore::paper_default());
+    let mut mds = MetadataServer::with_config(
+        os.clone(),
+        CostModel::calibrated(),
+        Some(MdLogConfig {
+            events_per_segment: 4,
+            dispatch_size: 1,
+            trim_after_updates: None,
+        }),
+    );
+    let cfg = CheckpointConfig {
+        interval_events: 8,
+        max_deltas: 8,
+    };
+    mds.enable_checkpoints(cfg).unwrap();
+    mds.open_session(CLIENT);
+    let dir = mds.setup_dir_durable("/d").unwrap();
+    let mut created = 0;
+    while mds.manifest_epoch() < 5 {
+        mds.create(CLIENT, dir, &format!("f{created}")).expect_ok();
+        created += 1;
+    }
+    mds.crash_and_recover().unwrap();
+    assert_eq!(mds.manifest_epoch(), 5);
+    // Everything published so far except the HEAD pointer is immutable.
+    let head = cudele_mds::checkpoint::head_object(cudele_journal::JournalId::MDLOG);
+    let published: Vec<_> = os
+        .list(PoolId::METADATA, "ckpt.")
+        .into_iter()
+        .filter(|id| *id != head)
+        .map(|id| (os.read(&id).unwrap(), id))
+        .collect();
+    assert!(published.len() >= 10, "five manifests and their deltas");
+
+    let osds = os.osd_stats().len();
+    (0..osds).for_each(|osd| os.fail_osd(osd));
+    let attached = mds.enable_checkpoints(cfg);
+    (0..osds).for_each(|osd| os.revive_osd(osd));
+    match attached {
+        Err(e) => assert!(matches!(e, MdsError::Io { .. }), "{e}"),
+        Ok(()) => assert_eq!(mds.manifest_epoch(), 5, "restarted the epoch sequence"),
+    }
+
+    // The server keeps checkpointing where it left off.
+    mds.open_session(CLIENT);
+    for i in 0..4 * cfg.interval_events {
+        mds.create(CLIENT, dir, &format!("g{i}")).expect_ok();
+    }
+    mds.try_flush_journal().unwrap();
+    assert!(mds.manifest_epoch() > 5);
+    for (bytes, id) in &published {
+        assert!(
+            os.read(id).unwrap() == *bytes,
+            "{} was overwritten",
+            id.name
+        );
+    }
 }
