@@ -227,7 +227,10 @@ fn same_config_runs_are_byte_identical() {
 fn same_fault_plan_runs_are_byte_identical() {
     let _guard = obs_lock().lock().unwrap();
 
-    let spec = "seed=42,eagain_ppm=5000,slow=2.5@0..10ms";
+    // Fault rates are per store op, and a flushed segment is two ops (one
+    // append per stripe run, one header write), so the rate is what keeps
+    // the plan firing within 1 000 creates.
+    let spec = "seed=42,eagain_ppm=50000,slow=2.5@0..10ms";
     let (rendered_a, metrics_a, trace_a) = run_faulted_snapshots("posix", "fa", Some(spec));
     let (rendered_b, metrics_b, trace_b) = run_faulted_snapshots("posix", "fb", Some(spec));
     assert_eq!(rendered_a, rendered_b, "faulted rendered output differs");

@@ -409,8 +409,10 @@ fn is_journal_stripe(name: &str) -> bool {
 /// * Every fallible operation may fail with a transient
 ///   [`RadosError::Transient`] *before* touching the inner store.
 /// * Appends to journal stripe objects may be **torn**: a prefix of the
-///   data lands, then the call fails `Transient`. (`write_full` is atomic
-///   per object, as in RADOS — tearing models a partial append.)
+///   data lands, then the call fails `Transient`. The journal appends a
+///   run of frames at a time, so the prefix may be whole frames followed
+///   by a partial one. (`write_full` is atomic per object, as in RADOS —
+///   tearing models a partial append.)
 /// * Appends to journal stripe objects may suffer a **silent bit flip**:
 ///   the call succeeds, and the per-frame CRC catches the damage at read
 ///   time — recovery is the journal tool's job. (`write_full` is never

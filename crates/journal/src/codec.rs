@@ -392,22 +392,27 @@ pub fn decode_frames_lossy_into(
     }
 }
 
+/// Total size (header + payload) the frame at the head of `rest` claims in
+/// its `len` prefix, or `None` if `rest` is too short to hold a frame
+/// header. The journal writer cuts a frame buffer into per-stripe runs with
+/// this, without decoding anything.
+pub(crate) fn frame_len(rest: &[u8]) -> Option<usize> {
+    let len: [u8; 4] = rest.get(..8)?[..4].try_into().ok()?;
+    Some(8 + u32::from_le_bytes(len) as usize)
+}
+
 /// Decodes the frame at the head of `rest`; returns the event and the
 /// frame's total size.
 fn decode_one_frame(rest: &[u8]) -> Result<(JournalEvent, usize), CodecError> {
-    if rest.len() < 8 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+    let total = frame_len(rest)
+        .filter(|&total| total <= rest.len())
+        .ok_or(CodecError::UnexpectedEof)?;
     let crc_stored = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-    if rest.len() < 8 + len {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let payload = &rest[8..8 + len];
+    let payload = &rest[8..total];
     if crc32(payload) != crc_stored {
         return Err(CodecError::BadCrc { offset: 0 });
     }
-    Ok((decode_payload(payload)?, 8 + len))
+    Ok((decode_payload(payload)?, total))
 }
 
 /// Serialized size in bytes of one framed event. (The cost model separately

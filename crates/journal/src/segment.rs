@@ -6,7 +6,14 @@
 //! The two tunables the paper sweeps in Figure 3a — segment size and
 //! dispatch size ("the number of segments that can be dispatched at once")
 //! — both operate on this structure.
+//!
+//! A segment holds wire frames, not event values: an event is encoded once,
+//! when pushed, and a sealed segment is exactly the bytes
+//! [`crate::JournalWriter::append_frames`] hands to the object store.
 
+use bytes::{Bytes, BytesMut};
+
+use crate::codec::encode_event;
 use crate::event::JournalEvent;
 
 /// A sealed group of journal events.
@@ -14,25 +21,26 @@ use crate::event::JournalEvent;
 pub struct Segment {
     /// Monotonic segment sequence number.
     pub seq: u64,
-    /// The events in the segment. The final event is always the
+    /// The events as `len | crc | payload` frames ([`crate::codec`]); decode
+    /// with [`crate::decode_frames`]. The final frame is always the
     /// [`JournalEvent::SegmentBoundary`] marker for `seq`.
-    pub events: Vec<JournalEvent>,
+    pub frames: Bytes,
+    /// Number of frames, boundary marker included.
+    pub events: u64,
+    /// Number of namespace *updates* among them ([`JournalEvent::is_update`]).
+    pub updates: u64,
 }
 
-impl Segment {
-    /// Number of namespace *updates* in the segment (excludes the boundary
-    /// marker).
-    pub fn update_count(&self) -> u64 {
-        self.events.iter().filter(|e| e.is_update()).count() as u64
-    }
-}
-
-/// Accumulates events and seals them into fixed-size segments.
+/// Frames events into fixed-size segments.
 #[derive(Debug)]
 pub struct SegmentBuilder {
     events_per_segment: usize,
     next_seq: u64,
-    current: Vec<JournalEvent>,
+    /// Frames of the open segment. Sealing copies them out at their exact
+    /// size and keeps this buffer's capacity for the next segment.
+    frames: BytesMut,
+    events: u64,
+    updates: u64,
 }
 
 impl SegmentBuilder {
@@ -42,38 +50,35 @@ impl SegmentBuilder {
     pub const DEFAULT_EVENTS_PER_SEGMENT: usize = 1024;
 
     /// Creates a builder sealing a segment every `events_per_segment`
-    /// updates.
+    /// events.
     pub fn new(events_per_segment: usize) -> Self {
         assert!(events_per_segment > 0, "segment size must be positive");
         SegmentBuilder {
             events_per_segment,
             next_seq: 0,
-            current: Vec::with_capacity(events_per_segment + 1),
+            frames: BytesMut::new(),
+            events: 0,
+            updates: 0,
         }
     }
 
-    /// Appends an event; returns a sealed segment if this append filled one.
-    pub fn push(&mut self, event: JournalEvent) -> Option<Segment> {
-        self.current.push(event);
-        if self.current.len() >= self.events_per_segment {
-            Some(self.seal())
-        } else {
-            None
-        }
+    /// Frames an event into the open segment; returns the sealed segment
+    /// if this event filled it.
+    pub fn push(&mut self, event: &JournalEvent) -> Option<Segment> {
+        encode_event(&mut self.frames, event);
+        self.events += 1;
+        self.updates += u64::from(event.is_update());
+        (self.events >= self.events_per_segment as u64).then(|| self.seal())
     }
 
     /// Seals whatever is buffered (possibly empty => None).
     pub fn flush(&mut self) -> Option<Segment> {
-        if self.current.is_empty() {
-            None
-        } else {
-            Some(self.seal())
-        }
+        (self.events > 0).then(|| self.seal())
     }
 
     /// Number of events buffered but not yet sealed.
     pub fn pending(&self) -> usize {
-        self.current.len()
+        self.events as usize
     }
 
     /// Sequence number the next sealed segment will get.
@@ -84,37 +89,34 @@ impl SegmentBuilder {
     fn seal(&mut self) -> Segment {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut events = std::mem::replace(
-            &mut self.current,
-            Vec::with_capacity(self.events_per_segment + 1),
-        );
-        events.push(JournalEvent::SegmentBoundary { seq });
-        Segment { seq, events }
+        encode_event(&mut self.frames, &JournalEvent::SegmentBoundary { seq });
+        let frames = Bytes::copy_from_slice(&self.frames);
+        self.frames.clear();
+        Segment {
+            seq,
+            frames,
+            events: std::mem::take(&mut self.events) + 1,
+            updates: std::mem::take(&mut self.updates),
+        }
     }
 }
 
 /// Splits a flat event list into sealed segments (used when importing a
 /// decoupled client journal, which arrives unsegmented).
-pub fn segment_events(
-    events: impl IntoIterator<Item = JournalEvent>,
+pub fn segment_events<'a>(
+    events: impl IntoIterator<Item = &'a JournalEvent>,
     events_per_segment: usize,
 ) -> Vec<Segment> {
     let mut b = SegmentBuilder::new(events_per_segment);
-    let mut out = Vec::new();
-    for e in events {
-        if let Some(s) = b.push(e) {
-            out.push(s);
-        }
-    }
-    if let Some(s) = b.flush() {
-        out.push(s);
-    }
+    let mut out: Vec<Segment> = events.into_iter().filter_map(|e| b.push(e)).collect();
+    out.extend(b.flush());
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::decode_frames;
     use crate::event::{Attrs, InodeId};
 
     fn create(i: u64) -> JournalEvent {
@@ -129,40 +131,57 @@ mod tests {
     #[test]
     fn seals_at_capacity() {
         let mut b = SegmentBuilder::new(3);
-        assert!(b.push(create(0)).is_none());
-        assert!(b.push(create(1)).is_none());
-        let seg = b.push(create(2)).expect("sealed");
+        assert!(b.push(&create(0)).is_none());
+        assert!(b.push(&create(1)).is_none());
+        let seg = b.push(&create(2)).expect("sealed");
         assert_eq!(seg.seq, 0);
-        assert_eq!(seg.events.len(), 4); // 3 updates + boundary
-        assert_eq!(seg.update_count(), 3);
+        assert_eq!(seg.events, 4); // 3 updates + boundary
+        assert_eq!(seg.updates, 3);
+        let events = decode_frames(&seg.frames).unwrap();
+        assert_eq!(events[..3], [create(0), create(1), create(2)]);
         assert_eq!(
-            seg.events.last(),
+            events.last(),
             Some(&JournalEvent::SegmentBoundary { seq: 0 })
         );
+        assert_eq!(events.len(), 4);
     }
 
     #[test]
     fn flush_seals_partial() {
         let mut b = SegmentBuilder::new(10);
-        b.push(create(0));
+        b.push(&create(0));
         assert_eq!(b.pending(), 1);
         let seg = b.flush().expect("partial segment");
-        assert_eq!(seg.update_count(), 1);
+        assert_eq!(seg.updates, 1);
         assert_eq!(b.pending(), 0);
         assert!(b.flush().is_none());
     }
 
     #[test]
+    fn grants_count_as_events_but_not_updates() {
+        let mut b = SegmentBuilder::new(2);
+        let grant = JournalEvent::AllocRange {
+            client: 1,
+            start: InodeId(0x1000),
+            len: 16,
+        };
+        assert!(b.push(&grant).is_none());
+        let seg = b.push(&create(0)).expect("two events fill the segment");
+        assert_eq!((seg.events, seg.updates), (3, 1));
+    }
+
+    #[test]
     fn sequence_numbers_increase() {
-        let segs = segment_events((0..10).map(create), 4);
+        let events: Vec<_> = (0..10).map(create).collect();
+        let segs = segment_events(&events, 4);
         assert_eq!(segs.len(), 3); // 4 + 4 + 2
         assert_eq!(
             segs.iter().map(|s| s.seq).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-        assert_eq!(segs[2].update_count(), 2);
+        assert_eq!(segs[2].updates, 2);
         // Total updates preserved.
-        let total: u64 = segs.iter().map(|s| s.update_count()).sum();
+        let total: u64 = segs.iter().map(|s| s.updates).sum();
         assert_eq!(total, 10);
     }
 

@@ -278,15 +278,28 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
         )
     }
 
-    /// Appends `buf` to `stripe` with retries. A torn append may leave a
-    /// partial frame behind before failing transiently, so each retry first
-    /// truncates the stripe back to the last acknowledged length.
-    fn append_one(&mut self, stripe: &ObjectId, buf: &[u8]) -> Result<(), JournalIoError> {
+    /// Appends `run` — whole frames for the current stripe — with one store
+    /// call, retried. A torn append may leave any prefix of the run behind
+    /// (whole frames, then a partial one), so each retry first truncates the
+    /// stripe back to the acknowledged length — and so does giving up, or
+    /// the next writer would append behind a torn frame.
+    fn append_run(&mut self, run: &[u8]) -> Result<(), JournalIoError> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        let stripe = self.id.stripe_object(self.header.stripes - 1);
         let mut attempt = 0;
         loop {
-            match self.store.append(stripe, buf) {
-                Ok(_) => return Ok(()),
-                Err(RadosError::Transient(_)) if attempt < self.retry.max_retries => {
+            match self.store.append(&stripe, run) {
+                Ok(_) => {
+                    self.current_stripe_len += run.len();
+                    return Ok(());
+                }
+                Err(e @ RadosError::Transient(_)) => {
+                    if attempt == self.retry.max_retries {
+                        self.repair_stripe(&stripe)?;
+                        return Err(e.into());
+                    }
                     let pause = self.retry.backoff(attempt);
                     if let Some(t) = &self.trace {
                         t.child("retry.stripe_append", "faults", t.at + self.backoff, pause);
@@ -294,7 +307,7 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
                     self.retries += 1;
                     self.backoff += pause;
                     attempt += 1;
-                    self.repair_stripe(stripe)?;
+                    self.repair_stripe(&stripe)?;
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -319,46 +332,45 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
     }
 
     /// Appends a batch of events, rolling stripes as needed, and persists
-    /// the header. Returns the number of bytes written (data only).
-    ///
-    /// The whole batch is encoded up front into one exactly-sized buffer
-    /// ([`codec::framed_len`] gives the size without a trial encode); each
-    /// event's frame is then a slice of that buffer. Store operations are
-    /// still issued one per event — the per-op sequence is what seeded fault
-    /// plans and the virtual-time cost model key on, so batching must stop
-    /// at the encoding layer.
+    /// the header. Returns the number of bytes written (data only). Encodes
+    /// into one exactly-sized buffer ([`codec::framed_len`]) and takes the
+    /// one write path, [`JournalWriter::append_frames`].
     pub fn append(&mut self, events: &[JournalEvent]) -> Result<u64, JournalIoError> {
-        let retries_before = self.retries;
-        let mut written = 0u64;
-        let mut rollovers = 0u64;
         let total: usize = events.iter().map(codec::framed_len).sum();
         let mut buf = BytesMut::with_capacity(total);
-        let mut offsets = Vec::with_capacity(events.len() + 1);
         for e in events {
-            offsets.push(buf.len());
             codec::encode_event(&mut buf, e);
         }
-        offsets.push(buf.len());
         debug_assert_eq!(buf.len(), total);
-        for i in 0..events.len() {
-            let frame = &buf[offsets[i]..offsets[i + 1]];
-            if self.header.stripes == 0 || self.current_stripe_len + frame.len() > self.stripe_bytes
-            {
-                self.header.stripes += 1;
-                self.current_stripe_len = 0;
-                rollovers += 1;
-            }
-            let stripe = self.id.stripe_object(self.header.stripes - 1);
-            self.append_one(&stripe, frame)?;
-            self.current_stripe_len += frame.len();
-            written += frame.len() as u64;
-        }
+        self.append_frames(&buf)
+    }
+
+    /// Appends already-framed events (as [`codec::encode_event`] writes
+    /// them), rolling stripes as needed, and persists the header. Returns
+    /// the number of bytes written. Panics if `frames` is not whole frames.
+    ///
+    /// The stripe rule is applied frame by frame — a frame that would push
+    /// the stripe past its capacity opens the next one — but each *run* of
+    /// frames that lands in one stripe is a single store `append`: a segment
+    /// that fits its stripe is one object write plus the header write, and
+    /// what a fault hits (and the repair truncates) is a run, not a frame.
+    ///
+    /// On failure the header is still written, so the stripes that
+    /// acknowledged runs opened are visible to the next writer; a caller
+    /// that retries the whole buffer re-lands those runs, which replays to
+    /// the same namespace.
+    pub fn append_frames(&mut self, frames: &[u8]) -> Result<u64, JournalIoError> {
+        let retries_before = self.retries;
+        let landed = self.append_runs(frames);
         let header_object = self.id.header_object();
         let header_bytes = encode_header(self.header);
-        self.io(|s| s.write_full(&header_object, &header_bytes))?;
+        let header = self.io(|s| s.write_full(&header_object, &header_bytes));
+        let (events, rollovers) = landed?;
+        header?;
+        let written = frames.len() as u64;
         if let Some(obs) = &self.obs {
             obs.appends.inc();
-            obs.events.add(events.len() as u64);
+            obs.events.add(events);
             obs.bytes.add(written);
             obs.stripe_rollovers.add(rollovers);
             let retried = self.retries - retries_before;
@@ -373,6 +385,32 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
             }
         }
         Ok(written)
+    }
+
+    /// Walks the `len` prefixes of `frames`, cutting it into same-stripe
+    /// runs and appending each; returns (frames seen, stripes opened).
+    fn append_runs(&mut self, frames: &[u8]) -> Result<(u64, u64), JournalIoError> {
+        let (mut events, mut rollovers) = (0, 0);
+        let (mut run_start, mut pos) = (0, 0);
+        while pos < frames.len() {
+            let end = codec::frame_len(&frames[pos..])
+                .map(|len| pos + len)
+                .filter(|&end| end <= frames.len())
+                .unwrap_or_else(|| panic!("frame at byte {pos} overruns the buffer"));
+            if self.header.stripes == 0
+                || self.current_stripe_len + (end - run_start) > self.stripe_bytes
+            {
+                self.append_run(&frames[run_start..pos])?;
+                run_start = pos;
+                self.header.stripes += 1;
+                self.current_stripe_len = 0;
+                rollovers += 1;
+            }
+            pos = end;
+            events += 1;
+        }
+        self.append_run(&frames[run_start..])?;
+        Ok((events, rollovers))
     }
 
     /// Number of stripe objects currently backing the journal.
@@ -757,6 +795,8 @@ mod tests {
         use std::sync::Arc;
         // 20% of ops fail EAGAIN: with an 8-retry budget every append batch
         // still lands, and the writer accounts its retries and backoff.
+        // Fault rates are per store op and a run of frames is one op, so
+        // small stripes and batches keep the op count up.
         let store = FaultyStore::new(
             Arc::new(InMemoryStore::paper_default()),
             Arc::new(FaultPlan::new(FaultConfig {
@@ -767,9 +807,11 @@ mod tests {
         );
         let reg = Registry::new();
         let events: Vec<_> = (0..200).map(create).collect();
-        let mut w = JournalWriter::open(&store, jid()).unwrap();
+        let mut w = JournalWriter::open_with_stripe(&store, jid(), 256).unwrap();
         w.set_obs(JournalObs::attach(&reg));
-        w.append(&events).unwrap();
+        for batch in events.chunks(25) {
+            w.append(batch).unwrap();
+        }
         assert!(w.retries > 0, "a 20% fault rate must trigger retries");
         assert!(w.backoff > Nanos::ZERO);
         assert_eq!(

@@ -10,65 +10,18 @@
 
 use proptest::prelude::*;
 
-use cudele_journal::{Attrs, InodeId, JournalEvent, JournalId, JournalTool, JournalWriter};
+use cudele_journal::{JournalId, JournalTool, JournalWriter};
 use cudele_rados::{InMemoryStore, ObjectId, ObjectStore, PoolId};
-use cudele_sim::Nanos;
+
+mod common;
+use common::{arb_event, whole_frames};
 
 const STRIPE_BYTES: usize = 256;
 
-fn arb_event() -> impl Strategy<Value = JournalEvent> {
-    let ino = (2u64..1 << 32).prop_map(InodeId);
-    let name = proptest::string::string_regex("[a-z0-9._\\-]{1,24}").unwrap();
-    let attrs = (any::<u16>(), any::<u32>()).prop_map(|(mode, uid)| Attrs {
-        mode: mode as u32,
-        uid,
-        ..Attrs::file_default()
-    });
-    prop_oneof![
-        (ino.clone(), name.clone(), ino.clone(), attrs.clone()).prop_map(
-            |(parent, name, ino, attrs)| JournalEvent::Create {
-                parent,
-                name,
-                ino,
-                attrs
-            }
-        ),
-        (ino.clone(), name.clone(), ino.clone(), attrs.clone()).prop_map(
-            |(parent, name, ino, attrs)| JournalEvent::Mkdir {
-                parent,
-                name,
-                ino,
-                attrs
-            }
-        ),
-        (ino.clone(), name).prop_map(|(parent, name)| JournalEvent::Unlink { parent, name }),
-        (ino, attrs).prop_map(|(ino, attrs)| JournalEvent::SetAttr {
-            ino,
-            attrs: Attrs {
-                mtime: Nanos(7),
-                ..attrs
-            }
-        }),
-        any::<u32>().prop_map(|seq| JournalEvent::SegmentBoundary { seq: seq as u64 }),
-    ]
-}
-
-/// Number of whole `len|crc|payload` frames that end at or before `limit`
-/// in a stripe's bytes, walking only the (trusted, pre-corruption) length
-/// fields.
+/// Number of whole frames that end at or before `limit` in a stripe's
+/// (trusted, pre-corruption) bytes.
 fn frames_before(bytes: &[u8], limit: usize) -> usize {
-    let mut pos = 0;
-    let mut n = 0;
-    while pos + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let end = pos + 8 + len;
-        if end > bytes.len() || end > limit {
-            break;
-        }
-        n += 1;
-        pos = end;
-    }
-    n
+    whole_frames(&bytes[..limit]).0
 }
 
 proptest! {

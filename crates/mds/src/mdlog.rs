@@ -7,8 +7,12 @@
 //! journal: the segment size and the dispatch size (i.e. the number of
 //! segments that can be dispatched at once)."
 //!
-//! Functionally: events are accumulated into segments; once `dispatch_size`
-//! segments are sealed, the whole window is flushed to the object store.
+//! Functionally: an event is encoded once, at submit, into the open
+//! segment's frame buffer; once `dispatch_size` segments are sealed the
+//! window is flushed, each segment as one append per stripe it touches plus
+//! the header write ([`JournalWriter::append_frames`]). A segment leaves
+//! the window only when its append is acknowledged, so a failed flush is
+//! retried by the next one and drops nothing that was accepted.
 //! The trimmer applies journaled updates to the object-store metadata
 //! representation and logically drops them from the journal ("The metadata
 //! server applies the updates in the journal to the metadata store when the
@@ -104,6 +108,8 @@ pub struct MdLog {
     id: JournalId,
     builder: SegmentBuilder,
     sealed: VecDeque<Segment>,
+    /// Events in `sealed` (boundary markers included).
+    sealed_events: u64,
     /// Updates flushed since the last trim (drives the trim threshold).
     updates_since_trim: u64,
     /// Total events (updates + boundary markers) flushed since the last
@@ -129,6 +135,7 @@ impl MdLog {
             config,
             id,
             sealed: VecDeque::new(),
+            sealed_events: 0,
             updates_since_trim: 0,
             flushed_events_since_trim: 0,
             stats: MdLogStats::default(),
@@ -189,13 +196,14 @@ impl MdLog {
     pub fn submit<S: ObjectStore + ?Sized>(
         &mut self,
         os: &S,
-        event: JournalEvent,
+        event: &JournalEvent,
     ) -> Result<(), JournalIoError> {
         self.stats.events += 1;
         if let Some(obs) = &self.obs {
             obs.events.inc();
         }
         if let Some(seg) = self.builder.push(event) {
+            self.sealed_events += seg.events;
             self.sealed.push_back(seg);
         }
         if self.sealed.len() >= self.config.dispatch_size as usize {
@@ -208,6 +216,7 @@ impl MdLog {
     /// clean shutdown and before recovery checks.
     pub fn flush<S: ObjectStore + ?Sized>(&mut self, os: &S) -> Result<(), JournalIoError> {
         if let Some(seg) = self.builder.flush() {
+            self.sealed_events += seg.events;
             self.sealed.push_back(seg);
         }
         self.flush_window(os)
@@ -222,16 +231,20 @@ impl MdLog {
             writer.set_obs(obs.writer.clone());
             writer.set_now(self.now);
         }
-        while let Some(seg) = self.sealed.pop_front() {
-            let bytes = writer.append(&seg.events)?;
+        // A segment stays queued until its append is acknowledged: its
+        // events were accepted, so a failed flush leaves it for the next.
+        while let Some(seg) = self.sealed.front() {
+            let bytes = writer.append_frames(&seg.frames)?;
             self.stats.bytes_flushed += bytes;
             self.stats.segments_flushed += 1;
             if let Some(obs) = &self.obs {
                 obs.bytes_flushed.add(bytes);
                 obs.segments_flushed.inc();
             }
-            self.updates_since_trim += seg.update_count();
-            self.flushed_events_since_trim += seg.events.len() as u64;
+            self.updates_since_trim += seg.updates;
+            self.flushed_events_since_trim += seg.events;
+            self.sealed_events -= seg.events;
+            self.sealed.pop_front();
         }
         Ok(())
     }
@@ -273,8 +286,7 @@ impl MdLog {
     /// Events buffered (sealed or partial) but not yet in the object store
     /// — these are what a crash loses before Stream flushes them.
     pub fn unflushed_events(&self) -> u64 {
-        let sealed: usize = self.sealed.iter().map(|s| s.events.len()).sum();
-        (sealed + self.builder.pending()) as u64
+        self.sealed_events + self.builder.pending() as u64
     }
 
     /// Drains the accumulated counters.
@@ -317,16 +329,33 @@ mod tests {
         let mut log = MdLog::new(config(4, 2));
         // 7 events: one sealed segment (4), 3 pending. Nothing flushed yet.
         for i in 0..7 {
-            log.submit(&os, create(i)).unwrap();
+            log.submit(&os, &create(i)).unwrap();
         }
         assert_eq!(log.stats().segments_flushed, 0);
         assert_eq!(log.unflushed_events(), 5 + 3); // 4 events + boundary, 3 pending
                                                    // 8th event seals segment 2 -> window of 2 flushes.
-        log.submit(&os, create(7)).unwrap();
+        log.submit(&os, &create(7)).unwrap();
         assert_eq!(log.stats().segments_flushed, 2);
         assert_eq!(log.unflushed_events(), 0);
         let persisted = read_journal(&os, JournalId::MDLOG).unwrap();
         assert_eq!(persisted.iter().filter(|e| e.is_update()).count(), 8);
+    }
+
+    /// The unit of I/O is the segment, not the event: a default dispatch
+    /// window (40 × 1 024 events) costs a few store operations per segment.
+    /// `scripts/bench_wallclock.py --check-only` holds the traced
+    /// benchmark's `rados.store.calls` to the same bound.
+    #[test]
+    fn a_dispatch_window_costs_store_ops_per_segment_not_per_event() {
+        let os = InMemoryStore::paper_default();
+        let mut log = MdLog::new(MdLogConfig::default());
+        for i in 0..40 * 1024 {
+            log.submit(&os, &create(i)).unwrap();
+        }
+        assert_eq!(log.stats().segments_flushed, 40);
+        assert_eq!(log.unflushed_events(), 0);
+        let ops = os.take_io_delta().ops();
+        assert!(ops <= 4 * 40 + 8, "{ops} store operations for 40 segments");
     }
 
     #[test]
@@ -334,7 +363,7 @@ mod tests {
         let os = InMemoryStore::paper_default();
         let mut log = MdLog::new(config(100, 40));
         for i in 0..5 {
-            log.submit(&os, create(i)).unwrap();
+            log.submit(&os, &create(i)).unwrap();
         }
         assert_eq!(log.stats().segments_flushed, 0);
         log.flush(&os).unwrap();
@@ -348,7 +377,7 @@ mod tests {
         let os = InMemoryStore::paper_default();
         let mut log = MdLog::new(config(2, 1));
         for i in 0..4 {
-            log.submit(&os, create(i)).unwrap();
+            log.submit(&os, &create(i)).unwrap();
         }
         let s = log.take_stats();
         assert_eq!(s.events, 4);
@@ -369,7 +398,7 @@ mod tests {
         for i in 0..12 {
             let e = create(i);
             ms.apply_checked(&e).unwrap();
-            log.submit(&os, e).unwrap();
+            log.submit(&os, &e).unwrap();
         }
         let trimmed = log.maybe_trim(&os, &ms).unwrap();
         assert!(trimmed);
@@ -393,7 +422,7 @@ mod tests {
         let mut log = MdLog::new(config(2, 1));
         log.set_obs(&reg);
         for i in 0..4 {
-            log.submit(&os, create(i)).unwrap();
+            log.submit(&os, &create(i)).unwrap();
         }
         let s = log.stats();
         assert_eq!(reg.counter_value("mds.mdlog.events"), Some(s.events));
@@ -415,7 +444,7 @@ mod tests {
         let mut log = MdLog::new(MdLogConfig::default());
         let ms = MetadataStore::new();
         for i in 0..10 {
-            log.submit(&os, create(i)).unwrap();
+            log.submit(&os, &create(i)).unwrap();
         }
         assert!(!log.maybe_trim(&os, &ms).unwrap());
     }

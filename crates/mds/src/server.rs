@@ -783,7 +783,7 @@ impl MetadataServer {
                 if let Some(o) = &self.obs {
                     log.set_now(o.now);
                 }
-                log.submit(self.os.as_ref(), event)
+                log.submit(self.os.as_ref(), &event)
                     .map_err(Self::journal_error)?;
                 if let Some(o) = &self.obs {
                     // Writer-side transients the whole-run counters hide:

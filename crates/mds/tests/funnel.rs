@@ -9,8 +9,9 @@
 //! or lost — fails here by name.
 //!
 //! The last test drives a seeded 2 000-request script over all seven kinds
-//! and digests every artifact the server produces; the digest was recorded
-//! at the same parent commit.
+//! and digests every artifact the server produces, one digest per artifact;
+//! the digests were recorded at the same parent commit, except where the
+//! test says one was re-recorded and why.
 
 use std::sync::Arc;
 
@@ -1308,10 +1309,33 @@ impl Rng {
     }
 }
 
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One digest per artifact the script leaves behind, so a change that is
+/// meant to move one of them (store-call granularity shows up in
+/// `metrics_json` and nowhere else) re-records that one and is held to
+/// the rest.
+#[derive(Debug, PartialEq)]
+struct ScriptDigests {
+    /// Every request's result class and exact cost, in order.
+    requests: u64,
+    /// The server's `ServerCounters`.
+    counters: u64,
+    history: u64,
+    timeline: u64,
+    /// Every object in the metadata pool: name, then bytes.
+    objects: u64,
+    /// The namespace snapshot.
+    namespace: u64,
+    /// The allocator watermark.
+    watermark: u64,
+    metrics_json: u64,
+}
+
 /// 2 000 seeded requests over all seven kinds from three clients, with a
 /// blocked subtree (owned by client 1), a down window and token replays;
-/// returns the digest of everything the run left behind.
-fn script_digest() -> u64 {
+/// returns the digests of everything the run left behind.
+fn script_digests() -> ScriptDigests {
     let os = Arc::new(InMemoryStore::paper_default());
     let mut srv = MetadataServer::with_config(
         os.clone(),
@@ -1338,7 +1362,7 @@ fn script_digest() -> u64 {
         .expect_ok();
 
     let mut rng = Rng(0x00c0_de1e);
-    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut requests = FNV_BASIS;
     // Tokens each client has issued, for replay: (dir, name, token).
     let mut issued: Vec<Vec<(InodeId, String, ReplayToken)>> = vec![Vec::new(); 3];
     let mut predicted = [0u64; 3];
@@ -1389,30 +1413,49 @@ fn script_digest() -> u64 {
             },
             _ => outcome(srv.readdir(client, dir)),
         };
-        digest = fnv1a(digest, class.as_bytes());
-        digest = fnv1a(digest, &cost.mds_cpu.0.to_le_bytes());
-        digest = fnv1a(digest, &cost.client_extra.0.to_le_bytes());
+        requests = fnv1a(requests, class.as_bytes());
+        requests = fnv1a(requests, &cost.mds_cpu.0.to_le_bytes());
+        requests = fnv1a(requests, &cost.client_extra.0.to_le_bytes());
     }
     srv.flush_journal();
 
-    digest = fnv1a(digest, format!("{:?}", srv.counters()).as_bytes());
-    digest = fnv1a(digest, reg.metrics_json().as_bytes());
-    digest = fnv1a(digest, reg.history_json("rpc").as_bytes());
-    digest = fnv1a(digest, reg.timeline().snapshot().to_json().as_bytes());
-    let mut objects = os.list(PoolId::METADATA, "");
-    objects.sort_by(|a, b| a.name.cmp(&b.name));
-    for id in &objects {
-        digest = fnv1a(digest, id.name.as_bytes());
-        digest = fnv1a(digest, &os.read(id).unwrap());
+    let mut ids = os.list(PoolId::METADATA, "");
+    ids.sort_by(|a, b| a.name.cmp(&b.name));
+    let objects = ids.iter().fold(FNV_BASIS, |h, id| {
+        fnv1a(fnv1a(h, id.name.as_bytes()), &os.read(id).unwrap())
+    });
+    let one = |bytes: &[u8]| fnv1a(FNV_BASIS, bytes);
+    ScriptDigests {
+        requests,
+        counters: one(format!("{:?}", srv.counters()).as_bytes()),
+        history: one(reg.history_json("rpc").as_bytes()),
+        timeline: one(reg.timeline().snapshot().to_json().as_bytes()),
+        objects,
+        namespace: one(format!("{:?}", srv.store().snapshot()).as_bytes()),
+        watermark: one(&srv.alloc_watermark().0.to_le_bytes()),
+        metrics_json: one(reg.metrics_json().as_bytes()),
     }
-    digest = fnv1a(digest, format!("{:?}", srv.store().snapshot()).as_bytes());
-    digest = fnv1a(digest, &srv.alloc_watermark().0.to_le_bytes());
-    digest
 }
 
 #[test]
-fn seeded_script_reproduces_the_digest_recorded_at_the_parent() {
-    let got = script_digest();
-    assert_eq!(got, script_digest(), "the script itself is deterministic");
-    assert_eq!(got, 0x956e_84d2_5493_5017, "script digest: {got:#018x}");
+fn seeded_script_reproduces_the_digests_recorded_at_the_parent() {
+    let got = script_digests();
+    assert_eq!(got, script_digests(), "the script itself is deterministic");
+    assert_eq!(
+        got,
+        ScriptDigests {
+            requests: 0x07a8_b8bf_7906_7e3c,
+            counters: 0x8420_343a_0f4f_6521,
+            history: 0xd941_801f_f9ff_4e94,
+            timeline: 0xe59b_2cb7_6247_2b25,
+            objects: 0xed26_c258_9299_aea4,
+            namespace: 0xd930_97ec_1d49_ed6e,
+            watermark: 0x817b_bea2_7151_c801,
+            // Re-recorded when the mdlog began writing a run of frames per
+            // store call (0xd29b…300c before): `rados.store.write_ops` and
+            // `rados.osd.1.ops` count object writes, and nothing else moved.
+            metrics_json: 0x9b9d_5a27_191f_3317,
+        },
+        "script digests: {got:#018x?}"
+    );
 }

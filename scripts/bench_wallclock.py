@@ -6,7 +6,10 @@ one row to `BENCH_wallclock.json` — commit, machine fingerprint, calibration
 seconds, and per workload the `ops_per_s_norm` and `allocs_per_op` medians —
 and exits 1 if the decoupled route is not faster than the RPC route
 (`decoupled_merge` <= `rpc_create`), the ordering the paper's Fig. 6a and
-the virtual-time model both give.
+the virtual-time model both give, or if the traced `rpc_create` run made
+more object-store calls than a few per mdlog segment (`rados.store.calls` >
+4 x `mds.mdlog.segments` + 8): the journal's unit of I/O is the segment, and
+a per-event write path reads 41 041 calls against 40 segments here.
 
     benchmark/run.sh && scripts/bench_wallclock.py --pr 16
     scripts/bench_wallclock.py --check-only        # gate, write nothing
@@ -93,6 +96,15 @@ def main():
         sys.exit(
             f"decoupled_merge ({ops['decoupled_merge']} ops/s) is not faster than "
             f"rpc_create ({ops['rpc_create']} ops/s)"
+        )
+    traced = results["workloads"]["rpc_create"]["per_layer"]["metrics"]
+    calls = traced["rados.store.calls"]["median"]
+    segments = traced["mds.mdlog.segments"]["median"]
+    print(f"rpc_create traced: {calls:.0f} store calls for {segments:.0f} mdlog segments")
+    if calls > 4 * segments + 8:
+        sys.exit(
+            f"rpc_create made {calls:.0f} object-store calls for {segments:.0f} mdlog "
+            f"segments (limit 4 x segments + 8): the journal is written per event again"
         )
 
 

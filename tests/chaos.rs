@@ -210,8 +210,19 @@ fn local_persist_survives_recoverable_crash_across_seeds() {
 #[test]
 fn global_persist_survives_torn_writes_across_seeds() {
     let torn = sweep_seeds(SEEDS, |seed| {
-        let mut r = rig(30, background_faults(seed));
-        merge(&mut r, "global_persist");
+        // A persisted journal that fits its stripe is one append, so tears
+        // come per persist, not per frame: a higher rate than the
+        // background mix and a few re-persists keep the sweep tearing.
+        let mut r = rig(
+            30,
+            FaultConfig {
+                torn_write_ppm: 200_000,
+                ..background_faults(seed)
+            },
+        );
+        for _ in 0..4 {
+            merge(&mut r, "global_persist");
+        }
         r.disk.destroy();
         assert_eq!(
             achieved_durability(&r.client, &r.disk, r.os.as_ref()),
@@ -257,11 +268,16 @@ fn torn_global_persist_loses_no_acknowledged_events() {
         FaultConfig {
             seed: 7,
             eagain_ppm: 20_000,
-            torn_write_ppm: 200_000,
+            torn_write_ppm: 400_000,
             ..FaultConfig::default()
         },
     );
-    merge(&mut r, "local_persist+global_persist");
+    // Each persist replaces the stored journal with one append of all 200
+    // frames, so a storm is a high tear rate over many persists. A tear can
+    // land whole frames ahead of the partial one; the repair takes back both.
+    for _ in 0..40 {
+        merge(&mut r, "local_persist+global_persist");
+    }
     let (_, torn, _) = r.os.injected();
     assert!(torn > 5, "storm too quiet to prove anything: {torn} torn");
     let read = cudele_journal::read_journal(r.os.as_ref(), r.client.journal_id()).unwrap();

@@ -7,8 +7,8 @@
 //! components die in a None configuration"; local survives *recoverable*
 //! node failures; global survives everything.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use cudele::{achieved_durability, execute_merge, Composition, Durability, ExecEnv};
@@ -349,36 +349,76 @@ fn journal_io_failure_is_an_io_error_not_enoent() {
 // Store failures under a rewrite or an attach are errors, not a fresh start
 // ---------------------------------------------------------------------
 
-/// An in-memory store whose `remove` can be made to fail `Transient` past
-/// any retry budget, everything else passing through.
-struct StuckRemovals {
+/// An in-memory store that can be told to fail `Transient` past any retry
+/// budget: every `remove` while `stuck_removals` is set, the next few
+/// `append`s of chosen objects, the next few writes of a journal header.
+/// Everything else passes through.
+struct FlakyStore {
     inner: InMemoryStore,
-    stuck: AtomicBool,
+    stuck_removals: AtomicBool,
+    failing_appends: Mutex<FailingAppends>,
+    failing_header_writes: AtomicU32,
 }
 
-impl StuckRemovals {
-    fn new() -> StuckRemovals {
-        StuckRemovals {
+#[derive(Default)]
+struct FailingAppends {
+    /// Appends still to fail.
+    left: u32,
+    /// Only objects whose name ends with this are affected.
+    suffix: &'static str,
+    /// A failing append first lands its first frame and three bytes of the
+    /// next — a torn write that cut the run past a whole frame.
+    torn: bool,
+}
+
+impl FlakyStore {
+    fn new() -> FlakyStore {
+        FlakyStore {
             inner: InMemoryStore::paper_default(),
-            stuck: AtomicBool::new(false),
+            stuck_removals: AtomicBool::new(false),
+            failing_appends: Mutex::default(),
+            failing_header_writes: AtomicU32::new(0),
         }
+    }
+
+    fn fail_appends(&self, left: u32, suffix: &'static str, torn: bool) {
+        *self.failing_appends.lock().unwrap() = FailingAppends { left, suffix, torn };
     }
 }
 
-impl ObjectStore for StuckRemovals {
+impl ObjectStore for FlakyStore {
     fn remove(&self, id: &ObjectId) -> RadosResult<()> {
-        if self.stuck.load(Ordering::SeqCst) {
+        if self.stuck_removals.load(Ordering::SeqCst) {
             return Err(RadosError::Transient(id.clone()));
         }
         self.inner.remove(id)
     }
     fn write_full(&self, id: &ObjectId, data: &[u8]) -> RadosResult<u64> {
+        let one_fewer = |n: u32| n.checked_sub(1);
+        if id.name.ends_with("_header")
+            && self
+                .failing_header_writes
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, one_fewer)
+                .is_ok()
+        {
+            return Err(RadosError::Transient(id.clone()));
+        }
         self.inner.write_full(id, data)
     }
     fn cas_write_full(&self, id: &ObjectId, expected: u64, data: &[u8]) -> RadosResult<u64> {
         self.inner.cas_write_full(id, expected, data)
     }
     fn append(&self, id: &ObjectId, data: &[u8]) -> RadosResult<u64> {
+        let mut failing = self.failing_appends.lock().unwrap();
+        if failing.left > 0 && id.name.ends_with(failing.suffix) {
+            failing.left -= 1;
+            if failing.torn {
+                let first = 8 + u32::from_le_bytes(data[..4].try_into().unwrap()) as usize;
+                assert!(first + 3 < data.len(), "a run of several frames");
+                self.inner.append(id, &data[..first + 3])?;
+            }
+            return Err(RadosError::Transient(id.clone()));
+        }
         self.inner.append(id, data)
     }
     fn read(&self, id: &ObjectId) -> RadosResult<Bytes> {
@@ -420,7 +460,7 @@ fn failed_stale_removal_fails_the_flush_instead_of_resurrecting_names() {
     use cudele_journal::{Attrs, InodeId};
     use cudele_mds::{flush_store, load_store, MetadataStore};
 
-    let os = StuckRemovals::new();
+    let os = FlakyStore::new();
     let mut ms = MetadataStore::new();
     for (i, name) in ["a", "b"].into_iter().enumerate() {
         ms.create(
@@ -434,7 +474,7 @@ fn failed_stale_removal_fails_the_flush_instead_of_resurrecting_names() {
     flush_store(&ms, &os, PoolId::METADATA).unwrap();
     ms.unlink(InodeId::ROOT, "a").unwrap();
 
-    os.stuck.store(true, Ordering::SeqCst);
+    os.stuck_removals.store(true, Ordering::SeqCst);
     if flush_store(&ms, &os, PoolId::METADATA).is_ok() {
         assert_eq!(
             load_store(&os, PoolId::METADATA).unwrap().snapshot(),
@@ -444,7 +484,7 @@ fn failed_stale_removal_fails_the_flush_instead_of_resurrecting_names() {
     }
 
     // Once removals work again the same flush converges.
-    os.stuck.store(false, Ordering::SeqCst);
+    os.stuck_removals.store(false, Ordering::SeqCst);
     flush_store(&ms, &os, PoolId::METADATA).unwrap();
     assert_eq!(
         load_store(&os, PoolId::METADATA).unwrap().snapshot(),
@@ -459,14 +499,14 @@ fn failed_stale_removal_fails_the_flush_instead_of_resurrecting_names() {
 fn failed_monmap_removal_fails_the_persist_instead_of_keeping_cleared_policies() {
     use cudele::{Monitor, Policy};
 
-    let os = StuckRemovals::new();
+    let os = FlakyStore::new();
     let mut mon = Monitor::new();
     mon.set_policy("/a", Policy::batchfs());
     mon.set_policy("/b", Policy::batchfs());
     mon.persist(&os).unwrap();
     mon.clear_policy("/a").unwrap();
 
-    os.stuck.store(true, Ordering::SeqCst);
+    os.stuck_removals.store(true, Ordering::SeqCst);
     if mon.persist(&os).is_ok() {
         let recovered = Monitor::recover(&os).unwrap();
         assert!(
@@ -475,12 +515,124 @@ fn failed_monmap_removal_fails_the_persist_instead_of_keeping_cleared_policies()
         );
     }
 
-    os.stuck.store(false, Ordering::SeqCst);
+    os.stuck_removals.store(false, Ordering::SeqCst);
     mon.persist(&os).unwrap();
     let recovered = Monitor::recover(&os).unwrap();
     assert!(recovered.policy_at("/a").is_none());
     assert!(recovered.policy_at("/b").is_some());
     assert_eq!(recovered.version(), mon.version());
+}
+
+// ---------------------------------------------------------------------
+// A flush that fails keeps what it could not write
+// ---------------------------------------------------------------------
+
+/// Creates against a journaling MDS (4-event segments, dispatched one at a
+/// time) on a store that `break_store` sets up, part-way through, to fail
+/// one kind of write nine times in a row — the first attempt and all eight
+/// retries — so one flush fails past the writer's retry budget while the
+/// server keeps running and later flushes succeed. Every create that was
+/// acknowledged `Ok` must be there after a later flush and a crash, and so
+/// must everything else the server applied.
+fn acknowledged_creates_survive_a_failed_flush(break_store: impl Fn(&FlakyStore)) {
+    use cudele_mds::{MdLogConfig, MdsError};
+    use cudele_sim::CostModel;
+
+    let os = Arc::new(FlakyStore::new());
+    let mut mds = MetadataServer::with_config(
+        os.clone(),
+        CostModel::calibrated(),
+        Some(MdLogConfig {
+            events_per_segment: 4,
+            dispatch_size: 1,
+            trim_after_updates: None,
+        }),
+    );
+    mds.open_session(CLIENT);
+    let dir = mds.setup_dir_durable("/d").unwrap();
+    let mut acknowledged = Vec::new();
+    for i in 0..24 {
+        if i == 6 {
+            break_store(&os);
+        }
+        let name = format!("f{i}");
+        match mds.create(CLIENT, dir, &name).result {
+            Ok(_) => acknowledged.push(name),
+            Err(e) => assert!(matches!(e, MdsError::Io { .. }), "{name}: {e}"),
+        }
+    }
+    assert_eq!(acknowledged.len(), 23, "one create saw its flush fail");
+
+    let applied = mds.store().snapshot();
+    mds.try_flush_journal().unwrap();
+    mds.crash_and_recover().unwrap();
+    for name in &acknowledged {
+        assert!(
+            mds.store().lookup(dir, name).is_ok(),
+            "{name} was acknowledged and did not survive"
+        );
+    }
+    assert_eq!(mds.store().snapshot(), applied);
+}
+
+/// The stripe append fails (the header, a different object, is fine): the
+/// segment must stay queued until an append of it is acknowledged.
+#[test]
+fn failed_segment_append_is_retried_by_the_next_flush() {
+    acknowledged_creates_survive_a_failed_flush(|os| os.fail_appends(9, "", false));
+}
+
+/// Same, with every failed attempt tearing: one whole frame and part of
+/// the next land each time, and the writer must cut the stripe back even
+/// as it gives up, or the retried segment would sit behind a torn frame.
+#[test]
+fn failed_torn_segment_append_leaves_nothing_behind() {
+    acknowledged_creates_survive_a_failed_flush(|os| os.fail_appends(9, "", true));
+}
+
+/// The append lands and the header write fails: the retry re-lands frames
+/// that are already in the stripe, and replay applies them twice to the
+/// same effect.
+#[test]
+fn segment_relanded_after_a_failed_header_write_replays_idempotently() {
+    acknowledged_creates_survive_a_failed_flush(|os| {
+        os.failing_header_writes.store(9, Ordering::SeqCst);
+    });
+    // The same through the writer alone, where it can be seen: a batch
+    // that spans two stripes, the second of which refuses appends.
+    use cudele_journal::{read_journal, Attrs, InodeId, JournalEvent, JournalId, JournalWriter};
+    use cudele_mds::MetadataStore;
+
+    let events: Vec<JournalEvent> = (0..10)
+        .map(|i| JournalEvent::Create {
+            parent: InodeId::ROOT,
+            name: format!("f{i}"),
+            ino: InodeId(0x1000 + i),
+            attrs: Attrs::file_default(),
+        })
+        .collect();
+    let id = JournalId::new(PoolId::METADATA, 0x300);
+    let os = FlakyStore::new();
+    os.fail_appends(9, ".00000001", false);
+    let mut w = JournalWriter::open_with_stripe(&os, id, 400).unwrap();
+    assert!(w.append(&events).is_err());
+    // What landed is visible to the next writer and reader: the header
+    // counts the stripe the failed run opened.
+    let landed = read_journal(&os, id).unwrap();
+    assert!(!landed.is_empty() && landed.len() < events.len());
+    assert_eq!(landed, events[..landed.len()]);
+    let mut w = JournalWriter::open_with_stripe(&os, id, 400).unwrap();
+    assert_eq!(w.stripes(), 2);
+    w.append(&events).unwrap();
+    let relanded = read_journal(&os, id).unwrap();
+    assert_eq!(relanded, [landed.as_slice(), events.as_slice()].concat());
+
+    let replay = |events: &[JournalEvent]| {
+        let mut ms = MetadataStore::new();
+        events.iter().for_each(|e| ms.apply_blind(e));
+        ms.snapshot()
+    };
+    assert_eq!(replay(&relanded), replay(&events));
 }
 
 /// Re-enabling checkpoints while the store is out must not be read as "no

@@ -268,7 +268,7 @@ proptest! {
         n in 0u64..300,
         seg_size in 1usize..64,
     ) {
-        use cudele_journal::segment_events;
+        use cudele_journal::{decode_frames, segment_events};
         let events: Vec<JournalEvent> = (0..n)
             .map(|i| JournalEvent::Create {
                 parent: InodeId::ROOT,
@@ -277,21 +277,24 @@ proptest! {
                 attrs: Attrs::file_default(),
             })
             .collect();
-        let segments = segment_events(events.clone(), seg_size);
+        let segments = segment_events(&events, seg_size);
         // Order and count preserved.
         let mut flattened = Vec::new();
         for (i, seg) in segments.iter().enumerate() {
             prop_assert_eq!(seg.seq, i as u64);
-            let updates: Vec<&JournalEvent> =
-                seg.events.iter().filter(|e| e.is_update()).collect();
+            let decoded = decode_frames(&seg.frames).unwrap();
+            prop_assert_eq!(decoded.len() as u64, seg.events);
+            prop_assert_eq!(
+                decoded.last(),
+                Some(&JournalEvent::SegmentBoundary { seq: i as u64 })
+            );
+            let updates: Vec<JournalEvent> =
+                decoded.into_iter().filter(|e| e.is_update()).collect();
+            prop_assert_eq!(updates.len() as u64, seg.updates);
             if i + 1 < segments.len() {
                 prop_assert_eq!(updates.len(), seg_size);
             }
-            flattened.extend(updates.into_iter().cloned());
-            prop_assert_eq!(
-                seg.events.last(),
-                Some(&JournalEvent::SegmentBoundary { seq: i as u64 })
-            );
+            flattened.extend(updates);
         }
         prop_assert_eq!(flattened, events);
     }

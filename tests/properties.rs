@@ -181,6 +181,22 @@ proptest! {
         prop_assert_eq!(original.snapshot(), replayed.snapshot());
     }
 
+    /// A journal batch whose retry re-lands the frames an earlier attempt
+    /// had already got into the store reads back as `prefix ++ whole
+    /// batch`; blind replay must not care.
+    #[test]
+    fn replaying_a_landed_prefix_twice_changes_nothing(
+        events in arb_workload(),
+        cut in any::<u16>(),
+    ) {
+        let landed = &events[..cut as usize % (events.len() + 1)];
+        let mut once = MetadataStore::new();
+        let mut twice = MetadataStore::new();
+        events.iter().for_each(|e| once.apply_blind(e));
+        landed.iter().chain(&events).for_each(|e| twice.apply_blind(e));
+        prop_assert_eq!(twice.snapshot(), once.snapshot());
+    }
+
     #[test]
     fn object_store_roundtrip(events in arb_workload()) {
         let mut ms = MetadataStore::new();
