@@ -164,6 +164,17 @@ fn snapshot_paths(label: &str) -> (String, String) {
     )
 }
 
+/// The value of counter `name` in a metrics snapshot.
+fn counter_in(metrics: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let at = metrics
+        .find(&key)
+        .unwrap_or_else(|| panic!("{name} missing"));
+    let digits = metrics[at + key.len()..].chars();
+    let digits: String = digits.take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
 fn run_with_snapshots(policy: &str, label: &str) -> (String, Vec<u8>, Vec<u8>) {
     run_faulted_snapshots(policy, label, None)
 }
@@ -239,18 +250,7 @@ fn same_fault_plan_runs_are_byte_identical() {
     // The plan actually fired: injections and absorbed retries show up in
     // the metrics snapshot with nonzero values.
     let metrics = String::from_utf8(metrics_a).unwrap();
-    let counter = |name: &str| -> u64 {
-        let key = format!("\"{name}\": ");
-        let at = metrics
-            .find(&key)
-            .unwrap_or_else(|| panic!("{name} missing"));
-        metrics[at + key.len()..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
+    let counter = |name: &str| counter_in(&metrics, name);
     assert!(counter("faults.injected.eagain") > 0, "plan never fired");
     assert!(
         counter("journal.io.retries") > 0,
@@ -334,4 +334,40 @@ fn failover_drill_timeline_shows_a_bounded_transient() {
     for slo in &snap.slos {
         assert!(slo.met, "SLO missed: {}", slo.spec);
     }
+}
+
+/// `mdbench --clients 2 --files 400 --policy posix --checkpoint-interval 64
+/// --mdlog-segment 8 --mdlog-dispatch 2 --faults seed=11,bitflip_ppm=30000`:
+/// a silent bit flip lands in a flushed journal stripe while checkpointing
+/// is on. Checkpoints are an optimisation, so the compactor pass that next
+/// reads the journal must cover the clean prefix and carry on — not fail
+/// every later create with `EIO: checkpoint (… failed CRC)`, which is what
+/// the strict tail read did (the run panicked at the first such create).
+#[test]
+fn bitflip_under_checkpointing_does_not_fail_foreground_ops() {
+    let _guard = obs_lock().lock().unwrap();
+
+    let (metrics_path, _) = snapshot_paths("bitflip_ckpt");
+    let cfg = BenchConfig {
+        clients: 2,
+        files: 400,
+        policy: "posix".to_string(),
+        checkpoint_interval: Some(64),
+        mdlog_segment: Some(8),
+        mdlog_dispatch: Some(2),
+        faults: Some("seed=11,bitflip_ppm=30000".to_string()),
+        metrics_out: Some(metrics_path.clone()),
+        ..BenchConfig::default()
+    };
+    let out = mdbench::run(&cfg).unwrap();
+    let metrics = std::fs::read_to_string(&metrics_path).unwrap();
+    let _ = std::fs::remove_file(&metrics_path);
+    assert!(out.rendered.contains("\"finished\": 2"), "{}", out.rendered);
+    let counter = |name: &str| counter_in(&metrics, name);
+    assert!(counter("faults.injected.bitflips") > 0, "plan never fired");
+    assert!(counter("mds.ckpt.checkpoints") > 0);
+    assert!(
+        counter("mds.ckpt.journal_damage") > 0,
+        "the damaged passes are counted"
+    );
 }

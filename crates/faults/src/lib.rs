@@ -21,7 +21,7 @@
 //!   CRC-detectable bit flips in journal stripe writes.
 //! * [`RetryPolicy`] — bounded retries with exponential backoff *in
 //!   virtual time*, used by `journal::store_io` and `mds::persist` to
-//!   absorb transient faults.
+//!   absorb transient faults ([`with_retry`] where nobody bills the backoff).
 //!
 //! Fault taxonomy and what recovers from each:
 //!
@@ -366,6 +366,16 @@ impl RetryPolicy {
             }
         }
     }
+}
+
+/// Retries `f` on transient object-store errors with the default policy,
+/// discarding the retry and backoff accounting — for callers with no
+/// virtual clock to charge (journal readers, the image flush and load, the
+/// checkpoint compactor). A flaky OSD must not look like a damaged object;
+/// non-transient errors (fencing above all) pass through.
+pub fn with_retry<T>(f: impl FnMut() -> Result<T>) -> Result<T> {
+    let (mut retries, mut backoff) = (0, Nanos::ZERO);
+    RetryPolicy::default().run(&mut retries, &mut backoff, f)
 }
 
 /// `u64::saturating_shl` is unstable; a `u64` shifted past 63 saturates.

@@ -7,7 +7,7 @@
 //! where multiple journal updates can reside on the same object."
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use cudele_faults::RetryPolicy;
+use cudele_faults::{with_retry, RetryPolicy};
 use cudele_obs::timeline::Series;
 use cudele_obs::{Counter, Registry, TraceSink};
 use cudele_rados::{ObjectId, ObjectStore, PoolId, RadosError};
@@ -15,15 +15,6 @@ use cudele_sim::Nanos;
 
 use crate::codec::{self, CodecError};
 use crate::event::JournalEvent;
-
-/// Retries `f` on transient object-store errors with the default policy,
-/// discarding the backoff accounting. Free functions use this: they have no
-/// virtual-clock context to charge, while [`JournalWriter`] accounts its
-/// own retries and backoff for callers that do.
-fn with_retry<T>(f: impl FnMut() -> cudele_rados::Result<T>) -> cudele_rados::Result<T> {
-    let (mut retries, mut backoff) = (0, Nanos::ZERO);
-    RetryPolicy::default().run(&mut retries, &mut backoff, f)
-}
 
 /// Default stripe capacity in bytes — 4 MiB, the RADOS default object size.
 pub const DEFAULT_STRIPE_BYTES: usize = 4 << 20;
@@ -49,7 +40,15 @@ impl std::fmt::Display for JournalIoError {
     }
 }
 
-impl std::error::Error for JournalIoError {}
+impl std::error::Error for JournalIoError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            JournalIoError::Rados(e) => Some(e),
+            JournalIoError::Codec(e) => Some(e),
+            JournalIoError::BadHeader => None,
+        }
+    }
+}
 
 impl From<RadosError> for JournalIoError {
     fn from(e: RadosError) -> Self {
@@ -94,7 +93,7 @@ impl JournalId {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Header {
     stripes: u64,
     /// Events logically erased from the front (journal trimming).
@@ -109,15 +108,24 @@ fn encode_header(h: Header) -> Bytes {
     b.freeze()
 }
 
-fn decode_header(data: &[u8]) -> Result<Header, JournalIoError> {
+/// Reads `id`'s header object; `None` when the journal does not exist.
+fn read_header<S: ObjectStore + ?Sized>(
+    store: &S,
+    id: JournalId,
+) -> Result<Option<Header>, JournalIoError> {
+    let data = match with_retry(|| store.read(&id.header_object())) {
+        Ok(data) => data,
+        Err(RadosError::NoEnt(_)) => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
     if data.len() != 24 || &data[..8] != b"CUDELEH1" {
         return Err(JournalIoError::BadHeader);
     }
     let mut rest = &data[8..];
-    Ok(Header {
+    Ok(Some(Header {
         stripes: rest.get_u64_le(),
         trimmed_events: rest.get_u64_le(),
-    })
+    }))
 }
 
 /// Observability handles for journal writes. Attach one to a
@@ -204,14 +212,7 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
         stripe_bytes: usize,
     ) -> Result<Self, JournalIoError> {
         assert!(stripe_bytes > 0);
-        let header = match with_retry(|| store.read(&id.header_object())) {
-            Ok(data) => decode_header(&data)?,
-            Err(RadosError::NoEnt(_)) => Header {
-                stripes: 0,
-                trimmed_events: 0,
-            },
-            Err(e) => return Err(e.into()),
-        };
+        let header = read_header(store, id)?.unwrap_or_default();
         let current_stripe_len = if header.stripes == 0 {
             0
         } else {
@@ -419,63 +420,6 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
     }
 }
 
-/// Reads a whole journal back from its stripes. Any damage (torn frame,
-/// CRC failure) is a hard error; use [`scan_journal`] for the lenient read
-/// that recovery builds on.
-pub fn read_journal<S: ObjectStore + ?Sized>(
-    store: &S,
-    id: JournalId,
-) -> Result<Vec<JournalEvent>, JournalIoError> {
-    let header = match with_retry(|| store.read(&id.header_object())) {
-        Ok(data) => decode_header(&data)?,
-        Err(RadosError::NoEnt(_)) => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    // Decode each stripe directly into one shared event vector — the
-    // journal is never concatenated into a single blob, so peak memory is
-    // one stripe plus the decoded events.
-    let mut events = Vec::new();
-    for seq in 0..header.stripes {
-        let stripe = id.stripe_object(seq);
-        match with_retry(|| store.read(&stripe)) {
-            Ok(data) => {
-                if let Some(d) = codec::decode_frames_lossy_into(&data, &mut events) {
-                    return Err(d.error.into());
-                }
-            }
-            // A stripe fully trimmed away is fine.
-            Err(RadosError::NoEnt(_)) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    // Drop events the trimmer already logically erased.
-    let skip = header.trimmed_events.min(events.len() as u64) as usize;
-    if skip > 0 {
-        events.drain(..skip);
-    }
-    Ok(events)
-}
-
-/// Reads only the journal tail past `skip` events, counted in the same
-/// logical coordinates as [`read_journal`] (after the trimmed prefix is
-/// dropped). Checkpoint manifests record a high-water mark in these
-/// coordinates so recovery replays only the uncovered suffix; a `skip`
-/// beyond the journal's length yields an empty tail. Damage anywhere in
-/// the journal is still a hard error — a caller that wants the lenient
-/// read heals first and re-reads.
-pub fn read_journal_tail<S: ObjectStore + ?Sized>(
-    store: &S,
-    id: JournalId,
-    skip: u64,
-) -> Result<Vec<JournalEvent>, JournalIoError> {
-    let mut events = read_journal(store, id)?;
-    let skip = skip.min(events.len() as u64) as usize;
-    if skip > 0 {
-        events.drain(..skip);
-    }
-    Ok(events)
-}
-
 /// Where a stored journal first fails to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalDamage {
@@ -508,6 +452,45 @@ pub struct JournalScan {
     pub damage: Option<JournalDamage>,
 }
 
+/// The one stripe walker every journal read goes through: header, then each
+/// stripe decoded straight into one event vector (the journal is never
+/// concatenated into a single blob, so peak memory is one stripe plus the
+/// decoded events), stopping at the first damaged frame. Beside the scan it
+/// returns what a heal needs: the header as read (zero stripes when there
+/// is none) and, when damaged, the damaged stripe's bytes.
+fn walk_stripes<S: ObjectStore + ?Sized>(
+    store: &S,
+    id: JournalId,
+) -> Result<(JournalScan, Header, Option<Bytes>), JournalIoError> {
+    let mut scan = JournalScan {
+        events: Vec::new(),
+        damage: None,
+    };
+    let header = read_header(store, id)?.unwrap_or_default();
+    let mut damaged = None;
+    for seq in 0..header.stripes {
+        let stripe = id.stripe_object(seq);
+        let data = match with_retry(|| store.read(&stripe)) {
+            Ok(data) => data,
+            Err(RadosError::NoEnt(_)) => continue, // fully trimmed away
+            Err(e) => return Err(e.into()),
+        };
+        if let Some(d) = codec::decode_frames_lossy_into(&data, &mut scan.events) {
+            scan.damage = Some(JournalDamage {
+                stripe: seq,
+                offset: d.offset,
+                error: d.error,
+            });
+            damaged = Some(data);
+            break;
+        }
+    }
+    // Drop events the trimmer already logically erased.
+    let skip = header.trimmed_events.min(scan.events.len() as u64) as usize;
+    scan.events.drain(..skip);
+    Ok((scan, header, damaged))
+}
+
 /// Reads a journal leniently: decoding stops at the first damaged frame
 /// (torn write, bit flip) and everything before it is returned alongside
 /// the damage location. Stripes after a damaged one are not decoded — a
@@ -517,39 +500,93 @@ pub fn scan_journal<S: ObjectStore + ?Sized>(
     store: &S,
     id: JournalId,
 ) -> Result<JournalScan, JournalIoError> {
-    let header = match with_retry(|| store.read(&id.header_object())) {
-        Ok(data) => decode_header(&data)?,
-        Err(RadosError::NoEnt(_)) => {
-            return Ok(JournalScan {
-                events: Vec::new(),
-                damage: None,
-            })
+    walk_stripes(store, id).map(|(scan, ..)| scan)
+}
+
+/// Reads a whole journal back from its stripes: the strict view of
+/// [`scan_journal`], where any damage (torn frame, CRC failure) is a hard
+/// error. Recovery builds on [`recover_journal`] instead.
+pub fn read_journal<S: ObjectStore + ?Sized>(
+    store: &S,
+    id: JournalId,
+) -> Result<Vec<JournalEvent>, JournalIoError> {
+    let scan = scan_journal(store, id)?;
+    match scan.damage {
+        Some(damage) => Err(damage.error.into()),
+        None => Ok(scan.events),
+    }
+}
+
+/// Reads only the journal tail past `skip` events, counted in the same
+/// logical coordinates as [`read_journal`] (after the trimmed prefix is
+/// dropped). Checkpoint manifests record a high-water mark in these
+/// coordinates; a `skip` beyond the journal's length yields an empty tail.
+/// Damage anywhere in the journal is still a hard error.
+pub fn read_journal_tail<S: ObjectStore + ?Sized>(
+    store: &S,
+    id: JournalId,
+    skip: u64,
+) -> Result<Vec<JournalEvent>, JournalIoError> {
+    let mut events = read_journal(store, id)?;
+    let skip = skip.min(events.len() as u64) as usize;
+    events.drain(..skip);
+    Ok(events)
+}
+
+/// The recovery read: one lenient scan through `read` and, when the journal
+/// is damaged (torn stripe write, bit flip caught by a frame CRC), the
+/// corrupt region erased *through `heal`* — the caller's write handle, so a
+/// fenced recovery cannot touch the journal. Returns the surviving events
+/// and whether that heal ran. This is the `cephfs-journal-tool` disaster
+/// recovery step, and the only place a journal is read for replay.
+///
+/// The heal cuts in place, in an order that leaves every intermediate
+/// state scanning to the same prefix — a healer that dies, or whose store
+/// fails past the retry budget, has lost nothing that was readable:
+///
+/// 1. the header is rewritten with `stripes = damaged + 1`, trim count
+///    kept (the scan never looked past the damaged stripe anyway);
+/// 2. the stripe objects past the cut are removed, last one first, so what
+///    is left of them is always a contiguous run a re-run finds by probing;
+/// 3. only then is the damaged stripe written back (`write_full`, atomic
+///    per object) cut to the damage offset.
+///
+/// The damaged frame, removed last, is the heal's own commit record: while
+/// it is there the next recovery re-runs the (idempotent) heal, so no
+/// writer can open the journal while a stale stripe lies past the cut — a
+/// writer that rolls onto a new stripe `append`s to whatever object already
+/// has that name. Step 2 runs on a clean journal too, for the same reason:
+/// a writer that died between a new stripe's first append and the header
+/// write left such an object behind, holding frames nobody acknowledged.
+pub fn recover_journal(
+    read: &(impl ObjectStore + ?Sized),
+    heal: &(impl ObjectStore + ?Sized),
+    id: JournalId,
+) -> Result<(Vec<JournalEvent>, bool), JournalIoError> {
+    let (scan, header, damaged) = walk_stripes(read, id)?;
+    let keep = match &scan.damage {
+        Some(damage) => {
+            let cut = Header {
+                stripes: damage.stripe + 1,
+                ..header
+            };
+            with_retry(|| heal.write_full(&id.header_object(), &encode_header(cut)))?;
+            cut.stripes
         }
-        Err(e) => return Err(e.into()),
+        None => header.stripes,
     };
-    let mut events = Vec::new();
-    let mut damage = None;
-    for seq in 0..header.stripes {
-        let stripe = id.stripe_object(seq);
-        let data = match with_retry(|| store.read(&stripe)) {
-            Ok(data) => data,
-            Err(RadosError::NoEnt(_)) => continue, // fully trimmed away
-            Err(e) => return Err(e.into()),
-        };
-        if let Some(d) = codec::decode_frames_lossy_into(&data, &mut events) {
-            damage = Some(JournalDamage {
-                stripe: seq,
-                offset: d.offset,
-                error: d.error,
-            });
-            break;
-        }
+    let mut end = keep;
+    while read.exists(&id.stripe_object(end)) {
+        end += 1;
     }
-    let skip = header.trimmed_events.min(events.len() as u64) as usize;
-    if skip > 0 {
-        events.drain(..skip);
+    for seq in (keep..end).rev() {
+        remove_object(heal, &id.stripe_object(seq))?;
     }
-    Ok(JournalScan { events, damage })
+    if let (Some(damage), Some(data)) = (&scan.damage, damaged) {
+        let stripe = id.stripe_object(damage.stripe);
+        with_retry(|| heal.write_full(&stripe, &data[..damage.offset]))?;
+    }
+    Ok((scan.events, scan.damage.is_some()))
 }
 
 /// Whether any journal state exists for `id`.
@@ -562,18 +599,18 @@ pub fn delete_journal<S: ObjectStore + ?Sized>(
     store: &S,
     id: JournalId,
 ) -> Result<(), JournalIoError> {
-    let header = match with_retry(|| store.read(&id.header_object())) {
-        Ok(data) => decode_header(&data)?,
-        Err(RadosError::NoEnt(_)) => return Ok(()),
-        Err(e) => return Err(e.into()),
+    let Some(header) = read_header(store, id)? else {
+        return Ok(());
     };
     for seq in 0..header.stripes {
-        match with_retry(|| store.remove(&id.stripe_object(seq))) {
-            Ok(()) | Err(RadosError::NoEnt(_)) => {}
-            Err(e) => return Err(e.into()),
-        }
+        remove_object(store, &id.stripe_object(seq))?;
     }
-    match with_retry(|| store.remove(&id.header_object())) {
+    remove_object(store, &id.header_object())
+}
+
+/// Removes one object, retrying transients; already gone is fine.
+fn remove_object<S: ObjectStore + ?Sized>(store: &S, id: &ObjectId) -> Result<(), JournalIoError> {
+    match with_retry(|| store.remove(id)) {
         Ok(()) | Err(RadosError::NoEnt(_)) => Ok(()),
         Err(e) => Err(e.into()),
     }
@@ -600,10 +637,8 @@ pub fn trim_journal<S: ObjectStore + ?Sized>(
     id: JournalId,
     n: u64,
 ) -> Result<(), JournalIoError> {
-    let mut header = match with_retry(|| store.read(&id.header_object())) {
-        Ok(data) => decode_header(&data)?,
-        Err(RadosError::NoEnt(_)) => return Ok(()),
-        Err(e) => return Err(e.into()),
+    let Some(mut header) = read_header(store, id)? else {
+        return Ok(());
     };
     header.trimmed_events += n;
     with_retry(|| store.write_full(&id.header_object(), &encode_header(header)))?;
@@ -775,6 +810,30 @@ mod tests {
         assert_eq!(damage.stripe, 0);
         assert_eq!(damage.offset, frame_offset);
         assert!(matches!(damage.error, CodecError::BadCrc { .. }));
+    }
+
+    #[test]
+    fn recovery_removes_a_stripe_a_dead_writer_left_past_the_header() {
+        let store = InMemoryStore::paper_default();
+        let events: Vec<_> = (0..6).map(create).collect();
+        let mut w = JournalWriter::open_with_stripe(&store, jid(), 4096).unwrap();
+        w.append(&events).unwrap();
+        // A writer that rolled onto stripe 1 and died before its header
+        // write: frames nobody acknowledged, in an object the header does
+        // not count.
+        let stale = codec::encode_journal(&[create(99)]);
+        store
+            .append(&jid().stripe_object(1), &stale[codec::MAGIC.len()..])
+            .unwrap();
+        let (recovered, healed) = recover_journal(&store, &store, jid()).unwrap();
+        assert_eq!((recovered, healed), (events.clone(), false));
+        assert!(!store.exists(&jid().stripe_object(1)));
+        // The next writer to roll onto that name starts it empty.
+        let mut w = JournalWriter::open_with_stripe(&store, jid(), 100).unwrap();
+        w.append(&[create(7)]).unwrap();
+        assert_eq!(w.stripes(), 2);
+        let all = [events.as_slice(), &[create(7)]].concat();
+        assert_eq!(read_journal(&store, jid()).unwrap(), all);
     }
 
     #[test]

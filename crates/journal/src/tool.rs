@@ -84,17 +84,12 @@ impl<'a, S: ObjectStore + ?Sized> JournalTool<'a, S> {
         })
     }
 
-    /// Repairs a damaged journal in place: decodes the longest valid event
-    /// prefix, erases the corrupt region by rewriting the journal as
-    /// exactly that prefix, and returns the surviving events. A clean
-    /// journal is returned unchanged (no rewrite). This is the recovery
-    /// path the MDS takes when replay hits a torn write or bit flip.
+    /// Repairs a damaged journal in place ([`store_io::recover_journal`]
+    /// with one handle for both sides): keeps the longest valid event
+    /// prefix, cuts the corrupt region away, and returns the surviving
+    /// events. A clean journal is returned unchanged (no write).
     pub fn recover(&self) -> Result<Vec<JournalEvent>, JournalIoError> {
-        let scan = store_io::scan_journal(self.store, self.id)?;
-        if scan.damage.is_some() {
-            store_io::rewrite_journal(self.store, self.id, &scan.events)?;
-        }
-        Ok(scan.events)
+        store_io::recover_journal(self.store, self.store, self.id).map(|(events, _)| events)
     }
 
     /// Erases events `[from, to)` by index (the tool's `event splice`),

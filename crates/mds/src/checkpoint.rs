@@ -25,17 +25,17 @@
 //!   zombie can never publish a manifest (the fence rejects the write) and
 //!   a raced CAS dies on the version guard.
 //!
-//! Recovery loads the newest readable manifest, materializes image +
-//! deltas from empty, and replays only the journal tail past
-//! `journal_highwater_seq` — cost flat in workload length. Damage to a
-//! delta, image, or manifest object falls back one manifest epoch at a
-//! time (a longer tail replay, never data loss: the journal is not trimmed
+//! Recovery (`load_covered`) loads the newest readable manifest and
+//! materializes image + deltas from empty; the caller replays only the
+//! journal tail past `journal_highwater_seq` — cost flat in workload length.
+//! Damage to a delta, image, or manifest object drops one manifest epoch at
+//! a time (a longer tail replay, never data loss: the journal is not trimmed
 //! under checkpointing, so the full log remains the source of truth), and
-//! the bottom of the ladder is the pre-existing full-replay path.
+//! below the last rung is the full replay every namespace starts from.
 
+use cudele_faults::with_retry;
 use cudele_journal::{
-    crc32, decode_journal, encode_journal, read_journal, read_journal_tail, InodeId, JournalEvent,
-    JournalId, JournalIoError, JournalTool,
+    crc32, decode_journal, encode_journal, scan_journal, JournalEvent, JournalId, JournalIoError,
 };
 use cudele_obs::timeline::{Series, Timeline};
 use cudele_obs::{Counter, Registry, SpanName};
@@ -43,7 +43,7 @@ use cudele_rados::{ObjectId, ObjectStore, RadosError};
 use cudele_sim::{CostModel, Nanos};
 
 use crate::compact::emit_canonical;
-use crate::persist::with_retry;
+use crate::persist::remove_stale;
 use crate::store::MetadataStore;
 
 /// Checkpoint tunables.
@@ -88,7 +88,27 @@ impl std::fmt::Display for CheckpointError {
     }
 }
 
-impl std::error::Error for CheckpointError {}
+impl std::error::Error for CheckpointError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CheckpointError::Rados(e) => Some(e),
+            CheckpointError::Journal(e) => Some(e),
+            CheckpointError::Corrupt(_) => None,
+        }
+    }
+}
+
+impl CheckpointError {
+    /// Whether a checkpoint object is unreadable — it does not decode or is
+    /// not there — as opposed to the store failing: damage costs a rung (or
+    /// a rebuild from the journal), a store failure is the caller's error.
+    fn is_damage(&self) -> bool {
+        matches!(
+            self,
+            CheckpointError::Corrupt(_) | CheckpointError::Rados(RadosError::NoEnt(_))
+        )
+    }
+}
 
 impl From<RadosError> for CheckpointError {
     fn from(e: RadosError) -> Self {
@@ -119,8 +139,9 @@ pub struct Manifest {
     /// L0 delta object names, oldest first. Replayed in order on top of
     /// the image they rebuild the covered namespace.
     pub delta_refs: Vec<String>,
-    /// Journal events (in [`read_journal`] coordinates) covered by image +
-    /// deltas; recovery replays only the tail past this mark.
+    /// Journal events (in [`cudele_journal::read_journal`] coordinates)
+    /// covered by image + deltas; recovery replays only the tail past this
+    /// mark.
     pub journal_highwater_seq: u64,
     /// Max inode-allocator watermark over every covered event. The fold
     /// into a canonical image drops `AllocRange` grants and unlinked
@@ -244,15 +265,6 @@ fn delta_object(id: JournalId, epoch: u64) -> ObjectId {
     ObjectId::new(id.pool, format!("ckpt.{:x}.delta.{epoch:08x}", id.ino))
 }
 
-/// Reads and decodes one materialized event object (image or delta).
-fn read_events_object(
-    os: &dyn ObjectStore,
-    id: &ObjectId,
-) -> Result<Vec<JournalEvent>, CheckpointError> {
-    let data = with_retry(|| os.read(id))?;
-    decode_journal(&data).map_err(|e| CheckpointError::Corrupt(format!("{}: {e}", id.name)))
-}
-
 /// Metric handles, published under `mds.ckpt.*`.
 struct CkptObs {
     reg: std::sync::Arc<Registry>,
@@ -307,14 +319,12 @@ pub struct CheckpointManager {
 
 impl CheckpointManager {
     /// A manager for `id`'s checkpoints, resuming from the stored manifest
-    /// HEAD (so re-enabling checkpoints on an existing namespace continues
-    /// the epoch sequence instead of restarting it). Only a HEAD that does
-    /// not exist means a fresh namespace. A HEAD that exists but does not
-    /// decode resumes from the newest readable per-epoch copy — the rung
-    /// [`recover`] drops to — at the HEAD's version, so the next publish
-    /// still wins its CAS; when no copy decodes either it resumes from the
-    /// empty manifest (checkpointing never trims the journal, so the next
-    /// checkpoint covers it from the start). Any other store failure is
+    /// (`load_head`: the HEAD, else the newest readable per-epoch copy at
+    /// the HEAD's version, so the next publish still wins its CAS) so that
+    /// re-enabling checkpoints on an existing namespace continues the epoch
+    /// sequence instead of restarting it. When nothing decodes it resumes
+    /// from the empty manifest (checkpointing never trims the journal, so
+    /// the next checkpoint covers it from the start). A store failure is
     /// returned: starting over at epoch 0 on top of published checkpoints
     /// would overwrite the immutable per-epoch objects and then lose every
     /// CAS.
@@ -323,23 +333,11 @@ impl CheckpointManager {
         id: JournalId,
         config: CheckpointConfig,
     ) -> Result<CheckpointManager, CheckpointError> {
-        let head = head_object(id);
-        let (manifest, head_version) = match with_retry(|| os.stat(&head)) {
-            Err(RadosError::NoEnt(_)) => (Manifest::empty(), 0),
-            Err(e) => return Err(e.into()),
-            Ok(stat) => {
-                let data = with_retry(|| os.read(&head))?;
-                let manifest = Manifest::decode(&data)
-                    .ok()
-                    .or_else(|| newest_readable_manifest(os, id, u64::MAX))
-                    .unwrap_or_else(Manifest::empty);
-                (manifest, stat.version)
-            }
-        };
+        let (manifest, head_version, _) = load_head(os, id)?;
         Ok(CheckpointManager {
             config,
             id,
-            manifest,
+            manifest: manifest.unwrap_or_else(Manifest::empty),
             head_version,
             flush_mark: 0,
             obs: None,
@@ -394,19 +392,32 @@ impl CheckpointManager {
     /// the current high-water mark becomes an L0 delta (or triggers an L1
     /// fold), and a new manifest is published through a version CAS on the
     /// HEAD pointer. No-op when nothing new has been flushed.
+    ///
+    /// The journal is read leniently: a frame that reached the store damaged
+    /// (a silent bit flip) must not fail the foreground op this pass rides
+    /// on — checkpoints are an optimisation. The pass covers the clean
+    /// prefix, exactly what recovery would keep, and later passes find an
+    /// empty tail until a recovery has healed the journal. Store failures
+    /// (an outage, a fence) still propagate.
     pub fn checkpoint(
         &mut self,
         os: &dyn ObjectStore,
         now: Nanos,
         cost: &CostModel,
     ) -> Result<bool, CheckpointError> {
+        let scan = scan_journal(os, self.id)?;
+        if let (Some(damage), Some(o)) = (&scan.damage, &self.obs) {
+            o.reg.counter("mds.ckpt.journal_damage").inc();
+            o.tl.annotate("mds.ckpt.journal_damage", now, &damage.to_string());
+        }
+        let journal = scan.events;
         let hw = self.manifest.journal_highwater_seq;
-        let tail = read_journal_tail(os, self.id, hw)?;
-        if tail.is_empty() {
+        let new_hw = journal.len() as u64;
+        if new_hw <= hw {
             return Ok(false);
         }
+        let tail = &journal[hw as usize..];
         let next = self.manifest.epoch + 1;
-        let new_hw = hw + tail.len() as u64;
         let alloc_watermark = tail
             .iter()
             .filter_map(JournalEvent::alloc_watermark)
@@ -424,7 +435,7 @@ impl CheckpointManager {
         let mut applied = tail.len() as u64;
         if self.manifest.delta_refs.len() >= self.config.max_deltas {
             // Fold image + deltas + tail into a fresh canonical image.
-            let folded = self.fold(os, &tail, new_hw)?;
+            let folded = self.fold(os, &journal)?;
             applied += folded.len() as u64;
             let image = image_object(self.id, next);
             let body = encode_journal(&folded);
@@ -436,7 +447,7 @@ impl CheckpointManager {
             m.delta_refs.clear();
         } else {
             let delta = delta_object(self.id, next);
-            let body = encode_journal(&tail);
+            let body = encode_journal(tail);
             with_retry(|| os.write_full(&delta, &body))?;
             m.delta_refs.push(delta.name.clone());
         }
@@ -472,162 +483,106 @@ impl CheckpointManager {
         Ok(true)
     }
 
-    /// Materializes the canonical event sequence covering the journal
-    /// prefix `[0, new_hw)`: image + deltas + tail replayed from empty,
-    /// then re-emitted in canonical order. If an image or delta object is
-    /// unreadable, the fold self-heals by rebuilding from the full journal
-    /// (which checkpointing never trims).
+    /// Materializes the canonical event sequence covering `journal` (the
+    /// clean prefix just read): the current manifest's image + deltas, then
+    /// the tail past its high-water mark, replayed from empty and re-emitted
+    /// in canonical order. If an image or delta object is unreadable, the
+    /// fold self-heals by replaying `journal` whole (checkpointing never
+    /// trims it).
     fn fold(
         &self,
         os: &dyn ObjectStore,
-        tail: &[JournalEvent],
-        new_hw: u64,
+        journal: &[JournalEvent],
     ) -> Result<Vec<JournalEvent>, CheckpointError> {
-        let tiered = (|| -> Result<Vec<JournalEvent>, CheckpointError> {
-            let mut events = Vec::new();
-            if let Some(name) = &self.manifest.image_ref {
-                events.extend(read_events_object(
-                    os,
-                    &ObjectId::new(self.id.pool, name.clone()),
-                )?);
-            }
-            for name in &self.manifest.delta_refs {
-                events.extend(read_events_object(
-                    os,
-                    &ObjectId::new(self.id.pool, name.clone()),
-                )?);
-            }
-            events.extend_from_slice(tail);
-            Ok(events)
-        })();
-        let events = match tiered {
-            Ok(events) => events,
-            Err(CheckpointError::Corrupt(_))
-            | Err(CheckpointError::Rados(RadosError::NoEnt(_))) => {
-                let mut all = read_journal(os, self.id)?;
-                all.truncate(new_hw as usize);
-                all
-            }
+        let (mut store, rest) = match materialize(os, self.id, &self.manifest) {
+            Ok((store, _)) => (
+                store,
+                &journal[self.manifest.journal_highwater_seq as usize..],
+            ),
+            Err(e) if e.is_damage() => (MetadataStore::new(), journal),
             Err(e) => return Err(e),
         };
-        let mut store = MetadataStore::new();
-        store.apply_blind_all(&events);
+        store.apply_blind_all(rest);
         Ok(emit_canonical(&store))
     }
 }
 
-/// What a manifest-based recovery produced.
-pub struct RecoveredCheckpoint {
-    /// The namespace: image + deltas + journal tail, blind-replayed.
-    pub store: MetadataStore,
-    /// The journal tail past the manifest's high-water mark (already
-    /// applied to `store`; callers fold it into the allocator rebuild).
-    pub tail: Vec<JournalEvent>,
-    /// The manifest actually used — the HEAD, or a fallback epoch if
-    /// newer checkpoint objects were damaged.
-    pub manifest: Manifest,
-    /// Object version of the HEAD pointer (CAS expectation for the next
-    /// publish).
-    pub head_version: u64,
-    /// Events materialized from the image + deltas (the checkpointed
-    /// part of the replay; proportional to namespace size, not workload
-    /// length).
-    pub checkpoint_events: u64,
-    /// Manifest epochs skipped by the fallback ladder (0 = HEAD was
-    /// clean).
-    pub fallbacks: u64,
-    /// Whether the journal tail was damaged and lossily healed.
-    pub healed: bool,
-}
-
-impl RecoveredCheckpoint {
-    /// The allocator watermark recovery must advance to: the manifest's
-    /// covered-prefix fold (grants and unlinked inodes that survive in no
-    /// image) — callers still fold the tail and the final store on top.
-    pub fn alloc_floor(&self) -> InodeId {
-        InodeId(self.manifest.alloc_watermark)
-    }
-}
-
-/// Attempts manifest-based recovery for `id`'s namespace.
-///
-/// Returns `Ok(None)` when no checkpoint state exists (or none of it is
-/// readable) — the caller then runs its pre-existing full-replay path,
-/// which stays correct because checkpointing never trims the journal.
-/// Heals of a damaged journal tail are written through `heal`, the
-/// caller's (possibly fenced) handle, so a fenced recovery cannot rewrite
-/// the journal either.
-pub fn recover(
+/// Loads the manifest recovery and [`CheckpointManager::attach`] start from.
+/// Returns the HEAD's manifest, the HEAD's object version (the CAS
+/// expectation of the next publish) and the rungs skipped on the way. Only a
+/// HEAD that does not exist means a fresh namespace (`None` at version 0);
+/// one that exists and does not decode drops to the newest readable
+/// per-epoch copy (one rung skipped; `None` when no copy decodes either);
+/// any other store failure is returned.
+fn load_head(
     os: &dyn ObjectStore,
-    heal: &dyn ObjectStore,
     id: JournalId,
-) -> Result<Option<RecoveredCheckpoint>, CheckpointError> {
+) -> Result<(Option<Manifest>, u64, u64), CheckpointError> {
     let head = head_object(id);
-    let head_version = match with_retry(|| os.stat(&head)) {
-        Ok(s) => s.version,
-        Err(RadosError::NoEnt(_)) => return Ok(None),
+    let version = match with_retry(|| os.stat(&head)) {
+        Ok(stat) => stat.version,
+        Err(RadosError::NoEnt(_)) => return Ok((None, 0, 0)),
         Err(e) => return Err(e.into()),
     };
-    // Start the ladder at the HEAD manifest; a damaged HEAD drops to the
-    // newest readable per-epoch copy.
-    let mut fallbacks = 0u64;
-    let mut manifest = match with_retry(|| os.read(&head))
-        .ok()
-        .and_then(|d| Manifest::decode(&d).ok())
-    {
-        Some(m) => m,
-        None => {
-            fallbacks += 1;
-            match newest_readable_manifest(os, id, u64::MAX) {
-                Some(m) => m,
-                None => return Ok(None),
-            }
-        }
-    };
-    loop {
+    let data = with_retry(|| os.read(&head))?;
+    Ok(match Manifest::decode(&data) {
+        Ok(manifest) => (Some(manifest), version, 0),
+        Err(_) => (newest_readable_manifest(os, id, u64::MAX), version, 1),
+    })
+}
+
+/// The base a manifest rung gives recovery: the namespace covering the
+/// journal prefix below the manifest's high-water mark, the manifest that
+/// loaded (the HEAD's, or a fallback epoch's) and how many events its image
+/// and deltas materialized (proportional to namespace size, not workload
+/// length).
+pub(crate) type CoveredBase = (MetadataStore, Manifest, u64);
+
+/// Climbs down the manifest ladder for `id`'s namespace: the HEAD's
+/// manifest, then one readable per-epoch copy at a time, until one
+/// materializes. Returns that base (`None` when no rung held: recovery
+/// starts from the persisted image and replays the whole journal), the
+/// HEAD's object version (0 = no HEAD object) and the manifest epochs
+/// skipped (0 = the HEAD was clean).
+pub(crate) fn load_covered(
+    os: &dyn ObjectStore,
+    id: JournalId,
+) -> Result<(Option<CoveredBase>, u64, u64), CheckpointError> {
+    let (mut rung, head_version, mut fallbacks) = load_head(os, id)?;
+    while let Some(manifest) = rung {
         match materialize(os, id, &manifest) {
-            Ok((store, checkpoint_events)) => {
-                // Tail replay past the manifest's high-water mark. Damage
-                // in the tail falls back to the lossy journal-tool heal,
-                // exactly like the full-replay path.
-                let (tail, healed) = match read_journal_tail(os, id, manifest.journal_highwater_seq)
-                {
-                    Ok(tail) => (tail, false),
-                    Err(JournalIoError::Codec(_)) => {
-                        let mut events = JournalTool::new(heal, id)
-                            .recover()
-                            .map_err(|e| CheckpointError::Corrupt(format!("journal heal: {e}")))?;
-                        let skip = manifest.journal_highwater_seq.min(events.len() as u64) as usize;
-                        events.drain(..skip);
-                        (events, true)
-                    }
-                    Err(e) => return Err(e.into()),
-                };
-                let mut store = store;
-                store.apply_blind_all(&tail);
-                return Ok(Some(RecoveredCheckpoint {
-                    store,
-                    tail,
-                    manifest,
-                    head_version,
-                    checkpoint_events,
-                    fallbacks,
-                    healed,
-                }));
+            Ok((store, events)) => {
+                return Ok((Some((store, manifest, events)), head_version, fallbacks))
             }
-            Err(CheckpointError::Corrupt(_))
-            | Err(CheckpointError::Rados(RadosError::NoEnt(_))) => {
-                // A damaged image or delta: drop one manifest epoch and
-                // replay a longer tail instead.
-                fallbacks += 1;
-                match newest_readable_manifest(os, id, manifest.epoch) {
-                    Some(m) => manifest = m,
-                    None => return Ok(None),
-                }
-            }
+            // A damaged image or delta: drop one manifest epoch and
+            // replay a longer tail instead.
+            Err(e) if e.is_damage() => {}
             Err(e) => return Err(e),
         }
+        fallbacks += 1;
+        rung = newest_readable_manifest(os, id, manifest.epoch);
     }
+    Ok((None, head_version, fallbacks))
+}
+
+/// Removes every manifest object of `id` — per-epoch copies first, the HEAD
+/// last, so a purge that dies is found again — *through `write`*. For a
+/// lineage the journal no longer reaches: a manifest whose high-water mark
+/// lies past the journal's clean prefix describes events the journal has
+/// lost (at-rest damage inside the covered prefix, cut away by the heal).
+/// Resuming from it would put the next appends at coordinates it calls
+/// covered, and skipping it is not enough — once the journal has regrown
+/// past the mark it would load again, over different events.
+pub(crate) fn purge_manifests(
+    read: &dyn ObjectStore,
+    write: &dyn ObjectStore,
+    id: JournalId,
+) -> Result<(), CheckpointError> {
+    let manifests = read.list(id.pool, &head_object(id).name);
+    for object in manifests.iter().rev() {
+        remove_stale(write, object)?;
+    }
+    Ok(())
 }
 
 /// Replays `manifest`'s image + deltas from an empty namespace. Returns
@@ -640,7 +595,9 @@ fn materialize(
     let mut store = MetadataStore::new();
     let mut applied = 0u64;
     for name in manifest.image_ref.iter().chain(&manifest.delta_refs) {
-        let events = read_events_object(os, &ObjectId::new(id.pool, name.clone()))?;
+        let data = with_retry(|| os.read(&ObjectId::new(id.pool, name.clone())))?;
+        let events =
+            decode_journal(&data).map_err(|e| CheckpointError::Corrupt(format!("{name}: {e}")))?;
         store.apply_blind_all(&events);
         applied += events.len() as u64;
     }
@@ -668,7 +625,8 @@ fn newest_readable_manifest(os: &dyn ObjectStore, id: JournalId, below: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cudele_journal::{Attrs, JournalWriter};
+    use crate::server::{recover_namespace, RecoveredNamespace};
+    use cudele_journal::{read_journal, Attrs, InodeId, JournalWriter};
     use cudele_rados::{InMemoryStore, PoolId};
 
     fn jid() -> JournalId {
@@ -687,6 +645,11 @@ mod tests {
     fn append(os: &InMemoryStore, events: &[JournalEvent]) {
         let mut w = JournalWriter::open(os, jid()).unwrap();
         w.append(events).unwrap();
+    }
+
+    /// Recovery as the server runs it, reading and healing through `os`.
+    fn recover(os: &InMemoryStore) -> RecoveredNamespace {
+        recover_namespace(os, os, PoolId::METADATA, jid()).unwrap()
     }
 
     fn full_replay(os: &InMemoryStore) -> MetadataStore {
@@ -753,12 +716,15 @@ mod tests {
         // A few more flushed events left as uncovered tail.
         append(&os, &[create(100), create(101)]);
 
-        let rec = recover(&os, &os, jid()).unwrap().expect("manifest exists");
+        let rec = recover(&os);
         assert_eq!(rec.store.snapshot(), full_replay(&os).snapshot());
-        assert_eq!(rec.tail.len(), 2, "only the uncovered tail is replayed");
+        assert_eq!(
+            rec.replayed_events, 2,
+            "only the uncovered tail is replayed"
+        );
         assert_eq!(rec.fallbacks, 0);
         assert!(!rec.healed);
-        assert_eq!(rec.manifest.epoch, 6);
+        assert_eq!(rec.manifest.expect("manifest exists").epoch, 6);
     }
 
     #[test]
@@ -785,12 +751,12 @@ mod tests {
         data[mid] ^= 0x01;
         os.write_full(&newest, &data).unwrap();
 
-        let rec = recover(&os, &os, jid()).unwrap().expect("manifest exists");
+        let rec = recover(&os);
         // Fallback to epoch 2's manifest, with the last window replayed
         // from the (untrimmed) journal instead — zero loss.
-        assert_eq!(rec.manifest.epoch, 2);
+        assert_eq!(rec.manifest.expect("manifest exists").epoch, 2);
         assert_eq!(rec.fallbacks, 1);
-        assert_eq!(rec.tail.len(), 2);
+        assert_eq!(rec.replayed_events, 2);
         assert_eq!(rec.store.snapshot(), full_replay(&os).snapshot());
     }
 
@@ -810,8 +776,8 @@ mod tests {
         append(&os, &[create(0), create(1)]);
         mgr.checkpoint(&os, Nanos::ZERO, &cost).unwrap();
         os.write_full(&head_object(jid()), b"garbage").unwrap();
-        let rec = recover(&os, &os, jid()).unwrap().expect("ladder holds");
-        assert_eq!(rec.manifest.epoch, 1);
+        let rec = recover(&os);
+        assert_eq!(rec.manifest.expect("ladder holds").epoch, 1);
         assert_eq!(rec.fallbacks, 1);
         assert_eq!(rec.store.snapshot(), full_replay(&os).snapshot());
     }
@@ -834,10 +800,17 @@ mod tests {
         os.write_full(&head_object(jid()), b"garbage").unwrap();
         os.write_full(&manifest_object(jid(), 1), b"garbage")
             .unwrap();
-        assert!(recover(&os, &os, jid()).unwrap().is_none());
-        // No manifest state at all: also None.
+        // No rung holds: full replay, and the skipped rungs are reported.
+        let rec = recover(&os);
+        assert!(rec.manifest.is_none());
+        assert!(rec.fallbacks >= 1, "the bottomed-out ladder skipped rungs");
+        assert_eq!(rec.replayed_events, 1);
+        assert_eq!(rec.store.snapshot(), full_replay(&os).snapshot());
+        // No manifest state at all: also full replay, nothing skipped.
         let fresh = InMemoryStore::paper_default();
-        assert!(recover(&fresh, &fresh, jid()).unwrap().is_none());
+        let rec = recover(&fresh);
+        assert!(rec.manifest.is_none());
+        assert_eq!((rec.fallbacks, rec.head_version), (0, 0));
     }
 
     #[test]
@@ -910,7 +883,6 @@ mod tests {
         append(&os, &[create(50)]);
         mgr.checkpoint(&os, Nanos::ZERO, &cost).unwrap();
         assert!(mgr.manifest().image_ref.is_some());
-        let rec = recover(&os, &os, jid()).unwrap().unwrap();
-        assert!(rec.alloc_floor() >= InodeId(0x9000 + 16));
+        assert!(recover(&os).alloc.watermark() >= InodeId(0x9000 + 16));
     }
 }

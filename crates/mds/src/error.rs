@@ -2,6 +2,7 @@
 //! the filesystem boundary.
 
 use cudele_journal::InodeId;
+use cudele_rados::RadosError;
 
 /// Errors returned by the metadata store and server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,6 +121,31 @@ impl std::fmt::Display for MdsError {
 
 impl std::error::Error for MdsError {}
 
+impl MdsError {
+    /// Classifies a store failure under `what` — the one place in this
+    /// crate where an object-store, journal, checkpoint or image error
+    /// becomes an [`MdsError`]. A fenced write anywhere in the error's
+    /// `source` chain stays [`MdsError::Fenced`]: the one survivable case,
+    /// the zombie (or a takeover superseded mid-recovery) keeps running with
+    /// an error and its write simply died at the store. Everything else is
+    /// [`MdsError::Io`] — never ENOENT, which the history checkers read as an
+    /// observation of absence.
+    pub(crate) fn from_store(what: &str, e: &(dyn std::error::Error + 'static)) -> MdsError {
+        let mut chain = std::iter::successors(Some(e), |cause| cause.source());
+        match chain.find_map(|cause| cause.downcast_ref()) {
+            Some(RadosError::Fenced {
+                writer, current, ..
+            }) => MdsError::Fenced {
+                writer: writer.0,
+                current: current.0,
+            },
+            _ => MdsError::Io {
+                what: format!("{what} ({e})"),
+            },
+        }
+    }
+}
+
 /// Result alias for metadata operations.
 pub type Result<T> = std::result::Result<T, MdsError>;
 
@@ -148,5 +174,36 @@ mod tests {
         }
         .to_string()
         .starts_with("EIO: journal append"));
+    }
+
+    #[test]
+    fn store_failures_are_classified_in_one_place() {
+        use crate::checkpoint::CheckpointError;
+        use cudele_journal::JournalIoError;
+        use cudele_rados::{Epoch, ObjectId, PoolId};
+
+        let object = ObjectId::new(PoolId::METADATA, "200_header");
+        // A fence stays a fence however deep it sits in the chain.
+        let fenced = CheckpointError::Journal(JournalIoError::Rados(RadosError::Fenced {
+            object: object.clone(),
+            writer: Epoch(2),
+            current: Epoch(3),
+        }));
+        assert_eq!(
+            MdsError::from_store("checkpoint", &fenced),
+            MdsError::Fenced {
+                writer: 2,
+                current: 3
+            }
+        );
+        // Anything else is EIO under the caller's label, never ENOENT.
+        let gone = JournalIoError::Rados(RadosError::NoEnt(object));
+        let e = MdsError::from_store("mdlog replay", &gone);
+        assert!(matches!(&e, MdsError::Io { what } if what.starts_with("mdlog replay (")));
+        let corrupt = CheckpointError::Corrupt("bad manifest magic".into());
+        assert!(matches!(
+            MdsError::from_store("checkpoint", &corrupt),
+            MdsError::Io { .. }
+        ));
     }
 }

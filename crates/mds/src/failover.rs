@@ -15,11 +15,12 @@
 //!   [`FencingAuthority`], which instantly fences every store handle
 //!   stamped with the old epoch.
 //! * [`StandbyReplay`] — tails the persisted mdlog so a takeover only has
-//!   to finish replay. Takeover loads the persisted image, replays the
-//!   journal (falling back to the lossy [`JournalTool`] recovery when the
-//!   tail is damaged), rebuilds the inode-allocator watermark from the
-//!   journaled range grants, and assembles a fresh [`MetadataServer`]
-//!   writing through a [`FencedStore`] stamped with the new epoch.
+//!   to finish replay. Takeover recovers the namespace the way a restart
+//!   does (newest loadable checkpoint or the persisted image, then the
+//!   journal tail — cut back to its valid prefix when it is damaged — then
+//!   the inode-allocator watermark from the journaled range grants) and
+//!   assembles a fresh [`MetadataServer`] writing through a [`FencedStore`]
+//!   stamped with the new epoch.
 //! * [`MdsCluster`] — the deterministic harness tying detector, active,
 //!   zombie, and standby together for tests and `mdbench` fault drills.
 //!
@@ -190,8 +191,8 @@ pub struct TakeoverReport {
     /// Journal events replayed on top of the persisted image (with a
     /// checkpoint manifest: only the tail past its high-water mark).
     pub replayed_events: u64,
-    /// Whether the journal tail was damaged and the [`JournalTool`] had to
-    /// erase the corrupt region (lossy recovery).
+    /// Whether the journal was damaged and its corrupt region had to be
+    /// erased (lossy recovery).
     pub healed: bool,
     /// The rebuilt inode-allocator watermark — every pre-crash grant sits
     /// below it, so post-failover allocations cannot collide.
@@ -270,9 +271,7 @@ impl StandbyReplay {
     pub fn catch_up(&mut self) -> Result<u64> {
         let summary = JournalTool::new(self.base.as_ref(), self.journal_id)
             .inspect()
-            .map_err(|e| MdsError::Io {
-                what: format!("mdlog inspect ({e})"),
-            })?;
+            .map_err(|e| MdsError::from_store("mdlog inspect", &e))?;
         self.replayed_events = summary.events;
         if let Some(reg) = &self.obs {
             reg.counter("mds.standby.catchups").inc();
@@ -288,8 +287,8 @@ impl StandbyReplay {
     /// Completes replay and assembles the replacement primary at `epoch`.
     ///
     /// Namespace and allocator come from
-    /// `server::recover_namespace` — the same ladder in-place
-    /// [`MetadataServer::crash_and_recover`] climbs, so the two recovery
+    /// `server::recover_namespace` — the same fold in-place
+    /// [`MetadataServer::crash_and_recover`] runs, so the two recovery
     /// paths cannot diverge — reading through the raw store and healing a
     /// damaged journal through the new epoch's fenced handle. The returned
     /// server writes through that same [`FencedStore`]: if it is itself
@@ -314,11 +313,20 @@ impl StandbyReplay {
             replayed_events: rec.replayed_events,
             healed: rec.healed,
             alloc_watermark: rec.alloc.watermark(),
-            manifest_epoch: rec.manifest.as_ref().map_or(0, |(m, _)| m.epoch),
+            manifest_epoch: rec.manifest.as_ref().map_or(0, |m| m.epoch),
             checkpoint_events: rec.checkpoint_events,
             manifest_fallbacks: rec.fallbacks,
         };
         self.replayed_events = report.replayed_events;
+        if let Some(reg) = &self.obs {
+            reg.counter("mds.failover.takeovers").inc();
+            reg.counter("mds.failover.replayed_events")
+                .add(report.replayed_events);
+            if report.healed {
+                reg.counter("mds.failover.healed").inc();
+            }
+            rec.publish(reg);
+        }
         let mdlog = self
             .mdlog_config
             .map(|cfg| MdLog::after_recovery(cfg.dispatch_size, self.journal_id));
@@ -333,26 +341,13 @@ impl StandbyReplay {
         if let Some(cfg) = self.checkpoint_config {
             if server.journal_enabled() {
                 server.enable_checkpoints(cfg)?;
-                if let Some((manifest, head_version)) = rec.manifest {
-                    // The manifest recovery actually used (possibly a
-                    // fallback epoch), not whatever the stored HEAD says.
-                    server.resume_checkpoints(manifest, head_version);
-                }
+                // The manifest recovery actually used (possibly a fallback
+                // epoch), not whatever the stored HEAD says.
+                server.resume_checkpoints(rec.manifest, rec.head_version);
             }
         }
         if let Some(reg) = &self.obs {
             server.attach_obs(reg);
-            reg.counter("mds.failover.takeovers").inc();
-            reg.counter("mds.failover.replayed_events")
-                .add(report.replayed_events);
-            if report.healed {
-                reg.counter("mds.failover.healed").inc();
-            }
-            if report.manifest_epoch > 0 {
-                reg.counter("mds.ckpt.recoveries").inc();
-                reg.counter("mds.ckpt.fallbacks")
-                    .add(report.manifest_fallbacks);
-            }
         }
         Ok((server, report))
     }

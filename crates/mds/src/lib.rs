@@ -24,9 +24,9 @@
 //!   journal tail past the covered high-water mark.
 //! * [`server`] — the metadata server tying it together: namespace
 //!   operations are [`Request`]s through the one
-//!   [`MetadataServer::serve`] funnel, recovery is one ladder shared by
-//!   restart and takeover, and every RPC returns a functional result plus
-//!   an [`OpCost`] for the simulation harness.
+//!   [`MetadataServer::serve`] funnel, recovery is one fold (base, journal
+//!   tail, allocator) shared by restart and takeover, and every RPC returns
+//!   a functional result plus an [`OpCost`] for the simulation harness.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -54,9 +54,7 @@ pub mod session;
 pub mod store;
 
 pub use caps::{CapOutcome, CapTable, ClientId};
-pub use checkpoint::{
-    CheckpointConfig, CheckpointError, CheckpointManager, Manifest, RecoveredCheckpoint,
-};
+pub use checkpoint::{CheckpointConfig, CheckpointError, CheckpointManager, Manifest};
 pub use compact::{compact_events, compact_with_report, emit_canonical, CompactionReport};
 pub use dirfrag::{Dentry, Dir};
 pub use error::{MdsError, Result};
@@ -71,4 +69,4 @@ pub use server::{
     CreateReply, MetadataServer, OpCost, ReplayToken, Reply, Request, Rpc, ServerCounters,
 };
 pub use session::{InodeAllocator, Session, SessionMap};
-pub use store::{BlindApply, CheckedApply, MetadataStore};
+pub use store::MetadataStore;

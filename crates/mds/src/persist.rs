@@ -18,32 +18,24 @@
 //! that makes it 78x slower than the append baseline.
 
 use bytes::{Buf, BufMut, BytesMut};
-use cudele_faults::RetryPolicy;
+use cudele_faults::{with_retry, RetryPolicy};
 use cudele_journal::{Attrs, EventSink, FileType, InodeId, JournalEvent};
 use cudele_obs::{Counter, Registry, TraceSink};
 use cudele_rados::{ObjectId, ObjectStore, PoolId, RadosError};
 use cudele_sim::Nanos;
 
-use crate::error::MdsError;
 use crate::inode::Inode;
 use crate::store::MetadataStore;
 
-/// Retries `f` on transient object-store errors with the default policy,
-/// discarding the backoff accounting. The flush/load paths and the
-/// checkpoint compactor use this — a flaky OSD must not look like a damaged
-/// object, and non-transient errors (fencing above all) pass through.
-/// [`ObjectStoreSink`] charges retries and backoff to its own accounting so
-/// Nonvolatile Apply can bill them to the virtual clock.
-pub(crate) fn with_retry<T>(f: impl FnMut() -> cudele_rados::Result<T>) -> cudele_rados::Result<T> {
-    let (mut retries, mut backoff) = (0, Nanos::ZERO);
-    RetryPolicy::default().run(&mut retries, &mut backoff, f)
-}
-
-/// Removes an object a rewrite must not inherit from, retrying transients.
-/// Already gone is fine; any other failure must surface — `write_full`
-/// keeps an object's omap, so a stale object that survives its removal
-/// brings back every name it still lists on the next load.
-fn remove_stale<S: ObjectStore + ?Sized>(os: &S, id: &ObjectId) -> cudele_rados::Result<()> {
+/// Removes an object a rewrite must not inherit from (or a manifest that
+/// must not load again), retrying transients. Already gone is fine; any
+/// other failure must surface — `write_full` keeps an object's omap, so a
+/// stale object that survives its removal brings back every name it still
+/// lists on the next load.
+pub(crate) fn remove_stale<S: ObjectStore + ?Sized>(
+    os: &S,
+    id: &ObjectId,
+) -> cudele_rados::Result<()> {
     match with_retry(|| os.remove(id)) {
         Err(RadosError::NoEnt(_)) => Ok(()),
         other => other,
@@ -68,7 +60,14 @@ impl std::fmt::Display for PersistError {
     }
 }
 
-impl std::error::Error for PersistError {}
+impl std::error::Error for PersistError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PersistError::Rados(e) => Some(e),
+            PersistError::Corrupt(_) => None,
+        }
+    }
+}
 
 impl From<RadosError> for PersistError {
     fn from(e: RadosError) -> Self {
@@ -566,16 +565,6 @@ impl<S: ObjectStore + ?Sized> EventSink for ObjectStoreSink<'_, S> {
     type Error = PersistError;
     fn apply_event(&mut self, event: &JournalEvent) -> Result<(), PersistError> {
         self.apply(event)
-    }
-}
-
-/// Convenience conversion for callers that treat persistence failures as
-/// metadata errors: the store failed, which says nothing about any name.
-impl From<PersistError> for MdsError {
-    fn from(e: PersistError) -> Self {
-        MdsError::Io {
-            what: format!("persisted metadata ({e})"),
-        }
     }
 }
 

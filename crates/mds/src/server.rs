@@ -16,17 +16,15 @@
 
 use std::sync::Arc;
 
-use cudele_journal::{
-    read_journal, Attrs, InodeId, InodeRange, JournalEvent, JournalId, JournalIoError, JournalTool,
-};
+use cudele_journal::{recover_journal, Attrs, InodeId, InodeRange, JournalEvent, JournalId};
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
 use cudele_obs::timeline::Series;
 use cudele_obs::{Counter, Histogram, Mechanism, Registry, SpanName, TraceCtx};
-use cudele_rados::{Epoch, ObjectStore, PoolId, RadosError};
+use cudele_rados::{Epoch, ObjectStore, PoolId};
 use cudele_sim::{CostModel, Nanos};
 
 use crate::caps::{CapOutcome, CapTable, ClientId};
-use crate::checkpoint::{self, CheckpointConfig, CheckpointError, CheckpointManager};
+use crate::checkpoint::{self, CheckpointConfig, CheckpointManager, Manifest};
 use crate::dirfrag::Dentry;
 use crate::error::{MdsError, Result};
 use crate::mdlog::{MdLog, MdLogConfig, MdLogStats};
@@ -697,7 +695,7 @@ impl MetadataServer {
             });
         }
         let mut ckpt = CheckpointManager::attach(self.os.as_ref(), log.journal_id(), config)
-            .map_err(Self::ckpt_error)?;
+            .map_err(|e| MdsError::from_store("checkpoint", &e))?;
         if let Some(o) = &self.obs {
             ckpt.set_obs(&o.reg);
         }
@@ -717,59 +715,20 @@ impl MetadataServer {
     }
 
     /// Rebinds the checkpoint manager onto the manifest a recovery
-    /// actually used (standby takeover calls this after
+    /// actually used — `None` when no rung held, and the compactor starts
+    /// over from the empty manifest — at the HEAD version it observed
+    /// (standby takeover calls this after
     /// [`MetadataServer::enable_checkpoints`], since the stored HEAD may
     /// be a damaged epoch the recovery ladder skipped).
-    pub(crate) fn resume_checkpoints(&mut self, manifest: checkpoint::Manifest, head_version: u64) {
+    pub(crate) fn resume_checkpoints(&mut self, manifest: Option<Manifest>, head_version: u64) {
         if let Some(ckpt) = self.ckpt.as_mut() {
-            ckpt.resume(manifest, head_version);
-        }
-    }
-
-    /// Maps a checkpoint failure to an [`MdsError`]; like journal appends,
-    /// a fenced rejection is survivable (the zombie's manifest publication
-    /// simply dies at the store) and anything else is an I/O error.
-    fn ckpt_error(e: CheckpointError) -> MdsError {
-        match e {
-            CheckpointError::Rados(RadosError::Fenced {
-                writer, current, ..
-            })
-            | CheckpointError::Journal(JournalIoError::Rados(RadosError::Fenced {
-                writer,
-                current,
-                ..
-            })) => MdsError::Fenced {
-                writer: writer.0,
-                current: current.0,
-            },
-            other => MdsError::Io {
-                what: format!("checkpoint ({other})"),
-            },
+            ckpt.resume(manifest.unwrap_or_else(Manifest::empty), head_version);
         }
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
-
-    /// Maps a journal I/O failure to an [`MdsError`]. A fenced rejection is
-    /// the one survivable case: the zombie keeps running with an error
-    /// instead of tearing the process down. Everything else is
-    /// [`MdsError::Io`] — never ENOENT, which the history checkers read as
-    /// an observation of absence.
-    fn journal_error(e: JournalIoError) -> MdsError {
-        match e {
-            JournalIoError::Rados(RadosError::Fenced {
-                writer, current, ..
-            }) => MdsError::Fenced {
-                writer: writer.0,
-                current: current.0,
-            },
-            other => MdsError::Io {
-                what: format!("journal append ({other})"),
-            },
-        }
-    }
 
     fn journal(&mut self, event: JournalEvent) -> Result<(Nanos, Nanos)> {
         self.journal_impl(event, true)
@@ -784,7 +743,7 @@ impl MetadataServer {
                     log.set_now(o.now);
                 }
                 log.submit(self.os.as_ref(), &event)
-                    .map_err(Self::journal_error)?;
+                    .map_err(|e| MdsError::from_store("journal append", &e))?;
                 if let Some(o) = &self.obs {
                     // Writer-side transients the whole-run counters hide:
                     // how deep the unflushed backlog runs and when segment
@@ -801,11 +760,11 @@ impl MetadataServer {
                 // to the metadata store when the journal reaches a certain
                 // size" — run the trimmer when configured.
                 log.maybe_trim(self.os.as_ref(), &self.store)
-                    .map_err(Self::journal_error)?;
+                    .map_err(|e| MdsError::from_store("journal append", &e))?;
                 if let Some(ckpt) = self.ckpt.as_mut() {
                     let now = self.obs.as_ref().map_or(Nanos::ZERO, |o| o.now);
                     ckpt.maybe_checkpoint(self.os.as_ref(), log.flushed_events(), now, &self.cost)
-                        .map_err(Self::ckpt_error)?;
+                        .map_err(|e| MdsError::from_store("checkpoint", &e))?;
                 }
                 let cpu = self.cost.stream_mds_cpu_at_dispatch(dispatch);
                 if observe {
@@ -1421,11 +1380,12 @@ impl MetadataServer {
     /// shutdown after a long run does not leave a full interval uncovered.
     pub fn try_flush_journal(&mut self) -> Result<()> {
         if let Some(log) = self.mdlog.as_mut() {
-            log.flush(self.os.as_ref()).map_err(Self::journal_error)?;
+            log.flush(self.os.as_ref())
+                .map_err(|e| MdsError::from_store("journal append", &e))?;
             if let Some(ckpt) = self.ckpt.as_mut() {
                 let now = self.obs.as_ref().map_or(Nanos::ZERO, |o| o.now);
                 ckpt.maybe_checkpoint(self.os.as_ref(), log.flushed_events(), now, &self.cost)
-                    .map_err(Self::ckpt_error)?;
+                    .map_err(|e| MdsError::from_store("checkpoint", &e))?;
             }
         }
         Ok(())
@@ -1452,14 +1412,11 @@ impl MetadataServer {
             .as_ref()
             .map_or(JournalId::MDLOG, MdLog::journal_id);
         let rec = recover_namespace(self.os.as_ref(), self.os.as_ref(), self.pool, journal_id)?;
-        self.alloc = rec.alloc;
-        if let Some((manifest, head_version)) = rec.manifest {
-            self.resume_checkpoints(manifest, head_version);
-            if let Some(o) = &self.obs {
-                o.reg.counter("mds.ckpt.recoveries").inc();
-                o.reg.counter("mds.ckpt.fallbacks").add(rec.fallbacks);
-            }
+        if let Some(o) = &self.obs {
+            rec.publish(&o.reg);
         }
+        self.alloc = rec.alloc;
+        self.resume_checkpoints(rec.manifest, rec.head_version);
         self.store = rec.store;
         self.caps = CapTable::new();
         self.sessions = SessionMap::new();
@@ -1515,104 +1472,115 @@ impl MetadataServer {
 
 /// What [`recover_namespace`] rebuilt from the object store.
 pub(crate) struct RecoveredNamespace {
-    /// The namespace: checkpoint or image, plus the replayed journal.
+    /// The namespace: the base, plus the replayed journal tail.
     pub store: MetadataStore,
     /// The allocator, past every inode the recovered state proves granted.
     pub alloc: InodeAllocator,
     /// Journal events replayed (with a manifest: only the tail past its
     /// high-water mark).
     pub replayed_events: u64,
-    /// Whether the journal was damaged and the journal tool erased the
-    /// corrupt region (lossy recovery).
+    /// Whether the journal was damaged and its corrupt region was erased
+    /// (lossy recovery).
     pub healed: bool,
-    /// The manifest rung, when it held: the manifest recovery actually
-    /// used (possibly a fallback epoch) and the HEAD version, for the
-    /// checkpoint manager to resume from. `None` = full replay.
-    pub manifest: Option<(checkpoint::Manifest, u64)>,
+    /// The manifest whose image + deltas were the base — the HEAD's, or a
+    /// fallback epoch's. `None` = no manifest rung held: full replay.
+    pub manifest: Option<Manifest>,
+    /// Object version of the manifest HEAD (0 = there is none), for the
+    /// checkpoint manager to resume at.
+    pub head_version: u64,
     /// Events materialized from the manifest's image + deltas.
     pub checkpoint_events: u64,
-    /// Manifest epochs skipped because a checkpoint object was damaged.
+    /// Manifest epochs skipped because a checkpoint object was damaged —
+    /// counted on the full-replay rung too, where every one was.
     pub fallbacks: u64,
 }
 
-/// The recovery ladder — the one way back from the object store to a
-/// namespace, shared by in-place [`MetadataServer::crash_and_recover`]
-/// (`read` = `write` = its own handle) and standby
-/// [`crate::StandbyReplay::take_over`] (`read` = the raw store, `write` =
-/// the handle fenced at the new epoch), so the two can never recover
-/// differently. Rungs, top down:
+impl RecoveredNamespace {
+    /// Publishes `mds.ckpt.recoveries` / `mds.ckpt.fallbacks` when the
+    /// manifest ladder was climbed at all (a run that never checkpointed
+    /// registers neither).
+    pub(crate) fn publish(&self, reg: &Registry) {
+        if self.manifest.is_some() {
+            reg.counter("mds.ckpt.recoveries").inc();
+        }
+        if self.manifest.is_some() || self.fallbacks > 0 {
+            reg.counter("mds.ckpt.fallbacks").add(self.fallbacks);
+        }
+    }
+}
+
+/// Recovery — the one way back from the object store to a namespace, shared
+/// by in-place [`MetadataServer::crash_and_recover`] (`read` = `write` = its
+/// own handle) and standby [`crate::StandbyReplay::take_over`] (`read` = the
+/// raw store, `write` = the handle fenced at the new epoch), so the two can
+/// never recover differently. It is one fold, `base ⊕ journal tail ⊕
+/// allocator`, and each durable representation has one reader:
 ///
-/// 1. **Manifest** ([`checkpoint::recover`]): image + deltas materialized,
-///    only the journal tail past the high-water mark replayed; damaged
-///    checkpoint objects fall back one manifest epoch at a time.
-/// 2. **Full replay**: the persisted image plus a blind replay of the whole
-///    journal. A journal damaged on disk (torn stripe write, bit flip
-///    caught by the frame CRC) does not abort recovery: the journal tool
-///    erases the corrupt region *through `write`* and the surviving prefix
-///    replays — the `cephfs-journal-tool` disaster-recovery workflow.
-///
-/// Either way the allocator is rebuilt from what was recovered, never
-/// carried over: every journaled range grant
-/// ([`JournalEvent::AllocRange`]), every inode named by a replayed event,
-/// every inode in the recovered namespace (grants older than the last trim
-/// have no surviving event) and, under a manifest, its covered-prefix
-/// watermark.
+/// 1. **Base** ([`checkpoint::load_covered`]): the newest manifest whose
+///    image + deltas materialize, falling back one epoch per damaged object;
+///    when no rung holds, the persisted image ([`persist::load_store`])
+///    covering nothing of the (trimmed) journal.
+/// 2. **Journal** ([`recover_journal`]): one lenient scan. A journal damaged
+///    on disk (torn stripe write, bit flip caught by the frame CRC) does not
+///    abort recovery: the corrupt region is cut away *through `write`* and
+///    the surviving prefix is what replays — the `cephfs-journal-tool`
+///    disaster-recovery workflow. If that prefix ends below the base's
+///    high-water mark the manifest lineage is void
+///    ([`checkpoint::purge_manifests`]) and the base is the image after all:
+///    what recovery returns is always the replay of the journal as it reads.
+/// 3. **Tail**: the journal past the base's high-water mark, blind-applied.
+/// 4. **Allocator**: rebuilt from what was recovered, never carried over —
+///    every journaled range grant ([`JournalEvent::AllocRange`]) and inode
+///    the tail names, every inode in the recovered namespace (grants older
+///    than the last trim have no surviving event) and, under a manifest, its
+///    covered-prefix watermark (the fold into a canonical image drops grants
+///    and unlinked inodes).
 pub(crate) fn recover_namespace(
     read: &dyn ObjectStore,
     write: &dyn ObjectStore,
     pool: PoolId,
     journal_id: JournalId,
 ) -> Result<RecoveredNamespace> {
-    let io = |what: &str, e: JournalIoError| MdsError::Io {
-        what: format!("{what} ({e})"),
-    };
-    if let Some(ckpt) =
-        checkpoint::recover(read, write, journal_id).map_err(MetadataServer::ckpt_error)?
-    {
-        let mut alloc = recover_allocator(&ckpt.store, &ckpt.tail);
-        alloc.advance_to(ckpt.alloc_floor());
-        return Ok(RecoveredNamespace {
-            store: ckpt.store,
-            alloc,
-            replayed_events: ckpt.tail.len() as u64,
-            healed: ckpt.healed,
-            manifest: Some((ckpt.manifest, ckpt.head_version)),
-            checkpoint_events: ckpt.checkpoint_events,
-            fallbacks: ckpt.fallbacks,
-        });
+    let (mut base, mut head_version, mut fallbacks) = checkpoint::load_covered(read, journal_id)
+        .map_err(|e| MdsError::from_store("checkpoint", &e))?;
+    let (journal, healed) = recover_journal(read, write, journal_id)
+        .map_err(|e| MdsError::from_store("mdlog replay", &e))?;
+    let lost = |(_, m, _): &checkpoint::CoveredBase| m.journal_highwater_seq > journal.len() as u64;
+    if base.as_ref().is_some_and(lost) {
+        checkpoint::purge_manifests(read, write, journal_id)
+            .map_err(|e| MdsError::from_store("checkpoint", &e))?;
+        (base, head_version, fallbacks) = (None, 0, fallbacks + 1);
     }
-    let mut store = persist::load_store(read, pool)?;
-    let (events, healed) = match read_journal(read, journal_id) {
-        Ok(events) => (events, false),
-        Err(JournalIoError::Codec(_)) => {
-            let tool = JournalTool::new(write, journal_id);
-            (tool.recover().map_err(|e| io("mdlog recovery", e))?, true)
+    let (mut store, manifest, checkpoint_events) = match base {
+        Some((store, manifest, events)) => (store, Some(manifest), events),
+        None => {
+            let image = persist::load_store(read, pool)
+                .map_err(|e| MdsError::from_store("persisted metadata", &e))?;
+            (image, None, 0)
         }
-        Err(e) => return Err(io("mdlog replay", e)),
     };
-    store.apply_blind_all(&events);
-    Ok(RecoveredNamespace {
-        alloc: recover_allocator(&store, &events),
-        store,
-        replayed_events: events.len() as u64,
-        healed,
-        manifest: None,
-        checkpoint_events: 0,
-        fallbacks: 0,
-    })
-}
+    let covered = manifest.as_ref().map_or(0, |m| m.journal_highwater_seq);
+    let tail = &journal[covered as usize..];
+    store.apply_blind_all(tail);
 
-/// The allocator fold: past every journaled grant and inode `events` name,
-/// and past every inode present in `store`.
-fn recover_allocator(store: &MetadataStore, events: &[JournalEvent]) -> InodeAllocator {
     let mut alloc = InodeAllocator::new();
-    for w in events.iter().filter_map(JournalEvent::alloc_watermark) {
+    alloc.advance_to(InodeId(manifest.as_ref().map_or(0, |m| m.alloc_watermark)));
+    for w in tail.iter().filter_map(JournalEvent::alloc_watermark) {
         alloc.advance_to(w);
     }
     if let Some(max) = store.max_inode() {
         alloc.advance_to(max.next());
     }
-    alloc
+    Ok(RecoveredNamespace {
+        store,
+        alloc,
+        replayed_events: tail.len() as u64,
+        healed,
+        manifest,
+        head_version,
+        checkpoint_events,
+        fallbacks,
+    })
 }
 
 #[cfg(test)]

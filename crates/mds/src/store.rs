@@ -25,32 +25,15 @@
 //!   decoupled journals; decoupled-namespace updates "take priority at
 //!   merge time", so blind applies overwrite.
 
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use cudele_journal::{Attrs, EventSink, FileType, InodeId, JournalEvent};
+use cudele_journal::{Attrs, FileType, InodeId, JournalEvent};
 
 use crate::dirfrag::{Dentry, Dir, NameHash};
 use crate::error::{MdsError, Result};
 use crate::inode::Inode;
-
-/// Bound on cached resolved paths; the cache is cleared wholesale when it
-/// fills (entries self-invalidate on mutation anyway, via the generation
-/// stamp, so eviction policy only bounds memory).
-const PATH_CACHE_CAP: usize = 65_536;
-
-/// One cached path resolution, valid while the store's generation matches.
-#[derive(Debug, Clone, Copy)]
-struct PathCacheEntry {
-    generation: u64,
-    ino: InodeId,
-    /// Nearest ancestor (inclusive) holding a policy blob: `None` = not yet
-    /// computed for this path, `Some(None)` = no policy anywhere on the
-    /// chain, `Some(Some(ino))` = policy owner.
-    policy_owner: Option<Option<InodeId>>,
-}
 
 /// Hasher for the [`InodeId`]-keyed tables: one multiply and a fold.
 ///
@@ -89,16 +72,6 @@ pub struct MetadataStore {
     inodes: InoMap<Inode>,
     dirs: InoMap<Dir>,
     split_threshold: usize,
-    /// Bumped whenever the namespace changes; stamps [`PathCacheEntry`]s so
-    /// a stale cache entry is simply ignored rather than tracked down. A
-    /// rejected operation changes nothing and leaves the cache valid.
-    generation: u64,
-    /// Memoized `path -> inode` (and policy-owner) resolutions. Workloads
-    /// resolve the same paths over and over (`effective_policy` on every
-    /// op), and re-walking components dominates the resolve hot path.
-    /// `RefCell` because `resolve`/`effective_policy` take `&self`; the
-    /// store is used single-threaded per simulation world.
-    path_cache: RefCell<HashMap<String, PathCacheEntry>>,
 }
 
 impl MetadataStore {
@@ -117,47 +90,6 @@ impl MetadataStore {
             inodes,
             dirs,
             split_threshold: threshold,
-            generation: 0,
-            path_cache: RefCell::new(HashMap::new()),
-        }
-    }
-
-    /// Invalidates all cached path resolutions. Called once a mutation is
-    /// certain to happen; cached entries carry the generation they were
-    /// computed under and are ignored once it moves on.
-    fn bump_generation(&mut self) {
-        self.generation += 1;
-    }
-
-    /// Stores (or refreshes) a cache entry for `path`. A freshly-resolved
-    /// inode keeps the entry's policy-owner memo if that was computed under
-    /// the same generation.
-    fn cache_store(&self, path: &str, ino: InodeId, policy_owner: Option<Option<InodeId>>) {
-        let mut cache = self.path_cache.borrow_mut();
-        if cache.len() >= PATH_CACHE_CAP && !cache.contains_key(path) {
-            cache.clear();
-        }
-        match cache.entry(path.to_owned()) {
-            Entry::Occupied(mut e) => {
-                let prev = *e.get();
-                let keep_policy = if prev.generation == self.generation {
-                    policy_owner.or(prev.policy_owner)
-                } else {
-                    policy_owner
-                };
-                e.insert(PathCacheEntry {
-                    generation: self.generation,
-                    ino,
-                    policy_owner: keep_policy,
-                });
-            }
-            Entry::Vacant(e) => {
-                e.insert(PathCacheEntry {
-                    generation: self.generation,
-                    ino,
-                    policy_owner,
-                });
-            }
         }
     }
 
@@ -295,7 +227,6 @@ impl MetadataStore {
             });
         }
         slot.insert(inode.child_of(parent));
-        self.bump_generation();
         Ok(())
     }
 
@@ -311,7 +242,6 @@ impl MetadataStore {
         }
         dir.remove_hashed(hash, name);
         self.inodes.remove(&dentry.ino);
-        self.bump_generation();
         Ok(())
     }
 
@@ -332,7 +262,6 @@ impl MetadataStore {
             dir.remove_hashed(hash, name);
         }
         self.forget(dentry.ino);
-        self.bump_generation();
         Ok(())
     }
 
@@ -375,7 +304,6 @@ impl MetadataStore {
         if let Some(inode) = self.inodes.get_mut(&src.ino) {
             inode.set_parent(dst_parent);
         }
-        self.bump_generation();
         Ok(())
     }
 
@@ -391,7 +319,6 @@ impl MetadataStore {
         Ok(())
     }
 
-    /// An inode about to be modified (so cached resolutions go stale).
     fn inode_mut(&mut self, ino: InodeId) -> Result<&mut Inode> {
         self.raw_inode_mut(ino).ok_or_else(|| MdsError::NoEnt {
             what: format!("inode {ino}"),
@@ -420,23 +347,12 @@ impl MetadataStore {
 
     /// Resolves an absolute slash-separated path to an inode. `""` and `"/"`
     /// both resolve to the root.
-    ///
-    /// Resolutions are memoized in a generation-invalidated cache: repeated
-    /// resolution of the same path (every request consults
-    /// [`MetadataStore::effective_policy`]) costs one hash lookup instead of
-    /// a component walk, and any namespace mutation invalidates everything.
     pub fn resolve(&self, path: &str) -> Result<InodeId> {
-        if let Some(e) = self.path_cache.borrow().get(path) {
-            if e.generation == self.generation {
-                return Ok(e.ino);
-            }
-        }
         let mut cur = InodeId::ROOT;
         for comp in path.split('/').filter(|c| !c.is_empty()) {
             let dentry = self.lookup(cur, comp)?;
             cur = dentry.ino;
         }
-        self.cache_store(path, cur, None);
         Ok(cur)
     }
 
@@ -444,41 +360,18 @@ impl MetadataStore {
     /// walking from the leaf upward — subtree policy resolution with
     /// inheritance ("subtrees without policies inherit the consistency/
     /// durability semantics of the parent").
-    ///
-    /// Shares [`MetadataStore::resolve`]'s cache: the policy owner for a
-    /// path is memoized alongside its inode, so the per-request policy
-    /// check stops re-walking components and re-scanning the ancestor
-    /// chain.
     pub fn effective_policy(&self, path: &str) -> Result<Option<(InodeId, &[u8])>> {
-        if let Some(e) = self.path_cache.borrow().get(path) {
-            if e.generation == self.generation {
-                if let Some(owner) = e.policy_owner {
-                    return Ok(owner.and_then(|ino| {
-                        self.inodes
-                            .get(&ino)
-                            .and_then(|i| i.policy.as_deref())
-                            .map(|p| (ino, p))
-                    }));
-                }
-            }
-        }
-        let mut chain = vec![InodeId::ROOT];
+        let policy_of = |ino: InodeId| {
+            let policy = self.inodes.get(&ino)?.policy.as_deref()?;
+            Some((ino, policy))
+        };
         let mut cur = InodeId::ROOT;
+        let mut owner = policy_of(cur);
         for comp in path.split('/').filter(|c| !c.is_empty()) {
             cur = self.lookup(cur, comp)?.ino;
-            chain.push(cur);
+            owner = policy_of(cur).or(owner);
         }
-        let owner = chain
-            .into_iter()
-            .rev()
-            .find(|ino| self.inodes.get(ino).is_some_and(|i| i.policy.is_some()));
-        self.cache_store(path, cur, Some(owner));
-        Ok(owner.and_then(|ino| {
-            self.inodes
-                .get(&ino)
-                .and_then(|i| i.policy.as_deref())
-                .map(|p| (ino, p))
-        }))
+        Ok(owner)
     }
 
     // ------------------------------------------------------------------
@@ -535,10 +428,9 @@ impl MetadataStore {
                 self.dir_or_new(*ino);
             }
             JournalEvent::Unlink { parent, name } | JournalEvent::Rmdir { parent, name } => {
-                let Some(prev) = self.dirs.get_mut(parent).and_then(|d| d.remove(name)) else {
-                    return;
-                };
-                self.forget(prev.ino);
+                if let Some(prev) = self.dirs.get_mut(parent).and_then(|d| d.remove(name)) {
+                    self.forget(prev.ino);
+                }
             }
             JournalEvent::Rename {
                 src_parent,
@@ -563,20 +455,17 @@ impl MetadataStore {
                 }
             }
             JournalEvent::SetAttr { ino, attrs } => {
-                let Some(inode) = self.inodes.get_mut(ino) else {
-                    return;
-                };
-                inode.set_attrs(*attrs);
+                if let Some(inode) = self.inodes.get_mut(ino) {
+                    inode.set_attrs(*attrs);
+                }
             }
             JournalEvent::SetPolicy { ino, policy } => {
-                let Some(inode) = self.inodes.get_mut(ino) else {
-                    return;
-                };
-                inode.set_policy(policy.clone());
+                if let Some(inode) = self.inodes.get_mut(ino) {
+                    inode.set_policy(policy.clone());
+                }
             }
-            JournalEvent::SegmentBoundary { .. } | JournalEvent::AllocRange { .. } => return,
+            JournalEvent::SegmentBoundary { .. } | JournalEvent::AllocRange { .. } => {}
         }
-        self.bump_generation();
     }
 
     /// Applies a batch of events blindly, in order — a merged client
@@ -652,7 +541,6 @@ impl MetadataStore {
     /// Inserts an inode directly, without touching any directory. Used by
     /// recovery when rebuilding the store from dirfrag objects.
     pub(crate) fn raw_insert_inode(&mut self, inode: Inode) {
-        self.bump_generation();
         if inode.is_dir() {
             self.dir_or_new(inode.ino);
         }
@@ -681,9 +569,7 @@ impl MetadataStore {
 
     /// Mutable access to an inode for recovery (e.g. restoring root attrs).
     pub(crate) fn raw_inode_mut(&mut self, ino: InodeId) -> Option<&mut Inode> {
-        let inode = self.inodes.get_mut(&ino)?;
-        self.generation += 1;
-        Some(inode)
+        self.inodes.get_mut(&ino)
     }
 
     // ------------------------------------------------------------------
@@ -740,27 +626,6 @@ impl MetadataStore {
 impl Default for MetadataStore {
     fn default() -> Self {
         MetadataStore::new()
-    }
-}
-
-/// [`EventSink`] adapter applying events with POSIX validity checks.
-pub struct CheckedApply<'a>(pub &'a mut MetadataStore);
-
-impl EventSink for CheckedApply<'_> {
-    type Error = MdsError;
-    fn apply_event(&mut self, event: &JournalEvent) -> Result<()> {
-        self.0.apply_checked(event)
-    }
-}
-
-/// [`EventSink`] adapter applying events blindly (the merge discipline).
-pub struct BlindApply<'a>(pub &'a mut MetadataStore);
-
-impl EventSink for BlindApply<'_> {
-    type Error = std::convert::Infallible;
-    fn apply_event(&mut self, event: &JournalEvent) -> std::result::Result<(), Self::Error> {
-        self.0.apply_blind(event);
-        Ok(())
     }
 }
 
@@ -957,63 +822,6 @@ mod tests {
         assert_eq!(s.effective_policy("/").unwrap().unwrap().1, &[0]);
     }
 
-    /// A rejected operation changes nothing, so it must not invalidate the
-    /// memoized resolutions (every request consults `effective_policy`; an
-    /// EEXIST storm used to flush the cache on each reply).
-    #[test]
-    fn rejected_ops_leave_the_path_cache_valid() {
-        let mut s = MetadataStore::new();
-        let (a, f, ghost) = (InodeId(0x1000), InodeId(0x1001), InodeId(0xdead));
-        s.mkdir(InodeId::ROOT, "a", a, Attrs::dir_default())
-            .unwrap();
-        s.create(a, "f", f, attrs()).unwrap();
-        assert_eq!(s.resolve("/a/f").unwrap(), f);
-        assert_eq!(s.effective_policy("/a/f").unwrap(), None);
-        let generation = s.generation;
-
-        assert!(matches!(
-            s.create(a, "f", InodeId(0x1002), attrs()),
-            Err(MdsError::Exists { .. })
-        ));
-        assert!(matches!(
-            s.create(a, "g", f, attrs()),
-            Err(MdsError::InodeCollision { .. })
-        ));
-        assert!(matches!(
-            s.create(ghost, "g", InodeId(0x1002), attrs()),
-            Err(MdsError::NoEnt { .. })
-        ));
-        assert!(matches!(
-            s.mkdir(f, "d", InodeId(0x1002), Attrs::dir_default()),
-            Err(MdsError::NotDir { .. })
-        ));
-        assert!(s.unlink(a, "ghost").is_err());
-        assert!(s.unlink(InodeId::ROOT, "a").is_err()); // EISDIR
-        assert!(s.rmdir(InodeId::ROOT, "a").is_err()); // ENOTEMPTY
-        assert!(s.rmdir(a, "f").is_err()); // ENOTDIR
-        assert!(s.rename(a, "ghost", a, "x").is_err());
-        assert!(s.rename(a, "f", InodeId::ROOT, "a").is_err()); // onto a dir
-        s.rename(a, "f", a, "f").unwrap(); // self-rename: a no-op
-        assert!(s.setattr(ghost, attrs()).is_err());
-        assert!(s.set_policy(ghost, vec![1]).is_err());
-        assert!(s.raw_inode_mut(ghost).is_none());
-        s.apply_blind(&JournalEvent::Unlink {
-            parent: a,
-            name: "ghost".into(),
-        });
-        s.apply_blind(&JournalEvent::SegmentBoundary { seq: 1 });
-
-        assert_eq!(s.generation, generation);
-        let cached = *s.path_cache.borrow().get("/a/f").unwrap();
-        assert_eq!(cached.generation, s.generation);
-        assert_eq!((cached.ino, cached.policy_owner), (f, Some(None)));
-
-        // A change does invalidate.
-        s.create(a, "g", InodeId(0x1002), attrs()).unwrap();
-        assert!(s.generation > generation);
-        assert_eq!(s.resolve("/a/g").unwrap(), InodeId(0x1002));
-    }
-
     #[test]
     fn batch_apply_equals_event_by_event_apply() {
         let mut events = Vec::new();
@@ -1116,23 +924,6 @@ mod tests {
         assert_eq!(snap["/d/f"], (InodeId(0x1001), FileType::File));
         let shape = s.shape();
         assert_eq!(shape["/d/f"], FileType::File);
-    }
-
-    #[test]
-    fn sink_adapters() {
-        let e = JournalEvent::Create {
-            parent: InodeId::ROOT,
-            name: "f".into(),
-            ino: InodeId(0x1000),
-            attrs: attrs(),
-        };
-        let mut s = MetadataStore::new();
-        CheckedApply(&mut s).apply_event(&e).unwrap();
-        assert!(CheckedApply(&mut s).apply_event(&e).is_err()); // EEXIST
-        let mut t = MetadataStore::new();
-        BlindApply(&mut t).apply_event(&e).unwrap();
-        BlindApply(&mut t).apply_event(&e).unwrap(); // overwrite ok
-        assert_eq!(t.lookup(InodeId::ROOT, "f").unwrap().ino, InodeId(0x1000));
     }
 
     #[test]

@@ -13,13 +13,19 @@
 //!
 //! Together these pin the ISSUE's equivalence claim: bounded recovery
 //! replays less, but can never recover *differently*.
+//!
+//! Damage is one more input to both: an arbitrary subset of the checkpoint
+//! objects (HEAD, per-epoch manifest copies, images, deltas) deleted,
+//! truncated or bit-flipped at the crash, and optionally the journal's last
+//! stripe torn — the same tear on every server compared. Whatever rungs
+//! that costs, the journal as it reads is what both sides recover.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use cudele_mds::{CheckpointConfig, ClientId, MdLogConfig, MetadataServer, StandbyReplay};
-use cudele_rados::{Epoch, FencedStore, FencingAuthority, InMemoryStore, ObjectStore};
+use cudele_rados::{Epoch, FencedStore, FencingAuthority, InMemoryStore, ObjectStore, PoolId};
 use cudele_sim::CostModel;
 
 #[derive(Debug, Clone, Copy)]
@@ -40,6 +46,62 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 const C1: ClientId = ClientId(1);
+
+/// What to do to the checkpoint objects and the journal at a crash:
+/// `(which, how)` per hurt object — `which` indexes the sorted `ckpt.*`
+/// listing, `how` is delete / truncate / flip — and how many bytes to tear
+/// off the journal's last stripe, if any.
+type Damage = (Vec<(u16, u8)>, Option<u16>);
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    (
+        proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+        (any::<bool>(), any::<u16>()),
+    )
+        .prop_map(|(hurt, (tear, by))| (hurt, tear.then_some(by)))
+}
+
+fn hurt_checkpoint_objects(os: &dyn ObjectStore, hurt: &[(u16, u8)]) {
+    for &(which, how) in hurt {
+        let objects = os.list(PoolId::METADATA, "ckpt.");
+        if objects.is_empty() {
+            return;
+        }
+        let id = &objects[which as usize % objects.len()];
+        let data = os.read(id).unwrap().to_vec();
+        match how % 3 {
+            0 => os.remove(id).unwrap(),
+            1 => {
+                // Images and deltas are bare CRC-framed events with no
+                // length or whole-object checksum: cut exactly between two
+                // frames they decode as a shorter, valid object, which no
+                // reader can tell from the real one (ROADMAP item 2 lists
+                // it). Every other cut is caught; take the next one.
+                let mut keep = data.len() / 2;
+                if cudele_journal::decode_journal(&data[..keep]).is_ok() {
+                    keep -= 1;
+                }
+                os.write_full(id, &data[..keep]).unwrap();
+            }
+            _ => {
+                let mut flipped = data;
+                let mid = flipped.len() / 2;
+                flipped[mid] ^= 0x10;
+                os.write_full(id, &flipped).unwrap();
+            }
+        }
+    }
+}
+
+/// Cuts `by` bytes (at most all of them) off the mdlog's last stripe.
+fn tear_journal(os: &dyn ObjectStore, by: u16) {
+    let Some(last) = os.list(PoolId::METADATA, "200.").pop() else {
+        return;
+    };
+    let data = os.read(&last).unwrap();
+    let keep = data.len().saturating_sub(by as usize);
+    os.write_full(&last, &data[..keep]).unwrap();
+}
 
 fn apply(mds: &mut MetadataServer, dir: cudele_journal::InodeId, ops: &[Op]) {
     // Individual ops may fail (EEXIST, ENOENT) — that is part of the
@@ -75,7 +137,9 @@ proptest! {
         max_deltas in 1usize..4,
         seg in 4usize..16,
         dispatch in 1u32..4,
+        damage in arb_damage(),
     ) {
+        let (hurt, tear) = damage;
         let cfg = MdLogConfig {
             events_per_segment: seg,
             dispatch_size: dispatch,
@@ -83,7 +147,8 @@ proptest! {
         };
         let build = |checkpoints: bool| {
             let os: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::paper_default());
-            let mut mds = MetadataServer::with_config(os, CostModel::calibrated(), Some(cfg));
+            let mut mds =
+                MetadataServer::with_config(os.clone(), CostModel::calibrated(), Some(cfg));
             if checkpoints {
                 mds.enable_checkpoints(CheckpointConfig {
                     interval_events: interval,
@@ -93,16 +158,23 @@ proptest! {
             }
             mds.open_session(C1);
             let dir = mds.setup_dir_durable("/p").unwrap();
-            (mds, dir)
+            (mds, dir, os)
         };
-        let (mut ckpt, dir_a) = build(true);
-        let (mut full, dir_b) = build(false);
+        let (mut ckpt, dir_a, os_a) = build(true);
+        let (mut full, dir_b, os_b) = build(false);
         prop_assert_eq!(dir_a, dir_b); // allocation is deterministic
 
         let cut = crash_at as usize % (ops.len() + 1);
         apply(&mut ckpt, dir_a, &ops[..cut]);
         apply(&mut full, dir_b, &ops[..cut]);
 
+        // The damage lands at the first crash; the second recovery then
+        // runs over whatever lineage the first one resumed.
+        hurt_checkpoint_objects(os_a.as_ref(), &hurt);
+        if let Some(by) = tear {
+            tear_journal(os_a.as_ref(), by);
+            tear_journal(os_b.as_ref(), by);
+        }
         ckpt.fail();
         ckpt.crash_and_recover().unwrap();
         full.fail();
@@ -134,7 +206,9 @@ proptest! {
         interval in 1u64..48,
         seg in 4usize..16,
         dispatch in 1u32..4,
+        damage in arb_damage(),
     ) {
+        let (hurt, tear) = damage;
         let os: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::paper_default());
         let authority = Arc::new(FencingAuthority::new());
         let fenced: Arc<dyn ObjectStore> = Arc::new(FencedStore::new(
@@ -158,8 +232,14 @@ proptest! {
         let cut = crash_at as usize % (ops.len() + 1);
         apply(&mut mds, dir, &ops[..cut]);
 
-        // Path A: standby takeover from the shared store (read-only when
-        // the journal is undamaged, so path B still sees pristine state).
+        hurt_checkpoint_objects(os.as_ref(), &hurt);
+        if let Some(by) = tear {
+            tear_journal(os.as_ref(), by);
+        }
+
+        // Path A: standby takeover from the shared store. It writes only to
+        // heal a damaged journal, cutting it to the prefix path B would
+        // read anyway, so path B still recovers from the same state.
         let mut standby = StandbyReplay::new(
             Arc::clone(&os),
             Arc::clone(&authority),
@@ -183,7 +263,9 @@ proptest! {
         prop_assert_eq!(report.alloc_watermark, mds.alloc_watermark());
         // Both recoveries walked the same manifest lineage.
         prop_assert_eq!(standby_server.manifest_epoch(), mds.manifest_epoch());
-        prop_assert_eq!(report.manifest_fallbacks, 0);
+        if hurt.is_empty() && tear.is_none() {
+            prop_assert_eq!(report.manifest_fallbacks, 0);
+        }
         // Bounded replay: the tail past the manifest is what both paths
         // replayed, and everything the manifest covered was materialized.
         prop_assert_eq!(

@@ -7,7 +7,7 @@
 //! components die in a None configuration"; local survives *recoverable*
 //! node failures; global survives everything.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
@@ -352,12 +352,18 @@ fn journal_io_failure_is_an_io_error_not_enoent() {
 /// An in-memory store that can be told to fail `Transient` past any retry
 /// budget: every `remove` while `stuck_removals` is set, the next few
 /// `append`s of chosen objects, the next few writes of a journal header.
-/// Everything else passes through.
+/// It can also die on its writer: once `mutations_left` runs out every
+/// further mutation fails `Unavailable` and nothing more lands. Everything
+/// else passes through.
 struct FlakyStore {
     inner: InMemoryStore,
     stuck_removals: AtomicBool,
     failing_appends: Mutex<FailingAppends>,
     failing_header_writes: AtomicU32,
+    /// Mutations still allowed to land (`u64::MAX`: no limit).
+    mutations_left: AtomicU64,
+    /// Mutations admitted so far.
+    mutations: AtomicU64,
 }
 
 #[derive(Default)]
@@ -378,7 +384,20 @@ impl FlakyStore {
             stuck_removals: AtomicBool::new(false),
             failing_appends: Mutex::default(),
             failing_header_writes: AtomicU32::new(0),
+            mutations_left: AtomicU64::new(u64::MAX),
+            mutations: AtomicU64::new(0),
         }
+    }
+
+    /// Every mutation goes through here: counted, or refused once the
+    /// writer's budget is spent.
+    fn admit(&self, id: &ObjectId) -> RadosResult<()> {
+        let one_fewer = |n: u64| n.checked_sub(1);
+        self.mutations_left
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, one_fewer)
+            .map_err(|_| RadosError::Unavailable(id.clone()))?;
+        self.mutations.fetch_add(1, Ordering::SeqCst);
+        Ok(())
     }
 
     fn fail_appends(&self, left: u32, suffix: &'static str, torn: bool) {
@@ -388,12 +407,14 @@ impl FlakyStore {
 
 impl ObjectStore for FlakyStore {
     fn remove(&self, id: &ObjectId) -> RadosResult<()> {
+        self.admit(id)?;
         if self.stuck_removals.load(Ordering::SeqCst) {
             return Err(RadosError::Transient(id.clone()));
         }
         self.inner.remove(id)
     }
     fn write_full(&self, id: &ObjectId, data: &[u8]) -> RadosResult<u64> {
+        self.admit(id)?;
         let one_fewer = |n: u32| n.checked_sub(1);
         if id.name.ends_with("_header")
             && self
@@ -406,9 +427,11 @@ impl ObjectStore for FlakyStore {
         self.inner.write_full(id, data)
     }
     fn cas_write_full(&self, id: &ObjectId, expected: u64, data: &[u8]) -> RadosResult<u64> {
+        self.admit(id)?;
         self.inner.cas_write_full(id, expected, data)
     }
     fn append(&self, id: &ObjectId, data: &[u8]) -> RadosResult<u64> {
+        self.admit(id)?;
         let mut failing = self.failing_appends.lock().unwrap();
         if failing.left > 0 && id.name.ends_with(failing.suffix) {
             failing.left -= 1;
@@ -434,12 +457,14 @@ impl ObjectStore for FlakyStore {
         self.inner.list(pool, prefix)
     }
     fn omap_set(&self, id: &ObjectId, key: &str, value: &[u8]) -> RadosResult<u64> {
+        self.admit(id)?;
         self.inner.omap_set(id, key, value)
     }
     fn omap_get(&self, id: &ObjectId, key: &str) -> RadosResult<Option<Bytes>> {
         self.inner.omap_get(id, key)
     }
     fn omap_remove(&self, id: &ObjectId, key: &str) -> RadosResult<bool> {
+        self.admit(id)?;
         self.inner.omap_remove(id, key)
     }
     fn omap_list(&self, id: &ObjectId) -> RadosResult<Vec<(String, Bytes)>> {
@@ -601,7 +626,6 @@ fn segment_relanded_after_a_failed_header_write_replays_idempotently() {
     // The same through the writer alone, where it can be seen: a batch
     // that spans two stripes, the second of which refuses appends.
     use cudele_journal::{read_journal, Attrs, InodeId, JournalEvent, JournalId, JournalWriter};
-    use cudele_mds::MetadataStore;
 
     let events: Vec<JournalEvent> = (0..10)
         .map(|i| JournalEvent::Create {
@@ -627,12 +651,7 @@ fn segment_relanded_after_a_failed_header_write_replays_idempotently() {
     let relanded = read_journal(&os, id).unwrap();
     assert_eq!(relanded, [landed.as_slice(), events.as_slice()].concat());
 
-    let replay = |events: &[JournalEvent]| {
-        let mut ms = MetadataStore::new();
-        events.iter().for_each(|e| ms.apply_blind(e));
-        ms.snapshot()
-    };
-    assert_eq!(replay(&relanded), replay(&events));
+    assert_eq!(replay(&relanded).snapshot(), replay(&events).snapshot());
 }
 
 /// Re-enabling checkpoints while the store is out must not be read as "no
@@ -701,5 +720,546 @@ fn outage_while_enabling_checkpoints_is_an_error_not_a_fresh_namespace() {
             "{} was overwritten",
             id.name
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Checkpoints are an optimisation; recovery reports what it did
+// ---------------------------------------------------------------------
+
+/// Blind replay of `events` from the empty namespace — what recovery must
+/// return for a journal that reads as `events` (no image, nothing trimmed).
+fn replay(events: &[cudele_journal::JournalEvent]) -> cudele_mds::MetadataStore {
+    let mut ms = cudele_mds::MetadataStore::new();
+    ms.apply_blind_all(events);
+    ms
+}
+
+/// Flips one bit of the mdlog's first stripe at byte `at`.
+fn flip_mdlog_byte(os: &InMemoryStore, at: usize) {
+    let stripe = ObjectId::journal_stripe(PoolId::METADATA, 0x200, 0);
+    let mut data = os.read(&stripe).unwrap().to_vec();
+    data[at] ^= 0x04;
+    os.write_full(&stripe, &data).unwrap();
+}
+
+/// A silent bit flip in a flushed journal stripe while checkpointing is on.
+/// The compactor pass used to read its tail strictly, and the funnel `?`s
+/// the pass, so from the next interval on every create failed with `EIO:
+/// checkpoint (… failed CRC)`. The pass must instead cover the clean prefix
+/// — what recovery keeps — and let the foreground carry on.
+#[test]
+fn bit_flip_in_a_flushed_stripe_does_not_fail_creates_under_checkpointing() {
+    use cudele_journal::{framed_len, read_journal, scan_journal, JournalId};
+    use cudele_mds::checkpoint::head_object;
+    use cudele_mds::{CheckpointConfig, Manifest, MdLogConfig};
+    use cudele_sim::CostModel;
+
+    let os = Arc::new(InMemoryStore::paper_default());
+    let mut mds = MetadataServer::with_config(
+        os.clone(),
+        CostModel::calibrated(),
+        Some(MdLogConfig {
+            events_per_segment: 4,
+            dispatch_size: 1,
+            trim_after_updates: None,
+        }),
+    );
+    let interval = 16;
+    mds.enable_checkpoints(CheckpointConfig {
+        interval_events: interval,
+        max_deltas: 2,
+    })
+    .unwrap();
+    mds.open_session(CLIENT);
+    let dir = mds.setup_dir_durable("/d").unwrap();
+    let mut created = 0;
+    let mut create = |mds: &mut MetadataServer| {
+        created += 1;
+        mds.create(CLIENT, dir, &format!("f{created}")).result
+    };
+    while mds.manifest_epoch() < 2 {
+        create(&mut mds).unwrap();
+    }
+    // Flushed but not yet covered: the next pass is an interval away.
+    for _ in 0..8 {
+        create(&mut mds).unwrap();
+    }
+    let id = JournalId::MDLOG;
+    let journal = read_journal(os.as_ref(), id).unwrap();
+    let covered = Manifest::decode(&os.read(&head_object(id)).unwrap())
+        .unwrap()
+        .journal_highwater_seq as usize;
+    let clean = covered + 2;
+    assert!(
+        clean < journal.len(),
+        "two clean uncovered events, then more"
+    );
+    let offset: usize = journal[..clean].iter().map(framed_len).sum();
+    flip_mdlog_byte(&os, offset + 9);
+    assert_eq!(scan_journal(os.as_ref(), id).unwrap().events.len(), clean);
+
+    for _ in 0..3 * interval {
+        create(&mut mds).expect("a damaged journal must not fail the foreground");
+    }
+    mds.try_flush_journal().unwrap();
+    assert_eq!(
+        mds.manifest_epoch(),
+        3,
+        "one more manifest: the clean prefix, and nothing past the damage"
+    );
+    mds.crash_and_recover().unwrap();
+    assert_eq!(mds.store().snapshot(), replay(&journal[..clean]).snapshot());
+    assert_eq!(read_journal(os.as_ref(), id).unwrap(), journal[..clean]);
+}
+
+/// A takeover that is superseded while it heals a damaged journal must say
+/// `Fenced` — the store rejected a stale writer, nothing is wrong with the
+/// disks — and must leave the journal as it found it. Both heal sites used
+/// to flatten the store's error into `EIO`.
+#[test]
+fn superseded_heal_is_fenced_and_leaves_the_journal_untouched() {
+    use cudele_mds::{MdLogConfig, MdsError, StandbyReplay};
+    use cudele_rados::{Epoch, FencedStore, FencingAuthority};
+    use cudele_sim::CostModel;
+
+    let base = Arc::new(InMemoryStore::paper_default());
+    let shared: Arc<dyn ObjectStore> = base.clone();
+    let authority = Arc::new(FencingAuthority::new());
+    let mdlog = MdLogConfig {
+        events_per_segment: 4,
+        dispatch_size: 1,
+        trim_after_updates: None,
+    };
+    let mut mds = MetadataServer::with_config(
+        Arc::new(FencedStore::new(shared.clone(), authority.clone())),
+        CostModel::calibrated(),
+        Some(mdlog),
+    );
+    mds.open_session(CLIENT);
+    let dir = mds.setup_dir_durable("/d").unwrap();
+    for i in 0..20 {
+        mds.create(CLIENT, dir, &format!("f{i}")).expect_ok();
+    }
+    mds.flush_journal();
+    flip_mdlog_byte(&base, 200);
+    let objects = |os: &InMemoryStore| -> Vec<(ObjectId, Bytes)> {
+        let ids = os.list(PoolId::METADATA, "");
+        ids.into_iter()
+            .map(|id| (id.clone(), os.read(&id).unwrap()))
+            .collect()
+    };
+    let before = objects(&base);
+
+    // Two bumps: the standby was promised the first epoch and lost the
+    // race to whoever holds the second.
+    let stale = authority.bump();
+    authority.bump();
+    let mut standby = StandbyReplay::new(
+        shared.clone(),
+        authority.clone(),
+        CostModel::calibrated(),
+        Some(mdlog),
+    );
+    match standby.take_over(stale) {
+        Err(MdsError::Fenced { writer, current }) => {
+            assert_eq!(
+                (Epoch(writer), Epoch(current)),
+                (stale, authority.current())
+            );
+        }
+        Err(e) => panic!("a superseded heal is not an I/O error: {e}"),
+        Ok(_) => panic!("a stale epoch healed the journal"),
+    }
+    assert!(objects(&base) == before, "the fenced heal wrote something");
+}
+
+/// The worst case an operator can have — HEAD and every per-epoch manifest
+/// copy unreadable — must recover by full replay *and say so*: the rungs the
+/// ladder skipped used to vanish when it bottomed out.
+#[test]
+fn bottomed_out_manifest_ladder_reports_its_fallbacks() {
+    use cudele_journal::JournalId;
+    use cudele_mds::checkpoint::{head_object, manifest_object};
+    use cudele_mds::{CheckpointConfig, MdLogConfig, StandbyReplay};
+    use cudele_rados::{FencedStore, FencingAuthority};
+    use cudele_sim::CostModel;
+
+    let base = Arc::new(InMemoryStore::paper_default());
+    let shared: Arc<dyn ObjectStore> = base.clone();
+    let authority = Arc::new(FencingAuthority::new());
+    let mdlog = MdLogConfig {
+        events_per_segment: 4,
+        dispatch_size: 1,
+        trim_after_updates: None,
+    };
+    let ckpt = CheckpointConfig {
+        interval_events: 8,
+        max_deltas: 2,
+    };
+    let mut mds = MetadataServer::with_config(
+        Arc::new(FencedStore::new(shared.clone(), authority.clone())),
+        CostModel::calibrated(),
+        Some(mdlog),
+    );
+    mds.enable_checkpoints(ckpt).unwrap();
+    mds.open_session(CLIENT);
+    let dir = mds.setup_dir_durable("/d").unwrap();
+    for i in 0..40 {
+        mds.create(CLIENT, dir, &format!("f{i}")).expect_ok();
+    }
+    mds.flush_journal();
+    let flushed = mds.store().snapshot();
+    let epochs = mds.manifest_epoch();
+    assert!(epochs >= 3);
+    let id = JournalId::MDLOG;
+    base.write_full(&head_object(id), b"garbage").unwrap();
+    for epoch in 1..=epochs {
+        base.write_full(&manifest_object(id, epoch), b"garbage")
+            .unwrap();
+    }
+
+    let reg = Arc::new(cudele_obs::Registry::new());
+    let mut standby = StandbyReplay::new(
+        shared.clone(),
+        authority.clone(),
+        CostModel::calibrated(),
+        Some(mdlog),
+    );
+    standby.set_checkpoint_config(ckpt);
+    standby.attach_obs(&reg);
+    let (server, report) = standby.take_over(authority.bump()).unwrap();
+    assert_eq!(server.store().snapshot(), flushed);
+    assert_eq!(report.manifest_epoch, 0, "no manifest loaded: full replay");
+    assert_eq!(report.checkpoint_events, 0);
+    assert!(report.manifest_fallbacks >= 1, "{report:?}");
+    assert_eq!(
+        reg.counter_value("mds.ckpt.fallbacks"),
+        Some(report.manifest_fallbacks)
+    );
+
+    // In place, the same.
+    let reg = Arc::new(cudele_obs::Registry::new());
+    mds.attach_obs(&reg);
+    mds.crash_and_recover().unwrap();
+    assert_eq!(mds.store().snapshot(), flushed);
+    assert!(reg.counter_value("mds.ckpt.fallbacks") >= Some(1));
+}
+
+// ---------------------------------------------------------------------
+// Crashed at every write
+// ---------------------------------------------------------------------
+
+/// One world of the every-k sweep: a checkpointing MDS (segments of 4 ×
+/// dispatch 2, interval 8, `max_deltas` 2) over a [`FlakyStore`] behind a
+/// fence, driven through a fixed seeded schedule of ~60 requests so that
+/// segment flushes, delta cuts, folds, per-epoch manifest copies, HEAD CASes
+/// and — one byte of the flushed journal is flipped part-way — a damaged
+/// journal all occur.
+struct CrashWorld {
+    os: Arc<FlakyStore>,
+    shared: Arc<dyn ObjectStore>,
+    authority: Arc<cudele_rados::FencingAuthority>,
+    mds: MetadataServer,
+}
+
+impl CrashWorld {
+    /// A standby over the world's shared store, configured like its server.
+    fn standby(&self) -> cudele_mds::StandbyReplay {
+        let mut standby = cudele_mds::StandbyReplay::new(
+            self.shared.clone(),
+            self.authority.clone(),
+            cudele_sim::CostModel::calibrated(),
+            Some(SWEEP_MDLOG),
+        );
+        standby.set_checkpoint_config(SWEEP_CKPT);
+        standby
+    }
+}
+
+const SWEEP_MDLOG: cudele_mds::MdLogConfig = cudele_mds::MdLogConfig {
+    events_per_segment: 4,
+    dispatch_size: 2,
+    trim_after_updates: None,
+};
+const SWEEP_CKPT: cudele_mds::CheckpointConfig = cudele_mds::CheckpointConfig {
+    interval_events: 8,
+    max_deltas: 2,
+};
+
+/// Runs the schedule with every store mutation after the `budget`-th
+/// failing, as for a writer that died there (the server itself carries on,
+/// collecting errors; nothing more lands).
+fn crash_world(budget: u64) -> CrashWorld {
+    use cudele_rados::{FencedStore, FencingAuthority};
+    use cudele_sim::CostModel;
+
+    let os = Arc::new(FlakyStore::new());
+    os.mutations_left.store(budget, Ordering::SeqCst);
+    let shared: Arc<dyn ObjectStore> = os.clone();
+    let authority = Arc::new(FencingAuthority::new());
+    let mut mds = MetadataServer::with_config(
+        Arc::new(FencedStore::new(shared.clone(), authority.clone())),
+        CostModel::calibrated(),
+        Some(SWEEP_MDLOG),
+    );
+    // Applied in memory even when its journaling fails (DESIGN.md §11.5).
+    let _ = mds.enable_checkpoints(SWEEP_CKPT);
+    mds.open_session(CLIENT);
+    let _ = mds.setup_dir_durable("/d");
+    let dir = mds.store().resolve("/d").unwrap();
+    let mut state = 0x0bad_5eed_u64;
+    let mut below = |n: u64| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    };
+    let mut created = 0;
+    for step in 0..60 {
+        // Requests may fail — ENOENT for a name already gone, and EIO once
+        // the store is: part of the schedule.
+        let old = format!("f{}", below(created + 1));
+        match below(8) {
+            0..=3 => {
+                created += 1;
+                drop(mds.create(CLIENT, dir, &format!("f{created}")));
+            }
+            4 => drop(mds.mkdir(CLIENT, dir, &format!("s{}", below(3)))),
+            5 => drop(mds.unlink(CLIENT, dir, &old)),
+            6 => drop(mds.rename(CLIENT, dir, &old, dir, &format!("r{step}"))),
+            _ => drop(mds.try_flush_journal()),
+        }
+        if step == 45 {
+            // At-rest damage, not a store mutation: 30 bytes from the end
+            // of whatever has been flushed, if anything has.
+            let stripe = ObjectId::journal_stripe(PoolId::METADATA, 0x200, 0);
+            if let Some(len) = os.inner.stat(&stripe).ok().map(|s| s.size as usize) {
+                if len > 30 {
+                    flip_mdlog_byte(&os.inner, len - 30);
+                }
+            }
+        }
+    }
+    let _ = mds.try_flush_journal();
+    CrashWorld {
+        os,
+        shared,
+        authority,
+        mds,
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum RecoverBy {
+    InPlace,
+    Takeover,
+}
+
+/// Recovers `w` from whatever landed, on a store that works again, and
+/// checks what every crash point must satisfy; returns the recovered
+/// namespace and allocator watermark.
+///
+/// * recovery neither errors nor panics;
+/// * it returns the blind replay of the journal as it read before recovery
+///   touched it — nothing flushed is lost, nothing is invented;
+/// * the manifest it loaded names no missing object;
+/// * what the recovered server then writes survives its own crash: a stale
+///   object left behind by the dead writer must not resurface.
+fn recover_and_check(
+    mut w: CrashWorld,
+    by: RecoverBy,
+    what: &str,
+) -> (
+    std::collections::BTreeMap<String, (cudele_journal::InodeId, cudele_journal::FileType)>,
+    u64,
+) {
+    use cudele_journal::{scan_journal, JournalId};
+    use cudele_mds::checkpoint::manifest_object;
+    use cudele_mds::Manifest;
+
+    let id = JournalId::MDLOG;
+    w.os.mutations_left.store(u64::MAX, Ordering::SeqCst);
+    let expected = replay(&scan_journal(w.os.as_ref(), id).unwrap().events);
+    let mut mds = match by {
+        RecoverBy::InPlace => {
+            w.mds
+                .crash_and_recover()
+                .unwrap_or_else(|e| panic!("{what}: in-place recovery failed: {e}"));
+            w.mds
+        }
+        RecoverBy::Takeover => {
+            let taken = w.standby().take_over(w.authority.bump());
+            taken
+                .unwrap_or_else(|e| panic!("{what}: takeover failed: {e}"))
+                .0
+        }
+    };
+    let recovered = mds.store().snapshot();
+    assert_eq!(recovered, expected.snapshot(), "{what} {by:?}: namespace");
+    let epoch = mds.manifest_epoch();
+    if epoch > 0 {
+        let copy = w.os.read(&manifest_object(id, epoch)).unwrap();
+        let manifest = Manifest::decode(&copy).unwrap();
+        for name in manifest.image_ref.iter().chain(&manifest.delta_refs) {
+            assert!(
+                w.os.exists(&ObjectId::new(PoolId::METADATA, name.clone())),
+                "{what} {by:?}: manifest {epoch} names {name}, which is missing"
+            );
+        }
+    }
+    let watermark = mds.alloc_watermark().0;
+
+    mds.open_session(CLIENT);
+    let after = mds.setup_dir_durable("/after").unwrap();
+    for i in 0..10 {
+        mds.create(CLIENT, after, &format!("a{i}")).expect_ok();
+    }
+    mds.try_flush_journal().unwrap();
+    let served = mds.store().snapshot();
+    mds.crash_and_recover().unwrap();
+    assert_eq!(
+        mds.store().snapshot(),
+        served,
+        "{what} {by:?}: the recovered server's own flushed writes"
+    );
+    (recovered, watermark)
+}
+
+/// ROADMAP item 2(b), scoped to what this repository's recovery rewrite
+/// touches: for every k, the writer dies after its k-th store mutation —
+/// between a stripe append and the header write, between a delta and its
+/// manifest copy, between the copy and the HEAD CAS, mid-fold — and recovery
+/// from what landed, in place and by takeover, holds `recover_and_check`'s
+/// properties and agrees with itself.
+#[test]
+fn writer_crashed_at_every_write_recovers_what_landed() {
+    let whole = crash_world(u64::MAX);
+    let total = whole.os.mutations.load(Ordering::SeqCst);
+    assert!(
+        whole.mds.manifest_epoch() >= 4,
+        "deltas, a fold, then deltas"
+    );
+    assert!(
+        cudele_journal::scan_journal(whole.os.as_ref(), cudele_journal::JournalId::MDLOG)
+            .unwrap()
+            .damage
+            .is_some(),
+        "the schedule leaves a damaged journal to heal"
+    );
+    assert!(total >= 40, "only {total} mutations to enumerate");
+    for k in 0..=total {
+        let what = format!("writer died after mutation {k} of {total}");
+        let in_place = recover_and_check(crash_world(k), RecoverBy::InPlace, &what);
+        let takeover = recover_and_check(crash_world(k), RecoverBy::Takeover, &what);
+        assert_eq!(in_place, takeover, "{what}: in-place vs takeover");
+    }
+}
+
+/// The same for the heal itself: a recovery of the damaged journal the whole
+/// schedule leaves dies after its k-th mutation, for every k, and the next
+/// recovery must still find everything that was readable before the first
+/// one started. (Deleting the journal and re-appending its prefix — how the
+/// heal used to work — has no journal at all for k = 2.)
+#[test]
+fn heal_crashed_at_every_write_keeps_the_readable_prefix() {
+    use cudele_journal::{scan_journal, JournalId};
+
+    // One recovery with `budget` mutations to spend: its outcome, and how
+    // many it made.
+    let recover_within = |w: &mut CrashWorld, by: RecoverBy, budget: u64| {
+        let before = w.os.mutations.load(Ordering::SeqCst);
+        w.os.mutations_left.store(budget, Ordering::SeqCst);
+        let outcome = match by {
+            RecoverBy::InPlace => w.mds.crash_and_recover(),
+            RecoverBy::Takeover => w.standby().take_over(w.authority.bump()).map(drop),
+        };
+        (outcome, w.os.mutations.load(Ordering::SeqCst) - before)
+    };
+    let id = JournalId::MDLOG;
+    for by in [RecoverBy::InPlace, RecoverBy::Takeover] {
+        let mut whole = crash_world(u64::MAX);
+        let readable = replay(&scan_journal(whole.os.as_ref(), id).unwrap().events).snapshot();
+        let (outcome, heal_writes) = recover_within(&mut whole, by, u64::MAX);
+        outcome.unwrap();
+        assert!(heal_writes >= 2, "a header cut and a stripe cut at least");
+        for k in 0..heal_writes {
+            let what = format!("healer died after mutation {k} of {heal_writes}");
+            let mut w = crash_world(u64::MAX);
+            let (outcome, _) = recover_within(&mut w, by, k);
+            assert!(outcome.is_err(), "{what}: the heal cannot have finished");
+            let (recovered, _) = recover_and_check(w, by, &what);
+            assert_eq!(
+                recovered, readable,
+                "{what} {by:?}: lost part of the prefix"
+            );
+        }
+    }
+}
+
+/// The heal's write order, seen at the journal alone: a few 300-byte
+/// stripes, a flipped byte in the second. Whichever mutation the healer dies after,
+/// the journal still scans to the same prefix; once a heal completes the
+/// journal is clean, nothing of the old stripes is left for a writer to roll
+/// onto, and appends read back behind the prefix.
+#[test]
+fn journal_heal_interrupted_at_every_write_scans_to_the_same_prefix() {
+    use cudele_journal::{
+        read_journal, scan_journal, Attrs, InodeId, JournalEvent, JournalId, JournalTool,
+        JournalWriter,
+    };
+
+    let create = |i: u64| JournalEvent::Create {
+        parent: InodeId::ROOT,
+        name: format!("f{i}"),
+        ino: InodeId(0x1000 + i),
+        attrs: Attrs::file_default(),
+    };
+    let events: Vec<JournalEvent> = (0..24).map(create).collect();
+    let more: Vec<JournalEvent> = (100..124).map(create).collect();
+    let id = JournalId::new(PoolId::METADATA, 0x300);
+    let damaged = || {
+        let os = FlakyStore::new();
+        let mut w = JournalWriter::open_with_stripe(&os, id, 300).unwrap();
+        w.append(&events).unwrap();
+        assert!(w.stripes() >= 4, "stripes past the damaged one");
+        let stripe = ObjectId::journal_stripe(id.pool, id.ino, 1);
+        let mut data = os.inner.read(&stripe).unwrap().to_vec();
+        data[70] ^= 0x01;
+        os.inner.write_full(&stripe, &data).unwrap();
+        os
+    };
+    let os = damaged();
+    let prefix = scan_journal(&os, id).unwrap().events;
+    assert!(!prefix.is_empty() && prefix.len() < events.len());
+    let written = os.mutations.load(Ordering::SeqCst);
+    assert_eq!(JournalTool::new(&os, id).recover().unwrap(), prefix);
+    // The header, every stripe past the damaged one, the damaged one.
+    let heal_writes = os.mutations.load(Ordering::SeqCst) - written;
+    assert!(heal_writes >= 4, "{heal_writes}");
+
+    for k in 0..=heal_writes {
+        let os = damaged();
+        os.mutations_left.store(k, Ordering::SeqCst);
+        let interrupted = JournalTool::new(&os, id).recover();
+        assert_eq!(interrupted.is_ok(), k == heal_writes);
+        os.mutations_left.store(u64::MAX, Ordering::SeqCst);
+        let scan = scan_journal(&os, id).unwrap();
+        assert_eq!(scan.events, prefix, "healer died after mutation {k}");
+        assert_eq!(scan.damage.is_some(), k < heal_writes);
+
+        assert_eq!(JournalTool::new(&os, id).recover().unwrap(), prefix);
+        let mut w = JournalWriter::open_with_stripe(&os, id, 300).unwrap();
+        let stripe_objects = os.inner.list(id.pool, "300.").len() as u64;
+        assert_eq!(
+            stripe_objects,
+            w.stripes(),
+            "k = {k}: a stripe past the end"
+        );
+        w.append(&more).unwrap();
+        assert!(w.stripes() >= 4, "rolled over the old stripes' names");
+        let all = [prefix.as_slice(), more.as_slice()].concat();
+        assert_eq!(read_journal(&os, id).unwrap(), all, "k = {k}");
     }
 }
