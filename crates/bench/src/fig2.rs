@@ -96,7 +96,7 @@ pub fn run(scale: Scale) -> Fig2 {
                     let out = rpc.mkdir(&mut server, parent, name);
                     let ino = out.result.expect("mkdir");
                     dir_inos.push(ino);
-                    for c in &out.costs {
+                    for c in out.costs.iter() {
                         t = mds.serve(t, c.mds_cpu) + c.client_extra;
                         net_bytes += 2 * 1024; // request + reply
                     }
@@ -106,7 +106,7 @@ pub fn run(scale: Scale) -> Fig2 {
                     let parent = dir_inos[(*dir as usize + 1) % dir_inos.len()];
                     let out = rpc.create(&mut server, parent, name);
                     out.result.expect("create");
-                    for c in &out.costs {
+                    for c in out.costs.iter() {
                         t = mds.serve(t, c.mds_cpu) + c.client_extra;
                         net_bytes += 2 * 1024;
                     }

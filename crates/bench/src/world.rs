@@ -12,7 +12,7 @@ use cudele_mds::{ClientId, MdsError, MetadataServer, OpCost};
 use cudele_obs::timeline::Series;
 use cudele_obs::{Histogram, Mechanism, Registry, SpanName, TraceCtx};
 use cudele_sim::{Engine, FifoServer, Nanos, Process, RunReport, Step};
-use cudele_workloads::{client_dir, file_name, Interference};
+use cudele_workloads::{client_dir, file_name, write_file_name, Interference};
 
 /// Shared simulation state: the functional MDS plus its CPU queue and any
 /// named traces processes append to.
@@ -34,6 +34,10 @@ pub struct World {
     /// here because the engine drops its processes when it returns (see
     /// [`run_decoupled_creates`]).
     parked: Vec<DecoupledCreateProcess>,
+    /// The buffer create processes format each file name into. It lives
+    /// here, not in the process, so an open-loop run's one-create clients
+    /// share it too; a step takes it and puts it back.
+    name_buf: String,
 }
 
 /// The harness's per-op telemetry, resolved against the world's registry
@@ -127,6 +131,7 @@ impl World {
             tl,
             h,
             parked: Vec::new(),
+            name_buf: String::new(),
         }
     }
 
@@ -245,7 +250,8 @@ impl Process<World> for RpcCreateProcess {
         if self.done >= self.total {
             return Step::Done;
         }
-        let name = file_name(self.idx, self.done);
+        let mut name = std::mem::take(&mut world.name_buf);
+        write_file_name(&mut name, self.idx, self.done);
         // Open the client op's trace root before touching the server so
         // server-side activity (Stream journaling) nests under it.
         let root = world.obs.trace_root(self.idx);
@@ -260,9 +266,8 @@ impl Process<World> for RpcCreateProcess {
         let t = world.charge_ctx(root, now, &out.costs);
         world
             .obs
-            .end_named_with(root, world.h.create, now, t - now, || {
-                vec![("file".to_string(), name)]
-            });
+            .end_named_with(root, world.h.create, now, t - now, "file", &name);
+        world.name_buf = name;
         self.op_lat.record((t - now).0);
         self.last_op_end = t;
         world.h.ops.add(t, 1);
@@ -379,9 +384,7 @@ impl DecoupledCreateProcess {
             .child_named(va, world.h.net_reply, served, cost.client_extra);
         world
             .obs
-            .end_named_with(root, world.h.merge, t, done - t, || {
-                vec![("events".to_string(), events.to_string())]
-            });
+            .end_named_with(root, world.h.merge, t, done - t, "events", events);
         world
             .obs
             .histogram("bench.merge_latency.ns")
@@ -417,14 +420,16 @@ impl Process<World> for DecoupledCreateProcess {
         // client at 91 us each is pointless — appends are CPU-local with no
         // shared resources, so 1000-op batches preserve exact timing.
         let batch = (self.total - self.done).min(1000);
+        let mut name = std::mem::take(&mut world.name_buf);
         for k in 0..batch {
-            let i = self.done;
+            write_file_name(&mut name, self.idx, self.done);
             self.client.set_now(now + self.append * k);
             self.client
-                .create(self.client.root, &file_name(self.idx, i))
+                .create(self.client.root, &name)
                 .expect("decoupled create");
             self.done += 1;
         }
+        world.name_buf = name;
         let t = now + self.append * batch;
         for _ in 0..batch {
             self.op_lat.record(self.append.0);
@@ -446,9 +451,7 @@ impl Process<World> for DecoupledCreateProcess {
             .child_named(acj, world.h.client_append, now, t - now);
         world
             .obs
-            .end_named_with(root, world.h.append_batch, now, t - now, || {
-                vec![("ops".to_string(), batch.to_string())]
-            });
+            .end_named_with(root, world.h.append_batch, now, t - now, "ops", batch);
         // The final batch's time still elapses: the wake-up after it finds
         // nothing left and completes.
         Step::ResumeAt(t)
@@ -694,9 +697,7 @@ impl SpeculativeCreateProcess {
         world.h.op_latency.sample(at, lat.0, p.root.trace_id);
         world
             .obs
-            .end_named_with(p.root, world.h.spec_create, p.issued_at, lat, || {
-                vec![("seq".to_string(), p.seq.to_string())]
-            });
+            .end_named_with(p.root, world.h.spec_create, p.issued_at, lat, "seq", p.seq);
         self.last_op_end = self.last_op_end.max(at);
     }
 

@@ -123,13 +123,13 @@ impl DecoupledClient {
         }
     }
 
-    fn obs_append(&self, ino: u64, op: impl FnOnce() -> HistoryOp) {
+    fn obs_append(&self, ino: u64, op: HistoryOp<&str>) {
         if let Some(o) = &self.obs {
             o.appends.inc();
             o.history.record(HistoryEvent {
                 client: u64::from(self.id.0),
                 scope: HistoryScope::Local,
-                op: op(),
+                op,
                 result: HistoryResult::Ok,
                 ino,
                 invoke: o.now,
@@ -162,10 +162,13 @@ impl DecoupledClient {
         };
         self.local_ns.apply_blind(&event);
         self.journal.push(event);
-        self.obs_append(ino.0, || HistoryOp::Create {
-            dir: parent.0,
-            name: name.to_string(),
-        });
+        self.obs_append(
+            ino.0,
+            HistoryOp::Create {
+                dir: parent.0,
+                name,
+            },
+        );
         Ok(ino)
     }
 
@@ -180,10 +183,13 @@ impl DecoupledClient {
         };
         self.local_ns.apply_blind(&event);
         self.journal.push(event);
-        self.obs_append(ino.0, || HistoryOp::Mkdir {
-            dir: parent.0,
-            name: name.to_string(),
-        });
+        self.obs_append(
+            ino.0,
+            HistoryOp::Mkdir {
+                dir: parent.0,
+                name,
+            },
+        );
         Ok(ino)
     }
 
@@ -195,10 +201,13 @@ impl DecoupledClient {
         };
         self.local_ns.apply_blind(&event);
         self.journal.push(event);
-        self.obs_append(0, || HistoryOp::Unlink {
-            dir: parent.0,
-            name: name.to_string(),
-        });
+        self.obs_append(
+            0,
+            HistoryOp::Unlink {
+                dir: parent.0,
+                name,
+            },
+        );
     }
 
     /// Appends a rename.
@@ -217,12 +226,15 @@ impl DecoupledClient {
         };
         self.local_ns.apply_blind(&event);
         self.journal.push(event);
-        self.obs_append(0, || HistoryOp::Rename {
-            src_dir: src_parent.0,
-            src_name: src_name.to_string(),
-            dst_dir: dst_parent.0,
-            dst_name: dst_name.to_string(),
-        });
+        self.obs_append(
+            0,
+            HistoryOp::Rename {
+                src_dir: src_parent.0,
+                src_name,
+                dst_dir: dst_parent.0,
+                dst_name,
+            },
+        );
     }
 
     /// Events appended so far.

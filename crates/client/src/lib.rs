@@ -44,6 +44,6 @@ pub mod sync;
 
 pub use decoupled::DecoupledClient;
 pub use local_disk::{DiskError, LocalDisk};
-pub use rpc::{OpOutcome, RpcClient};
+pub use rpc::{Costs, OpOutcome, RpcClient};
 pub use speculate::{AckOutcome, SpecState, SpeculativeClient, SPEC_PREALLOC};
 pub use sync::{NamespaceSync, SyncAction};

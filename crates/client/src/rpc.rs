@@ -25,6 +25,45 @@ use cudele_mds::{ClientId, MdsError, MetadataServer, OpCost, Rpc};
 use cudele_obs::{Counter, Registry};
 use cudele_sim::Nanos;
 
+/// The costs one client operation accrued, in issue order; reads as a
+/// slice. An operation is one RPC, or two after a cap revocation (lookup
+/// then create), so two entries are held inline and only a retry storm's
+/// third spills to the heap — a create's outcome allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Costs {
+    inline: [OpCost; 2],
+    /// Entries of `inline` in use; unused once `spilled` holds anything.
+    len: usize,
+    /// Every entry, once there are more than two.
+    spilled: Vec<OpCost>,
+}
+
+impl Costs {
+    fn push(&mut self, cost: OpCost) {
+        if !self.spilled.is_empty() {
+            self.spilled.push(cost);
+        } else if let Some(slot) = self.inline.get_mut(self.len) {
+            *slot = cost;
+            self.len += 1;
+        } else {
+            self.spilled.extend_from_slice(&self.inline);
+            self.spilled.push(cost);
+        }
+    }
+}
+
+impl std::ops::Deref for Costs {
+    type Target = [OpCost];
+
+    fn deref(&self) -> &[OpCost] {
+        if self.spilled.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
+        }
+    }
+}
+
 /// Outcome of one client-level operation: the functional result plus the
 /// per-RPC costs to charge, in order.
 #[derive(Debug)]
@@ -32,8 +71,8 @@ pub struct OpOutcome<T> {
     /// The operation's functional result.
     pub result: Result<T, MdsError>,
     /// One entry per RPC issued (a create after cap revocation issues two:
-    /// lookup then create).
-    pub costs: Vec<OpCost>,
+    /// lookup then create), plus one per retry backoff.
+    pub costs: Costs,
 }
 
 impl<T> OpOutcome<T> {
@@ -114,7 +153,7 @@ impl RpcClient {
     fn retry_rpc<T>(
         &mut self,
         server: &mut MetadataServer,
-        costs: &mut Vec<OpCost>,
+        costs: &mut Costs,
         mut f: impl FnMut(&mut MetadataServer, ClientId) -> Rpc<T>,
     ) -> Result<T, MdsError> {
         let mut attempt = 0;
@@ -158,7 +197,7 @@ impl RpcClient {
     ) -> OpOutcome<()> {
         self.cached.clear();
         self.reconnects += 1;
-        let mut costs = Vec::with_capacity(1);
+        let mut costs = Costs::default();
         let result = self.retry_rpc(server, &mut costs, |s, id| {
             s.reconnect_session(id, surviving)
         });
@@ -204,7 +243,7 @@ impl RpcClient {
         name: &str,
         kind: FileType,
     ) -> OpOutcome<InodeId> {
-        let mut costs = Vec::with_capacity(2);
+        let mut costs = Costs::default();
         let result = self.try_make(server, dir, name, kind, &mut costs);
         OpOutcome { result, costs }
     }
@@ -215,7 +254,7 @@ impl RpcClient {
         dir: InodeId,
         name: &str,
         kind: FileType,
-        costs: &mut Vec<OpCost>,
+        costs: &mut Costs,
     ) -> Result<InodeId, MdsError> {
         let mkdir = kind == FileType::Dir;
         if !self.believes_cached(dir) {
@@ -249,7 +288,7 @@ impl RpcClient {
     /// Polls a directory's entry count with `readdir` (the "check progress
     /// with ls" pattern of the read-while-writing use case).
     pub fn poll_progress(&mut self, server: &mut MetadataServer, dir: InodeId) -> OpOutcome<usize> {
-        let mut costs = Vec::with_capacity(1);
+        let mut costs = Costs::default();
         let result = self
             .retry_rpc(server, &mut costs, |s, id| s.readdir(id, dir))
             .map(|v| v.len());

@@ -21,7 +21,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cudele_sim::Nanos;
 
 use crate::crc::crc32;
-use crate::event::{Attrs, InodeId, JournalEvent};
+use crate::event::{Attrs, EventRef, InodeId, JournalEvent};
 
 /// 8-byte magic prefix of a serialized journal.
 pub const MAGIC: &[u8; 8] = b"CUDELEJ1";
@@ -95,9 +95,9 @@ fn put_attrs(buf: &mut BytesMut, a: &Attrs) {
 }
 
 /// Encodes one event's *payload* (no frame) into `buf`.
-fn encode_payload(buf: &mut BytesMut, event: &JournalEvent) {
+fn encode_payload(buf: &mut BytesMut, event: EventRef<'_>) {
     match event {
-        JournalEvent::Create {
+        EventRef::Create {
             parent,
             name,
             ino,
@@ -107,9 +107,9 @@ fn encode_payload(buf: &mut BytesMut, event: &JournalEvent) {
             buf.put_u64_le(parent.0);
             put_string(buf, name);
             buf.put_u64_le(ino.0);
-            put_attrs(buf, attrs);
+            put_attrs(buf, &attrs);
         }
-        JournalEvent::Mkdir {
+        EventRef::Mkdir {
             parent,
             name,
             ino,
@@ -119,19 +119,19 @@ fn encode_payload(buf: &mut BytesMut, event: &JournalEvent) {
             buf.put_u64_le(parent.0);
             put_string(buf, name);
             buf.put_u64_le(ino.0);
-            put_attrs(buf, attrs);
+            put_attrs(buf, &attrs);
         }
-        JournalEvent::Unlink { parent, name } => {
+        EventRef::Unlink { parent, name } => {
             buf.put_u8(TAG_UNLINK);
             buf.put_u64_le(parent.0);
             put_string(buf, name);
         }
-        JournalEvent::Rmdir { parent, name } => {
+        EventRef::Rmdir { parent, name } => {
             buf.put_u8(TAG_RMDIR);
             buf.put_u64_le(parent.0);
             put_string(buf, name);
         }
-        JournalEvent::Rename {
+        EventRef::Rename {
             src_parent,
             src_name,
             dst_parent,
@@ -143,25 +143,25 @@ fn encode_payload(buf: &mut BytesMut, event: &JournalEvent) {
             buf.put_u64_le(dst_parent.0);
             put_string(buf, dst_name);
         }
-        JournalEvent::SetAttr { ino, attrs } => {
+        EventRef::SetAttr { ino, attrs } => {
             buf.put_u8(TAG_SETATTR);
             buf.put_u64_le(ino.0);
-            put_attrs(buf, attrs);
+            put_attrs(buf, &attrs);
         }
-        JournalEvent::SetPolicy { ino, policy } => {
+        EventRef::SetPolicy { ino, policy } => {
             buf.put_u8(TAG_SETPOLICY);
             buf.put_u64_le(ino.0);
             put_bytes(buf, policy);
         }
-        JournalEvent::SegmentBoundary { seq } => {
+        EventRef::SegmentBoundary { seq } => {
             buf.put_u8(TAG_SEGMENT);
-            buf.put_u64_le(*seq);
+            buf.put_u64_le(seq);
         }
-        JournalEvent::AllocRange { client, start, len } => {
+        EventRef::AllocRange { client, start, len } => {
             buf.put_u8(TAG_ALLOCRANGE);
-            buf.put_u32_le(*client);
+            buf.put_u32_le(client);
             buf.put_u64_le(start.0);
-            buf.put_u64_le(*len);
+            buf.put_u64_le(len);
         }
     }
 }
@@ -173,11 +173,14 @@ fn encode_payload(buf: &mut BytesMut, event: &JournalEvent) {
 /// so framing allocates nothing beyond `buf` itself — the journal write
 /// path frames millions of events, and a scratch `BytesMut` per event
 /// used to dominate its allocation profile.
-pub fn encode_event(buf: &mut BytesMut, event: &JournalEvent) {
+///
+/// Takes the borrowed view, which `&JournalEvent` converts to: the serving
+/// path frames an update straight from its request's `&str` names.
+pub fn encode_event<'a>(buf: &mut BytesMut, event: impl Into<EventRef<'a>>) {
     let frame_start = buf.len();
     buf.put_u32_le(0); // len, backfilled below
     buf.put_u32_le(0); // crc, backfilled below
-    encode_payload(buf, event);
+    encode_payload(buf, event.into());
     let payload_start = frame_start + 8;
     let len = (buf.len() - payload_start) as u32;
     let crc = crc32(&buf[payload_start..]);

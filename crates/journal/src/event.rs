@@ -238,6 +238,152 @@ pub enum JournalEvent {
     },
 }
 
+/// A [`JournalEvent`] with its names and policy blob borrowed: what the
+/// serving path builds from a request's `&str`s, and what an owned event
+/// converts to for free. The codec's encoder and the metadata store's apply
+/// functions are written against this view, so logging and applying an
+/// update never requires owning its name; only decoding produces owned
+/// events.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EventRef<'a> {
+    /// See [`JournalEvent::Create`].
+    Create {
+        /// Directory receiving the new file.
+        parent: InodeId,
+        /// Dentry name.
+        name: &'a str,
+        /// Inode number assigned to the file.
+        ino: InodeId,
+        /// Initial attributes.
+        attrs: Attrs,
+    },
+    /// See [`JournalEvent::Mkdir`].
+    Mkdir {
+        /// Directory receiving the new subdirectory.
+        parent: InodeId,
+        /// Dentry name.
+        name: &'a str,
+        /// Inode number assigned to the directory.
+        ino: InodeId,
+        /// Initial attributes.
+        attrs: Attrs,
+    },
+    /// See [`JournalEvent::Unlink`].
+    Unlink {
+        /// Directory holding the dentry.
+        parent: InodeId,
+        /// Dentry name to remove.
+        name: &'a str,
+    },
+    /// See [`JournalEvent::Rmdir`].
+    Rmdir {
+        /// Directory holding the dentry.
+        parent: InodeId,
+        /// Dentry name to remove.
+        name: &'a str,
+    },
+    /// See [`JournalEvent::Rename`].
+    Rename {
+        /// Source directory.
+        src_parent: InodeId,
+        /// Source dentry name.
+        src_name: &'a str,
+        /// Destination directory.
+        dst_parent: InodeId,
+        /// Destination dentry name.
+        dst_name: &'a str,
+    },
+    /// See [`JournalEvent::SetAttr`].
+    SetAttr {
+        /// Target inode.
+        ino: InodeId,
+        /// Replacement attributes.
+        attrs: Attrs,
+    },
+    /// See [`JournalEvent::SetPolicy`].
+    SetPolicy {
+        /// Subtree-root inode the policy attaches to.
+        ino: InodeId,
+        /// Opaque serialized policy.
+        policy: &'a [u8],
+    },
+    /// See [`JournalEvent::SegmentBoundary`].
+    SegmentBoundary {
+        /// Sequence number of the segment this marker closes.
+        seq: u64,
+    },
+    /// See [`JournalEvent::AllocRange`].
+    AllocRange {
+        /// Client the range was granted to.
+        client: u32,
+        /// First inode in the granted range.
+        start: InodeId,
+        /// Number of inodes granted.
+        len: u64,
+    },
+}
+
+impl<'a> From<&'a JournalEvent> for EventRef<'a> {
+    // Replay converts every event it applies, from another crate.
+    #[inline]
+    fn from(event: &'a JournalEvent) -> EventRef<'a> {
+        match *event {
+            JournalEvent::Create {
+                parent,
+                ref name,
+                ino,
+                attrs,
+            } => EventRef::Create {
+                parent,
+                name,
+                ino,
+                attrs,
+            },
+            JournalEvent::Mkdir {
+                parent,
+                ref name,
+                ino,
+                attrs,
+            } => EventRef::Mkdir {
+                parent,
+                name,
+                ino,
+                attrs,
+            },
+            JournalEvent::Unlink { parent, ref name } => EventRef::Unlink { parent, name },
+            JournalEvent::Rmdir { parent, ref name } => EventRef::Rmdir { parent, name },
+            JournalEvent::Rename {
+                src_parent,
+                ref src_name,
+                dst_parent,
+                ref dst_name,
+            } => EventRef::Rename {
+                src_parent,
+                src_name,
+                dst_parent,
+                dst_name,
+            },
+            JournalEvent::SetAttr { ino, attrs } => EventRef::SetAttr { ino, attrs },
+            JournalEvent::SetPolicy { ino, ref policy } => EventRef::SetPolicy { ino, policy },
+            JournalEvent::SegmentBoundary { seq } => EventRef::SegmentBoundary { seq },
+            JournalEvent::AllocRange { client, start, len } => {
+                EventRef::AllocRange { client, start, len }
+            }
+        }
+    }
+}
+
+impl EventRef<'_> {
+    /// Whether this event mutates the namespace (see
+    /// [`JournalEvent::is_update`]).
+    pub fn is_update(&self) -> bool {
+        !matches!(
+            self,
+            EventRef::SegmentBoundary { .. } | EventRef::AllocRange { .. }
+        )
+    }
+}
+
 impl JournalEvent {
     /// A short label for traces and counters.
     pub fn kind(&self) -> &'static str {

@@ -43,7 +43,7 @@ pub use codec::{
     CodecError, FrameDamage, FrameScan,
 };
 pub use crc::crc32;
-pub use event::{Attrs, EventSink, FileType, InodeId, InodeRange, JournalEvent};
+pub use event::{Attrs, EventRef, EventSink, FileType, InodeId, InodeRange, JournalEvent};
 pub use segment::{segment_events, Segment, SegmentBuilder};
 pub use store_io::{
     delete_journal, journal_exists, read_journal, read_journal_tail, recover_journal,

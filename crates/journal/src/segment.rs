@@ -14,7 +14,7 @@
 use bytes::{Bytes, BytesMut};
 
 use crate::codec::encode_event;
-use crate::event::JournalEvent;
+use crate::event::{EventRef, JournalEvent};
 
 /// A sealed group of journal events.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +64,8 @@ impl SegmentBuilder {
 
     /// Frames an event into the open segment; returns the sealed segment
     /// if this event filled it.
-    pub fn push(&mut self, event: &JournalEvent) -> Option<Segment> {
+    pub fn push<'a>(&mut self, event: impl Into<EventRef<'a>>) -> Option<Segment> {
+        let event = event.into();
         encode_event(&mut self.frames, event);
         self.events += 1;
         self.updates += u64::from(event.is_update());

@@ -1,5 +1,8 @@
 //! Strategies shared by the journal crate's property tests.
 
+// Each test binary compiles this module and uses its own subset.
+#![allow(dead_code)]
+
 use proptest::prelude::*;
 
 use cudele_journal::{Attrs, InodeId, JournalEvent};
@@ -40,6 +43,30 @@ pub fn arb_event() -> impl Strategy<Value = JournalEvent> {
             }
         }),
         any::<u32>().prop_map(|seq| JournalEvent::SegmentBoundary { seq: seq as u64 }),
+    ]
+}
+
+/// [`arb_event`] widened to the whole vocabulary — every variant, and names
+/// that are empty or multi-byte — for tests of the codec itself (the writer
+/// tests above treat events as opaque frames and keep the narrower mix).
+pub fn arb_any_event() -> impl Strategy<Value = JournalEvent> {
+    let ino = (2u64..1 << 32).prop_map(InodeId);
+    let name = proptest::string::string_regex("[a-z0-9._\\-]{0,24}|[α-ωあ-ん]{1,8}").unwrap();
+    prop_oneof![
+        arb_event(),
+        (ino.clone(), name.clone()).prop_map(|(parent, name)| JournalEvent::Rmdir { parent, name }),
+        (ino.clone(), name.clone(), ino.clone(), name).prop_map(
+            |(src_parent, src_name, dst_parent, dst_name)| JournalEvent::Rename {
+                src_parent,
+                src_name,
+                dst_parent,
+                dst_name,
+            }
+        ),
+        (ino.clone(), proptest::collection::vec(any::<u8>(), 0..40))
+            .prop_map(|(ino, policy)| JournalEvent::SetPolicy { ino, policy }),
+        (any::<u32>(), ino, 1u64..1 << 20)
+            .prop_map(|(client, start, len)| JournalEvent::AllocRange { client, start, len }),
     ]
 }
 

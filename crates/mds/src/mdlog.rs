@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 
 use cudele_journal::{
-    trim_journal, JournalEvent, JournalId, JournalIoError, JournalObs, JournalWriter, Segment,
+    trim_journal, EventRef, JournalId, JournalIoError, JournalObs, JournalWriter, Segment,
     SegmentBuilder,
 };
 use cudele_obs::{Counter, Registry};
@@ -193,10 +193,10 @@ impl MdLog {
 
     /// Submits one event. If this seals enough segments to fill the
     /// dispatch window, the window is flushed to the object store.
-    pub fn submit<S: ObjectStore + ?Sized>(
+    pub fn submit<'a, S: ObjectStore + ?Sized>(
         &mut self,
         os: &S,
-        event: &JournalEvent,
+        event: impl Into<EventRef<'a>>,
     ) -> Result<(), JournalIoError> {
         self.stats.events += 1;
         if let Some(obs) = &self.obs {
@@ -303,7 +303,7 @@ impl MdLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cudele_journal::{read_journal, Attrs, InodeId};
+    use cudele_journal::{read_journal, Attrs, InodeId, JournalEvent};
     use cudele_rados::{InMemoryStore, PoolId};
 
     fn create(i: u64) -> JournalEvent {

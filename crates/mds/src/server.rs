@@ -16,7 +16,9 @@
 
 use std::sync::Arc;
 
-use cudele_journal::{recover_journal, Attrs, InodeId, InodeRange, JournalEvent, JournalId};
+use cudele_journal::{
+    recover_journal, Attrs, EventRef, InodeId, InodeRange, JournalEvent, JournalId,
+};
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
 use cudele_obs::timeline::Series;
 use cudele_obs::{Counter, Histogram, Mechanism, Registry, SpanName, TraceCtx};
@@ -193,7 +195,7 @@ pub enum Request<'a> {
     },
 }
 
-impl Request<'_> {
+impl<'a> Request<'a> {
     /// The inodes the request addresses: what the blocked-subtree check
     /// guards and, for an update, the directories that take write caps.
     fn targets(&self) -> [Option<InodeId>; 2] {
@@ -215,8 +217,9 @@ impl Request<'_> {
     /// (`None` on error), with the inode the row reports. `stat` observes
     /// no name, so the name-keyed checkers have nothing to learn from it;
     /// a tokened create is recorded by the client's speculation layer when
-    /// (and only if) the speculation commits.
-    fn history_row(&self, reply: Option<&Reply>) -> Option<(HistoryOp, u64)> {
+    /// (and only if) the speculation commits. The row borrows the
+    /// request's names; the history log copies them into its arena.
+    fn history_row(&self, reply: Option<&Reply>) -> Option<(HistoryOp<&'a str>, u64)> {
         let created = || match reply {
             Some(Reply::Created(r)) => r.ino.0,
             _ => 0,
@@ -226,14 +229,14 @@ impl Request<'_> {
             Request::Create { parent, name, .. } => (
                 HistoryOp::Create {
                     dir: parent.0,
-                    name: name.to_string(),
+                    name,
                 },
                 created(),
             ),
             Request::Mkdir { parent, name } => (
                 HistoryOp::Mkdir {
                     dir: parent.0,
-                    name: name.to_string(),
+                    name,
                 },
                 created(),
             ),
@@ -245,7 +248,7 @@ impl Request<'_> {
                 (
                     HistoryOp::Lookup {
                         dir: parent.0,
-                        name: name.to_string(),
+                        name,
                         found,
                     },
                     found.unwrap_or(0),
@@ -254,7 +257,7 @@ impl Request<'_> {
             Request::Unlink { parent, name } => (
                 HistoryOp::Unlink {
                     dir: parent.0,
-                    name: name.to_string(),
+                    name,
                 },
                 0,
             ),
@@ -266,9 +269,9 @@ impl Request<'_> {
             } => (
                 HistoryOp::Rename {
                     src_dir: src_parent.0,
-                    src_name: src_name.to_string(),
+                    src_name,
                     dst_dir: dst_parent.0,
-                    dst_name: dst_name.to_string(),
+                    dst_name,
                 },
                 0,
             ),
@@ -730,11 +733,11 @@ impl MetadataServer {
     // Internals
     // ------------------------------------------------------------------
 
-    fn journal(&mut self, event: JournalEvent) -> Result<(Nanos, Nanos)> {
+    fn journal(&mut self, event: EventRef<'_>) -> Result<(Nanos, Nanos)> {
         self.journal_impl(event, true)
     }
 
-    fn journal_impl(&mut self, event: JournalEvent, observe: bool) -> Result<(Nanos, Nanos)> {
+    fn journal_impl(&mut self, event: EventRef<'_>, observe: bool) -> Result<(Nanos, Nanos)> {
         match self.mdlog.as_mut() {
             Some(log) => {
                 let dispatch = log.dispatch_size();
@@ -742,7 +745,7 @@ impl MetadataServer {
                 if let Some(o) = &self.obs {
                     log.set_now(o.now);
                 }
-                log.submit(self.os.as_ref(), &event)
+                log.submit(self.os.as_ref(), event)
                     .map_err(|e| MdsError::from_store("journal append", &e))?;
                 if let Some(o) = &self.obs {
                     // Writer-side transients the whole-run counters hide:
@@ -798,7 +801,7 @@ impl MetadataServer {
     /// at session mount).
     fn journal_grant(&mut self, client: ClientId, range: InodeRange) -> Result<(Nanos, Nanos)> {
         self.journal_impl(
-            JournalEvent::AllocRange {
+            EventRef::AllocRange {
                 client: client.0,
                 start: range.start,
                 len: range.len,
@@ -887,7 +890,7 @@ impl MetadataServer {
         let Some((op, ino)) = req.history_row(rpc.result.as_ref().ok()) else {
             return;
         };
-        o.reg.record_history(HistoryEvent {
+        o.reg.record_history_row(HistoryEvent {
             client: u64::from(client.0),
             scope: HistoryScope::Global,
             op,
@@ -1014,8 +1017,9 @@ impl MetadataServer {
     ///    acknowledged at lookup cost without touching anything;
     /// 3. **apply** — reads answer from the store; an update takes its
     ///    inode and the write caps on its target directories, builds the
-    ///    [`JournalEvent`] it is about to log, and applies *that* through
-    ///    [`MetadataStore::apply_checked`] — the entry replay uses too;
+    ///    event it is about to log — as an [`EventRef`] borrowing the
+    ///    request's names — and applies *that* through
+    ///    [`MetadataStore::apply_checked_ref`], the body replay uses too;
     /// 4. **journal** — the event enters the mdlog (a failure here leaves
     ///    the in-memory mutation standing: a fenced zombie's private
     ///    hallucination, or the known gap of DESIGN.md §11.5 for I/O);
@@ -1075,9 +1079,9 @@ impl MetadataServer {
             {
                 return Err(MdsError::BadSpeculation { ino });
             }
-            match self.store.lookup(parent, name) {
+            match self.store.probe(parent, name) {
                 // Replay of an op that applied before the invalidation.
-                Ok(d) if d.ino == ino => {
+                Ok(Some(d)) if d.ino == ino => {
                     self.obs(|o| o.spec_deduped.inc());
                     cost.mds_cpu = self.cost.mds_lookup_cpu;
                     return Ok(Reply::Created(CreateReply {
@@ -1085,14 +1089,14 @@ impl MetadataServer {
                         has_cache: false,
                     }));
                 }
-                Ok(_) => {
+                Ok(Some(_)) => {
                     return Err(MdsError::Exists {
                         parent,
                         name: name.to_string(),
                     })
                 }
                 // Absent (or no such directory: the store will say so).
-                Err(_) => {}
+                Ok(None) | Err(_) => {}
             }
         }
 
@@ -1104,10 +1108,10 @@ impl MetadataServer {
                 self.counters.lookups += 1;
                 self.obs(|o| o.lookups.inc());
                 cost.mds_cpu = self.cost.mds_lookup_cpu;
-                return match self.store.lookup(parent, name) {
-                    Ok(d) => Ok(Reply::Dentry(Some(d))),
+                return match self.store.probe(parent, name) {
+                    // A directory that does not exist holds no names either.
                     Err(MdsError::NoEnt { .. }) => Ok(Reply::Dentry(None)),
-                    Err(e) => Err(e),
+                    found => found.map(Reply::Dentry),
                 };
             }
             Request::Stat { ino } => {
@@ -1137,47 +1141,40 @@ impl MetadataServer {
                     Some(token) => token.predicted_ino,
                     None => self.take_session_inode(client)?,
                 };
-                let attrs = Attrs::file_default();
-                let name = name.to_string();
                 (
-                    JournalEvent::Create {
+                    EventRef::Create {
                         parent,
                         name,
                         ino,
-                        attrs,
+                        attrs: Attrs::file_default(),
                     },
                     Some(ino),
                 )
             }
             Request::Mkdir { parent, name } => {
                 let ino = self.take_session_inode(client)?;
-                let attrs = Attrs::dir_default();
-                let name = name.to_string();
                 (
-                    JournalEvent::Mkdir {
+                    EventRef::Mkdir {
                         parent,
                         name,
                         ino,
-                        attrs,
+                        attrs: Attrs::dir_default(),
                     },
                     Some(ino),
                 )
             }
-            Request::Unlink { parent, name } => {
-                let name = name.to_string();
-                (JournalEvent::Unlink { parent, name }, None)
-            }
+            Request::Unlink { parent, name } => (EventRef::Unlink { parent, name }, None),
             Request::Rename {
                 src_parent,
                 src_name,
                 dst_parent,
                 dst_name,
             } => (
-                JournalEvent::Rename {
+                EventRef::Rename {
                     src_parent,
-                    src_name: src_name.to_string(),
+                    src_name,
                     dst_parent,
-                    dst_name: dst_name.to_string(),
+                    dst_name,
                 },
                 None,
             ),
@@ -1191,7 +1188,7 @@ impl MetadataServer {
             }
             has_cache = caps.writer_has_cache;
         }
-        self.store.apply_checked(&event)?;
+        self.store.apply_checked_ref(event)?;
 
         // Journal. On failure the in-memory mutation stands.
         cost.journaled(self.journal(event)?);
@@ -1317,8 +1314,11 @@ impl MetadataServer {
     ) -> Rpc<InodeId> {
         self.rpc(self.cost.mds_create_cpu, |s, _| {
             let ino = s.store.resolve(path)?;
-            let event = JournalEvent::SetPolicy { ino, policy };
-            s.store.apply_checked(&event)?;
+            let event = EventRef::SetPolicy {
+                ino,
+                policy: &policy,
+            };
+            s.store.apply_checked_ref(event)?;
             s.journal(event)?;
             if block_for_others {
                 s.blocked.retain(|&(root, _)| root != ino);
@@ -1454,9 +1454,9 @@ impl MetadataServer {
                     let attrs = Attrs::dir_default();
                     self.store.mkdir(cur, comp, ino, attrs)?;
                     if durable {
-                        self.journal(JournalEvent::Mkdir {
+                        self.journal(EventRef::Mkdir {
                             parent: cur,
-                            name: comp.to_string(),
+                            name: comp,
                             ino,
                             attrs,
                         })?;

@@ -9,9 +9,10 @@
 //! * `dirs`: directory inode number → [`Dir`], itself one name-keyed hash
 //!   table with the fragtree as a view (see [`crate::dirfrag`]).
 //!
-//! Both tables are keyed by [`InodeId`] and hashed by an in-crate integer
-//! mixer rather than SipHash: the keys are allocator-issued numbers, not
-//! attacker-chosen strings, and the store is probed several times per op.
+//! Both tables are keyed by [`InodeId`] and hashed by
+//! [`cudele_sim::IntHasher`] rather than SipHash: the keys are
+//! allocator-issued numbers, not attacker-chosen strings, and the store is
+//! probed several times per op.
 //!
 //! Two apply disciplines exist, and the difference is load-bearing for the
 //! paper's results:
@@ -26,45 +27,16 @@
 //!   merge time", so blind applies overwrite.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 
-use cudele_journal::{Attrs, FileType, InodeId, JournalEvent};
+use cudele_journal::{Attrs, EventRef, FileType, InodeId, JournalEvent};
+use cudele_sim::IntMap;
 
 use crate::dirfrag::{Dentry, Dir, NameHash};
 use crate::error::{MdsError, Result};
 use crate::inode::Inode;
 
-/// Hasher for the [`InodeId`]-keyed tables: one multiply and a fold.
-///
-/// Inode numbers are dense runs inside ranges that start far apart (one
-/// range per client grant), so a multiply alone would leave the bucket
-/// bits — the low ones — a function of the offset inside the range only;
-/// folding the high half down mixes the range in. The table's control
-/// bytes come from the top bits, which the multiply already fills.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct InoHasher(u64);
-
-impl Hasher for InoHasher {
-    fn write_u64(&mut self, n: u64) {
-        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type InoMap<V> = HashMap<InodeId, V, BuildHasherDefault<InoHasher>>;
+type InoMap<V> = IntMap<InodeId, V>;
 
 /// The namespace: an inode table plus per-directory dentry tables.
 #[derive(Debug, Clone)]
@@ -325,14 +297,21 @@ impl MetadataStore {
         })
     }
 
-    /// Looks up one name in a directory.
+    /// Looks up one name in a directory; a missing name is `ENOENT`.
     pub fn lookup(&self, parent: InodeId, name: &str) -> Result<Dentry> {
+        self.probe(parent, name)?
+            .ok_or_else(|| MetadataStore::no_such_name(parent, name))
+    }
+
+    /// [`MetadataStore::lookup`] for callers that expect the miss: a
+    /// missing name is `Ok(None)` and formats no error message (a missing
+    /// *directory* is still an error).
+    pub fn probe(&self, parent: InodeId, name: &str) -> Result<Option<Dentry>> {
         let dir = self
             .dirs
             .get(&parent)
             .ok_or_else(|| self.not_a_dir(parent))?;
-        dir.get(name)
-            .ok_or_else(|| MetadataStore::no_such_name(parent, name))
+        Ok(dir.get(name))
     }
 
     /// Full directory listing, sorted by name.
@@ -391,48 +370,54 @@ impl MetadataStore {
     /// does. Decoupled updates take priority: existing dentries are
     /// overwritten, missing unlink targets are ignored.
     pub fn apply_blind(&mut self, event: &JournalEvent) {
+        self.apply_blind_ref(event.into());
+    }
+
+    /// [`MetadataStore::apply_blind`] over the borrowed view — the one
+    /// blind-apply body.
+    pub fn apply_blind_ref(&mut self, event: EventRef<'_>) {
         match event {
-            JournalEvent::Create {
+            EventRef::Create {
                 parent,
                 name,
                 ino,
                 attrs,
             } => {
                 let dentry = Dentry {
-                    ino: *ino,
+                    ino,
                     ftype: FileType::File,
                 };
-                if let Some(prev) = self.dir_or_new(*parent).insert(name, dentry) {
+                if let Some(prev) = self.dir_or_new(parent).insert(name, dentry) {
                     self.inodes.remove(&prev.ino);
                 }
                 self.inodes
-                    .insert(*ino, Inode::file(*ino, *attrs).child_of(*parent));
+                    .insert(ino, Inode::file(ino, attrs).child_of(parent));
             }
-            JournalEvent::Mkdir {
+            EventRef::Mkdir {
                 parent,
                 name,
                 ino,
                 attrs,
             } => {
                 let dentry = Dentry {
-                    ino: *ino,
+                    ino,
                     ftype: FileType::Dir,
                 };
-                if let Some(prev) = self.dir_or_new(*parent).insert(name, dentry) {
-                    if prev.ino != *ino {
+                if let Some(prev) = self.dir_or_new(parent).insert(name, dentry) {
+                    if prev.ino != ino {
                         self.forget(prev.ino);
                     }
                 }
                 self.inodes
-                    .insert(*ino, Inode::dir(*ino, *attrs).child_of(*parent));
-                self.dir_or_new(*ino);
+                    .insert(ino, Inode::dir(ino, attrs).child_of(parent));
+                self.dir_or_new(ino);
             }
-            JournalEvent::Unlink { parent, name } | JournalEvent::Rmdir { parent, name } => {
-                if let Some(prev) = self.dirs.get_mut(parent).and_then(|d| d.remove(name)) {
+            EventRef::Unlink { parent, name } | EventRef::Rmdir { parent, name } => {
+                if let Some(prev) = self.dirs.get_mut(&parent).and_then(|d| d.remove(name)) {
                     self.forget(prev.ino);
                 }
             }
-            JournalEvent::Rename {
+            EventRef::Rename {
                 src_parent,
                 src_name,
                 dst_parent,
@@ -440,31 +425,31 @@ impl MetadataStore {
             } => {
                 let Some(dentry) = self
                     .dirs
-                    .get_mut(src_parent)
+                    .get_mut(&src_parent)
                     .and_then(|d| d.remove(src_name))
                 else {
                     return;
                 };
-                if let Some(prev) = self.dir_or_new(*dst_parent).insert(dst_name, dentry) {
+                if let Some(prev) = self.dir_or_new(dst_parent).insert(dst_name, dentry) {
                     if prev.ino != dentry.ino {
                         self.forget(prev.ino);
                     }
                 }
                 if let Some(inode) = self.inodes.get_mut(&dentry.ino) {
-                    inode.set_parent(*dst_parent);
+                    inode.set_parent(dst_parent);
                 }
             }
-            JournalEvent::SetAttr { ino, attrs } => {
-                if let Some(inode) = self.inodes.get_mut(ino) {
-                    inode.set_attrs(*attrs);
+            EventRef::SetAttr { ino, attrs } => {
+                if let Some(inode) = self.inodes.get_mut(&ino) {
+                    inode.set_attrs(attrs);
                 }
             }
-            JournalEvent::SetPolicy { ino, policy } => {
-                if let Some(inode) = self.inodes.get_mut(ino) {
-                    inode.set_policy(policy.clone());
+            EventRef::SetPolicy { ino, policy } => {
+                if let Some(inode) = self.inodes.get_mut(&ino) {
+                    inode.set_policy(policy.to_vec());
                 }
             }
-            JournalEvent::SegmentBoundary { .. } | JournalEvent::AllocRange { .. } => {}
+            EventRef::SegmentBoundary { .. } | EventRef::AllocRange { .. } => {}
         }
     }
 
@@ -507,30 +492,37 @@ impl MetadataStore {
     /// Applies one journal event with full validity checks (the RPC
     /// discipline), mapping each event to its checked operation.
     pub fn apply_checked(&mut self, event: &JournalEvent) -> Result<()> {
+        self.apply_checked_ref(event.into())
+    }
+
+    /// [`MetadataStore::apply_checked`] over the borrowed view — the one
+    /// checked-apply body, and what the serving funnel calls with the
+    /// request's own names.
+    pub fn apply_checked_ref(&mut self, event: EventRef<'_>) -> Result<()> {
         match event {
-            JournalEvent::Create {
+            EventRef::Create {
                 parent,
                 name,
                 ino,
                 attrs,
-            } => self.create(*parent, name, *ino, *attrs),
-            JournalEvent::Mkdir {
+            } => self.create(parent, name, ino, attrs),
+            EventRef::Mkdir {
                 parent,
                 name,
                 ino,
                 attrs,
-            } => self.mkdir(*parent, name, *ino, *attrs),
-            JournalEvent::Unlink { parent, name } => self.unlink(*parent, name),
-            JournalEvent::Rmdir { parent, name } => self.rmdir(*parent, name),
-            JournalEvent::Rename {
+            } => self.mkdir(parent, name, ino, attrs),
+            EventRef::Unlink { parent, name } => self.unlink(parent, name),
+            EventRef::Rmdir { parent, name } => self.rmdir(parent, name),
+            EventRef::Rename {
                 src_parent,
                 src_name,
                 dst_parent,
                 dst_name,
-            } => self.rename(*src_parent, src_name, *dst_parent, dst_name),
-            JournalEvent::SetAttr { ino, attrs } => self.setattr(*ino, *attrs),
-            JournalEvent::SetPolicy { ino, policy } => self.set_policy(*ino, policy.clone()),
-            JournalEvent::SegmentBoundary { .. } | JournalEvent::AllocRange { .. } => Ok(()),
+            } => self.rename(src_parent, src_name, dst_parent, dst_name),
+            EventRef::SetAttr { ino, attrs } => self.setattr(ino, attrs),
+            EventRef::SetPolicy { ino, policy } => self.set_policy(ino, policy.to_vec()),
+            EventRef::SegmentBoundary { .. } | EventRef::AllocRange { .. } => Ok(()),
         }
     }
 
@@ -646,6 +638,31 @@ mod tests {
         assert_eq!(d.ino, InodeId(0x1000));
         assert_eq!(d.ftype, FileType::File);
         assert_eq!(s.inode_count(), 2);
+    }
+
+    #[test]
+    fn probe_tells_a_missing_name_from_a_missing_directory() {
+        let mut s = MetadataStore::new();
+        s.create(InodeId::ROOT, "f", InodeId(0x1000), attrs())
+            .unwrap();
+        assert_eq!(
+            s.probe(InodeId::ROOT, "f").unwrap().map(|d| d.ino),
+            Some(InodeId(0x1000))
+        );
+        assert_eq!(s.probe(InodeId::ROOT, "g").unwrap(), None);
+        assert!(matches!(
+            s.probe(InodeId(0xdead), "f"),
+            Err(MdsError::NoEnt { .. })
+        ));
+        assert!(matches!(
+            s.probe(InodeId(0x1000), "f"),
+            Err(MdsError::NotDir { .. })
+        ));
+        // `lookup` is the same probe with the miss turned into ENOENT.
+        assert!(matches!(
+            s.lookup(InodeId::ROOT, "g"),
+            Err(MdsError::NoEnt { .. })
+        ));
     }
 
     #[test]

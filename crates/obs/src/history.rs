@@ -58,39 +58,45 @@ impl HistoryScope {
 
 /// The operation an event records. Directory arguments are inode numbers
 /// (`InodeId.0`); names are the final path component.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HistoryOp {
+///
+/// `S` is how a name is held: an owned `String` in the event a reader gets
+/// back (the default, so `HistoryOp` alone means that), a `&str` in the
+/// row a recorder hands in — recording copies the name once, into the
+/// log's arena, so the serving path never owns it — and an arena offset
+/// inside the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistoryOp<S = String> {
     /// File create in `dir`.
     Create {
         /// Parent directory inode.
         dir: u64,
         /// Created name.
-        name: String,
+        name: S,
     },
     /// Directory create in `dir`.
     Mkdir {
         /// Parent directory inode.
         dir: u64,
         /// Created name.
-        name: String,
+        name: S,
     },
     /// File removal from `dir`.
     Unlink {
         /// Parent directory inode.
         dir: u64,
         /// Removed name.
-        name: String,
+        name: S,
     },
     /// Rename `src_dir/src_name` → `dst_dir/dst_name`.
     Rename {
         /// Source directory inode.
         src_dir: u64,
         /// Source name.
-        src_name: String,
+        src_name: S,
         /// Destination directory inode.
         dst_dir: u64,
         /// Destination name.
-        dst_name: String,
+        dst_name: S,
     },
     /// Name lookup in `dir`; `found` is the returned inode (None = ENOENT
     /// observed).
@@ -98,7 +104,7 @@ pub enum HistoryOp {
         /// Directory inode searched.
         dir: u64,
         /// Name searched for.
-        name: String,
+        name: S,
         /// The inode the lookup returned, if the name existed.
         found: Option<u64>,
     },
@@ -117,7 +123,7 @@ pub enum HistoryOp {
     },
 }
 
-impl HistoryOp {
+impl<S> HistoryOp<S> {
     fn kind(&self) -> &'static str {
         match self {
             HistoryOp::Create { .. } => "create",
@@ -127,6 +133,39 @@ impl HistoryOp {
             HistoryOp::Lookup { .. } => "lookup",
             HistoryOp::Readdir { .. } => "readdir",
             HistoryOp::Merge { .. } => "merge",
+        }
+    }
+
+    /// The same operation with every name passed through `f`, in field
+    /// order (a rename's source before its destination) —
+    /// `op.map_names(String::as_str)` borrows an owned op.
+    pub fn map_names<'a, T>(&'a self, mut f: impl FnMut(&'a S) -> T) -> HistoryOp<T> {
+        match *self {
+            HistoryOp::Create { dir, ref name } => HistoryOp::Create { dir, name: f(name) },
+            HistoryOp::Mkdir { dir, ref name } => HistoryOp::Mkdir { dir, name: f(name) },
+            HistoryOp::Unlink { dir, ref name } => HistoryOp::Unlink { dir, name: f(name) },
+            HistoryOp::Rename {
+                src_dir,
+                ref src_name,
+                dst_dir,
+                ref dst_name,
+            } => HistoryOp::Rename {
+                src_dir,
+                src_name: f(src_name),
+                dst_dir,
+                dst_name: f(dst_name),
+            },
+            HistoryOp::Lookup {
+                dir,
+                ref name,
+                found,
+            } => HistoryOp::Lookup {
+                dir,
+                name: f(name),
+                found,
+            },
+            HistoryOp::Readdir { dir, entries } => HistoryOp::Readdir { dir, entries },
+            HistoryOp::Merge { events } => HistoryOp::Merge { events },
         }
     }
 }
@@ -193,16 +232,17 @@ impl HistoryResult {
     }
 }
 
-/// One recorded operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoryEvent {
+/// One recorded operation. `S` is how its names are held — see
+/// [`HistoryOp`]; `HistoryEvent` alone is the owned form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistoryEvent<S = String> {
     /// The issuing client (ClientId for real clients, the harness track id
     /// for merge events).
     pub client: u64,
     /// Which namespace the operation ran against.
     pub scope: HistoryScope,
     /// The operation.
-    pub op: HistoryOp,
+    pub op: HistoryOp<S>,
     /// Its outcome.
     pub result: HistoryResult,
     /// The returned inode for create/mkdir (0 when none was returned).
@@ -218,11 +258,61 @@ pub struct HistoryEvent {
     pub trace_id: u64,
 }
 
+impl<S> HistoryEvent<S> {
+    /// The same event with every name passed through `f`, in field order
+    /// (see [`HistoryOp::map_names`]).
+    pub fn map_names<'a, T>(&'a self, f: impl FnMut(&'a S) -> T) -> HistoryEvent<T> {
+        HistoryEvent {
+            client: self.client,
+            scope: self.scope,
+            op: self.op.map_names(f),
+            result: self.result,
+            ino: self.ino,
+            invoke: self.invoke,
+            ack: self.ack,
+            epoch: self.epoch,
+            trace_id: self.trace_id,
+        }
+    }
+}
+
+/// The log proper: `Copy` rows plus one arena holding every name, so
+/// recording an event allocates nothing once both have grown and dropping
+/// a run's history is two frees however many events it holds.
+///
+/// A stored name is the arena offset one past its last byte. Names enter
+/// the arena in row order (and within a row in field order), so each
+/// starts where the previous one ended and rows read back by walking a
+/// cursor from the start of the arena — which is the only way the log is
+/// ever read.
 #[derive(Debug)]
 struct HistoryLogInner {
-    events: Vec<HistoryEvent>,
+    rows: Vec<HistoryEvent<usize>>,
+    names: String,
     capacity: usize,
     dropped: u64,
+}
+
+impl HistoryLogInner {
+    /// The first `n` rows, names borrowed from the arena.
+    fn rows(&self, n: usize) -> impl Iterator<Item = HistoryEvent<&str>> + '_ {
+        let mut at = 0;
+        self.rows[..n].iter().map(move |row| {
+            row.map_names(|&end| {
+                let name = &self.names[at..end];
+                at = end;
+                name
+            })
+        })
+    }
+
+    fn push<S: AsRef<str>>(&mut self, ev: &HistoryEvent<S>) {
+        let names = &mut self.names;
+        self.rows.push(ev.map_names(|name| {
+            names.push_str(name.as_ref());
+            names.len()
+        }));
+    }
 }
 
 /// A shared, cloneable handle onto a registry's history log, so layers
@@ -236,17 +326,25 @@ impl HistoryWriter {
     /// A fresh log bounded at `capacity` events.
     pub fn with_capacity(capacity: usize) -> HistoryWriter {
         HistoryWriter(Arc::new(Mutex::new(HistoryLogInner {
-            events: Vec::new(),
+            rows: Vec::new(),
+            names: String::new(),
             capacity,
             dropped: 0,
         })))
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, HistoryLogInner> {
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Records one event (dropped deterministically past the capacity).
-    pub fn record(&self, ev: HistoryEvent) {
-        let mut log = self.0.lock().unwrap_or_else(|p| p.into_inner());
-        if log.events.len() < log.capacity {
-            log.events.push(ev);
+    /// Names may be borrowed (`HistoryEvent<&str>`) or owned: either way
+    /// they are copied into the log's arena and the log keeps nothing of
+    /// `ev`.
+    pub fn record<S: AsRef<str>>(&self, ev: HistoryEvent<S>) {
+        let mut log = self.lock();
+        if log.rows.len() < log.capacity {
+            log.push(&ev);
         } else {
             log.dropped += 1;
         }
@@ -254,45 +352,49 @@ impl HistoryWriter {
 
     /// A copy of the retained events, in recording order.
     pub fn events(&self) -> Vec<HistoryEvent> {
-        self.0
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .events
-            .clone()
+        let log = self.lock();
+        log.rows(log.rows.len())
+            .map(|row| row.map_names(|name| name.to_string()))
+            .collect()
     }
 
     /// Number of retained events.
     pub fn count(&self) -> usize {
-        self.0
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .events
-            .len()
+        self.lock().rows.len()
     }
 
     /// Number of events dropped after the capacity filled.
     pub fn dropped(&self) -> u64 {
-        self.0.lock().unwrap_or_else(|p| p.into_inner()).dropped
+        self.lock().dropped
+    }
+
+    /// Serializes the log as a [`SCHEMA`] document claiming consistency
+    /// `mode` — byte-equal to [`History::to_json`] over
+    /// [`HistoryWriter::events`], without materialising them.
+    pub fn to_json(&self, mode: &str) -> String {
+        let log = self.lock();
+        let n = log.rows.len();
+        write_json(mode, log.dropped, n, log.rows(n))
     }
 
     /// Appends `other`'s events in order, rebasing nonzero trace ids by
     /// `offset` — the same rebase [`crate::Registry::merge_from`] applies
     /// to span ids, which keeps merged parallel recordings byte-identical
-    /// to serial ones.
+    /// to serial ones. Copies rows and the arena bytes behind them; no
+    /// per-event allocation.
     pub fn merge_from(&self, other: &HistoryWriter, offset: u64) {
-        let src = other.0.lock().unwrap_or_else(|p| p.into_inner());
-        let mut log = self.0.lock().unwrap_or_else(|p| p.into_inner());
-        let room = log.capacity.saturating_sub(log.events.len());
-        let keep = src.events.len().min(room);
-        log.events.reserve(keep);
-        log.events.extend(src.events[..keep].iter().map(|ev| {
-            let mut ev = ev.clone();
+        let src = other.lock();
+        let mut log = self.lock();
+        let room = log.capacity.saturating_sub(log.rows.len());
+        let keep = src.rows.len().min(room);
+        log.rows.reserve(keep);
+        for mut ev in src.rows(keep) {
             if ev.trace_id != 0 {
                 ev.trace_id += offset;
             }
-            ev
-        }));
-        log.dropped += (src.events.len() - keep) as u64 + src.dropped;
+            log.push(&ev);
+        }
+        log.dropped += (src.rows.len() - keep) as u64 + src.dropped;
     }
 }
 
@@ -313,24 +415,8 @@ pub struct History {
 impl History {
     /// Serializes the history as deterministic JSON (one event per line).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.events.len() * 140);
-        out.push_str("{\n  \"schema\": \"");
-        out.push_str(SCHEMA);
-        out.push_str("\",\n  \"mode\": \"");
-        out.push_str(&crate::escape_json(&self.mode));
-        out.push_str("\",\n  \"dropped\": ");
-        out.push_str(&self.dropped.to_string());
-        out.push_str(",\n  \"events\": [");
-        for (i, ev) in self.events.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_event(&mut out, ev);
-        }
-        if self.events.is_empty() {
-            out.push_str("]\n}\n");
-        } else {
-            out.push_str("\n  ]\n}\n");
-        }
-        out
+        let rows = self.events.iter().map(|e| e.map_names(String::as_str));
+        write_json(&self.mode, self.dropped, self.events.len(), rows)
     }
 
     /// Parses a serialized history, validating the schema tag.
@@ -365,7 +451,35 @@ impl History {
     }
 }
 
-fn push_event(out: &mut String, ev: &HistoryEvent) {
+/// The one history serializer: `events` (there are `len` of them) as a
+/// [`SCHEMA`] document.
+fn write_json<'a>(
+    mode: &str,
+    dropped: u64,
+    len: usize,
+    events: impl Iterator<Item = HistoryEvent<&'a str>>,
+) -> String {
+    let mut out = String::with_capacity(128 + len * 140);
+    out.push_str("{\n  \"schema\": \"");
+    out.push_str(SCHEMA);
+    out.push_str("\",\n  \"mode\": \"");
+    out.push_str(&crate::escape_json(mode));
+    out.push_str("\",\n  \"dropped\": ");
+    out.push_str(&dropped.to_string());
+    out.push_str(",\n  \"events\": [");
+    for (i, ev) in events.enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        push_event(&mut out, &ev);
+    }
+    if len == 0 {
+        out.push_str("]\n}\n");
+    } else {
+        out.push_str("\n  ]\n}\n");
+    }
+    out
+}
+
+fn push_event(out: &mut String, ev: &HistoryEvent<&str>) {
     out.push_str("{\"client\":");
     out.push_str(&ev.client.to_string());
     out.push_str(",\"scope\":\"");

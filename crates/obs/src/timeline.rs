@@ -31,11 +31,11 @@
 //! JSON document; [`TimelineSnapshot::parse`] reads it back for the
 //! `cudele-bench timeline` explorer and for tests.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use cudele_sim::Nanos;
+use cudele_sim::{IntMap, Nanos};
 
 use crate::slo::SloOutcome;
 use crate::{bucket_percentile, escape_json, json, push_f64, HIST_BUCKETS};
@@ -111,7 +111,9 @@ impl Window {
 /// One series slot: windows in *insertion* order (the canonical order, so
 /// merge reproduces serial drop decisions exactly; export sorts by window
 /// index) plus an index from window number to position, which makes a
-/// hit, a new window and an at-capacity drop all O(1).
+/// hit, a new window and an at-capacity drop all O(1). Consecutive samples
+/// almost always share a window, so the last one found is remembered and
+/// a repeat skips the index altogether.
 ///
 /// A slot exists from the moment its name is first resolved but is
 /// *materialised* — shows up in snapshots, counts as recorded data — only
@@ -122,24 +124,32 @@ struct SeriesData {
     /// is empty.
     kind: SeriesKind,
     windows: Vec<(u64, Window)>,
-    index: HashMap<u64, u32>,
+    /// Window indices are small numbers this code computes from the virtual
+    /// clock, so the index hashes them with the integer mixer.
+    index: IntMap<u64, u32>,
+    /// `(window number, position)` of the window last returned.
+    last: Option<(u64, u32)>,
 }
 
 impl SeriesData {
     /// The window numbered `idx`, appended fresh if the series has room
     /// for one more; `None` when it is at `cap` (first come, first kept).
     fn window_mut(&mut self, idx: u64, cap: usize) -> Option<&mut Window> {
-        let pos = match self.index.get(&idx) {
-            Some(&p) => p as usize,
-            None if self.windows.len() < cap => {
-                let p = self.windows.len();
-                self.index.insert(idx, p as u32);
-                self.windows.push((idx, Window::new()));
-                p
-            }
-            None => return None,
+        let pos = match self.last {
+            Some((last, p)) if last == idx => p,
+            _ => match self.index.get(&idx) {
+                Some(&p) => p,
+                None if self.windows.len() < cap => {
+                    let p = self.windows.len() as u32;
+                    self.index.insert(idx, p);
+                    self.windows.push((idx, Window::new()));
+                    p
+                }
+                None => return None,
+            },
         };
-        Some(&mut self.windows[pos].1)
+        self.last = Some((idx, pos));
+        Some(&mut self.windows[pos as usize].1)
     }
 }
 
@@ -183,7 +193,8 @@ impl TimelineData {
         self.series.push(SeriesData {
             kind: SeriesKind::Rate,
             windows: Vec::new(),
-            index: HashMap::new(),
+            index: IntMap::default(),
+            last: None,
         });
         self.slots.insert(name.to_string(), slot);
         slot

@@ -1,7 +1,9 @@
 //! The recording calls that run once per simulated op must not allocate
 //! once warm: a sample into an existing window, a sample dropped at the
 //! window cap, a span dropped at the span cap, and a mechanism
-//! observation — through handles and through the name-keyed shims alike.
+//! observation — through handles and through the name-keyed shims alike —
+//! a retained span with an arg, a history row with a borrowed name, and a
+//! scheduler push/pop once its bucket buffers are in circulation.
 //!
 //! One test function, so no other test thread allocates while a region is
 //! being counted.
@@ -9,8 +11,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
 use cudele_obs::{observe_mechanism_at, Registry};
-use cudele_sim::Nanos;
+use cudele_sim::{CalendarQueue, Nanos};
 
 struct Counting;
 
@@ -116,11 +119,9 @@ fn warm_recording_paths_do_not_allocate() {
         "span drop, handle"
     );
     assert_eq!(
-        allocs(|| reg.end_named_with(ctx, create, Nanos(0), Nanos(1), || {
-            vec![("file".to_string(), "f".to_string())]
-        })),
+        allocs(|| reg.end_named_with(ctx, create, Nanos(0), Nanos(1), "file", "f")),
         0,
-        "span drop, handle, lazy args"
+        "span drop, handle, with an arg"
     );
     assert_eq!(
         allocs(|| {
@@ -158,4 +159,62 @@ fn warm_recording_paths_do_not_allocate() {
         "{growths} allocations for 1000 retained spans"
     );
     assert_eq!(roomy.span_count(), 1_001);
+
+    // A retained span *with* an arg is a push into the span table, one
+    // into the arg table and the value's bytes into the arena; a history
+    // row is a push plus the name's bytes. Once those have grown (each
+    // doubles, so a thousand records leave room for ten more) neither
+    // allocates — the name is borrowed all the way in.
+    let create = roomy.span_name("create", "client_op");
+    let row = |name| HistoryEvent {
+        client: 1,
+        scope: HistoryScope::Global,
+        op: HistoryOp::Create { dir: 1, name },
+        result: HistoryResult::Ok,
+        ino: 7,
+        invoke: Nanos(0),
+        ack: Nanos(1),
+        epoch: 1,
+        trace_id: ctx.trace_id,
+    };
+    roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), "ops", 7u64);
+    for _ in 0..1_000 {
+        roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), "file", "f");
+        roomy.record_history_row(row("f"));
+    }
+    for _ in 0..10 {
+        assert_eq!(
+            allocs(|| roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), "file", "f")),
+            0,
+            "retained span with a borrowed arg"
+        );
+        assert_eq!(
+            allocs(|| roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), "ops", 7u64)),
+            0,
+            "retained span with a formatted arg"
+        );
+        assert_eq!(
+            allocs(|| roomy.record_history_row(row("f"))),
+            0,
+            "history row with a borrowed name"
+        );
+    }
+    assert_eq!(roomy.history_count(), 1_010);
+
+    // The scheduler: a closed-loop client pops its wake-up and pushes the
+    // next a few microseconds on. A drained bucket's buffer goes to the
+    // next bucket that fills, so once a stretch has cascaded through the
+    // coarser wheel (60 ms crosses three level-1 buckets) there are
+    // buffers enough and a push allocates nothing.
+    let mut q = CalendarQueue::new();
+    let mut seq = 0;
+    let mut stretch = || {
+        for _ in 0..20_000 {
+            seq += 1;
+            q.push(Nanos(seq * 3_000), seq, 0);
+            assert_eq!(q.pop(), Some((Nanos(seq * 3_000), seq, 0)));
+        }
+    };
+    stretch();
+    assert_eq!(allocs(stretch), 0, "scheduler, warm");
 }

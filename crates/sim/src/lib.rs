@@ -35,6 +35,7 @@
 
 pub mod cost;
 pub mod engine;
+pub mod hash;
 pub mod plot;
 pub mod resource;
 pub mod sched;
@@ -45,6 +46,7 @@ pub use cost::{dispatch_penalty, CostModel};
 pub use engine::{
     ClosedLoopClient, CompletionRecording, CompletionSummary, Engine, Process, RunReport, Step,
 };
+pub use hash::{IntHasher, IntMap};
 pub use plot::render_plot;
 pub use resource::{BandwidthLink, FifoServer};
 pub use sched::CalendarQueue;

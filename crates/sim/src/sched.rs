@@ -75,9 +75,18 @@ impl Level {
         }
     }
 
+    /// Adds `ev` to bucket `idx`. An unoccupied bucket owns no memory: it
+    /// takes the most recently drained buffer off `spare` (see
+    /// [`CalendarQueue::spare`]) before it would allocate one.
     #[inline]
-    fn push(&mut self, idx: usize, ev: Ev) {
-        self.buckets[idx].push(ev);
+    fn push(&mut self, idx: usize, ev: Ev, spare: &mut Vec<Vec<Ev>>) {
+        let bucket = &mut self.buckets[idx];
+        if bucket.capacity() == 0 {
+            if let Some(buf) = spare.pop() {
+                *bucket = buf;
+            }
+        }
+        bucket.push(ev);
         self.occupied[idx >> 6] |= 1u64 << (idx & 63);
     }
 
@@ -122,6 +131,13 @@ pub struct CalendarQueue {
     /// Time of the last popped event (lower bound on everything queued).
     cursor: u64,
     len: usize,
+    /// Drained bucket buffers, most recent last, for the next bucket that
+    /// becomes occupied. A stack rather than leaving each bucket its own
+    /// buffer: the wheel takes a whole turn to come back to a bucket, by
+    /// which time its buffer has left the cache, while the buffer drained
+    /// a moment ago has not — what the allocator's free list gave the
+    /// take-and-drop this replaces, without the call.
+    spare: Vec<Vec<Ev>>,
 }
 
 impl Default for CalendarQueue {
@@ -139,6 +155,7 @@ impl CalendarQueue {
             overflow: BinaryHeap::new(),
             cursor: 0,
             len: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -174,11 +191,11 @@ impl CalendarQueue {
             // Current level-0 bucket: ordering inside it must be exact.
             self.cur.push(Reverse(ev));
         } else if t >> SHIFT[1] == c >> SHIFT[1] {
-            self.levels[0].push(((t >> SHIFT[0]) & MASK) as usize, ev);
+            self.levels[0].push(((t >> SHIFT[0]) & MASK) as usize, ev, &mut self.spare);
         } else if t >> SHIFT[2] == c >> SHIFT[2] {
-            self.levels[1].push(((t >> SHIFT[1]) & MASK) as usize, ev);
+            self.levels[1].push(((t >> SHIFT[1]) & MASK) as usize, ev, &mut self.spare);
         } else if t >> OVERFLOW_SHIFT == c >> OVERFLOW_SHIFT {
-            self.levels[2].push(((t >> SHIFT[2]) & MASK) as usize, ev);
+            self.levels[2].push(((t >> SHIFT[2]) & MASK) as usize, ev, &mut self.spare);
         } else {
             self.overflow.push(Reverse(ev));
         }
@@ -207,9 +224,9 @@ impl CalendarQueue {
         if let Some(i) = self.levels[0].next_occupied(l0 + 1) {
             let page = self.cursor & !((MASK << SHIFT[0]) | ((1 << SHIFT[0]) - 1));
             self.cursor = page | ((i as u64) << SHIFT[0]);
-            for ev in self.levels[0].take(i) {
-                self.cur.push(Reverse(ev));
-            }
+            let mut bucket = self.levels[0].take(i);
+            self.cur.extend(bucket.drain(..).map(Reverse));
+            self.spare.push(bucket);
             return;
         }
         // Next level-1 bucket in the current level-1 page: cascade it
@@ -218,9 +235,11 @@ impl CalendarQueue {
         if let Some(i) = self.levels[1].next_occupied(l1 + 1) {
             let page = self.cursor & !((MASK << SHIFT[1]) | ((1 << SHIFT[1]) - 1));
             self.cursor = page | ((i as u64) << SHIFT[1]);
-            for ev in self.levels[1].take(i) {
+            let mut bucket = self.levels[1].take(i);
+            for ev in bucket.drain(..) {
                 self.place(ev);
             }
+            self.spare.push(bucket);
             return;
         }
         // Next level-2 bucket in the current level-2 page.
@@ -228,9 +247,11 @@ impl CalendarQueue {
         if let Some(i) = self.levels[2].next_occupied(l2 + 1) {
             let page = self.cursor & !((MASK << SHIFT[2]) | ((1 << SHIFT[2]) - 1));
             self.cursor = page | ((i as u64) << SHIFT[2]);
-            for ev in self.levels[2].take(i) {
+            let mut bucket = self.levels[2].take(i);
+            for ev in bucket.drain(..) {
                 self.place(ev);
             }
+            self.spare.push(bucket);
             return;
         }
         // Everything pending is in the overflow heap: jump the cursor to

@@ -53,7 +53,18 @@ pub fn client_dir(c: u32) -> String {
 
 /// The `i`-th file name a client creates (mdtest-style).
 pub fn file_name(client: u32, i: u64) -> String {
-    format!("file.{client}.{i}")
+    let mut name = String::new();
+    write_file_name(&mut name, client, i);
+    name
+}
+
+/// [`file_name`] written over `out`, so a process issuing one create per
+/// step formats every name into the one buffer it keeps.
+pub fn write_file_name(out: &mut String, client: u32, i: u64) {
+    use std::fmt::Write as _;
+    out.clear();
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "file.{client}.{i}");
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub mod partial;
 
 pub use checkpoint::{CheckpointPattern, CheckpointWorkload};
 pub use compile_trace::{compile_phases, Phase, PhaseOp};
-pub use create_heavy::{client_dir, file_name, CreateHeavy};
+pub use create_heavy::{client_dir, file_name, write_file_name, CreateHeavy};
 pub use interference::Interference;
 pub use open_loop::{Arrival, ArrivalSpec, ZipfSelector};
 pub use partial::PartialResults;

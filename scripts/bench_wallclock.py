@@ -9,7 +9,12 @@ and exits 1 if the decoupled route is not faster than the RPC route
 the virtual-time model both give, or if the traced `rpc_create` run made
 more object-store calls than a few per mdlog segment (`rados.store.calls` >
 4 x `mds.mdlog.segments` + 8): the journal's unit of I/O is the segment, and
-a per-event write path reads 41 041 calls against 40 segments here.
+a per-event write path reads 41 041 calls against 40 segments here, or if
+`rpc_create` allocates more than 2.5 times per create (`allocs_per_op`, an
+exact count): a warm create owns its name once, in the dentry (1.20 with
+amortised growth), and every layer that copies the name again — the event,
+the history row, the span arg, the name buffer — adds one (7.98 before the
+logs kept arenas).
 
     benchmark/run.sh && scripts/bench_wallclock.py --pr 16
     scripts/bench_wallclock.py --check-only        # gate, write nothing
@@ -105,6 +110,13 @@ def main():
         sys.exit(
             f"rpc_create made {calls:.0f} object-store calls for {segments:.0f} mdlog "
             f"segments (limit 4 x segments + 8): the journal is written per event again"
+        )
+    allocs = row["allocs_per_op"]["rpc_create"]
+    print(f"rpc_create: {allocs} allocations per create")
+    if allocs > 2.5:
+        sys.exit(
+            f"rpc_create allocates {allocs} times per create (limit 2.5): "
+            f"a per-layer copy of the name is back"
         )
 
 
