@@ -84,10 +84,12 @@ pub struct BenchConfig {
     /// Override the mdlog's dispatch size (sealed segments flushed
     /// together; the paper's recommended value, and the default, is 40).
     pub mdlog_dispatch: Option<u32>,
-    /// Cut an incremental checkpoint every N flushed journal events
-    /// (tiered compaction under a fenced manifest). Recovery — including
-    /// the `mds-crash@T` failover drill — then replays only the journal
-    /// tail past the manifest's high-water mark instead of the whole log.
+    /// Checkpoint cadence unit: the MDS folds a canonical image of the
+    /// namespace, published under a fenced manifest, once five times this
+    /// many flushed journal events lie past the last one. Recovery —
+    /// including the `mds-crash@T` failover drill — then replays only the
+    /// journal tail past the manifest's high-water mark instead of the
+    /// whole log.
     /// Requires a journaling policy; incompatible with the mdlog trimmer.
     pub checkpoint_interval: Option<u64>,
     /// Speculation window for RPC-mode clients (`--speculate [DEPTH]`):
@@ -149,10 +151,10 @@ interval as a `cudele-history/v1` file for `cudele-bench check`
 burn-rate outcomes as a `cudele-timeline/v1` file; explore it with
 `cudele-bench timeline PATH`. `--slo` (repeatable) declares an objective
 over a timeline series, e.g. `p99(bench.op_latency.ns) < 20ms for 99%
-of windows`. `--checkpoint-interval N` cuts an incremental
-checkpoint (tiered compaction under a fenced manifest) every N flushed
-journal events, so recovery and the failover drill replay only the
-journal tail past the manifest; requires a journaling policy.
+of windows`. `--checkpoint-interval N` folds a checkpoint image
+(published under a fenced manifest) once 5 x N flushed journal events
+lie past the last one, so recovery and the failover drill replay only
+the journal tail past the manifest; requires a journaling policy.
 `--speculate [DEPTH]` (RPC-mode policies only, default window 16) lets
 each client run up to DEPTH creates ahead of the last ack against
 predicted inode numbers; invalidated speculations (including NACKs from
@@ -425,10 +427,7 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
                     cfg.policy
                 ));
             }
-            Some(CheckpointConfig {
-                interval_events: n,
-                ..CheckpointConfig::default()
-            })
+            Some(CheckpointConfig { interval_events: n })
         }
     };
     let mut world = World::new(MetadataServer::with_config(os, cost, mdlog));
@@ -547,10 +546,9 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
     if ckpt_config.is_some() && cfg.arrival.is_none() {
         let _ = writeln!(
             rendered,
-            "  ckpt obs     : mds.ckpt.checkpoints={} mds.ckpt.deltas_folded={} \
+            "  ckpt obs     : mds.ckpt.checkpoints={} \
 mds.ckpt.replay_events_saved={} mds.ckpt.fallbacks={}",
             counter("mds.ckpt.checkpoints"),
-            counter("mds.ckpt.deltas_folded"),
             counter("mds.ckpt.replay_events_saved"),
             counter("mds.ckpt.fallbacks"),
         );
@@ -891,7 +889,7 @@ mod tests {
         };
         let full = run(&base).unwrap();
         let ckpt = run(&BenchConfig {
-            checkpoint_interval: Some(64),
+            checkpoint_interval: Some(8),
             ..base.clone()
         })
         .unwrap();
@@ -913,7 +911,7 @@ mod tests {
         );
         // Deterministic, timings and counters included.
         let again = run(&BenchConfig {
-            checkpoint_interval: Some(64),
+            checkpoint_interval: Some(8),
             ..base
         })
         .unwrap();

@@ -280,7 +280,7 @@ struct RecoveryRow {
     files: u64,
     /// Journal-tail events the standby replayed past the manifest.
     replay_events: u64,
-    /// Events materialized from the manifest's image + deltas instead.
+    /// Events materialized from the manifest's image instead.
     checkpoint_events: u64,
     /// detected-at → takeover-complete, virtual nanoseconds.
     takeover_ns: u64,
@@ -288,15 +288,15 @@ struct RecoveryRow {
     manifest_epoch: u64,
 }
 
-/// Workload size for the recovery row. With `interval_events` 128 the run
-/// cuts several checkpoints, so the replayed tail is a small fixed residue
-/// of the workload, not proportional to it.
+/// Workload size for the recovery row. With `interval_events` 32 the run
+/// cuts an image every 160 flushed events — three of them — so the replayed
+/// tail is a small fixed residue of the workload, not proportional to it.
 const RECOVERY_FILES: u64 = 600;
 
 /// Runs a checkpointed failover on a private cluster: create
-/// [`RECOVERY_FILES`] files with the compactor cutting a checkpoint every
-/// 128 flushed events, crash the active MDS, and measure what the standby
-/// takeover actually replayed.
+/// [`RECOVERY_FILES`] files with the compactor cutting an image every
+/// 5 x 32 flushed events, crash the active MDS, and measure what the
+/// standby takeover actually replayed.
 fn run_recovery_workload() -> Result<RecoveryRow, String> {
     let fail = |e: cudele_mds::MdsError| format!("recovery workload: {e}");
     let mut cluster = MdsCluster::new(
@@ -311,8 +311,7 @@ fn run_recovery_workload() -> Result<RecoveryRow, String> {
     );
     cluster
         .enable_checkpoints(CheckpointConfig {
-            interval_events: 128,
-            ..CheckpointConfig::default()
+            interval_events: 32,
         })
         .map_err(fail)?;
     cluster.active_mut().open_session(ClientId(0));

@@ -137,12 +137,7 @@ impl World {
 
     /// Charges one client-visible operation: each RPC queues on the MDS
     /// CPU, then the client waits out its non-CPU latency. Returns the
-    /// completion instant.
-    pub fn charge(&mut self, t: Nanos, costs: &[OpCost]) -> Nanos {
-        self.charge_as(0, t, costs)
-    }
-
-    /// [`World::charge`], attributed to trace track `tid` (usually the
+    /// completion instant. Attributed to trace track `tid` (usually the
     /// client index): each charged RPC cost emits an `rpcs` mechanism span
     /// covering its queue wait + service + client-visible latency.
     pub fn charge_as(&mut self, tid: u32, mut t: Nanos, costs: &[OpCost]) -> Nanos {

@@ -260,11 +260,6 @@ impl FaultPlan {
         self.ops.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Operations decided so far.
-    pub fn ops_decided(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
-    }
-
     fn draw(&self, salt: u64, op: u64) -> u64 {
         splitmix64(self.config.seed ^ splitmix64(salt) ^ op.wrapping_mul(0x2545f4914f6cdd1d))
     }

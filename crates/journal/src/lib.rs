@@ -46,8 +46,8 @@ pub use crc::crc32;
 pub use event::{Attrs, EventRef, EventSink, FileType, InodeId, InodeRange, JournalEvent};
 pub use segment::{segment_events, Segment, SegmentBuilder};
 pub use store_io::{
-    delete_journal, journal_exists, read_journal, read_journal_tail, recover_journal,
-    rewrite_journal, scan_journal, trim_journal, JournalDamage, JournalId, JournalIoError,
-    JournalObs, JournalScan, JournalWriter, DEFAULT_STRIPE_BYTES,
+    delete_journal, journal_exists, read_journal, recover_journal, rewrite_journal, scan_journal,
+    trim_journal, JournalDamage, JournalId, JournalIoError, JournalObs, JournalScan, JournalWriter,
+    DEFAULT_STRIPE_BYTES,
 };
 pub use tool::{decode_export, ApplyError, JournalSummary, JournalTool};

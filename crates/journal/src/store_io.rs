@@ -256,11 +256,6 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
         self.trace = Some(sink);
     }
 
-    /// Overrides the writer's retry policy (tests shrink the budget).
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
     /// Runs one store operation under the writer's retry policy, charging
     /// retries and backoff to the writer's accounting.
     fn io<T>(
@@ -517,22 +512,6 @@ pub fn read_journal<S: ObjectStore + ?Sized>(
     }
 }
 
-/// Reads only the journal tail past `skip` events, counted in the same
-/// logical coordinates as [`read_journal`] (after the trimmed prefix is
-/// dropped). Checkpoint manifests record a high-water mark in these
-/// coordinates; a `skip` beyond the journal's length yields an empty tail.
-/// Damage anywhere in the journal is still a hard error.
-pub fn read_journal_tail<S: ObjectStore + ?Sized>(
-    store: &S,
-    id: JournalId,
-    skip: u64,
-) -> Result<Vec<JournalEvent>, JournalIoError> {
-    let mut events = read_journal(store, id)?;
-    let skip = skip.min(events.len() as u64) as usize;
-    events.drain(..skip);
-    Ok(events)
-}
-
 /// The recovery read: one lenient scan through `read` and, when the journal
 /// is damaged (torn stripe write, bit flip caught by a frame CRC), the
 /// corrupt region erased *through `heal`* — the caller's write handle, so a
@@ -575,13 +554,7 @@ pub fn recover_journal(
         }
         None => header.stripes,
     };
-    let mut end = keep;
-    while read.exists(&id.stripe_object(end)) {
-        end += 1;
-    }
-    for seq in (keep..end).rev() {
-        remove_object(heal, &id.stripe_object(seq))?;
-    }
+    remove_stripes(read, heal, id, keep, keep)?;
     if let (Some(damage), Some(data)) = (&scan.damage, damaged) {
         let stripe = id.stripe_object(damage.stripe);
         with_retry(|| heal.write_full(&stripe, &data[..damage.offset]))?;
@@ -594,18 +567,41 @@ pub fn journal_exists<S: ObjectStore + ?Sized>(store: &S, id: JournalId) -> bool
     store.exists(&id.header_object())
 }
 
-/// Deletes all objects of a journal. Idempotent.
+/// Removes `id`'s stripe objects from `keep` up, last one first: those below
+/// `probe_from` by number, and from there every one that exists — the run a
+/// writer that died before its header write left past the header's count is
+/// found by probing names.
+fn remove_stripes(
+    read: &(impl ObjectStore + ?Sized),
+    write: &(impl ObjectStore + ?Sized),
+    id: JournalId,
+    keep: u64,
+    probe_from: u64,
+) -> Result<(), JournalIoError> {
+    let mut end = probe_from;
+    while read.exists(&id.stripe_object(end)) {
+        end += 1;
+    }
+    for seq in (keep..end).rev() {
+        remove_object(write, &id.stripe_object(seq))?;
+    }
+    Ok(())
+}
+
+/// Deletes all objects of a journal, including stripes past the header's
+/// count and those of a journal whose header was never written: the next
+/// writer `append`s to whatever object already has a stripe's name.
+/// Idempotent.
 pub fn delete_journal<S: ObjectStore + ?Sized>(
     store: &S,
     id: JournalId,
 ) -> Result<(), JournalIoError> {
-    let Some(header) = read_header(store, id)? else {
-        return Ok(());
-    };
-    for seq in 0..header.stripes {
-        remove_object(store, &id.stripe_object(seq))?;
+    let header = read_header(store, id)?;
+    remove_stripes(store, store, id, 0, header.map_or(0, |h| h.stripes))?;
+    match header {
+        Some(_) => remove_object(store, &id.header_object()),
+        None => Ok(()),
     }
-    remove_object(store, &id.header_object())
 }
 
 /// Removes one object, retrying transients; already gone is fine.
@@ -745,24 +741,6 @@ mod tests {
         assert_eq!(read_journal(&store, jid()).unwrap(), events[4..].to_vec());
         trim_journal(&store, jid(), 100).unwrap(); // over-trim clamps
         assert_eq!(read_journal(&store, jid()).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn tail_skips_covered_prefix() {
-        let store = InMemoryStore::paper_default();
-        let events: Vec<_> = (0..10).map(create).collect();
-        let mut w = JournalWriter::open(&store, jid()).unwrap();
-        w.append(&events).unwrap();
-        assert_eq!(
-            read_journal_tail(&store, jid(), 6).unwrap(),
-            events[6..].to_vec()
-        );
-        assert_eq!(read_journal_tail(&store, jid(), 0).unwrap(), events);
-        // A high-water mark past the end clamps to an empty tail.
-        assert_eq!(read_journal_tail(&store, jid(), 100).unwrap(), vec![]);
-        // Missing journal reads as empty, same as read_journal.
-        let other = JournalId::new(PoolId::METADATA, 0x999);
-        assert_eq!(read_journal_tail(&store, other, 3).unwrap(), vec![]);
     }
 
     #[test]

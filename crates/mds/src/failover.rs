@@ -200,9 +200,9 @@ pub struct TakeoverReport {
     /// The checkpoint manifest epoch recovery loaded (0 = no manifest;
     /// takeover replayed the full journal).
     pub manifest_epoch: u64,
-    /// Events materialized from the manifest's image + deltas — the
-    /// checkpointed share of the rebuild, proportional to namespace size
-    /// rather than workload length.
+    /// Events materialized from the manifest's image — the checkpointed
+    /// share of the rebuild, proportional to namespace size rather than
+    /// workload length.
     pub checkpoint_events: u64,
     /// Manifest epochs the recovery ladder had to fall back past because
     /// a checkpoint object was damaged.
@@ -343,7 +343,7 @@ impl StandbyReplay {
                 server.enable_checkpoints(cfg)?;
                 // The manifest recovery actually used (possibly a fallback
                 // epoch), not whatever the stored HEAD says.
-                server.resume_checkpoints(rec.manifest, rec.head_version);
+                server.resume_checkpoints(rec.manifest, rec.head_version, rec.replayed_events);
             }
         }
         if let Some(reg) = &self.obs {
@@ -421,7 +421,7 @@ impl MdsCluster {
         }
     }
 
-    /// Turns on tiered checkpointing for the active MDS and every primary
+    /// Turns on checkpointing for the active MDS and every primary
     /// promoted by future takeovers.
     pub fn enable_checkpoints(&mut self, config: CheckpointConfig) -> Result<()> {
         self.active.enable_checkpoints(config)?;
@@ -535,9 +535,9 @@ impl MdsCluster {
         let (server, takeover) = standby.take_over(decision.new_epoch)?;
         // Replay is a blind apply of the journal: charge it at the
         // Volatile Apply per-event rate to place takeover completion on
-        // the virtual clock. With a manifest, the materialized image +
-        // delta events are charged the same way — that is the bounded
-        // recovery cost, flat in workload length.
+        // the virtual clock. With a manifest, the materialized image
+        // events are charged the same way — that is the bounded recovery
+        // cost, flat in workload length.
         let replay_time = self.cost.volatile_apply_per_event
             * (takeover.checkpoint_events + takeover.replayed_events);
         let completed_at = decision.detected_at + replay_time;
@@ -731,11 +731,8 @@ mod tests {
     #[test]
     fn checkpointed_takeover_replays_only_the_tail() {
         let mut c = cluster();
-        c.enable_checkpoints(CheckpointConfig {
-            interval_events: 16,
-            max_deltas: 2,
-        })
-        .unwrap();
+        c.enable_checkpoints(CheckpointConfig { interval_events: 4 })
+            .unwrap();
         c.active_mut().open_session(C1);
         let dir = c.active_mut().setup_dir_durable("/ck").unwrap();
         for i in 0..200 {

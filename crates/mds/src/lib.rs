@@ -19,9 +19,9 @@
 //!   tunables (Figure 3a).
 //! * [`failover`] — beacon failure detection, epoch fencing, and
 //!   standby-replay takeover on the virtual clock.
-//! * [`checkpoint`] — tiered journal compaction (L0 deltas, L1 images)
-//!   under a CAS-advanced manifest, bounding recovery replay to the
-//!   journal tail past the covered high-water mark.
+//! * [`checkpoint`] — canonical images of the journaled namespace under a
+//!   CAS-advanced manifest, bounding recovery replay to the journal tail
+//!   past the covered high-water mark.
 //! * [`server`] — the metadata server tying it together: namespace
 //!   operations are [`Request`]s through the one
 //!   [`MetadataServer::serve`] funnel, recovery is one fold (base, journal

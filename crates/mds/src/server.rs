@@ -475,8 +475,8 @@ pub struct MetadataServer {
     /// Decoupled subtrees with interfere=block: subtree root -> owner.
     blocked: Vec<(InodeId, ClientId)>,
     counters: ServerCounters,
-    /// The checkpoint compactor, when enabled: cuts manifest-governed
-    /// deltas from the flushed mdlog so recovery replays only the tail.
+    /// The checkpoint compactor, when enabled: folds the flushed mdlog into
+    /// manifest-governed images so recovery replays only the tail.
     ckpt: Option<CheckpointManager>,
     obs: Option<MdsObs>,
     /// The MDS epoch this instance believes it holds. Fencing is enforced
@@ -562,11 +562,6 @@ impl MetadataServer {
             ckpt.set_obs(reg);
         }
         self.obs = Some(MdsObs::attach(reg));
-    }
-
-    /// The attached registry, if any.
-    pub fn obs_registry(&self) -> Option<Arc<Registry>> {
-        self.obs.as_ref().map(|o| Arc::clone(&o.reg))
     }
 
     /// Virtual-time hint from the harness. The MDS itself is time-agnostic;
@@ -667,21 +662,17 @@ impl MetadataServer {
         self.rpc_timeout
     }
 
-    /// Reconfigures the RPC timeout.
-    pub fn set_rpc_timeout(&mut self, timeout: Nanos) {
-        self.rpc_timeout = timeout;
-    }
-
     /// Inode-allocator watermark (diagnostics and collision assertions).
     pub fn alloc_watermark(&self) -> InodeId {
         self.alloc.watermark()
     }
 
-    /// Turns on tiered checkpointing: every `config.interval_events`
-    /// flushed mdlog events the compactor cuts a manifest-governed delta
-    /// (folding into an image at `config.max_deltas`), so recovery and
-    /// standby takeover replay only the journal tail past the manifest's
-    /// high-water mark. Resumes from a stored manifest when one exists.
+    /// Turns on checkpointing: once five `config.interval_events` of
+    /// flushed mdlog events lie past the last image, the compactor folds
+    /// that image and the journal past it into the next one and publishes
+    /// the manifest naming it, so recovery and standby takeover replay only
+    /// the journal tail past the manifest's high-water mark — at most one
+    /// image span. Resumes from a stored manifest when one exists.
     ///
     /// Incompatible with the mdlog trimmer (checkpoint high-water marks
     /// live in the journal's logical coordinates, which trimming shifts)
@@ -706,11 +697,6 @@ impl MetadataServer {
         Ok(())
     }
 
-    /// Whether checkpointing is enabled.
-    pub fn checkpoints_enabled(&self) -> bool {
-        self.ckpt.is_some()
-    }
-
     /// The manifest epoch last published or recovered (0 = no checkpoint
     /// yet, or checkpointing off).
     pub fn manifest_epoch(&self) -> u64 {
@@ -723,9 +709,14 @@ impl MetadataServer {
     /// (standby takeover calls this after
     /// [`MetadataServer::enable_checkpoints`], since the stored HEAD may
     /// be a damaged epoch the recovery ladder skipped).
-    pub(crate) fn resume_checkpoints(&mut self, manifest: Option<Manifest>, head_version: u64) {
+    pub(crate) fn resume_checkpoints(
+        &mut self,
+        manifest: Option<Manifest>,
+        head_version: u64,
+        replayed: u64,
+    ) {
         if let Some(ckpt) = self.ckpt.as_mut() {
-            ckpt.resume(manifest.unwrap_or_else(Manifest::empty), head_version);
+            ckpt.resume(manifest.unwrap_or_default(), head_version, replayed);
         }
     }
 
@@ -1333,11 +1324,6 @@ impl MetadataServer {
         self.blocked.retain(|&(root, _)| root != ino);
     }
 
-    /// Whether a subtree is currently blocked.
-    pub fn is_blocked(&self, ino: InodeId) -> bool {
-        self.blocked.iter().any(|&(root, _)| root == ino)
-    }
-
     /// Volatile Apply: merges a decoupled client's journal straight into
     /// the in-memory metadata store, blindly ("the metadata server blindly
     /// applies the updates because it assumes the events were already
@@ -1416,7 +1402,7 @@ impl MetadataServer {
             rec.publish(&o.reg);
         }
         self.alloc = rec.alloc;
-        self.resume_checkpoints(rec.manifest, rec.head_version);
+        self.resume_checkpoints(rec.manifest, rec.head_version, rec.replayed_events);
         self.store = rec.store;
         self.caps = CapTable::new();
         self.sessions = SessionMap::new();
@@ -1482,13 +1468,13 @@ pub(crate) struct RecoveredNamespace {
     /// Whether the journal was damaged and its corrupt region was erased
     /// (lossy recovery).
     pub healed: bool,
-    /// The manifest whose image + deltas were the base — the HEAD's, or a
-    /// fallback epoch's. `None` = no manifest rung held: full replay.
+    /// The manifest whose image was the base — the HEAD's, or a fallback
+    /// epoch's. `None` = no manifest rung held: full replay.
     pub manifest: Option<Manifest>,
     /// Object version of the manifest HEAD (0 = there is none), for the
     /// checkpoint manager to resume at.
     pub head_version: u64,
-    /// Events materialized from the manifest's image + deltas.
+    /// Events materialized from the manifest's image.
     pub checkpoint_events: u64,
     /// Manifest epochs skipped because a checkpoint object was damaged —
     /// counted on the full-replay rung too, where every one was.
@@ -1517,7 +1503,7 @@ impl RecoveredNamespace {
 /// allocator`, and each durable representation has one reader:
 ///
 /// 1. **Base** ([`checkpoint::load_covered`]): the newest manifest whose
-///    image + deltas materialize, falling back one epoch per damaged object;
+///    image materializes, falling back one epoch per damaged object;
 ///    when no rung holds, the persisted image ([`persist::load_store`])
 ///    covering nothing of the (trimmed) journal.
 /// 2. **Journal** ([`recover_journal`]): one lenient scan. A journal damaged

@@ -1,11 +1,11 @@
-//! Property: tiered checkpoints are an *optimization*, never a semantic.
+//! Property: checkpoints are an *optimization*, never a semantic.
 //!
 //! For an arbitrary op schedule (creates, mkdirs, unlinks, journal
 //! flushes) interleaved with arbitrary crash points and an arbitrary
 //! checkpoint interval:
 //!
-//! 1. A server recovering through the manifest (image + deltas + journal
-//!    tail) ends byte-equal — namespace snapshot and inode-allocator
+//! 1. A server recovering through the manifest (image + journal tail) ends
+//!    byte-equal — namespace snapshot and inode-allocator
 //!    watermark — to a server that replays the full journal.
 //! 2. A standby takeover assembled from the shared store's manifest is
 //!    indistinguishable from in-place `crash_and_recover` on the crashed
@@ -15,9 +15,9 @@
 //! replays less, but can never recover *differently*.
 //!
 //! Damage is one more input to both: an arbitrary subset of the checkpoint
-//! objects (HEAD, per-epoch manifest copies, images, deltas) deleted,
-//! truncated or bit-flipped at the crash, and optionally the journal's last
-//! stripe torn — the same tear on every server compared. Whatever rungs
+//! objects (HEAD, per-epoch manifest copies, images) deleted, truncated at an
+//! arbitrary offset or bit-flipped at the crash, and optionally the journal's
+//! last stripe torn — the same tear on every server compared. Whatever rungs
 //! that costs, the journal as it reads is what both sides recover.
 
 use std::sync::Arc;
@@ -48,21 +48,21 @@ fn arb_op() -> impl Strategy<Value = Op> {
 const C1: ClientId = ClientId(1);
 
 /// What to do to the checkpoint objects and the journal at a crash:
-/// `(which, how)` per hurt object — `which` indexes the sorted `ckpt.*`
-/// listing, `how` is delete / truncate / flip — and how many bytes to tear
-/// off the journal's last stripe, if any.
-type Damage = (Vec<(u16, u8)>, Option<u16>);
+/// `(which, how, at)` per hurt object — `which` indexes the sorted `ckpt.*`
+/// listing, `how` is delete / truncate to `at` bytes / flip — and how many
+/// bytes to tear off the journal's last stripe, if any.
+type Damage = (Vec<(u16, u8, u16)>, Option<u16>);
 
 fn arb_damage() -> impl Strategy<Value = Damage> {
     (
-        proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+        proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u16>()), 0..4),
         (any::<bool>(), any::<u16>()),
     )
         .prop_map(|(hurt, (tear, by))| (hurt, tear.then_some(by)))
 }
 
-fn hurt_checkpoint_objects(os: &dyn ObjectStore, hurt: &[(u16, u8)]) {
-    for &(which, how) in hurt {
+fn hurt_checkpoint_objects(os: &dyn ObjectStore, hurt: &[(u16, u8, u16)]) {
+    for &(which, how, at) in hurt {
         let objects = os.list(PoolId::METADATA, "ckpt.");
         if objects.is_empty() {
             return;
@@ -71,17 +71,13 @@ fn hurt_checkpoint_objects(os: &dyn ObjectStore, hurt: &[(u16, u8)]) {
         let data = os.read(id).unwrap().to_vec();
         match how % 3 {
             0 => os.remove(id).unwrap(),
+            // An object already cut to nothing has no byte left to lose.
+            _ if data.is_empty() => os.remove(id).unwrap(),
+            // Anywhere, a cut exactly between two of an image's frames
+            // included: the manifest records the image's length and CRC.
             1 => {
-                // Images and deltas are bare CRC-framed events with no
-                // length or whole-object checksum: cut exactly between two
-                // frames they decode as a shorter, valid object, which no
-                // reader can tell from the real one (ROADMAP item 2 lists
-                // it). Every other cut is caught; take the next one.
-                let mut keep = data.len() / 2;
-                if cudele_journal::decode_journal(&data[..keep]).is_ok() {
-                    keep -= 1;
-                }
-                os.write_full(id, &data[..keep]).unwrap();
+                os.write_full(id, &data[..at as usize % data.len()])
+                    .unwrap();
             }
             _ => {
                 let mut flipped = data;
@@ -133,8 +129,7 @@ proptest! {
     fn checkpointed_recovery_equals_full_replay(
         ops in proptest::collection::vec(arb_op(), 1..120),
         crash_at in any::<u16>(),
-        interval in 1u64..48,
-        max_deltas in 1usize..4,
+        interval in 1u64..10,
         seg in 4usize..16,
         dispatch in 1u32..4,
         damage in arb_damage(),
@@ -152,7 +147,6 @@ proptest! {
             if checkpoints {
                 mds.enable_checkpoints(CheckpointConfig {
                     interval_events: interval,
-                    max_deltas,
                 })
                 .unwrap();
             }
@@ -203,7 +197,7 @@ proptest! {
     fn checkpointed_takeover_equals_in_place_recovery(
         ops in proptest::collection::vec(arb_op(), 1..120),
         crash_at in any::<u16>(),
-        interval in 1u64..48,
+        interval in 1u64..10,
         seg in 4usize..16,
         dispatch in 1u32..4,
         damage in arb_damage(),
@@ -223,7 +217,6 @@ proptest! {
         let mut mds = MetadataServer::with_config(fenced, CostModel::calibrated(), Some(cfg));
         mds.enable_checkpoints(CheckpointConfig {
             interval_events: interval,
-            max_deltas: 2,
         })
         .unwrap();
         mds.open_session(C1);
@@ -248,7 +241,6 @@ proptest! {
         );
         standby.set_checkpoint_config(CheckpointConfig {
             interval_events: interval,
-            max_deltas: 2,
         });
         let (standby_server, report) = standby
             .take_over(Epoch(authority.current().0 + 1))

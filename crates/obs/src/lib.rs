@@ -191,11 +191,6 @@ impl Histogram {
         d.max = d.max.max(v);
     }
 
-    /// Records a virtual duration as nanoseconds.
-    pub fn record_nanos(&self, d: Nanos) {
-        self.record(d.0);
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.0.lock().unwrap_or_else(|p| p.into_inner()).count

@@ -165,13 +165,6 @@ impl CostModel {
         1.0 + self.volatile_apply_concurrency_penalty * (concurrent.max(1) - 1) as f64
     }
 
-    /// Client-visible duration of one RPC create round trip with the given
-    /// MDS CPU time already known (queueing handled by the caller's
-    /// `FifoServer`); this is just the non-CPU part.
-    pub fn rpc_round_trip_overhead(&self) -> Nanos {
-        self.rpc_overhead
-    }
-
     /// Serialized size of `events` journal updates.
     pub fn journal_bytes(&self, events: u64) -> u64 {
         events * self.journal_bytes_per_event

@@ -265,9 +265,13 @@ pub struct Engine<W> {
     /// Registration index -> (segment, offset within segment).
     slots: Vec<(u32, u32)>,
     start_times: Vec<Nanos>,
-    max_steps: u64,
     recording: CompletionRecording,
 }
+
+/// Generous backstop against non-terminating processes; the largest paper
+/// experiment (20 clients x 100K creates, several events per create) stays
+/// well below this.
+const MAX_STEPS: u64 = 2_000_000_000;
 
 impl<W> Engine<W> {
     /// Creates an engine around a world.
@@ -277,17 +281,8 @@ impl<W> Engine<W> {
             segments: Vec::new(),
             slots: Vec::new(),
             start_times: Vec::new(),
-            // Generous backstop against non-terminating processes; the
-            // largest paper experiment (20 clients x 100K creates, several
-            // events per create) stays well below this.
-            max_steps: 2_000_000_000,
             recording: CompletionRecording::Full,
         }
-    }
-
-    /// Overrides the runaway-step backstop.
-    pub fn set_max_steps(&mut self, max: u64) {
-        self.max_steps = max;
     }
 
     /// Selects how completions are recorded (default:
@@ -370,7 +365,6 @@ impl<W> Engine<W> {
             mut segments,
             slots,
             start_times,
-            max_steps,
             recording,
         } = self;
         let n = slots.len();
@@ -402,11 +396,11 @@ impl<W> Engine<W> {
             }
             let idx = idx as usize;
             steps += 1;
-            if steps > max_steps {
+            if steps > MAX_STEPS {
                 let (seg, off) = slots[idx];
                 panic!(
                     "simulation exceeded {} steps at t={now}; runaway process `{}`?",
-                    max_steps,
+                    MAX_STEPS,
                     segments[seg as usize].name(off as usize)
                 );
             }

@@ -9,9 +9,8 @@
 //! * [`time::Nanos`] — virtual instants/durations.
 //! * [`engine`] — a process-driven event loop; each simulated client or
 //!   daemon is a [`engine::Process`] woken in global time order.
-//! * [`resource`] — FIFO servers (MDS CPU) and bandwidth links (disk,
-//!   network, object store) that turn actions into completion times and
-//!   track utilization.
+//! * [`resource`] — FIFO servers (MDS CPU, a client's CPU) that turn actions
+//!   into completion times and track utilization.
 //! * [`cost::CostModel`] — every timing constant used anywhere in the
 //!   workspace, each derived from a number the paper itself reports.
 //! * [`stats`] — mean/σ over seeded repetitions, slowdown normalization,
@@ -48,7 +47,7 @@ pub use engine::{
 };
 pub use hash::{IntHasher, IntMap};
 pub use plot::render_plot;
-pub use resource::{BandwidthLink, FifoServer};
+pub use resource::FifoServer;
 pub use sched::CalendarQueue;
 pub use stats::{
     mean, p50, p95, p99, percentile, render_table, slowdown, speedup, stddev, summarize,

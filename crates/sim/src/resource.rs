@@ -2,18 +2,11 @@
 //!
 //! Experiments drive functional code (namespace updates, journal bytes) and
 //! charge the *time* each action would have taken on the paper's CloudLab
-//! testbed to one of these resources. Two models cover everything the paper
-//! exercises:
-//!
-//! * [`FifoServer`] — a single server with an unbounded FIFO queue. Models
-//!   the metadata server CPU and a client's local CPU.
-//! * [`BandwidthLink`] — a latency + bandwidth pipe with FIFO transfer
-//!   ordering. Models the local disk, the aggregate object store, and the
-//!   network.
-//!
-//! Both track busy time so experiments can report utilization (Figure 2).
+//! testbed to a [`FifoServer`] — a single server with an unbounded FIFO queue,
+//! which models the metadata server CPU and a client's local CPU. It tracks
+//! busy time so experiments can report utilization (Figure 2).
 
-use crate::time::{transfer_time, Nanos};
+use crate::time::Nanos;
 
 /// A single-server FIFO queue.
 ///
@@ -114,98 +107,6 @@ impl FifoServer {
     }
 }
 
-/// A latency + bandwidth pipe with FIFO transfer ordering.
-///
-/// A transfer of `bytes` arriving at `arrival` completes at
-/// `max(arrival, free_at) + latency + bytes / bandwidth`. The serialization
-/// component occupies the pipe; the latency component does not (it models
-/// propagation, which pipelines across transfers).
-#[derive(Debug, Clone)]
-pub struct BandwidthLink {
-    name: &'static str,
-    bytes_per_sec: f64,
-    latency: Nanos,
-    free_at: Nanos,
-    busy: Nanos,
-    bytes_moved: u64,
-    transfers: u64,
-}
-
-impl BandwidthLink {
-    /// Creates an idle link with the given streaming bandwidth and
-    /// per-transfer latency.
-    pub fn new(name: &'static str, bytes_per_sec: f64, latency: Nanos) -> Self {
-        assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
-        BandwidthLink {
-            name,
-            bytes_per_sec,
-            latency,
-            free_at: Nanos::ZERO,
-            busy: Nanos::ZERO,
-            bytes_moved: 0,
-            transfers: 0,
-        }
-    }
-
-    /// Admits a transfer and returns its completion instant.
-    pub fn transfer(&mut self, arrival: Nanos, bytes: u64) -> Nanos {
-        let serialize = transfer_time(bytes, self.bytes_per_sec);
-        let start = arrival.max(self.free_at);
-        let pipe_done = start + serialize;
-        self.free_at = pipe_done;
-        self.busy += serialize;
-        self.bytes_moved += bytes;
-        self.transfers += 1;
-        pipe_done + self.latency
-    }
-
-    /// Total bytes moved through the link.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
-    }
-
-    /// Number of transfers admitted.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total serialization time spent.
-    pub fn busy_time(&self) -> Nanos {
-        self.busy
-    }
-
-    /// Fraction of `horizon` the pipe was serializing data.
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if horizon == Nanos::ZERO {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / horizon.as_secs_f64()
-        }
-    }
-
-    /// Configured streaming bandwidth in bytes per second.
-    pub fn bandwidth(&self) -> f64 {
-        self.bytes_per_sec
-    }
-
-    /// Configured per-transfer latency.
-    pub fn latency(&self) -> Nanos {
-        self.latency
-    }
-
-    /// Resource label.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Clears accounting but keeps the clock position.
-    pub fn reset_accounting(&mut self) {
-        self.busy = Nanos::ZERO;
-        self.bytes_moved = 0;
-        self.transfers = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,27 +141,6 @@ mod tests {
         // Busy 20ns over a 1010ns horizon.
         let util = s.utilization(Nanos(1010));
         assert!((util - 20.0 / 1010.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn link_serializes_and_adds_latency() {
-        // 1000 bytes/sec, 5ns latency.
-        let mut l = BandwidthLink::new("net", 1000.0, Nanos(5));
-        // 1 byte = 1ms serialization.
-        let done = l.transfer(Nanos(0), 1);
-        assert_eq!(done, Nanos::MILLI + Nanos(5));
-        assert_eq!(l.bytes_moved(), 1);
-    }
-
-    #[test]
-    fn link_pipelines_latency_but_not_bandwidth() {
-        let mut l = BandwidthLink::new("net", 1e9, Nanos(100)); // 1 byte/ns
-        let d1 = l.transfer(Nanos(0), 50); // pipe busy [0,50), done at 150
-        let d2 = l.transfer(Nanos(0), 50); // pipe busy [50,100), done at 200
-        assert_eq!(d1, Nanos(150));
-        assert_eq!(d2, Nanos(200));
-        // Serialization occupied the pipe back-to-back; latency overlapped.
-        assert_eq!(l.busy_time(), Nanos(100));
     }
 
     #[test]

@@ -1269,11 +1269,11 @@ fn decoupled_resume_survives_two_successive_failovers() {
 }
 
 // ---------------------------------------------------------------------
-// Checkpointed failover: tiered-compaction manifests under damage
+// Checkpointed failover: image manifests under damage
 // ---------------------------------------------------------------------
 
 /// Every checkpoint object (manifest HEAD, per-epoch manifest copies,
-/// images, deltas) with its bytes, in sorted name order — the comparable
+/// images) with its bytes, in sorted name order — the comparable
 /// footprint a fenced zombie must not be able to change.
 fn ckpt_objects(os: &dyn ObjectStore) -> Vec<(String, Vec<u8>)> {
     os.list(JournalId::MDLOG.pool, "ckpt.")
@@ -1303,7 +1303,7 @@ fn flip_ckpt_object(os: &dyn ObjectStore, pick: impl Fn(&str) -> bool) -> bool {
     true
 }
 
-/// A damaged L0 delta drops the takeover one manifest epoch down the
+/// A damaged image drops the takeover one manifest epoch down the
 /// fallback ladder: the replayed journal tail gets longer, but not one
 /// flushed event is lost. A damaged manifest HEAD costs a fallback too,
 /// but lands on the byte-equal per-epoch copy, so the replay size does
@@ -1319,10 +1319,7 @@ fn checkpointed_failover_falls_back_under_damage() {
             FailoverConfig::default(),
         );
         cluster
-            .enable_checkpoints(CheckpointConfig {
-                interval_events: 16,
-                max_deltas: 8,
-            })
+            .enable_checkpoints(CheckpointConfig { interval_events: 4 })
             .unwrap();
         cluster.active_mut().open_session(CLIENT);
         let dir = cluster.active_mut().setup_dir_durable("/ck").unwrap();
@@ -1335,8 +1332,8 @@ fn checkpointed_failover_falls_back_under_damage() {
         }
         cluster.active_mut().flush_journal();
         match damage {
-            Some("delta") => {
-                assert!(flip_ckpt_object(inner.as_ref(), |n| n.contains(".delta.")));
+            Some("image") => {
+                assert!(flip_ckpt_object(inner.as_ref(), |n| n.contains(".image.")));
             }
             Some("head") => {
                 assert!(flip_ckpt_object(inner.as_ref(), |n| n.ends_with(".manifest")));
@@ -1369,16 +1366,16 @@ fn checkpointed_failover_falls_back_under_damage() {
     assert!(clean_epoch > 0, "workload never published a manifest");
     assert_eq!(clean_fb, 0);
 
-    let (delta_epoch, delta_fb, delta_replay) = run(Some("delta"));
-    assert!(delta_fb >= 1, "damaged delta cost no fallback");
+    let (image_epoch, image_fb, image_replay) = run(Some("image"));
+    assert!(image_fb >= 1, "damaged image cost no fallback");
     assert!(
-        delta_epoch < clean_epoch,
-        "fallback must land below the damaged epoch: m{delta_epoch} vs clean m{clean_epoch}"
+        image_epoch < clean_epoch,
+        "fallback must land below the damaged epoch: m{image_epoch} vs clean m{clean_epoch}"
     );
     assert!(
-        delta_replay > clean_replay,
+        image_replay > clean_replay,
         "one epoch down the ladder must replay a longer tail \
-({delta_replay} vs {clean_replay})"
+({image_replay} vs {clean_replay})"
     );
 
     let (head_epoch, head_fb, head_replay) = run(Some("head"));
@@ -1405,7 +1402,6 @@ fn fenced_zombie_cannot_publish_a_manifest() {
     // so the uncovered journal tail at fencing time is deterministic.
     mds.enable_checkpoints(CheckpointConfig {
         interval_events: 100_000,
-        max_deltas: 4,
     })
     .unwrap();
     mds.open_session(CLIENT);
@@ -1414,10 +1410,7 @@ fn fenced_zombie_cannot_publish_a_manifest() {
         mds.create(CLIENT, dir, &format!("f{i}")).result.unwrap();
     }
     mds.flush_journal();
-    let cut = CheckpointConfig {
-        interval_events: 1,
-        max_deltas: 4,
-    };
+    let cut = CheckpointConfig { interval_events: 1 };
     let mut mgr = CheckpointManager::attach(base.as_ref(), JournalId::MDLOG, cut).unwrap();
     assert!(mgr
         .checkpoint(base.as_ref(), Nanos::ZERO, &CostModel::calibrated())
@@ -1527,7 +1520,7 @@ fn chaos_nonvolatile_apply_wide_sweep() {
 
 /// Wider, hotter failover matrix: every mechanism configuration x 16
 /// seeds under heavier background faults, rerun for bit-identity. CI runs
-/// this via `cargo test --release -- --ignored chaos_failover`.
+/// this via `cargo test --release -- --ignored chaos`.
 #[test]
 #[ignore = "heavy sweep; run with --ignored chaos_failover"]
 fn chaos_failover_wide_matrix() {
@@ -1554,7 +1547,7 @@ fn chaos_failover_wide_matrix() {
 /// takeover. Every seed must recover every flushed create — the full
 /// journal stays the zero-loss bottom of the fallback ladder no matter
 /// which tier was damaged — and reproduce bit for bit on a rerun.
-/// CI runs this via `cargo test --release -- --ignored chaos_checkpoint`.
+/// CI runs this via `cargo test --release -- --ignored chaos`.
 #[test]
 #[ignore = "heavy sweep; run with --ignored chaos_checkpoint"]
 fn chaos_checkpoint_wide_matrix() {
@@ -1569,10 +1562,9 @@ fn chaos_checkpoint_wide_matrix() {
         );
         cluster
             .enable_checkpoints(CheckpointConfig {
-                interval_events: 16,
-                // Vary the fold cadence with the seed so the matrix covers
-                // delta-only manifests and post-fold image manifests alike.
-                max_deltas: 1 + (seed as usize % 4),
+                // Vary the image cadence with the seed so the matrix covers
+                // one-image lineages and many-epoch ones alike.
+                interval_events: 2 + (seed % 4) * 2,
             })
             .unwrap();
         cluster.active_mut().open_session(CLIENT);
@@ -1588,7 +1580,7 @@ fn chaos_checkpoint_wide_matrix() {
         // Seed-chosen corruption of one checkpoint tier, written through
         // the inner store so the fault-draw sequence is untouched.
         let damaged = match seed % 3 {
-            0 => flip_ckpt_object(os.inner().as_ref(), |n| n.contains(".delta.")),
+            0 => flip_ckpt_object(os.inner().as_ref(), |n| n.contains(".manifest.")),
             1 => flip_ckpt_object(os.inner().as_ref(), |n| n.ends_with(".manifest")),
             _ => flip_ckpt_object(os.inner().as_ref(), |n| n.contains(".image.")),
         };
@@ -1648,7 +1640,7 @@ fn chaos_checkpoint_wide_matrix() {
 /// replay on the standby, zero committed-op loss, a linearizable
 /// commit-time history (checked inside [`speculation_failover_run`]),
 /// and bit-identity on rerun for a sample of cells.
-/// CI runs this via `cargo test --release -- --ignored chaos_speculation`.
+/// CI runs this via `cargo test --release -- --ignored chaos`.
 #[test]
 #[ignore = "heavy sweep; run with --ignored chaos_speculation"]
 fn chaos_speculation_wide_matrix() {

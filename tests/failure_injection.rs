@@ -354,7 +354,7 @@ fn journal_io_failure_is_an_io_error_not_enoent() {
 /// `append`s of chosen objects, the next few writes of a journal header.
 /// It can also die on its writer: once `mutations_left` runs out every
 /// further mutation fails `Unavailable` and nothing more lands. Everything
-/// else passes through.
+/// else passes through, counted.
 struct FlakyStore {
     inner: InMemoryStore,
     stuck_removals: AtomicBool,
@@ -364,6 +364,8 @@ struct FlakyStore {
     mutations_left: AtomicU64,
     /// Mutations admitted so far.
     mutations: AtomicU64,
+    /// Calls of any kind — reads, probes and listings too.
+    calls: AtomicU64,
 }
 
 #[derive(Default)]
@@ -386,12 +388,19 @@ impl FlakyStore {
             failing_header_writes: AtomicU32::new(0),
             mutations_left: AtomicU64::new(u64::MAX),
             mutations: AtomicU64::new(0),
+            calls: AtomicU64::new(0),
         }
+    }
+
+    fn called(&self) -> &InMemoryStore {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        &self.inner
     }
 
     /// Every mutation goes through here: counted, or refused once the
     /// writer's budget is spent.
     fn admit(&self, id: &ObjectId) -> RadosResult<()> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
         let one_fewer = |n: u64| n.checked_sub(1);
         self.mutations_left
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, one_fewer)
@@ -445,30 +454,30 @@ impl ObjectStore for FlakyStore {
         self.inner.append(id, data)
     }
     fn read(&self, id: &ObjectId) -> RadosResult<Bytes> {
-        self.inner.read(id)
+        self.called().read(id)
     }
     fn stat(&self, id: &ObjectId) -> RadosResult<ObjectStat> {
-        self.inner.stat(id)
+        self.called().stat(id)
     }
     fn exists(&self, id: &ObjectId) -> bool {
-        self.inner.exists(id)
+        self.called().exists(id)
     }
     fn list(&self, pool: PoolId, prefix: &str) -> Vec<ObjectId> {
-        self.inner.list(pool, prefix)
+        self.called().list(pool, prefix)
     }
     fn omap_set(&self, id: &ObjectId, key: &str, value: &[u8]) -> RadosResult<u64> {
         self.admit(id)?;
         self.inner.omap_set(id, key, value)
     }
     fn omap_get(&self, id: &ObjectId, key: &str) -> RadosResult<Option<Bytes>> {
-        self.inner.omap_get(id, key)
+        self.called().omap_get(id, key)
     }
     fn omap_remove(&self, id: &ObjectId, key: &str) -> RadosResult<bool> {
         self.admit(id)?;
         self.inner.omap_remove(id, key)
     }
     fn omap_list(&self, id: &ObjectId) -> RadosResult<Vec<(String, Bytes)>> {
-        self.inner.omap_list(id)
+        self.called().omap_list(id)
     }
     fn take_io_delta(&self) -> IoDelta {
         self.inner.take_io_delta()
@@ -674,10 +683,7 @@ fn outage_while_enabling_checkpoints_is_an_error_not_a_fresh_namespace() {
             trim_after_updates: None,
         }),
     );
-    let cfg = CheckpointConfig {
-        interval_events: 8,
-        max_deltas: 8,
-    };
+    let cfg = CheckpointConfig { interval_events: 2 };
     mds.enable_checkpoints(cfg).unwrap();
     mds.open_session(CLIENT);
     let dir = mds.setup_dir_durable("/d").unwrap();
@@ -696,7 +702,7 @@ fn outage_while_enabling_checkpoints_is_an_error_not_a_fresh_namespace() {
         .filter(|id| *id != head)
         .map(|id| (os.read(&id).unwrap(), id))
         .collect();
-    assert!(published.len() >= 10, "five manifests and their deltas");
+    assert!(published.len() >= 10, "five manifests and their images");
 
     let osds = os.osd_stats().len();
     (0..osds).for_each(|osd| os.fail_osd(osd));
@@ -709,7 +715,7 @@ fn outage_while_enabling_checkpoints_is_an_error_not_a_fresh_namespace() {
 
     // The server keeps checkpointing where it left off.
     mds.open_session(CLIENT);
-    for i in 0..4 * cfg.interval_events {
+    for i in 0..8 * cfg.interval_events {
         mds.create(CLIENT, dir, &format!("g{i}")).expect_ok();
     }
     mds.try_flush_journal().unwrap();
@@ -721,6 +727,34 @@ fn outage_while_enabling_checkpoints_is_an_error_not_a_fresh_namespace() {
             id.name
         );
     }
+}
+
+/// A client-journal writer that dies between a stripe's first append and
+/// the header write leaves an object no header counts. `delete_journal` used
+/// to return at the missing header, so the next Global Persist appended its
+/// journal *behind* the dead writer's frames.
+#[test]
+fn global_persist_after_a_writer_died_before_its_header_reads_back_alone() {
+    use cudele_journal::read_journal;
+    use cudele_sim::CostModel;
+
+    let mut rig = rig(6);
+    let os = FlakyStore::new();
+    let cm = CostModel::calibrated();
+    let id = rig.client.journal_id();
+    os.mutations_left.store(1, Ordering::SeqCst);
+    assert!(rig.client.global_persist(&os, &cm).is_err());
+    assert!(!cudele_journal::journal_exists(&os.inner, id));
+    assert_eq!(
+        os.inner.list(id.pool, &format!("{:x}.", id.ino)).len(),
+        1,
+        "the dead writer's first stripe, and no header"
+    );
+
+    os.mutations_left.store(u64::MAX, Ordering::SeqCst);
+    rig.client.create(rig.client.root, "second").unwrap();
+    rig.client.global_persist(&os, &cm).unwrap();
+    assert_eq!(read_journal(&os, id).unwrap(), rig.client.events());
 }
 
 // ---------------------------------------------------------------------
@@ -768,7 +802,6 @@ fn bit_flip_in_a_flushed_stripe_does_not_fail_creates_under_checkpointing() {
     let interval = 16;
     mds.enable_checkpoints(CheckpointConfig {
         interval_events: interval,
-        max_deltas: 2,
     })
     .unwrap();
     mds.open_session(CLIENT);
@@ -781,7 +814,7 @@ fn bit_flip_in_a_flushed_stripe_does_not_fail_creates_under_checkpointing() {
     while mds.manifest_epoch() < 2 {
         create(&mut mds).unwrap();
     }
-    // Flushed but not yet covered: the next pass is an interval away.
+    // Flushed but not yet covered: the next pass is an image span away.
     for _ in 0..8 {
         create(&mut mds).unwrap();
     }
@@ -799,7 +832,7 @@ fn bit_flip_in_a_flushed_stripe_does_not_fail_creates_under_checkpointing() {
     flip_mdlog_byte(&os, offset + 9);
     assert_eq!(scan_journal(os.as_ref(), id).unwrap().events.len(), clean);
 
-    for _ in 0..3 * interval {
+    for _ in 0..6 * interval {
         create(&mut mds).expect("a damaged journal must not fail the foreground");
     }
     mds.try_flush_journal().unwrap();
@@ -893,10 +926,7 @@ fn bottomed_out_manifest_ladder_reports_its_fallbacks() {
         dispatch_size: 1,
         trim_after_updates: None,
     };
-    let ckpt = CheckpointConfig {
-        interval_events: 8,
-        max_deltas: 2,
-    };
+    let ckpt = CheckpointConfig { interval_events: 1 };
     let mut mds = MetadataServer::with_config(
         Arc::new(FencedStore::new(shared.clone(), authority.clone())),
         CostModel::calibrated(),
@@ -946,16 +976,126 @@ fn bottomed_out_manifest_ladder_reports_its_fallbacks() {
     assert!(reg.counter_value("mds.ckpt.fallbacks") >= Some(1));
 }
 
+/// A compactor pass that finds less than an image span of flushed events
+/// past the last image returns before it touches the store: no journal scan,
+/// no object, no manifest copy, no CAS. (With a delta level every interval
+/// cost a whole-journal scan and three mutations.)
+#[test]
+fn compactor_pass_below_the_image_span_makes_no_store_calls() {
+    use cudele_journal::{Attrs, InodeId, JournalEvent, JournalId, JournalWriter};
+    use cudele_mds::{CheckpointConfig, CheckpointManager};
+    use cudele_sim::{CostModel, Nanos};
+
+    let os = FlakyStore::new();
+    let id = JournalId::MDLOG;
+    let events: Vec<JournalEvent> = (0..20)
+        .map(|i| JournalEvent::Create {
+            parent: InodeId::ROOT,
+            name: format!("f{i}"),
+            ino: InodeId(0x1000 + i),
+            attrs: Attrs::file_default(),
+        })
+        .collect();
+    JournalWriter::open(&os, id)
+        .unwrap()
+        .append(&events)
+        .unwrap();
+    let cost = CostModel::calibrated();
+    let mut mgr =
+        CheckpointManager::attach(&os, id, CheckpointConfig { interval_events: 2 }).unwrap();
+    let calls = || os.calls.load(Ordering::SeqCst);
+    let mutations = || os.mutations.load(Ordering::SeqCst);
+
+    let (before, written) = (calls(), mutations());
+    for flushed in 0..10 {
+        assert!(!mgr
+            .maybe_checkpoint(&os, flushed, Nanos::ZERO, &cost)
+            .unwrap());
+    }
+    assert_eq!(calls(), before, "a pass below the span touched the store");
+    assert!(mgr.maybe_checkpoint(&os, 10, Nanos::ZERO, &cost).unwrap());
+    assert_eq!(mutations(), written + 3, "image, manifest copy, HEAD");
+
+    // The span is measured from the last image, not from zero.
+    let before = calls();
+    for flushed in 10..20 {
+        assert!(!mgr
+            .maybe_checkpoint(&os, flushed, Nanos::ZERO, &cost)
+            .unwrap());
+    }
+    assert_eq!(calls(), before);
+}
+
+/// ROADMAP item 2's scenario: the images of epochs e and e−1 are damaged,
+/// recovery falls back to e−2, the resumed lineage publishes e−1 again — and
+/// then the HEAD is lost, so the ladder starts from the newest per-epoch copy,
+/// which is the *old* lineage's e. A manifest names only the image written
+/// in its own epoch, with its length and CRC, so that copy cannot load over
+/// anything the resumed lineage wrote: it is skipped like any damaged rung.
+#[test]
+fn stale_manifest_above_a_fallback_rung_does_not_load_after_the_lineage_resumes() {
+    use cudele_journal::{read_journal, JournalId};
+    use cudele_mds::checkpoint::{head_object, manifest_object};
+    use cudele_mds::{CheckpointConfig, Manifest, MdLogConfig};
+    use cudele_sim::CostModel;
+
+    let os = Arc::new(InMemoryStore::paper_default());
+    let mut mds = MetadataServer::with_config(
+        os.clone(),
+        CostModel::calibrated(),
+        Some(MdLogConfig {
+            events_per_segment: 4,
+            dispatch_size: 1,
+            trim_after_updates: None,
+        }),
+    );
+    mds.enable_checkpoints(CheckpointConfig { interval_events: 1 })
+        .unwrap();
+    mds.open_session(CLIENT);
+    let dir = mds.setup_dir_durable("/d").unwrap();
+    let mut created = 0;
+    let mut create_until = |mds: &mut MetadataServer, epoch: u64| {
+        while mds.manifest_epoch() < epoch {
+            created += 1;
+            mds.create(CLIENT, dir, &format!("f{created}")).expect_ok();
+        }
+    };
+    let id = JournalId::MDLOG;
+    let e = 4;
+    create_until(&mut mds, e);
+    for epoch in [e, e - 1] {
+        let manifest = Manifest::decode(&os.read(&manifest_object(id, epoch)).unwrap()).unwrap();
+        let image = ObjectId::new(PoolId::METADATA, manifest.image_ref.unwrap());
+        let mut data = os.read(&image).unwrap().to_vec();
+        data[20] ^= 0x01;
+        os.write_full(&image, &data).unwrap();
+    }
+    mds.crash_and_recover().unwrap();
+    assert_eq!(mds.manifest_epoch(), e - 2, "two rungs down");
+
+    // The resumed lineage republishes e−1, then e; after each, lose the HEAD.
+    for epoch in [e - 1, e] {
+        mds.open_session(CLIENT);
+        create_until(&mut mds, epoch);
+        mds.try_flush_journal().unwrap();
+        os.write_full(&head_object(id), b"garbage").unwrap();
+        let expected = replay(&read_journal(os.as_ref(), id).unwrap());
+        mds.crash_and_recover().unwrap();
+        assert_eq!(mds.store().snapshot(), expected.snapshot(), "epoch {epoch}");
+        assert_eq!(mds.manifest_epoch(), epoch, "the resumed lineage's rung");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Crashed at every write
 // ---------------------------------------------------------------------
 
 /// One world of the every-k sweep: a checkpointing MDS (segments of 4 ×
-/// dispatch 2, interval 8, `max_deltas` 2) over a [`FlakyStore`] behind a
-/// fence, driven through a fixed seeded schedule of ~60 requests so that
-/// segment flushes, delta cuts, folds, per-epoch manifest copies, HEAD CASes
-/// and — one byte of the flushed journal is flipped part-way — a damaged
-/// journal all occur.
+/// dispatch 2, an image every 10 flushed events) over a [`FlakyStore`] behind
+/// a fence, driven through a fixed seeded schedule of ~60 requests so that
+/// segment flushes, image folds, per-epoch manifest copies, HEAD CASes and —
+/// one byte of the flushed journal is flipped part-way — a damaged journal
+/// all occur.
 struct CrashWorld {
     os: Arc<FlakyStore>,
     shared: Arc<dyn ObjectStore>,
@@ -982,10 +1122,8 @@ const SWEEP_MDLOG: cudele_mds::MdLogConfig = cudele_mds::MdLogConfig {
     dispatch_size: 2,
     trim_after_updates: None,
 };
-const SWEEP_CKPT: cudele_mds::CheckpointConfig = cudele_mds::CheckpointConfig {
-    interval_events: 8,
-    max_deltas: 2,
-};
+const SWEEP_CKPT: cudele_mds::CheckpointConfig =
+    cudele_mds::CheckpointConfig { interval_events: 2 };
 
 /// Runs the schedule with every store mutation after the `budget`-th
 /// failing, as for a writer that died there (the server itself carries on,
@@ -1102,12 +1240,13 @@ fn recover_and_check(
     if epoch > 0 {
         let copy = w.os.read(&manifest_object(id, epoch)).unwrap();
         let manifest = Manifest::decode(&copy).unwrap();
-        for name in manifest.image_ref.iter().chain(&manifest.delta_refs) {
-            assert!(
-                w.os.exists(&ObjectId::new(PoolId::METADATA, name.clone())),
-                "{what} {by:?}: manifest {epoch} names {name}, which is missing"
-            );
-        }
+        let name = manifest
+            .image_ref
+            .expect("a published manifest names its image");
+        assert!(
+            w.os.exists(&ObjectId::new(PoolId::METADATA, name.clone())),
+            "{what} {by:?}: manifest {epoch} names {name}, which is missing"
+        );
     }
     let watermark = mds.alloc_watermark().0;
 
@@ -1129,18 +1268,15 @@ fn recover_and_check(
 
 /// ROADMAP item 2(b), scoped to what this repository's recovery rewrite
 /// touches: for every k, the writer dies after its k-th store mutation —
-/// between a stripe append and the header write, between a delta and its
-/// manifest copy, between the copy and the HEAD CAS, mid-fold — and recovery
+/// between a stripe append and the header write, between an image and its
+/// manifest copy, between the copy and the HEAD CAS — and recovery
 /// from what landed, in place and by takeover, holds `recover_and_check`'s
 /// properties and agrees with itself.
 #[test]
 fn writer_crashed_at_every_write_recovers_what_landed() {
     let whole = crash_world(u64::MAX);
     let total = whole.os.mutations.load(Ordering::SeqCst);
-    assert!(
-        whole.mds.manifest_epoch() >= 4,
-        "deltas, a fold, then deltas"
-    );
+    assert!(whole.mds.manifest_epoch() >= 2, "an image, then one on top");
     assert!(
         cudele_journal::scan_journal(whole.os.as_ref(), cudele_journal::JournalId::MDLOG)
             .unwrap()
@@ -1148,7 +1284,10 @@ fn writer_crashed_at_every_write_recovers_what_landed() {
             .is_some(),
         "the schedule leaves a damaged journal to heal"
     );
-    assert!(total >= 40, "only {total} mutations to enumerate");
+    // Exact, so that an enumeration that silently shrinks fails: per image,
+    // the object, its manifest copy and the HEAD CAS; per flush, a stripe
+    // append and the header write.
+    assert_eq!(total, 40, "store mutations to enumerate");
     for k in 0..=total {
         let what = format!("writer died after mutation {k} of {total}");
         let in_place = recover_and_check(crash_world(k), RecoverBy::InPlace, &what);

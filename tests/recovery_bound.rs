@@ -1,12 +1,12 @@
 //! The checkpoint tier's headline guarantee, asserted directly: recovery
-//! replay is bounded by the checkpoint interval, NOT by the workload
-//! length. CI's `recovery-bound` job runs exactly this binary.
+//! replay is bounded by one image span — five checkpoint intervals — NOT
+//! by the workload length. CI's `recovery-bound` job runs exactly this
+//! binary.
 //!
 //! Method: run the same checkpointed failover drill at 1x, 2x, and 4x
 //! workload sizes and require the replayed journal tail to stay flat
-//! (within one checkpoint interval plus one dispatch window of slack),
-//! while a checkpoint-free control replays the whole journal and scales
-//! linearly.
+//! (within one image span plus one dispatch window of slack), while a
+//! checkpoint-free control replays the whole journal and scales linearly.
 
 use std::sync::Arc;
 
@@ -16,7 +16,11 @@ use cudele_mds::{
 use cudele_rados::InMemoryStore;
 use cudele_sim::{CostModel, Nanos};
 
-const INTERVAL: u64 = 64;
+const INTERVAL: u64 = 16;
+/// Flushed events between two images: `mds::checkpoint` cuts one every five
+/// intervals, and the journal past the last one is what recovery replays.
+const IMAGE_SPAN: u64 = 5 * INTERVAL;
+const SEGMENT: usize = 16;
 const DISPATCH: u32 = 2;
 
 /// Create `files` files, flush, crash the active MDS, and return the
@@ -26,7 +30,7 @@ fn drill(files: u64, checkpoints: bool) -> FailoverReport {
         Arc::new(InMemoryStore::paper_default()),
         CostModel::calibrated(),
         Some(MdLogConfig {
-            events_per_segment: 16,
+            events_per_segment: SEGMENT,
             dispatch_size: DISPATCH,
             trim_after_updates: None,
         }),
@@ -36,7 +40,6 @@ fn drill(files: u64, checkpoints: bool) -> FailoverReport {
         cluster
             .enable_checkpoints(CheckpointConfig {
                 interval_events: INTERVAL,
-                ..CheckpointConfig::default()
             })
             .unwrap();
     }
@@ -61,10 +64,11 @@ fn replay_is_bounded_by_the_interval_not_the_workload() {
     let sizes = [300u64, 600, 1200];
     let reports: Vec<FailoverReport> = sizes.iter().map(|&n| drill(n, true)).collect();
 
-    // Every run checkpointed (the workloads dwarf the interval) and the
-    // replayed tail fits in one interval plus the unflushed dispatch
-    // residue — at every size.
-    let bound = INTERVAL + u64::from(DISPATCH) + 1;
+    // Every run checkpointed (the workloads dwarf the image span) and the
+    // replayed tail fits in one image span plus the dispatch window the
+    // pass that cut the last image may have overshot by (each segment
+    // carries one boundary event) — at every size.
+    let bound = IMAGE_SPAN + u64::from(DISPATCH) * (SEGMENT as u64 + 1);
     for (&files, r) in sizes.iter().zip(&reports) {
         assert!(
             r.takeover.manifest_epoch > 0,
@@ -79,14 +83,14 @@ fn replay_is_bounded_by_the_interval_not_the_workload() {
     }
 
     // Flat across a 4x workload spread: the tail may wobble by where the
-    // last checkpoint cut fell, but never by the workload delta.
+    // last image cut fell, but never by the workload delta.
     let replays: Vec<u64> = reports.iter().map(|r| r.takeover.replayed_events).collect();
     let (min, max) = (
         *replays.iter().min().unwrap(),
         *replays.iter().max().unwrap(),
     );
     assert!(
-        max - min < INTERVAL,
+        max - min < IMAGE_SPAN,
         "replay scales with workload: {replays:?}"
     );
 
