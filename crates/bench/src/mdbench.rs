@@ -604,8 +604,8 @@ fn run_decoupled(
         .merge_composition()
         .is_some_and(|m| m.contains(cudele::Mechanism::VolatileApply))
     {
-        // Each client (journal and local mirror) is dropped as soon as its
-        // merge lands.
+        // Each client is dropped as soon as its merge lands: its journal,
+        // that is — none of them read, so none ever built a local mirror.
         for mut p in procs {
             merge_end = merge_end.max(p.merge_at(&mut world, create_end, cfg.clients));
         }

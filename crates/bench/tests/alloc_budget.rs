@@ -104,9 +104,10 @@ fn warm_create_steps_stay_within_the_allocation_budget() {
     });
     assert!(misses <= 2, "{misses} allocations in 100 lookup misses");
 
-    // A decoupled create owns its name twice — in the journal event the
-    // client keeps for the merge and in its local mirror's dentry — and a
-    // step is a batch of 1000 of them.
+    // A decoupled create owns its name once — in the journal event the
+    // client keeps for the merge; the local mirror is folded from that
+    // journal only when the client reads it — and a step is a batch of
+    // 1000 of them.
     world.server.setup_dir(&client_dir(9)).unwrap();
     let mut p = DecoupledCreateProcess::new(&mut world, 9, &client_dir(9), 1 << 20);
     let mut at = Nanos::ZERO;
@@ -120,8 +121,25 @@ fn warm_create_steps_stay_within_the_allocation_budget() {
     for _ in 0..4 {
         let batch = allocs(|| step(&mut world));
         assert!(
-            batch <= 2_100,
-            "{batch} allocations in a 1000-create decoupled step (budget 2.1 per create)"
+            batch <= 1_100,
+            "{batch} allocations in a 1000-create decoupled step (budget 1.1 per create)"
         );
     }
+
+    // A listing is one name arena and one row table, whatever its length.
+    let big = world.server.setup_dir("/listed").unwrap();
+    for i in 0..1_000 {
+        world
+            .server
+            .create(ClientId(0), big, &format!("file.{i}"))
+            .result
+            .unwrap();
+    }
+    let mut listed = 0;
+    let readdir = allocs(|| listed = world.server.readdir(ClientId(0), big).result.unwrap().len());
+    assert_eq!(listed, 1_000);
+    assert!(
+        readdir <= 4,
+        "{readdir} allocations in a readdir of 1000 entries"
+    );
 }

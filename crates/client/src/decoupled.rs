@@ -3,10 +3,16 @@
 //!
 //! "Decoupled clients use the Append Client Journal mechanism to append
 //! metadata updates to a local, in-memory journal. Clients do not need to
-//! check for consistency when writing events." The client keeps a local
-//! mirror of its subtree so *it* can read its own updates (the global
-//! namespace cannot until a merge — that is what "invisible" consistency
-//! means).
+//! check for consistency when writing events." So an update is one append:
+//! the event is pushed onto the journal and nothing else is touched.
+//!
+//! The client can still read its own updates (the global namespace cannot
+//! until a merge — that is what "invisible" consistency means) through a
+//! local mirror of its subtree. The mirror is a fold over the journal, run
+//! when it is read: a cursor marks how much of the journal it already
+//! holds, and [`DecoupledClient::local_namespace`] /
+//! [`DecoupledClient::resolve_local`] first apply the events past it. A
+//! batch client that only creates and merges never builds one.
 
 use cudele_journal::{
     encode_journal, Attrs, InodeId, InodeRange, JournalEvent, JournalId, JournalIoError,
@@ -54,8 +60,13 @@ pub struct DecoupledClient {
     used: u64,
     /// The in-memory client journal.
     journal: Vec<JournalEvent>,
-    /// Local mirror of the subtree (gives the client read-your-writes).
+    /// Local mirror of the subtree (gives the client read-your-writes):
+    /// everything merged away by [`DecoupledClient::clear_journal`] plus
+    /// `journal[..mirrored]`. Reads go through
+    /// [`DecoupledClient::local_namespace`], which catches it up first.
     local_ns: MetadataStore,
+    /// How much of `journal` the mirror already holds.
+    mirrored: usize,
     obs: Option<ClientObs>,
 }
 
@@ -99,6 +110,7 @@ impl DecoupledClient {
             used: 0,
             journal: Vec::new(),
             local_ns: MetadataStore::new(),
+            mirrored: 0,
             obs: None,
         }
     }
@@ -154,14 +166,12 @@ impl DecoupledClient {
     /// `parent` is an inode in the decoupled subtree (often the root).
     pub fn create(&mut self, parent: InodeId, name: &str) -> Result<InodeId, MdsError> {
         let ino = self.take_inode()?;
-        let event = JournalEvent::Create {
+        self.journal.push(JournalEvent::Create {
             parent,
             name: name.to_string(),
             ino,
             attrs: Attrs::file_default(),
-        };
-        self.local_ns.apply_blind(&event);
-        self.journal.push(event);
+        });
         self.obs_append(
             ino.0,
             HistoryOp::Create {
@@ -175,14 +185,12 @@ impl DecoupledClient {
     /// Appends a mkdir to the client journal.
     pub fn mkdir(&mut self, parent: InodeId, name: &str) -> Result<InodeId, MdsError> {
         let ino = self.take_inode()?;
-        let event = JournalEvent::Mkdir {
+        self.journal.push(JournalEvent::Mkdir {
             parent,
             name: name.to_string(),
             ino,
             attrs: Attrs::dir_default(),
-        };
-        self.local_ns.apply_blind(&event);
-        self.journal.push(event);
+        });
         self.obs_append(
             ino.0,
             HistoryOp::Mkdir {
@@ -195,12 +203,10 @@ impl DecoupledClient {
 
     /// Appends an unlink.
     pub fn unlink(&mut self, parent: InodeId, name: &str) {
-        let event = JournalEvent::Unlink {
+        self.journal.push(JournalEvent::Unlink {
             parent,
             name: name.to_string(),
-        };
-        self.local_ns.apply_blind(&event);
-        self.journal.push(event);
+        });
         self.obs_append(
             0,
             HistoryOp::Unlink {
@@ -218,14 +224,12 @@ impl DecoupledClient {
         dst_parent: InodeId,
         dst_name: &str,
     ) {
-        let event = JournalEvent::Rename {
+        self.journal.push(JournalEvent::Rename {
             src_parent,
             src_name: src_name.to_string(),
             dst_parent,
             dst_name: dst_name.to_string(),
-        };
-        self.local_ns.apply_blind(&event);
-        self.journal.push(event);
+        });
         self.obs_append(
             0,
             HistoryOp::Rename {
@@ -252,17 +256,27 @@ impl DecoupledClient {
         self.range.len - self.used
     }
 
-    /// The client's local view of its subtree (read-your-writes).
-    pub fn local_namespace(&self) -> &MetadataStore {
+    /// The client's local view of its subtree (read-your-writes), caught
+    /// up with every event appended since it was last read.
+    pub fn local_namespace(&mut self) -> &MetadataStore {
+        self.local_ns
+            .apply_blind_all(&self.journal[self.mirrored..]);
+        self.mirrored = self.journal.len();
         &self.local_ns
     }
 
     /// Resolves a path *relative to the decoupled subtree root* against the
-    /// client's local view (e.g. `"run0/out1"`; `""` is the root itself).
-    pub fn resolve_local(&self, rel_path: &str) -> Result<InodeId, MdsError> {
+    /// client's local view (e.g. `"run0/out1"`; `""` is the root itself,
+    /// and resolving it reads nothing).
+    pub fn resolve_local(&mut self, rel_path: &str) -> Result<InodeId, MdsError> {
         let mut cur = self.root;
-        for comp in rel_path.split('/').filter(|c| !c.is_empty()) {
-            cur = self.local_ns.lookup(cur, comp)?.ino;
+        let mut comps = rel_path.split('/').filter(|c| !c.is_empty()).peekable();
+        if comps.peek().is_none() {
+            return Ok(cur);
+        }
+        let ns = self.local_namespace();
+        for comp in comps {
+            cur = ns.lookup(cur, comp)?.ino;
         }
         Ok(cur)
     }
@@ -356,13 +370,13 @@ impl DecoupledClient {
         range: InodeRange,
         disk: &LocalDisk,
     ) -> Result<DecoupledClient, DiskError> {
-        let blob = disk.read(&format!("client{}-journal.bin", id.0))?;
-        let events = cudele_journal::decode_journal(blob)
-            .map_err(|_| DiskError::NotFound("journal corrupt".into()))?;
+        let path = format!("client{}-journal.bin", id.0);
+        let events =
+            cudele_journal::decode_journal(disk.read(&path)?).map_err(|e| DiskError::Corrupt {
+                path,
+                detail: e.to_string(),
+            })?;
         let mut c = DecoupledClient::new(id, root, range);
-        for e in &events {
-            c.local_ns.apply_blind(e);
-        }
         c.used = events.iter().filter_map(|e| e.allocates()).count() as u64;
         c.journal = events;
         Ok(c)
@@ -386,9 +400,13 @@ impl DecoupledClient {
     }
 
     /// Drains the journal after a successful merge (BatchFS-style "switch
-    /// back to synchronous mode" keeps the client reusable).
+    /// back to synchronous mode" keeps the client reusable). The mirror
+    /// keeps what the journal said: events it has not folded yet are folded
+    /// before they are dropped.
     pub fn clear_journal(&mut self) {
+        self.local_namespace();
         self.journal.clear();
+        self.mirrored = 0;
     }
 
     /// Resumes this decoupled session on a (possibly new) primary after an
@@ -397,7 +415,7 @@ impl DecoupledClient {
     /// primary advances its allocator past the range, so post-failover
     /// grants to other clients can never collide with inodes this client
     /// has yet to merge — the Allocated Inodes contract survives the
-    /// failover. The client's journal and local namespace are untouched;
+    /// failover. The client's journal and local mirror are untouched;
     /// a later merge proceeds as if nothing happened.
     pub fn resume_on(&mut self, server: &mut MetadataServer) -> (Result<(), MdsError>, OpCost) {
         let Rpc { result, cost } = server.reconnect_session(self.id, &[(self.range, self.used)]);
@@ -433,7 +451,8 @@ mod tests {
         // Server namespace unchanged (invisible consistency).
         assert!(srv.store().readdir(c.root).unwrap().is_empty());
         // But the client reads its own writes.
-        assert_eq!(c.local_namespace().readdir(c.root).unwrap().len(), 100);
+        let root = c.root;
+        assert_eq!(c.local_namespace().readdir(root).unwrap().len(), 100);
     }
 
     #[test]

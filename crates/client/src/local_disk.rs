@@ -27,6 +27,13 @@ pub enum DiskError {
     NotFound(String),
     /// The node was destroyed (stayed down); contents are gone forever.
     Destroyed,
+    /// The file is there but does not decode.
+    Corrupt {
+        /// The file that was read.
+        path: String,
+        /// The decoder's error, as text.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for DiskError {
@@ -35,6 +42,9 @@ impl std::fmt::Display for DiskError {
             DiskError::NodeDown => write!(f, "client node is down"),
             DiskError::NotFound(p) => write!(f, "no such local file: {p}"),
             DiskError::Destroyed => write!(f, "client node destroyed; local data lost"),
+            DiskError::Corrupt { path, detail } => {
+                write!(f, "local file {path} is corrupt: {detail}")
+            }
         }
     }
 }

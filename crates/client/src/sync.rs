@@ -66,24 +66,18 @@ impl NamespaceSync {
             return None;
         }
         self.next_sync = now + self.interval;
-        let pending = total_events.saturating_sub(self.synced_events);
-        if pending == 0 {
-            return None;
-        }
-        let bytes = cm.journal_bytes(pending);
-        let pause = cm.fork_cost(bytes);
-        self.synced_events = total_events;
-        self.syncs += 1;
-        Some(SyncAction {
-            pause,
-            events: pending,
-            bytes,
-        })
+        self.ship(total_events, cm)
     }
 
     /// Ships whatever is pending regardless of the schedule (end-of-job
     /// flush).
     pub fn flush(&mut self, total_events: u64, cm: &CostModel) -> Option<SyncAction> {
+        self.ship(total_events, cm)
+    }
+
+    /// One sync: forks a child that ships everything appended since the
+    /// last one, if anything was.
+    fn ship(&mut self, total_events: u64, cm: &CostModel) -> Option<SyncAction> {
         let pending = total_events.saturating_sub(self.synced_events);
         if pending == 0 {
             return None;

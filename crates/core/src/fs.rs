@@ -252,15 +252,15 @@ impl CudeleFs {
     pub fn ls(&mut self, client: ClientId, path: &str) -> FsResult<Vec<String>> {
         let ino = self.server.store().resolve(&normalize_path(path))?;
         let rpc = self.server.readdir(client, ino);
-        Ok(rpc.result?.into_iter().map(|(n, _)| n).collect())
+        Ok(rpc.result?.iter().map(|(n, _)| n.to_string()).collect())
     }
 
     /// Reads a path through the *owner's* decoupled view if one exists
     /// (read-your-writes), falling back to the global namespace.
-    pub fn exists(&self, client: ClientId, path: &str) -> bool {
+    pub fn exists(&mut self, client: ClientId, path: &str) -> bool {
         let norm = normalize_path(path);
-        if let Some(mount) = self.mounts.get(&client) {
-            for (subtree, dc) in &mount.decoupled {
+        if let Some(mount) = self.mounts.get_mut(&client) {
+            for (subtree, dc) in &mut mount.decoupled {
                 if norm == *subtree || norm.starts_with(&format!("{subtree}/")) {
                     let rel = norm.strip_prefix(subtree.as_str()).unwrap_or("");
                     return dc.resolve_local(rel).is_ok();
@@ -511,6 +511,25 @@ mod tests {
         assert_eq!(report.per_mechanism.len(), 1);
         assert!(fs.ls(BOB, "/batch").unwrap().is_empty());
         assert!(!fs.exists(BOB, "/batch/job0"));
+    }
+
+    #[test]
+    fn owner_still_sees_merged_files_it_never_read() {
+        // Create-only, then merge: the owner's mirror was never read, so
+        // it is first built after the journal has been drained — from what
+        // `clear_journal` folded on the way out. DeltaFS never merges into
+        // the global namespace, so nothing else could answer.
+        let mut fs = fs();
+        fs.decouple(ALICE, "/batch", &Policy::deltafs()).unwrap();
+        for i in 0..10 {
+            fs.create(ALICE, &format!("/batch/out{i}")).unwrap();
+        }
+        assert_eq!(fs.merge(ALICE, "/batch").unwrap().events, 10);
+        fs.create(ALICE, "/batch/after-merge").unwrap();
+        assert!(fs.exists(ALICE, "/batch/out3"));
+        assert!(fs.exists(ALICE, "/batch/after-merge"));
+        assert!(!fs.exists(ALICE, "/batch/never-created"));
+        assert!(!fs.exists(BOB, "/batch/out3"));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub fn emit_canonical(store: &MetadataStore) -> Vec<JournalEvent> {
         let Some(dir) = store.dir(dir_ino) else {
             continue;
         };
-        for (name, dentry) in dir.entries() {
+        for (name, dentry) in dir.sorted() {
             let inode = store
                 .inode(dentry.ino)
                 .expect("dentries never dangle in a consistent store");
@@ -66,7 +66,7 @@ pub fn emit_canonical(store: &MetadataStore) -> Vec<JournalEvent> {
                 FileType::Dir => {
                     out.push(JournalEvent::Mkdir {
                         parent: dir_ino,
-                        name: name.clone(),
+                        name: name.to_string(),
                         ino: dentry.ino,
                         attrs: inode.attrs,
                     });
@@ -75,7 +75,7 @@ pub fn emit_canonical(store: &MetadataStore) -> Vec<JournalEvent> {
                 FileType::File | FileType::Symlink => {
                     out.push(JournalEvent::Create {
                         parent: dir_ino,
-                        name: name.clone(),
+                        name: name.to_string(),
                         ino: dentry.ino,
                         attrs: inode.attrs,
                     });

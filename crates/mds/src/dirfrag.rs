@@ -12,7 +12,7 @@
 //! directory's fragment count, so the table keeps only a per-fragment
 //! dentry count (which drives the split rule) and materialises sorted
 //! fragments on demand — when persisting ([`Dir::fragments`]) or listing
-//! ([`Dir::entries`]). Lookup, insert and remove hash the name once and
+//! ([`Dir::listing`]). Lookup, insert and remove hash the name once and
 //! probe once; nothing on those paths sorts or walks a tree.
 //!
 //! Fragment scans are the "poorly scaling data structure" behind the RPC
@@ -312,6 +312,72 @@ impl<'a> DirFragment<'a> {
     }
 }
 
+/// One row of a [`DirListing`]: a dentry and where its name sits in the
+/// listing's arena.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    dentry: Dentry,
+    start: u32,
+    end: u32,
+}
+
+impl Row {
+    fn new(start: usize, end: usize, dentry: Dentry) -> Row {
+        let at = |n| u32::try_from(n).expect("a directory's names total fewer than 2^32 bytes");
+        Row {
+            dentry,
+            start: at(start),
+            end: at(end),
+        }
+    }
+
+    fn name(self, names: &str) -> &str {
+        &names[self.start as usize..self.end as usize]
+    }
+}
+
+/// A full directory listing in name order — what `readdir` answers with.
+///
+/// Every name lives in one string arena and every row in one table, so a
+/// listing costs two allocations and is freed with two, however many
+/// entries it has. Names are handed out borrowed; a caller that keeps one
+/// copies that one. Both are boxed (no spare capacity to remember), which
+/// keeps the listing at 32 bytes — no larger than the `stat` reply it
+/// shares [`crate::server::Reply`] with, so carrying it costs the other
+/// replies nothing.
+#[derive(Debug, Clone, Default)]
+pub struct DirListing {
+    names: Box<str>,
+    rows: Box<[Row]>,
+}
+
+impl DirListing {
+    /// Number of entries listed.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the directory was empty.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Iterates `(name, dentry)` in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Dentry)> + '_ {
+        self.rows.iter().map(|r| (r.name(&self.names), r.dentry))
+    }
+}
+
+/// Two listings are equal when they list the same entries: the arena keeps
+/// names in table order, which is not part of what a listing says.
+impl PartialEq for DirListing {
+    fn eq(&self, other: &DirListing) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for DirListing {}
+
 /// A directory: one hash table of dentries, viewed as a power-of-two set
 /// of fragments addressed by name hash.
 #[derive(Debug, Clone)]
@@ -471,16 +537,25 @@ impl Dir {
         out
     }
 
-    /// All dentries in name order (a full `readdir`).
-    pub fn entries(&self) -> Vec<(String, Dentry)> {
-        let mut out = Vec::with_capacity(self.table.len);
-        out.extend(
-            self.table
-                .iter()
-                .map(|e| (String::from(&*e.name), e.dentry())),
-        );
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
+    /// All dentries in name order (a full `readdir`), as one
+    /// [`DirListing`]: two allocations whatever the directory's size.
+    pub fn listing(&self) -> DirListing {
+        let name_bytes = self.table.iter().map(|e| e.name.len()).sum();
+        let mut names = String::with_capacity(name_bytes);
+        let mut rows = Vec::with_capacity(self.table.len);
+        for e in self.table.iter() {
+            let start = names.len();
+            names.push_str(&e.name);
+            rows.push(Row::new(start, names.len(), e.dentry()));
+        }
+        // Rows are sorted in place by the names they point at: no second,
+        // borrowed list is built just to be ordered and copied out of.
+        rows.sort_unstable_by(|a, b| a.name(&names).cmp(b.name(&names)));
+        // Both were sized exactly, so boxing them moves no bytes.
+        DirListing {
+            names: names.into_boxed_str(),
+            rows: rows.into_boxed_slice(),
+        }
     }
 
     /// The fragments with their indices, each sorted by name (persistence
@@ -582,16 +657,22 @@ mod tests {
     }
 
     #[test]
-    fn entries_sorted_across_fragments() {
+    fn listing_is_sorted_across_fragments() {
         let mut d = Dir::with_split_threshold(4);
         for i in (0..32u64).rev() {
             d.insert(&format!("{i:04}"), dentry(i));
         }
-        let names: Vec<String> = d.entries().into_iter().map(|(n, _)| n).collect();
+        let listing = d.listing();
+        let names: Vec<&str> = listing.iter().map(|(n, _)| n).collect();
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
         assert_eq!(names.len(), 32);
+        assert_eq!(listing.len(), 32);
+        for (name, dentry) in listing.iter() {
+            assert_eq!(d.get(name), Some(dentry));
+        }
+        assert!(Dir::new().listing().is_empty());
     }
 
     #[test]
@@ -712,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_are_32_bytes() {
+    fn a_stored_dentry_is_32_bytes() {
         assert_eq!(std::mem::size_of::<Entry>(), 32);
     }
 }

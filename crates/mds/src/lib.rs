@@ -56,7 +56,7 @@ pub mod store;
 pub use caps::{CapOutcome, CapTable, ClientId};
 pub use checkpoint::{CheckpointConfig, CheckpointError, CheckpointManager, Manifest};
 pub use compact::{compact_events, compact_with_report, emit_canonical, CompactionReport};
-pub use dirfrag::{Dentry, Dir};
+pub use dirfrag::{Dentry, Dir, DirListing};
 pub use error::{MdsError, Result};
 pub use failover::{
     FailoverConfig, FailoverDecision, FailoverMonitor, FailoverReport, MdsCluster, StandbyReplay,

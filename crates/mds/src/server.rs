@@ -27,7 +27,7 @@ use cudele_sim::{CostModel, Nanos};
 
 use crate::caps::{CapOutcome, CapTable, ClientId};
 use crate::checkpoint::{self, CheckpointConfig, CheckpointManager, Manifest};
-use crate::dirfrag::Dentry;
+use crate::dirfrag::{Dentry, DirListing};
 use crate::error::{MdsError, Result};
 use crate::mdlog::{MdLog, MdLogConfig, MdLogStats};
 use crate::persist;
@@ -302,7 +302,7 @@ pub enum Reply {
     /// `Stat`: the inode's attributes.
     Attrs(Attrs),
     /// `Readdir`: the listing, sorted by name.
-    Entries(Vec<(String, Dentry)>),
+    Entries(DirListing),
     /// `Unlink` / `Rename`: nothing to return.
     Done,
 }
@@ -331,7 +331,7 @@ impl Reply {
         }
     }
 
-    fn entries(self) -> Vec<(String, Dentry)> {
+    fn entries(self) -> DirListing {
         match self {
             Reply::Entries(v) => v,
             other => unreachable!("readdir answered with {other:?}"),
@@ -1284,7 +1284,7 @@ impl MetadataServer {
 
     /// Lists a directory ("ls" — "notoriously heavy-weight"): MDS CPU
     /// scales with the entry count.
-    pub fn readdir(&mut self, client: ClientId, ino: InodeId) -> Rpc<Vec<(String, Dentry)>> {
+    pub fn readdir(&mut self, client: ClientId, ino: InodeId) -> Rpc<DirListing> {
         self.serve(client, Request::Readdir { ino })
             .map(Reply::entries)
     }
@@ -1332,8 +1332,7 @@ impl MetadataServer {
         self.rpc(Nanos::ZERO, |s, cost| {
             s.counters.merges += 1;
             // Journal-only bookkeeping events apply as no-ops.
-            s.store.apply_blind_all(events);
-            let applied = events.iter().filter(|e| e.is_update()).count() as u64;
+            let applied = s.store.apply_blind_all(events);
             s.counters.merged_events += applied;
             s.obs(|o| {
                 o.merges.inc();
@@ -1828,6 +1827,16 @@ mod tests {
         assert_eq!(s.counters().merged_events, 10);
     }
 
+    /// A boxed listing is no larger than `stat`'s attributes, so every other
+    /// reply is moved at the size it had before listings had an arena.
+    #[test]
+    fn carrying_a_listing_does_not_widen_the_reply() {
+        assert_eq!(
+            std::mem::size_of::<Reply>(),
+            std::mem::size_of::<Attrs>() + 8
+        );
+    }
+
     #[test]
     fn unlink_rename_stat_readdir() {
         let mut s = server();
@@ -1839,7 +1848,7 @@ mod tests {
         assert_eq!(s.stat(C1, f.ino).result.unwrap(), Attrs::file_default());
         let entries = s.readdir(C1, d2).result.unwrap();
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].0, "g");
+        assert_eq!(entries.iter().next().map(|(n, _)| n), Some("g"));
         s.unlink(C1, d2, "g").result.unwrap();
         assert!(s.readdir(C1, d2).result.unwrap().is_empty());
     }

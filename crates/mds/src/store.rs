@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use cudele_journal::{Attrs, EventRef, FileType, InodeId, JournalEvent};
 use cudele_sim::IntMap;
 
-use crate::dirfrag::{Dentry, Dir, NameHash};
+use crate::dirfrag::{Dentry, Dir, DirListing, NameHash};
 use crate::error::{MdsError, Result};
 use crate::inode::Inode;
 
@@ -315,10 +315,10 @@ impl MetadataStore {
     }
 
     /// Full directory listing, sorted by name.
-    pub fn readdir(&self, ino: InodeId) -> Result<Vec<(String, Dentry)>> {
+    pub fn readdir(&self, ino: InodeId) -> Result<DirListing> {
         self.dirs
             .get(&ino)
-            .map(|d| d.entries())
+            .map(|d| d.listing())
             .ok_or_else(|| MdsError::NoEnt {
                 what: format!("directory {ino}"),
             })
@@ -458,8 +458,9 @@ impl MetadataStore {
     /// known, so the tables are sized once up front instead of doubling
     /// their way there: the inode table for the inodes the batch adds net
     /// of those it removes, each directory for the run of creates about to
-    /// land in it.
-    pub fn apply_blind_all(&mut self, events: &[JournalEvent]) {
+    /// land in it. Returns how many of the events were namespace updates
+    /// ([`JournalEvent::is_update`]; bookkeeping events apply as no-ops).
+    pub fn apply_blind_all(&mut self, events: &[JournalEvent]) -> u64 {
         fn links_into(e: &JournalEvent) -> Option<InodeId> {
             match e {
                 JournalEvent::Create { parent, .. } | JournalEvent::Mkdir { parent, .. } => {
@@ -474,6 +475,7 @@ impl MetadataStore {
             _ => n,
         });
         self.inodes.reserve(net_new);
+        let mut updates = 0;
         let mut rest = events;
         while let Some(first) = rest.first() {
             let parent = links_into(first);
@@ -484,9 +486,11 @@ impl MetadataStore {
             let (now, later) = rest.split_at(run);
             for e in now {
                 self.apply_blind(e);
+                updates += u64::from(e.is_update());
             }
             rest = later;
         }
+        updates
     }
 
     /// Applies one journal event with full validity checks (the RPC
@@ -874,7 +878,13 @@ mod tests {
             one_by_one.apply_blind(e);
         }
         let mut batched = MetadataStore::with_split_threshold(32);
-        batched.apply_blind_all(&events);
+        let updates = batched.apply_blind_all(&events);
+        // Segment boundaries apply as no-ops and are not counted.
+        assert_eq!(
+            updates,
+            events.iter().filter(|e| e.is_update()).count() as u64
+        );
+        assert!(updates < events.len() as u64);
         assert_eq!(batched.snapshot(), one_by_one.snapshot());
         assert_eq!(batched.inode_count(), one_by_one.inode_count());
         for d in 0..3u64 {
@@ -950,12 +960,8 @@ mod tests {
             s.create(InodeId::ROOT, n, InodeId(0x1000 + i as u64), attrs())
                 .unwrap();
         }
-        let names: Vec<String> = s
-            .readdir(InodeId::ROOT)
-            .unwrap()
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
+        let listing = s.readdir(InodeId::ROOT).unwrap();
+        let names: Vec<&str> = listing.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
     }
 

@@ -398,15 +398,20 @@ fn compare(ms: &MetadataStore, m: &Model) -> Result<(), TestCaseError> {
         match (ms.dir(id), m.dirs.get(&ino)) {
             (None, None) => prop_assert!(ms.readdir(id).is_err()),
             (Some(dir), Some(rd)) => {
-                let listed: Vec<(String, (u64, FileType))> = ms
-                    .readdir(id)
-                    .unwrap()
-                    .into_iter()
+                // The listing is the model's sorted `(name, dentry)` list —
+                // empty directories and split ones (thresholds 1 and 4)
+                // included — and says so through `len` / `is_empty` too.
+                let listing = ms.readdir(id).unwrap();
+                let listed: Vec<(&str, (u64, FileType))> = listing
+                    .iter()
                     .map(|(n, d)| (n, (d.ino.0, d.ftype)))
                     .collect();
-                let want: Vec<(String, (u64, FileType))> =
-                    rd.entries.iter().map(|(n, d)| (n.clone(), *d)).collect();
+                let want: Vec<(&str, (u64, FileType))> =
+                    rd.entries.iter().map(|(n, d)| (n.as_str(), *d)).collect();
                 prop_assert_eq!(&listed, &want, "readdir {}", ino);
+                prop_assert_eq!(listing.len(), rd.entries.len());
+                prop_assert_eq!(listing.is_empty(), rd.entries.is_empty());
+                prop_assert_eq!(&dir.listing(), &listing);
                 prop_assert_eq!(dir.len(), rd.entries.len());
                 prop_assert_eq!(dir.frag_count(), 1usize << rd.bits, "frag_count of {}", ino);
                 let mut seen = 0;
@@ -771,4 +776,57 @@ fn persisted_dirfrag_objects_match_the_recorded_digest() {
         })
         .collect();
     assert_eq!(got, RECORDED);
+}
+
+/// A listing says which entries a directory holds, in name order — not in
+/// which order they were inserted, and not how the directory is split.
+#[test]
+fn listings_of_empty_and_split_directories_match_the_model() {
+    let (threshold, n) = (4usize, 300u64);
+    let create = |i: u64| JournalEvent::Create {
+        parent: InodeId(0x2000),
+        name: format!("file.{}.{i}", i % 3),
+        ino: InodeId(0x10_0000 + i),
+        attrs: Attrs::file_default(),
+    };
+    let mkdir = JournalEvent::Mkdir {
+        parent: InodeId::ROOT,
+        name: "d".into(),
+        ino: InodeId(0x2000),
+        attrs: Attrs::dir_default(),
+    };
+    let mut forward = MetadataStore::with_split_threshold(threshold);
+    let mut backward = MetadataStore::with_split_threshold(threshold);
+    let mut m = Model::new(threshold);
+    apply(&mut forward, &mut m, false, &mkdir).unwrap();
+    backward.apply_blind(&mkdir);
+
+    let empty = forward.readdir(InodeId(0x2000)).unwrap();
+    assert!(empty.is_empty());
+    assert_eq!(empty.len(), 0);
+    assert_eq!(empty.iter().next(), None);
+    assert_eq!(empty, backward.readdir(InodeId(0x2000)).unwrap());
+
+    for i in 0..n {
+        apply(&mut forward, &mut m, i % 2 == 0, &create(i)).unwrap();
+        backward.apply_blind(&create(n - 1 - i));
+    }
+    let dir = forward.dir(InodeId(0x2000)).unwrap();
+    assert!(dir.frag_count() > 1, "the directory should have split");
+    let listing = forward.readdir(InodeId(0x2000)).unwrap();
+    let listed: Vec<(&str, u64)> = listing.iter().map(|(n, d)| (n, d.ino.0)).collect();
+    let want: Vec<(&str, u64)> = m.dirs[&0x2000]
+        .entries
+        .iter()
+        .map(|(n, d)| (n.as_str(), d.0))
+        .collect();
+    assert_eq!(listed, want);
+    assert_eq!(listing.len(), n as usize);
+    // Same entries, opposite insertion order: the same listing.
+    assert_eq!(listing, backward.readdir(InodeId(0x2000)).unwrap());
+    backward.apply_blind(&JournalEvent::Unlink {
+        parent: InodeId(0x2000),
+        name: "file.0.0".into(),
+    });
+    assert_ne!(listing, backward.readdir(InodeId(0x2000)).unwrap());
 }

@@ -14,7 +14,11 @@ a per-event write path reads 41 041 calls against 40 segments here, or if
 exact count): a warm create owns its name once, in the dentry (1.20 with
 amortised growth), and every layer that copies the name again — the event,
 the history row, the span arg, the name buffer — adds one (7.98 before the
-logs kept arenas).
+logs kept arenas), or if `decoupled_merge` allocates more than 2.5 times per
+create: a decoupled create owns its name twice, in the client's journal event
+and in the global dentry the merge makes (2.03 with amortised growth); a
+third means an eagerly built local mirror or a `readdir` that clones every
+name is back (4.05 with both).
 
     benchmark/run.sh && scripts/bench_wallclock.py --pr 16
     scripts/bench_wallclock.py --check-only        # gate, write nothing
@@ -117,6 +121,13 @@ def main():
         sys.exit(
             f"rpc_create allocates {allocs} times per create (limit 2.5): "
             f"a per-layer copy of the name is back"
+        )
+    allocs = row["allocs_per_op"]["decoupled_merge"]
+    print(f"decoupled_merge: {allocs} allocations per create")
+    if allocs > 2.5:
+        sys.exit(
+            f"decoupled_merge allocates {allocs} times per create (limit 2.5): "
+            f"beyond the event and the global dentry, a mirror or a cloning readdir is back"
         )
 
 

@@ -128,7 +128,7 @@ fn check_store_consistency(ms: &MetadataStore) -> Result<(), TestCaseError> {
     let mut stack = vec![(String::new(), InodeId::ROOT)];
     while let Some((prefix, ino)) = stack.pop() {
         if let Some(dir) = ms.dir(ino) {
-            for (name, dentry) in dir.entries() {
+            for (name, dentry) in dir.listing().iter() {
                 reachable += 1;
                 prop_assert!(
                     ms.inode(dentry.ino).is_some(),

@@ -300,13 +300,13 @@ proptest! {
         for name in &names {
             prop_assert!(dir.get(name).is_some(), "lost {}", name);
         }
-        // entries() is sorted and complete.
-        let listed = dir.entries();
+        // listing() is sorted and complete.
+        let listed = dir.listing();
         prop_assert_eq!(listed.len(), names.len());
-        let mut sorted: Vec<&String> = names.iter().collect();
+        let mut sorted: Vec<&str> = names.iter().map(String::as_str).collect();
         sorted.sort();
-        let listed_names: Vec<String> = listed.into_iter().map(|(n, _)| n).collect();
-        prop_assert_eq!(listed_names, sorted.into_iter().cloned().collect::<Vec<_>>());
+        let listed_names: Vec<&str> = listed.iter().map(|(n, _)| n).collect();
+        prop_assert_eq!(listed_names, sorted);
     }
 
     #[test]
