@@ -26,7 +26,7 @@ use cudele_rados::InMemoryStore;
 use cudele_sim::{Engine, Nanos, RunReport};
 use cudele_workloads::client_dir;
 
-use crate::obs_out::ObsSession;
+use crate::obs_out::{ObsSession, ObsSinks};
 use crate::{RpcCreateProcess, SpeculativeCreateProcess, World};
 
 /// Speculation window when `--speculate` is given without a depth.
@@ -354,14 +354,14 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
             return Err("--speculate runs the closed-loop RPC sweep; drop --arrival".to_string());
         }
     }
-    let mut obs = ObsSession::with_outputs(
-        cfg.metrics_out.clone(),
-        cfg.trace_out.clone(),
-        cfg.history_out.clone(),
-        cfg.span_capacity,
-    );
+    let mut obs = ObsSession::new(ObsSinks {
+        metrics_out: cfg.metrics_out.clone(),
+        trace_out: cfg.trace_out.clone(),
+        history_out: cfg.history_out.clone(),
+        timeline_out: cfg.timeline_out.clone(),
+        span_capacity: cfg.span_capacity,
+    });
     obs.set_history_mode(history_mode(&policy));
-    obs.set_timeline_out(cfg.timeline_out.clone());
     obs.set_slos(resolve_slos(cfg)?);
 
     let mut rendered = match &cfg.arrival {
@@ -794,12 +794,13 @@ multi-policy history would interleave unrelated clocks"
     // its clock), which is exactly what the byte-identity contract needs:
     // per-thread timelines merge in policy order, reproducing a serial
     // sweep's recording bit for bit.
-    let mut obs = ObsSession::with_capacity(
-        cfg.metrics_out.clone(),
-        cfg.trace_out.clone(),
-        cfg.span_capacity,
-    );
-    obs.set_timeline_out(cfg.timeline_out.clone());
+    let mut obs = ObsSession::new(ObsSinks {
+        metrics_out: cfg.metrics_out.clone(),
+        trace_out: cfg.trace_out.clone(),
+        history_out: None,
+        timeline_out: cfg.timeline_out.clone(),
+        span_capacity: cfg.span_capacity,
+    });
     obs.set_slos(resolve_slos(cfg)?);
     let results = crate::obs_out::par_tasks_merged(cfg.threads, policies.len(), |i| {
         run(&BenchConfig {

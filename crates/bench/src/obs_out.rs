@@ -121,113 +121,85 @@ where
     out
 }
 
-/// Observability sinks parsed from the command line, plus the session
-/// registry they activated. See the module docs for the flags.
+/// The observability sinks a command line asked for. See the module docs
+/// for the flags.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ObsSinks {
+    /// `--metrics-out`.
+    pub metrics_out: Option<String>,
+    /// `--trace-out`.
+    pub trace_out: Option<String>,
+    /// `--history-out`.
+    pub history_out: Option<String>,
+    /// `--timeline-out`.
+    pub timeline_out: Option<String>,
+    /// `--span-capacity`; `None` keeps the registry default.
+    pub span_capacity: Option<usize>,
+}
+
+/// The requested sinks plus the session registry they activated.
 pub struct ObsSession {
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-    history_out: Option<String>,
-    timeline_out: Option<String>,
+    sinks: ObsSinks,
     history_mode: String,
     slos: Vec<cudele_obs::slo::SloSpec>,
     reg: Option<Arc<Registry>>,
 }
 
 impl ObsSession {
-    /// Parses `--metrics-out`/`--trace-out` from the process arguments and,
-    /// if either is present, installs a fresh session registry.
-    pub fn from_env() -> ObsSession {
-        let argv: Vec<String> = std::env::args().collect();
-        ObsSession::from_argv(&argv)
+    /// Installs a fresh session registry if any sink was requested.
+    pub fn new(sinks: ObsSinks) -> ObsSession {
+        let any = sinks.metrics_out.is_some()
+            || sinks.trace_out.is_some()
+            || sinks.history_out.is_some()
+            || sinks.timeline_out.is_some();
+        ObsSession {
+            reg: any.then(|| install_session_with_capacity(sinks.span_capacity)),
+            sinks,
+            history_mode: "rpc".to_string(),
+            slos: Vec::new(),
+        }
     }
 
-    /// [`ObsSession::from_env`] over an explicit argument list (element 0
-    /// is ignored as the program name).
-    pub fn from_argv(argv: &[String]) -> ObsSession {
-        let mut metrics_out = None;
-        let mut trace_out = None;
-        let mut history_out = None;
-        let mut timeline_out = None;
-        let mut span_capacity = None;
+    /// [`ObsSession::new`] over the sink flags of an argument list (element
+    /// 0 is the program name). Flags it does not know belong to the
+    /// binary's other parsers and are skipped; a sink flag with no value, or
+    /// a `--span-capacity` that is not a number, is an error.
+    pub fn from_argv(argv: &[String]) -> Result<ObsSession, String> {
+        let mut sinks = ObsSinks::default();
         let mut i = 1;
+        let value = |i: &mut usize| -> Result<String, String> {
+            *i += 2;
+            argv.get(*i - 1)
+                .cloned()
+                .ok_or_else(|| format!("{} requires a value", argv[*i - 2]))
+        };
         while i < argv.len() {
             match argv[i].as_str() {
-                "--metrics-out" => {
-                    metrics_out = argv.get(i + 1).cloned();
-                    i += 2;
-                }
-                "--trace-out" => {
-                    trace_out = argv.get(i + 1).cloned();
-                    i += 2;
-                }
-                "--history-out" => {
-                    history_out = argv.get(i + 1).cloned();
-                    i += 2;
-                }
-                "--timeline-out" => {
-                    timeline_out = argv.get(i + 1).cloned();
-                    i += 2;
-                }
+                "--metrics-out" => sinks.metrics_out = Some(value(&mut i)?),
+                "--trace-out" => sinks.trace_out = Some(value(&mut i)?),
+                "--history-out" => sinks.history_out = Some(value(&mut i)?),
+                "--timeline-out" => sinks.timeline_out = Some(value(&mut i)?),
                 "--span-capacity" => {
-                    span_capacity = argv.get(i + 1).and_then(|v| v.parse().ok());
-                    i += 2;
+                    let cap = value(&mut i)?;
+                    sinks.span_capacity = Some(
+                        cap.parse()
+                            .map_err(|e| format!("bad --span-capacity: {e}"))?,
+                    );
                 }
                 _ => i += 1,
             }
         }
-        let mut s = ObsSession::with_outputs(metrics_out, trace_out, history_out, span_capacity);
-        s.timeline_out = timeline_out;
-        if s.timeline_out.is_some() && s.reg.is_none() {
-            s.reg = Some(install_session_with_capacity(span_capacity));
-        }
-        s
+        Ok(ObsSession::new(sinks))
     }
 
-    /// Builds the session from already-parsed paths.
-    pub fn with_paths(metrics_out: Option<String>, trace_out: Option<String>) -> ObsSession {
-        ObsSession::with_capacity(metrics_out, trace_out, None)
-    }
-
-    /// [`ObsSession::with_paths`] with an explicit span-buffer capacity
-    /// (`--span-capacity`); `None` keeps the registry default.
-    pub fn with_capacity(
-        metrics_out: Option<String>,
-        trace_out: Option<String>,
-        span_capacity: Option<usize>,
-    ) -> ObsSession {
-        ObsSession::with_outputs(metrics_out, trace_out, None, span_capacity)
-    }
-
-    /// [`ObsSession::with_capacity`] plus a `--history-out` sink.
-    pub fn with_outputs(
-        metrics_out: Option<String>,
-        trace_out: Option<String>,
-        history_out: Option<String>,
-        span_capacity: Option<usize>,
-    ) -> ObsSession {
-        let reg = if metrics_out.is_some() || trace_out.is_some() || history_out.is_some() {
-            Some(install_session_with_capacity(span_capacity))
-        } else {
-            None
-        };
-        ObsSession {
-            metrics_out,
-            trace_out,
-            history_out,
-            timeline_out: None,
-            history_mode: "rpc".to_string(),
-            slos: Vec::new(),
-            reg,
-        }
-    }
-
-    /// Adds a `--timeline-out` sink; installs a session registry if none
-    /// of the other sinks already did.
-    pub fn set_timeline_out(&mut self, path: Option<String>) {
-        self.timeline_out = path;
-        if self.timeline_out.is_some() && self.reg.is_none() {
-            self.reg = Some(install_session());
-        }
+    /// [`ObsSession::from_argv`] over the process arguments, for the figure
+    /// binaries: a malformed sink flag prints the error and exits 2.
+    pub fn from_env() -> ObsSession {
+        let argv: Vec<String> = std::env::args().collect();
+        ObsSession::from_argv(&argv).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     }
 
     /// Declares the SLO objectives evaluated over the timeline before the
@@ -255,19 +227,19 @@ impl ObsSession {
             std::fs::write(path, body)
                 .map_err(|e| std::io::Error::new(e.kind(), format!("{path}: {e}")))
         };
-        if let Some(path) = &self.metrics_out {
+        if let Some(path) = &self.sinks.metrics_out {
             write(path, reg.metrics_json())?;
             eprintln!("metrics snapshot written to {path}");
         }
-        if let Some(path) = &self.trace_out {
+        if let Some(path) = &self.sinks.trace_out {
             write(path, reg.chrome_trace_json())?;
             eprintln!("chrome trace written to {path}");
         }
-        if let Some(path) = &self.history_out {
+        if let Some(path) = &self.sinks.history_out {
             write(path, reg.history_json(&self.history_mode))?;
             eprintln!("consistency history written to {path}");
         }
-        if let Some(path) = &self.timeline_out {
+        if let Some(path) = &self.sinks.timeline_out {
             let mut snap = reg.timeline().snapshot();
             snap.slos = cudele_obs::slo::evaluate(&snap, &self.slos);
             write(path, snap.to_json())?;
@@ -286,7 +258,7 @@ mod tests {
     fn no_flags_no_session() {
         clear_session();
         let argv = vec!["prog".to_string(), "--quick".to_string()];
-        let s = ObsSession::from_argv(&argv);
+        let s = ObsSession::from_argv(&argv).unwrap();
         assert!(s.registry().is_none());
         assert!(session().is_none());
         s.finish().unwrap();
@@ -301,7 +273,7 @@ mod tests {
             "--metrics-out".to_string(),
             mpath.to_string_lossy().into_owned(),
         ];
-        let s = ObsSession::from_argv(&argv);
+        let s = ObsSession::from_argv(&argv).unwrap();
         let reg = s.registry().expect("session installed").clone();
         assert!(Arc::ptr_eq(&reg, &session().unwrap()));
         reg.counter("bench.test.counter").add(3);
@@ -311,5 +283,48 @@ mod tests {
         cudele_obs::json::validate(&written).expect("valid JSON");
         assert!(written.contains("\"bench.test.counter\": 3"));
         let _ = std::fs::remove_file(&mpath);
+    }
+
+    #[test]
+    fn malformed_sink_flags_are_errors_not_ignored() {
+        clear_session();
+        let argv = |args: &[&str]| -> Vec<String> {
+            std::iter::once("prog")
+                .chain(args.iter().copied())
+                .map(str::to_string)
+                .collect()
+        };
+        for (args, want) in [
+            (
+                &["--quick", "--metrics-out"][..],
+                "--metrics-out requires a value",
+            ),
+            (&["--timeline-out"][..], "--timeline-out requires a value"),
+            (&["--span-capacity"][..], "--span-capacity requires a value"),
+            (
+                &["--span-capacity", "abc", "--trace-out", "t.json"][..],
+                "bad --span-capacity",
+            ),
+        ] {
+            let err = ObsSession::from_argv(&argv(args)).err().expect("rejected");
+            assert!(err.starts_with(want), "{args:?}: {err}");
+            assert!(
+                session().is_none(),
+                "{args:?}: a rejected line installs nothing"
+            );
+        }
+        // A timeline alone activates the session, at the requested capacity;
+        // other parsers' flags pass through.
+        let s = ObsSession::from_argv(&argv(&[
+            "--threads",
+            "4",
+            "--span-capacity",
+            "16",
+            "--timeline-out",
+            "tl.json",
+        ]))
+        .unwrap();
+        assert_eq!(s.registry().expect("session installed").span_capacity(), 16);
+        clear_session();
     }
 }

@@ -7,7 +7,7 @@
 use std::sync::{Mutex, OnceLock};
 
 use cudele_bench::mdbench::{self, BenchConfig};
-use cudele_sim::{CompletionRecording, Engine, FifoServer, Nanos, Process, Step};
+use cudele_sim::{stats, CompletionSummary, Engine, FifoServer, Nanos, Process, Step};
 use cudele_workloads::open_loop::ArrivalSpec;
 
 /// `mdbench::run` installs a process-global session registry, so tests in
@@ -106,8 +106,9 @@ impl Process<Vec<FifoServer>> for SmokeClient {
 
 /// The scale the arena engine exists for: a million zipf-1.1 Poisson
 /// arrivals over 1 024 directory queues all finish, in two engine events
-/// each, at the same virtual instant on a rerun. (The functional MDS under
-/// the same arrival process is `mdbench --arrival`, above.)
+/// each, at the same virtual instant on a rerun — and the report is as
+/// exact there as at ten clients. (The functional MDS under the same
+/// arrival process is `mdbench --arrival`, above.)
 #[test]
 fn a_million_open_loop_clients_complete_deterministically() {
     const CLIENTS: u64 = 1_000_000;
@@ -121,7 +122,6 @@ fn a_million_open_loop_clients_complete_deterministically() {
         let arrivals = spec.generate(CLIENTS as usize);
         let dirs: Vec<FifoServer> = (0..DIRS).map(|_| FifoServer::new("dir")).collect();
         let mut eng = Engine::new(dirs);
-        eng.set_completion_recording(CompletionRecording::Summary);
         let procs: Vec<SmokeClient> = arrivals
             .iter()
             .map(|a| SmokeClient {
@@ -135,9 +135,22 @@ fn a_million_open_loop_clients_complete_deterministically() {
         report
     };
     let first = run();
-    assert_eq!(first.finished, CLIENTS);
+    assert_eq!(first.completions.len() as u64, CLIENTS);
     assert_eq!(first.steps, 2 * CLIENTS);
     assert!(first.slowest() > Nanos::ZERO);
+    let xs: Vec<f64> = first.completions.iter().map(|c| c.0 as f64).collect();
+    let s = first.completion_summary();
+    assert_eq!(
+        s,
+        CompletionSummary {
+            count: CLIENTS,
+            p50: stats::p50(&xs).round() as u64,
+            p95: stats::p95(&xs).round() as u64,
+            p99: stats::p99(&xs).round() as u64,
+            max: first.slowest().0,
+        }
+    );
+    assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
     assert_eq!(
         run().slowest(),
         first.slowest(),

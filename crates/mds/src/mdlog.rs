@@ -31,6 +31,7 @@ use cudele_journal::{
 use cudele_obs::{Counter, Registry};
 use cudele_rados::ObjectStore;
 
+use crate::error::MdsError;
 use crate::persist;
 use crate::store::MetadataStore;
 
@@ -251,29 +252,27 @@ impl MdLog {
 
     /// Runs the trimmer if the flushed-update threshold is exceeded:
     /// persists the current in-memory store to its object representation
-    /// and logically drops the journal prefix it covers.
+    /// and logically drops the journal prefix it covers. A store the
+    /// persister cannot write out — the object store failing, or a dangling
+    /// dentry an ill-formed client journal merged in — is the serving
+    /// path's `EIO`, classified like every other store failure there.
     pub fn maybe_trim<S: ObjectStore + ?Sized>(
         &mut self,
         os: &S,
         store: &MetadataStore,
-    ) -> Result<bool, JournalIoError> {
+    ) -> crate::Result<bool> {
         let Some(threshold) = self.config.trim_after_updates else {
             return Ok(false);
         };
         if self.updates_since_trim < threshold {
             return Ok(false);
         }
-        persist::flush_store(store, os, self.id.pool).map_err(|e| {
-            JournalIoError::Rados(match e {
-                persist::PersistError::Rados(r) => r,
-                persist::PersistError::Corrupt(m) => {
-                    panic!("metadata store corrupt during trim: {m}")
-                }
-            })
-        })?;
+        persist::flush_store(store, os, self.id.pool)
+            .map_err(|e| MdsError::from_store("journal append", &e))?;
         // Everything flushed so far is covered by the persisted image, so
         // replay may skip exactly that journal prefix.
-        trim_journal(os, self.id, self.flushed_events_since_trim)?;
+        trim_journal(os, self.id, self.flushed_events_since_trim)
+            .map_err(|e| MdsError::from_store("journal append", &e))?;
         self.updates_since_trim = 0;
         self.flushed_events_since_trim = 0;
         self.stats.trims += 1;

@@ -362,9 +362,9 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
         r
     }
 
-    /// Pulls and pushes the root-inode object unchanged — the redundant
-    /// traffic the paper calls out as the reason NVA is "clearly inferior".
-    fn touch_root(&mut self) -> Result<(), PersistError> {
+    /// Pulls the root-inode object's bytes (the default root record when it
+    /// was never written). One object read.
+    fn pull_root(&mut self) -> Result<Vec<u8>, PersistError> {
         let root_obj = root_inode_object(self.pool);
         let data = match self.io(|os| os.read(&root_obj)) {
             Ok(d) => d.to_vec(),
@@ -375,7 +375,64 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
             Err(e) => return Err(e.into()),
         };
         self.counters.object_reads += 1;
-        self.io(|os| os.write_full(&root_obj, &data))?;
+        Ok(data)
+    }
+
+    /// Pushes the root-inode object. One object write.
+    fn push_root(&mut self, data: &[u8]) -> Result<(), PersistError> {
+        let root_obj = root_inode_object(self.pool);
+        self.io(|os| os.write_full(&root_obj, data))?;
+        self.counters.object_writes += 1;
+        Ok(())
+    }
+
+    /// Pulls and pushes the root-inode object unchanged — the redundant
+    /// traffic the paper calls out as the reason NVA is "clearly inferior".
+    fn touch_root(&mut self) -> Result<(), PersistError> {
+        let data = self.pull_root()?;
+        self.push_root(&data)
+    }
+
+    /// Pulls one omap value; a missing object or key reads as `None`. One
+    /// object read either way.
+    fn pull(&mut self, obj: &ObjectId, key: &str) -> Result<Option<bytes::Bytes>, PersistError> {
+        let value = match self.io(|os| os.omap_get(obj, key)) {
+            Ok(v) => v,
+            Err(RadosError::NoEnt(_)) => None,
+            Err(e) => return Err(e.into()),
+        };
+        self.counters.object_reads += 1;
+        Ok(value)
+    }
+
+    /// The sink's one record read-modify-write: fetches `ino`'s record —
+    /// the root-inode object for the root, else the dentry its backtrace
+    /// names — lets `change` alter it, and pushes it back. An inode the
+    /// store does not hold is a blind no-op.
+    fn update_record(
+        &mut self,
+        ino: InodeId,
+        change: impl FnOnce(&mut DentryRecord),
+    ) -> Result<(), PersistError> {
+        let rewrite = |data: &[u8]| -> Result<Vec<u8>, PersistError> {
+            let mut record = decode_record(data)?;
+            change(&mut record);
+            let (ino, ftype, attrs, policy) = record;
+            Ok(encode_record(ino, ftype, &attrs, policy.as_deref()))
+        };
+        if ino == InodeId::ROOT {
+            let data = rewrite(&self.pull_root()?)?;
+            return self.push_root(&data);
+        }
+        let Some((parent, name)) = self.lookup_backtrace(ino)? else {
+            return Ok(());
+        };
+        let obj = self.dirfrag(parent);
+        let Some(value) = self.pull(&obj, &name)? else {
+            return Ok(());
+        };
+        let data = rewrite(&value)?;
+        self.io(|os| os.omap_set(&obj, &name, &data))?;
         self.counters.object_writes += 1;
         Ok(())
     }
@@ -419,13 +476,7 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
 
     fn remove_dentry(&mut self, dir: InodeId, name: &str) -> Result<Option<InodeId>, PersistError> {
         let obj = self.dirfrag(dir);
-        let existing = match self.io(|os| os.omap_get(&obj, name)) {
-            Ok(v) => v,
-            Err(RadosError::NoEnt(_)) => None,
-            Err(e) => return Err(e.into()),
-        };
-        self.counters.object_reads += 1;
-        let Some(value) = existing else {
+        let Some(value) = self.pull(&obj, name)? else {
             return Ok(None);
         };
         let (ino, _, _, _) = decode_record(&value)?;
@@ -441,12 +492,7 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
         ino: InodeId,
     ) -> Result<Option<(InodeId, String)>, PersistError> {
         let bt_obj = backtrace_object(self.pool);
-        let v = match self.io(|os| os.omap_get(&bt_obj, &format!("{:x}", ino.0))) {
-            Ok(v) => v,
-            Err(RadosError::NoEnt(_)) => None,
-            Err(e) => return Err(e.into()),
-        };
-        self.counters.object_reads += 1;
+        let v = self.pull(&bt_obj, &format!("{:x}", ino.0))?;
         v.map(|b| decode_backtrace(&b)).transpose()
     }
 
@@ -479,13 +525,7 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
                 dst_name,
             } => {
                 let obj = self.dirfrag(*src_parent);
-                let existing = match self.io(|os| os.omap_get(&obj, src_name)) {
-                    Ok(v) => v,
-                    Err(RadosError::NoEnt(_)) => None,
-                    Err(e) => return Err(e.into()),
-                };
-                self.counters.object_reads += 1;
-                let Some(value) = existing else {
+                let Some(value) = self.pull(&obj, src_name)? else {
                     return Ok(());
                 };
                 let (ino, ftype, attrs, policy) = decode_record(&value)?;
@@ -494,66 +534,10 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
                 self.set_dentry(*dst_parent, dst_name, ino, ftype, &attrs, policy.as_deref())
             }
             JournalEvent::SetAttr { ino, attrs } => {
-                if *ino == InodeId::ROOT {
-                    let root = Inode::root();
-                    let root_obj = root_inode_object(self.pool);
-                    let record = encode_record(root.ino, root.ftype, attrs, None);
-                    self.io(|os| os.write_full(&root_obj, &record))?;
-                    self.counters.object_writes += 1;
-                    return Ok(());
-                }
-                let Some((parent, name)) = self.lookup_backtrace(*ino)? else {
-                    return Ok(());
-                };
-                let obj = self.dirfrag(parent);
-                let existing = match self.io(|os| os.omap_get(&obj, &name)) {
-                    Ok(v) => v,
-                    Err(RadosError::NoEnt(_)) => None,
-                    Err(e) => return Err(e.into()),
-                };
-                self.counters.object_reads += 1;
-                if let Some(value) = existing {
-                    let (_, ftype, _, policy) = decode_record(&value)?;
-                    let record = encode_record(*ino, ftype, attrs, policy.as_deref());
-                    self.io(|os| os.omap_set(&obj, &name, &record))?;
-                    self.counters.object_writes += 1;
-                }
-                Ok(())
+                self.update_record(*ino, |(_, _, a, _)| *a = *attrs)
             }
             JournalEvent::SetPolicy { ino, policy } => {
-                if *ino == InodeId::ROOT {
-                    let root_obj = root_inode_object(self.pool);
-                    let data = match self.io(|os| os.read(&root_obj)) {
-                        Ok(d) => decode_record(&d)?,
-                        Err(RadosError::NoEnt(_)) => {
-                            let r = Inode::root();
-                            (r.ino, r.ftype, r.attrs, None)
-                        }
-                        Err(e) => return Err(e.into()),
-                    };
-                    self.counters.object_reads += 1;
-                    let record = encode_record(data.0, data.1, &data.2, Some(policy));
-                    self.io(|os| os.write_full(&root_obj, &record))?;
-                    self.counters.object_writes += 1;
-                    return Ok(());
-                }
-                let Some((parent, name)) = self.lookup_backtrace(*ino)? else {
-                    return Ok(());
-                };
-                let obj = self.dirfrag(parent);
-                let existing = match self.io(|os| os.omap_get(&obj, &name)) {
-                    Ok(v) => v,
-                    Err(RadosError::NoEnt(_)) => None,
-                    Err(e) => return Err(e.into()),
-                };
-                self.counters.object_reads += 1;
-                if let Some(value) = existing {
-                    let (i, ftype, attrs, _) = decode_record(&value)?;
-                    let record = encode_record(i, ftype, &attrs, Some(policy));
-                    self.io(|os| os.omap_set(&obj, &name, &record))?;
-                    self.counters.object_writes += 1;
-                }
-                Ok(())
+                self.update_record(*ino, |(_, _, _, p)| *p = Some(policy.clone()))
             }
             // Non-updates are filtered out at the top of `apply`.
             JournalEvent::SegmentBoundary { .. } | JournalEvent::AllocRange { .. } => Ok(()),
@@ -823,7 +807,7 @@ mod tests {
     }
 
     #[test]
-    fn nva_policy_on_root_and_subdir() {
+    fn nva_policy_on_root_and_subdir_survives_setattr() {
         let os = InMemoryStore::paper_default();
         let mut sink = ObjectStoreSink::new(&os, PoolId::METADATA);
         sink.apply_event(&JournalEvent::Mkdir {
@@ -833,24 +817,30 @@ mod tests {
             attrs: Attrs::dir_default(),
         })
         .unwrap();
-        sink.apply_event(&JournalEvent::SetPolicy {
-            ino: InodeId::ROOT,
-            policy: vec![1],
-        })
-        .unwrap();
-        sink.apply_event(&JournalEvent::SetPolicy {
-            ino: InodeId(0x1000),
-            policy: vec![2],
-        })
-        .unwrap();
+        let chmod = Attrs {
+            mode: 0o700,
+            ..Attrs::dir_default()
+        };
+        for (ino, policy) in [(InodeId::ROOT, 1u8), (InodeId(0x1000), 2)] {
+            sink.apply_event(&JournalEvent::SetPolicy {
+                ino,
+                policy: vec![policy],
+            })
+            .unwrap();
+            // Changing one field of a record must not reset the others.
+            sink.apply_event(&JournalEvent::SetAttr { ino, attrs: chmod })
+                .unwrap();
+        }
         let ms = load_store(&os, PoolId::METADATA).unwrap();
-        assert_eq!(
-            ms.inode(InodeId::ROOT).unwrap().policy.as_deref(),
-            Some(&[1u8][..])
-        );
-        assert_eq!(
-            ms.inode(InodeId(0x1000)).unwrap().policy.as_deref(),
-            Some(&[2u8][..])
-        );
+        for (ino, policy) in [(InodeId::ROOT, 1u8), (InodeId(0x1000), 2)] {
+            let inode = ms.inode(ino).unwrap();
+            assert_eq!(inode.policy.as_deref(), Some(&[policy][..]), "{ino}");
+            assert_eq!(inode.attrs, chmod, "{ino}");
+        }
+        // Mkdir: root + dirfrag. Each update after it: root touched, then
+        // its record pulled and pushed (found through one backtrace pull
+        // for the subdir).
+        assert_eq!(sink.counters.object_reads, 2 + 2 * 2 + 2 * 3);
+        assert_eq!(sink.counters.object_writes, 2 + 4 * 2);
     }
 }

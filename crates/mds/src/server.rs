@@ -753,8 +753,7 @@ impl MetadataServer {
                 // "The metadata server applies the updates in the journal
                 // to the metadata store when the journal reaches a certain
                 // size" — run the trimmer when configured.
-                log.maybe_trim(self.os.as_ref(), &self.store)
-                    .map_err(|e| MdsError::from_store("journal append", &e))?;
+                log.maybe_trim(self.os.as_ref(), &self.store)?;
                 if let Some(ckpt) = self.ckpt.as_mut() {
                     let now = self.obs.as_ref().map_or(Nanos::ZERO, |o| o.now);
                     ckpt.maybe_checkpoint(self.os.as_ref(), log.flushed_events(), now, &self.cost)
@@ -1953,6 +1952,43 @@ mod tests {
         s.flush_journal();
         s.crash_and_recover().unwrap();
         assert_eq!(s.store().dir(dir.ino).unwrap().len(), 200);
+    }
+
+    #[test]
+    fn trimming_a_store_an_ill_formed_merge_left_dangling_is_eio() {
+        let mut s = MetadataServer::with_config(
+            Arc::new(InMemoryStore::paper_default()),
+            CostModel::calibrated(),
+            Some(MdLogConfig {
+                events_per_segment: 1,
+                dispatch_size: 1,
+                trim_after_updates: Some(1),
+            }),
+        );
+        s.open_session(C1);
+        let dir = s.setup_dir("/d").unwrap();
+        // A client journal that links one inode under two names and unlinks
+        // one of them leaves the other dangling; Volatile Apply is blind.
+        let create = |name: &str| JournalEvent::Create {
+            parent: dir,
+            name: name.into(),
+            ino: InodeId(0x9000),
+            attrs: cudele_journal::Attrs::file_default(),
+        };
+        let unlink = JournalEvent::Unlink {
+            parent: dir,
+            name: "a".into(),
+        };
+        s.volatile_apply(C1, &[create("a"), create("b"), unlink])
+            .result
+            .unwrap();
+        // The next journaled RPC runs the trimmer over that store: the
+        // client gets an error, the MDS keeps serving.
+        for name in ["f", "g"] {
+            let r = s.create(C1, dir, name).result;
+            assert!(matches!(r, Err(MdsError::Io { .. })), "{name}: {r:?}");
+        }
+        assert!(s.lookup(C1, dir, "b").result.is_ok());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! million heap boxes.
 
 use crate::sched::CalendarQueue;
-use crate::stats::{percentile, NanosDigest};
+use crate::stats::percentile_of_sorted;
 use crate::time::Nanos;
 
 /// What a process wants after a step.
@@ -53,19 +53,6 @@ pub trait Process<W> {
     }
 }
 
-/// How the engine records per-process completion instants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CompletionRecording {
-    /// Keep the full per-process completion vector (exact percentiles,
-    /// O(n) memory). The default; every closed-loop harness reads
-    /// individual completions from it.
-    #[default]
-    Full,
-    /// Stream completions into a log-bucket digest: O(1) memory in the
-    /// process count, approximate percentiles. For million-client runs.
-    Summary,
-}
-
 /// Count + percentile summary of process completion instants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletionSummary {
@@ -81,50 +68,33 @@ pub struct CompletionSummary {
     pub max: u64,
 }
 
-/// Outcome of a finished simulation.
+/// Outcome of a finished simulation: one exact record at every scale.
+/// [`Engine::run`] returns only once every registered process has returned
+/// [`Step::Done`], so `completions` holds one instant per process.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Instant the last process finished.
     pub end_time: Nanos,
     /// Per-process completion instants, indexed by registration order.
-    /// A process that never returned [`Step::Done`] holds `Nanos::ZERO`
-    /// here — consult [`RunReport::unfinished`] to tell that apart from
-    /// finishing at t=0. Empty under [`CompletionRecording::Summary`].
     pub completions: Vec<Nanos>,
     /// Total number of process steps executed.
     pub steps: u64,
-    /// Number of processes that returned [`Step::Done`].
-    pub finished: u64,
-    /// Number of processes that never returned [`Step::Done`] (e.g. cut
-    /// off by a [`Engine::run_until`] horizon).
-    pub unfinished: u64,
-    /// Registration indices of up to the first 64 unfinished processes
-    /// (diagnostics; `unfinished` holds the exact count so the report
-    /// stays O(1) in the client count).
-    pub unfinished_indices: Vec<usize>,
-    /// Streaming completion digest (only under `Summary` recording).
-    digest: Option<NanosDigest>,
 }
 
 impl RunReport {
     /// Completion instant of the slowest process — the metric the paper
     /// plots for "slowdown of the slowest client" (Figures 3b, 6b).
     pub fn slowest(&self) -> Nanos {
-        match &self.digest {
-            Some(d) => Nanos(d.max()),
-            None => self
-                .completions
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(Nanos::ZERO),
-        }
+        self.completions
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(Nanos::ZERO)
     }
 
     /// Completion instant of the slowest process among a subset, identified
     /// by registration index. Lets harnesses exclude e.g. the interfering
-    /// client from the "slowest client" statistic. Requires
-    /// [`CompletionRecording::Full`] (the default).
+    /// client from the "slowest client" statistic.
     pub fn slowest_of(&self, indices: &[usize]) -> Nanos {
         indices
             .iter()
@@ -133,56 +103,21 @@ impl RunReport {
             .unwrap_or(Nanos::ZERO)
     }
 
-    /// Count + p50/p95/p99/max of completion instants over *finished*
-    /// processes. Exact under `Full` recording (rank-interpolated like
-    /// [`crate::stats::percentile`]); log-bucket estimates under
-    /// `Summary`.
+    /// Count + p50/p95/p99/max of completion instants: exact,
+    /// rank-interpolated like [`crate::stats::percentile`], from one sort.
+    /// All zero for a run with no processes.
     pub fn completion_summary(&self) -> CompletionSummary {
-        if let Some(d) = &self.digest {
-            return CompletionSummary {
-                count: d.count(),
-                p50: d.quantile(0.50),
-                p95: d.quantile(0.95),
-                p99: d.quantile(0.99),
-                max: d.max(),
-            };
-        }
-        // Percentiles over finished processes only: an unfinished
-        // process's Nanos::ZERO placeholder must not drag them down.
-        let finished: Vec<f64> = if self.unfinished == 0 {
-            self.completions.iter().map(|c| c.0 as f64).collect()
-        } else {
-            let mut skip: Vec<bool> = vec![false; self.completions.len()];
-            for &i in &self.unfinished_indices {
-                skip[i] = true;
-            }
-            // The index sample is capped at 64; beyond that the exact
-            // per-index set is unknown, so fall back to filtering zeros
-            // (correct whenever no process legitimately finishes at 0).
-            if (self.unfinished as usize) > self.unfinished_indices.len() {
-                self.completions
-                    .iter()
-                    .filter(|c| c.0 != 0)
-                    .map(|c| c.0 as f64)
-                    .collect()
-            } else {
-                self.completions
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !skip[*i])
-                    .map(|(_, c)| c.0 as f64)
-                    .collect()
-            }
-        };
+        let mut sorted: Vec<f64> = self.completions.iter().map(|c| c.0 as f64).collect();
+        sorted.sort_by(|a, b| a.total_cmp(b));
         let q = |p: f64| -> u64 {
-            if finished.is_empty() {
+            if sorted.is_empty() {
                 0
             } else {
-                percentile(&finished, p).round() as u64
+                percentile_of_sorted(&sorted, p).round() as u64
             }
         };
         CompletionSummary {
-            count: self.finished,
+            count: sorted.len() as u64,
             p50: q(50.0),
             p95: q(95.0),
             p99: q(99.0),
@@ -193,26 +128,17 @@ impl RunReport {
     /// A one-object JSON summary of the run (virtual times in
     /// nanoseconds), for embedding in `--metrics-out` snapshots.
     /// Deterministic: depends only on the report's fields. Completion
-    /// instants are summarized as count + p50/p95/p99/max — never the
-    /// full per-process array, so the summary stays O(1) at a million
-    /// clients — and processes that never finished are surfaced in
-    /// `"unfinished"` instead of masquerading as t=0 completions.
+    /// instants are summarized as count + p50/p95/p99/max, so the summary
+    /// is a fixed size at any client count. `"unfinished"` is always 0 — a
+    /// run ends when its last process does — and stays in the object so the
+    /// bytes committed baselines and digests were recorded over do not move.
     pub fn summary_json(&self) -> String {
         let s = self.completion_summary();
         format!(
             "{{\"end_time_ns\": {}, \"slowest_ns\": {}, \"steps\": {}, \
-\"finished\": {}, \"unfinished\": {}, \"completions_ns\": \
+\"finished\": {}, \"unfinished\": 0, \"completions_ns\": \
 {{\"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}}}",
-            self.end_time.0,
-            self.slowest().0,
-            self.steps,
-            self.finished,
-            self.unfinished,
-            s.count,
-            s.p50,
-            s.p95,
-            s.p99,
-            s.max
+            self.end_time.0, s.max, self.steps, s.count, s.count, s.p50, s.p95, s.p99, s.max
         )
     }
 }
@@ -265,7 +191,6 @@ pub struct Engine<W> {
     /// Registration index -> (segment, offset within segment).
     slots: Vec<(u32, u32)>,
     start_times: Vec<Nanos>,
-    recording: CompletionRecording,
 }
 
 /// Generous backstop against non-terminating processes; the largest paper
@@ -281,14 +206,7 @@ impl<W> Engine<W> {
             segments: Vec::new(),
             slots: Vec::new(),
             start_times: Vec::new(),
-            recording: CompletionRecording::Full,
         }
-    }
-
-    /// Selects how completions are recorded (default:
-    /// [`CompletionRecording::Full`]).
-    pub fn set_completion_recording(&mut self, mode: CompletionRecording) {
-        self.recording = mode;
     }
 
     /// Registers a process that first wakes at `Nanos::ZERO`. Returns its
@@ -348,26 +266,12 @@ impl<W> Engine<W> {
     /// Panics if a process schedules a wake-up in the past (a logic error in
     /// the process) or if the step backstop is exceeded.
     pub fn run(self) -> (W, RunReport) {
-        self.run_inner(None)
-    }
-
-    /// Runs until the event queue drains or the next event lies past
-    /// `horizon`. Processes still pending at the horizon are reported as
-    /// unfinished — this is how open-loop runs with a fixed duration
-    /// terminate without every client completing.
-    pub fn run_until(self, horizon: Nanos) -> (W, RunReport) {
-        self.run_inner(Some(horizon))
-    }
-
-    fn run_inner(self, horizon: Option<Nanos>) -> (W, RunReport) {
         let Engine {
             mut world,
             mut segments,
             slots,
             start_times,
-            recording,
         } = self;
-        let n = slots.len();
         let mut queue = CalendarQueue::new();
         let mut seq: u64 = 0;
         for (i, &t) in start_times.iter().enumerate() {
@@ -375,25 +279,11 @@ impl<W> Engine<W> {
             seq += 1;
         }
 
-        let full = recording == CompletionRecording::Full;
-        let mut completions = if full {
-            vec![Nanos::ZERO; n]
-        } else {
-            Vec::new()
-        };
-        let mut done = vec![false; n];
-        let mut digest = if full { None } else { Some(NanosDigest::new()) };
-        let mut finished: u64 = 0;
+        let mut completions = vec![Nanos::ZERO; slots.len()];
         let mut end_time = Nanos::ZERO;
         let mut steps: u64 = 0;
 
         while let Some((now, _, idx)) = queue.pop() {
-            if horizon.is_some_and(|h| now > h) {
-                // Events pop in time order: this one and everything still
-                // queued lies past the horizon. Their processes stay
-                // unfinished.
-                break;
-            }
             let idx = idx as usize;
             steps += 1;
             if steps > MAX_STEPS {
@@ -416,28 +306,8 @@ impl<W> Engine<W> {
                     seq += 1;
                 }
                 Step::Done => {
-                    done[idx] = true;
-                    finished += 1;
-                    if full {
-                        completions[idx] = now;
-                    }
-                    if let Some(d) = &mut digest {
-                        d.record(now.0);
-                    }
+                    completions[idx] = now;
                     end_time = end_time.max(now);
-                }
-            }
-        }
-
-        let unfinished = n as u64 - finished;
-        let mut unfinished_indices = Vec::new();
-        if unfinished > 0 {
-            for (i, d) in done.iter().enumerate() {
-                if !*d {
-                    unfinished_indices.push(i);
-                    if unfinished_indices.len() >= 64 {
-                        break;
-                    }
                 }
             }
         }
@@ -448,10 +318,6 @@ impl<W> Engine<W> {
                 end_time,
                 completions,
                 steps,
-                finished,
-                unfinished,
-                unfinished_indices,
-                digest,
             },
         )
     }
@@ -537,8 +403,7 @@ mod tests {
         // Three back-to-back 100ns ops.
         assert_eq!(report.slowest(), Nanos(300));
         assert_eq!(w.server.served(), 3);
-        assert_eq!(report.finished, 1);
-        assert_eq!(report.unfinished, 0);
+        assert_eq!(report.completions, vec![Nanos(300)]);
     }
 
     #[test]
@@ -637,10 +502,6 @@ mod tests {
             end_time: Nanos(100),
             completions: vec![Nanos(10), Nanos(100), Nanos(50)],
             steps: 3,
-            finished: 3,
-            unfinished: 0,
-            unfinished_indices: Vec::new(),
-            digest: None,
         };
         assert_eq!(report.slowest(), Nanos(100));
         assert_eq!(report.slowest_of(&[0, 2]), Nanos(50));
@@ -665,7 +526,6 @@ mod tests {
         assert_eq!(report.slowest(), Nanos(400));
         assert_eq!(w.server.served(), 4);
         assert_eq!(report.completions.len(), 2);
-        assert_eq!(report.finished, 2);
     }
 
     #[test]
@@ -695,65 +555,36 @@ mod tests {
     }
 
     #[test]
-    fn run_until_reports_unfinished() {
+    fn completion_summary_is_the_exact_percentile_of_completions() {
         let world = World {
             server: FifoServer::new("s"),
             log: Vec::new(),
         };
         let mut eng = Engine::new(world);
-        // Finishes at 300ns.
-        eng.add_process(Box::new(ClosedLoopClient::new(
-            "fast",
-            3,
-            |now, w: &mut World| w.server.serve(now, Nanos(100)),
-        )));
-        // Would finish at ~10us; the horizon cuts it off.
-        eng.add_process_at(
-            Box::new(ClosedLoopClient::new("late", 1, |now, w: &mut World| {
-                w.server.serve(now, Nanos(10))
-            })),
-            Nanos(5_000),
-        );
-        let (_, report) = eng.run_until(Nanos(1_000));
-        assert_eq!(report.finished, 1);
-        assert_eq!(report.unfinished, 1);
-        assert_eq!(report.unfinished_indices, vec![1]);
-        assert_eq!(report.completions[0], Nanos(300));
-        // The unfinished process holds the ZERO placeholder, but the
-        // summary no longer mistakes it for a t=0 completion.
-        assert_eq!(report.completions[1], Nanos::ZERO);
-        let s = report.completion_summary();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.max, 300);
-        let json = report.summary_json();
-        assert!(json.contains("\"unfinished\": 1"), "{json}");
-        assert!(json.contains("\"count\": 1"), "{json}");
-    }
-
-    #[test]
-    fn summary_recording_is_o1_and_close() {
-        let world = World {
-            server: FifoServer::new("s"),
-            log: Vec::new(),
-        };
-        let mut eng = Engine::new(world);
-        eng.set_completion_recording(CompletionRecording::Summary);
         let procs: Vec<_> = (0..100)
             .map(|i| {
                 ClosedLoopClient::new(format!("c{i}"), 1, |now, _: &mut World| now + Nanos(10))
             })
             .collect();
-        let starts: Vec<Nanos> = (0..100).map(|i| Nanos(i * 1_000)).collect();
+        // Registered latest-first, so `completions` is not already sorted.
+        let starts: Vec<Nanos> = (0..100).rev().map(|i| Nanos(i * 1_000)).collect();
         eng.add_arena(procs, &starts);
         let (_, report) = eng.run();
-        assert!(report.completions.is_empty());
-        assert_eq!(report.finished, 100);
-        assert_eq!(report.slowest(), Nanos(99_010));
-        let s = report.completion_summary();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.max, 99_010);
-        // Log-bucket estimate: within a bucket width of the true median.
-        assert!(s.p50 >= 49_010 && s.p50 <= 66_000, "{}", s.p50);
+        assert_eq!(report.completions.len(), 100);
+        assert_eq!(report.completions[0], Nanos(99_010));
+        let xs: Vec<f64> = report.completions.iter().map(|c| c.0 as f64).collect();
+        assert_eq!(
+            report.completion_summary(),
+            CompletionSummary {
+                count: 100,
+                p50: crate::stats::p50(&xs).round() as u64,
+                p95: crate::stats::p95(&xs).round() as u64,
+                p99: crate::stats::p99(&xs).round() as u64,
+                max: 99_010,
+            }
+        );
+        assert_eq!(report.completion_summary().p50, 49_510);
+        assert_eq!(report.slowest(), report.end_time);
     }
 
     #[test]
@@ -762,10 +593,6 @@ mod tests {
             end_time: Nanos(100),
             completions: vec![Nanos(50), Nanos(100)],
             steps: 4,
-            finished: 2,
-            unfinished: 0,
-            unfinished_indices: Vec::new(),
-            digest: None,
         };
         assert_eq!(
             report.summary_json(),

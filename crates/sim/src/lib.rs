@@ -42,15 +42,13 @@ pub mod stats;
 pub mod time;
 
 pub use cost::{dispatch_penalty, CostModel};
-pub use engine::{
-    ClosedLoopClient, CompletionRecording, CompletionSummary, Engine, Process, RunReport, Step,
-};
+pub use engine::{ClosedLoopClient, CompletionSummary, Engine, Process, RunReport, Step};
 pub use hash::{IntHasher, IntMap};
 pub use plot::render_plot;
 pub use resource::FifoServer;
 pub use sched::CalendarQueue;
 pub use stats::{
-    mean, p50, p95, p99, percentile, render_table, slowdown, speedup, stddev, summarize,
-    NanosDigest, Series, Summary,
+    mean, p50, p95, p99, percentile, render_table, slowdown, speedup, stddev, summarize, Series,
+    Summary,
 };
 pub use time::{per_op, transfer_time, Nanos};

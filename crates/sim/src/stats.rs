@@ -56,6 +56,12 @@ pub fn percentile(xs: &[f64], q: f64) -> f64 {
     }
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
+    percentile_of_sorted(&sorted, q)
+}
+
+/// [`percentile`] over a non-empty sample already in ascending order — for
+/// callers that read several percentiles off one sort.
+pub(crate) fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     let q = q.clamp(0.0, 100.0);
     let rank = q / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
@@ -81,110 +87,6 @@ pub fn p95(xs: &[f64]) -> f64 {
 /// 99th percentile.
 pub fn p99(xs: &[f64]) -> f64 {
     percentile(xs, 99.0)
-}
-
-/// A streaming log-bucket digest of `u64` nanosecond samples: O(1)
-/// memory in the sample count, deterministic, and good to ~25% relative
-/// error on quantiles (exact below 16 ns, which in practice means exact
-/// for the zero sample). The engine uses it to summarize a million
-/// process completions without materializing a million-entry vector.
-#[derive(Debug, Clone)]
-pub struct NanosDigest {
-    count: u64,
-    max: u64,
-    min: u64,
-    /// 16 exact small-value buckets + 4 sub-buckets per power of two.
-    buckets: Vec<u64>,
-}
-
-const DIGEST_BUCKETS: usize = 16 + 60 * 4;
-
-fn digest_bucket(v: u64) -> usize {
-    if v < 16 {
-        v as usize
-    } else {
-        let exp = 63 - v.leading_zeros() as usize; // >= 4
-        let sub = ((v >> (exp - 2)) & 3) as usize;
-        16 + (exp - 4) * 4 + sub
-    }
-}
-
-/// Inclusive upper edge of a digest bucket.
-fn digest_upper(b: usize) -> u64 {
-    if b < 16 {
-        b as u64
-    } else {
-        let exp = (b - 16) / 4 + 4;
-        let sub = ((b - 16) % 4) as u64;
-        ((4 + sub + 1) << (exp - 2)) - 1
-    }
-}
-
-impl Default for NanosDigest {
-    fn default() -> Self {
-        NanosDigest::new()
-    }
-}
-
-impl NanosDigest {
-    /// An empty digest.
-    pub fn new() -> NanosDigest {
-        NanosDigest {
-            count: 0,
-            max: 0,
-            min: u64::MAX,
-            buckets: vec![0; DIGEST_BUCKETS],
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        self.count += 1;
-        self.max = self.max.max(v);
-        self.min = self.min.min(v);
-        self.buckets[digest_bucket(v)] += 1;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Largest recorded sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.max
-        }
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// The `q`-th quantile (`0.0..=1.0`) by rank over the log buckets:
-    /// the upper edge of the bucket holding the ceil(q*count)-th sample,
-    /// clamped to the observed max. Returns 0 for an empty digest.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return digest_upper(b).min(self.max).max(self.min);
-            }
-        }
-        self.max
-    }
 }
 
 /// Slowdown of `t` relative to `baseline` (1.0 = as fast as baseline,
@@ -406,42 +308,6 @@ mod tests {
         // Row for x=1 has a dash for series b.
         let row1 = t.lines().find(|l| l.trim_start().starts_with('1')).unwrap();
         assert!(row1.contains('-'));
-    }
-
-    #[test]
-    fn digest_small_values_are_exact() {
-        let mut d = NanosDigest::new();
-        for v in [0u64, 1, 2, 3, 15] {
-            d.record(v);
-        }
-        assert_eq!(d.count(), 5);
-        assert_eq!(d.max(), 15);
-        assert_eq!(d.min(), 0);
-        assert_eq!(d.quantile(0.0), 0);
-        assert_eq!(d.quantile(0.5), 2);
-        assert_eq!(d.quantile(1.0), 15);
-    }
-
-    #[test]
-    fn digest_quantiles_bound_error() {
-        let mut d = NanosDigest::new();
-        for v in 1..=10_000u64 {
-            d.record(v * 1_000); // 1us .. 10ms
-        }
-        let p50 = d.quantile(0.5) as f64;
-        let p99 = d.quantile(0.99) as f64;
-        // Upper bucket edges: estimate >= true value, within ~25%.
-        assert!((5_000_000.0..=6_500_000.0).contains(&p50), "{p50}");
-        assert!((9_900_000.0..=12_500_000.0).contains(&p99), "{p99}");
-        assert_eq!(d.quantile(1.0), 10_000_000);
-    }
-
-    #[test]
-    fn digest_empty_is_zero() {
-        let d = NanosDigest::new();
-        assert_eq!(d.count(), 0);
-        assert_eq!(d.max(), 0);
-        assert_eq!(d.quantile(0.5), 0);
     }
 
     #[test]
