@@ -373,6 +373,15 @@ impl<'a> From<&'a JournalEvent> for EventRef<'a> {
     }
 }
 
+/// What iterating a list of borrowed events (`&[&JournalEvent]`) yields;
+/// `impl Into<EventRef>` parameters take it as they take `&JournalEvent`.
+impl<'a> From<&&'a JournalEvent> for EventRef<'a> {
+    #[inline]
+    fn from(event: &&'a JournalEvent) -> EventRef<'a> {
+        EventRef::from(*event)
+    }
+}
+
 impl EventRef<'_> {
     /// Whether this event mutates the namespace (see
     /// [`JournalEvent::is_update`]).

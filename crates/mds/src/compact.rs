@@ -23,11 +23,9 @@ use crate::store::MetadataStore;
 /// same blind-replay result. The output contains only `Mkdir`, `Create`,
 /// `SetAttr` (root only), and `SetPolicy` events, emitted depth-first with
 /// parents before children.
-pub fn compact_events<'a>(events: impl IntoIterator<Item = &'a JournalEvent>) -> Vec<JournalEvent> {
+pub fn compact_events(events: &[JournalEvent]) -> Vec<JournalEvent> {
     let mut store = MetadataStore::new();
-    for e in events {
-        store.apply_blind(e);
-    }
+    store.apply_blind_all(events);
     emit_canonical(&store)
 }
 
@@ -115,7 +113,7 @@ impl CompactionReport {
 /// Compacts and reports.
 pub fn compact_with_report(events: &[JournalEvent]) -> (Vec<JournalEvent>, CompactionReport) {
     let original_updates = events.iter().filter(|e| e.is_update()).count() as u64;
-    let compacted = compact_events(events.iter());
+    let compacted = compact_events(events);
     let report = CompactionReport {
         original_updates,
         compacted_events: compacted.len() as u64,
@@ -130,9 +128,7 @@ mod tests {
 
     fn replay(events: &[JournalEvent]) -> MetadataStore {
         let mut s = MetadataStore::new();
-        for e in events {
-            s.apply_blind(e);
-        }
+        s.apply_blind_all(events);
         s
     }
 

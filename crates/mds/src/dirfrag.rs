@@ -55,14 +55,14 @@ const MAX_FRAG_BITS: u8 = 8;
 /// (`file.<i>.0`), and fragment-mates agree on them by construction. The
 /// table hash is the whole 64-bit value pushed through a finalising mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct NameHash {
+struct NameHash {
     frag: u8,
     table: u32,
 }
 
 impl NameHash {
     /// Hashes `name` (one pass over its bytes).
-    pub(crate) fn of(name: &str) -> NameHash {
+    fn of(name: &str) -> NameHash {
         let raw = name_hash(name);
         // MurmurHash3's 64-bit finaliser: every output bit depends on
         // every input bit.
@@ -431,13 +431,8 @@ impl Dir {
 
     /// Looks a name up.
     pub fn get(&self, name: &str) -> Option<Dentry> {
-        self.get_hashed(NameHash::of(name), name)
-    }
-
-    /// [`Dir::get`] for a name already hashed.
-    pub(crate) fn get_hashed(&self, hash: NameHash, name: &str) -> Option<Dentry> {
         self.table
-            .find(hash, name)
+            .find(NameHash::of(name), name)
             .map(|pos| self.table.entry(pos).dentry())
     }
 
@@ -449,16 +444,7 @@ impl Dir {
     /// Inserts a dentry, replacing (and returning) any dentry the name
     /// already had — the blind-merge discipline.
     pub fn insert(&mut self, name: &str, dentry: Dentry) -> Option<Dentry> {
-        self.insert_hashed(NameHash::of(name), name, dentry)
-    }
-
-    /// [`Dir::insert`] for a name already hashed.
-    pub(crate) fn insert_hashed(
-        &mut self,
-        hash: NameHash,
-        name: &str,
-        dentry: Dentry,
-    ) -> Option<Dentry> {
+        let hash = NameHash::of(name);
         self.table.reserve(1);
         match self.table.probe(hash, name) {
             Probe::Found { pos, .. } => {
@@ -469,47 +455,25 @@ impl Dir {
                 Some(prev)
             }
             Probe::Vacant { slot } => {
-                self.push_new(slot, hash, name, dentry);
+                self.table.push(slot, Entry::new(name, hash, dentry));
+                let in_frag = if self.bits == 0 {
+                    self.table.len
+                } else {
+                    let n = &mut self.frag_len[hash.frag_index(self.bits)];
+                    *n += 1;
+                    *n as usize
+                };
+                if in_frag > self.split_threshold {
+                    self.split();
+                }
                 None
             }
         }
     }
 
-    /// Inserts a dentry only if the name is free — the POSIX discipline,
-    /// in one probe. Returns the dentry already there otherwise.
-    pub(crate) fn try_insert(&mut self, name: &str, dentry: Dentry) -> Result<(), Dentry> {
-        let hash = NameHash::of(name);
-        self.table.reserve(1);
-        match self.table.probe(hash, name) {
-            Probe::Found { pos, .. } => Err(self.table.entry(pos).dentry()),
-            Probe::Vacant { slot } => {
-                self.push_new(slot, hash, name, dentry);
-                Ok(())
-            }
-        }
-    }
-
-    fn push_new(&mut self, slot: usize, hash: NameHash, name: &str, dentry: Dentry) {
-        self.table.push(slot, Entry::new(name, hash, dentry));
-        let in_frag = if self.bits == 0 {
-            self.table.len
-        } else {
-            let n = &mut self.frag_len[hash.frag_index(self.bits)];
-            *n += 1;
-            *n as usize
-        };
-        if in_frag > self.split_threshold {
-            self.split();
-        }
-    }
-
     /// Removes a dentry by name.
     pub fn remove(&mut self, name: &str) -> Option<Dentry> {
-        self.remove_hashed(NameHash::of(name), name)
-    }
-
-    /// [`Dir::remove`] for a name already hashed.
-    pub(crate) fn remove_hashed(&mut self, hash: NameHash, name: &str) -> Option<Dentry> {
+        let hash = NameHash::of(name);
         if self.table.len == 0 {
             return None;
         }
@@ -629,15 +593,6 @@ mod tests {
         assert_eq!(prev, Some(dentry(1)));
         assert_eq!(d.len(), 1);
         assert_eq!(d.get("a"), Some(dentry(2)));
-    }
-
-    #[test]
-    fn try_insert_refuses_a_taken_name() {
-        let mut d = Dir::new();
-        assert_eq!(d.try_insert("a", dentry(1)), Ok(()));
-        assert_eq!(d.try_insert("a", dentry(2)), Err(dentry(1)));
-        assert_eq!(d.get("a"), Some(dentry(1)));
-        assert_eq!(d.len(), 1);
     }
 
     #[test]

@@ -34,6 +34,12 @@ pub enum MdsError {
         /// The non-empty directory.
         ino: InodeId,
     },
+    /// EINVAL: rename of a directory into its own subtree, which would
+    /// detach the subtree in a parent cycle.
+    Invalid {
+        /// The directory being moved.
+        ino: InodeId,
+    },
     /// EBUSY: the Cudele interfere policy is `block` and this client does
     /// not own the decoupled subtree ("any requests to this part of the
     /// namespace returns with 'Device is busy'").
@@ -95,6 +101,12 @@ impl std::fmt::Display for MdsError {
             MdsError::NotDir { ino } => write!(f, "ENOTDIR: {ino} is not a directory"),
             MdsError::IsDir { ino } => write!(f, "EISDIR: {ino} is a directory"),
             MdsError::NotEmpty { ino } => write!(f, "ENOTEMPTY: {ino} is not empty"),
+            MdsError::Invalid { ino } => {
+                write!(
+                    f,
+                    "EINVAL: cannot move directory {ino} into its own subtree"
+                )
+            }
             MdsError::Busy { ino } => write!(f, "EBUSY: subtree at {ino} is decoupled"),
             MdsError::NoInodes => write!(f, "allocated inode range exhausted"),
             MdsError::NoSession { client } => write!(f, "no session for client {client}"),

@@ -268,11 +268,11 @@ impl MdLog {
             return Ok(false);
         }
         persist::flush_store(store, os, self.id.pool)
-            .map_err(|e| MdsError::from_store("journal append", &e))?;
+            .map_err(|e| MdsError::from_store("persisted metadata", &e))?;
         // Everything flushed so far is covered by the persisted image, so
         // replay may skip exactly that journal prefix.
         trim_journal(os, self.id, self.flushed_events_since_trim)
-            .map_err(|e| MdsError::from_store("journal append", &e))?;
+            .map_err(|e| MdsError::from_store("mdlog trim", &e))?;
         self.updates_since_trim = 0;
         self.flushed_events_since_trim = 0;
         self.stats.trims += 1;

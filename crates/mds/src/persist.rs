@@ -555,6 +555,7 @@ impl<S: ObjectStore + ?Sized> EventSink for ObjectStoreSink<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cudele_journal::EventRef;
     use cudele_rados::InMemoryStore;
 
     fn populated() -> MetadataStore {
@@ -577,14 +578,18 @@ mod tests {
             )
             .unwrap();
         }
-        ms.set_policy(InodeId(0x1001), vec![42, 43]).unwrap();
-        ms.setattr(
-            InodeId(0x2000),
-            Attrs {
+        ms.apply_checked(EventRef::SetPolicy {
+            ino: InodeId(0x1001),
+            policy: &[42, 43],
+        })
+        .unwrap();
+        ms.apply_checked(EventRef::SetAttr {
+            ino: InodeId(0x2000),
+            attrs: Attrs {
                 size: 777,
                 ..Attrs::file_default()
             },
-        )
+        })
         .unwrap();
         ms
     }
@@ -613,7 +618,11 @@ mod tests {
         for i in 0..50u64 {
             ms.unlink(InodeId(0x1001), &format!("file-{i}")).unwrap();
         }
-        ms.rmdir(InodeId(0x1000), "alice").unwrap();
+        ms.apply_checked(EventRef::Rmdir {
+            parent: InodeId(0x1000),
+            name: "alice",
+        })
+        .unwrap();
         flush_store(&ms, &os, PoolId::METADATA).unwrap();
         let loaded = load_store(&os, PoolId::METADATA).unwrap();
         assert_eq!(loaded.snapshot(), ms.snapshot());

@@ -1009,7 +1009,9 @@ impl MetadataServer {
     ///    inode and the write caps on its target directories, builds the
     ///    event it is about to log — as an [`EventRef`] borrowing the
     ///    request's names — and applies *that* through
-    ///    [`MetadataStore::apply_checked_ref`], the body replay uses too;
+    ///    [`MetadataStore::apply_checked`]: the store's read-only
+    ///    [`MetadataStore::check`], then the one blind body replay and
+    ///    merge use too;
     /// 4. **journal** — the event enters the mdlog (a failure here leaves
     ///    the in-memory mutation standing: a fenced zombie's private
     ///    hallucination, or the known gap of DESIGN.md §11.5 for I/O);
@@ -1178,7 +1180,7 @@ impl MetadataServer {
             }
             has_cache = caps.writer_has_cache;
         }
-        self.store.apply_checked_ref(event)?;
+        self.store.apply_checked(event)?;
 
         // Journal. On failure the in-memory mutation stands.
         cost.journaled(self.journal(event)?);
@@ -1308,7 +1310,7 @@ impl MetadataServer {
                 ino,
                 policy: &policy,
             };
-            s.store.apply_checked_ref(event)?;
+            s.store.apply_checked(event)?;
             s.journal(event)?;
             if block_for_others {
                 s.blocked.retain(|&(root, _)| root != ino);
@@ -1435,15 +1437,15 @@ impl MetadataServer {
                 Ok(d) => d.ino,
                 Err(MdsError::NoEnt { .. }) => {
                     let ino = self.alloc.allocate(1).start;
-                    let attrs = Attrs::dir_default();
-                    self.store.mkdir(cur, comp, ino, attrs)?;
+                    let event = EventRef::Mkdir {
+                        parent: cur,
+                        name: comp,
+                        ino,
+                        attrs: Attrs::dir_default(),
+                    };
+                    self.store.apply_checked(event)?;
                     if durable {
-                        self.journal(EventRef::Mkdir {
-                            parent: cur,
-                            name: comp,
-                            ino,
-                            attrs,
-                        })?;
+                        self.journal(event)?;
                     }
                     ino
                 }
@@ -1791,6 +1793,41 @@ mod tests {
         s.create(C2, dir, "theirs").result.unwrap();
     }
 
+    /// A refused rename of a directory into its own subtree leaves the
+    /// parent links a chain, so a blocked-subtree check from another client
+    /// still walks to the root and returns. (A rename that formed a cycle
+    /// used to make that walk spin: the watchdog turns a hang into a
+    /// failure.)
+    #[test]
+    fn blocked_subtree_check_returns_after_a_refused_subtree_rename() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        let worker = std::thread::spawn(move || {
+            let mut s = server_no_journal();
+            s.open_session(C1);
+            s.open_session(C2);
+            let a = s.setup_dir("/a").unwrap();
+            let b = s.setup_dir("/a/b").unwrap();
+            s.setup_dir("/c").unwrap();
+            s.set_subtree_policy(C1, "/c", vec![1], true).expect_ok();
+            let renamed = s.rename(C1, InodeId::ROOT, "a", b, "x").result;
+            let looked_up = s.lookup(C2, b, "y").result;
+            let _ = tx.send((a, renamed, looked_up, s.store().snapshot().len()));
+        });
+        // A spinning worker cannot be joined; any other outcome is, so a
+        // panic in it surfaces here.
+        let got = rx.recv_timeout(std::time::Duration::from_secs(3));
+        assert!(
+            !matches!(got, Err(RecvTimeoutError::Timeout)),
+            "the blocked-subtree check did not return"
+        );
+        worker.join().expect("the worker panicked");
+        let (a, renamed, looked_up, entries) = got.expect("the worker sent its outcome");
+        assert_eq!(renamed, Err(MdsError::Invalid { ino: a }));
+        assert_eq!(looked_up, Ok(None));
+        assert_eq!(entries, 3, "/a, /a/b and /c stay reachable");
+    }
+
     #[test]
     fn alloc_inodes_contract() {
         let mut s = server();
@@ -1983,10 +2020,14 @@ mod tests {
             .result
             .unwrap();
         // The next journaled RPC runs the trimmer over that store: the
-        // client gets an error, the MDS keeps serving.
+        // client gets an error labelled with the image it could not write,
+        // and the MDS keeps serving.
         for name in ["f", "g"] {
             let r = s.create(C1, dir, name).result;
-            assert!(matches!(r, Err(MdsError::Io { .. })), "{name}: {r:?}");
+            assert!(
+                matches!(&r, Err(MdsError::Io { what }) if what.starts_with("persisted metadata (")),
+                "{name}: {r:?}"
+            );
         }
         assert!(s.lookup(C1, dir, "b").result.is_ok());
     }

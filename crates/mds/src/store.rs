@@ -14,25 +14,29 @@
 //! allocator-issued numbers, not attacker-chosen strings, and the store is
 //! probed several times per op.
 //!
-//! Two apply disciplines exist, and the difference is load-bearing for the
-//! paper's results:
+//! Every update is one journal event ([`EventRef`]) and there is one body
+//! that applies it, plus one read-only precondition:
 //!
-//! * **Checked** — full POSIX validity (EEXIST on duplicate create, ...).
-//!   This is what the RPC path does, and the existence check is exactly the
+//! * [`MetadataStore::apply_blind`] — the only mutation body. "The metadata
+//!   server blindly applies the updates because it assumes the events were
+//!   already checked": this is the merge path for decoupled journals and
+//!   journal replay. Decoupled-namespace updates "take priority at merge
+//!   time", so a blind create overwrites.
+//! * [`MetadataStore::check`] — full POSIX validity (EEXIST on duplicate
+//!   create, ...), changing nothing. The existence check is exactly the
 //!   fragment scan that makes RPCs expensive.
-//! * **Blind** — "clients do not need to check for consistency when writing
-//!   events and the metadata server blindly applies the updates because it
-//!   assumes the events were already checked". This is the merge path for
-//!   decoupled journals; decoupled-namespace updates "take priority at
-//!   merge time", so blind applies overwrite.
+//! * [`MetadataStore::apply_checked`] — the RPC discipline: `check`, then
+//!   the blind body. A corner can therefore not behave one way on the RPC
+//!   path and another on replay; where blind replay of an ill-formed
+//!   journal left a state on which the blind effect is not the POSIX one,
+//!   `check` refuses (DESIGN.md §5.2 "Ill-formed journals").
 
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use cudele_journal::{Attrs, EventRef, FileType, InodeId, JournalEvent};
 use cudele_sim::IntMap;
 
-use crate::dirfrag::{Dentry, Dir, DirListing, NameHash};
+use crate::dirfrag::{Dentry, Dir, DirListing};
 use crate::error::{MdsError, Result};
 use crate::inode::Inode;
 
@@ -95,18 +99,13 @@ impl MetadataStore {
 
     /// Whether `ino` lies inside the subtree rooted at `root` (inclusive).
     /// Used to enforce Cudele's interfere=block policy on every request
-    /// that targets a decoupled subtree.
+    /// that targets a decoupled subtree. An acyclic chain visits each inode
+    /// once, so the walk is bounded by the table's size: a parent cycle
+    /// (blind replay can still leave one) is `false`, not a hang.
     pub fn is_within(&self, ino: InodeId, root: InodeId) -> bool {
-        let mut cur = ino;
-        loop {
-            if cur == root {
-                return true;
-            }
-            match self.parent_of(cur) {
-                Some(p) => cur = p,
-                None => return false,
-            }
-        }
+        std::iter::successors(Some(ino), |&cur| self.parent_of(cur))
+            .take(self.inodes.len() + 1)
+            .any(|cur| cur == root)
     }
 
     /// The directory fragtree of `ino`, if it is a directory.
@@ -130,12 +129,27 @@ impl MetadataStore {
     /// must exist as an inode too. Blind replay of an ill-formed journal
     /// can leave a table whose inode is gone (a create under an unknown
     /// parent, a file created over a directory's name); POSIX says ENOENT
-    /// there, so the inode is confirmed first — an integer-hash probe.
-    fn dir_mut(&mut self, ino: InodeId) -> Result<&mut Dir> {
-        if !self.inodes.contains_key(&ino) {
-            return Err(self.not_a_dir(ino));
+    /// there, so the inode is confirmed too — an integer-hash probe.
+    fn writable_dir(&self, ino: InodeId) -> Result<&Dir> {
+        match self.dirs.get(&ino) {
+            Some(dir) if self.inodes.contains_key(&ino) => Ok(dir),
+            _ => Err(self.not_a_dir(ino)),
         }
-        self.dirs.get_mut(&ino).ok_or(MdsError::NotDir { ino })
+    }
+
+    /// The dentry a checked removal or rename acts on.
+    fn existing(&self, parent: InodeId, name: &str) -> Result<Dentry> {
+        self.writable_dir(parent)?
+            .get(name)
+            .ok_or_else(|| MetadataStore::no_such_name(parent, name))
+    }
+
+    /// Whether removing `d` would drop a dentry table: it is a directory,
+    /// or (only after blind replay of an ill-formed journal) a file whose
+    /// number still owns one. Checked unlink and rename-over refuse both
+    /// with EISDIR.
+    fn owns_a_table(&self, d: Dentry) -> bool {
+        d.ftype == FileType::Dir || self.dirs.contains_key(&d.ino)
     }
 
     /// Drops an inode and, if it had one, its dentry table.
@@ -151,7 +165,7 @@ impl MetadataStore {
     }
 
     // ------------------------------------------------------------------
-    // Checked (POSIX) operations
+    // Checked (POSIX) operations — one event each through `apply_checked`
     // ------------------------------------------------------------------
 
     /// Creates a regular file. Fails with EEXIST if the name is taken and
@@ -163,83 +177,33 @@ impl MetadataStore {
         ino: InodeId,
         attrs: Attrs,
     ) -> Result<()> {
-        self.link_new(parent, name, Inode::file(ino, attrs))
+        self.apply_checked(EventRef::Create {
+            parent,
+            name,
+            ino,
+            attrs,
+        })
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, parent: InodeId, name: &str, ino: InodeId, attrs: Attrs) -> Result<()> {
-        self.link_new(parent, name, Inode::dir(ino, attrs))?;
-        self.dirs
-            .insert(ino, Dir::with_split_threshold(self.split_threshold));
-        Ok(())
-    }
-
-    /// The shared body of `create` and `mkdir`. The inode table is probed
-    /// once for the new number (collision check and insertion slot in one)
-    /// and the parent's dentry table once for the name (existence check
-    /// and insertion slot in one).
-    fn link_new(&mut self, parent: InodeId, name: &str, inode: Inode) -> Result<()> {
-        let ino = inode.ino;
-        let parent_exists = self.inodes.contains_key(&parent);
-        let Entry::Vacant(slot) = self.inodes.entry(ino) else {
-            return Err(MdsError::InodeCollision { ino });
-        };
-        let dir = match self.dirs.get_mut(&parent) {
-            Some(dir) if parent_exists => dir,
-            _ => return Err(self.not_a_dir(parent)),
-        };
-        let dentry = Dentry {
+        self.apply_checked(EventRef::Mkdir {
+            parent,
+            name,
             ino,
-            ftype: inode.ftype,
-        };
-        if dir.try_insert(name, dentry).is_err() {
-            return Err(MdsError::Exists {
-                parent,
-                name: name.to_string(),
-            });
-        }
-        slot.insert(inode.child_of(parent));
-        Ok(())
+            attrs,
+        })
     }
 
     /// Removes a file.
     pub fn unlink(&mut self, parent: InodeId, name: &str) -> Result<()> {
-        let hash = NameHash::of(name);
-        let dir = self.dir_mut(parent)?;
-        let dentry = dir
-            .get_hashed(hash, name)
-            .ok_or_else(|| MetadataStore::no_such_name(parent, name))?;
-        if dentry.ftype == FileType::Dir {
-            return Err(MdsError::IsDir { ino: dentry.ino });
-        }
-        dir.remove_hashed(hash, name);
-        self.inodes.remove(&dentry.ino);
-        Ok(())
-    }
-
-    /// Removes an empty directory.
-    pub fn rmdir(&mut self, parent: InodeId, name: &str) -> Result<()> {
-        let hash = NameHash::of(name);
-        let dentry = self
-            .dir_mut(parent)?
-            .get_hashed(hash, name)
-            .ok_or_else(|| MetadataStore::no_such_name(parent, name))?;
-        if dentry.ftype != FileType::Dir {
-            return Err(MdsError::NotDir { ino: dentry.ino });
-        }
-        if !self.dirs.get(&dentry.ino).is_none_or(|d| d.is_empty()) {
-            return Err(MdsError::NotEmpty { ino: dentry.ino });
-        }
-        if let Some(dir) = self.dirs.get_mut(&parent) {
-            dir.remove_hashed(hash, name);
-        }
-        self.forget(dentry.ino);
-        Ok(())
+        self.apply_checked(EventRef::Unlink { parent, name })
     }
 
     /// Renames `src_parent/src_name` to `dst_parent/dst_name`. An existing
     /// destination *file* is replaced (POSIX rename); an existing
-    /// destination directory is an error.
+    /// destination directory is an error, and so is moving a directory
+    /// into its own subtree.
     pub fn rename(
         &mut self,
         src_parent: InodeId,
@@ -247,53 +211,11 @@ impl MetadataStore {
         dst_parent: InodeId,
         dst_name: &str,
     ) -> Result<()> {
-        let (src_hash, dst_hash) = (NameHash::of(src_name), NameHash::of(dst_name));
-        let src = self
-            .dir_mut(src_parent)?
-            .get_hashed(src_hash, src_name)
-            .ok_or_else(|| MetadataStore::no_such_name(src_parent, src_name))?;
-        if let Some(dst) = self.dir_mut(dst_parent)?.get_hashed(dst_hash, dst_name) {
-            if dst.ino == src.ino {
-                // Renaming a dentry onto itself is a POSIX no-op. Without
-                // this guard the replacement path below would remove the
-                // *source* inode and leave the dentry dangling — and blind
-                // replay (which treats self-rename as a no-op) would then
-                // recover a different namespace than the live server held.
-                return Ok(());
-            }
-            if dst.ftype == FileType::Dir {
-                return Err(MdsError::IsDir { ino: dst.ino });
-            }
-            self.inodes.remove(&dst.ino);
-        }
-        // Both tables were found above; nothing since removed them.
-        if let Some(dir) = self.dirs.get_mut(&src_parent) {
-            dir.remove_hashed(src_hash, src_name);
-        }
-        if let Some(dir) = self.dirs.get_mut(&dst_parent) {
-            dir.insert_hashed(dst_hash, dst_name, src);
-        }
-        if let Some(inode) = self.inodes.get_mut(&src.ino) {
-            inode.set_parent(dst_parent);
-        }
-        Ok(())
-    }
-
-    /// Overwrites an inode's attributes.
-    pub fn setattr(&mut self, ino: InodeId, attrs: Attrs) -> Result<()> {
-        self.inode_mut(ino)?.set_attrs(attrs);
-        Ok(())
-    }
-
-    /// Installs a Cudele policy blob on a directory inode.
-    pub fn set_policy(&mut self, ino: InodeId, policy: Vec<u8>) -> Result<()> {
-        self.inode_mut(ino)?.set_policy(policy);
-        Ok(())
-    }
-
-    fn inode_mut(&mut self, ino: InodeId) -> Result<&mut Inode> {
-        self.raw_inode_mut(ino).ok_or_else(|| MdsError::NoEnt {
-            what: format!("inode {ino}"),
+        self.apply_checked(EventRef::Rename {
+            src_parent,
+            src_name,
+            dst_parent,
+            dst_name,
         })
     }
 
@@ -354,8 +276,99 @@ impl MetadataStore {
     }
 
     // ------------------------------------------------------------------
-    // Blind (merge) operations
+    // Apply: one precondition, one body
     // ------------------------------------------------------------------
+
+    /// Whether `event` may be applied under POSIX rules; changes nothing.
+    /// Tested in this order:
+    ///
+    /// * create / mkdir — `InodeCollision` (the number names an inode or,
+    ///   for a directory, still owns a dentry table), the parent (`NoEnt`,
+    ///   `NotDir`), `Exists`;
+    /// * unlink — the parent, the name (`NoEnt`), `IsDir`;
+    /// * rmdir — the parent, the name, `NotDir`, `NotEmpty`;
+    /// * rename — the source parent and name, the destination parent; a
+    ///   dentry renamed onto itself then passes (a POSIX no-op); else
+    ///   `InodeCollision` for a destination that is another dentry of the
+    ///   source's inode, `IsDir`, and `Invalid` for a directory moved into
+    ///   its own subtree (which would detach it in a parent cycle);
+    /// * setattr / setpolicy — the inode (`NoEnt`).
+    pub fn check(&self, event: EventRef<'_>) -> Result<()> {
+        match event {
+            EventRef::Create {
+                parent, name, ino, ..
+            }
+            | EventRef::Mkdir {
+                parent, name, ino, ..
+            } => {
+                // Blind mkdir keeps an orphaned table for its number, so a
+                // checked one would bring the orphan's dentries back.
+                let is_dir = matches!(event, EventRef::Mkdir { .. });
+                if self.inodes.contains_key(&ino) || (is_dir && self.dirs.contains_key(&ino)) {
+                    return Err(MdsError::InodeCollision { ino });
+                }
+                if self.writable_dir(parent)?.contains(name) {
+                    return Err(MdsError::Exists {
+                        parent,
+                        name: name.to_string(),
+                    });
+                }
+            }
+            EventRef::Unlink { parent, name } => {
+                let d = self.existing(parent, name)?;
+                if self.owns_a_table(d) {
+                    return Err(MdsError::IsDir { ino: d.ino });
+                }
+            }
+            EventRef::Rmdir { parent, name } => {
+                let d = self.existing(parent, name)?;
+                if d.ftype != FileType::Dir {
+                    return Err(MdsError::NotDir { ino: d.ino });
+                }
+                if !self.dirs.get(&d.ino).is_none_or(Dir::is_empty) {
+                    return Err(MdsError::NotEmpty { ino: d.ino });
+                }
+            }
+            EventRef::Rename {
+                src_parent,
+                src_name,
+                dst_parent,
+                dst_name,
+            } => {
+                let src = self.existing(src_parent, src_name)?;
+                return match self.writable_dir(dst_parent)?.get(dst_name) {
+                    // Onto itself: a POSIX no-op.
+                    _ if (src_parent, src_name) == (dst_parent, dst_name) => Ok(()),
+                    Some(d) if d.ino == src.ino => Err(MdsError::InodeCollision { ino: d.ino }),
+                    Some(d) if self.owns_a_table(d) => Err(MdsError::IsDir { ino: d.ino }),
+                    _ if src.ftype == FileType::Dir && self.is_within(dst_parent, src.ino) => {
+                        Err(MdsError::Invalid { ino: src.ino })
+                    }
+                    _ => Ok(()),
+                };
+            }
+            EventRef::SetAttr { ino, .. } | EventRef::SetPolicy { ino, .. } => {
+                if !self.inodes.contains_key(&ino) {
+                    return Err(MdsError::NoEnt {
+                        what: format!("inode {ino}"),
+                    });
+                }
+            }
+            EventRef::SegmentBoundary { .. } | EventRef::AllocRange { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// Applies one journal event with full validity checks — the RPC
+    /// discipline, and what the serving funnel calls with the request's
+    /// own names: [`MetadataStore::check`], then the one body. A refused
+    /// event changes nothing.
+    pub fn apply_checked<'a>(&mut self, event: impl Into<EventRef<'a>>) -> Result<()> {
+        let event = event.into();
+        self.check(event)?;
+        self.apply_blind(event);
+        Ok(())
+    }
 
     /// The dentry table of `ino`, materialised if a blind event names a
     /// parent the namespace has not seen.
@@ -366,17 +379,13 @@ impl MetadataStore {
             .or_insert_with(|| Dir::with_split_threshold(threshold))
     }
 
-    /// Applies one journal event without validity checks, as the merge path
-    /// does. Decoupled updates take priority: existing dentries are
-    /// overwritten, missing unlink targets are ignored.
-    pub fn apply_blind(&mut self, event: &JournalEvent) {
-        self.apply_blind_ref(event.into());
-    }
-
-    /// [`MetadataStore::apply_blind`] over the borrowed view — the one
-    /// blind-apply body.
-    pub fn apply_blind_ref(&mut self, event: EventRef<'_>) {
-        match event {
+    /// Applies one journal event without validity checks — the one body
+    /// that mutates the namespace, behind the merge path, replay and
+    /// [`MetadataStore::apply_checked`]. Decoupled updates take priority:
+    /// existing dentries are overwritten, missing unlink targets are
+    /// ignored.
+    pub fn apply_blind<'a>(&mut self, event: impl Into<EventRef<'a>>) {
+        match event.into() {
             EventRef::Create {
                 parent,
                 name,
@@ -403,10 +412,9 @@ impl MetadataStore {
                     ino,
                     ftype: FileType::Dir,
                 };
-                if let Some(prev) = self.dir_or_new(parent).insert(name, dentry) {
-                    if prev.ino != ino {
-                        self.forget(prev.ino);
-                    }
+                let prev = self.dir_or_new(parent).insert(name, dentry);
+                if let Some(prev) = prev.filter(|prev| prev.ino != ino) {
+                    self.forget(prev.ino);
                 }
                 self.inodes
                     .insert(ino, Inode::dir(ino, attrs).child_of(parent));
@@ -423,6 +431,11 @@ impl MetadataStore {
                 dst_parent,
                 dst_name,
             } => {
+                // A dentry renamed onto itself stays put: taking it out and
+                // putting it back could split its fragment.
+                if (src_parent, src_name) == (dst_parent, dst_name) {
+                    return;
+                }
                 let Some(dentry) = self
                     .dirs
                     .get_mut(&src_parent)
@@ -430,10 +443,9 @@ impl MetadataStore {
                 else {
                     return;
                 };
-                if let Some(prev) = self.dir_or_new(dst_parent).insert(dst_name, dentry) {
-                    if prev.ino != dentry.ino {
-                        self.forget(prev.ino);
-                    }
+                let prev = self.dir_or_new(dst_parent).insert(dst_name, dentry);
+                if let Some(prev) = prev.filter(|prev| prev.ino != dentry.ino) {
+                    self.forget(prev.ino);
                 }
                 if let Some(inode) = self.inodes.get_mut(&dentry.ino) {
                     inode.set_parent(dst_parent);
@@ -491,43 +503,6 @@ impl MetadataStore {
             rest = later;
         }
         updates
-    }
-
-    /// Applies one journal event with full validity checks (the RPC
-    /// discipline), mapping each event to its checked operation.
-    pub fn apply_checked(&mut self, event: &JournalEvent) -> Result<()> {
-        self.apply_checked_ref(event.into())
-    }
-
-    /// [`MetadataStore::apply_checked`] over the borrowed view — the one
-    /// checked-apply body, and what the serving funnel calls with the
-    /// request's own names.
-    pub fn apply_checked_ref(&mut self, event: EventRef<'_>) -> Result<()> {
-        match event {
-            EventRef::Create {
-                parent,
-                name,
-                ino,
-                attrs,
-            } => self.create(parent, name, ino, attrs),
-            EventRef::Mkdir {
-                parent,
-                name,
-                ino,
-                attrs,
-            } => self.mkdir(parent, name, ino, attrs),
-            EventRef::Unlink { parent, name } => self.unlink(parent, name),
-            EventRef::Rmdir { parent, name } => self.rmdir(parent, name),
-            EventRef::Rename {
-                src_parent,
-                src_name,
-                dst_parent,
-                dst_name,
-            } => self.rename(src_parent, src_name, dst_parent, dst_name),
-            EventRef::SetAttr { ino, attrs } => self.setattr(ino, attrs),
-            EventRef::SetPolicy { ino, policy } => self.set_policy(ino, policy.to_vec()),
-            EventRef::SegmentBoundary { .. } | EventRef::AllocRange { .. } => Ok(()),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -631,6 +606,10 @@ mod tests {
 
     fn attrs() -> Attrs {
         Attrs::file_default()
+    }
+
+    fn set_policy(s: &mut MetadataStore, ino: InodeId, policy: &[u8]) -> Result<()> {
+        s.apply_checked(EventRef::SetPolicy { ino, policy })
     }
 
     #[test]
@@ -743,12 +722,16 @@ mod tests {
             .unwrap();
         s.create(InodeId(0x1000), "f", InodeId(0x1001), attrs())
             .unwrap();
+        let rmdir = EventRef::Rmdir {
+            parent: InodeId::ROOT,
+            name: "d",
+        };
         assert!(matches!(
-            s.rmdir(InodeId::ROOT, "d").unwrap_err(),
+            s.apply_checked(rmdir).unwrap_err(),
             MdsError::NotEmpty { .. }
         ));
         s.unlink(InodeId(0x1000), "f").unwrap();
-        s.rmdir(InodeId::ROOT, "d").unwrap();
+        s.apply_checked(rmdir).unwrap();
         assert_eq!(s.inode_count(), 1);
     }
 
@@ -798,26 +781,181 @@ mod tests {
         assert_eq!(s.resolve("/d").unwrap(), InodeId(0x1001));
     }
 
+    /// Taking a dentry out and putting it back would count it as a new
+    /// name, and a fragment already over the threshold would split.
+    #[test]
+    fn rename_onto_itself_never_splits_a_fragment() {
+        let mut s = MetadataStore::with_split_threshold(1);
+        // Two names in fragment 0 of a two-way split: it holds 2 > 1.
+        let names: Vec<String> = (0..)
+            .map(|i| format!("f{i}"))
+            .filter(|n| crate::dirfrag::name_hash(n) & 1 == 0)
+            .take(2)
+            .collect();
+        for (i, n) in (0..).zip(&names) {
+            s.create(InodeId::ROOT, n, InodeId(0x1000 + i), attrs())
+                .unwrap();
+        }
+        assert_eq!(s.dir(InodeId::ROOT).unwrap().frag_count(), 2);
+        let n = names[0].as_str();
+        s.rename(InodeId::ROOT, n, InodeId::ROOT, n).unwrap();
+        s.apply_blind(EventRef::Rename {
+            src_parent: InodeId::ROOT,
+            src_name: n,
+            dst_parent: InodeId::ROOT,
+            dst_name: n,
+        });
+        assert_eq!(s.dir(InodeId::ROOT).unwrap().frag_count(), 2);
+    }
+
+    #[test]
+    fn rename_of_a_directory_into_its_own_subtree_is_einval() {
+        let (a, b) = (InodeId(0x1000), InodeId(0x1001));
+        let mut s = MetadataStore::new();
+        s.mkdir(InodeId::ROOT, "a", a, Attrs::dir_default())
+            .unwrap();
+        s.mkdir(a, "b", b, Attrs::dir_default()).unwrap();
+        let before = s.snapshot();
+        // Under its own child, and under itself: either would leave the
+        // subtree unreachable from `/` with `a` and `b` each other's parent.
+        assert_eq!(
+            s.rename(InodeId::ROOT, "a", b, "x"),
+            Err(MdsError::Invalid { ino: a })
+        );
+        assert_eq!(
+            s.rename(InodeId::ROOT, "a", a, "x"),
+            Err(MdsError::Invalid { ino: a })
+        );
+        assert_eq!(s.snapshot(), before);
+        assert_eq!(s.parent_of(a), Some(InodeId::ROOT));
+        assert!(s.is_within(b, InodeId::ROOT));
+        // A file may move in, and the child may move out.
+        s.create(InodeId::ROOT, "f", InodeId(0x1002), attrs())
+            .unwrap();
+        s.rename(InodeId::ROOT, "f", b, "f").unwrap();
+        s.rename(a, "b", InodeId::ROOT, "b").unwrap();
+        assert_eq!(s.resolve("/b/f").unwrap(), InodeId(0x1002));
+    }
+
+    #[test]
+    fn is_within_stops_on_a_parent_cycle() {
+        let (a, b) = (InodeId(0x1000), InodeId(0x1001));
+        let mut s = MetadataStore::new();
+        s.mkdir(InodeId::ROOT, "a", a, Attrs::dir_default())
+            .unwrap();
+        s.mkdir(a, "b", b, Attrs::dir_default()).unwrap();
+        // Blind replay is unchecked: the rename `check` refuses goes through.
+        s.apply_blind(EventRef::Rename {
+            src_parent: InodeId::ROOT,
+            src_name: "a",
+            dst_parent: b,
+            dst_name: "x",
+        });
+        assert_eq!((s.parent_of(a), s.parent_of(b)), (Some(b), Some(a)));
+        assert!(s.snapshot().is_empty());
+        assert!(!s.is_within(b, InodeId::ROOT));
+        assert!(s.is_within(b, a));
+    }
+
+    /// A file created blindly over a directory's name takes the directory's
+    /// inode away but not its table, which stays behind as an orphan.
+    fn orphaned_table() -> (MetadataStore, InodeId) {
+        let d = InodeId(0x1000);
+        let mut s = MetadataStore::new();
+        s.mkdir(InodeId::ROOT, "d", d, Attrs::dir_default())
+            .unwrap();
+        s.create(d, "f", InodeId(0x1001), attrs()).unwrap();
+        s.apply_blind(EventRef::Create {
+            parent: InodeId::ROOT,
+            name: "d",
+            ino: InodeId(0x1002),
+            attrs: attrs(),
+        });
+        assert!(s.dir(d).is_some() && !s.inode_in_use(d));
+        (s, d)
+    }
+
+    #[test]
+    fn mkdir_over_a_number_that_owns_an_orphaned_table_is_a_collision() {
+        let (mut s, d) = orphaned_table();
+        // The blind body keeps an existing table, so "/e/f" would be back.
+        assert_eq!(
+            s.mkdir(InodeId::ROOT, "e", d, Attrs::dir_default()),
+            Err(MdsError::InodeCollision { ino: d })
+        );
+        assert!(s.lookup(InodeId::ROOT, "e").is_err());
+    }
+
+    /// A file that takes the orphan's number inherits its table.
+    fn file_owning_a_table() -> (MetadataStore, InodeId) {
+        let (mut s, d) = orphaned_table();
+        s.create(InodeId::ROOT, "g", d, attrs()).unwrap();
+        (s, d)
+    }
+
+    #[test]
+    fn unlink_of_a_file_whose_number_owns_a_table_is_eisdir() {
+        let (mut s, d) = file_owning_a_table();
+        // The blind body drops the table with the inode.
+        assert_eq!(
+            s.unlink(InodeId::ROOT, "g"),
+            Err(MdsError::IsDir { ino: d })
+        );
+        assert!(s.inode_in_use(d) && s.dir(d).is_some());
+    }
+
+    #[test]
+    fn rename_over_a_file_whose_number_owns_a_table_is_eisdir() {
+        let (mut s, d) = file_owning_a_table();
+        s.create(InodeId::ROOT, "h", InodeId(0x1003), attrs())
+            .unwrap();
+        assert_eq!(
+            s.rename(InodeId::ROOT, "h", InodeId::ROOT, "g"),
+            Err(MdsError::IsDir { ino: d })
+        );
+        assert!(s.inode_in_use(d) && s.dir(d).is_some());
+    }
+
+    #[test]
+    fn rename_onto_another_dentry_of_the_same_inode_is_a_collision() {
+        let f = InodeId(0x1000);
+        let mut s = MetadataStore::new();
+        s.create(InodeId::ROOT, "a", f, attrs()).unwrap();
+        // One number under two names: only blind replay links a second.
+        s.apply_blind(EventRef::Create {
+            parent: InodeId::ROOT,
+            name: "b",
+            ino: f,
+            attrs: attrs(),
+        });
+        // The blind body would drop "a" and keep "b".
+        assert_eq!(
+            s.rename(InodeId::ROOT, "a", InodeId::ROOT, "b"),
+            Err(MdsError::InodeCollision { ino: f })
+        );
+        assert_eq!(s.snapshot().len(), 2);
+    }
+
     #[test]
     fn setattr_and_policy() {
         let mut s = MetadataStore::new();
         s.create(InodeId::ROOT, "f", InodeId(0x1000), attrs())
             .unwrap();
-        s.setattr(
-            InodeId(0x1000),
-            Attrs {
-                size: 99,
-                ..attrs()
-            },
-        )
-        .unwrap();
+        let setattr = |ino, size| EventRef::SetAttr {
+            ino,
+            attrs: Attrs { size, ..attrs() },
+        };
+        s.apply_checked(setattr(InodeId(0x1000), 99)).unwrap();
         assert_eq!(s.inode(InodeId(0x1000)).unwrap().attrs.size, 99);
-        s.set_policy(InodeId::ROOT, vec![7]).unwrap();
+        set_policy(&mut s, InodeId::ROOT, &[7]).unwrap();
         assert_eq!(
             s.inode(InodeId::ROOT).unwrap().policy.as_deref(),
             Some(&[7u8][..])
         );
-        assert!(s.setattr(InodeId(0xdead), attrs()).is_err());
+        assert!(matches!(
+            s.apply_checked(setattr(InodeId(0xdead), 1)),
+            Err(MdsError::NoEnt { .. })
+        ));
     }
 
     #[test]
@@ -828,18 +966,18 @@ mod tests {
         s.mkdir(InodeId(0x1000), "b", InodeId(0x1001), Attrs::dir_default())
             .unwrap();
         assert_eq!(s.effective_policy("/a/b").unwrap(), None);
-        s.set_policy(InodeId(0x1000), vec![1]).unwrap();
+        set_policy(&mut s, InodeId(0x1000), &[1]).unwrap();
         // /a/b inherits /a's policy.
         let (ino, p) = s.effective_policy("/a/b").unwrap().unwrap();
         assert_eq!(ino, InodeId(0x1000));
         assert_eq!(p, &[1]);
         // A closer policy shadows it.
-        s.set_policy(InodeId(0x1001), vec![2]).unwrap();
+        set_policy(&mut s, InodeId(0x1001), &[2]).unwrap();
         let (ino, p) = s.effective_policy("/a/b").unwrap().unwrap();
         assert_eq!(ino, InodeId(0x1001));
         assert_eq!(p, &[2]);
         // Root policy applies everywhere once set.
-        s.set_policy(InodeId::ROOT, vec![0]).unwrap();
+        set_policy(&mut s, InodeId::ROOT, &[0]).unwrap();
         assert_eq!(s.effective_policy("/").unwrap().unwrap().1, &[0]);
     }
 
@@ -917,25 +1055,6 @@ mod tests {
             parent: InodeId::ROOT,
             name: "ghost".into(),
         });
-    }
-
-    #[test]
-    fn blind_and_checked_agree_on_clean_input() {
-        let events: Vec<JournalEvent> = (0..20)
-            .map(|i| JournalEvent::Create {
-                parent: InodeId::ROOT,
-                name: format!("f{i}"),
-                ino: InodeId(0x1000 + i),
-                attrs: attrs(),
-            })
-            .collect();
-        let mut a = MetadataStore::new();
-        let mut b = MetadataStore::new();
-        for e in &events {
-            a.apply_checked(e).unwrap();
-            b.apply_blind(e);
-        }
-        assert_eq!(a.snapshot(), b.snapshot());
     }
 
     #[test]

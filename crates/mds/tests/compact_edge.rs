@@ -325,9 +325,9 @@ proptest! {
 
         // compact_events over the raw pile agrees with direct emission,
         // and compaction is a fixed point.
-        let compacted = compact_events(pile.iter());
+        let compacted = compact_events(&pile);
         prop_assert_eq!(&compacted, &canonical);
-        let twice = compact_events(compacted.iter());
+        let twice = compact_events(&compacted);
         prop_assert_eq!(&twice, &compacted);
         prop_assert!(compacted.len() <= pile.len().max(1));
     }

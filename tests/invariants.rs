@@ -215,7 +215,10 @@ proptest! {
                     }
                 }
                 _ => {
-                    let _ = ms.setattr(parent, Attrs::dir_default());
+                    let _ = ms.apply_checked(&JournalEvent::SetAttr {
+                        ino: parent,
+                        attrs: Attrs::dir_default(),
+                    });
                 }
             }
             // Drop dirs that a blind op may have displaced.
