@@ -90,7 +90,7 @@ pub struct BenchConfig {
     /// including the `mds-crash@T` failover drill — then replays only the
     /// journal tail past the manifest's high-water mark instead of the
     /// whole log.
-    /// Requires a journaling policy; incompatible with the mdlog trimmer.
+    /// Requires a journaling policy.
     pub checkpoint_interval: Option<u64>,
     /// Speculation window for RPC-mode clients (`--speculate [DEPTH]`):
     /// each client runs up to this many creates ahead of the last ack via

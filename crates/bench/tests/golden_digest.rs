@@ -57,11 +57,10 @@ fn rpc_create_shape_artifacts_match_the_recorded_digests() {
     assert_eq!(
         got,
         [
-            // Metrics re-recorded when the mdlog began writing a run of
-            // frames per store call (0xdbc6…7998 before): two counters,
-            // `rados.store.write_ops` 41 040 → 80 and `rados.osd.1.ops`
-            // 41 000 → 40. The other three did not move.
-            0x0066_a797_1912_55ae,
+            // Metrics re-recorded when the mdlog trimmer was deleted
+            // (0x0066…55ae before): the zero-valued `mds.mdlog.trims`
+            // counter is gone. The other three did not move.
+            0xc0e7_da92_e2d2_a804,
             0x1a6c_559e_f955_104a,
             0x73ea_6ada_3c47_f593,
             0x6121_210c_cf3c_e7e3,
@@ -88,7 +87,9 @@ fn open_loop_shape_artifacts_match_the_recorded_digests() {
     assert_eq!(
         got,
         [
-            0x8a8f_7a8a_3dab_3f8b,
+            // Metrics re-recorded with the trimmer's counter gone
+            // (0x8a8f…3f8b before).
+            0x9f9d_ab58_89b7_83dd,
             0x548a_a262_e4cf_3a32,
             0x5b1a_fa64_0534_4151,
             0x2475_4a65_6cb6_bf8d,

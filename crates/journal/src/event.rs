@@ -217,8 +217,8 @@ pub enum JournalEvent {
         /// Opaque serialized policy (the core crate owns the schema).
         policy: Vec<u8>,
     },
-    /// Segment boundary marker, written by the MDS journaler between
-    /// segments so the trimmer knows where it may cut.
+    /// Segment boundary marker, written by the MDS journaler at the end of
+    /// each segment.
     SegmentBoundary {
         /// Sequence number of the segment this marker closes.
         seq: u64,
@@ -379,17 +379,6 @@ impl<'a> From<&&'a JournalEvent> for EventRef<'a> {
     #[inline]
     fn from(event: &&'a JournalEvent) -> EventRef<'a> {
         EventRef::from(*event)
-    }
-}
-
-impl EventRef<'_> {
-    /// Whether this event mutates the namespace (see
-    /// [`JournalEvent::is_update`]).
-    pub fn is_update(&self) -> bool {
-        !matches!(
-            self,
-            EventRef::SegmentBoundary { .. } | EventRef::AllocRange { .. }
-        )
     }
 }
 

@@ -13,7 +13,7 @@
 //!   base types ([`InodeId`], [`Attrs`], [`InodeRange`]) and the
 //!   [`EventSink`] replay trait.
 //! * [`codec`] — framed binary wire format with per-event CRC-32.
-//! * [`segment`] — grouping events into trimmable segments.
+//! * [`segment`] — grouping events into the segments the mdlog dispatches.
 //! * [`store_io`] — striping a journal over object-store objects.
 //! * [`tool`] — import/export/erase/apply; the code Cudele's client
 //!   library is "based on".
@@ -47,7 +47,7 @@ pub use event::{Attrs, EventRef, EventSink, FileType, InodeId, InodeRange, Journ
 pub use segment::{segment_events, Segment, SegmentBuilder};
 pub use store_io::{
     delete_journal, journal_exists, read_journal, recover_journal, rewrite_journal, scan_journal,
-    trim_journal, JournalDamage, JournalId, JournalIoError, JournalObs, JournalScan, JournalWriter,
+    JournalDamage, JournalId, JournalIoError, JournalObs, JournalScan, JournalWriter,
     DEFAULT_STRIPE_BYTES,
 };
 pub use tool::{decode_export, ApplyError, JournalSummary, JournalTool};

@@ -1,11 +1,9 @@
 //! Journal segments.
 //!
 //! CephFS groups journal events into *segments*; the journaler dispatches
-//! whole segments to the object store and the trimmer drops whole segments
-//! once their updates are safely applied to the backing metadata store.
-//! The two tunables the paper sweeps in Figure 3a — segment size and
-//! dispatch size ("the number of segments that can be dispatched at once")
-//! — both operate on this structure.
+//! whole segments to the object store. The two tunables the paper sweeps in
+//! Figure 3a — segment size and dispatch size ("the number of segments that
+//! can be dispatched at once") — both operate on this structure.
 //!
 //! A segment holds wire frames, not event values: an event is encoded once,
 //! when pushed, and a sealed segment is exactly the bytes
@@ -27,8 +25,6 @@ pub struct Segment {
     pub frames: Bytes,
     /// Number of frames, boundary marker included.
     pub events: u64,
-    /// Number of namespace *updates* among them ([`JournalEvent::is_update`]).
-    pub updates: u64,
 }
 
 /// Frames events into fixed-size segments.
@@ -40,7 +36,6 @@ pub struct SegmentBuilder {
     /// size and keeps this buffer's capacity for the next segment.
     frames: BytesMut,
     events: u64,
-    updates: u64,
 }
 
 impl SegmentBuilder {
@@ -58,17 +53,14 @@ impl SegmentBuilder {
             next_seq: 0,
             frames: BytesMut::new(),
             events: 0,
-            updates: 0,
         }
     }
 
     /// Frames an event into the open segment; returns the sealed segment
     /// if this event filled it.
     pub fn push<'a>(&mut self, event: impl Into<EventRef<'a>>) -> Option<Segment> {
-        let event = event.into();
-        encode_event(&mut self.frames, event);
+        encode_event(&mut self.frames, event.into());
         self.events += 1;
-        self.updates += u64::from(event.is_update());
         (self.events >= self.events_per_segment as u64).then(|| self.seal())
     }
 
@@ -97,7 +89,6 @@ impl SegmentBuilder {
             seq,
             frames,
             events: std::mem::take(&mut self.events) + 1,
-            updates: std::mem::take(&mut self.updates),
         }
     }
 }
@@ -137,7 +128,6 @@ mod tests {
         let seg = b.push(&create(2)).expect("sealed");
         assert_eq!(seg.seq, 0);
         assert_eq!(seg.events, 4); // 3 updates + boundary
-        assert_eq!(seg.updates, 3);
         let events = decode_frames(&seg.frames).unwrap();
         assert_eq!(events[..3], [create(0), create(1), create(2)]);
         assert_eq!(
@@ -153,13 +143,13 @@ mod tests {
         b.push(&create(0));
         assert_eq!(b.pending(), 1);
         let seg = b.flush().expect("partial segment");
-        assert_eq!(seg.updates, 1);
+        assert_eq!(seg.events, 2);
         assert_eq!(b.pending(), 0);
         assert!(b.flush().is_none());
     }
 
     #[test]
-    fn grants_count_as_events_but_not_updates() {
+    fn grants_count_as_events() {
         let mut b = SegmentBuilder::new(2);
         let grant = JournalEvent::AllocRange {
             client: 1,
@@ -168,7 +158,7 @@ mod tests {
         };
         assert!(b.push(&grant).is_none());
         let seg = b.push(&create(0)).expect("two events fill the segment");
-        assert_eq!((seg.events, seg.updates), (3, 1));
+        assert_eq!(seg.events, 3);
     }
 
     #[test]
@@ -180,10 +170,10 @@ mod tests {
             segs.iter().map(|s| s.seq).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-        assert_eq!(segs[2].updates, 2);
-        // Total updates preserved.
-        let total: u64 = segs.iter().map(|s| s.updates).sum();
-        assert_eq!(total, 10);
+        assert_eq!(segs[2].events, 3);
+        // Every event preserved, one boundary per segment.
+        let total: u64 = segs.iter().map(|s| s.events).sum();
+        assert_eq!(total, 10 + 3);
     }
 
     #[test]

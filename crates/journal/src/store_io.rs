@@ -96,15 +96,16 @@ impl JournalId {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Header {
     stripes: u64,
-    /// Events logically erased from the front (journal trimming).
-    trimmed_events: u64,
 }
 
+/// The 24-byte header object: magic, stripe count, and a reserved word that
+/// is always zero — an event's index in the journal is its position in the
+/// stripes, nothing is ever skipped.
 fn encode_header(h: Header) -> Bytes {
     let mut b = BytesMut::with_capacity(24);
     b.put_slice(b"CUDELEH1");
     b.put_u64_le(h.stripes);
-    b.put_u64_le(h.trimmed_events);
+    b.put_u64_le(0);
     b.freeze()
 }
 
@@ -122,10 +123,11 @@ fn read_header<S: ObjectStore + ?Sized>(
         return Err(JournalIoError::BadHeader);
     }
     let mut rest = &data[8..];
-    Ok(Some(Header {
-        stripes: rest.get_u64_le(),
-        trimmed_events: rest.get_u64_le(),
-    }))
+    let stripes = rest.get_u64_le();
+    if rest.get_u64_le() != 0 {
+        return Err(JournalIoError::BadHeader);
+    }
+    Ok(Some(Header { stripes }))
 }
 
 /// Observability handles for journal writes. Attach one to a
@@ -440,8 +442,7 @@ impl std::fmt::Display for JournalDamage {
 /// where decoding had to stop if the journal is damaged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalScan {
-    /// Events decoded before the first damage, with the trimmed prefix
-    /// already dropped.
+    /// Events decoded before the first damage.
     pub events: Vec<JournalEvent>,
     /// `None` when every stripe decoded cleanly.
     pub damage: Option<JournalDamage>,
@@ -467,7 +468,8 @@ fn walk_stripes<S: ObjectStore + ?Sized>(
         let stripe = id.stripe_object(seq);
         let data = match with_retry(|| store.read(&stripe)) {
             Ok(data) => data,
-            Err(RadosError::NoEnt(_)) => continue, // fully trimmed away
+            // A stripe the header counts that no frame reached.
+            Err(RadosError::NoEnt(_)) => continue,
             Err(e) => return Err(e.into()),
         };
         if let Some(d) = codec::decode_frames_lossy_into(&data, &mut scan.events) {
@@ -480,9 +482,6 @@ fn walk_stripes<S: ObjectStore + ?Sized>(
             break;
         }
     }
-    // Drop events the trimmer already logically erased.
-    let skip = header.trimmed_events.min(scan.events.len() as u64) as usize;
-    scan.events.drain(..skip);
     Ok((scan, header, damaged))
 }
 
@@ -523,8 +522,8 @@ pub fn read_journal<S: ObjectStore + ?Sized>(
 /// state scanning to the same prefix — a healer that dies, or whose store
 /// fails past the retry budget, has lost nothing that was readable:
 ///
-/// 1. the header is rewritten with `stripes = damaged + 1`, trim count
-///    kept (the scan never looked past the damaged stripe anyway);
+/// 1. the header is rewritten with `stripes = damaged + 1` (the scan never
+///    looked past the damaged stripe anyway);
 /// 2. the stripe objects past the cut are removed, last one first, so what
 ///    is left of them is always a contiguous run a re-run finds by probing;
 /// 3. only then is the damaged stripe written back (`write_full`, atomic
@@ -547,7 +546,6 @@ pub fn recover_journal(
         Some(damage) => {
             let cut = Header {
                 stripes: damage.stripe + 1,
-                ..header
             };
             with_retry(|| heal.write_full(&id.header_object(), &encode_header(cut)))?;
             cut.stripes
@@ -622,22 +620,6 @@ pub fn rewrite_journal<S: ObjectStore + ?Sized>(
     delete_journal(store, id)?;
     let mut w = JournalWriter::open(store, id)?;
     w.append(events)?;
-    Ok(())
-}
-
-/// Records that the first `n` events of the journal have been applied to
-/// the backing store and may be skipped on replay (logical trim; stripe
-/// objects are reclaimed by `rewrite_journal` during compaction).
-pub fn trim_journal<S: ObjectStore + ?Sized>(
-    store: &S,
-    id: JournalId,
-    n: u64,
-) -> Result<(), JournalIoError> {
-    let Some(mut header) = read_header(store, id)? else {
-        return Ok(());
-    };
-    header.trimmed_events += n;
-    with_retry(|| store.write_full(&id.header_object(), &encode_header(header)))?;
     Ok(())
 }
 
@@ -732,18 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn trim_skips_prefix_on_replay() {
-        let store = InMemoryStore::paper_default();
-        let events: Vec<_> = (0..10).map(create).collect();
-        let mut w = JournalWriter::open(&store, jid()).unwrap();
-        w.append(&events).unwrap();
-        trim_journal(&store, jid(), 4).unwrap();
-        assert_eq!(read_journal(&store, jid()).unwrap(), events[4..].to_vec());
-        trim_journal(&store, jid(), 100).unwrap(); // over-trim clamps
-        assert_eq!(read_journal(&store, jid()).unwrap(), vec![]);
-    }
-
-    #[test]
     fn writer_obs_counts_appends_and_rollovers() {
         let store = InMemoryStore::paper_default();
         let reg = Registry::new();
@@ -815,15 +785,20 @@ mod tests {
     }
 
     #[test]
-    fn scan_respects_trim() {
+    fn a_header_with_a_nonzero_reserved_word_is_bad() {
         let store = InMemoryStore::paper_default();
-        let events: Vec<_> = (0..10).map(create).collect();
-        let mut w = JournalWriter::open(&store, jid()).unwrap();
-        w.append(&events).unwrap();
-        trim_journal(&store, jid(), 3).unwrap();
-        let scan = scan_journal(&store, jid()).unwrap();
-        assert_eq!(scan.events, events[3..].to_vec());
-        assert_eq!(scan.damage, None);
+        JournalWriter::open(&store, jid())
+            .unwrap()
+            .append(&[create(1)])
+            .unwrap();
+        let mut header = store.read(&jid().header_object()).unwrap().to_vec();
+        assert_eq!(header[16..], [0; 8]);
+        header[16] = 3;
+        store.write_full(&jid().header_object(), &header).unwrap();
+        assert!(matches!(
+            read_journal(&store, jid()),
+            Err(JournalIoError::BadHeader)
+        ));
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl RefWriter<'_> {
         }
         let mut header = b"CUDELEH1".to_vec();
         header.extend_from_slice(&self.stripes.to_le_bytes());
-        header.extend_from_slice(&0u64.to_le_bytes()); // nothing trimmed
+        header.extend_from_slice(&0u64.to_le_bytes()); // reserved, always zero
         let header_object = ObjectId::new(ID.pool, format!("{:x}_header", ID.ino));
         self.store.write_full(&header_object, &header).unwrap();
     }

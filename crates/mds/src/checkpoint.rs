@@ -1,5 +1,10 @@
 //! Journal checkpoints: an image, a coordinate, a manifest.
 //!
+//! "The metadata server applies the updates in the journal to the metadata
+//! store when the journal reaches a certain size." A checkpoint is that
+//! step, and the only one: it folds the journal into an image, never trims
+//! or rewrites the journal, and is what bounds recovery.
+//!
 //! Without checkpoints, recovery — in-place
 //! [`crate::MetadataServer::crash_and_recover`] and standby
 //! [`crate::StandbyReplay::take_over`] alike — replays the whole mdlog, so
@@ -21,12 +26,12 @@
 //!   publish a manifest (the fence rejects the write) and a raced CAS dies
 //!   on the version guard.
 //!
-//! There is no level between the two. The journal is never trimmed under
-//! checkpointing, recovery has decoded all of it by the time it applies
-//! anything, and a manifest whose mark lies past the journal's clean prefix
-//! is purged — so a copy of `journal[hw..]` in a checkpoint object could
-//! never bring back an event the journal lost; it would only add a write, a
-//! reader and a damage case.
+//! There is no level between the two. The journal is never trimmed,
+//! recovery has decoded all of it by the time it applies anything, and a
+//! manifest whose mark lies past the journal's clean prefix is purged — so
+//! a copy of `journal[hw..]` in a checkpoint object could never bring back
+//! an event the journal lost; it would only add a write, a reader and a
+//! damage case.
 //!
 //! Recovery (`load_covered`) loads the newest readable manifest and
 //! materializes its image from empty; the caller replays the journal tail
@@ -275,8 +280,8 @@ impl CheckpointManager {
     /// the HEAD's version, so the next publish still wins its CAS) so that
     /// re-enabling checkpoints on an existing namespace continues the epoch
     /// sequence instead of restarting it. When nothing decodes it resumes
-    /// from the empty manifest (checkpointing never trims the journal, so
-    /// the next checkpoint covers it from the start). A store failure is
+    /// from the empty manifest (nothing trims the journal, so the next
+    /// checkpoint covers it from the start). A store failure is
     /// returned: starting over at epoch 0 on top of published checkpoints
     /// would overwrite the immutable per-epoch objects and then lose every
     /// CAS.
@@ -345,7 +350,7 @@ impl CheckpointManager {
     /// manifest naming it is published through a version CAS on the HEAD
     /// pointer. No-op when nothing new has been flushed. If the previous
     /// image is unreadable the pass self-heals by replaying the journal
-    /// whole (checkpointing never trims it).
+    /// whole (nothing trims it).
     ///
     /// The journal is read leniently: a frame that reached the store damaged
     /// (a silent bit flip) must not fail the foreground op this pass rides
@@ -664,7 +669,7 @@ mod tests {
 
         let rec = recover(&os);
         // Fallback to epoch 2's manifest, with the last window replayed
-        // from the (untrimmed) journal instead — zero loss.
+        // from the journal instead — zero loss.
         assert_eq!(rec.manifest.expect("manifest exists").epoch, 2);
         assert_eq!(rec.fallbacks, 1);
         assert_eq!(rec.replayed_events, 2);

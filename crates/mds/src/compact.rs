@@ -1,36 +1,23 @@
-//! Journal compaction.
+//! The checkpoint's fold: a namespace as its canonical event sequence.
 //!
 //! "The journal is a 'pile system'; writes are fast but reads are slow
 //! because state must be reconstructed. Specifically, reads are slow
 //! because there is more state to read, it is unorganized, and many of the
-//! updates may be redundant." The CephFS journaler therefore supports
-//! "the ability for daemons to trim redundant or irrelevant journal
-//! entries".
-//!
-//! [`compact_events`] replaces an event pile with the *minimal canonical
-//! sequence* that reconstructs the same namespace: replay the pile onto a
-//! scratch metadata store, then emit one event per surviving inode in
-//! parent-before-child order. Create/unlink pairs vanish, rename chains
-//! collapse to the final location, and superseded setattr/setpolicy
-//! updates reduce to the final values (folded into the create/mkdir
-//! events where possible).
+//! updates may be redundant." [`emit_canonical`] is the answer the
+//! checkpoint ([`crate::checkpoint`]) gives: the pile is replayed onto a
+//! metadata store, and the store is emitted as one event per surviving
+//! inode in parent-before-child order. Create/unlink pairs vanish, rename
+//! chains collapse to the final location, and superseded setattr/setpolicy
+//! updates reduce to the final values (folded into the create/mkdir events
+//! where possible). That sequence is a checkpoint image.
 
 use cudele_journal::JournalEvent;
 
 use crate::store::MetadataStore;
 
-/// Compacts an event pile into the minimal canonical sequence with the
-/// same blind-replay result. The output contains only `Mkdir`, `Create`,
-/// `SetAttr` (root only), and `SetPolicy` events, emitted depth-first with
-/// parents before children.
-pub fn compact_events(events: &[JournalEvent]) -> Vec<JournalEvent> {
-    let mut store = MetadataStore::new();
-    store.apply_blind_all(events);
-    emit_canonical(&store)
-}
-
 /// Emits the canonical event sequence reconstructing `store` from an
-/// empty namespace.
+/// empty namespace: only `Mkdir`, `Create`, `SetAttr` (root only), and
+/// `SetPolicy` events, depth-first with parents before children.
 pub fn emit_canonical(store: &MetadataStore) -> Vec<JournalEvent> {
     use cudele_journal::{Attrs, FileType, InodeId};
 
@@ -90,37 +77,6 @@ pub fn emit_canonical(store: &MetadataStore) -> Vec<JournalEvent> {
     out
 }
 
-/// How much a compaction saved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Updates in the original pile (segment boundaries excluded).
-    pub original_updates: u64,
-    /// Events in the compacted sequence.
-    pub compacted_events: u64,
-}
-
-impl CompactionReport {
-    /// Fraction of the pile that was redundant, in `[0, 1]`.
-    pub fn savings(&self) -> f64 {
-        if self.original_updates == 0 {
-            0.0
-        } else {
-            1.0 - self.compacted_events as f64 / self.original_updates as f64
-        }
-    }
-}
-
-/// Compacts and reports.
-pub fn compact_with_report(events: &[JournalEvent]) -> (Vec<JournalEvent>, CompactionReport) {
-    let original_updates = events.iter().filter(|e| e.is_update()).count() as u64;
-    let compacted = compact_events(events);
-    let report = CompactionReport {
-        original_updates,
-        compacted_events: compacted.len() as u64,
-    };
-    (compacted, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,10 +108,10 @@ mod tests {
                 attrs: Attrs::file_default(),
             },
         ];
-        let (compacted, report) = compact_with_report(&events);
+        let compacted = emit_canonical(&replay(&events));
+        // Three updates fold to one event.
         assert_eq!(compacted.len(), 1);
-        assert_eq!(report.original_updates, 3);
-        assert!((report.savings() - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(events.iter().filter(|e| e.is_update()).count(), 3);
         assert_eq!(replay(&compacted).snapshot(), replay(&events).snapshot());
     }
 
@@ -175,7 +131,7 @@ mod tests {
                 dst_name: to.into(),
             });
         }
-        let (compacted, _) = compact_with_report(&events);
+        let compacted = emit_canonical(&replay(&events));
         assert_eq!(compacted.len(), 1);
         match &compacted[0] {
             JournalEvent::Create { name, ino, .. } => {
@@ -210,7 +166,7 @@ mod tests {
                 },
             },
         ];
-        let (compacted, _) = compact_with_report(&events);
+        let compacted = emit_canonical(&replay(&events));
         assert_eq!(compacted.len(), 1);
         let s = replay(&compacted);
         assert_eq!(s.inode(InodeId(0x1000)).unwrap().attrs.size, 999);
@@ -238,7 +194,7 @@ mod tests {
                 attrs: Attrs::file_default(),
             },
         ];
-        let (compacted, _) = compact_with_report(&events);
+        let compacted = emit_canonical(&replay(&events));
         assert_eq!(compacted.len(), 3);
         // Parent-before-child: a *checked* replay must succeed too.
         let mut strict = MetadataStore::new();
@@ -275,7 +231,7 @@ mod tests {
                 policy: vec![9],
             },
         ];
-        let (compacted, _) = compact_with_report(&events);
+        let compacted = emit_canonical(&replay(&events));
         let a = replay(&compacted);
         let b = replay(&events);
         assert_eq!(a.snapshot(), b.snapshot());
@@ -302,15 +258,13 @@ mod tests {
             },
             JournalEvent::SegmentBoundary { seq: 1 },
         ];
-        let (compacted, report) = compact_with_report(&events);
+        let compacted = emit_canonical(&replay(&events));
         assert_eq!(compacted.len(), 1);
-        assert_eq!(report.original_updates, 1);
+        assert_eq!(events.iter().filter(|e| e.is_update()).count(), 1);
     }
 
     #[test]
     fn empty_pile_compacts_to_nothing() {
-        let (compacted, report) = compact_with_report(&[]);
-        assert!(compacted.is_empty());
-        assert_eq!(report.savings(), 0.0);
+        assert!(emit_canonical(&replay(&[])).is_empty());
     }
 }

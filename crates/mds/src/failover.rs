@@ -14,9 +14,9 @@
 //!   MDS dead once the grace expires and bumps the shared
 //!   [`FencingAuthority`], which instantly fences every store handle
 //!   stamped with the old epoch.
-//! * [`StandbyReplay`] — tails the persisted mdlog so a takeover only has
-//!   to finish replay. Takeover recovers the namespace the way a restart
-//!   does (newest loadable checkpoint or the persisted image, then the
+//! * [`StandbyReplay`] — the replacement MDS. It holds no state until
+//!   takeover, which climbs the same recovery ladder a restart does
+//!   (newest loadable checkpoint manifest or the persisted image, then the
 //!   journal tail — cut back to its valid prefix when it is damaged — then
 //!   the inode-allocator watermark from the journaled range grants) and
 //!   assembles a fresh [`MetadataServer`] writing through a [`FencedStore`]
@@ -30,13 +30,13 @@
 
 use std::sync::Arc;
 
-use cudele_journal::{JournalId, JournalTool};
+use cudele_journal::JournalId;
 use cudele_obs::{Counter, Histogram, Registry};
 use cudele_rados::{Epoch, FencedStore, FencingAuthority, ObjectStore, PoolId};
 use cudele_sim::{CostModel, Nanos};
 
 use crate::checkpoint::CheckpointConfig;
-use crate::error::{MdsError, Result};
+use crate::error::Result;
 use crate::mdlog::{MdLog, MdLogConfig};
 use crate::server::{recover_namespace, MetadataServer};
 
@@ -209,11 +209,12 @@ pub struct TakeoverReport {
     pub manifest_fallbacks: u64,
 }
 
-/// A standby MDS in replay: it follows the persisted mdlog so takeover
-/// only has to finish the tail ("standby-replay" in CephFS terms).
+/// A standby MDS: at takeover it recovers through the checkpoint manifest
+/// ladder, so it replays only the journal tail past the newest readable
+/// manifest's high-water mark, and promotes the result.
 ///
 /// The standby reads through the *raw* store handle — fencing only gates
-/// writes, so a standby at no particular epoch can tail the journal while
+/// writes, so a standby at no particular epoch can read the journal while
 /// the active MDS is still writing it.
 pub struct StandbyReplay {
     base: Arc<dyn ObjectStore>,
@@ -225,8 +226,6 @@ pub struct StandbyReplay {
     checkpoint_config: Option<CheckpointConfig>,
     journal_id: JournalId,
     pool: PoolId,
-    /// Journal events observed by the last catch-up pass.
-    replayed_events: u64,
     obs: Option<Arc<Registry>>,
 }
 
@@ -246,7 +245,6 @@ impl StandbyReplay {
             checkpoint_config: None,
             journal_id: JournalId::MDLOG,
             pool: PoolId::METADATA,
-            replayed_events: 0,
             obs: None,
         }
     }
@@ -258,30 +256,10 @@ impl StandbyReplay {
         self.checkpoint_config = Some(config);
     }
 
-    /// Publishes `mds.standby.*` metrics on `reg` and cascades the
+    /// Publishes `mds.failover.*` metrics on `reg` and cascades the
     /// registry to servers assembled by takeover.
     pub fn attach_obs(&mut self, reg: &Arc<Registry>) {
         self.obs = Some(Arc::clone(reg));
-    }
-
-    /// One tailing pass: re-scans the persisted mdlog and records how many
-    /// events a takeover right now would replay. Uses the non-mutating
-    /// journal-tool inspection — a standby must not write, so a damaged
-    /// tail is counted (recoverable prefix only), never healed here.
-    pub fn catch_up(&mut self) -> Result<u64> {
-        let summary = JournalTool::new(self.base.as_ref(), self.journal_id)
-            .inspect()
-            .map_err(|e| MdsError::from_store("mdlog inspect", &e))?;
-        self.replayed_events = summary.events;
-        if let Some(reg) = &self.obs {
-            reg.counter("mds.standby.catchups").inc();
-        }
-        Ok(self.replayed_events)
-    }
-
-    /// Events the last [`StandbyReplay::catch_up`] pass could see.
-    pub fn replayed_events(&self) -> u64 {
-        self.replayed_events
     }
 
     /// Completes replay and assembles the replacement primary at `epoch`.
@@ -317,7 +295,6 @@ impl StandbyReplay {
             checkpoint_events: rec.checkpoint_events,
             manifest_fallbacks: rec.fallbacks,
         };
-        self.replayed_events = report.replayed_events;
         if let Some(reg) = &self.obs {
             reg.counter("mds.failover.takeovers").inc();
             reg.counter("mds.failover.replayed_events")
@@ -329,7 +306,7 @@ impl StandbyReplay {
         }
         let mdlog = self
             .mdlog_config
-            .map(|cfg| MdLog::after_recovery(cfg.dispatch_size, self.journal_id));
+            .map(|cfg| MdLog::with_id(cfg, self.journal_id));
         let mut server = MetadataServer::from_parts(
             fenced,
             self.cost.clone(),
@@ -609,6 +586,8 @@ impl MdsCluster {
 mod tests {
     use super::*;
     use crate::caps::ClientId;
+    use crate::error::MdsError;
+    use cudele_journal::InodeId;
     use cudele_rados::InMemoryStore;
 
     const C1: ClientId = ClientId(1);
@@ -703,29 +682,38 @@ mod tests {
         ));
     }
 
+    /// A recovered MDS keeps its configured segment size: in place and by
+    /// takeover, the same creates leave the same unflushed backlog as on a
+    /// fresh server with that mdlog.
     #[test]
-    fn standby_catch_up_counts_persisted_events() {
-        let os: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::paper_default());
-        let authority = Arc::new(FencingAuthority::new());
-        let fenced: Arc<dyn ObjectStore> =
-            Arc::new(FencedStore::new(Arc::clone(&os), Arc::clone(&authority)));
-        let mut mds =
-            MetadataServer::with_config(fenced, CostModel::calibrated(), Some(small_mdlog()));
-        mds.open_session(C1);
-        let dir = mds.setup_dir_durable("/s").unwrap();
-        let mut standby = StandbyReplay::new(
-            Arc::clone(&os),
-            Arc::clone(&authority),
-            CostModel::calibrated(),
-            Some(small_mdlog()),
+    fn recovery_keeps_the_configured_mdlog() {
+        let creates = |mds: &mut MetadataServer| {
+            mds.open_session(C1);
+            for i in 0..64 {
+                mds.create(C1, InodeId::ROOT, &format!("f{i}")).expect_ok();
+            }
+            mds.unflushed_events()
+        };
+        let server = || {
+            MetadataServer::with_config(
+                Arc::new(InMemoryStore::paper_default()),
+                CostModel::calibrated(),
+                Some(small_mdlog()),
+            )
+        };
+        let fresh = creates(&mut server());
+        assert!(
+            fresh < 2 * 9,
+            "under one window of two 8-event segments: {fresh}"
         );
-        assert_eq!(standby.catch_up().unwrap(), 0, "nothing flushed yet");
-        for i in 0..10 {
-            mds.create(C1, dir, &format!("f{i}")).expect_ok();
-        }
-        mds.flush_journal();
-        let seen = standby.catch_up().unwrap();
-        assert!(seen >= 11, "standby tails the flushed journal, saw {seen}");
+        let mut in_place = server();
+        in_place.crash_and_recover().unwrap();
+        assert_eq!(creates(&mut in_place), fresh, "in place");
+        let mut c = cluster();
+        c.crash_active();
+        c.advance_to(Nanos::from_millis(60)).unwrap();
+        assert_eq!(c.reports().len(), 1);
+        assert_eq!(creates(c.active_mut()), fresh, "by takeover");
     }
 
     #[test]

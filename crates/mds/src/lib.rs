@@ -18,7 +18,7 @@
 //! * [`mdlog`] — the Stream journal with segment and dispatch-size
 //!   tunables (Figure 3a).
 //! * [`failover`] — beacon failure detection, epoch fencing, and
-//!   standby-replay takeover on the virtual clock.
+//!   standby takeover on the virtual clock.
 //! * [`checkpoint`] — canonical images of the journaled namespace under a
 //!   CAS-advanced manifest, bounding recovery replay to the journal tail
 //!   past the covered high-water mark.
@@ -55,7 +55,7 @@ pub mod store;
 
 pub use caps::{CapOutcome, CapTable, ClientId};
 pub use checkpoint::{CheckpointConfig, CheckpointError, CheckpointManager, Manifest};
-pub use compact::{compact_events, compact_with_report, emit_canonical, CompactionReport};
+pub use compact::emit_canonical;
 pub use dirfrag::{Dentry, Dir, DirListing};
 pub use error::{MdsError, Result};
 pub use failover::{

@@ -13,10 +13,10 @@
 //! the header write ([`JournalWriter::append_frames`]). A segment leaves
 //! the window only when its append is acknowledged, so a failed flush is
 //! retried by the next one and drops nothing that was accepted.
-//! The trimmer applies journaled updates to the object-store metadata
-//! representation and logically drops them from the journal ("The metadata
-//! server applies the updates in the journal to the metadata store when the
-//! journal reaches a certain size").
+//! The mdlog never folds or drops what it wrote: the checkpoint
+//! ([`crate::checkpoint`]) is the one fold of the journal into the metadata
+//! store, and its manifest is what bounds recovery. An event's index in the
+//! journal is therefore its physical position.
 //!
 //! Timing: callers read [`MdLog::take_stats`] and charge
 //! `CostModel::stream_mds_cpu_at_dispatch` per event plus object-store
@@ -25,15 +25,10 @@
 use std::collections::VecDeque;
 
 use cudele_journal::{
-    trim_journal, EventRef, JournalId, JournalIoError, JournalObs, JournalWriter, Segment,
-    SegmentBuilder,
+    EventRef, JournalId, JournalIoError, JournalObs, JournalWriter, Segment, SegmentBuilder,
 };
 use cudele_obs::{Counter, Registry};
 use cudele_rados::ObjectStore;
-
-use crate::error::MdsError;
-use crate::persist;
-use crate::store::MetadataStore;
 
 /// Tunables for the mdlog.
 #[derive(Debug, Clone, Copy)]
@@ -43,9 +38,10 @@ pub struct MdLogConfig {
     /// Sealed segments flushed together (the "dispatch size" tunable; the
     /// paper's recommended value is 40).
     pub dispatch_size: u32,
-    /// Flushed updates accumulated before the trimmer kicks in; `None`
-    /// disables trimming (most microbenchmarks run with it off so the
-    /// journal survives for inspection).
+    /// Must be `None`: the journal is folded only by checkpoints
+    /// ([`crate::CheckpointConfig`]), and [`MdLog::with_id`] refuses
+    /// `Some`. Kept only while the benchmark crate's failover workload
+    /// still names it in a struct literal.
     pub trim_after_updates: Option<u64>,
 }
 
@@ -68,8 +64,6 @@ pub struct MdLogStats {
     pub segments_flushed: u64,
     /// Journal bytes written to the object store (functional bytes).
     pub bytes_flushed: u64,
-    /// Trim passes performed.
-    pub trims: u64,
 }
 
 /// Metric handles for the mdlog, published under `mds.mdlog.*`.
@@ -84,8 +78,6 @@ pub struct MdLogObs {
     pub segments_flushed: Counter,
     /// `mds.mdlog.bytes_flushed` — functional journal bytes written.
     pub bytes_flushed: Counter,
-    /// `mds.mdlog.trims` — trim passes performed.
-    pub trims: Counter,
     /// Handles for the transient [`JournalWriter`]s the flush path opens.
     pub writer: JournalObs,
 }
@@ -97,7 +89,6 @@ impl MdLogObs {
             events: reg.counter("mds.mdlog.events"),
             segments_flushed: reg.counter("mds.mdlog.segments_flushed"),
             bytes_flushed: reg.counter("mds.mdlog.bytes_flushed"),
-            trims: reg.counter("mds.mdlog.trims"),
             writer: JournalObs::attach(reg),
         }
     }
@@ -111,11 +102,8 @@ pub struct MdLog {
     sealed: VecDeque<Segment>,
     /// Events in `sealed` (boundary markers included).
     sealed_events: u64,
-    /// Updates flushed since the last trim (drives the trim threshold).
-    updates_since_trim: u64,
-    /// Total events (updates + boundary markers) flushed since the last
-    /// trim — exactly the journal prefix a trim may skip.
-    flushed_events_since_trim: u64,
+    /// Events (updates + boundary markers) this instance has flushed.
+    flushed_events: u64,
     stats: MdLogStats,
     obs: Option<MdLogObs>,
     /// Virtual-clock hint from the server (see [`MdLog::set_now`]),
@@ -129,33 +117,24 @@ impl MdLog {
         MdLog::with_id(config, JournalId::MDLOG)
     }
 
-    /// An mdlog writing to a custom journal id.
+    /// An mdlog writing to a custom journal id. Panics if
+    /// `config.trim_after_updates` is `Some`.
     pub fn with_id(config: MdLogConfig, id: JournalId) -> MdLog {
+        assert!(
+            config.trim_after_updates.is_none(),
+            "the mdlog has no trimmer: checkpoints fold the journal and bound recovery"
+        );
         MdLog {
             builder: SegmentBuilder::new(config.events_per_segment),
             config,
             id,
             sealed: VecDeque::new(),
             sealed_events: 0,
-            updates_since_trim: 0,
-            flushed_events_since_trim: 0,
+            flushed_events: 0,
             stats: MdLogStats::default(),
             obs: None,
             now: cudele_sim::Nanos::ZERO,
         }
-    }
-
-    /// The mdlog a recovered server resumes with — the shape both recovery
-    /// paths install: default segment size, the configured dispatch size,
-    /// trimmer off (the persisted stripes stay as they are).
-    pub(crate) fn after_recovery(dispatch_size: u32, id: JournalId) -> MdLog {
-        MdLog::with_id(
-            MdLogConfig {
-                dispatch_size,
-                ..MdLogConfig::default()
-            },
-            id,
-        )
     }
 
     /// Points the mdlog's metric handles at `reg` (`mds.mdlog.*`).
@@ -174,22 +153,16 @@ impl MdLog {
         self.id
     }
 
-    /// The configured dispatch size.
-    pub fn dispatch_size(&self) -> u32 {
-        self.config.dispatch_size
-    }
-
-    /// Whether the trimmer is configured. Checkpointing requires it off:
-    /// the checkpoint manifest records high-water marks in the journal's
-    /// logical coordinates, which trimming would shift.
-    pub fn trim_enabled(&self) -> bool {
-        self.config.trim_after_updates.is_some()
+    /// The configuration this mdlog was built with; a recovered server
+    /// rebuilds its mdlog from it.
+    pub fn config(&self) -> MdLogConfig {
+        self.config
     }
 
     /// Events flushed to the object store by this mdlog instance (updates
     /// plus boundary markers). Drives the checkpoint interval gate.
     pub fn flushed_events(&self) -> u64 {
-        self.flushed_events_since_trim
+        self.flushed_events
     }
 
     /// Submits one event. If this seals enough segments to fill the
@@ -242,44 +215,11 @@ impl MdLog {
                 obs.bytes_flushed.add(bytes);
                 obs.segments_flushed.inc();
             }
-            self.updates_since_trim += seg.updates;
-            self.flushed_events_since_trim += seg.events;
+            self.flushed_events += seg.events;
             self.sealed_events -= seg.events;
             self.sealed.pop_front();
         }
         Ok(())
-    }
-
-    /// Runs the trimmer if the flushed-update threshold is exceeded:
-    /// persists the current in-memory store to its object representation
-    /// and logically drops the journal prefix it covers. A store the
-    /// persister cannot write out — the object store failing, or a dangling
-    /// dentry an ill-formed client journal merged in — is the serving
-    /// path's `EIO`, classified like every other store failure there.
-    pub fn maybe_trim<S: ObjectStore + ?Sized>(
-        &mut self,
-        os: &S,
-        store: &MetadataStore,
-    ) -> crate::Result<bool> {
-        let Some(threshold) = self.config.trim_after_updates else {
-            return Ok(false);
-        };
-        if self.updates_since_trim < threshold {
-            return Ok(false);
-        }
-        persist::flush_store(store, os, self.id.pool)
-            .map_err(|e| MdsError::from_store("persisted metadata", &e))?;
-        // Everything flushed so far is covered by the persisted image, so
-        // replay may skip exactly that journal prefix.
-        trim_journal(os, self.id, self.flushed_events_since_trim)
-            .map_err(|e| MdsError::from_store("mdlog trim", &e))?;
-        self.updates_since_trim = 0;
-        self.flushed_events_since_trim = 0;
-        self.stats.trims += 1;
-        if let Some(obs) = &self.obs {
-            obs.trims.inc();
-        }
-        Ok(true)
     }
 
     /// Events buffered (sealed or partial) but not yet in the object store
@@ -303,7 +243,7 @@ impl MdLog {
 mod tests {
     use super::*;
     use cudele_journal::{read_journal, Attrs, InodeId, JournalEvent};
-    use cudele_rados::{InMemoryStore, PoolId};
+    use cudele_rados::InMemoryStore;
 
     fn create(i: u64) -> JournalEvent {
         JournalEvent::Create {
@@ -386,35 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn trim_persists_store_and_drops_prefix() {
-        let os = InMemoryStore::paper_default();
-        let mut log = MdLog::new(MdLogConfig {
-            events_per_segment: 4,
-            dispatch_size: 1,
-            trim_after_updates: Some(8),
-        });
-        let mut ms = MetadataStore::new();
-        for i in 0..12 {
-            let e = create(i);
-            ms.apply_checked(&e).unwrap();
-            log.submit(&os, &e).unwrap();
-        }
-        let trimmed = log.maybe_trim(&os, &ms).unwrap();
-        assert!(trimmed);
-        assert_eq!(log.stats().trims, 1);
-        // After trim, replaying (persisted image + remaining journal) must
-        // reconstruct the full namespace.
-        let mut recovered = persist::load_store(&os, PoolId::METADATA).unwrap();
-        for e in read_journal(&os, JournalId::MDLOG).unwrap() {
-            recovered.apply_blind(&e);
-        }
-        assert_eq!(recovered.snapshot(), ms.snapshot());
-        // Not all 12 updates remain in the journal.
-        let rest = read_journal(&os, JournalId::MDLOG).unwrap();
-        assert!(rest.iter().filter(|e| e.is_update()).count() < 12);
-    }
-
-    #[test]
     fn obs_mirrors_stats() {
         let os = InMemoryStore::paper_default();
         let reg = Registry::new();
@@ -438,13 +349,11 @@ mod tests {
     }
 
     #[test]
-    fn trim_disabled_by_default() {
-        let os = InMemoryStore::paper_default();
-        let mut log = MdLog::new(MdLogConfig::default());
-        let ms = MetadataStore::new();
-        for i in 0..10 {
-            log.submit(&os, &create(i)).unwrap();
-        }
-        assert!(!log.maybe_trim(&os, &ms).unwrap());
+    #[should_panic(expected = "checkpoints")]
+    fn a_trim_threshold_is_refused() {
+        MdLog::new(MdLogConfig {
+            trim_after_updates: Some(8),
+            ..config(4, 1)
+        });
     }
 }

@@ -629,6 +629,32 @@ mod tests {
         assert!(loaded.resolve("/home/alice").is_err());
     }
 
+    /// A client journal that links one inode under two names and unlinks
+    /// one of them leaves the other dangling (Volatile Apply is blind); such
+    /// a store has no object representation.
+    #[test]
+    fn flushing_a_dangling_dentry_is_corrupt() {
+        let create = |name: &str| JournalEvent::Create {
+            parent: InodeId::ROOT,
+            name: name.into(),
+            ino: InodeId(0x9000),
+            attrs: Attrs::file_default(),
+        };
+        let unlink = JournalEvent::Unlink {
+            parent: InodeId::ROOT,
+            name: "a".into(),
+        };
+        let mut ms = MetadataStore::new();
+        ms.apply_blind_all(&[create("a"), create("b"), unlink]);
+        assert!(ms.lookup(InodeId::ROOT, "b").is_ok());
+        let os = InMemoryStore::paper_default();
+        let r = flush_store(&ms, &os, PoolId::METADATA);
+        assert!(
+            matches!(&r, Err(PersistError::Corrupt(m)) if m.starts_with("dangling dentry b ")),
+            "{r:?}"
+        );
+    }
+
     #[test]
     fn load_from_empty_store_is_empty_namespace() {
         let os = InMemoryStore::paper_default();

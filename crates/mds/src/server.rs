@@ -674,20 +674,13 @@ impl MetadataServer {
     /// the journal tail past the manifest's high-water mark — at most one
     /// image span. Resumes from a stored manifest when one exists.
     ///
-    /// Incompatible with the mdlog trimmer (checkpoint high-water marks
-    /// live in the journal's logical coordinates, which trimming shifts)
-    /// and meaningless without a journal — both are rejected.
+    /// Meaningless without a journal, so rejected there.
     pub fn enable_checkpoints(&mut self, config: CheckpointConfig) -> Result<()> {
         let Some(log) = self.mdlog.as_ref() else {
             return Err(MdsError::NoEnt {
                 what: "checkpoints need the mdlog enabled".to_string(),
             });
         };
-        if log.trim_enabled() {
-            return Err(MdsError::NoEnt {
-                what: "checkpoints require the mdlog trimmer off".to_string(),
-            });
-        }
         let mut ckpt = CheckpointManager::attach(self.os.as_ref(), log.journal_id(), config)
             .map_err(|e| MdsError::from_store("checkpoint", &e))?;
         if let Some(o) = &self.obs {
@@ -731,7 +724,7 @@ impl MetadataServer {
     fn journal_impl(&mut self, event: EventRef<'_>, observe: bool) -> Result<(Nanos, Nanos)> {
         match self.mdlog.as_mut() {
             Some(log) => {
-                let dispatch = log.dispatch_size();
+                let dispatch = log.config().dispatch_size;
                 let flushed_before = log.flushed_events();
                 if let Some(o) = &self.obs {
                     log.set_now(o.now);
@@ -750,10 +743,6 @@ impl MetadataServer {
                         o.tl_flushed_events.add(o.now, flushed);
                     }
                 }
-                // "The metadata server applies the updates in the journal
-                // to the metadata store when the journal reaches a certain
-                // size" — run the trimmer when configured.
-                log.maybe_trim(self.os.as_ref(), &self.store)?;
                 if let Some(ckpt) = self.ckpt.as_mut() {
                     let now = self.obs.as_ref().map_or(Nanos::ZERO, |o| o.now);
                     ckpt.maybe_checkpoint(self.os.as_ref(), log.flushed_events(), now, &self.cost)
@@ -1390,8 +1379,9 @@ impl MetadataServer {
     /// takeover climbs, here reading and healing through the server's own
     /// handle. Unflushed journal events are lost — exactly the durability
     /// gap the Stream/none configurations trade away. The in-memory mdlog
-    /// is reset (the persisted stripes remain) and, when checkpointing is
-    /// on, the compactor resumes from the manifest recovery actually used.
+    /// restarts empty at its own configuration (the persisted stripes
+    /// remain) and, when checkpointing is on, the compactor resumes from the
+    /// manifest recovery actually used.
     pub fn crash_and_recover(&mut self) -> Result<()> {
         let journal_id = self
             .mdlog
@@ -1407,7 +1397,7 @@ impl MetadataServer {
         self.caps = CapTable::new();
         self.sessions = SessionMap::new();
         if let Some(log) = self.mdlog.as_mut() {
-            *log = MdLog::after_recovery(log.dispatch_size(), journal_id);
+            *log = MdLog::with_id(log.config(), journal_id);
             if let Some(o) = &self.obs {
                 log.set_obs(&o.reg);
             }
@@ -1505,7 +1495,7 @@ impl RecoveredNamespace {
 /// 1. **Base** ([`checkpoint::load_covered`]): the newest manifest whose
 ///    image materializes, falling back one epoch per damaged object;
 ///    when no rung holds, the persisted image ([`persist::load_store`])
-///    covering nothing of the (trimmed) journal.
+///    covering nothing of the journal.
 /// 2. **Journal** ([`recover_journal`]): one lenient scan. A journal damaged
 ///    on disk (torn stripe write, bit flip caught by the frame CRC) does not
 ///    abort recovery: the corrupt region is cut away *through `write`* and
@@ -1517,10 +1507,11 @@ impl RecoveredNamespace {
 /// 3. **Tail**: the journal past the base's high-water mark, blind-applied.
 /// 4. **Allocator**: rebuilt from what was recovered, never carried over —
 ///    every journaled range grant ([`JournalEvent::AllocRange`]) and inode
-///    the tail names, every inode in the recovered namespace (grants older
-///    than the last trim have no surviving event) and, under a manifest, its
-///    covered-prefix watermark (the fold into a canonical image drops grants
-///    and unlinked inodes).
+///    the tail names, every inode in the recovered namespace (the persisted
+///    image a Nonvolatile Apply merge writes, after Global Persist, holds
+///    inodes no mdlog event names) and, under a manifest, its covered-prefix
+///    watermark (the fold into a canonical image drops grants and unlinked
+///    inodes).
 pub(crate) fn recover_namespace(
     read: &dyn ObjectStore,
     write: &dyn ObjectStore,
@@ -1576,14 +1567,6 @@ mod tests {
 
     fn server() -> MetadataServer {
         MetadataServer::new(Arc::new(InMemoryStore::paper_default()))
-    }
-
-    fn cudele_mds_mdlog_config_small() -> MdLogConfig {
-        MdLogConfig {
-            events_per_segment: 8,
-            dispatch_size: 2,
-            trim_after_updates: Some(50),
-        }
     }
 
     fn server_no_journal() -> MetadataServer {
@@ -1965,71 +1948,6 @@ mod tests {
             cudele_journal::read_journal(os.as_ref(), journal_id).is_ok(),
             "recovery heals the on-disk journal"
         );
-    }
-
-    #[test]
-    fn trimming_bounds_journal_and_preserves_recovery() {
-        let os = Arc::new(InMemoryStore::paper_default());
-        let mut s = MetadataServer::with_config(
-            os.clone(),
-            CostModel::calibrated(),
-            Some(cudele_mds_mdlog_config_small()),
-        );
-        s.open_session(C1);
-        let dir = s
-            .mkdir(C1, cudele_journal::InodeId::ROOT, "work")
-            .result
-            .unwrap();
-        for i in 0..200 {
-            s.create(C1, dir.ino, &format!("f{i}")).result.unwrap();
-        }
-        let stats = s.take_mdlog_stats();
-        assert!(stats.trims >= 1, "trimmer should have run: {stats:?}");
-        // Recovery from (persisted image + trimmed journal) is complete.
-        s.flush_journal();
-        s.crash_and_recover().unwrap();
-        assert_eq!(s.store().dir(dir.ino).unwrap().len(), 200);
-    }
-
-    #[test]
-    fn trimming_a_store_an_ill_formed_merge_left_dangling_is_eio() {
-        let mut s = MetadataServer::with_config(
-            Arc::new(InMemoryStore::paper_default()),
-            CostModel::calibrated(),
-            Some(MdLogConfig {
-                events_per_segment: 1,
-                dispatch_size: 1,
-                trim_after_updates: Some(1),
-            }),
-        );
-        s.open_session(C1);
-        let dir = s.setup_dir("/d").unwrap();
-        // A client journal that links one inode under two names and unlinks
-        // one of them leaves the other dangling; Volatile Apply is blind.
-        let create = |name: &str| JournalEvent::Create {
-            parent: dir,
-            name: name.into(),
-            ino: InodeId(0x9000),
-            attrs: cudele_journal::Attrs::file_default(),
-        };
-        let unlink = JournalEvent::Unlink {
-            parent: dir,
-            name: "a".into(),
-        };
-        s.volatile_apply(C1, &[create("a"), create("b"), unlink])
-            .result
-            .unwrap();
-        // The next journaled RPC runs the trimmer over that store: the
-        // client gets an error labelled with the image it could not write,
-        // and the MDS keeps serving.
-        for name in ["f", "g"] {
-            let r = s.create(C1, dir, name).result;
-            assert!(
-                matches!(&r, Err(MdsError::Io { what }) if what.starts_with("persisted metadata (")),
-                "{name}: {r:?}"
-            );
-        }
-        assert!(s.lookup(C1, dir, "b").result.is_ok());
     }
 
     #[test]

@@ -86,8 +86,8 @@ impl MetadataStore {
     }
 
     /// The highest inode number present in the namespace. Allocator
-    /// recovery uses this as a floor for the watermark: inodes persisted
-    /// before the journal was trimmed have no surviving grant event.
+    /// recovery uses this as a floor for the watermark: the persisted image
+    /// a Nonvolatile Apply merge writes holds inodes no mdlog event names.
     pub fn max_inode(&self) -> Option<InodeId> {
         self.inodes.keys().max().copied()
     }

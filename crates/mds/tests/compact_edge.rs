@@ -1,8 +1,8 @@
-//! Edge cases for journal compaction.
+//! Edge cases for the checkpoint's fold.
 //!
-//! The compactor underpins the checkpoint tier: L1 images are
-//! `emit_canonical` output, so any pile the canonical form cannot
-//! faithfully reproduce would silently corrupt bounded recovery. These
+//! A checkpoint image is `emit_canonical` of the namespace a journal pile
+//! replays to, so any pile the canonical form cannot faithfully reproduce
+//! would silently corrupt bounded recovery. These
 //! tests pin the awkward shapes — rename chains that cross directories,
 //! names that die and come back with a different inode, policies re-set
 //! after their subtree moved — plus a property test that canonical
@@ -10,7 +10,7 @@
 //! schedules.
 
 use cudele_journal::{Attrs, FileType, InodeId, JournalEvent};
-use cudele_mds::{compact_events, compact_with_report, emit_canonical, MetadataStore};
+use cudele_mds::{emit_canonical, MetadataStore};
 use proptest::prelude::*;
 
 fn replay(events: &[JournalEvent]) -> MetadataStore {
@@ -65,10 +65,10 @@ fn cross_directory_rename_chain_collapses_to_final_location() {
         rename(InodeId(b), "g", InodeId(c), "h"),
         rename(InodeId(c), "h", InodeId(a), "back"),
     ];
-    let (compacted, report) = compact_with_report(&events);
+    let compacted = emit_canonical(&replay(&events));
     // Three mkdirs plus one create: the whole chain is redundant.
     assert_eq!(compacted.len(), 4);
-    assert_eq!(report.original_updates, 7);
+    assert_eq!(events.iter().filter(|e| e.is_update()).count(), 7);
     let s = replay(&compacted);
     assert_eq!(s.snapshot(), replay(&events).snapshot());
     assert_eq!(s.lookup(InodeId(a), "back").unwrap().ino, InodeId(0x1003));
@@ -87,7 +87,7 @@ fn directory_rename_carries_its_subtree() {
         create(InodeId(sub), "leaf", 0x1004),
         rename(InodeId(src), "tree", InodeId(dst), "tree2"),
     ];
-    let (compacted, _) = compact_with_report(&events);
+    let compacted = emit_canonical(&replay(&events));
     // src, dst, tree2, sub, leaf — one event each, rename gone.
     assert_eq!(compacted.len(), 5);
     let s = replay(&compacted);
@@ -132,7 +132,7 @@ fn unlink_then_recreate_keeps_only_the_final_inode() {
             },
         },
     ];
-    let (compacted, _) = compact_with_report(&events);
+    let compacted = emit_canonical(&replay(&events));
     // One create with the final attrs folded in; the dead generation
     // (create + setattr + unlink) vanishes entirely.
     assert_eq!(compacted.len(), 1);
@@ -158,7 +158,7 @@ fn policy_reset_on_renamed_subtree_attaches_to_final_name() {
             policy: vec![2, 2],
         },
     ];
-    let (compacted, _) = compact_with_report(&events);
+    let compacted = emit_canonical(&replay(&events));
     // One mkdir at the final name plus one policy with the final blob.
     assert_eq!(compacted.len(), 2);
     let s = replay(&compacted);
@@ -228,8 +228,8 @@ proptest! {
     /// For an arbitrary *valid* schedule (events a checked store accepts,
     /// i.e. exactly what a real journal would contain), the canonical
     /// emission blind-replays from empty to the identical deep shape, a
-    /// checked replay accepts it in emitted order, and compaction is a
-    /// fixed point (compacting the canonical form changes nothing).
+    /// checked replay accepts it in emitted order, and the fold is a fixed
+    /// point (folding the canonical form changes nothing).
     #[test]
     fn emit_canonical_blind_replays_to_the_same_shape(
         ops in proptest::collection::vec(arb_eop(), 1..160),
@@ -323,11 +323,11 @@ proptest! {
         }
         prop_assert_eq!(deep_shape(&strict), deep_shape(&store));
 
-        // compact_events over the raw pile agrees with direct emission,
-        // and compaction is a fixed point.
-        let compacted = compact_events(&pile);
+        // Folding a blind replay of the raw pile agrees with direct
+        // emission, and the fold is a fixed point.
+        let compacted = emit_canonical(&replay(&pile));
         prop_assert_eq!(&compacted, &canonical);
-        let twice = compact_events(&compacted);
+        let twice = emit_canonical(&replay(&compacted));
         prop_assert_eq!(&twice, &compacted);
         prop_assert!(compacted.len() <= pile.len().max(1));
     }

@@ -1451,10 +1451,10 @@ fn seeded_script_reproduces_the_digests_recorded_at_the_parent() {
             objects: 0xed26_c258_9299_aea4,
             namespace: 0xd930_97ec_1d49_ed6e,
             watermark: 0x817b_bea2_7151_c801,
-            // Re-recorded when the mdlog began writing a run of frames per
-            // store call (0xd29b…300c before): `rados.store.write_ops` and
-            // `rados.osd.1.ops` count object writes, and nothing else moved.
-            metrics_json: 0x9b9d_5a27_191f_3317,
+            // Re-recorded when the mdlog trimmer was deleted (0x9b9d…3317
+            // before): the zero-valued `mds.mdlog.trims` counter is no
+            // longer registered, and nothing else moved.
+            metrics_json: 0x671f_641c_547e_8bbd,
         },
         "script digests: {got:#018x?}"
     );

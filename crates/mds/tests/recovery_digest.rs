@@ -77,7 +77,9 @@ struct Digests {
     /// Every object in the metadata pool after recovery: name, then bytes.
     objects: u64,
     /// The same after 64 more creates and a flush, plus the manifest epoch
-    /// reached: the compactor resumed where recovery says it did.
+    /// reached: the compactor resumed where recovery says it did. (Re-
+    /// recorded once, in all ten rows, when a recovered mdlog began keeping
+    /// its configured segment size instead of the default.)
     resumed: u64,
 }
 
@@ -239,20 +241,20 @@ fn recorded() -> Vec<(Damage, Path, Digests)> {
     use Damage::*;
     use Path::*;
     vec![
-        (Clean, InPlace, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x0c621eb171979813, counters: 0x042e2d975ccd5591, objects: 0x914bed8ca26609fd, resumed: 0x439529062ea42c05 }),
-        (Clean, Takeover, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x6505ecbe95615737, counters: 0x1dc58b9443115e27, objects: 0x914bed8ca26609fd, resumed: 0x439529062ea42c05 }),
-        (Image, InPlace, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x0c6223b17197a092, counters: 0xa2a6263ce5fb7ed6, objects: 0x0cc98276e2b82e5d, resumed: 0x049894f021f58350 }),
-        (Image, Takeover, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x76d3ffa77f710e70, counters: 0x3bc56f0c013bc004, objects: 0x0cc98276e2b82e5d, resumed: 0x049894f021f58350 }),
-        (Head, InPlace, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x0c621eb171979813, counters: 0xa2a6263ce5fb7ed6, objects: 0xda14d2fb480ff069, resumed: 0x439529062ea42c05 }),
-        (Head, Takeover, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x6daf15be9a48ca8c, counters: 0xe66776d292bf7a82, objects: 0xda14d2fb480ff069, resumed: 0x439529062ea42c05 }),
-        (TornTail, InPlace, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x0c621eb171979813, counters: 0x042e2d975ccd5591, objects: 0xdd444318d73b6d1e, resumed: 0xfa99885fb1b2ec5a }),
-        (TornTail, Takeover, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x7307895c097a1bff, counters: 0x6e585d23a4122d44, objects: 0xdd444318d73b6d1e, resumed: 0xfa99885fb1b2ec5a }),
+        (Clean, InPlace, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x0c621eb171979813, counters: 0x042e2d975ccd5591, objects: 0x914bed8ca26609fd, resumed: 0x0ab41702cc2ae196 }),
+        (Clean, Takeover, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x6505ecbe95615737, counters: 0x1dc58b9443115e27, objects: 0x914bed8ca26609fd, resumed: 0x0ab41702cc2ae196 }),
+        (Image, InPlace, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x0c6223b17197a092, counters: 0xa2a6263ce5fb7ed6, objects: 0x0cc98276e2b82e5d, resumed: 0x86aa01ca558dc3da }),
+        (Image, Takeover, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x76d3ffa77f710e70, counters: 0x3bc56f0c013bc004, objects: 0x0cc98276e2b82e5d, resumed: 0x86aa01ca558dc3da }),
+        (Head, InPlace, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x0c621eb171979813, counters: 0xa2a6263ce5fb7ed6, objects: 0xda14d2fb480ff069, resumed: 0x0ab41702cc2ae196 }),
+        (Head, Takeover, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x6daf15be9a48ca8c, counters: 0xe66776d292bf7a82, objects: 0xda14d2fb480ff069, resumed: 0x0ab41702cc2ae196 }),
+        (TornTail, InPlace, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x0c621eb171979813, counters: 0x042e2d975ccd5591, objects: 0xdd444318d73b6d1e, resumed: 0xeee4ceff4d3e0ebd }),
+        (TornTail, Takeover, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x7307895c097a1bff, counters: 0x6e585d23a4122d44, objects: 0xdd444318d73b6d1e, resumed: 0xeee4ceff4d3e0ebd }),
         // A bottomed-out ladder reports the rungs it skipped
         // (`manifest_fallbacks`, `mds.ckpt.fallbacks`), and in place the
         // compactor resumes from the empty manifest at the HEAD's version,
         // as the takeover does — the two `resumed` digests are equal.
-        (EveryManifest, InPlace, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x0c6222b171979edf, counters: 0x281aceee6c2443ea, objects: 0x658e1e20bd12fb6f, resumed: 0x1c1a1351d13b4abe }),
-        (EveryManifest, Takeover, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0xd11e3638cb5b2939, counters: 0xd445c097435a0046, objects: 0x658e1e20bd12fb6f, resumed: 0x1c1a1351d13b4abe }),
+        (EveryManifest, InPlace, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0x0c6222b171979edf, counters: 0x281aceee6c2443ea, objects: 0x658e1e20bd12fb6f, resumed: 0xb6df68e02af6e554 }),
+        (EveryManifest, Takeover, Digests { namespace: 0x550923c06eeb4b8d, watermark: 0x4f316ac903be1c6f, report: 0xd11e3638cb5b2939, counters: 0xd445c097435a0046, objects: 0x658e1e20bd12fb6f, resumed: 0xb6df68e02af6e554 }),
     ]
 }
 

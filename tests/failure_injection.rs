@@ -762,7 +762,7 @@ fn global_persist_after_a_writer_died_before_its_header_reads_back_alone() {
 // ---------------------------------------------------------------------
 
 /// Blind replay of `events` from the empty namespace — what recovery must
-/// return for a journal that reads as `events` (no image, nothing trimmed).
+/// return for a journal that reads as `events` (no image).
 fn replay(events: &[cudele_journal::JournalEvent]) -> cudele_mds::MetadataStore {
     let mut ms = cudele_mds::MetadataStore::new();
     ms.apply_blind_all(events);

@@ -293,7 +293,7 @@ proptest! {
             );
             let updates: Vec<JournalEvent> =
                 decoded.into_iter().filter(|e| e.is_update()).collect();
-            prop_assert_eq!(updates.len() as u64, seg.updates);
+            prop_assert_eq!(updates.len() as u64 + 1, seg.events);
             if i + 1 < segments.len() {
                 prop_assert_eq!(updates.len(), seg_size);
             }

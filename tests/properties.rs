@@ -19,7 +19,7 @@ use cudele::{parse_policies, render_policies, Composition, Policy};
 use cudele_client::{AckOutcome, RpcClient, SpeculativeClient};
 use cudele_journal::{decode_journal, encode_journal, Attrs, InodeId, JournalEvent};
 use cudele_mds::{
-    compact_with_report, flush_store, load_store, ClientId, MetadataServer, MetadataStore,
+    emit_canonical, flush_store, load_store, ClientId, MetadataServer, MetadataStore,
     ObjectStoreSink,
 };
 use cudele_rados::{InMemoryStore, PoolId};
@@ -229,19 +229,18 @@ proptest! {
 
     #[test]
     fn compaction_preserves_namespace_and_never_grows(events in arb_workload()) {
-        let (compacted, report) = compact_with_report(&events);
-        // Same final namespace under blind replay.
+        // The checkpoint's fold: a blind replay, emitted canonically.
         let mut original = MetadataStore::new();
-        for e in &events {
-            original.apply_blind(e);
-        }
+        let updates = original.apply_blind_all(&events);
+        let compacted = emit_canonical(&original);
+        // Same final namespace under blind replay.
         let mut replayed = MetadataStore::new();
         for e in &compacted {
             replayed.apply_blind(e);
         }
         prop_assert_eq!(original.snapshot(), replayed.snapshot());
         // Never larger than the pile it replaced.
-        prop_assert!(report.compacted_events <= report.original_updates);
+        prop_assert!(compacted.len() as u64 <= updates);
         // Canonical order is checked-safe (parents before children, no
         // duplicate names).
         let mut strict = MetadataStore::new();
