@@ -16,6 +16,13 @@
 //! string   := len:u32 utf8[len]
 //! attrs    := mode:u32 uid:u32 gid:u32 size:u64 mtime:u64
 //! ```
+//!
+//! Reading is one borrowed parse, [`parse_frames`]: the parse that yields a
+//! frame's [`EventRef`], borrowed from the frame bytes, is also the one
+//! check of its length, CRC and payload. Recovery and the checkpoint fold
+//! keep only the views they apply and verify the rest without keeping
+//! anything; the owned decoders (`decode_*`) are that parse plus
+//! [`EventRef::to_owned`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cudele_sim::Nanos;
@@ -191,8 +198,12 @@ pub fn encode_event<'a>(buf: &mut BytesMut, event: impl Into<EventRef<'a>>) {
 /// Serializes a whole journal: magic prefix plus framed events. The output
 /// buffer is sized exactly via [`framed_len`], so encoding a large journal
 /// (Local Persist snapshots 100 K+ events at once) performs a single
-/// allocation instead of doubling-growth copies.
-pub fn encode_journal<'a>(events: impl IntoIterator<Item = &'a JournalEvent> + Clone) -> Bytes {
+/// allocation instead of doubling-growth copies. Takes owned events and
+/// views alike (the checkpoint encodes its image from views into the
+/// namespace).
+pub fn encode_journal<'a, E: Into<EventRef<'a>>>(
+    events: impl IntoIterator<Item = E> + Clone,
+) -> Bytes {
     let total: usize = events.clone().into_iter().map(framed_len).sum();
     let mut buf = BytesMut::with_capacity(MAGIC.len() + total);
     buf.put_slice(MAGIC);
@@ -232,18 +243,14 @@ impl<'a> Cursor<'a> {
         Ok(b.get_u64_le())
     }
 
-    fn string(&mut self) -> Result<String, CodecError> {
+    fn string(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        // Validate in place; allocate only once the bytes are known-good.
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| CodecError::BadUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::BadUtf8)
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+    fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     fn attrs(&mut self) -> Result<Attrs, CodecError> {
@@ -261,49 +268,52 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<JournalEvent, CodecError> {
+/// The one payload parser: the event a frame's payload holds, borrowed
+/// from it. Every reader of the format — recovery, the checkpoint fold, the
+/// owned decoders below — goes through this match.
+fn parse_payload(payload: &[u8]) -> Result<EventRef<'_>, CodecError> {
     let mut c = Cursor {
         data: payload,
         pos: 0,
     };
     let tag = c.u8()?;
     let event = match tag {
-        TAG_CREATE => JournalEvent::Create {
+        TAG_CREATE => EventRef::Create {
             parent: InodeId(c.u64()?),
             name: c.string()?,
             ino: InodeId(c.u64()?),
             attrs: c.attrs()?,
         },
-        TAG_MKDIR => JournalEvent::Mkdir {
+        TAG_MKDIR => EventRef::Mkdir {
             parent: InodeId(c.u64()?),
             name: c.string()?,
             ino: InodeId(c.u64()?),
             attrs: c.attrs()?,
         },
-        TAG_UNLINK => JournalEvent::Unlink {
+        TAG_UNLINK => EventRef::Unlink {
             parent: InodeId(c.u64()?),
             name: c.string()?,
         },
-        TAG_RMDIR => JournalEvent::Rmdir {
+        TAG_RMDIR => EventRef::Rmdir {
             parent: InodeId(c.u64()?),
             name: c.string()?,
         },
-        TAG_RENAME => JournalEvent::Rename {
+        TAG_RENAME => EventRef::Rename {
             src_parent: InodeId(c.u64()?),
             src_name: c.string()?,
             dst_parent: InodeId(c.u64()?),
             dst_name: c.string()?,
         },
-        TAG_SETATTR => JournalEvent::SetAttr {
+        TAG_SETATTR => EventRef::SetAttr {
             ino: InodeId(c.u64()?),
             attrs: c.attrs()?,
         },
-        TAG_SETPOLICY => JournalEvent::SetPolicy {
+        TAG_SETPOLICY => EventRef::SetPolicy {
             ino: InodeId(c.u64()?),
             policy: c.bytes()?,
         },
-        TAG_SEGMENT => JournalEvent::SegmentBoundary { seq: c.u64()? },
-        TAG_ALLOCRANGE => JournalEvent::AllocRange {
+        TAG_SEGMENT => EventRef::SegmentBoundary { seq: c.u64()? },
+        TAG_ALLOCRANGE => EventRef::AllocRange {
             client: c.u32()?,
             start: InodeId(c.u64()?),
             len: c.u64()?,
@@ -316,16 +326,49 @@ fn decode_payload(payload: &[u8]) -> Result<JournalEvent, CodecError> {
     Ok(event)
 }
 
-/// Decodes a full journal blob (magic + framed events).
-pub fn decode_journal(blob: &[u8]) -> Result<Vec<JournalEvent>, CodecError> {
-    if blob.len() < MAGIC.len() || &blob[..MAGIC.len()] != MAGIC {
-        return Err(CodecError::BadMagic);
+/// The borrowed walk over a frame stream with no magic prefix (the format
+/// of journal stripe objects, which only the header object prefixes):
+/// hands `each` every event, borrowed from `rest`, in order, and stops at
+/// the first damaged frame (torn frame, bad CRC, bad payload), whose place
+/// it returns. Each frame is checked — length, CRC, payload — by the same
+/// parse that yields its event, once; every other frame reader in the
+/// workspace is this walk plus what it keeps.
+pub fn parse_frames<'a>(rest: &'a [u8], mut each: impl FnMut(EventRef<'a>)) -> Option<FrameDamage> {
+    let mut offset = 0;
+    while offset < rest.len() {
+        match parse_frame(&rest[offset..], offset) {
+            Ok((event, len)) => {
+                each(event);
+                offset += len;
+            }
+            Err(error) => return Some(FrameDamage { offset, error }),
+        }
     }
-    decode_frames(&blob[MAGIC.len()..])
+    None
 }
 
-/// Decodes a sequence of framed events with no magic prefix (the format of
-/// journal stripe objects, which only the header object prefixes).
+/// The frame stream of a whole journal blob: what follows its magic.
+fn journal_frames(blob: &[u8]) -> Result<&[u8], CodecError> {
+    blob.strip_prefix(MAGIC).ok_or(CodecError::BadMagic)
+}
+
+/// [`parse_frames`] over a whole journal blob (magic + frames), strictly —
+/// any damage is the error — kept as views in one vector sized up front.
+pub fn parse_journal(blob: &[u8]) -> Result<Vec<EventRef<'_>>, CodecError> {
+    let frames = journal_frames(blob)?;
+    let mut events = Vec::with_capacity(frame_count(frames));
+    match parse_frames(frames, |e| events.push(e)) {
+        None => Ok(events),
+        Some(damage) => Err(damage.error),
+    }
+}
+
+/// Decodes a full journal blob (magic + framed events) into owned events.
+pub fn decode_journal(blob: &[u8]) -> Result<Vec<JournalEvent>, CodecError> {
+    decode_frames(journal_frames(blob)?)
+}
+
+/// Decodes a frame stream (no magic) into owned events, strictly.
 pub fn decode_frames(rest: &[u8]) -> Result<Vec<JournalEvent>, CodecError> {
     let scan = decode_frames_lossy(rest);
     match scan.damage {
@@ -334,7 +377,7 @@ pub fn decode_frames(rest: &[u8]) -> Result<Vec<JournalEvent>, CodecError> {
     }
 }
 
-/// Where a frame stream went bad, as reported by [`decode_frames_lossy`].
+/// Where a frame stream went bad, as reported by [`parse_frames`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameDamage {
     /// Byte offset of the first damaged frame within the event stream.
@@ -353,46 +396,14 @@ pub struct FrameScan {
     pub damage: Option<FrameDamage>,
 }
 
-/// Like [`decode_frames`], but damage (torn frame, bad CRC, bad payload)
-/// stops the scan instead of failing it: everything before the damage is
-/// returned, with the damage location alongside. This is what the journal
-/// tool's `inspect` and recovery paths build on — a torn write or bit flip
-/// must never discard the valid prefix.
+/// [`parse_frames`] kept as owned events: damage stops the scan instead of
+/// failing it, and everything before it is returned with the damage
+/// location alongside — a torn write or bit flip must never discard the
+/// valid prefix.
 pub fn decode_frames_lossy(rest: &[u8]) -> FrameScan {
     let mut events = Vec::new();
-    let damage = decode_frames_lossy_into(rest, &mut events);
+    let damage = parse_frames(rest, |e| events.push(e.to_owned()));
     FrameScan { events, damage }
-}
-
-/// Streaming form of [`decode_frames_lossy`]: appends decoded events to
-/// `events` and returns the damage (if any). Callers that assemble a journal
-/// from many stripes (`read_journal`, `scan_journal`) reuse one output vector
-/// across stripes instead of allocating and splicing a `Vec` per stripe.
-pub fn decode_frames_lossy_into(
-    rest: &[u8],
-    events: &mut Vec<JournalEvent>,
-) -> Option<FrameDamage> {
-    let mut offset = 0usize;
-    loop {
-        let tail = &rest[offset..];
-        if tail.is_empty() {
-            return None;
-        }
-        let error = match decode_one_frame(tail) {
-            Ok((event, consumed)) => {
-                events.push(event);
-                offset += consumed;
-                continue;
-            }
-            Err(e) => match e {
-                // Report the CRC failure at the stream offset, as
-                // `decode_frames` would.
-                CodecError::BadCrc { .. } => CodecError::BadCrc { offset },
-                other => other,
-            },
-        };
-        return Some(FrameDamage { offset, error });
-    }
 }
 
 /// Total size (header + payload) the frame at the head of `rest` claims in
@@ -404,18 +415,30 @@ pub(crate) fn frame_len(rest: &[u8]) -> Option<usize> {
     Some(8 + u32::from_le_bytes(len) as usize)
 }
 
-/// Decodes the frame at the head of `rest`; returns the event and the
-/// frame's total size.
-fn decode_one_frame(rest: &[u8]) -> Result<(JournalEvent, usize), CodecError> {
+/// How many frames the `len` prefixes of `rest` step over, hopping from one
+/// to the next without checking any: the capacity a caller keeping what
+/// [`parse_frames`] yields sizes its vector to (damage only makes it high).
+pub(crate) fn frame_count(rest: &[u8]) -> usize {
+    let (mut pos, mut n) = (0, 0);
+    while let Some(len) = rest.get(pos..).and_then(frame_len) {
+        pos += len;
+        n += 1;
+    }
+    n
+}
+
+/// Parses the frame at the head of `rest`, which sits `offset` bytes into
+/// its stream; returns the event and the frame's total size.
+fn parse_frame(rest: &[u8], offset: usize) -> Result<(EventRef<'_>, usize), CodecError> {
     let total = frame_len(rest)
         .filter(|&total| total <= rest.len())
         .ok_or(CodecError::UnexpectedEof)?;
     let crc_stored = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
     let payload = &rest[8..total];
     if crc32(payload) != crc_stored {
-        return Err(CodecError::BadCrc { offset: 0 });
+        return Err(CodecError::BadCrc { offset });
     }
-    Ok((decode_payload(payload)?, total))
+    Ok((parse_payload(payload)?, total))
 }
 
 /// Serialized size in bytes of one framed event. (The cost model separately
@@ -425,24 +448,24 @@ fn decode_one_frame(rest: &[u8]) -> Result<(JournalEvent, usize), CodecError> {
 /// Computed analytically from the wire layout — no trial encoding — so batch
 /// writers can size buffers exactly before encoding. The
 /// `framed_len_matches_encoding` test pins this against [`encode_event`].
-pub fn framed_len(event: &JournalEvent) -> usize {
+pub fn framed_len<'a>(event: impl Into<EventRef<'a>>) -> usize {
     const FRAME_HEADER: usize = 8; // len:u32 crc:u32
     const ATTRS: usize = 4 + 4 + 4 + 8 + 8; // mode uid gid size mtime
     const STR_HEADER: usize = 4; // len:u32
-    let payload = match event {
-        JournalEvent::Create { name, .. } | JournalEvent::Mkdir { name, .. } => {
+    let payload = match event.into() {
+        EventRef::Create { name, .. } | EventRef::Mkdir { name, .. } => {
             1 + 8 + STR_HEADER + name.len() + 8 + ATTRS
         }
-        JournalEvent::Unlink { name, .. } | JournalEvent::Rmdir { name, .. } => {
+        EventRef::Unlink { name, .. } | EventRef::Rmdir { name, .. } => {
             1 + 8 + STR_HEADER + name.len()
         }
-        JournalEvent::Rename {
+        EventRef::Rename {
             src_name, dst_name, ..
         } => 1 + 8 + STR_HEADER + src_name.len() + 8 + STR_HEADER + dst_name.len(),
-        JournalEvent::SetAttr { .. } => 1 + 8 + ATTRS,
-        JournalEvent::SetPolicy { policy, .. } => 1 + 8 + STR_HEADER + policy.len(),
-        JournalEvent::SegmentBoundary { .. } => 1 + 8,
-        JournalEvent::AllocRange { .. } => 1 + 4 + 8 + 8,
+        EventRef::SetAttr { .. } => 1 + 8 + ATTRS,
+        EventRef::SetPolicy { policy, .. } => 1 + 8 + STR_HEADER + policy.len(),
+        EventRef::SegmentBoundary { .. } => 1 + 8,
+        EventRef::AllocRange { .. } => 1 + 4 + 8 + 8,
     };
     FRAME_HEADER + payload
 }
@@ -513,7 +536,7 @@ mod tests {
 
     #[test]
     fn empty_journal_roundtrips() {
-        let blob = encode_journal(&[]);
+        let blob = encode_journal(&[] as &[JournalEvent]);
         assert_eq!(blob.as_ref(), MAGIC);
         assert_eq!(decode_journal(&blob).unwrap(), vec![]);
     }

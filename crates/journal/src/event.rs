@@ -239,11 +239,12 @@ pub enum JournalEvent {
 }
 
 /// A [`JournalEvent`] with its names and policy blob borrowed: what the
-/// serving path builds from a request's `&str`s, and what an owned event
-/// converts to for free. The codec's encoder and the metadata store's apply
-/// functions are written against this view, so logging and applying an
-/// update never requires owning its name; only decoding produces owned
-/// events.
+/// serving path builds from a request's `&str`s, what an owned event
+/// converts to for free, and what the codec's one parser returns, borrowed
+/// from the frame bytes. The encoder, the parser and the metadata store's
+/// apply functions are written against this view, so logging, replaying
+/// and applying an update never requires owning its name; an owned event
+/// exists only where a caller keeps one ([`EventRef::to_owned`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventRef<'a> {
     /// See [`JournalEvent::Create`].
@@ -382,6 +383,102 @@ impl<'a> From<&&'a JournalEvent> for EventRef<'a> {
     }
 }
 
+/// What iterating a list of views (`&[EventRef]`) yields, so bulk apply
+/// takes parsed views as it takes owned events.
+impl<'a, 'b: 'a> From<&'a EventRef<'b>> for EventRef<'a> {
+    #[inline]
+    fn from(event: &'a EventRef<'b>) -> EventRef<'a> {
+        *event
+    }
+}
+
+impl EventRef<'_> {
+    /// The owned event, names copied out of whatever the view borrows.
+    pub fn to_owned(self) -> JournalEvent {
+        match self {
+            EventRef::Create {
+                parent,
+                name,
+                ino,
+                attrs,
+            } => JournalEvent::Create {
+                parent,
+                name: name.to_owned(),
+                ino,
+                attrs,
+            },
+            EventRef::Mkdir {
+                parent,
+                name,
+                ino,
+                attrs,
+            } => JournalEvent::Mkdir {
+                parent,
+                name: name.to_owned(),
+                ino,
+                attrs,
+            },
+            EventRef::Unlink { parent, name } => JournalEvent::Unlink {
+                parent,
+                name: name.to_owned(),
+            },
+            EventRef::Rmdir { parent, name } => JournalEvent::Rmdir {
+                parent,
+                name: name.to_owned(),
+            },
+            EventRef::Rename {
+                src_parent,
+                src_name,
+                dst_parent,
+                dst_name,
+            } => JournalEvent::Rename {
+                src_parent,
+                src_name: src_name.to_owned(),
+                dst_parent,
+                dst_name: dst_name.to_owned(),
+            },
+            EventRef::SetAttr { ino, attrs } => JournalEvent::SetAttr { ino, attrs },
+            EventRef::SetPolicy { ino, policy } => JournalEvent::SetPolicy {
+                ino,
+                policy: policy.to_vec(),
+            },
+            EventRef::SegmentBoundary { seq } => JournalEvent::SegmentBoundary { seq },
+            EventRef::AllocRange { client, start, len } => {
+                JournalEvent::AllocRange { client, start, len }
+            }
+        }
+    }
+
+    /// Whether this event mutates the namespace (segment boundaries and
+    /// allocator grants don't — they are journal-only bookkeeping).
+    pub fn is_update(&self) -> bool {
+        !matches!(
+            self,
+            EventRef::SegmentBoundary { .. } | EventRef::AllocRange { .. }
+        )
+    }
+
+    /// The inode this event allocates, if any. The merge path uses this to
+    /// honour the allocated-inode contract ("skip inodes used by the client
+    /// at merge time").
+    pub fn allocates(&self) -> Option<InodeId> {
+        match self {
+            EventRef::Create { ino, .. } | EventRef::Mkdir { ino, .. } => Some(*ino),
+            _ => None,
+        }
+    }
+
+    /// One past the highest inode number this event proves was handed out:
+    /// the end of a journaled grant, or the successor of an allocated
+    /// inode. Allocator recovery takes the max of these over the journal.
+    pub fn alloc_watermark(&self) -> Option<InodeId> {
+        match self {
+            EventRef::AllocRange { start, len, .. } => Some(InodeId(start.0 + len)),
+            _ => self.allocates().map(InodeId::next),
+        }
+    }
+}
+
 impl JournalEvent {
     /// A short label for traces and counters.
     pub fn kind(&self) -> &'static str {
@@ -398,33 +495,19 @@ impl JournalEvent {
         }
     }
 
-    /// Whether this event mutates the namespace (segment boundaries and
-    /// allocator grants don't — they are journal-only bookkeeping).
+    /// [`EventRef::is_update`] of this event's view.
     pub fn is_update(&self) -> bool {
-        !matches!(
-            self,
-            JournalEvent::SegmentBoundary { .. } | JournalEvent::AllocRange { .. }
-        )
+        EventRef::from(self).is_update()
     }
 
-    /// The inode this event allocates, if any. The merge path uses this to
-    /// honour the allocated-inode contract ("skip inodes used by the client
-    /// at merge time").
+    /// [`EventRef::allocates`] of this event's view.
     pub fn allocates(&self) -> Option<InodeId> {
-        match self {
-            JournalEvent::Create { ino, .. } | JournalEvent::Mkdir { ino, .. } => Some(*ino),
-            _ => None,
-        }
+        EventRef::from(self).allocates()
     }
 
-    /// One past the highest inode number this event proves was handed out:
-    /// the end of a journaled grant, or the successor of an allocated
-    /// inode. Allocator recovery takes the max of these over the journal.
+    /// [`EventRef::alloc_watermark`] of this event's view.
     pub fn alloc_watermark(&self) -> Option<InodeId> {
-        match self {
-            JournalEvent::AllocRange { start, len, .. } => Some(InodeId(start.0 + len)),
-            _ => self.allocates().map(InodeId::next),
-        }
+        EventRef::from(self).alloc_watermark()
     }
 }
 

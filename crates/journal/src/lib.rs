@@ -12,7 +12,8 @@
 //! * [`event`] — the update vocabulary ([`JournalEvent`]) plus the shared
 //!   base types ([`InodeId`], [`Attrs`], [`InodeRange`]) and the
 //!   [`EventSink`] replay trait.
-//! * [`codec`] — framed binary wire format with per-event CRC-32.
+//! * [`codec`] — framed binary wire format with per-event CRC-32, read by
+//!   one borrowed parser ([`parse_frames`]).
 //! * [`segment`] — grouping events into the segments the mdlog dispatches.
 //! * [`store_io`] — striping a journal over object-store objects.
 //! * [`tool`] — import/export/erase/apply; the code Cudele's client
@@ -40,14 +41,14 @@ pub mod tool;
 
 pub use codec::{
     decode_frames, decode_frames_lossy, decode_journal, encode_event, encode_journal, framed_len,
-    CodecError, FrameDamage, FrameScan,
+    parse_frames, parse_journal, CodecError, FrameDamage, FrameScan,
 };
 pub use crc::crc32;
 pub use event::{Attrs, EventRef, EventSink, FileType, InodeId, InodeRange, JournalEvent};
 pub use segment::{segment_events, Segment, SegmentBuilder};
 pub use store_io::{
     delete_journal, journal_exists, read_journal, recover_journal, rewrite_journal, scan_journal,
-    JournalDamage, JournalId, JournalIoError, JournalObs, JournalScan, JournalWriter,
-    DEFAULT_STRIPE_BYTES,
+    view_journal, JournalDamage, JournalId, JournalIoError, JournalObs, JournalRead, JournalScan,
+    JournalWriter, Stripes, DEFAULT_STRIPE_BYTES,
 };
 pub use tool::{decode_export, ApplyError, JournalSummary, JournalTool};

@@ -14,7 +14,7 @@ use cudele_rados::{ObjectId, ObjectStore, PoolId, RadosError};
 use cudele_sim::Nanos;
 
 use crate::codec::{self, CodecError};
-use crate::event::JournalEvent;
+use crate::event::{EventRef, JournalEvent};
 
 /// Default stripe capacity in bytes — 4 MiB, the RADOS default object size.
 pub const DEFAULT_STRIPE_BYTES: usize = 4 << 20;
@@ -395,8 +395,13 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
                 .map(|len| pos + len)
                 .filter(|&end| end <= frames.len())
                 .unwrap_or_else(|| panic!("frame at byte {pos} overruns the buffer"));
+            // An empty stripe takes even a frame larger than the stripe
+            // size: rolling past it would leave a stripe below the last
+            // that no frame reached, which a read calls damage.
+            let stripe_empty = self.current_stripe_len == 0 && run_start == pos;
             if self.header.stripes == 0
-                || self.current_stripe_len + (end - run_start) > self.stripe_bytes
+                || (!stripe_empty
+                    && self.current_stripe_len + (end - run_start) > self.stripe_bytes)
             {
                 self.append_run(&frames[run_start..pos])?;
                 run_start = pos;
@@ -438,8 +443,9 @@ impl std::fmt::Display for JournalDamage {
     }
 }
 
-/// A lenient journal read: the longest cleanly-decodable event prefix, and
-/// where decoding had to stop if the journal is damaged.
+/// A lenient journal read kept as owned events: the longest cleanly
+/// decodable event prefix, and where decoding had to stop if the journal is
+/// damaged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalScan {
     /// Events decoded before the first damage.
@@ -448,53 +454,131 @@ pub struct JournalScan {
     pub damage: Option<JournalDamage>,
 }
 
+/// The stripe objects a borrowed read keeps: the events a [`JournalRead`]
+/// hands out point into these bytes, so they live as long as the read's
+/// borrow of this. Start from `Stripes::default()`; a read refills it.
+#[derive(Debug, Default)]
+pub struct Stripes(Vec<Option<Bytes>>);
+
+/// A lenient journal read for replay, borrowed from the stripe objects it
+/// read ([`Stripes`]).
+#[derive(Debug)]
+pub struct JournalRead<'a> {
+    /// Each stripe's bytes up to the first damage, in stripe order: the
+    /// clean prefix as stored.
+    pub clean: Vec<&'a [u8]>,
+    /// Events in the clean prefix.
+    pub events: u64,
+    /// The clean events from the requested index on, each parsed once —
+    /// by the parse that checked it. Those before the index were checked
+    /// the same way and not kept.
+    pub tail: Vec<EventRef<'a>>,
+    /// Where the first damage sits; `None` when the journal is clean.
+    pub damage: Option<JournalDamage>,
+}
+
+impl<'a> JournalRead<'a> {
+    /// Every clean event from the first, parsed again from
+    /// [`JournalRead::clean`]: for the rare fallback that needs the whole
+    /// journal after having asked for a tail.
+    pub fn all_events(&self) -> Vec<EventRef<'a>> {
+        let mut all = Vec::with_capacity(self.events as usize);
+        for stripe in &self.clean {
+            codec::parse_frames(stripe, |e| all.push(e));
+        }
+        all
+    }
+}
+
 /// The one stripe walker every journal read goes through: header, then each
-/// stripe decoded straight into one event vector (the journal is never
-/// concatenated into a single blob, so peak memory is one stripe plus the
-/// decoded events), stopping at the first damaged frame. Beside the scan it
-/// returns what a heal needs: the header as read (zero stripes when there
-/// is none) and, when damaged, the damaged stripe's bytes.
-fn walk_stripes<S: ObjectStore + ?Sized>(
+/// stripe parsed in place (the journal is never concatenated into a single
+/// blob), stopping at the first damage. Events from index `from` on are
+/// kept as views into `stripes`; those before it are checked and dropped.
+/// Beside the read it returns the header as read (zero stripes when there
+/// is none), which a heal needs.
+///
+/// Only the header's last stripe may be missing — a rollover whose first
+/// append failed, which no frame reached. A missing stripe below it is
+/// damage at its byte 0: the events past it cannot be a prefix of the log.
+fn walk_stripes<'a, S: ObjectStore + ?Sized>(
     store: &S,
     id: JournalId,
-) -> Result<(JournalScan, Header, Option<Bytes>), JournalIoError> {
-    let mut scan = JournalScan {
-        events: Vec::new(),
+    from: u64,
+    stripes: &'a mut Stripes,
+) -> Result<(JournalRead<'a>, Header), JournalIoError> {
+    let header = read_header(store, id)?.unwrap_or_default();
+    let slots = &mut stripes.0;
+    slots.clear();
+    slots.resize(header.stripes as usize, None);
+    let mut read = JournalRead {
+        clean: Vec::new(),
+        events: 0,
+        tail: Vec::new(),
         damage: None,
     };
-    let header = read_header(store, id)?.unwrap_or_default();
-    let mut damaged = None;
-    for seq in 0..header.stripes {
-        let stripe = id.stripe_object(seq);
-        let data = match with_retry(|| store.read(&stripe)) {
-            Ok(data) => data,
-            // A stripe the header counts that no frame reached.
-            Err(RadosError::NoEnt(_)) => continue,
+    for (seq, slot) in (0..).zip(slots.iter_mut()) {
+        let data: &'a [u8] = match with_retry(|| store.read(&id.stripe_object(seq))) {
+            Ok(data) => slot.insert(data),
+            Err(RadosError::NoEnt(_)) if seq + 1 == header.stripes => break,
+            Err(RadosError::NoEnt(_)) => {
+                read.damage = Some(JournalDamage {
+                    stripe: seq,
+                    offset: 0,
+                    error: CodecError::UnexpectedEof,
+                });
+                break;
+            }
             Err(e) => return Err(e.into()),
         };
-        if let Some(d) = codec::decode_frames_lossy_into(&data, &mut scan.events) {
-            scan.damage = Some(JournalDamage {
+        let below_from = from.saturating_sub(read.events) as usize;
+        read.tail
+            .reserve_exact(codec::frame_count(data).saturating_sub(below_from));
+        let damage = codec::parse_frames(data, |e| {
+            if read.events >= from {
+                read.tail.push(e);
+            }
+            read.events += 1;
+        });
+        read.clean
+            .push(&data[..damage.as_ref().map_or(data.len(), |d| d.offset)]);
+        if let Some(d) = damage {
+            read.damage = Some(JournalDamage {
                 stripe: seq,
                 offset: d.offset,
                 error: d.error,
             });
-            damaged = Some(data);
             break;
         }
     }
-    Ok((scan, header, damaged))
+    Ok((read, header))
 }
 
-/// Reads a journal leniently: decoding stops at the first damaged frame
-/// (torn write, bit flip) and everything before it is returned alongside
-/// the damage location. Stripes after a damaged one are not decoded — a
-/// journal is a sequential log, so events past the damage cannot be trusted
-/// to be a prefix-consistent history.
+/// Reads a journal leniently and borrowed: parsing stops at the first
+/// damaged frame (torn write, bit flip) or missing stripe, and the clean
+/// events from index `from` on are returned as views into `stripes`,
+/// alongside the damage location. Stripes after the damage are not read —
+/// a journal is a sequential log, so events past the damage cannot be
+/// trusted to be a prefix-consistent history. Writes nothing.
+pub fn view_journal<'a, S: ObjectStore + ?Sized>(
+    store: &S,
+    id: JournalId,
+    from: u64,
+    stripes: &'a mut Stripes,
+) -> Result<JournalRead<'a>, JournalIoError> {
+    walk_stripes(store, id, from, stripes).map(|(read, _)| read)
+}
+
+/// [`view_journal`] from the first event, kept as owned events.
 pub fn scan_journal<S: ObjectStore + ?Sized>(
     store: &S,
     id: JournalId,
 ) -> Result<JournalScan, JournalIoError> {
-    walk_stripes(store, id).map(|(scan, ..)| scan)
+    let mut stripes = Stripes::default();
+    let read = view_journal(store, id, 0, &mut stripes)?;
+    Ok(JournalScan {
+        events: read.tail.into_iter().map(EventRef::to_owned).collect(),
+        damage: read.damage,
+    })
 }
 
 /// Reads a whole journal back from its stripes: the strict view of
@@ -511,12 +595,15 @@ pub fn read_journal<S: ObjectStore + ?Sized>(
     }
 }
 
-/// The recovery read: one lenient scan through `read` and, when the journal
-/// is damaged (torn stripe write, bit flip caught by a frame CRC), the
-/// corrupt region erased *through `heal`* — the caller's write handle, so a
-/// fenced recovery cannot touch the journal. Returns the surviving events
-/// and whether that heal ran. This is the `cephfs-journal-tool` disaster
-/// recovery step, and the only place a journal is read for replay.
+/// The recovery read: one lenient borrowed walk through `read`
+/// ([`view_journal`]) and, when the journal is damaged (torn stripe write,
+/// bit flip caught by a frame CRC, missing stripe), the corrupt region
+/// erased *through `heal`* — the caller's write handle, so a fenced
+/// recovery cannot touch the journal. Returns the surviving journal with
+/// the events from index `from` on as views into `stripes`; the heal ran
+/// exactly when [`JournalRead::damage`] is set. This is the
+/// `cephfs-journal-tool` disaster recovery step, and the only place a
+/// journal is read for replay.
 ///
 /// The heal cuts in place, in an order that leaves every intermediate
 /// state scanning to the same prefix — a healer that dies, or whose store
@@ -527,7 +614,8 @@ pub fn read_journal<S: ObjectStore + ?Sized>(
 /// 2. the stripe objects past the cut are removed, last one first, so what
 ///    is left of them is always a contiguous run a re-run finds by probing;
 /// 3. only then is the damaged stripe written back (`write_full`, atomic
-///    per object) cut to the damage offset.
+///    per object) cut to the damage offset — unless it is a missing one,
+///    which has nothing to cut and is now the last.
 ///
 /// The damaged frame, removed last, is the heal's own commit record: while
 /// it is there the next recovery re-runs the (idempotent) heal, so no
@@ -536,13 +624,18 @@ pub fn read_journal<S: ObjectStore + ?Sized>(
 /// has that name. Step 2 runs on a clean journal too, for the same reason:
 /// a writer that died between a new stripe's first append and the header
 /// write left such an object behind, holding frames nobody acknowledged.
-pub fn recover_journal(
+///
+/// Reads, heal writes and removes are issued in this order and no other,
+/// so a seeded fault plan draws the same faults for them.
+pub fn recover_journal<'a>(
     read: &(impl ObjectStore + ?Sized),
     heal: &(impl ObjectStore + ?Sized),
     id: JournalId,
-) -> Result<(Vec<JournalEvent>, bool), JournalIoError> {
-    let (scan, header, damaged) = walk_stripes(read, id)?;
-    let keep = match &scan.damage {
+    from: u64,
+    stripes: &'a mut Stripes,
+) -> Result<JournalRead<'a>, JournalIoError> {
+    let (journal, header) = walk_stripes(read, id, from, stripes)?;
+    let keep = match &journal.damage {
         Some(damage) => {
             let cut = Header {
                 stripes: damage.stripe + 1,
@@ -553,11 +646,13 @@ pub fn recover_journal(
         None => header.stripes,
     };
     remove_stripes(read, heal, id, keep, keep)?;
-    if let (Some(damage), Some(data)) = (&scan.damage, damaged) {
-        let stripe = id.stripe_object(damage.stripe);
-        with_retry(|| heal.write_full(&stripe, &data[..damage.offset]))?;
+    if let Some(damage) = &journal.damage {
+        if let Some(kept) = journal.clean.get(damage.stripe as usize) {
+            let stripe = id.stripe_object(damage.stripe);
+            with_retry(|| heal.write_full(&stripe, kept))?;
+        }
     }
-    Ok((scan.events, scan.damage.is_some()))
+    Ok(journal)
 }
 
 /// Whether any journal state exists for `id`.
@@ -773,8 +868,10 @@ mod tests {
         store
             .append(&jid().stripe_object(1), &stale[codec::MAGIC.len()..])
             .unwrap();
-        let (recovered, healed) = recover_journal(&store, &store, jid()).unwrap();
-        assert_eq!((recovered, healed), (events.clone(), false));
+        let mut stripes = Stripes::default();
+        let recovered = recover_journal(&store, &store, jid(), 0, &mut stripes).unwrap();
+        let owned: Vec<_> = recovered.tail.into_iter().map(EventRef::to_owned).collect();
+        assert_eq!((owned, recovered.damage), (events.clone(), None));
         assert!(!store.exists(&jid().stripe_object(1)));
         // The next writer to roll onto that name starts it empty.
         let mut w = JournalWriter::open_with_stripe(&store, jid(), 100).unwrap();
@@ -782,6 +879,78 @@ mod tests {
         assert_eq!(w.stripes(), 2);
         let all = [events.as_slice(), &[create(7)]].concat();
         assert_eq!(read_journal(&store, jid()).unwrap(), all);
+    }
+
+    /// A lost stripe below the last one is damage at its byte 0: the scan
+    /// reports it, the strict read fails, and recovery keeps only the
+    /// stripes before it — never the later stripes replayed over the gap.
+    #[test]
+    fn a_missing_stripe_below_the_last_is_damage() {
+        let store = InMemoryStore::paper_default();
+        let events: Vec<_> = (0..30).map(create).collect();
+        let mut w = JournalWriter::open_with_stripe(&store, jid(), 256).unwrap();
+        w.append(&events).unwrap();
+        assert_eq!(w.stripes(), 8);
+        let in_stripe_0 = codec::decode_frames(&store.read(&jid().stripe_object(0)).unwrap())
+            .unwrap()
+            .len();
+        store.remove(&jid().stripe_object(1)).unwrap();
+
+        let scan = scan_journal(&store, jid()).unwrap();
+        assert_eq!(scan.events, events[..in_stripe_0].to_vec());
+        let damage = scan.damage.expect("the gap is damage");
+        assert_eq!((damage.stripe, damage.offset), (1, 0));
+        assert!(read_journal(&store, jid()).is_err());
+
+        let mut stripes = Stripes::default();
+        let recovered = recover_journal(&store, &store, jid(), 0, &mut stripes).unwrap();
+        assert_eq!(recovered.tail.len(), in_stripe_0);
+        assert!(recovered.damage.is_some(), "recovery healed");
+        // Cut at the gap: the header counts the missing stripe as its last,
+        // every stripe past it is gone, and the journal reads clean.
+        assert!((2..8).all(|seq| !store.exists(&jid().stripe_object(seq))));
+        assert_eq!(
+            read_journal(&store, jid()).unwrap(),
+            events[..in_stripe_0].to_vec()
+        );
+        // The next writer fills the missing stripe first.
+        JournalWriter::open_with_stripe(&store, jid(), 256)
+            .unwrap()
+            .append(&[create(99)])
+            .unwrap();
+        assert!(store.exists(&jid().stripe_object(1)));
+        let all = [&events[..in_stripe_0], &[create(99)]].concat();
+        assert_eq!(read_journal(&store, jid()).unwrap(), all);
+    }
+
+    /// A rollover whose first append failed leaves the header's last stripe
+    /// missing. A writer that then opens with a frame larger than a stripe
+    /// puts it in that empty stripe rather than rolling past it, so no
+    /// stripe below the last is ever missing.
+    #[test]
+    fn an_oversized_frame_fills_an_empty_last_stripe() {
+        let store = InMemoryStore::paper_default();
+        let mut w = JournalWriter::open_with_stripe(&store, jid(), 64).unwrap();
+        w.append(&[create(0)]).unwrap();
+        // What the failed rollover left: a header counting a stripe that no
+        // frame reached.
+        store
+            .write_full(
+                &jid().header_object(),
+                &encode_header(Header { stripes: 2 }),
+            )
+            .unwrap();
+        let big = JournalEvent::SetPolicy {
+            ino: InodeId::ROOT,
+            policy: vec![7; 200],
+        };
+        let mut w = JournalWriter::open_with_stripe(&store, jid(), 64).unwrap();
+        w.append(&[big.clone(), create(1)]).unwrap();
+        assert_eq!(w.stripes(), 3, "the big frame went into stripe 1");
+        assert_eq!(
+            read_journal(&store, jid()).unwrap(),
+            vec![create(0), big, create(1)]
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use cudele_rados::ObjectStore;
 
 use crate::codec::{self, CodecError};
-use crate::event::{EventSink, JournalEvent};
-use crate::store_io::{self, JournalDamage, JournalId, JournalIoError};
+use crate::event::{EventRef, EventSink, JournalEvent};
+use crate::store_io::{self, JournalDamage, JournalId, JournalIoError, Stripes};
 
 /// Summary of a journal's contents (the tool's `inspect` command).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,20 +67,15 @@ impl<'a, S: ObjectStore + ?Sized> JournalTool<'a, S> {
     /// failed CRC) does not fail the inspection: the summary covers the
     /// recoverable prefix and flags where decoding stopped.
     pub fn inspect(&self) -> Result<JournalSummary, JournalIoError> {
-        let scan = store_io::scan_journal(self.store, self.id)?;
-        let updates = scan.events.iter().filter(|e| e.is_update()).count() as u64;
-        let segments = scan.events.len() as u64 - updates;
-        let bytes = scan
-            .events
-            .iter()
-            .map(|e| codec::framed_len(e) as u64)
-            .sum();
+        let mut stripes = Stripes::default();
+        let journal = store_io::view_journal(self.store, self.id, 0, &mut stripes)?;
+        let updates = journal.tail.iter().filter(|e| e.is_update()).count() as u64;
         Ok(JournalSummary {
-            events: scan.events.len() as u64,
+            events: journal.events,
             updates,
-            segments,
-            bytes,
-            damage: scan.damage,
+            segments: journal.events - updates,
+            bytes: journal.clean.iter().map(|s| s.len() as u64).sum(),
+            damage: journal.damage,
         })
     }
 
@@ -89,7 +84,9 @@ impl<'a, S: ObjectStore + ?Sized> JournalTool<'a, S> {
     /// prefix, cuts the corrupt region away, and returns the surviving
     /// events. A clean journal is returned unchanged (no write).
     pub fn recover(&self) -> Result<Vec<JournalEvent>, JournalIoError> {
-        store_io::recover_journal(self.store, self.store, self.id).map(|(events, _)| events)
+        let mut stripes = Stripes::default();
+        let journal = store_io::recover_journal(self.store, self.store, self.id, 0, &mut stripes)?;
+        Ok(journal.tail.into_iter().map(EventRef::to_owned).collect())
     }
 
     /// Erases events `[from, to)` by index (the tool's `event splice`),

@@ -5,11 +5,20 @@
 //! `encode_event` — must produce the same bytes as encoding the owned event
 //! and as encoding its view, for every variant, and decoding those bytes
 //! must give the event back.
+//!
+//! Reading is the mirror move: one borrowed parser ([`parse_frames`]) that
+//! every owned decoder wraps. The second half holds the walk and the owned
+//! decoders to the same events, damage offset and error on arbitrary bytes,
+//! well-framed garbage, and encoded journals with a flipped bit or a cut.
 
 use bytes::BytesMut;
 use proptest::prelude::*;
 
-use cudele_journal::{crc32, decode_frames, encode_event, Attrs, EventRef, JournalEvent};
+use cudele_journal::codec::MAGIC;
+use cudele_journal::{
+    crc32, decode_frames, decode_frames_lossy, decode_journal, encode_event, parse_frames,
+    parse_journal, Attrs, EventRef, JournalEvent,
+};
 
 mod common;
 use common::arb_any_event;
@@ -116,5 +125,112 @@ proptest! {
         prop_assert_eq!(&owned[..], &want[..]);
         prop_assert_eq!(&viewed[..], &want[..]);
         prop_assert_eq!(decode_frames(&want).unwrap(), events);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The borrowed walk against the owned decoders, on damaged input.
+// ---------------------------------------------------------------------
+
+/// What the borrowed walk yields for `bytes`, kept as owned events, must be
+/// what every owned decoder returns: the same events before the damage, the
+/// same damage offset and error, and — with the magic in front — the same
+/// strict verdict from the blob-level parse and decode.
+fn walks_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let mut views = Vec::new();
+    let damage = parse_frames(bytes, |e| views.push(e));
+    let viewed: Vec<JournalEvent> = views.iter().copied().map(EventRef::to_owned).collect();
+    let owned = decode_frames_lossy(bytes);
+    prop_assert_eq!(&viewed, &owned.events);
+    prop_assert_eq!(&damage, &owned.damage);
+    let strict = match &damage {
+        None => Ok(viewed.clone()),
+        Some(d) => Err(d.error.clone()),
+    };
+    prop_assert_eq!(decode_frames(bytes), strict.clone());
+
+    let mut blob = MAGIC.to_vec();
+    blob.extend_from_slice(bytes);
+    prop_assert_eq!(decode_journal(&blob), strict.clone());
+    let parsed = parse_journal(&blob).map(|v| v.into_iter().map(EventRef::to_owned).collect());
+    prop_assert_eq!(parsed, strict);
+    Ok(())
+}
+
+/// Frames each payload with its true length and CRC, so the payload parser
+/// itself (tag, fields, UTF-8, trailing bytes) is what meets the garbage.
+fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for p in payloads {
+        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(p).to_le_bytes());
+        out.extend_from_slice(p);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn borrowed_walk_equals_owned_decode_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..160),
+    ) {
+        walks_agree(&bytes)?;
+    }
+
+    /// Well-framed garbage: a tag byte from the real range (or just past
+    /// it), then arbitrary fields.
+    #[test]
+    fn borrowed_walk_equals_owned_decode_on_framed_garbage(
+        payloads in proptest::collection::vec(
+            (0u8..11, proptest::collection::vec(any::<u8>(), 0..48)),
+            0..6,
+        ),
+    ) {
+        let payloads: Vec<Vec<u8>> = payloads
+            .into_iter()
+            .map(|(tag, rest)| [&[tag][..], &rest].concat())
+            .collect();
+        walks_agree(&framed(&payloads))?;
+    }
+
+    /// An encoded journal with one bit flipped, or cut short: both walks
+    /// keep exactly the events before the damaged frame and report it at
+    /// that frame's first byte.
+    #[test]
+    fn borrowed_walk_equals_owned_decode_on_damaged_journals(
+        events in proptest::collection::vec(arb_any_event(), 1..24),
+        at in any::<usize>(),
+        bit in 0u8..8,
+        cut in any::<bool>(),
+    ) {
+        let mut bytes = BytesMut::new();
+        let mut starts = Vec::new();
+        for e in &events {
+            starts.push(bytes.len());
+            encode_event(&mut bytes, e);
+        }
+        let mut bytes = bytes.to_vec();
+        let at = at % bytes.len();
+        if cut {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= 1 << bit;
+        }
+        walks_agree(&bytes)?;
+
+        let mut views = Vec::new();
+        let damage = parse_frames(&bytes, |e| views.push(e.to_owned()));
+        let hit = starts.partition_point(|&s| s <= at) - 1;
+        if cut && starts[hit] == at {
+            // Cut on a frame boundary: a shorter, clean stream.
+            prop_assert_eq!(damage, None);
+            prop_assert_eq!(views.as_slice(), &events[..hit]);
+        } else {
+            let damage = damage.expect("the damage is found");
+            prop_assert_eq!(damage.offset, starts[hit]);
+            prop_assert_eq!(views.as_slice(), &events[..hit]);
+        }
     }
 }

@@ -27,7 +27,7 @@
 //!   on the version guard.
 //!
 //! There is no level between the two. The journal is never trimmed,
-//! recovery has decoded all of it by the time it applies anything, and a
+//! recovery has checked all of it by the time it applies anything, and a
 //! manifest whose mark lies past the journal's clean prefix is purged — so
 //! a copy of `journal[hw..]` in a checkpoint object could never bring back
 //! an event the journal lost; it would only add a write, a reader and a
@@ -43,14 +43,15 @@
 
 use cudele_faults::with_retry;
 use cudele_journal::{
-    crc32, decode_journal, encode_journal, scan_journal, JournalEvent, JournalId, JournalIoError,
+    crc32, encode_journal, parse_journal, view_journal, EventRef, JournalId, JournalIoError,
+    Stripes,
 };
 use cudele_obs::timeline::{Series, Timeline};
 use cudele_obs::{Counter, Registry, SpanName};
 use cudele_rados::{ObjectId, ObjectStore, RadosError};
 use cudele_sim::{CostModel, Nanos};
 
-use crate::compact::emit_canonical;
+use crate::compact::canonical_events;
 use crate::persist::remove_stale;
 use crate::store::MetadataStore;
 
@@ -352,7 +353,9 @@ impl CheckpointManager {
     /// image is unreadable the pass self-heals by replaying the journal
     /// whole (nothing trims it).
     ///
-    /// The journal is read leniently: a frame that reached the store damaged
+    /// The journal is read leniently and borrowed: the covered prefix is
+    /// checked and not kept, and the tail is folded straight from the
+    /// stripe bytes. A frame that reached the store damaged
     /// (a silent bit flip) must not fail the foreground op this pass rides
     /// on — checkpoints are an optimisation. The pass covers the clean
     /// prefix, exactly what recovery would keep, and later passes find an
@@ -364,29 +367,35 @@ impl CheckpointManager {
         now: Nanos,
         cost: &CostModel,
     ) -> Result<bool, CheckpointError> {
-        let scan = scan_journal(os, self.id)?;
-        if let (Some(damage), Some(o)) = (&scan.damage, &self.obs) {
+        let hw = self.manifest.journal_highwater_seq;
+        let mut stripes = Stripes::default();
+        let journal = view_journal(os, self.id, hw, &mut stripes)?;
+        if let (Some(damage), Some(o)) = (&journal.damage, &self.obs) {
             o.reg.counter("mds.ckpt.journal_damage").inc();
             o.tl.annotate("mds.ckpt.journal_damage", now, &damage.to_string());
         }
-        let journal = scan.events;
-        let hw = self.manifest.journal_highwater_seq;
-        let new_hw = journal.len() as u64;
+        let new_hw = journal.events;
         if new_hw <= hw {
             return Ok(false);
         }
-        let tail = &journal[hw as usize..];
+        let tail = &journal.tail;
         let next = self.manifest.epoch + 1;
         let alloc_watermark = tail
             .iter()
-            .filter_map(JournalEvent::alloc_watermark)
+            .filter_map(EventRef::alloc_watermark)
             .fold(self.manifest.alloc_watermark, |acc, w| acc.max(w.0));
-        let (mut store, rest) = match materialize(os, self.id, &self.manifest)? {
-            Some((store, _)) => (store, tail),
-            None => (MetadataStore::new(), &journal[..]),
+        let store = match materialize(os, self.id, &self.manifest)? {
+            Some((mut store, _)) => {
+                store.apply_blind_all(tail);
+                store
+            }
+            None => {
+                let mut store = MetadataStore::new();
+                store.apply_blind_all(&journal.all_events());
+                store
+            }
         };
-        store.apply_blind_all(rest);
-        let folded = emit_canonical(&store);
+        let folded = canonical_events(&store);
         let image = image_object(self.id, next);
         let body = encode_journal(&folded);
         with_retry(|| os.write_full(&image, &body))?;
@@ -529,10 +538,11 @@ fn materialize(
     if data.len() as u64 != manifest.image_len || crc32(&data) != manifest.image_crc {
         return Ok(None);
     }
-    Ok(decode_journal(&data).ok().map(|events| {
-        store.apply_blind_all(&events);
-        (store, events.len() as u64)
-    }))
+    let Ok(events) = parse_journal(&data) else {
+        return Ok(None);
+    };
+    store.apply_blind_all(&events);
+    Ok(Some((store, events.len() as u64)))
 }
 
 /// The newest per-epoch manifest copy below `below` that decodes cleanly.
@@ -550,7 +560,9 @@ fn newest_readable_manifest(os: &dyn ObjectStore, id: JournalId, below: u64) -> 
 mod tests {
     use super::*;
     use crate::server::{recover_namespace, RecoveredNamespace};
-    use cudele_journal::{framed_len, read_journal, Attrs, InodeId, JournalWriter};
+    use cudele_journal::{
+        decode_journal, framed_len, read_journal, Attrs, InodeId, JournalEvent, JournalWriter,
+    };
     use cudele_rados::{InMemoryStore, PoolId};
 
     fn jid() -> JournalId {

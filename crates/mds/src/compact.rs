@@ -11,7 +11,7 @@
 //! updates reduce to the final values (folded into the create/mkdir events
 //! where possible). That sequence is a checkpoint image.
 
-use cudele_journal::JournalEvent;
+use cudele_journal::{EventRef, JournalEvent};
 
 use crate::store::MetadataStore;
 
@@ -19,20 +19,29 @@ use crate::store::MetadataStore;
 /// empty namespace: only `Mkdir`, `Create`, `SetAttr` (root only), and
 /// `SetPolicy` events, depth-first with parents before children.
 pub fn emit_canonical(store: &MetadataStore) -> Vec<JournalEvent> {
+    canonical_events(store)
+        .into_iter()
+        .map(EventRef::to_owned)
+        .collect()
+}
+
+/// [`emit_canonical`] as views borrowed from `store`: what the checkpoint
+/// encodes its image from, without owning a name.
+pub(crate) fn canonical_events(store: &MetadataStore) -> Vec<EventRef<'_>> {
     use cudele_journal::{Attrs, FileType, InodeId};
 
     let mut out = Vec::new();
     let root = store.inode(InodeId::ROOT).expect("store always has a root");
     if root.attrs != Attrs::dir_default() {
-        out.push(JournalEvent::SetAttr {
+        out.push(EventRef::SetAttr {
             ino: InodeId::ROOT,
             attrs: root.attrs,
         });
     }
     if let Some(policy) = &root.policy {
-        out.push(JournalEvent::SetPolicy {
+        out.push(EventRef::SetPolicy {
             ino: InodeId::ROOT,
-            policy: policy.clone(),
+            policy,
         });
     }
 
@@ -49,27 +58,27 @@ pub fn emit_canonical(store: &MetadataStore) -> Vec<JournalEvent> {
                 .expect("dentries never dangle in a consistent store");
             match dentry.ftype {
                 FileType::Dir => {
-                    out.push(JournalEvent::Mkdir {
+                    out.push(EventRef::Mkdir {
                         parent: dir_ino,
-                        name: name.to_string(),
+                        name,
                         ino: dentry.ino,
                         attrs: inode.attrs,
                     });
                     stack.push(dentry.ino);
                 }
                 FileType::File | FileType::Symlink => {
-                    out.push(JournalEvent::Create {
+                    out.push(EventRef::Create {
                         parent: dir_ino,
-                        name: name.to_string(),
+                        name,
                         ino: dentry.ino,
                         attrs: inode.attrs,
                     });
                 }
             }
             if let Some(policy) = &inode.policy {
-                out.push(JournalEvent::SetPolicy {
+                out.push(EventRef::SetPolicy {
                     ino: dentry.ino,
-                    policy: policy.clone(),
+                    policy,
                 });
             }
         }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use cudele_journal::{
-    recover_journal, Attrs, EventRef, InodeId, InodeRange, JournalEvent, JournalId,
+    recover_journal, Attrs, EventRef, InodeId, InodeRange, JournalEvent, JournalId, Stripes,
 };
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
 use cudele_obs::timeline::Series;
@@ -1496,22 +1496,28 @@ impl RecoveredNamespace {
 ///    image materializes, falling back one epoch per damaged object;
 ///    when no rung holds, the persisted image ([`persist::load_store`])
 ///    covering nothing of the journal.
-/// 2. **Journal** ([`recover_journal`]): one lenient scan. A journal damaged
-///    on disk (torn stripe write, bit flip caught by the frame CRC) does not
-///    abort recovery: the corrupt region is cut away *through `write`* and
-///    the surviving prefix is what replays — the `cephfs-journal-tool`
-///    disaster-recovery workflow. If that prefix ends below the base's
-///    high-water mark the manifest lineage is void
-///    ([`checkpoint::purge_manifests`]) and the base is the image after all:
-///    what recovery returns is always the replay of the journal as it reads.
-/// 3. **Tail**: the journal past the base's high-water mark, blind-applied.
+/// 2. **Journal** ([`recover_journal`]): one lenient borrowed walk. Every
+///    frame is checked once; the covered prefix (below the base's
+///    high-water mark) is verified and nothing of it is kept, and the tail
+///    comes back as views into the stripe bytes, parsed by the same pass. A
+///    journal damaged on disk (torn stripe write, bit flip caught by the
+///    frame CRC, missing stripe) does not abort recovery: the corrupt region
+///    is cut away *through `write`* and the surviving prefix is what
+///    replays — the `cephfs-journal-tool` disaster-recovery workflow. If
+///    that prefix ends below the base's high-water mark the manifest
+///    lineage is void ([`checkpoint::purge_manifests`]) and the base is the
+///    image after all, with the whole clean journal (parsed again from the
+///    kept bytes) as its tail: what recovery returns is always the replay
+///    of the journal as it reads.
+/// 3. **Tail**: the journal past the base's high-water mark, blind-applied
+///    straight from the stripe bytes.
 /// 4. **Allocator**: rebuilt from what was recovered, never carried over —
 ///    every journaled range grant ([`JournalEvent::AllocRange`]) and inode
-///    the tail names, every inode in the recovered namespace (the persisted
-///    image a Nonvolatile Apply merge writes, after Global Persist, holds
-///    inodes no mdlog event names) and, under a manifest, its covered-prefix
-///    watermark (the fold into a canonical image drops grants and unlinked
-///    inodes).
+///    the tail's views name, every inode in the recovered namespace (the
+///    persisted image a Nonvolatile Apply merge writes, after Global
+///    Persist, holds inodes no mdlog event names) and, under a manifest,
+///    its covered-prefix watermark (the fold into a canonical image drops
+///    grants and unlinked inodes).
 pub(crate) fn recover_namespace(
     read: &dyn ObjectStore,
     write: &dyn ObjectStore,
@@ -1520,14 +1526,19 @@ pub(crate) fn recover_namespace(
 ) -> Result<RecoveredNamespace> {
     let (mut base, mut head_version, mut fallbacks) = checkpoint::load_covered(read, journal_id)
         .map_err(|e| MdsError::from_store("checkpoint", &e))?;
-    let (journal, healed) = recover_journal(read, write, journal_id)
+    let covered = base.as_ref().map_or(0, |(_, m, _)| m.journal_highwater_seq);
+    let mut stripes = Stripes::default();
+    let journal = recover_journal(read, write, journal_id, covered, &mut stripes)
         .map_err(|e| MdsError::from_store("mdlog replay", &e))?;
-    let lost = |(_, m, _): &checkpoint::CoveredBase| m.journal_highwater_seq > journal.len() as u64;
-    if base.as_ref().is_some_and(lost) {
+    let healed = journal.damage.is_some();
+    let tail = if covered > journal.events {
         checkpoint::purge_manifests(read, write, journal_id)
             .map_err(|e| MdsError::from_store("checkpoint", &e))?;
         (base, head_version, fallbacks) = (None, 0, fallbacks + 1);
-    }
+        journal.all_events()
+    } else {
+        journal.tail
+    };
     let (mut store, manifest, checkpoint_events) = match base {
         Some((store, manifest, events)) => (store, Some(manifest), events),
         None => {
@@ -1536,13 +1547,11 @@ pub(crate) fn recover_namespace(
             (image, None, 0)
         }
     };
-    let covered = manifest.as_ref().map_or(0, |m| m.journal_highwater_seq);
-    let tail = &journal[covered as usize..];
-    store.apply_blind_all(tail);
+    store.apply_blind_all(&tail);
 
     let mut alloc = InodeAllocator::new();
     alloc.advance_to(InodeId(manifest.as_ref().map_or(0, |m| m.alloc_watermark)));
-    for w in tail.iter().filter_map(JournalEvent::alloc_watermark) {
+    for w in tail.iter().filter_map(EventRef::alloc_watermark) {
         alloc.advance_to(w);
     }
     if let Some(max) = store.max_inode() {

@@ -33,7 +33,7 @@
 
 use std::collections::BTreeMap;
 
-use cudele_journal::{Attrs, EventRef, FileType, InodeId, JournalEvent};
+use cudele_journal::{Attrs, EventRef, FileType, InodeId};
 use cudele_sim::IntMap;
 
 use crate::dirfrag::{Dentry, Dir, DirListing};
@@ -471,18 +471,23 @@ impl MetadataStore {
     /// their way there: the inode table for the inodes the batch adds net
     /// of those it removes, each directory for the run of creates about to
     /// land in it. Returns how many of the events were namespace updates
-    /// ([`JournalEvent::is_update`]; bookkeeping events apply as no-ops).
-    pub fn apply_blind_all(&mut self, events: &[JournalEvent]) -> u64 {
-        fn links_into(e: &JournalEvent) -> Option<InodeId> {
+    /// ([`EventRef::is_update`]; bookkeeping events apply as no-ops).
+    ///
+    /// Takes owned events (a merge) and views parsed from journal bytes (a
+    /// replay, an image) alike: anything whose reference is an [`EventRef`].
+    pub fn apply_blind_all<'e, E>(&mut self, events: &'e [E]) -> u64
+    where
+        &'e E: Into<EventRef<'e>>,
+    {
+        fn links_into(e: EventRef<'_>) -> Option<InodeId> {
             match e {
-                JournalEvent::Create { parent, .. } | JournalEvent::Mkdir { parent, .. } => {
-                    Some(*parent)
-                }
+                EventRef::Create { parent, .. } | EventRef::Mkdir { parent, .. } => Some(parent),
                 _ => None,
             }
         }
-        let net_new = events.iter().fold(0usize, |n, e| match e {
-            JournalEvent::Unlink { .. } | JournalEvent::Rmdir { .. } => n.saturating_sub(1),
+        let view = |e: &'e E| -> EventRef<'e> { e.into() };
+        let net_new = events.iter().fold(0usize, |n, e| match view(e) {
+            EventRef::Unlink { .. } | EventRef::Rmdir { .. } => n.saturating_sub(1),
             e if e.allocates().is_some() => n + 1,
             _ => n,
         });
@@ -490,15 +495,22 @@ impl MetadataStore {
         let mut updates = 0;
         let mut rest = events;
         while let Some(first) = rest.first() {
-            let parent = links_into(first);
-            let run = rest.iter().take_while(|e| links_into(e) == parent).count();
+            let parent = links_into(view(first));
+            let run = rest
+                .iter()
+                .take_while(|e| links_into(view(e)) == parent)
+                .count();
             if let Some(parent) = parent.filter(|_| run > 1) {
                 self.dir_or_new(parent).reserve(run);
             }
             let (now, later) = rest.split_at(run);
             for e in now {
+                // The element, not its view: each element type gets an
+                // `apply_blind` of its own that inlines here. The view's is
+                // shared with `apply_checked` and stays a call (≈ 15 % per
+                // merged event).
                 self.apply_blind(e);
-                updates += u64::from(e.is_update());
+                updates += u64::from(view(e).is_update());
             }
             rest = later;
         }
@@ -603,6 +615,7 @@ impl Default for MetadataStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cudele_journal::JournalEvent;
 
     fn attrs() -> Attrs {
         Attrs::file_default()

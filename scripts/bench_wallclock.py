@@ -18,7 +18,11 @@ logs kept arenas), or if `decoupled_merge` allocates more than 2.5 times per
 create: a decoupled create owns its name twice, in the client's journal event
 and in the global dentry the merge makes (2.03 with amortised growth); a
 third means an eagerly built local mirror or a `readdir` that clones every
-name is back (4.05 with both).
+name is back (4.05 with both), or if `failover_recover` allocates more than
+2.2 times per recovered event: recovery parses the journal borrowed, so an
+event costs its dentry in the rebuilt namespace plus amortised growth (2.03),
+and decoding it into an owned event adds one name per event, covered prefix
+included (3.40 before the borrowed parse).
 
     benchmark/run.sh && scripts/bench_wallclock.py --pr 16
     scripts/bench_wallclock.py --check-only        # gate, write nothing
@@ -128,6 +132,13 @@ def main():
         sys.exit(
             f"decoupled_merge allocates {allocs} times per create (limit 2.5): "
             f"beyond the event and the global dentry, a mirror or a cloning readdir is back"
+        )
+    allocs = row["allocs_per_op"]["failover_recover"]
+    print(f"failover_recover: {allocs} allocations per recovered event")
+    if allocs > 2.2:
+        sys.exit(
+            f"failover_recover allocates {allocs} times per recovered event (limit 2.2): "
+            f"recovery decodes the journal into owned events again"
         )
 
 
