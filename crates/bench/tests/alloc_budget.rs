@@ -1,7 +1,7 @@
 //! The per-op allocation budget of the two create paths, as a test: a warm
-//! `RpcCreateProcess` step (RPC funnel, default mdlog, obs attached) and a
-//! warm `DecoupledCreateProcess` step, counted with a counting
-//! `#[global_allocator]`.
+//! `RpcCreateProcess` step (RPC funnel, default mdlog, obs attached), a
+//! warm `DecoupledCreateProcess` step and a blind batch apply (what merge
+//! and replay run), counted with a counting `#[global_allocator]`.
 //!
 //! One test function, so no other test thread allocates while a region is
 //! being counted.
@@ -11,7 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cudele_bench::world::{DecoupledCreateProcess, RpcCreateProcess, World};
-use cudele_mds::{ClientId, MetadataServer};
+use cudele_journal::{Attrs, InodeId, JournalEvent};
+use cudele_mds::{ClientId, MetadataServer, MetadataStore};
 use cudele_rados::InMemoryStore;
 use cudele_sim::{Nanos, Process, Step};
 use cudele_workloads::client_dir;
@@ -73,24 +74,54 @@ fn warm_create_steps_stay_within_the_allocation_budget() {
     for _ in 0..3_000 {
         step(&mut world);
     }
-    // What a warm create has to allocate is its dentry's name: the request,
-    // the event it logs, its history row, its span arg and its costs all
-    // borrow or sit inline. On top of that comes amortised growth — a
-    // table doubling, a dentry chunk, a sealed mdlog segment — one at a
-    // time, except on the step that opens a new 5 ms timeline window in
-    // every series it samples (each latency window boxes its buckets).
+    // A warm create has nothing of its own to allocate: the request, the
+    // event it logs, its history row, its span arg and its costs borrow or
+    // sit inline, and the dentry's name is copied into its directory's name
+    // block. What is left is amortised growth — a table doubling, a dentry
+    // chunk, a name block, a sealed mdlog segment — one at a time, and the
+    // step that opens a new 5 ms timeline window in every series it samples
+    // (each latency window boxes its buckets).
     let per_step: Vec<u64> = (0..2_000).map(|_| allocs(|| step(&mut world))).collect();
     let total: u64 = per_step.iter().sum();
     assert!(
-        total <= 3_000,
-        "{total} allocations in 2000 warm rpc creates (budget 1.5 per create)"
+        total <= 600,
+        "{total} allocations in 2000 warm rpc creates (budget 0.3 per create)"
     );
     let above = |n: u64| per_step.iter().filter(|&&a| a > n).count();
     assert!(
-        above(2) <= 40 && above(8) == 0,
-        "steps above dentry + one growth: {} (of 2000), above 8: {}",
+        above(2) <= 10 && above(8) == 0,
+        "steps above two growths: {} (of 2000), above 8: {}",
         above(2),
         above(8)
+    );
+
+    // Merge and replay pay per block, not per dentry: 60 000 creates spread
+    // round-robin over 16 directories (no run for `apply_blind_all` to
+    // reserve ahead of), applied blindly into a fresh store, allocate the
+    // inode table once, then dentry chunks, name blocks and index
+    // doublings.
+    let mut events: Vec<JournalEvent> = (0..16)
+        .map(|d| JournalEvent::Mkdir {
+            parent: InodeId::ROOT,
+            name: format!("d{d}"),
+            ino: InodeId(0x100 + d),
+            attrs: Attrs::dir_default(),
+        })
+        .collect();
+    events.extend((0..60_000).map(|i| JournalEvent::Create {
+        parent: InodeId(0x100 + i % 16),
+        name: format!("file.{i}"),
+        ino: InodeId(0x1_0000 + i),
+        attrs: Attrs::file_default(),
+    }));
+    let mut store = MetadataStore::new();
+    let merged = allocs(|| {
+        store.apply_blind_all(&events);
+    });
+    assert_eq!(store.inode_count(), 1 + events.len());
+    assert!(
+        merged * 20 < 60_000,
+        "{merged} allocations in a blind batch of 60000 creates (budget 0.05 per create)"
     );
 
     // A lookup that misses — what every cold client's create starts with —

@@ -15,6 +15,11 @@
 //! ([`Dir::listing`]). Lookup, insert and remove hash the name once and
 //! probe once; nothing on those paths sorts or walks a tree.
 //!
+//! A directory owns its dentries' names: they are packed end to end in
+//! the directory's own 4 KiB blocks, so a create, a replayed event or a
+//! merged event allocates nothing for its name, and dropping a directory
+//! frees its names a block at a time.
+//!
 //! Fragment scans are the "poorly scaling data structure" behind the RPC
 //! path's cost in the paper (every create checks the fragment for
 //! existence); that cost is charged by the cost model, not re-enacted here.
@@ -83,29 +88,22 @@ impl NameHash {
     }
 }
 
-/// One stored dentry. 32 bytes: the hash rides in what would otherwise be
-/// padding, so moving an entry or re-counting fragments never re-reads a
-/// name.
+/// One stored dentry. 24 bytes: the name is where it sits in the table's
+/// [`NameArena`] (block, offset, length), and the hash rides in what would
+/// otherwise be padding, so moving an entry or re-counting fragments never
+/// re-reads a name.
 #[derive(Debug, Clone)]
 struct Entry {
-    name: Box<str>,
     ino: InodeId,
+    block: u32,
+    len: u32,
     table: u32,
+    offset: u16,
     frag: u8,
     ftype: FileType,
 }
 
 impl Entry {
-    fn new(name: &str, hash: NameHash, dentry: Dentry) -> Entry {
-        Entry {
-            name: name.into(),
-            ino: dentry.ino,
-            table: hash.table,
-            frag: hash.frag,
-            ftype: dentry.ftype,
-        }
-    }
-
     fn dentry(&self) -> Dentry {
         Dentry {
             ino: self.ino,
@@ -118,6 +116,75 @@ impl Entry {
             frag: self.frag,
             table: self.table,
         }
+    }
+}
+
+/// Bytes per name block.
+const BLOCK: usize = 4096;
+
+/// A directory's dentry names, packed end to end in byte blocks.
+///
+/// Blocks hold [`BLOCK`] bytes and are never reallocated once full, except
+/// the first, which grows like a `String` up to a block so a small
+/// directory stays small. A name that would overrun the last block opens a
+/// new one; a name longer than a block gets a block of its own, so every
+/// length fits. A removed name's bytes stay where they are, counted as
+/// `dead`, until they exceed both one block and the live bytes; then the
+/// owner re-packs the live names ([`NameTable::compact_names`]). The
+/// arena therefore holds at most 2 × its live bytes + one block.
+#[derive(Debug, Clone, Default)]
+struct NameArena {
+    blocks: Vec<String>,
+    /// Bytes of names still in the directory.
+    live: usize,
+    /// Bytes of removed names still held in `blocks`.
+    dead: usize,
+}
+
+impl NameArena {
+    fn get(&self, e: &Entry) -> &str {
+        let at = usize::from(e.offset);
+        &self.blocks[e.block as usize][at..at + e.len as usize]
+    }
+
+    /// Appends `name`; returns its block and offset.
+    fn push(&mut self, name: &str) -> (u32, u16) {
+        let n = name.len();
+        if self.blocks.last().is_none_or(|b| b.len() + n > BLOCK) {
+            let cap = if self.blocks.is_empty() || n > BLOCK {
+                n
+            } else {
+                BLOCK
+            };
+            self.blocks.push(String::with_capacity(cap));
+        }
+        let block = self.blocks.last_mut().expect("a block was just opened");
+        let at = block.len();
+        if block.capacity() - at < n {
+            // Only the first block (or one a clone sized exactly) grows:
+            // doubling, up to one block.
+            block.reserve_exact((2 * block.capacity()).clamp(at + n, BLOCK) - at);
+        }
+        block.push_str(name);
+        self.live += n;
+        let index =
+            u32::try_from(self.blocks.len() - 1).expect("a directory holds fewer than 2^32 blocks");
+        let offset = u16::try_from(at).expect("a name starts within its block");
+        (index, offset)
+    }
+
+    /// Marks `len` bytes of a removed name dead; whether the arena should
+    /// now be re-packed.
+    fn release(&mut self, len: usize) -> bool {
+        self.live -= len;
+        self.dead += len;
+        self.dead > BLOCK && self.dead > self.live
+    }
+
+    /// Bytes written into the blocks, live and dead.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.blocks.iter().map(String::len).sum()
     }
 }
 
@@ -146,11 +213,13 @@ enum Probe {
 ///   index — a flat `Vec<Entry>` would re-copy every dentry at each
 ///   doubling and allocate about twice the bytes a `BTreeMap` does.
 ///   Removal swaps the last entry into the hole; order is not meaningful.
+/// * Names live in `names`, the directory's arena; an entry records where.
 #[derive(Debug, Clone, Default)]
 struct NameTable {
     slots: Vec<u64>,
     chunks: Vec<Vec<Entry>>,
     len: usize,
+    names: NameArena,
 }
 
 impl NameTable {
@@ -182,7 +251,7 @@ impl NameTable {
             }
             if (s >> 32) as u32 == hash.table {
                 let pos = (s as u32 - 1) as usize;
-                if &*self.entry(pos).name == name {
+                if self.names.get(self.entry(pos)) == name {
                     return Probe::Found { slot, pos };
                 }
             }
@@ -229,8 +298,18 @@ impl NameTable {
         self.slots = slots;
     }
 
-    /// Stores a new entry at the vacant `slot` a probe returned.
-    fn push(&mut self, slot: usize, entry: Entry) {
+    /// Stores a new dentry at the vacant `slot` a probe returned.
+    fn push(&mut self, slot: usize, name: &str, hash: NameHash, dentry: Dentry) {
+        let (block, offset) = self.names.push(name);
+        let entry = Entry {
+            ino: dentry.ino,
+            block,
+            len: u32::try_from(name.len()).expect("a dentry name is shorter than 4 GiB"),
+            table: hash.table,
+            offset,
+            frag: hash.frag,
+            ftype: dentry.ftype,
+        };
         self.slots[slot] = NameTable::slot_value(entry.table, self.len);
         let chunk = self.len / CHUNK;
         if chunk == self.chunks.len() {
@@ -246,8 +325,8 @@ impl NameTable {
         self.len += 1;
     }
 
-    /// Removes the entry a probe found.
-    fn remove_at(&mut self, slot: usize, pos: usize) -> Entry {
+    /// Removes the dentry a probe found.
+    fn remove_at(&mut self, slot: usize, pos: usize) -> Dentry {
         // Close the gap in the probe run: any later slot whose home is at
         // or before the hole moves back into it.
         let mask = self.slots.len() - 1;
@@ -275,17 +354,31 @@ impl NameTable {
         // Keep at most one spare chunk so a directory hovering at a chunk
         // boundary does not allocate on every other op.
         self.chunks.truncate(last / CHUNK + 2);
-        if pos == last {
-            return tail;
+        let removed = if pos == last {
+            tail
+        } else {
+            // Re-point the moved entry's slot at its new position.
+            let from = NameTable::slot_value(tail.table, last);
+            let mut i = tail.table as usize & mask;
+            while self.slots[i] != from {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = NameTable::slot_value(tail.table, pos);
+            std::mem::replace(self.entry_mut(pos), tail)
+        };
+        if self.names.release(removed.len as usize) {
+            self.compact_names();
         }
-        // Re-point the moved entry's slot at its new position.
-        let from = NameTable::slot_value(tail.table, last);
-        let mut i = tail.table as usize & mask;
-        while self.slots[i] != from {
-            i = (i + 1) & mask;
+        removed.dentry()
+    }
+
+    /// Re-packs the live names into fresh blocks, in entry order, and
+    /// points every entry at its copy.
+    fn compact_names(&mut self) {
+        let old = std::mem::take(&mut self.names);
+        for e in self.chunks.iter_mut().flatten() {
+            (e.block, e.offset) = self.names.push(old.get(e));
         }
-        self.slots[i] = NameTable::slot_value(tail.table, pos);
-        std::mem::replace(self.entry_mut(pos), tail)
     }
 }
 
@@ -455,7 +548,7 @@ impl Dir {
                 Some(prev)
             }
             Probe::Vacant { slot } => {
-                self.table.push(slot, Entry::new(name, hash, dentry));
+                self.table.push(slot, name, hash, dentry);
                 let in_frag = if self.bits == 0 {
                     self.table.len
                 } else {
@@ -484,7 +577,7 @@ impl Dir {
         if self.bits > 0 {
             self.frag_len[hash.frag_index(self.bits)] -= 1;
         }
-        Some(removed.dentry())
+        Some(removed)
     }
 
     /// Makes room for `additional` more dentries up front (bulk paths that
@@ -494,22 +587,45 @@ impl Dir {
     }
 
     /// All dentries in name order, names borrowed.
-    pub(crate) fn sorted(&self) -> Vec<(&str, Dentry)> {
-        let mut out = Vec::with_capacity(self.table.len);
-        out.extend(self.table.iter().map(|e| (&*e.name, e.dentry())));
-        out.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        out
+    ///
+    /// What is sorted is one `(name prefix, position)` key per dentry: the
+    /// first 8 name bytes, zero-padded and read big-endian, order as the
+    /// names do, so most comparisons are one integer compare where a
+    /// `(&str, Dentry)` sort makes a `memcmp` through two pointers, and
+    /// only names that share their first 8 bytes are compared in full. A
+    /// key is 16 bytes, half a `(&str, Dentry)` pair.
+    pub(crate) fn sorted(&self) -> impl DoubleEndedIterator<Item = (&str, Dentry)> + '_ {
+        fn prefix(name: &str) -> u64 {
+            let mut key = [0u8; 8];
+            let n = name.len().min(8);
+            key[..n].copy_from_slice(&name.as_bytes()[..n]);
+            u64::from_be_bytes(key)
+        }
+        let table = &self.table;
+        let name_at = |pos: u32| table.names.get(table.entry(pos as usize));
+        let mut keys: Vec<(u64, u32)> = Vec::with_capacity(table.len);
+        keys.extend(
+            (0..)
+                .zip(table.iter())
+                .map(|(pos, e)| (prefix(table.names.get(e)), pos)),
+        );
+        keys.sort_unstable_by(|&(a, i), &(b, j)| {
+            a.cmp(&b).then_with(|| name_at(i).cmp(name_at(j)))
+        });
+        keys.into_iter().map(move |(_, pos)| {
+            let e = table.entry(pos as usize);
+            (table.names.get(e), e.dentry())
+        })
     }
 
     /// All dentries in name order (a full `readdir`), as one
     /// [`DirListing`]: two allocations whatever the directory's size.
     pub fn listing(&self) -> DirListing {
-        let name_bytes = self.table.iter().map(|e| e.name.len()).sum();
-        let mut names = String::with_capacity(name_bytes);
+        let mut names = String::with_capacity(self.table.names.live);
         let mut rows = Vec::with_capacity(self.table.len);
         for e in self.table.iter() {
             let start = names.len();
-            names.push_str(&e.name);
+            names.push_str(self.table.names.get(e));
             rows.push(Row::new(start, names.len(), e.dentry()));
         }
         // Rows are sorted in place by the names they point at: no second,
@@ -534,7 +650,7 @@ impl Dir {
                 .collect()
         };
         for e in self.table.iter() {
-            frags[e.hash().frag_index(self.bits)].push((&*e.name, e.dentry()));
+            frags[e.hash().frag_index(self.bits)].push((self.table.names.get(e), e.dentry()));
         }
         frags.into_iter().enumerate().map(|(i, mut entries)| {
             entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
@@ -577,6 +693,8 @@ mod tests {
     fn insert_get_remove() {
         let mut d = Dir::new();
         assert!(d.insert("a", dentry(1)).is_none());
+        // A one-name directory holds a one-byte block, not a whole one.
+        assert_eq!(d.table.names.blocks[0].capacity(), 1);
         assert_eq!(d.get("a"), Some(dentry(1)));
         assert!(d.contains("a"));
         assert_eq!(d.len(), 1);
@@ -748,7 +866,104 @@ mod tests {
     }
 
     #[test]
-    fn a_stored_dentry_is_32_bytes() {
-        assert_eq!(std::mem::size_of::<Entry>(), 32);
+    fn a_stored_dentry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+    }
+
+    /// The name arena against a model: insert / replace / remove churn
+    /// over names from 0 bytes through one block and a byte to 70 000
+    /// bytes (a block of its own, past any `u16` offset), some of them
+    /// multi-byte UTF-8 or holding NULs, in a directory that splits,
+    /// cloned halfway.
+    mod arena {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        const LENS: [usize; 8] = [0, 1, 12, 300, 4_095, 4_096, 4_097, 70_000];
+        const POOL: usize = 24;
+
+        /// Pool name `i`, about `LENS[i % 8]` bytes: `"<i>:"` and padding
+        /// — two-byte, NUL or ASCII — with the number last for even `i`, so
+        /// names of one length share their first 8 bytes and sort by their
+        /// whole name.
+        fn pool_name(i: usize) -> String {
+            let len = LENS[i % LENS.len()];
+            let id = format!("{i}:");
+            if len <= id.len() {
+                return id[..len].to_string();
+            }
+            let pad = ['x', 'ß', 'x', '\0'][i % 4];
+            let pads = pad.to_string().repeat((len - id.len()) / pad.len_utf8());
+            if i.is_multiple_of(2) {
+                pads + &id
+            } else {
+                id + &pads
+            }
+        }
+
+        /// `d` agrees with `model` in every view, and looking up each of
+        /// `probed` (hashing a 70 000-byte name is most of a step's cost).
+        fn agrees<'a>(
+            d: &Dir,
+            model: &BTreeMap<String, Dentry>,
+            probed: impl IntoIterator<Item = &'a String>,
+        ) -> Result<(), TestCaseError> {
+            prop_assert_eq!(d.len(), model.len());
+            for name in probed {
+                prop_assert_eq!(d.get(name), model.get(name).copied());
+            }
+            let expected = || model.iter().map(|(n, d)| (n.as_str(), *d));
+            let listing = d.listing();
+            prop_assert!(listing.iter().eq(expected()), "listing");
+            prop_assert!(d.sorted().eq(expected()), "sorted");
+            let mut fragmented = Vec::new();
+            for (_, frag) in d.fragments() {
+                let entries: Vec<(&str, Dentry)> = frag.iter().collect();
+                prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+                fragmented.extend(entries);
+            }
+            fragmented.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            prop_assert!(fragmented.into_iter().eq(expected()), "fragments");
+
+            let names = &d.table.names;
+            let live: usize = model.keys().map(String::len).sum();
+            prop_assert_eq!(names.live, live);
+            prop_assert_eq!(names.held(), live + names.dead);
+            prop_assert!(
+                names.held() <= 2 * live + BLOCK,
+                "{} bytes held for {live} live",
+                names.held()
+            );
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn churn_agrees_with_a_model(
+                ops in proptest::collection::vec((0u8..4, 0..POOL, 0u64..1_000), 1..160),
+            ) {
+                let pool: Vec<String> = (0..POOL).map(pool_name).collect();
+                let mut d = Dir::with_split_threshold(4);
+                let mut model = BTreeMap::new();
+                for (step, &(op, i, ino)) in ops.iter().enumerate() {
+                    let name = &pool[i];
+                    if op < 2 {
+                        prop_assert_eq!(d.insert(name, dentry(ino)), model.insert(name.clone(), dentry(ino)));
+                    } else {
+                        prop_assert_eq!(d.remove(name), model.remove(name));
+                    }
+                    if step == ops.len() / 2 {
+                        let clone = d.clone();
+                        prop_assert!(clone.listing() == d.listing(), "clone");
+                        d = clone;
+                    }
+                    agrees(&d, &model, [name])?;
+                }
+                agrees(&d, &model, &pool)?;
+            }
+        }
     }
 }

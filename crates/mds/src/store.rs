@@ -560,25 +560,64 @@ impl MetadataStore {
     // ------------------------------------------------------------------
 
     /// Depth-first walk over every dentry, presenting each full path in one
-    /// shared buffer (push a component, recurse, truncate back) — no
+    /// shared buffer (push a component, descend, truncate back) — no
     /// per-entry `format!` allocation. `snapshot` and `shape` both build on
     /// this.
-    fn walk_paths(&self, visit: &mut impl FnMut(&str, &Dentry)) {
+    ///
+    /// The walk keeps its own stack: a chain of directories is as deep as
+    /// a journal or a client makes it, and a thread's stack is not. It
+    /// runs in *descending* path order — children from the last name to
+    /// the first, each directory after its subtree — because its callers
+    /// insert every path into a `BTreeMap`, whose nodes are searched left
+    /// to right: a key below all those already in is placed after one
+    /// comparison per level, where ascending order scans the right spine.
+    ///
+    /// A directory is entered only while the stack holds fewer levels than
+    /// there are tables. An acyclic walk never reaches that bound (each
+    /// level is a different table); blind replay can link a directory
+    /// under its own subtree, and there the walk stops descending at that
+    /// depth instead of going round forever.
+    fn walk_paths(&self, mut visit: impl FnMut(&str, Dentry)) {
+        struct Level<I> {
+            /// The dentries not yet visited ([`Dir::sorted`]), taken from
+            /// the end.
+            rest: I,
+            /// The directory itself, visited once `rest` is empty (`None`
+            /// for `/`).
+            dir: Option<Dentry>,
+            /// Length of the directory's path.
+            depth: usize,
+        }
+        let Some(root) = self.dirs.get(&InodeId::ROOT) else {
+            return;
+        };
         let mut path = String::new();
-        self.walk_dir(InodeId::ROOT, &mut path, visit);
-    }
-
-    fn walk_dir(&self, ino: InodeId, path: &mut String, visit: &mut impl FnMut(&str, &Dentry)) {
-        if let Some(dir) = self.dirs.get(&ino) {
-            for (name, dentry) in dir.sorted() {
-                let depth = path.len();
-                path.push('/');
-                path.push_str(name);
-                visit(path, &dentry);
-                if dentry.ftype == FileType::Dir {
-                    self.walk_dir(dentry.ino, path, visit);
+        let mut stack = vec![Level {
+            rest: root.sorted(),
+            dir: None,
+            depth: 0,
+        }];
+        while let Some(level) = stack.last_mut() {
+            path.truncate(level.depth);
+            let Some((name, dentry)) = level.rest.next_back() else {
+                if let Some(dir) = level.dir {
+                    visit(&path, dir);
                 }
-                path.truncate(depth);
+                stack.pop();
+                continue;
+            };
+            path.push('/');
+            path.push_str(name);
+            let table = (dentry.ftype == FileType::Dir)
+                .then(|| self.dirs.get(&dentry.ino))
+                .flatten();
+            match table {
+                Some(table) if stack.len() < self.dirs.len() => stack.push(Level {
+                    rest: table.sorted(),
+                    dir: Some(dentry),
+                    depth: path.len(),
+                }),
+                _ => visit(&path, dentry),
             }
         }
     }
@@ -588,7 +627,7 @@ impl MetadataStore {
     /// end up with the same final metadata state").
     pub fn snapshot(&self) -> BTreeMap<String, (InodeId, FileType)> {
         let mut out = BTreeMap::new();
-        self.walk_paths(&mut |path, dentry| {
+        self.walk_paths(|path, dentry| {
             out.insert(path.to_owned(), (dentry.ino, dentry.ftype));
         });
         out
@@ -599,7 +638,7 @@ impl MetadataStore {
     /// *shape*.
     pub fn shape(&self) -> BTreeMap<String, FileType> {
         let mut out = BTreeMap::new();
-        self.walk_paths(&mut |path, dentry| {
+        self.walk_paths(|path, dentry| {
             out.insert(path.to_owned(), dentry.ftype);
         });
         out
@@ -868,6 +907,24 @@ mod tests {
         assert!(s.snapshot().is_empty());
         assert!(!s.is_within(b, InodeId::ROOT));
         assert!(s.is_within(b, a));
+    }
+
+    #[test]
+    fn snapshot_of_a_directory_linked_inside_itself_ends() {
+        let a = InodeId(0x1000);
+        let mut s = MetadataStore::new();
+        s.mkdir(InodeId::ROOT, "a", a, Attrs::dir_default())
+            .unwrap();
+        // Blind replay links `a` under itself, still reachable from `/`:
+        // `/a/c` is `/a`.
+        s.apply_blind(EventRef::Mkdir {
+            parent: a,
+            name: "c",
+            ino: a,
+            attrs: Attrs::dir_default(),
+        });
+        let paths: Vec<String> = s.shape().into_keys().collect();
+        assert_eq!(paths, ["/a", "/a/c"]);
     }
 
     /// A file created blindly over a directory's name takes the directory's
