@@ -17,11 +17,12 @@
 //! (read-your-writes, monotonic reads) and eventual-visibility-after-merge
 //! for decoupled runs.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cudele_sim::Nanos;
 
 use crate::json::{self, Value};
+use crate::lock::Lock;
 
 /// Version tag of the serialized history layout.
 pub const SCHEMA: &str = "cudele-history/v1";
@@ -320,12 +321,12 @@ impl HistoryLogInner {
 /// client's `attach_obs`) can keep recording afterwards. Cloning shares
 /// the log.
 #[derive(Debug, Clone)]
-pub struct HistoryWriter(Arc<Mutex<HistoryLogInner>>);
+pub struct HistoryWriter(Arc<Lock<HistoryLogInner>>);
 
 impl HistoryWriter {
     /// A fresh log bounded at `capacity` events.
     pub fn with_capacity(capacity: usize) -> HistoryWriter {
-        HistoryWriter(Arc::new(Mutex::new(HistoryLogInner {
+        HistoryWriter(Arc::new(Lock::new(HistoryLogInner {
             rows: Vec::new(),
             names: String::new(),
             capacity,
@@ -333,16 +334,12 @@ impl HistoryWriter {
         })))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HistoryLogInner> {
-        self.0.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Records one event (dropped deterministically past the capacity).
     /// Names may be borrowed (`HistoryEvent<&str>`) or owned: either way
     /// they are copied into the log's arena and the log keeps nothing of
     /// `ev`.
     pub fn record<S: AsRef<str>>(&self, ev: HistoryEvent<S>) {
-        let mut log = self.lock();
+        let mut log = self.0.lock();
         if log.rows.len() < log.capacity {
             log.push(&ev);
         } else {
@@ -352,7 +349,7 @@ impl HistoryWriter {
 
     /// A copy of the retained events, in recording order.
     pub fn events(&self) -> Vec<HistoryEvent> {
-        let log = self.lock();
+        let log = self.0.lock();
         log.rows(log.rows.len())
             .map(|row| row.map_names(|name| name.to_string()))
             .collect()
@@ -360,19 +357,19 @@ impl HistoryWriter {
 
     /// Number of retained events.
     pub fn count(&self) -> usize {
-        self.lock().rows.len()
+        self.0.lock().rows.len()
     }
 
     /// Number of events dropped after the capacity filled.
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        self.0.lock().dropped
     }
 
     /// Serializes the log as a [`SCHEMA`] document claiming consistency
     /// `mode` — byte-equal to [`History::to_json`] over
     /// [`HistoryWriter::events`], without materialising them.
     pub fn to_json(&self, mode: &str) -> String {
-        let log = self.lock();
+        let log = self.0.lock();
         let n = log.rows.len();
         write_json(mode, log.dropped, n, log.rows(n))
     }
@@ -382,9 +379,18 @@ impl HistoryWriter {
     /// to span ids, which keeps merged parallel recordings byte-identical
     /// to serial ones. Copies rows and the arena bytes behind them; no
     /// per-event allocation.
+    ///
+    /// # Panics
+    ///
+    /// If `other` shares this log: the merge would lock it twice and never
+    /// return.
     pub fn merge_from(&self, other: &HistoryWriter, offset: u64) {
-        let src = other.lock();
-        let mut log = self.lock();
+        assert!(
+            !Arc::ptr_eq(&self.0, &other.0),
+            "HistoryWriter::merge_from: a log cannot be merged into itself"
+        );
+        let src = other.0.lock();
+        let mut log = self.0.lock();
         let room = log.capacity.saturating_sub(log.rows.len());
         let keep = src.rows.len().min(room);
         log.rows.reserve(keep);

@@ -24,17 +24,19 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use cudele_sim::Nanos;
 
 pub mod critpath;
 pub mod history;
 pub mod json;
+mod lock;
 pub mod slo;
 pub mod timeline;
 
 use history::{HistoryEvent, HistoryWriter};
+use lock::Lock;
 
 /// A monotonically increasing event counter. Cloning shares the cell.
 #[derive(Debug, Clone, Default)]
@@ -171,18 +173,18 @@ pub(crate) fn bucket_percentile(
 /// bucket-interpolated approximations clamped to the exact observed
 /// `[min, max]`. Cloning shares the underlying data.
 #[derive(Debug, Clone)]
-pub struct Histogram(Arc<Mutex<HistData>>);
+pub struct Histogram(Arc<Lock<HistData>>);
 
 impl Default for Histogram {
     fn default() -> Histogram {
-        Histogram(Arc::new(Mutex::new(HistData::new())))
+        Histogram(Arc::new(Lock::new(HistData::new())))
     }
 }
 
 impl Histogram {
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let mut d = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        let mut d = self.0.lock();
         let idx = (64 - v.leading_zeros()) as usize;
         d.buckets[idx] += 1;
         d.count += 1;
@@ -193,17 +195,17 @@ impl Histogram {
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.0.lock().unwrap_or_else(|p| p.into_inner()).count
+        self.0.lock().count
     }
 
     /// Sum of all samples (saturating).
     pub fn sum(&self) -> u64 {
-        self.0.lock().unwrap_or_else(|p| p.into_inner()).sum
+        self.0.lock().sum
     }
 
     /// Smallest sample, or 0 if empty.
     pub fn min(&self) -> u64 {
-        let d = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        let d = self.0.lock();
         if d.count == 0 {
             0
         } else {
@@ -213,7 +215,7 @@ impl Histogram {
 
     /// Largest sample, or 0 if empty.
     pub fn max(&self) -> u64 {
-        self.0.lock().unwrap_or_else(|p| p.into_inner()).max
+        self.0.lock().max
     }
 
     /// The `q`-th percentile (`q` in `[0, 100]`), interpolated within the
@@ -221,7 +223,7 @@ impl Histogram {
     /// cases are well-defined: `0.0` when empty, the exact sample when
     /// `count == 1` or all samples are equal (see `bucket_percentile`).
     pub fn percentile(&self, q: f64) -> f64 {
-        let d = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        let d = self.0.lock();
         bucket_percentile(&d.buckets, d.count, d.min, d.max, q)
     }
 
@@ -229,7 +231,7 @@ impl Histogram {
     /// when merging per-task registries back into a session registry.
     pub fn merge_from(&self, other: &Histogram) {
         let o = {
-            let d = other.0.lock().unwrap_or_else(|p| p.into_inner());
+            let d = other.0.lock();
             HistData {
                 buckets: d.buckets,
                 count: d.count,
@@ -241,7 +243,7 @@ impl Histogram {
         if o.count == 0 {
             return;
         }
-        let mut d = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        let mut d = self.0.lock();
         for (b, ob) in d.buckets.iter_mut().zip(o.buckets.iter()) {
             *b += ob;
         }
@@ -465,6 +467,19 @@ impl SpanLog {
         });
     }
 
+    /// Drops what a span whose args panicked part-way (a `Display` impl)
+    /// left behind: args pushed for a span that never was, and value bytes
+    /// for an arg that never was. Both are suffixes; left in place, the
+    /// next retained span would take them for its own.
+    fn drop_orphans(&mut self) {
+        let args = self.spans.last().map_or(0, |s| s.args_end as usize);
+        let values = self.args[..args].last().map_or(0, |a| a.value_end);
+        if self.args.len() != args || self.arg_values.len() != values {
+            self.args.truncate(args);
+            self.arg_values.truncate(values);
+        }
+    }
+
     /// The args of the `i`-th retained span as `(key, value)` pairs.
     fn args_of(&self, i: usize) -> impl Iterator<Item = (&str, &str)> {
         let first = match i {
@@ -548,13 +563,13 @@ impl Mechanism {
 /// parallel tests never share state and runs stay reproducible.
 #[derive(Debug)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
-    spans: Mutex<SpanLog>,
+    counters: Lock<BTreeMap<String, Counter>>,
+    gauges: Lock<BTreeMap<String, Gauge>>,
+    histograms: Lock<BTreeMap<String, Histogram>>,
+    spans: Lock<SpanLog>,
     /// Mechanism handles by DSL spelling, so the name-keyed
     /// [`observe_mechanism_at`] resolves without formatting metric names.
-    mechanisms: Mutex<BTreeMap<String, Mechanism>>,
+    mechanisms: Lock<BTreeMap<String, Mechanism>>,
     /// Consistency history (see [`history`]): per-client invoke/ack
     /// records the offline checkers consume.
     history: HistoryWriter,
@@ -584,10 +599,10 @@ impl Registry {
     /// A registry retaining at most `capacity` spans.
     pub fn with_span_capacity(capacity: usize) -> Registry {
         Registry {
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(SpanLog {
+            counters: Lock::new(BTreeMap::new()),
+            gauges: Lock::new(BTreeMap::new()),
+            histograms: Lock::new(BTreeMap::new()),
+            spans: Lock::new(SpanLog {
                 spans: Vec::new(),
                 args: Vec::new(),
                 arg_values: String::new(),
@@ -595,7 +610,7 @@ impl Registry {
                 dropped: 0,
                 names: Interner::default(),
             }),
-            mechanisms: Mutex::new(BTreeMap::new()),
+            mechanisms: Lock::new(BTreeMap::new()),
             history: HistoryWriter::with_capacity(history::DEFAULT_HISTORY_CAPACITY),
             timeline: timeline::Timeline::default(),
             next_span_id: AtomicU64::new(0),
@@ -655,12 +670,13 @@ impl Registry {
         name: impl FnOnce(&mut Interner) -> SpanName,
         args: impl FnOnce(&mut SpanLog),
     ) {
-        let mut log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        let mut log = self.spans.lock();
         if log.spans.len() >= log.capacity {
             log.dropped += 1;
             return;
         }
         let name = name(&mut log.names);
+        log.drop_orphans();
         args(&mut log);
         let args_end =
             u32::try_from(log.args.len()).expect("a span log holds fewer than 2^32 args");
@@ -679,7 +695,7 @@ impl Registry {
     /// Interns `name` and `cat` for per-op use with [`Registry::end_named`],
     /// [`Registry::end_named_with`] and [`Registry::child_named`].
     pub fn span_name(&self, name: &str, cat: &str) -> SpanName {
-        let mut log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        let mut log = self.spans.lock();
         log.names.span_name(name, cat)
     }
 
@@ -759,7 +775,7 @@ impl Registry {
 
     /// The [`Mechanism`] handle for the mechanism spelled `name`.
     pub fn mechanism(&self, name: &str) -> Mechanism {
-        let mut m = self.mechanisms.lock().unwrap_or_else(|p| p.into_inner());
+        let mut m = self.mechanisms.lock();
         if let Some(h) = m.get(name) {
             return h.clone();
         }
@@ -789,13 +805,13 @@ impl Registry {
 
     /// Current value of counter `name`, if it exists.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        let m = self.counters.lock().unwrap_or_else(|p| p.into_inner());
+        let m = self.counters.lock();
         m.get(name).map(Counter::get)
     }
 
     /// Current value of gauge `name`, if it exists.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        let m = self.gauges.lock().unwrap_or_else(|p| p.into_inner());
+        let m = self.gauges.lock();
         m.get(name).map(Gauge::get)
     }
 
@@ -826,25 +842,25 @@ impl Registry {
 
     /// Number of retained spans.
     pub fn span_count(&self) -> usize {
-        let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        let log = self.spans.lock();
         log.spans.len()
     }
 
     /// Number of spans dropped after the capacity filled.
     pub fn spans_dropped(&self) -> u64 {
-        let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        let log = self.spans.lock();
         log.dropped
     }
 
     /// A copy of the retained spans, in recording order.
     pub fn spans(&self) -> Vec<Span> {
-        let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        let log = self.spans.lock();
         (0..log.spans.len()).map(|i| log.to_span(i)).collect()
     }
 
     /// Whether any retained span carries `name`.
     pub fn has_span(&self, name: &str) -> bool {
-        let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        let log = self.spans.lock();
         match log.names.ids.get(name) {
             Some(&id) => log.spans.iter().any(|s| s.name.name == id),
             None => false,
@@ -853,7 +869,7 @@ impl Registry {
 
     /// The span-retention capacity this registry was built with.
     pub fn span_capacity(&self) -> usize {
-        let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        let log = self.spans.lock();
         log.capacity
     }
 
@@ -903,9 +919,18 @@ impl Registry {
     /// offset by this registry's current allocator position; 0 (legacy
     /// unidentified, or root parent) stays 0. The source registry is left
     /// untouched.
+    ///
+    /// # Panics
+    ///
+    /// If `other` is `self`: the merge would lock each store twice and
+    /// never return.
     pub fn merge_from(&self, other: &Registry) {
+        assert!(
+            !std::ptr::eq(self, other),
+            "Registry::merge_from: a registry cannot be merged into itself"
+        );
         {
-            let src = other.counters.lock().unwrap_or_else(|p| p.into_inner());
+            let src = other.counters.lock();
             for (name, c) in src.iter() {
                 let v = c.get();
                 if v > 0 {
@@ -914,13 +939,13 @@ impl Registry {
             }
         }
         {
-            let src = other.gauges.lock().unwrap_or_else(|p| p.into_inner());
+            let src = other.gauges.lock();
             for (name, g) in src.iter() {
                 self.gauge(name).set(g.get());
             }
         }
         {
-            let src = other.histograms.lock().unwrap_or_else(|p| p.into_inner());
+            let src = other.histograms.lock();
             for (name, h) in src.iter() {
                 self.histogram(name).merge_from(h);
             }
@@ -928,9 +953,10 @@ impl Registry {
         let offset = self.next_span_id.load(Ordering::Relaxed);
         let rebase = |id: u64| if id == 0 { 0 } else { id + offset };
         {
-            let src = other.spans.lock().unwrap_or_else(|p| p.into_inner());
-            let mut dst = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+            let src = other.spans.lock();
+            let mut dst = self.spans.lock();
             let dst = &mut *dst;
+            dst.drop_orphans();
             let room = dst.capacity.saturating_sub(dst.spans.len());
             let keep = src.spans.len().min(room);
             dst.spans.reserve(keep);
@@ -994,7 +1020,7 @@ impl Registry {
     /// `chrome://tracing`.
     pub fn chrome_trace_json(&self) -> String {
         let tl = self.timeline.snapshot();
-        let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        let log = self.spans.lock();
         let mut out = String::with_capacity(64 + log.spans.len() * 96);
         out.push_str("{\"traceEvents\":[");
         let mut first_event = true;
@@ -1074,11 +1100,11 @@ impl Registry {
             // Snapshot real counters, then merge the span-log accounting in
             // as synthetic `obs.*` counters so truncation is never silent.
             let mut vals: BTreeMap<String, u64> = {
-                let m = self.counters.lock().unwrap_or_else(|p| p.into_inner());
+                let m = self.counters.lock();
                 m.iter().map(|(k, c)| (k.clone(), c.get())).collect()
             };
             {
-                let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+                let log = self.spans.lock();
                 vals.insert("obs.spans_dropped".to_string(), log.dropped);
                 vals.insert("obs.spans_recorded".to_string(), log.spans.len() as u64);
             }
@@ -1103,7 +1129,7 @@ impl Registry {
         }
         out.push_str("},\n  \"gauges\": {");
         {
-            let m = self.gauges.lock().unwrap_or_else(|p| p.into_inner());
+            let m = self.gauges.lock();
             for (i, (name, g)) in m.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -1119,7 +1145,7 @@ impl Registry {
         }
         out.push_str("},\n  \"histograms\": {");
         {
-            let m = self.histograms.lock().unwrap_or_else(|p| p.into_inner());
+            let m = self.histograms.lock();
             for (i, (name, h)) in m.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -1148,7 +1174,7 @@ impl Registry {
         }
         out.push_str("},\n  \"spans\": {\"recorded\": ");
         {
-            let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+            let log = self.spans.lock();
             out.push_str(&log.spans.len().to_string());
             out.push_str(", \"dropped\": ");
             out.push_str(&log.dropped.to_string());
@@ -1160,8 +1186,8 @@ impl Registry {
 
 /// The metric cell registered under `name`, created on first sight. Looks
 /// up by `&str` first so a repeat lookup does not allocate the key.
-fn get_or_default<T: Default + Clone>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
-    let mut m = map.lock().unwrap_or_else(|p| p.into_inner());
+fn get_or_default<T: Default + Clone>(map: &Lock<BTreeMap<String, T>>, name: &str) -> T {
+    let mut m = map.lock();
     if let Some(cell) = m.get(name) {
         return cell.clone();
     }
@@ -1543,6 +1569,50 @@ mod tests {
         target.merge_from(&src);
         assert_eq!(target.span_count(), 1);
         assert_eq!(target.spans_dropped(), 1);
+    }
+
+    /// Merging a registry, or a history log, into itself would lock each of
+    /// its stores twice and never return; it is refused before anything is
+    /// locked.
+    #[test]
+    fn merging_a_registry_into_itself_is_refused() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        let worker = std::thread::spawn(move || {
+            let reg = Registry::new();
+            reg.counter("ops").inc();
+            let refused = std::panic::catch_unwind(|| reg.merge_from(&reg)).is_err();
+            let log = reg.history_writer();
+            let log_refused =
+                std::panic::catch_unwind(|| log.merge_from(&reg.history_writer(), 0)).is_err();
+            let _ = tx.send((refused && log_refused, reg.counter_value("ops")));
+        });
+        // A spinning worker cannot be joined; any other outcome is, so a
+        // panic in it surfaces here.
+        let got = rx.recv_timeout(std::time::Duration::from_secs(3));
+        assert!(
+            !matches!(got, Err(RecvTimeoutError::Timeout)),
+            "merging a registry into itself did not return"
+        );
+        worker.join().expect("the worker panicked");
+        let (refused, ops) = got.expect("the worker sent its outcome");
+        assert!(refused, "the self-merge was not refused");
+        assert_eq!(ops, Some(1), "the refused merge changed nothing");
+    }
+
+    /// The handles layers keep — object stores among them, which must be
+    /// `Send + Sync` — stay shareable across threads and across
+    /// `catch_unwind`, as they were behind the standard library's mutex.
+    #[test]
+    fn handles_are_send_sync_and_unwind_safe() {
+        use std::panic::{RefUnwindSafe, UnwindSafe};
+        fn shareable<T: Send + Sync + UnwindSafe + RefUnwindSafe>() {}
+        shareable::<Registry>();
+        shareable::<Histogram>();
+        shareable::<Mechanism>();
+        shareable::<HistoryWriter>();
+        shareable::<timeline::Timeline>();
+        shareable::<timeline::Series>();
     }
 
     #[test]

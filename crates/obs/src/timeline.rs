@@ -33,10 +33,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cudele_sim::{IntMap, Nanos};
 
+use crate::lock::Lock;
 use crate::slo::SloOutcome;
 use crate::{bucket_percentile, escape_json, json, push_f64, HIST_BUCKETS};
 
@@ -279,29 +280,29 @@ pub struct Series {
 impl Series {
     /// [`Timeline::add`] without the name lookup.
     pub fn add(&self, t: Nanos, n: u64) {
-        self.tl.lock().add(self.slot, t, n);
+        self.tl.0.lock().add(self.slot, t, n);
     }
 
     /// [`Timeline::gauge_at`] without the name lookup.
     pub fn set(&self, t: Nanos, v: f64) {
-        self.tl.lock().set(self.slot, t, v);
+        self.tl.0.lock().set(self.slot, t, v);
     }
 
     /// [`Timeline::sample_traced`] without the name lookup (`trace_id` 0
     /// = no trace identity).
     pub fn sample(&self, t: Nanos, v: u64, trace_id: u64) {
-        self.tl.lock().sample(self.slot, t, v, trace_id);
+        self.tl.0.lock().sample(self.slot, t, v, trace_id);
     }
 }
 
 /// Cloneable handle onto one registry's timeline; clones share state, so
 /// layers can keep recording after they stop borrowing the registry.
 #[derive(Debug, Clone)]
-pub struct Timeline(Arc<Mutex<TimelineData>>);
+pub struct Timeline(Arc<Lock<TimelineData>>);
 
 impl Default for Timeline {
     fn default() -> Timeline {
-        Timeline(Arc::new(Mutex::new(TimelineData {
+        Timeline(Arc::new(Lock::new(TimelineData {
             window: DEFAULT_WINDOW.0,
             max_windows: DEFAULT_MAX_WINDOWS,
             max_annotations: DEFAULT_MAX_ANNOTATIONS,
@@ -319,7 +320,7 @@ impl Timeline {
     /// the timeline is still empty — a mid-run reconfiguration would
     /// shear already-recorded windows, so it is ignored (deterministic).
     pub fn configure(&self, window: Nanos, max_windows: usize) {
-        let mut d = self.lock();
+        let mut d = self.0.lock();
         if d.is_empty() && window.0 > 0 && max_windows > 0 {
             d.window = window.0;
             d.max_windows = max_windows;
@@ -328,16 +329,12 @@ impl Timeline {
 
     /// The configured tumbling-window width.
     pub fn window(&self) -> Nanos {
-        Nanos(self.lock().window)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, TimelineData> {
-        self.0.lock().unwrap_or_else(|p| p.into_inner())
+        Nanos(self.0.lock().window)
     }
 
     /// Resolves `name` to a [`Series`] handle for per-op recording.
     pub fn series(&self, name: &str) -> Series {
-        let slot = self.lock().slot(name);
+        let slot = self.0.lock().slot(name);
         Series {
             tl: self.clone(),
             slot,
@@ -347,7 +344,7 @@ impl Timeline {
     /// Adds `n` events at virtual time `t` to the [`SeriesKind::Rate`]
     /// series `name`.
     pub fn add(&self, name: &str, t: Nanos, n: u64) {
-        let mut d = self.lock();
+        let mut d = self.0.lock();
         let slot = d.slot(name);
         d.add(slot, t, n);
     }
@@ -355,7 +352,7 @@ impl Timeline {
     /// Sets the [`SeriesKind::Gauge`] series `name` to `v` at virtual
     /// time `t` (last write in a window wins).
     pub fn gauge_at(&self, name: &str, t: Nanos, v: f64) {
-        let mut d = self.lock();
+        let mut d = self.0.lock();
         let slot = d.slot(name);
         d.set(slot, t, v);
     }
@@ -370,14 +367,14 @@ impl Timeline {
     /// occurrence of the maximum wins) so SLO alerts can link straight
     /// into the critical-path profiler.
     pub fn sample_traced(&self, name: &str, t: Nanos, v: u64, trace_id: u64) {
-        let mut d = self.lock();
+        let mut d = self.0.lock();
         let slot = d.slot(name);
         d.sample(slot, t, v, trace_id);
     }
 
     /// Records a point-in-time marker.
     pub fn annotate(&self, name: &str, at: Nanos, detail: &str) {
-        let mut d = self.lock();
+        let mut d = self.0.lock();
         if d.annotations.len() < d.max_annotations {
             d.annotations.push(Annotation {
                 name: name.to_string(),
@@ -393,13 +390,13 @@ impl Timeline {
     /// regress comparator hard-fails on. Counted in underlying events,
     /// so serial recording and in-order merge agree exactly.
     pub fn dropped(&self) -> u64 {
-        let d = self.lock();
+        let d = self.0.lock();
         d.windows_dropped + d.annotations_dropped
     }
 
     /// Distinct retained windows across all series.
     pub fn windows_recorded(&self) -> u64 {
-        let d = self.lock();
+        let d = self.0.lock();
         d.series.iter().map(|s| s.windows.len() as u64).sum()
     }
 
@@ -415,8 +412,8 @@ impl Timeline {
     /// folded into a window some earlier task created. Sources that did
     /// drop carry the loss in `windows_dropped`, which propagates here.
     pub(crate) fn merge_from(&self, other: &Timeline, trace_offset: u64) {
-        let src = other.lock();
-        let mut dst = self.lock();
+        let src = other.0.lock();
+        let mut dst = self.0.lock();
         let dst = &mut *dst;
         for (name, &src_slot) in src.slots.iter() {
             let s = &src.series[src_slot as usize];
@@ -481,7 +478,7 @@ impl Timeline {
     /// A plain-data snapshot (windows sorted by index, series by name)
     /// ready for SLO evaluation and serialization.
     pub fn snapshot(&self) -> TimelineSnapshot {
-        let d = self.lock();
+        let d = self.0.lock();
         let mut series: Vec<SeriesSnap> = Vec::with_capacity(d.series.len());
         for (name, s) in d
             .slots
