@@ -405,40 +405,27 @@ impl<'a> DirFragment<'a> {
     }
 }
 
-/// One row of a [`DirListing`]: a dentry and where its name sits in the
-/// listing's arena.
-#[derive(Debug, Clone, Copy)]
+/// One row of a [`DirListing`]: a dentry and where its name ends in the
+/// listing's arena (it starts where the previous row's ends). 16 bytes,
+/// the size and alignment of a `Dir::order` pair, so the order's
+/// vector is collected into rows in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Row {
-    dentry: Dentry,
-    start: u32,
+    ino: InodeId,
     end: u32,
-}
-
-impl Row {
-    fn new(start: usize, end: usize, dentry: Dentry) -> Row {
-        let at = |n| u32::try_from(n).expect("a directory's names total fewer than 2^32 bytes");
-        Row {
-            dentry,
-            start: at(start),
-            end: at(end),
-        }
-    }
-
-    fn name(self, names: &str) -> &str {
-        &names[self.start as usize..self.end as usize]
-    }
+    ftype: FileType,
 }
 
 /// A full directory listing in name order — what `readdir` answers with.
 ///
-/// Every name lives in one string arena and every row in one table, so a
-/// listing costs two allocations and is freed with two, however many
-/// entries it has. Names are handed out borrowed; a caller that keeps one
-/// copies that one. Both are boxed (no spare capacity to remember), which
-/// keeps the listing at 32 bytes — no larger than the `stat` reply it
-/// shares [`crate::server::Reply`] with, so carrying it costs the other
-/// replies nothing.
-#[derive(Debug, Clone, Default)]
+/// Every name lives in one string arena, in listing order, and every row
+/// in one table, so a listing costs two allocations and is freed with two,
+/// however many entries it has. Names are handed out borrowed; a caller
+/// that keeps one copies that one. Both are boxed (no spare capacity to
+/// remember), which keeps the listing at 32 bytes — no larger than the
+/// `stat` reply it shares [`crate::server::Reply`] with, so carrying it
+/// costs the other replies nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirListing {
     names: Box<str>,
     rows: Box<[Row]>,
@@ -457,19 +444,13 @@ impl DirListing {
 
     /// Iterates `(name, dentry)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, Dentry)> + '_ {
-        self.rows.iter().map(|r| (r.name(&self.names), r.dentry))
+        let mut start = 0;
+        self.rows.iter().map(move |&Row { ino, end, ftype }| {
+            let name = &self.names[std::mem::replace(&mut start, end as usize)..end as usize];
+            (name, Dentry { ino, ftype })
+        })
     }
 }
-
-/// Two listings are equal when they list the same entries: the arena keeps
-/// names in table order, which is not part of what a listing says.
-impl PartialEq for DirListing {
-    fn eq(&self, other: &DirListing) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for DirListing {}
 
 /// A directory: one hash table of dentries, viewed as a power-of-two set
 /// of fragments addressed by name hash.
@@ -586,33 +567,52 @@ impl Dir {
         self.table.reserve(additional);
     }
 
-    /// All dentries in name order, names borrowed.
+    /// The directory's one name order: every dentry's position, sorted by
+    /// name — what [`Dir::sorted`], [`Dir::listing`] and [`Dir::fragments`]
+    /// all read.
     ///
-    /// What is sorted is one `(name prefix, position)` key per dentry: the
-    /// first 8 name bytes, zero-padded and read big-endian, order as the
-    /// names do, so most comparisons are one integer compare where a
-    /// `(&str, Dentry)` sort makes a `memcmp` through two pointers, and
-    /// only names that share their first 8 bytes are compared in full. A
-    /// key is 16 bytes, half a `(&str, Dentry)` pair.
-    pub(crate) fn sorted(&self) -> impl DoubleEndedIterator<Item = (&str, Dentry)> + '_ {
-        fn prefix(name: &str) -> u64 {
+    /// One pass finds `skip`, the length of the prefix every name shares
+    /// (`file.<c>.` in a client's directory). Each dentry's key is the 8
+    /// name bytes past it, zero-padded and read big-endian, so keys order as
+    /// the names do and most comparisons are one integer compare of a
+    /// contiguous 16-byte pair. Equal keys compare whole names: all of them
+    /// share the skipped prefix, so that is the order of what follows it.
+    /// Names are read as bytes, since the prefix may end inside a character.
+    fn order(&self) -> Vec<(u64, u32)> {
+        fn key(rest: &[u8]) -> u64 {
             let mut key = [0u8; 8];
-            let n = name.len().min(8);
-            key[..n].copy_from_slice(&name.as_bytes()[..n]);
+            let n = rest.len().min(8);
+            key[..n].copy_from_slice(&rest[..n]);
             u64::from_be_bytes(key)
         }
         let table = &self.table;
-        let name_at = |pos: u32| table.names.get(table.entry(pos as usize));
+        let name_at = |pos: u32| table.names.get(table.entry(pos as usize)).as_bytes();
+        let mut names = table.iter().map(|e| table.names.get(e).as_bytes());
+        let first = names.next().unwrap_or_default();
+        // `None` ends the pass as soon as no byte is shared.
+        let skip = names
+            .try_fold(first.len(), |skip, name| {
+                let shared = first[..skip].iter().zip(name).take_while(|(a, b)| a == b);
+                Some(shared.count()).filter(|&n| n > 0)
+            })
+            .unwrap_or(0);
         let mut keys: Vec<(u64, u32)> = Vec::with_capacity(table.len);
-        keys.extend(
-            (0..)
-                .zip(table.iter())
-                .map(|(pos, e)| (prefix(table.names.get(e)), pos)),
-        );
+        keys.extend((0..).zip(table.iter()).map(|(pos, e)| {
+            // Every name is at least `skip` bytes long; `get` reads it
+            // without a panic path.
+            let name = table.names.get(e).as_bytes();
+            (key(name.get(skip..).unwrap_or_default()), pos)
+        }));
         keys.sort_unstable_by(|&(a, i), &(b, j)| {
             a.cmp(&b).then_with(|| name_at(i).cmp(name_at(j)))
         });
-        keys.into_iter().map(move |(_, pos)| {
+        keys
+    }
+
+    /// All dentries in name order, names borrowed.
+    pub(crate) fn sorted(&self) -> impl DoubleEndedIterator<Item = (&str, Dentry)> + '_ {
+        let table = &self.table;
+        self.order().into_iter().map(move |(_, pos)| {
             let e = table.entry(pos as usize);
             (table.names.get(e), e.dentry())
         })
@@ -621,17 +621,17 @@ impl Dir {
     /// All dentries in name order (a full `readdir`), as one
     /// [`DirListing`]: two allocations whatever the directory's size.
     pub fn listing(&self) -> DirListing {
-        let mut names = String::with_capacity(self.table.names.live);
-        let mut rows = Vec::with_capacity(self.table.len);
-        for e in self.table.iter() {
-            let start = names.len();
-            names.push_str(self.table.names.get(e));
-            rows.push(Row::new(start, names.len(), e.dentry()));
-        }
-        // Rows are sorted in place by the names they point at: no second,
-        // borrowed list is built just to be ordered and copied out of.
-        rows.sort_unstable_by(|a, b| a.name(&names).cmp(b.name(&names)));
-        // Both were sized exactly, so boxing them moves no bytes.
+        let table = &self.table;
+        let mut names = String::with_capacity(table.names.live);
+        // The order's pairs become the rows in place (both 16 bytes,
+        // 8-aligned), and both were sized exactly, so boxing moves nothing.
+        let rows = Vec::from_iter(self.order().into_iter().map(|(_, pos)| {
+            let e = table.entry(pos as usize);
+            names.push_str(table.names.get(e));
+            let end = u32::try_from(names.len()).expect("a listing's names fit in 4 GiB");
+            let Dentry { ino, ftype } = e.dentry();
+            Row { ino, end, ftype }
+        }));
         DirListing {
             names: names.into_boxed_str(),
             rows: rows.into_boxed_slice(),
@@ -649,13 +649,14 @@ impl Dir {
                 .map(|&n| Vec::with_capacity(n as usize))
                 .collect()
         };
-        for e in self.table.iter() {
+        // Split in name order, so each fragment comes out sorted.
+        for (_, pos) in self.order() {
+            let e = self.table.entry(pos as usize);
             frags[e.hash().frag_index(self.bits)].push((self.table.names.get(e), e.dentry()));
         }
-        frags.into_iter().enumerate().map(|(i, mut entries)| {
-            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            (i as u32, DirFragment { entries })
-        })
+        (0..)
+            .zip(frags)
+            .map(|(i, entries)| (i, DirFragment { entries }))
     }
 
     /// Doubles the fragment count and re-counts every fragment.
@@ -868,6 +869,54 @@ mod tests {
     #[test]
     fn a_stored_dentry_is_24_bytes() {
         assert_eq!(std::mem::size_of::<Entry>(), 24);
+    }
+
+    /// `listing` turns the order's pairs into rows in place only while the
+    /// two share a size and an alignment.
+    #[test]
+    fn a_listing_row_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Row>(), 16);
+        assert_eq!(std::mem::size_of::<(u64, u32)>(), 16);
+        assert_eq!(
+            std::mem::align_of::<Row>(),
+            std::mem::align_of::<(u64, u32)>()
+        );
+    }
+
+    /// Every view of the one name order against a `BTreeMap`, on the
+    /// order's edge cases: a shared prefix that ends inside a two-byte
+    /// character (`ß` and `à` share only `0xC3`), a name that is a prefix
+    /// of another (and one that differs from it by a trailing NUL, which
+    /// pads to the same key), the empty name, names equal in the 8 bytes
+    /// past the shared prefix, one entry and none.
+    #[test]
+    fn every_view_of_the_order_agrees_with_a_model() {
+        let cases: [&[&str]; 6] = [
+            &["àb", "ßa"],
+            &["file.10", "file.1\0", "file.1"],
+            &["b", "", "a"],
+            &["p.a12345678z", "p.b12345678", "p.a12345678", "p.a12345678y"],
+            &["only"],
+            &[],
+        ];
+        for names in cases {
+            // Threshold 2: three names or more split the directory.
+            let mut d = Dir::with_split_threshold(2);
+            let mut model = std::collections::BTreeMap::new();
+            for (i, &name) in (0..).zip(names) {
+                d.insert(name, dentry(i));
+                model.insert(name, dentry(i));
+            }
+            let expected = || model.iter().map(|(&n, &d)| (n, d));
+            let listing = d.listing();
+            assert!(listing.iter().eq(expected()), "listing of {names:?}");
+            assert!(d.sorted().eq(expected()), "sorted of {names:?}");
+            let mask = d.frag_count() as u64 - 1;
+            for (idx, frag) in d.fragments() {
+                let in_frag = expected().filter(|(n, _)| name_hash(n) & mask == u64::from(idx));
+                assert!(frag.iter().eq(in_frag), "fragment {idx} of {names:?}");
+            }
+        }
     }
 
     /// The name arena against a model: insert / replace / remove churn

@@ -241,9 +241,7 @@ impl MetadataStore {
         self.dirs
             .get(&ino)
             .map(|d| d.listing())
-            .ok_or_else(|| MdsError::NoEnt {
-                what: format!("directory {ino}"),
-            })
+            .ok_or_else(|| self.not_a_dir(ino))
     }
 
     /// Resolves an absolute slash-separated path to an inode. `""` and `"/"`

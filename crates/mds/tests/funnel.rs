@@ -536,6 +536,16 @@ fn readdir_stages() {
         Some(("readdir", H::NoEnt)),
     );
     case(
+        "readdir of a file is ENOTDIR",
+        &mut r,
+        |r| outcome(r.srv.readdir(C1, r.seed)),
+        "notdir",
+        k.look,
+        k.wire,
+        SERVED,
+        Some(("readdir", H::Err)),
+    );
+    case(
         "readdir blocked",
         &mut r,
         |r| outcome(r.srv.readdir(C2, r.privd)),
