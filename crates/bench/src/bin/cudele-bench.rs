@@ -9,10 +9,12 @@
 //! * `timeline` renders a recorded telemetry timeline (`mdbench
 //!   --timeline-out`) as terminal sparklines, annotation markers, and
 //!   SLO outcomes (see [`cudele_bench::timeline_view`]).
+//! * `figure` regenerates a table or figure of the paper's evaluation,
+//!   all of them, or the ablations (see [`cudele_bench::figure`]).
 
-use cudele_bench::{check, regress, timeline_view};
+use cudele_bench::{check, figure, regress, timeline_view};
 
-const USAGE: &str = "usage: cudele-bench <regress|check|timeline> [OPTIONS]\n\nsubcommands:\n  regress   run the benchmark regression pipeline\n  check     verify recorded consistency histories\n  timeline  render a recorded telemetry timeline";
+const USAGE: &str = "usage: cudele-bench <regress|check|timeline|figure> [OPTIONS]\n\nsubcommands:\n  regress   run the benchmark regression pipeline\n  check     verify recorded consistency histories\n  timeline  render a recorded telemetry timeline\n  figure    regenerate a figure or table of the paper";
 
 /// Runs one subcommand to its exit code. `parse` follows the shared
 /// contract (`Err("")` = `--help`: usage on stdout, exit 0; any other `Err`:
@@ -64,6 +66,9 @@ fn main() {
             timeline_view::parse_args,
             |cfg| timeline_view::run(cfg).map(|rendered| (rendered, false)),
         ),
+        Some("figure") => subcommand(args, figure::USAGE, figure::parse_args, |cfg| {
+            figure::run(cfg).map(|rendered| (rendered, false))
+        }),
         Some("--help") | Some("-h") | None => {
             println!("{USAGE}");
             0

@@ -1,7 +1,7 @@
 //! Experiment harnesses: one module per figure/table of the paper's
 //! evaluation, each with a `run(...)` function that regenerates the
-//! figure's data as plotted series plus a rendered text table, and a thin
-//! binary (`src/bin/figNN.rs`) that prints it.
+//! figure's data as plotted series plus a rendered text table, which
+//! `cudele-bench figure <name>` ([`figure`]) prints.
 //!
 //! All experiments execute the *functional* stack (real namespace, real
 //! journal bytes, real capability churn) under virtual time from
@@ -17,6 +17,7 @@ pub mod fig5;
 pub mod fig6a;
 pub mod fig6b;
 pub mod fig6c;
+pub mod figure;
 pub mod mdbench;
 pub mod obs_out;
 pub mod open_loop_run;
@@ -55,40 +56,6 @@ impl Scale {
         Scale {
             files_per_client: 5_000,
             runs: 3,
-        }
-    }
-
-    /// Reads `--quick`/`--full` from argv (default: paper scale).
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--quick") {
-            Scale::quick()
-        } else {
-            Scale::paper()
-        }
-    }
-}
-
-/// Reads `--threads N` from the process arguments (default 1). Harness
-/// binaries feed this to [`obs_out::par_tasks_merged`], which keeps every
-/// output byte-identical to the serial run regardless of the value.
-pub fn threads_from_args() -> usize {
-    let argv: Vec<String> = std::env::args().collect();
-    threads_from_argv(&argv)
-}
-
-/// [`threads_from_args`] over an explicit argument list (element 0 is
-/// ignored as the program name). Exits with an error on a bad value.
-pub fn threads_from_argv(argv: &[String]) -> usize {
-    let Some(at) = argv.iter().skip(1).position(|a| a == "--threads") else {
-        return 1;
-    };
-    let value = argv.get(at + 2).map(String::as_str).unwrap_or("");
-    match cudele_par::parse_threads(value) {
-        Ok(threads) => threads,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
         }
     }
 }

@@ -50,26 +50,17 @@ pub struct BenchConfig {
     pub policy: String,
     /// DSL composition (required when `policy` is `custom`).
     pub composition: Option<String>,
-    /// Write a JSON metrics snapshot here when the run finishes.
-    pub metrics_out: Option<String>,
-    /// Write a Chrome trace-event JSON file here when the run finishes.
-    pub trace_out: Option<String>,
-    /// Write the run's consistency history (`cudele-history/v1`) here when
-    /// the run finishes; feed it to `cudele-bench check`. Single-policy
-    /// runs only: a sweep would interleave unrelated virtual clocks.
-    pub history_out: Option<String>,
-    /// Write the run's virtual-time telemetry timeline
-    /// (`cudele-timeline/v1`: windowed samplers, annotations, evaluated
-    /// SLOs) here when the run finishes; render it with
-    /// `cudele-bench timeline`.
-    pub timeline_out: Option<String>,
+    /// The snapshots written when the run finishes: metrics, Chrome trace,
+    /// consistency history (for `cudele-bench check`; single-policy runs
+    /// only, since a sweep would interleave unrelated virtual clocks) and
+    /// telemetry timeline (for `cudele-bench timeline`), plus the span
+    /// buffer's bound (extra spans are dropped and counted in
+    /// `obs.spans_dropped`).
+    pub sinks: ObsSinks,
     /// SLO objectives evaluated over the timeline, e.g.
     /// `p99(bench.op_latency.ns) < 20ms for 99% of windows`. Defaults
     /// apply when `--timeline-out` is set and no `--slo` was given.
     pub slos: Vec<String>,
-    /// Bound the session span buffer; extra spans are dropped and
-    /// counted in `obs.spans_dropped`. `None` keeps the default.
-    pub span_capacity: Option<usize>,
     /// Fault-injection spec (see `cudele_faults::FaultConfig::parse`),
     /// e.g. `seed=7,eagain_ppm=20000,osd_outage=3@1ms..5ms`. Any
     /// `mds-crash@T` entries run a failover drill after the workload:
@@ -111,12 +102,8 @@ impl Default for BenchConfig {
             arrival: None,
             policy: "posix".to_string(),
             composition: None,
-            metrics_out: None,
-            trace_out: None,
-            history_out: None,
-            timeline_out: None,
+            sinks: ObsSinks::default(),
             slos: Vec::new(),
-            span_capacity: None,
             faults: None,
             mdlog_segment: None,
             mdlog_dispatch: None,
@@ -179,6 +166,9 @@ pub fn parse_args(argv: &[String]) -> Result<BenchConfig, String> {
             .ok_or_else(|| format!("{what} requires a value"))
     };
     while i < argv.len() {
+        if cfg.sinks.parse_flag(argv, &mut i)? {
+            continue;
+        }
         match argv[i].as_str() {
             "--clients" => {
                 cfg.clients = value(&mut i, "--clients")?
@@ -198,21 +188,10 @@ pub fn parse_args(argv: &[String]) -> Result<BenchConfig, String> {
             }
             "--policy" => cfg.policy = value(&mut i, "--policy")?,
             "--composition" => cfg.composition = Some(value(&mut i, "--composition")?),
-            "--metrics-out" => cfg.metrics_out = Some(value(&mut i, "--metrics-out")?),
-            "--trace-out" => cfg.trace_out = Some(value(&mut i, "--trace-out")?),
-            "--history-out" => cfg.history_out = Some(value(&mut i, "--history-out")?),
-            "--timeline-out" => cfg.timeline_out = Some(value(&mut i, "--timeline-out")?),
             "--slo" => {
                 let spec = value(&mut i, "--slo")?;
                 cudele_obs::slo::SloSpec::parse(&spec).map_err(|e| format!("bad --slo: {e}"))?;
                 cfg.slos.push(spec);
-            }
-            "--span-capacity" => {
-                cfg.span_capacity = Some(
-                    value(&mut i, "--span-capacity")?
-                        .parse()
-                        .map_err(|e| format!("bad --span-capacity: {e}"))?,
-                );
             }
             "--faults" => cfg.faults = Some(value(&mut i, "--faults")?),
             "--mdlog-segment" => {
@@ -354,13 +333,7 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
             return Err("--speculate runs the closed-loop RPC sweep; drop --arrival".to_string());
         }
     }
-    let mut obs = ObsSession::new(ObsSinks {
-        metrics_out: cfg.metrics_out.clone(),
-        trace_out: cfg.trace_out.clone(),
-        history_out: cfg.history_out.clone(),
-        timeline_out: cfg.timeline_out.clone(),
-        span_capacity: cfg.span_capacity,
-    });
+    let mut obs = ObsSession::new(cfg.sinks.clone());
     obs.set_history_mode(history_mode(&policy));
     obs.set_slos(resolve_slos(cfg)?);
 
@@ -774,7 +747,7 @@ pub fn run_sweep(cfg: &BenchConfig) -> Result<Vec<BenchOutcome>, String> {
     if policies.len() <= 1 {
         return run(cfg).map(|o| vec![o]);
     }
-    if cfg.history_out.is_some() {
+    if cfg.sinks.history_out.is_some() {
         return Err(
             "--history-out needs a single policy: each run restarts virtual time, so a \
 multi-policy history would interleave unrelated clocks"
@@ -794,20 +767,17 @@ multi-policy history would interleave unrelated clocks"
     // its clock), which is exactly what the byte-identity contract needs:
     // per-thread timelines merge in policy order, reproducing a serial
     // sweep's recording bit for bit.
-    let mut obs = ObsSession::new(ObsSinks {
-        metrics_out: cfg.metrics_out.clone(),
-        trace_out: cfg.trace_out.clone(),
-        history_out: None,
-        timeline_out: cfg.timeline_out.clone(),
-        span_capacity: cfg.span_capacity,
-    });
+    let mut obs = ObsSession::new(cfg.sinks.clone());
     obs.set_slos(resolve_slos(cfg)?);
     let results = crate::obs_out::par_tasks_merged(cfg.threads, policies.len(), |i| {
         run(&BenchConfig {
             policy: policies[i].clone(),
-            metrics_out: None,
-            trace_out: None,
-            timeline_out: None,
+            sinks: ObsSinks {
+                metrics_out: None,
+                trace_out: None,
+                timeline_out: None,
+                ..cfg.sinks.clone()
+            },
             ..cfg.clone()
         })
     });

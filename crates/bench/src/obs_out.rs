@@ -1,6 +1,7 @@
-//! Metrics/trace output plumbing shared by every experiment binary.
+//! Metrics/trace output plumbing shared by every experiment.
 //!
-//! Any figure binary (and `mdbench`) accepts:
+//! `cudele-bench figure` and `mdbench` accept, parsed by
+//! [`ObsSinks::parse_flag`]:
 //!
 //! * `--metrics-out <path>` — write a JSON metrics snapshot
 //!   ([`Registry::metrics_json`]) when the run finishes.
@@ -137,6 +138,38 @@ pub struct ObsSinks {
     pub span_capacity: Option<usize>,
 }
 
+impl ObsSinks {
+    /// The one parser of the sink flags, for command lines that own other
+    /// flags too: when `args[*i]` is a sink flag, records it and its value,
+    /// steps `*i` past both and returns `true`; otherwise returns `false`
+    /// and leaves `*i` alone. A sink flag with no value, or a
+    /// `--span-capacity` that is not a number, is an error.
+    pub fn parse_flag(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+        let flag = args[*i].as_str();
+        let path = match flag {
+            "--metrics-out" => Some(&mut self.metrics_out),
+            "--trace-out" => Some(&mut self.trace_out),
+            "--history-out" => Some(&mut self.history_out),
+            "--timeline-out" => Some(&mut self.timeline_out),
+            "--span-capacity" => None,
+            _ => return Ok(false),
+        };
+        let value = args
+            .get(*i + 1)
+            .cloned()
+            .ok_or_else(|| format!("{flag} requires a value"))?;
+        *i += 2;
+        match path {
+            Some(path) => *path = Some(value),
+            None => {
+                let cap = value.parse();
+                self.span_capacity = Some(cap.map_err(|e| format!("bad --span-capacity: {e}"))?);
+            }
+        }
+        Ok(true)
+    }
+}
+
 /// The requested sinks plus the session registry they activated.
 pub struct ObsSession {
     sinks: ObsSinks,
@@ -158,48 +191,6 @@ impl ObsSession {
             history_mode: "rpc".to_string(),
             slos: Vec::new(),
         }
-    }
-
-    /// [`ObsSession::new`] over the sink flags of an argument list (element
-    /// 0 is the program name). Flags it does not know belong to the
-    /// binary's other parsers and are skipped; a sink flag with no value, or
-    /// a `--span-capacity` that is not a number, is an error.
-    pub fn from_argv(argv: &[String]) -> Result<ObsSession, String> {
-        let mut sinks = ObsSinks::default();
-        let mut i = 1;
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 2;
-            argv.get(*i - 1)
-                .cloned()
-                .ok_or_else(|| format!("{} requires a value", argv[*i - 2]))
-        };
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--metrics-out" => sinks.metrics_out = Some(value(&mut i)?),
-                "--trace-out" => sinks.trace_out = Some(value(&mut i)?),
-                "--history-out" => sinks.history_out = Some(value(&mut i)?),
-                "--timeline-out" => sinks.timeline_out = Some(value(&mut i)?),
-                "--span-capacity" => {
-                    let cap = value(&mut i)?;
-                    sinks.span_capacity = Some(
-                        cap.parse()
-                            .map_err(|e| format!("bad --span-capacity: {e}"))?,
-                    );
-                }
-                _ => i += 1,
-            }
-        }
-        Ok(ObsSession::new(sinks))
-    }
-
-    /// [`ObsSession::from_argv`] over the process arguments, for the figure
-    /// binaries: a malformed sink flag prints the error and exits 2.
-    pub fn from_env() -> ObsSession {
-        let argv: Vec<String> = std::env::args().collect();
-        ObsSession::from_argv(&argv).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
     }
 
     /// Declares the SLO objectives evaluated over the timeline before the
@@ -254,11 +245,24 @@ impl ObsSession {
 mod tests {
     use super::*;
 
+    /// The sink flags of `args`, other flags skipped — as a command line
+    /// that owns other flags too parses them.
+    fn sinks(args: &[&str]) -> Result<ObsSinks, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let mut sinks = ObsSinks::default();
+        let mut i = 0;
+        while i < args.len() {
+            if !sinks.parse_flag(&args, &mut i)? {
+                i += 1;
+            }
+        }
+        Ok(sinks)
+    }
+
     #[test]
     fn no_flags_no_session() {
         clear_session();
-        let argv = vec!["prog".to_string(), "--quick".to_string()];
-        let s = ObsSession::from_argv(&argv).unwrap();
+        let s = ObsSession::new(sinks(&["--quick"]).unwrap());
         assert!(s.registry().is_none());
         assert!(session().is_none());
         s.finish().unwrap();
@@ -268,12 +272,7 @@ mod tests {
     fn flags_install_and_finish_clears() {
         let dir = std::env::temp_dir();
         let mpath = dir.join("cudele-obs-out-test-metrics.json");
-        let argv = vec![
-            "prog".to_string(),
-            "--metrics-out".to_string(),
-            mpath.to_string_lossy().into_owned(),
-        ];
-        let s = ObsSession::from_argv(&argv).unwrap();
+        let s = ObsSession::new(sinks(&["--metrics-out", &mpath.to_string_lossy()]).unwrap());
         let reg = s.registry().expect("session installed").clone();
         assert!(Arc::ptr_eq(&reg, &session().unwrap()));
         reg.counter("bench.test.counter").add(3);
@@ -287,13 +286,6 @@ mod tests {
 
     #[test]
     fn malformed_sink_flags_are_errors_not_ignored() {
-        clear_session();
-        let argv = |args: &[&str]| -> Vec<String> {
-            std::iter::once("prog")
-                .chain(args.iter().copied())
-                .map(str::to_string)
-                .collect()
-        };
         for (args, want) in [
             (
                 &["--quick", "--metrics-out"][..],
@@ -306,24 +298,23 @@ mod tests {
                 "bad --span-capacity",
             ),
         ] {
-            let err = ObsSession::from_argv(&argv(args)).err().expect("rejected");
+            let err = sinks(args).expect_err("rejected");
             assert!(err.starts_with(want), "{args:?}: {err}");
-            assert!(
-                session().is_none(),
-                "{args:?}: a rejected line installs nothing"
-            );
         }
         // A timeline alone activates the session, at the requested capacity;
         // other parsers' flags pass through.
-        let s = ObsSession::from_argv(&argv(&[
-            "--threads",
-            "4",
-            "--span-capacity",
-            "16",
-            "--timeline-out",
-            "tl.json",
-        ]))
-        .unwrap();
+        clear_session();
+        let s = ObsSession::new(
+            sinks(&[
+                "--threads",
+                "4",
+                "--span-capacity",
+                "16",
+                "--timeline-out",
+                "tl.json",
+            ])
+            .unwrap(),
+        );
         assert_eq!(s.registry().expect("session installed").span_capacity(), 16);
         clear_session();
     }

@@ -28,7 +28,8 @@ use cudele_mds::{
     CheckpointConfig, ClientId, FailoverConfig, MdLogConfig, MdsCluster, MetadataServer,
 };
 use cudele_obs::critpath::{self, MechanismBreakdown};
-use cudele_obs::json::{self, Value};
+use cudele_obs::json::Layout::{Inline, Pretty};
+use cudele_obs::json::{self, Value, Writer};
 use cudele_rados::InMemoryStore;
 use cudele_sim::{CostModel, Engine, Nanos};
 use cudele_workloads::client_dir;
@@ -419,14 +420,6 @@ fn run_traced_mechanisms() -> (Vec<MechanismBreakdown>, String, String) {
     )
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn render_json(
     mdbench_rows: &[MdbenchRow],
     recovery: &RecoveryRow,
@@ -434,60 +427,29 @@ fn render_json(
     fig5: &crate::fig5::Fig5,
     mechanisms: &[MechanismBreakdown],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-
-    out.push_str("  \"mdbench\": [\n");
-    for (i, r) in mdbench_rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"policy\": \"{}\",\n", r.policy));
-        out.push_str(&format!("      \"clients\": {},\n", r.clients));
-        out.push_str(&format!("      \"files\": {},\n", r.files));
-        out.push_str(&format!(
-            "      \"create_ops_per_s\": {},\n",
-            fmt_f64(r.create_ops_per_s)
-        ));
-        out.push_str(&format!(
-            "      \"end_to_end_ops_per_s\": {},\n",
-            fmt_f64(r.end_to_end_ops_per_s)
-        ));
-        out.push_str(&format!(
-            "      \"latency_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}},\n",
-            fmt_f64(r.p50_ns),
-            fmt_f64(r.p95_ns),
-            fmt_f64(r.p99_ns)
-        ));
-        out.push_str(&format!(
-            "      \"timeline\": {{\"windows\": {}, \"steady_ops_per_s\": {}, \"alerts\": {}}}\n",
-            r.timeline_windows,
-            fmt_f64(r.steady_ops_per_s),
-            r.timeline_alerts
-        ));
-        out.push_str(if i + 1 < mdbench_rows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+    let mut w = Writer::default();
+    w.obj(Pretty).key("schema").str(SCHEMA);
+    w.key("mdbench").arr(Pretty);
+    for r in mdbench_rows {
+        w.obj(Pretty).key("policy").str(r.policy);
+        w.key("clients").u64(r.clients.into());
+        w.key("files").u64(r.files);
+        w.key("create_ops_per_s").f64(r.create_ops_per_s);
+        w.key("end_to_end_ops_per_s").f64(r.end_to_end_ops_per_s);
+        w.key("latency_ns").obj(Inline).key("p50").f64(r.p50_ns);
+        w.key("p95").f64(r.p95_ns).key("p99").f64(r.p99_ns).close();
+        w.key("timeline").obj(Inline);
+        w.key("windows").u64(r.timeline_windows);
+        w.key("steady_ops_per_s").f64(r.steady_ops_per_s);
+        w.key("alerts").u64(r.timeline_alerts).close().close();
     }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"recovery\": {\n");
-    out.push_str(&format!("    \"files\": {},\n", recovery.files));
-    out.push_str(&format!(
-        "    \"replay_events\": {},\n",
-        recovery.replay_events
-    ));
-    out.push_str(&format!(
-        "    \"checkpoint_events\": {},\n",
-        recovery.checkpoint_events
-    ));
-    out.push_str(&format!("    \"takeover_ns\": {},\n", recovery.takeover_ns));
-    out.push_str(&format!(
-        "    \"manifest_epoch\": {}\n",
-        recovery.manifest_epoch
-    ));
-    out.push_str("  },\n");
+    w.close().key("recovery").obj(Pretty);
+    w.key("files").u64(recovery.files);
+    w.key("replay_events").u64(recovery.replay_events);
+    w.key("checkpoint_events").u64(recovery.checkpoint_events);
+    w.key("takeover_ns").u64(recovery.takeover_ns);
+    w.key("manifest_epoch").u64(recovery.manifest_epoch);
+    w.close();
 
     // How much of the RPC↔append gap the fig5 speculative column closed:
     // 0 = no better than stalling RPCs, 1 = as fast as the baseline.
@@ -496,110 +458,58 @@ fn render_json(
         let spec = fig5.slowdown("speculative");
         (rpcs - spec) / (rpcs - 1.0)
     };
-    out.push_str("  \"speculation\": {\n");
-    out.push_str(&format!("    \"clients\": {},\n", speculation.clients));
-    out.push_str(&format!("    \"files\": {},\n", speculation.files));
-    out.push_str(&format!("    \"depth\": {},\n", speculation.depth));
-    out.push_str(&format!(
-        "    \"create_ops_per_s\": {},\n",
-        fmt_f64(speculation.create_ops_per_s)
-    ));
-    out.push_str(&format!(
-        "    \"rpc_ops_per_s\": {},\n",
-        fmt_f64(speculation.rpc_ops_per_s)
-    ));
-    out.push_str(&format!(
-        "    \"speedup\": {},\n",
-        fmt_f64(speculation.create_ops_per_s / speculation.rpc_ops_per_s)
-    ));
-    out.push_str(&format!("    \"gap_closed\": {},\n", fmt_f64(gap_closed)));
-    out.push_str(&format!("    \"rollbacks\": {},\n", speculation.rollbacks));
-    out.push_str(&format!("    \"replayed\": {},\n", speculation.replayed));
-    out.push_str(&format!(
-        "    \"history_events\": {},\n",
-        speculation.history_events
-    ));
-    out.push_str(&format!("    \"check_ops\": {},\n", speculation.check_ops));
-    out.push_str(&format!(
-        "    \"violations\": {}\n",
-        speculation.check_violations.len()
-    ));
-    out.push_str("  },\n");
-
-    out.push_str("  \"fig5_slowdowns\": {\n");
-    for (i, b) in fig5.bars.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {}{}\n",
-            b.label,
-            fmt_f64(b.slowdown),
-            if i + 1 < fig5.bars.len() { "," } else { "" }
-        ));
+    let s = speculation;
+    w.key("speculation").obj(Pretty);
+    w.key("clients").u64(s.clients.into());
+    w.key("files").u64(s.files);
+    w.key("depth").u64(s.depth as u64);
+    w.key("create_ops_per_s").f64(s.create_ops_per_s);
+    w.key("rpc_ops_per_s").f64(s.rpc_ops_per_s);
+    w.key("speedup").f64(s.create_ops_per_s / s.rpc_ops_per_s);
+    w.key("gap_closed").f64(gap_closed);
+    w.key("rollbacks").u64(s.rollbacks);
+    w.key("replayed").u64(s.replayed);
+    w.key("history_events").u64(s.history_events);
+    w.key("check_ops").u64(s.check_ops);
+    w.key("violations").u64(s.check_violations.len() as u64);
+    w.close().key("fig5_slowdowns").obj(Pretty);
+    for b in &fig5.bars {
+        w.key(b.label).f64(b.slowdown);
     }
-    out.push_str("  },\n");
-
-    out.push_str("  \"mechanisms\": [\n");
-    for (i, m) in mechanisms.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", m.name));
-        out.push_str(&format!("      \"runs\": {},\n", m.runs));
+    w.close().key("mechanisms").arr(Pretty);
+    for m in mechanisms {
         let mean = if m.runs > 0 {
             m.total_ns as f64 / m.runs as f64
         } else {
             0.0
         };
-        out.push_str(&format!("      \"mean_ns\": {},\n", fmt_f64(mean)));
-        out.push_str("      \"layer_shares\": {");
-        let shares = m.shares();
-        for (j, (layer, share)) in shares.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{}\": {}{}",
-                layer,
-                fmt_f64(*share),
-                if j + 1 < shares.len() { ", " } else { "" }
-            ));
+        w.obj(Pretty).key("name").str(&m.name);
+        w.key("runs").u64(m.runs);
+        w.key("mean_ns").f64(mean).key("layer_shares").obj(Inline);
+        for (layer, share) in m.shares() {
+            w.key(&layer).f64(share);
         }
-        out.push_str("}\n");
-        out.push_str(if i + 1 < mechanisms.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+        w.close().close();
     }
-    out.push_str("  ],\n");
+    w.close();
 
-    // Aggregate consistency-check verdict over the mdbench histories.
-    // `violations` must be 0 (`MUST_BE_ZERO`).
-    let violations: u64 = mdbench_rows
-        .iter()
-        .map(|r| r.check_violations.len() as u64)
-        .sum();
+    let sum = |f: fn(&MdbenchRow) -> u64| mdbench_rows.iter().map(f).sum::<u64>();
     // Observability loss: any dropped span or timeline sample in the
     // regress workloads means the buffers are undersized for the pinned
     // scale. Both must be 0 (`MUST_BE_ZERO`).
-    out.push_str("  \"obs\": {\n");
-    out.push_str(&format!(
-        "    \"spans_dropped\": {},\n",
-        mdbench_rows.iter().map(|r| r.spans_dropped).sum::<u64>()
-    ));
-    out.push_str(&format!(
-        "    \"windows_dropped\": {}\n",
-        mdbench_rows.iter().map(|r| r.windows_dropped).sum::<u64>()
-    ));
-    out.push_str("  },\n");
-
-    out.push_str("  \"check\": {\n");
-    out.push_str(&format!("    \"histories\": {},\n", mdbench_rows.len()));
-    out.push_str(&format!(
-        "    \"events\": {},\n",
-        mdbench_rows.iter().map(|r| r.history_events).sum::<u64>()
-    ));
-    out.push_str(&format!(
-        "    \"ops\": {},\n",
-        mdbench_rows.iter().map(|r| r.check_ops).sum::<u64>()
-    ));
-    out.push_str(&format!("    \"violations\": {violations}\n"));
-    out.push_str("  }\n}\n");
-    out
+    w.key("obs").obj(Pretty);
+    w.key("spans_dropped").u64(sum(|r| r.spans_dropped));
+    w.key("windows_dropped").u64(sum(|r| r.windows_dropped));
+    // Aggregate consistency-check verdict over the mdbench histories.
+    // `violations` must be 0 (`MUST_BE_ZERO`).
+    let violations = sum(|r| r.check_violations.len() as u64);
+    w.close().key("check").obj(Pretty);
+    w.key("histories").u64(mdbench_rows.len() as u64);
+    w.key("events").u64(sum(|r| r.history_events));
+    w.key("ops").u64(sum(|r| r.check_ops));
+    w.key("violations").u64(violations);
+    w.close().close();
+    w.finish()
 }
 
 /// Paths that must read 0 in a measured snapshot for the run behind it to

@@ -9,6 +9,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use cudele::{execute_merge_at, Composition, ExecEnv};
 use cudele_bench::mdbench::{self, BenchConfig};
+use cudele_bench::obs_out::ObsSinks;
 use cudele_bench::{DecoupledCreateProcess, RpcCreateProcess, World};
 use cudele_client::LocalDisk;
 use cudele_mds::{MdLogConfig, MetadataServer};
@@ -191,17 +192,17 @@ fn run_faulted_snapshots(
         arrival: None,
         policy: policy.to_string(),
         composition: None,
-        metrics_out: Some(metrics.clone()),
-        trace_out: Some(trace.clone()),
-        history_out: None,
-        span_capacity: None,
+        sinks: ObsSinks {
+            metrics_out: Some(metrics.clone()),
+            trace_out: Some(trace.clone()),
+            ..ObsSinks::default()
+        },
         faults: faults.map(str::to_string),
         // Small mdlog windows so faulted runs flush to the store often
         // enough for the plan to actually fire within 500 creates.
         mdlog_segment: faults.map(|_| 32),
         mdlog_dispatch: faults.map(|_| 4),
         checkpoint_interval: None,
-        timeline_out: None,
         speculate: None,
         slos: Vec::new(),
         threads: 1,
@@ -282,7 +283,10 @@ fn failover_drill_timeline_shows_a_bounded_transient() {
         faults: Some("mds-crash@5ms".to_string()),
         mdlog_segment: Some(8),
         mdlog_dispatch: Some(2),
-        timeline_out: Some(path.clone()),
+        sinks: ObsSinks {
+            timeline_out: Some(path.clone()),
+            ..ObsSinks::default()
+        },
         ..BenchConfig::default()
     };
     mdbench::run(&cfg).unwrap();
@@ -356,7 +360,10 @@ fn bitflip_under_checkpointing_does_not_fail_foreground_ops() {
         mdlog_segment: Some(8),
         mdlog_dispatch: Some(2),
         faults: Some("seed=11,bitflip_ppm=30000".to_string()),
-        metrics_out: Some(metrics_path.clone()),
+        sinks: ObsSinks {
+            metrics_out: Some(metrics_path.clone()),
+            ..ObsSinks::default()
+        },
         ..BenchConfig::default()
     };
     let out = mdbench::run(&cfg).unwrap();

@@ -7,6 +7,7 @@
 use std::sync::{Mutex, OnceLock};
 
 use cudele_bench::mdbench::{self, BenchConfig};
+use cudele_bench::obs_out::ObsSinks;
 use cudele_sim::{stats, CompletionSummary, Engine, FifoServer, Nanos, Process, Step};
 use cudele_workloads::open_loop::ArrivalSpec;
 
@@ -30,9 +31,12 @@ fn run_open(policy: &str, threads: usize, tag: &str) -> (String, String, String,
         files: 1,
         arrival: Some(SPEC.to_string()),
         policy: policy.to_string(),
-        metrics_out: Some(metrics.to_string_lossy().into_owned()),
-        timeline_out: Some(timeline.to_string_lossy().into_owned()),
-        history_out: Some(history.to_string_lossy().into_owned()),
+        sinks: ObsSinks {
+            metrics_out: Some(metrics.to_string_lossy().into_owned()),
+            timeline_out: Some(timeline.to_string_lossy().into_owned()),
+            history_out: Some(history.to_string_lossy().into_owned()),
+            ..ObsSinks::default()
+        },
         threads,
         ..BenchConfig::default()
     };

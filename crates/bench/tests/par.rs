@@ -6,6 +6,7 @@
 //! lives in `cudele-par`'s unit tests.)
 
 use cudele_bench::mdbench::{self, BenchConfig};
+use cudele_bench::obs_out::ObsSinks;
 use cudele_bench::regress;
 use cudele_obs::json::{self, Value};
 
@@ -61,9 +62,12 @@ fn mdbench_sweep_is_byte_identical_across_thread_counts() {
             clients: 2,
             files: 200,
             policy: "posix,batchfs,deltafs".to_string(),
-            metrics_out: Some(metrics.to_string_lossy().into_owned()),
-            trace_out: Some(trace.to_string_lossy().into_owned()),
-            timeline_out: Some(timeline.to_string_lossy().into_owned()),
+            sinks: ObsSinks {
+                metrics_out: Some(metrics.to_string_lossy().into_owned()),
+                trace_out: Some(trace.to_string_lossy().into_owned()),
+                timeline_out: Some(timeline.to_string_lossy().into_owned()),
+                ..ObsSinks::default()
+            },
             threads,
             ..BenchConfig::default()
         };

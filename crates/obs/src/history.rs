@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 use cudele_sim::Nanos;
 
-use crate::json::{self, Value};
+use crate::json::Layout::{Compact, Pretty};
+use crate::json::{self, Value, Writer};
 use crate::lock::Lock;
 
 /// Version tag of the serialized history layout.
@@ -458,50 +459,33 @@ impl History {
 }
 
 /// The one history serializer: `events` (there are `len` of them) as a
-/// [`SCHEMA`] document.
+/// [`SCHEMA`] document, one event per line.
 fn write_json<'a>(
     mode: &str,
     dropped: u64,
     len: usize,
     events: impl Iterator<Item = HistoryEvent<&'a str>>,
 ) -> String {
-    let mut out = String::with_capacity(128 + len * 140);
-    out.push_str("{\n  \"schema\": \"");
-    out.push_str(SCHEMA);
-    out.push_str("\",\n  \"mode\": \"");
-    out.push_str(&crate::escape_json(mode));
-    out.push_str("\",\n  \"dropped\": ");
-    out.push_str(&dropped.to_string());
-    out.push_str(",\n  \"events\": [");
-    for (i, ev) in events.enumerate() {
-        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        push_event(&mut out, &ev);
+    let mut w = Writer::with_capacity(128 + len * 140);
+    w.obj(Pretty).key("schema").str(SCHEMA);
+    w.key("mode").str(mode).key("dropped").u64(dropped);
+    w.key("events").arr(Pretty);
+    for ev in events {
+        write_event(&mut w, &ev);
     }
-    if len == 0 {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
+    w.close().close();
+    w.finish()
 }
 
-fn push_event(out: &mut String, ev: &HistoryEvent<&str>) {
-    out.push_str("{\"client\":");
-    out.push_str(&ev.client.to_string());
-    out.push_str(",\"scope\":\"");
-    out.push_str(ev.scope.as_str());
-    out.push_str("\",\"op\":\"");
-    out.push_str(ev.op.kind());
-    out.push('"');
-    match &ev.op {
+fn write_event(w: &mut Writer, ev: &HistoryEvent<&str>) {
+    w.obj(Compact).key("client").u64(ev.client);
+    w.key("scope").str(ev.scope.as_str());
+    w.key("op").str(ev.op.kind());
+    match ev.op {
         HistoryOp::Create { dir, name }
         | HistoryOp::Mkdir { dir, name }
         | HistoryOp::Unlink { dir, name } => {
-            out.push_str(",\"dir\":");
-            out.push_str(&dir.to_string());
-            out.push_str(",\"name\":\"");
-            out.push_str(&crate::escape_json(name));
-            out.push('"');
+            w.key("dir").u64(dir).key("name").str(name);
         }
         HistoryOp::Rename {
             src_dir,
@@ -509,51 +493,28 @@ fn push_event(out: &mut String, ev: &HistoryEvent<&str>) {
             dst_dir,
             dst_name,
         } => {
-            out.push_str(",\"dir\":");
-            out.push_str(&src_dir.to_string());
-            out.push_str(",\"name\":\"");
-            out.push_str(&crate::escape_json(src_name));
-            out.push_str("\",\"dir2\":");
-            out.push_str(&dst_dir.to_string());
-            out.push_str(",\"name2\":\"");
-            out.push_str(&crate::escape_json(dst_name));
-            out.push('"');
+            w.key("dir").u64(src_dir).key("name").str(src_name);
+            w.key("dir2").u64(dst_dir).key("name2").str(dst_name);
         }
         HistoryOp::Lookup { dir, name, found } => {
-            out.push_str(",\"dir\":");
-            out.push_str(&dir.to_string());
-            out.push_str(",\"name\":\"");
-            out.push_str(&crate::escape_json(name));
-            out.push_str("\",\"found\":");
+            w.key("dir").u64(dir).key("name").str(name).key("found");
             match found {
-                Some(i) => out.push_str(&i.to_string()),
-                None => out.push_str("null"),
-            }
+                Some(ino) => w.u64(ino),
+                None => w.null(),
+            };
         }
         HistoryOp::Readdir { dir, entries } => {
-            out.push_str(",\"dir\":");
-            out.push_str(&dir.to_string());
-            out.push_str(",\"entries\":");
-            out.push_str(&entries.to_string());
+            w.key("dir").u64(dir).key("entries").u64(entries);
         }
         HistoryOp::Merge { events } => {
-            out.push_str(",\"events\":");
-            out.push_str(&events.to_string());
+            w.key("events").u64(events);
         }
     }
-    out.push_str(",\"ino\":");
-    out.push_str(&ev.ino.to_string());
-    out.push_str(",\"result\":\"");
-    out.push_str(ev.result.as_str());
-    out.push_str("\",\"invoke\":");
-    out.push_str(&ev.invoke.0.to_string());
-    out.push_str(",\"ack\":");
-    out.push_str(&ev.ack.0.to_string());
-    out.push_str(",\"epoch\":");
-    out.push_str(&ev.epoch.to_string());
-    out.push_str(",\"trace_id\":");
-    out.push_str(&ev.trace_id.to_string());
-    out.push('}');
+    w.key("ino").u64(ev.ino);
+    w.key("result").str(ev.result.as_str());
+    w.key("invoke").u64(ev.invoke.0).key("ack").u64(ev.ack.0);
+    w.key("epoch").u64(ev.epoch);
+    w.key("trace_id").u64(ev.trace_id).close();
 }
 
 fn parse_event(e: &Value) -> Result<HistoryEvent, String> {

@@ -1,13 +1,18 @@
-//! A minimal JSON validator and parser.
+//! The workspace's one JSON writer and its matching reader (the workspace
+//! builds offline, with no serde).
 //!
-//! The exporters in this crate hand-roll their JSON (the workspace builds
-//! offline, with no serde); this module is the matching safety net — a
-//! strict recursive-descent parser used by tests (and callers that write
-//! `--metrics-out` files) to prove the output is well-formed, and by the
-//! benchmark regression gate to read baselines back. [`validate`] checks
-//! validity only; [`parse`] builds a [`Value`] tree. Both apply the same
-//! strict grammar (no leading zeros, strict escapes, no raw control
-//! characters in strings, no trailing data).
+//! [`Writer`] builds every document `cudele-obs` and `cudele-bench regress`
+//! emit: objects and arrays, each opened with the [`Layout`] its document
+//! uses, keys and strings escaped one way, and `f64` spelled one way
+//! ([`Float`]). [`parse`] is a strict recursive-descent reader, used by
+//! tests to prove the output well-formed, by the benchmark regression gate
+//! to read baselines back, and by the history and timeline readers.
+//! [`validate`] checks validity only; [`parse`] builds a [`Value`] tree.
+//! Both apply the same strict grammar (no leading zeros, strict escapes, no
+//! raw control characters in strings, no trailing data, at most
+//! [`MAX_DEPTH`] nested containers).
+
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,13 +89,19 @@ pub fn validate(s: &str) -> Result<(), String> {
     parse(s).map(|_| ())
 }
 
+/// The deepest nesting of objects and arrays [`parse`] accepts. The reader
+/// recurses once per level, so the bound keeps a hostile file from
+/// overflowing the stack; the deepest document this workspace writes has 5
+/// levels (timeline → series → one series → points → one point).
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses `s` as exactly one JSON value under the same strict grammar as
 /// [`validate`].
 pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
     let mut pos = 0usize;
     skip_ws(b, &mut pos);
-    let v = value(b, &mut pos)?;
+    let v = value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -108,10 +119,15 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// One value; `depth` counts the containers already open around it.
+fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(
+            *pos,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => object(b, pos, depth + 1),
+        Some(b'[') => array(b, pos, depth + 1),
         Some(b'"') => string(b, pos).map(Value::Str),
         Some(b't') => literal(b, pos, b"true").map(|_| Value::Bool(true)),
         Some(b'f') => literal(b, pos, b"false").map(|_| Value::Bool(false)),
@@ -131,7 +147,7 @@ fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
     }
 }
 
-fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '{'
     skip_ws(b, pos);
     let mut members = Vec::new();
@@ -151,7 +167,7 @@ fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         }
         *pos += 1;
         skip_ws(b, pos);
-        let v = value(b, pos)?;
+        let v = value(b, pos, depth)?;
         members.push((key, v));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -165,7 +181,7 @@ fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '['
     skip_ws(b, pos);
     let mut items = Vec::new();
@@ -175,7 +191,7 @@ fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     loop {
         skip_ws(b, pos);
-        items.push(value(b, pos)?);
+        items.push(value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -326,6 +342,213 @@ fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     text.parse::<f64>()
         .map(Value::Num)
         .map_err(|_| err(start, "unrepresentable number"))
+}
+
+/// Appends `s` to `out` escaped for a JSON string literal (the quotes are
+/// the caller's): `"`, `\` and control characters escaped, everything else
+/// verbatim.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// An `f64` as every document here spells it: the shortest text that reads
+/// back to the same value, `.0` after an integral one, and `null` when the
+/// value is not finite (JSON has no NaN or infinity).
+#[derive(Debug, Clone, Copy)]
+pub struct Float(pub f64);
+
+impl fmt::Display for Float {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if !v.is_finite() {
+            f.write_str("null")
+        } else if v.fract() == 0.0 {
+            // `Display` never uses an exponent, so this is `1.0`, not `1`.
+            write!(f, "{v}.0")
+        } else {
+            write!(f, "{v}")
+        }
+    }
+}
+
+/// How a container written by [`Writer`] lays out its members. Each
+/// document fixes the layout of each of its containers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One member per line, indented two spaces per open container, `": "`
+    /// after a key; an empty container is `{}` / `[]`.
+    Pretty,
+    /// One line: `", "` between members, `": "` after a key.
+    Inline,
+    /// One line: `","` between members, `":"` after a key.
+    Compact,
+}
+
+/// Builds one JSON document in a `String`. Open a container with
+/// [`Writer::obj`] or [`Writer::arr`], write members — in an object, a
+/// [`Writer::key`] before each value — and [`Writer::close`] it; the
+/// document ends in `\n` exactly when its root container is
+/// [`Layout::Pretty`].
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// Open containers, innermost last: layout, closing bracket, and
+    /// whether a member has been written.
+    open: Vec<(Layout, char, bool)>,
+    /// A key was just written, so the next value follows it directly.
+    after_key: bool,
+}
+
+impl Writer {
+    /// An empty document with `bytes` reserved.
+    pub fn with_capacity(bytes: usize) -> Writer {
+        Writer {
+            out: String::with_capacity(bytes),
+            ..Writer::default()
+        }
+    }
+
+    /// Opens an object.
+    pub fn obj(&mut self, layout: Layout) -> &mut Writer {
+        self.open_with(layout, '{', '}')
+    }
+
+    /// Opens an array.
+    pub fn arr(&mut self, layout: Layout) -> &mut Writer {
+        self.open_with(layout, '[', ']')
+    }
+
+    /// Closes the innermost open container.
+    ///
+    /// # Panics
+    ///
+    /// If no container is open.
+    pub fn close(&mut self) -> &mut Writer {
+        let (layout, bracket, any) = self.open.pop().expect("Writer::close: nothing is open");
+        if layout == Layout::Pretty && any {
+            self.newline();
+        }
+        self.out.push(bracket);
+        if layout == Layout::Pretty && self.open.is_empty() {
+            self.out.push('\n');
+        }
+        self
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Writer {
+        self.member();
+        self.string(key);
+        let compact = matches!(self.open.last(), Some((Layout::Compact, ..)));
+        self.out.push_str(if compact { ":" } else { ": " });
+        self.after_key = true;
+        self
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, v: u64) -> &mut Writer {
+        self.member();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// Writes a float, spelled as [`Float`].
+    pub fn f64(&mut self, v: f64) -> &mut Writer {
+        self.member();
+        let _ = write!(self.out, "{}", Float(v));
+        self
+    }
+
+    /// Writes `ns` nanoseconds as fixed-point microseconds (`123.456`),
+    /// digit-exact: a Chrome trace's `ts` / `dur` unit.
+    pub fn micros(&mut self, ns: u64) -> &mut Writer {
+        self.member();
+        let _ = write!(self.out, "{}.{:03}", ns / 1000, ns % 1000);
+        self
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Writer {
+        self.member();
+        self.string(s);
+        self
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, v: bool) -> &mut Writer {
+        self.member();
+        self.out.push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Writer {
+        self.member();
+        self.out.push_str("null");
+        self
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        debug_assert!(self.open.is_empty(), "Writer::finish with containers open");
+        self.out
+    }
+
+    fn open_with(&mut self, layout: Layout, open: char, close: char) -> &mut Writer {
+        self.member();
+        self.out.push(open);
+        self.open.push((layout, close, false));
+        self
+    }
+
+    /// The separator a new member needs: none right after its key, else
+    /// whatever its container's layout puts between and before members.
+    fn member(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        let Some((layout, _, any)) = self.open.last_mut() else {
+            return;
+        };
+        let (layout, first) = (*layout, !std::mem::replace(any, true));
+        match layout {
+            Layout::Pretty => {
+                if !first {
+                    self.out.push(',');
+                }
+                self.newline();
+            }
+            Layout::Inline if !first => self.out.push_str(", "),
+            Layout::Compact if !first => self.out.push(','),
+            _ => {}
+        }
+    }
+
+    /// A line break indented for the open containers.
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.open.len() {
+            self.out.push_str("  ");
+        }
+    }
+
+    fn string(&mut self, s: &str) {
+        self.out.push('"');
+        escape_into(&mut self.out, s);
+        self.out.push('"');
+    }
 }
 
 #[cfg(test)]

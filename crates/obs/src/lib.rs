@@ -20,13 +20,19 @@
 //!   complete events, virtual timestamps as microseconds), loadable in
 //!   Perfetto / `chrome://tracing`.
 //! * [`Registry::metrics_json`] — a flat snapshot of every counter, gauge
-//!   and histogram (with p50/p95/p99), hand-rolled — no serde.
+//!   and histogram (with p50/p95/p99).
+//!
+//! Both, like every document this crate writes, go through
+//! [`json::Writer`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cudele_sim::Nanos;
+
+use json::Layout::{Compact, Inline, Pretty};
+use json::Writer;
 
 pub mod critpath;
 pub mod history;
@@ -1021,166 +1027,91 @@ impl Registry {
     pub fn chrome_trace_json(&self) -> String {
         let tl = self.timeline.snapshot();
         let log = self.spans.lock();
-        let mut out = String::with_capacity(64 + log.spans.len() * 96);
-        out.push_str("{\"traceEvents\":[");
-        let mut first_event = true;
+        let mut w = Writer::with_capacity(64 + log.spans.len() * 96);
+        w.obj(Compact).key("traceEvents").arr(Compact);
         for s in &tl.series {
             for p in &s.points {
-                if !first_event {
-                    out.push(',');
-                }
-                first_event = false;
-                out.push_str("{\"name\":\"");
-                out.push_str(&escape_json(&s.name));
-                out.push_str("\",\"ph\":\"C\",\"ts\":");
-                push_micros(&mut out, p.t_ns);
-                out.push_str(",\"pid\":1,\"tid\":0,\"args\":{\"value\":");
-                push_f64(&mut out, p.stat.plot_value());
-                out.push_str("}}");
+                w.obj(Compact).key("name").str(&s.name).key("ph").str("C");
+                w.key("ts").micros(p.t_ns).key("pid").u64(1);
+                w.key("tid").u64(0);
+                let value = p.stat.plot_value();
+                w.key("args").obj(Compact).key("value").f64(value).close();
+                w.close();
             }
         }
         for (i, s) in log.spans.iter().enumerate() {
-            if !first_event {
-                out.push(',');
-            }
-            first_event = false;
             let (name, cat) = log.name_of(s);
-            out.push_str("{\"name\":\"");
-            out.push_str(&escape_json(name));
-            out.push_str("\",\"cat\":\"");
-            out.push_str(&escape_json(cat));
-            out.push_str("\",\"ph\":\"X\",\"ts\":");
-            push_micros(&mut out, s.start.0);
-            out.push_str(",\"dur\":");
-            push_micros(&mut out, s.dur.0);
-            out.push_str(",\"pid\":1,\"tid\":");
-            out.push_str(&s.tid.to_string());
+            w.obj(Compact).key("name").str(name).key("cat").str(cat);
+            w.key("ph").str("X").key("ts").micros(s.start.0);
+            w.key("dur").micros(s.dur.0);
+            w.key("pid").u64(1).key("tid").u64(u64::from(s.tid));
             // Identified spans (span_id != 0) carry their trace identity in
             // `args` so parent nesting survives the Chrome trace format.
             let has_ids = s.span_id != 0;
             let mut args = log.args_of(i).peekable();
             if has_ids || args.peek().is_some() {
-                out.push_str(",\"args\":{");
-                let mut first = true;
+                w.key("args").obj(Compact);
                 if has_ids {
-                    out.push_str("\"span_id\":\"");
-                    out.push_str(&s.span_id.to_string());
-                    out.push_str("\",\"parent_id\":\"");
-                    out.push_str(&s.parent_id.to_string());
-                    out.push_str("\",\"trace_id\":\"");
-                    out.push_str(&s.trace_id.to_string());
-                    out.push('"');
-                    first = false;
+                    w.key("span_id").str(&s.span_id.to_string());
+                    w.key("parent_id").str(&s.parent_id.to_string());
+                    w.key("trace_id").str(&s.trace_id.to_string());
                 }
                 for (k, v) in args {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push('"');
-                    out.push_str(&escape_json(k));
-                    out.push_str("\":\"");
-                    out.push_str(&escape_json(v));
-                    out.push('"');
+                    w.key(k).str(v);
                 }
-                out.push('}');
+                w.close();
             }
-            out.push('}');
+            w.close();
         }
-        out.push_str("],\"displayTimeUnit\":\"ns\"}");
-        out
+        w.close().key("displayTimeUnit").str("ns").close();
+        w.finish()
     }
 
     /// Serializes every metric as one JSON document: counters and gauges
     /// as flat name→value maps, histograms with count/sum/min/max and
     /// interpolated p50/p95/p99, plus the span-log accounting.
     pub fn metrics_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        {
-            // Snapshot real counters, then merge the span-log accounting in
-            // as synthetic `obs.*` counters so truncation is never silent.
-            let mut vals: BTreeMap<String, u64> = {
-                let m = self.counters.lock();
-                m.iter().map(|(k, c)| (k.clone(), c.get())).collect()
-            };
-            {
-                let log = self.spans.lock();
-                vals.insert("obs.spans_dropped".to_string(), log.dropped);
-                vals.insert("obs.spans_recorded".to_string(), log.spans.len() as u64);
-            }
-            vals.insert(
-                "obs.timeline.windows_dropped".to_string(),
-                self.timeline.dropped(),
-            );
-            vals.insert(
-                "obs.timeline.windows_recorded".to_string(),
-                self.timeline.windows_recorded(),
-            );
-            for (i, (name, v)) in vals.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n    \"");
-                out.push_str(&escape_json(name));
-                out.push_str("\": ");
-                out.push_str(&v.to_string());
-            }
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"gauges\": {");
-        {
-            let m = self.gauges.lock();
-            for (i, (name, g)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n    \"");
-                out.push_str(&escape_json(name));
-                out.push_str("\": ");
-                push_f64(&mut out, g.get());
-            }
-            if !m.is_empty() {
-                out.push_str("\n  ");
-            }
-        }
-        out.push_str("},\n  \"histograms\": {");
-        {
-            let m = self.histograms.lock();
-            for (i, (name, h)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n    \"");
-                out.push_str(&escape_json(name));
-                out.push_str("\": {\"count\": ");
-                out.push_str(&h.count().to_string());
-                out.push_str(", \"sum\": ");
-                out.push_str(&h.sum().to_string());
-                out.push_str(", \"min\": ");
-                out.push_str(&h.min().to_string());
-                out.push_str(", \"max\": ");
-                out.push_str(&h.max().to_string());
-                out.push_str(", \"p50\": ");
-                push_f64(&mut out, h.p50());
-                out.push_str(", \"p95\": ");
-                push_f64(&mut out, h.p95());
-                out.push_str(", \"p99\": ");
-                push_f64(&mut out, h.p99());
-                out.push('}');
-            }
-            if !m.is_empty() {
-                out.push_str("\n  ");
-            }
-        }
-        out.push_str("},\n  \"spans\": {\"recorded\": ");
-        {
+        // Snapshot real counters, then merge the span-log accounting in as
+        // synthetic `obs.*` counters so truncation is never silent.
+        let mut counters: BTreeMap<String, u64> = {
+            let m = self.counters.lock();
+            m.iter().map(|(k, c)| (k.clone(), c.get())).collect()
+        };
+        let (recorded, dropped) = {
             let log = self.spans.lock();
-            out.push_str(&log.spans.len().to_string());
-            out.push_str(", \"dropped\": ");
-            out.push_str(&log.dropped.to_string());
+            (log.spans.len() as u64, log.dropped)
+        };
+        for (name, v) in [
+            ("obs.spans_dropped", dropped),
+            ("obs.spans_recorded", recorded),
+            ("obs.timeline.windows_dropped", self.timeline.dropped()),
+            (
+                "obs.timeline.windows_recorded",
+                self.timeline.windows_recorded(),
+            ),
+        ] {
+            counters.insert(name.to_string(), v);
         }
-        out.push_str("}\n}\n");
-        out
+        let mut w = Writer::default();
+        w.obj(Pretty).key("counters").obj(Pretty);
+        for (name, v) in &counters {
+            w.key(name).u64(*v);
+        }
+        w.close().key("gauges").obj(Pretty);
+        for (name, g) in self.gauges.lock().iter() {
+            w.key(name).f64(g.get());
+        }
+        w.close().key("histograms").obj(Pretty);
+        for (name, h) in self.histograms.lock().iter() {
+            w.key(name).obj(Inline).key("count").u64(h.count());
+            w.key("sum").u64(h.sum()).key("min").u64(h.min());
+            w.key("max").u64(h.max()).key("p50").f64(h.p50());
+            w.key("p95").f64(h.p95()).key("p99").f64(h.p99()).close();
+        }
+        w.close().key("spans").obj(Inline);
+        w.key("recorded").u64(recorded).key("dropped").u64(dropped);
+        w.close().close();
+        w.finish()
     }
 }
 
@@ -1218,39 +1149,8 @@ pub fn observe_mechanism_at(reg: &Registry, name: &str, ctx: TraceCtx, start: Na
 /// Escapes a string for embedding in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    json::escape_into(&mut out, s);
     out
-}
-
-/// Renders `ns` nanoseconds as fractional microseconds (`123.456`),
-/// digit-exact and locale-free — the trace's `ts`/`dur` unit.
-fn push_micros(out: &mut String, ns: u64) {
-    out.push_str(&format!("{}.{:03}", ns / 1000, ns % 1000));
-}
-
-/// Renders an `f64` deterministically; non-finite values become `null`
-/// (JSON has no NaN/Infinity).
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Rust's shortest-roundtrip formatting is deterministic.
-        let s = format!("{v}");
-        out.push_str(&s);
-        if !s.contains('.') && !s.contains('e') {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
 }
 
 #[cfg(test)]

@@ -27,11 +27,8 @@
 //! (for latency series), linking an alert straight into the
 //! critical-path profiler's trace view.
 
-use std::fmt::Write as _;
-
-use crate::json::Value;
+use crate::json::{Float, Value};
 use crate::timeline::{PointStat, TimelineSnapshot};
-use crate::{escape_json, push_f64};
 
 /// Short burn-rate lookback, in windows.
 pub const BURN_SHORT: u64 = 3;
@@ -170,16 +167,10 @@ impl SloSpec {
                 SloOp::Lt => "<",
                 SloOp::Gt => ">",
             },
-            fmt_f64(self.threshold),
-            fmt_f64(self.objective * 100.0),
+            Float(self.threshold),
+            Float(self.objective * 100.0),
         )
     }
-}
-
-fn fmt_f64(v: f64) -> String {
-    let mut s = String::new();
-    push_f64(&mut s, v);
-    s
 }
 
 /// Parses a threshold literal with an optional unit suffix.
@@ -240,33 +231,6 @@ pub struct SloOutcome {
 }
 
 impl SloOutcome {
-    pub(crate) fn push_json(&self, out: &mut String) {
-        out.push_str("{\"spec\": \"");
-        out.push_str(&escape_json(&self.spec));
-        let _ = write!(
-            out,
-            "\", \"windows\": {}, \"bad\": {}, ",
-            self.windows, self.bad
-        );
-        out.push_str("\"compliance\": ");
-        push_f64(out, self.compliance);
-        let _ = write!(out, ", \"met\": {}, \"alerts\": [", self.met);
-        for (i, a) in self.alerts.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{{\"w\": {}, \"t_ns\": {}, ", a.window, a.t_ns);
-            out.push_str("\"burn_short\": ");
-            push_f64(out, a.burn_short);
-            out.push_str(", \"burn_long\": ");
-            push_f64(out, a.burn_long);
-            out.push_str(", \"value\": ");
-            push_f64(out, a.value);
-            let _ = write!(out, ", \"worst_trace_id\": {}}}", a.worst_trace_id);
-        }
-        out.push_str("]}");
-    }
-
     pub(crate) fn from_json(v: &Value) -> Result<SloOutcome, String> {
         let mut alerts = Vec::new();
         for av in v.get("alerts").and_then(|a| a.as_arr()).unwrap_or(&[]) {

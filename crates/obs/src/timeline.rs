@@ -32,14 +32,15 @@
 //! `cudele-bench timeline` explorer and for tests.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cudele_sim::{IntMap, Nanos};
 
+use crate::json::Layout::{Inline, Pretty};
+use crate::json::{self, Writer};
 use crate::lock::Lock;
 use crate::slo::SloOutcome;
-use crate::{bucket_percentile, escape_json, json, push_f64, HIST_BUCKETS};
+use crate::{bucket_percentile, HIST_BUCKETS};
 
 /// Schema tag stamped into every serialized timeline.
 pub const SCHEMA: &str = "cudele-timeline/v1";
@@ -652,36 +653,23 @@ impl TimelineSnapshot {
     /// Serializes as a `cudele-timeline/v1` document. Deterministic:
     /// series sorted by name, points by window, map keys fixed.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"");
-        out.push_str(SCHEMA);
-        let _ = write!(
-            out,
-            "\",\n  \"window_ns\": {},\n  \"windows_dropped\": {},\n  \"annotations_dropped\": {},\n  \"series\": [",
-            self.window_ns, self.windows_dropped, self.annotations_dropped
-        );
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": \"");
-            out.push_str(&escape_json(&s.name));
-            out.push_str("\", \"kind\": \"");
-            out.push_str(s.kind.tag());
-            out.push_str("\", \"points\": [");
-            for (j, p) in s.points.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{{\"w\": {}, \"t_ns\": {}", p.window, p.t_ns);
-                match &p.stat {
+        let mut w = Writer::with_capacity(4096);
+        w.obj(Pretty).key("schema").str(SCHEMA);
+        w.key("window_ns").u64(self.window_ns);
+        w.key("windows_dropped").u64(self.windows_dropped);
+        w.key("annotations_dropped").u64(self.annotations_dropped);
+        w.key("series").arr(Pretty);
+        for s in &self.series {
+            w.obj(Inline).key("name").str(&s.name);
+            w.key("kind").str(s.kind.tag()).key("points").arr(Inline);
+            for p in &s.points {
+                w.obj(Inline).key("w").u64(p.window).key("t_ns").u64(p.t_ns);
+                match p.stat {
                     PointStat::Rate { count, per_s } => {
-                        let _ = write!(out, ", \"count\": {count}, \"per_s\": ");
-                        push_f64(&mut out, *per_s);
+                        w.key("count").u64(count).key("per_s").f64(per_s);
                     }
                     PointStat::Gauge { last } => {
-                        out.push_str(", \"last\": ");
-                        push_f64(&mut out, *last);
+                        w.key("last").f64(last);
                     }
                     PointStat::Latency {
                         count,
@@ -691,52 +679,39 @@ impl TimelineSnapshot {
                         max,
                         worst_trace_id,
                     } => {
-                        let _ = write!(out, ", \"count\": {count}, \"p50\": ");
-                        push_f64(&mut out, *p50);
-                        out.push_str(", \"p95\": ");
-                        push_f64(&mut out, *p95);
-                        out.push_str(", \"p99\": ");
-                        push_f64(&mut out, *p99);
-                        let _ = write!(
-                            out,
-                            ", \"max\": {max}, \"worst_trace_id\": {worst_trace_id}"
-                        );
+                        w.key("count").u64(count).key("p50").f64(p50);
+                        w.key("p95").f64(p95).key("p99").f64(p99);
+                        w.key("max").u64(max);
+                        w.key("worst_trace_id").u64(worst_trace_id);
                     }
                 }
-                out.push('}');
+                w.close();
             }
-            out.push_str("]}");
+            w.close().close();
         }
-        if !self.series.is_empty() {
-            out.push_str("\n  ");
+        w.close().key("annotations").arr(Pretty);
+        for a in &self.annotations {
+            w.obj(Inline).key("name").str(&a.name);
+            w.key("t_ns").u64(a.at.0);
+            w.key("detail").str(&a.detail).close();
         }
-        out.push_str("],\n  \"annotations\": [");
-        for (i, a) in self.annotations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        w.close().key("slos").arr(Pretty);
+        for o in &self.slos {
+            w.obj(Inline).key("spec").str(&o.spec);
+            w.key("windows").u64(o.windows).key("bad").u64(o.bad);
+            w.key("compliance").f64(o.compliance).key("met").bool(o.met);
+            w.key("alerts").arr(Inline);
+            for a in &o.alerts {
+                w.obj(Inline).key("w").u64(a.window).key("t_ns").u64(a.t_ns);
+                w.key("burn_short").f64(a.burn_short);
+                w.key("burn_long").f64(a.burn_long);
+                w.key("value").f64(a.value);
+                w.key("worst_trace_id").u64(a.worst_trace_id).close();
             }
-            out.push_str("\n    {\"name\": \"");
-            out.push_str(&escape_json(&a.name));
-            let _ = write!(out, "\", \"t_ns\": {}, \"detail\": \"", a.at.0);
-            out.push_str(&escape_json(&a.detail));
-            out.push_str("\"}");
+            w.close().close();
         }
-        if !self.annotations.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"slos\": [");
-        for (i, o) in self.slos.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            o.push_json(&mut out);
-        }
-        if !self.slos.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        w.close().close();
+        w.finish()
     }
 
     /// Parses a `cudele-timeline/v1` document (the explorer's and the

@@ -2,8 +2,9 @@
 //! recording, the `cudele-bench check` replay, and the determinism of the
 //! recorded histories across reruns and thread counts.
 
+use cudele_bench::check;
 use cudele_bench::mdbench::{self, BenchConfig};
-use cudele_bench::{check, obs_out};
+use cudele_bench::obs_out::{self, ObsSinks};
 use cudele_obs::history::History;
 
 fn history_path(label: &str) -> String {
@@ -21,7 +22,10 @@ fn bench_cfg(policy: &str, history_out: Option<String>) -> BenchConfig {
         clients: 2,
         files: 200,
         policy: policy.to_string(),
-        history_out,
+        sinks: ObsSinks {
+            history_out,
+            ..ObsSinks::default()
+        },
         ..BenchConfig::default()
     }
 }
