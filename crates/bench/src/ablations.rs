@@ -18,31 +18,25 @@ use std::sync::Arc;
 use cudele_mds::{MdLogConfig, MetadataServer, MetadataStore};
 use cudele_rados::InMemoryStore;
 use cudele_sim::{render_table, CostModel, Nanos, Series};
-use cudele_workloads::client_dir;
 
-use crate::world::{run_decoupled_creates, World};
+use crate::world::{CreateKind, World};
 use crate::Scale;
 
 /// Ablation 1: merge wall-clock with journals arriving simultaneously vs
 /// staggered by `stagger` per client.
 pub fn merge_arrival_overlap(clients: u32, files: u64, stagger: Nanos) -> Nanos {
-    let os = Arc::new(InMemoryStore::paper_default());
-    let mut world = World::new(MetadataServer::with_config(
-        os,
-        CostModel::calibrated(),
-        Some(MdLogConfig::default()),
-    ));
-    for c in 0..clients {
-        world.server.setup_dir(&client_dir(c)).unwrap();
-    }
     // Create phase (parallel, identical for both arms).
-    let (mut world, report, procs) = run_decoupled_creates(world, clients, files);
-    let create_end = report.slowest();
+    let phase = World::calibrated(Some(MdLogConfig::default())).run_creates(
+        clients,
+        files,
+        CreateKind::Decoupled,
+    );
+    let (mut world, create_end) = (phase.world, phase.report.slowest());
 
     // Merge phase with staggered arrivals. With a large enough stagger
     // each journal finds an idle MDS; concurrency drops accordingly.
     let mut slowest = create_end;
-    for (c, mut p) in procs.into_iter().enumerate() {
+    for (c, mut p) in phase.journals.into_iter().enumerate() {
         let arrival = create_end + stagger * c as u64;
         // Overlapped arrivals reduce the concurrent-merge interference: if
         // the stagger exceeds one journal's apply time, merges are

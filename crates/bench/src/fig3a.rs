@@ -8,14 +8,11 @@
 //! journal" curve also degrades (~0.3× per client) because the MDS peaks
 //! at ~3000 ops/s.
 
-use std::sync::Arc;
-
-use cudele_mds::{MdLogConfig, MetadataServer};
-use cudele_rados::InMemoryStore;
-use cudele_sim::{render_plot, render_table, CostModel, Engine, Nanos, Series};
+use cudele_mds::MdLogConfig;
+use cudele_sim::{render_plot, render_table, Nanos, Series};
 use cudele_workloads::CreateHeavy;
 
-use crate::world::{RpcCreateProcess, World};
+use crate::world::{CreateKind, World};
 use crate::Scale;
 
 /// The dispatch configurations the figure sweeps (`None` = journal off).
@@ -46,24 +43,14 @@ impl Fig3a {
 }
 
 fn run_point(clients: u32, files: u64, dispatch: Option<u32>) -> Nanos {
-    let os = Arc::new(InMemoryStore::paper_default());
-    let config = dispatch.map(|d| MdLogConfig {
+    let mdlog = dispatch.map(|d| MdLogConfig {
         dispatch_size: d,
         ..MdLogConfig::default()
     });
-    let mut world = World::new(MetadataServer::with_config(
-        os,
-        CostModel::calibrated(),
-        config,
-    ));
-    let dirs = world.setup_private_dirs(clients);
-    let mut eng = Engine::new(world);
-    for c in 0..clients {
-        let p = RpcCreateProcess::new(eng.world_mut(), c, dirs[c as usize], files);
-        eng.add_process(Box::new(p));
-    }
-    let (_, report) = eng.run();
-    report.slowest()
+    World::calibrated(mdlog)
+        .run_creates(clients, files, CreateKind::Rpc)
+        .report
+        .slowest()
 }
 
 /// Runs the figure at `scale`.

@@ -13,11 +13,11 @@ use std::sync::Arc;
 
 use cudele::{execute_merge, Composition, ExecEnv};
 use cudele_client::LocalDisk;
-use cudele_mds::{MdLogConfig, MetadataServer};
+use cudele_mds::MdLogConfig;
 use cudele_rados::InMemoryStore;
-use cudele_sim::{CostModel, Engine, Nanos};
+use cudele_sim::Nanos;
 
-use crate::world::{DecoupledCreateProcess, RpcCreateProcess, SpeculativeCreateProcess, World};
+use crate::world::{CreateKind, DecoupledCreateProcess, World};
 use crate::Scale;
 
 /// Speculation window used for the figure's speculative column.
@@ -52,60 +52,18 @@ impl Fig5 {
     }
 }
 
-fn fresh_world(journal: Option<MdLogConfig>) -> World {
-    let os = Arc::new(InMemoryStore::paper_default());
-    World::new(MetadataServer::with_config(
-        os,
-        CostModel::calibrated(),
-        journal,
-    ))
-}
-
-/// Time for one client to append `events` creates to its client journal
-/// (the baseline).
-fn time_append(events: u64) -> Nanos {
-    let mut world = fresh_world(Some(MdLogConfig::default()));
-    world.server.setup_dir("/decoupled").unwrap();
-    let mut eng = Engine::new(world);
-    let p = DecoupledCreateProcess::new(eng.world_mut(), 0, "/decoupled", events);
-    eng.add_process(Box::new(p));
-    let (_, report) = eng.run();
-    report.slowest()
-}
-
-/// Closed-loop single-client RPC run, journal on or off.
-fn time_rpcs(events: u64, journal: bool) -> Nanos {
-    let mut world = fresh_world(if journal {
-        Some(MdLogConfig::default())
-    } else {
-        None
-    });
-    let dirs = world.setup_private_dirs(1);
-    let mut eng = Engine::new(world);
-    let p = RpcCreateProcess::new(eng.world_mut(), 0, dirs[0], events);
-    eng.add_process(Box::new(p));
-    let (_, report) = eng.run();
-    report.slowest()
-}
-
-/// Single speculative client, same durability class as the `rpcs` bar
-/// (journal off): the client runs ahead of the acks, so the run is
-/// MDS-service-bound instead of round-trip-bound.
-fn time_speculative(events: u64) -> Nanos {
-    let mut world = fresh_world(None);
-    let dirs = world.setup_private_dirs(1);
-    let mut eng = Engine::new(world);
-    let p =
-        SpeculativeCreateProcess::new(eng.world_mut(), 0, dirs[0], events, FIG5_SPEC_DEPTH, None);
-    eng.add_process(Box::new(p));
-    let (_, report) = eng.run();
-    report.slowest()
+/// One client's create phase of `events` creates, journal on or off.
+fn time_creates(events: u64, kind: CreateKind, journal: bool) -> Nanos {
+    World::calibrated(journal.then(MdLogConfig::default))
+        .run_creates(1, events, kind)
+        .report
+        .slowest()
 }
 
 /// Builds a journal of `events` creates and measures one merge-time
 /// composition over it (the append phase is *not* included).
 fn time_merge(events: u64, composition: &str) -> Nanos {
-    let mut world = fresh_world(Some(MdLogConfig::default()));
+    let mut world = World::calibrated(Some(MdLogConfig::default()));
     world.server.setup_dir("/decoupled").unwrap();
     let mut p = DecoupledCreateProcess::new(&mut world, 0, "/decoupled", events);
     for i in 0..events {
@@ -133,12 +91,20 @@ fn time_merge(events: u64, composition: &str) -> Nanos {
 /// Runs the whole figure at `scale`.
 pub fn run(scale: Scale) -> Fig5 {
     let events = scale.files_per_client;
-    let t_acj = time_append(events);
+    // The baseline: one client appending to its client journal.
+    let t_acj = time_creates(events, CreateKind::Decoupled, true);
     let base = t_acj.as_secs_f64();
 
-    let t_rpcs_off = time_rpcs(events, false);
-    let t_rpcs_on = time_rpcs(events, true);
-    let t_spec = time_speculative(events);
+    let t_rpcs_off = time_creates(events, CreateKind::Rpc, false);
+    let t_rpcs_on = time_creates(events, CreateKind::Rpc, true);
+    // Same durability class as the `rpcs` bar (journal off), but the
+    // client runs ahead of the acks: MDS-service-bound, not
+    // round-trip-bound.
+    let speculative = CreateKind::Speculative {
+        depth: FIG5_SPEC_DEPTH,
+        plan: None,
+    };
+    let t_spec = time_creates(events, speculative, false);
     let t_va = time_merge(events, "volatile_apply");
     let t_nva = time_merge(events, "nonvolatile_apply");
     // Stream is the paper's approximation: journal on minus journal off.

@@ -8,14 +8,11 @@
 //! flattens at ~15× (3.37× over RPCs); `create` scales linearly, reaching
 //! a ~91.7× speedup over RPCs at 20 clients.
 
-use std::sync::Arc;
+use cudele_mds::MdLogConfig;
+use cudele_sim::{render_plot, render_table, Nanos, Series};
+use cudele_workloads::CreateHeavy;
 
-use cudele_mds::MetadataServer;
-use cudele_rados::InMemoryStore;
-use cudele_sim::{render_plot, render_table, Engine, Nanos, Series};
-use cudele_workloads::{client_dir, CreateHeavy};
-
-use crate::world::{run_decoupled_creates, RpcCreateProcess, World};
+use crate::world::{CreateKind, World};
 use crate::Scale;
 
 /// The three curves plus the headline statistics.
@@ -29,51 +26,26 @@ pub struct Fig6a {
     pub rendered: String,
 }
 
-fn fresh_world() -> World {
-    World::new(MetadataServer::new(
-        Arc::new(InMemoryStore::paper_default()),
-    ))
-}
-
-/// Total-job duration for N RPC clients.
-fn run_rpcs(clients: u32, files: u64) -> Nanos {
-    let mut world = fresh_world();
-    let dirs = world.setup_private_dirs(clients);
-    let mut eng = Engine::new(world);
-    for c in 0..clients {
-        let p = RpcCreateProcess::new(eng.world_mut(), c, dirs[c as usize], files);
-        eng.add_process(Box::new(p));
-    }
-    let (_, report) = eng.run();
-    report.slowest()
-}
-
-/// Total-job duration for N decoupled clients, optionally including the
-/// merge ("a scenario in which all client journals arrive at the same
-/// time").
-fn run_decoupled(clients: u32, files: u64, merge: bool) -> Nanos {
-    let mut world = fresh_world();
-    for c in 0..clients {
-        world.server.setup_dir(&client_dir(c)).unwrap();
-    }
-    let (mut world, report, procs) = run_decoupled_creates(world, clients, files);
-    let create_end = report.slowest();
+/// Total-job duration for N clients of `kind` (journal on). With
+/// `merge`, all decoupled journals then land on the MDS at once ("a
+/// scenario in which all client journals arrive at the same time") and
+/// serialize through its CPU.
+fn run_phase(clients: u32, files: u64, kind: CreateKind, merge: bool) -> Nanos {
+    let mut phase =
+        World::calibrated(Some(MdLogConfig::default())).run_creates(clients, files, kind);
+    let create_end = phase.report.slowest();
     if !merge {
         return create_end;
     }
-    // All journals land on the MDS at create_end and serialize through
-    // its CPU.
-    let mut slowest = create_end;
-    for mut p in procs {
-        slowest = slowest.max(p.merge_at(&mut world, create_end, clients));
-    }
-    slowest
+    phase.world.merge_journals(phase.journals, create_end)
 }
 
 /// Runs the figure at `scale`.
 pub fn run(scale: Scale) -> Fig6a {
     let files = scale.files_per_client;
-    let baseline = run_rpcs(1, files); // 1 client via RPCs (journal on)
+    let rpcs = |n| run_phase(n, files, CreateKind::Rpc, false);
+    let decoupled = |n, merge| run_phase(n, files, CreateKind::Decoupled, merge);
+    let baseline = rpcs(1); // 1 client via RPCs (journal on)
     let base_rate = files as f64 / baseline.as_secs_f64();
 
     let mut s_rpc = Series::new("rpcs");
@@ -84,9 +56,9 @@ pub fn run(scale: Scale) -> Fig6a {
         let n = point.clients;
         let total_ops = (n as u64 * files) as f64;
         let norm = |t: Nanos| (total_ops / t.as_secs_f64()) / base_rate;
-        s_rpc.push(n as f64, norm(run_rpcs(n, files)));
-        s_create.push(n as f64, norm(run_decoupled(n, files, false)));
-        s_merge.push(n as f64, norm(run_decoupled(n, files, true)));
+        s_rpc.push(n as f64, norm(rpcs(n)));
+        s_create.push(n as f64, norm(decoupled(n, false)));
+        s_merge.push(n as f64, norm(decoupled(n, true)));
     }
 
     let create_speedup = s_create.last_y().unwrap() / s_rpc.last_y().unwrap();

@@ -23,11 +23,10 @@ use std::sync::Arc;
 use cudele::{Composition, Policy};
 use cudele_mds::{CheckpointConfig, ClientId, FailoverConfig, MdsCluster, MetadataServer};
 use cudele_rados::InMemoryStore;
-use cudele_sim::{Engine, Nanos, RunReport};
-use cudele_workloads::client_dir;
+use cudele_sim::{Nanos, RunReport};
 
 use crate::obs_out::{ObsSession, ObsSinks};
-use crate::{RpcCreateProcess, SpeculativeCreateProcess, World};
+use crate::world::{CreateKind, CreatePhase, World};
 
 /// Speculation window when `--speculate` is given without a depth.
 pub const DEFAULT_SPEC_DEPTH: usize = 16;
@@ -170,16 +169,8 @@ pub fn parse_args(argv: &[String]) -> Result<BenchConfig, String> {
             continue;
         }
         match argv[i].as_str() {
-            "--clients" => {
-                cfg.clients = value(&mut i, "--clients")?
-                    .parse()
-                    .map_err(|e| format!("bad --clients: {e}"))?;
-            }
-            "--files" => {
-                cfg.files = value(&mut i, "--files")?
-                    .parse()
-                    .map_err(|e| format!("bad --files: {e}"))?;
-            }
+            "--clients" => cfg.clients = at_least_one("--clients", &value(&mut i, "--clients")?)?,
+            "--files" => cfg.files = at_least_one("--files", &value(&mut i, "--files")?)?,
             "--arrival" => {
                 let spec = value(&mut i, "--arrival")?;
                 cudele_workloads::open_loop::ArrivalSpec::parse(&spec)
@@ -195,18 +186,12 @@ pub fn parse_args(argv: &[String]) -> Result<BenchConfig, String> {
             }
             "--faults" => cfg.faults = Some(value(&mut i, "--faults")?),
             "--mdlog-segment" => {
-                cfg.mdlog_segment = Some(
-                    value(&mut i, "--mdlog-segment")?
-                        .parse()
-                        .map_err(|e| format!("bad --mdlog-segment: {e}"))?,
-                );
+                let v = value(&mut i, "--mdlog-segment")?;
+                cfg.mdlog_segment = Some(at_least_one("--mdlog-segment", &v)?);
             }
             "--mdlog-dispatch" => {
-                cfg.mdlog_dispatch = Some(
-                    value(&mut i, "--mdlog-dispatch")?
-                        .parse()
-                        .map_err(|e| format!("bad --mdlog-dispatch: {e}"))?,
-                );
+                let v = value(&mut i, "--mdlog-dispatch")?;
+                cfg.mdlog_dispatch = Some(at_least_one("--mdlog-dispatch", &v)?);
             }
             "--checkpoint-interval" => {
                 cfg.checkpoint_interval = Some(
@@ -238,6 +223,19 @@ pub fn parse_args(argv: &[String]) -> Result<BenchConfig, String> {
         }
     }
     Ok(cfg)
+}
+
+/// Parses the value of count flag `flag`, which must be at least 1.
+fn at_least_one<T>(flag: &str, v: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+    T::Err: std::fmt::Display,
+{
+    let n: T = v.parse().map_err(|e| format!("bad {flag}: {e}"))?;
+    if n == T::from(0) {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
 }
 
 /// Post-merge visibility probes per client (capped so history size stays
@@ -376,10 +374,10 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
     let journal_on = policy.composition().contains(cudele::Mechanism::Stream);
     let mut mdlog_config = cudele_mds::MdLogConfig::default();
     if let Some(seg) = cfg.mdlog_segment {
-        mdlog_config.events_per_segment = seg.max(1);
+        mdlog_config.events_per_segment = seg;
     }
     if let Some(d) = cfg.mdlog_dispatch {
-        mdlog_config.dispatch_size = d.max(1);
+        mdlog_config.dispatch_size = d;
     }
     let mdlog = if journal_on {
         Some(mdlog_config)
@@ -442,48 +440,17 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
         );
         (out.end, out.end, out.report)
     } else {
-        for c in 0..cfg.clients {
-            world.server.setup_dir(&client_dir(c)).unwrap();
-        }
-        let dirs: Vec<_> = (0..cfg.clients)
-            .map(|c| world.server.store().resolve(&client_dir(c)).unwrap())
-            .collect();
-
-        let (create_end, merge_end, report) = match policy.operation_mode() {
-            cudele::OperationMode::Rpcs => {
-                let mut eng = Engine::new(world);
-                for c in 0..cfg.clients {
-                    match cfg.speculate {
-                        Some(depth) => {
-                            let p = SpeculativeCreateProcess::new(
-                                eng.world_mut(),
-                                c,
-                                dirs[c as usize],
-                                cfg.files,
-                                depth,
-                                spec_plan.clone(),
-                            );
-                            eng.add_process(Box::new(p));
-                        }
-                        None => {
-                            let p = RpcCreateProcess::new(
-                                eng.world_mut(),
-                                c,
-                                dirs[c as usize],
-                                cfg.files,
-                            );
-                            eng.add_process(Box::new(p));
-                        }
-                    }
-                }
-                let (_, report) = eng.run();
-                (report.slowest(), report.slowest(), report)
-            }
-            cudele::OperationMode::Decoupled => {
-                let (_, create_end, merge_end, report) = run_decoupled(world, cfg, &policy, &dirs);
-                (create_end, merge_end, report)
-            }
+        let kind = match (policy.operation_mode(), cfg.speculate) {
+            (cudele::OperationMode::Decoupled, _) => CreateKind::Decoupled,
+            (cudele::OperationMode::Rpcs, None) => CreateKind::Rpc,
+            (cudele::OperationMode::Rpcs, Some(depth)) => CreateKind::Speculative {
+                depth,
+                plan: spec_plan,
+            },
         };
+        let phase = world.run_creates(cfg.clients, cfg.files, kind);
+        let create_end = phase.report.slowest();
+        let (_, merge_end, report) = merge_and_probe(phase, cfg, &policy);
 
         let rate = |t: Nanos| total_ops as f64 / t.as_secs_f64();
         let _ = writeln!(
@@ -557,47 +524,46 @@ client.rpc.retries={} mds.session.reconnects={}",
     })
 }
 
-/// The closed-loop decoupled route: every client appends its creates to
-/// its own journal; if the policy merges with Volatile Apply, all journals
-/// then land on the MDS at the end of the create phase — the journals the
-/// clients appended, not copies — and a reader probes the merged names.
-/// Returns the world, the end of the create phase, the end of the merge
-/// phase and the create phase's engine report.
-fn run_decoupled(
-    world: World,
+/// The closed-loop merge phase: if the policy merges with Volatile
+/// Apply, the journals the decoupled clients appended land on the MDS at
+/// the end of the create phase, and a reader probes the merged names.
+/// Returns the world, the end of the merge phase (the end of the create
+/// phase when nothing merges) and the create phase's engine report.
+fn merge_and_probe(
+    phase: CreatePhase,
     cfg: &BenchConfig,
     policy: &Policy,
-    dirs: &[cudele_journal::InodeId],
-) -> (World, Nanos, Nanos, RunReport) {
-    let (mut world, report, procs) =
-        crate::world::run_decoupled_creates(world, cfg.clients, cfg.files);
+) -> (World, Nanos, RunReport) {
+    let CreatePhase {
+        mut world,
+        report,
+        journals,
+    } = phase;
     let create_end = report.slowest();
-    let mut merge_end = create_end;
-    if policy
+    let merges = policy
         .merge_composition()
-        .is_some_and(|m| m.contains(cudele::Mechanism::VolatileApply))
-    {
-        // Each client is dropped as soon as its merge lands: its journal,
-        // that is — none of them read, so none ever built a local mirror.
-        for mut p in procs {
-            merge_end = merge_end.max(p.merge_at(&mut world, create_end, cfg.clients));
-        }
-        // Post-merge visibility probes: a reader walks the merged names so
-        // the recorded history carries the observations the
-        // eventual-visibility checker verifies. Bounded so large runs stay
-        // cheap.
-        for (c, &dir) in (0..cfg.clients).zip(dirs) {
-            let probe = ClientId(PROBE_CLIENT_BASE + c);
-            world.server.set_now(merge_end);
-            for i in 0..cfg.files.min(PROBE_LOOKUPS) {
-                let _ = world
-                    .server
-                    .lookup(probe, dir, &cudele_workloads::file_name(c, i));
-            }
-            let _ = world.server.readdir(probe, dir);
-        }
+        .is_some_and(|m| m.contains(cudele::Mechanism::VolatileApply));
+    if !merges {
+        return (world, create_end, report);
     }
-    (world, create_end, merge_end, report)
+    // A decoupled client's root is its private directory.
+    let dirs: Vec<_> = journals.iter().map(|p| p.client.root).collect();
+    let merge_end = world.merge_journals(journals, create_end);
+    // Post-merge visibility probes: a reader walks the merged names so
+    // the recorded history carries the observations the
+    // eventual-visibility checker verifies. Bounded so large runs stay
+    // cheap.
+    for (c, dir) in (0..cfg.clients).zip(dirs) {
+        let probe = ClientId(PROBE_CLIENT_BASE + c);
+        world.server.set_now(merge_end);
+        for i in 0..cfg.files.min(PROBE_LOOKUPS) {
+            let _ = world
+                .server
+                .lookup(probe, dir, &cudele_workloads::file_name(c, i));
+        }
+        let _ = world.server.readdir(probe, dir);
+    }
+    (world, merge_end, report)
 }
 
 /// Runs the `mds-crash@T` failover drill against the object store the
@@ -889,13 +855,15 @@ mod tests {
         assert_eq!(ckpt.rendered, again.rendered);
     }
 
+    /// `mdbench` followed by the whitespace-separated words of `s`.
+    fn argv(s: &str) -> Vec<String> {
+        std::iter::once("mdbench".to_string())
+            .chain(s.split_whitespace().map(str::to_string))
+            .collect()
+    }
+
     #[test]
     fn speculate_flag_parses_with_and_without_depth() {
-        let argv = |s: &str| -> Vec<String> {
-            std::iter::once("mdbench".to_string())
-                .chain(s.split_whitespace().map(str::to_string))
-                .collect()
-        };
         let cfg = parse_args(&argv("--speculate 4 --files 10")).unwrap();
         assert_eq!(cfg.speculate, Some(4));
         assert_eq!(cfg.files, 10);
@@ -906,6 +874,21 @@ mod tests {
         let cfg = parse_args(&argv("--speculate")).unwrap();
         assert_eq!(cfg.speculate, Some(DEFAULT_SPEC_DEPTH));
         assert!(parse_args(&argv("--speculate 0")).is_err());
+    }
+
+    #[test]
+    fn zero_counts_are_refused() {
+        // A zero count printed `NaN creates/s` or was quietly clamped to 1.
+        for flag in [
+            "--clients",
+            "--files",
+            "--mdlog-segment",
+            "--mdlog-dispatch",
+        ] {
+            let err = parse_args(&argv(&format!("{flag} 0"))).unwrap_err();
+            assert_eq!(err, format!("{flag} must be at least 1"));
+            assert!(parse_args(&argv(&format!("{flag} 1"))).is_ok(), "{flag} 1");
+        }
     }
 
     #[test]
@@ -978,13 +961,13 @@ mod tests {
             ..BenchConfig::default()
         };
         let policy = resolve_policy(&cfg).unwrap();
-        let mut world = World::new(MetadataServer::with_config(
-            Arc::new(InMemoryStore::paper_default()),
-            cudele_sim::CostModel::calibrated(),
-            Some(cudele_mds::MdLogConfig::default()),
-        ));
-        let dirs = world.setup_private_dirs(cfg.clients);
-        let (world, create_end, merge_end, _) = run_decoupled(world, &cfg, &policy, &dirs);
+        let phase = World::calibrated(Some(cudele_mds::MdLogConfig::default())).run_creates(
+            cfg.clients,
+            cfg.files,
+            CreateKind::Decoupled,
+        );
+        let create_end = phase.report.slowest();
+        let (world, merge_end, _) = merge_and_probe(phase, &cfg, &policy);
         assert!(merge_end > create_end);
 
         let ops = u64::from(cfg.clients) * cfg.files;

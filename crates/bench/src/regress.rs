@@ -350,6 +350,26 @@ fn run_recovery_workload() -> Result<RecoveryRow, String> {
 /// exports (Chrome JSON and folded stacks).
 fn run_traced_mechanisms() -> (Vec<MechanismBreakdown>, String, String) {
     obs_out::clear_session();
+    let world = seven_mechanism_world();
+    let spans = world.obs.spans();
+    let analysis = critpath::analyze(&spans);
+    let mut rows = critpath::mechanism_breakdown(&analysis);
+    rows.sort_by(|a, b| a.name.cmp(&b.name));
+    (
+        rows,
+        world.obs.chrome_trace_json(),
+        critpath::folded(&analysis),
+    )
+}
+
+/// One journaling world in which every Figure-4 mechanism runs at least
+/// once, each under a client op's trace root: client 0 creates 64 files by
+/// RPC (`rpcs` + `stream`), client 1 appends 64 creates to its journal
+/// (`append_client_journal`), client 10 merges a 32-create journal
+/// (`volatile_apply`) and client 11 persists one with
+/// `local_persist+global_persist+nonvolatile_apply`. The world attaches to
+/// the session registry when one is installed.
+pub fn seven_mechanism_world() -> World {
     let os = Arc::new(InMemoryStore::paper_default());
     let mut world = World::new(MetadataServer::with_config(
         os.clone(),
@@ -408,16 +428,7 @@ fn run_traced_mechanisms() -> (Vec<MechanismBreakdown>, String, String) {
         report.slowest(),
     )
     .unwrap();
-
-    let spans = world.obs.spans();
-    let analysis = critpath::analyze(&spans);
-    let mut rows = critpath::mechanism_breakdown(&analysis);
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    (
-        rows,
-        world.obs.chrome_trace_json(),
-        critpath::folded(&analysis),
-    )
+    world
 }
 
 fn render_json(

@@ -2,16 +2,19 @@
 //! one metadata server (functional state + a FIFO CPU resource) driven by
 //! closed-loop client processes.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use cudele_client::{AckOutcome, RpcClient, SpeculativeClient};
 use cudele_faults::FaultPlan;
 use cudele_journal::InodeId;
-use cudele_mds::{ClientId, MdsError, MetadataServer, OpCost};
+use cudele_mds::{ClientId, MdLogConfig, MdsError, MetadataServer, OpCost};
 use cudele_obs::timeline::Series;
 use cudele_obs::{Histogram, Mechanism, Registry, SpanName, TraceCtx};
-use cudele_sim::{Engine, FifoServer, Nanos, Process, RunReport, Step};
+use cudele_rados::InMemoryStore;
+use cudele_sim::{CostModel, Engine, FifoServer, Nanos, Process, RunReport, Step};
 use cudele_workloads::{client_dir, file_name, write_file_name, Interference};
 
 /// Shared simulation state: the functional MDS plus its CPU queue and any
@@ -30,10 +33,6 @@ pub struct World {
     pub tl: cudele_obs::timeline::Timeline,
     /// Everything the processes record per op, resolved once from `obs`.
     pub(crate) h: WorldHandles,
-    /// Closed-loop decoupled clients that finished their creates, parked
-    /// here because the engine drops its processes when it returns (see
-    /// [`run_decoupled_creates`]).
-    parked: Vec<DecoupledCreateProcess>,
     /// The buffer create processes format each file name into. It lives
     /// here, not in the process, so an open-loop run's one-create clients
     /// share it too; a step takes it and puts it back.
@@ -130,9 +129,18 @@ impl World {
             obs,
             tl,
             h,
-            parked: Vec::new(),
             name_buf: String::new(),
         }
+    }
+
+    /// A world on the paper's default object store and the calibrated cost
+    /// model; `mdlog: None` turns the MDS journal off.
+    pub fn calibrated(mdlog: Option<MdLogConfig>) -> World {
+        World::new(MetadataServer::with_config(
+            Arc::new(InMemoryStore::paper_default()),
+            CostModel::calibrated(),
+            mdlog,
+        ))
     }
 
     /// Charges one client-visible operation: each RPC queues on the MDS
@@ -156,34 +164,51 @@ impl World {
     /// an `rpcs` mechanism span *under `parent`* (the client op's root),
     /// itself broken into `mds.queue_wait` (only when the MDS CPU made the
     /// request wait), `mds.service`, and `net.rpc` layer children.
-    pub fn charge_ctx(&mut self, parent: TraceCtx, mut t: Nanos, costs: &[OpCost]) -> Nanos {
+    pub fn charge_ctx(&mut self, parent: TraceCtx, t: Nanos, costs: &[OpCost]) -> Nanos {
+        self.charge_via(Via::Rpc, parent, t, costs)
+    }
+
+    /// [`World::charge_ctx`] with the mechanism `via` names: every cost
+    /// queues on the MDS CPU, and one that carries RPCs is drawn by
+    /// [`World::serve_layered`].
+    fn charge_via(&mut self, via: Via, parent: TraceCtx, mut t: Nanos, costs: &[OpCost]) -> Nanos {
         for c in costs {
-            let start = t;
-            let served = self.mds.serve(t, c.mds_cpu);
-            t = served + c.client_extra;
-            if c.rpcs > 0 {
-                let ctx = self.obs.trace_child(parent);
-                self.h.rpcs.observe(&self.obs, ctx, start, t - start);
-                self.rpc_layers(ctx, start, served, c);
-            }
+            t = if c.rpcs > 0 {
+                self.serve_layered(via, parent, t, c)
+            } else {
+                self.mds.serve(t, c.mds_cpu) + c.client_extra
+            };
         }
         t
     }
 
-    /// The layer breakdown under one charged RPC's mechanism span `ctx`:
-    /// the backlog gauge, `mds.queue_wait` (only when the MDS CPU made the
-    /// request wait), `mds.service` and `net.rpc`.
-    fn rpc_layers(&self, ctx: TraceCtx, start: Nanos, served: Nanos, c: &OpCost) {
+    /// Serves one request that reaches the MDS at `start` and returns the
+    /// instant its reply lands. It is drawn as a `via` mechanism span under
+    /// `parent`, broken into `mds.queue_wait` (only when the MDS CPU made
+    /// the request wait), the MDS's service span and the reply's network
+    /// span; an RPC also samples the MDS backlog it met.
+    fn serve_layered(&mut self, via: Via, parent: TraceCtx, start: Nanos, c: &OpCost) -> Nanos {
+        let served = self.mds.serve(start, c.mds_cpu);
+        let done = served + c.client_extra;
+        let h = &self.h;
+        let (mech, service, reply) = match via {
+            Via::Rpc => (&h.rpcs, h.service, h.net_rpc),
+            Via::Speculate => (&h.speculate, h.service, h.net_rpc),
+            Via::Merge => (&h.volatile_apply, h.mds_apply, h.net_reply),
+        };
+        let ctx = self.obs.trace_child(parent);
+        mech.observe(&self.obs, ctx, start, done - start);
         let service_start = served - c.mds_cpu;
         let wait = service_start - start;
-        self.h.backlog.set(start, wait.0 as f64);
-        if wait > Nanos::ZERO {
-            self.obs.child_named(ctx, self.h.queue_wait, start, wait);
+        if via != Via::Merge {
+            h.backlog.set(start, wait.0 as f64);
         }
-        self.obs
-            .child_named(ctx, self.h.service, service_start, c.mds_cpu);
-        self.obs
-            .child_named(ctx, self.h.net_rpc, served, c.client_extra);
+        if wait > Nanos::ZERO {
+            self.obs.child_named(ctx, h.queue_wait, start, wait);
+        }
+        self.obs.child_named(ctx, service, service_start, c.mds_cpu);
+        self.obs.child_named(ctx, reply, served, c.client_extra);
+        done
     }
 
     /// Appends a point to a named trace.
@@ -197,6 +222,99 @@ impl World {
             .map(|c| self.server.setup_dir(&client_dir(c)).expect("setup dirs"))
             .collect()
     }
+
+    /// The closed-loop create phase: client `c` creates `files` files in
+    /// [`client_dir`]`(c)`, which this sets up (uncharged). One boxed
+    /// process per client is registered in client order at t = 0, and each
+    /// is `Done` at its last op's completion, so `report.slowest()` is the
+    /// end of the phase.
+    pub fn run_creates(mut self, clients: u32, files: u64, kind: CreateKind) -> CreatePhase {
+        let dirs = self.setup_private_dirs(clients);
+        let mut eng = Engine::new(self);
+        let mut journals = Vec::new();
+        for (c, dir) in (0..clients).zip(dirs) {
+            let w = eng.world_mut();
+            let p: Box<dyn Process<World>> =
+                match &kind {
+                    CreateKind::Rpc => Box::new(RpcCreateProcess::new(w, c, dir, files)),
+                    CreateKind::Speculative { depth, plan } => Box::new(
+                        SpeculativeCreateProcess::new(w, c, dir, files, *depth, plan.clone()),
+                    ),
+                    CreateKind::Decoupled => {
+                        let p = DecoupledCreateProcess::new(w, c, &client_dir(c), files);
+                        let p = Rc::new(RefCell::new(p));
+                        journals.push(Rc::clone(&p));
+                        Box::new(p)
+                    }
+                };
+            eng.add_process(p);
+        }
+        let (world, report) = eng.run();
+        let journals = journals
+            .into_iter()
+            .map(|p| {
+                Rc::into_inner(p)
+                    .expect("the engine drops its processes when it returns")
+                    .into_inner()
+            })
+            .collect();
+        CreatePhase {
+            world,
+            report,
+            journals,
+        }
+    }
+
+    /// Lands every journal on the MDS at `at` (Volatile Apply): "journals
+    /// land on the metadata server at the same time", so the concurrency
+    /// each merge pays for is the number of journals. Returns the instant
+    /// the last merge completes (`at` when there are none). Each client is
+    /// dropped as soon as its merge lands.
+    pub fn merge_journals(&mut self, journals: Vec<DecoupledCreateProcess>, at: Nanos) -> Nanos {
+        let concurrent = journals.len() as u32;
+        journals
+            .into_iter()
+            .fold(at, |end, mut p| end.max(p.merge_at(self, at, concurrent)))
+    }
+}
+
+/// Which mechanism a request served on the MDS CPU is drawn as (see
+/// [`World::serve_layered`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// A synchronous RPC: `rpcs` over `mds.service` and `net.rpc`.
+    Rpc,
+    /// A speculative create's ack: `speculate` over the same layers.
+    Speculate,
+    /// A shipped journal: `volatile_apply` over `mds.apply` and `net.reply`.
+    Merge,
+}
+
+/// The client kind a closed-loop create phase runs (see
+/// [`World::run_creates`]).
+#[derive(Debug, Clone)]
+pub enum CreateKind {
+    /// [`RpcCreateProcess`]: one synchronous create RPC at a time.
+    Rpc,
+    /// [`SpeculativeCreateProcess`]: up to `depth` creates ahead of the
+    /// last ack; `plan` draws the NACKs (`None` never NACKs).
+    Speculative {
+        depth: usize,
+        plan: Option<Arc<FaultPlan>>,
+    },
+    /// [`DecoupledCreateProcess`]: appends to the client's own journal.
+    Decoupled,
+}
+
+/// What [`World::run_creates`] hands back.
+pub struct CreatePhase {
+    pub world: World,
+    /// One completion instant per client, in client order.
+    pub report: RunReport,
+    /// [`CreateKind::Decoupled`] only: the finished clients in client
+    /// order, each still holding the journal it appended, for
+    /// [`World::merge_journals`]. Empty for the other kinds.
+    pub journals: Vec<DecoupledCreateProcess>,
 }
 
 /// A closed-loop RPC client creating `total` files in one directory.
@@ -350,33 +468,16 @@ impl DecoupledCreateProcess {
         let (result, cost, transfer) = self.client.volatile_apply(&mut world.server);
         world.server.set_trace_ctx(None);
         result.expect("merge");
-        let arrive = t + transfer;
-        let served = world.mds.serve(arrive, cost.mds_cpu.scale(factor));
-        let done = served + cost.client_extra;
         // The journal ships over the network, then the apply runs (and may
         // queue) on the MDS CPU — all under one client-op root.
         world
             .obs
             .child_named(root, world.h.net_transfer, t, transfer);
-        let va = world.obs.trace_child(root);
-        world
-            .h
-            .volatile_apply
-            .observe(&world.obs, va, arrive, done - arrive);
-        let service_start = served - cost.mds_cpu.scale(factor);
-        let wait = service_start - arrive;
-        if wait > Nanos::ZERO {
-            world.obs.child_named(va, world.h.queue_wait, arrive, wait);
-        }
-        world.obs.child_named(
-            va,
-            world.h.mds_apply,
-            service_start,
-            cost.mds_cpu.scale(factor),
-        );
-        world
-            .obs
-            .child_named(va, world.h.net_reply, served, cost.client_extra);
+        let apply = OpCost {
+            mds_cpu: cost.mds_cpu.scale(factor),
+            ..cost
+        };
+        let done = world.serve_layered(Via::Merge, root, t + transfer, &apply);
         world
             .obs
             .end_named_with(root, world.h.merge, t, done - t, "events", events);
@@ -457,47 +558,17 @@ impl Process<World> for DecoupledCreateProcess {
     }
 }
 
-/// The engine's handle on a closed-loop decoupled client: steps it and,
-/// at `Done`, parks it on the world with the journal it appended.
-struct ParkWhenDone(Option<DecoupledCreateProcess>);
-
-impl Process<World> for ParkWhenDone {
+/// The engine's handle on a decoupled client in [`World::run_creates`]:
+/// the driver keeps the other handle, and takes the client back — journal
+/// and all — once the engine has dropped its own.
+impl Process<World> for Rc<RefCell<DecoupledCreateProcess>> {
     fn step(&mut self, now: Nanos, world: &mut World) -> Step {
-        let step = self
-            .0
-            .as_mut()
-            .expect("engine never steps a finished process")
-            .step(now, world);
-        if matches!(step, Step::Done) {
-            world.parked.extend(self.0.take());
-        }
-        step
+        self.borrow_mut().step(now, world)
     }
 
     fn name(&self) -> String {
-        self.0.as_ref().map_or_else(String::new, Process::name)
+        self.borrow().name()
     }
-}
-
-/// The closed-loop decoupled create phase: client `c` appends `files`
-/// creates to its journal under [`client_dir`]`(c)` (which must exist).
-/// Returns the finished clients in client order, each still holding the
-/// journal it appended, so the caller merges *that* journal with
-/// [`DecoupledCreateProcess::merge_at`] instead of appending it again.
-pub fn run_decoupled_creates(
-    world: World,
-    clients: u32,
-    files: u64,
-) -> (World, RunReport, Vec<DecoupledCreateProcess>) {
-    let mut eng = Engine::new(world);
-    for c in 0..clients {
-        let p = DecoupledCreateProcess::new(eng.world_mut(), c, &client_dir(c), files);
-        eng.add_process(Box::new(ParkWhenDone(Some(p))));
-    }
-    let (mut world, report) = eng.run();
-    let mut parked = std::mem::take(&mut world.parked);
-    parked.sort_by_key(|p| p.idx);
-    (world, report, parked)
 }
 
 /// The interfering client: starting at its configured time, creates
@@ -760,20 +831,7 @@ impl Process<World> for SpeculativeCreateProcess {
             world.server.set_trace_ctx(None);
             // The ack rides the normal RPC path — queue on the MDS CPU,
             // then the network round trip — without the client waiting.
-            let mut ack_at = t;
-            for c in &costs {
-                let start = ack_at;
-                let served = world.mds.serve(ack_at, c.mds_cpu);
-                ack_at = served + c.client_extra;
-                if c.rpcs > 0 {
-                    let ctx = world.obs.trace_child(root);
-                    world
-                        .h
-                        .speculate
-                        .observe(&world.obs, ctx, start, ack_at - start);
-                    world.rpc_layers(ctx, start, served, c);
-                }
-            }
+            let ack_at = world.charge_via(Via::Speculate, root, t, &costs);
             // Per-client NACK draws: keyed by (client, seq) so the draw is
             // independent of engine interleaving and thread count.
             let nack = self
@@ -809,72 +867,45 @@ impl Process<World> for SpeculativeCreateProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cudele_rados::InMemoryStore;
 
     fn world() -> World {
-        World::new(MetadataServer::new(
-            Arc::new(InMemoryStore::paper_default()),
-        ))
+        World::calibrated(Some(MdLogConfig::default()))
+    }
+
+    /// `clients` x `files` creates of `kind`: the world and the aggregate
+    /// rate over the slowest client.
+    fn rate(clients: u32, files: u64, kind: CreateKind) -> (World, f64) {
+        let phase = world().run_creates(clients, files, kind);
+        let ops = f64::from(clients) * files as f64;
+        (phase.world, ops / phase.report.slowest().as_secs_f64())
     }
 
     #[test]
     fn single_rpc_client_rate_matches_calibration() {
-        let mut w = world();
-        let dirs = w.setup_private_dirs(1);
-        let mut eng = Engine::new(w);
-        let total = 1000;
-        let mut proc0 = RpcCreateProcess::new(eng.world_mut(), 0, dirs[0], total);
-        proc0.record_trace = false;
-        eng.add_process(Box::new(proc0));
-        let (w, report) = eng.run();
+        let (w, rate) = rate(1, 1000, CreateKind::Rpc);
         // ~542 creates/sec with journal on (the calibrated 1-client rate;
         // the paper's separate runs measured 513-549).
-        let rate = total as f64 / report.slowest().as_secs_f64();
         assert!((rate - 542.0).abs() < 15.0, "rate {rate}");
-        assert_eq!(w.server.counters().creates, total);
+        assert_eq!(w.server.counters().creates, 1000);
     }
 
     #[test]
     fn decoupled_client_rate_matches_append() {
-        let mut w = world();
-        w.server.setup_dir("/clients/dir0").unwrap();
-        let mut eng = Engine::new(w);
-        let p = DecoupledCreateProcess::new(eng.world_mut(), 0, "/clients/dir0", 5000);
-        eng.add_process(Box::new(p));
-        let (_, report) = eng.run();
-        let rate = 5000.0 / report.slowest().as_secs_f64();
+        let (_, rate) = rate(1, 5000, CreateKind::Decoupled);
         assert!((rate - 11_000.0).abs() < 150.0, "rate {rate}");
     }
 
     #[test]
     fn twenty_decoupled_clients_scale_linearly() {
-        let mut w = world();
-        for c in 0..20 {
-            w.server.setup_dir(&client_dir(c)).unwrap();
-        }
-        let mut eng = Engine::new(w);
-        for c in 0..20 {
-            let p = DecoupledCreateProcess::new(eng.world_mut(), c, &client_dir(c), 2000);
-            eng.add_process(Box::new(p));
-        }
-        let (_, report) = eng.run();
         // All clients work in parallel: wall time ~ one client's time.
-        let rate = 20.0 * 2000.0 / report.slowest().as_secs_f64();
+        let (_, rate) = rate(20, 2000, CreateKind::Decoupled);
         assert!(rate > 19.0 * 11_000.0, "aggregate rate {rate}");
     }
 
     #[test]
     fn rpc_clients_saturate_the_mds() {
-        let mut w = world();
-        let dirs = w.setup_private_dirs(10);
-        let mut eng = Engine::new(w);
-        for c in 0..10 {
-            let p = RpcCreateProcess::new(eng.world_mut(), c, dirs[c as usize], 500);
-            eng.add_process(Box::new(p));
-        }
-        let (w, report) = eng.run();
         // Total throughput capped near the journal-on MDS peak (~2470/s).
-        let rate = 10.0 * 500.0 / report.slowest().as_secs_f64();
+        let (w, rate) = rate(10, 500, CreateKind::Rpc);
         assert!(rate < 2600.0, "rate {rate}");
         assert!(rate > 2200.0, "rate {rate}");
         assert!(w.mds.wait_fraction() > 0.5, "MDS should be congested");
@@ -930,24 +961,15 @@ mod tests {
     #[test]
     fn speculative_client_pipelines_at_mds_cadence() {
         // Closed-loop RPC baseline: one client, journal on, ~542/s.
-        let mut w = world();
-        let dirs = w.setup_private_dirs(1);
-        let mut eng = Engine::new(w);
-        let p = RpcCreateProcess::new(eng.world_mut(), 0, dirs[0], 1000);
-        eng.add_process(Box::new(p));
-        let (_, rpc_report) = eng.run();
-
+        let (_, rpc_rate) = rate(1, 1000, CreateKind::Rpc);
         // Speculating removes the per-op stall: throughput rises to the
         // MDS service cadence (the pipeline's bottleneck).
-        let mut w = world();
-        let dirs = w.setup_private_dirs(1);
-        let mut eng = Engine::new(w);
-        let p = SpeculativeCreateProcess::new(eng.world_mut(), 0, dirs[0], 1000, 16, None);
-        eng.add_process(Box::new(p));
-        let (w, spec_report) = eng.run();
+        let speculative = CreateKind::Speculative {
+            depth: 16,
+            plan: None,
+        };
+        let (w, spec_rate) = rate(1, 1000, speculative);
         assert_eq!(w.server.counters().creates, 1000);
-        let rpc_rate = 1000.0 / rpc_report.slowest().as_secs_f64();
-        let spec_rate = 1000.0 / spec_report.slowest().as_secs_f64();
         assert!(
             spec_rate > 2.5 * rpc_rate,
             "speculation should pipeline past the stall: rpc {rpc_rate}/s spec {spec_rate}/s"
@@ -960,21 +982,21 @@ mod tests {
     #[test]
     fn speculative_nacks_roll_back_and_converge() {
         let run = || {
-            let mut w = world();
-            let dirs = w.setup_private_dirs(1);
-            let dir = dirs[0];
-            let mut eng = Engine::new(w);
             let plan = Arc::new(cudele_faults::FaultPlan::new(
                 cudele_faults::FaultConfig::parse("seed=9,spec_abort_ppm=50000").unwrap(),
             ));
-            let p = SpeculativeCreateProcess::new(eng.world_mut(), 0, dir, 500, 16, Some(plan));
-            eng.add_process(Box::new(p));
-            let (w, report) = eng.run();
-            (w, report, dir)
+            let kind = CreateKind::Speculative {
+                depth: 16,
+                plan: Some(plan),
+            };
+            world().run_creates(1, 500, kind)
         };
-        let (w, report, dir) = run();
+        let CreatePhase {
+            world: w, report, ..
+        } = run();
         // Every NACK rolled back a suffix and replayed it — the namespace
         // still converges on all 500 files.
+        let dir = w.server.store().resolve(&client_dir(0)).unwrap();
         assert_eq!(w.server.store().readdir(dir).unwrap().len(), 500);
         let rollbacks = w.obs.counter_value("client.spec.rollbacks").unwrap();
         assert!(rollbacks > 5, "5% NACKs over 500 ops: {rollbacks}");
@@ -983,37 +1005,20 @@ mod tests {
             w.obs.counter_value("client.spec.aborted_ops")
         );
         // Deterministic: the rerun lands on the identical virtual instant.
-        let (_, again, _) = run();
-        assert_eq!(report.slowest(), again.slowest());
+        assert_eq!(report.slowest(), run().report.slowest());
     }
 
     #[test]
     fn merge_at_lands_journals_on_mds() {
-        let mut w = world();
-        w.server.setup_dir("/clients/dir0").unwrap();
-        w.server.setup_dir("/clients/dir1").unwrap();
-        let mut eng = Engine::new(w);
-        let mut ps = Vec::new();
-        for c in 0..2 {
-            ps.push(DecoupledCreateProcess::new(
-                eng.world_mut(),
-                c,
-                &client_dir(c),
-                1000,
-            ));
-        }
-        // Run the create phase manually (no engine needed for this check).
-        let w = eng.world_mut();
-        let t = Nanos::ZERO;
-        for p in ps.iter_mut() {
-            for i in 0..1000u64 {
-                p.client
-                    .create(p.client.root, &file_name(p.idx, i))
-                    .unwrap();
-            }
-        }
-        let end0 = ps[0].merge_at(w, t, 2);
-        let end1 = ps[1].merge_at(w, t, 2);
+        let CreatePhase {
+            world: mut w,
+            journals,
+            ..
+        } = world().run_creates(2, 1000, CreateKind::Decoupled);
+        let mut ends = journals
+            .into_iter()
+            .map(|mut p| p.merge_at(&mut w, Nanos::ZERO, 2));
+        let (end0, end1) = (ends.next().unwrap(), ends.next().unwrap());
         // Second journal queued behind the first on the MDS CPU.
         assert!(end1 > end0);
         assert_eq!(w.server.counters().merged_events, 2000);

@@ -5,17 +5,10 @@
 //! so tests that build `World`s and tests that call `mdbench::run` must not
 //! interleave — they serialize on [`OBS_LOCK`].
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
-use cudele::{execute_merge_at, Composition, ExecEnv};
 use cudele_bench::mdbench::{self, BenchConfig};
 use cudele_bench::obs_out::ObsSinks;
-use cudele_bench::{DecoupledCreateProcess, RpcCreateProcess, World};
-use cudele_client::LocalDisk;
-use cudele_mds::{MdLogConfig, MetadataServer};
-use cudele_rados::InMemoryStore;
-use cudele_sim::{CostModel, Engine};
-use cudele_workloads::client_dir;
 
 fn obs_lock() -> &'static Mutex<()> {
     static OBS_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -37,66 +30,7 @@ const MECHANISMS: [&str; 7] = [
 fn all_seven_mechanisms_emit_spans_and_counters() {
     let _guard = obs_lock().lock().unwrap();
 
-    // Journal-on server so RPC creates also exercise Stream.
-    let os = Arc::new(InMemoryStore::paper_default());
-    let mut world = World::new(MetadataServer::with_config(
-        os.clone(),
-        CostModel::calibrated(),
-        Some(MdLogConfig::default()),
-    ));
-    for c in 0..3 {
-        world.server.setup_dir(&client_dir(c)).unwrap();
-    }
-    let rpc_dir = world.server.store().resolve(&client_dir(0)).unwrap();
-
-    // rpcs + stream: synchronous creates against the journaling MDS.
-    let mut eng = Engine::new(world);
-    let p = RpcCreateProcess::new(eng.world_mut(), 0, rpc_dir, 64);
-    eng.add_process(Box::new(p));
-    let (world, _) = eng.run();
-
-    // append_client_journal: decoupled creates run through the engine.
-    let mut eng = Engine::new(world);
-    let p = DecoupledCreateProcess::new(eng.world_mut(), 1, &client_dir(1), 64);
-    eng.add_process(Box::new(p));
-    let (mut world, report) = eng.run();
-
-    // volatile_apply: a fresh decoupled client ships its journal to the MDS.
-    let mut merger = DecoupledCreateProcess::new(&mut world, 10, &client_dir(1), 32);
-    for i in 0..32 {
-        merger
-            .client
-            .create(merger.client.root, &format!("m{i}"))
-            .unwrap();
-    }
-    merger.merge_at(&mut world, report.slowest(), 1);
-
-    // local_persist + global_persist + nonvolatile_apply: merge-time
-    // mechanisms via the traced executor, on the shared world registry.
-    let mut persister = DecoupledCreateProcess::new(&mut world, 11, &client_dir(2), 32);
-    for i in 0..32 {
-        persister
-            .client
-            .create(persister.client.root, &format!("p{i}"))
-            .unwrap();
-    }
-    let comp: Composition = "local_persist+global_persist+nonvolatile_apply"
-        .parse()
-        .unwrap();
-    let mut disk = LocalDisk::new();
-    execute_merge_at(
-        &comp,
-        &mut persister.client,
-        &mut ExecEnv {
-            server: &mut world.server,
-            os: os.as_ref(),
-            disk: &mut disk,
-        },
-        Some(&world.obs),
-        11,
-        report.slowest(),
-    )
-    .unwrap();
+    let world = cudele_bench::regress::seven_mechanism_world();
 
     for name in MECHANISMS {
         let runs = world
