@@ -33,10 +33,9 @@ const PROBE_ARRIVALS: usize = 64;
 /// One open-loop client: arena-stored, enum-dispatched.
 pub enum OpenLoopProcess {
     /// RPC policy: closed-loop creates in the shared hot dir, wrapped to
-    /// stamp the sojourn when the last create completes. `finishing` is
-    /// set once the inner process returns `Done` — which it does at the
-    /// final create's *issuance* instant — so the wrapper can resume to
-    /// `last_op_end` and record the sojourn at the true completion time.
+    /// stamp the sojourn when the inner process is `Done` — at its last
+    /// create's completion. Nothing reads `finishing`; it stays because
+    /// the host-time benchmark constructs the variant by name.
     Rpc {
         inner: RpcCreateProcess,
         arrival: Nanos,
@@ -70,27 +69,10 @@ impl OpenLoopProcess {
 impl Process<World> for OpenLoopProcess {
     fn step(&mut self, now: Nanos, world: &mut World) -> Step {
         match self {
-            OpenLoopProcess::Rpc {
-                inner,
-                arrival,
-                finishing,
-            } => {
-                if *finishing {
-                    return OpenLoopProcess::finish(*arrival, now, world);
-                }
-                match inner.step(now, world) {
-                    Step::Done => {
-                        let end = inner.last_op_end.max(now);
-                        if end > now {
-                            *finishing = true;
-                            Step::ResumeAt(end)
-                        } else {
-                            OpenLoopProcess::finish(*arrival, now, world)
-                        }
-                    }
-                    s => s,
-                }
-            }
+            OpenLoopProcess::Rpc { inner, arrival, .. } => match inner.step(now, world) {
+                Step::Done => OpenLoopProcess::finish(*arrival, now, world),
+                s => s,
+            },
             OpenLoopProcess::Decoupled {
                 inner,
                 arrival,
@@ -279,9 +261,8 @@ mod tests {
 
     #[test]
     fn rpc_sojourn_includes_the_final_op() {
-        // The inner closed-loop process returns Done at the last create's
-        // issuance instant; a files=1 arrival would record a zero sojourn
-        // if the wrapper trusted that clock instead of `last_op_end`.
+        // A files=1 arrival records a zero sojourn unless the inner process
+        // is `Done` only once its one create has completed.
         let spec = ArrivalSpec::parse("poisson:rate=100,dirs=2").unwrap();
         let out = run_open_loop(world(), &spec, 10, 1, false).unwrap();
         assert!(

@@ -331,11 +331,6 @@ pub struct RpcCreateProcess {
     retries_seen: u64,
     /// Record a per-op trace of the victim's behaviour (Figure 3c).
     pub record_trace: bool,
-    /// Completion instant of the most recent create. The closed-loop
-    /// contract returns `Done` at the final create's *issuance* step, so
-    /// wrappers that need the true finish time (open-loop sojourn) read
-    /// it here instead of from the step clock.
-    pub last_op_end: Nanos,
 }
 
 impl RpcCreateProcess {
@@ -353,7 +348,6 @@ impl RpcCreateProcess {
             timeouts_seen: 0,
             retries_seen: 0,
             record_trace: false,
-            last_op_end: Nanos::ZERO,
         }
     }
 }
@@ -372,9 +366,8 @@ impl Process<World> for RpcCreateProcess {
         world.server.set_trace_ctx(Some(root));
         let out = self.client.create(&mut world.server, self.dir, &name);
         world.server.set_trace_ctx(None);
-        match out.result {
-            Ok(_) => {}
-            Err(e) => panic!("client {} create failed: {e}", self.idx),
+        if let Err(e) = out.result {
+            panic!("client {} create failed: {e}", self.idx);
         }
         let t = world.charge_ctx(root, now, &out.costs);
         world
@@ -382,7 +375,6 @@ impl Process<World> for RpcCreateProcess {
             .end_named_with(root, world.h.create, now, t - now, "file", &name);
         world.name_buf = name;
         self.op_lat.record((t - now).0);
-        self.last_op_end = t;
         world.h.ops.add(t, 1);
         world.h.op_latency.sample(t, (t - now).0, root.trace_id);
         let timeouts = self.client.timeouts_seen;
@@ -403,11 +395,9 @@ impl Process<World> for RpcCreateProcess {
             world.trace("victim-creates", t, self.done as f64);
             world.trace("mds-rpcs", t, world.server.counters().rpcs as f64);
         }
-        if self.done >= self.total {
-            Step::Done
-        } else {
-            Step::ResumeAt(t)
-        }
+        // The final create's time still elapses: the wake-up after it
+        // finds nothing left and completes.
+        Step::ResumeAt(t)
     }
 
     fn name(&self) -> String {
@@ -715,11 +705,9 @@ pub struct SpeculativeCreateProcess {
     pending: VecDeque<PendingAck>,
     plan: Option<Arc<FaultPlan>>,
     op_lat: Histogram,
-    /// Where the client's own CPU has got to (issue cadence).
+    /// Where the client's own CPU has got to: its issue cadence and the
+    /// end of any replay it ran.
     clock: Nanos,
-    /// Completion instant of the most recent commit (see
-    /// [`RpcCreateProcess::last_op_end`]).
-    pub last_op_end: Nanos,
 }
 
 impl SpeculativeCreateProcess {
@@ -750,7 +738,6 @@ impl SpeculativeCreateProcess {
             plan,
             op_lat: world.obs.histogram("bench.op_latency.ns"),
             clock: Nanos::ZERO,
-            last_op_end: Nanos::ZERO,
         }
     }
 
@@ -764,7 +751,6 @@ impl SpeculativeCreateProcess {
         world
             .obs
             .end_named_with(p.root, world.h.spec_create, p.issued_at, lat, "seq", p.seq);
-        self.last_op_end = self.last_op_end.max(at);
     }
 
     /// Handles an invalidated ack: replays the doomed closure synchronously
@@ -852,10 +838,11 @@ impl Process<World> for SpeculativeCreateProcess {
         self.clock = self.clock.max(t);
         if let Some(a) = self.pending.front().map(|p| p.at) {
             Step::ResumeAt(a)
-        } else if self.issued >= self.total {
-            Step::Done
+        } else if self.issued < self.total || self.clock > now {
+            // Issue on, or wait out a replay whose ops commit after `now`.
+            Step::ResumeAt(self.clock)
         } else {
-            Step::ResumeAt(t)
+            Step::Done
         }
     }
 
@@ -909,6 +896,26 @@ mod tests {
         assert!(rate < 2600.0, "rate {rate}");
         assert!(rate > 2200.0, "rate {rate}");
         assert!(w.mds.wait_fraction() > 0.5, "MDS should be congested");
+    }
+
+    #[test]
+    fn every_kind_is_done_when_its_last_op_completes() {
+        // With one client and a window of one, every kind runs its ops
+        // back to back, so the last completion is the sum of the latencies.
+        let speculative = CreateKind::Speculative {
+            depth: 1,
+            plan: None,
+        };
+        for kind in [CreateKind::Rpc, speculative, CreateKind::Decoupled] {
+            for files in [1, 3] {
+                let phase = world().run_creates(1, files, kind.clone());
+                let lat = phase.world.obs.histogram("bench.op_latency.ns");
+                let end = phase.report.slowest();
+                assert_eq!(lat.count(), files, "{kind:?} x {files}");
+                assert!(end > Nanos::ZERO, "{kind:?} x {files}");
+                assert_eq!(end.0, lat.sum(), "{kind:?} x {files}");
+            }
+        }
     }
 
     #[test]
