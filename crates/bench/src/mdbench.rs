@@ -448,9 +448,9 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
                 plan: spec_plan,
             },
         };
-        let phase = world.run_creates(cfg.clients, cfg.files, kind);
+        let mut phase = world.run_creates(cfg.clients, cfg.files, kind);
         let create_end = phase.report.slowest();
-        let (_, merge_end, report) = merge_and_probe(phase, cfg, &policy);
+        let merge_end = merge_and_probe(&mut phase, cfg, &policy);
 
         let rate = |t: Nanos| total_ops as f64 / t.as_secs_f64();
         let _ = writeln!(
@@ -465,7 +465,7 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
                 rate(merge_end)
             );
         }
-        (create_end, merge_end, report)
+        (create_end, merge_end, phase.report)
     };
 
     let _ = writeln!(rendered, "  run          : {}", report.summary_json());
@@ -527,28 +527,20 @@ client.rpc.retries={} mds.session.reconnects={}",
 /// The closed-loop merge phase: if the policy merges with Volatile
 /// Apply, the journals the decoupled clients appended land on the MDS at
 /// the end of the create phase, and a reader probes the merged names.
-/// Returns the world, the end of the merge phase (the end of the create
-/// phase when nothing merges) and the create phase's engine report.
-fn merge_and_probe(
-    phase: CreatePhase,
-    cfg: &BenchConfig,
-    policy: &Policy,
-) -> (World, Nanos, RunReport) {
-    let CreatePhase {
-        mut world,
-        report,
-        journals,
-    } = phase;
-    let create_end = report.slowest();
+/// Returns the end of the merge phase (the end of the create phase when
+/// nothing merges).
+fn merge_and_probe(phase: &mut CreatePhase, cfg: &BenchConfig, policy: &Policy) -> Nanos {
+    let create_end = phase.report.slowest();
     let merges = policy
         .merge_composition()
         .is_some_and(|m| m.contains(cudele::Mechanism::VolatileApply));
     if !merges {
-        return (world, create_end, report);
+        return create_end;
     }
     // A decoupled client's root is its private directory.
-    let dirs: Vec<_> = journals.iter().map(|p| p.client.root).collect();
-    let merge_end = world.merge_journals(journals, create_end);
+    let dirs: Vec<_> = phase.journals.iter().map(|p| p.client.root).collect();
+    let world = &mut phase.world;
+    let merge_end = world.merge_journals(std::mem::take(&mut phase.journals), create_end);
     // Post-merge visibility probes: a reader walks the merged names so
     // the recorded history carries the observations the
     // eventual-visibility checker verifies. Bounded so large runs stay
@@ -563,7 +555,7 @@ fn merge_and_probe(
         }
         let _ = world.server.readdir(probe, dir);
     }
-    (world, merge_end, report)
+    merge_end
 }
 
 /// Runs the `mds-crash@T` failover drill against the object store the
@@ -961,13 +953,14 @@ mod tests {
             ..BenchConfig::default()
         };
         let policy = resolve_policy(&cfg).unwrap();
-        let phase = World::calibrated(Some(cudele_mds::MdLogConfig::default())).run_creates(
+        let mut phase = World::calibrated(Some(cudele_mds::MdLogConfig::default())).run_creates(
             cfg.clients,
             cfg.files,
             CreateKind::Decoupled,
         );
         let create_end = phase.report.slowest();
-        let (world, merge_end, _) = merge_and_probe(phase, &cfg, &policy);
+        let merge_end = merge_and_probe(&mut phase, &cfg, &policy);
+        let world = phase.world;
         assert!(merge_end > create_end);
 
         let ops = u64::from(cfg.clients) * cfg.files;
