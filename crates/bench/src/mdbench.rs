@@ -412,7 +412,7 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
 
     use std::fmt::Write as _;
     let total_ops = cfg.clients as u64 * cfg.files;
-    let (create_end, merge_end, report) = if let Some(spec_str) = &cfg.arrival {
+    let (create_end, merge_end, report, failed_ops) = if let Some(spec_str) = &cfg.arrival {
         let spec = cudele_workloads::open_loop::ArrivalSpec::parse(spec_str)
             .map_err(|e| format!("bad --arrival: {e}"))?;
         let decoupled = policy.operation_mode() == cudele::OperationMode::Decoupled;
@@ -438,7 +438,7 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
             Nanos(out.sojourn_ns.1 as u64),
             Nanos(out.sojourn_ns.2 as u64),
         );
-        (out.end, out.end, out.report)
+        (out.end, out.end, out.report, out.failed_ops)
     } else {
         let kind = match (policy.operation_mode(), cfg.speculate) {
             (cudele::OperationMode::Decoupled, _) => CreateKind::Decoupled,
@@ -449,6 +449,9 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
             },
         };
         let mut phase = world.run_creates(cfg.clients, cfg.files, kind);
+        if let Some(e) = phase.world.fatal.take() {
+            return Err(e);
+        }
         let create_end = phase.report.slowest();
         let merge_end = merge_and_probe(&mut phase, cfg, &policy);
 
@@ -465,8 +468,14 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
                 rate(merge_end)
             );
         }
-        (create_end, merge_end, phase.report)
+        (create_end, merge_end, phase.report, phase.world.failed_ops)
     };
+    if failed_ops > 0 {
+        let _ = writeln!(
+            rendered,
+            "  refused ops  : {failed_ops} of {total_ops} creates (the MDS answered an error)"
+        );
+    }
 
     let _ = writeln!(rendered, "  run          : {}", report.summary_json());
     if !mds_crashes.is_empty() {

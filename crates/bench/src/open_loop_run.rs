@@ -116,6 +116,8 @@ pub struct OpenLoopOutcome {
     /// histogram `bench.sojourn.ns` — log-bucket estimates over the stream
     /// of sojourns, unlike the report's exact completion percentiles.
     pub sojourn_ns: (f64, f64, f64),
+    /// Creates the MDS refused ([`World::failed_ops`]).
+    pub failed_ops: u64,
 }
 
 /// Drives `clients` open-loop arrivals of `files` creates each through
@@ -159,6 +161,9 @@ pub fn run_open_loop(
     }
     eng.add_arena(procs, &starts);
     let (mut world, report) = eng.run();
+    if let Some(e) = world.fatal.take() {
+        return Err(e);
+    }
 
     if decoupled {
         // Post-merge visibility probes (bounded): a reader walks the first
@@ -193,6 +198,7 @@ pub fn run_open_loop(
             sojourn.percentile(95.0),
             sojourn.percentile(99.0),
         ),
+        failed_ops: world.failed_ops,
     })
 }
 

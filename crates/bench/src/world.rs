@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use cudele_client::{AckOutcome, RpcClient, SpeculativeClient};
 use cudele_faults::FaultPlan;
-use cudele_journal::InodeId;
+use cudele_journal::{InodeId, InodeRange};
 use cudele_mds::{ClientId, MdLogConfig, MdsError, MetadataServer, OpCost};
 use cudele_obs::timeline::Series;
 use cudele_obs::{Histogram, Mechanism, Registry, SpanName, TraceCtx};
@@ -37,6 +37,16 @@ pub struct World {
     /// here, not in the process, so an open-loop run's one-create clients
     /// share it too; a step takes it and puts it back.
     name_buf: String,
+    /// Creates the MDS refused mid-run (an OSD outage under the journal,
+    /// a retry budget spent). A refused create is an outcome, not a
+    /// panic: its time is charged like any other op's and it is counted
+    /// here.
+    pub failed_ops: u64,
+    /// The first refusal that ends a client: a decouple, a speculative
+    /// mount or a speculative replay the MDS could not complete. That
+    /// client stops; the run goes on, and `mdbench` reports this as its
+    /// error.
+    pub fatal: Option<String>,
 }
 
 /// The harness's per-op telemetry, resolved against the world's registry
@@ -130,7 +140,14 @@ impl World {
             tl,
             h,
             name_buf: String::new(),
+            failed_ops: 0,
+            fatal: None,
         }
+    }
+
+    /// Records a refusal that ends a client, keeping the first.
+    fn refuse(&mut self, what: String) {
+        self.fatal.get_or_insert(what);
     }
 
     /// A world on the paper's default object store and the calibrated cost
@@ -234,19 +251,24 @@ impl World {
         let mut journals = Vec::new();
         for (c, dir) in (0..clients).zip(dirs) {
             let w = eng.world_mut();
-            let p: Box<dyn Process<World>> =
-                match &kind {
-                    CreateKind::Rpc => Box::new(RpcCreateProcess::new(w, c, dir, files)),
-                    CreateKind::Speculative { depth, plan } => Box::new(
-                        SpeculativeCreateProcess::new(w, c, dir, files, *depth, plan.clone()),
-                    ),
-                    CreateKind::Decoupled => {
-                        let p = DecoupledCreateProcess::new(w, c, &client_dir(c), files);
-                        let p = Rc::new(RefCell::new(p));
-                        journals.push(Rc::clone(&p));
-                        Box::new(p)
+            let p: Box<dyn Process<World>> = match &kind {
+                CreateKind::Rpc => Box::new(RpcCreateProcess::new(w, c, dir, files)),
+                CreateKind::Speculative { depth, plan } => {
+                    match SpeculativeCreateProcess::new(w, c, dir, files, *depth, plan.clone()) {
+                        Ok(p) => Box::new(p),
+                        Err(e) => {
+                            w.refuse(format!("client {c} speculative mount: {e}"));
+                            continue;
+                        }
                     }
-                };
+                }
+                CreateKind::Decoupled => {
+                    let p = DecoupledCreateProcess::new(w, c, &client_dir(c), files);
+                    let p = Rc::new(RefCell::new(p));
+                    journals.push(Rc::clone(&p));
+                    Box::new(p)
+                }
+            };
             eng.add_process(p);
         }
         let (world, report) = eng.run();
@@ -366,8 +388,8 @@ impl Process<World> for RpcCreateProcess {
         world.server.set_trace_ctx(Some(root));
         let out = self.client.create(&mut world.server, self.dir, &name);
         world.server.set_trace_ctx(None);
-        if let Err(e) = out.result {
-            panic!("client {} create failed: {e}", self.idx);
+        if out.result.is_err() {
+            world.failed_ops += 1;
         }
         let t = world.charge_ctx(root, now, &out.costs);
         world
@@ -418,7 +440,9 @@ pub struct DecoupledCreateProcess {
 
 impl DecoupledCreateProcess {
     /// Decouples the client's private dir (setup, uncharged) with enough
-    /// allocated inodes for the whole run.
+    /// allocated inodes for the whole run. A decouple the MDS refuses is
+    /// recorded in [`World::fatal`] and leaves a client with no inodes and
+    /// nothing to append.
     pub fn new(world: &mut World, idx: u32, dir_path: &str, total: u64) -> DecoupledCreateProcess {
         world.server.open_session(ClientId(idx));
         let (dc, _) = cudele_client::DecoupledClient::decouple(
@@ -428,7 +452,16 @@ impl DecoupledCreateProcess {
             total,
         );
         let append = world.server.cost_model().client_append;
-        let mut client = dc.expect("decouple");
+        let (mut client, total) = match dc {
+            Ok(client) => (client, total),
+            Err(e) => {
+                world.refuse(format!("client {idx} decouple: {e}"));
+                let none = InodeRange::new(InodeId::ROOT, 0);
+                let client =
+                    cudele_client::DecoupledClient::new(ClientId(idx), InodeId::ROOT, none);
+                (client, 0)
+            }
+        };
         client.attach_obs(&world.obs);
         DecoupledCreateProcess {
             client,
@@ -614,7 +647,7 @@ impl Process<World> for InterfererProcess {
         match out.result {
             Ok(_) => {}
             Err(MdsError::Busy { .. }) => self.rejected += 1,
-            Err(e) => panic!("interferer create failed: {e}"),
+            Err(_) => world.failed_ops += 1,
         }
         let t = world.charge_as(self.id, now, &out.costs);
         self.issued += 1;
@@ -713,7 +746,8 @@ pub struct SpeculativeCreateProcess {
 impl SpeculativeCreateProcess {
     /// Builds the process: opens the session and preallocates the
     /// speculation range (setup, uncharged). `plan` supplies the
-    /// `spec_abort_ppm` NACK draws; `None` never NACKs.
+    /// `spec_abort_ppm` NACK draws; `None` never NACKs. Fails when the MDS
+    /// refuses the mount.
     pub fn new(
         world: &mut World,
         idx: u32,
@@ -721,12 +755,12 @@ impl SpeculativeCreateProcess {
         total: u64,
         depth: usize,
         plan: Option<Arc<FaultPlan>>,
-    ) -> SpeculativeCreateProcess {
+    ) -> Result<SpeculativeCreateProcess, MdsError> {
         let (client, _) = SpeculativeClient::mount(&mut world.server, ClientId(idx));
-        let mut client = client.expect("speculative mount");
+        let mut client = client?;
         client.attach_obs(&world.obs);
         let append = world.server.cost_model().client_append;
-        SpeculativeCreateProcess {
+        Ok(SpeculativeCreateProcess {
             client,
             idx,
             dir,
@@ -738,7 +772,7 @@ impl SpeculativeCreateProcess {
             plan,
             op_lat: world.obs.histogram("bench.op_latency.ns"),
             clock: Nanos::ZERO,
-        }
+        })
     }
 
     /// Records one client-visible completion: the op's latency runs from
@@ -756,15 +790,21 @@ impl SpeculativeCreateProcess {
     /// Handles an invalidated ack: replays the doomed closure synchronously
     /// against the primary (the rollback span parents under the aborted
     /// op's root), then completes every doomed op — including later ones
-    /// whose acks were still pending — at the replay's end.
-    fn rollback_and_replay(&mut self, world: &mut World, p: &PendingAck, doomed: &[u64]) -> Nanos {
+    /// whose acks were still pending — at the replay's end. A replay the
+    /// MDS refuses ends the client.
+    fn rollback_and_replay(
+        &mut self,
+        world: &mut World,
+        p: &PendingAck,
+        doomed: &[u64],
+    ) -> Result<Nanos, MdsError> {
         world.h.spec_rollbacks.add(p.at, 1);
         world.server.set_now(p.at);
         world.server.set_trace_ctx(Some(p.root));
         self.client.set_now(p.at);
         let (r, costs) = self.client.replay(&mut world.server, doomed);
         world.server.set_trace_ctx(None);
-        r.expect("speculative replay");
+        r?;
         let t = world.charge_ctx(p.root, p.at, &costs);
         world
             .obs
@@ -780,7 +820,7 @@ impl SpeculativeCreateProcess {
         }
         self.pending = rest;
         self.complete(world, p, t);
-        t
+        Ok(t)
     }
 }
 
@@ -798,8 +838,13 @@ impl Process<World> for SpeculativeCreateProcess {
                     }
                 }
                 AckOutcome::RolledBack(doomed) => {
-                    let t = self.rollback_and_replay(world, &p, &doomed);
-                    self.clock = self.clock.max(t);
+                    match self.rollback_and_replay(world, &p, &doomed) {
+                        Ok(t) => self.clock = self.clock.max(t),
+                        Err(e) => {
+                            world.refuse(format!("client {} speculative replay: {e}", self.idx));
+                            return Step::Done;
+                        }
+                    }
                 }
             }
         }

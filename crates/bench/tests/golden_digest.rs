@@ -59,10 +59,15 @@ fn rpc_create_shape_artifacts_match_the_recorded_digests() {
         [
             // Metrics re-recorded when the mdlog trimmer was deleted
             // (0x0066…55ae before): the zero-valued `mds.mdlog.trims`
-            // counter is gone. The other three did not move.
+            // counter is gone. Trace and timeline re-recorded when the
+            // object store began reading the server's clock
+            // (0x1a6c…104a and 0x73ea…f593 before): the two
+            // `rados.osd.*.write_bytes` points, and their trace counter
+            // events, moved from t = 0 to the 18.9 s mdlog flush that wrote
+            // them. Nothing else moved.
             0xc0e7_da92_e2d2_a804,
-            0x1a6c_559e_f955_104a,
-            0x73ea_6ada_3c47_f593,
+            0x664e_35d9_e1dd_9376,
+            0x3a9a_d12d_1d6f_bdf9,
             0x6121_210c_cf3c_e7e3,
         ],
         "metrics / trace / timeline / history digests: {got:#018x?}"

@@ -193,6 +193,108 @@ fn same_fault_plan_runs_are_byte_identical() {
     );
 }
 
+/// The store and the fault injector keep no clock of their own: they read
+/// the one the server's `set_now` pushes into the store, so a faulted run's
+/// `rados.osd.*` and `faults.injected.*` samples land where the I/O
+/// happened — spread over the run, like `journal.writer.appends` — instead
+/// of piling into window 0.
+#[test]
+fn faulted_store_series_cover_the_run() {
+    let _guard = obs_lock().lock().unwrap();
+
+    let path = std::env::temp_dir()
+        .join(format!(
+            "cudele_obs_{}_clock.timeline.json",
+            std::process::id()
+        ))
+        .to_string_lossy()
+        .into_owned();
+    let cfg = BenchConfig {
+        clients: 2,
+        files: 2000,
+        faults: Some("seed=42,eagain_ppm=50000,torn_ppm=100000".to_string()),
+        mdlog_segment: Some(8),
+        mdlog_dispatch: Some(2),
+        sinks: ObsSinks {
+            timeline_out: Some(path.clone()),
+            ..ObsSinks::default()
+        },
+        ..BenchConfig::default()
+    };
+    mdbench::run(&cfg).unwrap();
+    let body = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let snap = cudele_obs::timeline::TimelineSnapshot::parse(&body).unwrap();
+    let windows = |name: &str| {
+        let series = snap.series(name).unwrap_or_else(|| panic!("no {name}"));
+        let busy = series.points.iter().filter(
+            |p| matches!(p.stat, cudele_obs::timeline::PointStat::Rate { count, .. } if count > 0),
+        );
+        busy.count()
+    };
+    let appends = windows("journal.writer.appends");
+    assert!(appends > 100, "{appends} windows of journal appends");
+    for name in ["faults.injected.eagain", "rados.osd.1.write_bytes"] {
+        let n = windows(name);
+        assert!(n > 1, "{name} covers {n} window(s) of a run with {appends}");
+    }
+}
+
+/// Every OSD down while the first mdlog flushes land: the creates whose
+/// flush the store refuses are counted in the summary, the window closes
+/// on the server's clock, and the run finishes. A window open from 0 ms
+/// used to never close (the store's clock stood still) and the first
+/// refused create panicked the run.
+#[test]
+fn an_all_osd_outage_is_counted_not_a_panic() {
+    let _guard = obs_lock().lock().unwrap();
+
+    for window in ["0ms..50ms", "1ms..50ms"] {
+        let faults = (0..3)
+            .map(|osd| format!("osd_outage={osd}@{window}"))
+            .collect::<Vec<_>>()
+            .join(",");
+        let cfg = BenchConfig {
+            clients: 2,
+            files: 2000,
+            faults: Some(faults),
+            mdlog_segment: Some(8),
+            mdlog_dispatch: Some(2),
+            ..BenchConfig::default()
+        };
+        let out = mdbench::run(&cfg).unwrap_or_else(|e| panic!("{window}: {e}"));
+        let refused = out
+            .rendered
+            .lines()
+            .find_map(|l| l.strip_prefix("  refused ops  : "))
+            .unwrap_or_else(|| panic!("{window}: nothing refused\n{}", out.rendered));
+        let n: u64 = refused.split(' ').next().unwrap().parse().unwrap();
+        // Only the flushes inside the first 50 ms fail.
+        assert!(n > 0 && n < 100, "{window}: {refused}");
+    }
+
+    // A client whose setup the store refuses (every journal event flushes,
+    // into the outage) ends the run with an error, not a panic.
+    let faults = "osd_outage=0@0ms..50ms,osd_outage=1@0ms..50ms,osd_outage=2@0ms..50ms";
+    for (policy, speculate, refused) in [
+        ("batchfs", None, "decouple"),
+        ("posix", Some(4), "speculative mount"),
+    ] {
+        let cfg = BenchConfig {
+            clients: 2,
+            files: 10,
+            policy: policy.to_string(),
+            speculate,
+            faults: Some(faults.to_string()),
+            mdlog_segment: Some(1),
+            mdlog_dispatch: Some(1),
+            ..BenchConfig::default()
+        };
+        let err = mdbench::run(&cfg).unwrap_err();
+        assert!(err.contains(refused), "{policy}: {err}");
+    }
+}
+
 /// The `mds-crash@5ms` drill probes the cluster on a 1 ms grid, so the
 /// recorded timeline must show the whole transient, bounded: the crash is
 /// detected within the 15 ms beacon grace plus two 4 ms beacon intervals,

@@ -105,7 +105,6 @@ struct SpecObs {
     replayed: Counter,
     /// Commit-time consistency-history sink.
     history: cudele_obs::history::HistoryWriter,
-    now: Nanos,
 }
 
 /// An RPC-mode client that speculates past acks.
@@ -127,6 +126,9 @@ pub struct SpeculativeClient {
     committed: u64,
     /// Deepest speculation window observed (diagnostics).
     pub max_depth_seen: usize,
+    /// The client's virtual clock ([`SpeculativeClient::set_now`]): an
+    /// op's issue and commit instants, the two ends of its history row.
+    now: Nanos,
     obs: Option<SpecObs>,
 }
 
@@ -164,6 +166,7 @@ impl SpeculativeClient {
                     window: VecDeque::new(),
                     committed: 0,
                     max_depth_seen: 0,
+                    now: Nanos::ZERO,
                     obs: None,
                 }),
                 costs,
@@ -181,19 +184,12 @@ impl SpeculativeClient {
             aborted_ops: reg.counter("client.spec.aborted_ops"),
             replayed: reg.counter("client.spec.replayed"),
             history: reg.history_writer(),
-            now: Nanos::ZERO,
         });
     }
 
     /// Sets the virtual time stamped on subsequent issues and commits.
     pub fn set_now(&mut self, now: Nanos) {
-        if let Some(o) = &mut self.obs {
-            o.now = now;
-        }
-    }
-
-    fn now(&self) -> Nanos {
-        self.obs.as_ref().map_or(Nanos::ZERO, |o| o.now)
+        self.now = now;
     }
 
     /// Uncommitted ops currently in the window (the speculation depth).
@@ -265,7 +261,7 @@ impl SpeculativeClient {
                     dir,
                     name: name.to_string(),
                     predicted_ino: InodeId(0),
-                    issued_at: self.now(),
+                    issued_at: self.now,
                     epoch: self.epoch,
                     deps: Vec::new(),
                     applied: Err(e),
@@ -298,7 +294,7 @@ impl SpeculativeClient {
             dir,
             name: name.to_string(),
             predicted_ino,
-            issued_at: self.now(),
+            issued_at: self.now,
             epoch: self.epoch,
             deps,
             applied: rpc.result.map(|r| r.ino),
@@ -351,7 +347,7 @@ impl SpeculativeClient {
                         result: HistoryResult::Ok,
                         ino: op.predicted_ino.0,
                         invoke: op.issued_at,
-                        ack: o.now,
+                        ack: self.now,
                         epoch: op.epoch,
                         trace_id: 0,
                     });

@@ -25,13 +25,13 @@
 //!
 //! Fault taxonomy and what recovers from each:
 //!
-//! | fault              | injected as                         | recovered by            |
-//! |--------------------|-------------------------------------|-------------------------|
-//! | transient `EAGAIN` | `Err(Transient)` before any effect  | retry + backoff         |
-//! | torn stripe write  | partial append, then `Transient`    | truncate-and-retry      |
-//! | bit flip           | silent corruption, CRC catches later| journal tool recovery   |
-//! | OSD outage window  | `Unavailable` while `now` in window | replicas / window end   |
-//! | slow OSD window    | cost-model latency multiplier       | nothing (just slower)   |
+//! | fault              | injected as                                    | recovered by          |
+//! |--------------------|------------------------------------------------|-----------------------|
+//! | transient `EAGAIN` | `Err(Transient)` before any effect             | retry + backoff       |
+//! | torn stripe write  | partial append, then `Transient`               | truncate-and-retry    |
+//! | bit flip           | silent corruption, CRC catches later           | journal tool recovery |
+//! | OSD outage window  | `Unavailable` while the store's clock is in it | replicas / window end |
+//! | slow OSD window    | cost-model latency multiplier                  | nothing (just slower) |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -227,7 +227,6 @@ const SALT_SPEC_ABORT: u64 = 0x53_50_45_43; // "SPEC"
 pub struct FaultPlan {
     config: FaultConfig,
     ops: AtomicU64,
-    now: AtomicU64,
 }
 
 impl FaultPlan {
@@ -236,23 +235,12 @@ impl FaultPlan {
         FaultPlan {
             config,
             ops: AtomicU64::new(0),
-            now: AtomicU64::new(0),
         }
     }
 
     /// The plan's configuration.
     pub fn config(&self) -> &FaultConfig {
         &self.config
-    }
-
-    /// Advances the plan's virtual clock (monotonic).
-    pub fn set_now(&self, now: Nanos) {
-        self.now.fetch_max(now.as_nanos(), Ordering::Relaxed);
-    }
-
-    /// The plan's current virtual time.
-    pub fn now(&self) -> Nanos {
-        Nanos(self.now.load(Ordering::Relaxed))
     }
 
     /// Claims the next op index (each store operation consumes one).
@@ -428,7 +416,9 @@ fn is_journal_stripe(name: &str) -> bool {
 /// OSD outage windows and slow windows are *not* enforced here — outages
 /// live in [`cudele_rados::InMemoryStore::schedule_outage`] and slow
 /// windows in the cost model; harnesses install both from the same
-/// [`FaultConfig`].
+/// [`FaultConfig`]. The wrapper keeps no clock: the `faults.injected.*`
+/// series are stamped with the inner store's ([`ObjectStore::now`]), which
+/// the serving MDS sets, and [`ObjectStore::set_now`] is forwarded there.
 pub struct FaultyStore<S: ObjectStore> {
     inner: Arc<S>,
     plan: Arc<FaultPlan>,
@@ -476,7 +466,7 @@ impl<S: ObjectStore> FaultyStore<S> {
             self.injected_eagain.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = self.obs.read().unwrap().as_ref() {
                 o.eagain.inc();
-                o.tl.add("faults.injected.eagain", self.plan.now(), 1);
+                o.tl.add("faults.injected.eagain", self.inner.now(), 1);
             }
             return Err(RadosError::Transient(id.clone()));
         }
@@ -499,7 +489,7 @@ impl<S: ObjectStore> FaultyStore<S> {
         self.injected_bitflips.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.obs.read().unwrap().as_ref() {
             o.bitflips.inc();
-            o.tl.add("faults.injected.bitflips", self.plan.now(), 1);
+            o.tl.add("faults.injected.bitflips", self.inner.now(), 1);
         }
         Some(flipped)
     }
@@ -538,7 +528,7 @@ impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
             self.injected_torn.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = self.obs.read().unwrap().as_ref() {
                 o.torn.inc();
-                o.tl.add("faults.injected.torn_writes", self.plan.now(), 1);
+                o.tl.add("faults.injected.torn_writes", self.inner.now(), 1);
             }
             return Err(RadosError::Transient(id.clone()));
         }
@@ -610,6 +600,14 @@ impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
             bitflips: reg.counter("faults.injected.bitflips"),
             tl: reg.timeline(),
         });
+    }
+
+    fn now(&self) -> Nanos {
+        self.inner.now()
+    }
+
+    fn set_now(&self, now: Nanos) {
+        self.inner.set_now(now);
     }
 }
 

@@ -149,7 +149,7 @@ pub struct JournalObs {
     /// the writer's retry policy.
     pub retries: Counter,
     /// Windowed series (write rate, byte rate, retry rate, backoff level)
-    /// stamped with the clock hint from [`JournalWriter::set_now`].
+    /// stamped with the store's clock ([`ObjectStore::now`]).
     tl_appends: Series,
     tl_bytes: Series,
     tl_retries: Series,
@@ -195,9 +195,6 @@ pub struct JournalWriter<'a, S: ObjectStore + ?Sized> {
     pub retries: u64,
     /// Virtual-time backoff accumulated by those retries.
     pub backoff: Nanos,
-    /// Virtual-clock hint from the caller ([`JournalWriter::set_now`]);
-    /// stamps this writer's windowed samples.
-    now: Nanos,
 }
 
 impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
@@ -235,19 +232,12 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
             trace: None,
             retries: 0,
             backoff: Nanos::ZERO,
-            now: Nanos::ZERO,
         })
     }
 
     /// Attaches observability counters to this writer.
     pub fn set_obs(&mut self, obs: JournalObs) {
         self.obs = Some(obs);
-    }
-
-    /// Sets the virtual-clock hint stamped on windowed samples (writers
-    /// have no clock of their own — the flushing layer knows the time).
-    pub fn set_now(&mut self, now: Nanos) {
-        self.now = now;
     }
 
     /// Attaches a causal trace sink: every transient failure this writer
@@ -374,12 +364,14 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
             let retried = self.retries - retries_before;
             obs.retries.add(retried);
             // Windowed view: append/byte throughput over virtual time,
-            // retry bursts, and the backoff level the retries piled up.
-            obs.tl_appends.add(self.now, 1);
-            obs.tl_bytes.add(self.now, written);
+            // retry bursts, and the backoff level the retries piled up. A
+            // writer keeps no clock: the store's is the serving MDS's.
+            let now = self.store.now();
+            obs.tl_appends.add(now, 1);
+            obs.tl_bytes.add(now, written);
             if retried > 0 {
-                obs.tl_retries.add(self.now, retried);
-                obs.tl_backoff_ns.set(self.now, self.backoff.0 as f64);
+                obs.tl_retries.add(now, retried);
+                obs.tl_backoff_ns.set(now, self.backoff.0 as f64);
             }
         }
         Ok(written)

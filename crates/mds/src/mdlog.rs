@@ -106,9 +106,6 @@ pub struct MdLog {
     flushed_events: u64,
     stats: MdLogStats,
     obs: Option<MdLogObs>,
-    /// Virtual-clock hint from the server (see [`MdLog::set_now`]),
-    /// forwarded to the transient journal writers the flush path opens.
-    now: cudele_sim::Nanos,
 }
 
 impl MdLog {
@@ -133,19 +130,12 @@ impl MdLog {
             flushed_events: 0,
             stats: MdLogStats::default(),
             obs: None,
-            now: cudele_sim::Nanos::ZERO,
         }
     }
 
     /// Points the mdlog's metric handles at `reg` (`mds.mdlog.*`).
     pub fn set_obs(&mut self, reg: &Registry) {
         self.obs = Some(MdLogObs::attach(reg));
-    }
-
-    /// Sets the virtual-clock hint stamped on the flush path's windowed
-    /// samples (the mdlog has no clock of its own — the serving MDS does).
-    pub fn set_now(&mut self, now: cudele_sim::Nanos) {
-        self.now = now;
     }
 
     /// The journal id this mdlog writes.
@@ -203,7 +193,6 @@ impl MdLog {
         let mut writer = JournalWriter::open(os, self.id)?;
         if let Some(obs) = &self.obs {
             writer.set_obs(obs.writer.clone());
-            writer.set_now(self.now);
         }
         // A segment stays queued until its append is acknowledged: its
         // events were accepted, so a failed flush leaves it for the next.

@@ -407,9 +407,6 @@ struct MdsObs {
     tl_cross_epoch: Series,
     /// For annotations (session reconnect markers).
     tl: cudele_obs::timeline::Timeline,
-    /// Virtual-time hint supplied by the harness via
-    /// [`MetadataServer::set_now`]; anchors server-side Stream spans.
-    now: Nanos,
     /// Parent trace context supplied via [`MetadataServer::set_trace_ctx`];
     /// when present, server-side Stream spans join the caller's trace tree
     /// instead of opening traces of their own.
@@ -444,7 +441,6 @@ impl MdsObs {
             tl_reconnects: tl.series("mds.session.reconnects"),
             tl_cross_epoch: tl.series("mds.spec.cross_epoch"),
             tl,
-            now: Nanos::ZERO,
             ctx: None,
         }
     }
@@ -488,6 +484,12 @@ pub struct MetadataServer {
     up: bool,
     /// Virtual-time RPC timeout charged to a client calling a down MDS.
     rpc_timeout: Nanos,
+    /// The one virtual clock below the harness, set by
+    /// [`MetadataServer::set_now`]: it stamps the server's spans, series,
+    /// history rows and checkpoints, and the object store keeps a copy
+    /// that outage windows and the store, fault and journal-writer series
+    /// read.
+    now: Nanos,
 }
 
 /// Default virtual-time RPC timeout for calls to a dead MDS. Long against
@@ -546,6 +548,7 @@ impl MetadataServer {
             epoch,
             up: true,
             rpc_timeout: DEFAULT_RPC_TIMEOUT,
+            now: Nanos::ZERO,
         }
     }
 
@@ -564,13 +567,15 @@ impl MetadataServer {
         self.obs = Some(MdsObs::attach(reg));
     }
 
-    /// Virtual-time hint from the harness. The MDS itself is time-agnostic;
-    /// this only anchors server-side trace spans (Stream) at the current
-    /// simulated instant.
+    /// Sets the virtual clock — the only clock setter a harness calls. The
+    /// MDS's own behaviour is time-agnostic; the instant stamps its spans,
+    /// series, history rows and checkpoints, and is pushed into the object
+    /// store ([`ObjectStore::set_now`]), where OSD outage windows open and
+    /// close against it and the `rados.*`, `faults.injected.*` and
+    /// `journal.writer.*` series read it.
     pub fn set_now(&mut self, now: Nanos) {
-        if let Some(o) = self.obs.as_mut() {
-            o.now = now;
-        }
+        self.now = now;
+        self.os.set_now(now);
     }
 
     /// Sets (or clears) the parent trace context for server-side spans.
@@ -726,9 +731,6 @@ impl MetadataServer {
             Some(log) => {
                 let dispatch = log.config().dispatch_size;
                 let flushed_before = log.flushed_events();
-                if let Some(o) = &self.obs {
-                    log.set_now(o.now);
-                }
                 log.submit(self.os.as_ref(), event)
                     .map_err(|e| MdsError::from_store("journal append", &e))?;
                 if let Some(o) = &self.obs {
@@ -736,17 +738,21 @@ impl MetadataServer {
                     // how deep the unflushed backlog runs and when segment
                     // flushes actually land on the virtual clock.
                     o.tl_backlog_events
-                        .set(o.now, log.unflushed_events() as f64);
+                        .set(self.now, log.unflushed_events() as f64);
                     let flushed = log.flushed_events() - flushed_before;
                     if flushed > 0 {
-                        o.tl_flushes.add(o.now, 1);
-                        o.tl_flushed_events.add(o.now, flushed);
+                        o.tl_flushes.add(self.now, 1);
+                        o.tl_flushed_events.add(self.now, flushed);
                     }
                 }
                 if let Some(ckpt) = self.ckpt.as_mut() {
-                    let now = self.obs.as_ref().map_or(Nanos::ZERO, |o| o.now);
-                    ckpt.maybe_checkpoint(self.os.as_ref(), log.flushed_events(), now, &self.cost)
-                        .map_err(|e| MdsError::from_store("checkpoint", &e))?;
+                    ckpt.maybe_checkpoint(
+                        self.os.as_ref(),
+                        log.flushed_events(),
+                        self.now,
+                        &self.cost,
+                    )
+                    .map_err(|e| MdsError::from_store("checkpoint", &e))?;
                 }
                 let cpu = self.cost.stream_mds_cpu_at_dispatch(dispatch);
                 if observe {
@@ -757,10 +763,10 @@ impl MetadataServer {
                                 // span, with the mdlog submit as its MDS-layer
                                 // child.
                                 let ctx = o.reg.trace_child(parent);
-                                o.stream.observe(&o.reg, ctx, o.now, cpu);
-                                o.reg.child_named(ctx, o.mdlog_span, o.now, cpu);
+                                o.stream.observe(&o.reg, ctx, self.now, cpu);
+                                o.reg.child_named(ctx, o.mdlog_span, self.now, cpu);
                             }
-                            None => o.stream.observe(&o.reg, o.reg.trace_root(0), o.now, cpu),
+                            None => o.stream.observe(&o.reg, o.reg.trace_root(0), self.now, cpu),
                         }
                     }
                 }
@@ -830,9 +836,9 @@ impl MetadataServer {
             o.service_ns.record(service);
             // Windowed view of the same signal: service rate and latency
             // distribution over virtual time, worst op linked by trace.
-            o.tl_served.add(o.now, 1);
+            o.tl_served.add(self.now, 1);
             o.tl_service_ns
-                .sample(o.now, service, o.ctx.map_or(0, |c| c.trace_id));
+                .sample(self.now, service, o.ctx.map_or(0, |c| c.trace_id));
         }
         Rpc { result, cost }
     }
@@ -875,8 +881,8 @@ impl MetadataServer {
             op,
             result: Self::history_result(&rpc.result),
             ino,
-            invoke: o.now,
-            ack: o.now + rpc.cost.mds_cpu + rpc.cost.client_extra,
+            invoke: self.now,
+            ack: self.now + rpc.cost.mds_cpu + rpc.cost.client_extra,
             epoch: self.epoch.0,
             trace_id: o.ctx.map_or(0, |c| c.trace_id),
         });
@@ -964,10 +970,10 @@ impl MetadataServer {
                 // Reconnects cluster right after a takeover; the windowed
                 // rate plus the marker make that visible against the
                 // failover annotations.
-                o.tl_reconnects.add(o.now, 1);
+                o.tl_reconnects.add(s.now, 1);
                 o.tl.annotate(
                     "mds.session.reconnect",
-                    o.now,
+                    s.now,
                     &format!("client {}", client.0),
                 );
             });
@@ -1031,7 +1037,7 @@ impl MetadataServer {
                 o.spec_creates.inc();
                 if stale {
                     o.spec_cross_epoch.inc();
-                    o.tl_cross_epoch.add(o.now, 1);
+                    o.tl_cross_epoch.add(self.now, 1);
                 }
             });
         }
@@ -1358,12 +1364,30 @@ impl MetadataServer {
             log.flush(self.os.as_ref())
                 .map_err(|e| MdsError::from_store("journal append", &e))?;
             if let Some(ckpt) = self.ckpt.as_mut() {
-                let now = self.obs.as_ref().map_or(Nanos::ZERO, |o| o.now);
-                ckpt.maybe_checkpoint(self.os.as_ref(), log.flushed_events(), now, &self.cost)
+                ckpt.maybe_checkpoint(self.os.as_ref(), log.flushed_events(), self.now, &self.cost)
                     .map_err(|e| MdsError::from_store("checkpoint", &e))?;
             }
         }
         Ok(())
+    }
+
+    /// Journals and flushes events another path already wrote to the
+    /// object store: Nonvolatile Apply replays a client journal straight
+    /// into the dirfrag objects, which a recovery with a checkpoint
+    /// manifest never reads — it starts from the image and replays the
+    /// mdlog tail. Logging the events makes them survive that recovery
+    /// too: the journal is the source of truth (DESIGN.md §12.2). The
+    /// in-memory namespace is left alone (the caller restarts the server
+    /// next), no `stream` span is recorded, and without an mdlog this is a
+    /// no-op — recovery then starts from the dirfrags.
+    pub fn journal_applied(&mut self, events: &[JournalEvent]) -> Result<()> {
+        if self.mdlog.is_none() {
+            return Ok(());
+        }
+        for event in events {
+            self.journal_impl(event.into(), false)?;
+        }
+        self.try_flush_journal()
     }
 
     /// Events accepted into the mdlog but not yet persisted to the object

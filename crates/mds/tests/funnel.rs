@@ -1457,14 +1457,19 @@ fn seeded_script_reproduces_the_digests_recorded_at_the_parent() {
             requests: 0x07a8_b8bf_7906_7e3c,
             counters: 0x8420_343a_0f4f_6521,
             history: 0xd941_801f_f9ff_4e94,
-            timeline: 0xe59b_2cb7_6247_2b25,
+            // Re-recorded when the object store began reading the server's
+            // clock (0xe59b…2b25 before): the `rados.osd.*` series spread
+            // over the windows their I/O ran in instead of window 0.
+            timeline: 0xfa32_32cc_1821_2543,
             objects: 0xed26_c258_9299_aea4,
             namespace: 0xd930_97ec_1d49_ed6e,
             watermark: 0x817b_bea2_7151_c801,
             // Re-recorded when the mdlog trimmer was deleted (0x9b9d…3317
             // before): the zero-valued `mds.mdlog.trims` counter is no
-            // longer registered, and nothing else moved.
-            metrics_json: 0x671f_641c_547e_8bbd,
+            // longer registered, and nothing else moved. Re-recorded with
+            // the timeline above (0x671f…8bbd before): only
+            // `obs.timeline.windows_recorded` moved, 116 -> 176.
+            metrics_json: 0xa42e_a3ca_86fd_9a3f,
         },
         "script digests: {got:#018x?}"
     );

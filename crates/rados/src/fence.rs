@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use cudele_obs::{Counter, Registry};
+use cudele_sim::Nanos;
 use parking_lot::RwLock;
 
 use crate::store::{IoDelta, ObjectStat, ObjectStore};
@@ -223,6 +224,14 @@ impl ObjectStore for FencedStore {
     fn attach_obs(&self, reg: &Registry) {
         *self.obs.write() = Some(reg.counter("rados.fenced_writes"));
         self.inner.attach_obs(reg);
+    }
+
+    fn now(&self) -> Nanos {
+        self.inner.now()
+    }
+
+    fn set_now(&self, now: Nanos) {
+        self.inner.set_now(now);
     }
 }
 

@@ -14,6 +14,7 @@
 //! Figure 2 and for bandwidth accounting), and supports failing/reviving
 //! OSDs for the durability failure-injection tests.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -115,6 +116,18 @@ pub trait ObjectStore: Send + Sync {
     /// and per-OSD `rados.osd.<i>.*` counters/gauges. Default: no-op, so
     /// plain stores and test doubles need not care.
     fn attach_obs(&self, _reg: &Registry) {}
+
+    /// The store's virtual clock: outage windows open and close against
+    /// it, and the per-OSD series are stamped with it. Default: always
+    /// [`Nanos::ZERO`], for stores that keep no clock.
+    fn now(&self) -> Nanos {
+        Nanos::ZERO
+    }
+
+    /// Sets the store's virtual clock. The serving MDS is the one caller
+    /// (`MetadataServer::set_now` pushes its clock through here); wrappers
+    /// forward it to the store they wrap. Default: no-op.
+    fn set_now(&self, _now: Nanos) {}
 }
 
 #[derive(Debug, Default)]
@@ -171,7 +184,7 @@ struct OsdObs {
     /// a balance indicator, refreshed on every write that touches it.
     share: Gauge,
     /// This OSD's windowed write throughput (`rados.osd.<i>.write_bytes`),
-    /// stamped with the store's `set_now` clock.
+    /// stamped with the store's clock ([`ObjectStore::now`]).
     tl_write: Series,
     /// Windowed read throughput (`rados.osd.<i>.read_bytes`).
     tl_read: Series,
@@ -195,7 +208,8 @@ struct StoreObs {
 pub struct InMemoryStore {
     inner: RwLock<Inner>,
     replication: usize,
-    /// Current virtual time (ns); outage windows are evaluated against it.
+    /// Current virtual time (ns), as the serving MDS last set it; outage
+    /// windows are evaluated against it.
     now: AtomicU64,
     read_ops: AtomicU64,
     write_ops: AtomicU64,
@@ -239,17 +253,6 @@ impl InMemoryStore {
         InMemoryStore::new(3, 1)
     }
 
-    /// Advances the store's virtual clock; outage windows are evaluated
-    /// against it. Time never runs backwards (stale calls are ignored).
-    pub fn set_now(&self, now: Nanos) {
-        self.now.fetch_max(now.as_nanos(), Ordering::Relaxed);
-    }
-
-    /// The store's current virtual time.
-    pub fn now(&self) -> Nanos {
-        Nanos(self.now.load(Ordering::Relaxed))
-    }
-
     /// Schedules an outage window `[from, until)` for `osd`. The OSD is
     /// down whenever the store's virtual time falls inside any scheduled
     /// window; objects whose every replica is inside a window become
@@ -264,8 +267,7 @@ impl InMemoryStore {
     /// Marks an OSD down from the current virtual time onward (an open
     /// outage window, ended by [`InMemoryStore::revive_osd`]).
     pub fn fail_osd(&self, osd: usize) {
-        let now = Nanos(self.now.load(Ordering::Relaxed));
-        self.schedule_outage(osd, now, Nanos::MAX);
+        self.schedule_outage(osd, self.now(), Nanos::MAX);
     }
 
     /// Brings an OSD back up at the current virtual time: the active window
@@ -327,7 +329,7 @@ impl InMemoryStore {
         obs.write_ops.inc();
         obs.bytes_written.add(write_bytes * placement.len() as u64);
         let total = obs.bytes_written.get();
-        let now = Nanos(self.now.load(Ordering::Relaxed));
+        let now = self.now();
         for &o in placement {
             if let Some(oo) = obs.per_osd.get(o) {
                 oo.ops.inc();
@@ -349,8 +351,7 @@ impl InMemoryStore {
         if let Some(oo) = obs.per_osd.get(primary) {
             oo.ops.inc();
             oo.bytes_read.add(read_bytes);
-            let now = Nanos(self.now.load(Ordering::Relaxed));
-            oo.tl_read.add(now, read_bytes);
+            oo.tl_read.add(self.now(), read_bytes);
         }
     }
 
@@ -386,6 +387,36 @@ impl InMemoryStore {
         out
     }
 
+    /// The object a write lands on: the stored one, or a new one placed
+    /// on the OSDs up at `now`. `Unavailable` when every replica is down —
+    /// and then nothing is created, so a refused write leaves no empty
+    /// object behind for a later reader to misparse.
+    fn writable<'a>(
+        &self,
+        objects: &'a mut HashMap<ObjectId, Object>,
+        osd_count: usize,
+        outages: &[Vec<(u64, u64)>],
+        id: &ObjectId,
+        now: u64,
+    ) -> Result<&'a mut Object> {
+        let live = |placement: &[usize]| placement.iter().any(|&o| osd_up_in(outages, o, now));
+        match objects.entry(id.clone()) {
+            Entry::Occupied(e) if live(&e.get().placement) => Ok(e.into_mut()),
+            Entry::Occupied(_) => Err(RadosError::Unavailable(id.clone())),
+            Entry::Vacant(e) => {
+                let up: Vec<bool> = (0..osd_count).map(|i| osd_up_in(outages, i, now)).collect();
+                let placement = Self::placement_for(&id.name, osd_count, self.replication, &up);
+                if !live(&placement) {
+                    return Err(RadosError::Unavailable(id.clone()));
+                }
+                Ok(e.insert(Object {
+                    placement,
+                    ..Object::default()
+                }))
+            }
+        }
+    }
+
     /// Runs `f` with a mutable reference to the object, creating it if
     /// absent, and charges `write_bytes` to its replicas.
     fn mutate<R>(
@@ -401,18 +432,7 @@ impl InMemoryStore {
             osds,
             outages,
         } = &mut *inner;
-        let object = objects.entry(id.clone()).or_insert_with(|| {
-            let up: Vec<bool> = (0..osds.len())
-                .map(|i| osd_up_in(outages, i, now))
-                .collect();
-            Object {
-                placement: Self::placement_for(&id.name, osds.len(), self.replication, &up),
-                ..Object::default()
-            }
-        });
-        if !object.placement.iter().any(|&o| osd_up_in(outages, o, now)) {
-            return Err(RadosError::Unavailable(id.clone()));
-        }
+        let object = self.writable(objects, osds.len(), outages, id, now)?;
         let r = f(object);
         object.version += 1;
         let version = object.version;
@@ -500,18 +520,7 @@ impl ObjectStore for InMemoryStore {
                 actual,
             });
         }
-        let object = objects.entry(id.clone()).or_insert_with(|| {
-            let up: Vec<bool> = (0..osds.len())
-                .map(|i| osd_up_in(outages, i, now))
-                .collect();
-            Object {
-                placement: Self::placement_for(&id.name, osds.len(), self.replication, &up),
-                ..Object::default()
-            }
-        });
-        if !object.placement.iter().any(|&o| osd_up_in(outages, o, now)) {
-            return Err(RadosError::Unavailable(id.clone()));
-        }
+        let object = self.writable(objects, osds.len(), outages, id, now)?;
         object.data.clear();
         object.data.extend_from_slice(data);
         object.version += 1;
@@ -644,6 +653,16 @@ impl ObjectStore for InMemoryStore {
             bytes_written: reg.counter("rados.store.bytes_written"),
             per_osd,
         });
+    }
+
+    fn now(&self) -> Nanos {
+        Nanos(self.now.load(Ordering::Relaxed))
+    }
+
+    /// A plain store, not a read-modify-write: the setter runs once per
+    /// request, and the one caller's clock is the only writer.
+    fn set_now(&self, now: Nanos) {
+        self.now.store(now.as_nanos(), Ordering::Relaxed);
     }
 }
 
@@ -857,6 +876,27 @@ mod tests {
             s.set_now(Nanos::from_millis(t));
             assert_eq!(s.read(&oid("a")).unwrap().as_ref(), b"safe", "at {t}ms");
         }
+    }
+
+    #[test]
+    fn a_write_refused_by_an_outage_creates_nothing() {
+        let s = InMemoryStore::new(2, 1);
+        s.schedule_outage(0, Nanos::from_millis(1), Nanos::from_millis(2));
+        s.schedule_outage(1, Nanos::from_millis(1), Nanos::from_millis(2));
+        s.set_now(Nanos::from_micros(1500));
+        for refused in [
+            s.write_full(&oid("hdr"), b"x"),
+            s.append(&oid("stripe"), b"x"),
+            s.omap_set(&oid("dir"), "k", b"v"),
+            s.cas_write_full(&oid("cas"), 0, b"x"),
+        ] {
+            assert!(matches!(refused, Err(RadosError::Unavailable(_))));
+        }
+        // Once the window closes, the objects are absent, not empty.
+        s.set_now(Nanos::from_millis(2));
+        assert_eq!(s.object_count(), 0);
+        assert!(matches!(s.read(&oid("hdr")), Err(RadosError::NoEnt(_))));
+        s.cas_write_full(&oid("cas"), 0, b"x").unwrap();
     }
 
     #[test]

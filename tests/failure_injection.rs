@@ -204,6 +204,58 @@ fn mds_crash_after_nonvolatile_apply_preserves_merge() {
     assert_eq!(r.server.store().readdir(r.client.root).unwrap().len(), 50);
 }
 
+/// A server with a published checkpoint manifest recovers from the image
+/// plus the mdlog tail and never reads the dirfrag objects Nonvolatile
+/// Apply writes — so the merge's own restart dropped every merged name
+/// (0 of 50 survived) until the MDS began journaling what it replays.
+#[test]
+fn nonvolatile_apply_survives_a_checkpointed_restart() {
+    use cudele_mds::{CheckpointConfig, MdLogConfig};
+
+    let os = Arc::new(InMemoryStore::paper_default());
+    let mdlog = MdLogConfig {
+        events_per_segment: 8,
+        dispatch_size: 2,
+        trim_after_updates: None,
+    };
+    let cost = cudele_sim::CostModel::calibrated();
+    let mut server = MetadataServer::with_config(os.clone(), cost, Some(mdlog));
+    server
+        .enable_checkpoints(CheckpointConfig { interval_events: 4 })
+        .unwrap();
+    server.open_session(CLIENT);
+    let rpc_dir = server.setup_dir_durable("/rpc").unwrap();
+    for i in 0..100 {
+        server.create(CLIENT, rpc_dir, &format!("r{i}")).expect_ok();
+    }
+    assert!(server.manifest_epoch() > 0, "no manifest was published");
+
+    let merger = ClientId(2);
+    server.open_session(merger);
+    server.setup_dir_durable("/job").unwrap();
+    let (client, _) = DecoupledClient::decouple(&mut server, merger, "/job", 60);
+    let mut client = client.unwrap();
+    for i in 0..50 {
+        client.create(client.root, &format!("f{i}")).unwrap();
+    }
+    let mut r = Rig {
+        server,
+        os,
+        disk: LocalDisk::new(),
+        client,
+    };
+    merge(&mut r, "nonvolatile_apply");
+    let names = |server: &MetadataServer, dir| server.store().readdir(dir).map_or(0, |l| l.len());
+    assert_eq!(names(&r.server, r.client.root), 50, "after the merge");
+    r.server.crash_and_recover().unwrap();
+    assert_eq!(
+        names(&r.server, r.client.root),
+        50,
+        "after one more restart"
+    );
+    assert_eq!(names(&r.server, rpc_dir), 100);
+}
+
 #[test]
 fn global_persist_plus_volatile_apply_recoverable_end_to_end() {
     // The weak/global cell: after GP||VA, even if the MDS crashes the
@@ -323,9 +375,8 @@ fn journal_io_failure_is_an_io_error_not_enoent() {
     for osd in 0..os.osd_stats().len() {
         os.schedule_outage(osd, from, until);
     }
-    let during = Nanos::from_micros(1500);
-    os.set_now(during);
-    server.set_now(during);
+    // The server's clock is the store's: setting it opens the window.
+    server.set_now(Nanos::from_micros(1500));
     let reply = server.unlink(CLIENT, dir, "f");
     assert!(
         matches!(reply.result, Err(MdsError::Io { .. })),
@@ -343,6 +394,72 @@ fn journal_io_failure_is_an_io_error_not_enoent() {
     assert_eq!(row.result, HistoryResult::Err, "recorded as `err`");
     let report = cudele_check::check_history(&history);
     assert!(report.clean(), "verdict: {:?}", report.violations);
+}
+
+// ---------------------------------------------------------------------
+// One clock: the server's `set_now` is the store's
+// ---------------------------------------------------------------------
+
+/// Every OSD is out over `[1 ms, 2 ms)`: a journal append the server
+/// makes at 1.5 ms is refused, one at 2.5 ms lands. Only the server's
+/// clock is set — the store, the fault wrapper and the fence keep none of
+/// their own.
+fn outage_opens_and_closes_on_the_server_clock(server: &mut MetadataServer) {
+    use cudele_mds::MdsError;
+    use cudele_sim::Nanos;
+
+    server.open_session(CLIENT);
+    let dir = server.setup_dir("/d").unwrap();
+    let create = |server: &mut MetadataServer, at: u64, name: &str| {
+        server.set_now(Nanos::from_micros(at));
+        server.create(CLIENT, dir, name).result
+    };
+    create(server, 500, "before").unwrap();
+    let during = create(server, 1_500, "during");
+    assert!(
+        matches!(during, Err(MdsError::Io { .. })),
+        "an append inside the window is refused, got {during:?}"
+    );
+    create(server, 2_500, "after").expect("the window closed at 2 ms");
+}
+
+/// An mdlog that flushes every event, so each create is one append.
+fn flush_every_event() -> Option<cudele_mds::MdLogConfig> {
+    Some(cudele_mds::MdLogConfig {
+        events_per_segment: 1,
+        dispatch_size: 1,
+        trim_after_updates: None,
+    })
+}
+
+#[test]
+fn outage_window_follows_the_server_clock() {
+    let os = Arc::new(InMemoryStore::paper_default());
+    for osd in 0..3 {
+        let (from, until) = (cudele_sim::Nanos::MILLI, cudele_sim::Nanos::from_millis(2));
+        os.schedule_outage(osd, from, until);
+    }
+    let cost = cudele_sim::CostModel::calibrated();
+    let mut server = MetadataServer::with_config(os, cost, flush_every_event());
+    outage_opens_and_closes_on_the_server_clock(&mut server);
+}
+
+/// The same window under a promoted standby, whose handle is a
+/// `FencedStore` over a `FaultyStore` over the OSDs.
+#[test]
+fn outage_window_follows_a_standbys_clock_through_the_fence() {
+    use cudele_mds::StandbyReplay;
+    use cudele_rados::FencingAuthority;
+
+    let spec = "osd_outage=0@1ms..2ms,osd_outage=1@1ms..2ms,osd_outage=2@1ms..2ms";
+    let faults = cudele_faults::FaultConfig::parse(spec).unwrap();
+    let cost = cudele_sim::CostModel::calibrated();
+    let osds = Arc::new(InMemoryStore::paper_default());
+    let (faulty, cost) = cudele_faults::wire_faults(osds, faults, &cost);
+    let authority = Arc::new(FencingAuthority::new());
+    let mut standby = StandbyReplay::new(faulty, authority.clone(), cost, flush_every_event());
+    let (mut server, _) = standby.take_over(authority.bump()).unwrap();
+    outage_opens_and_closes_on_the_server_clock(&mut server);
 }
 
 // ---------------------------------------------------------------------
