@@ -7,7 +7,7 @@
 //! a stage (`||`) overlap, so a stage costs its slowest member.
 
 use cudele_client::{DecoupledClient, DiskError, LocalDisk};
-use cudele_journal::{JournalIoError, JournalTool};
+use cudele_journal::{read_journal, JournalIoError};
 use cudele_mds::{MdsError, MetadataServer, ObjectStoreSink, PersistError};
 use cudele_obs::{observe_mechanism_at, Registry, TraceSink};
 use cudele_rados::{ObjectStore, PoolId};
@@ -148,7 +148,7 @@ fn run_mechanism(
             // image current; NVA's object-to-object replay assumes that
             // image exists, so bring it up to date first (in CephFS this
             // has already happened by trim time).
-            env.server.flush_journal();
+            env.server.try_flush_journal()?;
             cudele_mds::flush_store(env.server.store(), env.os, PoolId::METADATA)?;
             // Iterate the journal, pulling/updating/pushing the affected
             // dirfrag object and the root object per event.
@@ -164,11 +164,9 @@ fn run_mechanism(
             if let (Some(s), Some(ctx), Some(start)) = (&trace, replay_ctx, replay_start) {
                 sink.set_trace(s.nested(ctx, start));
             }
-            let tool = JournalTool::new(env.os, jid);
-            let applied = tool.apply(&mut sink).map_err(|e| match e {
-                cudele_journal::ApplyError::Io(io) => ExecError::Journal(io),
-                cudele_journal::ApplyError::Sink(p) => ExecError::Persist(p),
-            })?;
+            for e in &read_journal(env.os, jid)? {
+                sink.apply_event(e)?;
+            }
             let io_time =
                 cm.object_op_latency * (sink.counters.object_reads + sink.counters.object_writes);
             if let (Some(s), Some(ctx), Some(start)) = (&trace, replay_ctx, replay_start) {
@@ -186,7 +184,6 @@ fn run_mechanism(
             elapsed += io_time;
             // Transient-fault retries in the sink are paid for in backoff.
             elapsed += sink.backoff;
-            let _ = applied;
             // "...and restarts the metadata servers. When the metadata
             // servers re-initialize, they notice new journal updates in the
             // object store and replay the events onto their in-memory
@@ -450,6 +447,50 @@ mod tests {
         assert_eq!(server_a.store().shape(), server_b.store().shape());
         // NVA clearly inferior in time.
         assert!(report_a.elapsed > report_b.elapsed.scale(10.0));
+    }
+
+    fn merge(
+        comp: &str,
+        server: &mut MetadataServer,
+        os: &InMemoryStore,
+        disk: &mut LocalDisk,
+        client: &mut DecoupledClient,
+    ) -> Result<MergeReport, ExecError> {
+        let comp: Composition = comp.parse().unwrap();
+        execute_merge(&comp, client, &mut ExecEnv { server, os, disk })
+    }
+
+    /// NVA flushes the MDS journal before it replays; a store that refuses
+    /// that flush fails the merge instead of panicking the server. Every
+    /// OSD but the one holding the client journal's header goes down, so
+    /// NVA finds the journal and reaches the flush, whose mdlog stripe is on
+    /// a down OSD.
+    #[test]
+    fn nva_whose_journal_flush_is_refused_is_an_error() {
+        let (mut server, os, mut disk, mut client) = setup();
+        merge("global_persist", &mut server, &os, &mut disk, &mut client).unwrap();
+        server.flush_journal();
+        server.setup_dir_durable("/late").unwrap();
+        assert!(server.unflushed_events() > 0);
+        let jid = client.journal_id();
+        for osd in 0..3 {
+            os.fail_osd(osd);
+            if !cudele_journal::journal_exists(os.as_ref(), jid) {
+                os.revive_osd(osd);
+            }
+        }
+        assert!(cudele_journal::journal_exists(os.as_ref(), jid));
+        let r = merge(
+            "nonvolatile_apply",
+            &mut server,
+            &os,
+            &mut disk,
+            &mut client,
+        );
+        assert!(
+            matches!(r, Err(ExecError::Mds(MdsError::Io { .. }))),
+            "{r:?}"
+        );
     }
 
     #[test]

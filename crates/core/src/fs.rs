@@ -380,7 +380,7 @@ impl CudeleFs {
     /// lost — clients must re-mount, exactly as after a real cluster
     /// bounce.
     pub fn restart_cluster(&mut self) -> FsResult<()> {
-        self.server.flush_journal();
+        self.server.try_flush_journal()?;
         self.server.crash_and_recover()?;
         self.monitor = Monitor::recover(self.os.as_ref()).map_err(|e| {
             FsError::Mds(MdsError::Io {
@@ -654,6 +654,22 @@ mod tests {
         ));
         fs.mount(BOB).unwrap();
         fs.create(BOB, "/home/after").unwrap();
+    }
+
+    /// A restart whose final journal flush the store refuses is an error,
+    /// not a panic; nothing is lost, so the caller may retry once the OSDs
+    /// are back.
+    #[test]
+    fn cluster_restart_with_every_osd_down_is_an_error() {
+        let mut fs = CudeleFs::new();
+        fs.mount(ALICE).unwrap();
+        fs.mkdir_p("/job").unwrap();
+        fs.create(ALICE, "/job/a").unwrap();
+        for osd in 0..3 {
+            fs.object_store().fail_osd(osd);
+        }
+        let r = fs.restart_cluster();
+        assert!(matches!(r, Err(FsError::Mds(MdsError::Io { .. }))), "{r:?}");
     }
 
     #[test]

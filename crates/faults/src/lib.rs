@@ -25,13 +25,13 @@
 //!
 //! Fault taxonomy and what recovers from each:
 //!
-//! | fault              | injected as                                    | recovered by          |
-//! |--------------------|------------------------------------------------|-----------------------|
-//! | transient `EAGAIN` | `Err(Transient)` before any effect             | retry + backoff       |
-//! | torn stripe write  | partial append, then `Transient`               | truncate-and-retry    |
-//! | bit flip           | silent corruption, CRC catches later           | journal tool recovery |
-//! | OSD outage window  | `Unavailable` while the store's clock is in it | replicas / window end |
-//! | slow OSD window    | cost-model latency multiplier                  | nothing (just slower) |
+//! | fault              | injected as                                    | recovered by            |
+//! |--------------------|------------------------------------------------|-------------------------|
+//! | transient `EAGAIN` | `Err(Transient)` before any effect             | retry + backoff         |
+//! | torn stripe write  | partial append, then `Transient`               | truncate-and-retry      |
+//! | bit flip           | silent corruption, CRC catches later           | `recover_journal`'s cut |
+//! | OSD outage window  | `Unavailable` while the store's clock is in it | replicas / window end   |
+//! | slow OSD window    | cost-model latency multiplier                  | nothing (just slower)   |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -408,9 +408,9 @@ fn is_journal_stripe(name: &str) -> bool {
 ///   tearing models a partial append.)
 /// * Appends to journal stripe objects may suffer a **silent bit flip**:
 ///   the call succeeds, and the per-frame CRC catches the damage at read
-///   time — recovery is the journal tool's job. (`write_full` is never
-///   corrupted: it is the atomic primitive repair paths restore known-good
-///   bytes with.)
+///   time — cutting it away is `journal::recover_journal`'s job.
+///   (`write_full` is never corrupted: it is the atomic primitive repair
+///   paths restore known-good bytes with.)
 /// * `exists`/`list` are fault-free (they model cluster-map lookups).
 ///
 /// OSD outage windows and slow windows are *not* enforced here — outages

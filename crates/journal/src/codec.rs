@@ -1,8 +1,8 @@
 //! Binary wire format for journal events.
 //!
 //! Every mechanism that touches a journal — Stream, Append Client Journal,
-//! Local Persist, Global Persist, both Apply variants, and the journal tool
-//! — speaks this one format. That mirrors the paper's key implementation
+//! Local Persist, Global Persist, both Apply variants, and recovery — speaks
+//! this one format. That mirrors the paper's key implementation
 //! move: "By writing with the same format, the metadata servers can read
 //! and use the recovery code to materialize the updates from a client's
 //! decoupled namespace."
@@ -368,11 +368,12 @@ pub fn decode_journal(blob: &[u8]) -> Result<Vec<JournalEvent>, CodecError> {
     decode_frames(journal_frames(blob)?)
 }
 
-/// Decodes a frame stream (no magic) into owned events, strictly.
+/// Decodes a frame stream (no magic) into owned events, strictly:
+/// [`parse_frames`] with each view kept as [`EventRef::to_owned`].
 pub fn decode_frames(rest: &[u8]) -> Result<Vec<JournalEvent>, CodecError> {
-    let scan = decode_frames_lossy(rest);
-    match scan.damage {
-        None => Ok(scan.events),
+    let mut events = Vec::new();
+    match parse_frames(rest, |e| events.push(e.to_owned())) {
+        None => Ok(events),
         Some(d) => Err(d.error),
     }
 }
@@ -384,26 +385,6 @@ pub struct FrameDamage {
     pub offset: usize,
     /// What was wrong at that offset.
     pub error: CodecError,
-}
-
-/// Result of a lossy scan: the longest cleanly-decodable event prefix plus
-/// (if the stream was damaged) where decoding had to stop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameScan {
-    /// Events decoded before the first damage.
-    pub events: Vec<JournalEvent>,
-    /// `None` when the whole stream decoded cleanly.
-    pub damage: Option<FrameDamage>,
-}
-
-/// [`parse_frames`] kept as owned events: damage stops the scan instead of
-/// failing it, and everything before it is returned with the damage
-/// location alongside — a torn write or bit flip must never discard the
-/// valid prefix.
-pub fn decode_frames_lossy(rest: &[u8]) -> FrameScan {
-    let mut events = Vec::new();
-    let damage = parse_frames(rest, |e| events.push(e.to_owned()));
-    FrameScan { events, damage }
 }
 
 /// Total size (header + payload) the frame at the head of `rest` claims in
@@ -609,6 +590,13 @@ mod tests {
         assert_eq!(decode_frames(&buf).unwrap(), events);
     }
 
+    /// [`parse_frames`] kept as owned events, with where it stopped.
+    fn scan(rest: &[u8]) -> (Vec<JournalEvent>, Option<FrameDamage>) {
+        let mut events = Vec::new();
+        let damage = parse_frames(rest, |e| events.push(e.to_owned()));
+        (events, damage)
+    }
+
     #[test]
     fn lossy_scan_returns_longest_valid_prefix() {
         let events = sample_events();
@@ -617,36 +605,36 @@ mod tests {
             encode_event(&mut buf, e);
         }
         // Clean stream: everything, no damage.
-        let scan = decode_frames_lossy(&buf);
-        assert_eq!(scan.events, events);
-        assert_eq!(scan.damage, None);
+        assert_eq!(scan(&buf), (events.clone(), None));
 
         // Corrupt the third frame's payload: the first two survive.
         let frame_offset: usize = events[..2].iter().map(framed_len).sum();
         let mut corrupt = buf.to_vec();
         corrupt[frame_offset + 8] ^= 0x01;
-        let scan = decode_frames_lossy(&corrupt);
-        assert_eq!(scan.events, events[..2].to_vec());
         assert_eq!(
-            scan.damage,
-            Some(FrameDamage {
-                offset: frame_offset,
-                error: CodecError::BadCrc {
-                    offset: frame_offset
-                },
-            })
+            scan(&corrupt),
+            (
+                events[..2].to_vec(),
+                Some(FrameDamage {
+                    offset: frame_offset,
+                    error: CodecError::BadCrc {
+                        offset: frame_offset
+                    },
+                })
+            )
         );
 
         // Torn tail (mid-frame truncation): prefix survives, EOF reported.
         let torn = &buf[..frame_offset + 5];
-        let scan = decode_frames_lossy(torn);
-        assert_eq!(scan.events, events[..2].to_vec());
         assert_eq!(
-            scan.damage,
-            Some(FrameDamage {
-                offset: frame_offset,
-                error: CodecError::UnexpectedEof,
-            })
+            scan(torn),
+            (
+                events[..2].to_vec(),
+                Some(FrameDamage {
+                    offset: frame_offset,
+                    error: CodecError::UnexpectedEof,
+                })
+            )
         );
     }
 

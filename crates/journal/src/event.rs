@@ -76,16 +76,14 @@ impl InodeRange {
     }
 }
 
-/// File vs directory. (CephFS also has symlinks; the Cudele workloads never
-/// create one, but the variant exists so the journal format is complete.)
+/// File vs directory. CephFS also has symlinks; no Cudele event creates
+/// one, so a persisted type tag other than these two is corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileType {
     /// A regular file.
     File,
     /// A directory.
     Dir,
-    /// A symbolic link.
-    Symlink,
 }
 
 impl FileType {
@@ -94,7 +92,6 @@ impl FileType {
         match self {
             FileType::File => 0,
             FileType::Dir => 1,
-            FileType::Symlink => 2,
         }
     }
 
@@ -103,7 +100,6 @@ impl FileType {
         match t {
             0 => Some(FileType::File),
             1 => Some(FileType::Dir),
-            2 => Some(FileType::Symlink),
             _ => None,
         }
     }
@@ -511,30 +507,6 @@ impl JournalEvent {
     }
 }
 
-/// Anything a journal can be replayed onto. The MDS metadata store is the
-/// canonical sink; tests use counting/recording sinks.
-pub trait EventSink {
-    /// The sink's error type for invalid updates (e.g. create over an
-    /// existing name when validity checking is on).
-    type Error: std::fmt::Debug;
-
-    /// Applies one event.
-    fn apply_event(&mut self, event: &JournalEvent) -> Result<(), Self::Error>;
-
-    /// Applies a whole sequence, stopping at the first error.
-    fn apply_all<'a>(
-        &mut self,
-        events: impl IntoIterator<Item = &'a JournalEvent>,
-    ) -> Result<u64, Self::Error> {
-        let mut n = 0;
-        for e in events {
-            self.apply_event(e)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,34 +547,10 @@ mod tests {
 
     #[test]
     fn filetype_tags_roundtrip() {
-        for t in [FileType::File, FileType::Dir, FileType::Symlink] {
+        for t in [FileType::File, FileType::Dir] {
             assert_eq!(FileType::from_tag(t.to_tag()), Some(t));
         }
+        assert_eq!(FileType::from_tag(2), None);
         assert_eq!(FileType::from_tag(9), None);
-    }
-
-    #[test]
-    fn counting_sink_applies_all() {
-        struct Count(u64);
-        impl EventSink for Count {
-            type Error = ();
-            fn apply_event(&mut self, e: &JournalEvent) -> Result<(), ()> {
-                if e.is_update() {
-                    self.0 += 1;
-                }
-                Ok(())
-            }
-        }
-        let mut c = Count(0);
-        let events = vec![
-            JournalEvent::SegmentBoundary { seq: 0 },
-            JournalEvent::Unlink {
-                parent: InodeId::ROOT,
-                name: "x".into(),
-            },
-        ];
-        let applied = c.apply_all(&events).unwrap();
-        assert_eq!(applied, 2);
-        assert_eq!(c.0, 1);
     }
 }

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
 //! The CephFS-style metadata journal: event model, wire format, segments,
-//! object-store striping, and the disaster-recovery journal tool.
+//! and object-store striping.
 //!
 //! The journal is the load-bearing substrate of Cudele: "The journal format
 //! is used by Stream, Append Client Journal, Local Persist, and Global
@@ -10,14 +10,16 @@
 //! client's decoupled namespace (i.e. merge)."
 //!
 //! * [`event`] — the update vocabulary ([`JournalEvent`]) plus the shared
-//!   base types ([`InodeId`], [`Attrs`], [`InodeRange`]) and the
-//!   [`EventSink`] replay trait.
+//!   base types ([`InodeId`], [`Attrs`], [`InodeRange`]).
 //! * [`codec`] — framed binary wire format with per-event CRC-32, read by
 //!   one borrowed parser ([`parse_frames`]).
 //! * [`segment`] — grouping events into the segments the mdlog dispatches.
-//! * [`store_io`] — striping a journal over object-store objects.
-//! * [`tool`] — import/export/erase/apply; the code Cudele's client
-//!   library is "based on".
+//! * [`store_io`] — striping a journal over object-store objects, and the
+//!   functions Cudele's client library "re-purposed" from
+//!   `cephfs-journal-tool`: [`read_journal`] (read), [`scan_journal`]
+//!   (inspect), [`recover_journal`] (disaster recovery) and
+//!   [`delete_journal`]. Nonvolatile Apply replays [`read_journal`]'s events
+//!   into the object store one at a time.
 //!
 //! ```
 //! use cudele_journal::{encode_journal, decode_journal, Attrs, InodeId, JournalEvent};
@@ -37,18 +39,16 @@ pub mod crc;
 pub mod event;
 pub mod segment;
 pub mod store_io;
-pub mod tool;
 
 pub use codec::{
-    decode_frames, decode_frames_lossy, decode_journal, encode_event, encode_journal, framed_len,
-    parse_frames, parse_journal, CodecError, FrameDamage, FrameScan,
+    decode_frames, decode_journal, encode_event, encode_journal, framed_len, parse_frames,
+    parse_journal, CodecError, FrameDamage,
 };
 pub use crc::crc32;
-pub use event::{Attrs, EventRef, EventSink, FileType, InodeId, InodeRange, JournalEvent};
-pub use segment::{segment_events, Segment, SegmentBuilder};
+pub use event::{Attrs, EventRef, FileType, InodeId, InodeRange, JournalEvent};
+pub use segment::{Segment, SegmentBuilder};
 pub use store_io::{
-    delete_journal, journal_exists, read_journal, recover_journal, rewrite_journal, scan_journal,
-    view_journal, JournalDamage, JournalId, JournalIoError, JournalObs, JournalRead, JournalScan,
-    JournalWriter, Stripes, DEFAULT_STRIPE_BYTES,
+    delete_journal, journal_exists, read_journal, recover_journal, scan_journal, view_journal,
+    JournalDamage, JournalId, JournalIoError, JournalObs, JournalRead, JournalScan, JournalWriter,
+    Stripes, DEFAULT_STRIPE_BYTES,
 };
-pub use tool::{decode_export, ApplyError, JournalSummary, JournalTool};

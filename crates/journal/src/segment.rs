@@ -93,18 +93,6 @@ impl SegmentBuilder {
     }
 }
 
-/// Splits a flat event list into sealed segments (used when importing a
-/// decoupled client journal, which arrives unsegmented).
-pub fn segment_events<'a>(
-    events: impl IntoIterator<Item = &'a JournalEvent>,
-    events_per_segment: usize,
-) -> Vec<Segment> {
-    let mut b = SegmentBuilder::new(events_per_segment);
-    let mut out: Vec<Segment> = events.into_iter().filter_map(|e| b.push(e)).collect();
-    out.extend(b.flush());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,10 +149,18 @@ mod tests {
         assert_eq!(seg.events, 3);
     }
 
+    /// Every segment `events` fill, then the partial one a flush seals.
+    fn segments(events: &[JournalEvent], events_per_segment: usize) -> Vec<Segment> {
+        let mut b = SegmentBuilder::new(events_per_segment);
+        let mut out: Vec<Segment> = events.iter().filter_map(|e| b.push(e)).collect();
+        out.extend(b.flush());
+        out
+    }
+
     #[test]
     fn sequence_numbers_increase() {
         let events: Vec<_> = (0..10).map(create).collect();
-        let segs = segment_events(&events, 4);
+        let segs = segments(&events, 4);
         assert_eq!(segs.len(), 3); // 4 + 4 + 2
         assert_eq!(
             segs.iter().map(|s| s.seq).collect::<Vec<_>>(),
@@ -178,6 +174,6 @@ mod tests {
 
     #[test]
     fn empty_input_yields_no_segments() {
-        assert!(segment_events(std::iter::empty(), 8).is_empty());
+        assert!(segments(&[], 8).is_empty());
     }
 }

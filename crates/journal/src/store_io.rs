@@ -594,8 +594,9 @@ pub fn read_journal<S: ObjectStore + ?Sized>(
 /// recovery cannot touch the journal. Returns the surviving journal with
 /// the events from index `from` on as views into `stripes`; the heal ran
 /// exactly when [`JournalRead::damage`] is set. This is the
-/// `cephfs-journal-tool` disaster recovery step, and the only place a
-/// journal is read for replay.
+/// `cephfs-journal-tool` disaster recovery step, and the only read an MDS
+/// replays from; Nonvolatile Apply replays a client journal through the
+/// strict [`read_journal`], which refuses damage instead of cutting it.
 ///
 /// The heal cuts in place, in an order that leaves every intermediate
 /// state scanning to the same prefix — a healer that dies, or whose store
@@ -697,19 +698,6 @@ fn remove_object<S: ObjectStore + ?Sized>(store: &S, id: &ObjectId) -> Result<()
     }
 }
 
-/// Overwrites a journal with exactly `events` (used by the journal tool's
-/// import and erase operations).
-pub fn rewrite_journal<S: ObjectStore + ?Sized>(
-    store: &S,
-    id: JournalId,
-    events: &[JournalEvent],
-) -> Result<(), JournalIoError> {
-    delete_journal(store, id)?;
-    let mut w = JournalWriter::open(store, id)?;
-    w.append(events)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,12 +779,16 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_replaces_contents() {
+    fn a_deleted_journal_reopens_empty() {
         let store = InMemoryStore::paper_default();
         let mut w = JournalWriter::open(&store, jid()).unwrap();
         w.append(&(0..5).map(create).collect::<Vec<_>>()).unwrap();
+        delete_journal(&store, jid()).unwrap();
         let replacement: Vec<_> = (100..103).map(create).collect();
-        rewrite_journal(&store, jid(), &replacement).unwrap();
+        JournalWriter::open(&store, jid())
+            .unwrap()
+            .append(&replacement)
+            .unwrap();
         assert_eq!(read_journal(&store, jid()).unwrap(), replacement);
     }
 

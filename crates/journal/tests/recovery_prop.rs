@@ -1,6 +1,6 @@
 //! Property: for an arbitrary event sequence and an arbitrary single-bit
-//! corruption anywhere in any journal stripe, `JournalTool::inspect` flags
-//! the damage and `recover` (erase + apply) yields *exactly* the longest
+//! corruption anywhere in any journal stripe, `scan_journal` flags the
+//! damage and `recover_journal` (cut + heal) yields *exactly* the longest
 //! valid prefix of the acknowledged events — never a partially-applied
 //! suffix, never an event past the corruption.
 //!
@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use cudele_journal::{JournalId, JournalTool, JournalWriter};
+use cudele_journal::{recover_journal, scan_journal, EventRef, JournalId, JournalWriter, Stripes};
 use cudele_rados::{InMemoryStore, ObjectId, ObjectStore, PoolId};
 
 mod common;
@@ -68,18 +68,23 @@ proptest! {
             .sum::<usize>()
             + frames_before(pristine, offset);
 
-        let tool = JournalTool::new(&store, id);
-        let summary = tool.inspect().unwrap();
-        prop_assert!(summary.damage.is_some(), "inspect missed the corruption");
-        prop_assert_eq!(summary.events, expected as u64);
+        let scan = scan_journal(&store, id).unwrap();
+        prop_assert!(scan.damage.is_some(), "the scan missed the corruption");
+        prop_assert_eq!(scan.events.len(), expected);
 
-        let recovered = tool.recover().unwrap();
+        let mut kept = Stripes::default();
+        let recovered: Vec<_> = recover_journal(&store, &store, id, 0, &mut kept)
+            .unwrap()
+            .tail
+            .into_iter()
+            .map(EventRef::to_owned)
+            .collect();
         prop_assert_eq!(recovered.as_slice(), &events[..expected]);
 
         // Recovery healed the journal: the strict reader agrees, and a
-        // second inspect sees no damage.
+        // second scan sees no damage.
         let reread = cudele_journal::read_journal(&store, id).unwrap();
         prop_assert_eq!(reread, recovered);
-        prop_assert_eq!(tool.inspect().unwrap().damage, None);
+        prop_assert_eq!(scan_journal(&store, id).unwrap().damage, None);
     }
 }

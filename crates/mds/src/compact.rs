@@ -66,7 +66,7 @@ pub(crate) fn canonical_events(store: &MetadataStore) -> Vec<EventRef<'_>> {
                     });
                     stack.push(dentry.ino);
                 }
-                FileType::File | FileType::Symlink => {
+                FileType::File => {
                     out.push(EventRef::Create {
                         parent: dir_ino,
                         name,

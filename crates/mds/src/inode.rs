@@ -14,7 +14,7 @@ use cudele_journal::{Attrs, FileType, InodeId};
 pub struct Inode {
     /// This inode's number.
     pub ino: InodeId,
-    /// File, directory, or symlink.
+    /// File or directory.
     pub ftype: FileType,
     /// POSIX attributes.
     pub attrs: Attrs,

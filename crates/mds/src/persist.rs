@@ -19,7 +19,7 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use cudele_faults::{with_retry, RetryPolicy};
-use cudele_journal::{Attrs, EventSink, FileType, InodeId, JournalEvent};
+use cudele_journal::{Attrs, FileType, InodeId, JournalEvent};
 use cudele_obs::{Counter, Registry, TraceSink};
 use cudele_rados::{ObjectId, ObjectStore, PoolId, RadosError};
 use cudele_sim::Nanos;
@@ -272,11 +272,9 @@ pub fn load_store<S: ObjectStore + ?Sized>(
             let (ino, ftype, attrs, policy) = decode_record(&value)?;
             let mut inode = match ftype {
                 FileType::Dir => Inode::dir(ino, attrs),
-                _ => Inode::file(ino, attrs),
+                FileType::File => Inode::file(ino, attrs),
             };
             inode.policy = policy;
-            // Preserve ftype for symlinks.
-            inode.ftype = ftype;
             ms.raw_link(dir_ino, &name, inode);
         }
     }
@@ -295,9 +293,8 @@ pub struct NvaCounters {
     pub events: u64,
 }
 
-/// An [`EventSink`] that applies each journal event directly to the
-/// object-store representation, one update at a time — the Nonvolatile
-/// Apply mechanism.
+/// Applies each journal event directly to the object-store
+/// representation, one update at a time — the Nonvolatile Apply mechanism.
 pub struct ObjectStoreSink<'a, S: ObjectStore + ?Sized> {
     os: &'a S,
     pool: PoolId,
@@ -438,8 +435,8 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
     }
 
     fn dirfrag(&self, dir: InodeId) -> ObjectId {
-        // The journal-tool apply path never splits fragments; everything it
-        // writes lands in fragment 0 (a compaction pass — flush_store —
+        // The Nonvolatile Apply replay never splits fragments; everything
+        // it writes lands in fragment 0 (a compaction pass — flush_store —
         // re-fragments).
         ObjectId::dirfrag(self.pool, dir.0, 0)
     }
@@ -454,7 +451,7 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
         policy: Option<&[u8]>,
     ) -> Result<(), PersistError> {
         let obj = self.dirfrag(dir);
-        // Pull the dirfrag object (the tool reads the object it will
+        // Pull the dirfrag object (the replay reads the object it will
         // touch). Functionally a stat suffices — the *time* of pulling the
         // whole object is what the cost model charges per read op.
         match self.io(|os| os.stat(&obj)) {
@@ -496,7 +493,9 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
         v.map(|b| decode_backtrace(&b)).transpose()
     }
 
-    fn apply(&mut self, event: &JournalEvent) -> Result<(), PersistError> {
+    /// Applies one journal event; segment boundaries and inode grants are
+    /// not updates and touch nothing.
+    pub fn apply_event(&mut self, event: &JournalEvent) -> Result<(), PersistError> {
         if !event.is_update() {
             return Ok(());
         }
@@ -539,16 +538,9 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
             JournalEvent::SetPolicy { ino, policy } => {
                 self.update_record(*ino, |(_, _, _, p)| *p = Some(policy.clone()))
             }
-            // Non-updates are filtered out at the top of `apply`.
+            // Non-updates are filtered out at the top of `apply_event`.
             JournalEvent::SegmentBoundary { .. } | JournalEvent::AllocRange { .. } => Ok(()),
         }
-    }
-}
-
-impl<S: ObjectStore + ?Sized> EventSink for ObjectStoreSink<'_, S> {
-    type Error = PersistError;
-    fn apply_event(&mut self, event: &JournalEvent) -> Result<(), PersistError> {
-        self.apply(event)
     }
 }
 
@@ -682,6 +674,33 @@ mod tests {
         let (_, _, _, p) = decode_record(&without).unwrap();
         assert!(p.is_none());
         assert!(decode_record(&with[..5]).is_err());
+    }
+
+    /// A file record's type byte is 0; one flipped bit makes it 2, a tag no
+    /// event writes, which must load as corruption rather than as a third
+    /// kind of inode.
+    #[test]
+    fn a_flipped_file_type_byte_is_corrupt() {
+        let os = InMemoryStore::paper_default();
+        let mut ms = MetadataStore::new();
+        ms.create(InodeId::ROOT, "f", InodeId(0x1000), Attrs::file_default())
+            .unwrap();
+        flush_store(&ms, &os, PoolId::METADATA).unwrap();
+        let obj = ObjectId::dirfrag(PoolId::METADATA, InodeId::ROOT.0, 0);
+        let mut record = os
+            .omap_get(&obj, "f")
+            .unwrap()
+            .expect("flushed record")
+            .to_vec();
+        assert_eq!(record[8], FileType::File.to_tag());
+        record[8] ^= 1 << 1;
+        os.omap_set(&obj, "f", &record).unwrap();
+        let r = load_store(&os, PoolId::METADATA);
+        assert!(
+            matches!(&r, Err(PersistError::Corrupt(m)) if m == "bad file type tag"),
+            "{:?}",
+            r.map(|ms| ms.snapshot())
+        );
     }
 
     #[test]

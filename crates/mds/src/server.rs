@@ -1969,7 +1969,7 @@ mod tests {
         os.write_full(&stripe, &data).unwrap();
         assert!(cudele_journal::read_journal(os.as_ref(), journal_id).is_err());
 
-        // Recovery falls back to the journal tool: the corrupt suffix is
+        // Recovery heals through `recover_journal`: the corrupt suffix is
         // erased, the valid prefix replays, and the journal is healed.
         s.crash_and_recover().unwrap();
         let recovered = s.store().dir(dir.ino).map(|d| d.len()).unwrap_or(0);

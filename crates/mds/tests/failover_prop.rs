@@ -6,7 +6,7 @@
 //! file types) and identical inode-allocator watermark.
 //!
 //! Half the cases also flip one byte in the flushed journal before either
-//! recovery runs: the takeover must heal through the journal tool (writing
+//! recovery runs: the takeover must heal through `recover_journal` (writing
 //! through its fenced handle) and say so in its report, and the in-place
 //! path, run second on the shared store, recovers from the healed journal
 //! to the same state.

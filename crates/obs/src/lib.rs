@@ -838,14 +838,6 @@ impl Registry {
         );
     }
 
-    /// Records a standalone span without extra args. The span becomes a
-    /// single-span trace: it gets a fresh root context, so legacy call
-    /// sites still produce identified (if childless) traces.
-    pub fn span(&self, name: &str, cat: &str, tid: u32, start: Nanos, dur: Nanos) {
-        let ctx = self.trace_root(tid);
-        self.end_span(ctx, name, cat, start, dur);
-    }
-
     /// Number of retained spans.
     pub fn span_count(&self) -> usize {
         let log = self.spans.lock();
@@ -1127,21 +1119,15 @@ fn get_or_default<T: Default + Clone>(map: &Lock<BTreeMap<String, T>>, name: &st
 
 /// Observes one executed mechanism (any of the paper's Figure 4 seven):
 /// bumps `core.mechanism.<name>.runs`, records the duration into
-/// `core.mechanism.<name>.ns`, and emits a `mechanism`-category span.
+/// `core.mechanism.<name>.ns`, and emits a `mechanism`-category span under
+/// `ctx` — a child context derived from the client op's root (see
+/// [`Registry::trace_child`]), so the span lands inside the request's trace
+/// tree.
 ///
 /// Lives here (keyed by the mechanism's DSL spelling) so layers below
 /// `cudele` core — the MDS observing Stream, the bench world observing
 /// RPCs and Append Client Journal — can report executions without a
 /// dependency cycle.
-pub fn observe_mechanism(reg: &Registry, name: &str, tid: u32, start: Nanos, dur: Nanos) {
-    let ctx = reg.trace_root(tid);
-    observe_mechanism_at(reg, name, ctx, start, dur);
-}
-
-/// [`observe_mechanism`] with an explicit, pre-allocated trace context, so
-/// the mechanism span lands inside a request's trace tree instead of
-/// opening a trace of its own. `ctx` should be a child context derived
-/// from the client op's root (see [`Registry::trace_child`]).
 pub fn observe_mechanism_at(reg: &Registry, name: &str, ctx: TraceCtx, start: Nanos, dur: Nanos) {
     reg.mechanism(name).observe(reg, ctx, start, dur);
 }
@@ -1259,7 +1245,7 @@ mod tests {
     fn span_capacity_drops_deterministically() {
         let reg = Registry::with_span_capacity(2);
         for i in 0..5u64 {
-            reg.span(&format!("s{i}"), "t", 0, Nanos(i), Nanos(1));
+            reg.end_span(reg.trace_root(0), &format!("s{i}"), "t", Nanos(i), Nanos(1));
         }
         assert_eq!(reg.span_count(), 2);
         assert_eq!(reg.spans_dropped(), 3);
@@ -1311,7 +1297,13 @@ mod tests {
             for i in 0..100u64 {
                 reg.counter("ops").inc();
                 reg.histogram("lat").record(i * 37 + 5);
-                reg.span("op", "rpc", (i % 4) as u32, Nanos(i * 10), Nanos(7));
+                reg.end_span(
+                    reg.trace_root((i % 4) as u32),
+                    "op",
+                    "rpc",
+                    Nanos(i * 10),
+                    Nanos(7),
+                );
             }
             reg.gauge("util").set(0.123_456_789);
             (reg.metrics_json(), reg.chrome_trace_json())
@@ -1322,7 +1314,13 @@ mod tests {
     #[test]
     fn observe_mechanism_emits_all_three() {
         let reg = Registry::new();
-        observe_mechanism(&reg, "local_persist", 2, Nanos(10), Nanos(500));
+        observe_mechanism_at(
+            &reg,
+            "local_persist",
+            reg.trace_root(2),
+            Nanos(10),
+            Nanos(500),
+        );
         assert_eq!(
             reg.counter_value("core.mechanism.local_persist.runs"),
             Some(1)
@@ -1380,8 +1378,8 @@ mod tests {
     #[test]
     fn spans_dropped_surfaces_in_metrics_json() {
         let reg = Registry::with_span_capacity(1);
-        reg.span("a", "t", 0, Nanos(0), Nanos(1));
-        reg.span("b", "t", 0, Nanos(1), Nanos(1));
+        reg.end_span(reg.trace_root(0), "a", "t", Nanos(0), Nanos(1));
+        reg.end_span(reg.trace_root(0), "b", "t", Nanos(1), Nanos(1));
         let m = reg.metrics_json();
         json::validate(&m).unwrap();
         assert!(m.contains("\"obs.spans_dropped\": 1"));
@@ -1464,8 +1462,8 @@ mod tests {
         let target = Registry::with_span_capacity(1);
         assert_eq!(target.span_capacity(), 1);
         let src = Registry::new();
-        src.span("a", "t", 0, Nanos(0), Nanos(1));
-        src.span("b", "t", 0, Nanos(1), Nanos(1));
+        src.end_span(src.trace_root(0), "a", "t", Nanos(0), Nanos(1));
+        src.end_span(src.trace_root(0), "b", "t", Nanos(1), Nanos(1));
         target.merge_from(&src);
         assert_eq!(target.span_count(), 1);
         assert_eq!(target.spans_dropped(), 1);

@@ -289,9 +289,9 @@ fn torn_global_persist_loses_no_acknowledged_events() {
 }
 
 /// A silent bit-flip in a persisted journal stripe is caught by the frame
-/// CRC: the strict reader refuses the journal, `JournalTool::inspect` flags
-/// the damage, and `recover` erases the corrupt region, leaving exactly the
-/// longest valid prefix — never a partially-applied suffix.
+/// CRC: the strict reader refuses the journal, `scan_journal` flags the
+/// damage, and `recover_journal` erases the corrupt region, leaving exactly
+/// the longest valid prefix — never a partially-applied suffix.
 #[test]
 fn bitflipped_journal_recovers_longest_valid_prefix_end_to_end() {
     // Scan seeds for one whose plan actually flips a bit during this run
@@ -318,11 +318,17 @@ fn bitflipped_journal_recovers_longest_valid_prefix_end_to_end() {
     // The corruption is silent at write time but fatal to the strict read.
     assert!(cudele_journal::read_journal(r.os.as_ref(), id).is_err());
 
-    let tool = cudele_journal::JournalTool::new(r.os.as_ref(), id);
-    let summary = tool.inspect().unwrap();
-    assert!(summary.damage.is_some(), "inspect missed the bit flip");
+    let scan = cudele_journal::scan_journal(r.os.as_ref(), id).unwrap();
+    assert!(scan.damage.is_some(), "the scan missed the bit flip");
 
-    let recovered = tool.recover().unwrap();
+    let os = r.os.as_ref();
+    let mut stripes = cudele_journal::Stripes::default();
+    let recovered: Vec<_> = cudele_journal::recover_journal(os, os, id, 0, &mut stripes)
+        .unwrap()
+        .tail
+        .into_iter()
+        .map(cudele_journal::EventRef::to_owned)
+        .collect();
     assert_eq!(
         recovered.as_slice(),
         &r.client.events()[..recovered.len()],
@@ -919,10 +925,14 @@ fn fenced_zombie_leaves_the_journal_byte_identical() {
         }
         let id = cudele_journal::JournalId::MDLOG;
         let events = cudele_journal::read_journal(os.as_ref(), id).unwrap();
-        let summary = cudele_journal::JournalTool::new(os.as_ref(), id)
-            .inspect()
-            .unwrap();
-        (events, summary.bytes, summary.segments)
+        let mut stripes = cudele_journal::Stripes::default();
+        let clean: Vec<Vec<u8>> = cudele_journal::view_journal(os.as_ref(), id, 0, &mut stripes)
+            .unwrap()
+            .clean
+            .iter()
+            .map(|stripe| stripe.to_vec())
+            .collect();
+        (events, clean)
     };
     assert_eq!(
         run(true),

@@ -483,6 +483,8 @@ struct FlakyStore {
     mutations: AtomicU64,
     /// Calls of any kind — reads, probes and listings too.
     calls: AtomicU64,
+    /// While set, the `root_inode` object reads back as garbage.
+    garbled_root: AtomicBool,
 }
 
 #[derive(Default)]
@@ -506,6 +508,7 @@ impl FlakyStore {
             mutations_left: AtomicU64::new(u64::MAX),
             mutations: AtomicU64::new(0),
             calls: AtomicU64::new(0),
+            garbled_root: AtomicBool::new(false),
         }
     }
 
@@ -571,7 +574,11 @@ impl ObjectStore for FlakyStore {
         self.inner.append(id, data)
     }
     fn read(&self, id: &ObjectId) -> RadosResult<Bytes> {
-        self.called().read(id)
+        let data = self.called().read(id)?;
+        if id.name == "root_inode" && self.garbled_root.load(Ordering::SeqCst) {
+            return Ok(Bytes::copy_from_slice(b"garbage"));
+        }
+        Ok(data)
     }
     fn stat(&self, id: &ObjectId) -> RadosResult<ObjectStat> {
         self.called().stat(id)
@@ -599,6 +606,46 @@ impl ObjectStore for FlakyStore {
     fn take_io_delta(&self) -> IoDelta {
         self.inner.take_io_delta()
     }
+}
+
+/// A replayed update to the root inode decodes the `root_inode` object;
+/// when that reads back as garbage, Nonvolatile Apply fails with the
+/// object sink's persistence error.
+#[test]
+fn nva_over_a_garbage_root_object_is_a_persist_error() {
+    use cudele::ExecError;
+    use cudele_journal::{Attrs, InodeId, JournalEvent, JournalWriter};
+    use cudele_mds::PersistError;
+
+    let os = Arc::new(FlakyStore::new());
+    let mut server = MetadataServer::new(os.clone());
+    server.open_session(CLIENT);
+    server.setup_dir("/job").unwrap();
+    let (client, _) = DecoupledClient::decouple(&mut server, CLIENT, "/job", 10);
+    let mut client = client.unwrap();
+    let root_attr = JournalEvent::SetAttr {
+        ino: InodeId::ROOT,
+        attrs: Attrs::dir_default(),
+    };
+    JournalWriter::open(os.as_ref(), client.journal_id())
+        .unwrap()
+        .append(&[root_attr])
+        .unwrap();
+    os.garbled_root.store(true, Ordering::SeqCst);
+    let comp: Composition = "nonvolatile_apply".parse().unwrap();
+    let r = execute_merge(
+        &comp,
+        &mut client,
+        &mut ExecEnv {
+            server: &mut server,
+            os: os.as_ref(),
+            disk: &mut LocalDisk::new(),
+        },
+    );
+    assert!(
+        matches!(r, Err(ExecError::Persist(PersistError::Corrupt(_)))),
+        "{r:?}"
+    );
 }
 
 /// `flush_store` rewrites the image wholesale: stale fragment objects are
@@ -1462,8 +1509,8 @@ fn heal_crashed_at_every_write_keeps_the_readable_prefix() {
 #[test]
 fn journal_heal_interrupted_at_every_write_scans_to_the_same_prefix() {
     use cudele_journal::{
-        read_journal, scan_journal, Attrs, InodeId, JournalEvent, JournalId, JournalTool,
-        JournalWriter,
+        read_journal, recover_journal, scan_journal, Attrs, EventRef, InodeId, JournalEvent,
+        JournalId, JournalIoError, JournalWriter, Stripes,
     };
 
     let create = |i: u64| JournalEvent::Create {
@@ -1475,6 +1522,11 @@ fn journal_heal_interrupted_at_every_write_scans_to_the_same_prefix() {
     let events: Vec<JournalEvent> = (0..24).map(create).collect();
     let more: Vec<JournalEvent> = (100..124).map(create).collect();
     let id = JournalId::new(PoolId::METADATA, 0x300);
+    let recover = |os: &FlakyStore| -> Result<Vec<JournalEvent>, JournalIoError> {
+        let mut stripes = Stripes::default();
+        let journal = recover_journal(os, os, id, 0, &mut stripes)?;
+        Ok(journal.tail.into_iter().map(EventRef::to_owned).collect())
+    };
     let damaged = || {
         let os = FlakyStore::new();
         let mut w = JournalWriter::open_with_stripe(&os, id, 300).unwrap();
@@ -1490,7 +1542,7 @@ fn journal_heal_interrupted_at_every_write_scans_to_the_same_prefix() {
     let prefix = scan_journal(&os, id).unwrap().events;
     assert!(!prefix.is_empty() && prefix.len() < events.len());
     let written = os.mutations.load(Ordering::SeqCst);
-    assert_eq!(JournalTool::new(&os, id).recover().unwrap(), prefix);
+    assert_eq!(recover(&os).unwrap(), prefix);
     // The header, every stripe past the damaged one, the damaged one.
     let heal_writes = os.mutations.load(Ordering::SeqCst) - written;
     assert!(heal_writes >= 4, "{heal_writes}");
@@ -1498,14 +1550,14 @@ fn journal_heal_interrupted_at_every_write_scans_to_the_same_prefix() {
     for k in 0..=heal_writes {
         let os = damaged();
         os.mutations_left.store(k, Ordering::SeqCst);
-        let interrupted = JournalTool::new(&os, id).recover();
+        let interrupted = recover(&os);
         assert_eq!(interrupted.is_ok(), k == heal_writes);
         os.mutations_left.store(u64::MAX, Ordering::SeqCst);
         let scan = scan_journal(&os, id).unwrap();
         assert_eq!(scan.events, prefix, "healer died after mutation {k}");
         assert_eq!(scan.damage.is_some(), k < heal_writes);
 
-        assert_eq!(JournalTool::new(&os, id).recover().unwrap(), prefix);
+        assert_eq!(recover(&os).unwrap(), prefix);
         let mut w = JournalWriter::open_with_stripe(&os, id, 300).unwrap();
         let stripe_objects = os.inner.list(id.pool, "300.").len() as u64;
         assert_eq!(

@@ -271,7 +271,7 @@ proptest! {
         n in 0u64..300,
         seg_size in 1usize..64,
     ) {
-        use cudele_journal::{decode_frames, segment_events};
+        use cudele_journal::{decode_frames, SegmentBuilder};
         let events: Vec<JournalEvent> = (0..n)
             .map(|i| JournalEvent::Create {
                 parent: InodeId::ROOT,
@@ -280,7 +280,9 @@ proptest! {
                 attrs: Attrs::file_default(),
             })
             .collect();
-        let segments = segment_events(&events, seg_size);
+        let mut builder = SegmentBuilder::new(seg_size);
+        let mut segments: Vec<_> = events.iter().filter_map(|e| builder.push(e)).collect();
+        segments.extend(builder.flush());
         // Order and count preserved.
         let mut flattened = Vec::new();
         for (i, seg) in segments.iter().enumerate() {

@@ -216,11 +216,10 @@ proptest! {
         for e in &events {
             volatile.apply_blind(e);
         }
-        // ...vs the journal-tool object path + recovery.
+        // ...vs the Nonvolatile Apply object path + recovery.
         let os = InMemoryStore::paper_default();
         let mut sink = ObjectStoreSink::new(&os, PoolId::METADATA);
         for e in &events {
-            use cudele_journal::EventSink;
             sink.apply_event(e).unwrap();
         }
         let recovered = load_store(&os, PoolId::METADATA).unwrap();
