@@ -24,6 +24,7 @@ use cudele_sim::Nanos;
 use crate::json::Layout::{Compact, Pretty};
 use crate::json::{self, Value, Writer};
 use crate::lock::Lock;
+use crate::pack;
 
 /// Version tag of the serialized history layout.
 pub const SCHEMA: &str = "cudele-history/v1";
@@ -62,10 +63,10 @@ impl HistoryScope {
 /// (`InodeId.0`); names are the final path component.
 ///
 /// `S` is how a name is held: an owned `String` in the event a reader gets
-/// back (the default, so `HistoryOp` alone means that), a `&str` in the
-/// row a recorder hands in — recording copies the name once, into the
-/// log's arena, so the serving path never owns it — and an arena offset
-/// inside the log.
+/// back (the default, so `HistoryOp` alone means that), and a `&str` in
+/// the row a recorder hands in and a reader of the log decodes —
+/// recording copies the name once, into the log's bytes, so the serving
+/// path never owns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistoryOp<S = String> {
     /// File create in `dir`.
@@ -278,42 +279,153 @@ impl<S> HistoryEvent<S> {
     }
 }
 
-/// The log proper: `Copy` rows plus one arena holding every name, so
-/// recording an event allocates nothing once both have grown and dropping
-/// a run's history is two frees however many events it holds.
+/// The outcomes in declaration order, so a packed row stores a result as
+/// `result as u8` and reads it back as its index here.
+const RESULTS: [HistoryResult; 8] = [
+    HistoryResult::Ok,
+    HistoryResult::Exists,
+    HistoryResult::NoEnt,
+    HistoryResult::Busy,
+    HistoryResult::NoSession,
+    HistoryResult::Timeout,
+    HistoryResult::Fenced,
+    HistoryResult::Err,
+];
+
+/// The log proper: one packed byte stream (see [`crate::pack`]), so
+/// recording an event allocates nothing once it has grown and dropping a
+/// run's history is one free however many events it holds.
 ///
-/// A stored name is the arena offset one past its last byte. Names enter
-/// the arena in row order (and within a row in field order), so each
-/// starts where the previous one ended and rows read back by walking a
-/// cursor from the start of the arena — which is the only way the log is
-/// ever read.
+/// A row is a tag byte (op kind in bits 0–2, global scope in bit 3, the
+/// result's index in [`RESULTS`] in bits 4–6, a lookup that found
+/// something in bit 7), the client, the op's fields in declaration order
+/// with names inline, `ino`, `invoke` as a delta from the previous row's,
+/// `ack` as a delta from `invoke`, the epoch, and `trace_id` as a delta
+/// from the previous row's. The deltas make the log readable only from
+/// its start — which is the only way it is ever read.
 #[derive(Debug)]
 struct HistoryLogInner {
-    rows: Vec<HistoryEvent<usize>>,
-    names: String,
-    capacity: usize,
-    dropped: u64,
+    log: pack::Packed,
+    /// The last committed row's `invoke` and `trace_id`: the next row's
+    /// delta bases.
+    invoke: u64,
+    trace_id: u64,
 }
 
 impl HistoryLogInner {
-    /// The first `n` rows, names borrowed from the arena.
-    fn rows(&self, n: usize) -> impl Iterator<Item = HistoryEvent<&str>> + '_ {
-        let mut at = 0;
-        self.rows[..n].iter().map(move |row| {
-            row.map_names(|&end| {
-                let name = &self.names[at..end];
-                at = end;
-                name
+    /// Every retained row, names borrowed from the log.
+    fn rows(&self) -> impl Iterator<Item = HistoryEvent<&str>> + '_ {
+        let mut r = self.log.reader();
+        let (mut invoke, mut trace_id) = (0, 0);
+        std::iter::from_fn(move || {
+            if r.is_empty() {
+                return None;
+            }
+            let tag = r.byte();
+            let client = r.u64();
+            let op = match tag & 7 {
+                kind @ 0..=2 => {
+                    let (dir, name) = (r.u64(), r.str());
+                    match kind {
+                        0 => HistoryOp::Create { dir, name },
+                        1 => HistoryOp::Mkdir { dir, name },
+                        _ => HistoryOp::Unlink { dir, name },
+                    }
+                }
+                3 => HistoryOp::Rename {
+                    src_dir: r.u64(),
+                    src_name: r.str(),
+                    dst_dir: r.u64(),
+                    dst_name: r.str(),
+                },
+                4 => HistoryOp::Lookup {
+                    dir: r.u64(),
+                    name: r.str(),
+                    found: (tag & 0x80 != 0).then(|| r.u64()),
+                },
+                5 => HistoryOp::Readdir {
+                    dir: r.u64(),
+                    entries: r.u64(),
+                },
+                _ => HistoryOp::Merge { events: r.u64() },
+            };
+            let ino = r.u64();
+            invoke = r.delta(invoke);
+            let ack = r.delta(invoke);
+            let epoch = r.u64();
+            trace_id = r.delta(trace_id);
+            Some(HistoryEvent {
+                client,
+                scope: match tag & 8 {
+                    0 => HistoryScope::Local,
+                    _ => HistoryScope::Global,
+                },
+                op,
+                result: RESULTS[usize::from((tag >> 4) & 7)],
+                ino,
+                invoke: Nanos(invoke),
+                ack: Nanos(ack),
+                epoch,
+                trace_id,
             })
         })
     }
 
     fn push<S: AsRef<str>>(&mut self, ev: &HistoryEvent<S>) {
-        let names = &mut self.names;
-        self.rows.push(ev.map_names(|name| {
-            names.push_str(name.as_ref());
-            names.len()
-        }));
+        let log = &mut self.log;
+        if !log.begin() {
+            return;
+        }
+        let (kind, found) = match ev.op {
+            HistoryOp::Create { .. } => (0, None),
+            HistoryOp::Mkdir { .. } => (1, None),
+            HistoryOp::Unlink { .. } => (2, None),
+            HistoryOp::Rename { .. } => (3, None),
+            HistoryOp::Lookup { found, .. } => (4, found),
+            HistoryOp::Readdir { .. } => (5, None),
+            HistoryOp::Merge { .. } => (6, None),
+        };
+        let scope = match ev.scope {
+            HistoryScope::Local => 0,
+            HistoryScope::Global => 8,
+        };
+        log.byte(kind | scope | ((ev.result as u8) << 4) | (u8::from(found.is_some()) << 7));
+        log.u64(ev.client);
+        match &ev.op {
+            HistoryOp::Create { dir, name }
+            | HistoryOp::Mkdir { dir, name }
+            | HistoryOp::Unlink { dir, name }
+            | HistoryOp::Lookup { dir, name, .. } => {
+                log.u64(*dir);
+                log.str(name.as_ref());
+            }
+            HistoryOp::Rename {
+                src_dir,
+                src_name,
+                dst_dir,
+                dst_name,
+            } => {
+                log.u64(*src_dir);
+                log.str(src_name.as_ref());
+                log.u64(*dst_dir);
+                log.str(dst_name.as_ref());
+            }
+            HistoryOp::Readdir { dir, entries } => {
+                log.u64(*dir);
+                log.u64(*entries);
+            }
+            HistoryOp::Merge { events } => log.u64(*events),
+        }
+        if let Some(ino) = found {
+            log.u64(ino);
+        }
+        log.u64(ev.ino);
+        log.delta(ev.invoke.0, self.invoke);
+        log.delta(ev.ack.0, ev.invoke.0);
+        log.u64(ev.epoch);
+        log.delta(ev.trace_id, self.trace_id);
+        log.commit();
+        (self.invoke, self.trace_id) = (ev.invoke.0, ev.trace_id);
     }
 }
 
@@ -328,42 +440,36 @@ impl HistoryWriter {
     /// A fresh log bounded at `capacity` events.
     pub fn with_capacity(capacity: usize) -> HistoryWriter {
         HistoryWriter(Arc::new(Lock::new(HistoryLogInner {
-            rows: Vec::new(),
-            names: String::new(),
-            capacity,
-            dropped: 0,
+            log: pack::Packed::with_capacity(capacity),
+            invoke: 0,
+            trace_id: 0,
         })))
     }
 
     /// Records one event (dropped deterministically past the capacity).
     /// Names may be borrowed (`HistoryEvent<&str>`) or owned: either way
-    /// they are copied into the log's arena and the log keeps nothing of
+    /// they are copied into the log's bytes and the log keeps nothing of
     /// `ev`.
     pub fn record<S: AsRef<str>>(&self, ev: HistoryEvent<S>) {
-        let mut log = self.0.lock();
-        if log.rows.len() < log.capacity {
-            log.push(&ev);
-        } else {
-            log.dropped += 1;
-        }
+        self.0.lock().push(&ev);
     }
 
     /// A copy of the retained events, in recording order.
     pub fn events(&self) -> Vec<HistoryEvent> {
         let log = self.0.lock();
-        log.rows(log.rows.len())
+        log.rows()
             .map(|row| row.map_names(|name| name.to_string()))
             .collect()
     }
 
     /// Number of retained events.
     pub fn count(&self) -> usize {
-        self.0.lock().rows.len()
+        self.0.lock().log.len()
     }
 
     /// Number of events dropped after the capacity filled.
     pub fn dropped(&self) -> u64 {
-        self.0.lock().dropped
+        self.0.lock().log.dropped
     }
 
     /// Serializes the log as a [`SCHEMA`] document claiming consistency
@@ -371,15 +477,14 @@ impl HistoryWriter {
     /// [`HistoryWriter::events`], without materialising them.
     pub fn to_json(&self, mode: &str) -> String {
         let log = self.0.lock();
-        let n = log.rows.len();
-        write_json(mode, log.dropped, n, log.rows(n))
+        write_json(mode, log.log.dropped, log.log.len(), log.rows())
     }
 
     /// Appends `other`'s events in order, rebasing nonzero trace ids by
     /// `offset` — the same rebase [`crate::Registry::merge_from`] applies
     /// to span ids, which keeps merged parallel recordings byte-identical
-    /// to serial ones. Copies rows and the arena bytes behind them; no
-    /// per-event allocation.
+    /// to serial ones. Decodes the source and re-packs each kept row
+    /// against this log's delta bases; no per-event allocation.
     ///
     /// # Panics
     ///
@@ -392,16 +497,14 @@ impl HistoryWriter {
         );
         let src = other.0.lock();
         let mut log = self.0.lock();
-        let room = log.capacity.saturating_sub(log.rows.len());
-        let keep = src.rows.len().min(room);
-        log.rows.reserve(keep);
-        for mut ev in src.rows(keep) {
+        let keep = src.log.len().min(log.log.room());
+        for mut ev in src.rows().take(keep) {
             if ev.trace_id != 0 {
                 ev.trace_id += offset;
             }
             log.push(&ev);
         }
-        log.dropped += (src.rows.len() - keep) as u64 + src.dropped;
+        log.log.dropped += (src.log.len() - keep) as u64 + src.log.dropped;
     }
 }
 
@@ -581,6 +684,14 @@ fn parse_event(e: &Value) -> Result<HistoryEvent, String> {
         epoch: num("epoch").unwrap_or(0),
         trace_id: num("trace_id").unwrap_or(0),
     })
+}
+
+#[cfg(test)]
+impl HistoryWriter {
+    /// Bytes held per retained event, for footprint tests.
+    pub(crate) fn bytes_per_row(&self) -> f64 {
+        self.0.lock().log.bytes_per_record()
+    }
 }
 
 #[cfg(test)]

@@ -38,6 +38,7 @@ pub mod critpath;
 pub mod history;
 pub mod json;
 mod lock;
+mod pack;
 pub mod slo;
 pub mod timeline;
 
@@ -413,113 +414,139 @@ impl Interner {
     }
 }
 
-/// A retained span: [`Span`] with its two strings interned and its args in
-/// the log's side table. Plain data — no destructor, so dropping the log
-/// frees the vectors and nothing per span.
-#[derive(Debug, Clone, Copy)]
-struct StoredSpan {
+/// One span read back from the log: names still interned, args still
+/// packed.
+struct SpanRef<'a> {
     name: SpanName,
-    tid: u32,
-    /// One past this span's last entry in [`SpanLog::args`]; its first is
-    /// the previous span's `args_end` (spans and their args are both
-    /// appended in recording order).
-    args_end: u32,
+    ctx: TraceCtx,
     start: Nanos,
     dur: Nanos,
-    span_id: u64,
-    parent_id: u64,
-    trace_id: u64,
+    args: pack::Reader<'a>,
 }
 
-/// One span arg: the key interned beside the span names, the value a range
-/// of [`SpanLog::arg_values`] ending at `value_end` and starting where the
-/// previous arg's value ended.
-#[derive(Debug, Clone, Copy)]
-struct StoredArg {
-    key: u32,
-    value_end: usize,
+impl<'a> SpanRef<'a> {
+    /// The span's args as `(interned key, value)` pairs, in recording
+    /// order.
+    fn args(&self) -> impl Iterator<Item = (u32, &'a str)> {
+        let mut r = self.args.clone();
+        std::iter::from_fn(move || match r.u64() {
+            0 => None,
+            key => Some((key as u32 - 1, r.str())),
+        })
+    }
 }
 
+/// The span log: one packed byte stream (see [`pack`]), names and arg
+/// keys interned beside it.
+///
+/// A span is its name id, cat id and `tid`; `start` as a delta from the
+/// previous span's start, then `dur`; `span_id` as a delta from the
+/// previous span's id; `parent_id` and `trace_id` as deltas from its own
+/// id; then each arg as `key id + 1`, the value's bytes and
+/// [`pack::END`], and a 0 after the last. The deltas make the log readable
+/// only from its start — which is the only way it is ever read.
 #[derive(Debug)]
 struct SpanLog {
-    spans: Vec<StoredSpan>,
-    /// Every retained span's args, in span order.
-    args: Vec<StoredArg>,
-    /// The arena the arg values live in, in arg order.
-    arg_values: String,
-    capacity: usize,
-    dropped: u64,
+    log: pack::Packed,
+    /// The last committed span's start and id: the next span's delta
+    /// bases.
+    start: u64,
+    span_id: u64,
     names: Interner,
 }
 
 impl SpanLog {
-    fn name_of(&self, s: &StoredSpan) -> (&str, &str) {
+    fn name_of(&self, name: SpanName) -> (&str, &str) {
         (
-            &self.names.strings[s.name.name as usize],
-            &self.names.strings[s.name.cat as usize],
+            &self.names.strings[name.name as usize],
+            &self.names.strings[name.cat as usize],
         )
     }
 
-    /// Appends one arg to the span about to be pushed, formatting `value`
-    /// straight into the arena.
+    /// Writes a span's fixed fields, once [`pack::Packed::begin`] has let
+    /// it in; its args follow, then [`SpanLog::commit`].
+    fn head(&mut self, name: SpanName, ctx: TraceCtx, start: Nanos, dur: Nanos) {
+        let log = &mut self.log;
+        log.u64(u64::from(name.name));
+        log.u64(u64::from(name.cat));
+        log.u64(u64::from(ctx.tid));
+        log.delta(start.0, self.start);
+        log.u64(dur.0);
+        log.delta(ctx.span_id, self.span_id);
+        log.delta(ctx.parent_id, ctx.span_id);
+        log.delta(ctx.trace_id, ctx.span_id);
+    }
+
+    /// Appends one arg to the span being written, formatting `value`
+    /// straight into the log.
     fn push_arg(&mut self, key: &str, value: impl std::fmt::Display) {
-        use std::fmt::Write as _;
         let key = self.names.intern(key);
-        // Writing to a `String` cannot fail.
-        let _ = write!(self.arg_values, "{value}");
-        self.args.push(StoredArg {
-            key,
-            value_end: self.arg_values.len(),
-        });
+        self.arg(key, value);
     }
 
-    /// Drops what a span whose args panicked part-way (a `Display` impl)
-    /// left behind: args pushed for a span that never was, and value bytes
-    /// for an arg that never was. Both are suffixes; left in place, the
-    /// next retained span would take them for its own.
-    fn drop_orphans(&mut self) {
-        let args = self.spans.last().map_or(0, |s| s.args_end as usize);
-        let values = self.args[..args].last().map_or(0, |a| a.value_end);
-        if self.args.len() != args || self.arg_values.len() != values {
-            self.args.truncate(args);
-            self.arg_values.truncate(values);
-        }
+    fn arg(&mut self, key: u32, value: impl std::fmt::Display) {
+        self.log.u64(u64::from(key) + 1);
+        self.log.display(value);
     }
 
-    /// The args of the `i`-th retained span as `(key, value)` pairs.
-    fn args_of(&self, i: usize) -> impl Iterator<Item = (&str, &str)> {
-        let first = match i {
-            0 => 0,
-            _ => self.spans[i - 1].args_end as usize,
-        };
-        let mut at = match first {
-            0 => 0,
-            _ => self.args[first - 1].value_end,
-        };
-        self.args[first..self.spans[i].args_end as usize]
-            .iter()
-            .map(move |a| {
-                let value = &self.arg_values[at..a.value_end];
-                at = a.value_end;
-                (&*self.names.strings[a.key as usize], value)
+    /// Ends the span being written; `start` and `span_id` are its own.
+    fn commit(&mut self, start: Nanos, span_id: u64) {
+        self.log.byte(0);
+        self.log.commit();
+        (self.start, self.span_id) = (start.0, span_id);
+    }
+
+    /// Every retained span, in recording order.
+    fn iter(&self) -> impl Iterator<Item = SpanRef<'_>> {
+        let mut r = self.log.reader();
+        let (mut start, mut span_id) = (0, 0);
+        std::iter::from_fn(move || {
+            if r.is_empty() {
+                return None;
+            }
+            let name = SpanName {
+                name: r.u64() as u32,
+                cat: r.u64() as u32,
+            };
+            let tid = r.u64() as u32;
+            start = r.delta(start);
+            let dur = r.u64();
+            span_id = r.delta(span_id);
+            let parent_id = r.delta(span_id);
+            let trace_id = r.delta(span_id);
+            let args = r.clone();
+            while r.u64() != 0 {
+                r.str();
+            }
+            Some(SpanRef {
+                name,
+                ctx: TraceCtx {
+                    trace_id,
+                    span_id,
+                    parent_id,
+                    tid,
+                },
+                start: Nanos(start),
+                dur: Nanos(dur),
+                args,
             })
+        })
     }
 
-    fn to_span(&self, i: usize) -> Span {
-        let s = &self.spans[i];
-        let (name, cat) = self.name_of(s);
+    fn to_span(&self, s: &SpanRef) -> Span {
+        let (name, cat) = self.name_of(s.name);
         Span {
             name: name.to_string(),
             cat: cat.to_string(),
-            tid: s.tid,
+            tid: s.ctx.tid,
             start: s.start,
             dur: s.dur,
-            span_id: s.span_id,
-            parent_id: s.parent_id,
-            trace_id: s.trace_id,
-            args: self
-                .args_of(i)
-                .map(|(k, v)| (k.to_string(), v.to_string()))
+            span_id: s.ctx.span_id,
+            parent_id: s.ctx.parent_id,
+            trace_id: s.ctx.trace_id,
+            args: s
+                .args()
+                .map(|(k, v)| (self.names.strings[k as usize].to_string(), v.to_string()))
                 .collect(),
         }
     }
@@ -609,11 +636,9 @@ impl Registry {
             gauges: Lock::new(BTreeMap::new()),
             histograms: Lock::new(BTreeMap::new()),
             spans: Lock::new(SpanLog {
-                spans: Vec::new(),
-                args: Vec::new(),
-                arg_values: String::new(),
-                capacity,
-                dropped: 0,
+                log: pack::Packed::with_capacity(capacity),
+                start: 0,
+                span_id: 0,
                 names: Interner::default(),
             }),
             mechanisms: Lock::new(BTreeMap::new()),
@@ -667,7 +692,8 @@ impl Registry {
     /// built: a dropped span costs one counter increment, and `name` /
     /// `args` run (under the span-log lock — they must not call back into
     /// this registry's span methods) only for a span that is kept. `args`
-    /// appends the span's args with [`SpanLog::push_arg`].
+    /// appends the span's args with [`SpanLog::push_arg`]; if it panics,
+    /// the span is never committed and the next one overwrites its bytes.
     fn push_span(
         &self,
         ctx: TraceCtx,
@@ -677,25 +703,13 @@ impl Registry {
         args: impl FnOnce(&mut SpanLog),
     ) {
         let mut log = self.spans.lock();
-        if log.spans.len() >= log.capacity {
-            log.dropped += 1;
+        if !log.log.begin() {
             return;
         }
         let name = name(&mut log.names);
-        log.drop_orphans();
+        log.head(name, ctx, start, dur);
         args(&mut log);
-        let args_end =
-            u32::try_from(log.args.len()).expect("a span log holds fewer than 2^32 args");
-        log.spans.push(StoredSpan {
-            name,
-            tid: ctx.tid,
-            args_end,
-            start,
-            dur,
-            span_id: ctx.span_id,
-            parent_id: ctx.parent_id,
-            trace_id: ctx.trace_id,
-        });
+        log.commit(start, ctx.span_id);
     }
 
     /// Interns `name` and `cat` for per-op use with [`Registry::end_named`],
@@ -706,13 +720,13 @@ impl Registry {
     }
 
     /// Records the completed span for `ctx` under a pre-resolved name:
-    /// one `Vec` push when retained, one increment when dropped.
+    /// a few bytes appended when retained, one increment when dropped.
     pub fn end_named(&self, ctx: TraceCtx, name: SpanName, start: Nanos, dur: Nanos) {
         self.push_span(ctx, start, dur, |_| name, |_| {});
     }
 
     /// [`Registry::end_named`] with one extra arg. `value` is formatted
-    /// straight into the span log's arena, and only if the span is
+    /// straight into the span log's bytes, and only if the span is
     /// retained: a `&str` or a number costs no allocation either way.
     pub fn end_named_with(
         &self,
@@ -840,35 +854,32 @@ impl Registry {
 
     /// Number of retained spans.
     pub fn span_count(&self) -> usize {
-        let log = self.spans.lock();
-        log.spans.len()
+        self.spans.lock().log.len()
     }
 
     /// Number of spans dropped after the capacity filled.
     pub fn spans_dropped(&self) -> u64 {
-        let log = self.spans.lock();
-        log.dropped
+        self.spans.lock().log.dropped
     }
 
     /// A copy of the retained spans, in recording order.
     pub fn spans(&self) -> Vec<Span> {
         let log = self.spans.lock();
-        (0..log.spans.len()).map(|i| log.to_span(i)).collect()
+        log.iter().map(|s| log.to_span(&s)).collect()
     }
 
     /// Whether any retained span carries `name`.
     pub fn has_span(&self, name: &str) -> bool {
         let log = self.spans.lock();
         match log.names.ids.get(name) {
-            Some(&id) => log.spans.iter().any(|s| s.name.name == id),
+            Some(&id) => log.iter().any(|s| s.name.name == id),
             None => false,
         }
     }
 
     /// The span-retention capacity this registry was built with.
     pub fn span_capacity(&self) -> usize {
-        let log = self.spans.lock();
-        log.capacity
+        self.spans.lock().log.capacity
     }
 
     /// Records one consistency-history event.
@@ -954,43 +965,33 @@ impl Registry {
             let src = other.spans.lock();
             let mut dst = self.spans.lock();
             let dst = &mut *dst;
-            dst.drop_orphans();
-            let room = dst.capacity.saturating_sub(dst.spans.len());
-            let keep = src.spans.len().min(room);
-            dst.spans.reserve(keep);
+            let keep = src.log.len().min(dst.log.room());
             // Source string id → destination id, resolved on first use.
             let mut ids: Vec<Option<u32>> = vec![None; src.names.strings.len()];
-            let names = &mut dst.names;
-            let mut map = |id: u32| {
+            let mut map = |names: &mut Interner, id: u32| {
                 *ids[id as usize]
                     .get_or_insert_with(|| names.intern(&src.names.strings[id as usize]))
             };
-            // The kept spans' args are a prefix of the source's side table
-            // and their values a prefix of its arena: both are copied whole
-            // and shifted past what the destination already holds.
-            let kept_args = src.spans[..keep].last().map_or(0, |s| s.args_end as usize);
-            let kept_values = src.args[..kept_args].last().map_or(0, |a| a.value_end);
-            let (arg_base, value_base) = (dst.args.len(), dst.arg_values.len());
-            let arg_shift = u32::try_from(arg_base).expect("a span log holds fewer than 2^32 args");
-            dst.arg_values.push_str(&src.arg_values[..kept_values]);
-            dst.args
-                .extend(src.args[..kept_args].iter().map(|a| StoredArg {
-                    key: map(a.key),
-                    value_end: value_base + a.value_end,
-                }));
-            dst.spans
-                .extend(src.spans[..keep].iter().map(|s| StoredSpan {
-                    name: SpanName {
-                        name: map(s.name.name),
-                        cat: map(s.name.cat),
-                    },
-                    args_end: arg_shift + s.args_end,
-                    span_id: rebase(s.span_id),
-                    parent_id: rebase(s.parent_id),
-                    trace_id: rebase(s.trace_id),
-                    ..*s
-                }));
-            dst.dropped += (src.spans.len() - keep) as u64 + src.dropped;
+            for s in src.iter().take(keep) {
+                dst.log.begin();
+                let name = SpanName {
+                    name: map(&mut dst.names, s.name.name),
+                    cat: map(&mut dst.names, s.name.cat),
+                };
+                let ctx = TraceCtx {
+                    span_id: rebase(s.ctx.span_id),
+                    parent_id: rebase(s.ctx.parent_id),
+                    trace_id: rebase(s.ctx.trace_id),
+                    ..s.ctx
+                };
+                dst.head(name, ctx, s.start, s.dur);
+                for (key, value) in s.args() {
+                    let key = map(&mut dst.names, key);
+                    dst.arg(key, value);
+                }
+                dst.commit(s.start, ctx.span_id);
+            }
+            dst.log.dropped += (src.log.len() - keep) as u64 + src.log.dropped;
         }
         // History events and timeline worst-sample markers reference trace
         // roots by id, so they rebase by the same offset as the spans they
@@ -1019,7 +1020,7 @@ impl Registry {
     pub fn chrome_trace_json(&self) -> String {
         let tl = self.timeline.snapshot();
         let log = self.spans.lock();
-        let mut w = Writer::with_capacity(64 + log.spans.len() * 96);
+        let mut w = Writer::with_capacity(64 + log.log.len() * 96);
         w.obj(Compact).key("traceEvents").arr(Compact);
         for s in &tl.series {
             for p in &s.points {
@@ -1031,25 +1032,25 @@ impl Registry {
                 w.close();
             }
         }
-        for (i, s) in log.spans.iter().enumerate() {
-            let (name, cat) = log.name_of(s);
+        for s in log.iter() {
+            let (name, cat) = log.name_of(s.name);
             w.obj(Compact).key("name").str(name).key("cat").str(cat);
             w.key("ph").str("X").key("ts").micros(s.start.0);
             w.key("dur").micros(s.dur.0);
-            w.key("pid").u64(1).key("tid").u64(u64::from(s.tid));
+            w.key("pid").u64(1).key("tid").u64(u64::from(s.ctx.tid));
             // Identified spans (span_id != 0) carry their trace identity in
             // `args` so parent nesting survives the Chrome trace format.
-            let has_ids = s.span_id != 0;
-            let mut args = log.args_of(i).peekable();
+            let has_ids = s.ctx.span_id != 0;
+            let mut args = s.args().peekable();
             if has_ids || args.peek().is_some() {
                 w.key("args").obj(Compact);
                 if has_ids {
-                    w.key("span_id").str(&s.span_id.to_string());
-                    w.key("parent_id").str(&s.parent_id.to_string());
-                    w.key("trace_id").str(&s.trace_id.to_string());
+                    w.key("span_id").str(&s.ctx.span_id.to_string());
+                    w.key("parent_id").str(&s.ctx.parent_id.to_string());
+                    w.key("trace_id").str(&s.ctx.trace_id.to_string());
                 }
                 for (k, v) in args {
-                    w.key(k).str(v);
+                    w.key(&log.names.strings[k as usize]).str(v);
                 }
                 w.close();
             }
@@ -1071,7 +1072,7 @@ impl Registry {
         };
         let (recorded, dropped) = {
             let log = self.spans.lock();
-            (log.spans.len() as u64, log.dropped)
+            (log.log.len() as u64, log.log.dropped)
         };
         for (name, v) in [
             ("obs.spans_dropped", dropped),
@@ -1231,14 +1232,59 @@ mod tests {
         assert_eq!(h.sum(), u64::MAX); // saturating
     }
 
-    /// The span log is torn down with a handful of frees: a stored span
-    /// owns nothing, and fits in 56 bytes (it was 80 while it owned a
-    /// `Vec` of args).
+    /// What a run keeps per op: 10 000 `rpc_create`-shaped ops (a root
+    /// with its `file` arg, the `rpcs` mechanism, queue wait, service,
+    /// `net.rpc`, the Stream mechanism and the mdlog span, four clients
+    /// interleaved, plus the server's history row) pack into at most 16
+    /// bytes a span and 40 a row. Fixed-width storage took 56 + 16 and 96.
     #[test]
-    fn stored_span_is_plain_data() {
-        assert!(!std::mem::needs_drop::<StoredSpan>());
-        assert!(std::mem::size_of::<StoredSpan>() <= 56);
-        assert!(!std::mem::needs_drop::<HistoryEvent<usize>>());
+    fn packed_logs_pin_their_footprint() {
+        use history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
+        let reg = Registry::new();
+        let rpcs = reg.mechanism("rpcs");
+        let stream = reg.mechanism("stream");
+        let [wait, service, net, mdlog, create] = [
+            ("mds.queue_wait", "mds"),
+            ("mds.service", "mds"),
+            ("net.rpc", "net"),
+            ("mds.mdlog", "mds"),
+            ("create", "client_op"),
+        ]
+        .map(|(name, cat)| reg.span_name(name, cat));
+        let mut name = String::new();
+        for i in 0..10_000u64 {
+            let (client, now) = ((i % 4) as u32, Nanos(i * 2_150));
+            name.clear();
+            std::fmt::Write::write_fmt(&mut name, format_args!("file.{client}.{}", i / 4)).unwrap();
+            let root = reg.trace_root(client);
+            reg.child_named(root, mdlog, now + Nanos(300), Nanos(40));
+            stream.observe(&reg, reg.trace_child(root), now + Nanos(300), Nanos(40));
+            reg.record_history_row(HistoryEvent {
+                client: u64::from(client),
+                scope: HistoryScope::Global,
+                op: HistoryOp::Create {
+                    dir: 2 + u64::from(client),
+                    name: name.as_str(),
+                },
+                result: HistoryResult::Ok,
+                ino: 1_099_511_627_776 + i,
+                invoke: now,
+                ack: now + Nanos(1_750),
+                epoch: 1,
+                trace_id: root.trace_id,
+            });
+            let rpc = reg.trace_child(root);
+            rpcs.observe(&reg, rpc, now, Nanos(1_750));
+            reg.child_named(rpc, wait, now, Nanos(i % 700));
+            reg.child_named(rpc, service, now + Nanos(700), Nanos(950));
+            reg.child_named(rpc, net, now + Nanos(1_650), Nanos(100));
+            reg.end_named_with(root, create, now, Nanos(1_750), "file", &name);
+        }
+        assert_eq!((reg.span_count(), reg.history_count()), (70_000, 10_000));
+        let span = reg.spans.lock().log.bytes_per_record();
+        let row = reg.history.bytes_per_row();
+        assert!(span <= 16.0, "{span} bytes a span");
+        assert!(row <= 40.0, "{row} bytes a create row");
     }
 
     #[test]

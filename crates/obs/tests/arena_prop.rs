@@ -1,12 +1,19 @@
-//! Arenas change the store, not the answer. The history log keeps `Copy`
-//! rows plus one name arena and the span log keeps its args in a side table
-//! over another; both are filled from borrowed strings and materialise
-//! owned values only when read. Whatever goes in — every op kind, empty and
-//! multi-byte names, both names of a rename, zero to three args, more
-//! records than the log holds — must read back exactly, serialize to the
-//! bytes the owned form serializes to, and survive
-//! [`Registry::merge_from`] (prefix copy of rows, args and arena bytes,
-//! ids rebased) as if it had been recorded serially.
+//! Packing changes the store, not the answer. The span log and the history
+//! log are each one byte stream of varints, zigzag deltas (from the previous
+//! record's field, or from another field of the same record) and names
+//! ended by `0xFF`; both are filled from borrowed strings and decoded, from
+//! the start, only when read. Whatever goes in must read back exactly,
+//! serialize to the bytes the owned form serializes to, and survive
+//! [`Registry::merge_from`] (each kept record decoded and re-packed, ids
+//! rebased) as if it had been recorded serially:
+//!
+//! * every op kind and all eight results, both names of a rename;
+//! * names that are empty, multi-byte, or hold NUL or JSON escapes;
+//! * ids, times, inodes, epochs and clients over the whole `u64` range —
+//!   `u64::MAX` included — so deltas wrap: `ack` before `invoke`, `invoke`
+//!   and `trace_id` going backwards from one row to the next, a parent id
+//!   above its span's;
+//! * zero to three args, and more records than the log holds.
 
 use cudele_obs::history::{
     History, HistoryEvent, HistoryOp, HistoryResult, HistoryScope, HistoryWriter,
@@ -16,18 +23,36 @@ use cudele_obs::{Registry, Span};
 use cudele_sim::Nanos;
 use proptest::prelude::*;
 
-/// Names: plain, empty, multi-byte, and characters JSON must escape.
+/// Names: plain, empty, multi-byte, characters JSON must escape, NUL.
 fn arb_name() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[a-z0-9._\\-]{0,12}|[α-ωあ-ん\"\\\\]{1,6}").unwrap()
+    proptest::string::string_regex("[a-z0-9._\\-]{0,12}|[α-ωあ-ん\"\\\\]{1,6}|[\0a😀é]{0,4}")
+        .unwrap()
 }
 
+/// A `u64` from anywhere in the range, its ends drawn often: small values,
+/// values just below `u64::MAX`, and uniform ones, so any two consecutive
+/// draws differ by anything from zero to a wrap-around.
+fn arb_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..4, (u64::MAX - 3)..=u64::MAX, any::<u64>()]
+}
+
+const RESULTS: [HistoryResult; 8] = [
+    HistoryResult::Ok,
+    HistoryResult::Exists,
+    HistoryResult::NoEnt,
+    HistoryResult::Busy,
+    HistoryResult::NoSession,
+    HistoryResult::Timeout,
+    HistoryResult::Fenced,
+    HistoryResult::Err,
+];
+
 fn arb_op() -> impl Strategy<Value = HistoryOp> {
-    let dir = 1u64..50;
     prop_oneof![
-        (dir.clone(), arb_name()).prop_map(|(dir, name)| HistoryOp::Create { dir, name }),
-        (dir.clone(), arb_name()).prop_map(|(dir, name)| HistoryOp::Mkdir { dir, name }),
-        (dir.clone(), arb_name()).prop_map(|(dir, name)| HistoryOp::Unlink { dir, name }),
-        (dir.clone(), arb_name(), dir.clone(), arb_name()).prop_map(
+        (arb_u64(), arb_name()).prop_map(|(dir, name)| HistoryOp::Create { dir, name }),
+        (arb_u64(), arb_name()).prop_map(|(dir, name)| HistoryOp::Mkdir { dir, name }),
+        (arb_u64(), arb_name()).prop_map(|(dir, name)| HistoryOp::Unlink { dir, name }),
+        (arb_u64(), arb_name(), arb_u64(), arb_name()).prop_map(
             |(src_dir, src_name, dst_dir, dst_name)| HistoryOp::Rename {
                 src_dir,
                 src_name,
@@ -35,33 +60,28 @@ fn arb_op() -> impl Strategy<Value = HistoryOp> {
                 dst_name,
             }
         ),
-        (dir.clone(), arb_name(), any::<bool>(), 1u64..1000).prop_map(|(dir, name, hit, ino)| {
+        (arb_u64(), arb_name(), any::<bool>(), arb_u64()).prop_map(|(dir, name, hit, ino)| {
             HistoryOp::Lookup {
                 dir,
                 name,
                 found: hit.then_some(ino),
             }
         }),
-        (dir, 0u64..500).prop_map(|(dir, entries)| HistoryOp::Readdir { dir, entries }),
-        (0u64..500).prop_map(|events| HistoryOp::Merge { events }),
+        (arb_u64(), arb_u64()).prop_map(|(dir, entries)| HistoryOp::Readdir { dir, entries }),
+        arb_u64().prop_map(|events| HistoryOp::Merge { events }),
     ]
 }
 
 fn arb_history_event() -> impl Strategy<Value = HistoryEvent> {
-    let result = prop_oneof![
-        (0u8..1).prop_map(|_| HistoryResult::Ok),
-        (0u8..1).prop_map(|_| HistoryResult::Exists),
-        (0u8..1).prop_map(|_| HistoryResult::NoEnt),
-        (0u8..1).prop_map(|_| HistoryResult::Busy),
-    ];
     (
         arb_op(),
-        result,
-        (0u64..8, any::<bool>(), 0u64..1 << 20),
-        (0u64..1 << 30, 0u64..1000, 0u64..4),
+        0usize..RESULTS.len(),
+        (arb_u64(), any::<bool>(), arb_u64()),
+        (arb_u64(), arb_u64()),
+        (arb_u64(), arb_u64()),
     )
         .prop_map(
-            |(op, result, (client, local, ino), (invoke, lat, trace_id))| HistoryEvent {
+            |(op, result, (client, local, ino), (invoke, ack), (epoch, trace_id))| HistoryEvent {
                 client,
                 scope: if local {
                     HistoryScope::Local
@@ -69,26 +89,80 @@ fn arb_history_event() -> impl Strategy<Value = HistoryEvent> {
                     HistoryScope::Global
                 },
                 op,
-                result,
+                result: RESULTS[result],
                 ino,
                 invoke: Nanos(invoke),
-                ack: Nanos(invoke + lat),
-                epoch: 1,
+                ack: Nanos(ack),
+                epoch,
                 trace_id,
             },
         )
 }
 
+/// `ev` with every number cut to 53 bits: what a JSON number (an `f64`)
+/// carries exactly, so what `History::parse` must give back unchanged.
+fn json_exact(ev: &HistoryEvent) -> HistoryEvent {
+    let cut = |v: u64| v & ((1 << 53) - 1);
+    let op = match ev.op.clone() {
+        HistoryOp::Create { dir, name } => HistoryOp::Create {
+            dir: cut(dir),
+            name,
+        },
+        HistoryOp::Mkdir { dir, name } => HistoryOp::Mkdir {
+            dir: cut(dir),
+            name,
+        },
+        HistoryOp::Unlink { dir, name } => HistoryOp::Unlink {
+            dir: cut(dir),
+            name,
+        },
+        HistoryOp::Rename {
+            src_dir,
+            src_name,
+            dst_dir,
+            dst_name,
+        } => HistoryOp::Rename {
+            src_dir: cut(src_dir),
+            src_name,
+            dst_dir: cut(dst_dir),
+            dst_name,
+        },
+        HistoryOp::Lookup { dir, name, found } => HistoryOp::Lookup {
+            dir: cut(dir),
+            name,
+            found: found.map(cut),
+        },
+        HistoryOp::Readdir { dir, entries } => HistoryOp::Readdir {
+            dir: cut(dir),
+            entries: cut(entries),
+        },
+        HistoryOp::Merge { events } => HistoryOp::Merge {
+            events: cut(events),
+        },
+    };
+    HistoryEvent {
+        client: cut(ev.client),
+        op,
+        ino: cut(ev.ino),
+        invoke: Nanos(cut(ev.invoke.0)),
+        ack: Nanos(cut(ev.ack.0)),
+        epoch: cut(ev.epoch),
+        trace_id: cut(ev.trace_id),
+        ..ev.clone()
+    }
+}
+
 /// A span as a caller would hand it to `record_span`: a few names (so the
-/// interner is shared), arbitrary ids including 0, zero to three args.
+/// interner is shared), ids, times and tracks over their whole range (0
+/// and `u64::MAX` included, a parent above its child), zero to three args.
 fn arb_span() -> impl Strategy<Value = Span> {
     let arg = (
         proptest::string::string_regex("[a-c]{1,2}").unwrap(),
         arb_name(),
     );
     (
-        (0usize..4, 0u32..4, 0u64..1 << 30, 0u64..1 << 20),
-        (0u64..6, 0u64..6, 0u64..6),
+        (0usize..4, any::<u32>(), arb_u64(), arb_u64()),
+        (arb_u64(), arb_u64(), arb_u64()),
         proptest::collection::vec(arg, 0..4),
     )
         .prop_map(
@@ -145,7 +219,9 @@ proptest! {
             prop_assert_eq!(log.dropped(), dropped);
             prop_assert_eq!(log.to_json("rpc"), want.clone());
         }
-        prop_assert_eq!(History::parse(&want).unwrap().events, kept);
+        let exact: Vec<HistoryEvent> = kept.iter().map(json_exact).collect();
+        let text = History { mode: "rpc".into(), events: exact.clone(), dropped }.to_json();
+        prop_assert_eq!(History::parse(&text).unwrap().events, exact);
 
         let all = History { mode: "decoupled".into(), events: events.clone(), dropped: 0 }.to_json();
         for reg in [&reg_owned, &reg_borrowed] {
@@ -154,9 +230,10 @@ proptest! {
         }
     }
 
-    /// Merging a log into another copies a prefix of its rows and of its
-    /// arena: the result is what recording everything into one log would
-    /// have kept, trace ids rebased where nonzero.
+    /// Merging a log into another re-packs a prefix of its rows: the result
+    /// is what recording everything into one log would have kept, trace
+    /// ids rebased where nonzero. (A rebased id stays below `u64::MAX`, as
+    /// the ids a registry hands out do.)
     #[test]
     fn history_merge_equals_serial_recording(
         first in proptest::collection::vec(arb_history_event(), 0..30),
@@ -172,6 +249,7 @@ proptest! {
             merged.record(e.clone());
         }
         for e in &second {
+            let e = &HistoryEvent { trace_id: e.trace_id.min(u64::MAX - offset), ..e.clone() };
             let mut rebased = e.clone();
             if rebased.trace_id != 0 {
                 rebased.trace_id += offset;
@@ -185,9 +263,9 @@ proptest! {
         prop_assert_eq!(merged.to_json("rpc"), serial.to_json("rpc"));
     }
 
-    /// Spans with zero to three args read back from the side table as
-    /// they went in, and render into the chrome trace in order after the
-    /// identity entries.
+    /// Spans with zero to three args read back from the log as they went
+    /// in, and render into the chrome trace in order after the identity
+    /// entries.
     #[test]
     fn spans_read_back_with_their_args(
         spans in proptest::collection::vec(arb_span(), 0..40),
@@ -218,7 +296,7 @@ proptest! {
         }
     }
 
-    /// The `--threads 1` vs N contract over arena-backed registries: a
+    /// The `--threads 1` vs N contract over packed registries: a
     /// schedule of traced ops (root span with an arg, a child, a history
     /// row naming the trace) split across per-task registries and merged
     /// in input order equals the serial recording — spans, trace bytes,
