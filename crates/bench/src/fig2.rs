@@ -64,9 +64,12 @@ pub fn run(scale: Scale) -> Fig2 {
     let trace_scale = scale.files_per_client as f64 / 100_000.0;
     let os = Arc::new(InMemoryStore::paper_default());
     let mut server = MetadataServer::new(os.clone());
-    if let Some(reg) = crate::obs_out::session() {
-        server.attach_obs(&reg);
-    }
+    // The registry counts the journal stream; the session's may already
+    // hold other runs' events, so each phase reads a difference.
+    let reg = crate::obs_out::session().unwrap_or_default();
+    server.attach_obs(&reg);
+    let journaled = reg.counter("mds.mdlog.events");
+    let mut journaled_before = journaled.get();
     let mut mds = FifoServer::new("mds-cpu");
     let (mut rpc, _) = RpcClient::mount(&mut server, ClientId(1));
     let cm = server.cost_model().clone();
@@ -76,16 +79,12 @@ pub fn run(scale: Scale) -> Fig2 {
     let build_root = server.setup_dir("/build").unwrap();
     let mut dir_inos: Vec<InodeId> = vec![build_root];
 
-    // Drain startup accounting.
-    let _ = os.take_io_delta();
-
     let mut t = Nanos::ZERO;
     let mut phases = Vec::new();
     for phase in compile_phases(trace_scale) {
         let phase_start = t;
         let busy_before = mds.busy_time();
         let mut net_bytes: u64 = 0;
-        let _ = os.take_io_delta(); // reset disk counters for the phase
         let (mut creates, mut reads) = (0u64, 0u64);
 
         for op in &phase.ops {
@@ -139,9 +138,8 @@ pub fn run(scale: Scale) -> Fig2 {
         let busy = mds.busy_time() - busy_before;
         // The MDS's own disk traffic is the journal stream (calibrated
         // bytes); OSD data-pool traffic does not appear on the MDS.
-        let mdlog = server.take_mdlog_stats();
-        let disk_bytes = cm.journal_bytes(mdlog.events);
-        let _ = os.take_io_delta();
+        let disk_bytes = cm.journal_bytes(journaled.get() - journaled_before);
+        journaled_before = journaled.get();
         let secs = duration.as_secs_f64().max(1e-9);
         phases.push(PhaseReport {
             name: phase.name,

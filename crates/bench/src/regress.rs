@@ -558,6 +558,7 @@ fn describe(v: &Value) -> String {
         Value::Null => "null".to_string(),
         Value::Bool(b) => b.to_string(),
         Value::Num(n) => n.to_string(),
+        Value::U64(n) => n.to_string(),
         Value::Str(s) => format!("{s:?}"),
         Value::Arr(a) => format!("[{} elements]", a.len()),
         Value::Obj(m) => format!("{{{} keys}}", m.len()),

@@ -38,7 +38,7 @@ use std::sync::{Arc, RwLock};
 
 use bytes::Bytes;
 use cudele_obs::{Counter, Registry, TraceSink};
-use cudele_rados::{IoDelta, ObjectId, ObjectStat, ObjectStore, PoolId, RadosError, Result};
+use cudele_rados::{ObjectId, ObjectStat, ObjectStore, PoolId, RadosError, Result};
 use cudele_sim::{CostModel, Nanos};
 
 /// SplitMix64: the one-shot mixer every fault decision derives from.
@@ -103,7 +103,7 @@ pub struct FaultConfig {
 }
 
 /// Parses a duration like `10ms`, `2s`, `500us`, `100ns`, or a bare
-/// nanosecond count.
+/// nanosecond count. One past `u64::MAX` nanoseconds is an error.
 fn parse_duration(s: &str) -> std::result::Result<Nanos, String> {
     let (digits, mult) = if let Some(d) = s.strip_suffix("ms") {
         (d, 1_000_000)
@@ -116,10 +116,12 @@ fn parse_duration(s: &str) -> std::result::Result<Nanos, String> {
     } else {
         (s, 1)
     };
-    digits
+    let n = digits
         .parse::<u64>()
-        .map(|n| Nanos(n * mult))
-        .map_err(|_| format!("bad duration {s:?} (use e.g. 10ms, 2s, 500us)"))
+        .map_err(|_| format!("bad duration {s:?} (use e.g. 10ms, 2s, 500us)"))?;
+    n.checked_mul(mult)
+        .map(Nanos)
+        .ok_or_else(|| format!("duration {s:?} overflows 2^64 ns"))
 }
 
 fn parse_window(s: &str) -> std::result::Result<(Nanos, Nanos), String> {
@@ -139,6 +141,8 @@ impl FaultConfig {
     ///
     /// `osd_outage`, `slow`, and MDS crashes may repeat. Durations accept
     /// `ns`, `us`, `ms`, and `s` suffixes (bare numbers are nanoseconds).
+    /// A `*_ppm` rate is at most 1 000 000, and a slow factor is finite and
+    /// at least 1.
     /// An MDS crash is written `mds-crash@T` (or `mds_crash=T`): the
     /// active MDS fails at virtual instant `T` and a failover-capable
     /// harness drives detection and standby takeover from there.
@@ -160,12 +164,16 @@ impl FaultConfig {
                     .parse::<u64>()
                     .map_err(|_| format!("bad {what}: {value:?}"))
             };
+            let ppm = |what: &str| match value.parse::<u32>() {
+                Ok(n) if n <= 1_000_000 => Ok(n),
+                _ => Err(format!("bad {what}: {value:?} (0..=1000000)")),
+            };
             match key {
                 "seed" => cfg.seed = int("seed")?,
-                "eagain_ppm" => cfg.eagain_ppm = int("eagain_ppm")? as u32,
-                "torn_ppm" | "torn_write_ppm" => cfg.torn_write_ppm = int("torn_ppm")? as u32,
-                "bitflip_ppm" => cfg.bitflip_ppm = int("bitflip_ppm")? as u32,
-                "spec_abort_ppm" => cfg.spec_abort_ppm = int("spec_abort_ppm")? as u32,
+                "eagain_ppm" => cfg.eagain_ppm = ppm("eagain_ppm")?,
+                "torn_ppm" | "torn_write_ppm" => cfg.torn_write_ppm = ppm("torn_ppm")?,
+                "bitflip_ppm" => cfg.bitflip_ppm = ppm("bitflip_ppm")?,
+                "spec_abort_ppm" => cfg.spec_abort_ppm = ppm("spec_abort_ppm")?,
                 "osd_outage" => {
                     let (osd, window) = value
                         .split_once('@')
@@ -182,7 +190,9 @@ impl FaultConfig {
                         .ok_or_else(|| format!("bad slow {value:?} (use FACTOR@FROM..UNTIL)"))?;
                     let factor = factor
                         .parse::<f64>()
-                        .map_err(|_| format!("bad slow factor {factor:?}"))?;
+                        .ok()
+                        .filter(|f| f.is_finite() && *f >= 1.0)
+                        .ok_or_else(|| format!("bad slow factor {factor:?} (finite, >= 1)"))?;
                     let (from, until) = parse_window(window)?;
                     cfg.slow.push(SlowWindow {
                         from,
@@ -588,10 +598,6 @@ impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
         self.inner.omap_list(id)
     }
 
-    fn take_io_delta(&self) -> IoDelta {
-        self.inner.take_io_delta()
-    }
-
     fn attach_obs(&self, reg: &Registry) {
         self.inner.attach_obs(reg);
         *self.obs.write().unwrap() = Some(FaultObs {
@@ -706,6 +712,39 @@ mod tests {
             ]
         );
         assert!(FaultConfig::parse("mds-crash@nonsense").is_err());
+    }
+
+    #[test]
+    fn a_duration_past_u64_nanos_is_an_error() {
+        // 99 999 999 999 999 s is ~1e23 ns, far past 2^64.
+        assert!(FaultConfig::parse("mds-crash@99999999999999s").is_err());
+        assert!(FaultConfig::parse("osd_outage=0@0ms..18446744073710ms").is_err());
+        let max = FaultConfig::parse("mds-crash@18446744073709551615").unwrap();
+        assert_eq!(max.mds_crashes, vec![Nanos(u64::MAX)]);
+    }
+
+    #[test]
+    fn a_ppm_rate_is_at_most_a_million() {
+        // 2^32 + 1 must not truncate to 1, and the plan draws against a million.
+        assert!(FaultConfig::parse("eagain_ppm=4294967297").is_err());
+        for key in ["eagain_ppm", "torn_ppm", "bitflip_ppm", "spec_abort_ppm"] {
+            assert!(
+                FaultConfig::parse(&format!("{key}=2000000")).is_err(),
+                "{key}"
+            );
+        }
+        let all = FaultConfig::parse("eagain_ppm=1000000,torn_write_ppm=0").unwrap();
+        assert_eq!((all.eagain_ppm, all.torn_write_ppm), (1_000_000, 0));
+    }
+
+    #[test]
+    fn a_slow_factor_is_finite_and_at_least_one() {
+        for factor in ["inf", "NaN", "0.5", "-2"] {
+            let spec = format!("slow={factor}@0ms..1ms");
+            assert!(FaultConfig::parse(&spec).is_err(), "{spec}");
+        }
+        let cfg = FaultConfig::parse("slow=1@0ms..1ms").unwrap();
+        assert_eq!(cfg.peak_slowdown(), 1.0);
     }
 
     #[test]
@@ -873,9 +912,9 @@ mod tests {
         let cfg = FaultConfig::parse("seed=1,osd_outage=0@0ms..10ms,slow=2@0ms..1s").unwrap();
         let cm = CostModel::calibrated();
         let (fs, degraded) = wire_faults(inner, cfg, &cm);
-        assert!(!fs.inner().osd_stats()[0].up);
+        assert!(!fs.inner().osds_up()[0]);
         assert_eq!(degraded.object_op_latency, cm.object_op_latency.scale(2.0));
         fs.inner().set_now(Nanos::from_millis(10));
-        assert!(fs.inner().osd_stats()[0].up);
+        assert!(fs.inner().osds_up()[0]);
     }
 }

@@ -25,8 +25,7 @@ use cudele_journal::{
     encode_event, read_journal, scan_journal, CodecError, JournalEvent, JournalId, JournalWriter,
 };
 use cudele_rados::{
-    InMemoryStore, IoDelta, ObjectId, ObjectStat, ObjectStore, PoolId, RadosError,
-    Result as RadosResult,
+    InMemoryStore, ObjectId, ObjectStat, ObjectStore, PoolId, RadosError, Result as RadosResult,
 };
 
 mod common;
@@ -179,9 +178,6 @@ impl ObjectStore for Landing {
     }
     fn omap_list(&self, id: &ObjectId) -> RadosResult<Vec<(String, Bytes)>> {
         self.inner.omap_list(id)
-    }
-    fn take_io_delta(&self) -> IoDelta {
-        self.inner.take_io_delta()
     }
 }
 

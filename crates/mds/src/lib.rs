@@ -63,7 +63,7 @@ pub use failover::{
     TakeoverReport,
 };
 pub use inode::Inode;
-pub use mdlog::{MdLog, MdLogConfig, MdLogStats};
+pub use mdlog::{MdLog, MdLogConfig};
 pub use persist::{flush_store, load_store, NvaCounters, ObjectStoreSink, PersistError};
 pub use server::{
     CreateReply, MetadataServer, OpCost, ReplayToken, Reply, Request, Rpc, ServerCounters,

@@ -18,9 +18,10 @@
 //! store, and its manifest is what bounds recovery. An event's index in the
 //! journal is therefore its physical position.
 //!
-//! Timing: callers read [`MdLog::take_stats`] and charge
-//! `CostModel::stream_mds_cpu_at_dispatch` per event plus object-store
-//! bandwidth for flushed bytes.
+//! Counting: an attached registry ([`MdLog::set_obs`]) counts events,
+//! flushed segments and flushed bytes under `mds.mdlog.*`; the mdlog keeps
+//! no second account. Timing is the cost model's
+//! (`CostModel::stream_mds_cpu_at_dispatch` per event).
 
 use std::collections::VecDeque;
 
@@ -55,21 +56,8 @@ impl Default for MdLogConfig {
     }
 }
 
-/// Counters drained by the time-accounting layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MdLogStats {
-    /// Events submitted since the last drain.
-    pub events: u64,
-    /// Segments flushed to the object store.
-    pub segments_flushed: u64,
-    /// Journal bytes written to the object store (functional bytes).
-    pub bytes_flushed: u64,
-}
-
-/// Metric handles for the mdlog, published under `mds.mdlog.*`.
-///
-/// Mirrors [`MdLogStats`] but accumulates into a shared
-/// [`cudele_obs::Registry`] instead of being drained by the timing layer.
+/// Metric handles for the mdlog, published under `mds.mdlog.*` in a
+/// shared [`cudele_obs::Registry`].
 #[derive(Debug, Clone)]
 pub struct MdLogObs {
     /// `mds.mdlog.events` — events submitted.
@@ -104,7 +92,6 @@ pub struct MdLog {
     sealed_events: u64,
     /// Events (updates + boundary markers) this instance has flushed.
     flushed_events: u64,
-    stats: MdLogStats,
     obs: Option<MdLogObs>,
 }
 
@@ -128,7 +115,6 @@ impl MdLog {
             sealed: VecDeque::new(),
             sealed_events: 0,
             flushed_events: 0,
-            stats: MdLogStats::default(),
             obs: None,
         }
     }
@@ -162,7 +148,6 @@ impl MdLog {
         os: &S,
         event: impl Into<EventRef<'a>>,
     ) -> Result<(), JournalIoError> {
-        self.stats.events += 1;
         if let Some(obs) = &self.obs {
             obs.events.inc();
         }
@@ -198,8 +183,6 @@ impl MdLog {
         // events were accepted, so a failed flush leaves it for the next.
         while let Some(seg) = self.sealed.front() {
             let bytes = writer.append_frames(&seg.frames)?;
-            self.stats.bytes_flushed += bytes;
-            self.stats.segments_flushed += 1;
             if let Some(obs) = &self.obs {
                 obs.bytes_flushed.add(bytes);
                 obs.segments_flushed.inc();
@@ -215,16 +198,6 @@ impl MdLog {
     /// — these are what a crash loses before Stream flushes them.
     pub fn unflushed_events(&self) -> u64 {
         self.sealed_events + self.builder.pending() as u64
-    }
-
-    /// Drains the accumulated counters.
-    pub fn take_stats(&mut self) -> MdLogStats {
-        std::mem::take(&mut self.stats)
-    }
-
-    /// Peeks at the counters without draining.
-    pub fn stats(&self) -> MdLogStats {
-        self.stats
     }
 }
 
@@ -251,19 +224,31 @@ mod tests {
         }
     }
 
+    /// An mdlog counting into a registry of its own.
+    fn logged(config: MdLogConfig) -> (MdLog, Registry) {
+        let reg = Registry::new();
+        let mut log = MdLog::new(config);
+        log.set_obs(&reg);
+        (log, reg)
+    }
+
+    fn segments_flushed(reg: &Registry) -> u64 {
+        reg.counter_value("mds.mdlog.segments_flushed").unwrap()
+    }
+
     #[test]
     fn flushes_when_dispatch_window_fills() {
         let os = InMemoryStore::paper_default();
-        let mut log = MdLog::new(config(4, 2));
+        let (mut log, reg) = logged(config(4, 2));
         // 7 events: one sealed segment (4), 3 pending. Nothing flushed yet.
         for i in 0..7 {
             log.submit(&os, &create(i)).unwrap();
         }
-        assert_eq!(log.stats().segments_flushed, 0);
+        assert_eq!(segments_flushed(&reg), 0);
         assert_eq!(log.unflushed_events(), 5 + 3); // 4 events + boundary, 3 pending
                                                    // 8th event seals segment 2 -> window of 2 flushes.
         log.submit(&os, &create(7)).unwrap();
-        assert_eq!(log.stats().segments_flushed, 2);
+        assert_eq!(segments_flushed(&reg), 2);
         assert_eq!(log.unflushed_events(), 0);
         let persisted = read_journal(&os, JournalId::MDLOG).unwrap();
         assert_eq!(persisted.iter().filter(|e| e.is_update()).count(), 8);
@@ -276,63 +261,44 @@ mod tests {
     #[test]
     fn a_dispatch_window_costs_store_ops_per_segment_not_per_event() {
         let os = InMemoryStore::paper_default();
-        let mut log = MdLog::new(MdLogConfig::default());
+        let (mut log, reg) = logged(MdLogConfig::default());
+        os.attach_obs(&reg);
         for i in 0..40 * 1024 {
             log.submit(&os, &create(i)).unwrap();
         }
-        assert_eq!(log.stats().segments_flushed, 40);
+        assert_eq!(segments_flushed(&reg), 40);
         assert_eq!(log.unflushed_events(), 0);
-        let ops = os.take_io_delta().ops();
+        let ops: u64 = ["rados.store.read_ops", "rados.store.write_ops"]
+            .iter()
+            .map(|name| reg.counter_value(name).unwrap())
+            .sum();
         assert!(ops <= 4 * 40 + 8, "{ops} store operations for 40 segments");
     }
 
     #[test]
     fn final_flush_covers_partial_segment() {
         let os = InMemoryStore::paper_default();
-        let mut log = MdLog::new(config(100, 40));
+        let (mut log, reg) = logged(config(100, 40));
         for i in 0..5 {
             log.submit(&os, &create(i)).unwrap();
         }
-        assert_eq!(log.stats().segments_flushed, 0);
+        assert_eq!(segments_flushed(&reg), 0);
         log.flush(&os).unwrap();
-        assert_eq!(log.stats().segments_flushed, 1);
+        assert_eq!(segments_flushed(&reg), 1);
         let persisted = read_journal(&os, JournalId::MDLOG).unwrap();
         assert_eq!(persisted.iter().filter(|e| e.is_update()).count(), 5);
     }
 
     #[test]
-    fn stats_drain() {
+    fn registry_counts_events_segments_and_bytes() {
         let os = InMemoryStore::paper_default();
-        let mut log = MdLog::new(config(2, 1));
+        let (mut log, reg) = logged(config(2, 1));
         for i in 0..4 {
             log.submit(&os, &create(i)).unwrap();
         }
-        let s = log.take_stats();
-        assert_eq!(s.events, 4);
-        assert_eq!(s.segments_flushed, 2);
-        assert!(s.bytes_flushed > 0);
-        assert_eq!(log.stats(), MdLogStats::default());
-    }
-
-    #[test]
-    fn obs_mirrors_stats() {
-        let os = InMemoryStore::paper_default();
-        let reg = Registry::new();
-        let mut log = MdLog::new(config(2, 1));
-        log.set_obs(&reg);
-        for i in 0..4 {
-            log.submit(&os, &create(i)).unwrap();
-        }
-        let s = log.stats();
-        assert_eq!(reg.counter_value("mds.mdlog.events"), Some(s.events));
-        assert_eq!(
-            reg.counter_value("mds.mdlog.segments_flushed"),
-            Some(s.segments_flushed)
-        );
-        assert_eq!(
-            reg.counter_value("mds.mdlog.bytes_flushed"),
-            Some(s.bytes_flushed)
-        );
+        assert_eq!(reg.counter_value("mds.mdlog.events"), Some(4));
+        assert_eq!(segments_flushed(&reg), 2);
+        assert!(reg.counter_value("mds.mdlog.bytes_flushed").unwrap() > 0);
         // The transient writers the flush path opens report too.
         assert!(reg.counter_value("journal.writer.appends").unwrap() > 0);
     }

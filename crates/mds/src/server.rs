@@ -29,7 +29,7 @@ use crate::caps::{CapOutcome, CapTable, ClientId};
 use crate::checkpoint::{self, CheckpointConfig, CheckpointManager, Manifest};
 use crate::dirfrag::{Dentry, DirListing};
 use crate::error::{MdsError, Result};
-use crate::mdlog::{MdLog, MdLogConfig, MdLogStats};
+use crate::mdlog::{MdLog, MdLogConfig};
 use crate::persist;
 use crate::session::{InodeAllocator, SessionMap};
 use crate::store::MetadataStore;
@@ -610,14 +610,6 @@ impl MetadataServer {
     /// Whether Stream journaling is on.
     pub fn journal_enabled(&self) -> bool {
         self.mdlog.is_some()
-    }
-
-    /// Drains mdlog counters (events journaled, segments/bytes flushed).
-    pub fn take_mdlog_stats(&mut self) -> MdLogStats {
-        self.mdlog
-            .as_mut()
-            .map(MdLog::take_stats)
-            .unwrap_or_default()
     }
 
     /// Reconfigures the capability re-grant cool-down (ablation knob).
@@ -1742,13 +1734,15 @@ mod tests {
     #[test]
     fn journal_off_removes_stream_costs() {
         let mut s = server_no_journal();
+        let reg = Arc::new(Registry::new());
+        s.attach_obs(&reg);
         s.open_session(C1);
         let dir = s.setup_dir("/d").unwrap();
         let r = s.create(C1, dir, "f");
         r.result.unwrap();
         assert_eq!(r.cost.client_extra, s.cost_model().rpc_overhead);
         assert_eq!(r.cost.mds_cpu, s.cost_model().mds_create_cpu);
-        assert_eq!(s.take_mdlog_stats(), MdLogStats::default());
+        assert_eq!(reg.counter_value("mds.mdlog.events"), None);
     }
 
     #[test]

@@ -21,8 +21,12 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, held as `f64`.
+    /// Any JSON number, held as `f64` — except a non-negative integer
+    /// literal above 2^53, which an `f64` would round: that is a [`Value::U64`].
     Num(f64),
+    /// A non-negative integer literal above 2^53, held exactly. One past
+    /// `u64::MAX` is a parse error.
+    U64(u64),
     /// A string, with escapes decoded.
     Str(String),
     /// An array.
@@ -44,16 +48,19 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            Value::U64(n) => Some(*n as f64),
             _ => None,
         }
     }
 
-    /// The value as a non-negative integer (rejects fractional parts).
+    /// The value as a non-negative integer (rejects fractional parts and
+    /// anything from 2^64 up).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
+            Value::U64(n) => Some(*n),
             _ => None,
         }
     }
@@ -339,10 +346,24 @@ fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         }
     }
     let text = std::str::from_utf8(&b[start..*pos]).expect("ascii number");
+    if text.bytes().all(|c| c.is_ascii_digit()) {
+        // A plain integer: exact, or refused if it does not fit a u64.
+        let n = text
+            .parse::<u64>()
+            .map_err(|_| err(start, "integer out of range"))?;
+        return Ok(if n > MAX_EXACT {
+            Value::U64(n)
+        } else {
+            Value::Num(n as f64)
+        });
+    }
     text.parse::<f64>()
         .map(Value::Num)
         .map_err(|_| err(start, "unrepresentable number"))
 }
+
+/// The largest integer an `f64` holds exactly, and every one below it.
+const MAX_EXACT: u64 = 1 << 53;
 
 /// Appends `s` to `out` escaped for a JSON string literal (the quotes are
 /// the caller's): `"`, `\` and control characters escaped, everything else
@@ -604,6 +625,28 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(parse("-3").unwrap().as_f64(), Some(-3.0));
         assert_eq!(parse("2.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn integers_read_exactly_over_the_whole_u64_range() {
+        for n in [0, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let v = parse(&n.to_string()).unwrap();
+            assert_eq!(v.as_u64(), Some(n));
+            assert_eq!(v.as_f64(), Some(n as f64));
+        }
+        // Up to 2^53 an integer is the `Num` it always was.
+        assert_eq!(
+            parse("9007199254740992").unwrap(),
+            Value::Num(9007199254740992.0)
+        );
+        // 2^64 no longer saturates to u64::MAX: the literal is refused, and
+        // the same value spelled as a float is no u64.
+        assert!(parse("18446744073709551616").is_err());
+        assert_eq!(parse("1.8446744073709552e19").unwrap().as_u64(), None);
+        assert_eq!(
+            parse("1e19").unwrap().as_u64(),
+            Some(10_000_000_000_000_000_000)
+        );
     }
 
     #[test]

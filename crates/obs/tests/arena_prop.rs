@@ -99,59 +99,6 @@ fn arb_history_event() -> impl Strategy<Value = HistoryEvent> {
         )
 }
 
-/// `ev` with every number cut to 53 bits: what a JSON number (an `f64`)
-/// carries exactly, so what `History::parse` must give back unchanged.
-fn json_exact(ev: &HistoryEvent) -> HistoryEvent {
-    let cut = |v: u64| v & ((1 << 53) - 1);
-    let op = match ev.op.clone() {
-        HistoryOp::Create { dir, name } => HistoryOp::Create {
-            dir: cut(dir),
-            name,
-        },
-        HistoryOp::Mkdir { dir, name } => HistoryOp::Mkdir {
-            dir: cut(dir),
-            name,
-        },
-        HistoryOp::Unlink { dir, name } => HistoryOp::Unlink {
-            dir: cut(dir),
-            name,
-        },
-        HistoryOp::Rename {
-            src_dir,
-            src_name,
-            dst_dir,
-            dst_name,
-        } => HistoryOp::Rename {
-            src_dir: cut(src_dir),
-            src_name,
-            dst_dir: cut(dst_dir),
-            dst_name,
-        },
-        HistoryOp::Lookup { dir, name, found } => HistoryOp::Lookup {
-            dir: cut(dir),
-            name,
-            found: found.map(cut),
-        },
-        HistoryOp::Readdir { dir, entries } => HistoryOp::Readdir {
-            dir: cut(dir),
-            entries: cut(entries),
-        },
-        HistoryOp::Merge { events } => HistoryOp::Merge {
-            events: cut(events),
-        },
-    };
-    HistoryEvent {
-        client: cut(ev.client),
-        op,
-        ino: cut(ev.ino),
-        invoke: Nanos(cut(ev.invoke.0)),
-        ack: Nanos(cut(ev.ack.0)),
-        epoch: cut(ev.epoch),
-        trace_id: cut(ev.trace_id),
-        ..ev.clone()
-    }
-}
-
 /// A span as a caller would hand it to `record_span`: a few names (so the
 /// interner is shared), ids, times and tracks over their whole range (0
 /// and `u64::MAX` included, a parent above its child), zero to three args.
@@ -219,9 +166,8 @@ proptest! {
             prop_assert_eq!(log.dropped(), dropped);
             prop_assert_eq!(log.to_json("rpc"), want.clone());
         }
-        let exact: Vec<HistoryEvent> = kept.iter().map(json_exact).collect();
-        let text = History { mode: "rpc".into(), events: exact.clone(), dropped }.to_json();
-        prop_assert_eq!(History::parse(&text).unwrap().events, exact);
+        // Every field over the whole `u64` range reads back exactly.
+        prop_assert_eq!(History::parse(&want).unwrap().events, kept);
 
         let all = History { mode: "decoupled".into(), events: events.clone(), dropped: 0 }.to_json();
         for reg in [&reg_owned, &reg_borrowed] {

@@ -100,6 +100,9 @@ fn write(w: &mut Writer, v: &Value, layout: Layout) {
         Value::Num(n) => {
             w.f64(*n);
         }
+        Value::U64(n) => {
+            w.u64(*n);
+        }
         Value::Str(s) => {
             w.str(s);
         }

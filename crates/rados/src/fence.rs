@@ -31,7 +31,7 @@ use cudele_obs::{Counter, Registry};
 use cudele_sim::Nanos;
 use parking_lot::RwLock;
 
-use crate::store::{IoDelta, ObjectStat, ObjectStore};
+use crate::store::{ObjectStat, ObjectStore};
 use crate::types::{Epoch, ObjectId, PoolId, RadosError, Result};
 
 /// Monitor-side source of truth for the current MDS epoch.
@@ -215,10 +215,6 @@ impl ObjectStore for FencedStore {
 
     fn omap_list(&self, id: &ObjectId) -> Result<Vec<(String, Bytes)>> {
         self.inner.omap_list(id)
-    }
-
-    fn take_io_delta(&self) -> IoDelta {
-        self.inner.take_io_delta()
     }
 
     fn attach_obs(&self, reg: &Registry) {

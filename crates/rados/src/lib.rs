@@ -11,10 +11,10 @@
 //! * [`ObjectStore`] — the trait covering the RADOS operations the metadata
 //!   path uses (blob write/append/read, omap get/set/list, listing, stat).
 //! * [`InMemoryStore`] — a thread-safe in-memory cluster with stable
-//!   hash-based placement across OSDs, a replication factor, per-OSD byte
-//!   accounting (Figure 2's disk series), OSD failure injection (durability
-//!   tests), and drainable I/O counters that harnesses convert into virtual
-//!   time via the simulation crate's cost model.
+//!   hash-based placement across OSDs, a replication factor, and OSD
+//!   outages in virtual time (durability tests). Its I/O is counted by an
+//!   attached registry (`rados.store.*`, `rados.osd.<i>.*`) and timed by
+//!   the simulation crate's cost model.
 //! * [`FencedStore`] / [`FencingAuthority`] — epoch fencing for MDS
 //!   failover: mutations are stamped with the writer's epoch and rejected
 //!   once a newer primary has taken over, mirroring Ceph's OSD blocklist.
@@ -27,5 +27,5 @@ pub mod store;
 pub mod types;
 
 pub use fence::{FencedStore, FencingAuthority};
-pub use store::{InMemoryStore, IoDelta, ObjectStat, ObjectStore, OsdStats};
+pub use store::{InMemoryStore, IoDelta, ObjectStat, ObjectStore};
 pub use types::{Epoch, ObjectId, PoolId, RadosError, Result};

@@ -10,9 +10,11 @@
 //!   map attached to the object) holds one entry per dentry.
 //!
 //! The in-memory store places each object on `replication` OSDs chosen by a
-//! stable hash, tracks per-OSD byte/op counters (used for the disk series in
-//! Figure 2 and for bandwidth accounting), and supports failing/reviving
-//! OSDs for the durability failure-injection tests.
+//! stable hash and models OSD outages in virtual time (failing/reviving
+//! OSDs for the durability failure-injection tests). It keeps no I/O
+//! account of its own: an attached registry counts every operation under
+//! `rados.store.*` and `rados.osd.<i>.*`, and the cost model, not the
+//! store, times the I/O.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -37,33 +39,12 @@ pub struct ObjectStat {
     pub version: u64,
 }
 
-/// Byte and operation counters accumulated since the last
-/// [`ObjectStore::take_io_delta`] call. Experiment harnesses convert these
-/// into virtual time using the cost model's bandwidths.
+/// What [`ObjectStore::take_io_delta`] returns: nothing. The store's I/O
+/// is counted by the attached registry (`rados.store.*`); the type stays
+/// only while the benchmark crate's traced store still implements the
+/// method.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoDelta {
-    /// Read operations performed.
-    pub read_ops: u64,
-    /// Write operations performed.
-    pub write_ops: u64,
-    /// Bytes read (primary copies only).
-    pub bytes_read: u64,
-    /// Bytes written, including replication copies.
-    pub bytes_written: u64,
-}
-
-impl IoDelta {
-    /// Total operations of both kinds.
-    pub fn ops(&self) -> u64 {
-        self.read_ops + self.write_ops
-    }
-
-    /// Total bytes of both directions. Written bytes already include the
-    /// replication factor.
-    pub fn bytes(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
-}
+pub struct IoDelta;
 
 /// The slice of the RADOS API that the metadata path uses.
 pub trait ObjectStore: Send + Sync {
@@ -108,13 +89,16 @@ pub trait ObjectStore: Send + Sync {
     /// All omap entries, sorted by key.
     fn omap_list(&self, id: &ObjectId) -> Result<Vec<(String, Bytes)>>;
 
-    /// Drains accumulated I/O counters (for time accounting).
-    fn take_io_delta(&self) -> IoDelta;
+    /// Always [`IoDelta`]: kept only while the benchmark crate's traced
+    /// store still implements it. Read I/O counts from the registry.
+    fn take_io_delta(&self) -> IoDelta {
+        IoDelta
+    }
 
     /// Attaches an observability registry: implementations that support it
-    /// start mirroring their I/O accounting into `rados.store.*` counters
-    /// and per-OSD `rados.osd.<i>.*` counters/gauges. Default: no-op, so
-    /// plain stores and test doubles need not care.
+    /// count their I/O into `rados.store.*` counters and per-OSD
+    /// `rados.osd.<i>.*` counters/gauges — the store's one I/O account.
+    /// Default: no-op, so plain stores and test doubles need not care.
     fn attach_obs(&self, _reg: &Registry) {}
 
     /// The store's virtual clock: outage windows open and close against
@@ -139,25 +123,11 @@ struct Object {
     placement: Vec<usize>,
 }
 
-/// Per-OSD accounting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OsdStats {
-    /// Bytes written to this OSD.
-    pub bytes_written: u64,
-    /// Bytes read from this OSD.
-    pub bytes_read: u64,
-    /// Operations served by this OSD.
-    pub ops: u64,
-    /// Whether the OSD is up.
-    pub up: bool,
-}
-
 struct Inner {
     objects: HashMap<ObjectId, Object>,
-    osds: Vec<OsdStats>,
-    /// Per-OSD outage windows `[from, until)` in virtual nanoseconds. An
-    /// OSD is down at instant `t` iff some window contains `t`; the stored
-    /// `OsdStats::up` flag is derived from these at snapshot time.
+    /// Per-OSD outage windows `[from, until)` in virtual nanoseconds, one
+    /// list per OSD. An OSD is down at instant `t` iff some window
+    /// contains `t`.
     outages: Vec<Vec<(u64, u64)>>,
 }
 
@@ -190,8 +160,7 @@ struct OsdObs {
     tl_read: Series,
 }
 
-/// Store-wide observability handles (mirrors of the `IoDelta` atomics,
-/// except these are cumulative and never drained).
+/// Store-wide observability handles: the store's one I/O account.
 #[derive(Debug, Clone)]
 struct StoreObs {
     read_ops: Counter,
@@ -211,10 +180,6 @@ pub struct InMemoryStore {
     /// Current virtual time (ns), as the serving MDS last set it; outage
     /// windows are evaluated against it.
     now: AtomicU64,
-    read_ops: AtomicU64,
-    write_ops: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
     obs: RwLock<Option<StoreObs>>,
 }
 
@@ -226,21 +191,10 @@ impl InMemoryStore {
         InMemoryStore {
             inner: RwLock::new(Inner {
                 objects: HashMap::new(),
-                osds: vec![
-                    OsdStats {
-                        up: true,
-                        ..OsdStats::default()
-                    };
-                    osds
-                ],
                 outages: vec![Vec::new(); osds],
             }),
             replication: replication.clamp(1, osds),
             now: AtomicU64::new(0),
-            read_ops: AtomicU64::new(0),
-            write_ops: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
             obs: RwLock::new(None),
         }
     }
@@ -289,19 +243,13 @@ impl InMemoryStore {
         }
     }
 
-    /// Per-OSD counters snapshot; `up` reflects outage windows at the
-    /// store's current virtual time.
-    pub fn osd_stats(&self) -> Vec<OsdStats> {
+    /// Whether each OSD is up, by index, at the store's current virtual
+    /// time (outside every outage window).
+    pub fn osds_up(&self) -> Vec<bool> {
         let now = self.now.load(Ordering::Relaxed);
         let inner = self.inner.read();
-        inner
-            .osds
-            .iter()
-            .enumerate()
-            .map(|(i, s)| OsdStats {
-                up: inner.osd_up(i, now),
-                ..*s
-            })
+        (0..inner.outages.len())
+            .map(|i| inner.osd_up(i, now))
             .collect()
     }
 
@@ -394,11 +342,11 @@ impl InMemoryStore {
     fn writable<'a>(
         &self,
         objects: &'a mut HashMap<ObjectId, Object>,
-        osd_count: usize,
         outages: &[Vec<(u64, u64)>],
         id: &ObjectId,
         now: u64,
     ) -> Result<&'a mut Object> {
+        let osd_count = outages.len();
         let live = |placement: &[usize]| placement.iter().any(|&o| osd_up_in(outages, o, now));
         match objects.entry(id.clone()) {
             Entry::Occupied(e) if live(&e.get().placement) => Ok(e.into_mut()),
@@ -418,82 +366,21 @@ impl InMemoryStore {
     }
 
     /// Runs `f` with a mutable reference to the object, creating it if
-    /// absent, and charges `write_bytes` to its replicas.
+    /// absent, and charges `write_bytes` to its replicas. With `expected`,
+    /// the write is guarded: the object's current version (0 when absent)
+    /// must equal it, checked under the same lock and before availability.
     fn mutate<R>(
         &self,
         id: &ObjectId,
+        expected: Option<u64>,
         write_bytes: u64,
         f: impl FnOnce(&mut Object) -> R,
     ) -> Result<(R, u64)> {
         let now = self.now.load(Ordering::Relaxed);
         let mut inner = self.inner.write();
-        let Inner {
-            objects,
-            osds,
-            outages,
-        } = &mut *inner;
-        let object = self.writable(objects, osds.len(), outages, id, now)?;
-        let r = f(object);
-        object.version += 1;
-        let version = object.version;
-        let mut replicated = 0u64;
-        for &o in &object.placement {
-            osds[o].bytes_written += write_bytes;
-            osds[o].ops += 1;
-            replicated += write_bytes;
-        }
-        self.write_ops.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(replicated, Ordering::Relaxed);
-        self.obs_charge_write(&object.placement, write_bytes);
-        Ok((r, version))
-    }
-
-    /// Runs `f` with a shared reference to the object and charges
-    /// `read_bytes` to its primary.
-    fn inspect<R>(&self, id: &ObjectId, f: impl FnOnce(&Object) -> (R, u64)) -> Result<R> {
-        let now = self.now.load(Ordering::Relaxed);
-        let mut inner = self.inner.write();
-        let Inner {
-            objects,
-            osds,
-            outages,
-        } = &mut *inner;
-        let object = objects
-            .get(id)
-            .ok_or_else(|| RadosError::NoEnt(id.clone()))?;
-        let live = object
-            .placement
-            .iter()
-            .copied()
-            .find(|&o| osd_up_in(outages, o, now));
-        let Some(primary) = live else {
-            return Err(RadosError::Unavailable(id.clone()));
-        };
-        let (r, read_bytes) = f(object);
-        osds[primary].bytes_read += read_bytes;
-        osds[primary].ops += 1;
-        self.read_ops.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(read_bytes, Ordering::Relaxed);
-        self.obs_charge_read(primary, read_bytes);
-        Ok(r)
-    }
-}
-
-impl ObjectStore for InMemoryStore {
-    fn write_full(&self, id: &ObjectId, data: &[u8]) -> Result<u64> {
-        let bytes = data.len() as u64;
-        let ((), v) = self.mutate(id, bytes, |o| {
-            o.data.clear();
-            o.data.extend_from_slice(data);
-        })?;
-        Ok(v)
-    }
-
-    fn cas_write_full(&self, id: &ObjectId, expected: u64, data: &[u8]) -> Result<u64> {
-        // Check-then-act under one lock: read the current version first.
-        {
-            let inner = self.inner.read();
-            let actual = inner.objects.get(id).map_or(0, |o| o.version);
+        let Inner { objects, outages } = &mut *inner;
+        if let Some(expected) = expected {
+            let actual = objects.get(id).map_or(0, |o| o.version);
             if actual != expected {
                 return Err(RadosError::VersionMismatch {
                     object: id.clone(),
@@ -502,45 +389,58 @@ impl ObjectStore for InMemoryStore {
                 });
             }
         }
-        // A writer could slip in between the check and the mutate; re-check
-        // inside the mutate closure is not possible (mutate bumps first),
-        // so take the write path manually.
-        let now = self.now.load(Ordering::Relaxed);
-        let mut inner = self.inner.write();
-        let Inner {
-            objects,
-            osds,
-            outages,
-        } = &mut *inner;
-        let actual = objects.get(id).map_or(0, |o| o.version);
-        if actual != expected {
-            return Err(RadosError::VersionMismatch {
-                object: id.clone(),
-                expected,
-                actual,
-            });
-        }
-        let object = self.writable(objects, osds.len(), outages, id, now)?;
-        object.data.clear();
-        object.data.extend_from_slice(data);
+        let object = self.writable(objects, outages, id, now)?;
+        let r = f(object);
         object.version += 1;
-        let version = object.version;
-        let bytes = data.len() as u64;
-        let mut replicated = 0u64;
-        for &o in &object.placement {
-            osds[o].bytes_written += bytes;
-            osds[o].ops += 1;
-            replicated += bytes;
-        }
-        self.write_ops.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(replicated, Ordering::Relaxed);
-        self.obs_charge_write(&object.placement, bytes);
-        Ok(version)
+        self.obs_charge_write(&object.placement, write_bytes);
+        Ok((r, object.version))
+    }
+
+    /// Replaces the object's data blob, guarded by `expected` as in
+    /// [`InMemoryStore::mutate`].
+    fn replace(&self, id: &ObjectId, expected: Option<u64>, data: &[u8]) -> Result<u64> {
+        let ((), v) = self.mutate(id, expected, data.len() as u64, |o| {
+            o.data.clear();
+            o.data.extend_from_slice(data);
+        })?;
+        Ok(v)
+    }
+
+    /// Runs `f` with a shared reference to the object and charges
+    /// `read_bytes` to its primary.
+    fn inspect<R>(&self, id: &ObjectId, f: impl FnOnce(&Object) -> (R, u64)) -> Result<R> {
+        let now = self.now.load(Ordering::Relaxed);
+        let inner = self.inner.read();
+        let object = inner
+            .objects
+            .get(id)
+            .ok_or_else(|| RadosError::NoEnt(id.clone()))?;
+        let live = object
+            .placement
+            .iter()
+            .copied()
+            .find(|&o| inner.osd_up(o, now));
+        let Some(primary) = live else {
+            return Err(RadosError::Unavailable(id.clone()));
+        };
+        let (r, read_bytes) = f(object);
+        self.obs_charge_read(primary, read_bytes);
+        Ok(r)
+    }
+}
+
+impl ObjectStore for InMemoryStore {
+    fn write_full(&self, id: &ObjectId, data: &[u8]) -> Result<u64> {
+        self.replace(id, None, data)
+    }
+
+    fn cas_write_full(&self, id: &ObjectId, expected: u64, data: &[u8]) -> Result<u64> {
+        self.replace(id, Some(expected), data)
     }
 
     fn append(&self, id: &ObjectId, data: &[u8]) -> Result<u64> {
         let bytes = data.len() as u64;
-        let ((), v) = self.mutate(id, bytes, |o| o.data.extend_from_slice(data))?;
+        let ((), v) = self.mutate(id, None, bytes, |o| o.data.extend_from_slice(data))?;
         Ok(v)
     }
 
@@ -595,7 +495,7 @@ impl ObjectStore for InMemoryStore {
 
     fn omap_set(&self, id: &ObjectId, key: &str, value: &[u8]) -> Result<u64> {
         let bytes = (key.len() + value.len()) as u64;
-        let ((), v) = self.mutate(id, bytes, |o| {
+        let ((), v) = self.mutate(id, None, bytes, |o| {
             o.omap
                 .insert(key.to_string(), Bytes::copy_from_slice(value));
         })?;
@@ -611,7 +511,8 @@ impl ObjectStore for InMemoryStore {
     }
 
     fn omap_remove(&self, id: &ObjectId, key: &str) -> Result<bool> {
-        let (existed, _) = self.mutate(id, key.len() as u64, |o| o.omap.remove(key).is_some())?;
+        let (existed, _) =
+            self.mutate(id, None, key.len() as u64, |o| o.omap.remove(key).is_some())?;
         Ok(existed)
     }
 
@@ -624,17 +525,8 @@ impl ObjectStore for InMemoryStore {
         })
     }
 
-    fn take_io_delta(&self) -> IoDelta {
-        IoDelta {
-            read_ops: self.read_ops.swap(0, Ordering::Relaxed),
-            write_ops: self.write_ops.swap(0, Ordering::Relaxed),
-            bytes_read: self.bytes_read.swap(0, Ordering::Relaxed),
-            bytes_written: self.bytes_written.swap(0, Ordering::Relaxed),
-        }
-    }
-
     fn attach_obs(&self, reg: &Registry) {
-        let osd_count = self.inner.read().osds.len();
+        let osd_count = self.inner.read().outages.len();
         let tl = reg.timeline();
         let per_osd = (0..osd_count)
             .map(|i| OsdObs {
@@ -713,9 +605,6 @@ mod tests {
             })
             .sum();
         assert!((share - 1.0).abs() < 1e-9, "shares sum to {share}");
-        // The drainable IoDelta is unaffected by mirroring.
-        let d = s.take_io_delta();
-        assert_eq!(d.bytes_written, 10);
     }
 
     #[test]
@@ -790,17 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_multiplies_written_bytes() {
-        let s = InMemoryStore::new(3, 2);
-        s.write_full(&oid("a"), &[0u8; 100]).unwrap();
-        let d = s.take_io_delta();
-        assert_eq!(d.bytes_written, 200);
-        assert_eq!(d.write_ops, 1);
-        // Second snapshot is empty (delta semantics).
-        assert_eq!(s.take_io_delta(), IoDelta::default());
-    }
-
-    #[test]
     fn reads_survive_single_osd_failure_with_replication() {
         let s = InMemoryStore::new(3, 2);
         s.write_full(&oid("a"), b"safe").unwrap();
@@ -852,11 +730,11 @@ mod tests {
         s.set_now(Nanos::from_millis(15));
         assert!(matches!(s.read(&oid("a")), Err(RadosError::Unavailable(_))));
         assert!(!s.exists(&oid("a")));
-        assert!(!s.osd_stats()[holder].up);
+        assert!(!s.osds_up()[holder]);
         // ...and expires when time moves past it — no revive call needed.
         s.set_now(Nanos::from_millis(20));
         assert_eq!(s.read(&oid("a")).unwrap().as_ref(), b"x");
-        assert!(s.osd_stats()[holder].up);
+        assert!(s.osds_up()[holder]);
     }
 
     #[test]

@@ -57,10 +57,18 @@ workload, `paired` records the parent's median and inter-quartile range of
 `ops_per_s_norm`, the median change/parent ratio over the pairs,
 `pairs_won` (pairs where the change was faster) and `pairs`.
 
+A row's absolute columns (`ops_per_s_norm` and the rest, `calib_s`) are
+informational: they disagree across sessions on the same commit by as much
+as x1.36, so a trend is read through pairs. `--chain` prints, per workload,
+the product of `paired.ratio` from the newest row marked `"anchor": true`
+through the last row: the speed of the last commit over the parent of the
+anchor's pairs. A re-anchor marks its paired row `"anchor": true`.
+
     benchmark/run.sh && scripts/bench_wallclock.py --pr 16
     scripts/bench_wallclock.py --check-only        # gate, write nothing
     scripts/bench_wallclock.py --pr N --seed 7 --seconds 5 \
         --pairs parent1.out change1.out parent2.out change2.out ...
+    scripts/bench_wallclock.py --chain             # read the trajectory only
 """
 
 import argparse
@@ -216,6 +224,29 @@ def paired_row(paths, commit, pr, seed, seconds):
     return row
 
 
+def chain(path):
+    """Prints, per workload, the product of the paired ratios from the
+    newest anchor row through the last row; exits 1 without an anchor."""
+    with open(path) as f:
+        rows = json.load(f)["rows"]
+    anchors = [i for i, r in enumerate(rows) if r.get("anchor")]
+    if not anchors:
+        sys.exit(f"{path}: no row is marked \"anchor\": true")
+    links = rows[anchors[-1]:]
+    name = lambda r: f"PR {r['pr']}" if "pr" in r else r["commit"]
+    print(f"chain of {len(links)} paired rows, {name(links[0])} (anchor) to {name(links[-1])}")
+    for w in WORKLOADS:
+        missing = [name(r) for r in links if w not in r.get("paired", {})]
+        if missing:
+            print(f"{w}: broken, no pairs in {', '.join(missing)}")
+            continue
+        ratios = [r["paired"][w]["ratio"] for r in links]
+        product = 1.0
+        for x in ratios:
+            product *= x
+        print(f"{w}: x{product:.4f} ({' x '.join(str(x) for x in ratios)})")
+
+
 def write(path, doc):
     with open(path, "w") as f:
         f.write('{\n  "schema": "%s",\n  "rows": [\n' % doc["schema"])
@@ -270,7 +301,14 @@ def main():
     )
     ap.add_argument("--seed", type=int, help="the paired runs' --seed")
     ap.add_argument("--seconds", type=float, help="the paired runs' --seconds")
+    ap.add_argument(
+        "--chain", action="store_true", help="print the paired ratios chained since the anchor"
+    )
     args = ap.parse_args()
+
+    if args.chain:
+        chain(args.trajectory)
+        return
 
     commit = args.commit or head_commit()
     results = None

@@ -16,8 +16,7 @@ use cudele_client::{DecoupledClient, LocalDisk};
 use cudele_journal::InodeRange;
 use cudele_mds::{ClientId, MetadataServer};
 use cudele_rados::{
-    InMemoryStore, IoDelta, ObjectId, ObjectStat, ObjectStore, PoolId, RadosError,
-    Result as RadosResult,
+    InMemoryStore, ObjectId, ObjectStat, ObjectStore, PoolId, RadosError, Result as RadosResult,
 };
 
 const CLIENT: ClientId = ClientId(1);
@@ -372,7 +371,7 @@ fn journal_io_failure_is_an_io_error_not_enoent() {
     server.create(CLIENT, dir, "f").expect_ok();
 
     let (from, until) = (Nanos::from_millis(1), Nanos::from_millis(2));
-    for osd in 0..os.osd_stats().len() {
+    for osd in 0..os.osds_up().len() {
         os.schedule_outage(osd, from, until);
     }
     // The server's clock is the store's: setting it opens the window.
@@ -602,9 +601,6 @@ impl ObjectStore for FlakyStore {
     }
     fn omap_list(&self, id: &ObjectId) -> RadosResult<Vec<(String, Bytes)>> {
         self.called().omap_list(id)
-    }
-    fn take_io_delta(&self) -> IoDelta {
-        self.inner.take_io_delta()
     }
 }
 
@@ -868,7 +864,7 @@ fn outage_while_enabling_checkpoints_is_an_error_not_a_fresh_namespace() {
         .collect();
     assert!(published.len() >= 10, "five manifests and their images");
 
-    let osds = os.osd_stats().len();
+    let osds = os.osds_up().len();
     (0..osds).for_each(|osd| os.fail_osd(osd));
     let attached = mds.enable_checkpoints(cfg);
     (0..osds).for_each(|osd| os.revive_osd(osd));
@@ -1190,7 +1186,7 @@ fn compactor_pass_below_the_image_span_makes_no_store_calls() {
     assert_eq!(calls(), before);
 }
 
-/// ROADMAP item 2's scenario: the images of epochs e and e−1 are damaged,
+/// A checkpoint-recovery scenario: the images of epochs e and e−1 are damaged,
 /// recovery falls back to e−2, the resumed lineage publishes e−1 again — and
 /// then the HEAD is lost, so the ladder starts from the newest per-epoch copy,
 /// which is the *old* lineage's e. A manifest names only the image written
@@ -1430,8 +1426,8 @@ fn recover_and_check(
     (recovered, watermark)
 }
 
-/// ROADMAP item 2(b), scoped to what this repository's recovery rewrite
-/// touches: for every k, the writer dies after its k-th store mutation —
+/// Crashed at every write, over what checkpointed recovery touches: for
+/// every k, the writer dies after its k-th store mutation —
 /// between a stripe append and the header write, between an image and its
 /// manifest copy, between the copy and the HEAD CAS — and recovery
 /// from what landed, in place and by takeover, holds `recover_and_check`'s
