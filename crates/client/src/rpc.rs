@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use cudele_faults::RetryPolicy;
 use cudele_journal::{FileType, InodeId, InodeRange};
-use cudele_mds::{ClientId, MdsError, MetadataServer, OpCost, Rpc};
+use cudele_mds::{ClientId, Dentry, MdsError, MetadataServer, OpCost, Rpc};
 use cudele_obs::{Counter, Registry};
 use cudele_sim::Nanos;
 
@@ -223,7 +223,8 @@ impl RpcClient {
     }
 
     /// Creates a directory (same cap discipline as file creates; an
-    /// existing directory is returned, mkdir -p style).
+    /// existing directory is returned, mkdir -p style, and any other
+    /// existing name is [`MdsError::Exists`], whatever the cap state).
     pub fn mkdir(
         &mut self,
         server: &mut MetadataServer,
@@ -257,19 +258,19 @@ impl RpcClient {
         costs: &mut Costs,
     ) -> Result<InodeId, MdsError> {
         let mkdir = kind == FileType::Dir;
+        // What an existing dentry means is the one difference: mkdir -p
+        // semantics for a directory, EEXIST for anything else.
+        let existing = |d: Option<Dentry>| match d {
+            Some(d) if mkdir && d.ftype == FileType::Dir => Ok(d.ino),
+            _ => Err(MdsError::Exists {
+                parent: dir,
+                name: name.to_string(),
+            }),
+        };
         if !self.believes_cached(dir) {
             self.lookups_sent += 1;
             if let Some(d) = self.retry_rpc(server, costs, |s, id| s.lookup(id, dir, name))? {
-                // What an existing dentry means is the one difference:
-                // mkdir -p semantics for callers, EEXIST for files.
-                return if mkdir {
-                    Ok(d.ino)
-                } else {
-                    Err(MdsError::Exists {
-                        parent: dir,
-                        name: name.to_string(),
-                    })
-                };
+                return existing(Some(d));
             }
         }
         let reply = if mkdir {
@@ -282,7 +283,16 @@ impl RpcClient {
         // cache: any error drops it.
         let has_cache = reply.as_ref().is_ok_and(|r| r.has_cache);
         self.cached.insert(dir, has_cache);
-        reply.map(|r| r.ino)
+        match reply {
+            Ok(r) => Ok(r.ino),
+            // The server's EEXIST does not say what the name is; a mkdir
+            // asks, so both cap states answer alike.
+            Err(MdsError::Exists { .. }) if mkdir => {
+                self.lookups_sent += 1;
+                existing(self.retry_rpc(server, costs, |s, id| s.lookup(id, dir, name))?)
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Polls a directory's entry count with `readdir` (the "check progress
@@ -395,6 +405,33 @@ mod tests {
         let mut c2 = RpcClient::mount(&mut srv, ClientId(2)).0;
         let d2 = c2.mkdir(&mut srv, root, "x").result.unwrap();
         assert_eq!(d1, d2);
+    }
+
+    #[test]
+    fn mkdir_over_an_existing_name_answers_alike_warm_or_cold() {
+        let root = InodeId::ROOT;
+        for cold in [false, true] {
+            for name in ["x", "f"] {
+                let mut srv = server();
+                let (mut owner, _) = RpcClient::mount(&mut srv, ClientId(1));
+                let dir = owner.mkdir(&mut srv, root, "x").result.unwrap();
+                owner.create(&mut srv, root, "f").result.unwrap();
+                let mut c = if cold {
+                    RpcClient::mount(&mut srv, ClientId(2)).0
+                } else {
+                    owner
+                };
+                assert_eq!(c.believes_cached(root), !cold);
+                let got = c.mkdir(&mut srv, root, name).result;
+                match name {
+                    "x" => assert!(matches!(got, Ok(ino) if ino == dir), "cold={cold}: {got:?}"),
+                    _ => assert!(
+                        matches!(got, Err(MdsError::Exists { .. })),
+                        "cold={cold}: mkdir over a file gave {got:?}"
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

@@ -83,30 +83,97 @@ impl Gauge {
     }
 }
 
-/// Number of histogram buckets: one for zero plus one per power of two of
+/// Number of sketch buckets: one for zero plus one per power of two of
 /// the 64-bit value range.
 const HIST_BUCKETS: usize = 65;
 
-#[derive(Debug)]
-struct HistData {
+/// The one log-bucket summary of a `u64` sample stream, behind both
+/// [`Histogram`] and the timeline's per-window latency points. `merge` is
+/// the fold: two sketches merged equal one sketch fed both streams.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sketch {
     /// `buckets[0]` counts zeros; `buckets[k]` counts values in
     /// `[2^(k-1), 2^k)`.
     buckets: [u64; HIST_BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
+    pub(crate) count: u64,
+    pub(crate) sum: u64,
+    pub(crate) min: u64,
+    pub(crate) max: u64,
 }
 
-impl HistData {
-    fn new() -> HistData {
-        HistData {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
+impl Sketch {
+    pub(crate) const EMPTY: Sketch = Sketch {
+        buckets: [0; HIST_BUCKETS],
+        count: 0,
+        sum: 0,
+        min: u64::MAX,
+        max: 0,
+    };
+
+    pub(crate) fn record(&mut self, v: u64) {
+        self.buckets[(64 - v.leading_zeros()) as usize] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    pub(crate) fn merge(&mut self, other: &Sketch) {
+        for (b, ob) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *b += ob;
         }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// The `q`-th percentile (`q` in `[0, 100]`).
+    ///
+    /// Degenerate inputs get well-defined answers instead of
+    /// bucket-boundary artifacts: an empty sketch returns `0.0`, a single
+    /// sample returns it exactly, and when every sample is equal the value
+    /// is returned exactly. Otherwise the rank's owning bucket is
+    /// interpolated between its bounds *clamped to the observed
+    /// `[min, max]`* — so an all-one-bucket sketch sweeps the observed
+    /// range rather than the bucket's, p0 lands on `min`, and p100 on
+    /// `max`.
+    pub(crate) fn percentile(&self, q: f64) -> f64 {
+        let (count, min, max) = (self.count, self.min, self.max);
+        if count == 0 {
+            return 0.0;
+        }
+        if count == 1 || min == max {
+            return min as f64;
+        }
+        let rank = (q / 100.0).clamp(0.0, 1.0) * (count as f64 - 1.0);
+        // Rank extremes are known exactly regardless of bucketing.
+        if rank <= 0.0 {
+            return min as f64;
+        }
+        if rank >= count as f64 - 1.0 {
+            return max as f64;
+        }
+        let mut cum = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            if (cum + c) as f64 - 1.0 >= rank {
+                let (lo, hi) = bucket_bounds(i);
+                let lo = lo.max(min) as f64;
+                let hi = hi.min(max) as f64;
+                let frac = if c > 1 {
+                    ((rank - cum as f64) / (c as f64 - 1.0)).clamp(0.0, 1.0)
+                } else {
+                    0.5
+                };
+                let v = lo + frac * (hi - lo);
+                return v.clamp(min as f64, max as f64);
+            }
+            cum += c;
+        }
+        max as f64
     }
 }
 
@@ -121,83 +188,23 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
     }
 }
 
-/// The `q`-th percentile (`q` in `[0, 100]`) of a log-bucketed sample set
-/// with known exact `count`/`min`/`max`. Shared by [`Histogram`] and the
-/// per-window latency points in [`timeline`].
-///
-/// Degenerate inputs get well-defined answers instead of bucket-boundary
-/// artifacts: an empty set returns `0.0`, a single sample returns it
-/// exactly, and when every sample is equal the value is returned exactly.
-/// Otherwise the rank's owning bucket is interpolated between its bounds
-/// *clamped to the observed `[min, max]`* — so an all-one-bucket
-/// histogram sweeps the observed range rather than the bucket's, p0
-/// lands on `min`, and p100 on `max`.
-pub(crate) fn bucket_percentile(
-    buckets: &[u64; HIST_BUCKETS],
-    count: u64,
-    min: u64,
-    max: u64,
-    q: f64,
-) -> f64 {
-    if count == 0 {
-        return 0.0;
-    }
-    if count == 1 || min == max {
-        return min as f64;
-    }
-    let rank = (q / 100.0).clamp(0.0, 1.0) * (count as f64 - 1.0);
-    // Rank extremes are known exactly regardless of bucketing.
-    if rank <= 0.0 {
-        return min as f64;
-    }
-    if rank >= count as f64 - 1.0 {
-        return max as f64;
-    }
-    let mut cum = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        if (cum + c) as f64 - 1.0 >= rank {
-            let (lo, hi) = bucket_bounds(i);
-            let lo = lo.max(min) as f64;
-            let hi = hi.min(max) as f64;
-            let frac = if c > 1 {
-                ((rank - cum as f64) / (c as f64 - 1.0)).clamp(0.0, 1.0)
-            } else {
-                0.5
-            };
-            let v = lo + frac * (hi - lo);
-            return v.clamp(min as f64, max as f64);
-        }
-        cum += c;
-    }
-    max as f64
-}
-
 /// A log-bucketed histogram of `u64` samples (typically nanoseconds).
 /// Buckets are powers of two, so `record` is O(1) and percentiles are
 /// bucket-interpolated approximations clamped to the exact observed
 /// `[min, max]`. Cloning shares the underlying data.
 #[derive(Debug, Clone)]
-pub struct Histogram(Arc<Lock<HistData>>);
+pub struct Histogram(Arc<Lock<Sketch>>);
 
 impl Default for Histogram {
     fn default() -> Histogram {
-        Histogram(Arc::new(Lock::new(HistData::new())))
+        Histogram(Arc::new(Lock::new(Sketch::EMPTY)))
     }
 }
 
 impl Histogram {
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let mut d = self.0.lock();
-        let idx = (64 - v.leading_zeros()) as usize;
-        d.buckets[idx] += 1;
-        d.count += 1;
-        d.sum = d.sum.saturating_add(v);
-        d.min = d.min.min(v);
-        d.max = d.max.max(v);
+        self.0.lock().record(v);
     }
 
     /// Number of samples recorded.
@@ -228,36 +235,17 @@ impl Histogram {
     /// The `q`-th percentile (`q` in `[0, 100]`), interpolated within the
     /// owning bucket with bounds clamped to the observed range. Edge
     /// cases are well-defined: `0.0` when empty, the exact sample when
-    /// `count == 1` or all samples are equal (see `bucket_percentile`).
+    /// `count == 1` or all samples are equal.
     pub fn percentile(&self, q: f64) -> f64 {
-        let d = self.0.lock();
-        bucket_percentile(&d.buckets, d.count, d.min, d.max, q)
+        self.0.lock().percentile(q)
     }
 
     /// Folds another histogram's samples into this one (bucket-wise). Used
     /// when merging per-task registries back into a session registry.
     pub fn merge_from(&self, other: &Histogram) {
-        let o = {
-            let d = other.0.lock();
-            HistData {
-                buckets: d.buckets,
-                count: d.count,
-                sum: d.sum,
-                min: d.min,
-                max: d.max,
-            }
-        };
-        if o.count == 0 {
-            return;
-        }
-        let mut d = self.0.lock();
-        for (b, ob) in d.buckets.iter_mut().zip(o.buckets.iter()) {
-            *b += ob;
-        }
-        d.count += o.count;
-        d.sum = d.sum.saturating_add(o.sum);
-        d.min = d.min.min(o.min);
-        d.max = d.max.max(o.max);
+        // Copied out first: `other` may share this histogram's lock.
+        let o = *other.0.lock();
+        self.0.lock().merge(&o);
     }
 
     /// Median.

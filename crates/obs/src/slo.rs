@@ -173,7 +173,8 @@ impl SloSpec {
     }
 }
 
-/// Parses a threshold literal with an optional unit suffix.
+/// Parses a threshold literal with an optional unit suffix. The value in
+/// base units must be finite: `render` could not spell anything else.
 fn parse_value(s: &str) -> Result<f64, String> {
     let (num, mult) = if let Some(n) = s.strip_suffix("ns") {
         (n, 1.0)
@@ -190,8 +191,10 @@ fn parse_value(s: &str) -> Result<f64, String> {
     };
     num.trim()
         .parse::<f64>()
+        .ok()
         .map(|v| v * mult)
-        .map_err(|_| format!("bad value {s:?}"))
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| format!("bad value {s:?}"))
 }
 
 /// One deterministic alert: the burn-rate condition became true at this

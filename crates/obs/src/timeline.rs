@@ -3,6 +3,12 @@
 //! as last-value, and latency distributions as per-window log-bucket
 //! percentiles.
 //!
+//! A window stores only what its point reports: a rate window its event
+//! count, a gauge window its last value, and a latency window the crate's
+//! one log-bucket sketch (the same one behind [`crate::Histogram`]) plus
+//! the worst sample's `trace_id`. No window keeps a sum, and the worst
+//! sample is the sketch's `max`.
+//!
 //! Whole-run aggregates (the `Registry` counters/histograms) hide
 //! transients: a run that collapses for 10% of virtual time and recovers
 //! is indistinguishable from a uniformly mediocre one. The timeline keeps
@@ -23,9 +29,9 @@
 //!   the drops are counted — never silent.
 //! * Merging per-task timelines in input order reproduces serial
 //!   recording exactly: per-window counts add, gauge last-values are
-//!   last-write-wins in merge order, latency buckets add, and the worst
-//!   sample's `trace_id` is rebased by the same span-id offset the span
-//!   log uses.
+//!   last-write-wins in merge order, latency sketches merge (the same
+//!   fold [`crate::Histogram::merge_from`] uses), and the worst sample's
+//!   `trace_id` is rebased by the same span-id offset the span log uses.
 //!
 //! Serialization is the schema-versioned [`SCHEMA`] (`cudele-timeline/v1`)
 //! JSON document; [`TimelineSnapshot::parse`] reads it back for the
@@ -40,7 +46,7 @@ use crate::json::Layout::{Inline, Pretty};
 use crate::json::{self, Writer};
 use crate::lock::Lock;
 use crate::slo::SloOutcome;
-use crate::{bucket_percentile, HIST_BUCKETS};
+use crate::Sketch;
 
 /// Schema tag stamped into every serialized timeline.
 pub const SCHEMA: &str = "cudele-timeline/v1";
@@ -79,33 +85,26 @@ impl SeriesKind {
     }
 }
 
-/// Per-window aggregate. Only `Latency` windows allocate buckets.
+/// Per-window aggregate: only what a snapshot reports. A rate window
+/// reads `count`, a gauge window `last_bits`; only a latency window
+/// allocates, for its sketch.
 #[derive(Debug)]
 struct Window {
     count: u64,
-    sum: u64,
     /// Gauge last-value, as `f64` bits (write order decides).
     last_bits: u64,
-    min: u64,
-    max: u64,
-    buckets: Option<Box<[u64; HIST_BUCKETS]>>,
-    /// Worst (largest) latency sample in the window; first occurrence
-    /// wins ties so recording order — not merge shape — decides.
-    worst: u64,
-    worst_trace: u64,
+    /// Latency samples, and the `trace_id` of the window's worst one —
+    /// the first occurrence of `max`, so recording order, not merge
+    /// shape, decides ties.
+    latency: Option<Box<(Sketch, u64)>>,
 }
 
 impl Window {
     fn new() -> Window {
         Window {
             count: 0,
-            sum: 0,
             last_bits: 0f64.to_bits(),
-            min: u64::MAX,
-            max: 0,
-            buckets: None,
-            worst: 0,
-            worst_trace: 0,
+            latency: None,
         }
     }
 }
@@ -235,10 +234,7 @@ impl TimelineData {
     }
 
     fn add(&mut self, slot: u32, t: Nanos, n: u64) {
-        self.record(slot, SeriesKind::Rate, t, n, |w| {
-            w.count += n;
-            w.sum = w.sum.saturating_add(n);
-        });
+        self.record(slot, SeriesKind::Rate, t, n, |w| w.count += n);
     }
 
     fn set(&mut self, slot: u32, t: Nanos, v: f64) {
@@ -250,16 +246,14 @@ impl TimelineData {
 
     fn sample(&mut self, slot: u32, t: Nanos, v: u64, trace_id: u64) {
         self.record(slot, SeriesKind::Latency, t, 1, |w| {
-            let buckets = w.buckets.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]));
-            buckets[(64 - v.leading_zeros()) as usize] += 1;
-            w.count += 1;
-            w.sum = w.sum.saturating_add(v);
-            w.min = w.min.min(v);
-            w.max = w.max.max(v);
-            if v > w.worst || w.count == 1 {
-                w.worst = v;
-                w.worst_trace = trace_id;
+            let (sketch, worst_trace) = &mut **w
+                .latency
+                .get_or_insert_with(|| Box::new((Sketch::EMPTY, 0)));
+            if v > sketch.max || sketch.count == 0 {
+                *worst_trace = trace_id;
             }
+            sketch.record(v);
+            w.count += 1;
         });
     }
 }
@@ -437,30 +431,26 @@ impl Timeline {
                     dst.windows_dropped += w.count;
                     continue;
                 };
-                d.sum = d.sum.saturating_add(w.sum);
-                d.min = d.min.min(w.min);
-                d.max = d.max.max(w.max);
                 if w.count > 0 {
                     // Serial order is self's records then other's, so
                     // other's last gauge write wins.
                     d.last_bits = w.last_bits;
                 }
-                if let Some(src_b) = &w.buckets {
-                    let b = d.buckets.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]));
-                    for (x, y) in b.iter_mut().zip(src_b.iter()) {
-                        *x += y;
+                if let Some((sketch, trace)) = w.latency.as_deref() {
+                    let trace = if *trace == 0 { 0 } else { trace + trace_offset };
+                    match d.latency.as_deref_mut() {
+                        // Strictly-greater keeps the first occurrence of
+                        // the maximum, which in serial order is self's.
+                        Some((into, worst_trace)) => {
+                            if sketch.max > into.max {
+                                *worst_trace = trace;
+                            }
+                            into.merge(sketch);
+                        }
+                        // A window this merge just created takes other's
+                        // outright.
+                        None => d.latency = Some(Box::new((*sketch, trace))),
                     }
-                }
-                // Strictly-greater keeps the first occurrence of the
-                // maximum, which in serial order is self's; a window this
-                // merge just created takes other's outright.
-                if w.worst > d.worst || d.count == 0 {
-                    d.worst = w.worst;
-                    d.worst_trace = if w.worst_trace == 0 {
-                        0
-                    } else {
-                        w.worst_trace + trace_offset
-                    };
                 }
                 d.count += w.count;
             }
@@ -504,14 +494,15 @@ impl Timeline {
                             last: f64::from_bits(w.last_bits),
                         },
                         SeriesKind::Latency => {
-                            let b = w.buckets.as_deref().unwrap_or(&[0; HIST_BUCKETS]);
+                            let (s, worst_trace) =
+                                w.latency.as_deref().unwrap_or(&(Sketch::EMPTY, 0));
                             PointStat::Latency {
                                 count: w.count,
-                                p50: bucket_percentile(b, w.count, w.min, w.max, 50.0),
-                                p95: bucket_percentile(b, w.count, w.min, w.max, 95.0),
-                                p99: bucket_percentile(b, w.count, w.min, w.max, 99.0),
-                                max: w.max,
-                                worst_trace_id: w.worst_trace,
+                                p50: s.percentile(50.0),
+                                p95: s.percentile(95.0),
+                                p99: s.percentile(99.0),
+                                max: s.max,
+                                worst_trace_id: *worst_trace,
                             }
                         }
                     },
@@ -819,6 +810,12 @@ impl TimelineSnapshot {
 mod tests {
     use super::*;
     use crate::Registry;
+
+    #[test]
+    fn a_window_stores_only_what_its_point_reports() {
+        // count, the gauge's bits and the latency box: nothing else.
+        assert_eq!(std::mem::size_of::<Window>(), 24);
+    }
 
     #[test]
     fn windows_aggregate_by_kind() {

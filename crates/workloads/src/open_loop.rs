@@ -37,6 +37,9 @@ pub const DEFAULT_DIRS: u32 = 64;
 pub const DEFAULT_SEED: u64 = 0xC0DE1E;
 /// Default batch size for the `bursty` arrival kind.
 pub const DEFAULT_BURST: u32 = 16;
+/// Most hot directories a spec may name: [`ZipfSelector`] builds its table
+/// up front, one `f64` per directory.
+const MAX_DIRS: u32 = 1 << 20;
 
 /// Parsed form of an `--arrival` specification.
 ///
@@ -47,6 +50,9 @@ pub const DEFAULT_BURST: u32 = 16;
 ///                           [,burst=<B>][,diurnal=<period_s>:<amp>][,seed=<N>]
 /// bursty:rate=...            (same options; burst defaults to 16)
 /// ```
+///
+/// `dirs` is at most 2^20, and a diurnal period must be at least 1 ns
+/// once converted to the virtual clock's nanoseconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalSpec {
     /// Mean arrival rate in clients per simulated second (counting every
@@ -129,7 +135,11 @@ impl ArrivalSpec {
                             "arrival diurnal amplitude must be in [0,1), got `{a}`"
                         ));
                     }
-                    spec.diurnal = Some((Nanos((period_s * 1e9) as u64), amp));
+                    let period = Nanos((period_s * 1e9) as u64);
+                    if period.0 == 0 {
+                        return Err(format!("arrival diurnal period must be >= 1ns, got `{p}`"));
+                    }
+                    spec.diurnal = Some((period, amp));
                 }
                 other => return Err(format!("unknown arrival option `{other}`")),
             }
@@ -139,6 +149,12 @@ impl ArrivalSpec {
         }
         if spec.dirs == 0 || spec.tenants == 0 || spec.burst == 0 {
             return Err("arrival dirs/tenants/burst must be >= 1".to_string());
+        }
+        if spec.dirs > MAX_DIRS {
+            return Err(format!(
+                "arrival dirs must be <= {MAX_DIRS}, got {}",
+                spec.dirs
+            ));
         }
         Ok(spec)
     }
@@ -289,6 +305,28 @@ mod tests {
         assert!(ArrivalSpec::parse("poisson:rate=5,diurnal=60").is_err());
         assert!(ArrivalSpec::parse("poisson:rate=5,diurnal=60:1.5").is_err());
         assert!(ArrivalSpec::parse("poisson:rate=5,burst=0").is_err());
+    }
+
+    #[test]
+    fn a_diurnal_period_under_one_nanosecond_is_refused() {
+        // It used to truncate to a zero period, and `generate` divided by it.
+        assert!(ArrivalSpec::parse("poisson:rate=10,diurnal=1e-10:0.5").is_err());
+        let one_ns = ArrivalSpec::parse("poisson:rate=10,diurnal=1e-9:0.5").unwrap();
+        assert_eq!(one_ns.diurnal, Some((Nanos(1), 0.5)));
+        assert_eq!(one_ns.generate(8).len(), 8);
+    }
+
+    #[test]
+    fn dirs_past_two_to_the_twenty_are_refused() {
+        // The zipf table is one `f64` per dir, built before the first arrival.
+        assert!(ArrivalSpec::parse("poisson:rate=10,dirs=4294967295").is_err());
+        assert!(ArrivalSpec::parse("poisson:rate=10,dirs=1048577").is_err());
+        assert_eq!(
+            ArrivalSpec::parse("poisson:rate=10,dirs=1048576")
+                .unwrap()
+                .dirs,
+            1 << 20
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@ dentries' names in 4 KiB blocks of its own, so no layer allocates per name
 except the decoupled client's journal event; every ceiling sits just above
 what is left and below what one copy of the name per op would add:
 
-* `rpc_create` <= 0.3 (0.205: the bucket array each new latency window
-  boxes, plus amortised growth). A per-layer copy of the name (the event,
+* `rpc_create` <= 0.3 (0.204: the sketch each new latency window boxes,
+  plus amortised growth). A per-layer copy of the name (the event,
   the history row, the span arg; 7.98 before the logs kept arenas) or a
   boxed dentry name (1.20) adds one per create.
 * `decoupled_merge` <= 1.1 (1.036: the journal event's name). An eagerly
@@ -38,12 +38,13 @@ fixed-width rows they were a 56-byte span plus a 16-byte arg entry each and
 a 96-byte row. Every ceiling sits above what the packed logs leave and
 below what the fixed-width rows cost:
 
-* `rpc_create` <= 1 200 (1 027 packed; 1 719 as rows, ≈ 7 spans and a row
-  per create).
+* `rpc_create` <= 1 200 (994 packed, 1 027 before a timeline window kept
+  only what it reports; 1 719 as rows, ≈ 7 spans and a row per create).
 * `decoupled_merge` <= 720 (632; 842). Its spans are per batch, not per
   create, so the logs are a smaller share of its bytes.
-* `open_loop_churn` <= 2 700 (2 329; 3 671), the logs at capacity.
-* `namespace_mix` <= 950 (802; 1 379).
+* `open_loop_churn` <= 2 700 (2 281, 2 329 before; 3 671), the logs at
+  capacity.
+* `namespace_mix` <= 950 (759, 802 before; 1 379).
 * `failover_recover` <= 450 (414 either way: its timed region records
   neither log). Its bytes are the recovery's own — stripe reads, rebuilt
   tables, the snapshots' paths — so a breach means recovery copies more per
