@@ -98,8 +98,9 @@ fn warm_create_steps_stay_within_the_allocation_budget() {
     // Merge and replay pay per block, not per dentry: 60 000 creates spread
     // round-robin over 16 directories (no run for `apply_blind_all` to
     // reserve ahead of), applied blindly into a fresh store, allocate the
-    // inode table once, then dentry chunks, name blocks and index
-    // doublings.
+    // inode table's index once and its 1 024-inode chunks as they fill
+    // (the first grows by doubling), then dentry chunks, name blocks and
+    // index doublings.
     let mut events: Vec<JournalEvent> = (0..16)
         .map(|d| JournalEvent::Mkdir {
             parent: InodeId::ROOT,

@@ -26,6 +26,8 @@
 
 use cudele_journal::{FileType, InodeId};
 
+use crate::table::{DenseTable, Probe, Tagged};
+
 /// One directory entry: the name maps to an inode and its type. (CephFS
 /// embeds the whole inode in the dentry; we keep inodes in the store's
 /// inode table and embed only the identity, which is equivalent for the
@@ -119,6 +121,12 @@ impl Entry {
     }
 }
 
+impl Tagged for Entry {
+    fn tag(&self) -> u32 {
+        self.table
+    }
+}
+
 /// Bytes per name block.
 const BLOCK: usize = 4096;
 
@@ -180,122 +188,29 @@ impl NameArena {
         self.dead += len;
         self.dead > BLOCK && self.dead > self.live
     }
-
-    /// Bytes written into the blocks, live and dead.
-    #[cfg(test)]
-    fn held(&self) -> usize {
-        self.blocks.iter().map(String::len).sum()
-    }
 }
 
-/// Dentries per storage chunk.
+/// Dentries per storage chunk. A larger chunk leaves a populated directory
+/// still reallocating its first chunk as later creates land.
 const CHUNK: usize = 64;
-/// Smallest index allocated.
-const MIN_SLOTS: usize = 8;
 
-/// What a probe for a name ends on.
-enum Probe {
-    /// The name is stored: its index slot and entry position.
-    Found { slot: usize, pos: usize },
-    /// The name is absent; `slot` is the vacant index slot it would take.
-    Vacant { slot: usize },
-}
-
-/// Name → dentry hash table: an open-addressed index over densely stored
-/// entries.
-///
-/// * `slots` is linear-probed, a power of two long and at most 3/4 full.
-///   A slot is `0` when vacant, else `table hash << 32 | position + 1`, so
-///   a miss is decided inside the index and a hit reads exactly one entry.
-///   Removal shifts the probe run back instead of leaving tombstones.
-/// * Entries live in fixed-size chunks that are never reallocated once
-///   full, so a directory's growth copies only its (8 bytes per slot)
-///   index — a flat `Vec<Entry>` would re-copy every dentry at each
-///   doubling and allocate about twice the bytes a `BTreeMap` does.
-///   Removal swaps the last entry into the hole; order is not meaningful.
-/// * Names live in `names`, the directory's arena; an entry records where.
+/// Name → dentry hash table: the [`DenseTable`] of a directory's entries,
+/// tagged by the table hash, plus the arena their names live in (an entry
+/// records where).
 #[derive(Debug, Clone, Default)]
 struct NameTable {
-    slots: Vec<u64>,
-    chunks: Vec<Vec<Entry>>,
-    len: usize,
+    entries: DenseTable<Entry, CHUNK>,
     names: NameArena,
 }
 
 impl NameTable {
-    fn entry(&self, pos: usize) -> &Entry {
-        &self.chunks[pos / CHUNK][pos % CHUNK]
-    }
-
-    fn entry_mut(&mut self, pos: usize) -> &mut Entry {
-        &mut self.chunks[pos / CHUNK][pos % CHUNK]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.chunks.iter().flatten()
-    }
-
-    fn slot_value(hash: u32, pos: usize) -> u64 {
-        let tagged = u32::try_from(pos + 1).expect("a directory holds fewer than 2^32 dentries");
-        u64::from(hash) << 32 | u64::from(tagged)
-    }
-
     fn probe(&self, hash: NameHash, name: &str) -> Probe {
-        debug_assert!(!self.slots.is_empty());
-        let mask = self.slots.len() - 1;
-        let mut slot = hash.table as usize & mask;
-        loop {
-            let s = self.slots[slot];
-            if s == 0 {
-                return Probe::Vacant { slot };
-            }
-            if (s >> 32) as u32 == hash.table {
-                let pos = (s as u32 - 1) as usize;
-                if self.names.get(self.entry(pos)) == name {
-                    return Probe::Found { slot, pos };
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
+        self.entries
+            .probe(hash.table, |e| self.names.get(e) == name)
     }
 
     fn find(&self, hash: NameHash, name: &str) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        match self.probe(hash, name) {
-            Probe::Found { pos, .. } => Some(pos),
-            Probe::Vacant { .. } => None,
-        }
-    }
-
-    /// Index length that keeps `entries` dentries at or under 3/4 load.
-    fn slots_for(entries: usize) -> usize {
-        (entries * 4).div_ceil(3).next_power_of_two().max(MIN_SLOTS)
-    }
-
-    /// Makes room for `additional` more dentries without growing the
-    /// index again.
-    fn reserve(&mut self, additional: usize) {
-        let entries = self.len + additional;
-        if entries * 4 > self.slots.len() * 3 {
-            self.rebuild_index(NameTable::slots_for(entries));
-        }
-    }
-
-    /// Re-buckets every stored slot into an index `new_len` long. Reads
-    /// only the old index: the tag in each slot is the hash.
-    fn rebuild_index(&mut self, new_len: usize) {
-        let mask = new_len - 1;
-        let mut slots = vec![0u64; new_len];
-        for &s in self.slots.iter().filter(|&&s| s != 0) {
-            let mut i = (s >> 32) as usize & mask;
-            while slots[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            slots[i] = s;
-        }
-        self.slots = slots;
+        self.entries.find(hash.table, |e| self.names.get(e) == name)
     }
 
     /// Stores a new dentry at the vacant `slot` a probe returned.
@@ -310,73 +225,24 @@ impl NameTable {
             frag: hash.frag,
             ftype: dentry.ftype,
         };
-        self.slots[slot] = NameTable::slot_value(entry.table, self.len);
-        let chunk = self.len / CHUNK;
-        if chunk == self.chunks.len() {
-            // The first chunk grows like any `Vec` (small directories stay
-            // small); later ones are allocated whole.
-            self.chunks.push(if chunk == 0 {
-                Vec::new()
-            } else {
-                Vec::with_capacity(CHUNK)
-            });
-        }
-        self.chunks[chunk].push(entry);
-        self.len += 1;
+        self.entries.push(slot, entry);
     }
 
-    /// Removes the dentry a probe found.
-    fn remove_at(&mut self, slot: usize, pos: usize) -> Dentry {
-        // Close the gap in the probe run: any later slot whose home is at
-        // or before the hole moves back into it.
-        let mask = self.slots.len() - 1;
-        let mut hole = slot;
-        let mut next = slot;
-        loop {
-            next = (next + 1) & mask;
-            let s = self.slots[next];
-            if s == 0 {
-                break;
-            }
-            let home = (s >> 32) as usize & mask;
-            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
-                self.slots[hole] = s;
-                hole = next;
-            }
-        }
-        self.slots[hole] = 0;
-
-        let last = self.len - 1;
-        let tail = self.chunks[last / CHUNK]
-            .pop()
-            .expect("the last position holds an entry");
-        self.len = last;
-        // Keep at most one spare chunk so a directory hovering at a chunk
-        // boundary does not allocate on every other op.
-        self.chunks.truncate(last / CHUNK + 2);
-        let removed = if pos == last {
-            tail
-        } else {
-            // Re-point the moved entry's slot at its new position.
-            let from = NameTable::slot_value(tail.table, last);
-            let mut i = tail.table as usize & mask;
-            while self.slots[i] != from {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = NameTable::slot_value(tail.table, pos);
-            std::mem::replace(self.entry_mut(pos), tail)
-        };
+    fn remove(&mut self, hash: NameHash, name: &str) -> Option<Dentry> {
+        let removed = self
+            .entries
+            .swap_remove(hash.table, |e| self.names.get(e) == name)?;
         if self.names.release(removed.len as usize) {
             self.compact_names();
         }
-        removed.dentry()
+        Some(removed.dentry())
     }
 
     /// Re-packs the live names into fresh blocks, in entry order, and
     /// points every entry at its copy.
     fn compact_names(&mut self) {
         let old = std::mem::take(&mut self.names);
-        for e in self.chunks.iter_mut().flatten() {
+        for e in self.entries.iter_mut() {
             (e.block, e.offset) = self.names.push(old.get(e));
         }
     }
@@ -463,7 +329,7 @@ pub struct Dir {
     /// `mds_bal_split_size` default is 10000.
     split_threshold: usize,
     /// Dentries per fragment. Empty while the directory is unsplit (its
-    /// one fragment holds `table.len`), so a new directory allocates
+    /// one fragment holds every dentry), so a new directory allocates
     /// nothing.
     frag_len: Vec<u32>,
 }
@@ -490,12 +356,12 @@ impl Dir {
 
     /// Number of dentries across all fragments.
     pub fn len(&self) -> usize {
-        self.table.len
+        self.table.entries.len()
     }
 
     /// Whether the directory holds no dentries.
     pub fn is_empty(&self) -> bool {
-        self.table.len == 0
+        self.len() == 0
     }
 
     /// Number of fragments (always a power of two).
@@ -507,7 +373,7 @@ impl Dir {
     pub fn get(&self, name: &str) -> Option<Dentry> {
         self.table
             .find(NameHash::of(name), name)
-            .map(|pos| self.table.entry(pos).dentry())
+            .map(|pos| self.table.entries.entry(pos).dentry())
     }
 
     /// Whether the name exists.
@@ -519,10 +385,10 @@ impl Dir {
     /// already had — the blind-merge discipline.
     pub fn insert(&mut self, name: &str, dentry: Dentry) -> Option<Dentry> {
         let hash = NameHash::of(name);
-        self.table.reserve(1);
+        self.table.entries.reserve(1);
         match self.table.probe(hash, name) {
             Probe::Found { pos, .. } => {
-                let e = self.table.entry_mut(pos);
+                let e = self.table.entries.entry_mut(pos);
                 let prev = e.dentry();
                 e.ino = dentry.ino;
                 e.ftype = dentry.ftype;
@@ -531,7 +397,7 @@ impl Dir {
             Probe::Vacant { slot } => {
                 self.table.push(slot, name, hash, dentry);
                 let in_frag = if self.bits == 0 {
-                    self.table.len
+                    self.table.entries.len()
                 } else {
                     let n = &mut self.frag_len[hash.frag_index(self.bits)];
                     *n += 1;
@@ -548,13 +414,7 @@ impl Dir {
     /// Removes a dentry by name.
     pub fn remove(&mut self, name: &str) -> Option<Dentry> {
         let hash = NameHash::of(name);
-        if self.table.len == 0 {
-            return None;
-        }
-        let Probe::Found { slot, pos } = self.table.probe(hash, name) else {
-            return None;
-        };
-        let removed = self.table.remove_at(slot, pos);
+        let removed = self.table.remove(hash, name)?;
         if self.bits > 0 {
             self.frag_len[hash.frag_index(self.bits)] -= 1;
         }
@@ -564,7 +424,7 @@ impl Dir {
     /// Makes room for `additional` more dentries up front (bulk paths that
     /// know how many creates are coming).
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.table.reserve(additional);
+        self.table.entries.reserve(additional);
     }
 
     /// The directory's one name order: every dentry's position, sorted by
@@ -585,22 +445,22 @@ impl Dir {
             key[..n].copy_from_slice(&rest[..n]);
             u64::from_be_bytes(key)
         }
-        let table = &self.table;
-        let name_at = |pos: u32| table.names.get(table.entry(pos as usize)).as_bytes();
-        let mut names = table.iter().map(|e| table.names.get(e).as_bytes());
-        let first = names.next().unwrap_or_default();
+        let NameTable { entries, names } = &self.table;
+        let name_at = |pos: u32| names.get(entries.entry(pos as usize)).as_bytes();
+        let mut all = entries.iter().map(|e| names.get(e).as_bytes());
+        let first = all.next().unwrap_or_default();
         // `None` ends the pass as soon as no byte is shared.
-        let skip = names
+        let skip = all
             .try_fold(first.len(), |skip, name| {
                 let shared = first[..skip].iter().zip(name).take_while(|(a, b)| a == b);
                 Some(shared.count()).filter(|&n| n > 0)
             })
             .unwrap_or(0);
-        let mut keys: Vec<(u64, u32)> = Vec::with_capacity(table.len);
-        keys.extend((0..).zip(table.iter()).map(|(pos, e)| {
+        let mut keys: Vec<(u64, u32)> = Vec::with_capacity(entries.len());
+        keys.extend((0..).zip(entries.iter()).map(|(pos, e)| {
             // Every name is at least `skip` bytes long; `get` reads it
             // without a panic path.
-            let name = table.names.get(e).as_bytes();
+            let name = names.get(e).as_bytes();
             (key(name.get(skip..).unwrap_or_default()), pos)
         }));
         keys.sort_unstable_by(|&(a, i), &(b, j)| {
@@ -611,10 +471,10 @@ impl Dir {
 
     /// All dentries in name order, names borrowed.
     pub(crate) fn sorted(&self) -> impl DoubleEndedIterator<Item = (&str, Dentry)> + '_ {
-        let table = &self.table;
+        let NameTable { entries, names } = &self.table;
         self.order().into_iter().map(move |(_, pos)| {
-            let e = table.entry(pos as usize);
-            (table.names.get(e), e.dentry())
+            let e = entries.entry(pos as usize);
+            (names.get(e), e.dentry())
         })
     }
 
@@ -626,7 +486,7 @@ impl Dir {
         // The order's pairs become the rows in place (both 16 bytes,
         // 8-aligned), and both were sized exactly, so boxing moves nothing.
         let rows = Vec::from_iter(self.order().into_iter().map(|(_, pos)| {
-            let e = table.entry(pos as usize);
+            let e = table.entries.entry(pos as usize);
             names.push_str(table.names.get(e));
             let end = u32::try_from(names.len()).expect("a listing's names fit in 4 GiB");
             let Dentry { ino, ftype } = e.dentry();
@@ -642,7 +502,7 @@ impl Dir {
     /// writes one object per fragment).
     pub fn fragments(&self) -> impl Iterator<Item = (u32, DirFragment<'_>)> {
         let mut frags: Vec<Vec<(&str, Dentry)>> = if self.bits == 0 {
-            vec![Vec::with_capacity(self.table.len)]
+            vec![Vec::with_capacity(self.len())]
         } else {
             self.frag_len
                 .iter()
@@ -651,7 +511,7 @@ impl Dir {
         };
         // Split in name order, so each fragment comes out sorted.
         for (_, pos) in self.order() {
-            let e = self.table.entry(pos as usize);
+            let e = self.table.entries.entry(pos as usize);
             frags[e.hash().frag_index(self.bits)].push((self.table.names.get(e), e.dentry()));
         }
         (0..)
@@ -666,7 +526,7 @@ impl Dir {
         }
         self.bits += 1;
         self.frag_len = vec![0; 1 << self.bits];
-        for e in self.table.iter() {
+        for e in self.table.entries.iter() {
             self.frag_len[e.hash().frag_index(self.bits)] += 1;
         }
     }
@@ -682,6 +542,13 @@ impl Default for Dir {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    impl NameArena {
+        /// Bytes written into the blocks, live and dead.
+        fn held(&self) -> usize {
+            self.blocks.iter().map(String::len).sum()
+        }
+    }
 
     fn dentry(i: u64) -> Dentry {
         Dentry {
@@ -793,7 +660,7 @@ mod tests {
 
     /// Removal keeps every other name reachable (backward-shift in the
     /// index, swap-remove in the chunks), across chunk boundaries and
-    /// index growth, and a reserved table never re-grows.
+    /// index growth.
     #[test]
     fn churn_keeps_the_table_consistent() {
         let mut d = Dir::with_split_threshold(16);
@@ -823,14 +690,6 @@ mod tests {
         }
         let per_frag: usize = d.fragments().map(|(_, f)| f.len()).sum();
         assert_eq!(per_frag, live.len());
-
-        let mut r = Dir::new();
-        r.reserve(1000);
-        let slots = r.table.slots.len();
-        for i in 0..1000u64 {
-            r.insert(&format!("n{i}"), dentry(i));
-        }
-        assert_eq!(r.table.slots.len(), slots);
     }
 
     /// The table hash must spread the name families the workloads use over

@@ -7,7 +7,12 @@
 //! that as an opaque serialized policy blob on the inode — the core crate
 //! owns the blob's schema, the MDS just stores, journals, and serves it.
 
+use std::hash::Hasher;
+
 use cudele_journal::{Attrs, FileType, InodeId};
+use cudele_sim::IntHasher;
+
+use crate::table::Tagged;
 
 /// One inode in the metadata store.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,14 +106,22 @@ impl Inode {
             self.version += 1;
         }
     }
+}
 
-    /// Approximate in-memory footprint, for cache-size accounting. CephFS
-    /// inodes are "about 1400 bytes"; ours are lighter, but cache sizing in
-    /// experiments uses the paper's figure via the cost model, so this is
-    /// only used for sanity checks.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Inode>() + self.policy.as_ref().map_or(0, |p| p.len())
+/// Inodes are indexed by their number's `IntHasher` mix (DESIGN.md "Hash
+/// requirements" §3): one multiply and a fold of the high half into the
+/// low, which the table's low bits bucket by.
+impl Tagged for Inode {
+    fn tag(&self) -> u32 {
+        ino_tag(self.ino)
     }
+}
+
+/// The table hash of inode number `ino`.
+pub(crate) fn ino_tag(ino: InodeId) -> u32 {
+    let mut h = IntHasher::default();
+    h.write_u64(ino.0);
+    h.finish() as u32
 }
 
 #[cfg(test)]
@@ -144,13 +157,5 @@ mod tests {
         // Clearing an absent policy does not bump.
         i.clear_policy();
         assert_eq!(i.version, 4);
-    }
-
-    #[test]
-    fn approx_bytes_counts_policy() {
-        let mut i = Inode::file(InodeId(0x1000), Attrs::file_default());
-        let base = i.approx_bytes();
-        i.set_policy(vec![0; 100]);
-        assert_eq!(i.approx_bytes(), base + 100);
     }
 }

@@ -52,6 +52,7 @@ pub mod persist;
 pub mod server;
 pub mod session;
 pub mod store;
+mod table;
 
 pub use caps::{CapOutcome, CapTable, ClientId};
 pub use checkpoint::{CheckpointConfig, CheckpointError, CheckpointManager, Manifest};

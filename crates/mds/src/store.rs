@@ -1,18 +1,20 @@
 //! The in-memory metadata store: "a data structure that represents the
-//! file system namespace", kept as two flat tables — inodes by number and,
-//! per directory, dentries by name — so every operation is one hash probe
-//! per table it touches and no tree walk.
+//! file system namespace", kept as hash tables — inodes by number,
+//! directories by number and, per directory, dentries by name — so every
+//! operation is one probe per table it touches and no tree walk.
 //!
-//! * `inodes`: inode number → [`Inode`]. The record carries its parent
-//!   directory, so subtree-membership checks (Cudele's interfere=block)
-//!   walk the same table.
-//! * `dirs`: directory inode number → [`Dir`], itself one name-keyed hash
-//!   table with the fragtree as a view (see [`crate::dirfrag`]).
+//! * `inodes`: inode number → [`Inode`], a `DenseTable` (the one
+//!   open-addressed index over chunked entries that a directory's dentry
+//!   table also is), so growing it copies its 8-byte index slots, never
+//!   the inodes. The record carries its parent directory, so
+//!   subtree-membership checks (Cudele's interfere=block) walk the same
+//!   table.
+//! * `dirs`: directory inode number → [`Dir`], itself one name-keyed
+//!   `DenseTable` with the fragtree as a view (see [`crate::dirfrag`]).
 //!
-//! Both tables are keyed by [`InodeId`] and hashed by
-//! [`cudele_sim::IntHasher`] rather than SipHash: the keys are
-//! allocator-issued numbers, not attacker-chosen strings, and the store is
-//! probed several times per op.
+//! Both are keyed by [`InodeId`] and hashed by [`cudele_sim::IntHasher`]'s
+//! mix rather than SipHash: the keys are allocator-issued numbers, not
+//! attacker-chosen strings, and the store is probed several times per op.
 //!
 //! Every update is one journal event ([`EventRef`]) and there is one body
 //! that applies it, plus one read-only precondition:
@@ -38,16 +40,55 @@ use cudele_sim::IntMap;
 
 use crate::dirfrag::{Dentry, Dir, DirListing};
 use crate::error::{MdsError, Result};
-use crate::inode::Inode;
+use crate::inode::{ino_tag, Inode};
+use crate::table::{DenseTable, Probe};
 
 type InoMap<V> = IntMap<InodeId, V>;
+
+/// Inodes per chunk of the inode table (≈ 96 KiB). Smaller chunks add
+/// allocations to every create; larger ones make the insert that crosses
+/// a chunk boundary allocate more at once.
+const INODE_CHUNK: usize = 1024;
 
 /// The namespace: an inode table plus per-directory dentry tables.
 #[derive(Debug, Clone)]
 pub struct MetadataStore {
-    inodes: InoMap<Inode>,
+    inodes: DenseTable<Inode, INODE_CHUNK>,
     dirs: InoMap<Dir>,
     split_threshold: usize,
+}
+
+/// The inode table, keyed by [`Inode::ino`].
+impl DenseTable<Inode, INODE_CHUNK> {
+    fn position(&self, ino: InodeId) -> Option<usize> {
+        self.find(ino_tag(ino), |i| i.ino == ino)
+    }
+
+    fn get(&self, ino: InodeId) -> Option<&Inode> {
+        self.position(ino).map(|pos| self.entry(pos))
+    }
+
+    fn get_mut(&mut self, ino: InodeId) -> Option<&mut Inode> {
+        self.position(ino).map(|pos| self.entry_mut(pos))
+    }
+
+    fn contains(&self, ino: InodeId) -> bool {
+        self.position(ino).is_some()
+    }
+
+    /// Stores `inode`, replacing any inode of its number.
+    fn insert(&mut self, inode: Inode) {
+        self.reserve(1);
+        let ino = inode.ino;
+        match self.probe(ino_tag(ino), |i| i.ino == ino) {
+            Probe::Found { pos, .. } => *self.entry_mut(pos) = inode,
+            Probe::Vacant { slot } => self.push(slot, inode),
+        }
+    }
+
+    fn remove(&mut self, ino: InodeId) {
+        self.swap_remove(ino_tag(ino), |i| i.ino == ino);
+    }
 }
 
 impl MetadataStore {
@@ -58,8 +99,8 @@ impl MetadataStore {
 
     /// An empty namespace with a custom directory-fragment split threshold.
     pub fn with_split_threshold(threshold: usize) -> MetadataStore {
-        let mut inodes = InoMap::default();
-        inodes.insert(InodeId::ROOT, Inode::root());
+        let mut inodes = DenseTable::default();
+        inodes.insert(Inode::root());
         let mut dirs = InoMap::default();
         dirs.insert(InodeId::ROOT, Dir::with_split_threshold(threshold));
         MetadataStore {
@@ -77,24 +118,24 @@ impl MetadataStore {
     /// Whether an inode number is in use. The merge path uses this to
     /// enforce the allocated-inode contract.
     pub fn inode_in_use(&self, ino: InodeId) -> bool {
-        self.inodes.contains_key(&ino)
+        self.inodes.contains(ino)
     }
 
     /// The inode, if present.
     pub fn inode(&self, ino: InodeId) -> Option<&Inode> {
-        self.inodes.get(&ino)
+        self.inodes.get(ino)
     }
 
     /// The highest inode number present in the namespace. Allocator
     /// recovery uses this as a floor for the watermark: the persisted image
     /// a Nonvolatile Apply merge writes holds inodes no mdlog event names.
     pub fn max_inode(&self) -> Option<InodeId> {
-        self.inodes.keys().max().copied()
+        self.inodes.iter().map(|i| i.ino).max()
     }
 
     /// The parent directory of `ino` (None for the root or unknown inodes).
     pub fn parent_of(&self, ino: InodeId) -> Option<InodeId> {
-        self.inodes.get(&ino).and_then(Inode::parent)
+        self.inodes.get(ino).and_then(Inode::parent)
     }
 
     /// Whether `ino` lies inside the subtree rooted at `root` (inclusive).
@@ -116,7 +157,7 @@ impl MetadataStore {
     /// Why `ino` has no dentry table: it does not exist, or is not a
     /// directory.
     fn not_a_dir(&self, ino: InodeId) -> MdsError {
-        if self.inodes.contains_key(&ino) {
+        if self.inodes.contains(ino) {
             MdsError::NotDir { ino }
         } else {
             MdsError::NoEnt {
@@ -132,7 +173,7 @@ impl MetadataStore {
     /// there, so the inode is confirmed too — an integer-hash probe.
     fn writable_dir(&self, ino: InodeId) -> Result<&Dir> {
         match self.dirs.get(&ino) {
-            Some(dir) if self.inodes.contains_key(&ino) => Ok(dir),
+            Some(dir) if self.inodes.contains(ino) => Ok(dir),
             _ => Err(self.not_a_dir(ino)),
         }
     }
@@ -154,7 +195,7 @@ impl MetadataStore {
 
     /// Drops an inode and, if it had one, its dentry table.
     fn forget(&mut self, ino: InodeId) {
-        self.inodes.remove(&ino);
+        self.inodes.remove(ino);
         self.dirs.remove(&ino);
     }
 
@@ -261,7 +302,7 @@ impl MetadataStore {
     /// durability semantics of the parent").
     pub fn effective_policy(&self, path: &str) -> Result<Option<(InodeId, &[u8])>> {
         let policy_of = |ino: InodeId| {
-            let policy = self.inodes.get(&ino)?.policy.as_deref()?;
+            let policy = self.inodes.get(ino)?.policy.as_deref()?;
             Some((ino, policy))
         };
         let mut cur = InodeId::ROOT;
@@ -302,7 +343,7 @@ impl MetadataStore {
                 // Blind mkdir keeps an orphaned table for its number, so a
                 // checked one would bring the orphan's dentries back.
                 let is_dir = matches!(event, EventRef::Mkdir { .. });
-                if self.inodes.contains_key(&ino) || (is_dir && self.dirs.contains_key(&ino)) {
+                if self.inodes.contains(ino) || (is_dir && self.dirs.contains_key(&ino)) {
                     return Err(MdsError::InodeCollision { ino });
                 }
                 if self.writable_dir(parent)?.contains(name) {
@@ -346,7 +387,7 @@ impl MetadataStore {
                 };
             }
             EventRef::SetAttr { ino, .. } | EventRef::SetPolicy { ino, .. } => {
-                if !self.inodes.contains_key(&ino) {
+                if !self.inodes.contains(ino) {
                     return Err(MdsError::NoEnt {
                         what: format!("inode {ino}"),
                     });
@@ -395,10 +436,9 @@ impl MetadataStore {
                     ftype: FileType::File,
                 };
                 if let Some(prev) = self.dir_or_new(parent).insert(name, dentry) {
-                    self.inodes.remove(&prev.ino);
+                    self.inodes.remove(prev.ino);
                 }
-                self.inodes
-                    .insert(ino, Inode::file(ino, attrs).child_of(parent));
+                self.inodes.insert(Inode::file(ino, attrs).child_of(parent));
             }
             EventRef::Mkdir {
                 parent,
@@ -414,8 +454,7 @@ impl MetadataStore {
                 if let Some(prev) = prev.filter(|prev| prev.ino != ino) {
                     self.forget(prev.ino);
                 }
-                self.inodes
-                    .insert(ino, Inode::dir(ino, attrs).child_of(parent));
+                self.inodes.insert(Inode::dir(ino, attrs).child_of(parent));
                 self.dir_or_new(ino);
             }
             EventRef::Unlink { parent, name } | EventRef::Rmdir { parent, name } => {
@@ -445,17 +484,17 @@ impl MetadataStore {
                 if let Some(prev) = prev.filter(|prev| prev.ino != dentry.ino) {
                     self.forget(prev.ino);
                 }
-                if let Some(inode) = self.inodes.get_mut(&dentry.ino) {
+                if let Some(inode) = self.inodes.get_mut(dentry.ino) {
                     inode.set_parent(dst_parent);
                 }
             }
             EventRef::SetAttr { ino, attrs } => {
-                if let Some(inode) = self.inodes.get_mut(&ino) {
+                if let Some(inode) = self.inodes.get_mut(ino) {
                     inode.set_attrs(attrs);
                 }
             }
             EventRef::SetPolicy { ino, policy } => {
-                if let Some(inode) = self.inodes.get_mut(&ino) {
+                if let Some(inode) = self.inodes.get_mut(ino) {
                     inode.set_policy(policy.to_vec());
                 }
             }
@@ -525,7 +564,7 @@ impl MetadataStore {
         if inode.is_dir() {
             self.dir_or_new(inode.ino);
         }
-        self.inodes.insert(inode.ino, inode);
+        self.inodes.insert(inode);
     }
 
     /// Links `inode` under `dir_ino` as `name` directly, creating the
@@ -550,7 +589,7 @@ impl MetadataStore {
 
     /// Mutable access to an inode for recovery (e.g. restoring root attrs).
     pub(crate) fn raw_inode_mut(&mut self, ino: InodeId) -> Option<&mut Inode> {
-        self.inodes.get_mut(&ino)
+        self.inodes.get_mut(ino)
     }
 
     // ------------------------------------------------------------------
