@@ -550,6 +550,37 @@ mod tests {
     }
 
     #[test]
+    fn an_inode_count_past_the_inode_space_is_refused_and_grants_nothing() {
+        let mut fs = fs();
+        let granted = fs.server().alloc_watermark();
+        let mut p = Policy::batchfs();
+        p.allocated_inodes = u64::MAX;
+        let err = fs.decouple(ALICE, "/batch", &p).unwrap_err();
+        assert!(matches!(err, FsError::Mds(MdsError::NoInodes)), "{err}");
+        assert_eq!(fs.server().alloc_watermark(), granted);
+        // The refusal journals nothing and is charged as an RPC.
+        let unflushed = fs.server().unflushed_events();
+        let refused = fs.server_mut().alloc_inodes(ALICE, u64::MAX - 1);
+        assert_eq!(refused.result, Err(MdsError::NoInodes));
+        assert_eq!(refused.cost.rpcs, 1);
+        assert_eq!(fs.server().unflushed_events(), unflushed);
+
+        // The next grant starts past every earlier one.
+        p.allocated_inodes = 100;
+        fs.decouple(ALICE, "/batch", &p).unwrap();
+        assert_eq!(fs.server().alloc_watermark(), InodeId(granted.0 + 100));
+        for i in 0..100 {
+            fs.create(ALICE, &format!("/batch/f{i}")).unwrap();
+        }
+        let dc = fs.decoupled_client(ALICE, "/batch").unwrap();
+        for event in dc.events() {
+            let ino = event.allocates().unwrap();
+            assert!(ino >= granted && ino.0 < granted.0 + 100, "{ino}");
+        }
+        assert_eq!(fs.merge(ALICE, "/batch").unwrap().events, 100);
+    }
+
+    #[test]
     fn allow_policy_lets_interferers_in() {
         let mut fs = fs();
         fs.decouple(ALICE, "/batch", &Policy::batchfs()).unwrap(); // allow default

@@ -147,15 +147,25 @@ impl Attrs {
 }
 
 /// One metadata update. The journal is an ordered sequence of these.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalEvent {
+///
+/// One vocabulary in two forms: names are held as `N` and the policy blob
+/// as `B`. A [`JournalEvent`] owns them. An [`EventRef`] borrows them: it
+/// is what the serving path builds from a request's `&str`s, what an owned
+/// event converts to for free, and what the codec's one parser returns,
+/// borrowed from the frame bytes. The encoder, the parser and the metadata
+/// store's apply functions are written against the view, so logging,
+/// replaying and applying an update never requires owning its name; an
+/// owned event exists only where a caller keeps one
+/// ([`EventRef::to_owned`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Event<N = String, B = Vec<u8>> {
     /// Create a regular file `name` under directory `parent` with inode
     /// `ino`.
     Create {
         /// Directory receiving the new file.
         parent: InodeId,
         /// Dentry name.
-        name: String,
+        name: N,
         /// Inode number assigned to the file.
         ino: InodeId,
         /// Initial attributes.
@@ -166,7 +176,7 @@ pub enum JournalEvent {
         /// Directory receiving the new subdirectory.
         parent: InodeId,
         /// Dentry name.
-        name: String,
+        name: N,
         /// Inode number assigned to the directory.
         ino: InodeId,
         /// Initial attributes.
@@ -177,25 +187,25 @@ pub enum JournalEvent {
         /// Directory holding the dentry.
         parent: InodeId,
         /// Dentry name to remove.
-        name: String,
+        name: N,
     },
     /// Remove the (empty) directory `name` from `parent`.
     Rmdir {
         /// Directory holding the dentry.
         parent: InodeId,
         /// Dentry name to remove.
-        name: String,
+        name: N,
     },
     /// Move `src_parent/src_name` to `dst_parent/dst_name`.
     Rename {
         /// Source directory.
         src_parent: InodeId,
         /// Source dentry name.
-        src_name: String,
+        src_name: N,
         /// Destination directory.
         dst_parent: InodeId,
         /// Destination dentry name.
-        dst_name: String,
+        dst_name: N,
     },
     /// Overwrite the attributes of `ino`.
     SetAttr {
@@ -211,7 +221,7 @@ pub enum JournalEvent {
         /// Subtree-root inode the policy attaches to.
         ino: InodeId,
         /// Opaque serialized policy (the core crate owns the schema).
-        policy: Vec<u8>,
+        policy: B,
     },
     /// Segment boundary marker, written by the MDS journaler at the end of
     /// each segment.
@@ -234,139 +244,109 @@ pub enum JournalEvent {
     },
 }
 
-/// A [`JournalEvent`] with its names and policy blob borrowed: what the
-/// serving path builds from a request's `&str`s, what an owned event
-/// converts to for free, and what the codec's one parser returns, borrowed
-/// from the frame bytes. The encoder, the parser and the metadata store's
-/// apply functions are written against this view, so logging, replaying
-/// and applying an update never requires owning its name; an owned event
-/// exists only where a caller keeps one ([`EventRef::to_owned`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventRef<'a> {
-    /// See [`JournalEvent::Create`].
-    Create {
-        /// Directory receiving the new file.
-        parent: InodeId,
-        /// Dentry name.
-        name: &'a str,
-        /// Inode number assigned to the file.
-        ino: InodeId,
-        /// Initial attributes.
-        attrs: Attrs,
-    },
-    /// See [`JournalEvent::Mkdir`].
-    Mkdir {
-        /// Directory receiving the new subdirectory.
-        parent: InodeId,
-        /// Dentry name.
-        name: &'a str,
-        /// Inode number assigned to the directory.
-        ino: InodeId,
-        /// Initial attributes.
-        attrs: Attrs,
-    },
-    /// See [`JournalEvent::Unlink`].
-    Unlink {
-        /// Directory holding the dentry.
-        parent: InodeId,
-        /// Dentry name to remove.
-        name: &'a str,
-    },
-    /// See [`JournalEvent::Rmdir`].
-    Rmdir {
-        /// Directory holding the dentry.
-        parent: InodeId,
-        /// Dentry name to remove.
-        name: &'a str,
-    },
-    /// See [`JournalEvent::Rename`].
-    Rename {
-        /// Source directory.
-        src_parent: InodeId,
-        /// Source dentry name.
-        src_name: &'a str,
-        /// Destination directory.
-        dst_parent: InodeId,
-        /// Destination dentry name.
-        dst_name: &'a str,
-    },
-    /// See [`JournalEvent::SetAttr`].
-    SetAttr {
-        /// Target inode.
-        ino: InodeId,
-        /// Replacement attributes.
-        attrs: Attrs,
-    },
-    /// See [`JournalEvent::SetPolicy`].
-    SetPolicy {
-        /// Subtree-root inode the policy attaches to.
-        ino: InodeId,
-        /// Opaque serialized policy.
-        policy: &'a [u8],
-    },
-    /// See [`JournalEvent::SegmentBoundary`].
-    SegmentBoundary {
-        /// Sequence number of the segment this marker closes.
-        seq: u64,
-    },
-    /// See [`JournalEvent::AllocRange`].
-    AllocRange {
-        /// Client the range was granted to.
-        client: u32,
-        /// First inode in the granted range.
-        start: InodeId,
-        /// Number of inodes granted.
-        len: u64,
-    },
+/// An [`Event`] that owns its names and policy blob.
+pub type JournalEvent = Event<String, Vec<u8>>;
+
+/// An [`Event`] that borrows its names and policy blob.
+pub type EventRef<'a> = Event<&'a str, &'a [u8]>;
+
+impl<N, B> Event<N, B> {
+    /// The same event with every name passed through `map_name` and the
+    /// policy blob through `map_blob`, in field order (a rename's source
+    /// before its destination): the one conversion between the two forms.
+    #[inline]
+    fn map_ref<'s, M, C>(
+        &'s self,
+        mut map_name: impl FnMut(&'s N) -> M,
+        map_blob: impl FnOnce(&'s B) -> C,
+    ) -> Event<M, C> {
+        match *self {
+            Event::Create {
+                parent,
+                ref name,
+                ino,
+                attrs,
+            } => Event::Create {
+                parent,
+                name: map_name(name),
+                ino,
+                attrs,
+            },
+            Event::Mkdir {
+                parent,
+                ref name,
+                ino,
+                attrs,
+            } => Event::Mkdir {
+                parent,
+                name: map_name(name),
+                ino,
+                attrs,
+            },
+            Event::Unlink { parent, ref name } => Event::Unlink {
+                parent,
+                name: map_name(name),
+            },
+            Event::Rmdir { parent, ref name } => Event::Rmdir {
+                parent,
+                name: map_name(name),
+            },
+            Event::Rename {
+                src_parent,
+                ref src_name,
+                dst_parent,
+                ref dst_name,
+            } => Event::Rename {
+                src_parent,
+                src_name: map_name(src_name),
+                dst_parent,
+                dst_name: map_name(dst_name),
+            },
+            Event::SetAttr { ino, attrs } => Event::SetAttr { ino, attrs },
+            Event::SetPolicy { ino, ref policy } => Event::SetPolicy {
+                ino,
+                policy: map_blob(policy),
+            },
+            Event::SegmentBoundary { seq } => Event::SegmentBoundary { seq },
+            Event::AllocRange { client, start, len } => Event::AllocRange { client, start, len },
+        }
+    }
+
+    /// Whether this event mutates the namespace (segment boundaries and
+    /// allocator grants don't — they are journal-only bookkeeping).
+    pub fn is_update(&self) -> bool {
+        !matches!(
+            self,
+            Event::SegmentBoundary { .. } | Event::AllocRange { .. }
+        )
+    }
+
+    /// The inode this event allocates, if any. The merge path uses this to
+    /// honour the allocated-inode contract ("skip inodes used by the client
+    /// at merge time").
+    pub fn allocates(&self) -> Option<InodeId> {
+        match self {
+            Event::Create { ino, .. } | Event::Mkdir { ino, .. } => Some(*ino),
+            _ => None,
+        }
+    }
+
+    /// One past the highest inode number this event proves was handed out:
+    /// the end of a journaled grant, or the successor of an allocated
+    /// inode. Allocator recovery takes the max of these over the journal.
+    pub fn alloc_watermark(&self) -> Option<InodeId> {
+        match self {
+            Event::AllocRange { start, len, .. } => Some(InodeId(start.0 + len)),
+            _ => self.allocates().map(InodeId::next),
+        }
+    }
 }
 
 impl<'a> From<&'a JournalEvent> for EventRef<'a> {
     // Replay converts every event it applies, from another crate.
     #[inline]
     fn from(event: &'a JournalEvent) -> EventRef<'a> {
-        match *event {
-            JournalEvent::Create {
-                parent,
-                ref name,
-                ino,
-                attrs,
-            } => EventRef::Create {
-                parent,
-                name,
-                ino,
-                attrs,
-            },
-            JournalEvent::Mkdir {
-                parent,
-                ref name,
-                ino,
-                attrs,
-            } => EventRef::Mkdir {
-                parent,
-                name,
-                ino,
-                attrs,
-            },
-            JournalEvent::Unlink { parent, ref name } => EventRef::Unlink { parent, name },
-            JournalEvent::Rmdir { parent, ref name } => EventRef::Rmdir { parent, name },
-            JournalEvent::Rename {
-                src_parent,
-                ref src_name,
-                dst_parent,
-                ref dst_name,
-            } => EventRef::Rename {
-                src_parent,
-                src_name,
-                dst_parent,
-                dst_name,
-            },
-            JournalEvent::SetAttr { ino, attrs } => EventRef::SetAttr { ino, attrs },
-            JournalEvent::SetPolicy { ino, ref policy } => EventRef::SetPolicy { ino, policy },
-            JournalEvent::SegmentBoundary { seq } => EventRef::SegmentBoundary { seq },
-            JournalEvent::AllocRange { client, start, len } => {
-                EventRef::AllocRange { client, start, len }
-            }
-        }
+        event.map_ref(String::as_str, Vec::as_slice)
     }
 }
 
@@ -391,119 +371,7 @@ impl<'a, 'b: 'a> From<&'a EventRef<'b>> for EventRef<'a> {
 impl EventRef<'_> {
     /// The owned event, names copied out of whatever the view borrows.
     pub fn to_owned(self) -> JournalEvent {
-        match self {
-            EventRef::Create {
-                parent,
-                name,
-                ino,
-                attrs,
-            } => JournalEvent::Create {
-                parent,
-                name: name.to_owned(),
-                ino,
-                attrs,
-            },
-            EventRef::Mkdir {
-                parent,
-                name,
-                ino,
-                attrs,
-            } => JournalEvent::Mkdir {
-                parent,
-                name: name.to_owned(),
-                ino,
-                attrs,
-            },
-            EventRef::Unlink { parent, name } => JournalEvent::Unlink {
-                parent,
-                name: name.to_owned(),
-            },
-            EventRef::Rmdir { parent, name } => JournalEvent::Rmdir {
-                parent,
-                name: name.to_owned(),
-            },
-            EventRef::Rename {
-                src_parent,
-                src_name,
-                dst_parent,
-                dst_name,
-            } => JournalEvent::Rename {
-                src_parent,
-                src_name: src_name.to_owned(),
-                dst_parent,
-                dst_name: dst_name.to_owned(),
-            },
-            EventRef::SetAttr { ino, attrs } => JournalEvent::SetAttr { ino, attrs },
-            EventRef::SetPolicy { ino, policy } => JournalEvent::SetPolicy {
-                ino,
-                policy: policy.to_vec(),
-            },
-            EventRef::SegmentBoundary { seq } => JournalEvent::SegmentBoundary { seq },
-            EventRef::AllocRange { client, start, len } => {
-                JournalEvent::AllocRange { client, start, len }
-            }
-        }
-    }
-
-    /// Whether this event mutates the namespace (segment boundaries and
-    /// allocator grants don't — they are journal-only bookkeeping).
-    pub fn is_update(&self) -> bool {
-        !matches!(
-            self,
-            EventRef::SegmentBoundary { .. } | EventRef::AllocRange { .. }
-        )
-    }
-
-    /// The inode this event allocates, if any. The merge path uses this to
-    /// honour the allocated-inode contract ("skip inodes used by the client
-    /// at merge time").
-    pub fn allocates(&self) -> Option<InodeId> {
-        match self {
-            EventRef::Create { ino, .. } | EventRef::Mkdir { ino, .. } => Some(*ino),
-            _ => None,
-        }
-    }
-
-    /// One past the highest inode number this event proves was handed out:
-    /// the end of a journaled grant, or the successor of an allocated
-    /// inode. Allocator recovery takes the max of these over the journal.
-    pub fn alloc_watermark(&self) -> Option<InodeId> {
-        match self {
-            EventRef::AllocRange { start, len, .. } => Some(InodeId(start.0 + len)),
-            _ => self.allocates().map(InodeId::next),
-        }
-    }
-}
-
-impl JournalEvent {
-    /// A short label for traces and counters.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JournalEvent::Create { .. } => "create",
-            JournalEvent::Mkdir { .. } => "mkdir",
-            JournalEvent::Unlink { .. } => "unlink",
-            JournalEvent::Rmdir { .. } => "rmdir",
-            JournalEvent::Rename { .. } => "rename",
-            JournalEvent::SetAttr { .. } => "setattr",
-            JournalEvent::SetPolicy { .. } => "setpolicy",
-            JournalEvent::SegmentBoundary { .. } => "segment",
-            JournalEvent::AllocRange { .. } => "allocrange",
-        }
-    }
-
-    /// [`EventRef::is_update`] of this event's view.
-    pub fn is_update(&self) -> bool {
-        EventRef::from(self).is_update()
-    }
-
-    /// [`EventRef::allocates`] of this event's view.
-    pub fn allocates(&self) -> Option<InodeId> {
-        EventRef::from(self).allocates()
-    }
-
-    /// [`EventRef::alloc_watermark`] of this event's view.
-    pub fn alloc_watermark(&self) -> Option<InodeId> {
-        EventRef::from(self).alloc_watermark()
+        self.map_ref(|&name| name.to_owned(), |&blob| blob.to_vec())
     }
 }
 
@@ -530,7 +398,6 @@ mod tests {
             ino: InodeId(0x1000),
             attrs: Attrs::file_default(),
         };
-        assert_eq!(c.kind(), "create");
         assert!(c.is_update());
         assert_eq!(c.allocates(), Some(InodeId(0x1000)));
 

@@ -9,8 +9,9 @@
 //! read and use the recovery code to materialize the updates from a
 //! client's decoupled namespace (i.e. merge)."
 //!
-//! * [`event`] — the update vocabulary ([`JournalEvent`]) plus the shared
-//!   base types ([`InodeId`], [`Attrs`], [`InodeRange`]).
+//! * [`event`] — the update vocabulary, one [`Event`] held owned
+//!   ([`JournalEvent`]) or borrowed ([`EventRef`]), plus the shared base
+//!   types ([`InodeId`], [`Attrs`], [`InodeRange`]).
 //! * [`codec`] — framed binary wire format with per-event CRC-32, read by
 //!   one borrowed parser ([`parse_frames`]).
 //! * [`segment`] — grouping events into the segments the mdlog dispatches.
@@ -45,7 +46,7 @@ pub use codec::{
     parse_journal, CodecError, FrameDamage,
 };
 pub use crc::crc32;
-pub use event::{Attrs, EventRef, FileType, InodeId, InodeRange, JournalEvent};
+pub use event::{Attrs, Event, EventRef, FileType, InodeId, InodeRange, JournalEvent};
 pub use segment::{Segment, SegmentBuilder};
 pub use store_io::{
     delete_journal, journal_exists, read_journal, recover_journal, scan_journal, view_journal,

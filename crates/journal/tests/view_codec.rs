@@ -121,6 +121,7 @@ proptest! {
             encode_event(&mut owned, e);
             encode_event(&mut viewed, EventRef::from(e));
             want.extend_from_slice(&reference_frame(e));
+            prop_assert_eq!(&EventRef::from(e).to_owned(), e);
         }
         prop_assert_eq!(&owned[..], &want[..]);
         prop_assert_eq!(&viewed[..], &want[..]);

@@ -48,7 +48,8 @@ pub enum MdsError {
         ino: InodeId,
     },
     /// ENOSPC-like: the decoupled client exhausted its allocated inode
-    /// range (the "Allocated Inodes" contract).
+    /// range (the "Allocated Inodes" contract), or a grant would run past
+    /// the last inode number.
     NoInodes,
     /// A request referenced a session the server does not know.
     NoSession {

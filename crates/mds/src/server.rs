@@ -901,7 +901,7 @@ impl MetadataServer {
                 Some(ino) if self.store.inode_in_use(ino) => continue,
                 Some(ino) => return Ok(ino),
                 None => {
-                    let range = self.alloc.allocate(SESSION_PREALLOC);
+                    let range = self.alloc.allocate(SESSION_PREALLOC)?;
                     self.sessions.grant_range(client, range)?;
                     self.journal_grant(client, range)?;
                 }
@@ -933,10 +933,12 @@ impl MetadataServer {
 
     /// Explicitly preallocates `count` inodes to the client — the
     /// "Allocated Inodes" contract for decoupled namespaces. The grant is
-    /// journaled so recovery can rebuild the allocator watermark.
+    /// journaled so recovery can rebuild the allocator watermark. A `count`
+    /// that would run past the last inode number is refused with
+    /// [`MdsError::NoInodes`]; nothing is granted or journaled.
     pub fn alloc_inodes(&mut self, client: ClientId, count: u64) -> Rpc<InodeRange> {
         self.rpc(self.cost.mds_lookup_cpu, |s, cost| {
-            let range = s.alloc.allocate(count);
+            let range = s.alloc.allocate(count)?;
             s.sessions.grant_range(client, range)?;
             cost.journaled(s.journal_grant(client, range)?);
             Ok(range)
@@ -1442,7 +1444,7 @@ impl MetadataServer {
             cur = match self.store.lookup(cur, comp) {
                 Ok(d) => d.ino,
                 Err(MdsError::NoEnt { .. }) => {
-                    let ino = self.alloc.allocate(1).start;
+                    let ino = self.alloc.allocate(1)?.start;
                     let event = EventRef::Mkdir {
                         parent: cur,
                         name: comp,

@@ -27,11 +27,13 @@ impl InodeAllocator {
         }
     }
 
-    /// Reserves `len` consecutive inode numbers.
-    pub fn allocate(&mut self, len: u64) -> InodeRange {
+    /// Reserves `len` consecutive inode numbers, or refuses with
+    /// [`MdsError::NoInodes`], changing nothing, when the range would run
+    /// past the last inode number.
+    pub fn allocate(&mut self, len: u64) -> Result<InodeRange> {
         let start = InodeId(self.next);
-        self.next += len;
-        InodeRange::new(start, len)
+        self.next = self.next.checked_add(len).ok_or(MdsError::NoInodes)?;
+        Ok(InodeRange::new(start, len))
     }
 
     /// First unallocated inode number (diagnostics).
@@ -233,8 +235,8 @@ mod tests {
     #[test]
     fn allocator_hands_out_disjoint_ranges() {
         let mut a = InodeAllocator::new();
-        let r1 = a.allocate(100);
-        let r2 = a.allocate(50);
+        let r1 = a.allocate(100).unwrap();
+        let r2 = a.allocate(50).unwrap();
         assert_eq!(r1.start, InodeId::FIRST_DYNAMIC);
         assert_eq!(r2.start, r1.end());
         assert!(!r1.contains(r2.start));
