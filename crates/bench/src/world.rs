@@ -12,7 +12,7 @@ use cudele_faults::FaultPlan;
 use cudele_journal::{InodeId, InodeRange};
 use cudele_mds::{ClientId, MdLogConfig, MdsError, MetadataServer, OpCost};
 use cudele_obs::timeline::Series;
-use cudele_obs::{Histogram, Mechanism, Registry, SpanName, TraceCtx};
+use cudele_obs::{Histogram, Layer, Mechanism, Registry, SpanName, TraceCtx};
 use cudele_rados::InMemoryStore;
 use cudele_sim::{CostModel, Engine, FifoServer, Nanos, Process, RunReport, Step};
 use cudele_workloads::{client_dir, file_name, write_file_name, Interference};
@@ -203,7 +203,8 @@ impl World {
     /// instant its reply lands. It is drawn as a `via` mechanism span under
     /// `parent`, broken into `mds.queue_wait` (only when the MDS CPU made
     /// the request wait), the MDS's service span and the reply's network
-    /// span; an RPC also samples the MDS backlog it met.
+    /// span — one layered record; an RPC also samples the MDS backlog it
+    /// met.
     fn serve_layered(&mut self, via: Via, parent: TraceCtx, start: Nanos, c: &OpCost) -> Nanos {
         let served = self.mds.serve(start, c.mds_cpu);
         let done = served + c.client_extra;
@@ -213,18 +214,32 @@ impl World {
             Via::Speculate => (&h.speculate, h.service, h.net_rpc),
             Via::Merge => (&h.volatile_apply, h.mds_apply, h.net_reply),
         };
-        let ctx = self.obs.trace_child(parent);
-        mech.observe(&self.obs, ctx, start, done - start);
         let service_start = served - c.mds_cpu;
         let wait = service_start - start;
         if via != Via::Merge {
             h.backlog.set(start, wait.0 as f64);
         }
-        if wait > Nanos::ZERO {
-            self.obs.child_named(ctx, h.queue_wait, start, wait);
-        }
-        self.obs.child_named(ctx, service, service_start, c.mds_cpu);
-        self.obs.child_named(ctx, reply, served, c.client_extra);
+        let queue_wait = Layer {
+            name: h.queue_wait,
+            start,
+            dur: wait,
+        };
+        let service = Layer {
+            name: service,
+            start: service_start,
+            dur: c.mds_cpu,
+        };
+        let reply = Layer {
+            name: reply,
+            start: served,
+            dur: c.client_extra,
+        };
+        let layers: &[Layer] = if wait > Nanos::ZERO {
+            &[queue_wait, service, reply]
+        } else {
+            &[service, reply]
+        };
+        mech.observe_layered(&self.obs, parent, start, done - start, layers);
         done
     }
 
@@ -560,14 +575,15 @@ impl Process<World> for DecoupledCreateProcess {
         // One parented tree per batch: the whole window is client-local
         // append CPU, so the mechanism span and its client child coincide.
         let root = world.obs.trace_root(self.idx);
-        let acj = world.obs.trace_child(root);
+        let append = Layer {
+            name: world.h.client_append,
+            start: now,
+            dur: t - now,
+        };
         world
             .h
             .append_client_journal
-            .observe(&world.obs, acj, now, t - now);
-        world
-            .obs
-            .child_named(acj, world.h.client_append, now, t - now);
+            .observe_layered(&world.obs, root, now, t - now, &[append]);
         world
             .obs
             .end_named_with(root, world.h.append_batch, now, t - now, "ops", batch);

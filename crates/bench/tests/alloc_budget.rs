@@ -78,14 +78,14 @@ fn warm_create_steps_stay_within_the_allocation_budget() {
     // event it logs, its history row, its span arg and its costs borrow or
     // sit inline, and the dentry's name is copied into its directory's name
     // block. What is left is amortised growth — a table doubling, a dentry
-    // chunk, a name block, a sealed mdlog segment — one at a time, and the
-    // step that opens a new 5 ms timeline window in every series it samples
-    // (each latency window boxes its buckets).
+    // chunk, a name block, a sealed mdlog segment, a series' window vector
+    // — one at a time. Opening a 5 ms timeline window allocates nothing: a
+    // latency window's sketch counts its few buckets inline.
     let per_step: Vec<u64> = (0..2_000).map(|_| allocs(|| step(&mut world))).collect();
     let total: u64 = per_step.iter().sum();
     assert!(
-        total <= 600,
-        "{total} allocations in 2000 warm rpc creates (budget 0.3 per create)"
+        total <= 150,
+        "{total} allocations in 2000 warm rpc creates (budget 0.075 per create)"
     );
     let above = |n: u64| per_step.iter().filter(|&&a| a > n).count();
     assert!(

@@ -150,6 +150,14 @@ impl CudeleFs {
             return Err(FsError::NotMounted(client));
         }
         let norm = normalize_path(path);
+        // Refuse up front what the MDS would refuse after the policy is
+        // set, journaled and blocking: a missing subtree, a closed
+        // session, an inode range past the last inode number.
+        self.server.store().resolve(&norm)?;
+        let decoupled = policy.operation_mode() == OperationMode::Decoupled;
+        if decoupled {
+            self.server.check_grant(client, policy.allocated_inodes)?;
+        }
         self.monitor.set_policy(&norm, policy.clone());
         // The monitor persists every map change (Ceph MONs quorum-commit
         // theirs; ours writes straight to the object store).
@@ -158,13 +166,12 @@ impl CudeleFs {
                 what: format!("monmap persist ({e})"),
             })
         })?;
-        let block = policy.interfere == InterferePolicy::Block
-            && policy.operation_mode() == OperationMode::Decoupled;
+        let block = policy.interfere == InterferePolicy::Block && decoupled;
         let rpc = self
             .server
             .set_subtree_policy(client, &norm, policy_to_blob(policy), block);
         rpc.result?;
-        if policy.operation_mode() == OperationMode::Decoupled {
+        if decoupled {
             let (dc, _cost) =
                 DecoupledClient::decouple(&mut self.server, client, &norm, policy.allocated_inodes);
             let dc = dc?;
@@ -578,6 +585,31 @@ mod tests {
             assert!(ino >= granted && ino.0 < granted.0 + 100, "{ino}");
         }
         assert_eq!(fs.merge(ALICE, "/batch").unwrap().events, 100);
+    }
+
+    /// A decouple the MDS would refuse leaves nothing behind: no policy
+    /// at the monitor, no journaled `SetPolicy`, no blocked subtree.
+    #[test]
+    fn a_refused_decouple_sets_no_policy_and_blocks_nothing() {
+        let mut fs = fs();
+        let before = fs.monitor().policy_at("/batch").cloned();
+        let unflushed = fs.server().unflushed_events();
+        let mut p = Policy::batchfs();
+        p.interfere = InterferePolicy::Block;
+        p.allocated_inodes = u64::MAX;
+        let err = fs.decouple(ALICE, "/batch", &p).unwrap_err();
+        assert!(matches!(err, FsError::Mds(MdsError::NoInodes)), "{err}");
+        assert_eq!(fs.monitor().policy_at("/batch").cloned(), before);
+        assert_eq!(fs.server().unflushed_events(), unflushed);
+        fs.create(BOB, "/batch/x").unwrap();
+        assert!(fs.exists(BOB, "/batch/x"));
+        // A missing subtree is refused the same way.
+        let err = fs.decouple(ALICE, "/nowhere", &Policy::batchfs());
+        assert!(
+            matches!(err, Err(FsError::Mds(MdsError::NoEnt { .. }))),
+            "{err:?}"
+        );
+        assert!(fs.monitor().policy_at("/nowhere").is_none());
     }
 
     #[test]

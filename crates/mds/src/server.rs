@@ -21,7 +21,7 @@ use cudele_journal::{
 };
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
 use cudele_obs::timeline::Series;
-use cudele_obs::{Counter, Histogram, Mechanism, Registry, SpanName, TraceCtx};
+use cudele_obs::{Counter, Histogram, Layer, Mechanism, Registry, SpanName, TraceCtx};
 use cudele_rados::{Epoch, ObjectStore, PoolId};
 use cudele_sim::{CostModel, Nanos};
 
@@ -754,9 +754,13 @@ impl MetadataServer {
                                 // Nest under the client op: stream mechanism
                                 // span, with the mdlog submit as its MDS-layer
                                 // child.
-                                let ctx = o.reg.trace_child(parent);
-                                o.stream.observe(&o.reg, ctx, self.now, cpu);
-                                o.reg.child_named(ctx, o.mdlog_span, self.now, cpu);
+                                let submit = Layer {
+                                    name: o.mdlog_span,
+                                    start: self.now,
+                                    dur: cpu,
+                                };
+                                o.stream
+                                    .observe_layered(&o.reg, parent, self.now, cpu, &[submit]);
                             }
                             None => o.stream.observe(&o.reg, o.reg.trace_root(0), self.now, cpu),
                         }
@@ -938,11 +942,22 @@ impl MetadataServer {
     /// [`MdsError::NoInodes`]; nothing is granted or journaled.
     pub fn alloc_inodes(&mut self, client: ClientId, count: u64) -> Rpc<InodeRange> {
         self.rpc(self.cost.mds_lookup_cpu, |s, cost| {
+            // Refuse an unknown session before the allocator moves.
+            s.sessions.get(client)?;
             let range = s.alloc.allocate(count)?;
             s.sessions.grant_range(client, range)?;
             cost.journaled(s.journal_grant(client, range)?);
             Ok(range)
         })
+    }
+
+    /// What [`MetadataServer::alloc_inodes`] would refuse `client` before
+    /// journaling anything — no open session, or a range past the last
+    /// inode number — checked without reserving, journaling or charging
+    /// anything. A grant this passes can still fail on journal I/O.
+    pub fn check_grant(&self, client: ClientId, count: u64) -> Result<()> {
+        self.sessions.get(client)?;
+        self.alloc.check(count)
     }
 
     /// Client reconnect after a failover: reopens the session on the new
@@ -1850,6 +1865,27 @@ mod tests {
         s.open_session(C2);
         let r2 = s.alloc_inodes(C2, 100).result.unwrap();
         assert!(!r.contains(r2.start) && !r2.contains(r.start));
+    }
+
+    /// A grant refused for want of a session leaves the allocator where
+    /// it was, and `check_grant` refuses what `alloc_inodes` would.
+    #[test]
+    fn a_grant_without_a_session_burns_no_inodes() {
+        let mut s = server();
+        let before = s.alloc_watermark();
+        let stranger = ClientId(9);
+        assert_eq!(
+            s.check_grant(stranger, 10),
+            Err(MdsError::NoSession { client: 9 })
+        );
+        let r = s.alloc_inodes(stranger, 10);
+        assert_eq!(r.result, Err(MdsError::NoSession { client: 9 }));
+        assert_eq!(s.alloc_watermark(), before);
+        s.open_session(C1);
+        assert_eq!(s.check_grant(C1, u64::MAX), Err(MdsError::NoInodes));
+        assert_eq!(s.check_grant(C1, 10), Ok(()));
+        assert_eq!(s.alloc_watermark(), before);
+        assert_eq!(s.alloc_inodes(C1, 10).result.unwrap().start, before);
     }
 
     #[test]

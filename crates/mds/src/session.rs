@@ -32,8 +32,19 @@ impl InodeAllocator {
     /// past the last inode number.
     pub fn allocate(&mut self, len: u64) -> Result<InodeRange> {
         let start = InodeId(self.next);
-        self.next = self.next.checked_add(len).ok_or(MdsError::NoInodes)?;
+        self.next = self.end_after(len)?;
         Ok(InodeRange::new(start, len))
+    }
+
+    /// [`InodeAllocator::allocate`]'s refusal without the reservation:
+    /// `Ok` when `len` more inode numbers fit.
+    pub fn check(&self, len: u64) -> Result<()> {
+        self.end_after(len).map(drop)
+    }
+
+    /// The watermark after `len` more inode numbers: the one checked add.
+    fn end_after(&self, len: u64) -> Result<u64> {
+        self.next.checked_add(len).ok_or(MdsError::NoInodes)
     }
 
     /// First unallocated inode number (diagnostics).

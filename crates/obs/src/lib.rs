@@ -87,14 +87,28 @@ impl Gauge {
 /// the 64-bit value range.
 const HIST_BUCKETS: usize = 65;
 
+/// Buckets a sketch counts inline: a run of consecutive buckets, wide
+/// enough for the one to three a 5 ms latency window's samples fall in
+/// (a factor of 8 either side of the first sample).
+const NARROW: usize = 7;
+
+/// A sketch's bucket counts: a run of [`NARROW`] buckets held inline until
+/// a sample lands outside it or a count passes `u32`, then every bucket.
+#[derive(Debug, Clone)]
+enum Counts {
+    /// `run[i]` counts bucket `lo + i`.
+    Narrow { lo: u8, run: [u32; NARROW] },
+    /// `buckets[k]` counts bucket `k`.
+    Wide(Box<[u64; HIST_BUCKETS]>),
+}
+
 /// The one log-bucket summary of a `u64` sample stream, behind both
-/// [`Histogram`] and the timeline's per-window latency points. `merge` is
+/// [`Histogram`] and the timeline's per-window latency points. Bucket 0
+/// counts zeros; bucket `k` counts values in `[2^(k-1), 2^k)`. `merge` is
 /// the fold: two sketches merged equal one sketch fed both streams.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) struct Sketch {
-    /// `buckets[0]` counts zeros; `buckets[k]` counts values in
-    /// `[2^(k-1), 2^k)`.
-    buckets: [u64; HIST_BUCKETS],
+    counts: Counts,
     pub(crate) count: u64,
     pub(crate) sum: u64,
     pub(crate) min: u64,
@@ -103,7 +117,10 @@ pub(crate) struct Sketch {
 
 impl Sketch {
     pub(crate) const EMPTY: Sketch = Sketch {
-        buckets: [0; HIST_BUCKETS],
+        counts: Counts::Narrow {
+            lo: 0,
+            run: [0; NARROW],
+        },
         count: 0,
         sum: 0,
         min: u64::MAX,
@@ -111,7 +128,7 @@ impl Sketch {
     };
 
     pub(crate) fn record(&mut self, v: u64) {
-        self.buckets[(64 - v.leading_zeros()) as usize] += 1;
+        self.add((64 - v.leading_zeros()) as usize, 1);
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
@@ -119,13 +136,58 @@ impl Sketch {
     }
 
     pub(crate) fn merge(&mut self, other: &Sketch) {
-        for (b, ob) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += ob;
+        if self.count == 0 {
+            // Folding into nothing is a copy, run placement included.
+            self.clone_from(other);
+            return;
+        }
+        for (b, c) in other.buckets() {
+            self.add(b, c);
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// Counts `c` more samples in bucket `b`. An empty sketch centres its
+    /// run on `b`; a bucket outside the run, or a count past `u32`, spills
+    /// the run into every bucket first.
+    fn add(&mut self, b: usize, c: u64) {
+        if let Counts::Narrow { lo, run } = &mut self.counts {
+            if self.count == 0 {
+                *lo = b.saturating_sub(NARROW / 2).min(HIST_BUCKETS - NARROW) as u8;
+            }
+            if let Some(n) = run.get_mut(b.wrapping_sub(usize::from(*lo))) {
+                if let Some(sum) = u32::try_from(c).ok().and_then(|c| n.checked_add(c)) {
+                    *n = sum;
+                    return;
+                }
+            }
+            let mut buckets = Box::new([0; HIST_BUCKETS]);
+            for (b, c) in self.buckets() {
+                buckets[b] = c;
+            }
+            self.counts = Counts::Wide(buckets);
+        }
+        if let Counts::Wide(buckets) = &mut self.counts {
+            buckets[b] += c;
+        }
+    }
+
+    /// The nonzero buckets, lowest first, as `(bucket, count)`: the one
+    /// walk over the counts, whichever way they are held.
+    fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (lo, run, wide): (usize, &[u32], &[u64]) = match &self.counts {
+            Counts::Narrow { lo, run } => (usize::from(*lo), run, &[]),
+            Counts::Wide(buckets) => (0, &[], &buckets[..]),
+        };
+        run.iter()
+            .map(|&c| u64::from(c))
+            .chain(wide.iter().copied())
+            .enumerate()
+            .filter(|&(_, c)| c != 0)
+            .map(move |(i, c)| (lo + i, c))
     }
 
     /// The `q`-th percentile (`q` in `[0, 100]`).
@@ -155,10 +217,7 @@ impl Sketch {
             return max as f64;
         }
         let mut cum = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
+        for (i, c) in self.buckets() {
             if (cum + c) as f64 - 1.0 >= rank {
                 let (lo, hi) = bucket_bounds(i);
                 let lo = lo.max(min) as f64;
@@ -244,7 +303,7 @@ impl Histogram {
     /// when merging per-task registries back into a session registry.
     pub fn merge_from(&self, other: &Histogram) {
         // Copied out first: `other` may share this histogram's lock.
-        let o = *other.0.lock();
+        let o = other.0.lock().clone();
         self.0.lock().merge(&o);
     }
 
@@ -402,6 +461,19 @@ impl Interner {
     }
 }
 
+/// One layer of a layered span: a child with its own name and interval
+/// and no args, recorded in its parent's record by [`Registry::layered`]
+/// and read back as a span of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layer {
+    /// The child's pre-resolved name.
+    pub name: SpanName,
+    /// Virtual start instant.
+    pub start: Nanos,
+    /// Virtual duration.
+    pub dur: Nanos,
+}
+
 /// One span read back from the log: names still interned, args still
 /// packed.
 struct SpanRef<'a> {
@@ -410,6 +482,8 @@ struct SpanRef<'a> {
     start: Nanos,
     dur: Nanos,
     args: pack::Reader<'a>,
+    /// How many layer children the iterator yields right after this span.
+    layers: u64,
 }
 
 impl<'a> SpanRef<'a> {
@@ -427,11 +501,16 @@ impl<'a> SpanRef<'a> {
 /// The span log: one packed byte stream (see [`pack`]), names and arg
 /// keys interned beside it.
 ///
-/// A span is its name id, cat id and `tid`; `start` as a delta from the
-/// previous span's start, then `dur`; `span_id` as a delta from the
-/// previous span's id; `parent_id` and `trace_id` as deltas from its own
+/// A record is a span: its name id shifted left by one (the low bit says
+/// whether layers follow), cat id and `tid`; `start` as a delta from the
+/// previous record's start, then `dur`; `span_id` as a delta from the
+/// previous record's id; `parent_id` and `trace_id` as deltas from its own
 /// id; then each arg as `key id + 1`, the value's bytes and
-/// [`pack::END`], and a 0 after the last. The deltas make the log readable
+/// [`pack::END`], and a 0 after the last. A layered record (see
+/// [`Registry::layered`]) then holds its layer count `k` and, per layer,
+/// name id, cat id, `start` as a delta from the span's own start, and
+/// `dur`: layer `i` reads back as a child span with id `span_id + i`, the
+/// span's trace and track, and no args. The deltas make the log readable
 /// only from its start — which is the only way it is ever read.
 #[derive(Debug)]
 struct SpanLog {
@@ -451,11 +530,32 @@ impl SpanLog {
         )
     }
 
-    /// Writes a span's fixed fields, once [`pack::Packed::begin`] has let
-    /// it in; its args follow, then [`SpanLog::commit`].
-    fn head(&mut self, name: SpanName, ctx: TraceCtx, start: Nanos, dur: Nanos) {
+    /// Appends one record: the span for `ctx`, its args, and as many of
+    /// `layers` as fit. Capacity is checked before anything is built: a
+    /// dropped record costs one counter bump, and `name` / `args` run
+    /// only for a span that is kept. With room for `r` more spans the
+    /// record keeps the span and its first `r - 1` layers and counts the
+    /// rest dropped, as recording them one by one would. `args` appends
+    /// with [`SpanLog::push_arg`]; if it panics, the record is never
+    /// committed and the next one overwrites its bytes.
+    fn push(
+        &mut self,
+        ctx: TraceCtx,
+        start: Nanos,
+        dur: Nanos,
+        name: impl FnOnce(&mut Interner) -> SpanName,
+        args: impl FnOnce(&mut SpanLog),
+        layers: &[Layer],
+    ) {
+        let room = self.log.room();
+        if !self.log.begin() {
+            self.log.dropped += layers.len() as u64;
+            return;
+        }
+        let kept = &layers[..layers.len().min(room - 1)];
+        let name = name(&mut self.names);
         let log = &mut self.log;
-        log.u64(u64::from(name.name));
+        log.u64(u64::from(name.name) << 1 | u64::from(!kept.is_empty()));
         log.u64(u64::from(name.cat));
         log.u64(u64::from(ctx.tid));
         log.delta(start.0, self.start);
@@ -463,6 +563,21 @@ impl SpanLog {
         log.delta(ctx.span_id, self.span_id);
         log.delta(ctx.parent_id, ctx.span_id);
         log.delta(ctx.trace_id, ctx.span_id);
+        args(self);
+        let log = &mut self.log;
+        log.byte(0);
+        if !kept.is_empty() {
+            log.u64(kept.len() as u64);
+            for l in kept {
+                log.u64(u64::from(l.name.name));
+                log.u64(u64::from(l.name.cat));
+                log.delta(l.start.0, start.0);
+                log.u64(l.dur.0);
+            }
+        }
+        log.commit_n(1 + kept.len());
+        log.dropped += (layers.len() - kept.len()) as u64;
+        (self.start, self.span_id) = (start.0, ctx.span_id);
     }
 
     /// Appends one arg to the span being written, formatting `value`
@@ -477,23 +592,46 @@ impl SpanLog {
         self.log.display(value);
     }
 
-    /// Ends the span being written; `start` and `span_id` are its own.
-    fn commit(&mut self, start: Nanos, span_id: u64) {
-        self.log.byte(0);
-        self.log.commit();
-        (self.start, self.span_id) = (start.0, span_id);
-    }
-
-    /// Every retained span, in recording order.
+    /// Every retained span, in recording order: a layered record's span,
+    /// then its layers.
     fn iter(&self) -> impl Iterator<Item = SpanRef<'_>> {
         let mut r = self.log.reader();
         let (mut start, mut span_id) = (0, 0);
+        // The layered span being expanded, its layer count and the last
+        // layer yielded.
+        let mut parent = TraceCtx {
+            trace_id: 0,
+            span_id: 0,
+            parent_id: 0,
+            tid: 0,
+        };
+        let (mut layers, mut layer) = (0, 0);
         std::iter::from_fn(move || {
+            if layer < layers {
+                layer += 1;
+                let name = SpanName {
+                    name: r.u64() as u32,
+                    cat: r.u64() as u32,
+                };
+                return Some(SpanRef {
+                    name,
+                    ctx: TraceCtx {
+                        span_id: parent.span_id + layer,
+                        parent_id: parent.span_id,
+                        ..parent
+                    },
+                    start: Nanos(r.delta(start)),
+                    dur: Nanos(r.u64()),
+                    args: pack::Reader::NO_ARGS,
+                    layers: 0,
+                });
+            }
             if r.is_empty() {
                 return None;
             }
+            let head = r.u64();
             let name = SpanName {
-                name: r.u64() as u32,
+                name: (head >> 1) as u32,
                 cat: r.u64() as u32,
             };
             let tid = r.u64() as u32;
@@ -506,17 +644,20 @@ impl SpanLog {
             while r.u64() != 0 {
                 r.str();
             }
+            parent = TraceCtx {
+                trace_id,
+                span_id,
+                parent_id,
+                tid,
+            };
+            (layers, layer) = (if head & 1 == 1 { r.u64() } else { 0 }, 0);
             Some(SpanRef {
                 name,
-                ctx: TraceCtx {
-                    trace_id,
-                    span_id,
-                    parent_id,
-                    tid,
-                },
+                ctx: parent,
                 start: Nanos(start),
                 dur: Nanos(dur),
                 args,
+                layers,
             })
         })
     }
@@ -564,6 +705,28 @@ impl Mechanism {
     /// and emits the mechanism span for `ctx`. `reg` must be the registry
     /// this handle came from.
     pub fn observe(&self, reg: &Registry, ctx: TraceCtx, start: Nanos, dur: Nanos) {
+        self.count(reg, dur);
+        reg.end_named(ctx, self.0.span, start, dur);
+    }
+
+    /// [`Mechanism::observe`] for an execution drawn with its layers: the
+    /// mechanism span is a child of `parent`, recorded with `layers` as
+    /// its children in one [`Registry::layered`] record. Returns the
+    /// mechanism span's context.
+    pub fn observe_layered(
+        &self,
+        reg: &Registry,
+        parent: TraceCtx,
+        start: Nanos,
+        dur: Nanos,
+        layers: &[Layer],
+    ) -> TraceCtx {
+        self.count(reg, dur);
+        reg.layered(parent, self.0.span, start, dur, layers)
+    }
+
+    /// Bumps the run counter and records the duration.
+    fn count(&self, reg: &Registry, dur: Nanos) {
         let (runs, ns) = self.0.metrics.get_or_init(|| {
             let name = &self.0.name;
             (
@@ -573,7 +736,6 @@ impl Mechanism {
         });
         runs.inc();
         ns.record(dur.0);
-        reg.end_named(ctx, self.0.span, start, dur);
     }
 }
 
@@ -676,12 +838,9 @@ impl Registry {
         }
     }
 
-    /// The one span-recording path. Capacity is checked before anything is
-    /// built: a dropped span costs one counter increment, and `name` /
-    /// `args` run (under the span-log lock — they must not call back into
-    /// this registry's span methods) only for a span that is kept. `args`
-    /// appends the span's args with [`SpanLog::push_arg`]; if it panics,
-    /// the span is never committed and the next one overwrites its bytes.
+    /// Records one span without layers through [`SpanLog::push`]. `name`
+    /// and `args` run under the span-log lock: they must not call back
+    /// into this registry's span methods.
     fn push_span(
         &self,
         ctx: TraceCtx,
@@ -690,14 +849,7 @@ impl Registry {
         name: impl FnOnce(&mut Interner) -> SpanName,
         args: impl FnOnce(&mut SpanLog),
     ) {
-        let mut log = self.spans.lock();
-        if !log.log.begin() {
-            return;
-        }
-        let name = name(&mut log.names);
-        log.head(name, ctx, start, dur);
-        args(&mut log);
-        log.commit(start, ctx.span_id);
+        self.spans.lock().push(ctx, start, dur, name, args, &[]);
     }
 
     /// Interns `name` and `cat` for per-op use with [`Registry::end_named`],
@@ -739,6 +891,35 @@ impl Registry {
     ) -> TraceCtx {
         let ctx = self.trace_child(parent);
         self.end_named(ctx, name, start, dur);
+        ctx
+    }
+
+    /// Records a child span of `parent` named `name` and, as its children,
+    /// one span per entry of `layers`, in one record: the `1 + k` ids are
+    /// reserved in one step (the span's first, then its layers' in order)
+    /// and every reader expands the layers right after the span. So
+    /// [`Registry::spans`], the exporters and [`Registry::merge_from`] see
+    /// exactly what [`Registry::child_named`] for the span and then for
+    /// each layer under it would have recorded. Returns the span's
+    /// context.
+    pub fn layered(
+        &self,
+        parent: TraceCtx,
+        name: SpanName,
+        start: Nanos,
+        dur: Nanos,
+        layers: &[Layer],
+    ) -> TraceCtx {
+        let reserved = 1 + layers.len() as u64;
+        let ctx = TraceCtx {
+            trace_id: parent.trace_id,
+            span_id: self.next_span_id.fetch_add(reserved, Ordering::Relaxed) + 1,
+            parent_id: parent.span_id,
+            tid: parent.tid,
+        };
+        self.spans
+            .lock()
+            .push(ctx, start, dur, |_| name, |_| {}, layers);
         ctx
     }
 
@@ -953,15 +1134,26 @@ impl Registry {
             let src = other.spans.lock();
             let mut dst = self.spans.lock();
             let dst = &mut *dst;
-            let keep = src.log.len().min(dst.log.room());
             // Source string id → destination id, resolved on first use.
             let mut ids: Vec<Option<u32>> = vec![None; src.names.strings.len()];
             let mut map = |names: &mut Interner, id: u32| {
                 *ids[id as usize]
                     .get_or_insert_with(|| names.intern(&src.names.strings[id as usize]))
             };
-            for s in src.iter().take(keep) {
-                dst.log.begin();
+            // A layered record is copied as one, so the destination keeps
+            // it as compact, and cuts it where recording would have.
+            let mut layers = Vec::new();
+            let mut spans = src.iter();
+            while let Some(s) = spans.next() {
+                layers.clear();
+                for l in spans.by_ref().take(s.layers as usize) {
+                    let name = SpanName {
+                        name: map(&mut dst.names, l.name.name),
+                        cat: map(&mut dst.names, l.name.cat),
+                    };
+                    let (start, dur) = (l.start, l.dur);
+                    layers.push(Layer { name, start, dur });
+                }
                 let name = SpanName {
                     name: map(&mut dst.names, s.name.name),
                     cat: map(&mut dst.names, s.name.cat),
@@ -972,14 +1164,15 @@ impl Registry {
                     trace_id: rebase(s.ctx.trace_id),
                     ..s.ctx
                 };
-                dst.head(name, ctx, s.start, s.dur);
-                for (key, value) in s.args() {
-                    let key = map(&mut dst.names, key);
-                    dst.arg(key, value);
-                }
-                dst.commit(s.start, ctx.span_id);
+                let args = |dst: &mut SpanLog| {
+                    for (key, value) in s.args() {
+                        let key = map(&mut dst.names, key);
+                        dst.arg(key, value);
+                    }
+                };
+                dst.push(ctx, s.start, s.dur, |_| name, args, &layers);
             }
-            dst.log.dropped += (src.log.len() - keep) as u64 + src.log.dropped;
+            dst.log.dropped += src.log.dropped;
         }
         // History events and timeline worst-sample markers reference trace
         // roots by id, so they rebase by the same offset as the spans they

@@ -49,8 +49,14 @@ impl Packed {
 
     /// Makes the record written since [`Packed::begin`] part of the log.
     pub(crate) fn commit(&mut self) {
+        self.commit_n(1);
+    }
+
+    /// [`Packed::commit`] for a record that holds `n` logical records (a
+    /// span and its layers): each counts against the capacity.
+    pub(crate) fn commit_n(&mut self, n: usize) {
         self.committed = self.bytes.len();
-        self.len += 1;
+        self.len += n;
     }
 
     /// Committed records.
@@ -108,6 +114,11 @@ impl Packed {
 /// layout and panics.
 #[derive(Debug, Clone)]
 pub(crate) struct Reader<'a>(&'a [u8]);
+
+impl Reader<'static> {
+    /// An arg list with nothing in it: what a layer reads back.
+    pub(crate) const NO_ARGS: Reader<'static> = Reader(&[0]);
+}
 
 impl<'a> Reader<'a> {
     pub(crate) fn is_empty(&self) -> bool {

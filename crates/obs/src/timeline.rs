@@ -4,10 +4,10 @@
 //! percentiles.
 //!
 //! A window stores only what its point reports: a rate window its event
-//! count, a gauge window its last value, and a latency window the crate's
-//! one log-bucket sketch (the same one behind [`crate::Histogram`]) plus
-//! the worst sample's `trace_id`. No window keeps a sum, and the worst
-//! sample is the sketch's `max`.
+//! count, a gauge window its last value, and a latency window its count
+//! plus, beside the windows, the crate's one log-bucket sketch (the same
+//! one behind [`crate::Histogram`]) and the worst sample's `trace_id`. No
+//! window keeps a sum, and the worst sample is the sketch's `max`.
 //!
 //! Whole-run aggregates (the `Registry` counters/histograms) hide
 //! transients: a run that collapses for 10% of virtual time and recovers
@@ -85,18 +85,14 @@ impl SeriesKind {
     }
 }
 
-/// Per-window aggregate: only what a snapshot reports. A rate window
-/// reads `count`, a gauge window `last_bits`; only a latency window
-/// allocates, for its sketch.
+/// Per-window aggregate: only what a snapshot reports. A rate or latency
+/// window reads `count`, a gauge window `last_bits`; a latency window's
+/// sketch lives beside it, in [`SeriesData::latency`].
 #[derive(Debug)]
 struct Window {
     count: u64,
     /// Gauge last-value, as `f64` bits (write order decides).
     last_bits: u64,
-    /// Latency samples, and the `trace_id` of the window's worst one —
-    /// the first occurrence of `max`, so recording order, not merge
-    /// shape, decides ties.
-    latency: Option<Box<(Sketch, u64)>>,
 }
 
 impl Window {
@@ -104,7 +100,6 @@ impl Window {
         Window {
             count: 0,
             last_bits: 0f64.to_bits(),
-            latency: None,
         }
     }
 }
@@ -125,6 +120,12 @@ struct SeriesData {
     /// is empty.
     kind: SeriesKind,
     windows: Vec<(u64, Window)>,
+    /// A latency series' samples per window, by window position (empty
+    /// for the other kinds): the sketch, and the `trace_id` of the
+    /// window's worst sample — the first occurrence of `max`, so
+    /// recording order, not merge shape, decides ties. An inline sketch
+    /// keeps opening a window free of allocation.
+    latency: Vec<(Sketch, u64)>,
     /// Window indices are small numbers this code computes from the virtual
     /// clock, so the index hashes them with the integer mixer.
     index: IntMap<u64, u32>,
@@ -133,9 +134,10 @@ struct SeriesData {
 }
 
 impl SeriesData {
-    /// The window numbered `idx`, appended fresh if the series has room
-    /// for one more; `None` when it is at `cap` (first come, first kept).
-    fn window_mut(&mut self, idx: u64, cap: usize) -> Option<&mut Window> {
+    /// The position of the window numbered `idx`, appended fresh (with a
+    /// fresh sketch in a latency series) if the series has room for one
+    /// more; `None` when it is at `cap` (first come, first kept).
+    fn position(&mut self, idx: u64, cap: usize) -> Option<usize> {
         let pos = match self.last {
             Some((last, p)) if last == idx => p,
             _ => match self.index.get(&idx) {
@@ -144,13 +146,16 @@ impl SeriesData {
                     let p = self.windows.len() as u32;
                     self.index.insert(idx, p);
                     self.windows.push((idx, Window::new()));
+                    if self.kind == SeriesKind::Latency {
+                        self.latency.push((Sketch::EMPTY, 0));
+                    }
                     p
                 }
                 None => return None,
             },
         };
         self.last = Some((idx, pos));
-        Some(&mut self.windows[pos as usize].1)
+        Some(pos as usize)
     }
 }
 
@@ -194,6 +199,7 @@ impl TimelineData {
         self.series.push(SeriesData {
             kind: SeriesKind::Rate,
             windows: Vec::new(),
+            latency: Vec::new(),
             index: IntMap::default(),
             last: None,
         });
@@ -214,7 +220,7 @@ impl TimelineData {
         kind: SeriesKind,
         t: Nanos,
         lost: u64,
-        f: impl FnOnce(&mut Window),
+        f: impl FnOnce(&mut Window, Option<&mut (Sketch, u64)>),
     ) {
         let idx = t.0 / self.window;
         let series = &mut self.series[slot as usize];
@@ -227,28 +233,26 @@ impl TimelineData {
             debug_assert!(false, "timeline series kind mismatch");
             return;
         }
-        match series.window_mut(idx, self.max_windows) {
-            Some(w) => f(w),
+        match series.position(idx, self.max_windows) {
+            Some(p) => f(&mut series.windows[p].1, series.latency.get_mut(p)),
             None => self.windows_dropped += lost,
         }
     }
 
     fn add(&mut self, slot: u32, t: Nanos, n: u64) {
-        self.record(slot, SeriesKind::Rate, t, n, |w| w.count += n);
+        self.record(slot, SeriesKind::Rate, t, n, |w, _| w.count += n);
     }
 
     fn set(&mut self, slot: u32, t: Nanos, v: f64) {
-        self.record(slot, SeriesKind::Gauge, t, 1, |w| {
+        self.record(slot, SeriesKind::Gauge, t, 1, |w, _| {
             w.count += 1;
             w.last_bits = v.to_bits();
         });
     }
 
     fn sample(&mut self, slot: u32, t: Nanos, v: u64, trace_id: u64) {
-        self.record(slot, SeriesKind::Latency, t, 1, |w| {
-            let (sketch, worst_trace) = &mut **w
-                .latency
-                .get_or_insert_with(|| Box::new((Sketch::EMPTY, 0)));
+        self.record(slot, SeriesKind::Latency, t, 1, |w, latency| {
+            let (sketch, worst_trace) = latency.expect("a latency window has a sketch");
             if v > sketch.max || sketch.count == 0 {
                 *worst_trace = trace_id;
             }
@@ -423,36 +427,33 @@ impl Timeline {
                 debug_assert!(false, "timeline series {name:?} kind mismatch on merge");
                 continue;
             }
-            for (idx, w) in s.windows.iter() {
-                let Some(d) = into.window_mut(*idx, dst.max_windows) else {
+            for (p, (idx, w)) in s.windows.iter().enumerate() {
+                let Some(q) = into.position(*idx, dst.max_windows) else {
                     // The whole window fails to land: count every event
                     // it carried, matching what a serial recording would
                     // have counted dropping them one call at a time.
                     dst.windows_dropped += w.count;
                     continue;
                 };
+                let d = &mut into.windows[q].1;
                 if w.count > 0 {
                     // Serial order is self's records then other's, so
                     // other's last gauge write wins.
                     d.last_bits = w.last_bits;
                 }
-                if let Some((sketch, trace)) = w.latency.as_deref() {
-                    let trace = if *trace == 0 { 0 } else { trace + trace_offset };
-                    match d.latency.as_deref_mut() {
-                        // Strictly-greater keeps the first occurrence of
-                        // the maximum, which in serial order is self's.
-                        Some((into, worst_trace)) => {
-                            if sketch.max > into.max {
-                                *worst_trace = trace;
-                            }
-                            into.merge(sketch);
-                        }
-                        // A window this merge just created takes other's
-                        // outright.
-                        None => d.latency = Some(Box::new((*sketch, trace))),
-                    }
-                }
                 d.count += w.count;
+                if let Some((sketch, trace)) = s.latency.get(p) {
+                    let trace = if *trace == 0 { 0 } else { trace + trace_offset };
+                    let (into, worst_trace) = &mut into.latency[q];
+                    // A window this merge just created takes other's trace
+                    // outright; otherwise strictly-greater keeps the first
+                    // occurrence of the maximum, which in serial order is
+                    // self's.
+                    if into.count == 0 || sketch.max > into.max {
+                        *worst_trace = trace;
+                    }
+                    into.merge(sketch);
+                }
             }
         }
         dst.windows_dropped += src.windows_dropped;
@@ -482,7 +483,8 @@ impl Timeline {
             let mut points: Vec<Point> = s
                 .windows
                 .iter()
-                .map(|(idx, w)| Point {
+                .enumerate()
+                .map(|(p, (idx, w))| Point {
                     window: *idx,
                     t_ns: idx * d.window,
                     stat: match s.kind {
@@ -494,8 +496,7 @@ impl Timeline {
                             last: f64::from_bits(w.last_bits),
                         },
                         SeriesKind::Latency => {
-                            let (s, worst_trace) =
-                                w.latency.as_deref().unwrap_or(&(Sketch::EMPTY, 0));
+                            let (s, worst_trace) = &s.latency[p];
                             PointStat::Latency {
                                 count: w.count,
                                 p50: s.percentile(50.0),
@@ -813,8 +814,10 @@ mod tests {
 
     #[test]
     fn a_window_stores_only_what_its_point_reports() {
-        // count, the gauge's bits and the latency box: nothing else.
-        assert_eq!(std::mem::size_of::<Window>(), 24);
+        // count and the gauge's bits: nothing else.
+        assert_eq!(std::mem::size_of::<Window>(), 16);
+        // A latency window's sketch and worst trace, beside it.
+        assert!(std::mem::size_of::<(Sketch, u64)>() <= 80);
     }
 
     #[test]

@@ -16,8 +16,8 @@ dentries' names in 4 KiB blocks of its own, so no layer allocates per name
 except the decoupled client's journal event; every ceiling sits just above
 what is left and below what one copy of the name per op would add:
 
-* `rpc_create` <= 0.3 (0.204: the sketch each new latency window boxes,
-  plus amortised growth). A per-layer copy of the name (the event,
+* `rpc_create` <= 0.3 (0.042: amortised growth; 0.204 while each new
+  latency window boxed its sketch). A per-layer copy of the name (the event,
   the history row, the span arg; 7.98 before the logs kept arenas) or a
   boxed dentry name (1.20) adds one per create.
 * `decoupled_merge` <= 1.1 (1.036: the journal event's name). An eagerly
@@ -41,8 +41,9 @@ as a hash map of 96-byte buckets it re-copied every inode at each doubling.
 Every ceiling sits above what is left and below what either regression
 costs:
 
-* `rpc_create` <= 1 000 (872 with the dense inode table, 994 as a hash
-  map; 1 719 with the logs as rows, ≈ 7 spans and a row per create).
+* `rpc_create` <= 1 000 (796 with inline window sketches, 872 with the
+  dense inode table, 994 as a hash map; 1 719 with the logs as rows, ≈ 7
+  spans and a row per create).
 * `decoupled_merge` <= 600 (522 dense; 632 as a hash map; 842 with the
   logs as rows). Its spans are per batch, not per create, so the inode
   table is a larger share of its bytes than the logs.
