@@ -21,7 +21,9 @@
 use std::sync::Arc;
 
 use cudele::{Composition, Policy};
-use cudele_mds::{CheckpointConfig, ClientId, FailoverConfig, MdsCluster, MetadataServer};
+use cudele_mds::{
+    CheckpointConfig, ClientId, MdsCluster, MetadataServer, BEACON_GRACE, BEACON_INTERVAL,
+};
 use cudele_rados::InMemoryStore;
 use cudele_sim::{Nanos, RunReport};
 
@@ -587,8 +589,7 @@ fn failover_drill(
     rendered: &mut String,
 ) -> Result<(), String> {
     use std::fmt::Write as _;
-    let fo = FailoverConfig::default();
-    let mut cluster = MdsCluster::new(base, cost, mdlog, fo);
+    let mut cluster = MdsCluster::new(base, cost, mdlog);
     if let Some(ck) = ckpt_config {
         // The drill's active MDS resumes from the manifest the workload
         // published; every takeover then replays only the journal tail.
@@ -602,7 +603,7 @@ fn failover_drill(
     cluster.attach_obs(reg);
     // Detection happens on the beacon grid at most one interval past the
     // grace; two extra intervals of margin keep the drill schedule-proof.
-    let margin = fo.beacon_grace + fo.beacon_interval * 4;
+    let margin = BEACON_GRACE + BEACON_INTERVAL * 4;
     // A probe client walks the cluster on a fixed 1 ms grid around each
     // crash, so the timeline records the transient end to end: fast
     // lookups before the crash, full-RPC-timeout probes during the
@@ -629,7 +630,7 @@ fn failover_drill(
         Ok(())
     };
     for (i, &t) in crashes.iter().enumerate() {
-        let crash_at = t.max(cluster.now() + fo.beacon_interval);
+        let crash_at = t.max(cluster.now() + BEACON_INTERVAL);
         let mut pt = cluster
             .now()
             .max(Nanos(crash_at.0.saturating_sub(probe_tail.0)));

@@ -24,9 +24,7 @@ use std::sync::Arc;
 
 use cudele::{execute_merge_at, Composition, ExecEnv};
 use cudele_client::LocalDisk;
-use cudele_mds::{
-    CheckpointConfig, ClientId, FailoverConfig, MdLogConfig, MdsCluster, MetadataServer,
-};
+use cudele_mds::{CheckpointConfig, ClientId, MdLogConfig, MdsCluster, MetadataServer};
 use cudele_obs::critpath::{self, MechanismBreakdown};
 use cudele_obs::json::Layout::{Inline, Pretty};
 use cudele_obs::json::{self, Value, Writer};
@@ -308,7 +306,6 @@ fn run_recovery_workload() -> Result<RecoveryRow, String> {
             dispatch_size: 2,
             trim_after_updates: None,
         }),
-        FailoverConfig::default(),
     );
     cluster
         .enable_checkpoints(CheckpointConfig {

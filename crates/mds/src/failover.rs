@@ -40,27 +40,14 @@ use crate::error::Result;
 use crate::mdlog::{MdLog, MdLogConfig};
 use crate::server::{recover_namespace, MetadataServer};
 
-/// Failure-detection and takeover tunables, in virtual time. The defaults
-/// mirror Ceph's (`mds_beacon_interval` 4 s, `mds_beacon_grace` 15 s)
-/// scaled 1000x down so failover drills stay inside millisecond-scale
-/// simulations.
-#[derive(Debug, Clone, Copy)]
-pub struct FailoverConfig {
-    /// How often the active MDS beacons the monitor.
-    pub beacon_interval: Nanos,
-    /// `mds_beacon_grace`: how long the monitor waits without a beacon
-    /// before declaring the active MDS failed.
-    pub beacon_grace: Nanos,
-}
+/// How often the active MDS beacons the monitor, in virtual time: Ceph's
+/// `mds_beacon_interval` (4 s) scaled 1000x down so failover drills stay
+/// inside millisecond-scale simulations.
+pub const BEACON_INTERVAL: Nanos = Nanos::from_micros(4000);
 
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            beacon_interval: Nanos::from_micros(4000),
-            beacon_grace: Nanos::from_millis(15),
-        }
-    }
-}
+/// `mds_beacon_grace` (15 s) scaled the same way: how long the monitor
+/// waits without a beacon before declaring the active MDS failed.
+pub const BEACON_GRACE: Nanos = Nanos::from_millis(15);
 
 /// The monitor's verdict when the grace expires: the old epoch is fenced
 /// and a takeover at `new_epoch` must begin.
@@ -97,7 +84,6 @@ struct MonitorObs {
 /// fencing safe in Ceph (detection can be wrong; fencing makes a wrong
 /// detection harmless rather than corrupting).
 pub struct FailoverMonitor {
-    config: FailoverConfig,
     authority: Arc<FencingAuthority>,
     last_beacon: Nanos,
     /// Whether the monitor currently believes the active MDS is alive.
@@ -109,9 +95,8 @@ pub struct FailoverMonitor {
 impl FailoverMonitor {
     /// A detector over the cluster's fencing authority. The active MDS is
     /// presumed alive with a beacon at time zero.
-    pub fn new(config: FailoverConfig, authority: Arc<FencingAuthority>) -> FailoverMonitor {
+    pub fn new(authority: Arc<FencingAuthority>) -> FailoverMonitor {
         FailoverMonitor {
-            config,
             authority,
             last_beacon: Nanos::ZERO,
             active_up: true,
@@ -143,7 +128,7 @@ impl FailoverMonitor {
             return None;
         }
         let silent_for = now - self.last_beacon;
-        if silent_for <= self.config.beacon_grace {
+        if silent_for <= BEACON_GRACE {
             return None;
         }
         self.active_up = false;
@@ -352,7 +337,6 @@ pub struct FailoverReport {
 /// chaos tests can drive stale writes through it and assert they die at
 /// the object store.
 pub struct MdsCluster {
-    config: FailoverConfig,
     cost: CostModel,
     mdlog_config: Option<MdLogConfig>,
     checkpoint_config: Option<CheckpointConfig>,
@@ -374,15 +358,13 @@ impl MdsCluster {
         base: Arc<dyn ObjectStore>,
         cost: CostModel,
         mdlog_config: Option<MdLogConfig>,
-        config: FailoverConfig,
     ) -> MdsCluster {
         let authority = Arc::new(FencingAuthority::new());
         let fenced: Arc<dyn ObjectStore> =
             Arc::new(FencedStore::new(Arc::clone(&base), Arc::clone(&authority)));
         let active = MetadataServer::with_config(fenced, cost.clone(), mdlog_config);
-        let monitor = FailoverMonitor::new(config, Arc::clone(&authority));
+        let monitor = FailoverMonitor::new(Arc::clone(&authority));
         MdsCluster {
-            config,
             cost,
             mdlog_config,
             checkpoint_config: None,
@@ -392,7 +374,7 @@ impl MdsCluster {
             active,
             zombie: None,
             now: Nanos::ZERO,
-            next_beacon: config.beacon_interval,
+            next_beacon: BEACON_INTERVAL,
             obs: None,
             reports: Vec::new(),
         }
@@ -487,7 +469,7 @@ impl MdsCluster {
             if let Some(decision) = self.monitor.check(slot) {
                 self.fail_over(decision)?;
             }
-            self.next_beacon += self.config.beacon_interval;
+            self.next_beacon += BEACON_INTERVAL;
         }
         self.now = self.now.max(t);
         Ok(())
@@ -605,7 +587,6 @@ mod tests {
             Arc::new(InMemoryStore::paper_default()),
             CostModel::calibrated(),
             Some(small_mdlog()),
-            FailoverConfig::default(),
         )
     }
 
@@ -633,7 +614,7 @@ mod tests {
         assert_eq!(c.epoch(), Epoch(2));
         assert_eq!(c.reports().len(), 1);
         let r = c.reports()[0];
-        assert!(r.decision.detection_latency() > FailoverConfig::default().beacon_grace);
+        assert!(r.decision.detection_latency() > BEACON_GRACE);
         assert!(r.takeover.replayed_events >= 21);
         assert!(!r.takeover.healed);
         // The new primary serves the recovered namespace.
@@ -761,7 +742,7 @@ mod tests {
     #[test]
     fn monitor_fires_once_per_failure() {
         let authority = Arc::new(FencingAuthority::new());
-        let mut m = FailoverMonitor::new(FailoverConfig::default(), Arc::clone(&authority));
+        let mut m = FailoverMonitor::new(Arc::clone(&authority));
         m.beacon(Nanos::from_millis(1));
         assert!(m.check(Nanos::from_millis(10)).is_none());
         let d = m.check(Nanos::from_millis(30)).expect("grace expired");

@@ -60,8 +60,8 @@ pub use compact::emit_canonical;
 pub use dirfrag::{Dentry, Dir, DirListing};
 pub use error::{MdsError, Result};
 pub use failover::{
-    FailoverConfig, FailoverDecision, FailoverMonitor, FailoverReport, MdsCluster, StandbyReplay,
-    TakeoverReport,
+    FailoverDecision, FailoverMonitor, FailoverReport, MdsCluster, StandbyReplay, TakeoverReport,
+    BEACON_GRACE, BEACON_INTERVAL,
 };
 pub use inode::Inode;
 pub use mdlog::{MdLog, MdLogConfig};

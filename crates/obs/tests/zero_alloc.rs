@@ -2,8 +2,8 @@
 //! once warm: a sample into an existing window, a sample dropped at the
 //! window cap, a span dropped at the span cap, and a mechanism
 //! observation — through handles and through the name-keyed shims alike —
-//! a retained span with an arg, a history row with a borrowed name, and a
-//! scheduler push/pop once its bucket buffers are in circulation.
+//! a retained span with an arg, a history row with a borrowed name, and an
+//! engine step.
 //!
 //! One test function, so no other test thread allocates while a region is
 //! being counted.
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
 use cudele_obs::{observe_mechanism_at, Registry};
-use cudele_sim::{CalendarQueue, Nanos};
+use cudele_sim::{ClosedLoopClient, Engine, Nanos};
 
 struct Counting;
 
@@ -201,20 +201,21 @@ fn warm_recording_paths_do_not_allocate() {
     }
     assert_eq!(roomy.history_count(), 1_010);
 
-    // The scheduler: a closed-loop client pops its wake-up and pushes the
-    // next a few microseconds on. A drained bucket's buffer goes to the
-    // next bucket that fills, so once a stretch has cascaded through the
-    // coarser wheel (60 ms crosses three level-1 buckets) there are
-    // buffers enough and a push allocates nothing.
-    let mut q = CalendarQueue::new();
-    let mut seq = 0;
-    let mut stretch = || {
-        for _ in 0..20_000 {
-            seq += 1;
-            q.push(Nanos(seq * 3_000), seq, 0);
-            assert_eq!(q.pop(), Some((Nanos(seq * 3_000), seq, 0)));
-        }
+    // The engine: a one-process closed-loop run allocates its process
+    // table, start list, completion record and the wake-up heap's first
+    // slots, and nothing per step — twice the steps, the same count.
+    let run = |steps: u64| {
+        allocs(|| {
+            // `ops` ops take one more step: the wake at the last one's end.
+            let mut eng = Engine::new(());
+            eng.add_process(Box::new(ClosedLoopClient::new(
+                "c",
+                steps - 1,
+                |now, _: &mut ()| now + Nanos(3_000),
+            )));
+            let (_, report) = eng.run();
+            assert_eq!(report.steps, steps);
+        })
     };
-    stretch();
-    assert_eq!(allocs(stretch), 0, "scheduler, warm");
+    assert_eq!(run(40_000), run(20_000), "engine, per step");
 }

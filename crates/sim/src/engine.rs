@@ -11,13 +11,15 @@
 //! instead register one process per arriving client with
 //! [`Engine::add_arena`], whose start time is the arrival instant.
 //!
-//! The engine is deterministic: ties in wake time are broken by a
-//! monotonically increasing sequence number, so two runs with the same seed
-//! produce identical traces. Events are ordered by a hierarchical
-//! calendar queue ([`crate::sched::CalendarQueue`]) whose pop order is
-//! provably identical to the binary heap it replaced — near-O(1) per
-//! event instead of O(log n), which is what makes million-client runs
-//! interactive.
+//! The engine is deterministic: every wake has a unique `(time, seq)` key
+//! and processes step in that order, so two runs with the same seed
+//! produce identical traces. A process's first wake takes its registration
+//! index as `seq`; every later wake takes the next value of a counter that
+//! starts at the number of processes, so same-instant ties go to first
+//! wakes in registration order, then to resumes in the order they were
+//! scheduled. [`Engine::run`] sorts the first wakes once and walks them,
+//! and keeps only the resumes processes return in a binary heap — the
+//! processes in flight, not the whole population.
 //!
 //! # Process storage
 //!
@@ -28,7 +30,9 @@
 //! allocation, so a million open-loop clients cost one `Vec`, not a
 //! million heap boxes.
 
-use crate::sched::CalendarQueue;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::stats::percentile_of_sorted;
 use crate::time::Nanos;
 
@@ -272,18 +276,29 @@ impl<W> Engine<W> {
             slots,
             start_times,
         } = self;
-        let mut queue = CalendarQueue::new();
-        let mut seq: u64 = 0;
-        for (i, &t) in start_times.iter().enumerate() {
-            queue.push(t, seq, i as u32);
-            seq += 1;
-        }
+        // First wakes in `(start, registration index)` order; the keys are
+        // unique, so the unstable sort is deterministic.
+        let mut starts: Vec<(Nanos, u32)> = start_times
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| (t, i as u32))
+            .collect();
+        starts.sort_unstable();
+        let mut starts = starts.into_iter().peekable();
+        // Resumes, keyed `(time, seq)`; every `seq` is above every index.
+        let mut wakes: BinaryHeap<Reverse<(Nanos, u64, u32)>> = BinaryHeap::new();
+        let mut seq = slots.len() as u64;
 
         let mut completions = vec![Nanos::ZERO; slots.len()];
         let mut end_time = Nanos::ZERO;
         let mut steps: u64 = 0;
 
-        while let Some((now, _, idx)) = queue.pop() {
+        // A start ties ahead of a resume at the same instant: its index is
+        // below the resume's `seq`.
+        while let Some((now, idx)) = starts
+            .next_if(|&(t, _)| wakes.peek().is_none_or(|Reverse((w, _, _))| t <= *w))
+            .or_else(|| wakes.pop().map(|Reverse((t, _, idx))| (t, idx)))
+        {
             let idx = idx as usize;
             steps += 1;
             if steps > MAX_STEPS {
@@ -302,7 +317,7 @@ impl<W> Engine<W> {
                         "process `{}` scheduled wake-up in the past ({next} < {now})",
                         segments[seg as usize].name(off as usize)
                     );
-                    queue.push(next, seq, idx as u32);
+                    wakes.push(Reverse((next, seq, idx as u32)));
                     seq += 1;
                 }
                 Step::Done => {

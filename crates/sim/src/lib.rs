@@ -8,7 +8,8 @@
 //!
 //! * [`time::Nanos`] — virtual instants/durations.
 //! * [`engine`] — a process-driven event loop; each simulated client or
-//!   daemon is a [`engine::Process`] woken in global time order.
+//!   daemon is a [`engine::Process`] woken in global time order (sorted
+//!   start times, then a binary heap of the wake-ups processes return).
 //! * [`resource`] — FIFO servers (MDS CPU, a client's CPU) that turn actions
 //!   into completion times and track utilization.
 //! * [`cost::CostModel`] — every timing constant used anywhere in the
@@ -37,7 +38,6 @@ pub mod engine;
 pub mod hash;
 pub mod plot;
 pub mod resource;
-pub mod sched;
 pub mod stats;
 pub mod time;
 
@@ -46,7 +46,6 @@ pub use engine::{ClosedLoopClient, CompletionSummary, Engine, Process, RunReport
 pub use hash::{IntHasher, IntMap};
 pub use plot::render_plot;
 pub use resource::FifoServer;
-pub use sched::CalendarQueue;
 pub use stats::{
     mean, p50, p95, p99, percentile, render_table, slowdown, speedup, stddev, summarize, Series,
     Summary,

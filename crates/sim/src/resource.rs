@@ -22,7 +22,6 @@ pub struct FifoServer {
     free_at: Nanos,
     busy: Nanos,
     served: u64,
-    queue_samples: u64,
     queue_accum: u64,
 }
 
@@ -34,7 +33,6 @@ impl FifoServer {
             free_at: Nanos::ZERO,
             busy: Nanos::ZERO,
             served: 0,
-            queue_samples: 0,
             queue_accum: 0,
         }
     }
@@ -48,7 +46,6 @@ impl FifoServer {
         self.busy += service;
         self.served += 1;
         // Track whether the request had to wait (coarse queue-depth signal).
-        self.queue_samples += 1;
         if start > arrival {
             self.queue_accum += 1;
         }
@@ -84,26 +81,16 @@ impl FifoServer {
     /// Fraction of requests that found the server busy on arrival. A cheap
     /// proxy for queueing pressure used in saturation reports.
     pub fn wait_fraction(&self) -> f64 {
-        if self.queue_samples == 0 {
+        if self.served == 0 {
             0.0
         } else {
-            self.queue_accum as f64 / self.queue_samples as f64
+            self.queue_accum as f64 / self.served as f64
         }
     }
 
     /// Resource label.
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// Clears accounting but keeps the clock position. Used between
-    /// measurement phases of a single run (Figure 2 reports per-phase
-    /// utilization on one continuous trace).
-    pub fn reset_accounting(&mut self) {
-        self.busy = Nanos::ZERO;
-        self.served = 0;
-        self.queue_samples = 0;
-        self.queue_accum = 0;
     }
 }
 
@@ -141,14 +128,5 @@ mod tests {
         // Busy 20ns over a 1010ns horizon.
         let util = s.utilization(Nanos(1010));
         assert!((util - 20.0 / 1010.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_accounting_keeps_clock() {
-        let mut s = FifoServer::new("mds");
-        s.serve(Nanos(0), Nanos(100));
-        s.reset_accounting();
-        assert_eq!(s.busy_time(), Nanos::ZERO);
-        assert_eq!(s.free_at(), Nanos(100));
     }
 }

@@ -21,8 +21,8 @@ use cudele_client::{AckOutcome, DecoupledClient, LocalDisk, RpcClient, Speculati
 use cudele_faults::{FaultConfig, FaultyStore};
 use cudele_journal::{InodeId, InodeRange, JournalId};
 use cudele_mds::{
-    CheckpointConfig, CheckpointError, CheckpointManager, ClientId, FailoverConfig, MdLogConfig,
-    MdsCluster, MdsError, MetadataServer,
+    CheckpointConfig, CheckpointError, CheckpointManager, ClientId, MdLogConfig, MdsCluster,
+    MdsError, MetadataServer, BEACON_GRACE, BEACON_INTERVAL,
 };
 use cudele_rados::{Epoch, FencedStore, FencingAuthority, InMemoryStore, ObjectStore, RadosError};
 use cudele_sim::{CostModel, Nanos};
@@ -441,12 +441,7 @@ fn failover_run(mech: &str, seed: u64) -> FailoverOutcome {
         "rpcs" | "volatile_apply" => None,
         _ => Some(small_mdlog()),
     };
-    let mut cluster = MdsCluster::new(
-        os.clone(),
-        CostModel::calibrated(),
-        mdlog,
-        FailoverConfig::default(),
-    );
+    let mut cluster = MdsCluster::new(os.clone(), CostModel::calibrated(), mdlog);
     // Record the run's consistency history so the offline checkers can
     // verify the mechanism's claimed axioms across the failover.
     let reg = Arc::new(cudele_obs::Registry::new());
@@ -527,7 +522,7 @@ fn failover_run(mech: &str, seed: u64) -> FailoverOutcome {
     );
     let r = cluster.reports()[0];
     assert!(
-        r.decision.detection_latency() > FailoverConfig::default().beacon_grace,
+        r.decision.detection_latency() > BEACON_GRACE,
         "{mech} seed {seed}: detection beat the grace"
     );
 
@@ -719,8 +714,7 @@ fn failover_timeline_run(mech: &str, seed: u64) -> String {
         "rpcs" | "volatile_apply" => None,
         _ => Some(small_mdlog()),
     };
-    let fo = FailoverConfig::default();
-    let mut cluster = MdsCluster::new(os.clone(), CostModel::calibrated(), mdlog, fo);
+    let mut cluster = MdsCluster::new(os.clone(), CostModel::calibrated(), mdlog);
     let reg = Arc::new(cudele_obs::Registry::new());
     cluster.attach_obs(&reg);
     let tl = reg.timeline();
@@ -771,7 +765,7 @@ fn failover_timeline_run(mech: &str, seed: u64) -> String {
             _ => tl.add("probe.ok", at, 1),
         }
     };
-    let crash_at = Nanos::from_millis(5).max(cluster.now() + fo.beacon_interval);
+    let crash_at = Nanos::from_millis(5).max(cluster.now() + BEACON_INTERVAL);
     let mut pt = cluster.now();
     while pt < crash_at {
         probe(&mut cluster, pt);
@@ -779,7 +773,7 @@ fn failover_timeline_run(mech: &str, seed: u64) -> String {
     }
     cluster.advance_to(crash_at).unwrap();
     cluster.crash_active();
-    let deadline = crash_at + fo.beacon_grace + fo.beacon_interval * 4;
+    let deadline = crash_at + BEACON_GRACE + BEACON_INTERVAL * 4;
     while pt <= deadline {
         probe(&mut cluster, pt);
         pt += step;
@@ -802,7 +796,6 @@ fn failover_timeline_run(mech: &str, seed: u64) -> String {
 #[test]
 fn failover_transient_is_visible_and_reproducible_in_timelines() {
     use cudele_obs::timeline::TimelineSnapshot;
-    let fo = FailoverConfig::default();
     for mech in FAILOVER_MECHANISMS {
         let runs = sweep_seeds(3, |seed| failover_timeline_run(mech, seed));
         for (seed, json) in runs.iter().enumerate() {
@@ -823,7 +816,7 @@ fn failover_transient_is_visible_and_reproducible_in_timelines() {
             // past the grace (one extra interval of slack for the slot
             // the crash itself landed in).
             assert!(
-                detected - crash <= fo.beacon_grace + fo.beacon_interval * 2,
+                detected - crash <= BEACON_GRACE + BEACON_INTERVAL * 2,
                 "{mech} seed {seed}: detection gap {}ns exceeds the grace bound",
                 (detected - crash).0
             );
@@ -882,12 +875,7 @@ fn fenced_zombie_leaves_the_journal_byte_identical() {
             ..FaultConfig::default()
         });
         let reg = std::sync::Arc::new(cudele_obs::Registry::new());
-        let mut cluster = MdsCluster::new(
-            os.clone(),
-            CostModel::calibrated(),
-            Some(small_mdlog()),
-            FailoverConfig::default(),
-        );
+        let mut cluster = MdsCluster::new(os.clone(), CostModel::calibrated(), Some(small_mdlog()));
         cluster.attach_obs(&reg);
         cluster.active_mut().open_session(CLIENT);
         let dir = cluster.active_mut().setup_dir_durable("/z").unwrap();
@@ -948,12 +936,7 @@ fn fenced_zombie_leaves_the_journal_byte_identical() {
 fn post_failover_allocations_never_collide_across_seeds() {
     sweep_seeds(SEEDS, |seed| {
         let os = faulty_store(background_faults(seed));
-        let mut cluster = MdsCluster::new(
-            os.clone(),
-            CostModel::calibrated(),
-            Some(small_mdlog()),
-            FailoverConfig::default(),
-        );
+        let mut cluster = MdsCluster::new(os.clone(), CostModel::calibrated(), Some(small_mdlog()));
         let dir = cluster.active_mut().setup_dir_durable("/a").unwrap();
         cluster.active_mut().open_session(CLIENT);
         let mut pre = std::collections::BTreeSet::new();
@@ -1031,7 +1014,6 @@ fn speculation_failover_run(
         os.clone(),
         CostModel::calibrated(),
         if mdlog { Some(small_mdlog()) } else { None },
-        FailoverConfig::default(),
     );
     let reg = Arc::new(cudele_obs::Registry::new());
     cluster.attach_obs(&reg);
@@ -1079,9 +1061,8 @@ fn speculation_failover_run(
                 "seed {seed}: rollback missed part of the window"
             );
             pending.clear();
-            let fo = FailoverConfig::default();
             cluster
-                .advance_to(cluster.now() + fo.beacon_grace + fo.beacon_interval * 4)
+                .advance_to(cluster.now() + BEACON_GRACE + BEACON_INTERVAL * 4)
                 .unwrap();
             assert_eq!(cluster.epoch(), Epoch(2), "seed {seed}: takeover missing");
             t = t.max(cluster.now()) + step;
@@ -1192,12 +1173,7 @@ fn speculative_window_replays_across_failover_per_seed() {
 fn decoupled_resume_survives_two_successive_failovers() {
     const N: u64 = 40;
     let os = faulty_store(background_faults(5));
-    let mut cluster = MdsCluster::new(
-        os.clone(),
-        CostModel::calibrated(),
-        Some(small_mdlog()),
-        FailoverConfig::default(),
-    );
+    let mut cluster = MdsCluster::new(os.clone(), CostModel::calibrated(), Some(small_mdlog()));
     let mut disk = LocalDisk::new();
     cluster.active_mut().setup_dir_durable("/job").unwrap();
     cluster.active_mut().open_session(CLIENT);
@@ -1322,12 +1298,8 @@ fn flip_ckpt_object(os: &dyn ObjectStore, pick: impl Fn(&str) -> bool) -> bool {
 fn checkpointed_failover_falls_back_under_damage() {
     let run = |damage: Option<&str>| {
         let inner = Arc::new(InMemoryStore::paper_default());
-        let mut cluster = MdsCluster::new(
-            inner.clone(),
-            CostModel::calibrated(),
-            Some(small_mdlog()),
-            FailoverConfig::default(),
-        );
+        let mut cluster =
+            MdsCluster::new(inner.clone(), CostModel::calibrated(), Some(small_mdlog()));
         cluster
             .enable_checkpoints(CheckpointConfig { interval_events: 4 })
             .unwrap();
@@ -1564,12 +1536,7 @@ fn chaos_checkpoint_wide_matrix() {
     fn run(seed: u64) -> (u64, u64, u64, usize, bool) {
         const N: u64 = 120;
         let os = faulty_store(background_faults(seed));
-        let mut cluster = MdsCluster::new(
-            os.clone(),
-            CostModel::calibrated(),
-            Some(small_mdlog()),
-            FailoverConfig::default(),
-        );
+        let mut cluster = MdsCluster::new(os.clone(), CostModel::calibrated(), Some(small_mdlog()));
         cluster
             .enable_checkpoints(CheckpointConfig {
                 // Vary the image cadence with the seed so the matrix covers

@@ -13,9 +13,7 @@
 
 use std::sync::Arc;
 
-use cudele_mds::{
-    CheckpointConfig, ClientId, FailoverConfig, FailoverReport, MdLogConfig, MdsCluster,
-};
+use cudele_mds::{CheckpointConfig, ClientId, FailoverReport, MdLogConfig, MdsCluster};
 use cudele_rados::InMemoryStore;
 use cudele_sim::{CostModel, Nanos};
 
@@ -37,7 +35,6 @@ fn drill(files: u64, checkpoints: bool) -> FailoverReport {
             dispatch_size: DISPATCH,
             trim_after_updates: None,
         }),
-        FailoverConfig::default(),
     );
     if checkpoints {
         cluster
@@ -179,7 +176,6 @@ fn churn_drill(rounds: u64) -> (FailoverReport, u64) {
             dispatch_size: DISPATCH,
             trim_after_updates: None,
         }),
-        FailoverConfig::default(),
     );
     cluster
         .enable_checkpoints(CheckpointConfig {
