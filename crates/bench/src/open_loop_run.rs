@@ -20,7 +20,7 @@
 
 use cudele_journal::InodeId;
 use cudele_mds::ClientId;
-use cudele_sim::{Engine, Nanos, Process, RunReport, Step};
+use cudele_sim::{Engine, IntMap, Nanos, Process, RunReport, Step};
 use cudele_workloads::open_loop::{tenant_dir, Arrival, ArrivalSpec};
 
 use crate::world::{DecoupledCreateProcess, RpcCreateProcess, World};
@@ -134,7 +134,7 @@ pub fn run_open_loop(
     let last_arrival = arrivals.last().map(|a| a.at).unwrap_or(Nanos::ZERO);
 
     // Hot directories, shared across arrivals (setup, uncharged).
-    let mut hot = std::collections::HashMap::new();
+    let mut hot: IntMap<(u32, u32), InodeId> = IntMap::default();
     for a in &arrivals {
         if let std::collections::hash_map::Entry::Vacant(e) = hot.entry((a.tenant, a.dir)) {
             let ino = world

@@ -12,7 +12,7 @@ use cudele_faults::FaultPlan;
 use cudele_journal::{InodeId, InodeRange};
 use cudele_mds::{ClientId, MdLogConfig, MdsError, MetadataServer, OpCost};
 use cudele_obs::timeline::Series;
-use cudele_obs::{Histogram, Layer, Mechanism, Registry, SpanName, TraceCtx};
+use cudele_obs::{Counter, Histogram, Layer, Mechanism, Registry, SpanName, TraceCtx};
 use cudele_rados::InMemoryStore;
 use cudele_sim::{CostModel, Engine, FifoServer, Nanos, Process, RunReport, Step};
 use cudele_workloads::{client_dir, file_name, write_file_name, Interference};
@@ -49,12 +49,15 @@ pub struct World {
     pub fatal: Option<String>,
 }
 
-/// The harness's per-op telemetry, resolved against the world's registry
-/// when the world is built so no process step looks a name up. Open-loop
-/// runs hold one process per arrival, so the handles live here, once,
-/// rather than in each process. All of them are lazy (an unused series,
-/// span name or mechanism leaves no trace in any artifact), which is why
-/// a histogram only some runs record stays an `Option` filled on first use.
+/// The harness's per-op and per-arrival telemetry, resolved against the
+/// world's registry so no process step, and no process construction, looks
+/// a name up. Open-loop runs build one process per arrival, so the handles
+/// live here, once, rather than being looked up for each process. The
+/// series, span names and mechanisms are lazy in the registry (an unused
+/// one leaves no trace in any artifact) and are resolved when the world is
+/// built. A histogram or counter is registered, and shows in the metrics
+/// snapshot, as soon as it is looked up, so those only some runs record
+/// stay an `Option` filled by the first process that needs them.
 pub(crate) struct WorldHandles {
     rpcs: Mechanism,
     volatile_apply: Mechanism,
@@ -85,6 +88,11 @@ pub(crate) struct WorldHandles {
     pub(crate) sojourn: Series,
     /// `bench.sojourn.ns`, registered by the first open-loop completion.
     pub(crate) sojourn_hist: Option<Histogram>,
+    /// `bench.op_latency.ns`, registered by the first create process built.
+    op_lat: Option<Histogram>,
+    /// `client.rpc.timeouts` and `client.rpc.retries`, registered by the
+    /// first [`RpcCreateProcess`] built.
+    rpc_counters: Option<(Counter, Counter)>,
 }
 
 impl WorldHandles {
@@ -119,6 +127,8 @@ impl WorldHandles {
             spec_depth: tl.series("client.spec.depth"),
             sojourn: tl.series("bench.sojourn.ns"),
             sojourn_hist: None,
+            op_lat: None,
+            rpc_counters: None,
         }
     }
 }
@@ -143,6 +153,29 @@ impl World {
             failed_ops: 0,
             fatal: None,
         }
+    }
+
+    /// The create processes' shared `bench.op_latency.ns` histogram.
+    fn op_latency_hist(&mut self) -> Histogram {
+        let obs = &self.obs;
+        self.h
+            .op_lat
+            .get_or_insert_with(|| obs.histogram("bench.op_latency.ns"))
+            .clone()
+    }
+
+    /// Mounts RPC client `idx` (setup, uncharged), counting its timeouts
+    /// and retries on the world's registry.
+    fn mount_rpc_client(&mut self, idx: u32) -> RpcClient {
+        let (client, _) = RpcClient::mount(&mut self.server, ClientId(idx));
+        let obs = &self.obs;
+        let (timeouts, retries) = self.h.rpc_counters.get_or_insert_with(|| {
+            (
+                obs.counter("client.rpc.timeouts"),
+                obs.counter("client.rpc.retries"),
+            )
+        });
+        client.attach_counters(timeouts.clone(), retries.clone())
     }
 
     /// Records a refusal that ends a client, keeping the first.
@@ -373,15 +406,13 @@ pub struct RpcCreateProcess {
 impl RpcCreateProcess {
     /// Builds the process and opens the session (setup, uncharged).
     pub fn new(world: &mut World, idx: u32, dir: InodeId, total: u64) -> RpcCreateProcess {
-        let (mut client, _) = RpcClient::mount(&mut world.server, ClientId(idx));
-        client.attach_obs(&world.obs);
         RpcCreateProcess {
-            client,
+            client: world.mount_rpc_client(idx),
             idx,
             dir,
             total,
             done: 0,
-            op_lat: world.obs.histogram("bench.op_latency.ns"),
+            op_lat: world.op_latency_hist(),
             timeouts_seen: 0,
             retries_seen: 0,
             record_trace: false,
@@ -484,7 +515,7 @@ impl DecoupledCreateProcess {
             total,
             done: 0,
             append,
-            op_lat: world.obs.histogram("bench.op_latency.ns"),
+            op_lat: world.op_latency_hist(),
         }
     }
 
@@ -786,7 +817,7 @@ impl SpeculativeCreateProcess {
             append,
             pending: VecDeque::new(),
             plan,
-            op_lat: world.obs.histogram("bench.op_latency.ns"),
+            op_lat: world.op_latency_hist(),
             clock: Nanos::ZERO,
         })
     }

@@ -1,7 +1,8 @@
 //! The per-op allocation budget of the two create paths, as a test: a warm
 //! `RpcCreateProcess` step (RPC funnel, default mdlog, obs attached), a
-//! warm `DecoupledCreateProcess` step and a blind batch apply (what merge
-//! and replay run), counted with a counting `#[global_allocator]`.
+//! warm `DecoupledCreateProcess` step, a blind batch apply (what merge
+//! and replay run) and an open-loop arrival (mount, session, one create),
+//! counted with a counting `#[global_allocator]`.
 //!
 //! One test function, so no other test thread allocates while a region is
 //! being counted.
@@ -10,12 +11,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cudele_bench::open_loop_run::run_open_loop;
 use cudele_bench::world::{DecoupledCreateProcess, RpcCreateProcess, World};
 use cudele_journal::{Attrs, InodeId, JournalEvent};
 use cudele_mds::{ClientId, MetadataServer, MetadataStore};
 use cudele_rados::InMemoryStore;
 use cudele_sim::{Nanos, Process, Step};
 use cudele_workloads::client_dir;
+use cudele_workloads::open_loop::ArrivalSpec;
 
 struct Counting;
 
@@ -174,5 +177,32 @@ fn warm_create_steps_stay_within_the_allocation_budget() {
     assert_eq!(
         readdir, 2,
         "{readdir} allocations in a readdir of 1000 entries"
+    );
+
+    // An open-loop arrival is a client that mounts, opens a session, takes
+    // one inode grant and creates one file in a shared hot directory. It
+    // owns nothing on the heap — its cap belief and its session's working
+    // range sit inline, its obs handles are the world's — so what a longer
+    // run adds is amortised growth: table chunks and doublings, name
+    // blocks, sealed mdlog segments.
+    let spec = ArrivalSpec::parse("poisson:rate=5000,zipf=1.1,dirs=64,seed=7").unwrap();
+    let open_loop = |arrivals: u32| {
+        let world = World::new(MetadataServer::new(
+            Arc::new(InMemoryStore::paper_default()),
+        ));
+        let mut failed = 0;
+        let n = allocs(|| {
+            failed = run_open_loop(world, &spec, arrivals, 1, false)
+                .unwrap()
+                .failed_ops
+        });
+        assert_eq!(failed, 0);
+        n
+    };
+    let (short, long) = (open_loop(2_000), open_loop(4_000));
+    let per_arrival = long.saturating_sub(short) as f64 / 2_000.0;
+    assert!(
+        per_arrival <= 0.5,
+        "{per_arrival} allocations per extra open-loop arrival ({short} for 2000, {long} for 4000)"
     );
 }

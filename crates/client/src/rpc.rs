@@ -17,13 +17,11 @@
 //! reasserted, and all client-side capability state is dropped (caps do
 //! not survive an MDS restart).
 
-use std::collections::HashMap;
-
 use cudele_faults::RetryPolicy;
 use cudele_journal::{FileType, InodeId, InodeRange};
 use cudele_mds::{ClientId, Dentry, MdsError, MetadataServer, OpCost, Rpc};
 use cudele_obs::{Counter, Registry};
-use cudele_sim::Nanos;
+use cudele_sim::{IntMap, Nanos};
 
 /// The costs one client operation accrued, in issue order; reads as a
 /// slice. An operation is one RPC, or two after a cap revocation (lookup
@@ -64,6 +62,42 @@ impl std::ops::Deref for Costs {
     }
 }
 
+/// Which directories a client believes it holds the read-caching cap on.
+/// Most clients write into one directory, so its belief is held inline and
+/// only a second directory's spills to a map — the first create allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
+struct Beliefs {
+    /// The first directory a belief was recorded for.
+    first: Option<(InodeId, bool)>,
+    /// Every other directory's belief.
+    rest: IntMap<InodeId, bool>,
+}
+
+impl Beliefs {
+    fn get(&self, dir: InodeId) -> bool {
+        match self.first {
+            Some((d, cached)) if d == dir => cached,
+            _ => self.rest.get(&dir).copied().unwrap_or(false),
+        }
+    }
+
+    fn set(&mut self, dir: InodeId, cached: bool) {
+        match &mut self.first {
+            Some((d, held)) if *d == dir => *held = cached,
+            Some(_) => {
+                self.rest.insert(dir, cached);
+            }
+            None => self.first = Some((dir, cached)),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.first = None;
+        self.rest.clear();
+    }
+}
+
 /// Outcome of one client-level operation: the functional result plus the
 /// per-RPC costs to charge, in order.
 #[derive(Debug)]
@@ -87,10 +121,8 @@ impl<T> OpOutcome<T> {
 pub struct RpcClient {
     /// The client this session belongs to.
     pub id: ClientId,
-    /// Directories this client believes it holds the read-caching cap on,
-    /// with a local view of names it knows exist there (valid only while
-    /// the cap is held).
-    cached: HashMap<InodeId, bool>,
+    /// Directories this client believes it holds the read-caching cap on.
+    cached: Beliefs,
     /// Lookups this client has issued (Figure 3c's y2 series).
     pub lookups_sent: u64,
     /// Creates this client has issued.
@@ -120,7 +152,7 @@ impl RpcClient {
         (
             RpcClient {
                 id,
-                cached: HashMap::new(),
+                cached: Beliefs::default(),
                 lookups_sent: 0,
                 creates_sent: 0,
                 timeouts_seen: 0,
@@ -139,6 +171,17 @@ impl RpcClient {
     pub fn attach_obs(&mut self, reg: &Registry) {
         self.obs_timeouts = Some(reg.counter("client.rpc.timeouts"));
         self.obs_retries = Some(reg.counter("client.rpc.retries"));
+    }
+
+    /// The client counting its timeouts and retries on counters the caller
+    /// already resolved — a harness mounting one client per arrival looks
+    /// the names up once, not per client.
+    pub fn attach_counters(self, timeouts: Counter, retries: Counter) -> RpcClient {
+        RpcClient {
+            obs_timeouts: Some(timeouts),
+            obs_retries: Some(retries),
+            ..self
+        }
     }
 
     /// Reconfigures the timeout retry budget.
@@ -206,7 +249,7 @@ impl RpcClient {
 
     /// Whether the client currently believes it can skip lookups in `dir`.
     pub fn believes_cached(&self, dir: InodeId) -> bool {
-        self.cached.get(&dir).copied().unwrap_or(false)
+        self.cached.get(dir)
     }
 
     /// Creates `name` in `dir`. Issues a lookup RPC first when the
@@ -282,7 +325,7 @@ impl RpcClient {
         // A surprise EEXIST while we thought we were cached means a stale
         // cache: any error drops it.
         let has_cache = reply.as_ref().is_ok_and(|r| r.has_cache);
-        self.cached.insert(dir, has_cache);
+        self.cached.set(dir, has_cache);
         match reply {
             Ok(r) => Ok(r.ino),
             // The server's EEXIST does not say what the name is; a mkdir

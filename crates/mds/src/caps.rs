@@ -22,9 +22,8 @@
 //! directory forces the victim back to `lookup() + create()` pairs until
 //! the directory quiesces.
 
-use std::collections::HashMap;
-
 use cudele_journal::InodeId;
+use cudele_sim::IntMap;
 
 /// A storage client (one mounted session).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,7 +58,10 @@ struct DirCaps {
 /// Per-directory capability state for one MDS.
 #[derive(Debug, Clone)]
 pub struct CapTable {
-    dirs: HashMap<InodeId, DirCaps>,
+    /// Probed on every lookup and create. Keyed by allocator-issued inode
+    /// numbers, and nothing reads the map in iteration order, so it hashes
+    /// by [`IntHasher`](cudele_sim::IntHasher) (DESIGN.md "Hash requirements").
+    dirs: IntMap<InodeId, DirCaps>,
     /// Consecutive sole-writer operations before the cache cap is
     /// re-granted after contention.
     regrant_after: u64,
@@ -80,7 +82,7 @@ impl CapTable {
     pub fn with_regrant_after(regrant_after: u64) -> CapTable {
         assert!(regrant_after > 0);
         CapTable {
-            dirs: HashMap::new(),
+            dirs: IntMap::default(),
             regrant_after,
             revocations: 0,
             grants: 0,

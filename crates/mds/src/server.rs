@@ -1066,13 +1066,7 @@ impl MetadataServer {
         } = *req
         {
             let ino = token.predicted_ino;
-            if !self
-                .sessions
-                .get(client)?
-                .ranges
-                .iter()
-                .any(|r| r.contains(ino))
-            {
+            if !self.sessions.get(client)?.ranges().any(|r| r.contains(ino)) {
                 return Err(MdsError::BadSpeculation { ino });
             }
             match self.store.probe(parent, name) {

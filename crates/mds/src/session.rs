@@ -6,9 +6,8 @@
 //! intends to create, the MDS reserves that range, and the merge skips
 //! inodes the client used.
 
-use std::collections::HashMap;
-
 use cudele_journal::{InodeId, InodeRange};
+use cudele_sim::IntMap;
 
 use crate::caps::ClientId;
 use crate::error::{MdsError, Result};
@@ -73,8 +72,12 @@ impl Default for InodeAllocator {
 pub struct Session {
     /// The session's client.
     pub client: ClientId,
-    /// Inode ranges preallocated to this client, oldest first.
-    pub ranges: Vec<InodeRange>,
+    /// The newest preallocated range, the one inodes are taken from; `None`
+    /// before the first grant.
+    working: Option<InodeRange>,
+    /// Ranges granted before `working`, oldest first. Only a second grant
+    /// or a restore pushes here, so a one-grant session allocates nothing.
+    older: Vec<InodeRange>,
     /// Next unused offset into the newest range.
     cursor: u64,
     /// Operations served for this session (diagnostics).
@@ -85,15 +88,21 @@ impl Session {
     fn new(client: ClientId) -> Session {
         Session {
             client,
-            ranges: Vec::new(),
+            working: None,
+            older: Vec::new(),
             cursor: 0,
             ops: 0,
         }
     }
 
+    /// Inode ranges preallocated to this client, oldest first.
+    pub fn ranges(&self) -> impl Iterator<Item = InodeRange> + '_ {
+        self.older.iter().copied().chain(self.working)
+    }
+
     /// Takes the next preallocated inode, if any remain.
     pub fn take_inode(&mut self) -> Option<InodeId> {
-        let range = self.ranges.last()?;
+        let range = self.working?;
         if self.cursor >= range.len {
             return None;
         }
@@ -104,28 +113,35 @@ impl Session {
 
     /// Inodes still unused in the newest range.
     pub fn remaining(&self) -> u64 {
-        self.ranges
-            .last()
+        self.working
             .map_or(0, |r| r.len.saturating_sub(self.cursor))
     }
 
+    /// Makes `range` the working range, keeping the one it replaces.
+    fn push(&mut self, range: InodeRange) {
+        if let Some(old) = self.working.replace(range) {
+            self.older.push(old);
+        }
+    }
+
     fn grant(&mut self, range: InodeRange) {
-        self.ranges.push(range);
+        self.push(range);
         self.cursor = 0;
     }
 
     /// Re-registers a surviving preallocated range after a reconnect, with
     /// the first `used` inodes already consumed by pre-failover operations.
     fn restore(&mut self, range: InodeRange, used: u64) {
-        self.ranges.push(range);
+        self.push(range);
         self.cursor = used.min(range.len);
     }
 
-    /// Rebinds a recycled slot to a new client, keeping the `ranges`
+    /// Rebinds a recycled slot to a new client, keeping the older-range
     /// vector's allocation.
     fn reset(&mut self, client: ClientId) {
         self.client = client;
-        self.ranges.clear();
+        self.working = None;
+        self.older.clear();
         self.cursor = 0;
         self.ops = 0;
     }
@@ -133,14 +149,16 @@ impl Session {
 
 /// All sessions on one MDS, stored in a slot arena.
 ///
-/// Open-loop traffic opens and closes sessions at the arrival rate — a
-/// million short-lived clients under `mdbench --arrival` each touch this
-/// map. Sessions therefore live in a flat `Vec` whose slots are recycled
-/// through a free list: closing a session returns its slot (and the
-/// granted-range vector's allocation) for the next arrival instead of
-/// freeing it, and the per-client index maps `ClientId -> slot`. The
-/// externally visible behaviour is identical to the old
-/// `HashMap<ClientId, Session>`.
+/// Open-loop traffic opens a session per arrival — a million short-lived
+/// clients under `mdbench --arrival` each add one here. Those clients never
+/// close their sessions (no harness process calls
+/// [`MetadataServer::close_session`](crate::MetadataServer::close_session)),
+/// so a run ends with one live session, and its inode grant, per arrival.
+/// Sessions live in a flat `Vec` whose slots are recycled through a free
+/// list: a closed session's slot (and its older-range vector's allocation)
+/// goes to the next open instead of being freed, and the per-client index
+/// maps `ClientId -> slot`, hashed by [`IntHasher`](cudele_sim::IntHasher):
+/// it is probed on every RPC, and client ids are program-issued.
 #[derive(Debug, Clone, Default)]
 pub struct SessionMap {
     /// Slot storage; a slot is live iff some `index` entry points at it.
@@ -149,7 +167,7 @@ pub struct SessionMap {
     /// the hot slot cache-warm).
     free: Vec<u32>,
     /// Live sessions: client -> slot.
-    index: HashMap<ClientId, u32>,
+    index: IntMap<ClientId, u32>,
 }
 
 impl SessionMap {
@@ -282,7 +300,34 @@ mod tests {
             .unwrap();
         let s = m.get_mut(c).unwrap();
         assert_eq!(s.take_inode(), Some(InodeId(0x2000)));
-        assert_eq!(s.ranges.len(), 2);
+        assert_eq!(s.ranges().count(), 2);
+    }
+
+    #[test]
+    fn ranges_stay_oldest_first_across_grants_restores_and_recycling() {
+        let r = |start: u64, len: u64| InodeRange::new(InodeId(start), len);
+        let ranges = |m: &SessionMap, c| m.get(c).unwrap().ranges().collect::<Vec<_>>();
+        let mut m = SessionMap::new();
+        let (a, b) = (ClientId(1), ClientId(2));
+        m.open(a);
+        assert_eq!(ranges(&m, a), []);
+        m.grant_range(a, r(0x1000, 4)).unwrap();
+        assert_eq!(ranges(&m, a), [r(0x1000, 4)]);
+        m.restore_range(a, r(0x2000, 8), 3).unwrap();
+        m.grant_range(a, r(0x3000, 2)).unwrap();
+        m.restore_range(a, r(0x4000, 8), 5).unwrap();
+        let held = [r(0x1000, 4), r(0x2000, 8), r(0x3000, 2), r(0x4000, 8)];
+        assert_eq!(ranges(&m, a), held);
+        // The newest range is the one inodes come from.
+        assert_eq!(m.get_mut(a).unwrap().take_inode(), Some(InodeId(0x4005)));
+        // A recycled slot forgets every range, then keeps order afresh.
+        m.close(a);
+        m.open(b);
+        assert_eq!(ranges(&m, b), []);
+        m.restore_range(b, r(0x5000, 8), 8).unwrap();
+        m.grant_range(b, r(0x6000, 1)).unwrap();
+        assert_eq!(ranges(&m, b), [r(0x5000, 8), r(0x6000, 1)]);
+        assert_eq!(m.slots_allocated(), 1);
     }
 
     #[test]
@@ -336,6 +381,6 @@ mod tests {
         assert_eq!(s.ops, 0);
         assert_eq!(s.remaining(), 0);
         assert_eq!(s.take_inode(), None);
-        assert!(s.ranges.is_empty());
+        assert_eq!(s.ranges().next(), None);
     }
 }

@@ -1,11 +1,12 @@
 //! A hasher for integer keys the program issues itself.
 //!
-//! The metadata store's inode tables and the timeline's window index are
-//! keyed by numbers this code allocates (inode ids, window indices), never
-//! by outside input, and are probed several times per simulated operation —
-//! SipHash's collision-attack resistance buys nothing there and costs a
-//! measurable share of a create. This crate sits below both users, so the
-//! one implementation lives here.
+//! The metadata store's inode tables, the MDS's session index and cap
+//! table, the RPC client's cap beliefs and the timeline's window index are
+//! keyed by numbers this code allocates (inode ids, client ids, window
+//! indices), never by outside input, and are probed several times per
+//! simulated operation — SipHash's collision-attack resistance buys
+//! nothing there and costs a measurable share of a create. This crate sits
+//! below all of those users, so the one implementation lives here.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -29,6 +30,13 @@ impl Hasher for IntHasher {
     fn write_u64(&mut self, n: u64) {
         let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 = h ^ (h >> 32);
+    }
+
+    /// A `u32` key (a client id) is widened and mixed once, not split into
+    /// bytes by the default `write`.
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
     }
 
     #[inline]

@@ -52,11 +52,6 @@ impl FifoServer {
         done
     }
 
-    /// The instant at which the server next becomes idle.
-    pub fn free_at(&self) -> Nanos {
-        self.free_at
-    }
-
     /// Total time the server has spent servicing requests.
     pub fn busy_time(&self) -> Nanos {
         self.busy
@@ -65,17 +60,6 @@ impl FifoServer {
     /// Number of requests served so far.
     pub fn served(&self) -> u64 {
         self.served
-    }
-
-    /// Fraction of `horizon` the server was busy, in `[0, 1]` (can exceed 1
-    /// only if `horizon` is shorter than the simulated span, which callers
-    /// should avoid).
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if horizon == Nanos::ZERO {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / horizon.as_secs_f64()
-        }
     }
 
     /// Fraction of requests that found the server busy on arrival. A cheap
@@ -125,8 +109,7 @@ mod tests {
         s.serve(Nanos(0), Nanos(10));
         let d = s.serve(Nanos(1000), Nanos(10));
         assert_eq!(d, Nanos(1010));
-        // Busy 20ns over a 1010ns horizon.
-        let util = s.utilization(Nanos(1010));
-        assert!((util - 20.0 / 1010.0).abs() < 1e-12);
+        // The idle gap is not busy time.
+        assert_eq!(s.busy_time(), Nanos(20));
     }
 }

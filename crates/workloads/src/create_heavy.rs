@@ -59,12 +59,35 @@ pub fn file_name(client: u32, i: u64) -> String {
 }
 
 /// [`file_name`] written over `out`, so a process issuing one create per
-/// step formats every name into the one buffer it keeps.
+/// step formats every name into the one buffer it keeps. The name is
+/// assembled back to front in a stack buffer and appended once: this runs
+/// once per create, and going through `core::fmt` cost a tenth of a
+/// decoupled merge run's CPU.
 pub fn write_file_name(out: &mut String, client: u32, i: u64) {
-    use std::fmt::Write as _;
+    // "file." + u32::MAX + "." + u64::MAX.
+    let mut buf = [0u8; 36];
+    let end = buf.len();
+    let mut at = prepend_decimal(&mut buf, end, i);
+    at -= 1;
+    buf[at] = b'.';
+    at = prepend_decimal(&mut buf, at, u64::from(client));
+    at -= 5;
+    buf[at..at + 5].copy_from_slice(b"file.");
     out.clear();
-    // Writing to a `String` cannot fail.
-    let _ = write!(out, "file.{client}.{i}");
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("the name is ASCII"));
+}
+
+/// Writes `n` in decimal, as `{n}` would, into `buf` so that it ends just
+/// before `end`; returns where it starts.
+fn prepend_decimal(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    loop {
+        end -= 1;
+        buf[end] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return end;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -84,6 +107,31 @@ mod tests {
         assert_eq!(points.first().unwrap().clients, 1);
         assert_eq!(points.last().unwrap().clients, 20);
         assert!(points.iter().all(|p| p.files_per_client == 100_000));
+    }
+
+    #[test]
+    fn names_match_the_format_macro() {
+        let mut out = String::from("stale contents");
+        let mut check = |c: u32, i: u64| {
+            write_file_name(&mut out, c, i);
+            assert_eq!(out, format!("file.{c}.{i}"));
+        };
+        let edges = [0, 1, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        for &c in &[0, 9, 10, u32::MAX] {
+            for &i in &edges {
+                check(c, i);
+            }
+        }
+        // Seeded splitmix64 draws, at every magnitude.
+        let mut x = 0x5eed_u64;
+        for k in 0..2_000u32 {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            check(z as u32 >> (k % 32), z >> (k % 64));
+        }
     }
 
     #[test]

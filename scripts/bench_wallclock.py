@@ -23,8 +23,10 @@ what is left and below what one copy of the name per op would add:
 * `decoupled_merge` <= 1.1 (1.036: the journal event's name). An eagerly
   built mirror or a `readdir` that clones every name (4.05 with both), or a
   boxed dentry name at merge (2.03), adds one per create.
-* `open_loop_churn` <= 3.05 (3.004: each arrival's session, cap and process
-  state). A boxed dentry name adds 0.92 (3.93).
+* `open_loop_churn` <= 1.0 (0.303: amortised growth; 2.303 while each
+  arrival's client built a cap-belief table and its session a range
+  vector, 3.004 before that). A per-arrival allocation adds one per create
+  (one create per arrival); a boxed dentry name adds 0.92.
 * `namespace_mix` <= 3.0 (2.986). A boxed dentry name adds 0.26 (3.24),
   one per name a create, mkdir or rename links.
 * `failover_recover` <= 1.15 (1.074 per recovered event). Decoding the
@@ -101,7 +103,11 @@ ALLOC_CEILINGS = {
         "beyond the journal event's name, a mirror, a cloning readdir or a box per "
         "merged dentry name is back",
     ),
-    "open_loop_churn": (3.05, "a box per dentry name is back"),
+    "open_loop_churn": (
+        1.0,
+        "an arrival allocates on its own again (a client's cap-belief table, a "
+        "session's range vector), or a box per dentry name is back",
+    ),
     "namespace_mix": (3.0, "a box per dentry name is back"),
     "failover_recover": (
         1.15,
