@@ -68,8 +68,8 @@ pub fn run(scale: Scale) -> Fig2 {
     // hold other runs' events, so each phase reads a difference.
     let reg = crate::obs_out::session().unwrap_or_default();
     server.attach_obs(&reg);
-    let journaled = reg.counter("mds.mdlog.events");
-    let mut journaled_before = journaled.get();
+    let journaled = || reg.counter_value("mds.mdlog.events").unwrap_or(0);
+    let mut journaled_before = journaled();
     let mut mds = FifoServer::new("mds-cpu");
     let (mut rpc, _) = RpcClient::mount(&mut server, ClientId(1));
     let cm = server.cost_model().clone();
@@ -138,8 +138,8 @@ pub fn run(scale: Scale) -> Fig2 {
         let busy = mds.busy_time() - busy_before;
         // The MDS's own disk traffic is the journal stream (calibrated
         // bytes); OSD data-pool traffic does not appear on the MDS.
-        let disk_bytes = cm.journal_bytes(journaled.get() - journaled_before);
-        journaled_before = journaled.get();
+        let disk_bytes = cm.journal_bytes(journaled() - journaled_before);
+        journaled_before = journaled();
         let secs = duration.as_secs_f64().max(1e-9);
         phases.push(PhaseReport {
             name: phase.name,

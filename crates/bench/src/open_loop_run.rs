@@ -56,12 +56,7 @@ impl OpenLoopProcess {
     fn finish(arrival: Nanos, now: Nanos, world: &mut World) -> Step {
         let sojourn = (now - arrival).0;
         world.h.sojourn.sample(now, sojourn, 0);
-        let obs = &world.obs;
-        world
-            .h
-            .sojourn_hist
-            .get_or_insert_with(|| obs.histogram("bench.sojourn.ns"))
-            .record(sojourn);
+        world.h.sojourn_hist.get().record(sojourn);
         Step::Done
     }
 }
@@ -145,7 +140,7 @@ pub fn run_open_loop(
         }
     }
 
-    let sojourn = world.obs.histogram("bench.sojourn.ns");
+    let sojourn = world.h.sojourn_hist.get().clone();
     let mut eng = Engine::new(world);
     let mut procs = Vec::with_capacity(arrivals.len());
     let starts: Vec<Nanos> = arrivals.iter().map(|a| a.at).collect();

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use cudele::{execute_merge_at, Composition, ExecEnv};
+use cudele::{execute_merge_at, Composition, ExecEnv, MergeObs};
 use cudele_client::LocalDisk;
 use cudele_mds::{CheckpointConfig, ClientId, MdLogConfig, MdsCluster, MetadataServer};
 use cudele_obs::critpath::{self, MechanismBreakdown};
@@ -175,7 +175,9 @@ fn run_mdbench_workload(policy: &'static str) -> Result<MdbenchRow, String> {
         .map_err(|e| format!("mdbench[{policy}] history: {e}"))?;
     let check = cudele_check::check_history(&history);
     let ops = (MDBENCH_CLIENTS as u64 * MDBENCH_FILES) as f64;
-    let h = reg.histogram("bench.op_latency.ns");
+    let h = reg
+        .histogram_value("bench.op_latency.ns")
+        .unwrap_or_default();
     // The windowed view of the same run, under the default objectives:
     // window counts and steady-state rates are deterministic, so they
     // are gated like any other measurement.
@@ -420,7 +422,7 @@ pub fn seven_mechanism_world() -> World {
             os: os.as_ref(),
             disk: &mut disk,
         },
-        Some(&world.obs),
+        Some(&MergeObs::new(&world.obs)),
         11,
         report.slowest(),
     )

@@ -66,8 +66,15 @@ pub fn parse_args(argv: &[String]) -> Result<ViewConfig, String> {
 /// Reads and renders the configured file.
 pub fn run(cfg: &ViewConfig) -> Result<String, String> {
     let body = std::fs::read_to_string(&cfg.path).map_err(|e| format!("{}: {e}", cfg.path))?;
-    let snap = TimelineSnapshot::parse(&body).map_err(|e| format!("{}: {e}", cfg.path))?;
-    match &cfg.series {
+    render(&body, cfg.series.as_deref()).map_err(|e| format!("{}: {e}", cfg.path))
+}
+
+/// Renders a `cudele-timeline/v1` document: the overview, or `series`'s
+/// per-window table. Any text is an input: what does not parse, or names
+/// no such series, is an `Err`.
+pub fn render(body: &str, series: Option<&str>) -> Result<String, String> {
+    let snap = TimelineSnapshot::parse(body)?;
+    match series {
         Some(name) => render_series_table(&snap, name),
         None => Ok(render_overview(&snap)),
     }
@@ -100,17 +107,18 @@ fn format_value(v: f64) -> String {
 }
 
 /// One sparkline: the series' plot values over `[lo, hi]` windows,
-/// downsampled column-max, `·` where no window was recorded.
+/// downsampled column-max, `·` where no window was recorded. The column
+/// arithmetic is `u128`: a span of windows near 2^64 must not overflow.
 fn sparkline(s: &SeriesSnap, lo: u64, hi: u64) -> String {
-    let span = hi - lo + 1;
-    let cols = span.min(SPARK_COLS);
+    let span = u128::from(hi - lo) + 1;
+    let cols = span.min(u128::from(SPARK_COLS));
     // Column c covers windows [lo + c*span/cols, lo + (c+1)*span/cols).
     let mut col_max: Vec<Option<f64>> = vec![None; cols as usize];
     for p in &s.points {
         if p.window < lo || p.window > hi {
             continue;
         }
-        let c = ((p.window - lo) * cols / span) as usize;
+        let c = (u128::from(p.window - lo) * cols / span) as usize;
         let v = p.stat.plot_value();
         col_max[c] = Some(match col_max[c] {
             Some(m) => m.max(v),

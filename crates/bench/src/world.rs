@@ -7,12 +7,12 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use cudele_client::{AckOutcome, RpcClient, SpeculativeClient};
+use cudele_client::{AckOutcome, DecoupledObs, RpcClient, RpcObs, SpecObs, SpeculativeClient};
 use cudele_faults::FaultPlan;
 use cudele_journal::{InodeId, InodeRange};
 use cudele_mds::{ClientId, MdLogConfig, MdsError, MetadataServer, OpCost};
 use cudele_obs::timeline::Series;
-use cudele_obs::{Counter, Histogram, Layer, Mechanism, Registry, SpanName, TraceCtx};
+use cudele_obs::{FirstUse, Histogram, Layer, Mechanism, Registry, SpanName, TraceCtx};
 use cudele_rados::InMemoryStore;
 use cudele_sim::{CostModel, Engine, FifoServer, Nanos, Process, RunReport, Step};
 use cudele_workloads::{client_dir, file_name, write_file_name, Interference};
@@ -49,87 +49,58 @@ pub struct World {
     pub fatal: Option<String>,
 }
 
-/// The harness's per-op and per-arrival telemetry, resolved against the
-/// world's registry so no process step, and no process construction, looks
-/// a name up. Open-loop runs build one process per arrival, so the handles
-/// live here, once, rather than being looked up for each process. The
-/// series, span names and mechanisms are lazy in the registry (an unused
-/// one leaves no trace in any artifact) and are resolved when the world is
-/// built. A histogram or counter is registered, and shows in the metrics
-/// snapshot, as soon as it is looked up, so those only some runs record
-/// stay an `Option` filled by the first process that needs them.
-pub(crate) struct WorldHandles {
-    rpcs: Mechanism,
-    volatile_apply: Mechanism,
-    append_client_journal: Mechanism,
-    speculate: Mechanism,
-    queue_wait: SpanName,
-    service: SpanName,
-    net_rpc: SpanName,
-    create: SpanName,
-    net_transfer: SpanName,
-    mds_apply: SpanName,
-    net_reply: SpanName,
-    merge: SpanName,
-    client_append: SpanName,
-    append_batch: SpanName,
-    spec_create: SpanName,
-    client_rollback: SpanName,
-    backlog: Series,
-    ops: Series,
-    op_latency: Series,
-    merge_latency: Series,
-    timeouts: Series,
-    retries: Series,
-    spec_rollbacks: Series,
-    spec_replayed: Series,
-    spec_commits: Series,
-    spec_depth: Series,
-    pub(crate) sojourn: Series,
-    /// `bench.sojourn.ns`, registered by the first open-loop completion.
-    pub(crate) sojourn_hist: Option<Histogram>,
-    /// `bench.op_latency.ns`, registered by the first create process built.
-    op_lat: Option<Histogram>,
-    /// `client.rpc.timeouts` and `client.rpc.retries`, registered by the
-    /// first [`RpcCreateProcess`] built.
-    rpc_counters: Option<(Counter, Counter)>,
-}
-
-impl WorldHandles {
-    fn resolve(obs: &Registry) -> WorldHandles {
-        let tl = obs.timeline();
-        WorldHandles {
-            rpcs: obs.mechanism("rpcs"),
-            volatile_apply: obs.mechanism("volatile_apply"),
-            append_client_journal: obs.mechanism("append_client_journal"),
-            speculate: obs.mechanism("speculate"),
-            queue_wait: obs.span_name("mds.queue_wait", "mds"),
-            service: obs.span_name("mds.service", "mds"),
-            net_rpc: obs.span_name("net.rpc", "net"),
-            create: obs.span_name("create", "client_op"),
-            net_transfer: obs.span_name("net.transfer", "net"),
-            mds_apply: obs.span_name("mds.apply", "mds"),
-            net_reply: obs.span_name("net.reply", "net"),
-            merge: obs.span_name("merge", "client_op"),
-            client_append: obs.span_name("client.append", "client"),
-            append_batch: obs.span_name("append_batch", "client_op"),
-            spec_create: obs.span_name("spec_create", "client_op"),
-            client_rollback: obs.span_name("client.rollback", "client"),
-            backlog: tl.series("mds.rpc.backlog_ns"),
-            ops: tl.series("bench.ops"),
-            op_latency: tl.series("bench.op_latency.ns"),
-            merge_latency: tl.series("bench.merge_latency.ns"),
-            timeouts: tl.series("client.rpc.timeouts"),
-            retries: tl.series("client.rpc.retries"),
-            spec_rollbacks: tl.series("client.spec.rollbacks"),
-            spec_replayed: tl.series("client.spec.replayed"),
-            spec_commits: tl.series("client.spec.commits"),
-            spec_depth: tl.series("client.spec.depth"),
-            sojourn: tl.series("bench.sojourn.ns"),
-            sojourn_hist: None,
-            op_lat: None,
-            rpc_counters: None,
-        }
+cudele_obs::handles! {
+    /// The harness's per-op and per-arrival telemetry, resolved against the
+    /// world's registry so no process step, no process construction and no
+    /// merge looks a name up: open-loop runs build one process per arrival,
+    /// so the handles live here, once, and every process clones what it needs.
+    ///
+    /// - **Run-wide** (resolved when the world is built): the mechanisms, span
+    ///   names and series. They are lazy in the registry, so an unused one
+    ///   leaves no trace in any artifact.
+    /// - **First-use** ([`FirstUse`]: resolved the first time a process
+    ///   needs it, then cloned): everything that registers a counter or
+    ///   histogram, which shows in the metrics snapshot as soon as it is
+    ///   resolved — the client layers' handles ([`RpcObs`], [`DecoupledObs`],
+    ///   [`SpecObs`]) and `bench.op_latency.ns`, `bench.merge_latency.ns` and
+    ///   `bench.sojourn.ns`. A run of one client kind registers only its own.
+    pub(crate) struct WorldHandles(reg: &Arc<Registry>) {
+        rpcs: Mechanism = reg.mechanism("rpcs"),
+        volatile_apply: Mechanism = reg.mechanism("volatile_apply"),
+        append_client_journal: Mechanism = reg.mechanism("append_client_journal"),
+        speculate: Mechanism = reg.mechanism("speculate"),
+        queue_wait: SpanName = reg.span_name("mds.queue_wait", "mds"),
+        service: SpanName = reg.span_name("mds.service", "mds"),
+        net_rpc: SpanName = reg.span_name("net.rpc", "net"),
+        create: SpanName = reg.span_name("create", "client_op"),
+        net_transfer: SpanName = reg.span_name("net.transfer", "net"),
+        mds_apply: SpanName = reg.span_name("mds.apply", "mds"),
+        net_reply: SpanName = reg.span_name("net.reply", "net"),
+        merge: SpanName = reg.span_name("merge", "client_op"),
+        client_append: SpanName = reg.span_name("client.append", "client"),
+        append_batch: SpanName = reg.span_name("append_batch", "client_op"),
+        spec_create: SpanName = reg.span_name("spec_create", "client_op"),
+        client_rollback: SpanName = reg.span_name("client.rollback", "client"),
+        backlog: Series = reg.timeline().series("mds.rpc.backlog_ns"),
+        ops: Series = reg.timeline().series("bench.ops"),
+        op_latency: Series = reg.timeline().series("bench.op_latency.ns"),
+        merge_latency: Series = reg.timeline().series("bench.merge_latency.ns"),
+        timeouts: Series = reg.timeline().series("client.rpc.timeouts"),
+        retries: Series = reg.timeline().series("client.rpc.retries"),
+        spec_rollbacks: Series = reg.timeline().series("client.spec.rollbacks"),
+        spec_replayed: Series = reg.timeline().series("client.spec.replayed"),
+        spec_commits: Series = reg.timeline().series("client.spec.commits"),
+        spec_depth: Series = reg.timeline().series("client.spec.depth"),
+        pub(crate) sojourn: Series = reg.timeline().series("bench.sojourn.ns"),
+        rpc: FirstUse<RpcObs> = FirstUse::new(reg, |r| RpcObs::new(r)),
+        decoupled: FirstUse<DecoupledObs> = FirstUse::new(reg, |r| DecoupledObs::new(r)),
+        spec: FirstUse<SpecObs> = FirstUse::new(reg, |r| SpecObs::new(r)),
+        op_latency_hist: FirstUse<Histogram> =
+            FirstUse::new(reg, |r| r.histogram("bench.op_latency.ns")),
+        merge_latency_hist: FirstUse<Histogram> =
+            FirstUse::new(reg, |r| r.histogram("bench.merge_latency.ns")),
+        pub(crate) sojourn_hist: FirstUse<Histogram> =
+            FirstUse::new(reg, |r| r.histogram("bench.sojourn.ns")),
     }
 }
 
@@ -141,7 +112,7 @@ impl World {
         let obs = crate::obs_out::session().unwrap_or_else(|| Arc::new(Registry::new()));
         server.attach_obs(&obs);
         let tl = obs.timeline();
-        let h = WorldHandles::resolve(&obs);
+        let h = WorldHandles::new(&obs);
         World {
             server,
             mds: FifoServer::new("mds-cpu"),
@@ -155,27 +126,12 @@ impl World {
         }
     }
 
-    /// The create processes' shared `bench.op_latency.ns` histogram.
-    fn op_latency_hist(&mut self) -> Histogram {
-        let obs = &self.obs;
-        self.h
-            .op_lat
-            .get_or_insert_with(|| obs.histogram("bench.op_latency.ns"))
-            .clone()
-    }
-
     /// Mounts RPC client `idx` (setup, uncharged), counting its timeouts
     /// and retries on the world's registry.
     fn mount_rpc_client(&mut self, idx: u32) -> RpcClient {
-        let (client, _) = RpcClient::mount(&mut self.server, ClientId(idx));
-        let obs = &self.obs;
-        let (timeouts, retries) = self.h.rpc_counters.get_or_insert_with(|| {
-            (
-                obs.counter("client.rpc.timeouts"),
-                obs.counter("client.rpc.retries"),
-            )
-        });
-        client.attach_counters(timeouts.clone(), retries.clone())
+        let (mut client, _) = RpcClient::mount(&mut self.server, ClientId(idx));
+        client.set_obs(self.h.rpc.get().clone());
+        client
     }
 
     /// Records a refusal that ends a client, keeping the first.
@@ -412,7 +368,7 @@ impl RpcCreateProcess {
             dir,
             total,
             done: 0,
-            op_lat: world.op_latency_hist(),
+            op_lat: world.h.op_latency_hist.get().clone(),
             timeouts_seen: 0,
             retries_seen: 0,
             record_trace: false,
@@ -508,14 +464,14 @@ impl DecoupledCreateProcess {
                 (client, 0)
             }
         };
-        client.attach_obs(&world.obs);
+        client.set_obs(world.h.decoupled.get().clone());
         DecoupledCreateProcess {
             client,
             idx,
             total,
             done: 0,
             append,
-            op_lat: world.op_latency_hist(),
+            op_lat: world.h.op_latency_hist.get().clone(),
         }
     }
 
@@ -550,10 +506,7 @@ impl DecoupledCreateProcess {
         world
             .obs
             .end_named_with(root, world.h.merge, t, done - t, "events", events);
-        world
-            .obs
-            .histogram("bench.merge_latency.ns")
-            .record((done - t).0);
+        world.h.merge_latency_hist.get().record((done - t).0);
         world
             .h
             .merge_latency
@@ -805,7 +758,7 @@ impl SpeculativeCreateProcess {
     ) -> Result<SpeculativeCreateProcess, MdsError> {
         let (client, _) = SpeculativeClient::mount(&mut world.server, ClientId(idx));
         let mut client = client?;
-        client.attach_obs(&world.obs);
+        client.set_obs(world.h.spec.get().clone());
         let append = world.server.cost_model().client_append;
         Ok(SpeculativeCreateProcess {
             client,
@@ -817,7 +770,7 @@ impl SpeculativeCreateProcess {
             append,
             pending: VecDeque::new(),
             plan,
-            op_lat: world.op_latency_hist(),
+            op_lat: world.h.op_latency_hist.get().clone(),
             clock: Nanos::ZERO,
         })
     }

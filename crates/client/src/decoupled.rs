@@ -26,25 +26,26 @@ use cudele_sim::{transfer_time, CostModel, Nanos};
 
 use crate::local_disk::{DiskError, LocalDisk};
 
-/// Metric handles for a decoupled client, published under
-/// `client.journal.*` (plus `journal.writer.*` for Global Persist I/O).
-#[derive(Debug, Clone)]
-struct ClientObs {
-    /// `client.journal.appends` — events appended via Append Client
-    /// Journal (create/mkdir/unlink/rename on the local journal).
-    appends: Counter,
-    /// `client.journal.local_persists` — Local Persist invocations.
-    local_persists: Counter,
-    /// `client.journal.global_persists` — Global Persist invocations.
-    global_persists: Counter,
-    /// Handles passed to the Global Persist [`JournalWriter`].
-    writer: cudele_journal::JournalObs,
-    /// Consistency-history sink: every append lands as a `local`-scope
-    /// event at the client's current virtual time.
-    history: cudele_obs::history::HistoryWriter,
-    /// Virtual time stamped on the next recorded event (set by the
-    /// harness via [`DecoupledClient::set_now`]).
-    now: Nanos,
+cudele_obs::handles! {
+    /// A decoupled client's handles, published under `client.journal.*`
+    /// (plus the `journal.writer.*` handles its Global Persist writers
+    /// count on, and the history sink). A harness building one client per
+    /// arrival resolves them once and hands each client a clone.
+    #[derive(Debug)]
+    pub struct DecoupledObs(reg: &Registry) {
+        /// `client.journal.appends` — events appended via Append Client
+        /// Journal (create/mkdir/unlink/rename on the local journal).
+        appends: Counter = reg.counter("client.journal.appends"),
+        /// `client.journal.local_persists` — Local Persist invocations.
+        local_persists: Counter = reg.counter("client.journal.local_persists"),
+        /// `client.journal.global_persists` — Global Persist invocations.
+        global_persists: Counter = reg.counter("client.journal.global_persists"),
+        /// Handles passed to the Global Persist [`JournalWriter`].
+        writer: cudele_journal::JournalObs = cudele_journal::JournalObs::new(reg),
+        /// Consistency-history sink: every append lands as a `local`-scope
+        /// event at the client's current virtual time.
+        history: cudele_obs::history::HistoryWriter = reg.history_writer(),
+    }
 }
 
 /// A client operating on a decoupled subtree.
@@ -67,7 +68,10 @@ pub struct DecoupledClient {
     local_ns: MetadataStore,
     /// How much of `journal` the mirror already holds.
     mirrored: usize,
-    obs: Option<ClientObs>,
+    /// Virtual time stamped on the next recorded event (set by the
+    /// harness via [`DecoupledClient::set_now`]).
+    now: Nanos,
+    obs: Option<DecoupledObs>,
 }
 
 impl DecoupledClient {
@@ -111,28 +115,26 @@ impl DecoupledClient {
             journal: Vec::new(),
             local_ns: MetadataStore::new(),
             mirrored: 0,
+            now: Nanos::ZERO,
             obs: None,
         }
     }
 
-    /// Points the client's metric handles at `reg` (`client.journal.*`).
+    /// Counts on [`DecoupledObs::new`]`(reg)`.
     pub fn attach_obs(&mut self, reg: &Registry) {
-        self.obs = Some(ClientObs {
-            appends: reg.counter("client.journal.appends"),
-            local_persists: reg.counter("client.journal.local_persists"),
-            global_persists: reg.counter("client.journal.global_persists"),
-            writer: cudele_journal::JournalObs::attach(reg),
-            history: reg.history_writer(),
-            now: Nanos::ZERO,
-        });
+        self.set_obs(DecoupledObs::new(reg));
+    }
+
+    /// Counts the client's appends and persists, and records its history,
+    /// on `obs`.
+    pub fn set_obs(&mut self, obs: DecoupledObs) {
+        self.obs = Some(obs);
     }
 
     /// Sets the virtual time stamped on subsequently recorded history
     /// events (appends are local, so invoke == ack == `now`).
     pub fn set_now(&mut self, now: Nanos) {
-        if let Some(o) = &mut self.obs {
-            o.now = now;
-        }
+        self.now = now;
     }
 
     fn obs_append(&self, ino: u64, op: HistoryOp<&str>) {
@@ -144,8 +146,8 @@ impl DecoupledClient {
                 op,
                 result: HistoryResult::Ok,
                 ino,
-                invoke: o.now,
-                ack: o.now,
+                invoke: self.now,
+                ack: self.now,
                 epoch: 0,
                 trace_id: 0,
             });

@@ -42,8 +42,8 @@ pub mod rpc;
 pub mod speculate;
 pub mod sync;
 
-pub use decoupled::DecoupledClient;
+pub use decoupled::{DecoupledClient, DecoupledObs};
 pub use local_disk::{DiskError, LocalDisk};
-pub use rpc::{Costs, OpOutcome, RpcClient};
-pub use speculate::{AckOutcome, SpecState, SpeculativeClient, SPEC_PREALLOC};
+pub use rpc::{Costs, OpOutcome, RpcClient, RpcObs};
+pub use speculate::{AckOutcome, SpecObs, SpecState, SpeculativeClient, SPEC_PREALLOC};
 pub use sync::{NamespaceSync, SyncAction};

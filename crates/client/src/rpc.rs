@@ -138,10 +138,18 @@ pub struct RpcClient {
     pub reconnects: u64,
     /// Bounded retry/backoff applied when an RPC times out.
     retry: RetryPolicy,
-    /// `client.rpc.timeouts` when a registry is attached.
-    obs_timeouts: Option<Counter>,
-    /// `client.rpc.retries` when a registry is attached.
-    obs_retries: Option<Counter>,
+    obs: Option<RpcObs>,
+}
+
+cudele_obs::handles! {
+    /// An RPC client's handles: `client.rpc.timeouts` and
+    /// `client.rpc.retries`. A harness mounting one client per arrival
+    /// resolves them once and hands each client a clone.
+    #[derive(Debug)]
+    pub struct RpcObs(reg: &Registry) {
+        timeouts: Counter = reg.counter("client.rpc.timeouts"),
+        retries: Counter = reg.counter("client.rpc.retries"),
+    }
 }
 
 impl RpcClient {
@@ -159,29 +167,15 @@ impl RpcClient {
                 retries_seen: 0,
                 reconnects: 0,
                 retry: RetryPolicy::default(),
-                obs_timeouts: None,
-                obs_retries: None,
+                obs: None,
             },
             rpc.cost,
         )
     }
 
-    /// Points the client's timeout and retry counters at `reg`
-    /// (`client.rpc.timeouts`, `client.rpc.retries`).
-    pub fn attach_obs(&mut self, reg: &Registry) {
-        self.obs_timeouts = Some(reg.counter("client.rpc.timeouts"));
-        self.obs_retries = Some(reg.counter("client.rpc.retries"));
-    }
-
-    /// The client counting its timeouts and retries on counters the caller
-    /// already resolved — a harness mounting one client per arrival looks
-    /// the names up once, not per client.
-    pub fn attach_counters(self, timeouts: Counter, retries: Counter) -> RpcClient {
-        RpcClient {
-            obs_timeouts: Some(timeouts),
-            obs_retries: Some(retries),
-            ..self
-        }
+    /// Counts the client's timeouts and retries on `obs`.
+    pub fn set_obs(&mut self, obs: RpcObs) {
+        self.obs = Some(obs);
     }
 
     /// Reconfigures the timeout retry budget.
@@ -206,15 +200,15 @@ impl RpcClient {
             match rpc.result {
                 Err(MdsError::Timeout) => {
                     self.timeouts_seen += 1;
-                    if let Some(c) = &self.obs_timeouts {
-                        c.inc();
+                    if let Some(o) = &self.obs {
+                        o.timeouts.inc();
                     }
                     if attempt >= self.retry.max_retries {
                         return Err(MdsError::Timeout);
                     }
                     self.retries_seen += 1;
-                    if let Some(c) = &self.obs_retries {
-                        c.inc();
+                    if let Some(o) = &self.obs {
+                        o.retries.inc();
                     }
                     costs.push(OpCost {
                         mds_cpu: Nanos::ZERO,
@@ -481,8 +475,8 @@ mod tests {
     fn dead_mds_times_out_with_bounded_retries() {
         let mut srv = server();
         let (mut c, _) = RpcClient::mount(&mut srv, ClientId(1));
-        let reg = std::sync::Arc::new(cudele_obs::Registry::new());
-        c.attach_obs(&reg);
+        let reg = cudele_obs::Registry::new();
+        c.set_obs(RpcObs::new(&reg));
         c.set_retry(cudele_faults::RetryPolicy {
             max_retries: 3,
             base_backoff: cudele_sim::Nanos::from_micros(100),

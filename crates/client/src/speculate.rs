@@ -88,23 +88,25 @@ pub enum AckOutcome {
     RolledBack(Vec<u64>),
 }
 
-/// Metric handles for the speculation layer, published under
-/// `client.spec.*`.
-#[derive(Debug, Clone)]
-struct SpecObs {
-    /// `client.spec.issued` — ops issued speculatively.
-    issued: Counter,
-    /// `client.spec.commits` — ops committed (ack + deps stood).
-    commits: Counter,
-    /// `client.spec.rollbacks` — rollback events (one per invalidation,
-    /// however many ops it doomed).
-    rollbacks: Counter,
-    /// `client.spec.aborted_ops` — ops doomed by rollbacks.
-    aborted_ops: Counter,
-    /// `client.spec.replayed` — aborted ops replayed to completion.
-    replayed: Counter,
-    /// Commit-time consistency-history sink.
-    history: cudele_obs::history::HistoryWriter,
+cudele_obs::handles! {
+    /// The speculation layer's handles, published under `client.spec.*`
+    /// (plus the commit-time history sink).
+    #[derive(Debug)]
+    pub struct SpecObs(reg: &Registry) {
+        /// `client.spec.issued` — ops issued speculatively.
+        issued: Counter = reg.counter("client.spec.issued"),
+        /// `client.spec.commits` — ops committed (ack + deps stood).
+        commits: Counter = reg.counter("client.spec.commits"),
+        /// `client.spec.rollbacks` — rollback events (one per invalidation,
+        /// however many ops it doomed).
+        rollbacks: Counter = reg.counter("client.spec.rollbacks"),
+        /// `client.spec.aborted_ops` — ops doomed by rollbacks.
+        aborted_ops: Counter = reg.counter("client.spec.aborted_ops"),
+        /// `client.spec.replayed` — aborted ops replayed to completion.
+        replayed: Counter = reg.counter("client.spec.replayed"),
+        /// Commit-time consistency-history sink.
+        history: cudele_obs::history::HistoryWriter = reg.history_writer(),
+    }
 }
 
 /// An RPC-mode client that speculates past acks.
@@ -175,16 +177,10 @@ impl SpeculativeClient {
         }
     }
 
-    /// Points the layer's metric handles at `reg` (`client.spec.*`).
-    pub fn attach_obs(&mut self, reg: &Registry) {
-        self.obs = Some(SpecObs {
-            issued: reg.counter("client.spec.issued"),
-            commits: reg.counter("client.spec.commits"),
-            rollbacks: reg.counter("client.spec.rollbacks"),
-            aborted_ops: reg.counter("client.spec.aborted_ops"),
-            replayed: reg.counter("client.spec.replayed"),
-            history: reg.history_writer(),
-        });
+    /// Counts the layer's issues, commits and rollbacks, and records its
+    /// commit-time history, on `obs`.
+    pub fn set_obs(&mut self, obs: SpecObs) {
+        self.obs = Some(obs);
     }
 
     /// Sets the virtual time stamped on subsequent issues and commits.
@@ -481,7 +477,7 @@ mod tests {
         srv.attach_obs(&reg);
         let dir = srv.setup_dir("/spec").unwrap();
         let mut c = mounted(&mut srv);
-        c.attach_obs(&reg);
+        c.set_obs(SpecObs::new(&reg));
         // Issue three creates back-to-back without waiting for acks.
         let mut seqs = Vec::new();
         for i in 0..3 {
@@ -537,7 +533,7 @@ mod tests {
         let dir_a = srv.setup_dir("/a").unwrap();
         let dir_b = srv.setup_dir("/b").unwrap();
         let mut c = mounted(&mut srv);
-        c.attach_obs(&reg);
+        c.set_obs(SpecObs::new(&reg));
         let (s0, _) = c.issue_create(&mut srv, dir_a, "x");
         let (s1, _) = c.issue_create(&mut srv, dir_a, "y");
         let (s2, _) = c.issue_create(&mut srv, dir_b, "z");

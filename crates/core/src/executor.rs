@@ -8,7 +8,9 @@
 
 use cudele_client::{DecoupledClient, DiskError, LocalDisk};
 use cudele_journal::{read_journal, JournalIoError};
-use cudele_mds::{MdsError, MetadataServer, ObjectStoreSink, PersistError};
+use std::sync::Arc;
+
+use cudele_mds::{MdsError, MetadataServer, ObjectStoreSink, PersistError, PersistObs};
 use cudele_obs::{observe_mechanism_at, Registry, TraceSink};
 use cudele_rados::{ObjectStore, PoolId};
 use cudele_sim::Nanos;
@@ -16,6 +18,16 @@ use cudele_sim::Nanos;
 use crate::dsl::Composition;
 use crate::mechanism::Mechanism;
 use crate::policy::Durability;
+
+cudele_obs::handles! {
+    /// A traced merge's handles: the registry its spans, mechanism metrics
+    /// and history rows go to, and the Nonvolatile Apply sink's handle,
+    /// which each NVA run clones.
+    pub struct MergeObs(reg: &Arc<Registry>) {
+        reg: Arc<Registry> = Arc::clone(reg),
+        persist: PersistObs = PersistObs::new(reg),
+    }
+}
 
 /// Execution failures.
 #[derive(Debug)]
@@ -103,7 +115,7 @@ fn run_mechanism(
     m: Mechanism,
     client: &mut DecoupledClient,
     env: &mut ExecEnv<'_>,
-    reg: Option<&Registry>,
+    obs: Option<&MergeObs>,
     trace: Option<TraceSink<'_>>,
 ) -> Result<Nanos, ExecError> {
     match m {
@@ -153,8 +165,8 @@ fn run_mechanism(
             // Iterate the journal, pulling/updating/pushing the affected
             // dirfrag object and the root object per event.
             let mut sink = ObjectStoreSink::new(env.os, PoolId::METADATA);
-            if let Some(reg) = reg {
-                sink.set_obs(reg);
+            if let Some(o) = obs {
+                sink.set_obs(o.persist.clone());
             }
             // Allocate the replay span's identity up front so the sink's
             // retry spans nest under it; the span itself is recorded once
@@ -211,7 +223,7 @@ pub fn execute_merge(
     execute_merge_at(comp, client, env, None, 0, Nanos::ZERO)
 }
 
-/// [`execute_merge`] with tracing: when `reg` is given, the merge opens a
+/// [`execute_merge`] with tracing: when `obs` is given, the merge opens a
 /// `client_op` trace root (`merge`) and every executed mechanism emits a
 /// child span (and `core.mechanism.<name>.runs`/`.ns` metrics) anchored at
 /// virtual time `at`, on trace track `tid` — with the layers below (disk,
@@ -222,11 +234,12 @@ pub fn execute_merge_at(
     comp: &Composition,
     client: &mut DecoupledClient,
     env: &mut ExecEnv<'_>,
-    reg: Option<&Registry>,
+    obs: Option<&MergeObs>,
     tid: u32,
     at: Nanos,
 ) -> Result<MergeReport, ExecError> {
     let events = client.event_count();
+    let reg = obs.map(|o| &*o.reg);
     let root = reg.map(|r| r.trace_root(tid));
     let mut per_mechanism = Vec::new();
     let mut elapsed = Nanos::ZERO;
@@ -242,7 +255,7 @@ pub fn execute_merge_at(
                 (Some(r), Some(ctx)) => Some(TraceSink::new(r, ctx, stage_start)),
                 _ => None,
             };
-            let t = run_mechanism(m, client, env, reg, trace)?;
+            let t = run_mechanism(m, client, env, obs, trace)?;
             if let (Some(r), Some(ctx)) = (reg, mctx) {
                 observe_mechanism_at(r, m.name(), ctx, stage_start, t);
             }
@@ -496,7 +509,7 @@ mod tests {
     #[test]
     fn traced_merge_emits_span_per_mechanism() {
         let (mut server, os, mut disk, mut client) = setup();
-        let reg = Registry::new();
+        let reg = Arc::new(Registry::new());
         // All four merge-time mechanisms across three stages: the NVA stage
         // starts after local_persist; the parallel pair shares a start.
         let comp: Composition = "local_persist+global_persist||volatile_apply+nonvolatile_apply"
@@ -511,7 +524,7 @@ mod tests {
                 os: os.as_ref(),
                 disk: &mut disk,
             },
-            Some(&reg),
+            Some(&MergeObs::new(&reg)),
             3,
             at,
         )

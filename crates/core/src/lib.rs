@@ -50,7 +50,7 @@ pub mod policy;
 pub use dsl::{Composition, DslError, DslWarning};
 pub use executor::{
     achieved_durability, execute_merge, execute_merge_at, visible_in_global, ExecEnv, ExecError,
-    MergeReport,
+    MergeObs, MergeReport,
 };
 pub use fs::{CudeleFs, FsError, FsResult};
 pub use mechanism::Mechanism;

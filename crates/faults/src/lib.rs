@@ -37,6 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use bytes::Bytes;
+use cudele_obs::timeline::Series;
 use cudele_obs::{Counter, Registry, TraceSink};
 use cudele_rados::{ObjectId, ObjectStat, ObjectStore, PoolId, RadosError, Result};
 use cudele_sim::{CostModel, Nanos};
@@ -386,13 +387,18 @@ impl SaturatingShl for u64 {
     }
 }
 
-/// Counters mirrored into an attached registry under `faults.injected.*`.
-#[derive(Debug, Clone)]
-struct FaultObs {
-    eagain: Counter,
-    torn: Counter,
-    bitflips: Counter,
-    tl: cudele_obs::timeline::Timeline,
+cudele_obs::handles! {
+    /// Counters mirrored into an attached registry under
+    /// `faults.injected.*`, with their windowed series.
+    #[derive(Debug)]
+    struct FaultObs(reg: &Registry) {
+        eagain: Counter = reg.counter("faults.injected.eagain"),
+        torn: Counter = reg.counter("faults.injected.torn_writes"),
+        bitflips: Counter = reg.counter("faults.injected.bitflips"),
+        tl_eagain: Series = reg.timeline().series("faults.injected.eagain"),
+        tl_torn: Series = reg.timeline().series("faults.injected.torn_writes"),
+        tl_bitflips: Series = reg.timeline().series("faults.injected.bitflips"),
+    }
 }
 
 /// Whether an object name is a journal stripe (`<ino:x>.<seq:08x>`, as
@@ -476,7 +482,7 @@ impl<S: ObjectStore> FaultyStore<S> {
             self.injected_eagain.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = self.obs.read().unwrap().as_ref() {
                 o.eagain.inc();
-                o.tl.add("faults.injected.eagain", self.inner.now(), 1);
+                o.tl_eagain.add(self.inner.now(), 1);
             }
             return Err(RadosError::Transient(id.clone()));
         }
@@ -499,7 +505,7 @@ impl<S: ObjectStore> FaultyStore<S> {
         self.injected_bitflips.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.obs.read().unwrap().as_ref() {
             o.bitflips.inc();
-            o.tl.add("faults.injected.bitflips", self.inner.now(), 1);
+            o.tl_bitflips.add(self.inner.now(), 1);
         }
         Some(flipped)
     }
@@ -538,7 +544,7 @@ impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
             self.injected_torn.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = self.obs.read().unwrap().as_ref() {
                 o.torn.inc();
-                o.tl.add("faults.injected.torn_writes", self.inner.now(), 1);
+                o.tl_torn.add(self.inner.now(), 1);
             }
             return Err(RadosError::Transient(id.clone()));
         }
@@ -600,12 +606,7 @@ impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
 
     fn attach_obs(&self, reg: &Registry) {
         self.inner.attach_obs(reg);
-        *self.obs.write().unwrap() = Some(FaultObs {
-            eagain: reg.counter("faults.injected.eagain"),
-            torn: reg.counter("faults.injected.torn_writes"),
-            bitflips: reg.counter("faults.injected.bitflips"),
-            tl: reg.timeline(),
-        });
+        *self.obs.write().unwrap() = Some(FaultObs::new(reg));
     }
 
     fn now(&self) -> Nanos {

@@ -130,47 +130,32 @@ fn read_header<S: ObjectStore + ?Sized>(
     Ok(Some(Header { stripes }))
 }
 
-/// Observability handles for journal writes. Attach one to a
-/// [`JournalWriter`] (writers are transient, the handles are cheap clones)
-/// to count append batches, events, bytes, and stripe rollovers under
-/// `journal.writer.*`.
-#[derive(Debug, Clone)]
-pub struct JournalObs {
-    /// `journal.writer.appends` — append batches issued.
-    pub appends: Counter,
-    /// `journal.writer.events` — events written.
-    pub events: Counter,
-    /// `journal.writer.bytes` — encoded journal bytes written.
-    pub bytes: Counter,
-    /// `journal.writer.stripe_rollovers` — times a stripe filled and a new
-    /// stripe object was opened.
-    pub stripe_rollovers: Counter,
-    /// `journal.io.retries` — transient object-store failures absorbed by
-    /// the writer's retry policy.
-    pub retries: Counter,
-    /// Windowed series (write rate, byte rate, retry rate, backoff level)
-    /// stamped with the store's clock ([`ObjectStore::now`]).
-    tl_appends: Series,
-    tl_bytes: Series,
-    tl_retries: Series,
-    tl_backoff_ns: Series,
-}
-
-impl JournalObs {
-    /// Creates (or re-binds) the `journal.writer.*` counters in `reg`.
-    pub fn attach(reg: &Registry) -> JournalObs {
-        let tl = reg.timeline();
-        JournalObs {
-            appends: reg.counter("journal.writer.appends"),
-            events: reg.counter("journal.writer.events"),
-            bytes: reg.counter("journal.writer.bytes"),
-            stripe_rollovers: reg.counter("journal.writer.stripe_rollovers"),
-            retries: reg.counter("journal.io.retries"),
-            tl_appends: tl.series("journal.writer.appends"),
-            tl_bytes: tl.series("journal.writer.bytes"),
-            tl_retries: tl.series("journal.io.retries"),
-            tl_backoff_ns: tl.series("journal.writer.backoff_ns"),
-        }
+cudele_obs::handles! {
+    /// Observability handles for journal writes. Hand one to a
+    /// [`JournalWriter`] (writers are transient, the handles are cheap
+    /// clones: an owner resolves them once and clones them into every writer
+    /// it opens) to count append batches, events, bytes, and stripe
+    /// rollovers under `journal.writer.*`.
+    #[derive(Debug)]
+    pub struct JournalObs(reg: &Registry) {
+        /// `journal.writer.appends` — append batches issued.
+        pub appends: Counter = reg.counter("journal.writer.appends"),
+        /// `journal.writer.events` — events written.
+        pub events: Counter = reg.counter("journal.writer.events"),
+        /// `journal.writer.bytes` — encoded journal bytes written.
+        pub bytes: Counter = reg.counter("journal.writer.bytes"),
+        /// `journal.writer.stripe_rollovers` — times a stripe filled and a
+        /// new stripe object was opened.
+        pub stripe_rollovers: Counter = reg.counter("journal.writer.stripe_rollovers"),
+        /// `journal.io.retries` — transient object-store failures absorbed
+        /// by the writer's retry policy.
+        pub retries: Counter = reg.counter("journal.io.retries"),
+        /// Windowed series (write rate, byte rate, retry rate, backoff
+        /// level) stamped with the store's clock ([`ObjectStore::now`]).
+        tl_appends: Series = reg.timeline().series("journal.writer.appends"),
+        tl_bytes: Series = reg.timeline().series("journal.writer.bytes"),
+        tl_retries: Series = reg.timeline().series("journal.io.retries"),
+        tl_backoff_ns: Series = reg.timeline().series("journal.writer.backoff_ns"),
     }
 }
 
@@ -235,7 +220,7 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
         })
     }
 
-    /// Attaches observability counters to this writer.
+    /// Counts this writer's appends on `obs`.
     pub fn set_obs(&mut self, obs: JournalObs) {
         self.obs = Some(obs);
     }
@@ -797,7 +782,7 @@ mod tests {
         let store = InMemoryStore::paper_default();
         let reg = Registry::new();
         let mut w = JournalWriter::open_with_stripe(&store, jid(), 128).unwrap();
-        w.set_obs(JournalObs::attach(&reg));
+        w.set_obs(JournalObs::new(&reg));
         let events: Vec<_> = (0..20).map(create).collect();
         let bytes = w.append(&events).unwrap();
         assert_eq!(reg.counter_value("journal.writer.appends"), Some(1));
@@ -973,7 +958,7 @@ mod tests {
         let reg = Registry::new();
         let events: Vec<_> = (0..200).map(create).collect();
         let mut w = JournalWriter::open_with_stripe(&store, jid(), 256).unwrap();
-        w.set_obs(JournalObs::attach(&reg));
+        w.set_obs(JournalObs::new(&reg));
         for batch in events.chunks(25) {
             w.append(batch).unwrap();
         }

@@ -41,13 +41,15 @@
 //! source of truth), and below the last rung is the full replay every
 //! namespace starts from.
 
+use std::sync::Arc;
+
 use cudele_faults::with_retry;
 use cudele_journal::{
     crc32, encode_journal, parse_journal, view_journal, EventRef, JournalId, JournalIoError,
     Stripes,
 };
 use cudele_obs::timeline::{Series, Timeline};
-use cudele_obs::{Counter, Registry, SpanName};
+use cudele_obs::{Counter, FirstUse, Registry, SpanName};
 use cudele_rados::{ObjectId, ObjectStore, RadosError};
 use cudele_sim::{CostModel, Nanos};
 
@@ -221,35 +223,26 @@ fn image_object(id: JournalId, epoch: u64) -> ObjectId {
     ObjectId::new(id.pool, format!("ckpt.{:x}.image.{epoch:08x}", id.ino))
 }
 
-/// Metric handles, published under `mds.ckpt.*`.
-struct CkptObs {
-    reg: std::sync::Arc<Registry>,
-    /// `mds.ckpt.checkpoints` — manifests published.
-    checkpoints: Counter,
-    /// `mds.ckpt.replay_events_saved` — journal events newly covered by a
-    /// checkpoint, i.e. events every future recovery no longer replays.
-    replay_events_saved: Counter,
-    /// The `ckpt.compact` span, one per published manifest.
-    compact_span: SpanName,
-    /// Publication cadence and coverage over virtual time, plus the
-    /// timeline itself for the per-manifest marker.
-    tl_checkpoints: Series,
-    tl_covered_events: Series,
-    tl: Timeline,
-}
-
-impl CkptObs {
-    fn attach(reg: &std::sync::Arc<Registry>) -> CkptObs {
-        let tl = reg.timeline();
-        CkptObs {
-            reg: std::sync::Arc::clone(reg),
-            checkpoints: reg.counter("mds.ckpt.checkpoints"),
-            replay_events_saved: reg.counter("mds.ckpt.replay_events_saved"),
-            compact_span: reg.span_name("ckpt.compact", "mds"),
-            tl_checkpoints: tl.series("mds.ckpt.checkpoints"),
-            tl_covered_events: tl.series("mds.ckpt.covered_events"),
-            tl,
-        }
+cudele_obs::handles! {
+    /// The checkpoint manager's handles, published under `mds.ckpt.*`.
+    pub struct CkptObs(reg: &Arc<Registry>) {
+        reg: Arc<Registry> = Arc::clone(reg),
+        /// `mds.ckpt.checkpoints` — manifests published.
+        checkpoints: Counter = reg.counter("mds.ckpt.checkpoints"),
+        /// `mds.ckpt.replay_events_saved` — journal events newly covered by
+        /// a checkpoint, i.e. events every future recovery no longer
+        /// replays.
+        replay_events_saved: Counter = reg.counter("mds.ckpt.replay_events_saved"),
+        /// The `ckpt.compact` span, one per published manifest.
+        compact_span: SpanName = reg.span_name("ckpt.compact", "mds"),
+        /// Publication cadence and coverage over virtual time, plus the
+        /// timeline itself for the per-manifest marker.
+        tl_checkpoints: Series = reg.timeline().series("mds.ckpt.checkpoints"),
+        tl_covered_events: Series = reg.timeline().series("mds.ckpt.covered_events"),
+        tl: Timeline = reg.timeline(),
+        /// `mds.ckpt.journal_damage`, registered by the first damaged pass.
+        journal_damage: FirstUse<Counter> =
+            FirstUse::new(reg, |r| r.counter("mds.ckpt.journal_damage")),
     }
 }
 
@@ -303,9 +296,9 @@ impl CheckpointManager {
         })
     }
 
-    /// Points the manager's `mds.ckpt.*` metric handles at `reg`.
-    pub fn set_obs(&mut self, reg: &std::sync::Arc<Registry>) {
-        self.obs = Some(CkptObs::attach(reg));
+    /// Counts the manager's passes and publications on `obs`.
+    pub fn set_obs(&mut self, obs: CkptObs) {
+        self.obs = Some(obs);
     }
 
     /// The manifest this manager last published (or resumed from).
@@ -371,7 +364,7 @@ impl CheckpointManager {
         let mut stripes = Stripes::default();
         let journal = view_journal(os, self.id, hw, &mut stripes)?;
         if let (Some(damage), Some(o)) = (&journal.damage, &self.obs) {
-            o.reg.counter("mds.ckpt.journal_damage").inc();
+            o.journal_damage.get().inc();
             o.tl.annotate("mds.ckpt.journal_damage", now, &damage.to_string());
         }
         let new_hw = journal.events;

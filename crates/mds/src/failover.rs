@@ -31,14 +31,14 @@
 use std::sync::Arc;
 
 use cudele_journal::JournalId;
-use cudele_obs::{Counter, Histogram, Registry};
-use cudele_rados::{Epoch, FencedStore, FencingAuthority, ObjectStore, PoolId};
+use cudele_obs::{Counter, FirstUse, Histogram, Registry};
+use cudele_rados::{Epoch, FenceObs, FencedStore, FencingAuthority, ObjectStore, PoolId};
 use cudele_sim::{CostModel, Nanos};
 
 use crate::checkpoint::CheckpointConfig;
 use crate::error::Result;
 use crate::mdlog::{MdLog, MdLogConfig};
-use crate::server::{recover_namespace, MetadataServer};
+use crate::server::{recover_namespace, MdsObs, MetadataServer};
 
 /// How often the active MDS beacons the monitor, in virtual time: Ceph's
 /// `mds_beacon_interval` (4 s) scaled 1000x down so failover drills stay
@@ -71,9 +71,13 @@ impl FailoverDecision {
     }
 }
 
-struct MonitorObs {
-    failovers: Counter,
-    detection_ns: Histogram,
+cudele_obs::handles! {
+    /// The monitor's handles: `monitor.failovers` and
+    /// `monitor.detection_ns`.
+    pub struct MonitorObs(reg: &Registry) {
+        failovers: Counter = reg.counter("monitor.failovers"),
+        detection_ns: Histogram = reg.histogram("monitor.detection_ns"),
+    }
 }
 
 /// Monitor-side failure detector for one active MDS rank.
@@ -105,12 +109,9 @@ impl FailoverMonitor {
         }
     }
 
-    /// Publishes `monitor.failovers` and `monitor.detection_ns` on `reg`.
-    pub fn attach_obs(&mut self, reg: &Arc<Registry>) {
-        self.obs = Some(MonitorObs {
-            failovers: reg.counter("monitor.failovers"),
-            detection_ns: reg.histogram("monitor.detection_ns"),
-        });
+    /// Counts declared failures and their detection latency on `obs`.
+    pub fn set_obs(&mut self, obs: MonitorObs) {
+        self.obs = Some(obs);
     }
 
     /// Records a beacon from the active MDS at `now`.
@@ -194,6 +195,36 @@ pub struct TakeoverReport {
     pub manifest_fallbacks: u64,
 }
 
+cudele_obs::handles! {
+    /// A standby's handles: the primary it promotes takes clones of `mds`
+    /// (the server and the layers it owns) and its fenced store of `fence`,
+    /// so a takeover resolves no names. `mds.failover.*` are registered by
+    /// the first takeover (`healed` by the first lossy one): a cluster that
+    /// never failed over has none.
+    pub struct FailoverObs(reg: &Arc<Registry>) {
+        reg: Arc<Registry> = Arc::clone(reg),
+        mds: MdsObs = MdsObs::new(reg),
+        fence: FenceObs = FenceObs::new(reg),
+        takeovers: FirstUse<Counter> = FirstUse::new(reg, |r| r.counter("mds.failover.takeovers")),
+        replayed: FirstUse<Counter> =
+            FirstUse::new(reg, |r| r.counter("mds.failover.replayed_events")),
+        healed: FirstUse<Counter> = FirstUse::new(reg, |r| r.counter("mds.failover.healed")),
+    }
+}
+
+impl FailoverObs {
+    /// Counts one takeover: `mds.failover.takeovers`,
+    /// `mds.failover.replayed_events` and, when the journal had to be cut
+    /// back, `mds.failover.healed`.
+    fn took_over(&self, report: &TakeoverReport) {
+        self.takeovers.get().inc();
+        self.replayed.get().add(report.replayed_events);
+        if report.healed {
+            self.healed.get().inc();
+        }
+    }
+}
+
 /// A standby MDS: at takeover it recovers through the checkpoint manifest
 /// ladder, so it replays only the journal tail past the newest readable
 /// manifest's high-water mark, and promotes the result.
@@ -211,7 +242,7 @@ pub struct StandbyReplay {
     checkpoint_config: Option<CheckpointConfig>,
     journal_id: JournalId,
     pool: PoolId,
-    obs: Option<Arc<Registry>>,
+    obs: Option<FailoverObs>,
 }
 
 impl StandbyReplay {
@@ -241,10 +272,19 @@ impl StandbyReplay {
         self.checkpoint_config = Some(config);
     }
 
-    /// Publishes `mds.failover.*` metrics on `reg` and cascades the
-    /// registry to servers assembled by takeover.
+    /// Attaches `reg` to the standby: the shared store counts its I/O there
+    /// (through [`ObjectStore::attach_obs`]) and the standby takes
+    /// [`FailoverObs::new`]`(reg)`.
     pub fn attach_obs(&mut self, reg: &Arc<Registry>) {
-        self.obs = Some(Arc::clone(reg));
+        self.base.attach_obs(reg);
+        self.set_obs(FailoverObs::new(reg));
+    }
+
+    /// Publishes `mds.failover.*` on `obs`, and hands servers assembled by
+    /// takeover its server and fence handles. The shared store keeps its
+    /// own handles.
+    pub fn set_obs(&mut self, obs: FailoverObs) {
+        self.obs = Some(obs);
     }
 
     /// Completes replay and assembles the replacement primary at `epoch`.
@@ -260,7 +300,7 @@ impl StandbyReplay {
     pub fn take_over(&mut self, epoch: Epoch) -> Result<(MetadataServer, TakeoverReport)> {
         // Every takeover write — including a journal heal — goes through
         // a fenced handle stamped with the new epoch.
-        let fenced: Arc<dyn ObjectStore> = Arc::new(FencedStore::with_epoch(
+        let fenced = Arc::new(FencedStore::with_epoch(
             Arc::clone(&self.base),
             Arc::clone(&self.authority),
             epoch,
@@ -280,20 +320,15 @@ impl StandbyReplay {
             checkpoint_events: rec.checkpoint_events,
             manifest_fallbacks: rec.fallbacks,
         };
-        if let Some(reg) = &self.obs {
-            reg.counter("mds.failover.takeovers").inc();
-            reg.counter("mds.failover.replayed_events")
-                .add(report.replayed_events);
-            if report.healed {
-                reg.counter("mds.failover.healed").inc();
-            }
-            rec.publish(reg);
+        if let Some(o) = &self.obs {
+            o.took_over(&report);
+            o.mds.recovered(&rec);
         }
         let mdlog = self
             .mdlog_config
             .map(|cfg| MdLog::with_id(cfg, self.journal_id));
         let mut server = MetadataServer::from_parts(
-            fenced,
+            Arc::clone(&fenced) as Arc<dyn ObjectStore>,
             self.cost.clone(),
             mdlog,
             rec.store,
@@ -308,8 +343,9 @@ impl StandbyReplay {
                 server.resume_checkpoints(rec.manifest, rec.head_version, rec.replayed_events);
             }
         }
-        if let Some(reg) = &self.obs {
-            server.attach_obs(reg);
+        if let Some(o) = &self.obs {
+            fenced.set_obs(o.fence.clone());
+            server.set_obs(o.mds.clone());
         }
         Ok((server, report))
     }
@@ -347,7 +383,7 @@ pub struct MdsCluster {
     zombie: Option<MetadataServer>,
     now: Nanos,
     next_beacon: Nanos,
-    obs: Option<Arc<Registry>>,
+    obs: Option<FailoverObs>,
     reports: Vec<FailoverReport>,
 }
 
@@ -388,12 +424,16 @@ impl MdsCluster {
         Ok(())
     }
 
-    /// Attaches a registry to the whole cluster: active server, monitor,
-    /// and every server assembled by future takeovers.
+    /// Attaches a registry to the whole cluster: the shared store (through
+    /// [`ObjectStore::attach_obs`]), the active server, the monitor, and
+    /// every server assembled by future takeovers — which clone the active
+    /// server's handles.
     pub fn attach_obs(&mut self, reg: &Arc<Registry>) {
-        self.active.attach_obs(reg);
-        self.monitor.attach_obs(reg);
-        self.obs = Some(Arc::clone(reg));
+        self.active.object_store().attach_obs(reg);
+        let obs = FailoverObs::new(reg);
+        self.active.set_obs(obs.mds.clone());
+        self.monitor.set_obs(MonitorObs::new(reg));
+        self.obs = Some(obs);
     }
 
     /// The serving primary.
@@ -446,8 +486,8 @@ impl MdsCluster {
     /// grace expires during [`MdsCluster::advance_to`].
     pub fn crash_active(&mut self) {
         self.active.fail();
-        if let Some(reg) = &self.obs {
-            reg.timeline().annotate(
+        if let Some(o) = &self.obs {
+            o.reg.timeline().annotate(
                 "mds.crash",
                 self.now,
                 &format!("epoch {} active down", self.authority.current().0),
@@ -488,8 +528,8 @@ impl MdsCluster {
         if let Some(cfg) = self.checkpoint_config {
             standby.set_checkpoint_config(cfg);
         }
-        if let Some(reg) = &self.obs {
-            standby.attach_obs(reg);
+        if let Some(o) = &self.obs {
+            standby.set_obs(o.clone());
         }
         let (server, takeover) = standby.take_over(decision.new_epoch)?;
         // Replay is a blind apply of the journal: charge it at the
@@ -505,7 +545,8 @@ impl MdsCluster {
             takeover,
             completed_at,
         };
-        if let Some(reg) = &self.obs {
+        if let Some(o) = &self.obs {
+            let reg = &o.reg;
             let root = reg.trace_root(90);
             reg.child_span(
                 root,

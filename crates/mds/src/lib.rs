@@ -55,19 +55,21 @@ pub mod store;
 mod table;
 
 pub use caps::{CapOutcome, CapTable, ClientId};
-pub use checkpoint::{CheckpointConfig, CheckpointError, CheckpointManager, Manifest};
+pub use checkpoint::{CheckpointConfig, CheckpointError, CheckpointManager, CkptObs, Manifest};
 pub use compact::emit_canonical;
 pub use dirfrag::{Dentry, Dir, DirListing};
 pub use error::{MdsError, Result};
 pub use failover::{
-    FailoverDecision, FailoverMonitor, FailoverReport, MdsCluster, StandbyReplay, TakeoverReport,
-    BEACON_GRACE, BEACON_INTERVAL,
+    FailoverDecision, FailoverMonitor, FailoverObs, FailoverReport, MdsCluster, MonitorObs,
+    StandbyReplay, TakeoverReport, BEACON_GRACE, BEACON_INTERVAL,
 };
 pub use inode::Inode;
-pub use mdlog::{MdLog, MdLogConfig};
-pub use persist::{flush_store, load_store, NvaCounters, ObjectStoreSink, PersistError};
+pub use mdlog::{MdLog, MdLogConfig, MdLogObs};
+pub use persist::{
+    flush_store, load_store, NvaCounters, ObjectStoreSink, PersistError, PersistObs,
+};
 pub use server::{
-    CreateReply, MetadataServer, OpCost, ReplayToken, Reply, Request, Rpc, ServerCounters,
+    CreateReply, MdsObs, MetadataServer, OpCost, ReplayToken, Reply, Request, Rpc, ServerCounters,
 };
 pub use session::{InodeAllocator, Session, SessionMap};
 pub use store::MetadataStore;

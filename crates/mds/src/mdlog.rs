@@ -18,7 +18,7 @@
 //! store, and its manifest is what bounds recovery. An event's index in the
 //! journal is therefore its physical position.
 //!
-//! Counting: an attached registry ([`MdLog::set_obs`]) counts events,
+//! Counting: attached handles ([`MdLog::set_obs`]) count events,
 //! flushed segments and flushed bytes under `mds.mdlog.*`; the mdlog keeps
 //! no second account. Timing is the cost model's
 //! (`CostModel::stream_mds_cpu_at_dispatch` per event).
@@ -56,29 +56,22 @@ impl Default for MdLogConfig {
     }
 }
 
-/// Metric handles for the mdlog, published under `mds.mdlog.*` in a
-/// shared [`cudele_obs::Registry`].
-#[derive(Debug, Clone)]
-pub struct MdLogObs {
-    /// `mds.mdlog.events` — events submitted.
-    pub events: Counter,
-    /// `mds.mdlog.segments_flushed` — segments flushed to the object store.
-    pub segments_flushed: Counter,
-    /// `mds.mdlog.bytes_flushed` — functional journal bytes written.
-    pub bytes_flushed: Counter,
-    /// Handles for the transient [`JournalWriter`]s the flush path opens.
-    pub writer: JournalObs,
-}
-
-impl MdLogObs {
-    /// Creates (or re-binds) the `mds.mdlog.*` metric handles on `reg`.
-    pub fn attach(reg: &Registry) -> MdLogObs {
-        MdLogObs {
-            events: reg.counter("mds.mdlog.events"),
-            segments_flushed: reg.counter("mds.mdlog.segments_flushed"),
-            bytes_flushed: reg.counter("mds.mdlog.bytes_flushed"),
-            writer: JournalObs::attach(reg),
-        }
+cudele_obs::handles! {
+    /// Metric handles for the mdlog, published under `mds.mdlog.*` in a
+    /// shared [`cudele_obs::Registry`], with the `journal.writer.*` ones the
+    /// flush path's writers count on.
+    #[derive(Debug)]
+    pub struct MdLogObs(reg: &Registry) {
+        /// `mds.mdlog.events` — events submitted.
+        pub events: Counter = reg.counter("mds.mdlog.events"),
+        /// `mds.mdlog.segments_flushed` — segments flushed to the object
+        /// store.
+        pub segments_flushed: Counter = reg.counter("mds.mdlog.segments_flushed"),
+        /// `mds.mdlog.bytes_flushed` — functional journal bytes written.
+        pub bytes_flushed: Counter = reg.counter("mds.mdlog.bytes_flushed"),
+        /// Handles for the transient [`JournalWriter`]s the flush path
+        /// opens.
+        pub writer: JournalObs = JournalObs::new(reg),
     }
 }
 
@@ -119,9 +112,9 @@ impl MdLog {
         }
     }
 
-    /// Points the mdlog's metric handles at `reg` (`mds.mdlog.*`).
-    pub fn set_obs(&mut self, reg: &Registry) {
-        self.obs = Some(MdLogObs::attach(reg));
+    /// Counts the mdlog's events and flushes on `obs`.
+    pub fn set_obs(&mut self, obs: MdLogObs) {
+        self.obs = Some(obs);
     }
 
     /// The journal id this mdlog writes.
@@ -228,7 +221,7 @@ mod tests {
     fn logged(config: MdLogConfig) -> (MdLog, Registry) {
         let reg = Registry::new();
         let mut log = MdLog::new(config);
-        log.set_obs(&reg);
+        log.set_obs(MdLogObs::new(&reg));
         (log, reg)
     }
 

@@ -293,6 +293,14 @@ pub struct NvaCounters {
     pub events: u64,
 }
 
+cudele_obs::handles! {
+    /// The Nonvolatile Apply sink's handle: `mds.persist.retries`, the
+    /// transient store failures its retries absorbed.
+    pub struct PersistObs(reg: &Registry) {
+        retries: Counter = reg.counter("mds.persist.retries"),
+    }
+}
+
 /// Applies each journal event directly to the object-store
 /// representation, one update at a time — the Nonvolatile Apply mechanism.
 pub struct ObjectStoreSink<'a, S: ObjectStore + ?Sized> {
@@ -306,7 +314,7 @@ pub struct ObjectStoreSink<'a, S: ObjectStore + ?Sized> {
     /// Virtual-time backoff those retries accumulated; callers charge this
     /// to their clock.
     pub backoff: Nanos,
-    retry_counter: Option<Counter>,
+    obs: Option<PersistObs>,
     trace: Option<TraceSink<'a>>,
 }
 
@@ -320,14 +328,14 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
             retry: RetryPolicy::default(),
             retries: 0,
             backoff: Nanos::ZERO,
-            retry_counter: None,
+            obs: None,
             trace: None,
         }
     }
 
-    /// Mirrors the sink's retries into `mds.persist.retries` in `reg`.
-    pub fn set_obs(&mut self, reg: &Registry) {
-        self.retry_counter = Some(reg.counter("mds.persist.retries"));
+    /// Mirrors the sink's retries into `obs`.
+    pub fn set_obs(&mut self, obs: PersistObs) {
+        self.obs = Some(obs);
     }
 
     /// Attaches a causal trace sink: transient failures absorbed during
@@ -353,8 +361,8 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
             "object_io",
             || f(os),
         );
-        if let Some(c) = &self.retry_counter {
-            c.add(self.retries - before);
+        if let Some(o) = &self.obs {
+            o.retries.add(self.retries - before);
         }
         r
     }
@@ -829,7 +837,7 @@ mod tests {
         );
         let reg = Registry::new();
         let mut sink = ObjectStoreSink::new(&os, PoolId::METADATA);
-        sink.set_obs(&reg);
+        sink.set_obs(PersistObs::new(&reg));
         sink.apply_event(&JournalEvent::Mkdir {
             parent: InodeId::ROOT,
             name: "d".into(),

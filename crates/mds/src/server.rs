@@ -21,15 +21,15 @@ use cudele_journal::{
 };
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
 use cudele_obs::timeline::Series;
-use cudele_obs::{Counter, Histogram, Layer, Mechanism, Registry, SpanName, TraceCtx};
+use cudele_obs::{Counter, FirstUse, Histogram, Layer, Mechanism, Registry, SpanName, TraceCtx};
 use cudele_rados::{Epoch, ObjectStore, PoolId};
 use cudele_sim::{CostModel, Nanos};
 
 use crate::caps::{CapOutcome, CapTable, ClientId};
-use crate::checkpoint::{self, CheckpointConfig, CheckpointManager, Manifest};
+use crate::checkpoint::{self, CheckpointConfig, CheckpointManager, CkptObs, Manifest};
 use crate::dirfrag::{Dentry, DirListing};
 use crate::error::{MdsError, Result};
-use crate::mdlog::{MdLog, MdLogConfig};
+use crate::mdlog::{MdLog, MdLogConfig, MdLogObs};
 use crate::persist;
 use crate::session::{InodeAllocator, SessionMap};
 use crate::store::MetadataStore;
@@ -367,81 +367,78 @@ pub struct ServerCounters {
 /// session when it runs dry (CephFS similarly hands sessions inode ranges).
 const SESSION_PREALLOC: u64 = 1 << 16;
 
-/// Metric handles published under `mds.*` once a registry is attached.
-/// Functional counters ([`ServerCounters`]) are unaffected — this layer
-/// only mirrors activity into the shared [`Registry`].
-struct MdsObs {
-    reg: Arc<Registry>,
-    /// `mds.rpc.service_ns` — per-request service time (MDS CPU + extra
-    /// client-visible latency), the RPC latency histogram.
-    service_ns: Histogram,
-    rpcs: Counter,
-    creates: Counter,
-    lookups: Counter,
-    rejects: Counter,
-    cap_grants: Counter,
-    cap_revocations: Counter,
-    cap_cache_hits: Counter,
-    merges: Counter,
-    merged_events: Counter,
-    /// `mds.spec.creates` — speculatively stamped creates served.
-    spec_creates: Counter,
-    /// `mds.spec.deduped` — replays recognised as already applied (the
-    /// dentry existed with the token's predicted inode).
-    spec_deduped: Counter,
-    /// `mds.spec.cross_epoch` — replays whose token was born under an
-    /// older epoch than the serving primary (post-failover replays).
-    spec_cross_epoch: Counter,
-    /// The Stream mechanism (one observation per journaled update) and its
-    /// `mds.mdlog` layer child.
-    stream: Mechanism,
-    mdlog_span: SpanName,
-    /// Windowed time series: per-window service rate/latency, journal
-    /// backlog and flush cadence, reconnects and cross-epoch replays.
-    tl_served: Series,
-    tl_service_ns: Series,
-    tl_backlog_events: Series,
-    tl_flushes: Series,
-    tl_flushed_events: Series,
-    tl_reconnects: Series,
-    tl_cross_epoch: Series,
-    /// For annotations (session reconnect markers).
-    tl: cudele_obs::timeline::Timeline,
-    /// Parent trace context supplied via [`MetadataServer::set_trace_ctx`];
-    /// when present, server-side Stream spans join the caller's trace tree
-    /// instead of opening traces of their own.
-    ctx: Option<TraceCtx>,
+cudele_obs::handles! {
+    /// The server's metric handles, published under `mds.*`, and the handles
+    /// of the layers it owns: its mdlog's (which carry the journal writer's)
+    /// and its checkpoint manager's. [`MdsObs::new`] is the one place these
+    /// names are resolved; every server given a clone — the mdlog an in-place
+    /// recovery rebuilds, the primary a standby promotes, a manager
+    /// checkpoints are re-enabled on — reuses them. Functional counters
+    /// ([`ServerCounters`]) are unaffected — this layer only mirrors activity
+    /// into the shared [`Registry`].
+    ///
+    /// Names only some runs touch are resolved on first use and shared by
+    /// every clone, so a run that never touches them registers nothing:
+    /// `mds.mdlog.*` and `journal.writer.*` (the first journaling server),
+    /// `mds.ckpt.*` (the first server to enable checkpoints),
+    /// `mds.session.reconnects` (the first reconnect) and
+    /// `mds.ckpt.{recoveries,fallbacks}` (the first recovery that climbs the
+    /// manifest ladder).
+    pub struct MdsObs(reg: &Arc<Registry>) {
+        reg: Arc<Registry> = Arc::clone(reg),
+        /// `mds.rpc.service_ns` — per-request service time (MDS CPU + extra
+        /// client-visible latency), the RPC latency histogram.
+        service_ns: Histogram = reg.histogram("mds.rpc.service_ns"),
+        rpcs: Counter = reg.counter("mds.rpc.total"),
+        creates: Counter = reg.counter("mds.rpc.creates"),
+        lookups: Counter = reg.counter("mds.rpc.lookups"),
+        rejects: Counter = reg.counter("mds.rpc.rejects"),
+        cap_grants: Counter = reg.counter("mds.caps.grants"),
+        cap_revocations: Counter = reg.counter("mds.caps.revocations"),
+        cap_cache_hits: Counter = reg.counter("mds.caps.cache_hits"),
+        merges: Counter = reg.counter("mds.merge.runs"),
+        merged_events: Counter = reg.counter("mds.merge.merged_events"),
+        /// `mds.spec.creates` — speculatively stamped creates served.
+        spec_creates: Counter = reg.counter("mds.spec.creates"),
+        /// `mds.spec.deduped` — replays recognised as already applied (the
+        /// dentry existed with the token's predicted inode).
+        spec_deduped: Counter = reg.counter("mds.spec.deduped"),
+        /// `mds.spec.cross_epoch` — replays whose token was born under an
+        /// older epoch than the serving primary (post-failover replays).
+        spec_cross_epoch: Counter = reg.counter("mds.spec.cross_epoch"),
+        /// The Stream mechanism (one observation per journaled update) and
+        /// its `mds.mdlog` layer child.
+        stream: Mechanism = reg.mechanism("stream"),
+        mdlog_span: SpanName = reg.span_name("mds.mdlog", "mds"),
+        /// Windowed time series: per-window service rate/latency, journal
+        /// backlog and flush cadence, reconnects and cross-epoch replays.
+        tl_served: Series = reg.timeline().series("mds.rpc.served"),
+        tl_service_ns: Series = reg.timeline().series("mds.rpc.service_ns"),
+        tl_backlog_events: Series = reg.timeline().series("mds.mdlog.backlog_events"),
+        tl_flushes: Series = reg.timeline().series("mds.mdlog.flushes"),
+        tl_flushed_events: Series = reg.timeline().series("mds.mdlog.flushed_events"),
+        tl_reconnects: Series = reg.timeline().series("mds.session.reconnects"),
+        tl_cross_epoch: Series = reg.timeline().series("mds.spec.cross_epoch"),
+        /// For annotations (session reconnect markers).
+        tl: cudele_obs::timeline::Timeline = reg.timeline(),
+        mdlog: FirstUse<MdLogObs> = FirstUse::new(reg, |r| MdLogObs::new(r)),
+        ckpt: FirstUse<CkptObs> = FirstUse::new(reg, CkptObs::new),
+        reconnects: FirstUse<Counter> = FirstUse::new(reg, |r| r.counter("mds.session.reconnects")),
+        recoveries: FirstUse<Counter> = FirstUse::new(reg, |r| r.counter("mds.ckpt.recoveries")),
+        fallbacks: FirstUse<Counter> = FirstUse::new(reg, |r| r.counter("mds.ckpt.fallbacks")),
+    }
 }
 
 impl MdsObs {
-    fn attach(reg: &Arc<Registry>) -> MdsObs {
-        let tl = reg.timeline();
-        MdsObs {
-            reg: Arc::clone(reg),
-            service_ns: reg.histogram("mds.rpc.service_ns"),
-            rpcs: reg.counter("mds.rpc.total"),
-            creates: reg.counter("mds.rpc.creates"),
-            lookups: reg.counter("mds.rpc.lookups"),
-            rejects: reg.counter("mds.rpc.rejects"),
-            cap_grants: reg.counter("mds.caps.grants"),
-            cap_revocations: reg.counter("mds.caps.revocations"),
-            cap_cache_hits: reg.counter("mds.caps.cache_hits"),
-            merges: reg.counter("mds.merge.runs"),
-            merged_events: reg.counter("mds.merge.merged_events"),
-            spec_creates: reg.counter("mds.spec.creates"),
-            spec_deduped: reg.counter("mds.spec.deduped"),
-            spec_cross_epoch: reg.counter("mds.spec.cross_epoch"),
-            stream: reg.mechanism("stream"),
-            mdlog_span: reg.span_name("mds.mdlog", "mds"),
-            tl_served: tl.series("mds.rpc.served"),
-            tl_service_ns: tl.series("mds.rpc.service_ns"),
-            tl_backlog_events: tl.series("mds.mdlog.backlog_events"),
-            tl_flushes: tl.series("mds.mdlog.flushes"),
-            tl_flushed_events: tl.series("mds.mdlog.flushed_events"),
-            tl_reconnects: tl.series("mds.session.reconnects"),
-            tl_cross_epoch: tl.series("mds.spec.cross_epoch"),
-            tl,
-            ctx: None,
+    /// Publishes `mds.ckpt.recoveries` / `mds.ckpt.fallbacks` when the
+    /// manifest ladder was climbed at all (a run that never checkpointed
+    /// registers neither).
+    pub(crate) fn recovered(&self, rec: &RecoveredNamespace) {
+        if rec.manifest.is_some() {
+            self.recoveries.get().inc();
+        }
+        if rec.manifest.is_some() || rec.fallbacks > 0 {
+            self.fallbacks.get().add(rec.fallbacks);
         }
     }
 
@@ -475,6 +472,10 @@ pub struct MetadataServer {
     /// manifest-governed images so recovery replays only the tail.
     ckpt: Option<CheckpointManager>,
     obs: Option<MdsObs>,
+    /// Parent trace context supplied via [`MetadataServer::set_trace_ctx`];
+    /// when present, server-side Stream spans join the caller's trace tree
+    /// instead of opening traces of their own.
+    trace_ctx: Option<TraceCtx>,
     /// The MDS epoch this instance believes it holds. Fencing is enforced
     /// at the object store (a [`cudele_rados::FencedStore`] stamped with
     /// the same epoch); this copy is for reporting and reconnect checks.
@@ -545,6 +546,7 @@ impl MetadataServer {
             counters: ServerCounters::default(),
             ckpt: None,
             obs: None,
+            trace_ctx: None,
             epoch,
             up: true,
             rpc_timeout: DEFAULT_RPC_TIMEOUT,
@@ -552,19 +554,26 @@ impl MetadataServer {
         }
     }
 
-    /// Points the server's metric handles at `reg` (`mds.*`), and cascades
-    /// to the object store (`rados.*`) and the mdlog (`mds.mdlog.*`,
-    /// `journal.writer.*`). Attach before the workload; re-attaching swaps
-    /// the registry.
+    /// Attaches `reg` to the whole server: the object store counts its I/O
+    /// there (`rados.*`, through [`ObjectStore::attach_obs`]) and the server
+    /// and the layers it owns take [`MdsObs::new`]`(reg)`. Attach before
+    /// the workload; re-attaching swaps the registry.
     pub fn attach_obs(&mut self, reg: &Arc<Registry>) {
         self.os.attach_obs(reg);
+        self.set_obs(MdsObs::new(reg));
+    }
+
+    /// Counts on `obs`, and hands its children's handles to the mdlog
+    /// (`mds.mdlog.*`, `journal.writer.*`) and the checkpoint manager
+    /// (`mds.ckpt.*`). The object store keeps its own handles.
+    pub fn set_obs(&mut self, obs: MdsObs) {
         if let Some(log) = self.mdlog.as_mut() {
-            log.set_obs(reg);
+            log.set_obs(obs.mdlog.get().clone());
         }
         if let Some(ckpt) = self.ckpt.as_mut() {
-            ckpt.set_obs(reg);
+            ckpt.set_obs(obs.ckpt.get().clone());
         }
-        self.obs = Some(MdsObs::attach(reg));
+        self.obs = Some(obs);
     }
 
     /// Sets the virtual clock — the only clock setter a harness calls. The
@@ -582,9 +591,7 @@ impl MetadataServer {
     /// Harnesses set this per request alongside [`MetadataServer::set_now`]
     /// so Stream activity nests under the client op that caused it.
     pub fn set_trace_ctx(&mut self, ctx: Option<TraceCtx>) {
-        if let Some(o) = self.obs.as_mut() {
-            o.ctx = ctx;
-        }
+        self.trace_ctx = ctx;
     }
 
     /// The cost model in force.
@@ -681,7 +688,7 @@ impl MetadataServer {
         let mut ckpt = CheckpointManager::attach(self.os.as_ref(), log.journal_id(), config)
             .map_err(|e| MdsError::from_store("checkpoint", &e))?;
         if let Some(o) = &self.obs {
-            ckpt.set_obs(&o.reg);
+            ckpt.set_obs(o.ckpt.get().clone());
         }
         self.ckpt = Some(ckpt);
         Ok(())
@@ -749,7 +756,7 @@ impl MetadataServer {
                 let cpu = self.cost.stream_mds_cpu_at_dispatch(dispatch);
                 if observe {
                     if let Some(o) = &self.obs {
-                        match o.ctx {
+                        match self.trace_ctx {
                             Some(parent) => {
                                 // Nest under the client op: stream mechanism
                                 // span, with the mdlog submit as its MDS-layer
@@ -834,7 +841,7 @@ impl MetadataServer {
             // distribution over virtual time, worst op linked by trace.
             o.tl_served.add(self.now, 1);
             o.tl_service_ns
-                .sample(self.now, service, o.ctx.map_or(0, |c| c.trace_id));
+                .sample(self.now, service, self.trace_ctx.map_or(0, |c| c.trace_id));
         }
         Rpc { result, cost }
     }
@@ -880,7 +887,7 @@ impl MetadataServer {
             invoke: self.now,
             ack: self.now + rpc.cost.mds_cpu + rpc.cost.client_extra,
             epoch: self.epoch.0,
-            trace_id: o.ctx.map_or(0, |c| c.trace_id),
+            trace_id: self.trace_ctx.map_or(0, |c| c.trace_id),
         });
     }
 
@@ -975,7 +982,7 @@ impl MetadataServer {
         self.rpc(self.cost.mds_lookup_cpu, |s, cost| {
             s.sessions.open(client);
             s.obs(|o| {
-                o.reg.counter("mds.session.reconnects").inc();
+                o.reconnects.get().inc();
                 // Reconnects cluster right after a takeover; the windowed
                 // rate plus the marker make that visible against the
                 // failover annotations.
@@ -1416,7 +1423,7 @@ impl MetadataServer {
             .map_or(JournalId::MDLOG, MdLog::journal_id);
         let rec = recover_namespace(self.os.as_ref(), self.os.as_ref(), self.pool, journal_id)?;
         if let Some(o) = &self.obs {
-            rec.publish(&o.reg);
+            o.recovered(&rec);
         }
         self.alloc = rec.alloc;
         self.resume_checkpoints(rec.manifest, rec.head_version, rec.replayed_events);
@@ -1426,7 +1433,7 @@ impl MetadataServer {
         if let Some(log) = self.mdlog.as_mut() {
             *log = MdLog::with_id(log.config(), journal_id);
             if let Some(o) = &self.obs {
-                log.set_obs(&o.reg);
+                log.set_obs(o.mdlog.get().clone());
             }
         }
         self.up = true;
@@ -1496,20 +1503,6 @@ pub(crate) struct RecoveredNamespace {
     /// Manifest epochs skipped because a checkpoint object was damaged —
     /// counted on the full-replay rung too, where every one was.
     pub fallbacks: u64,
-}
-
-impl RecoveredNamespace {
-    /// Publishes `mds.ckpt.recoveries` / `mds.ckpt.fallbacks` when the
-    /// manifest ladder was climbed at all (a run that never checkpointed
-    /// registers neither).
-    pub(crate) fn publish(&self, reg: &Registry) {
-        if self.manifest.is_some() {
-            reg.counter("mds.ckpt.recoveries").inc();
-        }
-        if self.manifest.is_some() || self.fallbacks > 0 {
-            reg.counter("mds.ckpt.fallbacks").add(self.fallbacks);
-        }
-    }
 }
 
 /// Recovery — the one way back from the object store to a namespace, shared

@@ -45,6 +45,75 @@ pub mod timeline;
 use history::{HistoryEvent, HistoryWriter};
 use lock::Lock;
 
+/// A handle resolved on its first use, not when its layer's handles are
+/// built: a counter or histogram shows in [`Registry::metrics_json`] as
+/// soon as it is resolved, so a name only some runs touch waits here until
+/// one does. The resolver sits in the owner's [`handles!`] declaration
+/// with its other names; clones share the one resolution.
+#[derive(Debug, Clone)]
+pub struct FirstUse<T> {
+    reg: Arc<Registry>,
+    resolve: fn(&Arc<Registry>) -> T,
+    cell: Arc<OnceLock<T>>,
+}
+
+impl<T> FirstUse<T> {
+    /// A handle `resolve` builds from `reg` the first time it is needed.
+    pub fn new(reg: &Arc<Registry>, resolve: fn(&Arc<Registry>) -> T) -> FirstUse<T> {
+        FirstUse {
+            reg: Arc::clone(reg),
+            resolve,
+            cell: Arc::default(),
+        }
+    }
+
+    /// The handle, resolved now if this is its first use.
+    pub fn get(&self) -> &T {
+        self.cell.get_or_init(|| (self.resolve)(&self.reg))
+    }
+}
+
+/// Declares a layer's handle struct and its one constructor, `new`: each
+/// field is written once, beside the expression that resolves it, so the
+/// names a layer records under sit in one place and nowhere else. The
+/// struct derives `Clone` (handles are shared cells), so an owner resolves
+/// once and hands its children clones.
+///
+/// ```
+/// cudele_obs::handles! {
+///     /// A cache's handles.
+///     pub struct CacheObs(reg: &cudele_obs::Registry) {
+///         /// `cache.hits`.
+///         pub hits: cudele_obs::Counter = reg.counter("cache.hits"),
+///     }
+/// }
+/// let reg = cudele_obs::Registry::new();
+/// CacheObs::new(&reg).hits.inc();
+/// assert_eq!(reg.counter_value("cache.hits"), Some(1));
+/// ```
+#[macro_export]
+macro_rules! handles {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident($($arg:ident: $arg_ty:ty),* $(,)?) {
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident: $ty:ty = $init:expr),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone)]
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty,)*
+        }
+
+        impl $name {
+            /// Resolves the handles: the one place their names are looked up.
+            $vis fn new($($arg: $arg_ty),*) -> $name {
+                $name { $($field: $init),* }
+            }
+        }
+    };
+}
+
 /// A monotonically increasing event counter. Cloning shares the cell.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
@@ -990,6 +1059,12 @@ impl Registry {
     /// Gets or creates the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         get_or_default(&self.histograms, name)
+    }
+
+    /// Histogram `name`, if it exists: a reader that registers nothing.
+    pub fn histogram_value(&self, name: &str) -> Option<Histogram> {
+        let m = self.histograms.lock();
+        m.get(name).cloned()
     }
 
     /// Current value of counter `name`, if it exists.

@@ -707,7 +707,10 @@ impl TimelineSnapshot {
     }
 
     /// Parses a `cudele-timeline/v1` document (the explorer's and the
-    /// tests' read path).
+    /// tests' read path). Refused, beyond malformed JSON and missing
+    /// fields: a zero `window_ns`, and a window that ends past 2^64 ns —
+    /// no timeline records either, and a reader spanning such windows in
+    /// nanoseconds would overflow.
     pub fn parse(s: &str) -> Result<TimelineSnapshot, String> {
         let v = json::parse(s)?;
         let schema = v
@@ -720,7 +723,10 @@ impl TimelineSnapshot {
         let window_ns = v
             .get("window_ns")
             .and_then(|w| w.as_u64())
-            .ok_or("missing window_ns")?;
+            .filter(|&w| w > 0)
+            .ok_or("missing or zero window_ns")?;
+        // Windows whose end is a representable instant in ns.
+        let windows = u64::MAX / window_ns;
         let windows_dropped = v
             .get("windows_dropped")
             .and_then(|x| x.as_u64())
@@ -748,6 +754,11 @@ impl TimelineSnapshot {
                     .get("w")
                     .and_then(|x| x.as_u64())
                     .ok_or("point missing w")?;
+                if window >= windows {
+                    return Err(format!(
+                        "series {name:?}: window {window} ends past 2^64 ns"
+                    ));
+                }
                 let t_ns = pv.get("t_ns").and_then(|x| x.as_u64()).unwrap_or(0);
                 let stat = match kind {
                     SeriesKind::Rate => PointStat::Rate {

@@ -74,6 +74,13 @@ impl FencingAuthority {
     }
 }
 
+cudele_obs::handles! {
+    /// The fence's handle: `rados.fenced_writes`, the rejections it counts.
+    pub struct FenceObs(reg: &Registry) {
+        fenced_writes: Counter = reg.counter("rados.fenced_writes"),
+    }
+}
+
 /// One writer's fenced session with the object store.
 ///
 /// Wraps any [`ObjectStore`]; mutating operations are rejected with
@@ -85,7 +92,7 @@ pub struct FencedStore {
     authority: Arc<FencingAuthority>,
     epoch: AtomicU64,
     fenced_writes: AtomicU64,
-    obs: RwLock<Option<Counter>>,
+    obs: RwLock<Option<FenceObs>>,
 }
 
 impl FencedStore {
@@ -139,6 +146,12 @@ impl FencedStore {
         &self.inner
     }
 
+    /// Counts this handle's rejections on `obs` (the wrapped store keeps
+    /// its own handles: attach it through [`ObjectStore::attach_obs`]).
+    pub fn set_obs(&self, obs: FenceObs) {
+        *self.obs.write() = Some(obs);
+    }
+
     /// Total mutations rejected because this handle's epoch was stale.
     pub fn fenced_writes(&self) -> u64 {
         self.fenced_writes.load(Ordering::Relaxed)
@@ -151,8 +164,8 @@ impl FencedStore {
             return Ok(());
         }
         self.fenced_writes.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = self.obs.read().as_ref() {
-            c.inc();
+        if let Some(o) = self.obs.read().as_ref() {
+            o.fenced_writes.inc();
         }
         Err(RadosError::Fenced {
             object: id.clone(),
@@ -218,7 +231,7 @@ impl ObjectStore for FencedStore {
     }
 
     fn attach_obs(&self, reg: &Registry) {
-        *self.obs.write() = Some(reg.counter("rados.fenced_writes"));
+        self.set_obs(FenceObs::new(reg));
         self.inner.attach_obs(reg);
     }
 

@@ -26,6 +26,6 @@ pub mod fence;
 pub mod store;
 pub mod types;
 
-pub use fence::{FencedStore, FencingAuthority};
+pub use fence::{FenceObs, FencedStore, FencingAuthority};
 pub use store::{InMemoryStore, IoDelta, ObjectStat, ObjectStore};
 pub use types::{Epoch, ObjectId, PoolId, RadosError, Result};

@@ -144,30 +144,35 @@ impl Inner {
     }
 }
 
-/// Per-OSD observability handles.
-#[derive(Debug, Clone)]
-struct OsdObs {
-    ops: Counter,
-    bytes_written: Counter,
-    bytes_read: Counter,
-    /// Fraction of the cluster's written bytes that landed on this OSD —
-    /// a balance indicator, refreshed on every write that touches it.
-    share: Gauge,
-    /// This OSD's windowed write throughput (`rados.osd.<i>.write_bytes`),
-    /// stamped with the store's clock ([`ObjectStore::now`]).
-    tl_write: Series,
-    /// Windowed read throughput (`rados.osd.<i>.read_bytes`).
-    tl_read: Series,
+cudele_obs::handles! {
+    /// Per-OSD observability handles, for OSD `i`.
+    #[derive(Debug)]
+    struct OsdObs(reg: &Registry, i: usize) {
+        ops: Counter = reg.counter(&format!("rados.osd.{i}.ops")),
+        bytes_written: Counter = reg.counter(&format!("rados.osd.{i}.bytes_written")),
+        bytes_read: Counter = reg.counter(&format!("rados.osd.{i}.bytes_read")),
+        /// Fraction of the cluster's written bytes that landed on this OSD —
+        /// a balance indicator, refreshed on every write that touches it.
+        share: Gauge = reg.gauge(&format!("rados.osd.{i}.write_share")),
+        /// This OSD's windowed write throughput (`rados.osd.<i>.write_bytes`),
+        /// stamped with the store's clock ([`ObjectStore::now`]).
+        tl_write: Series = reg.timeline().series(&format!("rados.osd.{i}.write_bytes")),
+        /// Windowed read throughput (`rados.osd.<i>.read_bytes`).
+        tl_read: Series = reg.timeline().series(&format!("rados.osd.{i}.read_bytes")),
+    }
 }
 
-/// Store-wide observability handles: the store's one I/O account.
-#[derive(Debug, Clone)]
-struct StoreObs {
-    read_ops: Counter,
-    write_ops: Counter,
-    bytes_read: Counter,
-    bytes_written: Counter,
-    per_osd: Vec<OsdObs>,
+cudele_obs::handles! {
+    /// Store-wide observability handles, and each of `osds` OSDs': the
+    /// store's one I/O account.
+    #[derive(Debug)]
+    struct StoreObs(reg: &Registry, osds: usize) {
+        read_ops: Counter = reg.counter("rados.store.read_ops"),
+        write_ops: Counter = reg.counter("rados.store.write_ops"),
+        bytes_read: Counter = reg.counter("rados.store.bytes_read"),
+        bytes_written: Counter = reg.counter("rados.store.bytes_written"),
+        per_osd: Vec<OsdObs> = (0..osds).map(|i| OsdObs::new(reg, i)).collect(),
+    }
 }
 
 /// In-memory replicated object store ("the RADOS cluster").
@@ -526,25 +531,8 @@ impl ObjectStore for InMemoryStore {
     }
 
     fn attach_obs(&self, reg: &Registry) {
-        let osd_count = self.inner.read().outages.len();
-        let tl = reg.timeline();
-        let per_osd = (0..osd_count)
-            .map(|i| OsdObs {
-                ops: reg.counter(&format!("rados.osd.{i}.ops")),
-                bytes_written: reg.counter(&format!("rados.osd.{i}.bytes_written")),
-                bytes_read: reg.counter(&format!("rados.osd.{i}.bytes_read")),
-                share: reg.gauge(&format!("rados.osd.{i}.write_share")),
-                tl_write: tl.series(&format!("rados.osd.{i}.write_bytes")),
-                tl_read: tl.series(&format!("rados.osd.{i}.read_bytes")),
-            })
-            .collect();
-        *self.obs.write() = Some(StoreObs {
-            read_ops: reg.counter("rados.store.read_ops"),
-            write_ops: reg.counter("rados.store.write_ops"),
-            bytes_read: reg.counter("rados.store.bytes_read"),
-            bytes_written: reg.counter("rados.store.bytes_written"),
-            per_osd,
-        });
+        let osds = self.inner.read().outages.len();
+        *self.obs.write() = Some(StoreObs::new(reg, osds));
     }
 
     fn now(&self) -> Nanos {

@@ -15,9 +15,11 @@ use std::sync::Arc;
 
 use cudele::{
     achieved_durability, execute_merge, execute_merge_at, visible_in_global, Composition,
-    Durability, ExecEnv,
+    Durability, ExecEnv, MergeObs,
 };
-use cudele_client::{AckOutcome, DecoupledClient, LocalDisk, RpcClient, SpeculativeClient};
+use cudele_client::{
+    AckOutcome, DecoupledClient, LocalDisk, RpcClient, SpecObs, SpeculativeClient,
+};
 use cudele_faults::{FaultConfig, FaultyStore};
 use cudele_journal::{InodeId, InodeRange, JournalId};
 use cudele_mds::{
@@ -446,6 +448,7 @@ fn failover_run(mech: &str, seed: u64) -> FailoverOutcome {
     // verify the mechanism's claimed axioms across the failover.
     let reg = Arc::new(cudele_obs::Registry::new());
     cluster.attach_obs(&reg);
+    let merge_obs = MergeObs::new(&reg);
     let mds_side = matches!(mech, "rpcs" | "stream");
     let mode = if mds_side { "rpc" } else { "decoupled" };
     let mut disk = LocalDisk::new();
@@ -492,7 +495,7 @@ fn failover_run(mech: &str, seed: u64) -> FailoverOutcome {
                     os: os.as_ref(),
                     disk: &mut disk,
                 },
-                Some(&reg),
+                Some(&merge_obs),
                 CLIENT.0,
                 Nanos::ZERO,
             )
@@ -590,7 +593,7 @@ fn failover_run(mech: &str, seed: u64) -> FailoverOutcome {
                     os: os.as_ref(),
                     disk: &mut disk,
                 },
-                Some(&reg),
+                Some(&merge_obs),
                 CLIENT.0,
                 remerge_at,
             )
@@ -1031,7 +1034,7 @@ fn speculation_failover_run(
     }
     let (client, _) = SpeculativeClient::mount(cluster.active_mut(), CLIENT);
     let mut client = client.unwrap();
-    client.attach_obs(&reg);
+    client.set_obs(SpecObs::new(&reg));
 
     let step = Nanos::from_micros(100);
     let mut t = Nanos::from_micros(50);

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cudele::{parse_policies, render_policies, Composition, Policy};
-use cudele_client::{AckOutcome, RpcClient, SpeculativeClient};
+use cudele_client::{AckOutcome, RpcClient, SpecObs, SpeculativeClient};
 use cudele_journal::{decode_journal, encode_journal, Attrs, InodeId, JournalEvent};
 use cudele_mds::{
     emit_canonical, flush_store, load_store, ClientId, MetadataServer, MetadataStore,
@@ -346,7 +346,7 @@ proptest! {
         }
         let (sc, _) = SpeculativeClient::mount(&mut spec, ClientId(1));
         let mut sc = sc.unwrap();
-        sc.attach_obs(&spec_reg);
+        sc.set_obs(SpecObs::new(&spec_reg));
         let mut pending: VecDeque<u64> = VecDeque::new();
         for i in 0..ops {
             sc.set_now(t_of(i));
