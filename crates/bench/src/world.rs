@@ -93,7 +93,7 @@ cudele_obs::handles! {
         spec_depth: Series = reg.timeline().series("client.spec.depth"),
         pub(crate) sojourn: Series = reg.timeline().series("bench.sojourn.ns"),
         rpc: FirstUse<RpcObs> = FirstUse::new(reg, |r| RpcObs::new(r)),
-        decoupled: FirstUse<DecoupledObs> = FirstUse::new(reg, |r| DecoupledObs::new(r)),
+        decoupled: FirstUse<DecoupledObs> = FirstUse::new(reg, DecoupledObs::new),
         spec: FirstUse<SpecObs> = FirstUse::new(reg, |r| SpecObs::new(r)),
         op_latency_hist: FirstUse<Histogram> =
             FirstUse::new(reg, |r| r.histogram("bench.op_latency.ns")),

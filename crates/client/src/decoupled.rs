@@ -14,13 +14,15 @@
 //! [`DecoupledClient::resolve_local`] first apply the events past it. A
 //! batch client that only creates and merges never builds one.
 
+use std::sync::Arc;
+
 use cudele_journal::{
     encode_journal, Attrs, InodeId, InodeRange, JournalEvent, JournalId, JournalIoError,
     JournalWriter,
 };
 use cudele_mds::{ClientId, MdsError, MetadataServer, MetadataStore, OpCost, Rpc};
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
-use cudele_obs::{Counter, Registry, TraceSink};
+use cudele_obs::{Counter, Registry, SpanName, TraceCtx};
 use cudele_rados::ObjectStore;
 use cudele_sim::{transfer_time, CostModel, Nanos};
 
@@ -29,10 +31,12 @@ use crate::local_disk::{DiskError, LocalDisk};
 cudele_obs::handles! {
     /// A decoupled client's handles, published under `client.journal.*`
     /// (plus the `journal.writer.*` handles its Global Persist writers
-    /// count on, and the history sink). A harness building one client per
-    /// arrival resolves them once and hands each client a clone.
+    /// count on, the history sink, and the span a traced Global Persist
+    /// draws). A harness building one client per arrival resolves them once
+    /// and hands each client a clone.
     #[derive(Debug)]
-    pub struct DecoupledObs(reg: &Registry) {
+    pub struct DecoupledObs(reg: &Arc<Registry>) {
+        reg: Arc<Registry> = Arc::clone(reg),
         /// `client.journal.appends` — events appended via Append Client
         /// Journal (create/mkdir/unlink/rename on the local journal).
         appends: Counter = reg.counter("client.journal.appends"),
@@ -45,6 +49,8 @@ cudele_obs::handles! {
         /// Consistency-history sink: every append lands as a `local`-scope
         /// event at the client's current virtual time.
         history: cudele_obs::history::HistoryWriter = reg.history_writer(),
+        /// A traced Global Persist's streaming transfer.
+        stripe_append: SpanName = reg.span_name("rados.stripe_append", "rados"),
     }
 }
 
@@ -121,7 +127,7 @@ impl DecoupledClient {
     }
 
     /// Counts on [`DecoupledObs::new`]`(reg)`.
-    pub fn attach_obs(&mut self, reg: &Registry) {
+    pub fn attach_obs(&mut self, reg: &Arc<Registry>) {
         self.set_obs(DecoupledObs::new(reg));
     }
 
@@ -306,24 +312,17 @@ impl DecoupledClient {
 
     /// Global Persist: push the journal into the object store under the
     /// client's journal id. Returns the time charged (object-store
-    /// streaming bandwidth).
+    /// streaming bandwidth, plus the backoff of any retries).
+    ///
+    /// Traced (`trace` is the mechanism span's context and its start), a
+    /// client with handles draws the stripe append as a `rados` child span
+    /// covering the streaming transfer, and every fault-injected retry as a
+    /// `faults` span at the instant its backoff is charged.
     pub fn global_persist<S: ObjectStore + ?Sized>(
         &self,
         os: &S,
         cm: &CostModel,
-    ) -> Result<Nanos, JournalIoError> {
-        self.global_persist_traced(os, cm, None)
-    }
-
-    /// [`DecoupledClient::global_persist`] with causal tracing: when `sink`
-    /// is present, the stripe append lands as a `rados`-layer child span
-    /// (covering the streaming transfer) and every fault-injected retry as
-    /// a `faults`-layer span at the instant its backoff is charged.
-    pub fn global_persist_traced<S: ObjectStore + ?Sized>(
-        &self,
-        os: &S,
-        cm: &CostModel,
-        sink: Option<TraceSink<'_>>,
+        trace: Option<(TraceCtx, Nanos)>,
     ) -> Result<Nanos, JournalIoError> {
         let id = self.journal_id();
         // Replace any previous persist of this journal.
@@ -333,22 +332,16 @@ impl DecoupledClient {
             o.global_persists.inc();
             w.set_obs(o.writer.clone());
         }
-        if let Some(s) = sink {
-            w.set_trace(s);
+        if let Some((ctx, at)) = trace {
+            w.set_trace(ctx, at);
         }
         w.append(&self.journal)?;
         let transfer = cm.global_persist_time(self.event_count());
-        if let Some(s) = &sink {
-            s.child_args(
-                "rados.stripe_append",
-                "rados",
-                s.at,
-                transfer,
-                vec![
-                    ("events".to_string(), self.event_count().to_string()),
-                    ("stripes".to_string(), w.stripes().to_string()),
-                ],
-            );
+        if let Some((o, (ctx, at))) = self.obs.as_ref().zip(trace) {
+            let args: [(&str, &dyn std::fmt::Display); 2] =
+                [("events", &self.event_count()), ("stripes", &w.stripes())];
+            o.reg
+                .child_named_args(ctx, o.stripe_append, at, transfer, &args);
         }
         // Retries against a faulty store cost virtual time: charge the
         // writer's accumulated backoff on top of the streaming transfer.
@@ -528,7 +521,7 @@ mod tests {
             c.create(c.root, &format!("f{i}")).unwrap();
         }
         let cm = CostModel::calibrated();
-        let t = c.global_persist(os.as_ref(), &cm).unwrap();
+        let t = c.global_persist(os.as_ref(), &cm, None).unwrap();
         assert!(t > Nanos::ZERO);
         // Global Persist is ~1.2x the Local Persist time.
         let mut disk = LocalDisk::new();
@@ -544,7 +537,7 @@ mod tests {
 
     #[test]
     fn attached_registry_counts_appends_and_persists() {
-        let reg = Registry::new();
+        let reg = Arc::new(Registry::new());
         let mut c = DecoupledClient::new(
             ClientId(7),
             InodeId::ROOT,
@@ -559,7 +552,7 @@ mod tests {
 
         let os = InMemoryStore::paper_default();
         let cm = CostModel::calibrated();
-        c.global_persist(&os, &cm).unwrap();
+        c.global_persist(&os, &cm, None).unwrap();
         assert_eq!(reg.counter_value("client.journal.global_persists"), Some(1));
         assert_eq!(reg.counter_value("journal.writer.appends"), Some(1));
         assert_eq!(reg.counter_value("journal.writer.events"), Some(4));

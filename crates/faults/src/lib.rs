@@ -38,7 +38,7 @@ use std::sync::{Arc, RwLock};
 
 use bytes::Bytes;
 use cudele_obs::timeline::Series;
-use cudele_obs::{Counter, Registry, TraceSink};
+use cudele_obs::{Counter, Registry};
 use cudele_rados::{ObjectId, ObjectStat, ObjectStore, PoolId, RadosError, Result};
 use cudele_sim::{CostModel, Nanos};
 
@@ -320,28 +320,15 @@ impl RetryPolicy {
 
     /// Runs `f`, retrying on [`RadosError::Transient`] up to the budget.
     /// `retries` and `backoff` accumulate what the loop consumed (the
-    /// caller charges `backoff` to its virtual clock). Non-transient errors
-    /// and budget exhaustion pass the error through.
+    /// caller charges `backoff` to its virtual clock), and `retried` sees
+    /// each retry as the backoff accumulated before it and its own pause —
+    /// where a traced caller draws it. Non-transient errors and budget
+    /// exhaustion pass the error through.
     pub fn run<T>(
         &self,
         retries: &mut u64,
         backoff: &mut Nanos,
-        f: impl FnMut() -> Result<T>,
-    ) -> Result<T> {
-        self.run_traced(retries, backoff, None, "io", f)
-    }
-
-    /// [`RetryPolicy::run`] with causal tracing: when `sink` is present,
-    /// every retry emits a `faults`-category child span named
-    /// `retry.<what>`, laid out at the sink's anchor plus the backoff
-    /// already accumulated — so injected-fault backoff shows up on the
-    /// trace timeline exactly where the caller will charge it.
-    pub fn run_traced<T>(
-        &self,
-        retries: &mut u64,
-        backoff: &mut Nanos,
-        sink: Option<TraceSink<'_>>,
-        what: &str,
+        mut retried: impl FnMut(Nanos, Nanos),
         mut f: impl FnMut() -> Result<T>,
     ) -> Result<T> {
         let mut attempt = 0;
@@ -349,9 +336,7 @@ impl RetryPolicy {
             match f() {
                 Err(RadosError::Transient(_)) if attempt < self.max_retries => {
                     let pause = self.backoff(attempt);
-                    if let Some(s) = &sink {
-                        s.child(&format!("retry.{what}"), "faults", s.at + *backoff, pause);
-                    }
+                    retried(*backoff, pause);
                     *retries += 1;
                     *backoff += pause;
                     attempt += 1;
@@ -369,7 +354,7 @@ impl RetryPolicy {
 /// non-transient errors (fencing above all) pass through.
 pub fn with_retry<T>(f: impl FnMut() -> Result<T>) -> Result<T> {
     let (mut retries, mut backoff) = (0, Nanos::ZERO);
-    RetryPolicy::default().run(&mut retries, &mut backoff, f)
+    RetryPolicy::default().run(&mut retries, &mut backoff, |_, _| {}, f)
 }
 
 /// `u64::saturating_shl` is unstable; a `u64` shifted past 63 saturates.
@@ -828,7 +813,9 @@ mod tests {
         let mut backoff = Nanos::ZERO;
         let mut failures_left = 3;
         let id = ObjectId::new(PoolId::METADATA, "x");
-        let out = policy.run(&mut retries, &mut backoff, || {
+        let mut seen = Vec::new();
+        let retried = |before, pause| seen.push((before, pause));
+        let out = policy.run(&mut retries, &mut backoff, retried, || {
             if failures_left > 0 {
                 failures_left -= 1;
                 Err(RadosError::Transient(id.clone()))
@@ -838,15 +825,24 @@ mod tests {
         });
         assert_eq!(out.unwrap(), 42);
         assert_eq!(retries, 3);
-        // 100us + 200us + 400us of exponential backoff.
+        // 100us + 200us + 400us of exponential backoff, each retry seen
+        // with the backoff accumulated before it.
         assert_eq!(backoff, Nanos::from_micros(700));
+        let us = Nanos::from_micros;
+        assert_eq!(
+            seen,
+            [(us(0), us(100)), (us(100), us(200)), (us(300), us(400))]
+        );
 
         // Budget exhaustion surfaces the transient error.
         let mut retries = 0;
         let mut backoff = Nanos::ZERO;
-        let out: Result<()> = policy.run(&mut retries, &mut backoff, || {
-            Err(RadosError::Transient(id.clone()))
-        });
+        let out: Result<()> = policy.run(
+            &mut retries,
+            &mut backoff,
+            |_, _| {},
+            || Err(RadosError::Transient(id.clone())),
+        );
         assert!(matches!(out, Err(RadosError::Transient(_))));
         assert_eq!(retries, policy.max_retries as u64);
     }

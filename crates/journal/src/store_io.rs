@@ -9,7 +9,9 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cudele_faults::{with_retry, RetryPolicy};
 use cudele_obs::timeline::Series;
-use cudele_obs::{Counter, Registry, TraceSink};
+use std::sync::Arc;
+
+use cudele_obs::{Counter, Registry, SpanName, TraceCtx};
 use cudele_rados::{ObjectId, ObjectStore, PoolId, RadosError};
 use cudele_sim::Nanos;
 
@@ -135,9 +137,11 @@ cudele_obs::handles! {
     /// [`JournalWriter`] (writers are transient, the handles are cheap
     /// clones: an owner resolves them once and clones them into every writer
     /// it opens) to count append batches, events, bytes, and stripe
-    /// rollovers under `journal.writer.*`.
+    /// rollovers under `journal.writer.*`, and, for a traced writer, to
+    /// draw each absorbed retry as a `faults` span.
     #[derive(Debug)]
-    pub struct JournalObs(reg: &Registry) {
+    pub struct JournalObs(reg: &Arc<Registry>) {
+        reg: Arc<Registry> = Arc::clone(reg),
         /// `journal.writer.appends` — append batches issued.
         pub appends: Counter = reg.counter("journal.writer.appends"),
         /// `journal.writer.events` — events written.
@@ -156,6 +160,10 @@ cudele_obs::handles! {
         tl_bytes: Series = reg.timeline().series("journal.writer.bytes"),
         tl_retries: Series = reg.timeline().series("journal.io.retries"),
         tl_backoff_ns: Series = reg.timeline().series("journal.writer.backoff_ns"),
+        /// A retried stripe append.
+        retry_append: SpanName = reg.span_name("retry.stripe_append", "faults"),
+        /// Any other retried store call (header write, torn-stripe repair).
+        retry_io: SpanName = reg.span_name("retry.journal_io", "faults"),
     }
 }
 
@@ -175,7 +183,8 @@ pub struct JournalWriter<'a, S: ObjectStore + ?Sized> {
     current_stripe_len: usize,
     obs: Option<JournalObs>,
     retry: RetryPolicy,
-    trace: Option<TraceSink<'a>>,
+    /// The traced caller's context and virtual-time anchor.
+    trace: Option<(TraceCtx, Nanos)>,
     /// Transient failures absorbed by retries over this writer's lifetime.
     pub retries: u64,
     /// Virtual-time backoff accumulated by those retries.
@@ -225,12 +234,12 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
         self.obs = Some(obs);
     }
 
-    /// Attaches a causal trace sink: every transient failure this writer
-    /// absorbs emits a `faults`-category retry span under the sink's
-    /// context, placed at the sink's anchor plus the backoff accumulated
-    /// so far (where the caller will charge it on the virtual clock).
-    pub fn set_trace(&mut self, sink: TraceSink<'a>) {
-        self.trace = Some(sink);
+    /// Traces the writer under `ctx`: every transient failure it absorbs
+    /// is drawn (through its [`JournalObs`]) as a `faults`-category retry
+    /// span, at `at` plus the backoff accumulated so far — where the caller
+    /// will charge it on the virtual clock.
+    pub fn set_trace(&mut self, ctx: TraceCtx, at: Nanos) {
+        self.trace = Some((ctx, at));
     }
 
     /// Runs one store operation under the writer's retry policy, charging
@@ -239,16 +248,14 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
         &mut self,
         mut f: impl FnMut(&S) -> cudele_rados::Result<T>,
     ) -> cudele_rados::Result<T> {
-        let store = self.store;
-        let policy = self.retry;
-        let trace = self.trace;
-        policy.run_traced(
-            &mut self.retries,
-            &mut self.backoff,
-            trace,
-            "journal_io",
-            || f(store),
-        )
+        let (store, policy) = (self.store, self.retry);
+        let traced = self.obs.as_ref().zip(self.trace);
+        let retried = |before, pause| {
+            if let Some((o, (ctx, at))) = traced {
+                o.reg.child_named(ctx, o.retry_io, at + before, pause);
+            }
+        };
+        policy.run(&mut self.retries, &mut self.backoff, retried, || f(store))
     }
 
     /// Appends `run` — whole frames for the current stripe — with one store
@@ -274,8 +281,9 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
                         return Err(e.into());
                     }
                     let pause = self.retry.backoff(attempt);
-                    if let Some(t) = &self.trace {
-                        t.child("retry.stripe_append", "faults", t.at + self.backoff, pause);
+                    if let Some((o, (ctx, at))) = self.obs.as_ref().zip(self.trace) {
+                        o.reg
+                            .child_named(ctx, o.retry_append, at + self.backoff, pause);
                     }
                     self.retries += 1;
                     self.backoff += pause;
@@ -780,7 +788,7 @@ mod tests {
     #[test]
     fn writer_obs_counts_appends_and_rollovers() {
         let store = InMemoryStore::paper_default();
-        let reg = Registry::new();
+        let reg = Arc::new(Registry::new());
         let mut w = JournalWriter::open_with_stripe(&store, jid(), 128).unwrap();
         w.set_obs(JournalObs::new(&reg));
         let events: Vec<_> = (0..20).map(create).collect();
@@ -955,7 +963,7 @@ mod tests {
                 ..FaultConfig::default()
             })),
         );
-        let reg = Registry::new();
+        let reg = Arc::new(Registry::new());
         let events: Vec<_> = (0..200).map(create).collect();
         let mut w = JournalWriter::open_with_stripe(&store, jid(), 256).unwrap();
         w.set_obs(JournalObs::new(&reg));

@@ -31,7 +31,7 @@
 use std::sync::Arc;
 
 use cudele_journal::JournalId;
-use cudele_obs::{Counter, FirstUse, Histogram, Registry};
+use cudele_obs::{Counter, FirstUse, Histogram, Registry, SpanName};
 use cudele_rados::{Epoch, FenceObs, FencedStore, FencingAuthority, ObjectStore, PoolId};
 use cudele_sim::{CostModel, Nanos};
 
@@ -200,7 +200,8 @@ cudele_obs::handles! {
     /// (the server and the layers it owns) and its fenced store of `fence`,
     /// so a takeover resolves no names. `mds.failover.*` are registered by
     /// the first takeover (`healed` by the first lossy one): a cluster that
-    /// never failed over has none.
+    /// never failed over has none. A cluster draws each takeover as a
+    /// `failover` trace: `failover.detect`, then `failover.replay`.
     pub struct FailoverObs(reg: &Arc<Registry>) {
         reg: Arc<Registry> = Arc::clone(reg),
         mds: MdsObs = MdsObs::new(reg),
@@ -209,6 +210,9 @@ cudele_obs::handles! {
         replayed: FirstUse<Counter> =
             FirstUse::new(reg, |r| r.counter("mds.failover.replayed_events")),
         healed: FirstUse<Counter> = FirstUse::new(reg, |r| r.counter("mds.failover.healed")),
+        failover: SpanName = reg.span_name("failover", "mds"),
+        detect: SpanName = reg.span_name("failover.detect", "mds"),
+        replay: SpanName = reg.span_name("failover.replay", "mds"),
     }
 }
 
@@ -548,27 +552,11 @@ impl MdsCluster {
         if let Some(o) = &self.obs {
             let reg = &o.reg;
             let root = reg.trace_root(90);
-            reg.child_span(
-                root,
-                "failover.detect",
-                "mds",
-                decision.last_beacon,
-                decision.detection_latency(),
-            );
-            reg.child_span(
-                root,
-                "failover.replay",
-                "mds",
-                decision.detected_at,
-                replay_time,
-            );
-            reg.end_span(
-                root,
-                "failover",
-                "mds",
-                decision.last_beacon,
-                completed_at - decision.last_beacon,
-            );
+            let detect = decision.detection_latency();
+            reg.child_named(root, o.detect, decision.last_beacon, detect);
+            reg.child_named(root, o.replay, decision.detected_at, replay_time);
+            let whole = completed_at - decision.last_beacon;
+            reg.end_named(root, o.failover, decision.last_beacon, whole);
             // The detect→takeover transient as timeline markers, so the
             // windowed series can be read against the failover phases.
             let tl = reg.timeline();

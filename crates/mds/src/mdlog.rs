@@ -24,6 +24,7 @@
 //! (`CostModel::stream_mds_cpu_at_dispatch` per event).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use cudele_journal::{
     EventRef, JournalId, JournalIoError, JournalObs, JournalWriter, Segment, SegmentBuilder,
@@ -61,7 +62,7 @@ cudele_obs::handles! {
     /// shared [`cudele_obs::Registry`], with the `journal.writer.*` ones the
     /// flush path's writers count on.
     #[derive(Debug)]
-    pub struct MdLogObs(reg: &Registry) {
+    pub struct MdLogObs(reg: &Arc<Registry>) {
         /// `mds.mdlog.events` — events submitted.
         pub events: Counter = reg.counter("mds.mdlog.events"),
         /// `mds.mdlog.segments_flushed` — segments flushed to the object
@@ -218,8 +219,8 @@ mod tests {
     }
 
     /// An mdlog counting into a registry of its own.
-    fn logged(config: MdLogConfig) -> (MdLog, Registry) {
-        let reg = Registry::new();
+    fn logged(config: MdLogConfig) -> (MdLog, Arc<Registry>) {
+        let reg = Arc::new(Registry::new());
         let mut log = MdLog::new(config);
         log.set_obs(MdLogObs::new(&reg));
         (log, reg)

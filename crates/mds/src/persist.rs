@@ -20,7 +20,9 @@
 use bytes::{Buf, BufMut, BytesMut};
 use cudele_faults::{with_retry, RetryPolicy};
 use cudele_journal::{Attrs, FileType, InodeId, JournalEvent};
-use cudele_obs::{Counter, Registry, TraceSink};
+use std::sync::Arc;
+
+use cudele_obs::{Counter, Registry, SpanName, TraceCtx};
 use cudele_rados::{ObjectId, ObjectStore, PoolId, RadosError};
 use cudele_sim::Nanos;
 
@@ -294,10 +296,13 @@ pub struct NvaCounters {
 }
 
 cudele_obs::handles! {
-    /// The Nonvolatile Apply sink's handle: `mds.persist.retries`, the
-    /// transient store failures its retries absorbed.
-    pub struct PersistObs(reg: &Registry) {
+    /// The Nonvolatile Apply sink's handles: `mds.persist.retries`, the
+    /// transient store failures its retries absorbed, and the `faults`
+    /// span a traced sink draws each one as.
+    pub struct PersistObs(reg: &Arc<Registry>) {
+        reg: Arc<Registry> = Arc::clone(reg),
         retries: Counter = reg.counter("mds.persist.retries"),
+        retry_span: SpanName = reg.span_name("retry.object_io", "faults"),
     }
 }
 
@@ -315,7 +320,8 @@ pub struct ObjectStoreSink<'a, S: ObjectStore + ?Sized> {
     /// to their clock.
     pub backoff: Nanos,
     obs: Option<PersistObs>,
-    trace: Option<TraceSink<'a>>,
+    /// The traced caller's context and virtual-time anchor.
+    trace: Option<(TraceCtx, Nanos)>,
 }
 
 impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
@@ -338,10 +344,11 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
         self.obs = Some(obs);
     }
 
-    /// Attaches a causal trace sink: transient failures absorbed during
-    /// apply emit `faults`-category retry spans under the sink's context.
-    pub fn set_trace(&mut self, sink: TraceSink<'a>) {
-        self.trace = Some(sink);
+    /// Traces the sink under `ctx`: each transient failure absorbed during
+    /// apply is drawn (through its [`PersistObs`]) as a `faults`-category
+    /// retry span, at `at` plus the backoff accumulated before it.
+    pub fn set_trace(&mut self, ctx: TraceCtx, at: Nanos) {
+        self.trace = Some((ctx, at));
     }
 
     /// Runs one store operation under the sink's retry policy, charging
@@ -350,17 +357,14 @@ impl<'a, S: ObjectStore + ?Sized> ObjectStoreSink<'a, S> {
         &mut self,
         mut f: impl FnMut(&S) -> cudele_rados::Result<T>,
     ) -> cudele_rados::Result<T> {
-        let os = self.os;
-        let policy = self.retry;
-        let before = self.retries;
-        let trace = self.trace;
-        let r = policy.run_traced(
-            &mut self.retries,
-            &mut self.backoff,
-            trace,
-            "object_io",
-            || f(os),
-        );
+        let (os, policy, before) = (self.os, self.retry, self.retries);
+        let traced = self.obs.as_ref().zip(self.trace);
+        let retried = |before, pause| {
+            if let Some((o, (ctx, at))) = traced {
+                o.reg.child_named(ctx, o.retry_span, at + before, pause);
+            }
+        };
+        let r = policy.run(&mut self.retries, &mut self.backoff, retried, || f(os));
         if let Some(o) = &self.obs {
             o.retries.add(self.retries - before);
         }
@@ -835,7 +839,7 @@ mod tests {
                 ..FaultConfig::default()
             })),
         );
-        let reg = Registry::new();
+        let reg = Arc::new(Registry::new());
         let mut sink = ObjectStoreSink::new(&os, PoolId::METADATA);
         sink.set_obs(PersistObs::new(&reg));
         sink.apply_event(&JournalEvent::Mkdir {

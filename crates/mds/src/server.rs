@@ -421,7 +421,7 @@ cudele_obs::handles! {
         tl_cross_epoch: Series = reg.timeline().series("mds.spec.cross_epoch"),
         /// For annotations (session reconnect markers).
         tl: cudele_obs::timeline::Timeline = reg.timeline(),
-        mdlog: FirstUse<MdLogObs> = FirstUse::new(reg, |r| MdLogObs::new(r)),
+        mdlog: FirstUse<MdLogObs> = FirstUse::new(reg, MdLogObs::new),
         ckpt: FirstUse<CkptObs> = FirstUse::new(reg, CkptObs::new),
         reconnects: FirstUse<Counter> = FirstUse::new(reg, |r| r.counter("mds.session.reconnects")),
         recoveries: FirstUse<Counter> = FirstUse::new(reg, |r| r.counter("mds.ckpt.recoveries")),

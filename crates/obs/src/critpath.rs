@@ -373,7 +373,7 @@ mod tests {
         let root = reg.trace_root(0);
         let child = reg.trace_child(root);
         // Only the child is ever recorded: its parent is missing.
-        reg.end_span(child, "io", "rados", Nanos(5), Nanos(10));
+        reg.end_named(child, reg.span_name("io", "rados"), Nanos(5), Nanos(10));
         let a = analyze(&reg.spans());
         assert_eq!(a.traces.len(), 1);
         assert_eq!(a.traces[0].root_node().span.name, "io");
@@ -385,8 +385,13 @@ mod tests {
         let reg = Registry::new();
         let root = reg.trace_root(0);
         let mid = reg.trace_child(root);
-        reg.end_span(root, "op", "client_op", Nanos(0), Nanos(100));
-        reg.end_span(mid, "mech", "mechanism", Nanos(10), Nanos(60));
+        reg.end_named(root, reg.span_name("op", "client_op"), Nanos(0), Nanos(100));
+        reg.end_named(
+            mid,
+            reg.span_name("mech", "mechanism"),
+            Nanos(10),
+            Nanos(60),
+        );
         reg.child_span(mid, "io", "rados", Nanos(20), Nanos(30));
         let a = analyze(&reg.spans());
         assert_eq!(a.traces.len(), 1);
@@ -403,7 +408,7 @@ mod tests {
     fn critical_path_follows_latest_finisher() {
         let reg = Registry::new();
         let root = reg.trace_root(0);
-        reg.end_span(root, "op", "client_op", Nanos(0), Nanos(100));
+        reg.end_named(root, reg.span_name("op", "client_op"), Nanos(0), Nanos(100));
         reg.child_span(root, "early", "mds", Nanos(0), Nanos(40));
         let late = reg.child_span(root, "late", "journal", Nanos(10), Nanos(80));
         reg.child_span(late, "leaf", "rados", Nanos(50), Nanos(40));
@@ -422,7 +427,7 @@ mod tests {
         let reg = Registry::new();
         for _ in 0..2 {
             let root = reg.trace_root(0);
-            reg.end_span(root, "op", "client_op", Nanos(0), Nanos(10));
+            reg.end_named(root, reg.span_name("op", "client_op"), Nanos(0), Nanos(10));
             reg.child_span(root, "io", "rados", Nanos(2), Nanos(5));
         }
         let a = analyze(&reg.spans());
@@ -434,7 +439,12 @@ mod tests {
     fn breakdown_isolates_parallel_mechanisms() {
         let reg = Registry::new();
         let root = reg.trace_root(0);
-        reg.end_span(root, "merge", "client_op", Nanos(0), Nanos(100));
+        reg.end_named(
+            root,
+            reg.span_name("merge", "client_op"),
+            Nanos(0),
+            Nanos(100),
+        );
         // Two mechanisms overlapping in time; each must get its own full
         // window attributed, not split between them.
         let m1 = reg.child_span(root, "global_persist", "mechanism", Nanos(0), Nanos(100));

@@ -426,9 +426,10 @@ pub struct Span {
 ///   [`Registry::trace_root`] once per request;
 /// * every layer that does attributable work derives a child context with
 ///   [`Registry::trace_child`] (or records one directly with
-///   [`Registry::child_span`]) — never reuses the parent's `span_id`;
-/// * contexts carry no registry handle, so a `TraceCtx` without a
-///   `&Registry` alongside is inert (use [`TraceSink`] to bundle them).
+///   [`Registry::child_named`]) — never reuses the parent's `span_id`;
+/// * contexts carry no registry handle: a traced layer keeps its context
+///   and a virtual-time anchor, and records through the [`SpanName`]s and
+///   [`Mechanism`]s its `…Obs` resolved, which also hold its registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     /// The trace (request) this context belongs to.
@@ -439,57 +440,6 @@ pub struct TraceCtx {
     pub parent_id: u64,
     /// Track id inherited by child spans.
     pub tid: u32,
-}
-
-/// A borrowed registry + trace context + virtual-time anchor, bundled so
-/// lower layers (journal writer, NVA sink, retry loops) can emit child
-/// spans without threading three parameters everywhere.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceSink<'a> {
-    /// The registry spans are recorded into.
-    pub reg: &'a Registry,
-    /// The parent context new child spans hang off.
-    pub ctx: TraceCtx,
-    /// The virtual instant the traced operation started at; layers without
-    /// their own clock lay child spans out relative to this.
-    pub at: Nanos,
-}
-
-impl<'a> TraceSink<'a> {
-    /// Bundles a sink.
-    pub fn new(reg: &'a Registry, ctx: TraceCtx, at: Nanos) -> TraceSink<'a> {
-        TraceSink { reg, ctx, at }
-    }
-
-    /// Records a completed child span under this sink's context and
-    /// returns the child's context (for grandchildren).
-    pub fn child(&self, name: &str, cat: &str, start: Nanos, dur: Nanos) -> TraceCtx {
-        self.reg.child_span(self.ctx, name, cat, start, dur)
-    }
-
-    /// [`TraceSink::child`] with extra args.
-    pub fn child_args(
-        &self,
-        name: &str,
-        cat: &str,
-        start: Nanos,
-        dur: Nanos,
-        args: Vec<(String, String)>,
-    ) -> TraceCtx {
-        let ctx = self.reg.trace_child(self.ctx);
-        self.reg.end_span_args(ctx, name, cat, start, dur, args);
-        ctx
-    }
-
-    /// A sink one level deeper: same registry, `ctx` as the new parent,
-    /// re-anchored at `at`.
-    pub fn nested(&self, ctx: TraceCtx, at: Nanos) -> TraceSink<'a> {
-        TraceSink {
-            reg: self.reg,
-            ctx,
-            at,
-        }
-    }
 }
 
 /// An interned span name and category, resolved once with
@@ -819,7 +769,8 @@ pub struct Registry {
     gauges: Lock<BTreeMap<String, Gauge>>,
     histograms: Lock<BTreeMap<String, Histogram>>,
     spans: Lock<SpanLog>,
-    /// Mechanism handles by DSL spelling, so the name-keyed
+    /// Mechanism handles by DSL spelling: two `…Obs` resolving one
+    /// mechanism share its handle, and the name-keyed
     /// [`observe_mechanism_at`] resolves without formatting metric names.
     mechanisms: Lock<BTreeMap<String, Mechanism>>,
     /// Consistency history (see [`history`]): per-client invoke/ack
@@ -882,7 +833,7 @@ impl Registry {
 
     /// Opens a new trace: allocates a root context whose `trace_id` equals
     /// its own `span_id` and whose parent is 0. Call once per client
-    /// request; record the root's span later with [`Registry::end_span`].
+    /// request; record the root's span later with [`Registry::end_named`].
     pub fn trace_root(&self, tid: u32) -> TraceCtx {
         let id = self.alloc_span_id();
         TraceCtx {
@@ -992,12 +943,26 @@ impl Registry {
         ctx
     }
 
-    /// Records the completed span for `ctx`.
-    pub fn end_span(&self, ctx: TraceCtx, name: &str, cat: &str, start: Nanos, dur: Nanos) {
-        self.push_span(ctx, start, dur, |n| n.span_name(name, cat), |_| {});
+    /// [`Registry::child_named`] with args, each value formatted straight
+    /// into the span log's bytes (and only if the span is retained).
+    pub fn child_named_args(
+        &self,
+        parent: TraceCtx,
+        name: SpanName,
+        start: Nanos,
+        dur: Nanos,
+        args: &[(&str, &dyn std::fmt::Display)],
+    ) -> TraceCtx {
+        let ctx = self.trace_child(parent);
+        let args = |log: &mut SpanLog| args.iter().for_each(|(k, v)| log.push_arg(k, v));
+        self.push_span(ctx, start, dur, |_| name, args);
+        ctx
     }
 
-    /// Records the completed span for `ctx` with extra args.
+    /// Records the completed span for `ctx` under a name looked up now,
+    /// with extra args. Name-keyed: only `benchmark/` records this way,
+    /// until ROADMAP item 9 moves it onto handles; crate code records
+    /// through the [`SpanName`]s its layer's `…Obs` resolved.
     pub fn end_span_args(
         &self,
         ctx: TraceCtx,
@@ -1017,7 +982,9 @@ impl Registry {
     }
 
     /// Allocates a child context under `parent` and records its completed
-    /// span in one shot; returns the child's context for grandchildren.
+    /// span under a name looked up now; returns the child's context.
+    /// Name-keyed: only `benchmark/` records this way, until ROADMAP item
+    /// 9; crate code uses [`Registry::child_named`].
     pub fn child_span(
         &self,
         parent: TraceCtx,
@@ -1027,7 +994,7 @@ impl Registry {
         dur: Nanos,
     ) -> TraceCtx {
         let ctx = self.trace_child(parent);
-        self.end_span(ctx, name, cat, start, dur);
+        self.push_span(ctx, start, dur, |n| n.span_name(name, cat), |_| {});
         ctx
     }
 
@@ -1381,10 +1348,9 @@ fn get_or_default<T: Default + Clone>(map: &Lock<BTreeMap<String, T>>, name: &st
 /// [`Registry::trace_child`]), so the span lands inside the request's trace
 /// tree.
 ///
-/// Lives here (keyed by the mechanism's DSL spelling) so layers below
-/// `cudele` core — the MDS observing Stream, the bench world observing
-/// RPCs and Append Client Journal — can report executions without a
-/// dependency cycle.
+/// Name-keyed (a registry map lookup per call): only `benchmark/` observes
+/// this way, until ROADMAP item 9; crate code observes through the
+/// [`Mechanism`] handles its layer's `…Obs` resolved.
 pub fn observe_mechanism_at(reg: &Registry, name: &str, ctx: TraceCtx, start: Nanos, dur: Nanos) {
     reg.mechanism(name).observe(reg, ctx, start, dur);
 }
@@ -1547,7 +1513,12 @@ mod tests {
     fn span_capacity_drops_deterministically() {
         let reg = Registry::with_span_capacity(2);
         for i in 0..5u64 {
-            reg.end_span(reg.trace_root(0), &format!("s{i}"), "t", Nanos(i), Nanos(1));
+            reg.end_named(
+                reg.trace_root(0),
+                reg.span_name(&format!("s{i}"), "t"),
+                Nanos(i),
+                Nanos(1),
+            );
         }
         assert_eq!(reg.span_count(), 2);
         assert_eq!(reg.spans_dropped(), 3);
@@ -1599,10 +1570,9 @@ mod tests {
             for i in 0..100u64 {
                 reg.counter("ops").inc();
                 reg.histogram("lat").record(i * 37 + 5);
-                reg.end_span(
+                reg.end_named(
                     reg.trace_root((i % 4) as u32),
-                    "op",
-                    "rpc",
+                    reg.span_name("op", "rpc"),
                     Nanos(i * 10),
                     Nanos(7),
                 );
@@ -1663,7 +1633,12 @@ mod tests {
         let root = reg.trace_root(1);
         // Child recorded before the parent — order must not matter.
         let child = reg.child_span(root, "stripe_append", "rados", Nanos(10), Nanos(5));
-        reg.end_span(root, "create", "client_op", Nanos(0), Nanos(20));
+        reg.end_named(
+            root,
+            reg.span_name("create", "client_op"),
+            Nanos(0),
+            Nanos(20),
+        );
         let spans = reg.spans();
         assert_eq!(spans.len(), 2);
         let c = spans.iter().find(|s| s.name == "stripe_append").unwrap();
@@ -1680,8 +1655,18 @@ mod tests {
     #[test]
     fn spans_dropped_surfaces_in_metrics_json() {
         let reg = Registry::with_span_capacity(1);
-        reg.end_span(reg.trace_root(0), "a", "t", Nanos(0), Nanos(1));
-        reg.end_span(reg.trace_root(0), "b", "t", Nanos(1), Nanos(1));
+        reg.end_named(
+            reg.trace_root(0),
+            reg.span_name("a", "t"),
+            Nanos(0),
+            Nanos(1),
+        );
+        reg.end_named(
+            reg.trace_root(0),
+            reg.span_name("b", "t"),
+            Nanos(1),
+            Nanos(1),
+        );
         let m = reg.metrics_json();
         json::validate(&m).unwrap();
         assert!(m.contains("\"obs.spans_dropped\": 1"));
@@ -1699,7 +1684,7 @@ mod tests {
             reg.histogram("lat").record(u64::from(task) * 100);
             let root = reg.trace_root(task);
             reg.child_span(root, "child", "t", Nanos(1), Nanos(2));
-            reg.end_span(root, "op", "t", Nanos(0), Nanos(5));
+            reg.end_named(root, reg.span_name("op", "t"), Nanos(0), Nanos(5));
         };
 
         let serial = Registry::new();
@@ -1743,7 +1728,12 @@ mod tests {
                 epoch: 1,
                 trace_id: root.trace_id,
             });
-            reg.end_span(root, "create", "client_op", Nanos(0), Nanos(5));
+            reg.end_named(
+                root,
+                reg.span_name("create", "client_op"),
+                Nanos(0),
+                Nanos(5),
+            );
         };
         let serial = Registry::new();
         for task in 0..3 {
@@ -1764,8 +1754,18 @@ mod tests {
         let target = Registry::with_span_capacity(1);
         assert_eq!(target.span_capacity(), 1);
         let src = Registry::new();
-        src.end_span(src.trace_root(0), "a", "t", Nanos(0), Nanos(1));
-        src.end_span(src.trace_root(0), "b", "t", Nanos(1), Nanos(1));
+        src.end_named(
+            src.trace_root(0),
+            src.span_name("a", "t"),
+            Nanos(0),
+            Nanos(1),
+        );
+        src.end_named(
+            src.trace_root(0),
+            src.span_name("b", "t"),
+            Nanos(1),
+            Nanos(1),
+        );
         target.merge_from(&src);
         assert_eq!(target.span_count(), 1);
         assert_eq!(target.spans_dropped(), 1);

@@ -903,7 +903,7 @@ mod tests {
         let session = Registry::new();
         for reg in [&serial, &merged_a] {
             let root = reg.trace_root(0);
-            reg.end_span(root, "op", "client_op", Nanos(0), Nanos(10));
+            reg.end_named(root, reg.span_name("op", "client_op"), Nanos(0), Nanos(10));
             let tl = reg.timeline();
             tl.add("ops", Nanos(1000), 2);
             tl.gauge_at("depth", Nanos(2000), 4.0);
@@ -911,7 +911,7 @@ mod tests {
         }
         for reg in [&serial, &merged_b] {
             let root = reg.trace_root(1);
-            reg.end_span(root, "op", "client_op", Nanos(5), Nanos(10));
+            reg.end_named(root, reg.span_name("op", "client_op"), Nanos(5), Nanos(10));
             let tl = reg.timeline();
             tl.add("ops", Nanos(1200), 3);
             tl.gauge_at("depth", Nanos(2500), 9.0);

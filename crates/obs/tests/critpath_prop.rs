@@ -24,7 +24,12 @@ use proptest::prelude::*;
 fn hand_built_dag_has_known_critical_path_and_attribution() {
     let reg = Registry::new();
     let root = reg.trace_root(7);
-    reg.end_span(root, "create", "client_op", Nanos(0), Nanos(1000));
+    reg.end_named(
+        root,
+        reg.span_name("create", "client_op"),
+        Nanos(0),
+        Nanos(1000),
+    );
     let rpcs = reg.child_span(root, "rpcs", "mechanism", Nanos(0), Nanos(300));
     reg.child_span(rpcs, "mds.service", "mds", Nanos(100), Nanos(150));
     let gp = reg.child_span(root, "global_persist", "mechanism", Nanos(300), Nanos(700));
@@ -89,7 +94,7 @@ proptest! {
         let (root_dur, nodes) = tree;
         let reg = Registry::new();
         let root = reg.trace_root(0);
-        reg.end_span(root, "root", "client_op", Nanos(100), Nanos(root_dur));
+        reg.end_named(root, reg.span_name("root", "client_op"), Nanos(100), Nanos(root_dur));
         let mut ctxs = vec![root];
         for (i, &(psel, start, dur)) in nodes.iter().enumerate() {
             let parent = ctxs[psel as usize % ctxs.len()];
@@ -118,7 +123,7 @@ proptest! {
         let (root_dur, nodes) = tree;
         let reg = Registry::new();
         let root = reg.trace_root(0);
-        reg.end_span(root, "root", "client_op", Nanos(0), Nanos(root_dur));
+        reg.end_named(root, reg.span_name("root", "client_op"), Nanos(0), Nanos(root_dur));
         let mut ctxs = vec![root];
         for (i, &(psel, start, dur)) in nodes.iter().enumerate() {
             let parent = ctxs[psel as usize % ctxs.len()];

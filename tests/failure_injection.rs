@@ -143,7 +143,7 @@ fn replicated_object_store_survives_single_osd_failure() {
         client.create(client.root, &format!("f{i}")).unwrap();
     }
     client
-        .global_persist(os.as_ref(), server.cost_model())
+        .global_persist(os.as_ref(), server.cost_model(), None)
         .unwrap();
     for osd in 0..3 {
         os.fail_osd(osd);
@@ -903,7 +903,7 @@ fn global_persist_after_a_writer_died_before_its_header_reads_back_alone() {
     let cm = CostModel::calibrated();
     let id = rig.client.journal_id();
     os.mutations_left.store(1, Ordering::SeqCst);
-    assert!(rig.client.global_persist(&os, &cm).is_err());
+    assert!(rig.client.global_persist(&os, &cm, None).is_err());
     assert!(!cudele_journal::journal_exists(&os.inner, id));
     assert_eq!(
         os.inner.list(id.pool, &format!("{:x}.", id.ino)).len(),
@@ -913,7 +913,7 @@ fn global_persist_after_a_writer_died_before_its_header_reads_back_alone() {
 
     os.mutations_left.store(u64::MAX, Ordering::SeqCst);
     rig.client.create(rig.client.root, "second").unwrap();
-    rig.client.global_persist(&os, &cm).unwrap();
+    rig.client.global_persist(&os, &cm, None).unwrap();
     assert_eq!(read_journal(&os, id).unwrap(), rig.client.events());
 }
 

@@ -4,12 +4,15 @@
 //! through the executor; checkpoints, an in-place `crash_and_recover` and a
 //! standby takeover — once with no handles anywhere and once with every
 //! layer attached. Both runs must leave the same namespaces and answer the
-//! same replies at the same costs.
+//! same replies at the same costs. The schedule runs twice more with its
+//! Nonvolatile Apply merge over a seeded transient-fault store, where the
+//! merge's traced retry paths run.
 
 use std::sync::Arc;
 
 use cudele::{execute_merge_at, Composition, ExecEnv, MergeObs};
 use cudele_client::{DecoupledClient, LocalDisk, RpcClient, RpcObs};
+use cudele_faults::{wire_faults, FaultConfig};
 use cudele_journal::InodeId;
 use cudele_mds::{
     CheckpointConfig, ClientId, MdLogConfig, MetadataServer, OpCost, StandbyReplay, TakeoverReport,
@@ -28,6 +31,8 @@ struct Outcome {
     /// The namespace after each phase.
     snapshots: Vec<String>,
     takeover: TakeoverReport,
+    /// Transient faults injected into the NVA merge's store.
+    eagains: u64,
 }
 
 impl Outcome {
@@ -71,7 +76,9 @@ fn decoupled(
     c
 }
 
-fn run(seed: u64, reg: Option<&Arc<Registry>>) -> Outcome {
+/// Runs the schedule; with `eagain_ppm` > 0 its NVA merge goes through a
+/// transient-fault store seeded by `seed`.
+fn run(seed: u64, reg: Option<&Arc<Registry>>, eagain_ppm: u32) -> Outcome {
     let mut out = Outcome {
         replies: Vec::new(),
         costs: Vec::new(),
@@ -85,6 +92,7 @@ fn run(seed: u64, reg: Option<&Arc<Registry>>) -> Outcome {
             checkpoint_events: 0,
             manifest_fallbacks: 0,
         },
+        eagains: 0,
     };
     let base = Arc::new(InMemoryStore::paper_default());
     let shared: Arc<dyn ObjectStore> = base.clone();
@@ -155,7 +163,13 @@ fn run(seed: u64, reg: Option<&Arc<Registry>>) -> Outcome {
     out.snapshot(&mds);
 
     // A Nonvolatile Apply merge through the executor (it recovers the
-    // server in place at its end).
+    // server in place at its end), over a store that may fail transiently.
+    let faults = FaultConfig {
+        seed,
+        eagain_ppm,
+        ..Default::default()
+    };
+    let (faulty, _) = wire_faults(Arc::clone(&base), faults, &CostModel::calibrated());
     let mut nc = decoupled(&mut mds, ClientId(3), "/d1", 30, reg);
     let comp: Composition = "global_persist+nonvolatile_apply".parse().unwrap();
     let merge_obs = reg.map(MergeObs::new);
@@ -165,7 +179,7 @@ fn run(seed: u64, reg: Option<&Arc<Registry>>) -> Outcome {
         &mut nc,
         &mut ExecEnv {
             server: &mut mds,
-            os: shared.as_ref(),
+            os: faulty.as_ref(),
             disk: &mut disk,
         },
         merge_obs.as_ref(),
@@ -175,6 +189,7 @@ fn run(seed: u64, reg: Option<&Arc<Registry>>) -> Outcome {
     .unwrap();
     out.reply((report.elapsed, &report.per_mechanism, report.events));
     out.snapshot(&mds);
+    out.eagains = faulty.injected().0;
 
     // More journaled creates, so checkpoints are cut past the recovery.
     for i in 0..200u64 {
@@ -224,11 +239,15 @@ fn run(seed: u64, reg: Option<&Arc<Registry>>) -> Outcome {
 
 #[test]
 fn attaching_every_layer_changes_no_model_byte() {
-    for seed in [1, 7, 42] {
+    for (seed, eagain_ppm) in [(1, 0), (7, 0), (42, 0), (7, 50_000), (42, 50_000)] {
         let reg = Arc::new(Registry::new());
-        let bare = run(seed, None);
-        let observed = run(seed, Some(&reg));
-        assert_eq!(bare, observed, "seed {seed}");
+        let bare = run(seed, None, eagain_ppm);
+        let observed = run(seed, Some(&reg), eagain_ppm);
+        assert_eq!(bare, observed, "seed {seed}, eagain_ppm {eagain_ppm}");
+        if eagain_ppm > 0 {
+            assert!(bare.eagains > 0, "seed {seed}: no fault fired");
+            assert!(reg.counter_value("mds.persist.retries").unwrap() > 0);
+        }
         // The attached run really recorded at every layer.
         for name in [
             "mds.rpc.total",
