@@ -12,7 +12,7 @@ use cudele_faults::FaultPlan;
 use cudele_journal::{InodeId, InodeRange};
 use cudele_mds::{ClientId, MdLogConfig, MdsError, MetadataServer, OpCost};
 use cudele_obs::timeline::Series;
-use cudele_obs::{FirstUse, Histogram, Layer, Mechanism, Registry, SpanName, TraceCtx};
+use cudele_obs::{ArgKey, FirstUse, Histogram, Layer, Mechanism, Registry, SpanName, TraceCtx};
 use cudele_rados::InMemoryStore;
 use cudele_sim::{CostModel, Engine, FifoServer, Nanos, Process, RunReport, Step};
 use cudele_workloads::{client_dir, file_name, write_file_name, Interference};
@@ -81,6 +81,10 @@ cudele_obs::handles! {
         append_batch: SpanName = reg.span_name("append_batch", "client_op"),
         spec_create: SpanName = reg.span_name("spec_create", "client_op"),
         client_rollback: SpanName = reg.span_name("client.rollback", "client"),
+        file_arg: ArgKey = reg.arg_key("file"),
+        events_arg: ArgKey = reg.arg_key("events"),
+        ops_arg: ArgKey = reg.arg_key("ops"),
+        seq_arg: ArgKey = reg.arg_key("seq"),
         backlog: Series = reg.timeline().series("mds.rpc.backlog_ns"),
         ops: Series = reg.timeline().series("bench.ops"),
         op_latency: Series = reg.timeline().series("bench.op_latency.ns"),
@@ -396,7 +400,7 @@ impl Process<World> for RpcCreateProcess {
         let t = world.charge_ctx(root, now, &out.costs);
         world
             .obs
-            .end_named_with(root, world.h.create, now, t - now, "file", &name);
+            .end_named_with(root, world.h.create, now, t - now, world.h.file_arg, &name);
         world.name_buf = name;
         self.op_lat.record((t - now).0);
         world.h.ops.add(t, 1);
@@ -505,7 +509,7 @@ impl DecoupledCreateProcess {
         let done = world.serve_layered(Via::Merge, root, t + transfer, &apply);
         world
             .obs
-            .end_named_with(root, world.h.merge, t, done - t, "events", events);
+            .end_named_with(root, world.h.merge, t, done - t, world.h.events_arg, events);
         world.h.merge_latency_hist.get().record((done - t).0);
         world
             .h
@@ -549,9 +553,7 @@ impl Process<World> for DecoupledCreateProcess {
         }
         world.name_buf = name;
         let t = now + self.append * batch;
-        for _ in 0..batch {
-            self.op_lat.record(self.append.0);
-        }
+        self.op_lat.record_n(self.append.0, batch);
         // One windowed sample per batch: every append in it has the same
         // latency, so the batch collapses to a count plus one exemplar.
         world.h.ops.add(t, batch);
@@ -568,9 +570,14 @@ impl Process<World> for DecoupledCreateProcess {
             .h
             .append_client_journal
             .observe_layered(&world.obs, root, now, t - now, &[append]);
-        world
-            .obs
-            .end_named_with(root, world.h.append_batch, now, t - now, "ops", batch);
+        world.obs.end_named_with(
+            root,
+            world.h.append_batch,
+            now,
+            t - now,
+            world.h.ops_arg,
+            batch,
+        );
         // The final batch's time still elapses: the wake-up after it finds
         // nothing left and completes.
         Step::ResumeAt(t)
@@ -782,9 +789,14 @@ impl SpeculativeCreateProcess {
         self.op_lat.record(lat.0);
         world.h.ops.add(at, 1);
         world.h.op_latency.sample(at, lat.0, p.root.trace_id);
-        world
-            .obs
-            .end_named_with(p.root, world.h.spec_create, p.issued_at, lat, "seq", p.seq);
+        world.obs.end_named_with(
+            p.root,
+            world.h.spec_create,
+            p.issued_at,
+            lat,
+            world.h.seq_arg,
+            p.seq,
+        );
     }
 
     /// Handles an invalidated ack: replays the doomed closure synchronously

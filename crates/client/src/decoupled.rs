@@ -22,7 +22,7 @@ use cudele_journal::{
 };
 use cudele_mds::{ClientId, MdsError, MetadataServer, MetadataStore, OpCost, Rpc};
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
-use cudele_obs::{Counter, Registry, SpanName, TraceCtx};
+use cudele_obs::{ArgKey, ArgValue, Counter, Registry, SpanName, TraceCtx};
 use cudele_rados::ObjectStore;
 use cudele_sim::{transfer_time, CostModel, Nanos};
 
@@ -49,8 +49,10 @@ cudele_obs::handles! {
         /// Consistency-history sink: every append lands as a `local`-scope
         /// event at the client's current virtual time.
         history: cudele_obs::history::HistoryWriter = reg.history_writer(),
-        /// A traced Global Persist's streaming transfer.
+        /// A traced Global Persist's streaming transfer, and its args.
         stripe_append: SpanName = reg.span_name("rados.stripe_append", "rados"),
+        events_arg: ArgKey = reg.arg_key("events"),
+        stripes_arg: ArgKey = reg.arg_key("stripes"),
     }
 }
 
@@ -338,8 +340,10 @@ impl DecoupledClient {
         w.append(&self.journal)?;
         let transfer = cm.global_persist_time(self.event_count());
         if let Some((o, (ctx, at))) = self.obs.as_ref().zip(trace) {
-            let args: [(&str, &dyn std::fmt::Display); 2] =
-                [("events", &self.event_count()), ("stripes", &w.stripes())];
+            let args: [(ArgKey, &dyn ArgValue); 2] = [
+                (o.events_arg, &self.event_count()),
+                (o.stripes_arg, &w.stripes()),
+            ];
             o.reg
                 .child_named_args(ctx, o.stripe_append, at, transfer, &args);
         }

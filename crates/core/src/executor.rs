@@ -11,7 +11,7 @@ use cudele_journal::{read_journal, JournalIoError};
 use std::sync::Arc;
 
 use cudele_mds::{MdsError, MetadataServer, ObjectStoreSink, PersistError, PersistObs};
-use cudele_obs::{Registry, SpanName, TraceCtx};
+use cudele_obs::{ArgKey, Registry, SpanName, TraceCtx};
 use cudele_rados::{ObjectStore, PoolId};
 use cudele_sim::Nanos;
 
@@ -33,6 +33,7 @@ cudele_obs::handles! {
         volatile_apply: cudele_obs::Mechanism = reg.mechanism("volatile_apply"),
         nonvolatile_apply: cudele_obs::Mechanism = reg.mechanism("nonvolatile_apply"),
         merge: SpanName = reg.span_name("merge", "client_op"),
+        events_arg: ArgKey = reg.arg_key("events"),
         disk_write: SpanName = reg.span_name("disk.write", "client"),
         net_transfer: SpanName = reg.span_name("net.transfer", "net"),
         mds_apply: SpanName = reg.span_name("mds.apply", "mds"),
@@ -275,7 +276,7 @@ pub fn execute_merge_at(
     }
     if let Some((o, root)) = root {
         let r = &o.reg;
-        r.end_named_with(root, o.merge, at, elapsed, "events", events);
+        r.end_named_with(root, o.merge, at, elapsed, o.events_arg, events);
         // A composition containing an apply mechanism is a global-
         // visibility point: record it in the consistency history so the
         // eventual-visibility checker knows when acked local ops must

@@ -25,11 +25,12 @@
 //! Both, like every document this crate writes, go through
 //! [`json::Writer`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use cudele_sim::Nanos;
+use cudele_sim::{IntHasher, IntMap, Nanos};
 
 use json::Layout::{Compact, Inline, Pretty};
 use json::Writer;
@@ -44,6 +45,7 @@ pub mod timeline;
 
 use history::{HistoryEvent, HistoryWriter};
 use lock::Lock;
+pub use pack::{ArgValue, Formatted};
 
 /// A handle resolved on its first use, not when its layer's handles are
 /// built: a counter or histogram shows in [`Registry::metrics_json`] as
@@ -197,9 +199,19 @@ impl Sketch {
     };
 
     pub(crate) fn record(&mut self, v: u64) {
-        self.add((64 - v.leading_zeros()) as usize, 1);
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
+        self.record_n(v, 1);
+    }
+
+    /// `n` samples of `v` at once: the same sketch as `n` calls of
+    /// [`Sketch::record`], the `sum`'s saturation and the spill out of the
+    /// narrow run included (both depend only on the totals).
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.add((64 - v.leading_zeros()) as usize, n);
+        self.count += n;
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -335,6 +347,12 @@ impl Histogram {
         self.0.lock().record(v);
     }
 
+    /// Records `n` samples of `v` under one lock: equal to `n` calls of
+    /// [`Histogram::record`].
+    pub fn record_n(&self, v: u64, n: u64) {
+        self.0.lock().record_n(v, n);
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.0.lock().count
@@ -452,24 +470,58 @@ pub struct SpanName {
     cat: u32,
 }
 
-/// Span names and categories, each stored once; spans refer to them by id.
+/// An interned span arg key, resolved once with [`Registry::arg_key`] so a
+/// span's arg carries a small id instead of a key looked up per span.
+/// Valid only with the registry that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArgKey(u32);
+
+/// Span names, categories and arg keys, each stored once; spans refer to
+/// them by id. The strings sit back to back in one arena, so a new one
+/// allocates nothing of its own, and are found by their
+/// [`cudele_sim::IntHasher`] hash: the names are the program's own, so
+/// SipHash's collision resistance buys nothing. Strings whose hashes
+/// collide take the next free slots.
 #[derive(Debug, Default)]
 struct Interner {
-    ids: HashMap<Arc<str>, u32>,
-    strings: Vec<Arc<str>>,
+    text: String,
+    /// String `i` ends at `ends[i]` and starts where string `i - 1` ends.
+    ends: Vec<usize>,
+    /// Id by hash slot.
+    ids: IntMap<u64, u32>,
 }
 
 impl Interner {
-    /// The id of `s`; allocates only the first time `s` is seen.
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.ids.get(s) {
-            return id;
+    /// The string interned as `id`.
+    fn get(&self, id: u32) -> &str {
+        let i = id as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+
+    /// The id of `s`, or the free slot it would take.
+    fn find(&self, s: &str) -> Result<u32, u64> {
+        let mut h = IntHasher::default();
+        h.write(s.as_bytes());
+        let mut slot = h.finish();
+        loop {
+            match self.ids.get(&slot) {
+                Some(&id) if self.get(id) == s => return Ok(id),
+                Some(_) => slot = slot.wrapping_add(1),
+                None => return Err(slot),
+            }
         }
-        let id = self.strings.len() as u32;
-        let s: Arc<str> = Arc::from(s);
-        self.strings.push(Arc::clone(&s));
-        self.ids.insert(s, id);
-        id
+    }
+
+    /// The id of `s`, interned now if this is its first sight.
+    fn intern(&mut self, s: &str) -> u32 {
+        self.find(s).unwrap_or_else(|slot| {
+            let id = self.ends.len() as u32;
+            self.text.push_str(s);
+            self.ends.push(self.text.len());
+            self.ids.insert(slot, id);
+            id
+        })
     }
 
     fn span_name(&mut self, name: &str, cat: &str) -> SpanName {
@@ -543,10 +595,7 @@ struct SpanLog {
 
 impl SpanLog {
     fn name_of(&self, name: SpanName) -> (&str, &str) {
-        (
-            &self.names.strings[name.name as usize],
-            &self.names.strings[name.cat as usize],
-        )
+        (self.names.get(name.name), self.names.get(name.cat))
     }
 
     /// Appends one record: the span for `ctx`, its args, and as many of
@@ -555,8 +604,8 @@ impl SpanLog {
     /// only for a span that is kept. With room for `r` more spans the
     /// record keeps the span and its first `r - 1` layers and counts the
     /// rest dropped, as recording them one by one would. `args` appends
-    /// with [`SpanLog::push_arg`]; if it panics, the record is never
-    /// committed and the next one overwrites its bytes.
+    /// with [`SpanLog::arg`]; if it panics, the record is never committed
+    /// and the next one overwrites its bytes.
     fn push(
         &mut self,
         ctx: TraceCtx,
@@ -599,16 +648,18 @@ impl SpanLog {
         (self.start, self.span_id) = (start.0, ctx.span_id);
     }
 
-    /// Appends one arg to the span being written, formatting `value`
-    /// straight into the log.
-    fn push_arg(&mut self, key: &str, value: impl std::fmt::Display) {
-        let key = self.names.intern(key);
+    /// Appends one arg under a key looked up now: the name-keyed paths'
+    /// form of [`SpanLog::arg`].
+    fn push_arg(&mut self, key: &str, value: &str) {
+        let key = ArgKey(self.names.intern(key));
         self.arg(key, value);
     }
 
-    fn arg(&mut self, key: u32, value: impl std::fmt::Display) {
-        self.log.u64(u64::from(key) + 1);
-        self.log.display(value);
+    /// Appends one arg to the span being written: its interned key and
+    /// `value`'s text, written straight into the log.
+    fn arg<T: ArgValue + ?Sized>(&mut self, key: ArgKey, value: &T) {
+        self.log.u64(u64::from(key.0) + 1);
+        self.log.text(value);
     }
 
     /// Every retained span, in recording order: a layered record's span,
@@ -694,7 +745,7 @@ impl SpanLog {
             trace_id: s.ctx.trace_id,
             args: s
                 .args()
-                .map(|(k, v)| (self.names.strings[k as usize].to_string(), v.to_string()))
+                .map(|(k, v)| (self.names.get(k).to_string(), v.to_string()))
                 .collect(),
         }
     }
@@ -879,25 +930,32 @@ impl Registry {
         log.names.span_name(name, cat)
     }
 
+    /// Interns the arg key `key` for per-op use with
+    /// [`Registry::end_named_with`] and [`Registry::child_named_args`].
+    pub fn arg_key(&self, key: &str) -> ArgKey {
+        ArgKey(self.spans.lock().names.intern(key))
+    }
+
     /// Records the completed span for `ctx` under a pre-resolved name:
     /// a few bytes appended when retained, one increment when dropped.
     pub fn end_named(&self, ctx: TraceCtx, name: SpanName, start: Nanos, dur: Nanos) {
         self.push_span(ctx, start, dur, |_| name, |_| {});
     }
 
-    /// [`Registry::end_named`] with one extra arg. `value` is formatted
-    /// straight into the span log's bytes, and only if the span is
-    /// retained: a `&str` or a number costs no allocation either way.
+    /// [`Registry::end_named`] with one extra arg under a pre-resolved
+    /// key. `value`'s text is written straight into the span log's bytes,
+    /// and only if the span is retained: a `&str` or an integer costs no
+    /// allocation and no `core::fmt` either way.
     pub fn end_named_with(
         &self,
         ctx: TraceCtx,
         name: SpanName,
         start: Nanos,
         dur: Nanos,
-        key: &str,
-        value: impl std::fmt::Display,
+        key: ArgKey,
+        value: impl ArgValue,
     ) {
-        self.push_span(ctx, start, dur, |_| name, |log| log.push_arg(key, value));
+        self.push_span(ctx, start, dur, |_| name, |log| log.arg(key, &value));
     }
 
     /// Allocates a child context under `parent` and records its completed
@@ -943,18 +1001,19 @@ impl Registry {
         ctx
     }
 
-    /// [`Registry::child_named`] with args, each value formatted straight
-    /// into the span log's bytes (and only if the span is retained).
+    /// [`Registry::child_named`] with args under pre-resolved keys, each
+    /// value's text written straight into the span log's bytes (and only if
+    /// the span is retained).
     pub fn child_named_args(
         &self,
         parent: TraceCtx,
         name: SpanName,
         start: Nanos,
         dur: Nanos,
-        args: &[(&str, &dyn std::fmt::Display)],
+        args: &[(ArgKey, &dyn ArgValue)],
     ) -> TraceCtx {
         let ctx = self.trace_child(parent);
-        let args = |log: &mut SpanLog| args.iter().for_each(|(k, v)| log.push_arg(k, v));
+        let args = |log: &mut SpanLog| args.iter().for_each(|&(k, v)| log.arg(k, v));
         self.push_span(ctx, start, dur, |_| name, args);
         ctx
     }
@@ -1082,9 +1141,9 @@ impl Registry {
     /// Whether any retained span carries `name`.
     pub fn has_span(&self, name: &str) -> bool {
         let log = self.spans.lock();
-        match log.names.ids.get(name) {
-            Some(&id) => log.iter().any(|s| s.name.name == id),
-            None => false,
+        match log.names.find(name) {
+            Ok(id) => log.iter().any(|s| s.name.name == id),
+            Err(_) => false,
         }
     }
 
@@ -1177,10 +1236,9 @@ impl Registry {
             let mut dst = self.spans.lock();
             let dst = &mut *dst;
             // Source string id → destination id, resolved on first use.
-            let mut ids: Vec<Option<u32>> = vec![None; src.names.strings.len()];
+            let mut ids: Vec<Option<u32>> = vec![None; src.names.ends.len()];
             let mut map = |names: &mut Interner, id: u32| {
-                *ids[id as usize]
-                    .get_or_insert_with(|| names.intern(&src.names.strings[id as usize]))
+                *ids[id as usize].get_or_insert_with(|| names.intern(src.names.get(id)))
             };
             // A layered record is copied as one, so the destination keeps
             // it as compact, and cuts it where recording would have.
@@ -1208,7 +1266,7 @@ impl Registry {
                 };
                 let args = |dst: &mut SpanLog| {
                     for (key, value) in s.args() {
-                        let key = map(&mut dst.names, key);
+                        let key = ArgKey(map(&mut dst.names, key));
                         dst.arg(key, value);
                     }
                 };
@@ -1273,7 +1331,7 @@ impl Registry {
                     w.key("trace_id").str(&s.ctx.trace_id.to_string());
                 }
                 for (k, v) in args {
-                    w.key(&log.names.strings[k as usize]).str(v);
+                    w.key(log.names.get(k)).str(v);
                 }
                 w.close();
             }
@@ -1444,6 +1502,48 @@ mod tests {
         assert_eq!(h.percentile(100.0), 1000.0);
     }
 
+    /// `record_n(v, n)` is `n` calls of `record(v)`: the same buckets and
+    /// stats, through an empty sketch's run placement, a spill out of the
+    /// narrow run and a saturating `sum`. A count past `u32` — the other
+    /// spill — is checked by splitting it: `record_n` of the whole equals
+    /// `record_n` of its parts.
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let state = |s: &Sketch| {
+            let buckets: Vec<_> = s.buckets().collect();
+            let wide = matches!(s.counts, Counts::Wide(_));
+            (buckets, wide, s.count, s.sum, s.min, s.max)
+        };
+        let cases: &[&[(u64, u64)]] = &[
+            &[(0, 3)],
+            &[(5, 1), (5, 0), (700, 4)],
+            &[(1, 2), (1 << 40, 3), (2, 5)],
+            &[(u64::MAX / 3, 5), (7, 2)],
+            &[(u64::MAX, 2), (0, 1)],
+        ];
+        for &case in cases {
+            let (mut one, mut bulk) = (Sketch::EMPTY, Sketch::EMPTY);
+            for &(v, n) in case {
+                (0..n).for_each(|_| one.record(v));
+                bulk.record_n(v, n);
+            }
+            assert_eq!(state(&bulk), state(&one), "{case:?}");
+        }
+        let big = u64::from(u32::MAX) + 2;
+        let (mut whole, mut parts) = (Sketch::EMPTY, Sketch::EMPTY);
+        whole.record_n(9, big);
+        parts.record_n(9, big - 3);
+        (0..3).for_each(|_| parts.record(9));
+        assert_eq!(state(&whole), state(&parts));
+        assert!(matches!(whole.counts, Counts::Wide(_)));
+        let h = Histogram::default();
+        h.record_n(1000, 4);
+        assert_eq!(
+            (h.count(), h.sum(), h.min(), h.max()),
+            (4, 4000, 1000, 1000)
+        );
+    }
+
     #[test]
     fn histogram_handles_zero_and_huge() {
         let h = Histogram::default();
@@ -1473,6 +1573,7 @@ mod tests {
             ("create", "client_op"),
         ]
         .map(|(name, cat)| reg.span_name(name, cat));
+        let file = reg.arg_key("file");
         let mut name = String::new();
         for i in 0..10_000u64 {
             let (client, now) = ((i % 4) as u32, Nanos(i * 2_150));
@@ -1500,13 +1601,33 @@ mod tests {
             reg.child_named(rpc, wait, now, Nanos(i % 700));
             reg.child_named(rpc, service, now + Nanos(700), Nanos(950));
             reg.child_named(rpc, net, now + Nanos(1_650), Nanos(100));
-            reg.end_named_with(root, create, now, Nanos(1_750), "file", &name);
+            reg.end_named_with(root, create, now, Nanos(1_750), file, &name);
         }
         assert_eq!((reg.span_count(), reg.history_count()), (70_000, 10_000));
         let span = reg.spans.lock().log.bytes_per_record();
         let row = reg.history.bytes_per_row();
         assert!(span <= 16.0, "{span} bytes a span");
         assert!(row <= 40.0, "{row} bytes a create row");
+    }
+
+    /// Strings whose hashes collide take consecutive slots, and each still
+    /// finds its own id: a slot taken by another string is probed past.
+    #[test]
+    fn interner_probes_past_a_colliding_slot() {
+        let mut names = Interner::default();
+        let a = names.intern("a");
+        let Err(slot) = names.find("b") else {
+            panic!("`b` is not interned yet")
+        };
+        // Make `b`'s home slot hold `a`, as a hash collision would.
+        names.ids.insert(slot, a);
+        let b = names.intern("b");
+        assert_ne!(a, b);
+        assert_eq!(names.ids.get(&slot.wrapping_add(1)), Some(&b));
+        assert_eq!((names.find("a"), names.find("b")), (Ok(a), Ok(b)));
+        assert_eq!((names.get(a), names.get(b)), ("a", "b"));
+        assert_eq!((names.intern(""), names.intern("b")), (2, b));
+        assert_eq!(names.get(2), "");
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! zigzag deltas and names ended by [`END`]. A log is only ever read from
 //! its start, so a field can be a delta from the same field of the record
 //! before it, and a record needs no length or offset of its own.
+//!
+//! An arg value is stored as the text its `Display` would print, written
+//! by [`ArgValue`] without `core::fmt`: text is copied raw and an integer
+//! goes through a digit loop.
 
 use std::io::Write as _;
 
@@ -9,15 +13,34 @@ use std::io::Write as _;
 /// any string — empty, NUL-holding or multi-byte — is stored unescaped.
 pub(crate) const END: u8 = 0xFF;
 
+/// The bytes a log's chunk holds: once its records reach it, less
+/// [`SLACK`], the next record opens a new chunk instead of re-copying every
+/// byte before it.
+const CHUNK: usize = 1 << 19;
+
+/// Room a full chunk keeps for the record that fills it; a record larger
+/// than the room left grows the chunk, as a byte stream would.
+const SLACK: usize = 256;
+
 /// An append-only run of packed records with a bound on how many it keeps.
 ///
 /// A record is written field by field and counts only once it is
 /// [`Packed::commit`]ted. Every record starts by truncating to the last
 /// commit, so a record abandoned part-way (an arg's `Display` panicked)
 /// leaves no bytes behind, and readers see only committed bytes.
+///
+/// The bytes sit in chunks, each holding whole records: the first doubles
+/// as a byte stream would until it holds [`CHUNK`] bytes, and a record
+/// that starts in a full chunk seals it and opens the next, allocated at
+/// [`CHUNK`] bytes. Recording a record writes its bytes once; a log never
+/// re-copies what it already holds.
 #[derive(Debug)]
 pub(crate) struct Packed {
+    /// Sealed chunks, oldest first.
+    sealed: Vec<Vec<u8>>,
+    /// The open chunk.
     bytes: Vec<u8>,
+    /// Committed bytes of the open chunk.
     committed: usize,
     len: usize,
     /// How many records this log keeps.
@@ -29,6 +52,7 @@ pub(crate) struct Packed {
 impl Packed {
     pub(crate) fn with_capacity(capacity: usize) -> Packed {
         Packed {
+            sealed: Vec::new(),
             bytes: Vec::new(),
             committed: 0,
             len: 0,
@@ -44,6 +68,11 @@ impl Packed {
             return false;
         }
         self.bytes.truncate(self.committed);
+        if self.committed >= CHUNK - SLACK {
+            let next = Vec::with_capacity(CHUNK);
+            self.sealed.push(std::mem::replace(&mut self.bytes, next));
+            self.committed = 0;
+        }
         true
     }
 
@@ -71,7 +100,11 @@ impl Packed {
 
     /// A reader over the committed records, from the first.
     pub(crate) fn reader(&self) -> Reader<'_> {
-        Reader(&self.bytes[..self.committed])
+        Reader {
+            cur: &[],
+            sealed: &self.sealed,
+            open: &self.bytes[..self.committed],
+        }
     }
 
     pub(crate) fn byte(&mut self, b: u8) {
@@ -101,11 +134,99 @@ impl Packed {
         self.bytes.push(END);
     }
 
-    /// `value` formatted straight into the log, then [`END`].
-    pub(crate) fn display(&mut self, value: impl std::fmt::Display) {
-        // Writing to a `Vec` cannot fail.
-        let _ = write!(self.bytes, "{value}");
+    /// `value`'s text written straight into the log, then [`END`].
+    pub(crate) fn text<T: ArgValue + ?Sized>(&mut self, value: &T) {
+        value.write_text(&mut self.bytes);
         self.bytes.push(END);
+    }
+}
+
+/// A span arg value: stored as the bytes its `Display` prints, written
+/// without `core::fmt`. Text (`str`, `String`) is copied raw and an
+/// integer is written by a digit loop; any other `Display` type goes
+/// through [`Formatted`], the one explicit fallback. Sealed: every value
+/// writes UTF-8, which never holds [`END`].
+pub trait ArgValue: text::Text {}
+
+impl<T: text::Text + ?Sized> ArgValue for T {}
+
+pub(crate) mod text {
+    /// Appends a value's text to the log's bytes.
+    pub trait Text {
+        /// Appends the text `Display` would print.
+        fn write_text(&self, out: &mut Vec<u8>);
+    }
+}
+
+impl text::Text for str {
+    fn write_text(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl text::Text for String {
+    fn write_text(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl<T: text::Text + ?Sized> text::Text for &T {
+    fn write_text(&self, out: &mut Vec<u8>) {
+        (**self).write_text(out);
+    }
+}
+
+/// `v` in decimal, as `Display` prints it: digits from the lowest into a
+/// stack buffer, then one copy.
+fn decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+macro_rules! unsigned_text {
+    ($($t:ty),*) => {$(
+        impl text::Text for $t {
+            fn write_text(&self, out: &mut Vec<u8>) {
+                decimal(out, *self as u64);
+            }
+        }
+    )*};
+}
+
+macro_rules! signed_text {
+    ($($t:ty),*) => {$(
+        impl text::Text for $t {
+            fn write_text(&self, out: &mut Vec<u8>) {
+                if *self < 0 {
+                    out.push(b'-');
+                }
+                decimal(out, self.unsigned_abs() as u64);
+            }
+        }
+    )*};
+}
+
+unsigned_text!(u8, u16, u32, u64, usize);
+signed_text!(i8, i16, i32, i64, isize);
+
+/// An arg value written through its `Display`: the explicit fallback for a
+/// value that is neither text nor an integer.
+#[derive(Debug, Clone, Copy)]
+pub struct Formatted<T>(pub T);
+
+impl<T: std::fmt::Display> text::Text for Formatted<T> {
+    fn write_text(&self, out: &mut Vec<u8>) {
+        // Writing to a `Vec` cannot fail.
+        let _ = write!(out, "{}", self.0);
     }
 }
 
@@ -113,21 +234,49 @@ impl Packed {
 /// past the end, or a field of the wrong kind, is a bug in the log's own
 /// layout and panics.
 #[derive(Debug, Clone)]
-pub(crate) struct Reader<'a>(&'a [u8]);
+pub(crate) struct Reader<'a> {
+    /// The rest of the chunk being read.
+    cur: &'a [u8],
+    /// The sealed chunks after it, then the open chunk's committed bytes.
+    sealed: &'a [Vec<u8>],
+    open: &'a [u8],
+}
 
 impl Reader<'static> {
     /// An arg list with nothing in it: what a layer reads back.
-    pub(crate) const NO_ARGS: Reader<'static> = Reader(&[0]);
+    pub(crate) const NO_ARGS: Reader<'static> = Reader {
+        cur: &[0],
+        sealed: &[],
+        open: &[],
+    };
 }
 
 impl<'a> Reader<'a> {
     pub(crate) fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.cur.is_empty() && self.sealed.is_empty() && self.open.is_empty()
+    }
+
+    /// The rest of the chunk being read, moving to the next chunk at the
+    /// end of one: no record spans two, so this happens between records.
+    fn chunk(&mut self) -> &'a [u8] {
+        if self.cur.is_empty() {
+            self.cur = match self.sealed.split_first() {
+                Some((first, rest)) => {
+                    self.sealed = rest;
+                    first
+                }
+                None => std::mem::take(&mut self.open),
+            };
+        }
+        self.cur
     }
 
     pub(crate) fn byte(&mut self) -> u8 {
-        let (&b, rest) = self.0.split_first().expect("a packed record is whole");
-        self.0 = rest;
+        let (&b, rest) = self
+            .chunk()
+            .split_first()
+            .expect("a packed record is whole");
+        self.cur = rest;
         b
     }
 
@@ -150,13 +299,13 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn str(&mut self) -> &'a str {
-        let end = self
-            .0
+        let chunk = self.chunk();
+        let end = chunk
             .iter()
             .position(|&b| b == END)
             .expect("a packed name is ended");
-        let (s, rest) = self.0.split_at(end);
-        self.0 = &rest[1..];
+        let (s, rest) = chunk.split_at(end);
+        self.cur = &rest[1..];
         std::str::from_utf8(s).expect("a packed name is UTF-8")
     }
 }
@@ -165,7 +314,8 @@ impl<'a> Reader<'a> {
 impl Packed {
     /// Bytes held per committed record, for footprint tests.
     pub(crate) fn bytes_per_record(&self) -> f64 {
-        self.committed as f64 / self.len as f64
+        let sealed: usize = self.sealed.iter().map(Vec::len).sum();
+        (sealed + self.committed) as f64 / self.len as f64
     }
 }
 
@@ -198,6 +348,85 @@ mod tests {
             assert_eq!(r.str(), s);
         }
         assert!(r.is_empty());
+    }
+
+    /// Every arg value writes exactly the bytes `format!` gives it: the
+    /// span log's text is unchanged by skipping `core::fmt`.
+    #[test]
+    fn arg_values_match_the_format_macro() {
+        fn check<T: ArgValue + std::fmt::Display + ?Sized>(v: &T) {
+            let mut out = b"stale".to_vec();
+            v.write_text(&mut out);
+            assert_eq!(&out[5..], format!("{v}").as_bytes(), "{v}");
+        }
+        for s in ["", "f", "αβγ \u{10FFFF}", "a\0b"] {
+            check(s);
+            check(&s.to_string());
+        }
+        for v in [0u64, 9, 10, 99, 100, u64::MAX] {
+            check(&v);
+        }
+        for v in [0i64, -1, 9, -10, i64::MAX, i64::MIN] {
+            check(&v);
+        }
+        check(&u32::MAX);
+        check(&i32::MIN);
+        check(&usize::MAX);
+        check(&isize::MIN);
+        check(&i8::MIN);
+        let mut out = Vec::new();
+        text::Text::write_text(&Formatted(-1.5f64), &mut out);
+        assert_eq!(out, b"-1.5");
+        // Seeded splitmix64 draws, at every magnitude and both signs.
+        let mut x = 0x5eed_u64;
+        for k in 0..2_000u32 {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            check(&(z >> (k % 64)));
+            check(&((z as i64) >> (k % 64)));
+            check(&(z as u32 >> (k % 32)));
+        }
+    }
+
+    /// A log past [`CHUNK`] bytes reads back record for record: records
+    /// never span two chunks, a record larger than a chunk's room grows
+    /// it, and a record abandoned at a chunk's end leaves nothing.
+    #[test]
+    fn records_round_trip_across_chunks() {
+        let long = "x".repeat(3 * SLACK);
+        let mut p = Packed::with_capacity(usize::MAX);
+        let mut n = 0u64;
+        while p.sealed.len() < 3 {
+            if n.is_multiple_of(7) {
+                // Abandoned: the next record overwrites it.
+                assert!(p.begin());
+                p.u64(u64::MAX);
+                p.str(&long);
+            }
+            assert!(p.begin());
+            p.u64(n);
+            p.str(if n.is_multiple_of(5_000) { &long } else { "f" });
+            p.commit();
+            n += 1;
+        }
+        assert!(p.sealed.iter().all(|c| c.len() >= CHUNK - SLACK));
+        let mut r = p.reader();
+        for i in 0..n {
+            assert_eq!(r.u64(), i);
+            assert_eq!(
+                r.str().len(),
+                if i.is_multiple_of(5_000) {
+                    long.len()
+                } else {
+                    1
+                }
+            );
+        }
+        assert!(r.is_empty());
+        assert_eq!(p.len(), n as usize);
     }
 
     #[test]

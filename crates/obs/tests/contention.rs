@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryResult, HistoryScope};
 use cudele_obs::timeline::PointStat;
-use cudele_obs::Registry;
+use cudele_obs::{Formatted, Registry};
 use cudele_sim::Nanos;
 
 const THREADS: u64 = 4;
@@ -105,7 +105,8 @@ fn four_threads_recording_at_once_lose_nothing() {
 }
 
 /// Writes part of its value, then panics — inside the span log's critical
-/// section, since span args are formatted straight into the log's arena.
+/// section, since a [`Formatted`] span arg is formatted straight into the
+/// log's bytes.
 struct PanicsHalfway;
 
 impl fmt::Display for PanicsHalfway {
@@ -119,10 +120,11 @@ impl fmt::Display for PanicsHalfway {
 fn a_panicking_span_arg_leaves_the_log_usable() {
     let reg = Arc::new(Registry::new());
     let op = reg.span_name("op", "t");
+    let k = reg.arg_key("k");
     let ctx = reg.trace_root(0);
-    reg.end_named_with(ctx, op, Nanos(0), Nanos(1), "k", "before");
+    reg.end_named_with(ctx, op, Nanos(0), Nanos(1), k, "before");
     let panicked = catch_unwind(AssertUnwindSafe(|| {
-        reg.end_named_with(ctx, op, Nanos(1), Nanos(1), "k", PanicsHalfway);
+        reg.end_named_with(ctx, op, Nanos(1), Nanos(1), k, Formatted(PanicsHalfway));
     }));
     assert!(panicked.is_err());
 
@@ -131,7 +133,7 @@ fn a_panicking_span_arg_leaves_the_log_usable() {
         let reg = Arc::clone(&reg);
         std::thread::spawn(move || {
             reg.end_named(ctx, op, Nanos(2), Nanos(1));
-            reg.end_named_with(ctx, op, Nanos(3), Nanos(1), "k", "after");
+            reg.end_named_with(ctx, op, Nanos(3), Nanos(1), k, "after");
             let _ = tx.send(reg.spans());
         })
     };

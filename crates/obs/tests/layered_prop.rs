@@ -87,6 +87,7 @@ fn record(reg: &Registry, ops: &[Op], layered: bool) {
         reg.span_name("client.append", "client"),
         reg.span_name("create", "client_op"),
     );
+    let tid = reg.arg_key("tid");
     for op in ops {
         let root = reg.trace_root(op.tid);
         for g in &op.groups {
@@ -118,7 +119,7 @@ fn record(reg: &Registry, ops: &[Op], layered: bool) {
                 }
             }
         }
-        reg.end_named_with(root, create, Nanos(op.start), Nanos(op.dur), "tid", op.tid);
+        reg.end_named_with(root, create, Nanos(op.start), Nanos(op.dur), tid, op.tid);
     }
 }
 

@@ -2,8 +2,8 @@
 //! once warm: a sample into an existing window, a sample dropped at the
 //! window cap, a span dropped at the span cap, and a mechanism
 //! observation — through handles and through the name-keyed shims alike —
-//! a retained span with an arg, a history row with a borrowed name, and an
-//! engine step.
+//! a retained span with a handle-keyed text or integer arg, a history row
+//! with a borrowed name, and an engine step.
 //!
 //! One test function, so no other test thread allocates while a region is
 //! being counted.
@@ -69,6 +69,7 @@ fn warm_recording_paths_do_not_allocate() {
     }
     let rpcs = reg.mechanism("rpcs");
     let create = reg.span_name("create", "client_op");
+    let file = reg.arg_key("file");
     let root = reg.trace_root(0);
     rpcs.observe(&reg, reg.trace_child(root), Nanos(0), Nanos(10));
 
@@ -119,7 +120,7 @@ fn warm_recording_paths_do_not_allocate() {
         "span drop, handle"
     );
     assert_eq!(
-        allocs(|| reg.end_named_with(ctx, create, Nanos(0), Nanos(1), "file", "f")),
+        allocs(|| reg.end_named_with(ctx, create, Nanos(0), Nanos(1), file, "f")),
         0,
         "span drop, handle, with an arg"
     );
@@ -160,12 +161,17 @@ fn warm_recording_paths_do_not_allocate() {
     );
     assert_eq!(roomy.span_count(), 1_001);
 
-    // A retained span *with* an arg is a push into the span table, one
-    // into the arg table and the value's bytes into the arena; a history
-    // row is a push plus the name's bytes. Once those have grown (each
-    // doubles, so a thousand records leave room for ten more) neither
-    // allocates — the name is borrowed all the way in.
+    // A retained span *with* an arg is its bytes appended to the span
+    // log — the key a pre-resolved id, the value its text copied or its
+    // digits written; a history row is its bytes plus the name's. Once the
+    // logs have grown (each doubles, so a thousand records leave room for
+    // ten more) neither allocates — the name is borrowed all the way in.
     let create = roomy.span_name("create", "client_op");
+    let (file, ops, stripes) = (
+        roomy.arg_key("file"),
+        roomy.arg_key("ops"),
+        roomy.arg_key("stripes"),
+    );
     let row = |name| HistoryEvent {
         client: 1,
         scope: HistoryScope::Global,
@@ -177,22 +183,40 @@ fn warm_recording_paths_do_not_allocate() {
         epoch: 1,
         trace_id: ctx.trace_id,
     };
-    roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), "ops", 7u64);
+    roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), ops, 7u64);
+    let two_args = || {
+        roomy.child_named_args(
+            ctx,
+            create,
+            Nanos(0),
+            Nanos(1),
+            &[(ops, &7u64), (stripes, &"s")],
+        );
+    };
     for _ in 0..1_000 {
-        roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), "file", "f");
+        roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), file, "f");
+        roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), ops, u64::MAX);
+        roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), ops, i64::MIN);
+        two_args();
         roomy.record_history_row(row("f"));
     }
     for _ in 0..10 {
         assert_eq!(
-            allocs(|| roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), "file", "f")),
+            allocs(|| roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), file, "f")),
             0,
             "retained span with a borrowed arg"
         );
         assert_eq!(
-            allocs(|| roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), "ops", 7u64)),
+            allocs(|| roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), ops, u64::MAX)),
             0,
-            "retained span with a formatted arg"
+            "retained span with an integer arg"
         );
+        assert_eq!(
+            allocs(|| roomy.end_named_with(ctx, create, Nanos(0), Nanos(1), ops, i64::MIN)),
+            0,
+            "retained span with a negative integer arg"
+        );
+        assert_eq!(allocs(two_args), 0, "retained span with two args");
         assert_eq!(
             allocs(|| roomy.record_history_row(row("f"))),
             0,

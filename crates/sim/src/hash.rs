@@ -1,12 +1,13 @@
-//! A hasher for integer keys the program issues itself.
+//! A hasher for keys the program issues itself.
 //!
 //! The metadata store's inode tables, the MDS's session index and cap
 //! table, the RPC client's cap beliefs and the timeline's window index are
 //! keyed by numbers this code allocates (inode ids, client ids, window
-//! indices), never by outside input, and are probed several times per
-//! simulated operation — SipHash's collision-attack resistance buys
-//! nothing there and costs a measurable share of a create. This crate sits
-//! below all of those users, so the one implementation lives here.
+//! indices); the obs span-name interner is keyed by the names the code's
+//! own layers record under. None of them is outside input, and each is
+//! probed on a per-operation path — SipHash's collision-attack resistance
+//! buys nothing there and costs a measurable share of a create. This crate
+//! sits below all of those users, so the one implementation lives here.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -39,6 +40,7 @@ impl Hasher for IntHasher {
         self.write_u64(u64::from(n));
     }
 
+    /// A string key (an interned span name) is folded 8 bytes at a time.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
@@ -54,5 +56,5 @@ impl Hasher for IntHasher {
     }
 }
 
-/// A `HashMap` over program-issued integer keys, hashed by [`IntHasher`].
+/// A `HashMap` over program-issued keys, hashed by [`IntHasher`].
 pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;

@@ -65,17 +65,30 @@ workload, `paired` records the parent's median and inter-quartile range of
 `ops_per_s_norm`, the median change/parent ratio over the pairs,
 `pairs_won` (pairs where the change was faster) and `pairs`.
 
+With `--anchor-commit C` the outputs are triples instead, parent, change
+and anchor in alternation, where the anchor is commit C: beside `paired`
+the row records `vs_anchor`, the same figures for change over anchor, with
+C as its `commit`. A product of per-PR pairs drifts from a direct pair
+(x1.11-x1.16 on `rpc_create` over seven PRs) and misses every PR that
+appended no row; a pair against the anchor does neither.
+
 A row's absolute columns (`ops_per_s_norm` and the rest, `calib_s`) are
 informational: they disagree across sessions on the same commit by as much
 as x1.36, so a trend is read through pairs. `--chain` prints, per workload,
 the product of `paired.ratio` from the newest row marked `"anchor": true`
 through the last row: the speed of the last commit over the parent of the
-anchor's pairs. A re-anchor marks its paired row `"anchor": true`.
+anchor's pairs. It then prints the newest row's `vs_anchor`, and names
+every PR in the git history since the oldest anchor row that appended no
+row: its factor is in no chain. A re-anchor marks its paired row
+`"anchor": true` (`--mark-anchor`).
 
     benchmark/run.sh && scripts/bench_wallclock.py --pr 16
     scripts/bench_wallclock.py --check-only        # gate, write nothing
     scripts/bench_wallclock.py --pr N --seed 7 --seconds 5 \
         --pairs parent1.out change1.out parent2.out change2.out ...
+    scripts/bench_wallclock.py --pr N --seed 7 --seconds 5 \
+        --anchor-commit 9676c3a --mark-anchor \
+        --pairs parent1.out change1.out anchor1.out parent2.out ...
     scripts/bench_wallclock.py --chain             # read the trajectory only
 """
 
@@ -193,33 +206,41 @@ def parse_run(path):
     return head.group(1), float(head.group(2)), float(head.group(3)), values
 
 
-def paired_row(paths, commit, pr, seed, seconds):
-    """A row from parent/change outputs in alternation: the change runs'
-    medians, and per workload the pairs they won against the parent."""
-    if len(paths) % 2:
-        sys.exit("--pairs takes parent and change outputs in alternation: an even count")
-    runs = [parse_run(p) for p in paths]
-    pairs = {}
-    for (pw, *parent), (cw, *change), path in zip(runs[::2], runs[1::2], paths[1::2]):
-        if pw != cw:
-            sys.exit(f"{path}: a {cw} run paired with a {pw} parent run")
-        pairs.setdefault(pw, []).append((parent, change))
-    workloads = [w for w in WORKLOADS if w in pairs]
-    med = lambda xs: statistics.median(xs)
+def against(base, pairs):
+    """How the change runs of `pairs` (base, change) fare against their
+    `base` runs: the base's median and inter-quartile range of
+    `ops_per_s_norm`, the median change/base ratio and the pairs won."""
     ops = lambda run: run[2]["ops_per_s_norm"]
-    paired = {}
-    for w in workloads:
-        parent = [ops(p) for p, _ in pairs[w]]
-        q1, _, q3 = (
-            statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
-        )
-        paired[w] = {
-            "parent": round(med(parent)),
-            "parent_iqr": round(q3 - q1),
-            "ratio": round(med(ops(c) / ops(p) for p, c in pairs[w]), 4),
-            "pairs_won": sum(ops(c) > ops(p) for p, c in pairs[w]),
-            "pairs": len(pairs[w]),
-        }
+    runs = [ops(b) for b, _ in pairs]
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
+    return {
+        base: round(statistics.median(runs)),
+        f"{base}_iqr": round(q3 - q1),
+        "ratio": round(statistics.median(ops(c) / ops(b) for b, c in pairs), 4),
+        "pairs_won": sum(ops(c) > ops(b) for b, c in pairs),
+        "pairs": len(pairs),
+    }
+
+
+def paired_row(paths, commit, pr, seed, seconds, anchor_commit):
+    """A row from parent/change outputs in alternation (parent/change/anchor
+    with `anchor_commit`): the change runs' medians, and per workload the
+    pairs they won against the parent (and against the anchor)."""
+    k = 2 if anchor_commit is None else 3
+    if len(paths) % k:
+        sys.exit(f"--pairs takes {k} outputs a group in alternation: a count divisible by {k}")
+    runs = [parse_run(p) for p in paths]
+    groups = {}
+    for i in range(0, len(runs), k):
+        (pw, *parent), (cw, *change), *anchor = runs[i : i + k]
+        for other in [cw] + [a[0] for a in anchor]:
+            if other != pw:
+                sys.exit(f"{paths[i]}: a {pw} parent run grouped with a {other} run")
+        groups.setdefault(pw, []).append((parent, change, [a[1:] for a in anchor]))
+    workloads = [w for w in WORKLOADS if w in groups]
+    med = lambda xs: statistics.median(xs)
+    pairs = {w: [(p, c) for p, c, _ in groups[w]] for w in workloads}
+    paired = {w: against("parent", pairs[w]) for w in workloads}
     cpu = "unknown"
     with open("/proc/cpuinfo") as f:
         for line in f:
@@ -239,14 +260,30 @@ def paired_row(paths, commit, pr, seed, seconds):
         },
         "paired": paired,
     }
+    if anchor_commit is not None:
+        row["vs_anchor"] = {
+            "commit": anchor_commit,
+            **{w: against("anchor", [(a[0], c) for _, c, a in groups[w]]) for w in workloads},
+        }
     if pr is not None:
         row = {"pr": pr, **row}
     return row
 
 
+def history_prs():
+    """PR numbers named by `PR N:` commit subjects in the git history, or
+    None outside a git checkout."""
+    log = subprocess.run(["git", "log", "--format=%s"], capture_output=True, text=True)
+    if log.returncode != 0:
+        return None
+    return {int(m.group(1)) for m in re.finditer(r"^PR (\d+):", log.stdout, re.M)}
+
+
 def chain(path):
     """Prints, per workload, the product of the paired ratios from the
-    newest anchor row through the last row; exits 1 without an anchor."""
+    newest anchor row through the last row, then the newest `vs_anchor`,
+    then the PRs since the oldest anchor that appended no row; exits 1
+    without an anchor."""
     with open(path) as f:
         rows = json.load(f)["rows"]
     anchors = [i for i, r in enumerate(rows) if r.get("anchor")]
@@ -265,6 +302,24 @@ def chain(path):
         for x in ratios:
             product *= x
         print(f"{w}: x{product:.4f} ({' x '.join(str(x) for x in ratios)})")
+    direct = [r for r in rows if "vs_anchor" in r]
+    if direct:
+        r = direct[-1]
+        print(f"newest vs_anchor: {name(r)} over {r['vs_anchor']['commit']}")
+        for w in WORKLOADS:
+            if w in r["vs_anchor"]:
+                a = r["vs_anchor"][w]
+                print(f"{w}: x{a['ratio']} over {a['pairs']} runs, {a['pairs_won']} won")
+    else:
+        print("no row has a vs_anchor")
+    prs = history_prs()
+    if prs is None:
+        print("not a git checkout: PRs with no row not named")
+        return
+    first = rows[anchors[0]].get("pr", 0)
+    have = {r["pr"] for r in rows if "pr" in r}
+    silent = sorted(n for n in prs if n > first and n not in have)
+    print(f"PRs since PR {first} with no row: {', '.join(map(str, silent)) or 'none'}")
 
 
 def write(path, doc):
@@ -319,6 +374,12 @@ def main():
         metavar="OUT",
         help="untraced single-workload outputs, parent then change, in alternation",
     )
+    ap.add_argument(
+        "--anchor-commit",
+        metavar="C",
+        help="read --pairs as parent, change, anchor triples; the anchor is commit C",
+    )
+    ap.add_argument("--mark-anchor", action="store_true", help='mark the row "anchor": true')
     ap.add_argument("--seed", type=int, help="the paired runs' --seed")
     ap.add_argument("--seconds", type=float, help="the paired runs' --seconds")
     ap.add_argument(
@@ -339,9 +400,13 @@ def main():
         if args.seed is None or args.seconds is None:
             sys.exit("--pairs needs the runs' --seed and --seconds")
         seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
-        row = paired_row(args.pairs, commit, args.pr, args.seed, seconds)
+        row = paired_row(args.pairs, commit, args.pr, args.seed, seconds, args.anchor_commit)
+    elif args.anchor_commit:
+        sys.exit("--anchor-commit reads --pairs outputs")
     else:
         row = row_from(results, commit, args.pr)
+    if args.mark_anchor:
+        row["anchor"] = True
     if not args.check_only:
         try:
             with open(args.trajectory) as f:
@@ -356,6 +421,9 @@ def main():
             f"{w}: x{p['ratio']} over {p['pairs']} pairs, {p['pairs_won']} won "
             f"(parent {p['parent']}, IQR {p['parent_iqr']})"
         )
+        a = row.get("vs_anchor", {}).get(w)
+        if a:
+            print(f"{w}: x{a['ratio']} over the anchor, {a['pairs_won']} of {a['pairs']} won")
     traced = results["workloads"]["rpc_create"]["per_layer"]["metrics"] if results else None
     gate(row, traced)
 
