@@ -2,18 +2,19 @@
 //!
 //! A `DecoupledClient` update is one journal append; the mirror behind
 //! `local_namespace` / `resolve_local` is caught up from the journal when
-//! it is read. The reference is what the mirror used to be: a
-//! `MetadataStore` that applies every event the moment it is appended.
-//! Over random create / mkdir / unlink / rename / read / `clear_journal`
-//! schedules the two must agree at every read point, and a client
-//! recovered from its local disk must mirror exactly the journal that was
-//! persisted.
+//! it is read. The reference is the namespace model (`cudele_model::Model`,
+//! which shares no code with the mirror's store) applying every event the
+//! moment it is appended. Over random create / mkdir / unlink / rename /
+//! read / `clear_journal` schedules the two must agree at every read point,
+//! and a client recovered from its local disk must mirror exactly the
+//! journal that was persisted.
 
 use proptest::prelude::*;
 
 use cudele_client::{DecoupledClient, DiskError, LocalDisk};
 use cudele_journal::{InodeId, InodeRange};
-use cudele_mds::{ClientId, MetadataStore};
+use cudele_mds::ClientId;
+use cudele_model::Model;
 use cudele_sim::CostModel;
 
 /// The subtree is the whole namespace, so `snapshot()` (which walks from
@@ -25,21 +26,14 @@ fn client() -> DecoupledClient {
     DecoupledClient::new(ClientId(3), ROOT, InodeRange::new(FIRST, 4096))
 }
 
-/// The eager mirror: one store that has seen every event ever appended
-/// (what the owner reads), one that has seen those still in the journal
-/// (what a recovery from local disk can rebuild).
-struct Reference {
-    ever: MetadataStore,
-    in_journal: MetadataStore,
-}
-
-impl Reference {
-    /// Applies the event the client just appended.
-    fn appended(&mut self, c: &DecoupledClient) {
-        let e = c.events().last().expect("an update appends an event");
-        self.ever.apply_blind(e);
-        self.in_journal.apply_blind(e);
-    }
+/// Applies the event the client just appended to the eager mirrors: one
+/// model that has seen every event ever appended (what the owner reads),
+/// one that has seen those still in the journal (what a recovery from
+/// local disk can rebuild).
+fn appended(c: &DecoupledClient, ever: &mut Model, in_journal: &mut Model) {
+    let e = c.events().last().expect("an update appends an event");
+    ever.blind(e);
+    in_journal.blind(e);
 }
 
 proptest! {
@@ -51,7 +45,7 @@ proptest! {
     ) {
         let cm = CostModel::calibrated();
         let mut c = client();
-        let mut r = Reference { ever: MetadataStore::new(), in_journal: MetadataStore::new() };
+        let (mut ever, mut in_journal) = (Model::new(), Model::new());
         // Directories the schedule may name as a parent: the subtree root,
         // every mkdir's inode (unlinked or not), and one nobody made.
         let mut dirs = vec![ROOT, InodeId(0xdead)];
@@ -66,23 +60,23 @@ proptest! {
             match kind % 16 {
                 0..=5 => {
                     c.create(parent, &fname(b)).unwrap();
-                    r.appended(&c);
+                    appended(&c, &mut ever, &mut in_journal);
                 }
                 6 | 7 => {
                     dirs.push(c.mkdir(parent, &dname(b)).unwrap());
-                    r.appended(&c);
+                    appended(&c, &mut ever, &mut in_journal);
                 }
                 8 | 9 => {
                     c.unlink(parent, &any_name(b));
-                    r.appended(&c);
+                    appended(&c, &mut ever, &mut in_journal);
                 }
                 10 | 11 => {
                     let dst = dirs[usize::from(x) % dirs.len()];
                     c.rename(parent, &any_name(b), dst, &any_name(x.wrapping_mul(31)));
-                    r.appended(&c);
+                    appended(&c, &mut ever, &mut in_journal);
                 }
                 12 => {
-                    prop_assert_eq!(c.local_namespace().snapshot(), r.ever.snapshot());
+                    prop_assert_eq!(c.local_namespace().snapshot(), ever.snapshot());
                 }
                 13 => {
                     // One name, through the path resolver; the root itself
@@ -90,7 +84,7 @@ proptest! {
                     let name = any_name(b);
                     prop_assert_eq!(
                         c.resolve_local(&name).ok(),
-                        r.ever.lookup(ROOT, &name).ok().map(|d| d.ino)
+                        ever.resolve(&name).map(InodeId)
                     );
                     prop_assert_eq!(c.resolve_local("").ok(), Some(ROOT));
                 }
@@ -99,7 +93,7 @@ proptest! {
                     // still reads everything it wrote.
                     cleared += c.events().iter().filter_map(|e| e.allocates()).count() as u64;
                     c.clear_journal();
-                    r.in_journal = MetadataStore::new();
+                    in_journal = Model::new();
                     prop_assert_eq!(c.event_count(), 0);
                 }
                 _ => {
@@ -116,12 +110,12 @@ proptest! {
                     .unwrap();
                     prop_assert_eq!(back.events(), c.events());
                     prop_assert_eq!(back.inodes_remaining(), c.inodes_remaining() + cleared);
-                    prop_assert_eq!(back.local_namespace().snapshot(), r.in_journal.snapshot());
+                    prop_assert_eq!(back.local_namespace().snapshot(), in_journal.snapshot());
                 }
             }
         }
-        prop_assert_eq!(c.local_namespace().snapshot(), r.ever.snapshot());
-        prop_assert_eq!(c.local_namespace().inode_count(), r.ever.inode_count());
+        prop_assert_eq!(c.local_namespace().snapshot(), ever.snapshot());
+        prop_assert_eq!(c.local_namespace().inode_count(), ever.inode_count());
     }
 }
 

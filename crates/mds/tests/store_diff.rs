@@ -1,394 +1,31 @@
-//! Differential test of [`MetadataStore`] against a `BTreeMap` reference
-//! namespace over the whole checked + blind vocabulary, at split
-//! thresholds 1, 4 and 10 000.
-//!
-//! The reference restates the store's contract op by op — including the
-//! corners blind replay leaves behind (a create over a directory name
-//! orphans that directory's fragtree; a create for an unknown parent
-//! materialises one) and what a checked op refuses on them (a new directory
-//! whose number owns a table is a collision; a file whose number owns one
-//! is a directory to unlink and to rename over; a rename onto another
-//! dentry of the same inode is a collision; a directory moved into its own
-//! subtree is `Invalid`) — and the fragtree as pure arithmetic: a dentry lives
-//! in fragment `name_hash(name) & (2^bits - 1)`, and inserting a *new* name
-//! that pushes its fragment past the threshold doubles the fragment count
-//! once, up to 2^8. After every op the two must agree on the result class,
-//! `snapshot()`, `readdir` order, `frag_count`, per-fragment membership,
-//! `parent_of` / `is_within`, and inode attributes.
+//! Differential test of [`MetadataStore`] against the reference namespace
+//! (`cudele_model::Model`) over the whole checked + blind vocabulary, at
+//! split thresholds 1, 4 and 10 000. After every op the two must agree on
+//! the result class, `snapshot()`, `readdir` order, `frag_count`,
+//! per-fragment membership, `parent_of` / `is_within`, `resolve` and
+//! `effective_policy` of every path, and inode attributes.
 //!
 //! `persisted_dirfrag_objects_match_the_recorded_digest` additionally
 //! drives a seeded script and digests every object `flush_store` writes.
 //! HOW RECORDED: first by running this file at commit 78926ce (the
 //! `BTreeMap`-fragment store), whose digests the hash-table store matched
 //! unchanged. Re-recorded once, when the checked ops became `check` plus
-//! the blind body: the scripts reach the refusals above dozens of times
+//! the blind body: the scripts reach the model's refusals dozens of times
 //! (and blind self-renames, which no longer re-insert), so this file ran
 //! at commit ea5cc18 with `apply` skipping the store call wherever the
 //! model now refuses and for blind self-renames, and that commit's
 //! `flush_store` of the resulting namespace printed the digests below.
 
-use std::collections::BTreeMap;
+mod common;
 
 use proptest::prelude::*;
 
+use common::class;
 use cudele_journal::{Attrs, FileType, InodeId, JournalEvent};
 use cudele_mds::dirfrag::name_hash;
-use cudele_mds::{flush_store, MdsError, MetadataStore};
+use cudele_mds::{flush_store, MetadataStore};
+use cudele_model::{Model, RefInode};
 use cudele_rados::{InMemoryStore, ObjectStore, PoolId};
-
-/// Result classes the two sides must agree on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    Ok,
-    NoEnt,
-    Exists,
-    NotDir,
-    IsDir,
-    NotEmpty,
-    Collision,
-    Invalid,
-}
-
-fn class(r: Result<(), MdsError>) -> Class {
-    match r {
-        Ok(()) => Class::Ok,
-        Err(MdsError::NoEnt { .. }) => Class::NoEnt,
-        Err(MdsError::Exists { .. }) => Class::Exists,
-        Err(MdsError::NotDir { .. }) => Class::NotDir,
-        Err(MdsError::IsDir { .. }) => Class::IsDir,
-        Err(MdsError::NotEmpty { .. }) => Class::NotEmpty,
-        Err(MdsError::InodeCollision { .. }) => Class::Collision,
-        Err(MdsError::Invalid { .. }) => Class::Invalid,
-        Err(e) => panic!("store returned an error outside its contract: {e}"),
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct RefInode {
-    ftype: FileType,
-    size: u64,
-    policy: Option<Vec<u8>>,
-    version: u64,
-}
-
-#[derive(Debug, Clone, Default)]
-struct RefDir {
-    bits: u8,
-    entries: BTreeMap<String, (u64, FileType)>,
-    /// Dentries per fragment, so the split rule is O(1) per insert
-    /// (recounted from `entries` whenever `bits` changes).
-    counts: BTreeMap<u64, usize>,
-}
-
-impl RefDir {
-    fn frag_of(&self, name: &str) -> u64 {
-        name_hash(name) & ((1u64 << self.bits) - 1)
-    }
-
-    /// Returns the previous dentry; a new name may split the fragtree.
-    fn insert(
-        &mut self,
-        name: &str,
-        d: (u64, FileType),
-        threshold: usize,
-    ) -> Option<(u64, FileType)> {
-        let prev = self.entries.insert(name.to_string(), d);
-        if prev.is_none() {
-            let in_frag = self.counts.entry(self.frag_of(name)).or_default();
-            *in_frag += 1;
-            if *in_frag > threshold && self.bits < 8 {
-                self.bits += 1;
-                self.counts.clear();
-                for n in self.entries.keys() {
-                    *self
-                        .counts
-                        .entry(name_hash(n) & ((1u64 << self.bits) - 1))
-                        .or_default() += 1;
-                }
-            }
-        }
-        prev
-    }
-
-    fn remove(&mut self, name: &str) -> Option<(u64, FileType)> {
-        let prev = self.entries.remove(name);
-        if prev.is_some() {
-            *self.counts.get_mut(&self.frag_of(name)).unwrap() -= 1;
-        }
-        prev
-    }
-}
-
-/// The reference namespace.
-#[derive(Debug, Clone)]
-struct Model {
-    threshold: usize,
-    inodes: BTreeMap<u64, RefInode>,
-    dirs: BTreeMap<u64, RefDir>,
-    parents: BTreeMap<u64, u64>,
-}
-
-impl Model {
-    fn new(threshold: usize) -> Model {
-        let root = RefInode {
-            ftype: FileType::Dir,
-            size: 0,
-            policy: None,
-            version: 1,
-        };
-        Model {
-            threshold,
-            inodes: BTreeMap::from([(1, root)]),
-            dirs: BTreeMap::from([(1, RefDir::default())]),
-            parents: BTreeMap::new(),
-        }
-    }
-
-    fn fresh(ftype: FileType) -> RefInode {
-        RefInode {
-            ftype,
-            size: 0,
-            policy: None,
-            version: 1,
-        }
-    }
-
-    fn forget(&mut self, ino: u64, and_dir: bool) {
-        self.inodes.remove(&ino);
-        self.parents.remove(&ino);
-        if and_dir {
-            self.dirs.remove(&ino);
-        }
-    }
-
-    /// The checked paths' "is this a directory I can write to" test.
-    fn dir_class(&self, ino: u64) -> Class {
-        if !self.inodes.contains_key(&ino) {
-            Class::NoEnt
-        } else if !self.dirs.contains_key(&ino) {
-            Class::NotDir
-        } else {
-            Class::Ok
-        }
-    }
-
-    fn checked(&mut self, e: &JournalEvent) -> Class {
-        let t = self.threshold;
-        match e {
-            JournalEvent::Create {
-                parent, name, ino, ..
-            }
-            | JournalEvent::Mkdir {
-                parent, name, ino, ..
-            } => {
-                let ftype = if matches!(e, JournalEvent::Mkdir { .. }) {
-                    FileType::Dir
-                } else {
-                    FileType::File
-                };
-                // A new directory's number must not own a table either.
-                if self.inodes.contains_key(&ino.0)
-                    || (ftype == FileType::Dir && self.dirs.contains_key(&ino.0))
-                {
-                    return Class::Collision;
-                }
-                match self.dir_class(parent.0) {
-                    Class::Ok => {}
-                    c => return c,
-                }
-                let dir = self.dirs.get_mut(&parent.0).unwrap();
-                if dir.entries.contains_key(name) {
-                    return Class::Exists;
-                }
-                dir.insert(name, (ino.0, ftype), t);
-                self.inodes.insert(ino.0, Model::fresh(ftype));
-                if ftype == FileType::Dir {
-                    self.dirs.insert(ino.0, RefDir::default());
-                }
-                self.parents.insert(ino.0, parent.0);
-                Class::Ok
-            }
-            JournalEvent::Unlink { parent, name } | JournalEvent::Rmdir { parent, name } => {
-                let rmdir = matches!(e, JournalEvent::Rmdir { .. });
-                match self.dir_class(parent.0) {
-                    Class::Ok => {}
-                    c => return c,
-                }
-                let Some(&(ino, ftype)) = self.dirs[&parent.0].entries.get(name) else {
-                    return Class::NoEnt;
-                };
-                if rmdir {
-                    if ftype != FileType::Dir {
-                        return Class::NotDir;
-                    }
-                    if self.dirs.get(&ino).is_some_and(|d| !d.entries.is_empty()) {
-                        return Class::NotEmpty;
-                    }
-                } else if ftype == FileType::Dir || self.dirs.contains_key(&ino) {
-                    // A file whose number owns a table is a directory here.
-                    return Class::IsDir;
-                }
-                self.dirs.get_mut(&parent.0).unwrap().remove(name);
-                self.forget(ino, rmdir);
-                Class::Ok
-            }
-            JournalEvent::Rename {
-                src_parent,
-                src_name,
-                dst_parent,
-                dst_name,
-            } => {
-                match self.dir_class(src_parent.0) {
-                    Class::Ok => {}
-                    c => return c,
-                }
-                let Some(&src) = self.dirs[&src_parent.0].entries.get(src_name) else {
-                    return Class::NoEnt;
-                };
-                if (src_parent, src_name) == (dst_parent, dst_name) {
-                    return Class::Ok;
-                }
-                match self.dir_class(dst_parent.0) {
-                    Class::Ok => {}
-                    c => return c,
-                }
-                let dst = self.dirs[&dst_parent.0].entries.get(dst_name).copied();
-                if let Some((dst, dtype)) = dst {
-                    // Another dentry of the same inode.
-                    if dst == src.0 {
-                        return Class::Collision;
-                    }
-                    if dtype == FileType::Dir || self.dirs.contains_key(&dst) {
-                        return Class::IsDir;
-                    }
-                }
-                // A directory may not move into its own subtree.
-                if src.1 == FileType::Dir && self.is_within(dst_parent.0, src.0) {
-                    return Class::Invalid;
-                }
-                if let Some((dst, _)) = dst {
-                    self.forget(dst, false);
-                }
-                self.dirs.get_mut(&src_parent.0).unwrap().remove(src_name);
-                self.dirs
-                    .get_mut(&dst_parent.0)
-                    .unwrap()
-                    .insert(dst_name, src, t);
-                self.parents.insert(src.0, dst_parent.0);
-                Class::Ok
-            }
-            JournalEvent::SetAttr { ino, attrs } => match self.inodes.get_mut(&ino.0) {
-                Some(i) => {
-                    i.size = attrs.size;
-                    i.version += 1;
-                    Class::Ok
-                }
-                None => Class::NoEnt,
-            },
-            JournalEvent::SetPolicy { ino, policy } => match self.inodes.get_mut(&ino.0) {
-                Some(i) => {
-                    i.policy = Some(policy.clone());
-                    i.version += 1;
-                    Class::Ok
-                }
-                None => Class::NoEnt,
-            },
-            _ => Class::Ok,
-        }
-    }
-
-    fn blind(&mut self, e: &JournalEvent) {
-        let t = self.threshold;
-        match e {
-            JournalEvent::Create {
-                parent, name, ino, ..
-            } => {
-                let dir = self.dirs.entry(parent.0).or_default();
-                if let Some((prev, _)) = dir.insert(name, (ino.0, FileType::File), t) {
-                    self.forget(prev, false);
-                }
-                self.inodes.insert(ino.0, Model::fresh(FileType::File));
-                self.parents.insert(ino.0, parent.0);
-            }
-            JournalEvent::Mkdir {
-                parent, name, ino, ..
-            } => {
-                let dir = self.dirs.entry(parent.0).or_default();
-                if let Some((prev, _)) = dir.insert(name, (ino.0, FileType::Dir), t) {
-                    if prev != ino.0 {
-                        self.forget(prev, true);
-                    }
-                }
-                self.inodes.insert(ino.0, Model::fresh(FileType::Dir));
-                self.dirs.entry(ino.0).or_default();
-                self.parents.insert(ino.0, parent.0);
-            }
-            JournalEvent::Unlink { parent, name } | JournalEvent::Rmdir { parent, name } => {
-                if let Some((prev, _)) = self.dirs.get_mut(&parent.0).and_then(|d| d.remove(name)) {
-                    self.forget(prev, true);
-                }
-            }
-            JournalEvent::Rename {
-                src_parent,
-                src_name,
-                dst_parent,
-                dst_name,
-            } => {
-                if (src_parent, src_name) == (dst_parent, dst_name) {
-                    return;
-                }
-                let moved = self
-                    .dirs
-                    .get_mut(&src_parent.0)
-                    .and_then(|d| d.remove(src_name));
-                if let Some(d) = moved {
-                    let dst = self.dirs.entry(dst_parent.0).or_default();
-                    if let Some((prev, _)) = dst.insert(dst_name, d, t) {
-                        if prev != d.0 {
-                            self.forget(prev, true);
-                        }
-                    }
-                    self.parents.insert(d.0, dst_parent.0);
-                }
-            }
-            JournalEvent::SetAttr { .. } | JournalEvent::SetPolicy { .. } => {
-                self.checked(e);
-            }
-            _ => {}
-        }
-    }
-
-    fn snapshot(&self) -> BTreeMap<String, (InodeId, FileType)> {
-        fn walk(m: &Model, ino: u64, path: &str, out: &mut BTreeMap<String, (InodeId, FileType)>) {
-            let Some(dir) = m.dirs.get(&ino) else { return };
-            for (name, &(child, ftype)) in &dir.entries {
-                let p = format!("{path}/{name}");
-                out.insert(p.clone(), (InodeId(child), ftype));
-                if ftype == FileType::Dir {
-                    walk(m, child, &p, out);
-                }
-            }
-        }
-        let mut out = BTreeMap::new();
-        walk(self, 1, "", &mut out);
-        out
-    }
-
-    /// Bounded like the store's: more steps than inodes is a cycle.
-    fn is_within(&self, ino: u64, root: u64) -> bool {
-        let mut cur = ino;
-        for _ in 0..=self.inodes.len() {
-            if cur == root {
-                return true;
-            }
-            match self.parents.get(&cur) {
-                Some(&p) => cur = p,
-                None => return false,
-            }
-        }
-        false
-    }
-}
 
 /// Inode numbers every generated op draws from: the root, a pool small
 /// enough that creates collide and targets go missing, and one number no
@@ -397,25 +34,46 @@ const INOS: std::ops::Range<u64> = 0x1000..0x1018;
 const GHOST: u64 = 0xdead;
 
 fn compare(ms: &MetadataStore, m: &Model) -> Result<(), TestCaseError> {
-    prop_assert_eq!(ms.snapshot(), m.snapshot());
-    prop_assert_eq!(ms.inode_count(), m.inodes.len());
+    let snapshot = m.snapshot();
+    prop_assert_eq!(&ms.snapshot(), &snapshot);
+    prop_assert_eq!(ms.inode_count(), m.inode_count());
+    for path in snapshot
+        .keys()
+        .map(String::as_str)
+        .chain(["", "/no-such-name"])
+    {
+        prop_assert_eq!(
+            ms.resolve(path).ok().map(|i| i.0),
+            m.resolve(path),
+            "resolve {}",
+            path
+        );
+        let policy = ms.effective_policy(path).ok();
+        let policy = policy.map(|o| o.map(|(ino, p)| (ino.0, p)));
+        prop_assert_eq!(
+            policy,
+            m.effective_policy(path),
+            "effective_policy {}",
+            path
+        );
+    }
     let universe: Vec<u64> = std::iter::once(1).chain(INOS).chain([GHOST]).collect();
     for &ino in &universe {
         let id = InodeId(ino);
         prop_assert_eq!(
             ms.parent_of(id).map(|p| p.0),
-            m.parents.get(&ino).copied(),
+            m.parent_of(ino),
             "parent_of {}",
             ino
         );
-        prop_assert_eq!(ms.inode_in_use(id), m.inodes.contains_key(&ino));
+        prop_assert_eq!(ms.inode_in_use(id), m.inode(ino).is_some());
         let got = ms.inode(id).map(|i| RefInode {
             ftype: i.ftype,
             size: i.attrs.size,
             policy: i.policy.clone(),
             version: i.version,
         });
-        prop_assert_eq!(got.as_ref(), m.inodes.get(&ino), "inode {}", ino);
+        prop_assert_eq!(got.as_ref(), m.inode(ino), "inode {}", ino);
         for &root in &universe {
             prop_assert_eq!(
                 ms.is_within(id, InodeId(root)),
@@ -425,7 +83,7 @@ fn compare(ms: &MetadataStore, m: &Model) -> Result<(), TestCaseError> {
                 root
             );
         }
-        match (ms.dir(id), m.dirs.get(&ino)) {
+        match (ms.dir(id), m.dir(ino)) {
             (None, None) => prop_assert!(ms.readdir(id).is_err()),
             (Some(dir), Some(rd)) => {
                 // The listing is the model's sorted `(name, dentry)` list —
@@ -437,21 +95,21 @@ fn compare(ms: &MetadataStore, m: &Model) -> Result<(), TestCaseError> {
                     .map(|(n, d)| (n, (d.ino.0, d.ftype)))
                     .collect();
                 let want: Vec<(&str, (u64, FileType))> =
-                    rd.entries.iter().map(|(n, d)| (n.as_str(), *d)).collect();
+                    rd.entries().iter().map(|(n, d)| (n.as_str(), *d)).collect();
                 prop_assert_eq!(&listed, &want, "readdir {}", ino);
-                prop_assert_eq!(listing.len(), rd.entries.len());
-                prop_assert_eq!(listing.is_empty(), rd.entries.is_empty());
+                prop_assert_eq!(listing.len(), rd.entries().len());
+                prop_assert_eq!(listing.is_empty(), rd.entries().is_empty());
                 prop_assert_eq!(&dir.listing(), &listing);
-                prop_assert_eq!(dir.len(), rd.entries.len());
-                prop_assert_eq!(dir.frag_count(), 1usize << rd.bits, "frag_count of {}", ino);
+                prop_assert_eq!(dir.len(), rd.entries().len());
+                prop_assert_eq!(dir.frag_count(), rd.frag_count(), "frag_count of {}", ino);
                 let mut seen = 0;
                 for (idx, frag) in dir.fragments() {
                     let got: Vec<(String, u64)> =
                         frag.iter().map(|(n, d)| (n.to_string(), d.ino.0)).collect();
                     let want: Vec<(String, u64)> = rd
-                        .entries
+                        .entries()
                         .iter()
-                        .filter(|(n, _)| rd.frag_of(n) == u64::from(idx))
+                        .filter(|(n, _)| m.fragment_of(ino, n) == u64::from(idx))
                         .map(|(n, d)| (n.clone(), d.0))
                         .collect();
                     prop_assert_eq!(frag.len(), want.len());
@@ -459,7 +117,7 @@ fn compare(ms: &MetadataStore, m: &Model) -> Result<(), TestCaseError> {
                     seen += 1;
                 }
                 prop_assert_eq!(seen, dir.frag_count());
-                for (n, d) in &rd.entries {
+                for (n, d) in rd.entries() {
                     prop_assert_eq!(ms.lookup(id, n).ok().map(|x| (x.ino.0, x.ftype)), Some(*d));
                 }
                 prop_assert!(ms.lookup(id, "no-such-name").is_err());
@@ -476,38 +134,6 @@ fn compare(ms: &MetadataStore, m: &Model) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Whether the namespace is one both sides can walk: blind replay can link
-/// a directory under its own subtree, and `snapshot` does not terminate on
-/// such a loop. The generator swaps a *blind* op that would leave one
-/// behind for a no-op; a checked one reaches the store, which refuses a
-/// move into any subtree the parent links show (`Invalid`).
-fn walkable(m: &Model) -> bool {
-    fn acyclic(m: &Model, ino: u64, path: &mut Vec<u64>) -> bool {
-        if path.contains(&ino) {
-            return false;
-        }
-        path.push(ino);
-        let ok = m.dirs.get(&ino).is_none_or(|d| {
-            d.entries
-                .values()
-                .all(|&(child, ftype)| ftype != FileType::Dir || acyclic(m, child, path))
-        });
-        path.pop();
-        ok
-    }
-    let chains_end = m.parents.keys().all(|&start| {
-        let mut cur = start;
-        (0..=m.parents.len()).any(|_| match m.parents.get(&cur) {
-            Some(&p) => {
-                cur = p;
-                false
-            }
-            None => true,
-        })
-    });
-    chains_end && acyclic(m, 1, &mut Vec::new())
-}
-
 /// Whether `e` renames a dentry whose inode a reused inode number already
 /// took away. The parent link lives in the inode record, so there is
 /// nothing to re-point; the `BTreeMap`-era store kept links in a side map
@@ -522,17 +148,16 @@ fn moves_a_dangling_dentry(m: &Model, e: &JournalEvent) -> bool {
     else {
         return false;
     };
-    m.dirs
-        .get(&src_parent.0)
-        .and_then(|d| d.entries.get(src_name))
-        .is_some_and(|d| !m.inodes.contains_key(&d.0))
+    m.dir(src_parent.0)
+        .and_then(|d| d.entries().get(src_name))
+        .is_some_and(|d| m.inode(d.0).is_none())
 }
 
 /// Decodes four bytes into one op over small name / inode pools. Files
 /// are `f*`, directories `d*`; a rename may target either pool (EISDIR,
 /// overwrite, self-rename).
 fn decode(m: &Model, kind: u8, a: u8, b: u8, c: u8) -> (bool, JournalEvent) {
-    let dir_inos: Vec<u64> = m.dirs.keys().copied().collect();
+    let dir_inos: Vec<u64> = m.dirs().map(|(ino, _)| ino).collect();
     let pick_dir = |x: u8| -> InodeId {
         match x % 8 {
             0 => InodeId(GHOST),
@@ -615,10 +240,13 @@ fn decode(m: &Model, kind: u8, a: u8, b: u8, c: u8) -> (bool, JournalEvent) {
         },
         _ => JournalEvent::SegmentBoundary { seq: u64::from(a) },
     };
+    // A blind op that would link a directory under its own subtree becomes
+    // a no-op; a checked one reaches the store, which refuses a move into
+    // any subtree the parent links show (`Invalid`).
     let cycles = blind && {
         let mut trial = m.clone();
         trial.blind(&event);
-        !walkable(&trial)
+        !trial.walkable()
     };
     if cycles || moves_a_dangling_dentry(m, &event) {
         return (blind, JournalEvent::SegmentBoundary { seq: 0 });
@@ -676,7 +304,7 @@ proptest! {
     ) {
         let threshold = [1usize, 4, 10_000][which];
         let mut ms = MetadataStore::with_split_threshold(threshold);
-        let mut m = Model::new(threshold);
+        let mut m = Model::with_fragtree(threshold, name_hash);
         for (i, &(kind, a, b, c)) in ops.iter().enumerate() {
             let (blind, e) = decode(&m, kind, a, b, c);
             apply(&mut ms, &mut m, blind, &e)?;
@@ -685,7 +313,7 @@ proptest! {
             if i % 8 == 7 || i + 1 == ops.len() {
                 compare(&ms, &m)?;
             } else {
-                prop_assert_eq!(ms.inode_count(), m.inodes.len(), "after {:?}", e);
+                prop_assert_eq!(ms.inode_count(), m.inode_count(), "after {:?}", e);
             }
         }
     }
@@ -728,7 +356,7 @@ fn persisted_digest(ms: &MetadataStore) -> u64 {
 /// directory to split it twice.
 fn scripted_store(threshold: usize, seed: u64) -> (MetadataStore, Model) {
     let mut ms = MetadataStore::with_split_threshold(threshold);
-    let mut m = Model::new(threshold);
+    let mut m = Model::with_fragtree(threshold, name_hash);
     let mut state = seed;
     let mut next = || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -751,14 +379,13 @@ fn scripted_store(threshold: usize, seed: u64) -> (MetadataStore, Model) {
     // Reused inode numbers leave dentries whose inode a later unlink took
     // away; `flush_store` refuses those, so drop them (blindly) first.
     let dangling: Vec<(u64, String)> = m
-        .dirs
-        .iter()
-        .flat_map(|(&dir, d)| {
-            d.entries
+        .dirs()
+        .flat_map(|(dir, d)| {
+            d.entries()
                 .iter()
                 .map(move |(n, &(ino, _))| (dir, n.clone(), ino))
         })
-        .filter(|(_, _, ino)| !m.inodes.contains_key(ino))
+        .filter(|(_, _, ino)| m.inode(*ino).is_none())
         .map(|(dir, n, _)| (dir, n))
         .collect();
     for (dir, name) in dangling {
@@ -803,7 +430,11 @@ fn persisted_dirfrag_objects_match_the_recorded_digest() {
             let (ms, m) = scripted_store(threshold, 0x5eed_0000 + threshold as u64);
             assert_eq!(ms.snapshot(), m.snapshot(), "threshold {threshold}");
             let frags = ms.dir(InodeId::ROOT).unwrap().frag_count();
-            assert_eq!(frags, 1usize << m.dirs[&1].bits, "threshold {threshold}");
+            assert_eq!(
+                frags,
+                m.dir(1).unwrap().frag_count(),
+                "threshold {threshold}"
+            );
             let digest = persisted_digest(&ms);
             println!("({threshold}, {digest:#018x}, {frags}),");
             (threshold, digest, frags)
@@ -831,7 +462,7 @@ fn listings_of_empty_and_split_directories_match_the_model() {
     };
     let mut forward = MetadataStore::with_split_threshold(threshold);
     let mut backward = MetadataStore::with_split_threshold(threshold);
-    let mut m = Model::new(threshold);
+    let mut m = Model::with_fragtree(threshold, name_hash);
     apply(&mut forward, &mut m, false, &mkdir).unwrap();
     backward.apply_blind(&mkdir);
 
@@ -849,8 +480,10 @@ fn listings_of_empty_and_split_directories_match_the_model() {
     assert!(dir.frag_count() > 1, "the directory should have split");
     let listing = forward.readdir(InodeId(0x2000)).unwrap();
     let listed: Vec<(&str, u64)> = listing.iter().map(|(n, d)| (n, d.ino.0)).collect();
-    let want: Vec<(&str, u64)> = m.dirs[&0x2000]
-        .entries
+    let want: Vec<(&str, u64)> = m
+        .dir(0x2000)
+        .unwrap()
+        .entries()
         .iter()
         .map(|(n, d)| (n.as_str(), d.0))
         .collect();

@@ -145,7 +145,7 @@ impl Packed {
 /// without `core::fmt`. Text (`str`, `String`) is copied raw and an
 /// integer is written by a digit loop; any other `Display` type goes
 /// through [`Formatted`], the one explicit fallback. Sealed: every value
-/// writes UTF-8, which never holds [`END`].
+/// writes UTF-8, which never holds the record terminator `0xFF`.
 pub trait ArgValue: text::Text {}
 
 impl<T: text::Text + ?Sized> ArgValue for T {}

@@ -2,8 +2,9 @@
 //! reader: span names, categories, args, and metric names containing
 //! quotes, backslashes, and control characters must still produce valid
 //! JSON that decodes back to the original strings; any tree the writer
-//! writes, in any layout, reads back as itself; and no nesting depth makes
-//! the reader overflow its stack.
+//! writes, in any layout, reads back as itself; no input — arbitrary,
+//! truncated or flipped bytes — makes the reader panic; and no nesting depth
+//! makes it overflow its stack.
 
 use cudele_obs::json::{self, Layout, Value, Writer};
 use cudele_obs::{escape_json, Registry, Span};
@@ -182,6 +183,48 @@ proptest! {
             let pretty = layout == Layout::Pretty;
             prop_assert_eq!(doc.ends_with('\n'), pretty && container, "{:?}: {:?}", layout, doc);
             prop_assert!(pretty || !doc.contains('\n'), "{:?}: {:?}", layout, doc);
+        }
+    }
+
+    /// The reader is total: arbitrary bytes; a tree the writer wrote, cut
+    /// at every byte or with one byte flipped; and containers nested to
+    /// `MAX_DEPTH` and one deeper, in any mix of arrays and objects, each
+    /// come back `Ok` or `Err` — a panic fails the case. A cut container
+    /// is never a document, and only the deeper nest is refused.
+    #[test]
+    fn reader_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        seed in any::<u64>(),
+        at in any::<u16>(),
+        flip in 1u8..=255,
+        arrays in any::<u64>(),
+    ) {
+        let parse = |b: &[u8]| json::parse(&String::from_utf8_lossy(b));
+        let _ = parse(&bytes);
+
+        let v = tree(&mut TestRng::from_seed(seed), 3);
+        let mut w = Writer::default();
+        write(&mut w, &v, Layout::Compact);
+        let doc = w.finish().into_bytes();
+        let container = matches!(v, Value::Arr(_) | Value::Obj(_));
+        for cut in 0..doc.len() {
+            let got = parse(&doc[..cut]);
+            prop_assert!(!container || got.is_err(), "{:?} parsed", &doc[..cut]);
+        }
+        let mut flipped = doc;
+        let at = usize::from(at) % flipped.len();
+        flipped[at] ^= flip;
+        let _ = parse(&flipped);
+
+        for depth in [json::MAX_DEPTH, json::MAX_DEPTH + 1] {
+            let array = |level: usize| arrays >> (level % 64) & 1 == 1;
+            let open: String = (0..depth).map(|l| if array(l) { "[" } else { "{\"k\":" }).collect();
+            let close: String = (0..depth).rev().map(|l| if array(l) { "]" } else { "}" }).collect();
+            let nest = format!("{open}0{close}");
+            prop_assert_eq!(parse(nest.as_bytes()).is_ok(), depth == json::MAX_DEPTH);
+            for cut in [1, nest.len() / 2, nest.len() - 1] {
+                prop_assert!(parse(&nest.as_bytes()[..cut]).is_err());
+            }
         }
     }
 }

@@ -15,6 +15,7 @@ use cudele::{achieved_durability, execute_merge, Composition, Durability, ExecEn
 use cudele_client::{DecoupledClient, LocalDisk};
 use cudele_journal::InodeRange;
 use cudele_mds::{ClientId, MetadataServer};
+use cudele_model::Model;
 use cudele_rados::{
     InMemoryStore, ObjectId, ObjectStat, ObjectStore, PoolId, RadosError, Result as RadosResult,
 };
@@ -820,7 +821,10 @@ fn segment_relanded_after_a_failed_header_write_replays_idempotently() {
     let relanded = read_journal(&os, id).unwrap();
     assert_eq!(relanded, [landed.as_slice(), events.as_slice()].concat());
 
-    assert_eq!(replay(&relanded).snapshot(), replay(&events).snapshot());
+    assert_eq!(
+        Model::replay(&relanded).snapshot(),
+        Model::replay(&events).snapshot()
+    );
 }
 
 /// Re-enabling checkpoints while the store is out must not be read as "no
@@ -921,14 +925,6 @@ fn global_persist_after_a_writer_died_before_its_header_reads_back_alone() {
 // Checkpoints are an optimisation; recovery reports what it did
 // ---------------------------------------------------------------------
 
-/// Blind replay of `events` from the empty namespace — what recovery must
-/// return for a journal that reads as `events` (no image).
-fn replay(events: &[cudele_journal::JournalEvent]) -> cudele_mds::MetadataStore {
-    let mut ms = cudele_mds::MetadataStore::new();
-    ms.apply_blind_all(events);
-    ms
-}
-
 /// Flips one bit of the mdlog's first stripe at byte `at`.
 fn flip_mdlog_byte(os: &InMemoryStore, at: usize) {
     let stripe = ObjectId::journal_stripe(PoolId::METADATA, 0x200, 0);
@@ -1002,7 +998,10 @@ fn bit_flip_in_a_flushed_stripe_does_not_fail_creates_under_checkpointing() {
         "one more manifest: the clean prefix, and nothing past the damage"
     );
     mds.crash_and_recover().unwrap();
-    assert_eq!(mds.store().snapshot(), replay(&journal[..clean]).snapshot());
+    assert_eq!(
+        mds.store().snapshot(),
+        Model::replay(&journal[..clean]).snapshot()
+    );
     assert_eq!(read_journal(os.as_ref(), id).unwrap(), journal[..clean]);
 }
 
@@ -1239,7 +1238,7 @@ fn stale_manifest_above_a_fallback_rung_does_not_load_after_the_lineage_resumes(
         create_until(&mut mds, epoch);
         mds.try_flush_journal().unwrap();
         os.write_full(&head_object(id), b"garbage").unwrap();
-        let expected = replay(&read_journal(os.as_ref(), id).unwrap());
+        let expected = Model::replay(&read_journal(os.as_ref(), id).unwrap());
         mds.crash_and_recover().unwrap();
         assert_eq!(mds.store().snapshot(), expected.snapshot(), "epoch {epoch}");
         assert_eq!(mds.manifest_epoch(), epoch, "the resumed lineage's rung");
@@ -1360,8 +1359,9 @@ enum RecoverBy {
 /// namespace and allocator watermark.
 ///
 /// * recovery neither errors nor panics;
-/// * it returns the blind replay of the journal as it read before recovery
-///   touched it — nothing flushed is lost, nothing is invented;
+/// * it returns the reference model's blind fold of the journal as it read
+///   before recovery touched it — nothing flushed is lost, nothing is
+///   invented;
 /// * the manifest it loaded names no missing object;
 /// * what the recovered server then writes survives its own crash: a stale
 ///   object left behind by the dead writer must not resurface.
@@ -1379,7 +1379,7 @@ fn recover_and_check(
 
     let id = JournalId::MDLOG;
     w.os.mutations_left.store(u64::MAX, Ordering::SeqCst);
-    let expected = replay(&scan_journal(w.os.as_ref(), id).unwrap().events);
+    let expected = Model::replay(&scan_journal(w.os.as_ref(), id).unwrap().events);
     let mut mds = match by {
         RecoverBy::InPlace => {
             w.mds
@@ -1479,7 +1479,8 @@ fn heal_crashed_at_every_write_keeps_the_readable_prefix() {
     let id = JournalId::MDLOG;
     for by in [RecoverBy::InPlace, RecoverBy::Takeover] {
         let mut whole = crash_world(u64::MAX);
-        let readable = replay(&scan_journal(whole.os.as_ref(), id).unwrap().events).snapshot();
+        let readable =
+            Model::replay(&scan_journal(whole.os.as_ref(), id).unwrap().events).snapshot();
         let (outcome, heal_writes) = recover_within(&mut whole, by, u64::MAX);
         outcome.unwrap();
         assert!(heal_writes >= 2, "a header cut and a stripe cut at least");

@@ -1,13 +1,13 @@
 //! Property tests over the stateful protocol machines: the capability
-//! table, the monitor's resolution rules, namespace/store internal
-//! consistency under arbitrary operation interleavings, and the mdlog's
-//! flush/trim bookkeeping.
+//! table, the monitor's resolution rules, and the mdlog's segment
+//! bookkeeping. The metadata store's consistency is checked against the
+//! reference model (`crates/mds/tests/store_diff.rs`).
 
 use proptest::prelude::*;
 
 use cudele::{normalize_path, Monitor, Policy};
 use cudele_journal::{Attrs, InodeId, JournalEvent};
-use cudele_mds::{CapTable, ClientId, MetadataStore};
+use cudele_mds::{CapTable, ClientId};
 
 // ---------------------------------------------------------------------
 // Capability table
@@ -110,149 +110,6 @@ proptest! {
                 let other_prefix = format!("{other}/");
                 prop_assert!(!(norm == *other || norm.starts_with(&other_prefix)));
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Metadata store internal consistency
-// ---------------------------------------------------------------------
-
-/// Checks deep internal consistency of a store: every dentry's inode
-/// exists; every reachable dir has a fragtree; parent links agree with
-/// the tree; snapshot size matches inode count.
-fn check_store_consistency(ms: &MetadataStore) -> Result<(), TestCaseError> {
-    let snapshot = ms.snapshot();
-    // Reachable entries resolve and agree with parent links.
-    let mut reachable = 0usize;
-    let mut stack = vec![(String::new(), InodeId::ROOT)];
-    while let Some((prefix, ino)) = stack.pop() {
-        if let Some(dir) = ms.dir(ino) {
-            for (name, dentry) in dir.listing().iter() {
-                reachable += 1;
-                prop_assert!(
-                    ms.inode(dentry.ino).is_some(),
-                    "dangling dentry {prefix}/{name}"
-                );
-                prop_assert_eq!(
-                    ms.parent_of(dentry.ino),
-                    Some(ino),
-                    "parent link mismatch for {}/{}",
-                    prefix,
-                    name
-                );
-                prop_assert!(ms.is_within(dentry.ino, ino));
-                prop_assert!(ms.is_within(dentry.ino, InodeId::ROOT));
-                if dentry.ftype == cudele_journal::FileType::Dir {
-                    prop_assert!(ms.dir(dentry.ino).is_some(), "dir without fragtree");
-                    stack.push((format!("{prefix}/{name}"), dentry.ino));
-                }
-            }
-        }
-    }
-    prop_assert_eq!(snapshot.len(), reachable);
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Arbitrary interleavings of checked and blind operations keep the
-    /// store internally consistent (no dangling dentries, no stale parent
-    /// links, snapshot complete).
-    #[test]
-    fn store_consistent_under_mixed_ops(
-        steps in proptest::collection::vec((0u8..6, 0u16..32, any::<bool>()), 1..150)
-    ) {
-        let mut ms = MetadataStore::new();
-        let mut dirs = vec![InodeId::ROOT];
-        let mut next = 0x1000u64;
-        for (op, sel, blind) in steps {
-            let parent = dirs[sel as usize % dirs.len()];
-            let name = format!("n{}", sel % 8);
-            match op {
-                0 => {
-                    let ino = InodeId(next);
-                    next += 1;
-                    let e = JournalEvent::Mkdir { parent, name, ino, attrs: Attrs::dir_default() };
-                    if blind {
-                        ms.apply_blind(&e);
-                        dirs.push(ino);
-                    } else if ms.apply_checked(&e).is_ok() {
-                        dirs.push(ino);
-                    }
-                }
-                1 | 2 => {
-                    let ino = InodeId(next);
-                    next += 1;
-                    let e = JournalEvent::Create { parent, name, ino, attrs: Attrs::file_default() };
-                    if blind {
-                        ms.apply_blind(&e);
-                    } else {
-                        let _ = ms.apply_checked(&e);
-                    }
-                }
-                3 => {
-                    let e = JournalEvent::Unlink { parent, name };
-                    if blind {
-                        ms.apply_blind(&e);
-                    } else {
-                        let _ = ms.apply_checked(&e);
-                    }
-                }
-                4 => {
-                    let dst = dirs[(sel as usize + 1) % dirs.len()];
-                    let e = JournalEvent::Rename {
-                        src_parent: parent,
-                        src_name: name,
-                        dst_parent: dst,
-                        dst_name: format!("r{}", sel % 8),
-                    };
-                    if blind {
-                        ms.apply_blind(&e);
-                    } else {
-                        let _ = ms.apply_checked(&e);
-                    }
-                }
-                _ => {
-                    let _ = ms.apply_checked(&JournalEvent::SetAttr {
-                        ino: parent,
-                        attrs: Attrs::dir_default(),
-                    });
-                }
-            }
-            // Drop dirs that a blind op may have displaced.
-            dirs.retain(|d| ms.inode(*d).is_some());
-            if dirs.is_empty() {
-                dirs.push(InodeId::ROOT);
-            }
-        }
-        check_store_consistency(&ms)?;
-    }
-
-    /// resolve() and effective_policy() agree with the snapshot for every
-    /// reachable path.
-    #[test]
-    fn resolve_agrees_with_snapshot(
-        steps in proptest::collection::vec((0u8..2, 0u16..16), 1..60)
-    ) {
-        let mut ms = MetadataStore::new();
-        let mut dirs = vec![InodeId::ROOT];
-        let mut next = 0x1000u64;
-        for (op, sel) in steps {
-            let parent = dirs[sel as usize % dirs.len()];
-            let ino = InodeId(next);
-            next += 1;
-            let name = format!("x{next}");
-            if op == 0 {
-                ms.mkdir(parent, &name, ino, Attrs::dir_default()).unwrap();
-                dirs.push(ino);
-            } else {
-                ms.create(parent, &name, ino, Attrs::file_default()).unwrap();
-            }
-        }
-        for (path, (ino, _)) in ms.snapshot() {
-            prop_assert_eq!(ms.resolve(&path).unwrap(), ino);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Property-based tests (proptest) over the core invariants:
 //!
 //! * journal codec round-trips arbitrary event sequences;
-//! * replaying a journal reproduces the namespace that produced it;
-//! * the object-store representation round-trips the namespace;
-//! * Nonvolatile Apply and Volatile Apply converge to the same state;
+//! * every path to a namespace — checked apply, journal replay, a landed
+//!   prefix replayed twice, the object-store image, Nonvolatile Apply, the
+//!   checkpoint's fold — lands on the reference model's;
 //! * policy files and DSL compositions round-trip;
 //! * directory fragtrees never lose or duplicate entries;
 //! * fault-free speculation is invisible: the same workload with
@@ -22,6 +22,7 @@ use cudele_mds::{
     emit_canonical, flush_store, load_store, ClientId, MetadataServer, MetadataStore,
     ObjectStoreSink,
 };
+use cudele_model::{Class, Model};
 use cudele_rados::{InMemoryStore, PoolId};
 use cudele_sim::Nanos;
 
@@ -134,6 +135,39 @@ fn arb_workload() -> impl Strategy<Value = Vec<JournalEvent>> {
     })
 }
 
+/// A fresh store that applied `events` checked, one by one.
+fn checked(events: &[JournalEvent]) -> Result<MetadataStore, TestCaseError> {
+    let mut ms = MetadataStore::new();
+    for e in events {
+        ms.apply_checked(e)
+            .map_err(|err| TestCaseError::fail(format!("checked apply of {e:?} failed: {err}")))?;
+    }
+    Ok(ms)
+}
+
+/// A fresh store that applied `events` blind, one by one.
+fn blind<'e>(events: impl IntoIterator<Item = &'e JournalEvent>) -> MetadataStore {
+    let mut ms = MetadataStore::new();
+    events.into_iter().for_each(|e| ms.apply_blind(e));
+    ms
+}
+
+/// The reference model after `events`, each of which it must accept.
+fn model_of(events: &[JournalEvent]) -> Result<Model, TestCaseError> {
+    let mut model = Model::new();
+    for e in events {
+        prop_assert_eq!(model.checked(e), Class::Ok, "{:?}", e);
+    }
+    Ok(model)
+}
+
+/// `ms` holds exactly the model's namespace; `path` names how it got there.
+fn lands_on(ms: &MetadataStore, model: &Model, path: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ms.snapshot(), model.snapshot(), "{}", path);
+    prop_assert_eq!(ms.inode_count(), model.inode_count(), "{}", path);
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------
@@ -165,20 +199,14 @@ proptest! {
         if let Ok(decoded) = decode_journal(&bad) { prop_assert_ne!(decoded, events, "corruption at {} accepted", pos) }
     }
 
+    /// Checked apply and blind replay of the decoded journal both land on
+    /// the model's namespace.
     #[test]
     fn replay_reconstructs_namespace(events in arb_workload()) {
-        // Apply the workload checked; replay the journal blind into a
-        // fresh store; the namespaces must be identical.
-        let mut original = MetadataStore::new();
-        for e in &events {
-            original.apply_checked(e).unwrap();
-        }
-        let blob = encode_journal(&events);
-        let mut replayed = MetadataStore::new();
-        for e in &decode_journal(&blob).unwrap() {
-            replayed.apply_blind(e);
-        }
-        prop_assert_eq!(original.snapshot(), replayed.snapshot());
+        let model = model_of(&events)?;
+        let decoded = decode_journal(&encode_journal(&events)).unwrap();
+        lands_on(&checked(&events)?, &model, "checked")?;
+        lands_on(&blind(&decoded), &model, "decoded")?;
     }
 
     /// A journal batch whose retry re-lands the frames an earlier attempt
@@ -189,66 +217,52 @@ proptest! {
         events in arb_workload(),
         cut in any::<u16>(),
     ) {
+        let model = model_of(&events)?;
         let landed = &events[..cut as usize % (events.len() + 1)];
-        let mut once = MetadataStore::new();
-        let mut twice = MetadataStore::new();
-        events.iter().for_each(|e| once.apply_blind(e));
-        landed.iter().chain(&events).for_each(|e| twice.apply_blind(e));
-        prop_assert_eq!(twice.snapshot(), once.snapshot());
+        lands_on(&blind(&events), &model, "once")?;
+        lands_on(&blind(landed.iter().chain(&events)), &model, "landed twice")?;
     }
 
+    /// The persisted image (`flush_store` → `load_store`) is the model's.
     #[test]
     fn object_store_roundtrip(events in arb_workload()) {
-        let mut ms = MetadataStore::new();
-        for e in &events {
-            ms.apply_checked(e).unwrap();
-        }
+        let model = model_of(&events)?;
+        let ms = checked(&events)?;
         let os = InMemoryStore::paper_default();
         flush_store(&ms, &os, PoolId::METADATA).unwrap();
         let loaded = load_store(&os, PoolId::METADATA).unwrap();
-        prop_assert_eq!(loaded.snapshot(), ms.snapshot());
+        lands_on(&loaded, &model, "image")?;
     }
 
+    /// Volatile Apply in memory and the Nonvolatile Apply object path
+    /// (`ObjectStoreSink` → `load_store`) both land on the model's.
     #[test]
     fn nva_and_va_converge(events in arb_workload()) {
-        // Volatile apply in memory...
-        let mut volatile = MetadataStore::new();
-        for e in &events {
-            volatile.apply_blind(e);
-        }
-        // ...vs the Nonvolatile Apply object path + recovery.
+        let model = model_of(&events)?;
         let os = InMemoryStore::paper_default();
         let mut sink = ObjectStoreSink::new(&os, PoolId::METADATA);
         for e in &events {
             sink.apply_event(e).unwrap();
         }
         let recovered = load_store(&os, PoolId::METADATA).unwrap();
-        prop_assert_eq!(recovered.snapshot(), volatile.snapshot());
+        lands_on(&blind(&events), &model, "volatile")?;
+        lands_on(&recovered, &model, "nva")?;
     }
 
+    /// The checkpoint's fold (`emit_canonical`) replayed blind and checked
+    /// lands on the model's, and is never larger than the pile it replaced.
     #[test]
     fn compaction_preserves_namespace_and_never_grows(events in arb_workload()) {
-        // The checkpoint's fold: a blind replay, emitted canonically.
-        let mut original = MetadataStore::new();
-        let updates = original.apply_blind_all(&events);
-        let compacted = emit_canonical(&original);
-        // Same final namespace under blind replay.
-        let mut replayed = MetadataStore::new();
-        for e in &compacted {
-            replayed.apply_blind(e);
-        }
-        prop_assert_eq!(original.snapshot(), replayed.snapshot());
-        // Never larger than the pile it replaced.
+        let model = model_of(&events)?;
+        let mut folded = MetadataStore::new();
+        let updates = folded.apply_blind_all(&events);
+        let compacted = emit_canonical(&folded);
         prop_assert!(compacted.len() as u64 <= updates);
+        lands_on(&folded, &model, "folded")?;
+        lands_on(&blind(&compacted), &model, "compacted")?;
         // Canonical order is checked-safe (parents before children, no
         // duplicate names).
-        let mut strict = MetadataStore::new();
-        for e in &compacted {
-            strict.apply_checked(e).map_err(|err| {
-                proptest::test_runner::TestCaseError::fail(format!("checked replay failed: {err}"))
-            })?;
-        }
-        prop_assert_eq!(strict.snapshot(), original.snapshot());
+        lands_on(&checked(&compacted)?, &model, "compacted checked")?;
     }
 
     #[test]
