@@ -98,16 +98,20 @@ impl JournalId {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Header {
     stripes: u64,
+    /// The committed mark: the byte end, in the last stripe, of the last run
+    /// that landed before this header was written. A read that ends short of
+    /// it has lost acknowledged frames.
+    end: u64,
 }
 
-/// The 24-byte header object: magic, stripe count, and a reserved word that
-/// is always zero — an event's index in the journal is its position in the
-/// stripes, nothing is ever skipped.
+/// The 24-byte header object: magic, stripe count, and the committed mark
+/// ([`Header::end`]). An event's index in the journal is its position in
+/// the stripes, nothing is ever skipped.
 fn encode_header(h: Header) -> Bytes {
     let mut b = BytesMut::with_capacity(24);
     b.put_slice(b"CUDELEH1");
     b.put_u64_le(h.stripes);
-    b.put_u64_le(0);
+    b.put_u64_le(h.end);
     b.freeze()
 }
 
@@ -125,11 +129,11 @@ fn read_header<S: ObjectStore + ?Sized>(
         return Err(JournalIoError::BadHeader);
     }
     let mut rest = &data[8..];
-    let stripes = rest.get_u64_le();
-    if rest.get_u64_le() != 0 {
+    let (stripes, end) = (rest.get_u64_le(), rest.get_u64_le());
+    if stripes == 0 && end != 0 {
         return Err(JournalIoError::BadHeader);
     }
-    Ok(Some(Header { stripes }))
+    Ok(Some(Header { stripes, end }))
 }
 
 cudele_obs::handles! {
@@ -343,6 +347,7 @@ impl<'a, S: ObjectStore + ?Sized> JournalWriter<'a, S> {
     pub fn append_frames(&mut self, frames: &[u8]) -> Result<u64, JournalIoError> {
         let retries_before = self.retries;
         let landed = self.append_runs(frames);
+        self.header.end = self.current_stripe_len as u64;
         let header_object = self.id.header_object();
         let header_bytes = encode_header(self.header);
         let header = self.io(|s| s.write_full(&header_object, &header_bytes));
@@ -482,9 +487,13 @@ impl<'a> JournalRead<'a> {
 /// Beside the read it returns the header as read (zero stripes when there
 /// is none), which a heal needs.
 ///
-/// Only the header's last stripe may be missing — a rollover whose first
-/// append failed, which no frame reached. A missing stripe below it is
-/// damage at its byte 0: the events past it cannot be a prefix of the log.
+/// Only the header's last stripe may be missing, and only when the committed
+/// mark says no frame reached it ([`Header::end`] zero) — a rollover whose
+/// first append failed. A missing stripe below it is damage at its byte 0:
+/// the events past it cannot be a prefix of the log. A last stripe whose
+/// clean bytes end short of the mark lost acknowledged frames: damage where
+/// it ends. Bytes past the mark were never acknowledged and read as any
+/// others.
 fn walk_stripes<'a, S: ObjectStore + ?Sized>(
     store: &S,
     id: JournalId,
@@ -504,7 +513,7 @@ fn walk_stripes<'a, S: ObjectStore + ?Sized>(
     for (seq, slot) in (0..).zip(slots.iter_mut()) {
         let data: &'a [u8] = match with_retry(|| store.read(&id.stripe_object(seq))) {
             Ok(data) => slot.insert(data),
-            Err(RadosError::NoEnt(_)) if seq + 1 == header.stripes => break,
+            Err(RadosError::NoEnt(_)) if seq + 1 == header.stripes && header.end == 0 => break,
             Err(RadosError::NoEnt(_)) => {
                 read.damage = Some(JournalDamage {
                     stripe: seq,
@@ -524,6 +533,12 @@ fn walk_stripes<'a, S: ObjectStore + ?Sized>(
             }
             read.events += 1;
         });
+        // Clean, but short of the committed mark: acknowledged frames lost.
+        let short = seq + 1 == header.stripes && (data.len() as u64) < header.end;
+        let damage = damage.or(short.then_some(codec::FrameDamage {
+            offset: data.len(),
+            error: CodecError::UnexpectedEof,
+        }));
         read.clean
             .push(&data[..damage.as_ref().map_or(data.len(), |d| d.offset)]);
         if let Some(d) = damage {
@@ -596,7 +611,8 @@ pub fn read_journal<S: ObjectStore + ?Sized>(
 /// fails past the retry budget, has lost nothing that was readable:
 ///
 /// 1. the header is rewritten with `stripes = damaged + 1` (the scan never
-///    looked past the damaged stripe anyway);
+///    looked past the damaged stripe anyway) and the cut's mark, the damage
+///    offset — what the cut stripe will hold;
 /// 2. the stripe objects past the cut are removed, last one first, so what
 ///    is left of them is always a contiguous run a re-run finds by probing;
 /// 3. only then is the damaged stripe written back (`write_full`, atomic
@@ -625,6 +641,7 @@ pub fn recover_journal<'a>(
         Some(damage) => {
             let cut = Header {
                 stripes: damage.stripe + 1,
+                end: damage.offset as u64,
             };
             with_retry(|| heal.write_full(&id.header_object(), &encode_header(cut)))?;
             cut.stripes
@@ -914,7 +931,7 @@ mod tests {
         store
             .write_full(
                 &jid().header_object(),
-                &encode_header(Header { stripes: 2 }),
+                &encode_header(Header { stripes: 2, end: 0 }),
             )
             .unwrap();
         let big = JournalEvent::SetPolicy {
@@ -930,16 +947,19 @@ mod tests {
         );
     }
 
+    /// The header's last word is the committed mark, the last stripe's
+    /// length at the header write; a mark with no stripe to hold it is bad.
     #[test]
-    fn a_header_with_a_nonzero_reserved_word_is_bad() {
+    fn a_header_marks_its_last_stripe_end() {
         let store = InMemoryStore::paper_default();
         JournalWriter::open(&store, jid())
             .unwrap()
             .append(&[create(1)])
             .unwrap();
         let mut header = store.read(&jid().header_object()).unwrap().to_vec();
-        assert_eq!(header[16..], [0; 8]);
-        header[16] = 3;
+        let end = codec::framed_len(&create(1)) as u64;
+        assert_eq!(header[16..], end.to_le_bytes());
+        header[8] = 0;
         store.write_full(&jid().header_object(), &header).unwrap();
         assert!(matches!(
             read_journal(&store, jid()),

@@ -62,7 +62,8 @@ impl RefWriter<'_> {
         }
         let mut header = b"CUDELEH1".to_vec();
         header.extend_from_slice(&self.stripes.to_le_bytes());
-        header.extend_from_slice(&0u64.to_le_bytes()); // reserved, always zero
+        // The committed mark: the last stripe's length at the header write.
+        header.extend_from_slice(&(self.current_stripe_len as u64).to_le_bytes());
         let header_object = ObjectId::new(ID.pool, format!("{:x}_header", ID.ino));
         self.store.write_full(&header_object, &header).unwrap();
     }

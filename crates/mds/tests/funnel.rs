@@ -1461,7 +1461,10 @@ fn seeded_script_reproduces_the_digests_recorded_at_the_parent() {
             // clock (0xe59b…2b25 before): the `rados.osd.*` series spread
             // over the windows their I/O ran in instead of window 0.
             timeline: 0xfa32_32cc_1821_2543,
-            objects: 0xed26_c258_9299_aea4,
+            // Re-recorded when the journal header's last word became the
+            // committed mark, the last stripe's end (0xed26…aea4 before):
+            // only the header objects' bytes moved.
+            objects: 0xd44e_9ea1_6a2e_2360,
             namespace: 0xd930_97ec_1d49_ed6e,
             watermark: 0x817b_bea2_7151_c801,
             // Re-recorded when the mdlog trimmer was deleted (0x9b9d…3317

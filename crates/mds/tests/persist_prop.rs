@@ -7,13 +7,25 @@
 //! `load_store`, the sink and `Manifest::decode` must return — a typed
 //! error, or a store whose `snapshot()` returns — on arbitrary bytes, on
 //! real records cut short, and on real records swapped for one another.
+//!
+//! So must the checkpoint image a manifest names. An image whose length and
+//! CRC-32 match its manifest passes the integrity check, and its frames are
+//! what recovery blind-applies: arbitrary bytes, a real image cut at every
+//! frame, and real frames reordered or swapped for another namespace's go
+//! through the manifest ladder, in place and by takeover.
 
 use std::sync::{Arc, OnceLock};
 
-use cudele_journal::{crc32, Attrs, InodeId, JournalEvent};
-use cudele_mds::{flush_store, load_store, ClientId, Manifest, MetadataServer, ObjectStoreSink};
-use cudele_rados::{InMemoryStore, ObjectId, ObjectStore, PoolId};
-use cudele_sim::Nanos;
+use cudele_journal::{
+    crc32, decode_journal, encode_journal, framed_len, Attrs, InodeId, JournalEvent, JournalId,
+};
+use cudele_mds::checkpoint::head_object;
+use cudele_mds::{
+    flush_store, load_store, CheckpointConfig, ClientId, Manifest, MdLogConfig, MetadataServer,
+    ObjectStoreSink, StandbyReplay, TakeoverReport,
+};
+use cudele_rados::{Epoch, FencingAuthority, InMemoryStore, ObjectId, ObjectStore, PoolId};
+use cudele_sim::{CostModel, Nanos};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -328,5 +340,178 @@ fn the_corpus_loads_clean() {
     assert!(corpus().iter().any(|o| o.0 == "backtraces"));
     for m in real_manifests() {
         assert_eq!(Manifest::decode(&m).unwrap().encode(), m);
+    }
+}
+
+const MDLOG: MdLogConfig = MdLogConfig {
+    events_per_segment: 8,
+    dispatch_size: 2,
+    trim_after_updates: None,
+};
+const CKPT: CheckpointConfig = CheckpointConfig { interval_events: 4 };
+
+/// A checkpointed run's pool and the HEAD manifest, which names an image:
+/// directories nested and moved, files created, renamed and unlinked, then
+/// a tail past the last checkpoint. `tag` names every entry, so two tags
+/// are two namespaces.
+fn checkpointed(tag: &str) -> (Vec<Object>, Manifest) {
+    let os = Arc::new(InMemoryStore::paper_default());
+    let mut mds = MetadataServer::with_config(os.clone(), CostModel::calibrated(), Some(MDLOG));
+    mds.enable_checkpoints(CKPT).unwrap();
+    let c = ClientId(1);
+    mds.open_session(c);
+    let a = mds.setup_dir_durable(&format!("/{tag}a/x")).unwrap();
+    let b = mds.setup_dir_durable(&format!("/{tag}b")).unwrap();
+    for i in 0..40 {
+        let dir = [a, b, InodeId::ROOT][i % 3];
+        mds.create(c, dir, &format!("{tag}f{i}")).result.unwrap();
+        match i % 5 {
+            1 => drop(mds.unlink(c, dir, &format!("{tag}f{}", i - 1))),
+            2 => drop(mds.rename(c, dir, &format!("{tag}f{i}"), b, &format!("{tag}r{i}"))),
+            3 => drop(mds.mkdir(c, dir, &format!("{tag}d{i}"))),
+            _ => {}
+        }
+    }
+    drop(mds.rename(c, InodeId::ROOT, &format!("{tag}b"), a, "moved"));
+    mds.flush_journal();
+    let head = Manifest::decode(&os.read(&head_object(JournalId::MDLOG)).unwrap()).unwrap();
+    assert!(head.image_ref.is_some(), "the run cut an image");
+    let objects = os
+        .list(POOL, "")
+        .into_iter()
+        .map(|id| {
+            let data = os.read(&id).unwrap().to_vec();
+            let omap = os
+                .omap_list(&id)
+                .unwrap_or_default()
+                .into_iter()
+                .map(|(k, v)| (k, v.to_vec()))
+                .collect();
+            (id.name, data, omap)
+        })
+        .collect();
+    (objects, head)
+}
+
+fn run_a() -> &'static (Vec<Object>, Manifest) {
+    static RUN: OnceLock<(Vec<Object>, Manifest)> = OnceLock::new();
+    RUN.get_or_init(|| checkpointed(""))
+}
+
+/// The HEAD image's events: run A's, or another namespace's.
+fn image_events(other: bool) -> &'static [JournalEvent] {
+    static EVENTS: OnceLock<[Vec<JournalEvent>; 2]> = OnceLock::new();
+    &EVENTS.get_or_init(|| {
+        [run_a(), &checkpointed("o")].map(|(objects, head)| {
+            let name = head.image_ref.as_deref().unwrap();
+            let image = &objects.iter().find(|o| o.0 == name).unwrap().1;
+            decode_journal(image).unwrap()
+        })
+    })[usize::from(other)]
+}
+
+/// Run A's pool with the HEAD's image replaced by `image` and a HEAD that
+/// records its exact length and CRC-32, recovered in place and by
+/// takeover: each returns, and a namespace it recovers snapshots. Returns
+/// the takeover's report when it recovered.
+fn recover_with_image(image: &[u8]) -> Option<TakeoverReport> {
+    let mut report = None;
+    let (objects, head) = run_a();
+    let manifest = Manifest {
+        image_len: image.len() as u64,
+        image_crc: crc32(image),
+        ..head.clone()
+    };
+    for takeover in [false, true] {
+        let os = Arc::new(InMemoryStore::paper_default());
+        for (name, data, omap) in objects {
+            let id = ObjectId::new(POOL, name.as_str());
+            os.write_full(&id, data).unwrap();
+            for (k, v) in omap {
+                os.omap_set(&id, k, v).unwrap();
+            }
+        }
+        let image_id = ObjectId::new(POOL, head.image_ref.clone().unwrap());
+        os.write_full(&image_id, image).unwrap();
+        os.write_full(&head_object(JournalId::MDLOG), &manifest.encode())
+            .unwrap();
+        if takeover {
+            let authority = Arc::new(FencingAuthority::new());
+            let epoch = Epoch(authority.current().0 + 1);
+            let mut standby =
+                StandbyReplay::new(os, authority, CostModel::calibrated(), Some(MDLOG));
+            standby.set_checkpoint_config(CKPT);
+            if let Ok((server, took)) = standby.take_over(epoch) {
+                let _ = server.store().snapshot();
+                report = Some(took);
+            }
+        } else {
+            let mut mds = MetadataServer::with_config(os, CostModel::calibrated(), Some(MDLOG));
+            let _ = mds.enable_checkpoints(CKPT);
+            if mds.crash_and_recover().is_ok() {
+                let _ = mds.store().snapshot();
+            }
+        }
+    }
+    report
+}
+
+/// Cut at a frame boundary, the image still loads from the HEAD, holding
+/// the frames before the cut; cut inside a frame (or its magic), it fails
+/// to parse and recovery falls back a rung.
+#[test]
+fn a_real_image_cut_at_every_frame_recovers() {
+    let (objects, head) = run_a();
+    let events = image_events(false);
+    let image = encode_journal(events);
+    let name = head.image_ref.as_deref().unwrap();
+    assert_eq!(objects.iter().find(|o| o.0 == name).unwrap().1, image[..]);
+    let loads = |cut: usize, frames: u64| {
+        let report = recover_with_image(&image[..cut]).expect("the takeover recovers");
+        assert_eq!(
+            (report.manifest_epoch, report.checkpoint_events),
+            (head.epoch, frames),
+            "cut at byte {cut}"
+        );
+    };
+    let mut end = image.len() - events.iter().map(framed_len).sum::<usize>();
+    recover_with_image(&image[..end - 1]);
+    for (frames, e) in (0..).zip(events) {
+        loads(end, frames);
+        recover_with_image(&image[..end + 1]);
+        end += framed_len(e);
+    }
+    loads(image.len(), events.len() as u64);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn arbitrary_image_bytes_recover_or_are_refused(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        recover_with_image(&bytes);
+    }
+
+    #[test]
+    fn reordered_and_foreign_image_frames_recover(seed in any::<u64>()) {
+        let mut rng = TestRng::from_seed(seed);
+        let (own, other) = (image_events(false), image_events(true));
+        let mut events = own.to_vec();
+        // Shuffle, swap frames for the other namespace's, or both.
+        let how = rng.index(3);
+        if how != 1 {
+            for i in (1..events.len()).rev() {
+                events.swap(i, rng.index(i + 1));
+            }
+        }
+        if how != 0 {
+            for _ in 0..1 + rng.index(events.len()) {
+                let at = rng.index(events.len());
+                events[at] = other[rng.index(other.len())].clone();
+            }
+        }
+        recover_with_image(&encode_journal(&events));
     }
 }

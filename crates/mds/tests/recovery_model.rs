@@ -10,7 +10,8 @@
 //! in place. After every recovery:
 //!
 //! - the journal's update events are a prefix of the acked log, and hold
-//!   every op acked before the last flush unless the journal was damaged;
+//!   every op acked before the last flush unless the recovery healed
+//!   damage (the header's committed mark makes a lost tail damage);
 //! - both recovered namespaces equal the model's fold of that prefix, inode
 //!   count included; both paths agree on the manifest epoch; and both hold
 //!   the allocator watermark a checkpoint-free full replay of the journal
@@ -216,15 +217,9 @@ impl Run {
     /// Crashes the server: a standby takes over from the shared store, the
     /// crashed instance recovers in place, both are checked against the
     /// model, and the standby serves on unless `in_place`, when the
-    /// in-place instance does under a new epoch. `journal_intact`: the
-    /// journal was not hurt before this crash; `undamaged`: nothing was
+    /// in-place instance does under a new epoch. `undamaged`: nothing was
     /// hurt at any crash.
-    fn crash(
-        &mut self,
-        journal_intact: bool,
-        undamaged: bool,
-        in_place: bool,
-    ) -> Result<(), TestCaseError> {
+    fn crash(&mut self, undamaged: bool, in_place: bool) -> Result<(), TestCaseError> {
         let (os, authority) = (self.fenced.inner(), self.fenced.authority());
         let damaged = read_journal(os.as_ref(), JournalId::MDLOG).is_err();
         let mut standby = StandbyReplay::new(
@@ -250,7 +245,7 @@ impl Run {
         );
         prop_assert_eq!(&kept[..], &self.acked[..kept.len()]);
         prop_assert!(
-            !journal_intact || kept.len() >= self.flushed,
+            report.healed || kept.len() >= self.flushed,
             "a flushed op was lost"
         );
         prop_assert!(!undamaged || report.manifest_fallbacks == 0);
@@ -343,10 +338,10 @@ proptest! {
             }
         }
         let undamaged = hurt.is_empty() && journal_damage.is_none();
-        run.crash(journal_damage.is_none(), undamaged, in_place)?;
+        run.crash(undamaged, in_place)?;
 
         run.apply(&ops[cut..])?;
         // Nothing serves past the second crash: which server would is moot.
-        run.crash(true, undamaged, false)?;
+        run.crash(undamaged, false)?;
     }
 }
