@@ -240,59 +240,64 @@ fn faulted_store_series_cover_the_run() {
     }
 }
 
-/// Every OSD down while the first mdlog flushes land: the creates whose
-/// flush the store refuses are counted in the summary, the window closes
-/// on the server's clock, and the run finishes. A window open from 0 ms
-/// used to never close (the store's clock stood still) and the first
+/// Every OSD down while the first mdlog flushes land: no create is
+/// refused (an accepted event's flush is the mdlog's to retry), the refused
+/// window flushes are counted in `mds.mdlog.flush_failures`, the window
+/// closes on the server's clock, and the run finishes. A window open from
+/// 0 ms used to never close (the store's clock stood still) and the first
 /// refused create panicked the run.
 #[test]
 fn an_all_osd_outage_is_counted_not_a_panic() {
     let _guard = obs_lock().lock().unwrap();
 
-    for window in ["0ms..50ms", "1ms..50ms"] {
-        let faults = (0..3)
+    let all_osds = |window: &str| {
+        (0..3)
             .map(|osd| format!("osd_outage={osd}@{window}"))
             .collect::<Vec<_>>()
-            .join(",");
+            .join(",")
+    };
+    for window in ["0ms..50ms", "1ms..50ms"] {
+        let (metrics_path, _) = snapshot_paths("all_osd_outage");
         let cfg = BenchConfig {
             clients: 2,
             files: 2000,
-            faults: Some(faults),
+            faults: Some(all_osds(window)),
             mdlog_segment: Some(8),
             mdlog_dispatch: Some(2),
+            sinks: ObsSinks {
+                metrics_out: Some(metrics_path.clone()),
+                ..ObsSinks::default()
+            },
             ..BenchConfig::default()
         };
         let out = mdbench::run(&cfg).unwrap_or_else(|e| panic!("{window}: {e}"));
-        let refused = out
-            .rendered
-            .lines()
-            .find_map(|l| l.strip_prefix("  refused ops  : "))
-            .unwrap_or_else(|| panic!("{window}: nothing refused\n{}", out.rendered));
-        let n: u64 = refused.split(' ').next().unwrap().parse().unwrap();
+        let metrics = std::fs::read_to_string(&metrics_path).unwrap();
+        let _ = std::fs::remove_file(&metrics_path);
+        assert!(
+            !out.rendered.contains("refused ops"),
+            "{window}: refused ops\n{}",
+            out.rendered
+        );
         // Only the flushes inside the first 50 ms fail.
-        assert!(n > 0 && n < 100, "{window}: {refused}");
+        let failures = counter_in(&metrics, "mds.mdlog.flush_failures");
+        assert!(failures > 0 && failures < 100, "{window}: {failures}");
     }
 
-    // A client whose setup the store refuses (every journal event flushes,
-    // into the outage) ends the run with an error, not a panic.
-    let faults = "osd_outage=0@0ms..50ms,osd_outage=1@0ms..50ms,osd_outage=2@0ms..50ms";
-    for (policy, speculate, refused) in [
-        ("batchfs", None, "decouple"),
-        ("posix", Some(4), "speculative mount"),
-    ] {
-        let cfg = BenchConfig {
-            clients: 2,
-            files: 10,
-            policy: policy.to_string(),
-            speculate,
-            faults: Some(faults.to_string()),
-            mdlog_segment: Some(1),
-            mdlog_dispatch: Some(1),
-            ..BenchConfig::default()
-        };
-        let err = mdbench::run(&cfg).unwrap_err();
-        assert!(err.contains(refused), "{policy}: {err}");
-    }
+    // A refusal the accepted-event rule leaves: a standby takeover whose
+    // mdlog replay the store refuses (the failover drill's takeover, at
+    // about 21 ms on the drill's clock, falls inside the window) ends the
+    // run with an error, not a panic.
+    let faults = format!("mds-crash@5ms,{}", all_osds("10ms..60ms"));
+    let cfg = BenchConfig {
+        clients: 2,
+        files: 200,
+        faults: Some(faults),
+        mdlog_segment: Some(1),
+        mdlog_dispatch: Some(1),
+        ..BenchConfig::default()
+    };
+    let err = mdbench::run(&cfg).unwrap_err();
+    assert!(err.contains("failover drill: EIO: mdlog replay"), "{err}");
 }
 
 /// The `mds-crash@5ms` drill probes the cluster on a 1 ms grid, so the

@@ -125,3 +125,50 @@ fn a_cluster_that_never_failed_over_registers_no_failover_or_reconnect_names() {
     assert!(has(&failed, "mds.failover.takeovers"));
     assert!(has(&failed, "mds.session.reconnects"));
 }
+
+/// A checkpointing server whose first create after an in-place recovery
+/// runs a compactor pass (the replayed tail is past the image span), with
+/// every OSD out for that create when `outage`.
+fn recovered_create(outage: bool) -> Arc<Registry> {
+    let os = Arc::new(InMemoryStore::paper_default());
+    let every_event = MdLogConfig {
+        events_per_segment: 1,
+        dispatch_size: 1,
+        trim_after_updates: None,
+    };
+    let mut server =
+        MetadataServer::with_config(os.clone(), CostModel::calibrated(), Some(every_event));
+    let reg = Arc::new(Registry::new());
+    server.attach_obs(&reg);
+    let c = ClientId(1);
+    server.open_session(c);
+    let dir = server.setup_dir_durable("/d").unwrap();
+    for i in 0..50 {
+        server.create(c, dir, &format!("f{i}")).expect_ok();
+    }
+    server
+        .enable_checkpoints(CheckpointConfig { interval_events: 8 })
+        .unwrap();
+    server.crash_and_recover().unwrap();
+    server.open_session(c);
+    let osds = os.osds_up().len();
+    if outage {
+        (0..osds).for_each(|osd| os.fail_osd(osd));
+    }
+    server.create(c, dir, "g").expect_ok();
+    (0..osds).for_each(|osd| os.revive_osd(osd));
+    reg
+}
+
+#[test]
+fn a_fault_free_run_registers_no_flush_or_checkpoint_failures() {
+    let calm = recovered_create(false);
+    let published = calm.counter_value("mds.ckpt.checkpoints");
+    assert!(published >= Some(1), "the pass ran: {published:?}");
+    assert!(!has(&calm, "mds.mdlog.flush_failures"));
+    assert!(!has(&calm, "mds.ckpt.failures"));
+
+    let out = recovered_create(true);
+    assert!(has(&out, "mds.mdlog.flush_failures"));
+    assert!(has(&out, "mds.ckpt.failures"));
+}

@@ -54,6 +54,7 @@ use cudele_rados::{ObjectId, ObjectStore, RadosError};
 use cudele_sim::{CostModel, Nanos};
 
 use crate::compact::canonical_events;
+use crate::error::fenced_write;
 use crate::persist::remove_stale;
 use crate::store::MetadataStore;
 
@@ -243,6 +244,9 @@ cudele_obs::handles! {
         /// `mds.ckpt.journal_damage`, registered by the first damaged pass.
         journal_damage: FirstUse<Counter> =
             FirstUse::new(reg, |r| r.counter("mds.ckpt.journal_damage")),
+        /// `mds.ckpt.failures` — passes the store failed, registered by the
+        /// first.
+        failures: FirstUse<Counter> = FirstUse::new(reg, |r| r.counter("mds.ckpt.failures")),
     }
 }
 
@@ -322,6 +326,11 @@ impl CheckpointManager {
     /// past the last checkpoint. `flushed_events` is the current mdlog
     /// flushed-event counter. A pass below the span returns without touching
     /// the store. Returns whether a checkpoint was published.
+    ///
+    /// Checkpoints are an optimisation, so a pass the store fails is not
+    /// its caller's error: it is counted (`mds.ckpt.failures`) and leaves
+    /// the marks where they were, and the next flush retries it. Only a
+    /// fenced write is returned.
     pub fn maybe_checkpoint(
         &mut self,
         os: &dyn ObjectStore,
@@ -333,9 +342,19 @@ impl CheckpointManager {
         if self.backlog + flushed_events.saturating_sub(self.flush_mark) < span {
             return Ok(false);
         }
-        let published = self.checkpoint(os, now, cost)?;
-        (self.flush_mark, self.backlog) = (flushed_events, 0);
-        Ok(published)
+        match self.checkpoint(os, now, cost) {
+            Ok(published) => {
+                (self.flush_mark, self.backlog) = (flushed_events, 0);
+                Ok(published)
+            }
+            Err(e) if fenced_write(&e).is_none() => {
+                if let Some(o) = &self.obs {
+                    o.failures.get().inc();
+                }
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Cuts one checkpoint unconditionally: the previous image and the
@@ -349,11 +368,12 @@ impl CheckpointManager {
     /// The journal is read leniently and borrowed: the covered prefix is
     /// checked and not kept, and the tail is folded straight from the
     /// stripe bytes. A frame that reached the store damaged
-    /// (a silent bit flip) must not fail the foreground op this pass rides
-    /// on — checkpoints are an optimisation. The pass covers the clean
-    /// prefix, exactly what recovery would keep, and later passes find an
-    /// empty tail until a recovery has healed the journal. Store failures
-    /// (an outage, a fence) still propagate.
+    /// (a silent bit flip) is not a failure of the pass: it covers the
+    /// clean prefix, exactly what recovery would keep, and later passes
+    /// find an empty tail until a recovery has healed the journal. A store
+    /// failure (an outage, a fence) is returned;
+    /// [`CheckpointManager::maybe_checkpoint`] counts and retries all but
+    /// the fence.
     pub fn checkpoint(
         &mut self,
         os: &dyn ObjectStore,

@@ -144,18 +144,26 @@ impl MdsError {
     /// [`MdsError::Io`] — never ENOENT, which the history checkers read as an
     /// observation of absence.
     pub(crate) fn from_store(what: &str, e: &(dyn std::error::Error + 'static)) -> MdsError {
-        let mut chain = std::iter::successors(Some(e), |cause| cause.source());
-        match chain.find_map(|cause| cause.downcast_ref()) {
-            Some(RadosError::Fenced {
-                writer, current, ..
-            }) => MdsError::Fenced {
-                writer: writer.0,
-                current: current.0,
-            },
-            _ => MdsError::Io {
-                what: format!("{what} ({e})"),
-            },
-        }
+        fenced_write(e).unwrap_or_else(|| MdsError::Io {
+            what: format!("{what} ({e})"),
+        })
+    }
+}
+
+/// The fence in `e`'s `source` chain, wherever it sits, as
+/// [`MdsError::Fenced`]. A fenced write is the one store failure no stage
+/// keeps for a retry: no retry by this instance can land. Everything else
+/// a stage that accepted its events counts and retries itself.
+pub(crate) fn fenced_write(e: &(dyn std::error::Error + 'static)) -> Option<MdsError> {
+    let mut chain = std::iter::successors(Some(e), |cause| cause.source());
+    match chain.find_map(|cause| cause.downcast_ref()) {
+        Some(RadosError::Fenced {
+            writer, current, ..
+        }) => Some(MdsError::Fenced {
+            writer: writer.0,
+            current: current.0,
+        }),
+        _ => None,
     }
 }
 

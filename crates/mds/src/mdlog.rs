@@ -10,18 +10,22 @@
 //! Functionally: an event is encoded once, at submit, into the open
 //! segment's frame buffer; once `dispatch_size` segments are sealed the
 //! window is flushed, each segment as one append per stripe it touches plus
-//! the header write ([`JournalWriter::append_frames`]). A segment leaves
-//! the window only when its append is acknowledged, so a failed flush is
-//! retried by the next one and drops nothing that was accepted.
+//! the header write ([`JournalWriter::append_frames`]). A submitted event
+//! is accepted: a segment leaves the window only when its append is
+//! acknowledged, so a window flush the store refuses is counted
+//! (`mds.mdlog.flush_failures`), stays queued and is retried by the next
+//! submit or flush, and the submit still succeeds. Only a fence fails it,
+//! and an explicit [`MdLog::flush`] returns any failure: its caller asks for
+//! durability.
 //! The mdlog never folds or drops what it wrote: the checkpoint
 //! ([`crate::checkpoint`]) is the one fold of the journal into the metadata
 //! store, and its manifest is what bounds recovery. An event's index in the
 //! journal is therefore its physical position.
 //!
 //! Counting: attached handles ([`MdLog::set_obs`]) count events,
-//! flushed segments and flushed bytes under `mds.mdlog.*`; the mdlog keeps
-//! no second account. Timing is the cost model's
-//! (`CostModel::stream_mds_cpu_at_dispatch` per event).
+//! flushed segments, flushed bytes and refused window flushes under
+//! `mds.mdlog.*`; the mdlog keeps no second account. Timing is the cost
+//! model's (`CostModel::stream_mds_cpu_at_dispatch` per event).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -29,8 +33,10 @@ use std::sync::Arc;
 use cudele_journal::{
     EventRef, JournalId, JournalIoError, JournalObs, JournalWriter, Segment, SegmentBuilder,
 };
-use cudele_obs::{Counter, Registry};
+use cudele_obs::{Counter, FirstUse, Registry};
 use cudele_rados::ObjectStore;
+
+use crate::error::fenced_write;
 
 /// Tunables for the mdlog.
 #[derive(Debug, Clone, Copy)]
@@ -70,6 +76,10 @@ cudele_obs::handles! {
         pub segments_flushed: Counter = reg.counter("mds.mdlog.segments_flushed"),
         /// `mds.mdlog.bytes_flushed` — functional journal bytes written.
         pub bytes_flushed: Counter = reg.counter("mds.mdlog.bytes_flushed"),
+        /// `mds.mdlog.flush_failures` — window flushes the store refused
+        /// during a submit, registered by the first.
+        pub flush_failures: FirstUse<Counter> =
+            FirstUse::new(reg, |r| r.counter("mds.mdlog.flush_failures")),
         /// Handles for the transient [`JournalWriter`]s the flush path
         /// opens.
         pub writer: JournalObs = JournalObs::new(reg),
@@ -135,8 +145,10 @@ impl MdLog {
         self.flushed_events
     }
 
-    /// Submits one event. If this seals enough segments to fill the
-    /// dispatch window, the window is flushed to the object store.
+    /// Submits one event, which is then accepted. If this seals enough
+    /// segments to fill the dispatch window, the window is flushed to the
+    /// object store; a flush the store refuses is counted and left queued
+    /// for the next submit or flush. Only a fenced write is an error.
     pub fn submit<'a, S: ObjectStore + ?Sized>(
         &mut self,
         os: &S,
@@ -150,7 +162,15 @@ impl MdLog {
             self.sealed.push_back(seg);
         }
         if self.sealed.len() >= self.config.dispatch_size as usize {
-            self.flush_window(os)?;
+            match self.flush_window(os) {
+                Err(e) if fenced_write(&e).is_some() => return Err(e),
+                Err(_) => {
+                    if let Some(obs) = &self.obs {
+                        obs.flush_failures.get().inc();
+                    }
+                }
+                Ok(()) => {}
+            }
         }
         Ok(())
     }
@@ -295,6 +315,45 @@ mod tests {
         assert!(reg.counter_value("mds.mdlog.bytes_flushed").unwrap() > 0);
         // The transient writers the flush path opens report too.
         assert!(reg.counter_value("journal.writer.appends").unwrap() > 0);
+    }
+
+    /// A window the store refuses is the mdlog's: the submit succeeds, the
+    /// failure is counted, and the next submit lands the window. A fenced
+    /// window stays the submitter's error.
+    #[test]
+    fn a_refused_window_is_counted_and_retried_and_a_fence_is_an_error() {
+        use cudele_rados::{FencedStore, FencingAuthority};
+
+        let os = InMemoryStore::paper_default();
+        let (mut log, reg) = logged(config(1, 1));
+        log.submit(&os, &create(0)).unwrap();
+        assert_eq!(reg.counter_value("mds.mdlog.flush_failures"), None);
+        let osds = os.osds_up().len();
+        (0..osds).for_each(|osd| os.fail_osd(osd));
+        log.submit(&os, &create(1)).unwrap();
+        assert_eq!(reg.counter_value("mds.mdlog.flush_failures"), Some(1));
+        assert_eq!(log.unflushed_events(), 2, "the event and its boundary");
+        assert!(log.flush(&os).is_err(), "an explicit flush reports it");
+        (0..osds).for_each(|osd| os.revive_osd(osd));
+        log.submit(&os, &create(2)).unwrap();
+        assert_eq!(log.unflushed_events(), 0);
+        let persisted = read_journal(&os, JournalId::MDLOG).unwrap();
+        assert_eq!(persisted.iter().filter(|e| e.is_update()).count(), 3);
+
+        let authority = Arc::new(FencingAuthority::new());
+        let fenced = FencedStore::new(Arc::new(os), Arc::clone(&authority));
+        authority.bump();
+        assert!(matches!(
+            log.submit(&fenced, &create(3)),
+            Err(JournalIoError::Rados(
+                cudele_rados::RadosError::Fenced { .. }
+            ))
+        ));
+        assert_eq!(
+            reg.counter_value("mds.mdlog.flush_failures"),
+            Some(1),
+            "a fence is not a failure to retry"
+        );
     }
 
     #[test]

@@ -961,7 +961,7 @@ impl MetadataServer {
     /// What [`MetadataServer::alloc_inodes`] would refuse `client` before
     /// journaling anything — no open session, or a range past the last
     /// inode number — checked without reserving, journaling or charging
-    /// anything. A grant this passes can still fail on journal I/O.
+    /// anything. A grant this passes can still be fenced.
     pub fn check_grant(&self, client: ClientId, count: u64) -> Result<()> {
         self.sessions.get(client)?;
         self.alloc.check(count)
@@ -1023,9 +1023,11 @@ impl MetadataServer {
     ///    [`MetadataStore::apply_checked`]: the store's read-only
     ///    [`MetadataStore::check`], then the one blind body replay and
     ///    merge use too;
-    /// 4. **journal** — the event enters the mdlog (a failure here leaves
-    ///    the in-memory mutation standing: a fenced zombie's private
-    ///    hallucination, or the known gap of DESIGN.md §11.5 for I/O);
+    /// 4. **journal** — the event enters the mdlog and is accepted: a
+    ///    flush or checkpoint the store refuses is counted and retried by
+    ///    the mdlog or the compactor, not replied. Only a fence refuses the
+    ///    op, and its in-memory mutation is a fenced zombie's private
+    ///    hallucination;
     /// 5. **reply** — cost and outcome mirrored into the registry, then
     ///    the history row (none for `stat` or tokened creates).
     pub fn serve(&mut self, client: ClientId, req: Request<'_>) -> Rpc<Reply> {
@@ -1187,7 +1189,7 @@ impl MetadataServer {
         }
         self.store.apply_checked(event)?;
 
-        // Journal. On failure the in-memory mutation stands.
+        // Journal.
         cost.journaled(self.journal(event)?);
         Ok(match created {
             Some(ino) => Reply::Created(CreateReply { ino, has_cache }),
@@ -1366,9 +1368,12 @@ impl MetadataServer {
         }
     }
 
-    /// Fallible flush for callers that care about the outcome. A flush is
-    /// also a checkpoint opportunity (still interval-gated), so a clean
-    /// shutdown after a long run does not leave a full interval uncovered.
+    /// Fallible flush for callers that care about the outcome: they ask for
+    /// durability, so a flush the store refuses is their `Io` (the events
+    /// stay queued). A flush is also a checkpoint opportunity (still
+    /// interval-gated), so a clean shutdown after a long run does not leave
+    /// a full interval uncovered; a failed pass there is the compactor's to
+    /// count and retry.
     pub fn try_flush_journal(&mut self) -> Result<()> {
         if let Some(log) = self.mdlog.as_mut() {
             log.flush(self.os.as_ref())

@@ -1,13 +1,17 @@
 //! Property: what a crash loses is exactly an unflushed journal suffix.
 //!
 //! One server runs an arbitrary schedule (creates, mkdirs, unlinks,
-//! renames — self-renames included — and journal flushes), with
-//! checkpoints on or off, while the reference model (`cudele_model::Model`)
-//! applies every op checked beside it and must agree on each result. Every
-//! op the server acks appends its event to the model's acked log. The
-//! server crashes mid-schedule and again at the end; each time a standby
-//! takes over from the shared store and the crashed instance also recovers
-//! in place. After every recovery:
+//! renames — self-renames included — journal flushes, and outages that take
+//! every OSD out over the next few ops), with checkpoints on or off, while
+//! the reference model (`cudele_model::Model`) applies every op checked
+//! beside it and must agree on each result: an op that passes `check` is
+//! accepted whether or not its flush or checkpoint lands. Every op the
+//! server acks appends its event to the model's acked log. Each op advances
+//! the server's clock by a millisecond; an explicit flush inside an outage
+//! is refused and covers nothing, and one outside it must land. The server
+//! crashes mid-schedule and again at the end, each time after the outage
+//! has closed; a standby takes over from the shared store and the crashed
+//! instance also recovers in place. After every recovery:
 //!
 //! - the journal's update events are a prefix of the acked log, and hold
 //!   every op acked before the last flush unless the recovery healed
@@ -41,7 +45,7 @@ use cudele_journal::{read_journal, Attrs, InodeId, JournalEvent, JournalId};
 use cudele_mds::{CheckpointConfig, ClientId, MdLogConfig, MetadataServer, StandbyReplay};
 use cudele_model::{Class, Model};
 use cudele_rados::{Epoch, FencedStore, FencingAuthority, InMemoryStore, ObjectStore, PoolId};
-use cudele_sim::CostModel;
+use cudele_sim::{CostModel, Nanos};
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -53,15 +57,18 @@ enum Op {
     /// checked apply and blind replay disagree.
     Rename(u8, u8),
     Flush,
+    /// Every OSD out over the next `n` ops.
+    Outage(u8),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(kind, i, j)| match kind % 9 {
+    (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(kind, i, j)| match kind % 10 {
         0..=2 => Op::Create(i % 40),
         3 | 4 => Op::Mkdir(i % 8),
         5 => Op::Unlink(i % 40),
         6 | 7 => Op::Rename(i % 40, if j % 4 == 0 { i % 40 } else { j % 40 }),
-        _ => Op::Flush,
+        8 => Op::Flush,
+        _ => Op::Outage(1 + i % 6),
     })
 }
 
@@ -135,11 +142,15 @@ fn hurt_journal(os: &dyn ObjectStore, flip: bool, at: u16) -> bool {
     flip
 }
 
-/// The server and the model under one schedule: the serving instance's
-/// fenced handle on the shared store a standby takes over from, the model's
-/// acked log, and how much of it was acked before the last flush.
+/// The server and the model under one schedule: the OSDs, the serving
+/// instance's fenced handle on the shared store a standby takes over from,
+/// the clock and the end of the last outage, the model's acked log, and how
+/// much of it was acked before the last flush that landed.
 struct Run {
+    osds: Arc<InMemoryStore>,
     fenced: Arc<FencedStore>,
+    now: Nanos,
+    outage_until: Nanos,
     cfg: MdLogConfig,
     checkpoints: Option<CheckpointConfig>,
     mds: MetadataServer,
@@ -156,6 +167,8 @@ impl Run {
     fn apply(&mut self, ops: &[Op]) -> Result<(), TestCaseError> {
         let dir = self.dir;
         for op in ops {
+            self.now += Nanos::MILLI;
+            self.mds.set_now(self.now);
             let (event, got) = match *op {
                 Op::Create(i) | Op::Mkdir(i) => {
                     let name = format!("{}{i}", if matches!(op, Op::Mkdir(_)) { 'd' } else { 'f' });
@@ -201,8 +214,19 @@ impl Run {
                     (event, got)
                 }
                 Op::Flush => {
-                    self.mds.flush_journal();
-                    self.flushed = self.acked.len();
+                    match self.mds.try_flush_journal() {
+                        Ok(()) => self.flushed = self.acked.len(),
+                        Err(e) => prop_assert!(self.now < self.outage_until, "{}", e),
+                    }
+                    continue;
+                }
+                Op::Outage(n) => {
+                    let from = self.now + Nanos::MILLI;
+                    let until = from + Nanos::MILLI * u64::from(n);
+                    for osd in 0..self.osds.osds_up().len() {
+                        self.osds.schedule_outage(osd, from, until);
+                    }
+                    self.outage_until = self.outage_until.max(until);
                     continue;
                 }
             };
@@ -212,6 +236,13 @@ impl Run {
             }
         }
         Ok(())
+    }
+
+    /// Moves the clock past the last outage, so that whatever follows —
+    /// damage, a crash, recovery — reads a store that is up.
+    fn close_outage(&mut self) {
+        self.now = self.now.max(self.outage_until);
+        self.mds.set_now(self.now);
     }
 
     /// Crashes the server: a standby takes over from the shared store, the
@@ -303,7 +334,8 @@ proptest! {
         };
         // Interval 0 is checkpoints off.
         let checkpoints = (interval > 0).then_some(CheckpointConfig { interval_events: interval });
-        let os: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::paper_default());
+        let osds = Arc::new(InMemoryStore::paper_default());
+        let os: Arc<dyn ObjectStore> = osds.clone();
         let fenced = Arc::new(FencedStore::new(Arc::clone(&os), Arc::new(FencingAuthority::new())));
         let mut mds = MetadataServer::with_config(fenced.clone(), CostModel::calibrated(), Some(cfg));
         if let Some(c) = checkpoints {
@@ -319,7 +351,10 @@ proptest! {
             attrs: Attrs::dir_default(),
         }];
         let mut run = Run {
+            osds,
             fenced,
+            now: Nanos::ZERO,
+            outage_until: Nanos::ZERO,
             cfg,
             checkpoints,
             mds,
@@ -331,6 +366,7 @@ proptest! {
 
         let cut = crash_at as usize % (ops.len() + 1);
         run.apply(&ops[..cut])?;
+        run.close_outage();
         hurt_checkpoint_objects(os.as_ref(), &hurt);
         if let Some((flip, at)) = journal_damage {
             if hurt_journal(os.as_ref(), flip, at) {
@@ -341,6 +377,7 @@ proptest! {
         run.crash(undamaged, in_place)?;
 
         run.apply(&ops[cut..])?;
+        run.close_outage();
         // Nothing serves past the second crash: which server would is moot.
         run.crash(undamaged, false)?;
     }

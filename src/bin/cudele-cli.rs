@@ -24,21 +24,41 @@ use std::io::{self, BufRead, Write};
 use cudele::{parse_policies, CudeleFs, Policy};
 use cudele_mds::ClientId;
 
+/// Where the commands come from, as the argument list says.
+enum Input {
+    /// `-c SCRIPT`: the script's `;`-separated commands, then exit (an
+    /// empty script when `-c` is last).
+    Script(String),
+    /// Standard input, prompting unless `--batch` is given.
+    Stdin { prompt: bool },
+}
+
+/// Reads the argument list (element 0 is the program name); every list
+/// means something, so this never fails.
+fn parse_argv(args: &[String]) -> Input {
+    match args.iter().position(|a| a == "-c") {
+        Some(pos) => Input::Script(args.get(pos + 1).cloned().unwrap_or_default()),
+        None => Input::Stdin {
+            prompt: args.iter().all(|a| a != "--batch"),
+        },
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut fs = CudeleFs::new();
     println!("cudele-cli — type `help` for commands, `quit` to exit");
 
-    if let Some(pos) = args.iter().position(|a| a == "-c") {
-        let script = args.get(pos + 1).cloned().unwrap_or_default();
-        for cmd in script.split(';') {
-            run_line(&mut fs, cmd.trim(), true);
+    let interactive = match parse_argv(&args) {
+        Input::Script(script) => {
+            for cmd in script.split(';') {
+                run_line(&mut fs, cmd.trim(), true);
+            }
+            return;
         }
-        return;
-    }
-
+        Input::Stdin { prompt } => prompt,
+    };
     let stdin = io::stdin();
-    let interactive = args.iter().all(|a| a != "--batch");
     loop {
         if interactive {
             print!("cudele> ");
@@ -248,4 +268,45 @@ fn parse_kv_policy(tokens: &[&str]) -> Result<Policy, String> {
         text.push_str(&format!("{k}: {v}\n"));
     }
     parse_policies(&text).map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One argv word: a flag the shell reads, a near miss, or anything.
+    fn arb_word() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "-c|--batch|-C|--c|-|--",
+            "[a-z0-9 ;/=_\\-]{0,24}",
+            "[α-ωあ-ん]{1,4}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The argv decoder is total: `-c` wins wherever it stands and takes
+        /// the next word (or nothing) as its script; otherwise `--batch`
+        /// alone turns the prompt off.
+        #[test]
+        fn argv_parse_returns_and_follows_the_flags(
+            words in proptest::collection::vec(arb_word(), 0..6),
+        ) {
+            let argv: Vec<String> = std::iter::once("cudele-cli".to_string()).chain(words).collect();
+            match parse_argv(&argv) {
+                Input::Script(script) => {
+                    let pos = argv.iter().position(|a| a == "-c");
+                    prop_assert!(pos.is_some(), "{argv:?}");
+                    let next = pos.and_then(|p| argv.get(p + 1));
+                    prop_assert_eq!(script.as_str(), next.map_or("", String::as_str));
+                }
+                Input::Stdin { prompt } => {
+                    prop_assert!(!argv.iter().any(|a| a == "-c"), "{argv:?}");
+                    prop_assert_eq!(prompt, !argv.iter().any(|a| a == "--batch"));
+                }
+            }
+        }
+    }
 }

@@ -341,57 +341,100 @@ fn crash_mid_composition_leaves_previous_class() {
 }
 
 // ---------------------------------------------------------------------
-// I/O failures are errors, not observations of absence
+// An op that passes `check` is accepted; a refused flush is the mdlog's
 // ---------------------------------------------------------------------
 
-/// Every OSD is out while the mdlog (one event per segment, one segment
-/// per dispatch) tries to flush an unlink. The server must report an I/O
-/// error, not ENOENT: the history oracle treats ENOENT as an observation
-/// that the name was absent, and `f` was very much present.
-#[test]
-fn journal_io_failure_is_an_io_error_not_enoent() {
-    use cudele_mds::{MdLogConfig, MdsError};
-    use cudele_obs::history::{History, HistoryOp, HistoryResult};
-    use cudele_sim::{CostModel, Nanos};
-
-    let os = Arc::new(InMemoryStore::paper_default());
-    let mut server = MetadataServer::with_config(
-        os.clone(),
-        CostModel::calibrated(),
-        Some(MdLogConfig {
-            events_per_segment: 1,
-            dispatch_size: 1,
-            trim_after_updates: None,
-        }),
-    );
+/// A journaling server (one event per segment, one segment per dispatch)
+/// over `os` with a registry attached, a session open and a durable `/d`.
+fn flushing_server(os: &Arc<InMemoryStore>) -> (MetadataServer, Arc<cudele_obs::Registry>) {
+    let cost = cudele_sim::CostModel::calibrated();
+    let mut server = MetadataServer::with_config(os.clone(), cost, flush_every_event());
     let reg = Arc::new(cudele_obs::Registry::new());
     server.attach_obs(&reg);
     server.open_session(CLIENT);
+    (server, reg)
+}
+
+/// Every OSD is out over `[from, until)`.
+fn all_osds_out(os: &InMemoryStore, from: cudele_sim::Nanos, until: cudele_sim::Nanos) {
+    for osd in 0..os.osds_up().len() {
+        os.schedule_outage(osd, from, until);
+    }
+}
+
+/// `create f`, then `unlink f` at 1.5 ms inside an all-OSD outage over
+/// `[1 ms, 2 ms)`, `lookup f` at 2.5 ms and `create g`. The unlink passed
+/// `check`, so it is accepted: it replies `Ok`, its refused flush is counted
+/// once, and the next create's flush puts it in the journal. When the unlink
+/// replied `Io` instead, the checkers skipped its `err` row, and the lookup
+/// that missed `f` (the unlink stood in memory) was a linearizability
+/// violation: "lookup missed present name".
+#[test]
+fn an_unlink_whose_flush_the_store_refuses_is_accepted_and_journaled() {
+    use cudele_journal::{read_journal, JournalEvent, JournalId};
+    use cudele_obs::history::History;
+    use cudele_sim::Nanos;
+
+    let os = Arc::new(InMemoryStore::paper_default());
+    let (mut server, reg) = flushing_server(&os);
+    let dir = server.setup_dir_durable("/d").unwrap();
+    all_osds_out(&os, Nanos::from_millis(1), Nanos::from_millis(2));
+    server.set_now(Nanos::from_micros(100));
+    server.create(CLIENT, dir, "f").expect_ok();
+    server.set_now(Nanos::from_micros(1500));
+    let unlink = server.unlink(CLIENT, dir, "f").result;
+    server.set_now(Nanos::from_micros(2500));
+    let lookup = server.lookup(CLIENT, dir, "f").result;
+    server.create(CLIENT, dir, "g").expect_ok();
+
+    let history = History::parse(&reg.history_json("rpc")).unwrap();
+    let report = cudele_check::check_history(&history);
+    assert!(report.clean(), "verdict: {:?}", report.violations);
+    assert_eq!(unlink, Ok(()), "the unlink passed `check`");
+    assert_eq!(lookup, Ok(None));
+    assert_eq!(reg.counter_value("mds.mdlog.flush_failures"), Some(1));
+    let journal = read_journal(os.as_ref(), JournalId::MDLOG).unwrap();
+    let unlinked = JournalEvent::Unlink {
+        parent: dir,
+        name: "f".into(),
+    };
+    assert!(journal.contains(&unlinked), "the unlink is in the journal");
+}
+
+/// Every OSD is out while the mdlog (one event per segment, one segment
+/// per dispatch) tries to flush an unlink. The unlink is accepted; the
+/// explicit flush that asks for durability inside the window is refused
+/// with an I/O error, not ENOENT: the history oracle treats ENOENT as an
+/// observation that a name was absent, and an outage observes nothing.
+#[test]
+fn journal_io_failure_is_an_io_error_not_enoent() {
+    use cudele_mds::MdsError;
+    use cudele_obs::history::{History, HistoryOp, HistoryResult};
+    use cudele_sim::Nanos;
+
+    let os = Arc::new(InMemoryStore::paper_default());
+    let (mut server, reg) = flushing_server(&os);
     let dir = server.setup_dir_durable("/d").unwrap();
     server.set_now(Nanos::from_micros(100));
     server.create(CLIENT, dir, "f").expect_ok();
 
-    let (from, until) = (Nanos::from_millis(1), Nanos::from_millis(2));
-    for osd in 0..os.osds_up().len() {
-        os.schedule_outage(osd, from, until);
-    }
+    all_osds_out(&os, Nanos::from_millis(1), Nanos::from_millis(2));
     // The server's clock is the store's: setting it opens the window.
     server.set_now(Nanos::from_micros(1500));
-    let reply = server.unlink(CLIENT, dir, "f");
+    server.unlink(CLIENT, dir, "f").expect_ok();
+    assert_eq!(server.unflushed_events(), 2, "the unlink and its boundary");
+    let flushed = server.try_flush_journal();
     assert!(
-        matches!(reply.result, Err(MdsError::Io { .. })),
-        "an outage under the journal append is an I/O error, got {:?}",
-        reply.result
+        matches!(flushed, Err(MdsError::Io { .. })),
+        "an outage under an explicit flush is an I/O error, got {flushed:?}"
     );
-    // Known gap (DESIGN.md §11.5): the in-memory mutation stands, exactly as
-    // for a fenced append.
     assert!(server.store().lookup(dir, "f").is_err());
 
     let history = History::parse(&reg.history_json("rpc")).unwrap();
     assert_eq!(history.events.len(), 2);
     let row = &history.events[1];
     assert!(matches!(row.op, HistoryOp::Unlink { .. }));
-    assert_eq!(row.result, HistoryResult::Err, "recorded as `err`");
+    assert_eq!(row.result, HistoryResult::Ok, "recorded as `ok`");
     let report = cudele_check::check_history(&history);
     assert!(report.clean(), "verdict: {:?}", report.violations);
 }
@@ -401,26 +444,33 @@ fn journal_io_failure_is_an_io_error_not_enoent() {
 // ---------------------------------------------------------------------
 
 /// Every OSD is out over `[1 ms, 2 ms)`: a journal append the server
-/// makes at 1.5 ms is refused, one at 2.5 ms lands. Only the server's
-/// clock is set — the store, the fault wrapper and the fence keep none of
-/// their own.
+/// makes at 1.5 ms is refused and counted, one at 2.5 ms lands and takes
+/// the refused one with it. Only the server's clock is set — the store,
+/// the fault wrapper and the fence keep none of their own.
 fn outage_opens_and_closes_on_the_server_clock(server: &mut MetadataServer) {
-    use cudele_mds::MdsError;
     use cudele_sim::Nanos;
 
+    let reg = Arc::new(cudele_obs::Registry::new());
+    server.attach_obs(&reg);
     server.open_session(CLIENT);
     let dir = server.setup_dir("/d").unwrap();
+    let failures = || reg.counter_value("mds.mdlog.flush_failures");
     let create = |server: &mut MetadataServer, at: u64, name: &str| {
         server.set_now(Nanos::from_micros(at));
-        server.create(CLIENT, dir, name).result
+        server.create(CLIENT, dir, name).expect_ok();
     };
-    create(server, 500, "before").unwrap();
-    let during = create(server, 1_500, "during");
-    assert!(
-        matches!(during, Err(MdsError::Io { .. })),
-        "an append inside the window is refused, got {during:?}"
+    create(server, 500, "before");
+    assert_eq!(failures(), None, "nothing refused before the window");
+    create(server, 1_500, "during");
+    assert_eq!(
+        failures(),
+        Some(1),
+        "an append inside the window is refused"
     );
-    create(server, 2_500, "after").expect("the window closed at 2 ms");
+    assert!(server.unflushed_events() > 0);
+    create(server, 2_500, "after");
+    assert_eq!(failures(), Some(1), "the window closed at 2 ms");
+    assert_eq!(server.unflushed_events(), 0);
 }
 
 /// An mdlog that flushes every event, so each create is one append.
@@ -726,11 +776,12 @@ fn failed_monmap_removal_fails_the_persist_instead_of_keeping_cleared_policies()
 /// time) on a store that `break_store` sets up, part-way through, to fail
 /// one kind of write nine times in a row — the first attempt and all eight
 /// retries — so one flush fails past the writer's retry budget while the
-/// server keeps running and later flushes succeed. Every create that was
-/// acknowledged `Ok` must be there after a later flush and a crash, and so
-/// must everything else the server applied.
+/// server keeps running and later flushes succeed. Every create passes
+/// `check`, so every one is acknowledged `Ok` and the failed flush is
+/// counted once; all of them must be there after a later flush and a
+/// crash, and nothing else.
 fn acknowledged_creates_survive_a_failed_flush(break_store: impl Fn(&FlakyStore)) {
-    use cudele_mds::{MdLogConfig, MdsError};
+    use cudele_mds::MdLogConfig;
     use cudele_sim::CostModel;
 
     let os = Arc::new(FlakyStore::new());
@@ -743,6 +794,8 @@ fn acknowledged_creates_survive_a_failed_flush(break_store: impl Fn(&FlakyStore)
             trim_after_updates: None,
         }),
     );
+    let reg = Arc::new(cudele_obs::Registry::new());
+    mds.attach_obs(&reg);
     mds.open_session(CLIENT);
     let dir = mds.setup_dir_durable("/d").unwrap();
     let mut acknowledged = Vec::new();
@@ -751,12 +804,12 @@ fn acknowledged_creates_survive_a_failed_flush(break_store: impl Fn(&FlakyStore)
             break_store(&os);
         }
         let name = format!("f{i}");
-        match mds.create(CLIENT, dir, &name).result {
-            Ok(_) => acknowledged.push(name),
-            Err(e) => assert!(matches!(e, MdsError::Io { .. }), "{name}: {e}"),
+        if mds.create(CLIENT, dir, &name).result.is_ok() {
+            acknowledged.push(name);
         }
     }
-    assert_eq!(acknowledged.len(), 23, "one create saw its flush fail");
+    assert_eq!(acknowledged.len(), 24, "every create was accepted");
+    assert_eq!(reg.counter_value("mds.mdlog.flush_failures"), Some(1));
 
     let applied = mds.store().snapshot();
     mds.try_flush_journal().unwrap();
@@ -830,8 +883,8 @@ fn segment_relanded_after_a_failed_header_write_replays_idempotently() {
 /// Re-enabling checkpoints while the store is out must not be read as "no
 /// checkpoint state": a manager that restarts at epoch 0 on top of five
 /// published manifests overwrites the immutable per-epoch objects of the
-/// fallback ladder and then loses every HEAD CAS, so each later flush —
-/// and every journaled create past the interval — fails.
+/// fallback ladder and then loses every HEAD CAS, so every later pass
+/// fails.
 #[test]
 fn outage_while_enabling_checkpoints_is_an_error_not_a_fresh_namespace() {
     use cudele_mds::{CheckpointConfig, MdLogConfig, MdsError};
@@ -1300,7 +1353,8 @@ fn crash_world(budget: u64) -> CrashWorld {
         CostModel::calibrated(),
         Some(SWEEP_MDLOG),
     );
-    // Applied in memory even when its journaling fails (DESIGN.md §11.5).
+    // A store already dead refuses the attach; the setup below is accepted
+    // either way.
     let _ = mds.enable_checkpoints(SWEEP_CKPT);
     mds.open_session(CLIENT);
     let _ = mds.setup_dir_durable("/d");
@@ -1315,8 +1369,8 @@ fn crash_world(budget: u64) -> CrashWorld {
     };
     let mut created = 0;
     for step in 0..60 {
-        // Requests may fail — ENOENT for a name already gone, and EIO once
-        // the store is: part of the schedule.
+        // Requests may fail — ENOENT for a name already gone, and an
+        // explicit flush EIO once the store is: part of the schedule.
         let old = format!("f{}", below(created + 1));
         match below(8) {
             0..=3 => {
