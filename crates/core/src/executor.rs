@@ -7,7 +7,7 @@
 //! a stage (`||`) overlap, so a stage costs its slowest member.
 
 use cudele_client::{DecoupledClient, DiskError, LocalDisk};
-use cudele_journal::{read_journal, JournalIoError};
+use cudele_journal::{decode_journal, journal_exists, read_journal, JournalEvent, JournalIoError};
 use std::sync::Arc;
 
 use cudele_mds::{MdsError, MetadataServer, ObjectStoreSink, PersistError, PersistObs};
@@ -178,7 +178,7 @@ fn run_mechanism(
             // be there first ("replays the client's in-memory journal into
             // the object store").
             let jid = client.journal_id();
-            if !cudele_journal::journal_exists(env.os, jid) {
+            if !journal_exists(env.os, jid) {
                 elapsed += client.global_persist(env.os, &cm, trace)?;
             }
             // The MDS's periodic flush keeps the object-store metadata
@@ -308,31 +308,30 @@ pub fn execute_merge_at(
 }
 
 /// The durability class a client journal has *actually* achieved, judged
-/// by where it can be recovered from. Used by the failure-injection tests
-/// to check that each Table I row delivers (exactly) what it promises.
+/// by reading back what each tier holds. Global: the stored journal exists
+/// and reads back strictly (every stripe present, every frame's CRC
+/// checked), and the client's events are a prefix of it. Local: the
+/// local-disk blob passes the same test, probed with a crashed but
+/// recoverable node revived. None: anything else. A client a merge cleared
+/// holds no events, so for it only the strict read counts. Table I and the
+/// durability table in `tests/chaos.rs` ask it whether each row delivers
+/// (exactly) what it promises.
 pub fn achieved_durability(
     client: &DecoupledClient,
     disk: &LocalDisk,
     os: &dyn ObjectStore,
 ) -> Durability {
-    if cudele_journal::journal_exists(os, client.journal_id()) {
+    let holds = |stored: &[JournalEvent]| stored.starts_with(client.events());
+    let id = client.journal_id();
+    if journal_exists(os, id) && read_journal(os, id).is_ok_and(|e| holds(&e)) {
         return Durability::Global;
     }
+    let mut probe = disk.clone();
+    probe.recover();
     let path = format!("client{}-journal.bin", client.id.0);
-    match disk.read(&path) {
-        Ok(_) => Durability::Local,
-        // A crashed-but-recoverable node still counts as local durability;
-        // probe by cloning with the node revived.
-        Err(DiskError::NodeDown) => {
-            let mut probe = disk.clone();
-            probe.recover();
-            if probe.read(&path).is_ok() {
-                Durability::Local
-            } else {
-                Durability::None
-            }
-        }
-        Err(_) => Durability::None,
+    match probe.read(&path).map(decode_journal) {
+        Ok(Ok(events)) if holds(&events) => Durability::Local,
+        _ => Durability::None,
     }
 }
 
@@ -341,8 +340,7 @@ pub fn achieved_durability(
 /// they must not be until the merge runs).
 pub fn visible_in_global(server: &MetadataServer, client: &DecoupledClient) -> bool {
     client.events().iter().all(|e| match e {
-        cudele_journal::JournalEvent::Create { parent, name, .. }
-        | cudele_journal::JournalEvent::Mkdir { parent, name, .. } => {
+        JournalEvent::Create { parent, name, .. } | JournalEvent::Mkdir { parent, name, .. } => {
             server.store().lookup(*parent, name).is_ok()
         }
         _ => true,
@@ -694,58 +692,75 @@ mod tests {
         }
     }
 
+    /// Stripe `seq` of `client`'s stored journal.
+    fn stripe(client: &DecoupledClient, seq: u64) -> cudele_rados::ObjectId {
+        let id = client.journal_id();
+        cudele_rados::ObjectId::journal_stripe(id.pool, id.ino, seq)
+    }
+
+    /// The judge reads what it rates: a global-persisted journal with one
+    /// stripe byte flipped at rest fails its frame CRC, so it is not Global,
+    /// and with no local blob it is None.
     #[test]
-    fn durability_ladder() {
+    fn a_journal_flipped_at_rest_is_not_global() {
         let (mut server, os, mut disk, mut client) = setup();
-        // Nothing persisted yet.
+        merge("global_persist", &mut server, &os, &mut disk, &mut client).unwrap();
+        assert_eq!(
+            achieved_durability(&client, &disk, os.as_ref()),
+            Durability::Global
+        );
+        let mut data = os.read(&stripe(&client, 0)).unwrap().to_vec();
+        let mid = data.len() / 2;
+        data[mid] ^= 0x01;
+        os.write_full(&stripe(&client, 0), &data).unwrap();
         assert_eq!(
             achieved_durability(&client, &disk, os.as_ref()),
             Durability::None
         );
-        // Local persist -> local.
-        let lp: Composition = "local_persist".parse().unwrap();
-        execute_merge(
-            &lp,
-            &mut client,
-            &mut ExecEnv {
-                server: &mut server,
-                os: os.as_ref(),
-                disk: &mut disk,
-            },
-        )
-        .unwrap();
+    }
+
+    /// A multi-stripe journal whose lower stripe lost its last frame still
+    /// reads back `Ok`, one event short (the header marks only the last
+    /// stripe's end), so the judge asks whether the client's events are a
+    /// prefix of what it read.
+    #[test]
+    fn a_lower_stripe_cut_at_a_frame_boundary_is_not_global() {
+        let (_, os, disk, client) = setup();
+        let mut w =
+            cudele_journal::JournalWriter::open_with_stripe(os.as_ref(), client.journal_id(), 256)
+                .unwrap();
+        w.append(client.events()).unwrap();
+        assert!(w.stripes() > 2);
+        let data = os.read(&stripe(&client, 0)).unwrap();
+        let (mut last, mut end) = (0, 0);
+        while end < data.len() {
+            last = end;
+            end += 8 + u32::from_le_bytes(data[end..end + 4].try_into().unwrap()) as usize;
+        }
+        os.write_full(&stripe(&client, 0), &data[..last]).unwrap();
+        let read = read_journal(os.as_ref(), client.journal_id()).unwrap();
+        assert_eq!(read.len() + 1, client.events().len());
+        assert_eq!(
+            achieved_durability(&client, &disk, os.as_ref()),
+            Durability::None
+        );
+    }
+
+    /// A local blob that lost its last byte does not decode: None.
+    #[test]
+    fn a_truncated_local_blob_is_not_local() {
+        let (mut server, os, mut disk, mut client) = setup();
+        merge("local_persist", &mut server, &os, &mut disk, &mut client).unwrap();
         assert_eq!(
             achieved_durability(&client, &disk, os.as_ref()),
             Durability::Local
         );
-        // Node crash (recoverable) keeps local durability.
-        disk.crash();
+        let path = "client1-journal.bin";
+        let blob = disk.read(path).unwrap().to_vec();
+        disk.write(path, &blob[..blob.len() - 1]).unwrap();
         assert_eq!(
             achieved_durability(&client, &disk, os.as_ref()),
-            Durability::Local
-        );
-        disk.recover();
-        // Global persist -> global.
-        let gp: Composition = "global_persist".parse().unwrap();
-        execute_merge(
-            &gp,
-            &mut client,
-            &mut ExecEnv {
-                server: &mut server,
-                os: os.as_ref(),
-                disk: &mut disk,
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            achieved_durability(&client, &disk, os.as_ref()),
-            Durability::Global
-        );
-        // Even destroying the node cannot lose globally persisted updates.
-        disk.destroy();
-        assert_eq!(
-            achieved_durability(&client, &disk, os.as_ref()),
-            Durability::Global
+            Durability::None
         );
     }
 

@@ -14,9 +14,9 @@
 //! is accepted: a segment leaves the window only when its append is
 //! acknowledged, so a window flush the store refuses is counted
 //! (`mds.mdlog.flush_failures`), stays queued and is retried by the next
-//! submit or flush, and the submit still succeeds. Only a fence fails it,
-//! and an explicit [`MdLog::flush`] returns any failure: its caller asks for
-//! durability.
+//! submit that seals a segment or by a flush, and the submit still
+//! succeeds. Only a fence fails it, and an explicit [`MdLog::flush`]
+//! returns any failure: its caller asks for durability.
 //! The mdlog never folds or drops what it wrote: the checkpoint
 //! ([`crate::checkpoint`]) is the one fold of the journal into the metadata
 //! store, and its manifest is what bounds recovery. An event's index in the
@@ -77,7 +77,9 @@ cudele_obs::handles! {
         /// `mds.mdlog.bytes_flushed` — functional journal bytes written.
         pub bytes_flushed: Counter = reg.counter("mds.mdlog.bytes_flushed"),
         /// `mds.mdlog.flush_failures` — window flushes the store refused
-        /// during a submit, registered by the first.
+        /// during a submit, registered by the first. Only a submit that
+        /// seals a segment attempts one, so this is at most the segments
+        /// sealed while the store refused.
         pub flush_failures: FirstUse<Counter> =
             FirstUse::new(reg, |r| r.counter("mds.mdlog.flush_failures")),
         /// Handles for the transient [`JournalWriter`]s the flush path
@@ -145,10 +147,12 @@ impl MdLog {
         self.flushed_events
     }
 
-    /// Submits one event, which is then accepted. If this seals enough
-    /// segments to fill the dispatch window, the window is flushed to the
-    /// object store; a flush the store refuses is counted and left queued
-    /// for the next submit or flush. Only a fenced write is an error.
+    /// Submits one event, which is then accepted. If this seals a segment
+    /// and the sealed segments fill the dispatch window, the window is
+    /// flushed to the object store; a flush the store refuses is counted and
+    /// left queued for the next sealing submit or flush, so an outage costs
+    /// one attempt per sealed segment, not one per event. Only a fenced
+    /// write is an error.
     pub fn submit<'a, S: ObjectStore + ?Sized>(
         &mut self,
         os: &S,
@@ -157,10 +161,11 @@ impl MdLog {
         if let Some(obs) = &self.obs {
             obs.events.inc();
         }
-        if let Some(seg) = self.builder.push(event) {
-            self.sealed_events += seg.events;
-            self.sealed.push_back(seg);
-        }
+        let Some(seg) = self.builder.push(event) else {
+            return Ok(());
+        };
+        self.sealed_events += seg.events;
+        self.sealed.push_back(seg);
         if self.sealed.len() >= self.config.dispatch_size as usize {
             match self.flush_window(os) {
                 Err(e) if fenced_write(&e).is_some() => return Err(e),
@@ -354,6 +359,33 @@ mod tests {
             Some(1),
             "a fence is not a failure to retry"
         );
+    }
+
+    /// An outage costs one attempt per sealed segment, not one per event:
+    /// only a submit that seals a segment retries the refused window. Forty
+    /// events in four-event segments seal ten; the window (two) first fills
+    /// at the second, so nine attempts fail.
+    #[test]
+    fn an_outage_costs_at_most_one_attempt_per_sealed_segment() {
+        let os = InMemoryStore::paper_default();
+        let (mut log, reg) = logged(config(4, 2));
+        let osds = os.osds_up().len();
+        (0..osds).for_each(|osd| os.fail_osd(osd));
+        for i in 0..40 {
+            log.submit(&os, &create(i)).unwrap();
+        }
+        let failures = reg.counter_value("mds.mdlog.flush_failures").unwrap();
+        (0..osds).for_each(|osd| os.revive_osd(osd));
+        log.flush(&os).unwrap();
+        let sealed = segments_flushed(&reg);
+        assert_eq!(sealed, 10);
+        assert!(
+            failures <= sealed,
+            "{failures} attempts for {sealed} segments"
+        );
+        assert_eq!(failures, 9);
+        let persisted = read_journal(&os, JournalId::MDLOG).unwrap();
+        assert_eq!(persisted.iter().filter(|e| e.is_update()).count(), 40);
     }
 
     #[test]

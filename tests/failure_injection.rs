@@ -1,17 +1,19 @@
-//! Failure injection: crash clients, client nodes, the MDS, and OSDs at
-//! every stage of each mechanism, and verify that exactly the promised
-//! durability/consistency class survives.
+//! Failure injection: crash the MDS, its journal writers and the store at
+//! every stage, and verify that exactly what was acknowledged survives.
 //!
-//! The paper's framing: "None is different than local durability because
-//! regardless of the type of failure, metadata will be lost when
-//! components die in a None configuration"; local survives *recoverable*
-//! node failures; global survives everything.
+//! The durability classes themselves — "None is different than local
+//! durability because regardless of the type of failure, metadata will be
+//! lost when components die in a None configuration"; local survives
+//! *recoverable* node failures; global survives everything — are one table
+//! in `tests/chaos.rs`, one row per composition. The tests here check what
+//! a row does not: replication, a checkpointed restart, Stream's flush
+//! boundary, refused flushes and the crash-at-every-write matrices.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use cudele::{achieved_durability, execute_merge, Composition, Durability, ExecEnv};
+use cudele::{execute_merge, Composition, ExecEnv};
 use cudele_client::{DecoupledClient, LocalDisk};
 use cudele_journal::InodeRange;
 use cudele_mds::{ClientId, MetadataServer};
@@ -22,113 +24,9 @@ use cudele_rados::{
 
 const CLIENT: ClientId = ClientId(1);
 
-struct Rig {
-    server: MetadataServer,
-    os: Arc<InMemoryStore>,
-    disk: LocalDisk,
-    client: DecoupledClient,
-}
-
-fn rig(events: u64) -> Rig {
-    let os = Arc::new(InMemoryStore::paper_default());
-    let mut server = MetadataServer::new(os.clone());
-    server.open_session(CLIENT);
-    server.setup_dir("/job").unwrap();
-    let (client, _) = DecoupledClient::decouple(&mut server, CLIENT, "/job", events + 10);
-    let mut client = client.unwrap();
-    for i in 0..events {
-        client.create(client.root, &format!("f{i}")).unwrap();
-    }
-    Rig {
-        server,
-        os,
-        disk: LocalDisk::new(),
-        client,
-    }
-}
-
-fn merge(rig: &mut Rig, comp: &str) {
-    let comp: Composition = comp.parse().unwrap();
-    execute_merge(
-        &comp,
-        &mut rig.client,
-        &mut ExecEnv {
-            server: &mut rig.server,
-            os: rig.os.as_ref(),
-            disk: &mut rig.disk,
-        },
-    )
-    .unwrap();
-}
-
 // ---------------------------------------------------------------------
-// Durability classes under node failure
+// What the durability table in tests/chaos.rs does not run
 // ---------------------------------------------------------------------
-
-#[test]
-fn none_durability_loses_everything_on_any_failure() {
-    let mut r = rig(50);
-    // No persist ran. Node crash (even recoverable) loses the in-memory
-    // journal — there is nothing on disk to replay.
-    r.disk.crash();
-    r.disk.recover();
-    assert!(DecoupledClient::recover_from_local_disk(
-        CLIENT,
-        r.client.root,
-        InodeRange::new(r.client.events()[0].allocates().unwrap(), 60),
-        &r.disk
-    )
-    .is_err());
-    assert_eq!(
-        achieved_durability(&r.client, &r.disk, r.os.as_ref()),
-        Durability::None
-    );
-}
-
-#[test]
-fn local_durability_survives_recoverable_crash_only() {
-    let mut r = rig(50);
-    merge(&mut r, "local_persist");
-    // Recoverable crash: journal comes back.
-    r.disk.crash();
-    assert_eq!(
-        achieved_durability(&r.client, &r.disk, r.os.as_ref()),
-        Durability::Local
-    );
-    r.disk.recover();
-    let recovered = DecoupledClient::recover_from_local_disk(
-        CLIENT,
-        r.client.root,
-        InodeRange::new(r.client.events()[0].allocates().unwrap(), 60),
-        &r.disk,
-    )
-    .unwrap();
-    assert_eq!(recovered.events(), r.client.events());
-
-    // Permanent node loss: gone. "If the client fails and stays down then
-    // computation must be done again."
-    r.disk.destroy();
-    assert_eq!(
-        achieved_durability(&r.client, &r.disk, r.os.as_ref()),
-        Durability::None
-    );
-}
-
-#[test]
-fn global_durability_survives_client_loss_and_osd_failure() {
-    let mut r = rig(50);
-    merge(&mut r, "global_persist");
-    // The client node evaporates.
-    r.disk.destroy();
-    assert_eq!(
-        achieved_durability(&r.client, &r.disk, r.os.as_ref()),
-        Durability::Global
-    );
-    // The journal can be fetched from the object store with zero client
-    // state.
-    let events = cudele_journal::read_journal(r.os.as_ref(), r.client.journal_id()).unwrap();
-    assert_eq!(events.len(), 50);
-}
 
 #[test]
 fn replicated_object_store_survives_single_osd_failure() {
@@ -152,56 +50,6 @@ fn replicated_object_store_survives_single_osd_failure() {
         assert_eq!(events.len(), 20, "journal unreadable with OSD {osd} down");
         os.revive_osd(osd);
     }
-}
-
-// ---------------------------------------------------------------------
-// MDS crashes
-// ---------------------------------------------------------------------
-
-#[test]
-fn mds_crash_before_merge_preserves_nothing_of_the_decoupled_job() {
-    let mut r = rig(50);
-    // The MDS knows nothing about the decoupled updates; a crash+recover
-    // leaves the global namespace without them (by design — invisible).
-    r.server.flush_journal();
-    r.server.crash_and_recover().unwrap();
-    assert!(
-        r.server
-            .store()
-            .readdir(r.client.root)
-            .map(|v| v.len())
-            .unwrap_or(0)
-            == 0
-    );
-    // The client journal is intact client-side; the merge can run later.
-    assert_eq!(r.client.event_count(), 50);
-}
-
-#[test]
-fn mds_crash_after_volatile_apply_loses_merge_without_stream_flush() {
-    let mut r = rig(50);
-    merge(&mut r, "volatile_apply");
-    assert_eq!(r.server.store().readdir(r.client.root).unwrap().len(), 50);
-    // Volatile apply wrote only MDS memory. Crash without flushing: gone.
-    // (crash_and_recover does not flush — that is the point.)
-    r.server.crash_and_recover().unwrap();
-    let survived = r
-        .server
-        .store()
-        .readdir(r.client.root)
-        .map(|v| v.len())
-        .unwrap_or(0);
-    assert_eq!(survived, 0, "volatile apply must not survive an MDS crash");
-}
-
-#[test]
-fn mds_crash_after_nonvolatile_apply_preserves_merge() {
-    let mut r = rig(50);
-    merge(&mut r, "nonvolatile_apply");
-    // NVA wrote the object store representation; crash+recover again and
-    // the files are still there.
-    r.server.crash_and_recover().unwrap();
-    assert_eq!(r.server.store().readdir(r.client.root).unwrap().len(), 50);
 }
 
 /// A server with a published checkpoint manifest recovers from the image
@@ -238,45 +86,18 @@ fn nonvolatile_apply_survives_a_checkpointed_restart() {
     for i in 0..50 {
         client.create(client.root, &format!("f{i}")).unwrap();
     }
-    let mut r = Rig {
-        server,
-        os,
-        disk: LocalDisk::new(),
-        client,
+    let comp: Composition = "nonvolatile_apply".parse().unwrap();
+    let env = &mut ExecEnv {
+        server: &mut server,
+        os: os.as_ref(),
+        disk: &mut LocalDisk::new(),
     };
-    merge(&mut r, "nonvolatile_apply");
+    execute_merge(&comp, &mut client, env).unwrap();
     let names = |server: &MetadataServer, dir| server.store().readdir(dir).map_or(0, |l| l.len());
-    assert_eq!(names(&r.server, r.client.root), 50, "after the merge");
-    r.server.crash_and_recover().unwrap();
-    assert_eq!(
-        names(&r.server, r.client.root),
-        50,
-        "after one more restart"
-    );
-    assert_eq!(names(&r.server, rpc_dir), 100);
-}
-
-#[test]
-fn global_persist_plus_volatile_apply_recoverable_end_to_end() {
-    // The weak/global cell: after GP||VA, even if the MDS crashes the
-    // journal is in the object store, so the merge can be replayed.
-    let mut r = rig(50);
-    merge(&mut r, "global_persist||volatile_apply");
-    r.server.crash_and_recover().unwrap();
-    // In-memory merge lost...
-    let after_crash = r
-        .server
-        .store()
-        .readdir(r.client.root)
-        .map(|v| v.len())
-        .unwrap_or(0);
-    assert_eq!(after_crash, 0);
-    // ...but the journal is global: re-apply it.
-    let events = cudele_journal::read_journal(r.os.as_ref(), r.client.journal_id()).unwrap();
-    r.server.open_session(CLIENT);
-    let applied = r.server.volatile_apply(CLIENT, &events).result.unwrap();
-    assert_eq!(applied, 50);
-    assert_eq!(r.server.store().readdir(r.client.root).unwrap().len(), 50);
+    assert_eq!(names(&server, client.root), 50, "after the merge");
+    server.crash_and_recover().unwrap();
+    assert_eq!(names(&server, client.root), 50, "after one more restart");
+    assert_eq!(names(&server, rpc_dir), 100);
 }
 
 #[test]
@@ -314,30 +135,6 @@ fn stream_flush_boundary_is_exactly_what_survives() {
         .count();
     assert_eq!(pre, 30, "flushed updates must survive");
     assert_eq!(post, 0, "unflushed updates must be lost");
-}
-
-// ---------------------------------------------------------------------
-// Crash *during* a composition: "we make no guarantees while
-// transitioning between policies ... the semantics are guaranteed once
-// the mechanism completes"
-// ---------------------------------------------------------------------
-
-#[test]
-fn crash_mid_composition_leaves_previous_class() {
-    let mut r = rig(50);
-    // Local persist completes, then the node dies before global persist
-    // could run: the achieved class is Local, not Global — and after the
-    // node is destroyed, None. No intermediate state claims Global.
-    merge(&mut r, "local_persist");
-    assert_eq!(
-        achieved_durability(&r.client, &r.disk, r.os.as_ref()),
-        Durability::Local
-    );
-    r.disk.destroy();
-    assert_eq!(
-        achieved_durability(&r.client, &r.disk, r.os.as_ref()),
-        Durability::None
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -952,15 +749,22 @@ fn outage_while_enabling_checkpoints_is_an_error_not_a_fresh_namespace() {
 /// journal *behind* the dead writer's frames.
 #[test]
 fn global_persist_after_a_writer_died_before_its_header_reads_back_alone() {
-    use cudele_journal::read_journal;
+    use cudele_journal::{read_journal, InodeId};
     use cudele_sim::CostModel;
 
-    let mut rig = rig(6);
+    let mut client = DecoupledClient::new(
+        CLIENT,
+        InodeId(0x1000),
+        InodeRange::new(InodeId(0x1001), 16),
+    );
+    for i in 0..6 {
+        client.create(client.root, &format!("f{i}")).unwrap();
+    }
     let os = FlakyStore::new();
     let cm = CostModel::calibrated();
-    let id = rig.client.journal_id();
+    let id = client.journal_id();
     os.mutations_left.store(1, Ordering::SeqCst);
-    assert!(rig.client.global_persist(&os, &cm, None).is_err());
+    assert!(client.global_persist(&os, &cm, None).is_err());
     assert!(!cudele_journal::journal_exists(&os.inner, id));
     assert_eq!(
         os.inner.list(id.pool, &format!("{:x}.", id.ino)).len(),
@@ -969,9 +773,9 @@ fn global_persist_after_a_writer_died_before_its_header_reads_back_alone() {
     );
 
     os.mutations_left.store(u64::MAX, Ordering::SeqCst);
-    rig.client.create(rig.client.root, "second").unwrap();
-    rig.client.global_persist(&os, &cm, None).unwrap();
-    assert_eq!(read_journal(&os, id).unwrap(), rig.client.events());
+    client.create(client.root, "second").unwrap();
+    client.global_persist(&os, &cm, None).unwrap();
+    assert_eq!(read_journal(&os, id).unwrap(), client.events());
 }
 
 // ---------------------------------------------------------------------
